@@ -14,13 +14,10 @@ reconcile, if the 8-process worker sweep's p99 check lag is not
 monotonically decreasing from 1 to 4 workers, or if stall-mode overhead
 does not exceed lossy-mode overhead under ring pressure.
 
-``--scale`` runs the 100x sweep instead (shared-memory segments,
-process-pool decode, work stealing, sharded index) and gates on:
-sublinear lag_p99 growth, bit-identical thread/process parity,
-bit-identical flat/sharded index parity, steals observed under ring
-pressure, zero leaked shm blocks, exact cycle accounting everywhere,
-and the committed loadgen knee staying at or above the trajectory
-floor.
+``--scale`` runs the 100x process sweep instead (fleet sizes up to
+``--max-processes``, one worker per four processes) and gates on:
+sublinear lag_p99 growth, exact cycle accounting everywhere, and the
+committed loadgen knee staying at or above the trajectory floor.
 """
 
 from __future__ import annotations
@@ -33,11 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments import fleet_scaling  # noqa: E402
-
-
-#: the loadgen knee floor the scale run must not regress (committed
-#: BENCH_loadgen.json; mirrors experiments/trajectory.py KNEE_FLOOR).
-KNEE_FLOOR = 75.5
+from repro.experiments.trajectory import KNEE_FLOOR  # noqa: E402
 
 
 def _scale_failures(results: dict) -> list:
@@ -47,22 +40,6 @@ def _scale_failures(results: dict) -> list:
         failures.append(
             "lag_p99 grew superlinearly with fleet size: "
             f"{results['lag_growth']}"
-        )
-    if not results["parity"]["identical"]:
-        failures.append(
-            "process-pool decode diverged from threaded: "
-            f"{results['parity']}"
-        )
-    if not results["shard_parity"]["identical"]:
-        failures.append(
-            "sharded index diverged from flat: "
-            f"{results['shard_parity']}"
-        )
-    if not results["steals_observed"]:
-        failures.append("no steals under ring pressure")
-    if results["leaked_blocks"]:
-        failures.append(
-            f"leaked shm blocks: {results['leaked_blocks']}"
         )
     if not results["accounting_exact"]:
         failures.append("cycle ledger drift in the scale sweep")
@@ -83,13 +60,23 @@ def _scale_failures(results: dict) -> list:
     return failures
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, got {value}"
+        )
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="smaller sweeps for CI smoke runs")
     parser.add_argument("--scale", action="store_true",
                         help="run the 100x scale sweep instead")
-    parser.add_argument("--max-processes", type=int, default=100,
+    parser.add_argument("--max-processes", type=_positive_int,
+                        default=100,
                         help="largest fleet in the --scale sweep")
     parser.add_argument("--out", default=None,
                         help="output JSON path")

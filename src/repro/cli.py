@@ -360,10 +360,6 @@ def _build_fleet_service(args: argparse.Namespace):
         ring_bytes=args.ring_bytes,
         ring_policy=RingPolicy(args.policy),
         max_queue_depth=args.queue_depth,
-        decode_mode=args.decode_mode,
-        decode_pool=args.decode_pool,
-        pool=args.pool,
-        index_shards=args.index_shards,
         segment_cache_entries=args.segment_cache,
         edge_cache_entries=args.edge_cache,
         engine=args.engine,
@@ -1101,21 +1097,6 @@ def _add_fleet_shape_args(parser: argparse.ArgumentParser) -> None:
                         help="per-process trace ring capacity")
     parser.add_argument("--queue-depth", type=int, default=64,
                         help="in-flight checks before backpressure")
-    parser.add_argument("--decode-mode",
-                        choices=["simulated", "threads"],
-                        default="simulated")
-    parser.add_argument("--decode-pool", choices=["thread", "process"],
-                        default="thread",
-                        help="real decode backend for --decode-mode "
-                             "threads: in-process thread pool or a "
-                             "process pool over shared-memory columns")
-    parser.add_argument("--pool", choices=["spread", "steal"],
-                        default="spread",
-                        help="simulated scheduling discipline: "
-                             "slice-level spread or per-process "
-                             "affinity with work stealing")
-    parser.add_argument("--index-shards", type=int, default=0,
-                        help="flow-index shards (0 = flat index)")
     parser.add_argument("-n", "--sessions", type=int, default=2,
                         help="client sessions per process")
     parser.add_argument("--servers", nargs="*", default=None,

@@ -48,10 +48,6 @@ def build_fleet(
     seed: int = 0,
     faults=None,
     retry=None,
-    decode_mode: str = "simulated",
-    decode_pool: str = "thread",
-    pool: str = "spread",
-    index_shards: int = 0,
 ) -> FleetService:
     """A fleet with the standard alternating server mix.
 
@@ -59,10 +55,7 @@ def build_fleet(
     submitted work is *identical* across worker counts — stall-mode
     feedback would change the schedule itself and confound the sweep.
     ``faults``/``retry`` arm the resilience plane (see
-    :mod:`repro.experiments.resilience`).  ``decode_mode``/
-    ``decode_pool``/``pool``/``index_shards`` select the real decode
-    backend, simulated scheduling discipline, and flow-index layout
-    for the 100× scale runs.
+    :mod:`repro.experiments.resilience`).
     """
     config = FleetConfig(
         workers=workers,
@@ -72,10 +65,6 @@ def build_fleet(
         seed=seed,
         faults=faults,
         retry=retry,
-        decode_mode=decode_mode,
-        decode_pool=decode_pool,
-        pool=pool,
-        index_shards=index_shards,
     )
     service = FleetService(config)
     seed_server_fs(service.kernel)
@@ -178,49 +167,25 @@ def run(quick: bool = False) -> Dict[str, object]:
 
 
 def run_scale(max_processes: int = 100) -> Dict[str, object]:
-    """The 100× sweep: hundreds of protected processes over shared
-    memory, process-pool decode, work stealing, and a sharded index.
+    """The 100× sweep: one monitor serving hundreds of protected
+    processes, workers scaled at one per four processes.
 
-    Three gates, all computed here and asserted by the wrapper:
+    Two gates, both computed here and asserted by the wrapper:
 
-    - **sublinear lag** — across the sweep (workers scaled at one per
-      four processes), lag_p99 must grow strictly slower than fleet
+    - **sublinear lag** — lag_p99 must grow strictly slower than fleet
       size between consecutive sizes.
-    - **thread/process parity** — on an 8-process subset, the process
-      pool must be observationally identical to the threaded pool:
-      same schedule digest, verdicts, cycle accounting, ledger, *and*
-      decoded column digest (the shm path reproduces every column
-      byte-for-byte).
-    - **zero leaks** — the shm registry must end every process-pool
-      run with no live blocks.
+    - **exact accounting** — every fleet's cycle ledger reconciles.
     """
-    from repro.ipt import shm
-
-    results: Dict[str, object] = {"max_processes": max_processes}
-
-    # -- scale sweep: steal discipline, sharded index, process decode ------
-    sizes = [16, 32, 64, 100, 128]
-    sizes = [size for size in sizes if size <= max_processes]
-    if sizes[-1] != max_processes:
-        sizes.append(max_processes)
+    sizes = [
+        size for size in (16, 32, 64, 100, 128) if size < max_processes
+    ]
+    sizes.append(max_processes)
     scale_rows: List[dict] = []
-    leaked: List[str] = []
     for processes in sizes:
         workers = max(4, processes // 4)
-        service = build_fleet(
-            processes, workers, 1,
-            decode_mode="threads", decode_pool="process",
-            pool="steal", index_shards=8,
-        )
-        result = service.run()
-        row = _fleet_row(result)
+        row = _fleet_row(build_fleet(processes, workers, 1).run())
         row["lag_p99_per_process"] = row["lag_p99"] / processes
-        row["steals"] = (result.scheduling or {}).get("steals")
-        row["shm"] = (result.threaded_decode or {}).get("shm")
         scale_rows.append(row)
-        leaked.extend(shm.get_registry().live_blocks())
-    results["scale_sweep"] = scale_rows
-    results["leaked_blocks"] = leaked
     growth = []
     for prev, cur in zip(scale_rows, scale_rows[1:]):
         size_ratio = cur["processes"] / prev["processes"]
@@ -235,86 +200,15 @@ def run_scale(max_processes: int = 100) -> Dict[str, object]:
             "lag_ratio": lag_ratio,
             "sublinear": lag_ratio < size_ratio,
         })
-    results["lag_growth"] = growth
-    results["lag_sublinear"] = all(g["sublinear"] for g in growth)
-
-    # -- steal pressure: PMI-heavy rings, spread vs steal ------------------
-    # Small lossy rings cluster PMI drains, which is what builds the
-    # per-worker backlog that work stealing exists for.  (Simulated
-    # decode: desynchronised lossy drains are not decodable by the real
-    # backends — thread and process pools reject them identically.)
-    pressure_procs = min(64, max_processes)
-    steal_rows: List[dict] = []
-    for discipline in ("spread", "steal"):
-        service = build_fleet(
-            pressure_procs, 2, 2, ring_bytes=1024,
-            pool=discipline, index_shards=8,
-        )
-        result = service.run()
-        row = _fleet_row(result)
-        row["discipline"] = discipline
-        row.update(result.scheduling or {})
-        steal_rows.append(row)
-    results["steal_pressure"] = steal_rows
-    results["steals_observed"] = any(
-        row.get("steals", 0) > 0 for row in steal_rows
-    )
-
-    # -- thread/process decode parity on the 8-process subset --------------
-    def parity_run(decode_pool: str):
-        service = build_fleet(
-            8, 2, 2, decode_mode="threads", decode_pool=decode_pool,
-        )
-        result = service.run()
-        return {
-            "decode_pool": decode_pool,
-            "schedule_digest": result.schedule_digest,
-            "detections": result.detections,
-            "tasks": result.tasks,
-            "makespan": result.makespan,
-            "accounting": result.accounting,
-            "monitor_cycles": result.monitor_cycles,
-            "column_digest": result.threaded_decode["column_digest"],
-            "snapshots": result.threaded_decode["snapshots"],
-            "segments": result.threaded_decode["segments"],
-        }
-
-    threaded = parity_run("thread")
-    pooled = parity_run("process")
-    results["parity"] = {
-        "thread": threaded,
-        "process": pooled,
-        "identical": all(
-            threaded[key] == pooled[key]
-            for key in (
-                "schedule_digest", "detections", "tasks", "makespan",
-                "accounting", "monitor_cycles", "column_digest",
-                "snapshots", "segments",
-            )
+    return {
+        "max_processes": max_processes,
+        "scale_sweep": scale_rows,
+        "lag_growth": growth,
+        "lag_sublinear": all(g["sublinear"] for g in growth),
+        "accounting_exact": all(
+            row["accounting_exact"] for row in scale_rows
         ),
     }
-    leaked_after_parity = shm.get_registry().live_blocks()
-    results["leaked_blocks"] = leaked + leaked_after_parity
-
-    # -- sharded index parity: same fleet, flat vs 8 shards ----------------
-    flat = build_fleet(8, 2, 2).run()
-    sharded = build_fleet(8, 2, 2, index_shards=8).run()
-    results["shard_parity"] = {
-        "flat_digest": flat.schedule_digest,
-        "sharded_digest": sharded.schedule_digest,
-        "identical": (
-            flat.schedule_digest == sharded.schedule_digest
-            and flat.detections == sharded.detections
-            and flat.makespan == sharded.makespan
-            and flat.accounting == sharded.accounting
-        ),
-    }
-    results["accounting_exact"] = (
-        all(row["accounting_exact"] for row in scale_rows)
-        and all(row["accounting_exact"] for row in steal_rows)
-        and results["parity"]["thread"]["accounting"]["exact"]
-    )
-    return results
 
 
 def format_scale_table(results: Dict[str, object]) -> str:
@@ -324,41 +218,20 @@ def format_scale_table(results: Dict[str, object]) -> str:
             row["workers"],
             row["lag_p99"],
             row["lag_p99_per_process"],
-            row["steals"],
             row["throughput_per_mcycle"],
             row["utilization_mean"],
         ]
         for row in results["scale_sweep"]
     ]
     table = format_rows(
-        ["procs", "workers", "lag p99", "lag/proc", "steals",
-         "thru/Mcyc", "util"],
+        ["procs", "workers", "lag p99", "lag/proc", "thru/Mcyc", "util"],
         rows,
     )
-    steal = format_rows(
-        ["discipline", "lag p99", "steals", "affinity", "thru/Mcyc"],
-        [
-            [
-                row["discipline"],
-                row["lag_p99"],
-                row.get("steals", "-"),
-                row.get("affinity_hits", "-"),
-                row["throughput_per_mcycle"],
-            ]
-            for row in results["steal_pressure"]
-        ],
-    )
-    parity = results["parity"]["identical"]
-    shard = results["shard_parity"]["identical"]
     return (
-        "Fleet at 100x: process-pool decode over shared memory\n"
+        "Fleet at 100x: process sweep\n"
         + table
-        + "\n\nSteal pressure (PMI-heavy rings, 2 workers)\n"
-        + steal
         + f"\n\nlag p99 sublinear: {results['lag_sublinear']}"
-        + f"\nthread/process parity: {parity}"
-        + f"\nflat/sharded index parity: {shard}"
-        + f"\nleaked shm blocks: {len(results['leaked_blocks'])}"
+        + f"\naccounting exact: {results['accounting_exact']}"
     )
 
 

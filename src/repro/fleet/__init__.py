@@ -33,7 +33,6 @@ _EXPORTS = {
     "RingPolicy": "repro.fleet.rings",
     "RoundRobinScheduler": "repro.fleet.scheduler",
     "SimulatedWorkerPool": "repro.fleet.workers",
-    "ThreadedSliceDecoder": "repro.fleet.workers",
     "make_ring_topa": "repro.fleet.rings",
     "percentile": "repro.telemetry.metrics",
 }

@@ -99,9 +99,6 @@ class FleetDispatcher:
         #: degradation audit trail shared with the monitor.
         self.degradations = degradations
         self.monitor = None  # bound by the service (FleetMonitor)
-        #: optional ThreadedSliceDecoder: re-decodes each submission on
-        #: a real thread pool (execution backend only; no accounting).
-        self.real_decoder = None
         self.tasks: List[CheckTask] = []
         #: tasks whose verdict has not yet taken effect, by finish time.
         self._pending: List[CheckTask] = []
@@ -173,8 +170,6 @@ class FleetDispatcher:
         )
         slow_before = stats.slow_path_runs
         verdict = self.monitor._run_check(pp, nr)
-        if self.real_decoder is not None and data:
-            self.real_decoder.decode(data, sync=resynced)
         decode_delta = stats.decode_cycles - before[0]
         check_delta = stats.check_cycles - before[1]
         other_delta = stats.other_cycles - before[2]

@@ -36,13 +36,7 @@ from repro.fleet.dispatcher import FleetDispatcher, QuarantineEvent
 from repro.fleet.monitor import FleetMonitor
 from repro.fleet.rings import RingPolicy
 from repro.fleet.scheduler import FleetClock, FleetEntry, RoundRobinScheduler
-from repro.fleet.workers import (
-    DECODE_POOLS,
-    SimulatedWorkerPool,
-    ThreadedSliceDecoder,
-    make_pool,
-    make_slice_decoder,
-)
+from repro.fleet.workers import SimulatedWorkerPool
 
 #: symbols this module used to define, now living elsewhere — served
 #: through the PEP-562 shim below with a DeprecationWarning.
@@ -79,28 +73,12 @@ class FleetConfig:
     #: in-flight checks before backpressure kicks in.
     max_queue_depth: int = 64
     max_rounds: int = 100_000
-    #: "simulated" (cycle-accurate pool only) or "threads" (also decode
-    #: each drained buffer on a real concurrent.futures pool).
-    decode_mode: str = "simulated"
-    #: real decode backend when ``decode_mode == "threads"``:
-    #: ``"thread"`` (in-process ThreadPoolExecutor, the default) or
-    #: ``"process"`` (ProcessPoolExecutor over shared-memory columns —
-    #: zero pickling of column data; see ``repro.ipt.shm``).
-    decode_pool: str = "thread"
-    #: simulated scheduling discipline: ``"spread"`` (slice-level
-    #: earliest-free, the default) or ``"steal"`` (per-process home
-    #: workers with work stealing; whole-task placement).
-    pool: str = "spread"
-    #: shard the flow index per-module: 0 keeps today's flat
-    #: ``FlowSearchIndex``; N >= 1 builds a sharded index with N
-    #: promote/memo domains (identical charges and verdicts).
-    index_shards: int = 0
-    #: fast-path cache capacities applied to the default policy (and to
-    #: the threaded decoder's private cache); 0 keeps caching off.
+    #: fast-path cache capacities applied to the default policy; 0
+    #: keeps caching off.
     segment_cache_entries: int = 0
     edge_cache_entries: int = 0
-    #: fast-path decode engine for the default policy and the threaded
-    #: decoder: ``"columnar"`` (default) or ``"objects"``.
+    #: fast-path decode engine for the default policy: ``"columnar"``
+    #: (default) or ``"objects"``.
     engine: str = "columnar"
     #: columnar scan-kernel mode for the default policy: ``"auto"``
     #: (default — C kernel when buildable), ``"on"`` or ``"off"``.
@@ -174,7 +152,6 @@ class FleetResult:
     stall_cycles: float
     accounting: dict
     schedule_digest: str
-    threaded_decode: Optional[dict] = None
     #: monitor.cache_stats() snapshot (segment + edge caches).
     caches: Optional[dict] = None
     #: checks abandoned after exhausting retries (fail-closed handled).
@@ -183,8 +160,6 @@ class FleetResult:
     resilience: Optional[dict] = None
     #: SLO verdicts + plane health (None unless a plane was attached).
     slo: Optional[dict] = None
-    #: pool-discipline observables (steals/affinity under "steal").
-    scheduling: Optional[dict] = None
 
     @property
     def quarantined_pids(self) -> List[int]:
@@ -234,8 +209,6 @@ class FleetResult:
             "worker_busy": self.worker_busy,
             "worker_utilization": self.worker_utilization,
             "schedule_digest": self.schedule_digest,
-            "threaded_decode": self.threaded_decode,
-            "scheduling": self.scheduling,
             "dead_letters": [
                 letter.to_dict() for letter in (self.dead_letters or [])
             ],
@@ -268,9 +241,8 @@ class FleetService:
                 engine=self.config.engine,
                 scan_kernel=self.config.scan_kernel,
                 slow_lane=self.config.slow_lane,
-                index_shards=self.config.index_shards,
             )
-        self.pool = make_pool(self.config.workers, self.config.pool)
+        self.pool = SimulatedWorkerPool(self.config.workers)
         self.dispatcher = FleetDispatcher(
             self.pool,
             policy=self.config.ring_policy,
@@ -305,24 +277,6 @@ class FleetService:
             quantum=self.config.quantum,
             max_rounds=self.config.max_rounds,
         )
-        if self.config.decode_pool not in DECODE_POOLS:
-            raise ValueError(
-                f"unknown decode_pool {self.config.decode_pool!r}; "
-                f"pick one of {DECODE_POOLS}"
-            )
-        self.decoder = None
-        if self.config.decode_mode == "threads":
-            self.decoder = make_slice_decoder(
-                self.config.decode_pool,
-                self.config.workers,
-                cache_entries=self.config.segment_cache_entries,
-                engine=self.config.engine,
-            )
-            self.dispatcher.real_decoder = self.decoder
-        elif self.config.decode_mode != "simulated":
-            raise ValueError(
-                f"unknown decode_mode {self.config.decode_mode!r}"
-            )
         self._sessions: Dict[int, int] = {}  # pid -> assigned sessions
 
     # -- fleet membership ----------------------------------------------------
@@ -370,8 +324,6 @@ class FleetService:
             policy=self.config.ring_policy.value,
         ):
             self.scheduler.run()
-        if self.decoder is not None:
-            self.decoder.close()
         return self._build_result()
 
     def reconcile(self) -> Optional[dict]:
@@ -473,24 +425,6 @@ class FleetService:
                 "degradation-ledger", resilience["ledger_reconcile"]
             )
             slo = plane.slo_report()
-        threaded = None
-        if self.decoder is not None:
-            threaded = {
-                "snapshots": self.decoder.snapshots_decoded,
-                "segments": self.decoder.segments_decoded,
-                "workers": self.decoder.workers,
-                "pool": self.config.decode_pool,
-                "column_digest": self.decoder.column_digest,
-            }
-            if self.decoder.cache is not None:
-                threaded["cache"] = self.decoder.cache.stats()
-            shm_stats = getattr(self.decoder, "shm_stats", None)
-            if shm_stats is not None:
-                threaded["shm"] = shm_stats()
-        scheduling = {"discipline": self.config.pool}
-        if hasattr(self.pool, "steals"):
-            scheduling["steals"] = self.pool.steals
-            scheduling["affinity_hits"] = self.pool.affinity_hits
         return FleetResult(
             config=self.config,
             processes=rows,
@@ -508,10 +442,8 @@ class FleetService:
             stall_cycles=stall_cycles,
             accounting=accounting,
             schedule_digest=self.scheduler.schedule_digest(),
-            threaded_decode=threaded,
             caches=self.monitor.cache_stats(),
             dead_letters=list(self.dispatcher.dead_letters),
             resilience=resilience,
             slo=slo,
-            scheduling=scheduling,
         )

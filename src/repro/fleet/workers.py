@@ -11,39 +11,12 @@ parallel-decode property) plus a serial phase (ITC search, slow-path
 upcall) that runs after the last slice lands.  Slices go to the
 earliest-available worker (ties broken by worker index), so two runs of
 the same fleet produce byte-identical schedules.
-
-``ThreadedSliceDecoder`` is the optional *real* executor mode: it feeds
-the same PSB slices through ``fast_decode_parallel`` on a
-``concurrent.futures`` thread pool for wall-clock overlap, while the
-simulated pool still does the cycle accounting.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass, field
 from typing import List, Optional
-
-from repro.ipt import shm
-from repro.ipt.columnar import (
-    ColumnarParallelResult,
-    columnar_decode_parallel,
-    columnar_scan,
-)
-from repro.ipt.fast_decoder import (
-    fast_decode_parallel,
-    psb_boundaries,
-    sync_to_psb,
-)
-from repro.ipt.segment_cache import SegmentDecodeCache
-from repro.monitor.fastpath import ENGINES
-
-#: decode-pool backends for real (wall-clock) slice decoding.
-DECODE_POOLS = ("thread", "process")
-
-#: simulated scheduler disciplines.
-POOL_DISCIPLINES = ("spread", "steal")
 
 
 @dataclass
@@ -309,327 +282,3 @@ class SimulatedWorkerPool:
         if span <= 0:
             return [0.0] * self.workers
         return [busy / span for busy in self.busy_cycles]
-
-
-class WorkStealingPool(SimulatedWorkerPool):
-    """Work-stealing discipline over the same simulated cores.
-
-    Each protected process has a *home* worker (``pid % workers``)
-    whose backlog its checks join — decode state, segment-cache lines
-    and index hot entries for one process stay on one core.  An idle
-    worker steals when the home worker's backlog is the bottleneck:
-    dispatch places the task on its home queue unless another worker
-    can start it strictly earlier, which is exactly the steady state a
-    steal-from-the-longest-backlog deque scheduler converges to when
-    tasks are handed over one at a time in clock order (the idlest
-    worker always takes the next task the most-backlogged queue cannot
-    start first).
-
-    Placement is whole-task: slices and the serial phase run
-    back-to-back on the chosen worker, trading slice-level spread for
-    affinity.  The busy ledger is placement-independent (a task's cost
-    lands wherever it runs), so fleet reconciliation stays exact under
-    either discipline.  Degraded checks keep the dedicated lane.
-    """
-
-    def __init__(self, workers: int) -> None:
-        super().__init__(workers)
-        self.steals = 0
-        self.affinity_hits = 0
-
-    def dispatch(
-        self, task: CheckTask, not_before: Optional[float] = None
-    ) -> float:
-        if task.degraded:
-            return super().dispatch(task, not_before)
-        t0 = task.enqueued_at if not_before is None else not_before
-        home = task.pid % self.workers
-        w = home
-        start = max(self.free_at[home], t0)
-        if start > t0:
-            # Home is backlogged past t0 — the earliest-free worker
-            # steals if that strictly beats waiting for home.
-            thief = self._earliest(t0)
-            thief_start = max(self.free_at[thief], t0)
-            if thief_start < start:
-                w, start = thief, thief_start
-        if w == home:
-            self.affinity_hits += 1
-        else:
-            self.steals += 1
-        cost = task.cost
-        end = start + cost
-        self._set_free(w, end)
-        self.busy_cycles[w] += cost
-        self.tasks_run[w] += 1
-        task.started_at = start
-        task.finished_at = end
-        return end
-
-
-def make_pool(workers: int, discipline: str = "spread") -> SimulatedWorkerPool:
-    """The simulated pool for a scheduling discipline: ``"spread"``
-    (slice-level earliest-free list scheduling, the default) or
-    ``"steal"`` (per-process affinity with work stealing)."""
-    if discipline not in POOL_DISCIPLINES:
-        raise ValueError(
-            f"unknown pool discipline {discipline!r}; "
-            f"pick one of {POOL_DISCIPLINES}"
-        )
-    if discipline == "steal":
-        return WorkStealingPool(workers)
-    return SimulatedWorkerPool(workers)
-
-
-def _fold_columns(digest, result: ColumnarParallelResult) -> None:
-    """Fold a columnar decode result into a rolling digest.  Two
-    decoders whose digests match produced byte-identical columns in
-    the same order — the thread-vs-process parity instrument (the
-    real decoder's output feeds no other accounting)."""
-    digest.update(struct.pack(
-        "<ddqq", result.cycles, result.critical_path_cycles,
-        result.synced_offset, result.segments,
-    ))
-    for seg, base in result.columns:
-        digest.update(struct.pack("<q", base))
-        digest.update(shm.segment_fingerprint(seg))
-
-
-class ThreadedSliceDecoder:
-    """Optional real-parallel decode of drained rings.
-
-    Wraps a ``concurrent.futures.ThreadPoolExecutor`` around
-    ``fast_decode_parallel`` so PSB slices of a snapshot decode
-    concurrently in wall-clock time.  Purely an execution backend: the
-    packets (and the simulated cycle accounting done elsewhere) are
-    identical to the serial path.
-
-    ``cache_entries`` > 0 gives this decoder its *own*
-    :class:`~repro.ipt.segment_cache.SegmentDecodeCache`, so repeated
-    PSB slices across drained rings decode once.  The cache is private —
-    it must not be shared with the checkers' cache, whose hit/miss
-    stream feeds the simulated accounting.  Cached decoding runs on the
-    caller thread (a hit skips decode work entirely, which beats
-    fanning misses out to the pool).
-
-    ``engine`` selects the decode engine the slices run through:
-    ``"columnar"`` (default) feeds them to
-    :func:`~repro.ipt.columnar.columnar_decode_parallel`, ``"objects"``
-    to :func:`~repro.ipt.fast_decoder.fast_decode_parallel`.  Both
-    produce the same decode (the columnar one materialises packet
-    objects only on demand) — this backend never feeds the simulated
-    cycle accounting either way.
-    """
-
-    def __init__(
-        self, workers: int, cache_entries: int = 0,
-        engine: str = "columnar",
-    ) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown decode engine {engine!r}; pick one of {ENGINES}"
-            )
-        self.workers = workers
-        self.engine = engine
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="fleet-decode"
-        )
-        self.cache = (
-            SegmentDecodeCache(cache_entries) if cache_entries > 0
-            else None
-        )
-        self.snapshots_decoded = 0
-        self.segments_decoded = 0
-        self._digest = hashlib.sha256()
-
-    def decode(self, data: bytes, sync: bool = False):
-        decode_parallel = (
-            columnar_decode_parallel if self.engine == "columnar"
-            else fast_decode_parallel
-        )
-        result = decode_parallel(data, sync=sync,
-                                 executor=self._executor,
-                                 cache=self.cache)
-        self.snapshots_decoded += 1
-        self.segments_decoded += result.segments
-        if self.engine == "columnar":
-            _fold_columns(self._digest, result)
-        return result
-
-    @property
-    def column_digest(self) -> str:
-        """Rolling digest over every decoded column (columnar engine
-        only) — compare across decoder backends for output parity."""
-        return self._digest.hexdigest()
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=True)
-
-    def __enter__(self) -> "ThreadedSliceDecoder":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _decode_span_worker(desc, begin: int, end: int):
-    """Pool-worker side of process decode: copy one PSB span out of
-    the shared snapshot, scan it, and hand the columns back as a
-    descriptor — column data never crosses the pipe."""
-    registry = shm.get_registry()
-    span = shm.attach_bytes(desc, begin, end, registry)
-    seg = columnar_scan(span)
-    out = shm.share_segment(seg, registry)
-    registry.publish(out.block)
-    return out
-
-
-class ProcessPoolSliceDecoder:
-    """True process-pool decode of drained rings over shared memory.
-
-    Same decode/close/context-manager surface as
-    :class:`ThreadedSliceDecoder`, but the PSB slices fan out to a
-    ``concurrent.futures.ProcessPoolExecutor``: the snapshot ships to
-    workers as one shared-memory block, each worker scans its span and
-    shares the resulting columns back, and only tiny descriptors cross
-    the pipe (zero pickling of column data — see ``repro.ipt.shm``).
-    The assembled :class:`~repro.ipt.columnar.ColumnarParallelResult`
-    is bit-identical to the threaded path: same spans, same per-segment
-    ``columnar_scan`` charges, same total/critical-path accounting.
-
-    Columnar engine only — the object engine's packet graphs are
-    exactly the pickling cost this backend exists to avoid.  With
-    ``cache_entries`` > 0 the private segment cache runs on the caller
-    side like the threaded decoder (a hit skips the pool entirely).
-    When the pool cannot start (restricted sandboxes), decode falls
-    back in-process (``pool_backend == "inline"``) with identical
-    results.
-    """
-
-    def __init__(
-        self, workers: int, cache_entries: int = 0,
-        engine: str = "columnar",
-    ) -> None:
-        if engine != "columnar":
-            raise ValueError(
-                "ProcessPoolSliceDecoder is columnar-only; engine "
-                f"{engine!r} would pickle packet objects across the pool"
-            )
-        self.workers = workers
-        self.engine = engine
-        self.cache = (
-            SegmentDecodeCache(cache_entries) if cache_entries > 0
-            else None
-        )
-        self.snapshots_decoded = 0
-        self.segments_decoded = 0
-        self._digest = hashlib.sha256()
-        self._registry = shm.get_registry()
-        self._executor = None
-        self.pool_backend = "inline"
-        try:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            self.pool_backend = "process"
-        except (ImportError, OSError, ValueError):
-            self._executor = None
-
-    def decode(self, data, sync: bool = False) -> ColumnarParallelResult:
-        if self.cache is not None:
-            # Cached decode runs caller-side (hits skip the pool), the
-            # same policy as the threaded decoder.
-            result = columnar_decode_parallel(data, sync=sync,
-                                              cache=self.cache)
-        else:
-            result = self._decode_pooled(bytes(data), sync)
-        self.snapshots_decoded += 1
-        self.segments_decoded += result.segments
-        _fold_columns(self._digest, result)
-        return result
-
-    def _decode_pooled(self, data: bytes, sync: bool) -> ColumnarParallelResult:
-        start = 0
-        if sync:
-            start = sync_to_psb(data)
-            if start < 0:
-                return ColumnarParallelResult([], 0.0, len(data), 1, 0.0)
-        boundaries = psb_boundaries(data, start)
-        spans = [
-            (begin, end)
-            for begin, end in zip(boundaries, boundaries[1:])
-            if begin < end
-        ]
-        if not spans or self._executor is None:
-            result = columnar_decode_parallel(data, sync=sync)
-            return result
-        in_desc = shm.share_bytes(data, self._registry)
-        descriptors = []
-        error: Optional[BaseException] = None
-        try:
-            futures = [
-                self._executor.submit(_decode_span_worker, in_desc, b, e)
-                for b, e in spans
-            ]
-            for future in futures:
-                try:
-                    descriptors.append(future.result())
-                except Exception as exc:  # decode error in one span
-                    error = error if error is not None else exc
-        finally:
-            shm.release(in_desc, self._registry)
-        if error is not None:
-            # Mirror the threaded path's exception, without leaking
-            # the spans that did decode.
-            for desc in descriptors:
-                shm.release(desc, self._registry)
-            raise error
-        columns = []
-        total = 0.0
-        critical = 0.0
-        for (begin, _), desc in zip(spans, descriptors):
-            seg = shm.consume_segment(desc, self._registry)
-            columns.append((seg, begin))
-            total += seg.cycles
-            critical = max(critical, seg.cycles)
-        return ColumnarParallelResult(
-            columns, total, start, max(len(spans), 1), critical
-        )
-
-    @property
-    def column_digest(self) -> str:
-        return self._digest.hexdigest()
-
-    def shm_stats(self) -> dict:
-        return self._registry.stats()
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "ProcessPoolSliceDecoder":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def make_slice_decoder(
-    pool: str, workers: int, cache_entries: int = 0,
-    engine: str = "columnar",
-):
-    """The real decode backend for a ``decode_pool`` knob value."""
-    if pool not in DECODE_POOLS:
-        raise ValueError(
-            f"unknown decode pool {pool!r}; pick one of {DECODE_POOLS}"
-        )
-    if pool == "process":
-        return ProcessPoolSliceDecoder(workers, cache_entries, engine)
-    return ThreadedSliceDecoder(workers, cache_entries, engine)

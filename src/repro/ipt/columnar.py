@@ -1349,7 +1349,7 @@ class _ByteCursor:
                 return self._ip
 
 
-# -- PSB-parallel decode (fleet threaded mode) -------------------------------
+# -- PSB-parallel decode (§5.3) ----------------------------------------------
 
 
 class ColumnarParallelResult:

@@ -340,8 +340,8 @@ def fast_decode_parallel(data: bytes, sync: bool = False,
     arguments and therefore need real ``bytes``.
 
     ``executor`` optionally maps segment decoding onto a real
-    ``concurrent.futures`` executor (the fleet's threaded checker mode);
-    results are identical to the serial path, in the same order.
+    ``concurrent.futures`` executor; results are identical to the
+    serial path, in the same order.
 
     ``cache`` optionally routes each segment through a
     :class:`repro.ipt.segment_cache.SegmentDecodeCache`, so

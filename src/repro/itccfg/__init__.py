@@ -21,10 +21,6 @@ from repro.itccfg.credits import (
 )
 from repro.itccfg.paths import PathIndex
 from repro.itccfg.searchindex import FlowSearchIndex
-from repro.itccfg.shardindex import (
-    ShardedFlowSearchIndex,
-    build_flow_index,
-)
 from repro.itccfg.serialize import (
     itccfg_from_dict,
     itccfg_memory_bytes,
@@ -39,8 +35,6 @@ __all__ = [
     "ITCCFG",
     "ITCEdge",
     "PathIndex",
-    "ShardedFlowSearchIndex",
-    "build_flow_index",
     "build_itccfg",
     "itccfg_from_dict",
     "itccfg_memory_bytes",

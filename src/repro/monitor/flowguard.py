@@ -30,7 +30,6 @@ from repro.ipt.columnar import set_scan_kernel
 from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.itccfg.credits import CreditLabeledITC
 from repro.itccfg.searchindex import FlowSearchIndex
-from repro.itccfg.shardindex import build_flow_index
 from repro.monitor.fastpath import FastPathChecker, FastPathResult, Verdict
 from repro.monitor.policy import FlowGuardPolicy
 from repro.monitor.slowpath import SlowPathEngine
@@ -203,10 +202,8 @@ class FlowGuardMonitor:
             config, output=topa,
             current_cr3=lambda p=process: p.cr3,
         )
-        index = build_flow_index(
-            labeled,
-            edge_cache_entries=self.policy.edge_cache_entries,
-            index_shards=self.policy.index_shards,
+        index = FlowSearchIndex(
+            labeled, edge_cache_entries=self.policy.edge_cache_entries
         )
         checker = FastPathChecker(
             index,
@@ -256,10 +253,8 @@ class FlowGuardMonitor:
         redirects checks submitted afterwards.
         """
         process = pp.process
-        index = build_flow_index(
-            labeled,
-            edge_cache_entries=self.policy.edge_cache_entries,
-            index_shards=self.policy.index_shards,
+        index = FlowSearchIndex(
+            labeled, edge_cache_entries=self.policy.edge_cache_entries
         )
         checker = FastPathChecker(
             index,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import FrozenSet
 
 from repro.osmodel.syscalls import SENSITIVE_SYSCALLS, Sys
@@ -76,11 +76,6 @@ class FlowGuardPolicy:
     #: (materialise the legacy ``DecodedPacket`` list first).  Verdicts
     #: and cycles are identical; only wall-clock differs.
     slow_lane: str = "columnar"
-    #: flow-index sharding: 0 keeps the flat ``FlowSearchIndex``; N >= 1
-    #: builds a ``ShardedFlowSearchIndex`` with N per-module promote/
-    #: memo domains.  Charges and verdicts are identical (the spine is
-    #: shared); only mutable-state layout differs.
-    index_shards: int = 0
 
     def __post_init__(self) -> None:
         if self.scan_kernel not in SCAN_KERNEL_MODES:
@@ -120,20 +115,6 @@ class FlowGuardPolicy:
 
     def with_endpoints(self, *extra: int) -> "FlowGuardPolicy":
         """A copy with additional user-specified endpoints."""
-        return FlowGuardPolicy(
-            pkt_count=self.pkt_count,
-            cred_ratio=self.cred_ratio,
-            require_cross_module=self.require_cross_module,
-            require_executable=self.require_executable,
-            endpoints=self.endpoints | frozenset(int(e) for e in extra),
-            check_on_pmi=self.check_on_pmi,
-            cache_slow_path_negatives=self.cache_slow_path_negatives,
-            path_sensitive=self.path_sensitive,
-            psb_period=self.psb_period,
-            segment_cache_entries=self.segment_cache_entries,
-            edge_cache_entries=self.edge_cache_entries,
-            engine=self.engine,
-            scan_kernel=self.scan_kernel,
-            slow_lane=self.slow_lane,
-            index_shards=self.index_shards,
+        return replace(
+            self, endpoints=self.endpoints | frozenset(int(e) for e in extra)
         )

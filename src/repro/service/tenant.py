@@ -182,8 +182,6 @@ class TenantRuntime:
         if self._result is None:
             if not self.finished:
                 self.run_to_completion()
-            if self.fleet.decoder is not None:
-                self.fleet.decoder.close()
             self._result = self.fleet._build_result()
         return self._result
 

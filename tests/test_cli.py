@@ -25,7 +25,7 @@ class TestParser:
         assert args.quantum == 2000.0
         assert args.ring_bytes == 8192
         assert args.queue_depth == 64
-        assert args.decode_mode == "simulated"
+        assert not hasattr(args, "decode_mode")
         assert args.sessions == 2
         assert args.seed == 0
         assert not args.inject_rop

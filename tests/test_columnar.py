@@ -26,7 +26,6 @@ from repro.attacks import (
     run_recon,
 )
 from repro.fleet import FleetConfig, FleetService, RingPolicy
-from repro.fleet.workers import ThreadedSliceDecoder
 from repro.ipt.columnar import (
     ColumnarSegment,
     LazyPackets,
@@ -674,10 +673,6 @@ class TestEngineKnob:
                 FlowSearchIndex(pipeline.labeled), image,
                 engine="vectorised",
             )
-
-    def test_threaded_decoder_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown decode engine"):
-            ThreadedSliceDecoder(2, engine="simd")
 
     def test_policy_defaults_and_roundtrip(self):
         policy = FlowGuardPolicy()

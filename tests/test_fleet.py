@@ -1,4 +1,5 @@
-"""Fleet mode tests: rings, worker pool, service, quarantine, telemetry.
+"""Fleet mode tests: rings, worker pool, service, quarantine, telemetry,
+the segment-tree dispatch index, and open-loop tenant fairness.
 
 The acceptance scenario from the fleet issue lives here: an 8-process /
 4-worker fleet running two server workloads, one of which receives an
@@ -6,6 +7,8 @@ injected ROP exploit — the violator must be quarantined (killed and
 isolated) while the rest of the fleet finishes clean, with the cycle
 ledger reconciling exactly.
 """
+
+import random
 
 import pytest
 
@@ -17,7 +20,7 @@ from repro.experiments.common import (
     server_pipeline,
     server_requests,
 )
-from repro.experiments.fleet_scaling import build_fleet
+from repro.experiments.fleet_scaling import build_fleet, run_scale
 from repro.fleet import (
     CheckTask,
     FleetConfig,
@@ -29,6 +32,7 @@ from repro.fleet import (
 )
 from repro.ipt import PSB_PATTERN, PacketError, ToPA, ToPARegion, fast_decode
 from repro.ipt.packets import encode_tnt
+from repro.service import builtin_serve_config, run_service
 from repro.workloads import build_nginx, build_vdso
 
 
@@ -200,6 +204,32 @@ class TestSimulatedWorkerPool:
         assert percentile(values, 100) == 100.0
 
 
+class TestFleetConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("bogus", 1),
+        ("decode_mode", "simulated"),
+        ("decode_pool", "thread"),
+        ("pool", "spread"),
+        ("index_shards", 0),
+    ])
+    def test_from_dict_rejects_unknown_keys(self, key, value):
+        data = FleetConfig().to_dict()
+        assert FleetConfig.from_dict(data) == FleetConfig()
+        data[key] = value
+        with pytest.raises(ValueError, match=key):
+            FleetConfig.from_dict(data)
+
+
+class TestScaleSweep:
+    def test_small_fleet_sweep_ends_at_max_processes(self):
+        results = run_scale(max_processes=4)
+        rows = results["scale_sweep"]
+        assert [row["processes"] for row in rows] == [4]
+        assert rows[0]["accounting_exact"]
+        assert results["accounting_exact"]
+        assert results["lag_growth"] == []
+
+
 @pytest.fixture(scope="module")
 def small_fleet_result():
     return build_fleet(2, 2, sessions=1).run()
@@ -277,31 +307,6 @@ def _mixed_fleet(processes=2, sessions=1, **cfg):
             server_pipeline(name), server_requests(name, sessions)
         )
     return service
-
-
-class TestThreadedDecode:
-    def test_threads_mode_matches_simulated_exactly(self):
-        sim = _mixed_fleet(workers=2, decode_mode="simulated").run()
-        thr = _mixed_fleet(workers=2, decode_mode="threads").run()
-        # The thread pool is an execution backend only: every simulated
-        # observable is identical.
-        assert thr.schedule_digest == sim.schedule_digest
-        assert thr.lag == sim.lag
-        assert thr.accounting == sim.accounting
-        assert sim.threaded_decode is None
-        assert thr.threaded_decode["snapshots"] > 0
-        assert thr.threaded_decode["segments"] >= thr.threaded_decode[
-            "snapshots"
-        ]
-        d_sim, d_thr = sim.to_dict(), thr.to_dict()
-        for d in (d_sim, d_thr):
-            d["fleet"].pop("threaded_decode")
-            d["fleet"].pop("config")
-        assert d_sim == d_thr
-
-    def test_unknown_decode_mode_rejected(self):
-        with pytest.raises(ValueError):
-            FleetService(FleetConfig(decode_mode="quantum"))
 
 
 class TestFleetTelemetry:
@@ -383,3 +388,99 @@ class TestFleetQuarantine:
     def test_attack_run_ledger_still_exact(self, attack_fleet):
         _, result = attack_fleet
         assert result.accounting["exact"], result.accounting
+
+
+# -- dispatch index: segment tree vs linear oracle ---------------------------
+
+
+class _LinearPool(SimulatedWorkerPool):
+    """The pre-optimisation pool: same dispatch, O(workers) scans."""
+
+    def _earliest(self, not_before):
+        return self._earliest_linear(not_before)
+
+    def _latest(self):
+        return self._latest_linear()
+
+
+def _random_task(index, rng):
+    return CheckTask(
+        task_id=index,
+        pid=rng.randrange(16),
+        kind="endpoint",
+        syscall_nr=0,
+        enqueued_at=float(rng.randrange(0, 2000)),
+        slices=[
+            float(rng.randrange(10, 120))
+            for _ in range(rng.randrange(0, 4))
+        ],
+        serial_cycles=float(rng.randrange(0, 200)),
+        degraded=rng.random() < 0.15,
+    )
+
+
+class TestDispatchOracle:
+    def test_selection_matches_linear_oracle(self):
+        rng = random.Random(42)
+        for workers in (1, 2, 3, 5, 8, 33, 100):
+            pool = SimulatedWorkerPool(workers)
+            pool.free_at = [
+                float(rng.randrange(0, 500)) for _ in range(workers)
+            ]
+            for _ in range(200):
+                t0 = float(rng.randrange(0, 600))
+                assert pool._earliest(t0) == pool._earliest_linear(t0)
+                assert pool._latest() == pool._latest_linear()
+                # Mutate through the indexed writer and re-compare.
+                pool._set_free(
+                    rng.randrange(workers), float(rng.randrange(0, 700))
+                )
+
+    def test_dispatch_schedule_identical_to_linear(self):
+        fast, slow = SimulatedWorkerPool(4), _LinearPool(4)
+        schedules = []
+        for pool in (fast, slow):
+            rng = random.Random(7)
+            times = []
+            for index in range(300):
+                task = _random_task(index, rng)
+                end = pool.dispatch(task)
+                times.append((task.started_at, end))
+                if rng.random() < 0.1:
+                    pool.burn(
+                        float(rng.randrange(0, 2000)),
+                        float(rng.randrange(10, 90)),
+                        lane=rng.random() < 0.5,
+                    )
+            schedules.append(times)
+        assert schedules[0] == schedules[1]
+        assert fast.free_at == slow.free_at
+        assert fast.busy_cycles == slow.busy_cycles
+        assert fast.tasks_run == slow.tasks_run
+
+
+# -- open-loop tenants and fairness ------------------------------------------
+
+
+class TestOpenLoopFairness:
+    def test_open_mix_reports_fairness(self):
+        result = run_service(builtin_serve_config("open-mix"))
+        assert set(result.tenants) == {"steady", "bursty"}
+        for report in result.tenants.values():
+            fairness = report["fairness"]
+            assert fairness["offered"] > 0
+            assert 0.0 <= fairness["ratio"] <= 1.0
+            assert fairness["achieved"] == report["completed"]
+        payload = result.to_dict()
+        spread = payload["fairness"]["spread"]
+        ratios = payload["fairness"]["ratios"]
+        assert set(ratios) == {"steady", "bursty"}
+        assert spread == pytest.approx(
+            max(ratios.values()) - min(ratios.values())
+        )
+
+    def test_unthrottled_open_loop_absorbs_all_demand(self):
+        result = run_service(builtin_serve_config("open-mix"))
+        for report in result.tenants.values():
+            assert report["fairness"]["ratio"] == 1.0
+        assert result.to_dict()["fairness"]["spread"] == 0.0

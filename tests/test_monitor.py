@@ -1,5 +1,7 @@
 """End-to-end FlowGuard monitor tests on the nginx analogue."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.monitor import FlowGuardPolicy, Verdict
@@ -140,6 +142,44 @@ class TestPolicy:
         extended = policy.with_endpoints(int(Sys.OPEN))
         assert int(Sys.OPEN) in extended.endpoints
         assert int(Sys.OPEN) not in policy.endpoints
+
+    def test_with_endpoints_keeps_every_field(self):
+        custom = {
+            "pkt_count": 7,
+            "cred_ratio": 0.5,
+            "require_cross_module": False,
+            "require_executable": False,
+            "endpoints": frozenset({int(Sys.WRITE)}),
+            "check_on_pmi": True,
+            "cache_slow_path_negatives": False,
+            "path_sensitive": True,
+            "psb_period": 256,
+            "segment_cache_entries": 32,
+            "edge_cache_entries": 64,
+            "engine": "objects",
+            "scan_kernel": "off",
+            "slow_lane": "objects",
+        }
+        default = FlowGuardPolicy()
+        # A new policy field must be added here, with a non-default value.
+        assert set(custom) == {f.name for f in fields(FlowGuardPolicy)}
+        for name, value in custom.items():
+            assert getattr(default, name) != value, name
+        clone = FlowGuardPolicy(**custom).with_endpoints(int(Sys.OPEN))
+        for name, value in custom.items():
+            if name != "endpoints":
+                assert getattr(clone, name) == value, name
+        assert clone.endpoints == {int(Sys.WRITE), int(Sys.OPEN)}
+
+    @pytest.mark.parametrize(
+        "key", ["bogus", "decode_mode", "decode_pool", "pool", "index_shards"]
+    )
+    def test_from_dict_rejects_unknown_keys(self, key):
+        data = FlowGuardPolicy().to_dict()
+        assert FlowGuardPolicy.from_dict(data) == FlowGuardPolicy()
+        data[key] = 0
+        with pytest.raises(ValueError, match=key):
+            FlowGuardPolicy.from_dict(data)
 
     def test_uninstall_restores_table(self, nginx_pipeline):
         kernel = fresh_kernel()
