@@ -6,14 +6,11 @@ Asserts the qualitative trade-offs the paper argues:
 - the §7.1.1 cred_ratio formula crosses below the O-CFG AIA well
   before ratio 1.0,
 - finer PSB periods shift cost from decoding to tracing,
-- the decode engines (columnar vs objects) are cost-neutral at every
-  PSB period — they differ in wall-clock only,
 - PSB-parallel decode shortens the critical path,
 - the path-sensitive extension strengthens the fast path at the price
   of more slow-path checking.
 """
 
-import pytest
 from conftest import run_once
 
 from repro.experiments import ablations
@@ -51,26 +48,6 @@ def test_psb_period_tradeoff(benchmark):
     # windows per check.
     assert fine.trace_share > coarse.trace_share
     assert coarse.decode_share > fine.decode_share
-
-
-def test_psb_engine_grid(benchmark):
-    points = run_once(benchmark, ablations.sweep_psb_engine,
-                      periods=(128, 1024), sessions=3)
-    by_period = {}
-    for p in points:
-        by_period.setdefault(p.psb_period, {})[p.engine] = p
-    for period, engines in by_period.items():
-        col, obj = engines["columnar"], engines["objects"]
-        # The engines differ in wall-clock only: identical verdict
-        # surface means identical checks and charged cycles.
-        assert col.checks == obj.checks
-        assert col.overhead == pytest.approx(obj.overhead, rel=1e-9)
-        assert col.trace_share == pytest.approx(obj.trace_share, rel=1e-9)
-    # The psb_period axis still shows the tracing/decoding tradeoff
-    # within each engine.
-    for engine in ("columnar", "objects"):
-        assert by_period[128][engine].trace_share > \
-            by_period[1024][engine].trace_share
 
 
 def test_parallel_decode_speedup(benchmark):

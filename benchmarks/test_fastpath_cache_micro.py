@@ -1,11 +1,11 @@
 """Bench C1 — fast-path caching micro-benchmark.
 
-Measures the repeated-snapshot decode over a captured nginx ToPA trace
-with the segment cache off vs on, and asserts the zero-copy contract:
-``fast_decode_parallel`` hands each segment to the decoder as a
-``memoryview`` slice over the original buffer — no per-segment copy of
-the full snapshot (the allocation behaviour the cache's hash-probe cost
-model assumes).
+Measures the repeated-snapshot columnar decode over a captured nginx
+ToPA trace with the segment cache off vs on, and asserts the zero-copy
+contract: ``fast_decode_parallel`` hands each segment to the decoder as
+a ``memoryview`` slice over the original buffer — no per-segment copy
+of the full snapshot (the allocation behaviour the cache's hash-probe
+cost model assumes).
 """
 
 import time
@@ -15,6 +15,7 @@ from conftest import run_once
 from repro import costs
 from repro.experiments import micro
 from repro.ipt import fast_decoder
+from repro.ipt.columnar import columnar_decode_parallel
 from repro.ipt.segment_cache import SegmentDecodeCache
 
 SNAPSHOTS = 20
@@ -29,9 +30,7 @@ def _cuts(data, count=SNAPSHOTS):
 def _decode_series(data, cache):
     cycles = 0.0
     for cut in _cuts(data):
-        cycles += fast_decoder.fast_decode_parallel(
-            data[:cut], cache=cache
-        ).cycles
+        cycles += columnar_decode_parallel(data[:cut], cache=cache).cycles
     return cycles
 
 

@@ -17,7 +17,8 @@ from repro.experiments.common import (
     server_pipeline,
     server_requests,
 )
-from repro.fleet import FleetConfig, FleetService, RingPolicy
+from repro.fleet.rings import RingPolicy
+from repro.fleet.service import FleetConfig, FleetService
 from repro.workloads import build_nginx, build_vdso
 
 SERVERS = ("nginx", "exim")

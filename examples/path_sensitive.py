@@ -9,7 +9,7 @@ a novel order no longer passes — at the cost of more slow-path checks.
 Run:  python examples/path_sensitive.py
 """
 
-from repro.monitor import FlowGuardPolicy
+from repro.monitor.policy import FlowGuardPolicy
 from repro.osmodel import Kernel
 from repro.pipeline import FlowGuardPipeline
 from repro.workloads import (

@@ -15,9 +15,9 @@ identical.  Exits non-zero if any acceptance gate fails:
   error budget and captures a flight-recorder dump (the VIOLATION
   auto-dump) while its planted ROP attack is quarantined,
 - every ledger — fleet cycle accounting, degradation ledger, profiler,
-  and the plane's own sampler/flight reconciliation — is exact, and
-- the psb_period × engine ablation grid shows the engines charging
-  identical cycles at every period.
+  and the plane's own sampler/flight reconciliation — is exact.
+
+A psb_period sweep is recorded alongside for the run report.
 
 The written JSON is also a ``repro report`` input::
 

@@ -35,12 +35,11 @@ submodule home::
     result = run_service(config)
     print(result.tenants["clean"]["digest"])
 
-Importing names from the ``repro.monitor`` / ``repro.fleet`` package
-roots still works but is deprecated (each access emits a
-``DeprecationWarning``); deep submodule imports remain supported for
-internals not re-exported here.  This module itself imports cleanly
-under ``-W error::DeprecationWarning`` — the CI check that keeps the
-facade honest.
+The ``repro.monitor`` / ``repro.fleet`` package roots export nothing;
+deep submodule imports remain supported for internals not re-exported
+here.  This module itself imports cleanly under
+``-W error::DeprecationWarning`` — the CI check that keeps the facade
+honest.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ Commands:
 - ``experiments [names...]`` — regenerate paper tables/figures
   (default: all).  Names: table1, sec2, table4, table5, fig5a, fig5b,
   fig5c, fig5d, micro, hwext, security, ablations, fleet.
-- ``attack [rop|srop|retlib|flushing] [--engine ...]`` — run one
+- ``attack [rop|srop|retlib|flushing]`` — run one
   attack unprotected and under FlowGuard.
-- ``serve <server> [-n N] [--seed N] [--unprotected] [--engine ...]``
+- ``serve <server> [-n N] [--seed N] [--unprotected]``
   — drive a protected server with N client sessions and print the
   monitor report; ``--seed`` switches the constant legacy workload to
   the load generator's deterministic ``varied`` request mix.
@@ -22,24 +22,21 @@ Commands:
 - ``disasm <server|utility|spec-name>`` — dump a workload's entry
   function as assembly text.
 - ``stats <server> [-n N] [--segment-cache N] [--edge-cache N]
-  [--engine columnar|objects] [--faults PLAN] [--fault-seed N]
-  [--plane] [--slo FILE] [--plane-out F] [--sample-interval N]
-  [--trace-out F] [--spans-out F]`` —
+  [--faults PLAN] [--fault-seed N] [--plane] [--slo FILE]
+  [--plane-out F] [--sample-interval N] [--trace-out F]
+  [--spans-out F]`` —
   run a protected server with telemetry enabled and dump the
   versioned :class:`~repro.stats_report.StatsReport` (JSON),
   reconciled against the monitor's cycle accounting; the cache flags
   enable the fast-path decode/verdict caches and report their hit
-  rates.  ``--engine objects`` falls back to the original per-packet
-  decode engine (``columnar``, the default, produces identical
-  verdicts and charged cycles in less wall-clock —
-  e.g. ``repro stats nginx --engine objects`` to compare).
+  rates.
   ``--plane`` attaches the observability plane: the report gains the
   v3 ``slo`` section and the run exits 1 if the plane's own
   exact-accounting audit drifts; ``--plane-out`` writes the full
   plane dump (a ``repro report`` input).
 - ``fleet [--processes N] [--workers M] [--policy stall|lossy]
-  [--segment-cache N] [--edge-cache N] [--engine columnar|objects]
-  [--faults PLAN] [--fault-seed N]`` —
+  [--segment-cache N] [--edge-cache N] [--faults PLAN]
+  [--fault-seed N]`` —
   time-slice N protected server processes against M checker workers,
   optionally injecting a ROP attack into one of them
   (``--inject-rop``); exits non-zero if the cycle ledger drifts or an
@@ -157,7 +154,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         run_recon,
     )
     from repro.attacks.rop import ATTACK_PATH
-    from repro.monitor.policy import FlowGuardPolicy
     from repro.osmodel import Kernel, Sys
     from repro.pipeline import FlowGuardPipeline
     from repro.workloads import (
@@ -188,9 +184,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         corpus=[nginx_request("/index.html")], mode="socket",
     )
     kernel = Kernel()
-    monitor, proc = pipeline.deploy(
-        kernel, policy=FlowGuardPolicy(engine=args.engine)
-    )
+    monitor, proc = pipeline.deploy(kernel)
     proc.push_connection(request)
     kernel.run(proc)
     if monitor.detections:
@@ -208,8 +202,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         run_server, seed_server_fs, server_requests,
     )
 
-    from repro.monitor.policy import FlowGuardPolicy
-
     tel = telemetry.get_telemetry()
     enabled_here = bool(args.trace_out or args.spans_out) and not tel.enabled
     if enabled_here:
@@ -219,7 +211,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.server,
             server_requests(args.server, args.sessions, seed=args.seed),
             protected=not args.unprotected,
-            policy=FlowGuardPolicy(engine=args.engine),
         )
         print(f"{args.server}: served with exit code {run.proc.exit_code}, "
               f"{run.proc.executor.insn_count} instructions, "
@@ -265,11 +256,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.api import FlowGuardPolicy, StatsReport, run_workload
 
     policy = None
-    if args.segment_cache or args.edge_cache or args.engine != "columnar":
+    if args.segment_cache or args.edge_cache:
         policy = FlowGuardPolicy(
             segment_cache_entries=args.segment_cache,
             edge_cache_entries=args.edge_cache,
-            engine=args.engine,
         )
     faults = _faults_from_args(args)
     tel = telemetry.get_telemetry()
@@ -362,7 +352,6 @@ def _build_fleet_service(args: argparse.Namespace):
         max_queue_depth=args.queue_depth,
         segment_cache_entries=args.segment_cache,
         edge_cache_entries=args.edge_cache,
-        engine=args.engine,
         seed=args.seed,
         faults=_faults_from_args(args),
     )
@@ -475,14 +464,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Closed-loop load bench: sweep, saturation knee, SLO search."""
-    from dataclasses import replace
-
     from repro.experiments.common import format_rows
     from repro.loadgen import resolve_scenario, run_bench
 
     scenario = resolve_scenario(args.scenario)
-    if args.engine is not None:
-        scenario = replace(scenario, engine=args.engine)
     payload = run_bench(scenario, seed=args.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -1054,18 +1039,6 @@ def _cache_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _engine_parent() -> argparse.ArgumentParser:
-    """Shared decode-engine flag (parent parser)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--engine", choices=["columnar", "objects"], default="columnar",
-        help="fast-path decode engine: the table-driven columnar scan "
-             "(default; same verdicts and charged cycles, less "
-             "wall-clock) or the original per-packet object scan",
-    )
-    return parent
-
-
 def _plane_parent() -> argparse.ArgumentParser:
     """Shared observability-plane flags (parent parser)."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -1133,7 +1106,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace = _trace_parent()
     caches = _cache_parent()
     faults = _fault_parent()
-    engine = _engine_parent()
     plane = _plane_parent()
 
     experiments = sub.add_parser(
@@ -1144,14 +1116,13 @@ def build_parser() -> argparse.ArgumentParser:
                              help="subset of experiments (default all)")
     experiments.set_defaults(func=_cmd_experiments)
 
-    attack = sub.add_parser("attack", help="run one attack demo",
-                            parents=[engine])
+    attack = sub.add_parser("attack", help="run one attack demo")
     attack.add_argument("kind",
                         choices=["rop", "srop", "retlib", "flushing"])
     attack.set_defaults(func=_cmd_attack)
 
     serve = sub.add_parser("serve", help="drive a protected server",
-                           parents=[trace, engine])
+                           parents=[trace])
     serve.add_argument("server",
                        choices=["nginx", "vsftpd", "openssh", "exim"])
     serve.add_argument("-n", "--sessions", type=int, default=8)
@@ -1171,11 +1142,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: nginx-closed)")
     bench.add_argument("--seed", type=int, default=None,
                        help="reseed the scenario end to end")
-    bench.add_argument("--engine", choices=["columnar", "objects"],
-                       default=None,
-                       help="override the scenario's fast-path decode "
-                            "engine (default: whatever the scenario "
-                            "specifies)")
     bench.add_argument("--json", action="store_true",
                        help="dump the full payload as JSON to stdout")
     bench.add_argument("--out", default=None, metavar="FILE",
@@ -1186,7 +1152,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats",
         help="run a protected server under telemetry, dump the report",
-        parents=[caches, engine, faults, plane, trace],
+        parents=[caches, faults, plane, trace],
     )
     stats.add_argument("server",
                        choices=["nginx", "vsftpd", "openssh", "exim"])
@@ -1199,7 +1165,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet",
         help="time-slice N protected processes over M checker workers",
-        parents=[caches, engine, faults],
+        parents=[caches, faults],
     )
     _add_fleet_shape_args(fleet)
     fleet.add_argument("--json", action="store_true",
@@ -1209,7 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top",
         help="live fleet view via the observability plane",
-        parents=[caches, engine, faults, plane],
+        parents=[caches, faults, plane],
     )
     _add_fleet_shape_args(top)
     top.add_argument("--scenario", default=None, metavar="REF",

@@ -106,12 +106,15 @@ class PsbPoint:
     trace_share: float
     decode_share: float
     overhead: float
+    checks: int
 
 
 def sweep_psb_period(
     periods: Sequence[int] = (128, 256, 1024),
     sessions: int = 6,
 ) -> List[PsbPoint]:
+    """Finer PSB periods shrink segments, raising trace share and
+    per-segment decode overhead."""
     points = []
     for period in periods:
         run = run_server(
@@ -127,63 +130,9 @@ def sweep_psb_period(
                 trace_share=stats.trace_cycles / total,
                 decode_share=stats.decode_cycles / total,
                 overhead=run.overhead,
+                checks=stats.checks,
             )
         )
-    return points
-
-
-@dataclass
-class PsbEnginePoint:
-    psb_period: int
-    engine: str
-    trace_share: float
-    decode_share: float
-    overhead: float
-    checks: int
-
-    def to_dict(self) -> dict:
-        return {
-            "psb_period": self.psb_period,
-            "engine": self.engine,
-            "trace_share": self.trace_share,
-            "decode_share": self.decode_share,
-            "overhead": self.overhead,
-            "checks": self.checks,
-        }
-
-
-def sweep_psb_engine(
-    periods: Sequence[int] = (128, 256, 1024),
-    engines: Sequence[str] = ("columnar", "objects"),
-    sessions: int = 5,
-) -> List[PsbEnginePoint]:
-    """The psb_period × engine grid.
-
-    Finer PSB periods shrink segments, raising trace share and
-    per-segment decode overhead; the engine axis must be cost-neutral —
-    columnar and objects charge identical cycles at every period (the
-    engines differ in wall-clock only).
-    """
-    points = []
-    for period in periods:
-        for engine in engines:
-            run = run_server(
-                "nginx", server_requests("nginx", sessions),
-                protected=True,
-                policy=FlowGuardPolicy(psb_period=period, engine=engine),
-            )
-            stats = run.stats
-            total = stats.total_cycles or 1.0
-            points.append(
-                PsbEnginePoint(
-                    psb_period=period,
-                    engine=engine,
-                    trace_share=stats.trace_cycles / total,
-                    decode_share=stats.decode_cycles / total,
-                    overhead=run.overhead,
-                    checks=stats.checks,
-                )
-            )
     return points
 
 
@@ -283,15 +232,6 @@ def format_all() -> str:
             [[p.psb_period, f"{p.trace_share * 100:.0f}%",
               f"{p.decode_share * 100:.0f}%",
               f"{p.overhead * 100:.2f}%"] for p in psb],
-        )
-    )
-    grid = sweep_psb_engine()
-    sections.append(
-        "psb_period × engine grid (engines must be cost-neutral)\n"
-        + format_rows(
-            ["period", "engine", "trace share", "overhead"],
-            [[p.psb_period, p.engine, f"{p.trace_share * 100:.0f}%",
-              f"{p.overhead * 100:.2f}%"] for p in grid],
         )
     )
     par = measure_parallel_decode()

@@ -59,17 +59,15 @@ def capture_trace(sessions: int = 8):
 
 
 class _TimedChecker(FastPathChecker):
-    """FastPathChecker that wall-clocks its tail decoding.
-
-    The instrumentation (and the cached-vs-uncached wall gate) targets
-    the object engine's ``decode_tail``; the columnar engine's cache
-    interplay is measured separately by ``BENCH_columnar.json``."""
+    """FastPathChecker that wall-clocks its tail decoding
+    (``decode_tail_columnar``, the cached-vs-uncached wall gate's
+    subject)."""
 
     decode_wall: float = 0.0
 
-    def decode_tail(self, data):
+    def decode_tail_columnar(self, data):
         t0 = time.perf_counter()
-        out = super().decode_tail(data)
+        out = super().decode_tail_columnar(data)
         self.decode_wall += time.perf_counter() - t0
         return out
 
@@ -110,7 +108,7 @@ def _run_tail(
     checker = _TimedChecker(
         index, proc.image, pkt_count=60,
         require_cross_module=False, require_executable=False,
-        segment_cache=cache, engine="objects",
+        segment_cache=cache,
     )
     fingerprints: List[Tuple] = []
     decode_cycles = 0.0

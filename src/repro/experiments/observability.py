@@ -17,21 +17,20 @@ The plane's contract has three legs, all gated by
   ``DegradationLedger`` vs the ``resilience.events`` counter) must come
   back exact, alongside the fleet's cycle-accounting and ledger checks.
 
-A quick ``psb_period × engine`` ablation grid rides along so the run
-report can chart the trace-granularity tradeoff, with its own gate:
-the engines must charge identical cycles at every period.
+A quick ``psb_period`` sweep rides along so the run report can chart
+the trace-granularity tradeoff.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
+from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from repro import telemetry
 from repro.attacks import build_rop_request, run_recon
-from repro.experiments.ablations import sweep_psb_engine
+from repro.experiments.ablations import sweep_psb_period
 from repro.experiments.common import (
     format_rows,
     libraries,
@@ -196,23 +195,15 @@ def run(quick: bool = False) -> Dict[str, object]:
     results["scenarios"]["faulted_reference"] = faulted_ref
     results["scenarios"]["faulted_plane"] = faulted
 
-    # -- psb_period × engine ablation (recorded in the run report) --------
+    # -- psb_period ablation (recorded in the run report) ----------------
     tel = telemetry.get_telemetry()
     tel.reset()
     tel.disable()
-    grid = sweep_psb_engine(
+    grid = sweep_psb_period(
         periods=(128, 1024) if quick else (128, 256, 1024),
-        engines=("columnar", "objects"),
         sessions=2 if quick else 4,
     )
-    results["ablation"] = [p.to_dict() for p in grid]
-    by_period: Dict[int, List[float]] = {}
-    for p in grid:
-        by_period.setdefault(p.psb_period, []).append(p.overhead)
-    engines_neutral = all(
-        math.isclose(min(vals), max(vals), rel_tol=1e-9, abs_tol=1e-12)
-        for vals in by_period.values()
-    )
+    results["ablation"] = [asdict(p) for p in grid]
 
     # -- acceptance gates -------------------------------------------------
     faulted_burn = sum(
@@ -233,7 +224,6 @@ def run(quick: bool = False) -> Dict[str, object]:
             for k in ("accounting_exact", "profiler_exact",
                       "ledger_exact", "plane_exact")
         ),
-        "engines_cost_neutral": engines_neutral,
     }
     return results
 
@@ -272,10 +262,10 @@ def format_table(results: Dict[str, object]) -> str:
         )
     )
     sections.append(
-        "psb_period × engine grid\n"
+        "psb_period sweep\n"
         + format_rows(
-            ["period", "engine", "trace share", "overhead"],
-            [[p["psb_period"], p["engine"],
+            ["period", "trace share", "overhead"],
+            [[p["psb_period"],
               f"{p['trace_share'] * 100:.0f}%",
               f"{p['overhead'] * 100:.2f}%"]
              for p in results["ablation"]],

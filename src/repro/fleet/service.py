@@ -18,9 +18,7 @@ with the summed per-process ``MonitorStats`` (the invariant
 
 from __future__ import annotations
 
-import importlib
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
@@ -37,28 +35,6 @@ from repro.fleet.monitor import FleetMonitor
 from repro.fleet.rings import RingPolicy
 from repro.fleet.scheduler import FleetClock, FleetEntry, RoundRobinScheduler
 from repro.fleet.workers import SimulatedWorkerPool
-
-#: symbols this module used to define, now living elsewhere — served
-#: through the PEP-562 shim below with a DeprecationWarning.
-_RELOCATED = {
-    "percentile": "repro.telemetry.metrics",
-}
-
-
-def __getattr__(name):
-    home = _RELOCATED.get(name)
-    if home is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    warnings.warn(
-        f"importing {name!r} from {__name__} is deprecated; "
-        f"use {home}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(home), name)
-
 
 @dataclass
 class FleetConfig:
@@ -77,15 +53,6 @@ class FleetConfig:
     #: keeps caching off.
     segment_cache_entries: int = 0
     edge_cache_entries: int = 0
-    #: fast-path decode engine for the default policy: ``"columnar"``
-    #: (default) or ``"objects"``.
-    engine: str = "columnar"
-    #: columnar scan-kernel mode for the default policy: ``"auto"``
-    #: (default — C kernel when buildable), ``"on"`` or ``"off"``.
-    scan_kernel: str = "auto"
-    #: slow-path lane for the default policy: ``"columnar"`` (default —
-    #: object-free byte replay) or ``"objects"``.
-    slow_lane: str = "columnar"
     seed: int = 0
     #: deterministic fault plan (None = fault-free run).
     faults: Optional[FaultPlan] = None
@@ -238,9 +205,6 @@ class FleetService:
             policy = FlowGuardPolicy(
                 segment_cache_entries=self.config.segment_cache_entries,
                 edge_cache_entries=self.config.edge_cache_entries,
-                engine=self.config.engine,
-                scan_kernel=self.config.scan_kernel,
-                slow_lane=self.config.slow_lane,
             )
         self.pool = SimulatedWorkerPool(self.config.workers)
         self.dispatcher = FleetDispatcher(

@@ -36,7 +36,6 @@ from repro.ipt.msr import RTIT_CTL, IPTConfig
 from repro.ipt.encoder import IPTEncoder
 from repro.ipt.fast_decoder import (
     FastDecodeResult,
-    SegmentDecode,
     TipRecord,
     fast_decode,
     fast_decode_parallel,
@@ -68,7 +67,6 @@ __all__ = [
     "PacketError",
     "PacketKind",
     "RTIT_CTL",
-    "SegmentDecode",
     "SegmentDecodeCache",
     "TipRecord",
     "ToPA",

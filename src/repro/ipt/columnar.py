@@ -1,10 +1,9 @@
-"""Columnar decode engine: table-driven packet scan, no per-packet objects.
+"""The fast path's decode engine: table-driven packet scan into columns.
 
-The object engine (:func:`repro.ipt.fast_decoder.fast_decode`) allocates
-a ``DecodedPacket`` dataclass per packet; after the PR-3 caches, that
-allocation — not the cycle-model work — dominates fast-path wall-clock.
-This module is a second engine over the same wire format that emits
-*columns* instead:
+A per-packet decode (:func:`repro.ipt.fast_decoder.fast_decode`)
+allocates a ``DecodedPacket`` dataclass per packet, and that allocation
+— not the cycle-model work — would dominate fast-path wall-clock.  This
+module scans the same wire format into *columns* instead:
 
 ======================  ====================================================
 column                  contents
@@ -23,12 +22,8 @@ column                  contents
 ``fup_ips``             ``array('Q')`` — FUP source addresses
 ======================  ====================================================
 
-Three interchangeable scanners produce these columns, all
-verdict-bit-identical:
+Two scanners produce these columns, column-identical:
 
-- :func:`columnar_scan_reference` — the original per-byte walk over the
-  256-entry :data:`DISPATCH` / :data:`TNT_WIDTH` tables (the oracle the
-  property tests compare against);
 - the vectorised pure-Python scan — PAD runs and TNT packet runs are
   consumed per *run* (regex pre-classification + ``bytes.translate``
   width lookup + one bulk bit flush), PSB sync uses ``bytes.find``;
@@ -37,17 +32,19 @@ verdict-bit-identical:
   the pure-Python scan as fallback.  ``REPRO_SCAN_KERNEL`` /
   :func:`set_scan_kernel` pick ``auto`` (default), ``on`` or ``off``.
 
-**Contracts** (the columnar experiment gates all three):
+The tests hold both against a per-byte walk over the 256-entry
+:data:`DISPATCH` / :data:`TNT_WIDTH` tables (``tests/scan_reference.py``).
 
-- *verdict-bit-identical*: every TIP record, trailing stitch state,
-  truncation flag and ``PacketError`` is byte-for-byte what the object
-  engine produces;
+**Contracts**:
+
+- *decode-identical*: every TIP record, trailing stitch state,
+  truncation flag and ``PacketError`` is byte-for-byte what
+  ``fast_decode`` produces on the same bytes;
 - *charged-cycle-identical*: the cycle model is the paper's measurement
-  instrument — the scan charges the identical
-  ``bytes * FAST_DECODE_CYCLES_PER_BYTE`` expression, and consumers
-  accumulate in the identical order, so only wall-clock improves;
-- *lazy materialisation*: legacy ``DecodedPacket`` lists are rebuilt on
-  demand by running the object engine over the retained segment bytes
+  instrument — the scan charges the same
+  ``bytes * FAST_DECODE_CYCLES_PER_BYTE`` expression as ``fast_decode``;
+- *lazy materialisation*: ``DecodedPacket`` lists are rebuilt on demand
+  by running ``fast_decode`` over the retained segment bytes
   (``charge=False, telemetry=False`` — the columnar scan already
   charged and counted them), while the degraded lane
   (:class:`ColumnarSlowSource` + the byte cursor) re-verifies
@@ -61,7 +58,6 @@ import ctypes
 import os
 import re
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 from repro import costs
@@ -109,7 +105,7 @@ _A_PSBEND = 7
 _A_OVF = 8
 _A_BAD = 9
 
-#: action code -> the ``PacketKind.value`` string the object cursor
+#: action code -> the ``PacketKind.value`` string the packet-list cursor
 #: reports in ``TraceMismatch`` messages.
 _ACTION_KIND = (
     "tnt", "tip", "tip.pge", "tip.pgd", "fup", "pad", "psb", "psbend",
@@ -118,8 +114,7 @@ _ACTION_KIND = (
 
 _END = -1  # byte-cursor stream end
 
-#: bounded per-base record-materialisation memo (matches the object
-#: cache's rebase memo limit).
+#: bounded per-base record-materialisation memo.
 _MEMO_LIMIT = 8
 
 
@@ -170,9 +165,20 @@ _KERNEL_MODES = ("auto", "on", "off")
 #: wrapper adopts verbatim with ``array.frombytes``).
 _KERNEL_ABI_OK = array("L").itemsize == 8
 
-_kernel_mode = os.environ.get("REPRO_SCAN_KERNEL", "auto")
-if _kernel_mode not in _KERNEL_MODES:
-    _kernel_mode = "auto"
+
+
+def _checked_mode(mode: str, source: str = "") -> str:
+    if mode not in _KERNEL_MODES:
+        raise ValueError(
+            f"unknown scan-kernel mode {mode!r}{source}; "
+            f"pick one of {_KERNEL_MODES}"
+        )
+    return mode
+
+
+_kernel_mode = _checked_mode(
+    os.environ.get("REPRO_SCAN_KERNEL", "auto"), " in REPRO_SCAN_KERNEL"
+)
 
 
 def set_scan_kernel(mode: str) -> str:
@@ -181,15 +187,12 @@ def set_scan_kernel(mode: str) -> str:
     ``auto`` uses the C kernel when it builds, ``off`` forces the
     pure-Python scan, ``on`` requires the kernel (the first scan raises
     ``RuntimeError`` if it cannot be built).  The ``REPRO_SCAN_KERNEL``
-    environment variable provides the initial value.
+    environment variable provides the initial value; an unknown value
+    there fails the import with ``ValueError``.
     """
     global _kernel_mode
-    if mode not in _KERNEL_MODES:
-        raise ValueError(
-            f"unknown scan-kernel mode {mode!r}; pick one of {_KERNEL_MODES}"
-        )
     previous = _kernel_mode
-    _kernel_mode = mode
+    _kernel_mode = _checked_mode(mode)
     return previous
 
 
@@ -390,7 +393,7 @@ class ColumnarSegment:
     def packets(self) -> list:
         """Legacy ``DecodedPacket`` list, segment-relative offsets.
 
-        Materialised on first request by running the object engine over
+        Materialised on first request by running ``fast_decode`` over
         the retained bytes with charging and telemetry off (this work
         was already charged and counted by the columnar scan); cached
         because slow-path hand-off and tests may ask repeatedly.  The
@@ -458,8 +461,8 @@ def columnar_scan(
     representation differs).
 
     Dispatches to the C kernel when the current mode allows it and the
-    kernel built, otherwise to the vectorised pure-Python scan; both are
-    column-identical to :func:`columnar_scan_reference`.
+    kernel built, otherwise to the vectorised pure-Python scan; the two
+    are column-identical.
     """
     if _kernel_mode != "off":
         lib = scan_kernel.load() if _KERNEL_ABI_OK else None
@@ -688,132 +691,6 @@ def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment
     )
 
 
-def columnar_scan_reference(
-    data, sync: bool = False, charge: bool = True
-) -> ColumnarSegment:
-    """The original per-byte dispatch walk, kept verbatim as the oracle
-    the vectorised scan and the C kernel are property-tested against."""
-    pos = 0
-    if sync:
-        pos = sync_to_psb(data)
-        if pos < 0:
-            return _empty_segment(data, sync)
-    synced = pos
-    size = len(data)
-    dispatch = DISPATCH
-    tnt_width = TNT_WIDTH
-    psb = PSB_PATTERN
-    psb_len = len(psb)
-
-    rec_ips = array("Q")
-    rec_offsets = array("Q")
-    rec_bit_start = array("L")
-    rec_bit_end = array("L")
-    fup_ips = array("Q")
-    add_ip = rec_ips.append
-    add_offset = rec_offsets.append
-    add_bit_start = rec_bit_start.append
-    add_bit_end = rec_bit_end.append
-    add_fup = fup_ips.append
-
-    tnt_buf = bytearray()
-    emit_byte = tnt_buf.append
-    acc = 0  # bit accumulator, flushed every 8 bits
-    acc_bits = 0
-    total_bits = 0
-    pend_start = 0
-    far_mask = 0
-    after_far = False
-    last_ip = 0
-    pkt_count = 0
-    truncated = False
-
-    while pos < size:
-        action = dispatch[data[pos]]
-        if action == _A_TNT:
-            if pos + 2 > size:
-                truncated = True
-                break
-            payload = data[pos + 1]
-            width = tnt_width[payload]
-            if width == 255:
-                raise PacketError(f"invalid TNT payload {payload:#x}")
-            acc = (acc << width) | (payload ^ (1 << width))
-            acc_bits += width
-            total_bits += width
-            while acc_bits >= 8:
-                acc_bits -= 8
-                emit_byte((acc >> acc_bits) & 0xFF)
-            acc &= (1 << acc_bits) - 1
-            pkt_count += 1
-            pos += 2
-        elif action <= _A_FUP:  # TIP / TIP.PGE / TIP.PGD / FUP
-            if pos + 2 > size:
-                truncated = True
-                break
-            width = data[pos + 1]
-            if width > 8:
-                raise PacketError(
-                    f"desynchronised at offset {pos}: "
-                    f"IP width {width} impossible"
-                )
-            end = pos + 2 + width
-            if end > size:
-                truncated = True
-                break
-            if width == 0:
-                ip: Optional[int] = None
-            else:
-                mask = (1 << (8 * width)) - 1
-                ip = (last_ip & ~mask) | int.from_bytes(
-                    data[pos + 2:end], "little"
-                )
-                last_ip = ip
-            if action == _A_TIP:
-                if after_far:
-                    far_mask |= 1 << len(rec_ips)
-                    after_far = False
-                add_ip(NO_IP if ip is None else ip)
-                add_offset(pos)
-                add_bit_start(pend_start)
-                add_bit_end(total_bits)
-                pend_start = total_bits
-            elif action == _A_PGE:
-                after_far = True
-            elif action == _A_FUP and ip is not None:
-                add_fup(ip)
-            pkt_count += 1
-            pos = end
-        elif action == _A_PAD:
-            pos += 1
-        elif action == _A_PSB and data[pos:pos + psb_len] == psb:
-            last_ip = 0
-            pkt_count += 1
-            pos += psb_len
-        elif action == _A_PSBEND or action == _A_OVF:
-            pkt_count += 1
-            pos += 1
-        elif psb[: size - pos] == data[pos:]:
-            # The buffer ends inside a PSB pattern (including a lead
-            # 0x82 whose pattern was cut): clean truncation, not desync.
-            truncated = True
-            break
-        else:
-            raise PacketError(
-                f"desynchronised at offset {pos}: header {data[pos]:#04x}"
-            )
-
-    if acc_bits:
-        emit_byte((acc << (8 - acc_bits)) & 0xFF)
-
-    return _finish_segment(
-        data, sync, synced, pos, pkt_count, charge, truncated,
-        rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
-        bytes(tnt_buf), total_bits, pend_start, after_far,
-        far_mask, fup_ips,
-    )
-
-
 # -- tail accumulation (the fast-path consumer) ------------------------------
 
 
@@ -907,10 +784,9 @@ class LazyRecords:
 class ColumnarTail:
     """Backward-accumulated PSB segments, stored latest-first.
 
-    The object engine's ``decode_tail`` prepends each earlier segment's
-    records with a list concatenation and patches the head record in
-    place.  Here prepending is an O(1) append of a :class:`_TailEntry`
-    and the head patch is a signature composition — nothing materialises
+    Prepending an earlier segment is an O(1) append of a
+    :class:`_TailEntry`, and stitching its trailing TNT run onto the
+    current head record is a signature composition — nothing materialises
     until a window is requested, and window materialisation itself
     serves slices of the segments' memo columns (so a warm segment cache
     means warm windows too).
@@ -926,9 +802,8 @@ class ColumnarTail:
         self._head: Optional[_TailEntry] = None
 
     def prepend(self, seg: ColumnarSegment, base: int) -> None:
-        """Add the next-earlier segment (mirrors the object engine's
-        record stitch: the segment's trailing TNT run and far marker
-        fold onto the current head record, if any)."""
+        """Add the next-earlier segment: its trailing TNT run and far
+        marker fold onto the current head record, if any."""
         if self.count:
             trailing = seg.trailing_sig()
             if trailing != 1 or seg.trailing_far:
@@ -951,8 +826,7 @@ class ColumnarTail:
         if index == 0:
             # Patches were accumulated while this entry's first record
             # was the tail's head; they stay valid after earlier
-            # record-bearing segments arrive (the object engine patches
-            # the record in place with the same effect).
+            # record-bearing segments arrive.
             if entry.patch_sig != 1:
                 sig = compose_tnt_sigs(entry.patch_sig, sig)
             far = far or entry.patch_far
@@ -1009,7 +883,7 @@ class ColumnarTail:
         return records, ips_out, sigs_out
 
     def records(self) -> List[TipRecord]:
-        """The full tail, materialised (legacy ``decode_tail`` shape)."""
+        """Every record of the tail, materialised in stream order."""
         return self.window(self.count)[0] if self.count else []
 
     def last_ips(self, n: int) -> list:
@@ -1141,8 +1015,8 @@ class _ByteCursor:
     """Byte-level mirror of ``full_decoder._PacketCursor``.
 
     Parses packets straight out of the retained segment bytes —
-    maintaining IP compression state, skipping PAD silently (the object
-    engine emits no PAD packets) and PSB+ groups on demand — so the
+    maintaining IP compression state, skipping PAD silently (the packet
+    decode emits no PAD packets) and PSB+ groups on demand — so the
     degraded lane never allocates packet objects.  Consumption rules
     and every ``TraceMismatch`` message match the packet cursor
     exactly; ``PacketError`` conditions cannot arise on segments that
@@ -1382,59 +1256,39 @@ class ColumnarParallelResult:
 
 
 def columnar_decode_parallel(
-    data, sync: bool = False, executor=None, cache=None
+    data, sync: bool = False, cache=None
 ) -> ColumnarParallelResult:
     """Columnar mirror of ``fast_decode_parallel``: split at PSBs and
     scan segments independently (zero-copy ``memoryview`` slices), with
-    the same executor and segment-cache hooks and the identical cycle
-    accounting (total + critical path)."""
+    the identical cycle accounting (total + critical path).
+
+    ``cache`` optionally routes each segment through a
+    :class:`repro.ipt.segment_cache.SegmentDecodeCache`, so
+    byte-identical segments across snapshots and processes decode once;
+    hits charge the cache's probe cost model instead of the per-byte
+    decode cost (and are reported in ``cycles`` accordingly).
+    """
     start = 0
     if sync:
         start = sync_to_psb(data)
         if start < 0:
             return ColumnarParallelResult([], 0.0, len(data), 1, 0.0)
     boundaries = psb_boundaries(data, start)
-    spans = [
-        (begin, end)
-        for begin, end in zip(boundaries, boundaries[1:])
-        if begin < end
-    ]
     view = memoryview(data)
-
-    if cache is not None:
-        columns = []
-        total = 0.0
-        critical = 0.0
-        for begin, end in spans:
-            seg, seg_cycles = cache.decode_segment_columnar(view[begin:end])
-            columns.append((seg, begin))
-            total += seg_cycles
-            critical = max(critical, seg_cycles)
-        return ColumnarParallelResult(
-            columns, total, start, max(len(spans), 1), critical
-        )
-
-    if executor is not None:
-        zero_copy = isinstance(executor, ThreadPoolExecutor)
-        segments = list(
-            executor.map(
-                columnar_scan,
-                [
-                    view[b:e] if zero_copy else bytes(view[b:e])
-                    for b, e in spans
-                ],
-            )
-        )
-    else:
-        segments = [columnar_scan(view[b:e]) for b, e in spans]
-
     columns = []
     total = 0.0
     critical = 0.0
-    for (begin, _), seg in zip(spans, segments):
+    for begin, end in zip(boundaries, boundaries[1:]):
+        if begin >= end:
+            continue
+        if cache is not None:
+            seg, seg_cycles = cache.decode_segment_columnar(view[begin:end])
+        else:
+            seg = columnar_scan(view[begin:end])
+            seg_cycles = seg.cycles
         columns.append((seg, begin))
-        total += seg.cycles
-        critical = max(critical, seg.cycles)
+        total += seg_cycles
+        critical = max(critical, seg_cycles)
     return ColumnarParallelResult(
-        columns, total, start, max(len(spans), 1), critical
+        columns, total, start, max(len(columns), 1), critical
     )

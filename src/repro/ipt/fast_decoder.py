@@ -1,9 +1,12 @@
-"""Fast (packet-layer) decoding: the engine behind FlowGuard's fast path.
+"""Fast (packet-layer) decoding into ``DecodedPacket`` objects.
 
 The fast decoder only parses packet *framing* — headers, TNT payloads,
 compressed IPs.  It never touches program binaries, which is what makes
 it orders of magnitude cheaper than the instruction-flow layer, at the
-price of not knowing what instruction produced each packet.
+price of not knowing what instruction produced each packet.  The fast
+path itself runs the columnar scan (:mod:`repro.ipt.columnar`) over the
+same wire format; this object decode serves training, the hardware
+extension, the Table 1/§2 experiments, and lazy packet materialisation.
 
 PSB packets reset IP compression, so any PSB is a valid entry point:
 ``fast_decode_parallel`` splits the stream at PSBs and decodes segments
@@ -13,7 +16,6 @@ independently, modelling the parallel decode of §5.3; its
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -110,23 +112,6 @@ class FastDecodeResult:
         self._tip_state = (records, tuple(pending_tnt), after_far)
         return self._tip_state
 
-    def rebased(self, base: int) -> "FastDecodeResult":
-        """A copy with packet offsets shifted into the enclosing stream
-        (``base`` is the segment's offset there).  ``base=0`` returns
-        ``self`` unchanged."""
-        if base == 0:
-            return self
-        return FastDecodeResult(
-            [
-                DecodedPacket(p.kind, p.offset + base, bits=p.bits,
-                              ip=p.ip)
-                for p in self.packets
-            ],
-            self.cycles,
-            synced_offset=self.synced_offset + base,
-            truncated=self.truncated,
-        )
-
     def fup_ips(self) -> List[int]:
         """All FUP source addresses (syscall sites + PSB context).
 
@@ -139,25 +124,6 @@ class FastDecodeResult:
                 if p.kind is PacketKind.FUP and p.ip is not None
             ]
         return self._fup_ips
-
-
-@dataclass
-class SegmentDecode:
-    """One PSB segment as the fast path consumes it: stream-rebased
-    packets and TIP records, plus the trailing decoder state needed to
-    stitch this segment onto the one after it (see
-    :meth:`FastDecodeResult.tip_records_with_state`).
-
-    Consumers must treat ``packets`` and ``records`` as immutable — the
-    segment cache hands the same lists to every hit.
-    """
-
-    packets: List[DecodedPacket]
-    records: List[TipRecord]
-    trailing_tnt: Tuple[bool, ...]
-    trailing_far: bool
-    cycles: float
-    truncated: bool
 
 
 def sync_to_psb(data: bytes, start: int = 0) -> int:
@@ -206,9 +172,9 @@ def fast_decode(
     decoding slices zero-copy (the scan indexes bytes either way).
 
     ``telemetry=False`` suppresses the ``ipt.fast_decode.*`` counters:
-    the columnar engine uses this scan to lazily materialise legacy
-    packet objects it already charged and counted at columnar-scan time,
-    and double-counting would break telemetry parity between engines.
+    the columnar segments use this scan to lazily materialise packet
+    objects the columnar scan already charged and counted, and counting
+    them twice would inflate the scan metrics.
     """
     pos = 0
     if sync:
@@ -326,9 +292,8 @@ def psb_boundaries(data: bytes, start: int = 0) -> List[int]:
     )
 
 
-def fast_decode_parallel(data: bytes, sync: bool = False,
-                         executor=None,
-                         cache=None) -> ParallelDecodeResult:
+def fast_decode_parallel(data: bytes, sync: bool = False
+                         ) -> ParallelDecodeResult:
     """Split at PSB boundaries and decode segments independently.
 
     Total ``cycles`` is the work done; ``critical_path_cycles`` is the
@@ -336,18 +301,7 @@ def fast_decode_parallel(data: bytes, sync: bool = False,
     "can be done in parallel" acceleration.
 
     Segments are sliced as ``memoryview``s over ``data`` — no per-segment
-    byte copy — except for non-thread executors, which pickle their
-    arguments and therefore need real ``bytes``.
-
-    ``executor`` optionally maps segment decoding onto a real
-    ``concurrent.futures`` executor; results are identical to the
-    serial path, in the same order.
-
-    ``cache`` optionally routes each segment through a
-    :class:`repro.ipt.segment_cache.SegmentDecodeCache`, so
-    byte-identical segments across snapshots and processes decode once;
-    hits charge the cache's probe cost model instead of the per-byte
-    decode cost (and are reported in ``cycles`` accordingly).
+    byte copy.
     """
     start = 0
     if sync:
@@ -355,49 +309,16 @@ def fast_decode_parallel(data: bytes, sync: bool = False,
         if start < 0:
             return ParallelDecodeResult([], 0.0, synced_offset=len(data))
     boundaries = psb_boundaries(data, start)
-
-    spans = [
-        (begin, end)
-        for begin, end in zip(boundaries, boundaries[1:])
-        if begin < end
-    ]
     view = memoryview(data)
-
-    if cache is not None:
-        packets: List[DecodedPacket] = []
-        total = 0.0
-        critical = 0.0
-        for begin, end in spans:
-            segment = cache.decode(view[begin:end], base=begin)
-            packets.extend(segment.packets)
-            total += segment.cycles
-            critical = max(critical, segment.cycles)
-        return ParallelDecodeResult(
-            packets,
-            total,
-            synced_offset=start,
-            segments=max(len(spans), 1),
-            critical_path_cycles=critical,
-        )
-
-    if executor is not None:
-        zero_copy = isinstance(executor, ThreadPoolExecutor)
-        segments = list(
-            executor.map(
-                fast_decode,
-                [
-                    view[b:e] if zero_copy else bytes(view[b:e])
-                    for b, e in spans
-                ],
-            )
-        )
-    else:
-        segments = [fast_decode(view[b:e]) for b, e in spans]
-
-    packets = []
+    packets: List[DecodedPacket] = []
     total = 0.0
     critical = 0.0
-    for (begin, _), segment in zip(spans, segments):
+    segments = 0
+    for begin, end in zip(boundaries, boundaries[1:]):
+        if begin >= end:
+            continue
+        segment = fast_decode(view[begin:end])
+        segments += 1
         # Re-base offsets to the full stream.
         packets.extend(
             DecodedPacket(p.kind, p.offset + begin, bits=p.bits, ip=p.ip)
@@ -409,6 +330,6 @@ def fast_decode_parallel(data: bytes, sync: bool = False,
         packets,
         total,
         synced_offset=start,
-        segments=max(len(spans), 1),
+        segments=max(segments, 1),
         critical_path_cycles=critical,
     )

@@ -1,19 +1,19 @@
 """Content-addressed segment decode cache.
 
 PSB packets reset IP compression, so a PSB-delimited segment decodes to
-the same packets wherever it appears — in a later snapshot of the same
+the same columns wherever it appears — in a later snapshot of the same
 ring, or in a different process's ring altogether.  The cache keys each
-segment by a short content hash and stores its decode (packets, TIP
-records, trailing stitch state) in a bounded LRU, so byte-identical
-segments across a fleet decode exactly once.
+segment by a short content hash and stores its columnar scan (a
+:class:`~repro.ipt.columnar.ColumnarSegment`) in a bounded LRU, so
+byte-identical segments across a fleet decode exactly once.  The
+columns stay segment-relative: consumers carry the segment's stream
+base and add it at materialisation time, so a hit never copies.
 
 Cycle model (honest accounting, reconciled by ``CycleProfiler``): every
 probe streams the segment through the hash engine
 (``SEGMENT_CACHE_HASH_CYCLES_PER_BYTE``) and pays one store probe.  A
 hit charges only that; a miss additionally pays the full per-byte fast
-decode.  Cached results are rebased on demand to the segment's offset in
-the enclosing stream, with a small per-entry memo of popular bases so
-steady-state hits skip the rebase loop too.
+decode.
 
 Truncated (mid-packet) segments are **never** cached: a segment cut by
 the snapshot boundary will decode differently once the ring fills in the
@@ -24,82 +24,11 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 from repro import costs
 from repro.telemetry import get_telemetry
 from repro.ipt.columnar import ColumnarSegment, columnar_scan
-from repro.ipt.fast_decoder import (
-    FastDecodeResult,
-    SegmentDecode,
-    TipRecord,
-    fast_decode,
-)
-from repro.ipt.packets import DecodedPacket
-
-#: rebased views memoized per entry; beyond this, hits rebase afresh.
-_REBASE_MEMO_LIMIT = 8
-
-
-class _SegmentEntry:
-    """One cached segment decode, segment-relative, plus rebase memos."""
-
-    __slots__ = ("result", "records", "trailing_tnt", "trailing_far",
-                 "rebased")
-
-    def __init__(
-        self,
-        result: FastDecodeResult,
-        records: List[TipRecord],
-        trailing_tnt: Tuple[bool, ...],
-        trailing_far: bool,
-    ) -> None:
-        self.result = result
-        self.records = records
-        self.trailing_tnt = trailing_tnt
-        self.trailing_far = trailing_far
-        self.rebased: Dict[int, Tuple[list, list]] = {}
-
-    def at_base(self, base: int) -> Tuple[list, list]:
-        """(packets, records) rebased to stream offset ``base``.
-
-        The returned lists are shared across hits — callers must not
-        mutate them (list concatenation, as the tail decoder does, is
-        fine).
-        """
-        memo = self.rebased.get(base)
-        if memo is None:
-            if base == 0:
-                memo = (self.result.packets, self.records)
-            else:
-                memo = (
-                    [
-                        DecodedPacket(p.kind, p.offset + base,
-                                      bits=p.bits, ip=p.ip)
-                        for p in self.result.packets
-                    ],
-                    [
-                        TipRecord(r.ip, r.tnt_before, r.offset + base,
-                                  r.after_far)
-                        for r in self.records
-                    ],
-                )
-            if len(self.rebased) < _REBASE_MEMO_LIMIT:
-                self.rebased[base] = memo
-        return memo
-
-
-class _CacheEntry:
-    """One cache slot, holding up to two shapes of the same segment's
-    decode: the legacy object shape and/or the columnar shape.  A probe
-    that finds the key but not the requested shape is an honest miss —
-    that engine's decode work really does run."""
-
-    __slots__ = ("objects", "columnar")
-
-    def __init__(self) -> None:
-        self.objects: Optional[_SegmentEntry] = None
-        self.columnar: Optional[ColumnarSegment] = None
 
 
 class SegmentDecodeCache:
@@ -109,7 +38,7 @@ class SegmentDecodeCache:
         if entries < 1:
             raise ValueError("segment cache needs at least one entry")
         self.entries = entries
-        self._store: "OrderedDict[bytes, _CacheEntry]" = OrderedDict()
+        self._store: "OrderedDict[bytes, ColumnarSegment]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -140,86 +69,32 @@ class SegmentDecodeCache:
 
     # -- decoding ------------------------------------------------------------
 
-    def decode_segment(self, segment, base: int = 0) -> SegmentDecode:
-        """Decode one PSB segment through the cache.
-
-        ``segment`` is the segment's bytes (a ``memoryview`` slice keeps
-        it zero-copy); ``base`` is its offset in the enclosing stream,
-        applied to packet/record offsets in the returned view.
-        """
-        size = len(segment)
-        key = hashlib.blake2b(segment, digest_size=16).digest()
-        tel = get_telemetry()
-        slot = self._store.get(key)
-        if slot is not None and slot.objects is not None:
-            entry = slot.objects
-            self._store.move_to_end(key)
-            self.hits += 1
-            self.bytes_served += size
-            if tel.enabled:
-                tel.metrics.counter("ipt.segment_cache.hits").inc()
-            packets, records = entry.at_base(base)
-            return SegmentDecode(
-                packets,
-                records,
-                entry.trailing_tnt,
-                entry.trailing_far,
-                self._hit_cycles(size),
-                False,
-            )
-
-        self.misses += 1
-        if tel.enabled:
-            tel.metrics.counter("ipt.segment_cache.misses").inc()
-        result = fast_decode(segment)
-        self.bytes_decoded += size
-        records, trailing_tnt, trailing_far = result.tip_records_with_state()
-        cycles = size * costs.SEGMENT_CACHE_HASH_CYCLES_PER_BYTE + result.cycles
-        if result.truncated:
-            # Mid-packet segments will decode differently once the
-            # missing bytes arrive — never pin them in the store.
-            rebased = result.rebased(base)
-            if base:
-                records = [
-                    TipRecord(r.ip, r.tnt_before, r.offset + base,
-                              r.after_far)
-                    for r in records
-                ]
-            return SegmentDecode(
-                rebased.packets, records, trailing_tnt, trailing_far,
-                cycles, True,
-            )
-
-        entry = _SegmentEntry(result, records, trailing_tnt, trailing_far)
-        slot = self._fill(key, tel)
-        slot.objects = entry
-        packets, records = entry.at_base(base)
-        return SegmentDecode(
-            packets, records, trailing_tnt, trailing_far, cycles, False,
-        )
-
     def decode_segment_columnar(
         self, segment
     ) -> Tuple[ColumnarSegment, float]:
-        """Columnar twin of :meth:`decode_segment`.
+        """Scan one PSB segment through the cache.
 
-        Returns ``(segment_columns, charged_cycles)``; the columns stay
-        segment-relative (callers rebase by carrying the base, never by
-        copying — the zero-copy contract).  The cycle model is byte-wise
-        identical to the object path: hash + probe on a hit, hash +
-        per-byte decode on a miss, truncated segments never stored.
+        ``segment`` is the segment's bytes (a ``memoryview`` slice keeps
+        it zero-copy).  Returns ``(segment_columns, charged_cycles)``;
+        the columns stay segment-relative (callers rebase by carrying
+        the base, never by copying).  Charges hash + probe on a hit and
+        hash + per-byte decode on a miss; truncated segments are never
+        stored.
         """
         size = len(segment)
         key = hashlib.blake2b(segment, digest_size=16).digest()
         tel = get_telemetry()
-        slot = self._store.get(key)
-        if slot is not None and slot.columnar is not None:
+        seg = self._store.get(key)
+        if seg is not None:
             self._store.move_to_end(key)
             self.hits += 1
             self.bytes_served += size
             if tel.enabled:
                 tel.metrics.counter("ipt.segment_cache.hits").inc()
-            return slot.columnar, self._hit_cycles(size)
+            return seg, (
+                size * costs.SEGMENT_CACHE_HASH_CYCLES_PER_BYTE
+                + costs.SEGMENT_CACHE_PROBE_CYCLES
+            )
 
         self.misses += 1
         if tel.enabled:
@@ -228,48 +103,22 @@ class SegmentDecodeCache:
         self.bytes_decoded += size
         cycles = size * costs.SEGMENT_CACHE_HASH_CYCLES_PER_BYTE + seg.cycles
         if seg.truncated:
+            # Mid-packet segments will decode differently once the
+            # missing bytes arrive — never pin them in the store.
             return seg, cycles
-        slot = self._fill(key, tel)
-        slot.columnar = seg
+        self._store[key] = seg
+        if tel.enabled and tel.plane is not None:
+            # Cache state transitions feed the flight recorder.
+            tel.plane.on_cache_event(
+                "cache-insert", detail=f"resident={len(self._store)}"
+            )
+        if len(self._store) > self.entries:
+            self._store.popitem(last=False)
+            self.evictions += 1
+            if tel.enabled:
+                tel.metrics.counter("ipt.segment_cache.evictions").inc()
+                if tel.plane is not None:
+                    tel.plane.on_cache_event(
+                        "cache-evict", detail=f"evictions={self.evictions}"
+                    )
         return seg, cycles
-
-    def _fill(self, key: bytes, tel) -> _CacheEntry:
-        """The cache slot for ``key``, freshly inserted (with LRU
-        eviction) or refreshed if the other shape already resides."""
-        slot = self._store.get(key)
-        if slot is None:
-            slot = _CacheEntry()
-            self._store[key] = slot
-            if tel.enabled and tel.plane is not None:
-                # Cache state transitions feed the flight recorder.
-                tel.plane.on_cache_event(
-                    "cache-insert", detail=f"resident={len(self._store)}"
-                )
-            if len(self._store) > self.entries:
-                self._store.popitem(last=False)
-                self.evictions += 1
-                if tel.enabled:
-                    tel.metrics.counter("ipt.segment_cache.evictions").inc()
-                    if tel.plane is not None:
-                        tel.plane.on_cache_event(
-                            "cache-evict", detail=f"evictions={self.evictions}"
-                        )
-        else:
-            self._store.move_to_end(key)
-        return slot
-
-    def decode(self, segment, base: int = 0) -> FastDecodeResult:
-        """`fast_decode`-shaped interface for ``fast_decode_parallel``."""
-        seg = self.decode_segment(segment, base=base)
-        return FastDecodeResult(
-            seg.packets,
-            seg.cycles,
-            synced_offset=base,
-            truncated=seg.truncated,
-        )
-
-    def _hit_cycles(self, size: int) -> float:
-        return (
-            size * costs.SEGMENT_CACHE_HASH_CYCLES_PER_BYTE
-            + costs.SEGMENT_CACHE_PROBE_CYCLES
-        )

@@ -143,7 +143,6 @@ def build_load_service(
         ring_bytes=scenario.ring_bytes,
         ring_policy=RingPolicy(scenario.ring_policy),
         max_queue_depth=scenario.max_queue_depth,
-        engine=scenario.engine,
         seed=seed_val,
         faults=scenario.faults,
         retry=scenario.retry,

@@ -76,7 +76,6 @@ class LoadScenario:
     ring_bytes: int = 2048
     ring_policy: str = "stall"
     max_queue_depth: int = 64
-    engine: str = "columnar"
     seed: int = 0
 
     # -- validation ----------------------------------------------------------

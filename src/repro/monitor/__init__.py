@@ -8,48 +8,7 @@ searched over the credit-labelled ITC-CFG), falling back to the slow
 path (full instruction-flow decode + fine-grained forward edges +
 shadow stack) when a low-credit edge or unseen TNT pattern appears.
 
-Importing names from this package root is **deprecated**: the stable
-public surface is :mod:`repro.api`, and internals live in their
-submodules (``repro.monitor.flowguard``, ``repro.monitor.fastpath``,
-...).  The lazy shims below keep old imports working, each access
-emitting a ``DeprecationWarning``.
+The package root exports nothing: the stable public surface is
+:mod:`repro.api`, and internals live in their submodules
+(``repro.monitor.flowguard``, ``repro.monitor.fastpath``, ...).
 """
-
-import importlib
-import warnings
-
-#: old package-root exports -> their canonical submodule home.
-_EXPORTS = {
-    "Detection": "repro.monitor.flowguard",
-    "FastPathChecker": "repro.monitor.fastpath",
-    "FastPathResult": "repro.monitor.fastpath",
-    "FlowGuardMonitor": "repro.monitor.flowguard",
-    "FlowGuardPolicy": "repro.monitor.policy",
-    "ProtectedProcess": "repro.monitor.flowguard",
-    "ShadowStack": "repro.monitor.shadowstack",
-    "ShadowStackViolation": "repro.monitor.shadowstack",
-    "SlowPathEngine": "repro.monitor.slowpath",
-    "SlowPathResult": "repro.monitor.slowpath",
-    "Verdict": "repro.monitor.fastpath",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    home = _EXPORTS.get(name)
-    if home is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    warnings.warn(
-        f"importing {name!r} from {__name__} is deprecated; "
-        f"use repro.api or {home}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))

@@ -27,20 +27,10 @@ from repro import costs
 from repro.binary.loader import Image
 from repro.telemetry import get_telemetry
 from repro.ipt.columnar import ColumnarTail, columnar_scan
-from repro.ipt.fast_decoder import (
-    SegmentDecode,
-    TipRecord,
-    fast_decode,
-    psb_offsets,
-)
-from repro.ipt.packets import DecodedPacket, PacketError, PacketKind
-from repro.itccfg.credits import CreditLevel
+from repro.ipt.fast_decoder import TipRecord, psb_offsets
+from repro.ipt.packets import PacketError
 from repro.itccfg.paths import PathIndex
 from repro.itccfg.searchindex import FlowSearchIndex
-
-#: decode engines a checker can run (``repro.monitor.policy`` and the
-#: CLI validate against this).
-ENGINES = ("columnar", "objects")
 
 
 class Verdict(enum.Enum):
@@ -61,39 +51,25 @@ class FastPathResult:
     #: the decoded window, for hand-off to the slow path.
     window: List[TipRecord] = field(default_factory=list)
     window_offset: int = 0  # stream offset the window decode started at
-    #: raw packets of the decoded tail (slow-path input).
+    #: packets of the decoded tail, a
+    #: :class:`~repro.ipt.columnar.LazyPackets` materialised on demand.
     packets: list = field(default_factory=list)
     #: undecodable PSB segments the tail scan stopped at (degradation).
     corrupt_segments: int = 0
 
-    def slow_path_packets(self) -> list:
-        """Packets for slow-path hand-off: from the PSB sync point
-        nearest *before* the checked window, not the whole tail — the
-        slow path only needs to reconstruct the suspicious region."""
-        if not self.window:
-            return self.packets
-        window_start = self.window[0].offset
-        begin = 0
-        for index, packet in enumerate(self.packets):
-            if packet.offset > window_start:
-                break
-            if packet.kind is PacketKind.PSB:
-                begin = index
-        return self.packets[begin:]
-
     def slow_path_source(self):
-        """Slow-path input for the configured lane.
+        """Slow-path input: the tail segments from the PSB sync point
+        nearest *before* the checked window onward, not the whole tail
+        — the slow path only needs to reconstruct the suspicious region.
 
-        On the columnar engine this returns a
-        :class:`~repro.ipt.columnar.ColumnarSlowSource` — the same
-        PSB-trim as :meth:`slow_path_packets` but as raw segment bytes,
-        so the degraded lane never materialises ``DecodedPacket``
-        objects.  On the objects engine (or a pre-columnar ``packets``
-        list) it falls back to the packet list.
-        """
+        Returns a :class:`~repro.ipt.columnar.ColumnarSlowSource`, which
+        the slow path replays straight off the raw segment bytes without
+        materialising ``DecodedPacket`` objects.  A result built without
+        a columnar tail (an empty ``packets`` list) hands that list over
+        as is."""
         slow = getattr(self.packets, "slow_source", None)
         if slow is None:
-            return self.slow_path_packets()
+            return self.packets
         return slow(self.window[0].offset if self.window else None)
 
 
@@ -112,17 +88,7 @@ class FastPathChecker:
         segment_cache=None,
         ledger=None,
         owner_pid: int = -1,
-        engine: str = "columnar",
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown decode engine {engine!r}; pick one of {ENGINES}"
-            )
-        #: decode engine: ``"columnar"`` (the default — table-driven
-        #: scan + batched edge check, same verdicts and charged cycles,
-        #: less wall-clock) or ``"objects"`` (the original per-packet
-        #: dataclass engine).
-        self.engine = engine
         self.index = index
         self.image = image
         self.pkt_count = pkt_count
@@ -139,28 +105,26 @@ class FastPathChecker:
         #: audits corrupt-segment recovery, attributed to ``owner_pid``.
         self.ledger = ledger
         self.owner_pid = owner_pid
-        #: corrupt segments hit by the most recent / all decode_tail
-        #: calls (the 4-tuple return shape predates degradation).
+        #: corrupt segments hit by the most recent / all tail decodes.
         self.last_corrupt_segments = 0
         self.corrupt_segments = 0
 
     # -- tail decoding -------------------------------------------------------
 
-    def decode_tail(self, data: bytes):
+    def decode_tail_columnar(self, data: bytes) -> ColumnarTail:
         """Decode backward-growing tail windows until requirements hold.
 
-        Returns (records, packets, decode_cycles, start_offset).  Only
-        the bytes actually decoded are charged — the §5.3 point that the
-        whole ToPA buffer need not be decoded.
+        Only the bytes actually decoded are charged — the §5.3 point
+        that the whole ToPA buffer need not be decoded.
 
-        Each PSB segment decodes exactly once: the scan walks backward
+        Each PSB segment is scanned exactly once: the walk goes backward
         from the buffer end, prepending one segment at a time until the
-        ``pkt_count``/module-span requirements hold.  (The previous form
-        re-ran ``fast_decode(data[start:])`` for every candidate start —
-        quadratic in the tail length.)  Segments decode independently
-        because PSBs reset IP compression; the dangling TNT bits and
-        far-transfer marker a segment ends with are stitched onto the
-        first TIP of the already-accumulated suffix.
+        ``pkt_count``/module-span requirements hold.  Segments scan
+        independently because PSBs reset IP compression; the dangling
+        TNT bits and far-transfer marker a segment ends with are
+        stitched onto the first TIP of the already-accumulated suffix
+        (a signature composition — nothing is materialised until the
+        check loop asks for its window, and prepending is O(1)).
 
         A segment that raises :class:`PacketError` (corrupt drain bytes)
         stops the backward scan: the clean suffix already accumulated —
@@ -169,68 +133,7 @@ class FastPathChecker:
         adjacent and fabricate violations.  The failed decode is still
         charged for the bytes scanned, and the downgrade lands in the
         ledger (``corrupt-segment``, ``cache-bypass``, ``psb-resync``).
-
-        With the columnar engine this 4-tuple shape is served by
-        materialising the columnar tail — identical records, packets
-        (lazily) and cycles; the engine-native entry point the check
-        loop uses is :meth:`decode_tail_columnar`.
         """
-        if self.engine == "columnar":
-            tail = self.decode_tail_columnar(data)
-            return tail.records(), tail.lazy_packets(), tail.cycles, tail.start
-        self.last_corrupt_segments = 0
-        offsets = psb_offsets(data)
-        if not offsets:
-            return [], [], 0.0, len(data)
-        bounds = offsets + [len(data)]
-        view = memoryview(data)
-        records: List[TipRecord] = []
-        packets: List[DecodedPacket] = []
-        cycles = 0.0
-        start = offsets[-1]
-        for index in range(len(offsets) - 1, -1, -1):
-            try:
-                seg = self._decode_segment(view, offsets[index],
-                                           bounds[index + 1])
-            except PacketError:
-                cycles += self._corrupt_segment(
-                    offsets[index], bounds[index + 1], bool(records)
-                )
-                break
-            if seg.truncated and index < len(offsets) - 1:
-                # Only the *final* segment of a clean stream can end
-                # mid-packet (the snapshot caught the producer).  A
-                # truncated middle segment means its bytes are corrupt
-                # in a way that mimics truncation — keeping its prefix
-                # records would stitch across the gap and pair TIPs
-                # that were never adjacent.
-                cycles += seg.cycles + self._corrupt_segment(
-                    offsets[index], bounds[index + 1], bool(records)
-                )
-                break
-            cycles += seg.cycles
-            if records and (seg.trailing_tnt or seg.trailing_far):
-                head = records[0]
-                records[0] = TipRecord(
-                    head.ip,
-                    seg.trailing_tnt + head.tnt_before,
-                    head.offset,
-                    head.after_far or seg.trailing_far,
-                )
-            records = seg.records + records
-            packets = seg.packets + packets
-            start = offsets[index]
-            if len(records) > self.pkt_count and self._spans_modules(records):
-                break
-        return records, packets, cycles, start
-
-    def decode_tail_columnar(self, data: bytes) -> ColumnarTail:
-        """Columnar mirror of :meth:`decode_tail`: the same backward
-        walk, corrupt/truncated-segment handling and charged cycles (the
-        identical accumulation expressions, term for term), but segments
-        stay columnar — prepending is O(1) and the TNT stitch is a
-        signature composition, with nothing materialised until the check
-        loop asks for its window."""
         self.last_corrupt_segments = 0
         tail = ColumnarTail()
         offsets = psb_offsets(data)
@@ -243,7 +146,7 @@ class FastPathChecker:
         start = offsets[-1]
         for index in range(len(offsets) - 1, -1, -1):
             try:
-                seg, seg_cycles = self._decode_segment_columnar(
+                seg, seg_cycles = self._decode_segment(
                     view, offsets[index], bounds[index + 1]
                 )
             except PacketError:
@@ -252,8 +155,12 @@ class FastPathChecker:
                 )
                 break
             if seg.truncated and index < len(offsets) - 1:
-                # Same rule as the object walk: only the final segment
-                # of a clean stream may end mid-packet.
+                # Only the *final* segment of a clean stream can end
+                # mid-packet (the snapshot caught the producer).  A
+                # truncated middle segment means its bytes are corrupt
+                # in a way that mimics truncation — keeping its prefix
+                # records would stitch across the gap and pair TIPs
+                # that were never adjacent.
                 cycles += seg_cycles + self._corrupt_segment(
                     offsets[index], bounds[index + 1], tail.count > 0
                 )
@@ -263,12 +170,9 @@ class FastPathChecker:
             start = offsets[index]
             if tail.count > self.pkt_count and (
                 # Evaluate the flags before materialising the ip
-                # window — _spans_modules_ips would ignore it anyway
-                # when neither module requirement is armed.
+                # window, which only the module requirements read.
                 not (self.require_cross_module or self.require_executable)
-                or self._spans_modules_ips(
-                    tail.last_ips(self.pkt_count + 1)
-                )
+                or self._spans_modules(tail.last_ips(self.pkt_count + 1))
             ):
                 break
         tail.cycles = cycles
@@ -297,23 +201,7 @@ class FastPathChecker:
             tel.metrics.counter("fastpath.corrupt_segments").inc()
         return (end - begin) * costs.FAST_DECODE_CYCLES_PER_BYTE
 
-    def _decode_segment(self, view, begin: int, end: int) -> SegmentDecode:
-        """One PSB segment, rebased to the stream, via the cache if
-        one is attached."""
-        if self.segment_cache is not None:
-            return self.segment_cache.decode_segment(
-                view[begin:end], base=begin
-            )
-        result = fast_decode(view[begin:end]).rebased(begin)
-        records, trailing_tnt, trailing_far = (
-            result.tip_records_with_state()
-        )
-        return SegmentDecode(
-            result.packets, records, trailing_tnt, trailing_far,
-            result.cycles, result.truncated,
-        )
-
-    def _decode_segment_columnar(self, view, begin: int, end: int):
+    def _decode_segment(self, view, begin: int, end: int):
         """One PSB segment in columnar form, via the cache if attached;
         returns ``(segment, charged_cycles)`` — the columns stay
         segment-relative, the caller carries ``begin`` as the base."""
@@ -324,16 +212,7 @@ class FastPathChecker:
         seg = columnar_scan(view[begin:end])
         return seg, seg.cycles
 
-    def _spans_modules(self, records: List[TipRecord]) -> bool:
-        if not (self.require_cross_module or self.require_executable):
-            return True
-        return self._spans_modules_ips(
-            [record.ip for record in records[-(self.pkt_count + 1):]]
-        )
-
-    def _spans_modules_ips(self, ips: list) -> bool:
-        if not (self.require_cross_module or self.require_executable):
-            return True
+    def _spans_modules(self, ips: list) -> bool:
         modules = set()
         has_exec = False
         for ip in ips:
@@ -379,73 +258,9 @@ class FastPathChecker:
         return result
 
     def _check(self, data: bytes) -> FastPathResult:
-        if self.engine == "columnar":
-            return self._check_columnar(data)
-        records, packets, decode_cycles, start = self.decode_tail(data)
-        corrupt = self.last_corrupt_segments
-        if len(records) < 2:
-            return FastPathResult(
-                Verdict.INSUFFICIENT,
-                decode_cycles=decode_cycles,
-                window=records,
-                window_offset=start,
-                packets=packets,
-                corrupt_segments=corrupt,
-            )
-        window = records[-(self.pkt_count + 1):]
-        search_before = self.index.cycles
-        low_credit: List[Tuple[int, int]] = []
-        checked = 0
-        for prev, cur in zip(window, window[1:]):
-            lookup = self.index.check_edge(prev.ip, cur.ip, cur.tnt_before)
-            checked += 1
-            if not lookup.in_graph:
-                return FastPathResult(
-                    Verdict.VIOLATION,
-                    checked_pairs=checked,
-                    violation_edge=(prev.ip, cur.ip),
-                    decode_cycles=decode_cycles,
-                    search_cycles=self.index.cycles - search_before,
-                    window=window,
-                    window_offset=start,
-                    packets=packets,
-                    corrupt_segments=corrupt,
-                )
-            if lookup.credit is not CreditLevel.HIGH or not lookup.tnt_ok:
-                low_credit.append((prev.ip, cur.ip))
-        search_cycles = self.index.cycles - search_before
-        high = checked - len(low_credit)
-        ratio = high / checked if checked else 0.0
-        verdict = (
-            Verdict.PASS if ratio >= self.cred_ratio else Verdict.SUSPICIOUS
-        )
-        if verdict is Verdict.PASS and self.path_index is not None:
-            # Path-sensitive extension: the node sequence itself must
-            # have been trained, not just the individual edges.
-            nodes = [record.ip for record in window]
-            untrained = self.path_index.untrained_grams(nodes)
-            if untrained:
-                verdict = Verdict.SUSPICIOUS
-                low_credit.extend(
-                    (gram[0], gram[1]) for gram in untrained[:4]
-                )
-        return FastPathResult(
-            verdict,
-            checked_pairs=checked,
-            low_credit_pairs=low_credit,
-            decode_cycles=decode_cycles,
-            search_cycles=search_cycles,
-            window=window,
-            window_offset=start,
-            packets=packets,
-            corrupt_segments=corrupt,
-        )
-
-    def _check_columnar(self, data: bytes) -> FastPathResult:
-        """The columnar fast path: columnar tail + one batched edge
-        check.  Window records materialise eagerly (they are at most
-        ``pkt_count + 1`` and feed telemetry/slow-path hand-off); the
-        tail's packets stay lazy."""
+        """Columnar tail + one batched edge check.  Window records
+        materialise eagerly (they are at most ``pkt_count + 1`` and feed
+        telemetry/slow-path hand-off); the tail's packets stay lazy."""
         tail = self.decode_tail_columnar(data)
         corrupt = self.last_corrupt_segments
         decode_cycles = tail.cycles

@@ -26,7 +26,6 @@ from repro.analysis.cfg import ControlFlowGraph
 from repro.ipt.encoder import IPTEncoder
 from repro.ipt.msr import IPTConfig
 from repro.ipt.topa import ToPA
-from repro.ipt.columnar import set_scan_kernel
 from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.itccfg.credits import CreditLabeledITC
 from repro.itccfg.searchindex import FlowSearchIndex
@@ -119,11 +118,6 @@ class FlowGuardMonitor:
     ) -> None:
         self.kernel = kernel
         self.policy = policy if policy is not None else FlowGuardPolicy()
-        # "auto" inherits the process/env scan-kernel setting (so a CI
-        # run forcing REPRO_SCAN_KERNEL is not stomped); "on"/"off"
-        # pin it for this process.
-        if self.policy.scan_kernel != "auto":
-            set_scan_kernel(self.policy.scan_kernel)
         self._telemetry = get_telemetry()
         #: deterministic fault plane (None = fault-free, bit-identical
         #: to a monitor built without the resilience layer).
@@ -216,7 +210,6 @@ class FlowGuardMonitor:
             segment_cache=self.segment_cache,
             ledger=self.degradations,
             owner_pid=process.pid,
-            engine=self.policy.engine,
         )
         slow = SlowPathEngine(process.machine.memory, ocfg)
         pp = ProtectedProcess(
@@ -267,7 +260,6 @@ class FlowGuardMonitor:
             segment_cache=self.segment_cache,
             ledger=self.degradations,
             owner_pid=process.pid,
-            engine=self.policy.engine,
         )
         slow = SlowPathEngine(process.machine.memory, ocfg)
         pp.labeled = labeled
@@ -458,45 +450,24 @@ class FlowGuardMonitor:
         and mark the whole window SUSPICIOUS so the slow path (which
         shares no state with the fast checker) delivers the verdict."""
         checker = pp.checker
-        if checker.engine == "columnar":
-            # Engine-native: materialise only the checked window, keep
-            # the packet hand-off lazy (the slow path's columnar lane
-            # never forces it).
-            tail = checker.decode_tail_columnar(data)
-            packets = tail.lazy_packets()
-            if tail.count < 2:
-                return FastPathResult(
-                    Verdict.INSUFFICIENT,
-                    decode_cycles=tail.cycles,
-                    window=tail.records(),
-                    window_offset=tail.start,
-                    packets=packets,
-                    corrupt_segments=checker.last_corrupt_segments,
-                )
+        # Materialise only the checked window; the packet hand-off stays
+        # lazy (the slow path's byte cursor never forces it).
+        tail = checker.decode_tail_columnar(data)
+        packets = tail.lazy_packets()
+        if tail.count < 2:
             return FastPathResult(
-                Verdict.SUSPICIOUS,
+                Verdict.INSUFFICIENT,
                 decode_cycles=tail.cycles,
-                window=tail.window(checker.pkt_count + 1)[0],
+                window=tail.records(),
                 window_offset=tail.start,
                 packets=packets,
                 corrupt_segments=checker.last_corrupt_segments,
             )
-        records, packets, cycles, start = checker.decode_tail(data)
-        if len(records) < 2:
-            return FastPathResult(
-                Verdict.INSUFFICIENT,
-                decode_cycles=cycles,
-                window=records,
-                window_offset=start,
-                packets=packets,
-                corrupt_segments=checker.last_corrupt_segments,
-            )
-        window = records[-(checker.pkt_count + 1):]
         return FastPathResult(
             Verdict.SUSPICIOUS,
-            decode_cycles=cycles,
-            window=window,
-            window_offset=start,
+            decode_cycles=tail.cycles,
+            window=tail.window(checker.pkt_count + 1)[0],
+            window_offset=tail.start,
             packets=packets,
             corrupt_segments=checker.last_corrupt_segments,
         )
@@ -511,12 +482,9 @@ class FlowGuardMonitor:
         try:
             if inj is not None and inj.fire("slowpath_error"):
                 raise InjectedFault("injected slow-path decode error")
-            source = (
-                result.slow_path_packets()
-                if self.policy.slow_lane == "objects"
-                else result.slow_path_source()
+            slow_result = pp.slow.check(
+                result.slow_path_source(), window=result.window
             )
-            slow_result = pp.slow.check(source, window=result.window)
         except InjectedFault:
             # The engine died after the upcall: charge the upcall, audit
             # the downgrade, and fail open for this window — violations
@@ -661,7 +629,6 @@ class FlowGuardMonitor:
                 "endpoints": sorted(self.policy.endpoints),
                 "check_on_pmi": self.policy.check_on_pmi,
                 "path_sensitive": self.policy.path_sensitive,
-                "engine": self.policy.engine,
             },
             "processes": [
                 {

@@ -7,12 +7,6 @@ from typing import FrozenSet
 
 from repro.osmodel.syscalls import SENSITIVE_SYSCALLS, Sys
 
-#: valid ``scan_kernel`` policy values (mirrors
-#: ``repro.ipt.columnar.set_scan_kernel``).
-SCAN_KERNEL_MODES = ("auto", "on", "off")
-#: valid ``slow_lane`` policy values.
-SLOW_LANES = ("columnar", "objects")
-
 
 @dataclass
 class FlowGuardPolicy:
@@ -59,35 +53,6 @@ class FlowGuardPolicy:
     segment_cache_entries: int = 0
     #: per-index (src, dst, tnt) verdict memo capacity; 0 disables it.
     edge_cache_entries: int = 0
-    #: fast-path decode engine: ``"columnar"`` (table-driven scan +
-    #: batched edge check — the default; identical verdicts and charged
-    #: cycles, materially less wall-clock) or ``"objects"`` (the
-    #: original per-packet dataclass engine).
-    engine: str = "columnar"
-    #: columnar scan kernel: ``"auto"`` (use the compiled C kernel when
-    #: it builds — the default; inherits the process/env setting),
-    #: ``"on"`` (require it; fail fast if unbuildable) or ``"off"``
-    #: (force the pure-Python vectorised scan).  All three are
-    #: column-identical; only wall-clock differs.
-    scan_kernel: str = "auto"
-    #: slow-path input lane on the columnar engine: ``"columnar"`` (the
-    #: default — replay raw segment bytes via the byte cursor; the
-    #: degraded lane never materialises packet objects) or ``"objects"``
-    #: (materialise the legacy ``DecodedPacket`` list first).  Verdicts
-    #: and cycles are identical; only wall-clock differs.
-    slow_lane: str = "columnar"
-
-    def __post_init__(self) -> None:
-        if self.scan_kernel not in SCAN_KERNEL_MODES:
-            raise ValueError(
-                f"unknown scan_kernel mode {self.scan_kernel!r}; "
-                f"pick one of {SCAN_KERNEL_MODES}"
-            )
-        if self.slow_lane not in SLOW_LANES:
-            raise ValueError(
-                f"unknown slow_lane {self.slow_lane!r}; "
-                f"pick one of {SLOW_LANES}"
-            )
 
     # -- serialisation -------------------------------------------------------
 

@@ -184,12 +184,12 @@ def _ablation_blocks(points: Sequence[dict]) -> List[Block]:
     if not points:
         return []
     return [
-        ("heading", 2, "Ablation: psb_period × engine"),
+        ("heading", 2, "Ablation: psb_period"),
         (
             "table",
-            ["psb_period", "engine", "trace share", "decode share",
-             "overhead", "checks"],
-            [[p["psb_period"], p["engine"],
+            ["psb_period", "trace share", "decode share", "overhead",
+             "checks"],
+            [[p["psb_period"],
               f"{p['trace_share']:.1%}", f"{p['decode_share']:.1%}",
               f"{p['overhead']:.2%}", p["checks"]] for p in points],
         ),

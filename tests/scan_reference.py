@@ -1,0 +1,156 @@
+"""The per-byte dispatch walk: the tri-parity oracle for the scanners.
+
+``columnar_scan`` runs either the vectorised pure-Python scan or the
+optional C kernel.  This is the original per-byte walk over the
+256-entry :data:`~repro.ipt.columnar.DISPATCH` /
+:data:`~repro.ipt.columnar.TNT_WIDTH` tables, kept here as the oracle
+both are property-tested against (``tests/test_scan_parity.py``).
+"""
+
+from array import array
+from typing import Optional
+
+from repro.ipt.columnar import (
+    DISPATCH,
+    NO_IP,
+    TNT_WIDTH,
+    _A_FUP,
+    _A_OVF,
+    _A_PAD,
+    _A_PGE,
+    _A_PSB,
+    _A_PSBEND,
+    _A_TIP,
+    _A_TNT,
+    ColumnarSegment,
+    _empty_segment,
+    _finish_segment,
+)
+from repro.ipt.fast_decoder import sync_to_psb
+from repro.ipt.packets import PSB_PATTERN, PacketError
+
+
+def columnar_scan_reference(
+    data, sync: bool = False, charge: bool = True
+) -> ColumnarSegment:
+    """The per-byte dispatch walk; same signature and output as
+    :func:`repro.ipt.columnar.columnar_scan`."""
+    pos = 0
+    if sync:
+        pos = sync_to_psb(data)
+        if pos < 0:
+            return _empty_segment(data, sync)
+    synced = pos
+    size = len(data)
+    dispatch = DISPATCH
+    tnt_width = TNT_WIDTH
+    psb = PSB_PATTERN
+    psb_len = len(psb)
+
+    rec_ips = array("Q")
+    rec_offsets = array("Q")
+    rec_bit_start = array("L")
+    rec_bit_end = array("L")
+    fup_ips = array("Q")
+    add_ip = rec_ips.append
+    add_offset = rec_offsets.append
+    add_bit_start = rec_bit_start.append
+    add_bit_end = rec_bit_end.append
+    add_fup = fup_ips.append
+
+    tnt_buf = bytearray()
+    emit_byte = tnt_buf.append
+    acc = 0  # bit accumulator, flushed every 8 bits
+    acc_bits = 0
+    total_bits = 0
+    pend_start = 0
+    far_mask = 0
+    after_far = False
+    last_ip = 0
+    pkt_count = 0
+    truncated = False
+
+    while pos < size:
+        action = dispatch[data[pos]]
+        if action == _A_TNT:
+            if pos + 2 > size:
+                truncated = True
+                break
+            payload = data[pos + 1]
+            width = tnt_width[payload]
+            if width == 255:
+                raise PacketError(f"invalid TNT payload {payload:#x}")
+            acc = (acc << width) | (payload ^ (1 << width))
+            acc_bits += width
+            total_bits += width
+            while acc_bits >= 8:
+                acc_bits -= 8
+                emit_byte((acc >> acc_bits) & 0xFF)
+            acc &= (1 << acc_bits) - 1
+            pkt_count += 1
+            pos += 2
+        elif action <= _A_FUP:  # TIP / TIP.PGE / TIP.PGD / FUP
+            if pos + 2 > size:
+                truncated = True
+                break
+            width = data[pos + 1]
+            if width > 8:
+                raise PacketError(
+                    f"desynchronised at offset {pos}: "
+                    f"IP width {width} impossible"
+                )
+            end = pos + 2 + width
+            if end > size:
+                truncated = True
+                break
+            if width == 0:
+                ip: Optional[int] = None
+            else:
+                mask = (1 << (8 * width)) - 1
+                ip = (last_ip & ~mask) | int.from_bytes(
+                    data[pos + 2:end], "little"
+                )
+                last_ip = ip
+            if action == _A_TIP:
+                if after_far:
+                    far_mask |= 1 << len(rec_ips)
+                    after_far = False
+                add_ip(NO_IP if ip is None else ip)
+                add_offset(pos)
+                add_bit_start(pend_start)
+                add_bit_end(total_bits)
+                pend_start = total_bits
+            elif action == _A_PGE:
+                after_far = True
+            elif action == _A_FUP and ip is not None:
+                add_fup(ip)
+            pkt_count += 1
+            pos = end
+        elif action == _A_PAD:
+            pos += 1
+        elif action == _A_PSB and data[pos:pos + psb_len] == psb:
+            last_ip = 0
+            pkt_count += 1
+            pos += psb_len
+        elif action == _A_PSBEND or action == _A_OVF:
+            pkt_count += 1
+            pos += 1
+        elif psb[: size - pos] == data[pos:]:
+            # The buffer ends inside a PSB pattern (including a lead
+            # 0x82 whose pattern was cut): clean truncation, not desync.
+            truncated = True
+            break
+        else:
+            raise PacketError(
+                f"desynchronised at offset {pos}: header {data[pos]:#04x}"
+            )
+
+    if acc_bits:
+        emit_byte((acc << (8 - acc_bits)) & 0xFF)
+
+    return _finish_segment(
+        data, sync, synced, pos, pkt_count, charge, truncated,
+        rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
+        bytes(tnt_buf), total_bits, pend_start, after_far,
+        far_mask, fup_ips,
+    )

@@ -38,23 +38,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["attack", "nuke"])
 
+    def test_serve_and_attack_take_engine(self, capsys):
+        """``serve`` and ``attack`` no longer take ``--engine``; the
+        parse error names the stale flag."""
+        parser = build_parser()
+        for argv in (["serve", "nginx"], ["attack", "rop"]):
+            assert "engine" not in vars(parser.parse_args(argv))
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + ["--engine", "objects"])
+            assert exc.value.code == 2
+            assert "--engine" in capsys.readouterr().err
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "nginx"])
         assert args.sessions == 8
         assert not args.unprotected
-        assert args.engine == "columnar"
-
-    def test_serve_and_attack_take_engine(self):
-        args = build_parser().parse_args(
-            ["serve", "nginx", "--engine", "objects"]
-        )
-        assert args.engine == "objects"
-        args = build_parser().parse_args(
-            ["attack", "rop", "--engine", "objects"]
-        )
-        assert args.engine == "objects"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["attack", "rop", "--engine", "warp"])
 
     def test_top_defaults(self):
         args = build_parser().parse_args(["top"])
@@ -153,12 +151,6 @@ class TestCommands:
         assert "QUARANTINED" not in out
         assert "lag p50" in out
         assert "overhead:" in out
-
-    def test_serve_engine_objects_same_verdicts(self, capsys):
-        assert main(["serve", "exim", "-n", "2", "--engine",
-                     "objects"]) == 0
-        out = capsys.readouterr().out
-        assert "monitor:" in out
 
     def test_stats_with_plane(self, tmp_path, capsys):
         import json

@@ -1,18 +1,18 @@
 """Columnar decode engine correctness.
 
-The contract under test is *engine equivalence*: the columnar engine
-(table-driven scan into packed columns + one batched edge check) must be
-observationally identical to the object engine — same TIP records,
-trailing stitch state, truncation flags, ``PacketError`` messages,
-charged cycles, verdicts, ledgers — with only wall-clock allowed to
-differ.  The suite covers scan parity on synthetic and real traces
-(including every truncation cut and random corruption), ``check_batch``
-vs the per-edge loop (verdicts, cycles, memo state, ``promote``
-invalidation), the dual-shape segment cache, zero-copy slicing, the
-engine knob plumbing, the full attack-matrix oracle through both
-engines, and fleet-level parity under fault injection.
+The fast path runs one engine: a table-driven scan into packed columns
+plus one batched edge check.  The suite holds it to two oracles — the
+``DecodedPacket`` decode (``fast_decode``: same TIP records, trailing
+stitch state, truncation flags, ``PacketError`` messages and charged
+cycles) and the per-edge ``check_edge`` loop (same verdicts, cycles,
+memo state and ``promote`` invalidation) — on synthetic and real traces,
+including every truncation cut and random corruption.  It also covers
+the segment cache, zero-copy slicing, the slow-path hand-off trim,
+corrupt and truncated middle segments, the full attack matrix, and a
+fleet run under fault injection.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -25,7 +25,8 @@ from repro.attacks import (
     build_srop_request,
     run_recon,
 )
-from repro.fleet import FleetConfig, FleetService, RingPolicy
+from repro.fleet.rings import RingPolicy
+from repro.fleet.service import FleetConfig, FleetService
 from repro.ipt.columnar import (
     ColumnarSegment,
     LazyPackets,
@@ -45,6 +46,7 @@ from repro.ipt.packets import (
     PSBEND_BYTE,
     PSB_PATTERN,
     PacketError,
+    PacketKind,
     TIP_HEADER,
     TIP_PGD_HEADER,
     TIP_PGE_HEADER,
@@ -56,11 +58,10 @@ from repro.ipt.packets import (
 )
 from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.itccfg import FlowSearchIndex
-from repro.monitor import FlowGuardPolicy
-from repro.monitor.fastpath import ENGINES, FastPathChecker
+from repro.monitor.fastpath import FastPathChecker, FastPathResult, Verdict
 from repro.osmodel import Kernel, ProcessState
 from repro.pipeline import FlowGuardPipeline
-from repro.resilience import FaultPlan
+from repro.resilience import DegradationLedger, FaultPlan
 from repro.workloads import (
     build_libsim,
     build_nginx,
@@ -128,8 +129,8 @@ def make_checker(pipeline, image, cached, **kwargs):
 
 def fingerprint(result):
     """Everything verdict-relevant about a FastPathResult.  Touching
-    ``result.packets`` also forces the columnar engine's lazy packets,
-    so packet parity rides along."""
+    ``result.packets`` also forces the lazy packets, so packet parity
+    rides along."""
     return (
         result.verdict.value,
         result.checked_pairs,
@@ -193,7 +194,8 @@ def build_stream(seed, packets=300):
 
 
 def assert_scan_parity(data, sync=False):
-    """Both engines agree on everything, including the error message."""
+    """The columnar scan and the packet decode agree on everything,
+    including the error message."""
     try:
         col = columnar_scan(data, sync=sync)
         col_error = None
@@ -400,70 +402,170 @@ class TestCheckBatch:
         assert index.cycles == 0.0
 
 
+def reference_check(checker, data):
+    """The per-edge check loop over the tail's materialised records —
+    the oracle for :meth:`FastPathChecker.check`'s batched edge check
+    (no path index: the checkers under test run without one)."""
+    tail = checker.decode_tail_columnar(data)
+    common = dict(
+        decode_cycles=tail.cycles,
+        window_offset=tail.start,
+        packets=tail.lazy_packets(),
+        corrupt_segments=checker.last_corrupt_segments,
+    )
+    records = tail.records()
+    if len(records) < 2:
+        return FastPathResult(Verdict.INSUFFICIENT, window=records, **common)
+    window = records[-(checker.pkt_count + 1):]
+    index = checker.index
+    before = index.cycles
+    low_credit = []
+    for checked, (prev, cur) in enumerate(zip(window, window[1:]), 1):
+        lookup = index.check_edge(prev.ip, cur.ip, cur.tnt_before)
+        if not lookup.in_graph:
+            return FastPathResult(
+                Verdict.VIOLATION, checked_pairs=checked,
+                violation_edge=(prev.ip, cur.ip),
+                search_cycles=index.cycles - before, window=window,
+                **common,
+            )
+        if lookup.credit.name != "HIGH" or not lookup.tnt_ok:
+            low_credit.append((prev.ip, cur.ip))
+    checked = len(window) - 1
+    ratio = (checked - len(low_credit)) / checked
+    return FastPathResult(
+        Verdict.PASS if ratio >= checker.cred_ratio else Verdict.SUSPICIOUS,
+        checked_pairs=checked, low_credit_pairs=low_credit,
+        search_cycles=index.cycles - before, window=window, **common,
+    )
+
+
+def splice_truncated_segment(data, offsets, index):
+    """``data`` with PSB segment ``index`` cut mid-packet, the rest of
+    the stream intact.  Returns ``(spliced, resync_offset)``."""
+    begin, end = offsets[index], offsets[index + 1]
+    segment = data[begin:end]
+    for cut in range(len(segment) - 1, len(PSB_PATTERN), -1):
+        if not columnar_scan(segment[:cut]).truncated:
+            continue
+        spliced = data[:begin] + segment[:cut] + data[end:]
+        shift = len(segment) - cut
+        if psb_offsets(spliced) == (
+            offsets[:index + 1] + [o - shift for o in offsets[index + 1:]]
+        ):
+            return spliced, begin + cut
+    raise AssertionError("no clean mid-packet cut in the segment")
+
+
 class TestCheckerParity:
-    """Both engines produce bit-identical FastPathResults and charged
-    cycles over real snapshot series, cached and uncached."""
+    """``check`` agrees with the per-edge reference loop, cached and
+    uncached, and degrades a broken middle segment to the clean suffix
+    after it."""
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_snapshot_series(self, pipeline, trace, cached):
         data, image = trace
-        objects, _, obj_index = make_checker(
-            pipeline, image, cached, engine="objects"
-        )
-        columnar, _, col_index = make_checker(
-            pipeline, image, cached, engine="columnar"
-        )
+        checker, _, index = make_checker(pipeline, image, cached)
+        oracle, _, oracle_index = make_checker(pipeline, image, cached)
         for cut in snapshot_cuts(data, count=12):
-            obj_result = objects.check(data[:cut])
-            col_result = columnar.check(data[:cut])
-            assert fingerprint(col_result) == fingerprint(obj_result)
-            assert col_result.decode_cycles == obj_result.decode_cycles
-            assert col_result.search_cycles == obj_result.search_cycles
-        assert col_index.cycles == obj_index.cycles
+            got = checker.check(data[:cut])
+            want = reference_check(oracle, data[:cut])
+            assert fingerprint(got) == fingerprint(want)
+            assert got.decode_cycles == want.decode_cycles
+            assert got.search_cycles == want.search_cycles
+        assert index.cycles == oracle_index.cycles
 
     def test_decode_tail_legacy_shape(self, pipeline, trace):
-        """The columnar checker's decode_tail keeps the legacy 4-tuple
-        contract: records, packets, cycles, start."""
+        """The tail's materialised views cover exactly ``data[start:]``:
+        records and lazy packets are the packet decode of that suffix,
+        rebased, and the charged cycles are that decode's."""
         data, image = trace
-        objects, _, _ = make_checker(
-            pipeline, image, cached=False, engine="objects"
-        )
-        columnar, _, _ = make_checker(
-            pipeline, image, cached=False, engine="columnar"
-        )
+        checker, _, _ = make_checker(pipeline, image, cached=False)
         for cut in snapshot_cuts(data, count=6):
-            obj_records, obj_packets, obj_cycles, obj_start = (
-                objects.decode_tail(data[:cut])
-            )
-            col_records, col_packets, col_cycles, col_start = (
-                columnar.decode_tail(data[:cut])
-            )
-            assert col_records == obj_records
-            assert isinstance(col_packets, LazyPackets)
-            assert col_packets == obj_packets
-            assert col_cycles == obj_cycles
-            assert col_start == obj_start
+            tail = checker.decode_tail_columnar(data[:cut])
+            start = tail.start
+            suffix = fast_decode(data[start:cut])
+            assert tail.records() == [
+                dataclasses.replace(r, offset=r.offset + start)
+                for r in suffix.tip_records()
+            ]
+            packets = tail.lazy_packets()
+            assert isinstance(packets, LazyPackets)
+            assert packets == [
+                dataclasses.replace(p, offset=p.offset + start)
+                for p in suffix.packets
+            ]
+            assert tail.cycles == pytest.approx(suffix.cycles)
+
+    def _assert_resynced(self, pipeline, image, data, resync):
+        ledger = DegradationLedger()
+        # A huge pkt_count forces the backward walk down to the break.
+        checker, _, _ = make_checker(
+            pipeline, image, cached=False, pkt_count=10**6, ledger=ledger
+        )
+        result = checker.check(data)
+        assert result.corrupt_segments == 1
+        assert result.window_offset == resync
+        assert result.window
+        assert all(r.offset >= resync for r in result.window)
+        assert ledger.count("corrupt-segment") == 1
+        assert ledger.count("psb-resync") == 1
+        return result
 
     def test_corrupted_segment_parity(self, pipeline, trace):
-        """A mid-trace corruption degrades both engines identically
-        (same verdict, same corrupt-segment count, same cycles)."""
+        """A corrupt middle segment stops the tail walk at the PSB after
+        it (no window stitched across the gap), charged for the bytes
+        scanned, and the ledger records the corruption and the
+        re-sync."""
         data, image = trace
         offsets = psb_offsets(data)
-        assert len(offsets) >= 2
-        corrupt = bytearray(data)
-        corrupt[offsets[1] + 9] = 0xFF  # desync inside segment 1
-        corrupt = bytes(corrupt)
-        for cut in snapshot_cuts(corrupt, count=6):
-            objects, _, _ = make_checker(
-                pipeline, image, cached=False, engine="objects"
-            )
-            columnar, _, _ = make_checker(
-                pipeline, image, cached=False, engine="columnar"
-            )
-            obj_result = objects.check(corrupt[:cut])
-            col_result = columnar.check(corrupt[:cut])
-            assert fingerprint(col_result) == fingerprint(obj_result)
-            assert col_result.decode_cycles == obj_result.decode_cycles
+        assert len(offsets) >= 3
+        begin, end = offsets[1], offsets[2]
+        assert end - begin > len(PSB_PATTERN) + 32
+        pos = begin + len(PSB_PATTERN) + (end - begin - len(PSB_PATTERN)) // 2
+        corrupt = data[:pos - 8] + b"\xff" * 16 + data[pos + 8:]
+        result = self._assert_resynced(pipeline, image, corrupt, end)
+        clean, _, _ = make_checker(
+            pipeline, image, cached=False, pkt_count=10**6
+        )
+        suffix = clean.decode_tail_columnar(corrupt[end:])
+        assert result.decode_cycles == pytest.approx(
+            suffix.cycles
+            + (end - begin) * costs.FAST_DECODE_CYCLES_PER_BYTE
+        )
+
+    def test_truncated_middle_segment_resyncs(self, pipeline, trace):
+        """A middle segment that ends mid-packet is corruption mimicking
+        truncation: same stop, same ledger entries."""
+        data, image = trace
+        offsets = psb_offsets(data)
+        assert len(offsets) >= 3
+        spliced, resync = splice_truncated_segment(data, offsets, 1)
+        self._assert_resynced(pipeline, image, spliced, resync)
+
+
+class TestSlowPathHandOff:
+    def test_trim_starts_at_psb_before_window(self, pipeline, trace):
+        """The slow-path source holds the tail segments from the PSB at
+        or before the checked window's first TIP onward — the same trim
+        as a packet-list walk — and replays the same packets."""
+        data, image = trace
+        checker, _, _ = make_checker(pipeline, image, cached=False)
+        for cut in snapshot_cuts(data, count=6):
+            result = checker.check(data[:cut])
+            source = result.slow_path_source()
+            packets = list(result.packets)
+            if result.window:
+                first = result.window[0].offset
+                begin = max(
+                    i for i, p in enumerate(packets)
+                    if p.kind is PacketKind.PSB and p.offset <= first
+                )
+                packets = packets[begin:]
+            replayed = [
+                p for seg, base in source.parts for p in seg.packets_at(base)
+            ]
+            assert replayed == packets
 
 
 SECURITY_MATRIX = [
@@ -475,104 +577,81 @@ SECURITY_MATRIX = [
 
 
 class TestEngineOracle:
-    """Satellite oracle: the full attack matrix through both engines,
-    asserting identical detections and process fate."""
+    """The full attack matrix through the fast path, and a fleet run
+    under the standard fault mix."""
 
     @pytest.mark.parametrize(
         "name,build", SECURITY_MATRIX, ids=[n for n, _ in SECURITY_MATRIX]
     )
     def test_attack_matrix(self, name, build, pipeline, recon):
-        outcomes = []
-        for engine in ENGINES:
-            kernel = Kernel()
-            kernel.fs.create("/index.html", b"<html>x</html>")
-            monitor, proc = pipeline.deploy(
-                kernel, policy=FlowGuardPolicy(engine=engine)
-            )
-            proc.push_connection(build(recon))
-            kernel.run(proc)
-            outcomes.append(
-                ([d.syscall_nr for d in monitor.detections], proc.state)
-            )
-        detections, state = outcomes[0]
-        assert detections, f"{name} went undetected"
-        assert state is ProcessState.KILLED
-        assert outcomes[0] == outcomes[1], (
-            f"{name}: engines diverged: {outcomes}"
+        kernel = Kernel()
+        kernel.fs.create("/index.html", b"<html>x</html>")
+        monitor, proc = pipeline.deploy(kernel)
+        proc.push_connection(build(recon))
+        kernel.run(proc)
+        assert monitor.detections, f"{name} went undetected"
+        assert proc.state is ProcessState.KILLED
+
+    @staticmethod
+    def _faulted_fleet():
+        from repro.experiments.common import (
+            seed_server_fs,
+            server_pipeline,
+            server_requests,
         )
 
-    def test_fleet_fault_injection_parity(self):
-        """Fleet runs under the standard fault mix: verdict sequences,
-        quarantines, monitor cycles and the degradation ledger are
-        engine-independent, and the cycle ledger reconciles exactly."""
-        outcomes = []
-        for engine in ENGINES:
-            config = FleetConfig(
-                workers=2,
-                ring_policy=RingPolicy.STALL,
-                max_queue_depth=1_000_000,
-                segment_cache_entries=SEG_ENTRIES,
-                edge_cache_entries=EDGE_ENTRIES,
-                engine=engine,
-                faults=FaultPlan.standard_mix(seed=5),
+        config = FleetConfig(
+            workers=2,
+            ring_policy=RingPolicy.STALL,
+            max_queue_depth=1_000_000,
+            segment_cache_entries=SEG_ENTRIES,
+            edge_cache_entries=EDGE_ENTRIES,
+            faults=FaultPlan.standard_mix(seed=5),
+        )
+        with telemetry.capture():
+            service = FleetService(config)
+            seed_server_fs(service.kernel)
+            service.add_workload(
+                server_pipeline("nginx"), server_requests("nginx", 1)
             )
-            with telemetry.capture():
-                service = FleetService(config)
-                service.kernel.fs.create(
-                    "/index.html", b"<html>x</html>"
-                )
-                from repro.experiments.common import (
-                    seed_server_fs,
-                    server_pipeline,
-                    server_requests,
-                )
-                seed_server_fs(service.kernel)
-                service.add_workload(
-                    server_pipeline("nginx"),
-                    server_requests("nginx", 1),
-                )
-                result = service.run()
-                reconciliation = service.reconcile()
-            verdicts = [
+            result = service.run()
+            reconciliation = service.reconcile()
+        return {
+            "verdicts": [
                 (t.pid, t.kind, t.syscall_nr, t.verdict, t.degraded)
                 for t in service.dispatcher.tasks
-            ]
-            resilience = result.resilience or {}
-            outcomes.append({
-                "verdicts": verdicts,
-                "quarantined": result.quarantined_pids,
-                "monitor_cycles": result.monitor_cycles,
-                "ledger": resilience.get("degradations"),
-                "accounting_exact": result.accounting["exact"],
-                "reconcile_exact": bool(
-                    reconciliation and reconciliation["exact"]
-                ),
-            })
-        assert outcomes[0]["accounting_exact"]
-        assert outcomes[0]["reconcile_exact"]
-        assert outcomes[0] == outcomes[1]
+            ],
+            "quarantined": result.quarantined_pids,
+            "monitor_cycles": result.monitor_cycles,
+            "ledger": (result.resilience or {}).get("degradations"),
+            "accounting_exact": result.accounting["exact"],
+            "reconcile_exact": bool(
+                reconciliation and reconciliation["exact"]
+            ),
+        }
+
+    def test_fleet_fault_injection_parity(self):
+        """Under the standard fault mix a fleet run degrades (the
+        ledger is non-empty), reconciles its cycle ledger exactly and
+        quarantines no clean process; a second run with the same plan
+        reproduces verdicts, cycles and ledger exactly."""
+        first = self._faulted_fleet()
+        assert first["accounting_exact"]
+        assert first["reconcile_exact"]
+        assert first["ledger"]
+        assert first["quarantined"] == []
+        assert self._faulted_fleet() == first
 
 
 class TestSegmentCacheDualShape:
+    """The segment cache's cost model, truncation rule and zero-copy
+    storage."""
+
     def _segment(self, trace):
         data, _ = trace
         offsets = psb_offsets(data)
         view = memoryview(data)
         return view[offsets[0]:offsets[1]]
-
-    def test_other_shape_is_honest_miss(self, trace):
-        segment = self._segment(trace)
-        cache = SegmentDecodeCache(8)
-        cache.decode_segment_columnar(segment)
-        assert (cache.hits, cache.misses) == (0, 1)
-        # Same key, other shape: the object decode really runs.
-        cache.decode_segment(segment)
-        assert (cache.hits, cache.misses) == (0, 2)
-        # Now both shapes are resident; both probe paths hit.
-        cache.decode_segment_columnar(segment)
-        cache.decode_segment(segment)
-        assert (cache.hits, cache.misses) == (2, 2)
-        assert len(cache) == 1  # one slot, two shapes
 
     def test_hit_cycles_match_object_path(self, trace):
         segment = self._segment(trace)
@@ -619,7 +698,7 @@ class TestSegmentCacheDualShape:
         assert seg.data.obj is data
 
     def test_columnar_parallel_through_cache(self, trace):
-        """`columnar_decode_parallel` with a cache matches the object
+        """`columnar_decode_parallel` with a cache matches the packet
         parallel decode and reuses resident segments."""
         data, _ = trace
         cache = SegmentDecodeCache(SEG_ENTRIES)
@@ -647,10 +726,8 @@ class TestZeroCopy:
         import repro.monitor.fastpath as fastpath
 
         monkeypatch.setattr(fastpath, "columnar_scan", spy)
-        checker, _, _ = make_checker(
-            pipeline, image, cached=False, engine="columnar"
-        )
-        checker.decode_tail(data)
+        checker, _, _ = make_checker(pipeline, image, cached=False)
+        checker.decode_tail_columnar(data)
         assert seen
         for segment in seen:
             assert isinstance(segment, memoryview)
@@ -666,50 +743,25 @@ class TestZeroCopy:
 
 
 class TestEngineKnob:
+    """The decode-engine knob is gone: naming it fails loudly."""
+
     def test_checker_rejects_unknown_engine(self, pipeline, trace):
         _, image = trace
-        with pytest.raises(ValueError, match="unknown decode engine"):
+        with pytest.raises(TypeError, match="engine"):
             FastPathChecker(
                 FlowSearchIndex(pipeline.labeled), image,
-                engine="vectorised",
+                engine="columnar",
             )
-
-    def test_policy_defaults_and_roundtrip(self):
-        policy = FlowGuardPolicy()
-        assert policy.engine == "columnar"
-        objects = FlowGuardPolicy(engine="objects")
-        assert FlowGuardPolicy.from_dict(objects.to_dict()).engine == (
-            "objects"
-        )
-        assert objects.with_endpoints(999).engine == "objects"
-
-    def test_fleet_config_roundtrip(self):
-        config = FleetConfig(engine="objects")
-        assert FleetConfig.from_dict(config.to_dict()).engine == "objects"
-        assert FleetConfig().engine == "columnar"
 
     def test_cli_engine_flag(self):
         from repro.cli import build_parser
 
         parser = build_parser()
-        assert parser.parse_args(["stats", "nginx"]).engine == "columnar"
-        args = parser.parse_args(
-            ["stats", "nginx", "--engine", "objects"]
-        )
-        assert args.engine == "objects"
-        assert parser.parse_args(
-            ["fleet", "--engine", "objects"]
-        ).engine == "objects"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["stats", "nginx", "--engine", "simd"])
-
-    def test_policy_engine_reaches_checker(self, pipeline):
-        kernel = Kernel()
-        kernel.fs.create("/index.html", b"<html>x</html>")
-        monitor, proc = pipeline.deploy(
-            kernel, policy=FlowGuardPolicy(engine="objects")
-        )
-        assert monitor.protected_for(proc).checker.engine == "objects"
+        for argv in (["attack", "rop"], ["serve", "nginx"], ["bench"],
+                     ["stats", "nginx"], ["fleet"], ["top"]):
+            assert "engine" not in vars(parser.parse_args(argv))
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv + ["--engine", "columnar"])
 
 
 class TestDecodeResultMemos:

@@ -13,7 +13,7 @@ import pytest
 from repro.attacks import run_recon
 from repro.attacks.flushing import build_flushing_payload
 from repro.attacks.rop import build_filler, frame_glue
-from repro.monitor import FlowGuardPolicy
+from repro.monitor.policy import FlowGuardPolicy
 from repro.osmodel import Kernel, ProcessState, SIGKILL
 from repro.pipeline import FlowGuardPipeline
 from repro.workloads import (
@@ -77,12 +77,12 @@ def pipeline():
     )
 
 
-def run_attack(pipeline, request, policy):
+def run_attack(pipeline, request, policy, max_steps=5_000_000):
     kernel = Kernel()
     kernel.fs.create("/index.html", b"x")
     monitor, proc = pipeline.deploy(kernel, policy=policy)
     proc.push_connection(request)
-    kernel.run(proc, max_steps=5_000_000)
+    kernel.run(proc, max_steps=max_steps)
     return kernel, proc, monitor
 
 
@@ -90,13 +90,18 @@ class TestEndpointPruning:
     def test_syscall_free_chain_evades_default_endpoints(
         self, recon, pipeline
     ):
-        """Without the PMI fallback the chain runs to its crash
-        unchecked — the §7.1.2 vulnerability, reproduced."""
+        """Without the PMI fallback the chain runs unchecked — the
+        §7.1.2 vulnerability, reproduced.  With ``check_on_pmi`` the
+        same chain dies within ~20k steps; 200k steps fill the ToPA
+        many times over, so the buffer-full PMIs provably fire and go
+        unchecked."""
         request = pivot_loop_request(recon)
         kernel, proc, monitor = run_attack(
-            pipeline, request, FlowGuardPolicy(check_on_pmi=False)
+            pipeline, request, FlowGuardPolicy(check_on_pmi=False),
+            max_steps=200_000,
         )
         assert monitor.detections == []
+        assert monitor.stats_for(proc).pmi_count >= 1
         # The loop spins unchecked until the step budget runs out.
         assert proc.state is ProcessState.RUNNABLE
 

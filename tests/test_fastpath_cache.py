@@ -3,13 +3,15 @@ content-addressed segment cache, and the edge-verdict memo.
 
 The contract under test is *bit-identical verdicts*: caching changes
 what the fast path costs, never what it concludes.  The suite checks
-the new incremental ``decode_tail`` against a reimplementation of the
-old full-redecode loop, verdict/window parity with caches on vs off
+the incremental ``decode_tail_columnar`` against a reimplementation of
+the old full-redecode loop, verdict/window parity with caches on vs off
 (including the full attack matrix), the invalidation rules (truncated
 segments are never cached; ``promote`` drops stale edge memos), LRU
 bounds, zero-copy slicing, and fleet-level verdict parity with an exact
 cycle ledger.
 """
+
+import dataclasses
 
 import pytest
 
@@ -21,8 +23,10 @@ from repro.attacks import (
     build_srop_request,
     run_recon,
 )
-from repro.fleet import FleetConfig, FleetService, RingPolicy
+from repro.fleet.rings import RingPolicy
+from repro.fleet.service import FleetConfig, FleetService
 from repro.ipt import fast_decoder
+from repro.ipt.columnar import columnar_scan
 from repro.ipt.fast_decoder import fast_decode, psb_offsets
 from repro.ipt.packets import PSB_PATTERN
 from repro.ipt.segment_cache import SegmentDecodeCache
@@ -33,8 +37,8 @@ from repro.itccfg import (
     ITCCFG,
     ITCEdge,
 )
-from repro.monitor import FlowGuardPolicy
 from repro.monitor.fastpath import FastPathChecker
+from repro.monitor.policy import FlowGuardPolicy
 from repro.osmodel import Kernel, ProcessState
 from repro.pipeline import FlowGuardPipeline
 from repro.workloads import (
@@ -130,30 +134,49 @@ def fingerprint(result):
 
 def reference_decode_tail(checker, data):
     """The pre-incremental decode_tail: re-decodes ``data[start:]`` for
-    every candidate start.  Kept here as the behavioral oracle."""
+    every candidate start.  Kept here as the behavioral oracle; returns
+    ``(records, packets, cycles, start)`` in stream offsets."""
     offsets = psb_offsets(data)
     if not offsets:
         return [], [], 0.0, len(data)
+
+    def decode_from(start):
+        result = fast_decode(data[start:])
+        records = [
+            dataclasses.replace(r, offset=r.offset + start)
+            for r in result.tip_records()
+        ]
+        packets = [
+            dataclasses.replace(p, offset=p.offset + start)
+            for p in result.packets
+        ]
+        return records, packets, result.cycles, start
+
     for start in reversed(offsets):
-        result = fast_decode(data[start:]).rebased(start)
-        records = result.tip_records()
+        decoded = decode_from(start)
+        records = decoded[0]
         if len(records) > checker.pkt_count and checker._spans_modules(
-            records
+            [r.ip for r in records[-(checker.pkt_count + 1):]]
         ):
-            return records, result.packets, result.cycles, start
-    result = fast_decode(data[offsets[0]:]).rebased(offsets[0])
-    return result.tip_records(), result.packets, result.cycles, offsets[0]
+            return decoded
+    return decode_from(offsets[0])
+
+
+def tail_views(checker, data):
+    """``decode_tail_columnar`` in the oracle's shape."""
+    tail = checker.decode_tail_columnar(data)
+    return tail.records(), tail.lazy_packets(), tail.cycles, tail.start
 
 
 class TestIncrementalDecodeTail:
-    """The rewritten decode_tail is observationally identical to the
+    """The incremental tail walk is observationally identical to the
     old quadratic loop — records, packets, charged cycles, start."""
 
     def test_matches_reference_on_trace_cuts(self, pipeline, trace):
         data, image = trace
         checker, _, _ = make_checker(pipeline, image, cached=False)
         for cut in snapshot_cuts(data):
-            got = checker.decode_tail(data[:cut])
+            got = tail_views(checker, data[:cut])
             want = reference_decode_tail(checker, data[:cut])
             assert got[0] == want[0], f"records differ at cut {cut}"
             assert got[1] == want[1], f"packets differ at cut {cut}"
@@ -170,7 +193,7 @@ class TestIncrementalDecodeTail:
         checker.require_cross_module = True
         checker.require_executable = True
         for cut in snapshot_cuts(data, count=5):
-            got = checker.decode_tail(data[:cut])
+            got = tail_views(checker, data[:cut])
             want = reference_decode_tail(checker, data[:cut])
             assert got[0] == want[0]
             assert got[2] == pytest.approx(want[2])
@@ -179,8 +202,8 @@ class TestIncrementalDecodeTail:
     def test_empty_and_psb_free_input(self, pipeline, trace):
         _, image = trace
         checker, _, _ = make_checker(pipeline, image, cached=False)
-        assert checker.decode_tail(b"") == ([], [], 0.0, 0)
-        assert checker.decode_tail(b"\x00" * 16) == ([], [], 0.0, 16)
+        assert tail_views(checker, b"") == ([], [], 0.0, 0)
+        assert tail_views(checker, b"\x00" * 16) == ([], [], 0.0, 16)
 
 
 class TestVerdictParity:
@@ -287,17 +310,19 @@ class TestTruncatedNeverCached:
         # TIP header declaring a 4-byte IP payload, only 2 bytes present.
         segment = PSB_PATTERN + bytes([0x0D, 4, 1, 2])
         for _ in range(3):
-            seg = cache.decode_segment(segment)
+            seg, _ = cache.decode_segment_columnar(segment)
             assert seg.truncated
         assert len(cache) == 0
         assert cache.misses == 3
         assert cache.hits == 0
 
     def test_truncated_rebase_applied(self):
+        """Uncached truncated columns rebase like cached ones: the
+        caller carries the stream base."""
         cache = SegmentDecodeCache(8)
         segment = PSB_PATTERN + bytes([0x0D, 4, 1, 2])
-        seg = cache.decode_segment(segment, base=100)
-        assert seg.packets[0].offset == 100  # the PSB itself
+        seg, _ = cache.decode_segment_columnar(segment)
+        assert seg.packets_at(100)[0].offset == 100  # the PSB itself
 
     def test_completed_segment_cached_after_fill(self):
         """Once the ring fills in the missing bytes, the now-complete
@@ -305,20 +330,14 @@ class TestTruncatedNeverCached:
         cache = SegmentDecodeCache(8)
         truncated = PSB_PATTERN + bytes([0x0D, 2, 1])
         complete = PSB_PATTERN + bytes([0x0D, 2, 1, 2])
-        cache.decode_segment(truncated)
+        cache.decode_segment_columnar(truncated)
         assert len(cache) == 0
-        first = cache.decode_segment(complete)
+        first, _ = cache.decode_segment_columnar(complete)
         assert not first.truncated
         assert len(cache) == 1
-        again = cache.decode_segment(complete)
+        again, _ = cache.decode_segment_columnar(complete)
         assert cache.hits == 1
-        assert [
-            (r.ip, r.tnt_before, r.offset, r.after_far)
-            for r in again.records
-        ] == [
-            (r.ip, r.tnt_before, r.offset, r.after_far)
-            for r in first.records
-        ]
+        assert again.tip_records() == first.tip_records()
 
 
 class TestPromoteInvalidation:
@@ -381,27 +400,27 @@ class TestLRUBounds:
         cache = SegmentDecodeCache(entries=4)
         segments = [PSB_PATTERN + b"\x00" * i for i in range(6)]
         for segment in segments:
-            cache.decode_segment(segment)
+            cache.decode_segment_columnar(segment)
         assert len(cache) == 4
         assert cache.evictions == 2
         # The oldest two were evicted; re-probing them misses.
         misses = cache.misses
-        cache.decode_segment(segments[0])
+        cache.decode_segment_columnar(segments[0])
         assert cache.misses == misses + 1
         # The newest is still resident.
-        cache.decode_segment(segments[-1])
+        cache.decode_segment_columnar(segments[-1])
         assert cache.hits == 1
 
     def test_segment_cache_lru_order(self):
         cache = SegmentDecodeCache(entries=2)
         a, b, c = (PSB_PATTERN + b"\x00" * i for i in range(3))
-        cache.decode_segment(a)
-        cache.decode_segment(b)
-        cache.decode_segment(a)  # refresh a
-        cache.decode_segment(c)  # evicts b, not a
+        cache.decode_segment_columnar(a)
+        cache.decode_segment_columnar(b)
+        cache.decode_segment_columnar(a)  # refresh a
+        cache.decode_segment_columnar(c)  # evicts b, not a
         assert cache.evictions == 1
         hits = cache.hits
-        cache.decode_segment(a)
+        cache.decode_segment_columnar(a)
         assert cache.hits == hits + 1
 
     def test_segment_cache_rejects_zero_entries(self):
@@ -438,7 +457,7 @@ class TestZeroCopy:
     ):
         data, image = trace
         seen = []
-        real = fast_decode
+        real = columnar_scan
 
         def spy(segment, *args, **kwargs):
             seen.append(segment)
@@ -446,13 +465,9 @@ class TestZeroCopy:
 
         import repro.monitor.fastpath as fastpath
 
-        monkeypatch.setattr(fastpath, "fast_decode", spy)
-        # The spy instruments the object engine; the columnar engine's
-        # zero-copy contract is asserted in tests/test_columnar.py.
-        checker, _, _ = make_checker(
-            pipeline, image, cached=False, engine="objects"
-        )
-        checker.decode_tail(data)
+        monkeypatch.setattr(fastpath, "columnar_scan", spy)
+        checker, _, _ = make_checker(pipeline, image, cached=False)
+        checker.decode_tail_columnar(data)
         assert seen
         for segment in seen:
             assert isinstance(segment, memoryview)
@@ -469,7 +484,7 @@ class TestTelemetryCounters:
             view = memoryview(data)
             for _ in range(2):
                 for begin, end in zip(offsets, bounds[1:]):
-                    cache.decode_segment(view[begin:end], base=begin)
+                    cache.decode_segment_columnar(view[begin:end])
             hits = tel.metrics.counter("ipt.segment_cache.hits").total()
             misses = tel.metrics.counter(
                 "ipt.segment_cache.misses"
@@ -480,8 +495,8 @@ class TestTelemetryCounters:
     def test_eviction_counter(self):
         with telemetry.capture() as tel:
             cache = SegmentDecodeCache(entries=1)
-            cache.decode_segment(PSB_PATTERN)
-            cache.decode_segment(PSB_PATTERN + b"\x00")
+            cache.decode_segment_columnar(PSB_PATTERN)
+            cache.decode_segment_columnar(PSB_PATTERN + b"\x00")
             evictions = tel.metrics.counter(
                 "ipt.segment_cache.evictions"
             ).total()

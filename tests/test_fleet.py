@@ -21,18 +21,13 @@ from repro.experiments.common import (
     server_requests,
 )
 from repro.experiments.fleet_scaling import build_fleet, run_scale
-from repro.fleet import (
-    CheckTask,
-    FleetConfig,
-    FleetService,
-    ProcessRing,
-    RingPolicy,
-    SimulatedWorkerPool,
-    percentile,
-)
+from repro.fleet.rings import ProcessRing, RingPolicy
+from repro.fleet.service import FleetConfig, FleetService
+from repro.fleet.workers import CheckTask, SimulatedWorkerPool
 from repro.ipt import PSB_PATTERN, PacketError, ToPA, ToPARegion, fast_decode
 from repro.ipt.packets import encode_tnt
 from repro.service import builtin_serve_config, run_service
+from repro.telemetry.metrics import percentile
 from repro.workloads import build_nginx, build_vdso
 
 
@@ -211,6 +206,9 @@ class TestFleetConfig:
         ("decode_pool", "thread"),
         ("pool", "spread"),
         ("index_shards", 0),
+        ("engine", "columnar"),
+        ("slow_lane", "columnar"),
+        ("scan_kernel", "auto"),
     ])
     def test_from_dict_rejects_unknown_keys(self, key, value):
         data = FleetConfig().to_dict()

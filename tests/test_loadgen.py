@@ -52,6 +52,16 @@ def test_scenario_unknown_key_rejected():
         LoadScenario.from_dict(data)
 
 
+def test_scenario_stale_engine_key_rejected():
+    # The decode-engine knob is gone; an old scenario file that still
+    # names it must fail loudly rather than be silently ignored.
+    data = LoadScenario.default().to_dict()
+    assert "engine" not in data
+    data["engine"] = "columnar"
+    with pytest.raises(ValueError, match="engine"):
+        LoadScenario.from_dict(data)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError, match="mode"):
         LoadScenario(mode="half-open").validate()

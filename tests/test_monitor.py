@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.monitor import FlowGuardPolicy, Verdict
+from repro.monitor.policy import FlowGuardPolicy
 from repro.osmodel import Kernel, ProcessState, SIGKILL, Sys
 from repro.pipeline import FlowGuardPipeline
 from repro.workloads import (
@@ -156,9 +156,6 @@ class TestPolicy:
             "psb_period": 256,
             "segment_cache_entries": 32,
             "edge_cache_entries": 64,
-            "engine": "objects",
-            "scan_kernel": "off",
-            "slow_lane": "objects",
         }
         default = FlowGuardPolicy()
         # A new policy field must be added here, with a non-default value.
@@ -172,7 +169,8 @@ class TestPolicy:
         assert clone.endpoints == {int(Sys.WRITE), int(Sys.OPEN)}
 
     @pytest.mark.parametrize(
-        "key", ["bogus", "decode_mode", "decode_pool", "pool", "index_shards"]
+        "key", ["bogus", "decode_mode", "decode_pool", "pool", "index_shards",
+                "engine", "slow_lane", "scan_kernel"]
     )
     def test_from_dict_rejects_unknown_keys(self, key):
         data = FlowGuardPolicy().to_dict()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.itccfg import PathIndex
-from repro.monitor import FlowGuardPolicy, Verdict
+from repro.monitor.policy import FlowGuardPolicy
 from repro.osmodel import Kernel
 from repro.pipeline import FlowGuardPipeline
 from repro.workloads import (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.itccfg import itccfg_from_dict, itccfg_to_dict
-from repro.monitor import FlowGuardPolicy
+from repro.monitor.policy import FlowGuardPolicy
 from repro.osmodel import Kernel, ProcessState
 from repro.pipeline import FlowGuardPipeline
 from repro.workloads import (

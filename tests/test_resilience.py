@@ -19,8 +19,8 @@ The contracts under test, per subsystem:
   ``resilience.*`` telemetry counters and the dispatcher's wasted-cycle
   entry.
 - **facade** — ``repro.api`` imports clean under
-  ``-W error::DeprecationWarning`` while the legacy package-root shims
-  keep working and warn.
+  ``-W error::DeprecationWarning``, and the package roots export no
+  relocated names.
 """
 
 import hashlib
@@ -379,7 +379,7 @@ class TestCorruptSegmentNeverCached:
         segment = PSB_PATTERN + b"\xff" * 16
         for _ in range(2):
             with pytest.raises(PacketError):
-                cache.decode_segment(segment)
+                cache.decode_segment_columnar(segment)
         assert len(cache) == 0
         assert cache.hits == 0
 
@@ -407,11 +407,11 @@ class TestCorruptSegmentNeverCached:
             require_cross_module=False, require_executable=False,
             segment_cache=cache, ledger=ledger,
         )
-        records, _, _, start = checker.decode_tail(corrupt)
+        tail = checker.decode_tail_columnar(corrupt)
         assert checker.last_corrupt_segments == 1
         # The scan re-synced at the PSB *after* the corruption.
-        assert start == offsets[mid + 1]
-        assert records
+        assert tail.start == offsets[mid + 1]
+        assert tail.records()
         # The corrupted segment's hash is not resident...
         key = hashlib.blake2b(
             corrupt[begin:end], digest_size=16
@@ -631,7 +631,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestPublicFacade:
-    """repro.api is the stable surface; the package-root shims warn."""
+    """repro.api is the stable surface; the package roots export
+    nothing."""
 
     def test_api_imports_clean_under_deprecation_errors(self):
         env = dict(os.environ)
@@ -644,26 +645,47 @@ class TestPublicFacade:
         assert proc.returncode == 0, proc.stderr
 
     def test_package_root_access_warns(self):
+        """The package roots carry no PEP-562 hook, so an old root
+        import fails at once instead of warning and resolving."""
+        import warnings
+
         import repro.fleet
         import repro.monitor
 
-        with pytest.deprecated_call():
-            repro.fleet.FleetConfig
-        with pytest.deprecated_call():
-            repro.monitor.FlowGuardPolicy
+        for module in (repro.fleet, repro.monitor):
+            assert "__getattr__" not in vars(module)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImportError):
+                from repro.fleet import FleetConfig  # noqa: F401
+            with pytest.raises(ImportError):
+                from repro.monitor import FlowGuardPolicy  # noqa: F401
 
     def test_shim_resolves_to_canonical_object(self):
-        import repro.fleet as fleet_root
+        """Each name the shims used to relocate resolves, from its
+        submodule and from repro.api, to the one canonical object."""
+        import repro.api
+        from repro.fleet import service
+        from repro.monitor import policy
 
-        with pytest.deprecated_call():
-            shimmed = fleet_root.FleetConfig
-        assert shimmed is FleetConfig
+        assert repro.api.FleetConfig is service.FleetConfig is FleetConfig
+        assert (repro.api.FlowGuardPolicy is policy.FlowGuardPolicy
+                is FlowGuardPolicy)
 
     def test_unknown_attribute_raises(self):
+        """The package roots and ``repro.fleet.service`` export no
+        relocated names: old imports fail loudly."""
         import repro.fleet
+        import repro.fleet.service
+        import repro.monitor
 
-        with pytest.raises(AttributeError):
-            repro.fleet.NotAThing
+        for module, name in (
+            (repro.monitor, "FlowGuardPolicy"),
+            (repro.fleet, "FleetConfig"),
+            (repro.fleet.service, "percentile"),
+        ):
+            with pytest.raises(AttributeError):
+                getattr(module, name)
 
     def test_run_config_round_trips_through_json(self):
         config = RunConfig(

@@ -1,21 +1,24 @@
 """Scanner tri-parity, byte-cursor parity, and the perf-PR plumbing.
 
-The vectorised scan rewrite keeps three scanners alive: the per-byte
-dispatch walk (``columnar_scan_reference``, the oracle), the
-regex/translate vectorised pure-Python scan, and the optional ctypes C
-kernel.  This suite property-tests that all three are column-identical
-— every column, every charged cycle, every ``PacketError`` message —
-on structured streams, uniform-random buffers, every truncation cut,
-and random corruption flips.  It also pins the columnar-native
-degraded lane (``_ByteCursor`` vs the object engine's
+``columnar_scan`` runs the regex/translate vectorised pure-Python scan
+or the optional ctypes C kernel.  This suite property-tests both
+against the per-byte dispatch walk (``tests/scan_reference.py``, the
+oracle) — every column, every charged cycle, every ``PacketError``
+message — on structured streams, uniform-random buffers, every
+truncation cut, and random corruption flips.  It also pins the
+columnar-native degraded lane (``_ByteCursor`` vs the packet-list
 ``_PacketCursor``, including ``TraceMismatch`` messages), the
-scan-kernel / slow-lane policy knobs, the bursty open-loop schedule,
-``repro bench --engine``, and the append-only performance trajectory.
+process-wide scan-kernel switch, the bursty open-loop schedule, and the
+append-only performance trajectory.
 """
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,6 @@ from repro.ipt import columnar, scan_kernel
 from repro.ipt.columnar import (
     ColumnarSlowSource,
     columnar_scan,
-    columnar_scan_reference,
     scan_kernel_active,
     scan_kernel_mode,
     set_scan_kernel,
@@ -31,8 +33,9 @@ from repro.ipt.columnar import (
 from repro.ipt.fast_decoder import fast_decode
 from repro.ipt.full_decoder import TraceMismatch, _PacketCursor
 from repro.ipt.packets import PacketError
-from repro.monitor import FlowGuardPolicy
-from repro.monitor.policy import SCAN_KERNEL_MODES, SLOW_LANES
+from repro.monitor.flowguard import FlowGuardMonitor
+from repro.osmodel import Kernel
+from tests.scan_reference import columnar_scan_reference
 from tests.test_columnar import build_stream
 
 KERNEL_AVAILABLE = columnar._KERNEL_ABI_OK and scan_kernel.load() is not None
@@ -173,7 +176,7 @@ class TestScannerTriParity:
 class TestKernelGating:
     def test_mode_roundtrip(self, kernel_mode_guard):
         previous = set_scan_kernel("off")
-        assert previous in SCAN_KERNEL_MODES
+        assert previous in columnar._KERNEL_MODES
         assert scan_kernel_mode() == "off"
         assert set_scan_kernel(previous) == "off"
 
@@ -201,7 +204,7 @@ class TestKernelGating:
         columnar_scan(build_stream(1, packets=10))
 
 
-# -- degraded-lane byte cursor vs object cursor -------------------------------
+# -- degraded-lane byte cursor vs packet cursor -------------------------------
 
 
 def drive_cursor(cursor, ops):
@@ -297,41 +300,80 @@ class TestByteCursorParity:
         assert "unconsumed TNT bits" in got[-1][1]
 
 
-# -- policy knobs -------------------------------------------------------------
+# -- the process-wide scan switch --------------------------------------------
 
 
 class TestPolicyKnobs:
+    """``REPRO_SCAN_KERNEL`` / ``set_scan_kernel`` is the one scan
+    switch: no policy or fleet knob selects an engine, lane or kernel."""
+
+    STALE = ("engine", "scan_kernel", "slow_lane")
+
     def test_defaults(self):
-        policy = FlowGuardPolicy()
-        assert policy.scan_kernel == "auto"
-        assert policy.slow_lane == "columnar"
+        from repro.fleet.service import FleetConfig
+        from repro.monitor.policy import FlowGuardPolicy
 
-    @pytest.mark.parametrize("mode", SCAN_KERNEL_MODES)
-    def test_scan_kernel_values(self, mode):
-        assert FlowGuardPolicy(scan_kernel=mode).scan_kernel == mode
+        for config in (FlowGuardPolicy(), FleetConfig()):
+            assert not set(self.STALE) & set(config.to_dict())
 
-    @pytest.mark.parametrize("lane", SLOW_LANES)
-    def test_slow_lane_values(self, lane):
-        assert FlowGuardPolicy(slow_lane=lane).slow_lane == lane
+    @pytest.mark.parametrize("mode", columnar._KERNEL_MODES)
+    def test_scan_kernel_values(self, mode, kernel_mode_guard):
+        """Building monitors never touches the process-wide mode."""
+        set_scan_kernel(mode)
+        FlowGuardMonitor(Kernel())
+        FlowGuardMonitor(Kernel())
+        assert scan_kernel_mode() == mode
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError, match="scan_kernel"):
-            FlowGuardPolicy(scan_kernel="maybe")
-        with pytest.raises(ValueError, match="slow_lane"):
-            FlowGuardPolicy(slow_lane="turbo")
+        env = dict(os.environ)
+        env["REPRO_SCAN_KERNEL"] = "of"
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro.ipt.columnar"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode != 0
+        assert "ValueError" in proc.stderr
+        assert "REPRO_SCAN_KERNEL" in proc.stderr
+        for mode in columnar._KERNEL_MODES:
+            assert repr(mode) in proc.stderr
+
+    @pytest.mark.parametrize("lane", ["columnar", "objects"])
+    def test_slow_lane_values(self, lane):
+        """Neither former lane value is a constructor keyword any more."""
+        from repro.fleet.service import FleetConfig
+        from repro.monitor.policy import FlowGuardPolicy
+
+        for cls in (FlowGuardPolicy, FleetConfig):
+            with pytest.raises(TypeError, match="slow_lane"):
+                cls(slow_lane=lane)
 
     def test_with_endpoints_carries_knobs(self):
-        policy = FlowGuardPolicy(scan_kernel="off", slow_lane="objects")
+        """A clone keeps the cache and PSB knobs, survives a dict round
+        trip, and grows no stale engine/lane/kernel key."""
+        from repro.monitor.policy import FlowGuardPolicy
+
+        policy = FlowGuardPolicy(
+            psb_period=256, segment_cache_entries=8, edge_cache_entries=16
+        )
         clone = policy.with_endpoints(0x400010)
-        assert clone.scan_kernel == "off"
-        assert clone.slow_lane == "objects"
+        assert (clone.psb_period, clone.segment_cache_entries,
+                clone.edge_cache_entries) == (256, 8, 16)
+        assert FlowGuardPolicy.from_dict(clone.to_dict()) == clone
+        assert not set(self.STALE) & set(clone.to_dict())
 
     def test_fleet_config_knobs(self):
-        from repro.fleet import FleetConfig
+        """The fleet's default policy takes the cache sizes and nothing
+        else from the config."""
+        from repro.fleet.service import FleetConfig, FleetService
+        from repro.monitor.policy import FlowGuardPolicy
 
-        config = FleetConfig(scan_kernel="off", slow_lane="objects")
-        assert config.scan_kernel == "off"
-        assert config.slow_lane == "objects"
+        service = FleetService(
+            FleetConfig(segment_cache_entries=8, edge_cache_entries=16)
+        )
+        assert service.monitor.policy == FlowGuardPolicy(
+            segment_cache_entries=8, edge_cache_entries=16
+        )
 
 
 # -- bursty open-loop schedule ------------------------------------------------
@@ -390,26 +432,24 @@ class TestBurstySchedule:
         assert a.completed == a.offered
 
 
-# -- repro bench --engine -----------------------------------------------------
+# -- repro bench: the scenario picks the workload, not the engine -------------
 
 
 class TestBenchEngineFlag:
     def test_parser_accepts_engines(self):
+        """``bench`` parses without an engine and rejects a stale
+        ``--engine`` whatever value it names."""
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(
-            ["bench", "--scenario", "smoke", "--engine", "objects"]
-        )
-        assert args.engine == "objects"
-        # Default is None: "use whatever the scenario file says".
-        assert parser.parse_args(
-            ["bench", "--scenario", "smoke"]
-        ).engine is None
-        with pytest.raises(SystemExit):
-            parser.parse_args(
-                ["bench", "--scenario", "smoke", "--engine", "simd"]
-            )
+        args = parser.parse_args(["bench", "--scenario", "smoke"])
+        assert args.scenario == "smoke"
+        assert "engine" not in vars(args)
+        for value in ("columnar", "objects"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(
+                    ["bench", "--scenario", "smoke", "--engine", value]
+                )
 
 
 # -- performance trajectory ---------------------------------------------------

@@ -351,9 +351,12 @@ def test_api_exports_service_surface():
 
 
 def test_percentile_relocation_warns_from_fleet_service():
-    import repro.fleet.service as fleet_service
-
-    with pytest.warns(DeprecationWarning, match="percentile"):
-        relocated = fleet_service.percentile
+    """``percentile`` lives only in repro.telemetry.metrics: the old
+    fleet.service import fails, and the fleet's lag figures use the
+    canonical nearest-rank helper."""
     from repro.telemetry.metrics import percentile
-    assert relocated is percentile
+
+    with pytest.raises(ImportError, match="percentile"):
+        from repro.fleet.service import percentile as _  # noqa: F401
+    assert percentile([5.0, 1.0, 3.0, 2.0, 4.0], 50) == 3.0
+    assert percentile([5.0, 1.0, 3.0, 2.0, 4.0], 99) == 5.0

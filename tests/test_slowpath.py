@@ -6,15 +6,13 @@ from repro.analysis import ControlFlowGraph, Edge, EdgeKind
 from repro.analysis.cfg import BasicBlock
 from repro.cpu import CoFIKind, Memory
 from repro.ipt.full_decoder import FlowEdge
-from repro.monitor import (
-    ShadowStack,
-    ShadowStackViolation,
-    SlowPathEngine,
-)
 from repro.monitor.shadowstack import (
     _DIRECT_CALL_LEN,
     _INDIRECT_CALL_LEN,
+    ShadowStack,
+    ShadowStackViolation,
 )
+from repro.monitor.slowpath import SlowPathEngine
 
 
 class TestShadowStack:
