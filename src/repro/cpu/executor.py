@@ -1,8 +1,12 @@
 """The interpreter: fetch, decode, execute, retire CoFI events.
 
-Decoded instructions are cached per address (code pages are read-only
-under the W^X assumption, so the cache never needs invalidation during a
-run; :meth:`Executor.flush_icache` exists for loaders that re-map code).
+Each instruction is decoded once per address into a flat *predecoded
+entry* (see :func:`predecode`) and executed by one dispatch loop,
+:meth:`Executor._execute`, that :meth:`Executor.run` and
+:meth:`Executor.step` share.  Code pages are read-only under the W^X
+assumption, so the cache needs no invalidation during a run;
+:meth:`Executor.flush_icache` exists for loaders and mprotect that
+re-map code.
 
 Cycle accounting follows :mod:`repro.costs`; tracing hardware attached to
 the event bus keeps its own cycle accounts which the experiment harnesses
@@ -12,17 +16,56 @@ combine with the CPU's.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Tuple
+import struct
+from typing import Callable, Dict, List, Optional
 
 from repro import costs
 from repro.cpu.events import BranchEvent, CoFIKind
 from repro.cpu.machine import Machine, U64_MASK, to_signed
-from repro.cpu.memory import MemoryError_
-from repro.isa.encoding import DecodeError, decode_at, instruction_length
+from repro.cpu.memory import (
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    PROT_READ,
+    PROT_WRITE,
+    MemoryError_,
+)
+from repro.isa.encoding import (
+    DecodeError,
+    decode_at,
+    instruction_length,
+    operand_values,
+)
 from repro.isa.instructions import Insn, Op
 from repro.isa.registers import SP, Cond
 
 Listener = Callable[[BranchEvent], None]
+
+#: Jcc outcome per condition code, indexed by the flags word
+#: ``2 * zf + sf`` (the form the dispatch loop keeps the flags in).
+COND_TAKEN = {
+    Cond.EQ: (False, False, True, True),
+    Cond.NE: (True, True, False, False),
+    Cond.LT: (False, True, False, False),
+    Cond.LE: (False, True, True, True),
+    Cond.GT: (True, False, False, False),
+    Cond.GE: (True, False, True, True),
+}
+
+_SIGN = 1 << 63
+_U64 = struct.Struct("<Q")
+
+# Opcodes the dispatch loop tests, in the order it tests them: roughly
+# descending dynamic frequency on the server workloads.  LEA predecodes
+# to MOV_RI.  ``Executor._execute`` unpacks these into locals of the
+# same names, in this order.
+_DISPATCH_ORDER = (
+    Op.LOAD, Op.PUSH, Op.POP, Op.MOV_RR, Op.MOV_RI, Op.STORE, Op.ADD,
+    Op.JMP, Op.JCC, Op.CMP, Op.LOADB, Op.SYSCALL, Op.SUB, Op.RET,
+    Op.SUBI, Op.CALL, Op.JMPR, Op.ADDI, Op.STOREB, Op.CMPI, Op.MUL,
+    Op.CALLR, Op.MULI, Op.AND, Op.ANDI, Op.OR, Op.XOR, Op.SHL, Op.SHR,
+    Op.DIV, Op.MOD, Op.HALT, Op.NOP,
+)
+_DISPATCH_INTS = tuple(int(op) for op in _DISPATCH_ORDER)
 
 
 class CPUFault(Exception):
@@ -39,8 +82,66 @@ class HaltReason(enum.Enum):
     INTERRUPTED = "interrupted"
 
 
+def predecode(insn: Insn, ip: int, length: int) -> tuple:
+    """The flat icache entry for ``insn`` decoded at ``ip``.
+
+    Every entry is ``(op, cost, next_ip, operands...)``: ``op`` the
+    opcode as a plain int, ``cost`` its cycle charge as a float.  The
+    operands are the instruction's own, in encoding order, except where
+    decode time can do the work once:
+
+    - ``MOV_RI rd, value`` with the value masked to 64 bits; LEA
+      predecodes to this form with its resolved address;
+    - ``ANDI rd, imm`` with the immediate masked to 64 bits;
+    - ``CMPI rd, imm, biased`` with the immediate as a 64-bit word and
+      that word with its sign bit flipped (a signed compare of two words
+      is an unsigned compare of their biased forms);
+    - ``JMP``/``CALL target, event`` with the branch resolved and its
+      :class:`BranchEvent` built;
+    - ``JCC dsts, events``: destination and event for each flags word
+      ``2 * zf + sf``;
+    - ``SYSCALL base_cycles``: the kernel entry/exit charge.
+    """
+    op = insn.op
+    cost = float(costs.INSN_CYCLES[op])
+    next_ip = ip + length
+    if op is Op.MOV_RI or op is Op.LEA:
+        value = insn.imm if op is Op.MOV_RI else next_ip + insn.rel
+        return (int(Op.MOV_RI), cost, next_ip, insn.rd, value & U64_MASK)
+    if op is Op.ANDI:
+        return (int(op), cost, next_ip, insn.rd, insn.imm & U64_MASK)
+    if op is Op.CMPI:
+        word = insn.imm & U64_MASK
+        return (int(op), cost, next_ip, insn.rd, word, word ^ _SIGN)
+    if op is Op.JMP or op is Op.CALL:
+        target = next_ip + insn.rel
+        kind = CoFIKind.DIRECT_JMP if op is Op.JMP else CoFIKind.DIRECT_CALL
+        return (int(op), cost, next_ip, target,
+                BranchEvent(kind, ip, target))
+    if op is Op.JCC:
+        target = next_ip + insn.rel
+        taken = BranchEvent(CoFIKind.COND_BRANCH, ip, target, True)
+        fallthrough = BranchEvent(CoFIKind.COND_BRANCH, ip, next_ip, False)
+        outcomes = COND_TAKEN[Cond(insn.cc)]
+        return (
+            int(op), cost, next_ip,
+            tuple(target if t else next_ip for t in outcomes),
+            tuple(taken if t else fallthrough for t in outcomes),
+        )
+    if op is Op.SYSCALL:
+        return (int(op), cost, next_ip, float(costs.SYSCALL_BASE_CYCLES))
+    return (int(op), cost, next_ip) + operand_values(insn)
+
+
 class Executor:
-    """Interprets encoded instructions from a machine's memory."""
+    """Interprets encoded instructions from a machine's memory.
+
+    Contract with the code the loop calls out to (listeners, the syscall
+    handler): ``cycles``, ``insn_count`` and the machine's ``ip`` and
+    flags are current whenever it runs, and anything it changes —
+    including replacing ``machine.regs`` or ``machine.memory`` — is
+    picked up before the next instruction.
+    """
 
     def __init__(
         self,
@@ -56,7 +157,7 @@ class Executor:
         #: to stop :meth:`run` at the next instruction boundary.  The
         #: line auto-deasserts when the run loop observes it.
         self.stop_requested = False
-        self._icache: Dict[int, Tuple[Insn, int]] = {}
+        self._icache: Dict[int, tuple] = {}
 
     # -- instrumentation ---------------------------------------------------
 
@@ -71,226 +172,342 @@ class Executor:
         """Drop decoded-instruction cache (after remapping code pages)."""
         self._icache.clear()
 
-    def _emit(self, event: BranchEvent) -> None:
-        for listener in self.listeners:
-            listener(event)
-
     # -- fetch/decode -------------------------------------------------------
 
-    def _decode(self, ip: int) -> Tuple[Insn, int]:
-        cached = self._icache.get(ip)
-        if cached is not None:
-            return cached
+    def _predecode(self, ip: int) -> tuple:
+        memory = self.machine.memory
         # Fetch a maximal instruction window; instructions are <= 10 bytes.
         try:
-            window = self.machine.memory.fetch(ip, 1)
-            op_byte = window[0]
+            op_byte = memory.fetch(ip, 1)[0]
             try:
                 length = instruction_length(Op(op_byte))
             except ValueError as exc:
                 raise DecodeError(f"invalid opcode {op_byte:#04x}") from exc
-            raw = self.machine.memory.fetch(ip, length)
-            insn, _ = decode_at(raw, 0)
+            insn, _ = decode_at(memory.fetch(ip, length), 0)
         except (MemoryError_, DecodeError) as exc:
             raise CPUFault(f"fetch/decode fault: {exc}", ip) from exc
-        self._icache[ip] = (insn, length)
-        return insn, length
-
-    # -- stack helpers ------------------------------------------------------
-
-    def _push(self, value: int) -> None:
-        m = self.machine
-        m.set_reg(SP, m.reg(SP) - 8)
-        try:
-            m.memory.write_u64(m.reg(SP), value)
-        except MemoryError_ as exc:
-            raise CPUFault(f"stack push fault: {exc}", m.ip) from exc
-
-    def _pop(self) -> int:
-        m = self.machine
-        try:
-            value = m.memory.read_u64(m.reg(SP))
-        except MemoryError_ as exc:
-            raise CPUFault(f"stack pop fault: {exc}", m.ip) from exc
-        m.set_reg(SP, m.reg(SP) + 8)
-        return value
+        entry = self._icache[ip] = predecode(insn, ip, length)
+        return entry
 
     # -- execute ------------------------------------------------------------
 
     def step(self) -> None:
         """Execute a single instruction."""
-        m = self.machine
-        ip = m.ip
-        insn, length = self._decode(ip)
-        op = insn.op
-        next_ip = ip + length
-        self.cycles += costs.INSN_CYCLES[op]
-        self.insn_count += 1
-
-        # Default sequential flow; branch ops overwrite.
-        m.ip = next_ip
-
-        if op is Op.NOP:
-            return
-        if op is Op.HALT:
-            m.halted = True
-            return
-        if op is Op.MOV_RI:
-            m.set_reg(insn.rd, insn.imm)
-            return
-        if op is Op.MOV_RR:
-            m.set_reg(insn.rd, m.reg(insn.rs))
-            return
-        if op is Op.LEA:
-            m.set_reg(insn.rd, next_ip + insn.rel)
-            return
-        if op is Op.LOAD:
-            try:
-                m.set_reg(insn.rd, m.memory.read_u64(m.reg(insn.rb) + insn.off))
-            except MemoryError_ as exc:
-                raise CPUFault(f"load fault: {exc}", ip) from exc
-            return
-        if op is Op.STORE:
-            try:
-                m.memory.write_u64(m.reg(insn.rb) + insn.off, m.reg(insn.rs))
-            except MemoryError_ as exc:
-                raise CPUFault(f"store fault: {exc}", ip) from exc
-            return
-        if op is Op.LOADB:
-            try:
-                m.set_reg(insn.rd, m.memory.read_u8(m.reg(insn.rb) + insn.off))
-            except MemoryError_ as exc:
-                raise CPUFault(f"load fault: {exc}", ip) from exc
-            return
-        if op is Op.STOREB:
-            try:
-                m.memory.write_u8(m.reg(insn.rb) + insn.off, m.reg(insn.rs))
-            except MemoryError_ as exc:
-                raise CPUFault(f"store fault: {exc}", ip) from exc
-            return
-        if op is Op.PUSH:
-            self._push(m.reg(insn.rs))
-            return
-        if op is Op.POP:
-            m.set_reg(insn.rd, self._pop())
-            return
-
-        if op is Op.ADD or op is Op.ADDI:
-            rhs = m.reg(insn.rs) if op is Op.ADD else insn.imm
-            res = (m.reg(insn.rd) + rhs) & U64_MASK
-            m.set_reg(insn.rd, res)
-            m.zf, m.sf = res == 0, bool(res >> 63)
-            return
-        if op is Op.SUB or op is Op.SUBI:
-            rhs = m.reg(insn.rs) if op is Op.SUB else insn.imm
-            res = (m.reg(insn.rd) - rhs) & U64_MASK
-            m.set_reg(insn.rd, res)
-            m.zf, m.sf = res == 0, bool(res >> 63)
-            return
-        if op is Op.MUL or op is Op.MULI:
-            rhs = m.reg(insn.rs) if op is Op.MUL else insn.imm
-            res = (to_signed(m.reg(insn.rd)) * rhs) & U64_MASK
-            m.set_reg(insn.rd, res)
-            m.zf, m.sf = res == 0, bool(res >> 63)
-            return
-        if op is Op.DIV or op is Op.MOD:
-            divisor = to_signed(m.reg(insn.rs))
-            if divisor == 0:
-                raise CPUFault("divide by zero", ip)
-            dividend = to_signed(m.reg(insn.rd))
-            quot = int(dividend / divisor)  # truncate toward zero
-            res = quot if op is Op.DIV else dividend - quot * divisor
-            m.set_reg(insn.rd, res & U64_MASK)
-            return
-        if op is Op.AND or op is Op.ANDI:
-            rhs = m.reg(insn.rs) if op is Op.AND else insn.imm & U64_MASK
-            res = m.reg(insn.rd) & rhs
-            m.set_reg(insn.rd, res)
-            m.zf, m.sf = res == 0, bool(res >> 63)
-            return
-        if op is Op.OR:
-            res = m.reg(insn.rd) | m.reg(insn.rs)
-            m.set_reg(insn.rd, res)
-            m.zf, m.sf = res == 0, bool(res >> 63)
-            return
-        if op is Op.XOR:
-            res = m.reg(insn.rd) ^ m.reg(insn.rs)
-            m.set_reg(insn.rd, res)
-            m.zf, m.sf = res == 0, bool(res >> 63)
-            return
-        if op is Op.SHL:
-            res = (m.reg(insn.rd) << (m.reg(insn.rs) & 63)) & U64_MASK
-            m.set_reg(insn.rd, res)
-            return
-        if op is Op.SHR:
-            res = m.reg(insn.rd) >> (m.reg(insn.rs) & 63)
-            m.set_reg(insn.rd, res)
-            return
-        if op is Op.CMP or op is Op.CMPI:
-            rhs = to_signed(m.reg(insn.rs)) if op is Op.CMP else insn.imm
-            diff = to_signed(m.reg(insn.rd)) - rhs
-            m.zf, m.sf = diff == 0, diff < 0
-            return
-
-        if op is Op.JMP:
-            target = next_ip + insn.rel
-            m.ip = target
-            self._emit(BranchEvent(CoFIKind.DIRECT_JMP, ip, target))
-            return
-        if op is Op.JCC:
-            taken = Cond(insn.cc).holds(m.zf, m.sf)
-            target = next_ip + insn.rel if taken else next_ip
-            m.ip = target
-            self._emit(BranchEvent(CoFIKind.COND_BRANCH, ip, target, taken))
-            return
-        if op is Op.JMPR:
-            target = m.reg(insn.rs)
-            m.ip = target
-            self._emit(BranchEvent(CoFIKind.INDIRECT_JMP, ip, target))
-            return
-        if op is Op.CALL:
-            target = next_ip + insn.rel
-            self._push(next_ip)
-            m.ip = target
-            self._emit(BranchEvent(CoFIKind.DIRECT_CALL, ip, target))
-            return
-        if op is Op.CALLR:
-            target = m.reg(insn.rs)
-            self._push(next_ip)
-            m.ip = target
-            self._emit(BranchEvent(CoFIKind.INDIRECT_CALL, ip, target))
-            return
-        if op is Op.RET:
-            target = self._pop()
-            m.ip = target
-            self._emit(BranchEvent(CoFIKind.RET, ip, target))
-            return
-        if op is Op.SYSCALL:
-            self.cycles += costs.SYSCALL_BASE_CYCLES
-            if self.syscall_handler is not None:
-                # The handler may rewrite machine state (exit, sigreturn).
-                self.syscall_handler(m)
-            # Far transfer: destination reflects any handler redirection
-            # (e.g. sigreturn), matching what IPT would trace on resume.
-            self._emit(BranchEvent(CoFIKind.FAR_TRANSFER, ip, m.ip))
-            return
-
-        raise CPUFault(f"unimplemented opcode {op.name}", ip)
+        self._execute(1, False)
 
     def run(self, max_steps: int = 10_000_000) -> HaltReason:
         """Run until halt, interrupt, or ``max_steps`` retirements."""
-        m = self.machine
-        step = self.step
-        for _ in range(max_steps):
-            if m.halted:
-                return HaltReason.HALTED
-            if self.stop_requested:
-                self.stop_requested = False
-                return HaltReason.INTERRUPTED
-            step()
-        if m.halted:
+        return self._execute(max_steps, True)
+
+    def _halt_reason(self) -> HaltReason:
+        if self.machine.halted:
             return HaltReason.HALTED
         if self.stop_requested:
             self.stop_requested = False
             return HaltReason.INTERRUPTED
         return HaltReason.STEPS_EXHAUSTED
+
+    def _write_back(self, ip: int, cycles: float, count: int, flags) -> None:
+        """Store the dispatch loop's local state on the machine."""
+        m = self.machine
+        m.ip = ip
+        m.zf = flags >= 2
+        m.sf = (flags & 1) == 1
+        self.cycles = cycles
+        self.insn_count = count
+
+    def _fault(self, message: str, pc: int, ip: int, cycles: float,
+               count: int, flags) -> CPUFault:
+        self._write_back(ip, cycles, count, flags)
+        return CPUFault(message, pc)
+
+    def _execute(self, steps: int, lines: bool) -> Optional[HaltReason]:
+        """The dispatch loop: retire up to ``steps`` instructions.
+
+        With ``lines`` (``run``) the halt flag and interrupt line end the
+        loop at an instruction boundary and the reason is returned;
+        without (``step``) the instruction executes regardless.  Both
+        can only change while the loop calls out (HALT aside), so they
+        are tested on entry and after each call-out.
+        """
+        m = self.machine
+        if lines and (m.halted or self.stop_requested):
+            return self._halt_reason()
+        (LOAD, PUSH, POP, MOV_RR, MOV_RI, STORE, ADD, JMP, JCC, CMP, LOADB,
+         SYSCALL, SUB, RET, SUBI, CALL, JMPR, ADDI, STOREB, CMPI, MUL,
+         CALLR, MULI, AND, ANDI, OR, XOR, SHL, SHR, DIV, MOD, HALT,
+         NOP) = _DISPATCH_INTS
+        MASK = U64_MASK
+        SIGN = _SIGN
+        SHIFT = PAGE_SHIFT
+        OFFSET = PAGE_SIZE - 1
+        LAST = PAGE_SIZE - 8  # a u64 at a higher offset crosses pages
+        READ = PROT_READ
+        WRITE = PROT_WRITE
+        unpack = _U64.unpack_from
+        pack = _U64.pack_into
+        icache = self._icache
+        listeners = self.listeners
+        regs = m.regs
+        mem = m.memory
+        pages, prots = mem.tables()
+        ip = m.ip
+        fl = (m.zf << 1) | m.sf  # flags word: 2 * zf + sf
+        cycles = self.cycles
+        n = self.insn_count
+        limit = n + steps
+        while n < limit:
+            pc = ip
+            try:
+                e = icache[pc]
+            except KeyError:
+                try:
+                    e = self._predecode(pc)
+                except CPUFault:
+                    self._write_back(pc, cycles, n, fl)
+                    raise
+            op = e[0]
+            cycles += e[1]
+            n += 1
+            ip = e[2]
+
+            if op == LOAD:
+                a = regs[e[4]] + e[5]
+                o = a & OFFSET
+                if o <= LAST and prots.get(a >> SHIFT, 0) & READ:
+                    regs[e[3]] = unpack(pages[a >> SHIFT], o)[0]
+                else:
+                    try:
+                        regs[e[3]] = mem.read_u64(a)
+                    except MemoryError_ as exc:
+                        raise self._fault(f"load fault: {exc}", pc, ip,
+                                          cycles, n, fl) from exc
+                continue
+            elif op == PUSH:
+                v = regs[e[3]]
+                a = regs[SP] = (regs[SP] - 8) & MASK
+                o = a & OFFSET
+                if o <= LAST and prots.get(a >> SHIFT, 0) & WRITE:
+                    pack(pages[a >> SHIFT], o, v)
+                else:
+                    try:
+                        mem.write_u64(a, v)
+                    except MemoryError_ as exc:
+                        raise self._fault(f"stack push fault: {exc}", pc,
+                                          ip, cycles, n, fl) from exc
+                continue
+            elif op == POP:
+                a = regs[SP]
+                o = a & OFFSET
+                if o <= LAST and prots.get(a >> SHIFT, 0) & READ:
+                    v = unpack(pages[a >> SHIFT], o)[0]
+                else:
+                    try:
+                        v = mem.read_u64(a)
+                    except MemoryError_ as exc:
+                        raise self._fault(f"stack pop fault: {exc}", pc,
+                                          ip, cycles, n, fl) from exc
+                regs[SP] = (a + 8) & MASK
+                regs[e[3]] = v
+                continue
+            elif op == MOV_RR:
+                regs[e[3]] = regs[e[4]]
+                continue
+            elif op == MOV_RI:
+                regs[e[3]] = e[4]
+                continue
+            elif op == STORE:
+                a = regs[e[3]] + e[4]
+                o = a & OFFSET
+                if o <= LAST and prots.get(a >> SHIFT, 0) & WRITE:
+                    pack(pages[a >> SHIFT], o, regs[e[5]])
+                else:
+                    try:
+                        mem.write_u64(a, regs[e[5]])
+                    except MemoryError_ as exc:
+                        raise self._fault(f"store fault: {exc}", pc, ip,
+                                          cycles, n, fl) from exc
+                continue
+            elif op == ADD:
+                r = regs[e[3]] = (regs[e[3]] + regs[e[4]]) & MASK
+                fl = r >> 63 if r else 2
+                continue
+            elif op == JMP:
+                ip = e[3]
+                if not listeners:
+                    continue
+                ev = e[4]
+            elif op == JCC:
+                ip = e[3][fl]
+                if not listeners:
+                    continue
+                ev = e[4][fl]
+            elif op == CMP:
+                a = regs[e[3]]
+                b = regs[e[4]]
+                fl = 2 if a == b else (a ^ SIGN) < (b ^ SIGN)
+                continue
+            elif op == LOADB:
+                try:
+                    regs[e[3]] = mem.read_u8(regs[e[4]] + e[5])
+                except MemoryError_ as exc:
+                    raise self._fault(f"load fault: {exc}", pc, ip,
+                                      cycles, n, fl) from exc
+                continue
+            elif op == SYSCALL:
+                cycles += e[3]
+                handler = self.syscall_handler
+                if handler is not None:
+                    # The handler may rewrite machine state (exit,
+                    # execve, sigreturn) and charge cycles.
+                    self._write_back(ip, cycles, n, fl)
+                    handler(m)
+                    regs = m.regs
+                    if m.memory is not mem:
+                        mem = m.memory
+                        pages, prots = mem.tables()
+                    ip = m.ip
+                    fl = (m.zf << 1) | m.sf
+                    cycles = self.cycles
+                    limit += self.insn_count - n
+                    n = self.insn_count
+                if not listeners:
+                    if lines and (m.halted or self.stop_requested):
+                        break
+                    continue
+                # Far transfer: destination reflects any handler
+                # redirection (e.g. sigreturn), matching what IPT would
+                # trace on resume.
+                ev = BranchEvent(CoFIKind.FAR_TRANSFER, pc, ip)
+            elif op == SUB:
+                r = regs[e[3]] = (regs[e[3]] - regs[e[4]]) & MASK
+                fl = r >> 63 if r else 2
+                continue
+            elif op == RET:
+                a = regs[SP]
+                o = a & OFFSET
+                if o <= LAST and prots.get(a >> SHIFT, 0) & READ:
+                    ip = unpack(pages[a >> SHIFT], o)[0]
+                else:
+                    try:
+                        ip = mem.read_u64(a)
+                    except MemoryError_ as exc:
+                        raise self._fault(f"stack pop fault: {exc}", pc,
+                                          ip, cycles, n, fl) from exc
+                regs[SP] = (a + 8) & MASK
+                if not listeners:
+                    continue
+                ev = BranchEvent(CoFIKind.RET, pc, ip)
+            elif op == SUBI:
+                r = regs[e[3]] = (regs[e[3]] - e[4]) & MASK
+                fl = r >> 63 if r else 2
+                continue
+            elif op == CALL or op == CALLR:
+                target = e[3] if op == CALL else regs[e[3]]
+                a = regs[SP] = (regs[SP] - 8) & MASK
+                o = a & OFFSET
+                if o <= LAST and prots.get(a >> SHIFT, 0) & WRITE:
+                    pack(pages[a >> SHIFT], o, ip)
+                else:
+                    try:
+                        mem.write_u64(a, ip)
+                    except MemoryError_ as exc:
+                        raise self._fault(f"stack push fault: {exc}", pc,
+                                          ip, cycles, n, fl) from exc
+                ip = target
+                if not listeners:
+                    continue
+                ev = (e[4] if op == CALL else
+                      BranchEvent(CoFIKind.INDIRECT_CALL, pc, target))
+            elif op == JMPR:
+                ip = regs[e[3]]
+                if not listeners:
+                    continue
+                ev = BranchEvent(CoFIKind.INDIRECT_JMP, pc, ip)
+            elif op == ADDI:
+                r = regs[e[3]] = (regs[e[3]] + e[4]) & MASK
+                fl = r >> 63 if r else 2
+                continue
+            elif op == STOREB:
+                try:
+                    mem.write_u8(regs[e[3]] + e[4], regs[e[5]])
+                except MemoryError_ as exc:
+                    raise self._fault(f"store fault: {exc}", pc, ip,
+                                      cycles, n, fl) from exc
+                continue
+            elif op == CMPI:
+                a = regs[e[3]]
+                fl = 2 if a == e[4] else (a ^ SIGN) < e[5]
+                continue
+            elif op == MUL or op == MULI:
+                rhs = regs[e[4]] if op == MUL else e[4]
+                r = regs[e[3]] = (regs[e[3]] * rhs) & MASK
+                fl = r >> 63 if r else 2
+                continue
+            elif op == AND or op == ANDI:
+                rhs = regs[e[4]] if op == AND else e[4]
+                r = regs[e[3]] = regs[e[3]] & rhs
+                fl = r >> 63 if r else 2
+                continue
+            elif op == OR:
+                r = regs[e[3]] = regs[e[3]] | regs[e[4]]
+                fl = r >> 63 if r else 2
+                continue
+            elif op == XOR:
+                r = regs[e[3]] = regs[e[3]] ^ regs[e[4]]
+                fl = r >> 63 if r else 2
+                continue
+            elif op == SHL:
+                regs[e[3]] = (regs[e[3]] << (regs[e[4]] & 63)) & MASK
+                continue
+            elif op == SHR:
+                regs[e[3]] = regs[e[3]] >> (regs[e[4]] & 63)
+                continue
+            elif op == DIV or op == MOD:
+                divisor = to_signed(regs[e[4]])
+                if divisor == 0:
+                    raise self._fault("divide by zero", pc, ip, cycles, n,
+                                      fl)
+                dividend = to_signed(regs[e[3]])
+                # Exact integer division, truncating toward zero.
+                quot = abs(dividend) // abs(divisor)
+                if (dividend < 0) != (divisor < 0):
+                    quot = -quot
+                r = quot if op == DIV else dividend - quot * divisor
+                regs[e[3]] = r & MASK
+                continue
+            elif op == HALT:
+                m.halted = True
+                break
+            elif op == NOP:
+                continue
+            else:
+                raise self._fault(f"unimplemented opcode {op:#04x}", pc, ip,
+                                  cycles, n, fl)
+
+            # A CoFI retired with listeners attached: publish its event
+            # with the machine state current, then pick up whatever the
+            # listeners changed.
+            m.ip = ip
+            m.zf = fl >= 2
+            m.sf = (fl & 1) == 1
+            self.cycles = cycles
+            self.insn_count = n
+            for listener in listeners:
+                listener(ev)
+            regs = m.regs
+            if m.memory is not mem:
+                mem = m.memory
+                pages, prots = mem.tables()
+            ip = m.ip
+            fl = (m.zf << 1) | m.sf
+            cycles = self.cycles
+            limit += self.insn_count - n
+            n = self.insn_count
+            if lines and (m.halted or self.stop_requested):
+                break
+
+        self._write_back(ip, cycles, n, fl)
+        if lines:
+            return self._halt_reason()
+        return None

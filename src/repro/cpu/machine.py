@@ -34,11 +34,6 @@ class Machine:
     def set_reg(self, index: int, value: int) -> None:
         self.regs[index] = value & U64_MASK
 
-    def set_flags_from(self, value: int) -> None:
-        """Set ZF/SF from a (signed) result value."""
-        self.zf = (value & U64_MASK) == 0
-        self.sf = bool((value >> 63) & 1) if value >= 0 else value < 0
-
     def snapshot(self) -> dict:
         """A shallow snapshot of register state (for signal frames)."""
         return {

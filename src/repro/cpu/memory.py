@@ -10,7 +10,7 @@ so control-flow hijacking — not code injection — is the attack surface.
 from __future__ import annotations
 
 import struct
-from typing import Dict
+from typing import Dict, Tuple
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
@@ -61,6 +61,15 @@ class Memory:
         }
         other._prots = dict(self._prots)
         return other
+
+    def tables(self) -> Tuple[Dict[int, bytearray], Dict[int, int]]:
+        """The live page and protection dicts, keyed by page number.
+
+        The interpreter's one-page fast path reads them directly.  Both
+        dicts live as long as this memory; holders may write page bytes
+        but must not add or remove entries.
+        """
+        return self._pages, self._prots
 
     def is_mapped(self, addr: int) -> bool:
         return (addr >> PAGE_SHIFT) in self._pages

@@ -89,6 +89,10 @@ def train_credits(
             )
             proc.executor.add_listener(encoder.on_branch)
             kernel.run(proc, max_steps=max_steps)
+            # The dead kernel is cyclic garbage that waits for a
+            # collection; detached, the encoder and its 4 MiB ToPA are
+            # freed as soon as this replay is done.
+            proc.executor.remove_listener(encoder.on_branch)
             encoder.flush()
             records = fast_decode(
                 encoder.output.snapshot(), sync=encoder.output.wrapped

@@ -62,6 +62,12 @@ def instruction_length(op: Op) -> int:
     return _LENGTHS[op]
 
 
+def operand_values(insn: Insn) -> Tuple[int, ...]:
+    """The operand values of ``insn``, in its encoding (layout) order."""
+    layout = OPERAND_LAYOUT[insn.op]
+    return tuple(getattr(insn, _ATTR[field]) for field in layout)
+
+
 def encode(insn: Insn) -> bytes:
     """Encode ``insn`` to its byte representation."""
     parts = [bytes([int(insn.op)])]

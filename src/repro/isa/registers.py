@@ -46,17 +46,3 @@ class Cond(enum.IntEnum):
     LE = 3
     GT = 4
     GE = 5
-
-    def holds(self, zf: bool, sf: bool) -> bool:
-        """Evaluate this condition against zero/sign flags."""
-        if self is Cond.EQ:
-            return zf
-        if self is Cond.NE:
-            return not zf
-        if self is Cond.LT:
-            return sf and not zf
-        if self is Cond.LE:
-            return sf or zf
-        if self is Cond.GT:
-            return not sf and not zf
-        return not sf or zf  # GE

@@ -140,6 +140,36 @@ class TestArithmetic:
         assert to_signed(cpu.machine.reg(R2)) == -3
         assert to_signed(cpu.machine.reg(R3)) == -1
 
+    @pytest.mark.parametrize("dividend,divisor,quot,rem", [
+        # Operands beyond 2**53, where float division loses bits.
+        (2**62 + 1, 1, 2**62 + 1, 0),
+        (2**62 + 7, 3, (2**62 + 7) // 3, 2),
+        (-(2**62 + 7), 3, -((2**62 + 7) // 3), -2),
+        (2**62 + 7, -3, -((2**62 + 7) // 3), 2),
+        (-(2**62 + 7), -3, (2**62 + 7) // 3, -2),
+        (2**63 - 1, 2**62 + 1, 1, 2**62 - 2),
+        (-(2**63), 7, -(2**63 // 7), -(2**63 % 7)),
+        # The one overflowing quotient wraps like the hardware's.
+        (-(2**63), -1, -(2**63), 0),
+    ])
+    def test_div_mod_exact(self, dividend, divisor, quot, rem):
+        from repro.cpu.machine import to_signed
+
+        cpu, _ = make_cpu(
+            [
+                A.mov(R0, dividend),
+                A.mov(R1, divisor),
+                A.movr(R2, R0),
+                A.div(R2, R1),
+                A.movr(R3, R0),
+                A.mod(R3, R1),
+                A.halt(),
+            ]
+        )
+        cpu.run()
+        assert to_signed(cpu.machine.reg(R2)) == quot
+        assert to_signed(cpu.machine.reg(R3)) == rem
+
     def test_divide_by_zero_faults(self):
         cpu, _ = make_cpu([A.mov(R0, 1), A.mov(R1, 0), A.div(R0, R1)])
         with pytest.raises(CPUFault):
@@ -330,6 +360,19 @@ class TestStack:
         )
         cpu.run()
         assert cpu.machine.reg(R1) == 5
+
+
+    @pytest.mark.parametrize("insn", [
+        A.ret(), A.pop(R0), A.push(R0), A.call("fault"), A.callr(R0),
+    ])
+    def test_stack_fault_reports_faulting_instruction(self, insn):
+        cpu, symbols = make_cpu(
+            [A.mov(SP, 0x10), Label("fault"), insn, A.halt()]
+        )
+        with pytest.raises(CPUFault, match="stack") as info:
+            cpu.run()
+        assert info.value.ip == symbols["fault"] == CODE_BASE + 10
+        assert str(info.value).endswith(f"(ip={CODE_BASE + 10:#x})")
 
 
 class TestCycles:

@@ -19,8 +19,10 @@ from repro.isa import (
     instruction_length,
     is_cofi,
 )
+from repro.cpu.executor import COND_TAKEN
 from repro.isa.instructions import OPERAND_LAYOUT
 from repro.isa.registers import NUM_REGS, R0, R1, SP, register_name
+from tests.cpu_reference import cond_holds
 
 
 class TestEncoding:
@@ -195,4 +197,7 @@ class TestCond:
         ],
     )
     def test_truth_table(self, cond, zf, sf, expected):
-        assert cond.holds(zf, sf) is expected
+        # The interpreter's table, indexed by its flags word, and the
+        # oracle's per-condition tests agree with the truth table.
+        assert COND_TAKEN[cond][2 * zf + sf] is expected
+        assert cond_holds(cond, zf, sf) is expected
