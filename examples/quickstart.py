@@ -6,7 +6,8 @@ kernel-module installation, per-process IPT tracing, and endpoint
 checking — then serves benign traffic and shows the monitor's verdicts
 and cost breakdown.  Runs with telemetry on: exports a Chrome trace
 (`quickstart_trace.json`, load it in chrome://tracing or Perfetto) and
-checks that the cycle profiler reconciles exactly with MonitorStats.
+prints the cycle profiler's per-phase and per-component view of the
+monitor's charges.
 
 Run:  python examples/quickstart.py
 """
@@ -72,15 +73,14 @@ def main() -> None:
     assert not monitor.detections, "benign traffic must not trip CFI"
     print("\nno false positives — FlowGuard is conservative by design.")
 
-    # -- telemetry: trace export + exact cycle reconciliation ------------
+    # -- telemetry: cycle profile + trace export -------------------------
     tel = telemetry.get_telemetry()
-    report = tel.profiler.reconcile(monitor.all_stats())
-    assert report["exact"], f"profiler must reconcile exactly: {report}"
-    phases = ", ".join(
-        f"{phase} {cycles:.0f}"
-        for phase, cycles in sorted(tel.profiler.per_phase().items())
-    )
-    print(f"cycle profile reconciles with MonitorStats: {phases}")
+    profile = tel.profiler.snapshot()
+    for axis in ("phases", "components"):
+        cells = ", ".join(
+            f"{name} {cycles:.0f}" for name, cycles in profile[axis].items()
+        )
+        print(f"cycle profile by {axis[:-1]}: {cells}")
     events = tel.tracer.export_chrome("quickstart_trace.json")
     print(f"wrote quickstart_trace.json ({events} spans) — open it in "
           f"chrome://tracing")

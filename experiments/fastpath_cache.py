@@ -12,7 +12,7 @@ identical.  Exits non-zero if any gate fails: the cached runs must cut
 decoded bytes and wall-clock decode time by at least 2x on the
 repeated-snapshot workloads, produce bit-identical verdicts to the
 uncached path, actually hit the shared cache across the fleet, and keep
-the cycle ledger reconciling exactly through ``CycleProfiler``.
+the fleet's worker cycle ledger balancing the charged cycles exactly.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ identical.  Exits non-zero if any acceptance gate fails:
 - the clean run meets every stock SLO; the fault-injected run burns
   error budget and captures a flight-recorder dump (the VIOLATION
   auto-dump) while its planted ROP attack is quarantined,
-- every ledger — fleet cycle accounting, degradation ledger, profiler,
-  and the plane's own sampler/flight reconciliation — is exact.
+- every ledger — fleet cycle accounting, degradation ledger, and the
+  plane's own sampler/flight reconciliation — is exact.
 
 A psb_period sweep is recorded alongside for the run report.
 

@@ -16,7 +16,7 @@ identical.  Exits non-zero if any acceptance gate fails:
 - faulted p99 verdict lag stays within the bound over the fault-free
   baseline, and
 - every ledger (fleet cycle accounting, degradation ledger vs its
-  telemetry mirror, profiler) reconciles exactly.
+  telemetry mirror) reconciles exactly.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ Exits non-zero if any acceptance gate fails:
   tenant's cycle and degradation ledgers exactly, plus the plane's
   own audit,
 - admission control sheds exactly the sessions over budget (ledger
-  events, never silent) and the recorded loadgen knee stays at or
-  above the trajectory floor.
+  events, never silent) and the loadgen knee recorded by a full
+  (non-``--quick``) sweep stays at or above the trajectory floor.
 """
 
 from __future__ import annotations

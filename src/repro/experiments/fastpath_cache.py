@@ -12,9 +12,10 @@ uncached baseline:
   low-credit pairs, packets) are bit-identical to the uncached run.
 - **fleet** — two full :class:`repro.fleet.FleetService` runs (stall
   rings, unbounded queue so the submitted work is identical), caches
-  off vs on.  Asserts per-process verdict sequences match, the cycle
-  ledger still reconciles exactly through ``CycleProfiler``, and the
-  shared cache actually absorbs repeated slices across processes.
+  off vs on.  Asserts per-process verdict sequences match, the worker
+  cycle ledger still balances the ``MonitorStats`` charges exactly
+  (``FleetResult.accounting``), and the shared cache actually absorbs
+  repeated slices across processes.
 
 ``experiments/fastpath_cache.py`` writes the result to
 ``BENCH_fastpath_cache.json`` and gates on the ≥2x reductions.
@@ -200,7 +201,6 @@ def _run_fleet(processes: int, sessions: int, cached: bool) -> dict:
         before = counter.total()
         result = service.run()
         decoded_bytes = counter.total() - before
-        reconciliation = service.reconcile()
     return {
         "cached": cached,
         "decoded_bytes": decoded_bytes,
@@ -211,9 +211,6 @@ def _run_fleet(processes: int, sessions: int, cached: bool) -> dict:
         "monitor_cycles": result.monitor_cycles,
         "overhead": result.overhead,
         "accounting_exact": result.accounting["exact"],
-        "reconcile_exact": bool(
-            reconciliation and reconciliation["exact"]
-        ),
         "caches": result.caches,
         "verdicts": _fleet_verdicts(service),
     }
@@ -260,9 +257,9 @@ def run(quick: bool = False) -> dict:
             "fleet_bytes_ratio_2x": fleet["bytes_ratio"] >= 2.0,
             "fleet_verdicts_identical": fleet["verdicts_identical"],
             "fleet_cache_hits": fleet["segment_cache_hits"] > 0,
-            "fleet_reconcile_exact": (
-                fleet["cached"]["reconcile_exact"]
-                and fleet["uncached"]["reconcile_exact"]
+            "fleet_accounting_exact": (
+                fleet["cached"]["accounting_exact"]
+                and fleet["uncached"]["accounting_exact"]
             ),
         },
     }
@@ -292,7 +289,7 @@ def format_table(results: dict) -> str:
         f"({fleet['bytes_ratio']:.1f}x)",
         f"  segment cache hits: {fleet['segment_cache_hits']}, "
         f"verdicts identical: {fleet['verdicts_identical']}, "
-        f"ledger exact: {fleet['cached']['reconcile_exact']}",
+        f"ledger exact: {fleet['cached']['accounting_exact']}",
     ]
     gates = results["gates"]
     failed = [name for name, ok in gates.items() if not ok]

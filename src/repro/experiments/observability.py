@@ -12,10 +12,11 @@ The plane's contract has three legs, all gated by
   fault-injected run with a planted ROP exploit must burn
   ``degradation-free`` error budget and capture at least one
   flight-recorder dump (the VIOLATION auto-dump).
-- **exactness** — the plane's own reconciliation (sampled profiler
-  phases vs ``MonitorStats``, flight tallies vs the
-  ``DegradationLedger`` vs the ``resilience.events`` counter) must come
-  back exact, alongside the fleet's cycle-accounting and ledger checks.
+- **exactness** — the plane's own reconciliation (sampled check
+  counter and flight verdicts vs ``MonitorStats``, flight tallies vs
+  the ``DegradationLedger`` vs the ``resilience.events`` counter) must
+  come back exact, alongside the fleet's cycle-accounting and ledger
+  checks.
 
 A quick ``psb_period`` sweep rides along so the run report can chart
 the trace-granularity tradeoff.
@@ -144,13 +145,11 @@ def _run_scenario(
             "accounting_exact": result.accounting["exact"],
         }
         if plane_obj is not None:
-            profiler = service.reconcile()
             audit = plane_obj.reconcile(
                 service.monitor.all_stats(), service.monitor.degradations
             )
             ledger = (result.resilience or {}).get("ledger_reconcile") or {}
             row.update({
-                "profiler_exact": bool(profiler and profiler["exact"]),
                 "ledger_exact": ledger.get("exact", True),
                 "plane_exact": audit["exact"],
                 "slo": result.slo,
@@ -221,8 +220,7 @@ def run(quick: bool = False) -> Dict[str, object]:
         "reconciled_exact": all(
             row[k]
             for row in (clean, faulted)
-            for k in ("accounting_exact", "profiler_exact",
-                      "ledger_exact", "plane_exact")
+            for k in ("accounting_exact", "ledger_exact", "plane_exact")
         ),
     }
     return results

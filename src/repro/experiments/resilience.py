@@ -12,8 +12,8 @@ and ``tests/test_resilience.py``:
   is ever quarantined (graceful degradation, not false positives), the
   fleet finishes (degrades, never wedges), p99 verdict lag stays within
   ``LAG_BOUND``× the fault-free baseline, and every ledger — fleet
-  cycle accounting, degradation ledger vs telemetry counters, profiler
-  — reconciles exactly.
+  cycle accounting, degradation ledger vs telemetry counters —
+  reconciles exactly.
 - **dead letter** — a scheduled fault kills every retry of one check;
   the task must be dead-lettered (never silently dropped) and the
   policy's fail-closed quarantine must isolate the unverifiable
@@ -74,13 +74,6 @@ RETRY = RetryPolicy(
 )
 
 
-def _run_reconciled(service) -> tuple:
-    """Run a fleet under telemetry; returns (result, profiler_report)."""
-    result = service.run()
-    profiler = service.reconcile()
-    return result, profiler
-
-
 def _fleet(sessions: int, faults=None, retry=None,
            seed: int = 0, processes: int = PROCESSES):
     return build_fleet(
@@ -90,7 +83,7 @@ def _fleet(sessions: int, faults=None, retry=None,
     )
 
 
-def _row(result, profiler) -> dict:
+def _row(result) -> dict:
     resilience = result.resilience or {}
     ledger = resilience.get("ledger_reconcile") or {}
     return {
@@ -109,7 +102,6 @@ def _row(result, profiler) -> dict:
         "overhead": result.overhead,
         "accounting_exact": result.accounting["exact"],
         "ledger_exact": ledger.get("exact", True),
-        "profiler_exact": profiler["exact"] if profiler else True,
         "degradations": (resilience.get("degradations") or {}).get(
             "counts", {}
         ),
@@ -151,16 +143,14 @@ def run(quick: bool = False) -> Dict[str, object]:
         # -- baseline: same fleet, no faults ------------------------------
         tel.reset()
         service = _fleet(sessions)
-        base_result, base_prof = _run_reconciled(service)
-        results["baseline"] = _row(base_result, base_prof)
+        results["baseline"] = _row(service.run())
 
         # -- faulted: standard mix over the identical workload ------------
         tel.reset()
         service = _fleet(
             sessions, faults=FaultPlan.standard_mix(seed=42), retry=RETRY,
         )
-        faulted_result, faulted_prof = _run_reconciled(service)
-        faulted = _row(faulted_result, faulted_prof)
+        faulted = _row(service.run())
         base_p99 = max(results["baseline"]["lag_p99"], 1.0)
         faulted["lag_p99_ratio"] = faulted["lag_p99"] / base_p99
         results["faulted"] = faulted
@@ -174,8 +164,8 @@ def run(quick: bool = False) -> Dict[str, object]:
             ),
         )
         service = _fleet(sessions, faults=plan, retry=RETRY)
-        dl_result, dl_prof = _run_reconciled(service)
-        dl = _row(dl_result, dl_prof)
+        dl_result = service.run()
+        dl = _row(dl_result)
         dl["quarantine_reasons"] = [
             e.reason for e in dl_result.quarantines
         ]
@@ -188,8 +178,8 @@ def run(quick: bool = False) -> Dict[str, object]:
             service, attacked_pid = _attack_fleet(
                 sessions, FaultPlan.standard_mix(seed=seed), RETRY, seed,
             )
-            result, profiler = _run_reconciled(service)
-            row = _row(result, profiler)
+            result = service.run()
+            row = _row(result)
             row["seed"] = seed
             row["attacked_pid"] = attacked_pid
             row["detected"] = attacked_pid in result.quarantined_pids
@@ -252,7 +242,6 @@ def run(quick: bool = False) -> Dict[str, object]:
         "lag_within_bound": faulted["lag_p99_ratio"] <= LAG_BOUND,
         "ledgers_exact": all(
             row["accounting_exact"] and row["ledger_exact"]
-            and row["profiler_exact"]
             for row in (
                 [results["baseline"], faulted, dl] + detection
             )
@@ -277,7 +266,6 @@ def format_table(results: Dict[str, object]) -> str:
             row["overhead"],
             "exact" if (
                 row["accounting_exact"] and row["ledger_exact"]
-                and row["profiler_exact"]
             ) else "DRIFT",
         ])
     for row in results["detection"]:
@@ -290,7 +278,6 @@ def format_table(results: Dict[str, object]) -> str:
             row["overhead"],
             "exact" if (
                 row["accounting_exact"] and row["ledger_exact"]
-                and row["profiler_exact"]
             ) else "DRIFT",
         ])
     sections.append(

@@ -6,7 +6,7 @@ drain — becomes a :class:`~repro.fleet.workers.CheckTask`:
 
 1. the verdict and its cycle cost are computed through the *same*
    ``FlowGuardMonitor._run_check`` path solo mode uses (so
-   ``MonitorStats`` and the cycle profiler stay exact),
+   ``MonitorStats`` is charged exactly as in solo mode),
 2. the cost is split into PSB-aligned decode slices plus a serial
    search phase and list-scheduled onto the simulated worker pool,
 3. the verdict takes *effect* only when the fleet clock reaches the

@@ -92,9 +92,7 @@ class FleetMonitor(FlowGuardMonitor):
                 self.degradations.record("pmi-delay", pid=pp.process.pid)
                 ring.delayed_pmi = True
                 return
-        pp.stats.pmi_count += 1
-        if self._telemetry.enabled:
-            self._telemetry.metrics.counter("monitor.pmi").inc()
+        self.count_pmi(pp)
         if ring is not None:
             ring.on_pmi()
 

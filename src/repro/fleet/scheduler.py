@@ -193,10 +193,7 @@ class RoundRobinScheduler:
             # An injected-delay PMI lands at the quantum boundary: the
             # ring-full handling runs now, one scheduling slot late.
             entry.ring.delayed_pmi = False
-            entry.pp.stats.pmi_count += 1
-            tel_late = get_telemetry()
-            if tel_late.enabled:
-                tel_late.metrics.counter("monitor.pmi").inc()
+            self.dispatcher.monitor.count_pmi(entry.pp)
             entry.ring.on_pmi()
         start_cycles = proc.executor.cycles
         outcome = StepOutcome.BUDGET

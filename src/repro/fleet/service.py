@@ -11,9 +11,9 @@
 
 The result carries everything the scaling experiment and the CLI need:
 per-process rows, quarantine events, check-lag percentiles, worker
-utilization, and a cycle-accounting block that must reconcile exactly
-with the summed per-process ``MonitorStats`` (the invariant
-``CycleProfiler.reconcile(..., fleet_workers=...)`` re-verifies).
+utilization, and a cycle-accounting block (``FleetResult.accounting``)
+that audits the worker pool's busy-cycle ledger against the summed
+per-process ``MonitorStats`` charges: ``exact`` is false on any drift.
 """
 
 from __future__ import annotations
@@ -289,17 +289,6 @@ class FleetService:
         ):
             self.scheduler.run()
         return self._build_result()
-
-    def reconcile(self) -> Optional[dict]:
-        """Re-verify the fleet cycle ledger against per-process stats
-        through the telemetry profiler (None while telemetry is off)."""
-        tel = get_telemetry()
-        if not tel.enabled:
-            return None
-        return tel.profiler.reconcile(
-            self.monitor.all_stats(),
-            fleet_workers=self.dispatcher.ledger(),
-        )
 
     # -- reporting -----------------------------------------------------------
 

@@ -29,28 +29,28 @@ class HardwareExtensionModel:
     hw_cfi_check_saving: float = 0.5
 
     def apply(self, stats: MonitorStats) -> MonitorStats:
-        """A projected copy of ``stats`` with the extensions enabled."""
-        projected = MonitorStats(
-            trace_cycles=stats.trace_cycles,
-            decode_cycles=stats.decode_cycles,
-            check_cycles=stats.check_cycles,
+        """A projected copy of ``stats`` with the extensions enabled
+        (accumulators only: the projection charges no cells)."""
+        decode_scale = (
+            costs.HW_DECODE_CYCLES_PER_BYTE / costs.FAST_DECODE_CYCLES_PER_BYTE
+            if self.hw_decoder else 1.0
+        )
+        trace_scale = (
+            1.0 - self.multi_cr3_trace_saving if self.multi_cr3 else 1.0
+        )
+        check_scale = (
+            1.0 - self.hw_cfi_check_saving if self.hw_cfi_logic else 1.0
+        )
+        return MonitorStats(
+            trace_cycles=stats.trace_cycles * trace_scale,
+            decode_cycles=stats.decode_cycles * decode_scale,
+            check_cycles=stats.check_cycles * check_scale,
             other_cycles=stats.other_cycles,
             checks=stats.checks,
             fast_passes=stats.fast_passes,
             slow_path_runs=stats.slow_path_runs,
             pmi_count=stats.pmi_count,
         )
-        if self.hw_decoder:
-            ratio = (
-                costs.HW_DECODE_CYCLES_PER_BYTE
-                / costs.FAST_DECODE_CYCLES_PER_BYTE
-            )
-            projected.decode_cycles *= ratio
-        if self.multi_cr3:
-            projected.trace_cycles *= 1.0 - self.multi_cr3_trace_saving
-        if self.hw_cfi_logic:
-            projected.check_cycles *= 1.0 - self.hw_cfi_check_saving
-        return projected
 
 
 def project_overhead(

@@ -18,7 +18,7 @@ the paper's enforcement action.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro import costs
 from repro.telemetry import get_telemetry
@@ -52,7 +52,24 @@ class Detection:
 
 @dataclass
 class MonitorStats:
-    """Cycle breakdown per protected process (Figure 5 phases)."""
+    """Cycle breakdown per protected process (Figure 5 phases).
+
+    :meth:`charge` is the one writer of the decode/check/other
+    accumulators: each charge lands in a ``(component, phase)`` cell
+    and in the accumulator its phase folds into, so the cells are the
+    fine-grained view (the cycle profiler sums them) and the
+    accumulators the Figure 5 view, with nothing to reconcile between
+    them.  ``trace_cycles`` is the encoder's cumulative count, copied
+    in by :meth:`FlowGuardMonitor.stats_for`.
+    """
+
+    #: Which Figure 5 phases fold into which accumulator.
+    PHASE_MAP: ClassVar[Dict[str, Tuple[str, ...]]] = {
+        "trace_cycles": ("trace",),
+        "decode_cycles": ("decode",),
+        "check_cycles": ("search", "shadow-stack"),
+        "other_cycles": ("upcall", "intercept"),
+    }
 
     trace_cycles: float = 0.0
     decode_cycles: float = 0.0
@@ -64,6 +81,15 @@ class MonitorStats:
     pmi_count: int = 0
     edges_checked: int = 0
     low_credit_edges: int = 0
+    #: charged cycles by ``(component, phase)``.
+    cells: Dict[Tuple[str, str], float] = field(default_factory=dict)
+
+    def charge(self, component: str, phase: str, cycles: float) -> None:
+        """Charge ``cycles`` of ``phase`` work done by ``component``."""
+        key = (component, phase)
+        self.cells[key] = self.cells.get(key, 0.0) + cycles
+        attr = _CHARGED_ACCUMULATOR[phase]
+        setattr(self, attr, getattr(self, attr) + cycles)
 
     @property
     def total_cycles(self) -> float:
@@ -85,6 +111,16 @@ class MonitorStats:
         if not self.edges_checked:
             return 0.0
         return 1.0 - self.low_credit_edges / self.edges_checked
+
+
+#: phase -> the accumulator :meth:`MonitorStats.charge` adds it to
+#: (``trace`` is absent: it is never charged per check).
+_CHARGED_ACCUMULATOR = {
+    phase: attr
+    for attr, phases in MonitorStats.PHASE_MAP.items()
+    if attr != "trace_cycles"
+    for phase in phases
+}
 
 
 @dataclass
@@ -225,6 +261,8 @@ class FlowGuardMonitor:
         pp_holder.append(pp)
         process.executor.add_listener(encoder.on_branch)
         self._protected[process.cr3] = pp
+        if self._telemetry.enabled:
+            self._telemetry.profiler.register(pp, self.degradations.tenant)
         return pp
 
     def rebind(
@@ -338,19 +376,15 @@ class FlowGuardMonitor:
         tel = self._telemetry
         stats = pp.stats
         stats.checks += 1
-        stats.other_cycles += costs.MONITOR_INTERCEPT_CYCLES
+        stats.charge("monitor.intercept", "intercept",
+                     costs.MONITOR_INTERCEPT_CYCLES)
         pp.encoder.flush()
         result = self._fastpath_with_recovery(pp)
-        stats.decode_cycles += result.decode_cycles
-        stats.check_cycles += result.search_cycles
+        stats.charge("monitor.fastpath", "decode", result.decode_cycles)
+        stats.charge("monitor.fastpath", "search", result.search_cycles)
         stats.edges_checked += result.checked_pairs
         stats.low_credit_edges += len(result.low_credit_pairs)
         if tel.enabled:
-            prof = tel.profiler
-            prof.record("monitor.intercept", "intercept",
-                        costs.MONITOR_INTERCEPT_CYCLES)
-            prof.record("monitor.fastpath", "decode", result.decode_cycles)
-            prof.record("monitor.fastpath", "search", result.search_cycles)
             m = tel.metrics
             m.counter("monitor.checks").inc(
                 path="slow" if result.verdict is Verdict.SUSPICIOUS
@@ -431,14 +465,10 @@ class FlowGuardMonitor:
                 # Charge the wasted decode, audit, re-read the drain.
                 self.degradations.record("retry", pid=pid,
                                          detail="drain-reread")
-                stats.decode_cycles += result.decode_cycles
-                stats.check_cycles += result.search_cycles
-                if tel.enabled:
-                    prof = tel.profiler
-                    prof.record("monitor.fastpath", "decode",
-                                result.decode_cycles)
-                    prof.record("monitor.fastpath", "search",
-                                result.search_cycles)
+                stats.charge("monitor.fastpath", "decode",
+                             result.decode_cycles)
+                stats.charge("monitor.fastpath", "search",
+                             result.search_cycles)
                 continue
             break
         return result
@@ -492,10 +522,8 @@ class FlowGuardMonitor:
             self.degradations.record(
                 "slowpath-error", pid=pp.process.pid, detail=f"syscall={nr}"
             )
-            stats.other_cycles += costs.SLOWPATH_UPCALL_CYCLES
-            if tel.enabled:
-                tel.profiler.record("monitor.slowpath", "upcall",
-                                    costs.SLOWPATH_UPCALL_CYCLES)
+            stats.charge("monitor.slowpath", "upcall",
+                         costs.SLOWPATH_UPCALL_CYCLES)
             return Verdict.PASS
         slow_decode = (
             slow_result.insns_decoded * costs.FULL_DECODE_CYCLES_PER_INSN
@@ -504,20 +532,16 @@ class FlowGuardMonitor:
             0.0,
             slow_result.cycles - costs.SLOWPATH_UPCALL_CYCLES - slow_decode,
         )
-        stats.decode_cycles += slow_decode
-        stats.check_cycles += slow_check
-        stats.other_cycles += costs.SLOWPATH_UPCALL_CYCLES
+        # The shadow-stack share is clamped into the check slice; every
+        # check term is a multiple of 0.5, so the two charges sum to
+        # ``slow_check`` exactly.
+        shadow = min(slow_result.shadow_cycles, slow_check)
+        stats.charge("monitor.slowpath", "decode", slow_decode)
+        stats.charge("monitor.slowpath", "shadow-stack", shadow)
+        stats.charge("monitor.slowpath", "search", slow_check - shadow)
+        stats.charge("monitor.slowpath", "upcall",
+                     costs.SLOWPATH_UPCALL_CYCLES)
         if tel.enabled:
-            # Mirror the exact same charges, split into the finer phases
-            # (shadow-stack share clamped into the check slice so the
-            # profiler reconciles exactly with MonitorStats).
-            shadow = min(slow_result.shadow_cycles, slow_check)
-            prof = tel.profiler
-            prof.record("monitor.slowpath", "decode", slow_decode)
-            prof.record("monitor.slowpath", "shadow-stack", shadow)
-            prof.record("monitor.slowpath", "search", slow_check - shadow)
-            prof.record("monitor.slowpath", "upcall",
-                        costs.SLOWPATH_UPCALL_CYCLES)
             tel.metrics.counter("monitor.slow_path_insns").inc(
                 slow_result.insns_decoded
             )
@@ -550,13 +574,18 @@ class FlowGuardMonitor:
             # filling and the next endpoint check covers the window.
             self.degradations.record("pmi-drop", pid=pp.process.pid)
             return
-        pp.stats.pmi_count += 1
-        if self._telemetry.enabled:
-            self._telemetry.metrics.counter("monitor.pmi").inc()
+        self.count_pmi(pp)
         if self.policy.check_on_pmi:
             verdict = self._run_check(pp, -1)
             if verdict is Verdict.VIOLATION:
                 self.kernel.kill_process(pp.process, SIGKILL)
+
+    def count_pmi(self, pp: ProtectedProcess) -> None:
+        """Count one PMI that reached the handler (the one writer of
+        ``pmi_count`` and the ``monitor.pmi`` counter)."""
+        pp.stats.pmi_count += 1
+        if self._telemetry.enabled:
+            self._telemetry.metrics.counter("monitor.pmi").inc()
 
     # -- reporting -----------------------------------------------------------------
 
@@ -566,19 +595,6 @@ class FlowGuardMonitor:
             raise KeyError(f"process {process.pid} is not protected")
         stats = pp.stats
         stats.trace_cycles = pp.encoder.cycles
-        if self._telemetry.enabled:
-            # Tracing cost is cumulative on the encoder, so overwrite
-            # the per-process cell rather than accumulate.  The cell
-            # key carries the tenant tag when this monitor belongs to
-            # a tenant fault domain: pids restart from 1 in every
-            # tenant's kernel, so untagged cells would collide.
-            tenant = getattr(self.degradations, "tenant", None)
-            prefix = "ipt.encoder" if tenant is None \
-                else f"ipt.encoder.{tenant}"
-            self._telemetry.profiler.set(
-                f"{prefix}.pid{pp.process.pid}", "trace",
-                stats.trace_cycles,
-            )
         return stats
 
     def all_stats(self) -> List[MonitorStats]:

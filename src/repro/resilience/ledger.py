@@ -12,10 +12,10 @@ ways:
   from the counter and demands exact equality.
 - **cycles** — events that waste checker-worker cycles (crashed/hung/
   timed-out attempts) carry the wasted amount; the total must equal the
-  dispatcher's ``retry_cycles`` ledger entry, which
-  :meth:`repro.telemetry.profiler.CycleProfiler.reconcile` in turn
-  balances against ``MonitorStats`` (busy + intercept − retry ==
-  stats).  One chain, no slack.
+  dispatcher's ``retry_cycles`` ledger entry, which the fleet's
+  ``FleetResult.accounting`` in turn balances against ``MonitorStats``
+  (busy + intercept − retry + dead letter == stats).  One chain, no
+  slack.
 """
 
 from __future__ import annotations

@@ -143,8 +143,8 @@ class TraceCheckService:
         await asyncio.gather(*workers)
         if self.plane is not None:
             # Refresh every tenant's MonitorStats first (that is what
-            # writes the cumulative trace-cycle cells into the
-            # profiler), then close the sample ring at the service
+            # copies the cumulative trace cycles the profiler reads),
+            # then close the sample ring at the service
             # frontier — tenant clocks are never bound to the plane,
             # so the default finalize would stamp t=0.
             for rt in self.runtimes:

@@ -11,7 +11,8 @@ dump, and library consumers got a third shape from
   log pipelines can dispatch on it,
 - ``context`` — what produced the report (solo server run, fleet run),
 - ``monitor`` — the checking stack: policy, per-process cycle
-  breakdowns, detections, cycle-accounting reconciliation,
+  breakdowns, detections (fleet runs add their worker-ledger
+  ``accounting`` audit),
 - ``caches`` — segment-decode / edge-verdict cache hit rates,
 - ``fleet`` — fleet-only observables (schedule, lag, workers, config);
   ``None`` for solo runs,
@@ -36,6 +37,11 @@ existing newer-version check, which is the point of the bump.
 Migration v3 -> v4: again purely additive — the new ``tenants``
 section.  v2/v3 payloads load fine (``slo`` / ``tenants`` default to
 ``None``); v4 payloads are rejected by older readers.
+
+Solo-run ``monitor`` sections no longer carry ``reconciliation`` (the
+profiler is a view over ``MonitorStats``, so there is no second copy
+to compare).  The section is free-form, so older v4 payloads that
+still carry the key load unchanged.
 """
 
 from __future__ import annotations
@@ -120,20 +126,12 @@ class StatsReport:
     def from_monitor(
         cls,
         monitor,
-        reconciliation: Optional[dict] = None,
         telemetry: Optional[dict] = None,
         slo: Optional[dict] = None,
         **context,
     ) -> "StatsReport":
-        """A report for a solo (non-fleet) monitor.
-
-        ``reconciliation`` is the profiler-vs-MonitorStats check; it is
-        embedded in the ``monitor`` section because it audits the
-        monitor's own cycle ledger.
-        """
+        """A report for a solo (non-fleet) monitor."""
         block = monitor.report()
-        if reconciliation is not None:
-            block["reconciliation"] = reconciliation
         injector = getattr(monitor, "fault_injector", None)
         ledger = getattr(monitor, "degradations", None)
         resilience = None

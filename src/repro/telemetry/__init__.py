@@ -8,7 +8,8 @@ the three sinks together:
 - :class:`~repro.telemetry.tracing.Tracer` — nested wall-clock spans,
   exportable as JSON-lines or Chrome trace-event JSON,
 - :class:`~repro.telemetry.profiler.CycleProfiler` — simulated-cycle
-  attribution per phase/component, reconciling with ``MonitorStats``.
+  attribution per phase/component, a view over the cells
+  ``MonitorStats.charge`` fills.
 
 Telemetry is **disabled by default** and near-zero-overhead while
 disabled: instrumented hot paths guard everything behind one
@@ -98,7 +99,8 @@ class Telemetry:
     # -- lifecycle -----------------------------------------------------------
 
     def reset(self) -> None:
-        """Clear every recorded series, span and cycle cell.  The plane
+        """Clear every recorded series and span, and drop the
+        profiler's registered processes.  The plane
         is left alone: its samples already taken would no longer match
         a zeroed registry, so flows attach a *fresh* plane after reset."""
         self.metrics.reset()

@@ -1,180 +1,87 @@
 """Cycle-attribution profiler: simulated cycles by phase and component.
 
-The cost model (:mod:`repro.costs`) charges deterministic cycles; the
-monitor aggregates them into :class:`repro.monitor.flowguard.MonitorStats`.
-This profiler records the *same* charges a second time, attributed along
-two axes — the Figure 5 **phase** (trace / decode / search /
-shadow-stack / upcall / intercept) and the **component** that spent them
+The cost model (:mod:`repro.costs`) charges deterministic cycles, and
+:meth:`repro.monitor.flowguard.MonitorStats.charge` is the one place
+they are written: each charge lands in a per-process
+``(component, phase)`` cell and in the Figure 5 accumulator its phase
+folds into.  This profiler is a read-only view over those cells for
+every process protected while telemetry was on, attributed along two
+axes — the Figure 5 **phase** (trace / decode / search / shadow-stack /
+upcall / intercept) and the **component** that spent them
 (``monitor.fastpath``, ``monitor.slowpath``, ``ipt.encoder.pid<n>``,
 ...) — so any slice of the pipeline can cite exactly where its cycles
 went.
 
-Because the monitor feeds both sinks from the same locals, the profiler
-reconciles with ``MonitorStats`` exactly (up to float addition order;
-:meth:`CycleProfiler.reconcile` checks with a 1e-9 relative tolerance):
-
-- ``decode``                == sum of ``stats.decode_cycles``
-- ``search + shadow-stack`` == sum of ``stats.check_cycles``
-- ``upcall + intercept``    == sum of ``stats.other_cycles``
-- ``trace``                 == sum of ``stats.trace_cycles``
+Tracing cost is cumulative on the encoder; it appears as each
+process's ``stats.trace_cycles`` (refreshed by ``stats_for``) under
+``ipt.encoder[.<tenant>].pid<n>``.  The tenant tag keeps cells apart
+when a tenant fault domain owns the monitor: pids restart from 1 in
+every tenant's kernel.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: The canonical phase names, in Figure 5 presentation order.
 PHASES = ("trace", "decode", "search", "shadow-stack", "upcall", "intercept")
 
-#: Which phases fold into which MonitorStats accumulator.
-_STATS_PHASE_MAP = {
-    "trace_cycles": ("trace",),
-    "decode_cycles": ("decode",),
-    "check_cycles": ("search", "shadow-stack"),
-    "other_cycles": ("upcall", "intercept"),
-}
-
 
 class CycleProfiler:
-    """Accumulates simulated cycles in (component, phase) cells."""
+    """Sums the charged cells of every registered protected process."""
 
     def __init__(self) -> None:
-        self._cells: Dict[Tuple[str, str], float] = {}
+        #: (encoder component name, MonitorStats) per registered process.
+        self._sources: List[Tuple[str, object]] = []
 
-    # -- recording -----------------------------------------------------------
-
-    def record(self, component: str, phase: str, cycles: float) -> None:
-        """Add ``cycles`` to one (component, phase) cell."""
-        key = (component, phase)
-        self._cells[key] = self._cells.get(key, 0.0) + cycles
-
-    def set(self, component: str, phase: str, cycles: float) -> None:
-        """Overwrite a cell — for cumulative sources (encoder totals)."""
-        self._cells[(component, phase)] = cycles
+    def register(self, pp, tenant: Optional[str] = None) -> None:
+        """Add a protected process's stats to the view."""
+        prefix = "ipt.encoder" if tenant is None else f"ipt.encoder.{tenant}"
+        self._sources.append((f"{prefix}.pid{pp.process.pid}", pp.stats))
 
     # -- views ---------------------------------------------------------------
 
+    def _cells(self) -> Dict[Tuple[str, str], float]:
+        out: Dict[Tuple[str, str], float] = {}
+        for encoder, stats in self._sources:
+            if stats.trace_cycles:
+                key = (encoder, "trace")
+                out[key] = out.get(key, 0.0) + stats.trace_cycles
+            for key, cycles in stats.cells.items():
+                out[key] = out.get(key, 0.0) + cycles
+        return out
+
     def per_phase(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
-        for (_, phase), cycles in self._cells.items():
+        for (_, phase), cycles in self._cells().items():
             out[phase] = out.get(phase, 0.0) + cycles
         return out
 
     def per_component(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
-        for (component, _), cycles in self._cells.items():
+        for (component, _), cycles in self._cells().items():
             out[component] = out.get(component, 0.0) + cycles
         return out
 
     def component_phase(self, component: str, phase: str) -> float:
-        return self._cells.get((component, phase), 0.0)
+        return self._cells().get((component, phase), 0.0)
 
     def total(self) -> float:
-        return sum(self._cells.values())
+        return sum(self._cells().values())
 
     def snapshot(self) -> Dict[str, object]:
+        cells = self._cells()
         return {
-            "total_cycles": self.total(),
-            "phases": {
-                phase: cycles
-                for phase, cycles in sorted(self.per_phase().items())
-            },
-            "components": {
-                component: cycles
-                for component, cycles in sorted(self.per_component().items())
-            },
+            "total_cycles": sum(cells.values()),
+            "phases": dict(sorted(self.per_phase().items())),
+            "components": dict(sorted(self.per_component().items())),
             "cells": {
                 f"{component}/{phase}": cycles
-                for (component, phase), cycles in sorted(self._cells.items())
+                for (component, phase), cycles in sorted(cells.items())
             },
         }
-
-    # -- reconciliation ------------------------------------------------------
-
-    def reconcile(
-        self,
-        stats_list: Iterable[object],
-        fleet_workers: "Dict[str, float] | None" = None,
-    ) -> Dict[str, object]:
-        """Compare phase totals against summed ``MonitorStats``.
-
-        ``stats_list`` is any iterable of objects with the four
-        ``*_cycles`` accumulators (duck-typed to avoid importing the
-        monitor).  Returns per-accumulator profiler/stats pairs plus an
-        overall ``exact`` verdict.
-
-        ``fleet_workers`` extends the contract to fleet mode: a mapping
-        with ``busy_cycles`` (the worker pool's busy-cycle ledger),
-        ``intercept_cycles`` (endpoint-interception cycles spent on the
-        *protected* core, not a worker), and optional ``retry_cycles``
-        (pool time wasted by crashed/hung/timed-out attempts under fault
-        injection).  Every *productive* checking cycle a worker burned
-        must appear in some process's ``MonitorStats`` — i.e.
-        ``busy + intercept - retry == sum(decode + check + other)`` —
-        so a drifting worker ledger fails the same ``exact`` verdict
-        (``repro fleet`` exits 1 on it, like ``repro stats``).
-        """
-        stats_list = list(stats_list)
-        phases = self.per_phase()
-        report: Dict[str, object] = {}
-        exact = True
-        for attr, phase_names in _STATS_PHASE_MAP.items():
-            expected = sum(getattr(s, attr) for s in stats_list)
-            measured = sum(phases.get(p, 0.0) for p in phase_names)
-            ok = math.isclose(
-                measured, expected, rel_tol=1e-9, abs_tol=1e-6
-            )
-            exact = exact and ok
-            report[attr] = {
-                "profiler": measured,
-                "stats": expected,
-                "ok": ok,
-            }
-        total_stats = sum(
-            sum(getattr(s, attr) for attr in _STATS_PHASE_MAP)
-            for s in stats_list
-        )
-        report["total"] = {
-            "profiler": self.total(),
-            "stats": total_stats,
-            "ok": math.isclose(
-                self.total(), total_stats, rel_tol=1e-9, abs_tol=1e-6
-            ),
-        }
-        if fleet_workers is not None:
-            busy = float(fleet_workers.get("busy_cycles", 0.0))
-            intercept = float(fleet_workers.get("intercept_cycles", 0.0))
-            # Cycles workers burned on attempts that crashed, hung, or
-            # timed out: real pool busy time, but no MonitorStats charge
-            # (the check's cost was accounted on the attempt that
-            # succeeded — or dead-lettered).
-            retry = float(fleet_workers.get("retry_cycles", 0.0))
-            # The inverse hole: dead-lettered checks were costed into
-            # MonitorStats when submitted but never ran on any worker.
-            dead = float(fleet_workers.get("dead_letter_cycles", 0.0))
-            expected = sum(
-                getattr(s, attr)
-                for attr in ("decode_cycles", "check_cycles", "other_cycles")
-                for s in stats_list
-            )
-            ok = math.isclose(
-                busy + intercept - retry + dead, expected,
-                rel_tol=1e-9, abs_tol=1e-6,
-            )
-            exact = exact and ok
-            report["fleet_workers"] = {
-                "busy_cycles": busy,
-                "intercept_cycles": intercept,
-                "retry_cycles": retry,
-                "dead_letter_cycles": dead,
-                "stats": expected,
-                "ok": ok,
-            }
-        report["exact"] = exact and bool(report["total"]["ok"])
-        return report
 
     # -- lifecycle -----------------------------------------------------------
 
     def reset(self) -> None:
-        self._cells.clear()
+        self._sources.clear()

@@ -131,7 +131,16 @@ class TestCommands:
             "kind": "solo", "server": "exim", "sessions": 2,
         }
         assert payload["fleet"] is None
-        assert payload["monitor"]["reconciliation"]["exact"] is True
+        assert "reconciliation" not in payload["monitor"]
+        charged = sum(
+            row[key]
+            for row in payload["monitor"]["processes"]
+            for key in ("trace_cycles", "decode_cycles", "check_cycles",
+                        "other_cycles")
+        )
+        assert payload["telemetry"]["profile"]["total_cycles"] == (
+            pytest.approx(charged, rel=1e-9)
+        )
 
     def test_serve_trace_out(self, tmp_path, capsys):
         import json

@@ -615,7 +615,6 @@ class TestEngineOracle:
                 server_pipeline("nginx"), server_requests("nginx", 1)
             )
             result = service.run()
-            reconciliation = service.reconcile()
         return {
             "verdicts": [
                 (t.pid, t.kind, t.syscall_nr, t.verdict, t.degraded)
@@ -625,9 +624,6 @@ class TestEngineOracle:
             "monitor_cycles": result.monitor_cycles,
             "ledger": (result.resilience or {}).get("degradations"),
             "accounting_exact": result.accounting["exact"],
-            "reconcile_exact": bool(
-                reconciliation and reconciliation["exact"]
-            ),
         }
 
     def test_fleet_fault_injection_parity(self):
@@ -637,7 +633,6 @@ class TestEngineOracle:
         reproduces verdicts, cycles and ledger exactly."""
         first = self._faulted_fleet()
         assert first["accounting_exact"]
-        assert first["reconcile_exact"]
         assert first["ledger"]
         assert first["quarantined"] == []
         assert self._faulted_fleet() == first

@@ -29,6 +29,7 @@ from repro.ipt.packets import encode_tnt
 from repro.service import builtin_serve_config, run_service
 from repro.telemetry.metrics import percentile
 from repro.workloads import build_nginx, build_vdso
+from tests.meter_view import assert_view_matches_stats
 
 
 def make_ring(policy, regions=(8, 8)):
@@ -309,30 +310,33 @@ def _mixed_fleet(processes=2, sessions=1, **cfg):
 
 class TestFleetTelemetry:
     def test_reconcile_includes_worker_ledger(self):
-        with telemetry.capture():
+        with telemetry.capture() as tel:
             service = _mixed_fleet(workers=2)
             result = service.run()
-            report = service.reconcile()
-        assert result.accounting["exact"]
-        assert report["exact"], report
-        assert report["fleet_workers"]["ok"]
-        assert report["fleet_workers"]["busy_cycles"] == pytest.approx(
-            result.accounting["busy_cycles"], rel=1e-9
+            assert_view_matches_stats(
+                tel.profiler, service.monitor.all_stats()
+            )
+        accounting = result.accounting
+        assert accounting["exact"], accounting
+        assert accounting["busy_cycles"] == pytest.approx(
+            sum(result.worker_busy), rel=1e-9
+        )
+        assert accounting["stats_cycles"] == pytest.approx(
+            result.monitor_cycles, rel=1e-9
         )
 
     def test_tampered_worker_ledger_fails_reconcile(self):
-        with telemetry.capture():
-            service = _mixed_fleet(workers=1)
-            service.run()
-            service.dispatcher.intercept_cycles += 123.0
-            report = service.reconcile()
-        assert not report["exact"]
-        assert not report["fleet_workers"]["ok"]
-
-    def test_reconcile_none_when_disabled(self):
         service = _mixed_fleet(workers=1)
-        service.run()
-        assert service.reconcile() is None
+        assert service.run().accounting["exact"]
+        service.dispatcher.intercept_cycles += 123.0
+        assert not service._build_result().accounting["exact"]
+
+    def test_disabled_fleet_registers_nothing(self):
+        telemetry.get_telemetry().reset()
+        service = _mixed_fleet(workers=1)
+        result = service.run()
+        assert result.accounting["exact"]
+        assert telemetry.get_telemetry().profiler.total() == 0.0
 
 
 @pytest.fixture(scope="module")

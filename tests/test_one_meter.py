@@ -1,0 +1,228 @@
+"""One cycle meter: ``MonitorStats.charge`` is the only writer.
+
+The structural tests parse ``src/`` and fail on any other write to the
+charged accumulators (or to ``pmi_count``), and on any surviving call
+to the deleted profiler writers.  The run tests check that the
+profiler's view over the charged cells folds back into the
+``MonitorStats`` accumulators across the shapes the monitor runs in:
+a solo server, a faulted fleet, a two-tenant service and an
+undertrained server that takes the slow path.
+"""
+
+import ast
+import asyncio
+import json
+from pathlib import Path
+
+import pytest
+
+from repro import telemetry
+from repro.experiments.common import (
+    seed_server_fs,
+    server_pipeline,
+    server_requests,
+)
+from repro.fleet.rings import RingPolicy
+from repro.fleet.service import FleetConfig, FleetService
+from repro.itccfg.credits import CreditLabeledITC
+from repro.osmodel import Kernel
+from repro.resilience import FaultPlan, RetryPolicy
+from repro.service import TraceCheckService, builtin_serve_config
+from repro.stats_report import StatsReport
+from tests.meter_view import assert_view_matches_stats
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CHARGED = {"decode_cycles", "check_cycles", "other_cycles"}
+
+
+@pytest.fixture(autouse=True)
+def _clean_global_telemetry():
+    tel = telemetry.get_telemetry()
+    tel.disable()
+    tel.reset()
+    yield
+    tel.disable()
+    tel.reset()
+
+
+def _src_functions():
+    """Yield (path, enclosing qualified name, node) for every node."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def walk(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    inner = f"{scope}.{child.name}" if scope else child.name
+                else:
+                    inner = scope
+                yield path, inner, child
+                yield from walk(child, inner)
+
+        yield from walk(tree, "")
+
+
+def _written_attrs(node):
+    if isinstance(node, ast.AugAssign):
+        targets = [node.target]
+    elif isinstance(node, ast.Assign):
+        targets = node.targets
+    else:
+        return []
+    return [t for t in targets if isinstance(t, ast.Attribute)]
+
+
+class TestSingleWriter:
+    def test_only_charge_writes_charged_accumulators(self):
+        offenders = []
+        for path, scope, node in _src_functions():
+            for target in _written_attrs(node):
+                if target.attr in CHARGED:
+                    offenders.append(f"{path.name}:{node.lineno} {scope}")
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in CHARGED
+            ):
+                offenders.append(f"{path.name}:{node.lineno} {scope}")
+        assert offenders == []
+
+    def test_no_profiler_writes(self):
+        calls = []
+        for path, scope, node in _src_functions():
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("record", "set")
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "profiler"
+            ):
+                calls.append(f"{path.name}:{node.lineno} {scope}")
+        assert calls == []
+
+    def test_one_pmi_writer(self):
+        writers = {
+            scope for _, scope, node in _src_functions()
+            for target in _written_attrs(node)
+            if target.attr == "pmi_count"
+            and not (isinstance(target.value, ast.Name)
+                     and target.value.id == "self")
+        }
+        assert writers == {"FlowGuardMonitor.count_pmi"}
+
+
+# -- the view equals the accumulators -----------------------------------------
+
+
+def _serve_nginx(labeled=None, sessions=4):
+    pipeline = server_pipeline("nginx")
+    kernel = Kernel()
+    seed_server_fs(kernel)
+    monitor = pipeline.make_monitor(kernel)
+    proc = kernel.spawn("nginx")
+    monitor.protect(
+        proc,
+        labeled if labeled is not None else pipeline.labeled,
+        pipeline.ocfg,
+    )
+    for request in server_requests("nginx", sessions):
+        proc.push_connection(request)
+    kernel.run(proc)
+    return monitor
+
+
+class TestViewEqualsAccumulators:
+    def test_solo_nginx(self):
+        with telemetry.capture() as tel:
+            monitor = _serve_nginx()
+            stats = monitor.all_stats()
+            assert_view_matches_stats(tel.profiler, stats)
+        assert stats[0].checks > 0
+        assert "monitor.fastpath" in tel.profiler.per_component()
+
+    def test_undertrained_nginx_takes_slow_path(self):
+        untrained = CreditLabeledITC(itc=server_pipeline("nginx").itc)
+        with telemetry.capture() as tel:
+            monitor = _serve_nginx(labeled=untrained, sessions=2)
+            stats = monitor.all_stats()
+            assert_view_matches_stats(tel.profiler, stats)
+        assert sum(s.slow_path_runs for s in stats) > 0
+        phases = tel.profiler.per_phase()
+        assert phases["shadow-stack"] > 0 and phases["upcall"] > 0
+
+    def test_faulted_fleet(self):
+        config = FleetConfig(
+            workers=2,
+            ring_policy=RingPolicy.STALL,
+            faults=FaultPlan.standard_mix(seed=5),
+            retry=RetryPolicy(max_attempts=4, task_timeout=2000.0),
+        )
+        with telemetry.capture() as tel:
+            service = FleetService(config)
+            seed_server_fs(service.kernel)
+            for name in ("nginx", "exim"):
+                service.add_workload(
+                    server_pipeline(name), server_requests(name, 1)
+                )
+            result = service.run()
+            assert_view_matches_stats(
+                tel.profiler, service.monitor.all_stats()
+            )
+        assert sum(result.resilience["faults"]["fired"].values()) > 0
+        assert result.accounting["exact"]
+
+    def test_two_tenant_service(self):
+        config = builtin_serve_config("duo-isolation")
+        with telemetry.capture() as tel:
+            service = TraceCheckService(config)
+            asyncio.run(service.serve())
+            assert_view_matches_stats(tel.profiler, [
+                stats
+                for rt in service.runtimes
+                for stats in rt.fleet.monitor.all_stats()
+            ])
+        encoders = {
+            component for component in tel.profiler.per_component()
+            if component.startswith("ipt.encoder.")
+        }
+        for rt in service.runtimes:
+            assert any(
+                c.startswith(f"ipt.encoder.{rt.name}.pid") for c in encoders
+            ), rt.name
+
+    def test_disabled_run_registers_nothing(self):
+        _serve_nginx(sessions=1)
+        tel = telemetry.get_telemetry()
+        assert tel.profiler.total() == 0.0
+        assert tel.profiler.snapshot()["cells"] == {}
+
+
+def test_v4_report_with_reconciliation_still_loads():
+    payload = {
+        "schema_version": 4,
+        "context": {"kind": "solo", "server": "exim", "sessions": 2},
+        "monitor": {
+            "processes": [],
+            "detections": [],
+            "reconciliation": {
+                "decode_cycles": {"profiler": 1.0, "stats": 1.0,
+                                  "ok": True},
+                "exact": True,
+            },
+        },
+        "caches": None,
+        "fleet": None,
+        "resilience": None,
+        "slo": None,
+        "tenants": None,
+        "telemetry": None,
+    }
+    report = StatsReport.from_dict(json.loads(json.dumps(payload)))
+    assert report.schema_version == 4
+    assert report.monitor["reconciliation"]["exact"] is True
+    assert report.to_dict()["monitor"] == payload["monitor"]

@@ -2,8 +2,8 @@
 
 Covers the three sinks in isolation (metrics registry, span tracer,
 cycle profiler), the cycle-accounting invariants of an instrumented
-protected run (MonitorStats must reconcile exactly with the profiler),
-and the ``repro stats`` CLI surface.
+protected run (the profiler's view must equal the MonitorStats
+accumulators), and the ``repro stats`` CLI surface.
 """
 
 import json
@@ -12,6 +12,7 @@ import pytest
 
 from repro import telemetry
 from repro.itccfg.credits import CreditLabeledITC
+from repro.monitor.flowguard import MonitorStats
 from repro.osmodel import Kernel
 from repro.pipeline import FlowGuardPipeline
 from repro.telemetry.metrics import MetricsRegistry, series_name
@@ -23,6 +24,7 @@ from repro.workloads import (
     build_vdso,
     nginx_request,
 )
+from tests.meter_view import assert_view_matches_stats
 
 
 @pytest.fixture(autouse=True)
@@ -149,40 +151,58 @@ class TestTracer:
         assert tracer.spans[0].name == "s2"
 
 
+class _FakeProcess:
+    def __init__(self, pid):
+        self.pid = pid
+
+
+class _FakeProtected:
+    def __init__(self, pid):
+        self.process = _FakeProcess(pid)
+        self.stats = MonitorStats()
+
+
 class TestCycleProfiler:
-    def test_record_and_views(self):
+    def test_views_sum_registered_cells(self):
+        first, second = _FakeProtected(1), _FakeProtected(2)
+        first.stats.charge("fast", "decode", 10.0)
+        first.stats.charge("fast", "search", 5.0)
+        second.stats.charge("slow", "decode", 2.0)
         prof = CycleProfiler()
-        prof.record("fast", "decode", 10.0)
-        prof.record("fast", "search", 5.0)
-        prof.record("slow", "decode", 2.0)
+        prof.register(first)
+        prof.register(second)
         assert prof.per_phase() == {"decode": 12.0, "search": 5.0}
         assert prof.per_component() == {"fast": 15.0, "slow": 2.0}
         assert prof.total() == 17.0
+        # A view, not a copy: later charges show up without a write.
+        second.stats.charge("slow", "decode", 1.0)
+        assert prof.component_phase("slow", "decode") == 3.0
+        prof.reset()
+        assert prof.total() == 0.0
 
-    def test_set_overwrites_for_cumulative_sources(self):
+    def test_trace_reads_cumulative_stats(self):
+        pp = _FakeProtected(3)
         prof = CycleProfiler()
-        prof.set("encoder", "trace", 100.0)
-        prof.set("encoder", "trace", 150.0)
-        assert prof.component_phase("encoder", "trace") == 150.0
+        prof.register(pp, tenant="alpha")
+        pp.stats.trace_cycles = 100.0
+        pp.stats.trace_cycles = 150.0
+        assert prof.component_phase("ipt.encoder.alpha.pid3", "trace") == 150.0
+        assert prof.snapshot()["cells"] == {
+            "ipt.encoder.alpha.pid3/trace": 150.0
+        }
 
-    def test_reconcile_against_duck_typed_stats(self):
-        class FakeStats:
-            trace_cycles = 100.0
-            decode_cycles = 10.0
-            check_cycles = 7.0
-            other_cycles = 3.0
-
-        prof = CycleProfiler()
-        prof.set("encoder", "trace", 100.0)
-        prof.record("fast", "decode", 10.0)
-        prof.record("fast", "search", 4.0)
-        prof.record("slow", "shadow-stack", 3.0)
-        prof.record("slow", "upcall", 2.0)
-        prof.record("mon", "intercept", 1.0)
-        report = prof.reconcile([FakeStats()])
-        assert report["exact"]
-        prof.record("fast", "decode", 0.5)
-        assert not prof.reconcile([FakeStats()])["exact"]
+    def test_charge_folds_phases_into_accumulators(self):
+        stats = MonitorStats()
+        stats.charge("fast", "decode", 10.0)
+        stats.charge("fast", "search", 4.0)
+        stats.charge("slow", "shadow-stack", 3.0)
+        stats.charge("slow", "upcall", 2.0)
+        stats.charge("mon", "intercept", 1.0)
+        assert (stats.decode_cycles, stats.check_cycles,
+                stats.other_cycles) == (10.0, 7.0, 3.0)
+        assert stats.cells[("slow", "shadow-stack")] == 3.0
+        with pytest.raises(KeyError):
+            stats.charge("ipt.encoder.pid1", "trace", 1.0)
 
 
 NGINX_CORPUS = [
@@ -221,7 +241,8 @@ def _serve(pipeline, labeled=None, requests=8):
 
 
 class TestCycleAccountingInvariants:
-    """Satellite: MonitorStats vs profiler reconciliation invariants."""
+    """The profiler's view folds back into the MonitorStats
+    accumulators."""
 
     def test_protected_run_reconciles_exactly(self, nginx_pipeline):
         with telemetry.capture() as tel:
@@ -229,15 +250,7 @@ class TestCycleAccountingInvariants:
             stats = monitor.stats_for(proc)
             assert monitor.detections == []
             assert stats.checks > 0
-            report = tel.profiler.reconcile(monitor.all_stats())
-        assert report["exact"], report
-        # Per-component total equals the stats total.
-        assert tel.profiler.total() == pytest.approx(
-            stats.total_cycles, rel=1e-9
-        )
-        assert sum(tel.profiler.per_component().values()) == pytest.approx(
-            stats.total_cycles, rel=1e-9
-        )
+            assert_view_matches_stats(tel.profiler, monitor.all_stats())
 
     def test_fast_and_slow_counts_sum_to_checks(self, nginx_pipeline):
         # An untrained credit map forces slow-path runs, covering the
@@ -253,8 +266,7 @@ class TestCycleAccountingInvariants:
             assert checks.value(path="fast") == stats.fast_passes
             assert checks.value(path="slow") == stats.slow_path_runs
             assert checks.total() == stats.checks
-            report = tel.profiler.reconcile(monitor.all_stats())
-        assert report["exact"], report
+            assert_view_matches_stats(tel.profiler, monitor.all_stats())
         phases = tel.profiler.per_phase()
         assert phases["upcall"] > 0
         assert phases["decode"] > 0
@@ -317,7 +329,7 @@ class TestStatsCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema_version"] == 4
         assert payload["context"]["kind"] == "solo"
-        assert payload["monitor"]["reconciliation"]["exact"] is True
+        assert "reconciliation" not in payload["monitor"]
         assert payload["monitor"]["processes"]
         assert payload["telemetry"]["metrics"]["counters"]
         chrome = json.loads(trace.read_text())
