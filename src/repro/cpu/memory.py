@@ -30,6 +30,10 @@ class Memory:
     def __init__(self) -> None:
         self._pages: Dict[int, bytearray] = {}
         self._prots: Dict[int, int] = {}
+        #: Bumped whenever executable code may have changed (an
+        #: executable page re-mapped or re-protected), so decoders that
+        #: cache disassembly know to drop it.
+        self.code_epoch = 0
 
     # -- mapping ---------------------------------------------------------
 
@@ -42,6 +46,8 @@ class Memory:
         for pageno in range(first, last + 1):
             if pageno not in self._pages:
                 self._pages[pageno] = bytearray(PAGE_SIZE)
+            elif self._prots[pageno] & PROT_EXEC:
+                self.code_epoch += 1
             self._prots[pageno] = prot
 
     def protect(self, base: int, size: int, prot: int) -> None:
@@ -51,6 +57,8 @@ class Memory:
         for pageno in range(first, last + 1):
             if pageno not in self._pages:
                 raise MemoryError_(f"mprotect of unmapped page {pageno:#x}")
+            if (self._prots[pageno] | prot) & PROT_EXEC:
+                self.code_epoch += 1
             self._prots[pageno] = prot
 
     def clone(self) -> "Memory":
@@ -60,6 +68,7 @@ class Memory:
             pageno: bytearray(page) for pageno, page in self._pages.items()
         }
         other._prots = dict(self._prots)
+        other.code_epoch = self.code_epoch
         return other
 
     def tables(self) -> Tuple[Dict[int, bytearray], Dict[int, int]]:

@@ -4,16 +4,23 @@ Models Intel's reference decoder library: reconstructing the exact
 execution flow requires parsing the *program binaries* instruction by
 instruction and combining them with the packet stream — each conditional
 branch consumes a TNT bit, each indirect branch consumes a TIP, each far
-transfer consumes its FUP/PGD/PGE group.  Every instruction walked
-charges :data:`repro.costs.FULL_DECODE_CYCLES_PER_INSN`, which is why
-decoding is orders of magnitude slower than tracing (§2: ~230x on
-SPECCPU).
+transfer consumes its FUP/PGD/PGE group.
+
+On the charged clock the walk is per instruction: every instruction
+walked charges :data:`repro.costs.FULL_DECODE_CYCLES_PER_INSN`, which is
+why decoding is orders of magnitude slower than tracing (§2: ~230x on
+SPECCPU).  On the wall clock it is block-stepped, like libipt's block
+decoder (``pt_blk_*`` rather than ``pt_insn_*``): :class:`FullDecoder`
+keeps a lazy map from an address to its basic block — the straight-line
+run up to the next control-flow instruction — so a run adds its length
+to ``insn_count`` in one step.  Edges, instruction counts, end points,
+and ``TraceMismatch`` messages are those of the per-instruction walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro import costs
 from repro.telemetry import get_telemetry
@@ -167,6 +174,34 @@ class _PacketCursor:
         return None
 
 
+#: Block terminators: the instructions the walk must stop at, because
+#: they end the run or consume packets.
+_TERMINATORS = frozenset(
+    (Op.HALT, Op.JMP, Op.CALL, Op.JCC, Op.JMPR, Op.CALLR, Op.RET, Op.SYSCALL)
+)
+_DIRECT_KIND = {Op.JMP: CoFIKind.DIRECT_JMP, Op.CALL: CoFIKind.DIRECT_CALL}
+_INDIRECT_KIND = {
+    Op.JMPR: CoFIKind.INDIRECT_JMP,
+    Op.CALLR: CoFIKind.INDIRECT_CALL,
+    Op.RET: CoFIKind.RET,
+}
+#: Longest straight-line run one block records; a longer run chains
+#: into the next block, so building a block never walks far past the
+#: instruction budget (a NOP sled stops where the budget does).
+MAX_BLOCK_RUN = 64
+
+#: ``(run, term_ip, term_op, flow, fault)``: ``run`` straight-line
+#: instructions from the block's address, then the instruction at
+#: ``term_ip`` with opcode ``term_op``.  Edges with a static target are
+#: built once (a ``FlowEdge`` is immutable): ``flow`` is the edge of a
+#: JMP or CALL, and the (not-taken, taken) pair of a JCC, indexed by
+#: the TNT bit.  ``term_op`` is None when the run hit
+#: :data:`MAX_BLOCK_RUN` (the walk continues at ``term_ip``) or when
+#: ``term_ip`` cannot be disassembled (``fault`` holds the
+#: ``TraceMismatch`` message).
+Block = Tuple[int, int, Optional[Op], object, Optional[str]]
+
+
 class FullDecoder:
     """Reconstructs exact control flow from packets + binaries."""
 
@@ -174,6 +209,8 @@ class FullDecoder:
         self.memory = memory
         self.max_insns = max_insns
         self._icache: Dict[int, Tuple[Insn, int]] = {}
+        self._blocks: Dict[int, Block] = {}
+        self._code_epoch = memory.code_epoch
 
     def _fetch(self, ip: int) -> Tuple[Insn, int]:
         cached = self._icache.get(ip)
@@ -190,6 +227,47 @@ class FullDecoder:
             ) from exc
         self._icache[ip] = (insn, length)
         return insn, length
+
+    def _sync_code(self) -> None:
+        """Drop decoded code if the memory's code has been re-mapped."""
+        epoch = self.memory.code_epoch
+        if epoch != self._code_epoch:
+            self._icache.clear()
+            self._blocks.clear()
+            self._code_epoch = epoch
+
+    def _block(self, start: int) -> Block:
+        """Decode (and remember) the basic block at ``start``."""
+        ip = start
+        run = 0
+        fetch = self._fetch
+        while run < MAX_BLOCK_RUN:
+            try:
+                insn, length = fetch(ip)
+            except TraceMismatch as exc:
+                # Not remembered: like a failed fetch, it is retried on
+                # the next visit, when the code may have been mapped.
+                return (run, ip, None, None, str(exc))
+            op = insn.op
+            if op in _TERMINATORS:
+                next_ip = ip + length
+                if op is Op.JCC:
+                    flow = (
+                        FlowEdge(CoFIKind.COND_BRANCH, ip, next_ip, False),
+                        FlowEdge(CoFIKind.COND_BRANCH, ip, next_ip + insn.rel),
+                    )
+                elif op in _DIRECT_KIND:
+                    flow = FlowEdge(_DIRECT_KIND[op], ip, next_ip + insn.rel)
+                else:
+                    flow = None
+                block = (run, ip, op, flow, None)
+                break
+            run += 1
+            ip += length
+        else:
+            block = (run, ip, None, None, None)
+        self._blocks[start] = block
+        return block
 
     def decode(
         self,
@@ -211,61 +289,55 @@ class FullDecoder:
         cursor = own_cursor() if own_cursor is not None else _PacketCursor(packets)
         ip = start_ip if start_ip is not None else cursor.initial_ip()
         edges: List[FlowEdge] = []
-        insn_count = 0
         if ip is None:
             return FullDecodeResult(edges, 0, 0.0, exhausted=True)
 
-        while insn_count < self.max_insns:
-            insn, length = self._fetch(ip)
-            insn_count += 1
-            op = insn.op
-            next_ip = ip + length
+        self._sync_code()
+        blocks = self._blocks
+        append = edges.append
+        budget = self.max_insns
+        insn_count = 0
+        while True:
+            block = blocks.get(ip)
+            if block is None:
+                block = self._block(ip)
+            run, term_ip, op, flow, fault = block
+            if insn_count + run >= budget:
+                # The budget ends inside the straight-line run (or at
+                # its terminator, which is then never fetched).
+                while insn_count < budget:
+                    ip += self._fetch(ip)[1]
+                    insn_count += 1
+                return self._finish(edges, insn_count, ip, False)
+            insn_count += run
+            ip = term_ip
+            if op is None:
+                if fault is not None:
+                    raise TraceMismatch(fault)
+                continue
 
-            if op is Op.HALT:
-                return self._finish(edges, insn_count, ip, True)
-            if op is Op.JMP:
-                target = next_ip + insn.rel
-                edges.append(FlowEdge(CoFIKind.DIRECT_JMP, ip, target))
-                ip = target
-                continue
-            if op is Op.CALL:
-                target = next_ip + insn.rel
-                edges.append(FlowEdge(CoFIKind.DIRECT_CALL, ip, target))
-                ip = target
-                continue
+            insn_count += 1
             if op is Op.JCC:
                 bit = cursor.next_tnt_bit()
                 if bit is None:
                     return self._finish(edges, insn_count, ip, True)
-                target = next_ip + insn.rel if bit else next_ip
-                edges.append(
-                    FlowEdge(CoFIKind.COND_BRANCH, ip, target, taken=bit)
-                )
-                ip = target
-                continue
-            if op in (Op.JMPR, Op.CALLR, Op.RET):
-                target = cursor.next_tip()
-                if target is None:
-                    return self._finish(edges, insn_count, ip, True)
-                kind = {
-                    Op.JMPR: CoFIKind.INDIRECT_JMP,
-                    Op.CALLR: CoFIKind.INDIRECT_CALL,
-                    Op.RET: CoFIKind.RET,
-                }[op]
-                edges.append(FlowEdge(kind, ip, target))
-                ip = target
-                continue
-            if op is Op.SYSCALL:
+                edge = flow[bit]
+            elif flow is not None:
+                edge = flow
+            elif op is Op.SYSCALL:
                 resume = cursor.next_far_resume(ip)
                 if resume is None:
                     return self._finish(edges, insn_count, ip, True)
-                edges.append(FlowEdge(CoFIKind.FAR_TRANSFER, ip, resume))
-                ip = resume
-                continue
-            ip = next_ip
-
-        # Fell out on the instruction budget (or HALT): packets may remain.
-        return self._finish(edges, insn_count, ip, False)
+                edge = FlowEdge(CoFIKind.FAR_TRANSFER, ip, resume)
+            elif op is Op.HALT:
+                return self._finish(edges, insn_count, ip, True)
+            else:
+                dst = cursor.next_tip()
+                if dst is None:
+                    return self._finish(edges, insn_count, ip, True)
+                edge = FlowEdge(_INDIRECT_KIND[op], ip, dst)
+            append(edge)
+            ip = edge.dst
 
     def _finish(
         self, edges: List[FlowEdge], insn_count: int, ip: int, exhausted: bool

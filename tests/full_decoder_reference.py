@@ -1,0 +1,93 @@
+"""The per-instruction full-decode walker: the oracle for the full decoder.
+
+:class:`repro.ipt.full_decoder.FullDecoder` steps from basic block to
+basic block.  This is the walk it replaced — fetch one instruction,
+count it, dispatch on its opcode — kept as the oracle the block walk is
+tested against (``tests/test_full_decode_differential.py``): edges,
+``insn_count``, ``cycles``, ``end_ip``, ``exhausted`` and every
+``TraceMismatch`` message must agree.  It shares the production
+decoder's fetch (and its code-epoch invalidation) and its result
+bookkeeping, so only the walk differs.
+"""
+
+from typing import List, Optional
+
+from repro.cpu.events import CoFIKind
+from repro.ipt.full_decoder import (
+    FlowEdge,
+    FullDecoder,
+    FullDecodeResult,
+    _PacketCursor,
+)
+from repro.ipt.packets import DecodedPacket
+from repro.isa.instructions import Op
+
+
+class ReferenceFullDecoder(FullDecoder):
+    """Same surface as :class:`~repro.ipt.full_decoder.FullDecoder`."""
+
+    def decode(
+        self,
+        packets: List[DecodedPacket],
+        start_ip: Optional[int] = None,
+    ) -> FullDecodeResult:
+        own_cursor = getattr(packets, "cursor", None)
+        cursor = own_cursor() if own_cursor is not None else _PacketCursor(packets)
+        ip = start_ip if start_ip is not None else cursor.initial_ip()
+        edges: List[FlowEdge] = []
+        insn_count = 0
+        if ip is None:
+            return FullDecodeResult(edges, 0, 0.0, exhausted=True)
+        self._sync_code()
+
+        while insn_count < self.max_insns:
+            insn, length = self._fetch(ip)
+            insn_count += 1
+            op = insn.op
+            next_ip = ip + length
+
+            if op is Op.HALT:
+                return self._finish(edges, insn_count, ip, True)
+            if op is Op.JMP:
+                target = next_ip + insn.rel
+                edges.append(FlowEdge(CoFIKind.DIRECT_JMP, ip, target))
+                ip = target
+                continue
+            if op is Op.CALL:
+                target = next_ip + insn.rel
+                edges.append(FlowEdge(CoFIKind.DIRECT_CALL, ip, target))
+                ip = target
+                continue
+            if op is Op.JCC:
+                bit = cursor.next_tnt_bit()
+                if bit is None:
+                    return self._finish(edges, insn_count, ip, True)
+                target = next_ip + insn.rel if bit else next_ip
+                edges.append(
+                    FlowEdge(CoFIKind.COND_BRANCH, ip, target, taken=bit)
+                )
+                ip = target
+                continue
+            if op in (Op.JMPR, Op.CALLR, Op.RET):
+                target = cursor.next_tip()
+                if target is None:
+                    return self._finish(edges, insn_count, ip, True)
+                kind = {
+                    Op.JMPR: CoFIKind.INDIRECT_JMP,
+                    Op.CALLR: CoFIKind.INDIRECT_CALL,
+                    Op.RET: CoFIKind.RET,
+                }[op]
+                edges.append(FlowEdge(kind, ip, target))
+                ip = target
+                continue
+            if op is Op.SYSCALL:
+                resume = cursor.next_far_resume(ip)
+                if resume is None:
+                    return self._finish(edges, insn_count, ip, True)
+                edges.append(FlowEdge(CoFIKind.FAR_TRANSFER, ip, resume))
+                ip = resume
+                continue
+            ip = next_ip
+
+        # Fell out on the instruction budget: packets may remain.
+        return self._finish(edges, insn_count, ip, False)

@@ -85,6 +85,21 @@ class TestMemory:
         with pytest.raises(MemoryError_):
             mem.protect(0x9000, 0x100, PROT_READ)
 
+    def test_code_epoch_tracks_executable_remaps(self):
+        mem = Memory()
+        mem.map_region(0x1000, 0x1000, PROT_READ | PROT_WRITE)
+        mem.protect(0x1000, 0x1000, PROT_READ)
+        mem.map_region(0x1000, 0x1000, PROT_READ | PROT_WRITE)
+        mem.map_region(0x3000, 0x1000, PROT_READ | PROT_EXEC)
+        assert mem.code_epoch == 0  # no executable page changed
+        mem.protect(0x1000, 0x1000, PROT_READ | PROT_EXEC)
+        assert mem.code_epoch == 1  # becomes executable
+        mem.protect(0x1000, 0x1000, PROT_READ | PROT_WRITE)
+        assert mem.code_epoch == 2  # stops being executable
+        mem.map_region(0x3000, 0x1000, PROT_READ | PROT_EXEC)
+        assert mem.code_epoch == 3  # executable page re-mapped
+        assert mem.clone().code_epoch == 3
+
     def test_u64_roundtrip(self):
         mem = Memory()
         mem.map_region(0x1000, 0x100)

@@ -1,0 +1,362 @@
+"""Differential test: the block-stepped full decoder against the oracle.
+
+Every case decodes one input with the production
+:class:`~repro.ipt.full_decoder.FullDecoder` and with the per-instruction
+:class:`tests.full_decoder_reference.ReferenceFullDecoder`, through both
+packet cursors (a ``DecodedPacket`` list and the byte-level
+``ColumnarSlowSource``), and asserts the two agree on the edge list
+(kind, src, dst, taken, order), ``insn_count``, ``cycles``, ``end_ip``,
+``exhausted``, the ``TraceMismatch`` message, and the
+``ipt.full_decode.*`` counters.  Production decoders are compared both
+fresh and warm (their block map filled by earlier decodes), since a
+remembered block must not change any outcome.
+"""
+
+import pytest
+
+from repro import telemetry
+from repro.binary import Loader
+from repro.cpu import Executor, Machine, Memory
+from repro.cpu import PROT_EXEC, PROT_READ, PROT_WRITE
+from repro.ipt import (
+    FullDecoder,
+    IPTConfig,
+    IPTEncoder,
+    ToPA,
+    ToPARegion,
+    TraceMismatch,
+    fast_decode,
+)
+from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
+from repro.ipt.full_decoder import MAX_BLOCK_RUN
+from repro.ipt.msr import RTIT_CTL
+from repro.isa import A, Cond, Label, asm
+from repro.isa.registers import R0, R1, R2, SP
+from repro.workloads import build_libsim
+from repro.workloads.programgen import generate_program
+from tests.full_decoder_reference import ReferenceFullDecoder
+
+LIBS = {"libsim.so": build_libsim()}
+CODE_BASE = 0x400000
+STACK_TOP = 0x80000
+COUNTERS = ("calls", "insns", "edges")
+
+
+def _encoder(psb_period=4096):
+    config = IPTConfig(psb_period=psb_period)
+    config.write_ctl(RTIT_CTL.TRACE_EN | RTIT_CTL.BRANCH_EN | RTIT_CTL.USER)
+    return IPTEncoder(config, output=ToPA([ToPARegion(1 << 22)]))
+
+
+def _run(machine, encoder, max_steps=1_000_000):
+    cpu = Executor(machine)
+    cpu.add_listener(encoder.on_branch)
+    cpu.run(max_steps)
+    encoder.flush()
+    assert machine.halted
+    return encoder.output.snapshot()
+
+
+def traced_snippet(items, psb_period=4096):
+    """(memory, trace bytes) of an assembled snippet."""
+    code, _ = asm(items, base=CODE_BASE)
+    memory = Memory()
+    memory.map_region(CODE_BASE, len(code), PROT_READ | PROT_EXEC)
+    memory.write_raw(CODE_BASE, code)
+    memory.map_region(STACK_TOP - 0x4000, 0x4000, PROT_READ | PROT_WRITE)
+    machine = Machine(memory)
+    machine.ip = CODE_BASE
+    machine.set_reg(SP, STACK_TOP - 8)
+    return memory, _run(machine, _encoder(psb_period))
+
+
+def traced_program(seed):
+    """(memory, trace bytes) of a generated program run bare-metal."""
+    image = Loader(LIBS).load(generate_program(seed, f"gen{seed}"))
+    image.memory.map_region(0x7FFD0000, 0x30000, PROT_READ | PROT_WRITE)
+    machine = Machine(image.memory)
+    machine.ip = image.entry_address
+    machine.set_reg(SP, 0x7FFFFF00)
+    return image.memory, _run(machine, _encoder(), max_steps=3_000_000)
+
+
+def sources(data):
+    """The two cursor inputs for one trace: packets and raw columns."""
+    return {
+        "packets": lambda: fast_decode(data).packets,
+        "columnar": lambda: ColumnarSlowSource(
+            [(columnar_scan(data, charge=False), 0)]
+        ),
+    }
+
+
+def fields(result):
+    """The comparable content of a ``FullDecodeResult``."""
+    return (
+        [(e.kind, e.src, e.dst, e.taken) for e in result.edges],
+        result.insn_count,
+        result.cycles,
+        result.end_ip,
+        result.exhausted,
+    )
+
+
+def result_of(decoder, source, start_ip=None):
+    """A decode's fields, or its ``TraceMismatch`` message."""
+    try:
+        return fields(decoder.decode(source, start_ip))
+    except TraceMismatch as exc:
+        return ("mismatch", str(exc))
+
+
+def outcome(decoder, source, start_ip=None):
+    """:func:`result_of` plus the ``ipt.full_decode.*`` counters."""
+    with telemetry.capture() as tel:
+        result = result_of(decoder, source, start_ip)
+        counters = tuple(
+            tel.metrics.counter(f"ipt.full_decode.{name}").total()
+            for name in COUNTERS
+        )
+    return result, counters
+
+
+def assert_same(memory, data, start_ip=None, max_insns=5_000_000,
+                warm=None):
+    """Production (fresh, and ``warm`` if given) == oracle, both cursors.
+    Returns the oracle outcomes."""
+    got = {}
+    for name, make in sources(data).items():
+        oracle = ReferenceFullDecoder(memory, max_insns=max_insns)
+        want = outcome(oracle, make(), start_ip)
+        fresh = FullDecoder(memory, max_insns=max_insns)
+        assert outcome(fresh, make(), start_ip) == want, name
+        if warm is not None:
+            warm.max_insns = max_insns
+            assert outcome(warm, make(), start_ip) == want, (name, "warm")
+        got[name] = want
+    return got
+
+
+LOOP = [
+    A.mov(R0, 0),
+    Label("loop"),
+    A.addi(R0, 1),
+    A.mov(R1, 7),
+    A.mov(R2, 9),
+    A.cmpi(R0, 12),
+    A.jcc(Cond.LT, "loop"),
+    A.halt(),
+]
+
+CALLS = [
+    A.mov(R1, 3),
+    A.call("work"),
+    A.lea(R2, "tail"),
+    A.jmpr(R2),
+    Label("tail"),
+    A.mov(R0, 1),
+    A.syscall(),
+    A.halt(),
+    Label("work"),
+    A.cmpi(R1, 0),
+    A.jcc(Cond.EQ, "done"),
+    A.subi(R1, 1),
+    A.mov(R2, 5),
+    A.jmp("work"),
+    Label("done"),
+    A.ret(),
+]
+
+SNIPPETS = {"loop": LOOP, "calls": CALLS}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_generated_programs(seed):
+    memory, data = traced_program(seed)
+    got = assert_same(memory, data, warm=FullDecoder(memory))
+    edges, insn_count = got["packets"][0][:2]
+    assert edges and insn_count > len(edges)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_budget_sweep_generated(seed):
+    """Every budget from 0 past the full walk: cuts land mid-run, at a
+    terminator and at block ends, on fresh and warm decoders."""
+    memory, data = traced_program(seed)
+    full = FullDecoder(memory).decode(fast_decode(data).packets)
+    warm = FullDecoder(memory)
+    for budget in range(full.insn_count + 2):
+        assert_same(memory, data, max_insns=budget, warm=warm)
+
+
+@pytest.mark.parametrize("name", sorted(SNIPPETS))
+def test_budget_sweep_snippets(name):
+    memory, data = traced_snippet(SNIPPETS[name])
+    full = FullDecoder(memory).decode(fast_decode(data).packets)
+    warm = FullDecoder(memory)
+    for budget in range(full.insn_count + 2):
+        assert_same(memory, data, max_insns=budget, warm=warm)
+
+
+@pytest.mark.parametrize("name", sorted(SNIPPETS))
+def test_every_truncation_cut(name):
+    memory, data = traced_snippet(SNIPPETS[name], psb_period=64)
+    warm = FullDecoder(memory)
+    outcomes = set()
+    for cut in range(len(data) + 1):
+        got = assert_same(memory, data[:cut], warm=warm)
+        outcomes.add(repr(got["packets"]))
+    assert len(outcomes) > 3
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_truncation_cuts_generated(seed):
+    memory, data = traced_program(seed)
+    warm = FullDecoder(memory)
+    for cut in range(len(data) + 1):
+        assert_same(memory, data[:cut], warm=warm)
+
+
+def test_start_ip_anchors():
+    """Anchoring at every instruction: desyncs, whose messages must
+    match too, and clean walks."""
+    kinds = set()
+    for items in SNIPPETS.values():
+        memory, data = traced_snippet(items)
+        code, _ = asm(items, base=CODE_BASE)
+        warm = FullDecoder(memory)
+        ip, end = CODE_BASE, CODE_BASE + len(code)
+        while ip < end:
+            got = assert_same(memory, data, start_ip=ip, warm=warm)
+            kinds.add(got["packets"][0][0] == "mismatch")
+            ip += FullDecoder(memory)._fetch(ip)[1]
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("bad", [b"\xee", b"\x10"], ids=["opcode", "length"])
+def test_fault_mid_run(bad):
+    """A fault raises only if the walk reaches it within the budget;
+    ``\\x10`` (MOV_RI) at the page's last byte runs off the mapping."""
+    movs = 5
+    code, _ = asm([A.mov(R0, i) for i in range(movs)], base=CODE_BASE)
+    memory = Memory()
+    base = CODE_BASE + 0x1000 - len(code) - len(bad)
+    memory.map_region(CODE_BASE, 0x1000, PROT_READ | PROT_EXEC)
+    memory.write_raw(base, code + bad)
+    warm = FullDecoder(memory)
+    for budget in range(movs + 3):
+        got = assert_same(memory, b"", start_ip=base, max_insns=budget,
+                          warm=warm)
+        result = got["packets"][0]
+        if budget > movs:
+            assert result[0] == "mismatch"
+            assert "cannot disassemble" in result[1]
+        else:
+            assert result[1] == budget and result[4] is False
+
+
+def test_fault_after_remembered_blocks():
+    """A faulting run is re-walked on every visit (nothing about it is
+    remembered), so mapping the missing page later is seen at once."""
+    memory = Memory()
+    memory.map_region(CODE_BASE, 0x1000, PROT_READ | PROT_EXEC)
+    code, _ = asm([A.mov(R0, 1)] * 3, base=CODE_BASE)
+    tail = CODE_BASE + 0x1000 - len(code)
+    memory.write_raw(tail, code)
+    decoder = FullDecoder(memory, max_insns=100)
+    with pytest.raises(TraceMismatch, match="cannot disassemble"):
+        decoder.decode([], start_ip=tail)
+    memory.map_region(CODE_BASE + 0x1000, 0x1000, PROT_READ | PROT_EXEC)
+    memory.write_raw(CODE_BASE + 0x1000, asm([A.halt()])[0])
+    assert_same(memory, b"", start_ip=tail, max_insns=100, warm=decoder)
+    assert decoder.decode([], start_ip=tail).insn_count == 4
+
+
+def test_long_runs_chain_blocks():
+    """Runs longer than one block chain across block ends: sweep the
+    budget over several chained blocks ending in a HALT."""
+    length = 2 * MAX_BLOCK_RUN + 7
+    memory = Memory()
+    memory.map_region(CODE_BASE, 0x1000, PROT_READ | PROT_EXEC)
+    memory.write_raw(CODE_BASE + length, asm([A.halt()])[0])
+    warm = FullDecoder(memory)
+    for budget in range(length + 3):
+        got = assert_same(memory, b"", start_ip=CODE_BASE,
+                          max_insns=budget, warm=warm)
+    edges, insn_count, _, end_ip, exhausted = got["packets"][0]
+    assert (edges, insn_count, end_ip, exhausted) == (
+        [], length + 1, CODE_BASE + length, True
+    )
+
+
+def test_nop_sled_stops_at_budget():
+    """A 1 MiB NOP sled under a 1,000-instruction budget: same outcome
+    as the oracle, and block building stays within a block of it."""
+    memory = Memory()
+    memory.map_region(CODE_BASE, 1 << 20, PROT_READ | PROT_EXEC)
+    decoder = FullDecoder(memory, max_insns=1000)
+    fetched = []
+    fetch = decoder._fetch
+
+    def counting_fetch(ip):
+        fetched.append(ip)
+        return fetch(ip)
+
+    decoder._fetch = counting_fetch
+    got = assert_same(memory, b"", start_ip=CODE_BASE, max_insns=1000,
+                      warm=decoder)
+    edges, insn_count, _, end_ip, exhausted = got["packets"][0]
+    assert (edges, insn_count, end_ip, exhausted) == (
+        [], 1000, CODE_BASE + 1000, False
+    )
+    assert len(set(fetched)) <= 1000 + MAX_BLOCK_RUN
+
+
+def test_monitor_slow_path_windows(monkeypatch):
+    """Every slow-path window of an undertrained nginx (Fig. 5d's
+    protocol: no negative caching) decodes identically under the
+    oracle, through the monitor's own decoder and columnar input."""
+    from repro.experiments.common import (
+        libraries,
+        seed_server_fs,
+        training_corpus,
+    )
+    from repro.loadgen import mix_requests
+    from repro.monitor.policy import FlowGuardPolicy
+    from repro.osmodel import Kernel, ProcessState
+    from repro.pipeline import FlowGuardPipeline
+    from repro.workloads import SERVER_BUILDERS, build_vdso
+
+    pipeline = FlowGuardPipeline.offline(
+        "nginx", SERVER_BUILDERS["nginx"](), libraries(),
+        vdso=build_vdso(), corpus=training_corpus("nginx")[:2],
+        mode="socket", kernel_setup=seed_server_fs,
+    )
+    compared = []
+    production = FullDecoder.decode
+
+    def checked(self, packets, start_ip=None):
+        oracle = ReferenceFullDecoder(self.memory, max_insns=self.max_insns)
+        want = result_of(oracle, packets, start_ip)
+        compared.append(type(packets).__name__)
+        try:
+            result = production(self, packets, start_ip)
+        except TraceMismatch as exc:
+            assert ("mismatch", str(exc)) == want
+            raise
+        assert fields(result) == want
+        return result
+
+    monkeypatch.setattr(FullDecoder, "decode", checked)
+    kernel = Kernel()
+    seed_server_fs(kernel)
+    monitor, proc = pipeline.deploy(
+        kernel, policy=FlowGuardPolicy(cache_slow_path_negatives=False)
+    )
+    for request in mix_requests("nginx", 20, seed=1, mix="varied"):
+        proc.push_connection(request)
+    kernel.run(proc)
+    assert proc.state is ProcessState.EXITED
+    assert monitor.detections == []
+    assert len(compared) >= 10, compared
+    assert set(compared) == {"ColumnarSlowSource"}

@@ -26,7 +26,7 @@ from repro.ipt.packets import (
     encode_tnt,
 )
 from repro.isa import A, Cond, Label, asm
-from repro.isa.registers import R0, R1, R2, SP
+from repro.isa.registers import R0, R1, R2, R3, SP
 
 
 def plain_config(**kw):
@@ -424,6 +424,67 @@ class TestFullDecode:
         result = decoder.decode([])
         assert result.edges == []
         assert result.insn_count == 0
+
+
+REMAP_OLD = [A.mov(R0, 1), A.mov(R1, 2), A.halt()]
+REMAP_NEW = [A.jmp("t"), A.mov(R0, 1), Label("t"), A.halt()]
+
+
+class TestFullDecodeAfterRemap:
+    """Code re-mapped through mprotect must not be decoded from a stale
+    cache: the decoder drops what it disassembled when the memory's
+    code epoch moves."""
+
+    BASE = 0x500000
+
+    @staticmethod
+    def _decode(decoder, base=BASE):
+        result = decoder.decode([], start_ip=base)
+        return result.insn_count, [(e.kind, e.src) for e in result.edges]
+
+    def test_remapped_code_decodes_fresh(self):
+        memory = Memory()
+        memory.map_region(self.BASE, 0x1000, PROT_READ | PROT_EXEC)
+        memory.write_raw(self.BASE, asm(REMAP_OLD, base=self.BASE)[0])
+        decoder = FullDecoder(memory)
+        assert self._decode(decoder) == (3, [])
+        memory.protect(self.BASE, 0x1000, PROT_READ | PROT_WRITE)
+        memory.write(self.BASE, asm(REMAP_NEW, base=self.BASE)[0])
+        memory.protect(self.BASE, 0x1000, PROT_READ | PROT_EXEC)
+        want = (2, [(CoFIKind.DIRECT_JMP, self.BASE)])
+        assert self._decode(FullDecoder(memory)) == want
+        assert self._decode(decoder) == want
+
+    def test_mprotect_syscall_invalidates(self):
+        from repro.lang import Const, Func, Program, Return
+        from repro.osmodel import Kernel, Sys
+
+        prog = Program("remap")
+        prog.add_func(Func("main", [], [Return(Const(0))]))
+        prog.set_entry("main")
+        kernel = Kernel()
+        kernel.register_program("remap", prog.build())
+        proc = kernel.spawn("remap")
+        machine = proc.machine
+
+        def syscall(nr, *args):
+            machine.set_reg(R0, nr)
+            for reg, value in zip((R1, R2, R3), args):
+                machine.set_reg(reg, value)
+            proc.executor.syscall_handler(machine)
+            return machine.reg(R0)
+
+        base = syscall(Sys.MMAP, 0, 0x1000, PROT_READ | PROT_WRITE)
+        machine.memory.write(base, asm(REMAP_OLD, base=base)[0])
+        assert syscall(Sys.MPROTECT, base, 0x1000, PROT_READ | PROT_EXEC) == 0
+        decoder = FullDecoder(machine.memory)
+        assert self._decode(decoder, base) == (3, [])
+        assert syscall(Sys.MPROTECT, base, 0x1000, PROT_READ | PROT_WRITE) == 0
+        machine.memory.write(base, asm(REMAP_NEW, base=base)[0])
+        assert syscall(Sys.MPROTECT, base, 0x1000, PROT_READ | PROT_EXEC) == 0
+        assert self._decode(decoder, base) == (
+            2, [(CoFIKind.DIRECT_JMP, base)]
+        )
 
 
 class TestToPAEdgeCases:

@@ -22,6 +22,7 @@ from repro.cpu import CoFIKind, Executor, Machine
 from repro.cpu import PROT_READ, PROT_WRITE
 from repro.ipt import FullDecoder, IPTConfig, IPTEncoder, ToPA, ToPARegion
 from repro.ipt import fast_decode
+from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
 from repro.ipt.msr import RTIT_CTL
 from repro.isa.registers import SP
 from repro.itccfg import CreditLabeledITC, build_itccfg
@@ -81,15 +82,21 @@ def test_full_decode_reconstructs_execution(seed):
     """Property 3: trace + binaries == exact flow (§2's premise)."""
     exe = generate_program(seed, f"gen{seed}")
     image, cpu, encoder, events = traced_run(exe)
-    packets = fast_decode(encoder.output.snapshot()).packets
-    decoder = FullDecoder(image.memory, max_insns=20_000_000)
-    result = decoder.decode(packets)
-    got = [(e.kind, e.src, e.dst) for e in result.edges]
+    data = encoder.output.snapshot()
     truth = [(e.kind, e.src, e.dst) for e in events]
-    # Decoding anchors at the first packet-producing event (a PSB), so
-    # the reconstruction is a suffix of ground truth.
-    assert got == truth[len(truth) - len(got):]
-    assert len(got) >= len(truth) - 4
+    decoder = FullDecoder(image.memory, max_insns=20_000_000)
+    # Both slow-path inputs: packet objects, and the monitor's own
+    # object-free columnar source.
+    for source in (
+        fast_decode(data).packets,
+        ColumnarSlowSource([(columnar_scan(data, charge=False), 0)]),
+    ):
+        result = decoder.decode(source)
+        got = [(e.kind, e.src, e.dst) for e in result.edges]
+        # Decoding anchors at the first packet-producing event (a PSB),
+        # so the reconstruction is a suffix of ground truth.
+        assert got == truth[len(truth) - len(got):]
+        assert len(got) >= len(truth) - 4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
