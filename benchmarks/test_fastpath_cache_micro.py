@@ -2,8 +2,8 @@
 
 Measures the repeated-snapshot columnar decode over a captured nginx
 ToPA trace with the segment cache off vs on, and asserts the zero-copy
-contract: ``fast_decode_parallel`` hands each segment to the decoder as
-a ``memoryview`` slice over the original buffer — no per-segment copy
+contract: ``columnar_decode_parallel`` hands each segment to the scan
+as a ``memoryview`` slice over the original buffer — no per-segment copy
 of the full snapshot (the allocation behaviour the cache's hash-probe
 cost model assumes).
 """
@@ -14,7 +14,7 @@ from conftest import run_once
 
 from repro import costs
 from repro.experiments import micro
-from repro.ipt import fast_decoder
+from repro.ipt import columnar
 from repro.ipt.columnar import columnar_decode_parallel
 from repro.ipt.segment_cache import SegmentDecodeCache
 
@@ -80,18 +80,18 @@ def test_cached_decode_cheaper(benchmark):
 
 
 def test_parallel_decode_never_copies_segments(monkeypatch):
-    """Every segment reaching fast_decode is a memoryview slice over
+    """Every segment reaching columnar_scan is a memoryview slice over
     the snapshot buffer — no full-buffer copy per segment."""
     _, _, data = micro.capture_trace()
     seen = []
-    real = fast_decoder.fast_decode
+    real = columnar.columnar_scan
 
     def spy(segment, *args, **kwargs):
         seen.append(segment)
         return real(segment, *args, **kwargs)
 
-    monkeypatch.setattr(fast_decoder, "fast_decode", spy)
-    fast_decoder.fast_decode_parallel(data)
+    monkeypatch.setattr(columnar, "columnar_scan", spy)
+    columnar_decode_parallel(data)
     assert len(seen) > 1  # multiple PSB segments
     for segment in seen:
         assert isinstance(segment, memoryview)

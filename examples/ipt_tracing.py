@@ -4,17 +4,24 @@
 Runs a small instruction sequence mirroring the paper's Table 2 —
 a taken conditional, an indirect jump, a direct call (no output!), a
 not-taken conditional, a direct jump (no output), and a return — then
-dumps the packet stream and fully decodes it back.
+prints what the fast decode's scan sees (TIP targets with their TNT
+context, FUP addresses) and fully decodes the stream back.
 
 Run:  python examples/ipt_tracing.py
 """
 
 from repro.cpu import Executor, Machine, Memory
 from repro.cpu import PROT_EXEC, PROT_READ, PROT_WRITE
-from repro.ipt import FullDecoder, IPTConfig, IPTEncoder, ToPA, ToPARegion
-from repro.ipt import fast_decode
+from repro.ipt import (
+    ColumnarSlowSource,
+    FullDecoder,
+    IPTConfig,
+    IPTEncoder,
+    ToPA,
+    ToPARegion,
+    columnar_scan,
+)
 from repro.ipt.msr import RTIT_CTL
-from repro.ipt.packets import PacketKind
 from repro.isa import A, Cond, Label, asm
 from repro.isa.registers import R0, R2, SP
 
@@ -71,18 +78,16 @@ def main() -> None:
           f"{cpu.insn_count} instructions "
           f"({8 * len(data) / cpu.insn_count:.1f} bits/insn, "
           f"incl. the one-time PSB group)")
-    print("\npacket stream (fast decode — framing only):")
-    for packet in fast_decode(data).packets:
-        detail = ""
-        if packet.kind is PacketKind.TNT:
-            detail = " bits=" + "".join("1" if b else "0"
-                                        for b in packet.bits)
-        elif packet.ip is not None:
-            detail = f" ip={packet.ip:#x}"
-        print(f"  {packet.kind.value.upper():8s}{detail}")
+    scan = columnar_scan(data)
+    print(f"\nfast decode (framing only): {scan.pkt_count} packets")
+    for ip in scan.fup_addresses():
+        print(f"  FUP  ip={ip:#x}")
+    for record in scan.tip_records():
+        bits = "".join("1" if b else "0" for b in record.tnt_before)
+        print(f"  TIP  ip={record.ip:#x}  TNT before: {bits or '-'}")
 
     print("\nfull decode (instruction-flow layer, needs the binary):")
-    result = FullDecoder(memory).decode(fast_decode(data).packets)
+    result = FullDecoder(memory).decode(ColumnarSlowSource([(scan, 0)]))
     for edge in result.edges:
         print(f"  {edge.kind.value:13s} {edge.src:#x} -> {edge.dst:#x}")
     print(f"  ({result.insn_count} instructions walked to reconstruct "

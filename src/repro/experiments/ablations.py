@@ -154,11 +154,11 @@ class ParallelDecodeAblation:
 
 def measure_parallel_decode(sessions: int = 8) -> ParallelDecodeAblation:
     from repro.experiments.micro import capture_trace
-    from repro.ipt.fast_decoder import fast_decode, fast_decode_parallel
+    from repro.ipt.columnar import columnar_decode_parallel, columnar_scan
 
     _, _, data = capture_trace(sessions)
-    serial = fast_decode(data)
-    parallel = fast_decode_parallel(data)
+    serial = columnar_scan(data)
+    parallel = columnar_decode_parallel(data)
     return ParallelDecodeAblation(
         serial_cycles=serial.cycles,
         critical_path_cycles=parallel.critical_path_cycles,

@@ -9,7 +9,7 @@ uncached baseline:
   of consecutive endpoint checks on a filling ToPA ring) across several
   simulated processes running the same binary.  Measures decoded bytes,
   wall-clock decode time, and asserts the cached verdicts (windows,
-  low-credit pairs, packets) are bit-identical to the uncached run.
+  low-credit pairs, tail segments) are bit-identical to the uncached run.
 - **fleet** — two full :class:`repro.fleet.FleetService` runs (stall
   rings, unbounded queue so the submitted work is identical), caches
   off vs on.  Asserts per-process verdict sequences match, the worker
@@ -86,10 +86,7 @@ def _fingerprint(result) -> Tuple:
             (r.ip, r.tnt_before, r.offset, r.after_far)
             for r in result.window
         ),
-        tuple(
-            (p.kind.value, p.offset, p.bits, p.ip)
-            for p in result.packets
-        ),
+        tuple((e.base, bytes(e.seg.data)) for e in result.tail.entries),
     )
 
 
@@ -197,7 +194,7 @@ def _run_fleet(processes: int, sessions: int, cached: bool) -> dict:
             service.add_workload(
                 server_pipeline(name), server_requests(name, sessions)
             )
-        counter = tel.metrics.counter("ipt.fast_decode.bytes")
+        counter = tel.metrics.counter("ipt.columnar_scan.bytes")
         before = counter.total()
         result = service.run()
         decoded_bytes = counter.total() - before

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import seed_server_fs, server_pipeline
-from repro.ipt.fast_decoder import fast_decode
 from repro.itccfg.searchindex import FlowSearchIndex
 from repro.monitor.fastpath import FastPathChecker
 from repro.monitor.slowpath import SlowPathEngine
@@ -59,7 +58,8 @@ def run(tip_window: int = 100) -> MicroResult:
     fast_cycles = fast.decode_cycles + fast.search_cycles
 
     slow_engine = SlowPathEngine(proc.machine.memory, pipeline.ocfg)
-    slow = slow_engine.check(fast.packets, window=fast.window)
+    # The whole decoded tail, not only the window's PSB segments.
+    slow = slow_engine.check(fast.tail.slow_source(), window=fast.window)
     return MicroResult(
         fast_cycles=fast_cycles,
         slow_cycles=slow.cycles,

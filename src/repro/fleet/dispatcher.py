@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro import costs
-from repro.ipt.fast_decoder import psb_boundaries
+from repro.ipt.columnar import psb_boundaries
 from repro.resilience.faults import FaultInjector
 from repro.resilience.ledger import DegradationLedger
 from repro.resilience.retry import DeadLetter, RetryPolicy

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cpu.executor import Executor
-from repro.ipt.fast_decoder import sync_to_psb
+from repro.ipt.columnar import sync_to_psb
 from repro.ipt.topa import ToPA, ToPARegion
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.telemetry import get_telemetry
 from repro.binary.module import Module
 from repro.ipt.encoder import IPTEncoder
-from repro.ipt.fast_decoder import fast_decode
+from repro.ipt.columnar import columnar_scan
 from repro.ipt.msr import IPTConfig
 from repro.ipt.topa import ToPA, ToPARegion
 from repro.itccfg.credits import CreditLabeledITC
@@ -94,7 +94,7 @@ def train_credits(
             # freed as soon as this replay is done.
             proc.executor.remove_listener(encoder.on_branch)
             encoder.flush()
-            records = fast_decode(
+            records = columnar_scan(
                 encoder.output.snapshot(), sync=encoder.output.wrapped
             ).tip_records()
             edges = labeled.observe_trace(

@@ -12,13 +12,15 @@ Faithful to the properties FlowGuard exploits (§2, Table 2, Table 3):
 - ToPA output regions with wrap-around and PMI-on-full,
 - CR3 / CPL (user-only) filtering configured through RTIT MSRs,
 - a **fast decoder** that only parses packet framing (cheap, but knows
-  nothing about instruction types), and a **full decoder** that walks the
-  program binaries instruction-by-instruction — Intel's reference
-  "instruction flow layer", orders of magnitude slower.
+  nothing about instruction types): one scan into columns
+  (:mod:`repro.ipt.columnar`), which is the only packet representation,
+- a **full decoder** that walks the program binaries
+  instruction-by-instruction under a byte cursor over those scanned
+  segments — Intel's reference "instruction flow layer", orders of
+  magnitude slower.
 """
 
 from repro.ipt.packets import (
-    DecodedPacket,
     PacketKind,
     PSB_PATTERN,
     PacketError,
@@ -26,23 +28,18 @@ from repro.ipt.packets import (
 from repro.ipt.columnar import (
     ColumnarParallelResult,
     ColumnarSegment,
+    ColumnarSlowSource,
     ColumnarTail,
-    LazyPackets,
+    TipRecord,
     columnar_decode_parallel,
     columnar_scan,
-)
-from repro.ipt.topa import PMI, ToPA, ToPARegion
-from repro.ipt.msr import RTIT_CTL, IPTConfig
-from repro.ipt.encoder import IPTEncoder
-from repro.ipt.fast_decoder import (
-    FastDecodeResult,
-    TipRecord,
-    fast_decode,
-    fast_decode_parallel,
     psb_boundaries,
     psb_offsets,
     sync_to_psb,
 )
+from repro.ipt.topa import PMI, ToPA, ToPARegion
+from repro.ipt.msr import RTIT_CTL, IPTConfig
+from repro.ipt.encoder import IPTEncoder
 from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.ipt.full_decoder import (
     FlowEdge,
@@ -54,9 +51,8 @@ from repro.ipt.full_decoder import (
 __all__ = [
     "ColumnarParallelResult",
     "ColumnarSegment",
+    "ColumnarSlowSource",
     "ColumnarTail",
-    "DecodedPacket",
-    "FastDecodeResult",
     "FlowEdge",
     "FullDecodeResult",
     "FullDecoder",
@@ -72,11 +68,8 @@ __all__ = [
     "ToPA",
     "ToPARegion",
     "TraceMismatch",
-    "LazyPackets",
     "columnar_decode_parallel",
     "columnar_scan",
-    "fast_decode",
-    "fast_decode_parallel",
     "psb_boundaries",
     "psb_offsets",
     "sync_to_psb",

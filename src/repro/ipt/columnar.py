@@ -1,9 +1,11 @@
-"""The fast path's decode engine: table-driven packet scan into columns.
+"""The packet decoder: one table-driven scan into columns.
 
-A per-packet decode (:func:`repro.ipt.fast_decoder.fast_decode`)
-allocates a ``DecodedPacket`` dataclass per packet, and that allocation
-— not the cycle-model work — would dominate fast-path wall-clock.  This
-module scans the same wire format into *columns* instead:
+The fast decoder only parses packet *framing* — headers, TNT payloads,
+compressed IPs.  It never touches program binaries, which is what makes
+it orders of magnitude cheaper than the instruction-flow layer
+(:mod:`repro.ipt.full_decoder`), at the price of not knowing what
+instruction produced each packet.  Allocating an object per packet
+would dominate its wall-clock, so the scan writes *columns* instead:
 
 ======================  ====================================================
 column                  contents
@@ -33,23 +35,21 @@ Two scanners produce these columns, column-identical:
   :func:`set_scan_kernel` pick ``auto`` (default), ``on`` or ``off``.
 
 The tests hold both against a per-byte walk over the 256-entry
-:data:`DISPATCH` / :data:`TNT_WIDTH` tables (``tests/scan_reference.py``).
+:data:`DISPATCH` / :data:`TNT_WIDTH` tables (``tests/scan_reference.py``)
+and against an independently written packet-object decoder
+(``tests/packet_reference.py``).  A scan charges
+``bytes * FAST_DECODE_CYCLES_PER_BYTE`` for the bytes it consumed.
 
-**Contracts**:
+The columns are the only packet representation.  Every consumer reads
+them: the fast path's backward tail walk (:class:`ColumnarTail`),
+credit training (:meth:`ColumnarSegment.tip_records`), the PSB-parallel
+decode of §5.3 (:func:`columnar_decode_parallel`), and the slow path,
+whose full decoder walks the retained segment bytes through the byte
+cursor of :class:`ColumnarSlowSource`.
 
-- *decode-identical*: every TIP record, trailing stitch state,
-  truncation flag and ``PacketError`` is byte-for-byte what
-  ``fast_decode`` produces on the same bytes;
-- *charged-cycle-identical*: the cycle model is the paper's measurement
-  instrument — the scan charges the same
-  ``bytes * FAST_DECODE_CYCLES_PER_BYTE`` expression as ``fast_decode``;
-- *lazy materialisation*: ``DecodedPacket`` lists are rebuilt on demand
-  by running ``fast_decode`` over the retained segment bytes
-  (``charge=False, telemetry=False`` — the columnar scan already
-  charged and counted them), while the degraded lane
-  (:class:`ColumnarSlowSource` + the byte cursor) re-verifies
-  SUSPICIOUS windows straight off the raw bytes without materialising
-  packet objects at all.
+PSB packets reset IP compression, so any PSB is a valid entry point:
+:func:`psb_offsets` and :func:`psb_boundaries` split a stream into
+segments that decode independently.
 """
 
 from __future__ import annotations
@@ -58,17 +58,12 @@ import ctypes
 import os
 import re
 from array import array
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro import costs
 from repro.telemetry import get_telemetry
 from repro.ipt import scan_kernel
-from repro.ipt.fast_decoder import (
-    TipRecord,
-    fast_decode,
-    psb_boundaries,
-    sync_to_psb,
-)
 from repro.ipt.full_decoder import TraceMismatch
 from repro.ipt.packets import (
     FUP_HEADER,
@@ -105,7 +100,7 @@ _A_PSBEND = 7
 _A_OVF = 8
 _A_BAD = 9
 
-#: action code -> the ``PacketKind.value`` string the packet-list cursor
+#: action code -> the ``PacketKind.value`` string the byte cursor
 #: reports in ``TraceMismatch`` messages.
 _ACTION_KIND = (
     "tnt", "tip", "tip.pge", "tip.pgd", "fup", "pad", "psb", "psbend",
@@ -116,6 +111,61 @@ _END = -1  # byte-cursor stream end
 
 #: bounded per-base record-materialisation memo.
 _MEMO_LIMIT = 8
+
+
+@dataclass(frozen=True)
+class TipRecord:
+    """One plain TIP packet: an indirect-branch/return target.
+
+    ``tnt_before`` holds the conditional-branch outcomes observed since
+    the previous TIP-family packet — the information the credit-labelled
+    ITC-CFG edges carry (§4.3).
+    ``after_far`` marks the first TIP following a far-transfer resume.
+    """
+
+    ip: Optional[int]
+    tnt_before: Tuple[bool, ...]
+    offset: int
+    after_far: bool = False
+
+
+def sync_to_psb(data: bytes, start: int = 0) -> int:
+    """Offset of the first PSB at/after ``start``; -1 if none."""
+    if isinstance(data, memoryview):  # views lack .find
+        data = bytes(data)
+    return data.find(PSB_PATTERN, start)
+
+
+def psb_offsets(data: bytes, start: int = 0) -> List[int]:
+    """All PSB packet offsets at/after ``start``, in stream order.
+
+    The one shared PSB scan: tail decoding, segment splitting and slice
+    accounting all derive their boundaries from it.  A ``memoryview``
+    input (a fleet ring drain) is converted to ``bytes`` exactly once up
+    front, so the whole scan runs on ``bytes.find``.
+    """
+    if isinstance(data, memoryview):
+        data = bytes(data)
+    offsets: List[int] = []
+    step = len(PSB_PATTERN)
+    pos = data.find(PSB_PATTERN, start)
+    while pos >= 0:
+        offsets.append(pos)
+        pos = data.find(PSB_PATTERN, pos + step)
+    return offsets
+
+
+def psb_boundaries(data: bytes, start: int = 0) -> List[int]:
+    """PSB segment boundaries: ``[start, psb1, psb2, ..., len(data)]``.
+
+    PSBs are found by :func:`psb_offsets` from one pattern-length past
+    ``start`` (``start`` itself already opens the first segment).
+    """
+    return (
+        [start]
+        + psb_offsets(data, start + len(PSB_PATTERN))
+        + [len(data)]
+    )
 
 
 def _build_dispatch() -> bytes:
@@ -239,10 +289,10 @@ class ColumnarSegment:
     """
 
     __slots__ = (
-        "data", "sync", "synced_offset", "pkt_count", "cycles",
+        "data", "sync", "synced_offset", "scanned", "pkt_count", "cycles",
         "truncated", "rec_ips", "rec_offsets", "rec_bit_start",
         "rec_bit_end", "tnt_bits", "total_bits", "pend_start",
-        "trailing_far", "far_mask", "fup_ips", "_packets",
+        "trailing_far", "far_mask", "fup_ips",
         "_sigs", "_ips", "_tnts", "_recmemo",
     )
 
@@ -251,6 +301,7 @@ class ColumnarSegment:
         data,
         sync: bool,
         synced_offset: int,
+        scanned: int,
         pkt_count: int,
         cycles: float,
         truncated: bool,
@@ -268,6 +319,9 @@ class ColumnarSegment:
         self.data = data
         self.sync = sync
         self.synced_offset = synced_offset
+        #: bytes consumed from ``synced_offset`` on (a cut final
+        #: packet is not consumed); the scan charges exactly these.
+        self.scanned = scanned
         self.pkt_count = pkt_count
         self.cycles = cycles
         self.truncated = truncated
@@ -281,7 +335,6 @@ class ColumnarSegment:
         self.trailing_far = trailing_far
         self.far_mask = far_mask
         self.fup_ips = fup_ips
-        self._packets: Optional[list] = None
         self._sigs: Optional[list] = None
         self._ips: Optional[list] = None
         self._tnts: Optional[list] = None
@@ -363,12 +416,18 @@ class ColumnarSegment:
                 memo[base] = records
         return records
 
-    # -- legacy materialisation ----------------------------------------------
+    # -- record materialisation ----------------------------------------------
 
     def tip_records_with_state(
         self, base: int = 0
     ) -> Tuple[List[TipRecord], Tuple[bool, ...], bool]:
-        """Materialise the full legacy record list + trailing state."""
+        """The full record list plus the state dangling at the end of the
+        segment: ``(records, trailing_tnt, trailing_far)``.
+
+        TNT bits and the far-transfer marker accumulate *across* PSB
+        boundaries (a PSB resets IP compression, not branch context), so
+        stitching independently decoded segments needs the trailing
+        state of each segment to patch the first TIP of the next."""
         return (
             list(self.records_at(base)),
             unpack_tnt_sig(self.trailing_sig()),
@@ -376,6 +435,7 @@ class ColumnarSegment:
         )
 
     def tip_records(self, base: int = 0) -> List[TipRecord]:
+        """Plain-TIP targets with interleaved TNT context."""
         return self.tip_records_with_state(base)[0]
 
     def materialise_record(self, index: int, base: int = 0) -> TipRecord:
@@ -388,38 +448,13 @@ class ColumnarSegment:
         )
 
     def fup_addresses(self) -> List[int]:
+        """All FUP source addresses (syscall sites + PSB context)."""
         return list(self.fup_ips)
-
-    def packets(self) -> list:
-        """Legacy ``DecodedPacket`` list, segment-relative offsets.
-
-        Materialised on first request by running ``fast_decode`` over
-        the retained bytes with charging and telemetry off (this work
-        was already charged and counted by the columnar scan); cached
-        because slow-path hand-off and tests may ask repeatedly.  The
-        returned list is shared — callers must not mutate it.
-        """
-        if self._packets is None:
-            self._packets = fast_decode(
-                self.data, sync=self.sync, charge=False, telemetry=False
-            ).packets
-        return self._packets
-
-    def packets_at(self, base: int) -> list:
-        """Packets rebased to stream offset ``base`` (fresh list if
-        ``base`` is non-zero, the shared cached list otherwise)."""
-        packets = self.packets()
-        if base == 0:
-            return packets
-        return [
-            type(p)(p.kind, p.offset + base, bits=p.bits, ip=p.ip)
-            for p in packets
-        ]
 
 
 def _empty_segment(data, sync: bool) -> ColumnarSegment:
     return ColumnarSegment(
-        data, sync, len(data), 0, 0.0, False,
+        data, sync, len(data), 0, 0, 0.0, False,
         array("Q"), array("Q"), array("L"), array("L"),
         b"", 0, 0, False, 0, array("Q"),
     )
@@ -432,17 +467,16 @@ def _finish_segment(
 ) -> ColumnarSegment:
     """Shared scan epilogue: the identical cycle charge and telemetry
     counters regardless of which scanner produced the columns."""
-    cycles = (
-        (pos - synced) * costs.FAST_DECODE_CYCLES_PER_BYTE if charge else 0.0
-    )
+    scanned = pos - synced
+    cycles = scanned * costs.FAST_DECODE_CYCLES_PER_BYTE if charge else 0.0
     tel = get_telemetry()
     if tel.enabled:
         m = tel.metrics
-        m.counter("ipt.fast_decode.calls").inc()
-        m.counter("ipt.fast_decode.bytes").inc(pos - synced)
-        m.counter("ipt.fast_decode.packets").inc(pkt_count)
+        m.counter("ipt.columnar_scan.calls").inc()
+        m.counter("ipt.columnar_scan.bytes").inc(scanned)
+        m.counter("ipt.columnar_scan.packets").inc(pkt_count)
     return ColumnarSegment(
-        data, sync, synced, pkt_count, cycles, truncated,
+        data, sync, synced, scanned, pkt_count, cycles, truncated,
         rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
         tnt_bits, total_bits, pend_start, after_far,
         far_mask, fup_ips,
@@ -454,11 +488,13 @@ def columnar_scan(
 ) -> ColumnarSegment:
     """Scan a packet stream into columns.
 
-    Mirrors :func:`repro.ipt.fast_decoder.fast_decode` exactly: same
-    sync/truncation semantics, same ``PacketError`` messages, same
-    charged cycles and the same ``ipt.fast_decode.*`` telemetry counters
-    (the counters meter scan work, which is identical — only the output
-    representation differs).
+    With ``sync=True`` (required after a ToPA wrap) the scan starts at
+    the first PSB.  A truncated final packet marks the segment
+    ``truncated`` instead of raising — a snapshot may end mid-packet
+    only if the producer was interrupted, and real decoders tolerate
+    it — while a malformed header raises ``PacketError``.  ``data`` may
+    be a ``memoryview`` over a larger buffer (zero-copy segment slices).
+    Each scan adds to the ``ipt.columnar_scan.*`` telemetry counters.
 
     Dispatches to the C kernel when the current mode allows it and the
     kernel built, otherwise to the vectorised pure-Python scan; the two
@@ -709,7 +745,7 @@ class _TailEntry:
 
 
 class LazyRecords:
-    """A window's legacy :class:`TipRecord` sequence, built on demand.
+    """A window's :class:`TipRecord` sequence, built on demand.
 
     The batched fast path verdicts on the ip/sig columns alone, so the
     record objects a :class:`FastPathResult` carries are only needed on
@@ -844,7 +880,7 @@ class ColumnarTail:
         Returns ``(records, ips, sigs)``: the raw ip and packed-TNT
         columns the batched edge check consumes directly (slices of the
         segments' memo columns; a stitch patch lands on the fresh slice
-        copy, never the memo), plus the legacy :class:`TipRecord`
+        copy, never the memo), plus the :class:`TipRecord`
         window as a :class:`LazyRecords` sequence — the verdict is
         computed from the columns alone, so the record objects only
         build when a consumer (slow-path hand-off, telemetry,
@@ -909,47 +945,13 @@ class ColumnarTail:
             ips.extend(part)
         return ips
 
-    def lazy_packets(self) -> "LazyPackets":
-        return LazyPackets(tuple(self.entries))
-
-
-class LazyPackets:
-    """Sequence of legacy ``DecodedPacket`` objects, materialised only
-    when the slow path or a test actually indexes/iterates/compares.
-
-    The fast path threads this through ``FastPathResult.packets``
-    untouched; a PASS verdict never pays for packet objects, and the
-    degraded lane sidesteps materialisation entirely via
-    :meth:`slow_source`.
-    """
-
-    __slots__ = ("_entries", "_items")
-
-    def __init__(self, entries) -> None:
-        self._entries = entries
-        self._items: Optional[list] = None
-
-    def _force(self) -> list:
-        if self._items is None:
-            items: list = []
-            # entries are latest-first; packets go out in stream order.
-            for entry in reversed(self._entries):
-                items.extend(entry.seg.packets_at(entry.base))
-            self._items = items
-        return self._items
-
     def slow_source(
         self, window_start: Optional[int] = None
     ) -> "ColumnarSlowSource":
-        """Object-free slow-path hand-off.
-
-        Mirrors ``FastPathResult.slow_path_packets`` trimming — the
-        segments from the PSB sync point nearest at-or-before
-        ``window_start`` onward (all of them when ``window_start`` is
-        None) — but hands the slow path raw segment bytes + bases
-        instead of materialised packets.
-        """
-        entries = self._entries  # latest-first, strictly decreasing base
+        """The slow path's input: the segments from the PSB sync point
+        nearest at-or-before ``window_start`` onward (all of them when
+        ``window_start`` is None), as raw segment bytes plus bases."""
+        entries = self.entries  # latest-first, strictly decreasing base
         if window_start is None:
             picked = list(entries)
         else:
@@ -963,43 +965,15 @@ class LazyPackets:
             [(entry.seg, entry.base) for entry in picked]
         )
 
-    def __len__(self) -> int:
-        return len(self._force())
-
-    def __bool__(self) -> bool:
-        if self._items is None and not self._entries:
-            return False
-        return bool(self._force())
-
-    def __getitem__(self, index):
-        return self._force()[index]
-
-    def __iter__(self):
-        return iter(self._force())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LazyPackets):
-            return self._force() == other._force()
-        if isinstance(other, (list, tuple)):
-            return self._force() == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        if self._items is None:
-            return f"LazyPackets(<unmaterialised, {len(self._entries)} segments>)"
-        return repr(self._items)
-
 
 # -- the degraded lane: byte-level slow-path replay --------------------------
 
 
 class ColumnarSlowSource:
-    """Slow-path input that stays columnar: the suspicious window's
-    segments as ``(ColumnarSegment, stream_base)`` pairs in stream
-    order.  ``FullDecoder.decode`` recognises the :meth:`cursor` hook
-    and walks the raw bytes directly — no ``DecodedPacket`` objects —
-    with cycle charges and ``TraceMismatch`` behaviour identical to the
-    packet-list path.
+    """The full decoder's input: scanned segments as
+    ``(ColumnarSegment, stream_base)`` pairs in stream order.
+    ``FullDecoder.decode`` walks the retained segment bytes through
+    :meth:`cursor` — no packet objects are built.
     """
 
     __slots__ = ("parts",)
@@ -1012,15 +986,16 @@ class ColumnarSlowSource:
 
 
 class _ByteCursor:
-    """Byte-level mirror of ``full_decoder._PacketCursor``.
+    """Sequential packet consumption straight out of segment bytes.
 
-    Parses packets straight out of the retained segment bytes —
-    maintaining IP compression state, skipping PAD silently (the packet
-    decode emits no PAD packets) and PSB+ groups on demand — so the
-    degraded lane never allocates packet objects.  Consumption rules
-    and every ``TraceMismatch`` message match the packet cursor
-    exactly; ``PacketError`` conditions cannot arise on segments that
-    already scanned cleanly, but are mirrored for parity anyway.
+    Parses packets from the retained segment bytes — maintaining IP
+    compression state, skipping PAD and PSB+ groups on demand — and
+    hands the full decoder one TNT bit, TIP target or far-transfer
+    resume at a time.  ``None`` means the stream ended; a packet the
+    walk cannot use (wrong kind, or an IP-suppressed TIP, TIP.PGE or
+    FUP where a target is needed) raises ``TraceMismatch``.
+    ``PacketError`` conditions cannot arise on segments that already
+    scanned cleanly, but are checked anyway.
     """
 
     __slots__ = ("_parts", "_part", "_raw", "_size", "_pos", "_base",
@@ -1155,7 +1130,7 @@ class _ByteCursor:
                 self._skip_psb_group()
                 continue
             if action == _A_TIP:
-                return self._ip
+                return self._target(action)
             raise TraceMismatch(
                 f"expected TIP, found {_ACTION_KIND[action]} at "
                 f"offset {self._offset}"
@@ -1176,7 +1151,7 @@ class _ByteCursor:
                 raise TraceMismatch(
                     f"expected FUP, found {_ACTION_KIND[action]}"
                 )
-            if self._ip != expected_src:
+            if self._target(action) != expected_src:
                 raise TraceMismatch(
                     f"FUP {self._ip:#x} does not match far-transfer "
                     f"source {expected_src:#x}"
@@ -1196,7 +1171,18 @@ class _ByteCursor:
             raise TraceMismatch(
                 f"expected TIP.PGE, found {_ACTION_KIND[action]}"
             )
-        return self._ip
+        return self._target(action)
+
+    def _target(self, action: int) -> int:
+        """The IP of the packet just decoded, which the walk needs: an
+        IP-suppressed packet here is a desync, not the stream's end."""
+        ip = self._ip
+        if ip is None:
+            raise TraceMismatch(
+                f"IP-suppressed {_ACTION_KIND[action]} at "
+                f"offset {self._offset}"
+            )
+        return ip
 
     def initial_ip(self) -> Optional[int]:
         """Find the first PSB-context FUP or TIP.PGE to anchor decoding."""
@@ -1227,11 +1213,14 @@ class _ByteCursor:
 
 
 class ColumnarParallelResult:
-    """Columnar counterpart of ``ParallelDecodeResult``: per-segment
-    columns (zero-copy bases) instead of one concatenated packet list."""
+    """A PSB-parallel decode: per-segment columns with zero-copy bases.
+
+    ``cycles`` is the work done; ``critical_path_cycles`` is the slowest
+    segment — the latency with one worker per segment, the §5.3 "can be
+    done in parallel" acceleration."""
 
     __slots__ = ("columns", "cycles", "synced_offset", "segments",
-                 "critical_path_cycles", "truncated", "_packets")
+                 "critical_path_cycles", "truncated")
 
     def __init__(self, columns, cycles, synced_offset, segments,
                  critical_path_cycles) -> None:
@@ -1242,25 +1231,13 @@ class ColumnarParallelResult:
         self.segments = segments
         self.critical_path_cycles = critical_path_cycles
         self.truncated = bool(columns) and columns[-1][0].truncated
-        self._packets: Optional[list] = None
-
-    @property
-    def packets(self) -> list:
-        """Legacy packet list, lazily materialised and rebased."""
-        if self._packets is None:
-            items: list = []
-            for seg, base in self.columns:
-                items.extend(seg.packets_at(base))
-            self._packets = items
-        return self._packets
 
 
 def columnar_decode_parallel(
     data, sync: bool = False, cache=None
 ) -> ColumnarParallelResult:
-    """Columnar mirror of ``fast_decode_parallel``: split at PSBs and
-    scan segments independently (zero-copy ``memoryview`` slices), with
-    the identical cycle accounting (total + critical path).
+    """Split at PSBs and scan segments independently (zero-copy
+    ``memoryview`` slices), accounting total and critical-path cycles.
 
     ``cache`` optionally routes each segment through a
     :class:`repro.ipt.segment_cache.SegmentDecodeCache`, so

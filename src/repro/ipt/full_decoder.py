@@ -20,7 +20,7 @@ and ``TraceMismatch`` messages are those of the per-instruction walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import costs
 from repro.telemetry import get_telemetry
@@ -28,7 +28,9 @@ from repro.cpu.events import CoFIKind
 from repro.cpu.memory import Memory, MemoryError_
 from repro.isa.encoding import DecodeError, decode_at, instruction_length
 from repro.isa.instructions import Insn, Op
-from repro.ipt.packets import DecodedPacket, PacketKind
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.ipt.columnar import ColumnarSlowSource
 
 
 class TraceMismatch(Exception):
@@ -52,126 +54,6 @@ class FullDecodeResult:
     cycles: float
     end_ip: Optional[int] = None
     exhausted: bool = True  # packets fully consumed
-
-
-class _PacketCursor:
-    """Sequential packet consumption with PSB+ group skipping."""
-
-    def __init__(self, packets: List[DecodedPacket]) -> None:
-        self._packets = packets
-        self._index = 0
-        self._tnt_bits: List[bool] = []
-
-    def _advance_raw(self) -> Optional[DecodedPacket]:
-        if self._index >= len(self._packets):
-            return None
-        packet = self._packets[self._index]
-        self._index += 1
-        return packet
-
-    def _skip_psb_group(self) -> None:
-        """Consume context packets up to and including PSBEND."""
-        while self._index < len(self._packets):
-            packet = self._packets[self._index]
-            self._index += 1
-            if packet.kind is PacketKind.PSBEND:
-                return
-
-    def next_tnt_bit(self) -> Optional[bool]:
-        """Next conditional-branch outcome, or None at stream end."""
-        while not self._tnt_bits:
-            packet = self._advance_raw()
-            if packet is None:
-                return None
-            if packet.kind is PacketKind.PSB:
-                self._skip_psb_group()
-                continue
-            if packet.kind is PacketKind.TNT:
-                self._tnt_bits.extend(packet.bits)
-                continue
-            raise TraceMismatch(
-                f"expected TNT, found {packet.kind.value} at "
-                f"offset {packet.offset}"
-            )
-        return self._tnt_bits.pop(0)
-
-    def next_tip(self) -> Optional[int]:
-        """Next plain-TIP target, or None at stream end."""
-        if self._tnt_bits:
-            raise TraceMismatch("unconsumed TNT bits before a TIP")
-        while True:
-            packet = self._advance_raw()
-            if packet is None:
-                return None
-            if packet.kind is PacketKind.PSB:
-                self._skip_psb_group()
-                continue
-            if packet.kind is PacketKind.TIP:
-                return packet.ip
-            raise TraceMismatch(
-                f"expected TIP, found {packet.kind.value} at "
-                f"offset {packet.offset}"
-            )
-
-    def next_far_resume(self, expected_src: int) -> Optional[int]:
-        """Consume a FUP/TIP.PGD/TIP.PGE group; return the resume IP."""
-        if self._tnt_bits:
-            raise TraceMismatch("unconsumed TNT bits before a far transfer")
-        while True:
-            packet = self._advance_raw()
-            if packet is None:
-                return None
-            if packet.kind is PacketKind.PSB:
-                self._skip_psb_group()
-                continue
-            if packet.kind is not PacketKind.FUP:
-                raise TraceMismatch(
-                    f"expected FUP, found {packet.kind.value}"
-                )
-            if packet.ip != expected_src:
-                raise TraceMismatch(
-                    f"FUP {packet.ip:#x} does not match far-transfer "
-                    f"source {expected_src:#x}"
-                )
-            break
-        pgd = self._advance_raw()
-        if pgd is None:
-            return None
-        if pgd.kind is not PacketKind.TIP_PGD:
-            raise TraceMismatch(f"expected TIP.PGD, found {pgd.kind.value}")
-        pge = self._advance_raw()
-        if pge is None:
-            return None
-        if pge.kind is not PacketKind.TIP_PGE:
-            raise TraceMismatch(f"expected TIP.PGE, found {pge.kind.value}")
-        return pge.ip
-
-    def initial_ip(self) -> Optional[int]:
-        """Find the first PSB-context FUP or TIP.PGE to anchor decoding."""
-        while self._index < len(self._packets):
-            packet = self._packets[self._index]
-            self._index += 1
-            if packet.kind is PacketKind.PSB:
-                # The FUP inside the PSB+ group carries the current IP.
-                while self._index < len(self._packets):
-                    ctx = self._packets[self._index]
-                    self._index += 1
-                    if ctx.kind is PacketKind.FUP and ctx.ip is not None:
-                        # Consume the rest of the group.
-                        while (
-                            self._index < len(self._packets)
-                            and self._packets[self._index].kind
-                            is not PacketKind.PSBEND
-                        ):
-                            self._index += 1
-                        if self._index < len(self._packets):
-                            self._index += 1
-                        return ctx.ip
-                    if ctx.kind is PacketKind.PSBEND:
-                        break
-            elif packet.kind is PacketKind.TIP_PGE and packet.ip is not None:
-                return packet.ip
-        return None
 
 
 #: Block terminators: the instructions the walk must stop at, because
@@ -271,22 +153,18 @@ class FullDecoder:
 
     def decode(
         self,
-        packets: List[DecodedPacket],
+        source: ColumnarSlowSource,
         start_ip: Optional[int] = None,
     ) -> FullDecodeResult:
         """Walk the binaries under the guidance of the packet stream.
 
-        Decoding anchors at ``start_ip`` or at the first PSB-context
-        FUP / TIP.PGE in the stream, and ends when packets run out.
-
-        ``packets`` is either a ``DecodedPacket`` list or any object
-        with a ``cursor()`` hook (``repro.ipt.columnar``'s
-        ``ColumnarSlowSource``) yielding a packet-cursor-compatible
-        walker — the degraded lane uses the latter to replay raw
-        segment bytes without materialising packet objects.
+        ``source`` is a :class:`~repro.ipt.columnar.ColumnarSlowSource`:
+        its cursor reads packets straight out of the scanned segment
+        bytes.  Decoding anchors at ``start_ip`` or at the first
+        PSB-context FUP / TIP.PGE in the stream, and ends when packets
+        run out.
         """
-        own_cursor = getattr(packets, "cursor", None)
-        cursor = own_cursor() if own_cursor is not None else _PacketCursor(packets)
+        cursor = source.cursor()
         ip = start_ip if start_ip is not None else cursor.initial_ip()
         edges: List[FlowEdge] = []
         if ip is None:

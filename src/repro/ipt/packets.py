@@ -34,7 +34,6 @@ jump are indistinguishable at the packet layer (§3.1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 PAD_BYTE = 0x00
@@ -81,18 +80,6 @@ _IP_HEADERS = {
 }
 
 
-@dataclass(frozen=True)
-class DecodedPacket:
-    """One packet as seen by the fast (packet-layer) decoder."""
-
-    kind: PacketKind
-    offset: int
-    #: TNT payload, oldest branch first.
-    bits: Tuple[bool, ...] = ()
-    #: Reconstructed IP for TIP/FUP-family packets (None if suppressed).
-    ip: Optional[int] = None
-
-
 def encode_tnt(bits: Tuple[bool, ...]) -> bytes:
     """Encode up to 6 TNT bits into a 2-byte TNT packet."""
     if not 0 < len(bits) <= MAX_TNT_BITS:
@@ -133,15 +120,6 @@ def compress_ip(target: int, last_ip: int) -> Tuple[int, bytes]:
     raise PacketError(f"cannot encode IP {target:#x}")  # pragma: no cover
 
 
-def decompress_ip(payload: bytes, last_ip: int) -> int:
-    """Inverse of :func:`compress_ip`."""
-    width = len(payload)
-    if width == 0:
-        return last_ip
-    mask = (1 << (8 * width)) - 1
-    return (last_ip & ~mask) | int.from_bytes(payload, "little")
-
-
 def encode_ip_packet(header: int, target: Optional[int],
                      last_ip: int) -> Tuple[bytes, int]:
     """Encode a TIP/FUP-family packet.
@@ -155,10 +133,6 @@ def encode_ip_packet(header: int, target: Optional[int],
         return bytes([header, 0]), last_ip
     width, payload = compress_ip(target, last_ip)
     return bytes([header, width]) + payload, target
-
-
-def ip_header_kind(header: int) -> Optional[PacketKind]:
-    return _IP_HEADERS.get(header)
 
 
 # -- packed TNT signatures ---------------------------------------------------

@@ -26,8 +26,13 @@ from typing import List, Optional, Tuple
 from repro import costs
 from repro.binary.loader import Image
 from repro.telemetry import get_telemetry
-from repro.ipt.columnar import ColumnarTail, columnar_scan
-from repro.ipt.fast_decoder import TipRecord, psb_offsets
+from repro.ipt.columnar import (
+    ColumnarSlowSource,
+    ColumnarTail,
+    TipRecord,
+    columnar_scan,
+    psb_offsets,
+)
 from repro.ipt.packets import PacketError
 from repro.itccfg.paths import PathIndex
 from repro.itccfg.searchindex import FlowSearchIndex
@@ -51,26 +56,19 @@ class FastPathResult:
     #: the decoded window, for hand-off to the slow path.
     window: List[TipRecord] = field(default_factory=list)
     window_offset: int = 0  # stream offset the window decode started at
-    #: packets of the decoded tail, a
-    #: :class:`~repro.ipt.columnar.LazyPackets` materialised on demand.
-    packets: list = field(default_factory=list)
+    #: the decoded tail's scanned segments, for the slow-path hand-off.
+    tail: ColumnarTail = field(default_factory=ColumnarTail)
     #: undecodable PSB segments the tail scan stopped at (degradation).
     corrupt_segments: int = 0
 
-    def slow_path_source(self):
+    def slow_path_source(self) -> ColumnarSlowSource:
         """Slow-path input: the tail segments from the PSB sync point
         nearest *before* the checked window onward, not the whole tail
         — the slow path only needs to reconstruct the suspicious region.
-
-        Returns a :class:`~repro.ipt.columnar.ColumnarSlowSource`, which
-        the slow path replays straight off the raw segment bytes without
-        materialising ``DecodedPacket`` objects.  A result built without
-        a columnar tail (an empty ``packets`` list) hands that list over
-        as is."""
-        slow = getattr(self.packets, "slow_source", None)
-        if slow is None:
-            return self.packets
-        return slow(self.window[0].offset if self.window else None)
+        """
+        return self.tail.slow_source(
+            self.window[0].offset if self.window else None
+        )
 
 
 class FastPathChecker:
@@ -258,21 +256,20 @@ class FastPathChecker:
         return result
 
     def _check(self, data: bytes) -> FastPathResult:
-        """Columnar tail + one batched edge check.  Window records
-        materialise eagerly (they are at most ``pkt_count + 1`` and feed
-        telemetry/slow-path hand-off); the tail's packets stay lazy."""
+        """Columnar tail + one batched edge check.  The window's records
+        materialise only when a consumer touches them (telemetry,
+        slow-path hand-off); a PASS verdict reads the columns alone."""
         tail = self.decode_tail_columnar(data)
         corrupt = self.last_corrupt_segments
         decode_cycles = tail.cycles
         start = tail.start
-        packets = tail.lazy_packets()
         if tail.count < 2:
             return FastPathResult(
                 Verdict.INSUFFICIENT,
                 decode_cycles=decode_cycles,
                 window=tail.records(),
                 window_offset=start,
-                packets=packets,
+                tail=tail,
                 corrupt_segments=corrupt,
             )
         window, ips, sigs = tail.window(self.pkt_count + 1)
@@ -288,7 +285,7 @@ class FastPathChecker:
                 search_cycles=search_cycles,
                 window=window,
                 window_offset=start,
-                packets=packets,
+                tail=tail,
                 corrupt_segments=corrupt,
             )
         low_credit = batch.low_credit
@@ -313,6 +310,6 @@ class FastPathChecker:
             search_cycles=search_cycles,
             window=window,
             window_offset=start,
-            packets=packets,
+            tail=tail,
             corrupt_segments=corrupt,
         )

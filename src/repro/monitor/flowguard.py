@@ -480,17 +480,14 @@ class FlowGuardMonitor:
         and mark the whole window SUSPICIOUS so the slow path (which
         shares no state with the fast checker) delivers the verdict."""
         checker = pp.checker
-        # Materialise only the checked window; the packet hand-off stays
-        # lazy (the slow path's byte cursor never forces it).
         tail = checker.decode_tail_columnar(data)
-        packets = tail.lazy_packets()
         if tail.count < 2:
             return FastPathResult(
                 Verdict.INSUFFICIENT,
                 decode_cycles=tail.cycles,
                 window=tail.records(),
                 window_offset=tail.start,
-                packets=packets,
+                tail=tail,
                 corrupt_segments=checker.last_corrupt_segments,
             )
         return FastPathResult(
@@ -498,7 +495,7 @@ class FlowGuardMonitor:
             decode_cycles=tail.cycles,
             window=tail.window(checker.pkt_count + 1)[0],
             window_offset=tail.start,
-            packets=packets,
+            tail=tail,
             corrupt_segments=checker.last_corrupt_segments,
         )
 

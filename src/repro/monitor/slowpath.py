@@ -22,9 +22,8 @@ from repro import costs
 from repro.analysis.cfg import ControlFlowGraph
 from repro.cpu.events import CoFIKind
 from repro.cpu.memory import Memory
-from repro.ipt.fast_decoder import TipRecord
+from repro.ipt.columnar import ColumnarSlowSource, TipRecord
 from repro.ipt.full_decoder import FullDecoder, TraceMismatch
-from repro.ipt.packets import DecodedPacket
 from repro.monitor.shadowstack import ShadowStack, ShadowStackViolation
 
 
@@ -53,21 +52,19 @@ class SlowPathEngine:
 
     def check(
         self,
-        packets: List[DecodedPacket],
+        source: ColumnarSlowSource,
         window: Optional[List[TipRecord]] = None,
     ) -> SlowPathResult:
-        """Verify a packet window; ``window`` lists the fast-path TIP
-        records for promotion bookkeeping.
-
-        ``packets`` is either a ``DecodedPacket`` list or a columnar
-        slow source (``FastPathResult.slow_path_source``) — the full
-        decoder walks either through the same cursor protocol, with
-        identical cycles and verdicts; the columnar lane just skips
-        packet-object materialisation.
+        """Verify the packets of ``source`` (usually
+        ``FastPathResult.slow_path_source()``); ``window`` lists the
+        fast-path TIP records for promotion bookkeeping.  A trace the
+        binaries cannot follow — a desync, including an IP-suppressed
+        packet where the walk needs a target — fails the check and
+        confirms nothing.
         """
         cycles = costs.SLOWPATH_UPCALL_CYCLES
         try:
-            decoded = self._decoder.decode(packets)
+            decoded = self._decoder.decode(source)
         except TraceMismatch as exc:
             return SlowPathResult(
                 ok=False,

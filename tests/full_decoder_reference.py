@@ -13,26 +13,16 @@ bookkeeping, so only the walk differs.
 from typing import List, Optional
 
 from repro.cpu.events import CoFIKind
-from repro.ipt.full_decoder import (
-    FlowEdge,
-    FullDecoder,
-    FullDecodeResult,
-    _PacketCursor,
-)
-from repro.ipt.packets import DecodedPacket
+from repro.ipt.full_decoder import FlowEdge, FullDecoder, FullDecodeResult
 from repro.isa.instructions import Op
 
 
 class ReferenceFullDecoder(FullDecoder):
     """Same surface as :class:`~repro.ipt.full_decoder.FullDecoder`."""
 
-    def decode(
-        self,
-        packets: List[DecodedPacket],
-        start_ip: Optional[int] = None,
-    ) -> FullDecodeResult:
-        own_cursor = getattr(packets, "cursor", None)
-        cursor = own_cursor() if own_cursor is not None else _PacketCursor(packets)
+    def decode(self, source, start_ip: Optional[int] = None
+               ) -> FullDecodeResult:
+        cursor = source.cursor()
         ip = start_ip if start_ip is not None else cursor.initial_ip()
         edges: List[FlowEdge] = []
         insn_count = 0

@@ -25,8 +25,8 @@ from repro.ipt.columnar import (
     ColumnarSegment,
     _empty_segment,
     _finish_segment,
+    sync_to_psb,
 )
-from repro.ipt.fast_decoder import sync_to_psb
 from repro.ipt.packets import PSB_PATTERN, PacketError
 
 

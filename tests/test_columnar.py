@@ -2,9 +2,10 @@
 
 The fast path runs one engine: a table-driven scan into packed columns
 plus one batched edge check.  The suite holds it to two oracles — the
-``DecodedPacket`` decode (``fast_decode``: same TIP records, trailing
-stitch state, truncation flags, ``PacketError`` messages and charged
-cycles) and the per-edge ``check_edge`` loop (same verdicts, cycles,
+packet-object decoder of ``tests/packet_reference.py`` (same TIP
+records, trailing stitch state, FUP addresses, packet counts,
+truncation flags, ``PacketError`` messages and charged cycles) and the
+per-edge ``check_edge`` loop (same verdicts, cycles,
 memo state and ``promote`` invalidation) — on synthetic and real traces,
 including every truncation cut and random corruption.  It also covers
 the segment cache, zero-copy slicing, the slow-path hand-off trim,
@@ -29,14 +30,9 @@ from repro.fleet.rings import RingPolicy
 from repro.fleet.service import FleetConfig, FleetService
 from repro.ipt.columnar import (
     ColumnarSegment,
-    LazyPackets,
     NO_IP,
     columnar_decode_parallel,
     columnar_scan,
-)
-from repro.ipt.fast_decoder import (
-    fast_decode,
-    fast_decode_parallel,
     psb_offsets,
 )
 from repro.ipt.packets import (
@@ -68,6 +64,7 @@ from repro.workloads import (
     build_vdso,
     nginx_request,
 )
+from tests.packet_reference import fast_decode, packets_of
 
 LIBS = {"libsim.so": build_libsim()}
 SEG_ENTRIES = 64
@@ -128,9 +125,8 @@ def make_checker(pipeline, image, cached, **kwargs):
 
 
 def fingerprint(result):
-    """Everything verdict-relevant about a FastPathResult.  Touching
-    ``result.packets`` also forces the lazy packets, so packet parity
-    rides along."""
+    """Everything verdict-relevant about a FastPathResult, the tail's
+    segments (base and bytes: the slow path's input) included."""
     return (
         result.verdict.value,
         result.checked_pairs,
@@ -142,10 +138,7 @@ def fingerprint(result):
             (r.ip, r.tnt_before, r.offset, r.after_far)
             for r in result.window
         ),
-        tuple(
-            (p.kind.value, p.offset, p.bits, p.ip)
-            for p in result.packets
-        ),
+        tuple((e.base, bytes(e.seg.data)) for e in result.tail.entries),
     )
 
 
@@ -217,7 +210,7 @@ def assert_scan_parity(data, sync=False):
     assert col.cycles == obj.cycles
     assert col.truncated == obj.truncated
     assert col.synced_offset == obj.synced_offset
-    assert col.packets() == obj.packets
+    assert col.pkt_count == len(obj.packets)
     assert col.fup_addresses() == obj.fup_ips()
 
 
@@ -258,30 +251,20 @@ class TestScanParity:
         assert_scan_parity(b"")
 
     def test_telemetry_counters_match(self, trace):
+        """One scan meters one call, the bytes it consumed and the
+        packets the oracle decodes from them."""
         data, _ = trace
-        totals = []
-        for scan in (fast_decode, columnar_scan):
-            with telemetry.capture() as tel:
-                scan(data)
-                totals.append({
-                    name: tel.metrics.counter(name).total()
-                    for name in (
-                        "ipt.fast_decode.calls",
-                        "ipt.fast_decode.bytes",
-                        "ipt.fast_decode.packets",
-                    )
-                })
-        assert totals[0] == totals[1]
-        assert totals[0]["ipt.fast_decode.bytes"] == len(data)
-
-    def test_lazy_packets_do_not_count(self, trace):
-        """Materialising packets from a columnar segment must not
-        re-meter the scan (the columnar scan already counted it)."""
-        data, _ = trace
-        seg = columnar_scan(data)
         with telemetry.capture() as tel:
-            seg.packets()
-            assert tel.metrics.counter("ipt.fast_decode.calls").total() == 0
+            columnar_scan(data)
+            totals = {
+                name: tel.metrics.counter(f"ipt.columnar_scan.{name}").total()
+                for name in ("calls", "bytes", "packets")
+            }
+        assert totals == {
+            "calls": 1,
+            "bytes": len(data),
+            "packets": len(fast_decode(data).packets),
+        }
 
 
 class TestPackedSigs:
@@ -410,7 +393,7 @@ def reference_check(checker, data):
     common = dict(
         decode_cycles=tail.cycles,
         window_offset=tail.start,
-        packets=tail.lazy_packets(),
+        tail=tail,
         corrupt_segments=checker.last_corrupt_segments,
     )
     records = tail.records()
@@ -477,8 +460,9 @@ class TestCheckerParity:
 
     def test_decode_tail_legacy_shape(self, pipeline, trace):
         """The tail's materialised views cover exactly ``data[start:]``:
-        records and lazy packets are the packet decode of that suffix,
-        rebased, and the charged cycles are that decode's."""
+        records and the slow-path source's packets are the packet
+        decode of that suffix, rebased, and the charged cycles are that
+        decode's."""
         data, image = trace
         checker, _, _ = make_checker(pipeline, image, cached=False)
         for cut in snapshot_cuts(data, count=6):
@@ -489,9 +473,7 @@ class TestCheckerParity:
                 dataclasses.replace(r, offset=r.offset + start)
                 for r in suffix.tip_records()
             ]
-            packets = tail.lazy_packets()
-            assert isinstance(packets, LazyPackets)
-            assert packets == [
+            assert packets_of(tail.slow_source().parts) == [
                 dataclasses.replace(p, offset=p.offset + start)
                 for p in suffix.packets
             ]
@@ -547,14 +529,14 @@ class TestCheckerParity:
 class TestSlowPathHandOff:
     def test_trim_starts_at_psb_before_window(self, pipeline, trace):
         """The slow-path source holds the tail segments from the PSB at
-        or before the checked window's first TIP onward — the same trim
-        as a packet-list walk — and replays the same packets."""
+        or before the checked window's first TIP onward: its packets are
+        the whole tail's, cut at that PSB."""
         data, image = trace
         checker, _, _ = make_checker(pipeline, image, cached=False)
         for cut in snapshot_cuts(data, count=6):
             result = checker.check(data[:cut])
             source = result.slow_path_source()
-            packets = list(result.packets)
+            packets = packets_of(result.tail.slow_source().parts)
             if result.window:
                 first = result.window[0].offset
                 begin = max(
@@ -562,10 +544,7 @@ class TestSlowPathHandOff:
                     if p.kind is PacketKind.PSB and p.offset <= first
                 )
                 packets = packets[begin:]
-            replayed = [
-                p for seg, base in source.parts for p in seg.packets_at(base)
-            ]
-            assert replayed == packets
+            assert packets_of(source.parts) == packets
 
 
 SECURITY_MATRIX = [
@@ -675,7 +654,7 @@ class TestSegmentCacheDualShape:
         whole = view[offsets[0]:offsets[1]]
         truncated = next(
             whole[:cut] for cut in range(len(whole) - 1, 0, -1)
-            if fast_decode(bytes(whole[:cut])).truncated
+            if columnar_scan(bytes(whole[:cut])).truncated
         )
         cache = SegmentDecodeCache(8)
         seg, _ = cache.decode_segment_columnar(truncated)
@@ -693,15 +672,15 @@ class TestSegmentCacheDualShape:
         assert seg.data.obj is data
 
     def test_columnar_parallel_through_cache(self, trace):
-        """`columnar_decode_parallel` with a cache matches the packet
-        parallel decode and reuses resident segments."""
+        """`columnar_decode_parallel` with a cache holds the packets of
+        a serial packet decode and reuses resident segments."""
         data, _ = trace
         cache = SegmentDecodeCache(SEG_ENTRIES)
         first = columnar_decode_parallel(data, cache=cache)
         second = columnar_decode_parallel(data, cache=cache)
-        reference = fast_decode_parallel(data)
-        assert first.packets == reference.packets
-        assert second.packets == reference.packets
+        reference = fast_decode(data).packets
+        assert packets_of(first.columns) == reference
+        assert packets_of(second.columns) == reference
         assert first.cycles != second.cycles  # hits are cheaper
         assert cache.hits > 0
 
@@ -759,23 +738,6 @@ class TestEngineKnob:
                 parser.parse_args(argv + ["--engine", "columnar"])
 
 
-class TestDecodeResultMemos:
-    """Satellite regression: derived views of a FastDecodeResult are
-    computed once and shared, not rescanned per access."""
-
-    def test_tip_state_single_scan(self, trace):
-        data, _ = trace
-        result = fast_decode(data)
-        first = result.tip_records_with_state()
-        assert result.tip_records_with_state() is first
-        assert result.tip_records() is first[0]
-
-    def test_fup_ips_single_scan(self, trace):
-        data, _ = trace
-        result = fast_decode(data)
-        assert result.fup_ips() is result.fup_ips()
-
-
 class TestPsbOffsetsMemoryview:
     """Satellite regression: memoryview input takes the same scan path
     as bytes (one conversion up front, identical offsets)."""
@@ -822,19 +784,3 @@ class TestColumnarSegmentViews:
         assert seg.record_ip(1) is None
         records = seg.tip_records()
         assert records[1].ip is None
-
-    def test_lazy_packets_sequence_protocol(self):
-        tail_data = build_stream(17, packets=80)
-        seg = columnar_scan(tail_data)
-        packets = fast_decode(tail_data).packets
-        from repro.ipt.columnar import ColumnarTail
-
-        tail = ColumnarTail()
-        tail.prepend(seg, 0)
-        lazy = tail.lazy_packets()
-        assert len(lazy) == len(packets)
-        assert lazy[0] == packets[0]
-        assert list(lazy) == packets
-        assert lazy == packets
-        assert bool(lazy)
-        assert not bool(ColumnarTail().lazy_packets())

@@ -1,25 +1,29 @@
 """Robustness of the decoders against hostile or corrupted input.
 
-The fast decoder processes attacker-influenced bytes (the trace of a
-hijacked process) and kernel-buffer tails cut at arbitrary points; it
-must terminate with either a result or a PacketError — never hang,
-never crash with an unrelated exception.
+The fast decoder's scan processes attacker-influenced bytes (the trace
+of a hijacked process) and kernel-buffer tails cut at arbitrary points;
+it must terminate with either a result or a PacketError — never hang,
+never crash with an unrelated exception.  Where it recovers, it must
+recover what the packet-object oracle in ``tests/packet_reference.py``
+decodes.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ipt import (
+    ColumnarSlowSource,
     IPTConfig,
     IPTEncoder,
     PacketError,
     ToPA,
     ToPARegion,
-    fast_decode,
-    fast_decode_parallel,
+    columnar_decode_parallel,
+    columnar_scan,
 )
 from repro.ipt.msr import RTIT_CTL
 from repro.cpu.events import BranchEvent, CoFIKind
+from tests.packet_reference import fast_decode, packets_of
 
 
 def _sample_trace() -> bytes:
@@ -44,10 +48,10 @@ class TestFastDecodeRobustness:
     @settings(max_examples=100, deadline=None)
     def test_random_bytes_never_hang_or_crash(self, data):
         try:
-            result = fast_decode(data)
+            result = columnar_scan(data)
         except PacketError:
             return
-        assert result.packets is not None
+        assert result.pkt_count == len(fast_decode(data).packets)
 
     @given(st.binary(max_size=200))
     @settings(max_examples=60, deadline=None)
@@ -55,10 +59,15 @@ class TestFastDecodeRobustness:
         data = garbage + _sample_trace()
         # Syncing to the first PSB must recover the real packets even
         # when the prefix is arbitrary junk.
-        result = fast_decode(data, sync=True)
-        reference = fast_decode(_sample_trace())
-        got = [(p.kind, p.ip, p.bits) for p in result.packets]
-        want = [(p.kind, p.ip, p.bits) for p in reference.packets]
+        result = columnar_scan(data, sync=True)
+        reference = columnar_scan(_sample_trace())
+        got = (result.pkt_count, [
+            (r.ip, r.tnt_before, r.offset - result.synced_offset)
+            for r in result.tip_records()
+        ], result.fup_addresses())
+        want = (reference.pkt_count, [
+            (r.ip, r.tnt_before, r.offset) for r in reference.tip_records()
+        ], reference.fup_addresses())
         # The garbage may itself contain a fake PSB pattern; in that
         # rare case decoding starts earlier but must still terminate.
         if result.synced_offset == len(garbage):
@@ -69,19 +78,16 @@ class TestFastDecodeRobustness:
     def test_arbitrary_truncation_tolerated(self, cut):
         data = _sample_trace()
         cut = min(cut, len(data))
-        result = fast_decode(data[:cut])
+        result = columnar_scan(data[:cut])
         # Whole-packet prefix decodes; mid-packet cut flags truncation.
-        assert result.truncated or result.packets is not None
+        assert result.truncated or result.scanned == cut
 
     @given(st.binary(max_size=300))
     @settings(max_examples=40, deadline=None)
     def test_parallel_agrees_with_serial_on_valid_streams(self, junk):
         data = _sample_trace()
-        serial = fast_decode(data)
-        parallel = fast_decode_parallel(data)
-        assert [(p.kind, p.ip, p.bits) for p in serial.packets] == [
-            (p.kind, p.ip, p.bits) for p in parallel.packets
-        ]
+        parallel = columnar_decode_parallel(data)
+        assert packets_of(parallel.columns) == fast_decode(data).packets
 
 
 class TestFullDecodeRobustness:
@@ -91,15 +97,14 @@ class TestFullDecodeRobustness:
         from repro.cpu.memory import Memory, PROT_EXEC, PROT_READ
         from repro.ipt import FullDecoder, TraceMismatch
 
-        data = _sample_trace()
-        packets = fast_decode(data).packets
+        source = ColumnarSlowSource([(columnar_scan(_sample_trace()), 0)])
         memory = Memory()
         memory.map_region(0x400000, 0x2000, PROT_READ | PROT_EXEC)
         # All zeroes decodes as NOP sled: the decoder walks NOPs and
         # then hits a packet it cannot reconcile or runs off the map.
         with pytest.raises(TraceMismatch):
             decoder = FullDecoder(memory, max_insns=100_000)
-            result = decoder.decode(packets)
+            result = decoder.decode(source)
             # A NOP sled consumes no packets; walking off the mapped
             # region must raise before the instruction budget is spent.
             if result.insn_count >= 100_000:  # pragma: no cover

@@ -3,7 +3,8 @@
 The benchmark suite runs the full configurations and asserts the paper
 shapes; these tests pin the harness *mechanics* — result structure,
 table rendering, metric arithmetic — at sizes quick enough for the
-unit-test run.
+unit-test run — and pin the exact charged outputs of the consumers of
+decoded traces.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.experiments import (
     common,
     fig5a,
     fig5c,
+    fig5d,
     micro,
     sec2_decode,
     table1,
@@ -137,3 +139,42 @@ class TestAblationHarness:
         result = ablations.measure_parallel_decode(sessions=3)
         # Critical path can never exceed the serial total.
         assert result.critical_path_cycles <= result.serial_cycles
+
+
+class TestChargedOutputPins:
+    """Exact charged outputs of the trace-decode consumers.  The harness
+    tests above assert shapes only; these pin the numbers, so a change
+    to how a consumer decodes traces cannot move them silently."""
+
+    def test_micro_fast_and_slow_cycles(self):
+        result = micro.run()
+        assert (result.fast_cycles, result.slow_cycles) == (988.0, 2699430.0)
+        assert (result.tips_checked, result.insns_decoded) == (100, 8984)
+
+    def test_parallel_decode_cycles(self):
+        result = ablations.measure_parallel_decode()
+        assert (
+            result.serial_cycles, result.critical_path_cycles,
+            result.segments,
+        ) == (3570.0, 141.0, 26)
+
+    def test_full_decode_cycles(self):
+        # full-decode cycles / application cycles per SPEC program
+        want = {
+            "sjeng": 3546600.0 / 19502.5,
+            "perlbench": 4681800.0 / 26950.5,
+        }
+        result = table1.run(suite=tuple(want), scale=1)
+        assert {
+            name: row["ipt_decode"]
+            for name, row in result.per_benchmark.items()
+        } == want
+        assert sec2_decode.run(suite=("sjeng",)).per_benchmark == {
+            "sjeng": want["sjeng"]
+        }
+
+    def test_fig5d_training_curve(self):
+        result = fig5d.run(fuzz_budget=200, sessions=5)
+        assert [p.cred_ratio for p in result.points] == [
+            0.17178612059158138, 0.33788395904436863, 1.0, 1.0,
+        ]

@@ -25,10 +25,13 @@ from repro.attacks import (
 )
 from repro.fleet.rings import RingPolicy
 from repro.fleet.service import FleetConfig, FleetService
-from repro.ipt import fast_decoder
-from repro.ipt.columnar import columnar_scan
-from repro.ipt.fast_decoder import fast_decode, psb_offsets
-from repro.ipt.packets import PSB_PATTERN
+from repro.ipt import columnar
+from repro.ipt.columnar import (
+    columnar_decode_parallel,
+    columnar_scan,
+    psb_offsets,
+)
+from repro.ipt.packets import PSB_PATTERN, TIP_HEADER, encode_ip_packet
 from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.itccfg import (
     CreditLabeledITC,
@@ -47,6 +50,7 @@ from repro.workloads import (
     build_vdso,
     nginx_request,
 )
+from tests.packet_reference import fast_decode, packets_of
 
 LIBS = {"libsim.so": build_libsim()}
 
@@ -125,10 +129,7 @@ def fingerprint(result):
             (r.ip, r.tnt_before, r.offset, r.after_far)
             for r in result.window
         ),
-        tuple(
-            (p.kind.value, p.offset, p.bits, p.ip)
-            for p in result.packets
-        ),
+        tuple((e.base, bytes(e.seg.data)) for e in result.tail.entries),
     )
 
 
@@ -165,7 +166,8 @@ def reference_decode_tail(checker, data):
 def tail_views(checker, data):
     """``decode_tail_columnar`` in the oracle's shape."""
     tail = checker.decode_tail_columnar(data)
-    return tail.records(), tail.lazy_packets(), tail.cycles, tail.start
+    packets = packets_of(tail.slow_source().parts)
+    return tail.records(), packets, tail.cycles, tail.start
 
 
 class TestIncrementalDecodeTail:
@@ -320,9 +322,12 @@ class TestTruncatedNeverCached:
         """Uncached truncated columns rebase like cached ones: the
         caller carries the stream base."""
         cache = SegmentDecodeCache(8)
-        segment = PSB_PATTERN + bytes([0x0D, 4, 1, 2])
+        tip, _ = encode_ip_packet(TIP_HEADER, 0x400010, 0)
+        segment = PSB_PATTERN + tip + bytes([0x0D, 4, 1, 2])
         seg, _ = cache.decode_segment_columnar(segment)
-        assert seg.packets_at(100)[0].offset == 100  # the PSB itself
+        assert seg.truncated
+        record = seg.records_at(100)[0]
+        assert record.offset == 100 + len(PSB_PATTERN)
 
     def test_completed_segment_cached_after_fill(self):
         """Once the ring fills in the missing bytes, the now-complete
@@ -439,14 +444,14 @@ class TestZeroCopy:
     def test_parallel_serial_path_slices_zero_copy(self, trace, monkeypatch):
         data, _ = trace
         seen = []
-        real = fast_decoder.fast_decode
+        real = columnar.columnar_scan
 
         def spy(segment, *args, **kwargs):
             seen.append(segment)
             return real(segment, *args, **kwargs)
 
-        monkeypatch.setattr(fast_decoder, "fast_decode", spy)
-        fast_decoder.fast_decode_parallel(data)
+        monkeypatch.setattr(columnar, "columnar_scan", spy)
+        columnar_decode_parallel(data)
         assert seen
         for segment in seen:
             assert isinstance(segment, memoryview)

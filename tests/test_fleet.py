@@ -24,7 +24,7 @@ from repro.experiments.fleet_scaling import build_fleet, run_scale
 from repro.fleet.rings import ProcessRing, RingPolicy
 from repro.fleet.service import FleetConfig, FleetService
 from repro.fleet.workers import CheckTask, SimulatedWorkerPool
-from repro.ipt import PSB_PATTERN, PacketError, ToPA, ToPARegion, fast_decode
+from repro.ipt import PSB_PATTERN, PacketError, ToPA, ToPARegion, columnar_scan
 from repro.ipt.packets import encode_tnt
 from repro.service import builtin_serve_config, run_service
 from repro.telemetry.metrics import percentile
@@ -102,14 +102,14 @@ class TestProcessRing:
         torn = ring.topa.snapshot()
         assert torn[0] == tnt[1]  # a packet tail, not a packet header
         with pytest.raises(PacketError):
-            fast_decode(torn)
+            columnar_scan(torn)
 
         result = ring.drain()
         assert result.resynced
         assert result.overwritten == 2
         assert result.resync_dropped == 1
         assert result.data.startswith(PSB_PATTERN)
-        assert fast_decode(result.data).packets
+        assert columnar_scan(result.data).pkt_count
         assert ring.resyncs == 1
         assert ring.overwritten_bytes == 2
         assert ring.resync_dropped_bytes == 1

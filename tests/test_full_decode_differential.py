@@ -3,11 +3,11 @@
 Every case decodes one input with the production
 :class:`~repro.ipt.full_decoder.FullDecoder` and with the per-instruction
 :class:`tests.full_decoder_reference.ReferenceFullDecoder`, through both
-packet cursors (a ``DecodedPacket`` list and the byte-level
-``ColumnarSlowSource``), and asserts the two agree on the edge list
-(kind, src, dst, taken, order), ``insn_count``, ``cycles``, ``end_ip``,
-``exhausted``, the ``TraceMismatch`` message, and the
-``ipt.full_decode.*`` counters.  Production decoders are compared both
+packet cursors (the byte cursor of ``ColumnarSlowSource`` and the
+packet-list cursor of ``tests/packet_reference.py``), and asserts the two
+agree on the edge list (kind, src, dst, taken, order), ``insn_count``,
+``cycles``, ``end_ip``, ``exhausted``, the ``TraceMismatch`` message,
+and the ``ipt.full_decode.*`` counters.  Production decoders are compared both
 fresh and warm (their block map filled by earlier decodes), since a
 remembered block must not change any outcome.
 """
@@ -25,7 +25,6 @@ from repro.ipt import (
     ToPA,
     ToPARegion,
     TraceMismatch,
-    fast_decode,
 )
 from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
 from repro.ipt.full_decoder import MAX_BLOCK_RUN
@@ -35,6 +34,7 @@ from repro.isa.registers import R0, R1, R2, SP
 from repro.workloads import build_libsim
 from repro.workloads.programgen import generate_program
 from tests.full_decoder_reference import ReferenceFullDecoder
+from tests.packet_reference import PacketSource, fast_decode, packets_of
 
 LIBS = {"libsim.so": build_libsim()}
 CODE_BASE = 0x400000
@@ -83,7 +83,7 @@ def traced_program(seed):
 def sources(data):
     """The two cursor inputs for one trace: packets and raw columns."""
     return {
-        "packets": lambda: fast_decode(data).packets,
+        "packets": lambda: PacketSource(fast_decode(data).packets),
         "columnar": lambda: ColumnarSlowSource(
             [(columnar_scan(data, charge=False), 0)]
         ),
@@ -183,7 +183,7 @@ def test_budget_sweep_generated(seed):
     """Every budget from 0 past the full walk: cuts land mid-run, at a
     terminator and at block ends, on fresh and warm decoders."""
     memory, data = traced_program(seed)
-    full = FullDecoder(memory).decode(fast_decode(data).packets)
+    full = FullDecoder(memory).decode(sources(data)["columnar"]())
     warm = FullDecoder(memory)
     for budget in range(full.insn_count + 2):
         assert_same(memory, data, max_insns=budget, warm=warm)
@@ -192,7 +192,7 @@ def test_budget_sweep_generated(seed):
 @pytest.mark.parametrize("name", sorted(SNIPPETS))
 def test_budget_sweep_snippets(name):
     memory, data = traced_snippet(SNIPPETS[name])
-    full = FullDecoder(memory).decode(fast_decode(data).packets)
+    full = FullDecoder(memory).decode(sources(data)["columnar"]())
     warm = FullDecoder(memory)
     for budget in range(full.insn_count + 2):
         assert_same(memory, data, max_insns=budget, warm=warm)
@@ -265,11 +265,12 @@ def test_fault_after_remembered_blocks():
     memory.write_raw(tail, code)
     decoder = FullDecoder(memory, max_insns=100)
     with pytest.raises(TraceMismatch, match="cannot disassemble"):
-        decoder.decode([], start_ip=tail)
+        decoder.decode(ColumnarSlowSource([]), start_ip=tail)
     memory.map_region(CODE_BASE + 0x1000, 0x1000, PROT_READ | PROT_EXEC)
     memory.write_raw(CODE_BASE + 0x1000, asm([A.halt()])[0])
     assert_same(memory, b"", start_ip=tail, max_insns=100, warm=decoder)
-    assert decoder.decode([], start_ip=tail).insn_count == 4
+    result = decoder.decode(ColumnarSlowSource([]), start_ip=tail)
+    assert result.insn_count == 4
 
 
 def test_long_runs_chain_blocks():
@@ -335,12 +336,16 @@ def test_monitor_slow_path_windows(monkeypatch):
     compared = []
     production = FullDecoder.decode
 
-    def checked(self, packets, start_ip=None):
+    def checked(self, source, start_ip=None):
         oracle = ReferenceFullDecoder(self.memory, max_insns=self.max_insns)
-        want = result_of(oracle, packets, start_ip)
-        compared.append(type(packets).__name__)
+        want = result_of(oracle, source, start_ip)
+        # The same segments through the packet-list cursor.
+        oracle = ReferenceFullDecoder(self.memory, max_insns=self.max_insns)
+        listed = PacketSource(packets_of(source.parts))
+        assert result_of(oracle, listed, start_ip) == want
+        compared.append(type(source).__name__)
         try:
-            result = production(self, packets, start_ip)
+            result = production(self, source, start_ip)
         except TraceMismatch as exc:
             assert ("mismatch", str(exc)) == want
             raise

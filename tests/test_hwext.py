@@ -34,15 +34,15 @@ class TestPatternMatchDecoder:
         return encoder.output.snapshot()
 
     def test_same_packets_cheaper_cycles(self):
-        from repro.ipt import fast_decode
+        from repro.ipt import columnar_scan
 
         data = self._trace_bytes()
-        software = fast_decode(data)
+        software = columnar_scan(data)
         hw = PatternMatchDecoder()
         hardware = hw.decode(data)
-        assert [
-            (p.kind, p.ip) for p in software.packets
-        ] == [(p.kind, p.ip) for p in hardware.packets]
+        assert hardware.pkt_count == software.pkt_count
+        assert hardware.tip_records() == software.tip_records()
+        assert hardware.fup_addresses() == software.fup_addresses()
         assert hardware.cycles < software.cycles / 10
         assert hw.bytes_processed == len(data)
 
@@ -51,6 +51,25 @@ class TestPatternMatchDecoder:
         hw = PatternMatchDecoder().decode(data)
         expected = len(data) * costs.HW_DECODE_CYCLES_PER_BYTE
         assert hw.cycles == pytest.approx(expected)
+
+    def test_truncated_stream_charges_scanned_bytes(self):
+        """A cut final packet is not consumed, so neither decoder charges
+        for it: the hardware side processes exactly the bytes the
+        software scan charges."""
+        from repro.ipt import columnar_scan
+
+        data = self._trace_bytes()[:-1]
+        software = columnar_scan(data)
+        assert software.truncated
+        scanned = software.cycles / costs.FAST_DECODE_CYCLES_PER_BYTE
+        assert scanned < len(data)
+        hw = PatternMatchDecoder()
+        hardware = hw.decode(data)
+        assert hw.bytes_processed == scanned
+        assert hardware.cycles == pytest.approx(
+            scanned * costs.HW_DECODE_CYCLES_PER_BYTE
+        )
+        assert hw.cycles == hardware.cycles
 
 
 class TestMultiCR3:

@@ -15,18 +15,24 @@ from repro.ipt import (
     ToPA,
     ToPARegion,
     TraceMismatch,
-    fast_decode,
-    fast_decode_parallel,
+    columnar_decode_parallel,
+    columnar_scan,
     sync_to_psb,
 )
+from repro.ipt.columnar import ColumnarSlowSource
 from repro.ipt.packets import (
     compress_ip,
     decode_tnt_payload,
-    decompress_ip,
     encode_tnt,
 )
 from repro.isa import A, Cond, Label, asm
 from repro.isa.registers import R0, R1, R2, R3, SP
+from tests.packet_reference import decompress_ip, fast_decode
+
+
+def scanned(data):
+    """A full-decoder input over one scanned stream."""
+    return ColumnarSlowSource([(columnar_scan(data), 0)])
 
 
 def plain_config(**kw):
@@ -299,14 +305,14 @@ class TestFastDecode:
             topa=topa,
         )
         assert topa.wrapped
-        result = fast_decode(topa.snapshot(), sync=True)
-        assert result.packets
-        assert result.packets[0].kind is PacketKind.PSB
+        data = topa.snapshot()
+        seg = columnar_scan(data, sync=True)
+        assert seg.pkt_count and seg.record_count
+        assert data[seg.synced_offset:].startswith(PSB_PATTERN)
 
     def test_tip_records_carry_tnt_context(self):
         _, encoder, _, symbols = run_traced(LOOP_SNIPPET)
-        result = fast_decode(encoder.output.snapshot())
-        records = result.tip_records()
+        records = columnar_scan(encoder.output.snapshot()).tip_records()
         assert len(records) == 1
         assert records[0].ip == symbols["fin"]
         assert len(records[0].tnt_before) == 20
@@ -327,31 +333,37 @@ class TestFastDecode:
             psb_period=64,
         )
         data = encoder.output.snapshot()
-        serial = fast_decode(data)
-        parallel = fast_decode_parallel(data)
-        assert [
-            (p.kind, p.ip, p.bits) for p in serial.packets
-        ] == [(p.kind, p.ip, p.bits) for p in parallel.packets]
+        serial = columnar_scan(data)
+        parallel = columnar_decode_parallel(data)
+        # A PSB resets IP compression: the segments decode to the
+        # serial scan's packets, TIP targets and FUP addresses.
+        columns = [seg for seg, _ in parallel.columns]
+        assert sum(seg.pkt_count for seg in columns) == serial.pkt_count
+        assert [ip for seg in columns for ip in seg.ip_column()] == (
+            serial.ip_column()
+        )
+        assert [ip for seg in columns for ip in seg.fup_ips] == list(
+            serial.fup_ips
+        )
         assert parallel.segments > 1
         assert parallel.critical_path_cycles < serial.cycles
 
     def test_garbage_raises(self):
         with pytest.raises(PacketError):
-            fast_decode(b"\xde\xad\xbe\xef")
+            columnar_scan(b"\xde\xad\xbe\xef")
 
     def test_truncated_tail_tolerated(self):
         _, encoder, _, _ = run_traced(LOOP_SNIPPET)
         data = encoder.output.snapshot()
-        result = fast_decode(data[:-1])
+        result = columnar_scan(data[:-1])
         assert result.truncated
 
 
 class TestFullDecode:
     def _decode_against_truth(self, items, psb_period=512):
         cpu, encoder, events, symbols = run_traced(items, psb_period)
-        result = fast_decode(encoder.output.snapshot())
         decoder = FullDecoder(cpu.machine.memory)
-        full = decoder.decode(result.packets)
+        full = decoder.decode(scanned(encoder.output.snapshot()))
         truth = [
             (e.kind, e.src, e.dst)
             for e in events
@@ -405,23 +417,24 @@ class TestFullDecode:
     def test_decode_cost_exceeds_trace_cost(self):
         """The central §2 asymmetry: decoding >> tracing."""
         cpu, encoder, _, _ = run_traced(LOOP_SNIPPET)
-        result = fast_decode(encoder.output.snapshot())
-        full = FullDecoder(cpu.machine.memory).decode(result.packets)
+        full = FullDecoder(cpu.machine.memory).decode(
+            scanned(encoder.output.snapshot())
+        )
         assert full.cycles > 20 * encoder.cycles
 
     def test_mismatched_binary_raises(self):
         cpu, encoder, _, _ = run_traced(LOOP_SNIPPET)
-        result = fast_decode(encoder.output.snapshot())
+        source = scanned(encoder.output.snapshot())
         wrong_memory = Memory()
         wrong_memory.map_region(0x400000, 0x1000, PROT_READ | PROT_EXEC)
         code, _ = asm([A.halt()])
         wrong_memory.write_raw(0x400000, code)
         with pytest.raises(TraceMismatch):
-            FullDecoder(wrong_memory).decode(result.packets)
+            FullDecoder(wrong_memory).decode(source)
 
     def test_empty_packets(self):
         decoder = FullDecoder(Memory())
-        result = decoder.decode([])
+        result = decoder.decode(ColumnarSlowSource([]))
         assert result.edges == []
         assert result.insn_count == 0
 
@@ -439,7 +452,7 @@ class TestFullDecodeAfterRemap:
 
     @staticmethod
     def _decode(decoder, base=BASE):
-        result = decoder.decode([], start_ip=base)
+        result = decoder.decode(ColumnarSlowSource([]), start_ip=base)
         return result.insn_count, [(e.kind, e.src) for e in result.edges]
 
     def test_remapped_code_decodes_fresh(self):

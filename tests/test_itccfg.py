@@ -21,7 +21,7 @@ from repro.analysis import (
 from repro.analysis.cfg import BasicBlock
 from repro.binary import Loader
 from repro.cpu import Executor, Machine, PROT_READ, PROT_WRITE
-from repro.ipt import IPTConfig, IPTEncoder, ToPA, ToPARegion, fast_decode
+from repro.ipt import IPTConfig, IPTEncoder, ToPA, ToPARegion, columnar_scan
 from repro.ipt.msr import RTIT_CTL
 from repro.itccfg import (
     CreditLabeledITC,
@@ -358,7 +358,7 @@ class TestITCSoundness:
         image, encoder = self.trace_program(prog)
         cfg = build_ocfg(image)
         itc = build_itccfg(cfg)
-        records = fast_decode(encoder.output.snapshot()).tip_records()
+        records = columnar_scan(encoder.output.snapshot()).tip_records()
         assert len(records) >= 5
         for prev, cur in zip(records, records[1:]):
             # Every TIP lands on an IT-BB and every consecutive pair is
@@ -374,7 +374,7 @@ class TestITCSoundness:
         cfg = build_ocfg(image)
         itc = build_itccfg(cfg)
         labeled = CreditLabeledITC(itc=itc)
-        records = fast_decode(encoder.output.snapshot()).tip_records()
+        records = columnar_scan(encoder.output.snapshot()).tip_records()
         labeled.observe_trace((r.ip, r.tnt_before) for r in records)
         index = FlowSearchIndex(labeled)
         # Replaying the same trace must be all high-credit hits.

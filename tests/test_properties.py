@@ -21,7 +21,6 @@ from repro.binary import Loader
 from repro.cpu import CoFIKind, Executor, Machine
 from repro.cpu import PROT_READ, PROT_WRITE
 from repro.ipt import FullDecoder, IPTConfig, IPTEncoder, ToPA, ToPARegion
-from repro.ipt import fast_decode
 from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
 from repro.ipt.msr import RTIT_CTL
 from repro.isa.registers import SP
@@ -29,6 +28,7 @@ from repro.itccfg import CreditLabeledITC, build_itccfg
 from repro.osmodel import Kernel, ProcessState
 from repro.workloads import build_libsim
 from repro.workloads.programgen import generate_program
+from tests.packet_reference import PacketSource, fast_decode
 
 SEEDS = list(range(8))
 LIBS = {"libsim.so": build_libsim()}
@@ -85,10 +85,10 @@ def test_full_decode_reconstructs_execution(seed):
     data = encoder.output.snapshot()
     truth = [(e.kind, e.src, e.dst) for e in events]
     decoder = FullDecoder(image.memory, max_insns=20_000_000)
-    # Both slow-path inputs: packet objects, and the monitor's own
-    # object-free columnar source.
+    # The monitor's byte cursor, and the packet-list cursor of the
+    # oracle decoder.
     for source in (
-        fast_decode(data).packets,
+        PacketSource(fast_decode(data).packets),
         ColumnarSlowSource([(columnar_scan(data, charge=False), 0)]),
     ):
         result = decoder.decode(source)
@@ -105,7 +105,7 @@ def test_itc_soundness_on_generated_programs(seed):
     exe = generate_program(seed, f"gen{seed}")
     image, cpu, encoder, events = traced_run(exe)
     itc = build_itccfg(build_ocfg(image))
-    records = fast_decode(encoder.output.snapshot()).tip_records()
+    records = columnar_scan(encoder.output.snapshot()).tip_records()
     assert records, "generated programs must produce TIPs"
     for prev, cur in zip(records, records[1:]):
         assert itc.has_node(cur.ip), hex(cur.ip)

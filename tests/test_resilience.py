@@ -39,7 +39,7 @@ from repro.fleet.dispatcher import FleetDispatcher
 from repro.fleet.rings import RingPolicy
 from repro.fleet.service import FleetConfig, FleetService
 from repro.fleet.workers import CheckTask, SimulatedWorkerPool
-from repro.ipt.fast_decoder import psb_offsets
+from repro.ipt.columnar import psb_offsets
 from repro.ipt.packets import PSB_PATTERN, PacketError
 from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.itccfg import FlowSearchIndex

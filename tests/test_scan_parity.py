@@ -6,10 +6,10 @@ against the per-byte dispatch walk (``tests/scan_reference.py``, the
 oracle) — every column, every charged cycle, every ``PacketError``
 message — on structured streams, uniform-random buffers, every
 truncation cut, and random corruption flips.  It also pins the
-columnar-native degraded lane (``_ByteCursor`` vs the packet-list
-``_PacketCursor``, including ``TraceMismatch`` messages), the
-process-wide scan-kernel switch, the bursty open-loop schedule, and the
-append-only performance trajectory.
+slow path's byte cursor (``_ByteCursor`` vs the packet-list
+``PacketCursor`` of ``tests/packet_reference.py``, including
+``TraceMismatch`` messages), the process-wide scan-kernel switch, the
+bursty open-loop schedule, and the append-only performance trajectory.
 """
 
 import dataclasses
@@ -30,11 +30,11 @@ from repro.ipt.columnar import (
     scan_kernel_mode,
     set_scan_kernel,
 )
-from repro.ipt.fast_decoder import fast_decode
-from repro.ipt.full_decoder import TraceMismatch, _PacketCursor
+from repro.ipt.full_decoder import TraceMismatch
 from repro.ipt.packets import PacketError
 from repro.monitor.flowguard import FlowGuardMonitor
 from repro.osmodel import Kernel
+from tests.packet_reference import PacketCursor, fast_decode
 from tests.scan_reference import columnar_scan_reference
 from tests.test_columnar import build_stream
 
@@ -62,6 +62,7 @@ def segment_columns(seg):
     parity is on values, not container types)."""
     return (
         seg.pkt_count,
+        seg.scanned,
         seg.cycles,
         seg.truncated,
         seg.synced_offset,
@@ -204,7 +205,7 @@ class TestKernelGating:
         columnar_scan(build_stream(1, packets=10))
 
 
-# -- degraded-lane byte cursor vs packet cursor -------------------------------
+# -- slow-path byte cursor vs packet cursor -----------------------------------
 
 
 def drive_cursor(cursor, ops):
@@ -238,7 +239,7 @@ def cursor_pair(streams):
                 dataclasses.replace(pkt, offset=base + pkt.offset)
             )
         base += len(stream)
-    return ColumnarSlowSource(parts).cursor(), _PacketCursor(packets)
+    return ColumnarSlowSource(parts).cursor(), PacketCursor(packets)
 
 
 def op_script(rng, length=120):
@@ -298,6 +299,19 @@ class TestByteCursorParity:
         assert got == drive_cursor(pkt_cur, script)
         assert got[-1][0] == "mismatch"
         assert "unconsumed TNT bits" in got[-1][1]
+
+    @pytest.mark.parametrize("kind", ["tip", "fup", "tip.pge"])
+    def test_suppressed_ip_messages(self, kind):
+        from tests.test_slowpath import CODE, far_or_tip_case
+
+        _, data, offset = far_or_tip_case(kind)
+        byte_cur, pkt_cur = cursor_pair([data])
+        script = [("initial", None), ("tip" if kind == "tip" else "far", CODE)]
+        got = drive_cursor(byte_cur, script)
+        assert got == drive_cursor(pkt_cur, script)
+        assert got[-1] == (
+            "mismatch", f"IP-suppressed {kind} at offset {offset}"
+        )
 
 
 # -- the process-wide scan switch --------------------------------------------

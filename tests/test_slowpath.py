@@ -5,7 +5,8 @@ import pytest
 from repro.analysis import ControlFlowGraph, Edge, EdgeKind
 from repro.analysis.cfg import BasicBlock
 from repro.cpu import CoFIKind, Memory
-from repro.ipt.full_decoder import FlowEdge
+from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
+from repro.ipt.full_decoder import FlowEdge, TraceMismatch
 from repro.monitor.shadowstack import (
     _DIRECT_CALL_LEN,
     _INDIRECT_CALL_LEN,
@@ -83,7 +84,6 @@ class TestSlowPathForwardEdges:
         from repro.cpu import Executor, Machine
         from repro.cpu import PROT_READ, PROT_WRITE
         from repro.ipt import IPTConfig, IPTEncoder, ToPA, ToPARegion
-        from repro.ipt import fast_decode
         from repro.ipt.msr import RTIT_CTL
         from repro.isa.registers import SP
         from repro.lang import (
@@ -113,9 +113,11 @@ class TestSlowPathForwardEdges:
         cpu.add_listener(encoder.on_branch)
         cpu.run(100_000)
         encoder.flush()
-        packets = fast_decode(encoder.output.snapshot()).packets
+        source = ColumnarSlowSource(
+            [(columnar_scan(encoder.output.snapshot()), 0)]
+        )
         engine = SlowPathEngine(image.memory, build_ocfg(image))
-        result = engine.check(packets)
+        result = engine.check(source)
         assert result.ok, result.reason
         assert result.insns_decoded > 0
         assert result.cycles > 0
@@ -129,7 +131,6 @@ class TestSlowPathForwardEdges:
         from repro.cpu import Executor, Machine
         from repro.cpu import PROT_READ, PROT_WRITE
         from repro.ipt import IPTConfig, IPTEncoder, ToPA, ToPARegion
-        from repro.ipt import fast_decode
         from repro.ipt.msr import RTIT_CTL
         from repro.isa.registers import SP
         from repro.lang import (
@@ -159,7 +160,9 @@ class TestSlowPathForwardEdges:
         cpu.add_listener(encoder.on_branch)
         cpu.run(100_000)
         encoder.flush()
-        packets = fast_decode(encoder.output.snapshot()).packets
+        source = ColumnarSlowSource(
+            [(columnar_scan(encoder.output.snapshot()), 0)]
+        )
 
         ocfg = build_ocfg(image)
         # Empty every indirect-call target set: the observed call is now
@@ -167,7 +170,7 @@ class TestSlowPathForwardEdges:
         for branch in list(ocfg.indirect_targets):
             ocfg.indirect_targets[branch] = set()
         engine = SlowPathEngine(image.memory, ocfg)
-        result = engine.check(packets)
+        result = engine.check(source)
         assert not result.ok
         assert "violation" in result.reason
 
@@ -175,15 +178,114 @@ class TestSlowPathForwardEdges:
         from repro import costs
 
         engine = SlowPathEngine(Memory(), ControlFlowGraph())
-        result = engine.check([])
+        result = engine.check(ColumnarSlowSource([]))
         assert result.ok
         assert result.cycles >= costs.SLOWPATH_UPCALL_CYCLES
 
     def test_desync_reported_not_raised(self):
-        from repro.ipt.packets import DecodedPacket, PacketKind
+        from repro.ipt.packets import TIP_PGE_HEADER, encode_ip_packet
 
         engine = SlowPathEngine(Memory(), ControlFlowGraph())
-        packets = [DecodedPacket(PacketKind.TIP_PGE, 0, ip=0xDEAD)]
-        result = engine.check(packets)
+        pge, _ = encode_ip_packet(TIP_PGE_HEADER, 0xDEAD, 0)
+        result = engine.check(ColumnarSlowSource([(columnar_scan(pge), 0)]))
         assert not result.ok
         assert "desync" in result.reason
+
+
+
+CODE = 0x400000
+SUPPRESSED_KINDS = ["tip", "fup", "tip.pge"]
+
+
+def far_or_tip_case(kind, suppressed=True):
+    """(memory, trace bytes, offset of the IP-suppressed packet) for a
+    snippet whose walk needs the target of a ``kind`` packet ("tip",
+    "fup" or "tip.pge"); ``suppressed`` withholds that target."""
+    from repro.cpu import PROT_EXEC, PROT_READ
+    from repro.ipt.packets import (
+        FUP_HEADER,
+        PSBEND_BYTE,
+        PSB_PATTERN,
+        TIP_HEADER,
+        TIP_PGD_HEADER,
+        TIP_PGE_HEADER,
+        encode_ip_packet,
+    )
+    from repro.isa import A, Label, asm
+    from repro.isa.registers import R2
+
+    if kind == "tip":
+        code, symbols = asm(
+            [A.lea(R2, "t"), A.jmpr(R2), Label("t"), A.halt()], base=CODE
+        )
+        walk = [(TIP_HEADER, symbols["t"], True)]
+    else:
+        code, symbols = asm([A.syscall(), Label("r"), A.halt()], base=CODE)
+        walk = [
+            (FUP_HEADER, CODE, kind == "fup"),
+            (TIP_PGD_HEADER, None, False),
+            (TIP_PGE_HEADER, symbols["r"], kind == "tip.pge"),
+        ]
+    memory = Memory()
+    memory.map_region(CODE, 0x1000, PROT_READ | PROT_EXEC)
+    memory.write_raw(CODE, code)
+    stream = bytearray(PSB_PATTERN)
+    packet, last_ip = encode_ip_packet(FUP_HEADER, CODE, 0)
+    stream += packet
+    stream.append(PSBEND_BYTE)
+    offset = None
+    for header, ip, withheld in walk:
+        if withheld and suppressed:
+            offset = len(stream)
+            ip = None
+        packet, last_ip = encode_ip_packet(header, ip, last_ip)
+        stream += packet
+    return memory, bytes(stream), offset
+
+
+def scanned(data):
+    return ColumnarSlowSource([(columnar_scan(data), 0)])
+
+
+class TestSuppressedIP:
+    """An IP-suppressed TIP, TIP.PGE or FUP where the walk needs a
+    target is a desync, not the end of the stream: the slow path must
+    not confirm a window it never decoded."""
+
+    @pytest.mark.parametrize("kind", SUPPRESSED_KINDS)
+    def test_cursor_raises(self, kind):
+        _, data, offset = far_or_tip_case(kind)
+        cursor = scanned(data).cursor()
+        assert cursor.initial_ip() == CODE
+        with pytest.raises(TraceMismatch) as info:
+            if kind == "tip":
+                cursor.next_tip()
+            else:
+                cursor.next_far_resume(CODE)
+        assert str(info.value) == f"IP-suppressed {kind} at offset {offset}"
+
+    @pytest.mark.parametrize("kind", SUPPRESSED_KINDS)
+    def test_slow_path_fails_closed(self, kind):
+        from repro.ipt import TipRecord
+
+        memory, data, offset = far_or_tip_case(kind)
+        window = [
+            TipRecord(CODE, (), 0), TipRecord(CODE + 0x10, (True,), offset),
+        ]
+        engine = SlowPathEngine(memory, ControlFlowGraph())
+        result = engine.check(scanned(data), window=window)
+        assert not result.ok
+        assert result.reason == (
+            f"decoder desync: IP-suppressed {kind} at offset {offset}"
+        )
+        assert result.confirmed_pairs == []
+
+    @pytest.mark.parametrize("kind", SUPPRESSED_KINDS)
+    def test_intact_trace_decodes_to_halt(self, kind):
+        from repro.ipt.full_decoder import FullDecoder
+
+        memory, data, _ = far_or_tip_case(kind, suppressed=False)
+        result = FullDecoder(memory).decode(scanned(data))
+        assert len(result.edges) == 1
+        assert result.insn_count == (3 if kind == "tip" else 2)
+        assert result.exhausted
