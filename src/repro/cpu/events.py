@@ -1,7 +1,8 @@
 """Change-of-flow (CoFI) event taxonomy — Table 3 of the paper.
 
 Every retired control-transfer instruction produces one
-:class:`BranchEvent`.  The mapping to IPT output packets is:
+:class:`BranchEvent` for the listeners subscribed to its kind.  The
+mapping to IPT output packets is:
 
 ===================  =======================  ===============
 CoFI kind            Scenario                 IPT output
@@ -19,7 +20,7 @@ FAR_TRANSFER         syscall, traps           FUP + TIP
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class CoFIKind(enum.Enum):
@@ -53,14 +54,19 @@ class CoFIKind(enum.Enum):
         return self is CoFIKind.COND_BRANCH
 
 
-@dataclass(frozen=True)
-class BranchEvent:
+class BranchEvent(NamedTuple):
     """One retired change-of-flow instruction.
 
     ``src`` is the address of the CoFI instruction itself, ``dst`` the
     address control transferred to (for a non-taken conditional branch,
     the fall-through address).  ``taken`` is only meaningful for
     conditional branches.
+
+    A tuple, so building one is a single C call
+    (``tuple.__new__(BranchEvent, (kind, src, dst, taken))``, as the
+    interpreter does for each indirect branch) rather than a frozen
+    dataclass's per-field ``object.__setattr__``.  Equality, hash and
+    repr are the field-wise ones a frozen dataclass would have.
     """
 
     kind: CoFIKind

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import costs
 from repro.cpu.events import BranchEvent, CoFIKind
@@ -39,6 +39,18 @@ from repro.isa.instructions import Insn, Op
 from repro.isa.registers import SP, Cond
 
 Listener = Callable[[BranchEvent], None]
+
+#: The order of the per-kind listener tuples in ``Executor._routes``:
+#: the dispatch loop unpacks them into locals, one per kind, because
+#: keying a dict by ``CoFIKind`` would pay ``Enum.__hash__`` (a Python
+#: call) on every retired CoFI.
+_ROUTE_KINDS = (
+    CoFIKind.DIRECT_JMP, CoFIKind.DIRECT_CALL, CoFIKind.COND_BRANCH,
+    CoFIKind.INDIRECT_JMP, CoFIKind.INDIRECT_CALL, CoFIKind.RET,
+    CoFIKind.FAR_TRANSFER,
+)
+_ALL_KINDS = frozenset(_ROUTE_KINDS)
+_new_event = tuple.__new__
 
 #: Jcc outcome per condition code, indexed by the flags word
 #: ``2 * zf + sf`` (the form the dispatch loop keeps the flags in).
@@ -139,8 +151,11 @@ class Executor:
     Contract with the code the loop calls out to (listeners, the syscall
     handler): ``cycles``, ``insn_count`` and the machine's ``ip`` and
     flags are current whenever it runs, and anything it changes —
-    including replacing ``machine.regs`` or ``machine.memory`` — is
-    picked up before the next instruction.
+    including replacing ``machine.regs`` or ``machine.memory``, and
+    subscribing or removing listeners — is picked up before the next
+    instruction.  A listener is called only for the CoFI kinds it
+    subscribed to; a CoFI whose kind nobody subscribed to builds no
+    event and makes no call-out.
     """
 
     def __init__(
@@ -150,7 +165,12 @@ class Executor:
     ) -> None:
         self.machine = machine
         self.syscall_handler = syscall_handler
+        #: Subscribed listeners, in subscription order, and the kinds
+        #: each one receives.
         self.listeners: List[Listener] = []
+        self._listener_kinds: List[frozenset] = []
+        #: One tuple of listeners per kind, in ``_ROUTE_KINDS`` order.
+        self._routes: Tuple[tuple, ...] = ((),) * len(_ROUTE_KINDS)
         self.cycles = 0.0
         self.insn_count = 0
         #: Interrupt line: listeners (a ToPA PMI, a scheduler) assert it
@@ -161,12 +181,33 @@ class Executor:
 
     # -- instrumentation ---------------------------------------------------
 
-    def add_listener(self, listener: Listener) -> None:
-        """Subscribe to retired CoFI events."""
+    def add_listener(
+        self,
+        listener: Listener,
+        kinds: Optional[Iterable[CoFIKind]] = None,
+    ) -> None:
+        """Subscribe to retired CoFI events of ``kinds`` (None: every
+        kind)."""
         self.listeners.append(listener)
+        self._listener_kinds.append(
+            _ALL_KINDS if kinds is None else frozenset(kinds)
+        )
+        self._reroute()
 
     def remove_listener(self, listener: Listener) -> None:
-        self.listeners.remove(listener)
+        """Unsubscribe ``listener``; ``ValueError`` if it is not
+        subscribed."""
+        index = self.listeners.index(listener)
+        del self.listeners[index]
+        del self._listener_kinds[index]
+        self._reroute()
+
+    def _reroute(self) -> None:
+        pairs = list(zip(self.listeners, self._listener_kinds))
+        self._routes = tuple(
+            tuple(fn for fn, kinds in pairs if kind in kinds)
+            for kind in _ROUTE_KINDS
+        )
 
     def flush_icache(self) -> None:
         """Drop decoded-instruction cache (after remapping code pages)."""
@@ -246,8 +287,15 @@ class Executor:
         WRITE = PROT_WRITE
         unpack = _U64.unpack_from
         pack = _U64.pack_into
+        K_JMPR = CoFIKind.INDIRECT_JMP
+        K_CALLR = CoFIKind.INDIRECT_CALL
+        K_RET = CoFIKind.RET
+        K_FAR = CoFIKind.FAR_TRANSFER
+        event = _new_event
+        Event = BranchEvent
         icache = self._icache
-        listeners = self.listeners
+        (to_jmp, to_call, to_jcc, to_jmpr, to_callr, to_ret,
+         to_far) = self._routes
         regs = m.regs
         mem = m.memory
         pages, prots = mem.tables()
@@ -334,25 +382,31 @@ class Executor:
                 continue
             elif op == JMP:
                 ip = e[3]
-                if not listeners:
+                if not to_jmp:
                     continue
                 ev = e[4]
+                out = to_jmp
             elif op == JCC:
                 ip = e[3][fl]
-                if not listeners:
+                if not to_jcc:
                     continue
                 ev = e[4][fl]
+                out = to_jcc
             elif op == CMP:
                 a = regs[e[3]]
                 b = regs[e[4]]
                 fl = 2 if a == b else (a ^ SIGN) < (b ^ SIGN)
                 continue
             elif op == LOADB:
-                try:
-                    regs[e[3]] = mem.read_u8(regs[e[4]] + e[5])
-                except MemoryError_ as exc:
-                    raise self._fault(f"load fault: {exc}", pc, ip,
-                                      cycles, n, fl) from exc
+                a = regs[e[4]] + e[5]
+                if prots.get(a >> SHIFT, 0) & READ:
+                    regs[e[3]] = pages[a >> SHIFT][a & OFFSET]
+                else:
+                    try:
+                        regs[e[3]] = mem.read_u8(a)
+                    except MemoryError_ as exc:
+                        raise self._fault(f"load fault: {exc}", pc, ip,
+                                          cycles, n, fl) from exc
                 continue
             elif op == SYSCALL:
                 cycles += e[3]
@@ -371,14 +425,19 @@ class Executor:
                     cycles = self.cycles
                     limit += self.insn_count - n
                     n = self.insn_count
-                if not listeners:
+                    # The handler may subscribe listeners (execve
+                    # protecting the new image).
+                    (to_jmp, to_call, to_jcc, to_jmpr, to_callr, to_ret,
+                     to_far) = self._routes
+                if not to_far:
                     if lines and (m.halted or self.stop_requested):
                         break
                     continue
                 # Far transfer: destination reflects any handler
                 # redirection (e.g. sigreturn), matching what IPT would
                 # trace on resume.
-                ev = BranchEvent(CoFIKind.FAR_TRANSFER, pc, ip)
+                ev = event(Event, (K_FAR, pc, ip, True))
+                out = to_far
             elif op == SUB:
                 r = regs[e[3]] = (regs[e[3]] - regs[e[4]]) & MASK
                 fl = r >> 63 if r else 2
@@ -395,9 +454,10 @@ class Executor:
                         raise self._fault(f"stack pop fault: {exc}", pc,
                                           ip, cycles, n, fl) from exc
                 regs[SP] = (a + 8) & MASK
-                if not listeners:
+                if not to_ret:
                     continue
-                ev = BranchEvent(CoFIKind.RET, pc, ip)
+                ev = event(Event, (K_RET, pc, ip, True))
+                out = to_ret
             elif op == SUBI:
                 r = regs[e[3]] = (regs[e[3]] - e[4]) & MASK
                 fl = r >> 63 if r else 2
@@ -415,25 +475,36 @@ class Executor:
                         raise self._fault(f"stack push fault: {exc}", pc,
                                           ip, cycles, n, fl) from exc
                 ip = target
-                if not listeners:
-                    continue
-                ev = (e[4] if op == CALL else
-                      BranchEvent(CoFIKind.INDIRECT_CALL, pc, target))
+                if op == CALL:
+                    if not to_call:
+                        continue
+                    ev = e[4]
+                    out = to_call
+                else:
+                    if not to_callr:
+                        continue
+                    ev = event(Event, (K_CALLR, pc, target, True))
+                    out = to_callr
             elif op == JMPR:
                 ip = regs[e[3]]
-                if not listeners:
+                if not to_jmpr:
                     continue
-                ev = BranchEvent(CoFIKind.INDIRECT_JMP, pc, ip)
+                ev = event(Event, (K_JMPR, pc, ip, True))
+                out = to_jmpr
             elif op == ADDI:
                 r = regs[e[3]] = (regs[e[3]] + e[4]) & MASK
                 fl = r >> 63 if r else 2
                 continue
             elif op == STOREB:
-                try:
-                    mem.write_u8(regs[e[3]] + e[4], regs[e[5]])
-                except MemoryError_ as exc:
-                    raise self._fault(f"store fault: {exc}", pc, ip,
-                                      cycles, n, fl) from exc
+                a = regs[e[3]] + e[4]
+                if prots.get(a >> SHIFT, 0) & WRITE:
+                    pages[a >> SHIFT][a & OFFSET] = regs[e[5]] & 0xFF
+                else:
+                    try:
+                        mem.write_u8(a, regs[e[5]])
+                    except MemoryError_ as exc:
+                        raise self._fault(f"store fault: {exc}", pc, ip,
+                                          cycles, n, fl) from exc
                 continue
             elif op == CMPI:
                 a = regs[e[3]]
@@ -485,15 +556,15 @@ class Executor:
                 raise self._fault(f"unimplemented opcode {op:#04x}", pc, ip,
                                   cycles, n, fl)
 
-            # A CoFI retired with listeners attached: publish its event
-            # with the machine state current, then pick up whatever the
-            # listeners changed.
+            # A CoFI retired with listeners subscribed to its kind
+            # (``out``): publish its event with the machine state
+            # current, then pick up whatever the listeners changed.
             m.ip = ip
             m.zf = fl >= 2
             m.sf = (fl & 1) == 1
             self.cycles = cycles
             self.insn_count = n
-            for listener in listeners:
+            for listener in out:
                 listener(ev)
             regs = m.regs
             if m.memory is not mem:
@@ -504,6 +575,8 @@ class Executor:
             cycles = self.cycles
             limit += self.insn_count - n
             n = self.insn_count
+            (to_jmp, to_call, to_jcc, to_jmpr, to_callr, to_ret,
+             to_far) = self._routes
             if lines and (m.halted or self.stop_requested):
                 break
 

@@ -13,7 +13,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.telemetry import get_telemetry
 from repro.binary.module import Module
-from repro.ipt.encoder import IPTEncoder
+from repro.ipt.encoder import ENCODER_KINDS, IPTEncoder
 from repro.ipt.columnar import columnar_scan
 from repro.ipt.msr import IPTConfig
 from repro.ipt.topa import ToPA, ToPARegion
@@ -87,7 +87,7 @@ def train_credits(
                 output=ToPA([ToPARegion(1 << 22)]),
                 current_cr3=lambda p=proc: p.cr3,
             )
-            proc.executor.add_listener(encoder.on_branch)
+            proc.executor.add_listener(encoder.on_branch, ENCODER_KINDS)
             kernel.run(proc, max_steps=max_steps)
             # The dead kernel is cyclic garbage that waits for a
             # collection; detached, the encoder and its 4 MiB ToPA are

@@ -57,9 +57,10 @@ from __future__ import annotations
 import ctypes
 import os
 import re
+import struct
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro import costs
 from repro.telemetry import get_telemetry
@@ -146,13 +147,36 @@ def psb_offsets(data: bytes, start: int = 0) -> List[int]:
     """
     if isinstance(data, memoryview):
         data = bytes(data)
-    offsets: List[int] = []
-    step = len(PSB_PATTERN)
-    pos = data.find(PSB_PATTERN, start)
-    while pos >= 0:
-        offsets.append(pos)
-        pos = data.find(PSB_PATTERN, pos + step)
-    return offsets
+    # Non-overlapping leftmost matches, each search resuming after the
+    # previous pattern: what a ``bytes.find`` loop stepping by the
+    # pattern length returns, in one C-level pass.
+    return [match.start() for match in _PSB_RE.finditer(data, start)]
+
+
+def psb_offsets_reversed(data: bytes) -> Iterator[int]:
+    """:func:`psb_offsets` newest first, found lazily from the end.
+
+    A backward tail walk stops after a few segments, so it should not
+    pay for every PSB in the buffer.  The match :meth:`bytes.rfind`
+    returns is the one the forward scan finds unless the two bytes
+    before it continue the pattern (an IP payload ending ``82 02``
+    right before a PSB): only a forward scan knows which alignment is
+    the packet, so that case defers to it for the rest of the walk.
+    """
+    if isinstance(data, memoryview):
+        data = bytes(data)
+    end = len(data)
+    while True:
+        pos = data.rfind(PSB_PATTERN, 0, end)
+        if pos < 0:
+            return
+        if pos >= 2 and data.startswith(_PSB_HEAD, pos - 2):
+            # Every forward match before ``end`` ends at or before it:
+            # ``end`` itself is a forward match (or the buffer end).
+            yield from reversed(psb_offsets(data[:end]))
+            return
+        yield pos
+        end = pos
 
 
 def psb_boundaries(data: bytes, start: int = 0) -> List[int]:
@@ -201,6 +225,9 @@ TNT_WIDTH = _build_tnt_width()
 
 #: a maximal run of PAD bytes.
 _PAD_RUN = re.compile(rb"\x00+")
+#: one PSB pattern, and the two bytes it repeats.
+_PSB_RE = re.compile(re.escape(PSB_PATTERN))
+_PSB_HEAD = PSB_PATTERN[:2]
 #: a maximal run of complete, *valid* TNT packets — the character class
 #: is exactly the valid payload range, so a non-match at a TNT header
 #: is either truncation or an invalid payload (resolved scalar-side
@@ -656,8 +683,32 @@ def _scan_python(data, sync: bool, charge: bool) -> ColumnarSegment:
     )
 
 
+#: ``out[]`` of the C kernel (see ``_scan_kernel.c``), at arena offset 0.
+_KERNEL_OUT = struct.Struct("=12Q")
+
+# The C kernel's column buffers: one grow-only arena per process, sized
+# to the largest scan so far — a bytearray, the ctypes object exporting
+# it to the kernel (kept alive beside it, so the address stays valid)
+# and that address, swapped as one tuple.  Every scan reuses it and
+# copies its columns out before returning.  Nothing in the package scans
+# from more than one thread; the shared arena relies on that.
+_arena: tuple = (bytearray(), None, 0)
+
+
+def _kernel_arena(size: int):
+    """The arena, at least ``size`` bytes, and its address."""
+    global _arena
+    buf, _, address = _arena
+    if len(buf) < size:
+        buf = bytearray(size)
+        export = (ctypes.c_char * size).from_buffer(buf)
+        address = ctypes.addressof(export)
+        _arena = (buf, export, address)
+    return buf, address
+
+
 def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment:
-    """Run the C kernel and adopt its buffers into the column arrays."""
+    """Run the C kernel over the arena and copy its columns out."""
     raw = data if isinstance(data, bytes) else bytes(data)
     pos = 0
     if sync:
@@ -667,26 +718,30 @@ def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment
     size = len(raw)
     span = size - pos
     # Worst-case capacities: every record-bearing packet is >= 2 bytes,
-    # every TNT pair contributes <= 6 bits.
+    # every TNT pair contributes <= 6 bits.  Layout: out[], five u64
+    # columns (TIP ips, offsets, bit starts, bit ends; FUP ips), then
+    # the far bitmap and the packed TNT bytes, which the kernel ORs
+    # into / appends to and so must start zeroed.
     max_rec = span // 2 + 1
-    ips_buf = bytearray(8 * max_rec)
-    offs_buf = bytearray(8 * max_rec)
-    bit_start_buf = bytearray(8 * max_rec)
-    bit_end_buf = bytearray(8 * max_rec)
-    tnt_buf = bytearray((span * 3) // 8 + 2)
-    fup_buf = bytearray(8 * max_rec)
-    far_buf = bytearray(max_rec // 8 + 1)
-    out = (ctypes.c_uint64 * 12)()
-
-    def cbuf(buf):
-        return (ctypes.c_char * len(buf)).from_buffer(buf)
+    column = 8 * max_rec
+    ips_at = _KERNEL_OUT.size
+    offs_at = ips_at + column
+    bit_start_at = offs_at + column
+    bit_end_at = bit_start_at + column
+    fup_at = bit_end_at + column
+    far_at = fup_at + column
+    tnt_at = far_at + max_rec // 8 + 1
+    end = tnt_at + (span * 3) // 8 + 2
+    arena, base = _kernel_arena(end)
+    ctypes.memset(base + far_at, 0, end - far_at)
 
     status = lib.ipt_scan(
-        raw, ctypes.c_long(size), ctypes.c_long(pos),
-        cbuf(ips_buf), cbuf(offs_buf), cbuf(bit_start_buf),
-        cbuf(bit_end_buf), cbuf(tnt_buf), cbuf(fup_buf), cbuf(far_buf),
-        out,
+        raw, size, pos,
+        base + ips_at, base + offs_at, base + bit_start_at,
+        base + bit_end_at, base + tnt_at, base + fup_at, base + far_at,
+        base,
     )
+    out = _KERNEL_OUT.unpack_from(arena)
     if status:
         err_offset = out[9]
         err_value = out[10]
@@ -701,28 +756,30 @@ def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment
             f"desynchronised at offset {err_offset}: "
             f"header {err_value:#04x}"
         )
-    end_pos = out[0]
-    pkt_count = out[1]
-    nrec = out[2]
-    ntnt = out[3]
+    end_pos, pkt_count, nrec, ntnt = out[0], out[1], out[2], out[3]
     nfup = out[8]
+    view = memoryview(arena)
+    rec_bytes = 8 * nrec
     rec_ips = array("Q")
-    rec_ips.frombytes(memoryview(ips_buf)[: 8 * nrec])
+    rec_ips.frombytes(view[ips_at:ips_at + rec_bytes])
     rec_offsets = array("Q")
-    rec_offsets.frombytes(memoryview(offs_buf)[: 8 * nrec])
+    rec_offsets.frombytes(view[offs_at:offs_at + rec_bytes])
     rec_bit_start = array("L")
-    rec_bit_start.frombytes(memoryview(bit_start_buf)[: 8 * nrec])
+    rec_bit_start.frombytes(view[bit_start_at:bit_start_at + rec_bytes])
     rec_bit_end = array("L")
-    rec_bit_end.frombytes(memoryview(bit_end_buf)[: 8 * nrec])
+    rec_bit_end.frombytes(view[bit_end_at:bit_end_at + rec_bytes])
     fup_ips = array("Q")
-    fup_ips.frombytes(memoryview(fup_buf)[: 8 * nfup])
+    fup_ips.frombytes(view[fup_at:fup_at + 8 * nfup])
     far_mask = (
-        int.from_bytes(far_buf[: (nrec + 7) // 8], "little") if nrec else 0
+        int.from_bytes(view[far_at:far_at + (nrec + 7) // 8], "little")
+        if nrec else 0
     )
+    tnt_bits = bytes(view[tnt_at:tnt_at + ntnt])
+    view.release()
     return _finish_segment(
         data, sync, pos, end_pos, pkt_count, charge, bool(out[7]),
         rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
-        bytes(tnt_buf[:ntnt]), out[4], out[5], bool(out[6]),
+        tnt_bits, out[4], out[5], bool(out[6]),
         far_mask, fup_ips,
     )
 
@@ -840,17 +897,19 @@ class ColumnarTail:
     def prepend(self, seg: ColumnarSegment, base: int) -> None:
         """Add the next-earlier segment: its trailing TNT run and far
         marker fold onto the current head record, if any."""
-        if self.count:
-            trailing = seg.trailing_sig()
-            if trailing != 1 or seg.trailing_far:
-                head = self._head
-                head.patch_sig = compose_tnt_sigs(trailing, head.patch_sig)
-                head.patch_far = head.patch_far or seg.trailing_far
+        if self.count and (seg.pend_start < seg.total_bits
+                           or seg.trailing_far):
+            head = self._head
+            head.patch_sig = compose_tnt_sigs(
+                seg.trailing_sig(), head.patch_sig
+            )
+            head.patch_far = head.patch_far or seg.trailing_far
         entry = _TailEntry(seg, base)
         self.entries.append(entry)
-        if seg.record_count:
+        records = len(seg.rec_ips)
+        if records:
             self._head = entry
-            self.count += seg.record_count
+            self.count += records
 
     # -- materialisation -----------------------------------------------------
 

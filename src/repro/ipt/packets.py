@@ -53,6 +53,16 @@ PSB_PATTERN = bytes([0x82, 0x02] * 4)
 #: Allowed IP payload widths (bytes), mirroring IPBytes compression.
 IP_WIDTHS = (0, 1, 2, 4, 6, 8)
 
+#: ``(last_ip ^ target).bit_length()`` -> the minimal IP payload width
+#: whose low-order bytes cover every bit in which ``target`` differs
+#: from ``last_ip`` (at least one byte: a repeated IP still carries a
+#: payload).  65 entries; a wider difference is not a 64-bit address.
+IP_WIDTH_FOR_BITS = tuple(
+    next(w for w in IP_WIDTHS[1:] if 8 * w >= bits) for bits in range(65)
+)
+
+_U64_MAX = (1 << 64) - 1
+
 MAX_TNT_BITS = 6
 
 
@@ -113,11 +123,12 @@ def compress_ip(target: int, last_ip: int) -> Tuple[int, bytes]:
     low-order bytes of ``last_ip`` with the payload reconstructs
     ``target`` — the IPBytes compression scheme.
     """
-    for width in IP_WIDTHS[1:]:
-        mask = (1 << (8 * width)) - 1
-        if (last_ip & ~mask) == (target & ~mask):
-            return width, (target & mask).to_bytes(width, "little")
-    raise PacketError(f"cannot encode IP {target:#x}")  # pragma: no cover
+    if not (0 <= target <= _U64_MAX and 0 <= last_ip <= _U64_MAX):
+        raise PacketError(f"cannot encode IP {target:#x}")
+    width = IP_WIDTH_FOR_BITS[(last_ip ^ target).bit_length()]
+    return width, (target & ((1 << (8 * width)) - 1)).to_bytes(
+        width, "little"
+    )
 
 
 def encode_ip_packet(header: int, target: Optional[int],

@@ -6,7 +6,8 @@ scan; this module owns the lifecycle around it:
 - compile on first use with whatever host compiler is on ``PATH``
   (``cc``/``gcc``/``clang``), into a per-user temp directory keyed by a
   hash of the source so stale binaries never survive a source change,
-- load it through :mod:`ctypes` with the fixed ``ipt_scan`` signature,
+- load it through :mod:`ctypes` with the fixed ``ipt_scan`` signature
+  (``argtypes`` declared, so the call converts no argument by guesswork),
 - degrade cleanly: any build/load failure is recorded (see
   :func:`build_error`) and the engine falls back to the pure-Python
   scan with bit-identical results.
@@ -63,7 +64,14 @@ def _build() -> ctypes.CDLL:
             )
         os.replace(tmp_path, so_path)
     lib = ctypes.CDLL(so_path)
-    lib.ipt_scan.restype = ctypes.c_long
+    scan = lib.ipt_scan
+    # data, size, start, then seven column pointers and out[]: the
+    # wrapper passes addresses into its scan arena as plain ints.
+    scan.argtypes = (
+        [ctypes.c_char_p, ctypes.c_long, ctypes.c_long]
+        + [ctypes.c_void_p] * 8
+    )
+    scan.restype = ctypes.c_long
     return lib
 
 

@@ -3,7 +3,9 @@
 PSB packets reset IP compression, so a PSB-delimited segment decodes to
 the same columns wherever it appears — in a later snapshot of the same
 ring, or in a different process's ring altogether.  The cache keys each
-segment by a short content hash and stores its columnar scan (a
+segment by its content — the segment's bytes themselves, so a probe is
+one ``bytes`` hash and a hit one exact comparison, with no collision to
+reason about — and stores its columnar scan (a
 :class:`~repro.ipt.columnar.ColumnarSegment`) in a bounded LRU, so
 byte-identical segments across a fleet decode exactly once.  The
 columns stay segment-relative: consumers carry the segment's stream
@@ -22,7 +24,6 @@ missing bytes, so its hash must not pin the partial decode.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Tuple
 
@@ -32,7 +33,7 @@ from repro.ipt.columnar import ColumnarSegment, columnar_scan
 
 
 class SegmentDecodeCache:
-    """Bounded LRU of segment decodes, keyed by segment content hash."""
+    """Bounded LRU of segment decodes, keyed by segment content."""
 
     def __init__(self, entries: int = 256) -> None:
         if entries < 1:
@@ -82,7 +83,7 @@ class SegmentDecodeCache:
         stored.
         """
         size = len(segment)
-        key = hashlib.blake2b(segment, digest_size=16).digest()
+        key = bytes(segment)
         tel = get_telemetry()
         seg = self._store.get(key)
         if seg is not None:

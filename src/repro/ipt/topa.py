@@ -80,14 +80,34 @@ class ToPA:
         return self._stopped
 
     def write(self, data: bytes) -> None:
-        """Append packet bytes, moving across regions and wrapping."""
+        """Append packet bytes, moving across regions and wrapping.
+
+        Copies one slice per region.  A region that fills raises its PMI
+        right after its last byte lands, before the write moves on, so
+        the callback sees the cursor (``_region``, ``_offset``) and
+        ``total_bytes_written`` at exactly that byte.
+        """
         if self._stopped:
             return
-        for byte in data:
+        size = len(data)
+        offset = self._offset
+        region = self.regions[self._region]
+        if offset + size < region.size:  # the common case: no region fills
+            self._buffers[self._region][offset:offset + size] = data
+            self._offset = offset + size
+            self.total_bytes_written += size
+            return
+        pos = 0
+        while pos < size:
             region = self.regions[self._region]
-            self._buffers[self._region][self._offset] = byte
-            self._offset += 1
-            self.total_bytes_written += 1
+            offset = self._offset
+            count = min(region.size - offset, size - pos)
+            self._buffers[self._region][offset:offset + count] = (
+                data[pos:pos + count]
+            )
+            pos += count
+            self._offset = offset + count
+            self.total_bytes_written += count
             if self._offset >= region.size:
                 if region.interrupt and self.pmi_callback is not None:
                     self.pmi_callback()

@@ -31,7 +31,7 @@ from repro.ipt.columnar import (
     ColumnarTail,
     TipRecord,
     columnar_scan,
-    psb_offsets,
+    psb_offsets_reversed,
 )
 from repro.ipt.packets import PacketError
 from repro.itccfg.paths import PathIndex
@@ -134,25 +134,19 @@ class FastPathChecker:
         """
         self.last_corrupt_segments = 0
         tail = ColumnarTail()
-        offsets = psb_offsets(data)
-        if not offsets:
-            tail.start = len(data)
-            return tail
-        bounds = offsets + [len(data)]
         view = memoryview(data)
         cycles = 0.0
-        start = offsets[-1]
-        for index in range(len(offsets) - 1, -1, -1):
+        size = len(data)
+        end = start = size
+        for begin in psb_offsets_reversed(data):
+            if end == size:  # the newest segment: the window starts here
+                start = begin
             try:
-                seg, seg_cycles = self._decode_segment(
-                    view, offsets[index], bounds[index + 1]
-                )
+                seg, seg_cycles = self._decode_segment(view, begin, end)
             except PacketError:
-                cycles += self._corrupt_segment(
-                    offsets[index], bounds[index + 1], tail.count > 0
-                )
+                cycles += self._corrupt_segment(begin, end, tail.count > 0)
                 break
-            if seg.truncated and index < len(offsets) - 1:
+            if seg.truncated and end < size:
                 # Only the *final* segment of a clean stream can end
                 # mid-packet (the snapshot caught the producer).  A
                 # truncated middle segment means its bytes are corrupt
@@ -160,12 +154,12 @@ class FastPathChecker:
                 # records would stitch across the gap and pair TIPs
                 # that were never adjacent.
                 cycles += seg_cycles + self._corrupt_segment(
-                    offsets[index], bounds[index + 1], tail.count > 0
+                    begin, end, tail.count > 0
                 )
                 break
             cycles += seg_cycles
-            tail.prepend(seg, offsets[index])
-            start = offsets[index]
+            tail.prepend(seg, begin)
+            start = end = begin
             if tail.count > self.pkt_count and (
                 # Evaluate the flags before materialising the ip
                 # window, which only the module requirements read.

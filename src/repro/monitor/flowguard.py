@@ -23,7 +23,7 @@ from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 from repro import costs
 from repro.telemetry import get_telemetry
 from repro.analysis.cfg import ControlFlowGraph
-from repro.ipt.encoder import IPTEncoder
+from repro.ipt.encoder import ENCODER_KINDS, IPTEncoder
 from repro.ipt.msr import IPTConfig
 from repro.ipt.topa import ToPA
 from repro.ipt.segment_cache import SegmentDecodeCache
@@ -181,6 +181,7 @@ class FlowGuardMonitor:
             if self.policy.segment_cache_entries > 0
             else None
         )
+        kernel.spawn_hooks.append(self._on_exec)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -259,7 +260,7 @@ class FlowGuardMonitor:
             slow=slow,
         )
         pp_holder.append(pp)
-        process.executor.add_listener(encoder.on_branch)
+        process.executor.add_listener(encoder.on_branch, ENCODER_KINDS)
         self._protected[process.cr3] = pp
         if self._telemetry.enabled:
             self._telemetry.profiler.register(pp, self.degradations.tenant)
@@ -332,12 +333,27 @@ class FlowGuardMonitor:
             hook(proc)
 
     def unprotect(self, process: Process) -> None:
-        pp = self._protected.pop(process.cr3, None)
+        self._detach(process.cr3)
+
+    def _detach(self, cr3: int) -> None:
+        pp = self._protected.pop(cr3, None)
         if pp is not None:
             try:
-                process.executor.remove_listener(pp.encoder.on_branch)
+                pp.process.executor.remove_listener(pp.encoder.on_branch)
             except ValueError:  # pragma: no cover - already detached
                 pass
+
+    def _on_exec(self, proc: Process) -> None:
+        """Spawn hook: an execve gave ``proc`` a fresh CR3, so whatever
+        FlowGuard protected under its old CR3 — the old image's encoder
+        and checking stack — is stale.  ``auto_protect``'s hook, which
+        runs after this one, re-protects the new image if it matches."""
+        stale = [
+            cr3 for cr3, pp in self._protected.items()
+            if pp.process is proc and cr3 != proc.cr3
+        ]
+        for cr3 in stale:
+            self._detach(cr3)
 
     def protected_for(self, process: Process) -> Optional[ProtectedProcess]:
         return self._protected.get(process.cr3)

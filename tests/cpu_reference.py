@@ -52,7 +52,10 @@ class ReferenceExecutor:
         self.stop_requested = False
         self._icache: Dict[int, Tuple[Insn, int]] = {}
 
-    def add_listener(self, listener) -> None:
+    def add_listener(self, listener, kinds=None) -> None:
+        """Subscribe ``listener``; ``kinds`` is accepted and ignored —
+        the oracle delivers every kind, so a lock-step test can compare
+        the loop's filtered delivery against the unfiltered stream."""
         self.listeners.append(listener)
 
     def remove_listener(self, listener) -> None:

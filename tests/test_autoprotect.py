@@ -119,3 +119,85 @@ class TestAutoProtect:
         proc = kernel.spawn("prefork")  # spawned before the monitor
         monitor = pipeline.auto_deploy(kernel)
         assert monitor.protected_for(proc) is not None
+
+
+def sys_(nr, *args):
+    return SyscallExpr(int(nr), list(args))
+
+
+def fork_exec_app():
+    """A master whose forked child execs ``other``."""
+    prog = Program("forkexec")
+    prog.add_string("path", "other")
+    prog.add_func(Func("main", [], [
+        Let("pid", sys_(Sys.FORK)),
+        If(Rel("==", Var("pid"), Const(0)),
+           [sys_(Sys.EXECVE, Global("path")), Return(Const(1))]),
+        Return(sys_(Sys.WAIT)),
+    ]))
+    prog.set_entry("main")
+    return prog.build()
+
+
+def other_app():
+    prog = Program("other")
+    prog.add_func(Func("main", [], [Return(Const(9))]))
+    prog.set_entry("main")
+    return prog.build()
+
+
+def reexec_app():
+    """Execs itself once: the first run leaves ``/done`` behind."""
+    prog = Program("reexec")
+    prog.add_string("done", "/done")
+    prog.add_string("self", "reexec")
+    prog.add_func(Func("main", [], [
+        Let("fd", sys_(Sys.OPEN, Global("done"), Const(0))),
+        If(Rel("<", Var("fd"), Const(0)), [
+            sys_(Sys.OPEN, Global("done"), Const(O_CREAT | O_WRONLY)),
+            sys_(Sys.EXECVE, Global("self")),
+            Return(Const(1)),
+        ]),
+        Return(Const(4)),
+    ]))
+    prog.set_entry("main")
+    return prog.build()
+
+
+class TestExecDropsStaleProtection:
+    """An execve gives the process a fresh CR3: whatever FlowGuard
+    protected under the old one must go, not linger filtered out."""
+
+    def test_exec_into_unprotected_program(self):
+        pipeline = FlowGuardPipeline.offline(
+            "forkexec", fork_exec_app(), {}, corpus=[b""], mode="stdin",
+        )
+        kernel = Kernel()
+        kernel.register_program("other", other_app())
+        monitor = pipeline.auto_deploy(kernel)
+        proc = kernel.spawn("forkexec")
+        kernel.run(proc)
+        assert proc.exit_code == 9
+        child = next(p for p in kernel.processes.values() if p is not proc)
+        assert child.name == "other"
+        assert child.executor.listeners == []
+        assert len(monitor._protected) == 1  # noqa: SLF001
+        assert monitor.protected_for(proc) is not None
+        assert len(monitor.all_stats()) == 1
+
+    def test_exec_into_the_same_program(self):
+        pipeline = FlowGuardPipeline.offline(
+            "reexec", reexec_app(), {}, corpus=[b""], mode="stdin",
+        )
+        kernel = Kernel()
+        monitor = pipeline.auto_deploy(kernel)
+        proc = kernel.spawn("reexec")
+        first_cr3 = proc.cr3
+        kernel.run(proc)
+        assert proc.exit_code == 4
+        assert proc.cr3 != first_cr3
+        pp = monitor.protected_for(proc)
+        assert pp is not None
+        assert proc.executor.listeners == [pp.encoder.on_branch]
+        assert list(monitor._protected) == [proc.cr3]  # noqa: SLF001
+        assert monitor.detections == []

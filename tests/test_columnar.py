@@ -34,6 +34,7 @@ from repro.ipt.columnar import (
     columnar_decode_parallel,
     columnar_scan,
     psb_offsets,
+    psb_offsets_reversed,
 )
 from repro.ipt.packets import (
     FUP_HEADER,
@@ -755,6 +756,40 @@ class TestPsbOffsetsMemoryview:
     def test_synthetic(self):
         data = build_stream(5, packets=50)
         assert psb_offsets(memoryview(data)) == psb_offsets(data)
+
+
+class TestPsbOffsetsReversed:
+    """The backward tail walk's lazy PSB search returns the forward
+    scan's offsets, newest first — including where an IP payload ending
+    ``82 02`` right before a PSB makes the pattern match at two
+    alignments."""
+
+    def test_matches_forward_scan(self, trace):
+        data, _ = trace
+        for cut in snapshot_cuts(data, count=8):
+            assert list(psb_offsets_reversed(data[:cut])) == (
+                psb_offsets(data[:cut])[::-1]
+            )
+        assert list(psb_offsets_reversed(memoryview(data))) == (
+            psb_offsets(data)[::-1]
+        )
+        assert list(psb_offsets_reversed(b"\x00" * 40)) == []
+
+    @pytest.mark.parametrize("run", [1, 2, 3, 5, 8])
+    def test_overlapping_pattern_runs(self, run):
+        # A TIP whose payload ends 82 02, then a PSB: the forward scan
+        # takes the earlier alignment, and so must the backward walk.
+        tip, _ = encode_ip_packet(TIP_HEADER, 0x400282, 0x400000)
+        assert tip.endswith(b"\x82\x02")
+        for data in (
+            PSB_PATTERN + b"\x23" + tip + PSB_PATTERN + b"\x23"
+            + tip * run + PSB_PATTERN,
+            b"\x82\x02" * (4 + run) + b"\x23" + PSB_PATTERN,
+            bytes(build_stream(run, packets=60)) + tip + PSB_PATTERN,
+        ):
+            assert list(psb_offsets_reversed(data)) == (
+                psb_offsets(data)[::-1]
+            )
 
 
 class TestColumnarSegmentViews:

@@ -26,6 +26,8 @@ from repro.cpu import (
     PROT_READ,
     PROT_WRITE,
 )
+from repro.cpu.events import CoFIKind
+from repro.ipt.encoder import ENCODER_KINDS
 from repro.isa import A, Cond, Label, asm
 from repro.isa.registers import R0, R1, R2, R3, R4, R5, SP
 from repro.osmodel import Kernel
@@ -263,6 +265,15 @@ def test_every_condition_against_every_flag_outcome():
     [A.mov(SP, RO_BASE + 0x10), A.lea(R1, "there"), A.callr(R1),
      Label("there")],
     [A.mov(SP, DATA_BASE + 0x2004), A.push(R0)],  # straddles the end
+    # Byte accesses just outside mapped pages, on read-only and code
+    # pages, and at a negative address.
+    [A.mov(R1, DATA_BASE + 0x2000), A.loadb(R0, R1, 0)],
+    [A.mov(R1, DATA_BASE + 0x2000), A.storeb(R1, 0, R0)],
+    [A.mov(R1, DATA_BASE), A.loadb(R0, R1, -1)],
+    [A.mov(R1, DATA_BASE), A.storeb(R1, -1, R0)],
+    [A.mov(R1, RO_BASE + 0xFFF), A.storeb(R1, 0, R0)],
+    [A.mov(R1, CODE_BASE), A.storeb(R1, 0, R0)],
+    [A.mov(R1, 0), A.loadb(R0, R1, -8)],
 ])
 def test_faults_match(body):
     outcome = both_ways([A.mov(R0, 0x1122334455667788)] + body + [A.halt()])
@@ -301,7 +312,101 @@ def test_u64_accesses_that_straddle_a_page():
     assert both_ways(items) == ("ok", None)
 
 
+def test_byte_accesses_at_page_edges():
+    """LOADB/STOREB at the first and last byte of mapped pages, on a
+    read-only page and on a code page, with a STOREB value wider than a
+    byte (only its low byte lands)."""
+    items = [A.mov(R0, 0x1122334455667788), A.mov(R4, 0x1FF)]
+    for addr in (DATA_BASE, DATA_BASE + 0xFFF, DATA_BASE + 0x1000,
+                 DATA_BASE + 0x1FFF):
+        items += [A.mov(R1, addr), A.storeb(R1, 0, R0), A.loadb(R2, R1, 0),
+                  A.storeb(R1, 0, R4), A.loadb(R3, R1, 0),
+                  A.add(R5, R2), A.add(R5, R3)]
+    items += [
+        A.mov(R1, DATA_BASE + 0x2000), A.loadb(R2, R1, -1),
+        A.storeb(R1, -0x2000, R2), A.loadb(R3, R1, -0x2000),
+        A.mov(R1, RO_BASE), A.loadb(R2, R1, 0xFFF), A.add(R5, R2),
+        A.mov(R1, CODE_BASE), A.loadb(R2, R1, 0), A.add(R5, R2),
+        A.halt(),
+    ]
+    assert both_ways(items) == ("ok", None)
+    new, ref, _ = make_pair(items)
+    lockstep(new, ref)
+    # 0x1FF stored as a byte: only the low byte lands.
+    assert new.cpu.machine.memory.read_u8(DATA_BASE + 0x1FFF) == 0xFF
+
+
 # -- call-outs ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kinds", [
+    ENCODER_KINDS,
+    {CoFIKind.DIRECT_JMP, CoFIKind.DIRECT_CALL},
+    {CoFIKind.FAR_TRANSFER},
+    {CoFIKind.RET, CoFIKind.COND_BRANCH},
+    set(),
+])
+@pytest.mark.parametrize("seed", [4, 8, 15])
+def test_filtered_delivery_matches_unfiltered(seed, kinds):
+    """A listener subscribed to some kinds sees exactly the oracle's
+    (unfiltered) events of those kinds, with the same machine state at
+    each call-out; the machine itself runs identically."""
+    (new_kernel, new_proc), (ref_kernel, ref_proc) = kernel_pair(seed)
+    new = Side(new_proc.executor, record=False)
+    new_proc.executor.add_listener(new._record, kinds)
+    ref = Side(ref_proc.executor, record=False)
+    ref_proc.executor.add_listener(ref._record, kinds)
+    rng = random.Random(seed)
+    while new_proc.alive:
+        budget = rng.choice((1, 2, 7, 31, 500))
+        outcome = new_kernel.step(new_proc, budget)
+        assert outcome == ref_kernel.step(ref_proc, budget)
+        assert new.state() == ref.state()
+    wanted = [i for i, event in enumerate(ref.events) if event.kind in kinds]
+    assert new.events == [ref.events[i] for i in wanted]
+    assert new.seen == [ref.seen[i] for i in wanted]
+    assert new_proc.exit_code == ref_proc.exit_code
+
+
+def test_subscriptions_made_and_dropped_inside_call_outs():
+    """The execve shape: a syscall handler subscribes a listener, which
+    gets that very syscall's far transfer; a listener that unsubscribes
+    itself gets nothing after."""
+    def handler(side):
+        def on_syscall(machine):
+            side.note("syscall")
+            if machine.regs[R0] == 1:
+                side.cpu.add_listener(side.late, {CoFIKind.FAR_TRANSFER,
+                                                  CoFIKind.COND_BRANCH})
+        return on_syscall
+
+    def listener(side):
+        def once(event):
+            side.cpu.remove_listener(once)
+        return once
+
+    items = [A.mov(R0, 0), A.syscall(), A.mov(R0, 1), A.syscall(),
+             Label("loop"), A.addi(R2, 1), A.cmpi(R2, 9),
+             A.jcc(Cond.LT, "loop"), A.mov(R0, 2), A.syscall(), A.halt()]
+    for run in (lockstep, lambda new, ref: sliced(new, ref, [2, 5, 1000])):
+        sides = []
+        for cls in (Executor, ReferenceExecutor):
+            machine, _ = build_machine(items)
+            side = Side(cls(machine))
+            side.got = []
+            side.late = side.got.append
+            side.cpu.syscall_handler = handler(side)
+            side.cpu.add_listener(listener(side))
+            sides.append(side)
+        new, ref = sides
+        run(new, ref)
+        assert [e.kind for e in new.got] == [e.kind for e in ref.got
+                                             if e.kind in (
+                                                 CoFIKind.FAR_TRANSFER,
+                                                 CoFIKind.COND_BRANCH)]
+        assert new.got[0].kind is CoFIKind.FAR_TRANSFER
+        assert new.got[0] == ref.got[0]
+        assert len(new.cpu.listeners) == 2
 
 
 def test_listener_asserting_stop_mid_run():

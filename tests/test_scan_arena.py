@@ -1,0 +1,144 @@
+"""The C scan kernel's reused output arena.
+
+Every kernel scan writes its columns into one grow-only per-process
+arena and copies them out before returning.  These tests scan with the
+kernel forced on, in orders that leave stale bytes behind — a large
+snapshot, then a smaller one whose far bitmap and TNT span are shorter;
+a failing scan between good ones — and hold each result to a scan with
+a brand-new arena and to the per-byte oracle in
+``tests/scan_reference.py``.
+"""
+
+import ctypes
+
+import pytest
+
+from repro.ipt import columnar
+from repro.ipt.columnar import columnar_scan, set_scan_kernel
+from repro.ipt.packets import (
+    PSBEND_BYTE,
+    PSB_PATTERN,
+    PacketError,
+    TIP_HEADER,
+    TIP_PGE_HEADER,
+    encode_ip_packet,
+    encode_tnt,
+)
+from tests.scan_reference import columnar_scan_reference
+from tests.test_columnar import build_stream
+from tests.test_scan_parity import KERNEL_AVAILABLE, segment_columns
+
+pytestmark = pytest.mark.skipif(
+    not KERNEL_AVAILABLE, reason="C scan kernel not buildable here"
+)
+
+
+@pytest.fixture(autouse=True)
+def kernel_on():
+    previous = set_scan_kernel("on")
+    yield
+    set_scan_kernel(previous)
+
+
+def fresh_scan(data, sync=False):
+    """Columns from a scan that starts with an empty arena."""
+    saved = columnar._arena
+    columnar._arena = (bytearray(), None, 0)
+    try:
+        return segment_columns(columnar_scan(data, sync=sync))
+    finally:
+        columnar._arena = saved
+
+
+def reference(data, sync=False):
+    return segment_columns(columnar_scan_reference(data, sync=sync))
+
+
+def far_heavy_stream(records):
+    """Every TIP follows a TIP.PGE, so every far bit is set; six TNT
+    bits before each TIP fill the TNT span."""
+    out = bytearray(PSB_PATTERN)
+    out.append(PSBEND_BYTE)
+    last_ip = 0
+    for index in range(records):
+        packet, last_ip = encode_ip_packet(TIP_PGE_HEADER, 0x400000, last_ip)
+        out += packet
+        out += encode_tnt((True, False, True, True, False, index % 2 == 0))
+        packet, last_ip = encode_ip_packet(
+            TIP_HEADER, 0x400000 + 16 * index, last_ip
+        )
+        out += packet
+    return bytes(out)
+
+
+def plain_stream(records):
+    """TIPs with no far transfer before them and a short TNT run."""
+    out = bytearray(PSB_PATTERN)
+    out.append(PSBEND_BYTE)
+    last_ip = 0
+    for index in range(records):
+        out += encode_tnt((index % 3 == 0,))
+        packet, last_ip = encode_ip_packet(
+            TIP_HEADER, 0x500000 + 8 * index, last_ip
+        )
+        out += packet
+    return bytes(out)
+
+
+def test_small_scan_after_large_one():
+    large = far_heavy_stream(2000)
+    small = plain_stream(5)
+    big = segment_columns(columnar_scan(large))
+    assert big == reference(large)
+    assert big[13] == (1 << 2000) - 1  # every far bit set
+    arena = columnar._arena
+    got = segment_columns(columnar_scan(small))
+    assert columnar._arena is arena  # reused, not reallocated
+    assert got[13] == 0  # no stale far bits
+    assert got == fresh_scan(small) == reference(small)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_alternating_sizes(seed):
+    streams = [bytes(build_stream(seed, packets=n)) for n in (2000, 3, 400)]
+    streams.append(plain_stream(1))
+    for data in streams + streams[::-1]:
+        for sync in (False, True):
+            got = segment_columns(columnar_scan(data, sync=sync))
+            assert got == fresh_scan(data, sync) == reference(data, sync)
+
+
+def test_arena_grows_and_stays_exported(monkeypatch):
+    monkeypatch.setattr(columnar, "_arena", (bytearray(), None, 0))
+    columnar_scan(plain_stream(2))
+    small = len(columnar._arena[0])
+    columnar_scan(far_heavy_stream(500))
+    buf, export, address = columnar._arena
+    assert len(buf) > small
+    assert len(export) == len(buf)
+    assert ctypes.addressof(export) == address
+    columnar_scan(plain_stream(2))
+    assert columnar._arena[0] is buf
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b"\x02\x00", "invalid TNT payload 0x0"),
+    (b"\x0d\x09", "IP width 9 impossible"),
+    (b"\xff", "header 0xff"),
+])
+def test_packet_error_after_a_good_scan(bad, message):
+    good = far_heavy_stream(300)
+    columnar_scan(good)
+    data = plain_stream(4) + bad
+    with pytest.raises(PacketError) as caught:
+        columnar_scan(data)
+    with pytest.raises(PacketError) as expected:
+        columnar_scan_reference(data)
+    assert str(caught.value) == str(expected.value)
+    assert message in str(caught.value)
+    if "offset" in str(expected.value):
+        assert f"offset {len(plain_stream(4))}" in str(caught.value)
+    # The failed scan leaves nothing behind for the next one.
+    assert segment_columns(columnar_scan(good)) == reference(good)
+    small = plain_stream(3)
+    assert segment_columns(columnar_scan(small)) == reference(small)
