@@ -14,8 +14,8 @@ identical.  Exits non-zero if any acceptance gate fails:
 - the clean run meets every stock SLO; the fault-injected run burns
   error budget and captures a flight-recorder dump (the VIOLATION
   auto-dump) while its planted ROP attack is quarantined,
-- every ledger — fleet cycle accounting, degradation ledger, and the
-  plane's own sampler/flight reconciliation — is exact.
+- every ledger — fleet cycle accounting and the degradation ledger's
+  wasted cycles — is exact with the plane attached.
 
 A psb_period sweep is recorded alongside for the run report.
 

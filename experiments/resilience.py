@@ -15,8 +15,8 @@ identical.  Exits non-zero if any acceptance gate fails:
   fail-closed (quarantine, not a silent drop — and never a wedge),
 - faulted p99 verdict lag stays within the bound over the fault-free
   baseline, and
-- every ledger (fleet cycle accounting, degradation ledger vs its
-  telemetry mirror) reconciles exactly.
+- every ledger (fleet cycle accounting, the degradation ledger's
+  wasted cycles vs the dispatcher's retry cycles) reconciles exactly.
 """
 
 from __future__ import annotations

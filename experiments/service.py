@@ -18,8 +18,7 @@ Exits non-zero if any acceptance gate fails:
 - a graceful drain applies every submitted check before stopping and
   the books still reconcile,
 - the full duo run under the observability plane reconciles every
-  tenant's cycle and degradation ledgers exactly, plus the plane's
-  own audit,
+  tenant's cycle and degradation ledgers exactly,
 - admission control sheds exactly the sessions over budget (ledger
   events, never silent) and the loadgen knee recorded by a full
   (non-``--quick``) sweep stays at or above the trajectory floor.

@@ -250,8 +250,7 @@ def _faults_from_args(args: argparse.Namespace):
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Run a protected server under full telemetry and dump the
-    StatsReport; exit 1 if the degradation ledger or the plane audit
-    drifts."""
+    StatsReport."""
     from repro import telemetry
     from repro.api import FlowGuardPolicy, StatsReport, run_workload
 
@@ -269,7 +268,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         tel.attach_plane(plane)
     else:
         tel.enable()
-    plane_audit = None
     try:
         run = run_workload(
             args.server,
@@ -282,12 +280,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         slo = None
         if plane is not None:
             # Solo runs have no fleet clock: close the sampler on the
-            # process's own cycle count before auditing.
+            # process's own cycle count.
             plane.finalize(run.proc.executor.cycles)
-            plane_audit = plane.reconcile(
-                run.monitor.all_stats(),
-                getattr(run.monitor, "degradations", None),
-            )
             slo = plane.slo_report()
             if args.plane_out:
                 plane.export(args.plane_out)
@@ -313,17 +307,36 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                   f"{cache['misses']} misses "
                   f"({cache['hit_rate']:.1%} hit rate)]",
                   file=sys.stderr)
-    resilience = payload["resilience"]
-    if resilience is not None:
-        ledger = resilience.get("ledger_reconcile")
-        if ledger is not None and not ledger["exact"]:
-            print("degradation ledger does NOT reconcile",
-                  file=sys.stderr)
-            return 1
-    if plane_audit is not None and not plane_audit["exact"]:
-        print("observability plane does NOT reconcile", file=sys.stderr)
-        return 1
     return 0
+
+
+def _books_drift(result) -> bool:
+    """Print the first of a run's independent audits that drifts.
+
+    A fleet run has two: its cycle accounting (the worker ledger
+    against ``MonitorStats``) and its degradation ledger's wasted
+    cycles against the dispatcher's ``retry_cycles``.  A service run
+    (``ServiceResult``) holds both verdicts per tenant.
+    """
+    drift = None
+    tenants = getattr(result, "tenants", None)
+    if tenants is not None:
+        inexact = [
+            name for name, t in tenants.items()
+            if not (t["accounting_exact"] and t["ledger_exact"])
+        ]
+        if inexact:
+            drift = f"tenant ledger(s) do NOT reconcile: {', '.join(inexact)}"
+    elif not result.accounting["exact"]:
+        drift = "fleet cycle ledger does NOT reconcile with MonitorStats"
+    else:
+        ledger = (result.resilience or {}).get("ledger_reconcile")
+        if ledger is not None and not ledger["exact"]:
+            drift = ("degradation ledger does NOT reconcile with the "
+                     "dispatcher's retry cycles")
+    if drift is not None:
+        print(drift, file=sys.stderr)
+    return drift is not None
 
 
 def _build_fleet_service(args: argparse.Namespace):
@@ -434,14 +447,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         json.dump(result.to_dict(), sys.stdout, indent=2, default=str)
         print()
 
-    if not result.accounting["exact"]:
-        print("fleet cycle ledger does NOT reconcile with MonitorStats",
-              file=sys.stderr)
-        return 1
-    ledger = resilience.get("ledger_reconcile")
-    if ledger is not None and not ledger["exact"]:
-        print("degradation ledger does NOT reconcile with telemetry",
-              file=sys.stderr)
+    if _books_drift(result):
         return 1
     if attacked_pid is not None and \
             attacked_pid not in result.quarantined_pids:
@@ -616,31 +622,23 @@ def _format_top_frame(service, plane, sample: dict) -> str:
             )
         if lat_bits:
             lines.append("  latency: " + "  ".join(lat_bits))
-    lines.extend(_tenant_lines(sample))
     lines.extend(_slo_flight_lines(plane))
     return "\n".join(lines)
 
 
-def _tenant_lines(sample: dict) -> List[str]:
-    """Per-tenant serving rows, present whenever tenant-labelled
-    series exist in the sample (the multi-tenant front-end labels
-    everything it emits with the tenant's fault-domain tag)."""
-    from repro.telemetry.plane import _series_base, _series_label
+def _tenant_lines(sample: dict, tenants: List[str]) -> List[str]:
+    """Per-tenant serving rows: the multi-tenant front-end labels
+    everything it emits with the tenant's fault-domain tag."""
+    from repro.telemetry.metrics import series_base
 
     counters = sample.get("counters", {})
-    tenants = sorted({
-        tenant
-        for series in counters
-        if (tenant := _series_label(series, "tenant"))
-    })
-    if not tenants:
-        return []
 
     def total(name: str, tenant: str) -> float:
+        tag = f'tenant="{tenant}"'
         return sum(
             value for series, value in counters.items()
-            if _series_base(series) == name
-            and _series_label(series, "tenant") == tenant
+            if series_base(series) == name
+            and (f"{{{tag}" in series or f",{tag}" in series)
         )
 
     lines = [
@@ -700,7 +698,7 @@ def _format_service_frame(service, plane, sample: dict) -> str:
             f"{rt.bucket.throttles:>9} "
             f"{len(rt.registry.versions):>7}"
         )
-    lines.extend(_tenant_lines(sample))
+    lines.extend(_tenant_lines(sample, [rt.name for rt in service.runtimes]))
     lines.extend(_slo_flight_lines(plane))
     return "\n".join(lines)
 
@@ -743,11 +741,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
             plane.sampler.on_sample.append(render)
         result = service.run()
-        plane_audit = plane.reconcile(
-            service.monitor.all_stats(), service.monitor.degradations
-        )
-        # The final frame renders after finalize (inside reconcile) so
-        # it carries the closing sample — ``--once`` prints only this.
+        # The final frame renders after finalize (inside the run's SLO
+        # report) so it carries the closing sample — ``--once`` prints
+        # only this.
         print(_format_top_frame(service, plane, plane.sampler.samples[-1]))
         if args.plane_out:
             plane.export(args.plane_out)
@@ -756,17 +752,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
         tel.detach_plane()
         tel.disable()
 
-    if not result.accounting["exact"]:
-        print("fleet cycle ledger does NOT reconcile with MonitorStats",
-              file=sys.stderr)
-        return 1
-    ledger = (result.resilience or {}).get("ledger_reconcile")
-    if ledger is not None and not ledger["exact"]:
-        print("degradation ledger does NOT reconcile with telemetry",
-              file=sys.stderr)
-        return 1
-    if not plane_audit["exact"]:
-        print("observability plane does NOT reconcile", file=sys.stderr)
+    if _books_drift(result):
         return 1
     missed = [pid for pid in attacked_pids
               if pid not in result.quarantined_pids]
@@ -800,12 +786,6 @@ def _top_service(args: argparse.Namespace, tel, plane) -> int:
             plane.sampler.on_sample.append(render)
         result = asyncio.run(service.serve())
         plane.finalize(service.now)
-        plane_audit = plane.reconcile(
-            [stats
-             for rt in service.runtimes
-             for stats in rt.fleet.monitor.all_stats()],
-            [rt.fleet.monitor.degradations for rt in service.runtimes],
-        )
         print(_format_service_frame(
             service, plane, plane.sampler.samples[-1]
         ))
@@ -815,19 +795,7 @@ def _top_service(args: argparse.Namespace, tel, plane) -> int:
     finally:
         tel.detach_plane()
         tel.disable()
-
-    inexact = [
-        name for name, report in result.tenants.items()
-        if not (report["accounting_exact"] and report["ledger_exact"])
-    ]
-    if inexact:
-        print(f"tenant ledger(s) do NOT reconcile: "
-              f"{', '.join(inexact)}", file=sys.stderr)
-        return 1
-    if not plane_audit["exact"]:
-        print("observability plane does NOT reconcile", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if _books_drift(result) else 0
 
 
 def _cmd_service(args: argparse.Namespace) -> int:
@@ -865,7 +833,6 @@ def _cmd_service(args: argparse.Namespace) -> int:
                 print(f"event {event['tenant']}: {kind} "
                       f"@ {event['at']:,.0f}")
 
-    plane_audit = None
     try:
         import asyncio
 
@@ -875,13 +842,6 @@ def _cmd_service(args: argparse.Namespace) -> int:
         result = asyncio.run(service.serve(on_event=on_event))
         if plane is not None:
             plane.finalize(service.now)
-            plane_audit = plane.reconcile(
-                [stats
-                 for rt in service.runtimes
-                 for stats in rt.fleet.monitor.all_stats()],
-                [rt.fleet.monitor.degradations
-                 for rt in service.runtimes],
-            )
             if args.plane_out:
                 plane.export(args.plane_out)
                 print(f"[plane dump -> {args.plane_out}]",
@@ -918,18 +878,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
             ],
         ))
 
-    inexact = [
-        name for name, t in result.tenants.items()
-        if not (t["accounting_exact"] and t["ledger_exact"])
-    ]
-    if inexact:
-        print(f"tenant ledger(s) do NOT reconcile: "
-              f"{', '.join(inexact)}", file=sys.stderr)
-        return 1
-    if plane_audit is not None and not plane_audit["exact"]:
-        print("observability plane does NOT reconcile", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if _books_drift(result) else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

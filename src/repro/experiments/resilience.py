@@ -12,8 +12,8 @@ and ``tests/test_resilience.py``:
   is ever quarantined (graceful degradation, not false positives), the
   fleet finishes (degrades, never wedges), p99 verdict lag stays within
   ``LAG_BOUND``× the fault-free baseline, and every ledger — fleet
-  cycle accounting, degradation ledger vs telemetry counters —
-  reconciles exactly.
+  cycle accounting, the degradation ledger's wasted cycles vs the
+  dispatcher's ``retry_cycles`` — reconciles exactly.
 - **dead letter** — a scheduled fault kills every retry of one check;
   the task must be dead-lettered (never silently dropped) and the
   policy's fail-closed quarantine must isolate the unverifiable
@@ -26,8 +26,7 @@ and ``tests/test_resilience.py``:
   positives on the clean processes.
 
 A solo-monitor scenario rides along: one protected server under the
-same mix, whose degradation ledger must reconcile and whose monitor
-must report no detections.
+same mix, whose monitor must report no detections.
 """
 
 from __future__ import annotations
@@ -205,7 +204,6 @@ def run(quick: bool = False) -> Dict[str, object]:
                 solo.monitor.fault_injector.stats()["fired"]
                 if solo.monitor.fault_injector is not None else {}
             ),
-            "ledger_exact": ledger.reconcile()["exact"],
             "overhead": solo.overhead,
         }
     finally:
@@ -245,7 +243,7 @@ def run(quick: bool = False) -> Dict[str, object]:
             for row in (
                 [results["baseline"], faulted, dl] + detection
             )
-        ) and results["solo"]["ledger_exact"],
+        ),
     }
     return results
 

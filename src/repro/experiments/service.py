@@ -19,9 +19,7 @@ The serving front-end's contract has five legs, all gated by
   ``drained`` marker and the books still reconcile.
 - **exact books under observability** — the full duo run with the
   plane attached must reconcile every tenant's cycle ledger and
-  degradation ledger exactly, and the plane's own audit (check
-  counts, per-kind flight/counter/ledger tallies summed across
-  tenants) must come back exact.
+  degradation ledger exactly.
 - **admission control** — a capped tenant sheds exactly the sessions
   over its budget (one ``shed-load`` ledger event each), throttles
   show up only in the throttled tenant's books, and the loadgen knee
@@ -148,22 +146,13 @@ def run(
     plane = ObservabilityPlane(interval=2000.0)
     tel.attach_plane(plane)
     try:
-        observed_service = TraceCheckService(duo_config, plane=plane)
-        observed = asyncio.run(observed_service.serve())
-        plane_audit = plane.reconcile(
-            [stats
-             for rt in observed_service.runtimes
-             for stats in rt.fleet.monitor.all_stats()],
-            [rt.fleet.monitor.degradations
-             for rt in observed_service.runtimes],
+        observed = asyncio.run(
+            TraceCheckService(duo_config, plane=plane).serve()
         )
     finally:
         tel.detach_plane()
         tel.disable()
-    results["observed"] = {
-        "tenants": observed.to_dict()["tenants"],
-        "plane_audit": plane_audit,
-    }
+    results["observed"] = {"tenants": observed.to_dict()["tenants"]}
 
     # -- admission control: shed + throttle accounting --------------------
     shed_config = builtin_serve_config("quota-shed")
@@ -228,7 +217,6 @@ def run(
             t["accounting_exact"] and t["ledger_exact"]
             for t in observed_tenants.values()
         ),
-        "plane_reconciles": bool(plane_audit["exact"]),
         "shed_accounted_exactly": (
             capped["shed"] == results["quota"]["expected_shed"]
             and capped["offered"] == capped_spec.max_sessions

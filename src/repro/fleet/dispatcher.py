@@ -225,7 +225,6 @@ class FleetDispatcher:
         if inj is None:
             return self.pool.dispatch(task)
         policy = self.retry
-        tel = get_telemetry()
         not_before = task.enqueued_at
         history: List[str] = []
         for attempt in range(1, policy.max_attempts + 1):
@@ -281,13 +280,6 @@ class FleetDispatcher:
                                f"attempt={attempt + 1} delay={delay:g}",
                         at=not_before,
                     )
-                if tel.enabled:
-                    m = tel.metrics
-                    m.counter(
-                        "resilience.hedges" if hedged
-                        else "resilience.retries"
-                    ).inc(kind=kind)
-                    m.counter("resilience.backoff_cycles").inc(delay)
             else:
                 task.dead_lettered = True
                 task.started_at = task.enqueued_at
@@ -311,29 +303,18 @@ class FleetDispatcher:
                                f"attempts ({letter.last_fault})",
                         at=failed_at,
                     )
-                if tel.enabled:
-                    tel.metrics.counter("resilience.dead_letters").inc(
-                        kind=kind
-                    )
         return task.finished_at
 
-    def drop_drain(self, ring: ProcessRing) -> None:
-        """Lossy backpressure: skip a PMI drain check entirely.
+    def drop_drain(self, ring: ProcessRing, pid: int, at: float) -> None:
+        """Lossy backpressure: skip process ``pid``'s PMI drain check
+        at fleet time ``at``.
 
         The ring is still consumed (its bytes are lost unexamined) so
         tracing continues from a clean buffer."""
         ring.drain()
         self.dropped_checks += 1
         if self.degradations is not None:
-            # Audited like every other downgrade (and thereby mirrored
-            # into the resilience.events counter).
-            self.degradations.record("drop-drain")
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.metrics.counter("fleet.dropped_checks").inc()
-            # Symmetric with resilience.retries / resilience.dead_letters:
-            # every recovery-plane outcome has a resilience.* counter.
-            tel.metrics.counter("resilience.drops").inc(kind="pmi-drain")
+            self.degradations.record("drop-drain", pid=pid, at=at)
 
     # -- verdict application -------------------------------------------------
 
@@ -379,12 +360,6 @@ class FleetDispatcher:
             )
         tel = get_telemetry()
         if tel.enabled:
-            tel.metrics.counter("fleet.quarantines").inc(
-                program=pp.process.name
-            )
-            tel.metrics.counter("resilience.quarantines").inc(
-                kind="dead-letter" if task.dead_lettered else "violation"
-            )
             # Detection window: check enqueued -> enforcement applied.
             # The detection-latency SLO reads this histogram's p99.
             tel.metrics.histogram("fleet.detection_latency").observe(

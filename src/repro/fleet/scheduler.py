@@ -250,7 +250,7 @@ class RoundRobinScheduler:
     def _lossy_drain(self, entry: FleetEntry) -> None:
         now = self.clock.now
         if self.dispatcher.congested(now):
-            self.dispatcher.drop_drain(entry.ring)
+            self.dispatcher.drop_drain(entry.ring, entry.pp.process.pid, now)
             return
         entry.pp.encoder.flush()
         data = entry.pp.topa.snapshot()

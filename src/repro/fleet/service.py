@@ -231,7 +231,7 @@ class FleetService:
         if self.config.tenant is not None:
             # Tenant-scope the shared ledger before any event lands:
             # every resilience.events series it emits carries the
-            # tenant label, and reconciliation reads only that slice.
+            # tenant label.
             self.monitor.degradations.tenant = self.config.tenant
         self.monitor.install()
         self.scheduler = RoundRobinScheduler(

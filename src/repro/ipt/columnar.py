@@ -131,10 +131,17 @@ class TipRecord:
 
 
 def sync_to_psb(data: bytes, start: int = 0) -> int:
-    """Offset of the first PSB at/after ``start``; -1 if none."""
-    if isinstance(data, memoryview):  # views lack .find
+    """Offset of the first PSB at/after ``start``; -1 if none.
+
+    A PSB is the *last* eight bytes of a maximal run of ``82 02``
+    pairs: the packet after a PSB is always a FUP or PSBEND, never
+    ``0x82``, so an IP payload ending ``82 02`` right before a PSB only
+    lengthens the run in front of it.
+    """
+    if isinstance(data, memoryview):  # views lack a regex buffer search
         data = bytes(data)
-    return data.find(PSB_PATTERN, start)
+    match = _PSB_RE.search(data, start)
+    return -1 if match is None else match.start()
 
 
 def psb_offsets(data: bytes, start: int = 0) -> List[int]:
@@ -147,9 +154,8 @@ def psb_offsets(data: bytes, start: int = 0) -> List[int]:
     """
     if isinstance(data, memoryview):
         data = bytes(data)
-    # Non-overlapping leftmost matches, each search resuming after the
-    # previous pattern: what a ``bytes.find`` loop stepping by the
-    # pattern length returns, in one C-level pass.
+    # One match per maximal ``82 02`` run, at its last eight bytes (see
+    # :func:`sync_to_psb`), in one C-level pass.
     return [match.start() for match in _PSB_RE.finditer(data, start)]
 
 
@@ -157,11 +163,9 @@ def psb_offsets_reversed(data: bytes) -> Iterator[int]:
     """:func:`psb_offsets` newest first, found lazily from the end.
 
     A backward tail walk stops after a few segments, so it should not
-    pay for every PSB in the buffer.  The match :meth:`bytes.rfind`
-    returns is the one the forward scan finds unless the two bytes
-    before it continue the pattern (an IP payload ending ``82 02``
-    right before a PSB): only a forward scan knows which alignment is
-    the packet, so that case defers to it for the rest of the walk.
+    pay for every PSB in the buffer.  The rightmost pattern match ends
+    its ``82 02`` run, so it is the PSB; the search then resumes in
+    front of the whole run, whose earlier pairs are IP payload.
     """
     if isinstance(data, memoryview):
         data = bytes(data)
@@ -170,13 +174,10 @@ def psb_offsets_reversed(data: bytes) -> Iterator[int]:
         pos = data.rfind(PSB_PATTERN, 0, end)
         if pos < 0:
             return
-        if pos >= 2 and data.startswith(_PSB_HEAD, pos - 2):
-            # Every forward match before ``end`` ends at or before it:
-            # ``end`` itself is a forward match (or the buffer end).
-            yield from reversed(psb_offsets(data[:end]))
-            return
         yield pos
         end = pos
+        while end >= 2 and data.startswith(_PSB_HEAD, end - 2):
+            end -= 2
 
 
 def psb_boundaries(data: bytes, start: int = 0) -> List[int]:
@@ -225,9 +226,12 @@ TNT_WIDTH = _build_tnt_width()
 
 #: a maximal run of PAD bytes.
 _PAD_RUN = re.compile(rb"\x00+")
-#: one PSB pattern, and the two bytes it repeats.
-_PSB_RE = re.compile(re.escape(PSB_PATTERN))
+#: one PSB: the pattern not followed by another ``82 02`` pair (the
+#: last eight bytes of its run), and the two bytes it repeats.
 _PSB_HEAD = PSB_PATTERN[:2]
+_PSB_RE = re.compile(
+    re.escape(PSB_PATTERN) + b"(?!" + re.escape(_PSB_HEAD) + b")"
+)
 #: a maximal run of complete, *valid* TNT packets — the character class
 #: is exactly the valid payload range, so a non-match at a TNT header
 #: is either truncation or an invalid payload (resolved scalar-side
@@ -550,13 +554,13 @@ def _scan_python(data, sync: bool, charge: bool) -> ColumnarSegment:
     run, ``bytes.translate`` over :data:`TNT_WIDTH` yields every
     payload's width in one call, and the accumulated bits flush to the
     packed stream in one ``int.to_bytes``.  The IP family stays scalar
-    (IP compression chains ``last_ip`` sequentially).  PSB sync is a
-    single ``bytes.find``.
+    (IP compression chains ``last_ip`` sequentially).  PSB sync is one
+    :func:`sync_to_psb` search.
     """
     raw = data if isinstance(data, bytes) else bytes(data)
     pos = 0
     if sync:
-        pos = raw.find(PSB_PATTERN)
+        pos = sync_to_psb(raw)
         if pos < 0:
             return _empty_segment(data, sync)
     synced = pos
@@ -712,7 +716,7 @@ def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment
     raw = data if isinstance(data, bytes) else bytes(data)
     pos = 0
     if sync:
-        pos = raw.find(PSB_PATTERN)
+        pos = sync_to_psb(raw)
         if pos < 0:
             return _empty_segment(data, sync)
     size = len(raw)

@@ -269,8 +269,9 @@ def run_load_point(
     """Build, run, and summarize one load point."""
     tel = get_telemetry()
     if tel.enabled and tel.plane is None:
-        # Fresh counters per point so the degradation ledger's
-        # counter-vs-event reconciliation stays per-run exact.
+        # Fresh counters per point: each point's series (the
+        # resilience.events view of its ledger included) cover that
+        # run alone.
         tel.reset()
     service, tracker, attacked = build_load_service(
         scenario, connections, workers=workers, seed=seed,

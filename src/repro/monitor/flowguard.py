@@ -454,7 +454,6 @@ class FlowGuardMonitor:
         data = pp.topa.snapshot()
         if inj is None:
             return pp.checker.check(data)
-        tel = self._telemetry
         stats = pp.stats
         pid = pp.process.pid
         result: FastPathResult
@@ -470,8 +469,6 @@ class FlowGuardMonitor:
                 self.degradations.record(
                     "slowpath-fallback", pid=pid, detail="fastpath-error"
                 )
-                if tel.enabled:
-                    tel.metrics.counter("resilience.slowpath_fallbacks").inc()
                 result = self._fastpath_surrogate(pp, mangled)
             blinded = (
                 result.verdict is Verdict.INSUFFICIENT

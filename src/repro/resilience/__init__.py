@@ -15,10 +15,10 @@ decode timeouts.  This package provides:
   exact exponential-backoff schedule, per-task timeouts, and a
   dead-letter queue for checks that can never be verified (fail-closed:
   the owning process is quarantined rather than left unverified).
-- :class:`DegradationLedger` — the audit trail of every downgrade the
+- :class:`DegradationLedger` — the one record of every downgrade the
   monitor takes (cache bypass, PSB re-sync, fast→slow fallback, retry,
-  dead-letter, drop, quarantine), reconciling exactly with the
-  ``resilience.*`` telemetry counters and the fleet cycle ledger.
+  dead-letter, drop, quarantine); its wasted cycles balance exactly
+  against the dispatcher's retry cycles, and so the fleet cycle ledger.
 
 See DESIGN.md ("Resilience") for the fault taxonomy and the
 degradation state machine.

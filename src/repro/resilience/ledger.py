@@ -3,24 +3,29 @@
 Graceful degradation is only trustworthy if it is *accounted*: a
 monitor that silently falls back to weaker checking is indistinguishable
 from one that was attacked into it.  Every recovery action therefore
-records a :class:`DegradationEvent` here, and the ledger reconciles two
-ways:
+records a :class:`DegradationEvent` here, and the ledger is the one
+record of each downgrade.  :meth:`DegradationLedger.record` is its only
+writer; everything else that counts downgrades is a view over it:
 
-- **telemetry** — each recorded event (while telemetry is enabled) also
-  increments the labeled counter ``resilience.events{kind=...}``;
-  :meth:`DegradationLedger.reconcile` re-derives the per-kind counts
-  from the counter and demands exact equality.
+- **telemetry** — while telemetry is enabled, each recorded event also
+  increments the labeled counter ``resilience.events{kind[,tenant]}``
+  (the registry's one view of the ledger, read by the
+  ``degradation-free`` SLO and ``repro top``) and is journaled into
+  the observability plane's flight recorder.  No other ``resilience.*``
+  series exists, and nothing compares these views back to the ledger:
+  they are written in the same call.
 - **cycles** — events that waste checker-worker cycles (crashed/hung/
-  timed-out attempts) carry the wasted amount; the total must equal the
-  dispatcher's ``retry_cycles`` ledger entry, which the fleet's
-  ``FleetResult.accounting`` in turn balances against ``MonitorStats``
-  (busy + intercept − retry + dead letter == stats).  One chain, no
-  slack.
+  timed-out attempts) carry the wasted amount.  :meth:`reconcile`
+  balances the total against the dispatcher's ``retry_cycles``, an
+  independent tally the pool accrues as it burns the attempts; the
+  fleet's ``FleetResult.accounting`` in turn balances ``retry_cycles``
+  against ``MonitorStats`` (busy − retry + intercept + dead letter ==
+  stats).  One chain, no slack: every wasted pool cycle is ledgered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.telemetry import get_telemetry
@@ -74,19 +79,15 @@ class DegradationLedger:
 
     ``tenant`` scopes the ledger to one serving fault domain: every
     event and every ``resilience.events`` series it emits carries the
-    tenant label, and :meth:`reconcile` audits only that tenant's
-    slice of the shared counter — so N tenant ledgers over one metrics
-    registry each balance independently, and a noisy tenant's faults
-    can never leak into a clean tenant's books.
+    tenant label, so N tenant ledgers over one metrics registry keep
+    separate books, and a noisy tenant's faults can never leak into a
+    clean tenant's.
     """
 
     def __init__(self, tenant: Optional[str] = None) -> None:
         self.tenant = tenant
         self.events: List[DegradationEvent] = []
         self._counts: Dict[str, int] = {}
-        #: per-kind counts recorded while telemetry was enabled — the
-        #: slice the ``resilience.events`` counter must match exactly.
-        self._telemetry_counts: Dict[str, int] = {}
         #: total wasted checker cycles across recorded events.
         self.wasted_cycles: float = 0.0
 
@@ -114,37 +115,16 @@ class DegradationLedger:
         self.wasted_cycles += cycles
         tel = get_telemetry()
         if tel.enabled:
-            self._telemetry_counts[kind] = (
-                self._telemetry_counts.get(kind, 0) + 1
-            )
-            labels = self._labels()
-            tel.metrics.counter("resilience.events").inc(
-                kind=kind, **labels
-            )
-            if cycles:
-                tel.metrics.counter("resilience.wasted_cycles").inc(
-                    cycles, **labels
-                )
-            # The observability plane journals the same event into its
-            # flight recorder (inside the enabled guard, so the plane's
-            # per-kind tallies reconcile exactly with the counter).
+            labels = {} if self.tenant is None else {"tenant": self.tenant}
+            tel.metrics.counter("resilience.events").inc(kind=kind, **labels)
             if tel.plane is not None:
                 tel.plane.on_degradation(event)
         return event
-
-    def _labels(self) -> Dict[str, str]:
-        """Extra metric labels: the tenant fault-domain tag, if any."""
-        return {} if self.tenant is None else {"tenant": self.tenant}
 
     # -- views ---------------------------------------------------------------
 
     def counts(self) -> Dict[str, int]:
         return dict(self._counts)
-
-    def telemetry_counts(self) -> Dict[str, int]:
-        """Per-kind counts recorded while telemetry was enabled — the
-        slice the counter (and the plane's flight tallies) must match."""
-        return dict(self._telemetry_counts)
 
     def count(self, kind: str) -> int:
         return self._counts.get(kind, 0)
@@ -162,53 +142,17 @@ class DegradationLedger:
 
     # -- reconciliation ------------------------------------------------------
 
-    def reconcile(
-        self,
-        metrics=None,
-        retry_cycles: Optional[float] = None,
-    ) -> dict:
-        """Balance the ledger against its two mirrors.
-
-        ``metrics`` is a :class:`~repro.telemetry.metrics.MetricsRegistry`
-        (defaults to the process-wide one); the per-kind event counts it
-        recorded must equal the ledger's telemetry-enabled counts.
-        ``retry_cycles``, when given, is the dispatcher's wasted-cycle
-        ledger entry and must equal the summed event cycles.
-        """
-        if metrics is None:
-            metrics = get_telemetry().metrics
-        counter = metrics.counter("resilience.events")
-        labels = self._labels()
-        kinds = set(self._telemetry_counts)
-        report: dict = {"kinds": {}, "exact": True}
-        if self.tenant is not None:
-            report["tenant"] = self.tenant
-        for kind in sorted(kinds):
-            ledger_count = self._telemetry_counts.get(kind, 0)
-            counter_count = int(counter.value(kind=kind, **labels))
-            ok = ledger_count == counter_count
-            report["kinds"][kind] = {
-                "ledger": ledger_count,
-                "counter": counter_count,
-                "ok": ok,
-            }
-            report["exact"] = report["exact"] and ok
-        # the counter must not know kinds the ledger never recorded —
-        # for a tenanted ledger, only that tenant's slice is audited
-        # (other tenants' series are their own ledgers' business).
-        extra = counter.total(**labels) - sum(
-            self._telemetry_counts.values()
+    def reconcile(self, retry_cycles: float) -> dict:
+        """Balance the summed wasted cycles against ``retry_cycles``,
+        the dispatcher's tally of pool time burnt by failed attempts."""
+        ok = abs(retry_cycles - self.wasted_cycles) <= max(
+            1e-6, 1e-9 * abs(retry_cycles)
         )
-        report["counter_only"] = extra
-        report["exact"] = report["exact"] and extra == 0
-        if retry_cycles is not None:
-            ok = abs(retry_cycles - self.wasted_cycles) <= max(
-                1e-6, 1e-9 * abs(retry_cycles)
-            )
-            report["retry_cycles"] = {
+        return {
+            "retry_cycles": {
                 "ledger": self.wasted_cycles,
                 "dispatcher": retry_cycles,
                 "ok": ok,
-            }
-            report["exact"] = report["exact"] and ok
-        return report
+            },
+            "exact": ok,
+        }

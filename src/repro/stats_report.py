@@ -17,7 +17,7 @@ dump, and library consumers got a third shape from
 - ``fleet`` — fleet-only observables (schedule, lag, workers, config);
   ``None`` for solo runs,
 - ``resilience`` — fault-plane stats, the degradation ledger and its
-  reconciliation; ``None`` when the run had no resilience plane,
+  wasted-cycle balance; ``None`` when the run had no resilience plane,
 - ``slo`` — SLO verdicts, error-budget burn and plane health from the
   observability plane (v3); ``None`` when no plane was attached,
 - ``tenants`` — per-tenant serving breakdown from ``repro.service``
@@ -42,6 +42,12 @@ Solo-run ``monitor`` sections no longer carry ``reconciliation`` (the
 profiler is a view over ``MonitorStats``, so there is no second copy
 to compare).  The section is free-form, so older v4 payloads that
 still carry the key load unchanged.
+
+``resilience.ledger_reconcile`` balances the ledger's wasted cycles
+against the fleet dispatcher's ``retry_cycles``; a solo run has no
+dispatcher, so its value is ``None``.  Older v4 payloads whose solo
+value is a per-kind counter audit load unchanged (the section is
+free-form too).
 """
 
 from __future__ import annotations
@@ -141,9 +147,8 @@ class StatsReport:
                 "degradations": (
                     ledger.to_dict() if ledger is not None else None
                 ),
-                "ledger_reconcile": (
-                    ledger.reconcile() if ledger is not None else None
-                ),
+                # No dispatcher, so no wasted-cycle tally to balance.
+                "ledger_reconcile": None,
             }
         return cls(
             monitor=block,

@@ -55,6 +55,11 @@ def series_name(name: str, labels: LabelKey) -> str:
     return f"{name}{{{inner}}}"
 
 
+def series_base(series: str) -> str:
+    """The metric name of a rendered series: ``name{...}`` -> ``name``."""
+    return series.partition("{")[0]
+
+
 def _label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 

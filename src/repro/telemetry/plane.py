@@ -24,14 +24,12 @@ root-of-trust monitor:
 Everything here *observes*; nothing charges simulated cycles or
 perturbs verdicts — ``experiments/observability.py`` gates that an
 instrumented run is bit-identical to an uninstrumented one.  The plane
-also reconciles exactly against sources it does not share: the sampled
-``monitor.checks`` counter and the flight recorder's verdict events
-must equal the summed ``MonitorStats`` check counts, and the flight
-recorder's per-kind degradation tallies must equal both the
-``resilience.events`` counter and the
-:class:`~repro.resilience.ledger.DegradationLedger` counts
-(:meth:`ObservabilityPlane.reconcile`; ``repro stats`` exits 1 on
-drift).
+keeps no count of its own to audit: its check and degradation views
+are written in the same calls as ``MonitorStats`` and the
+:class:`~repro.resilience.ledger.DegradationLedger`.  What it does is
+dump the flight recorder when an audit of *independent* sources drifts
+— the fleet's cycle accounting or the ledger's wasted cycles against
+the dispatcher (:meth:`ObservabilityPlane.check_reconciliation`).
 
 Attach via :meth:`repro.telemetry.Telemetry.attach_plane`::
 
@@ -41,7 +39,6 @@ Attach via :meth:`repro.telemetry.Telemetry.attach_plane`::
     tel.attach_plane(plane)         # also enables telemetry
     ... run ...
     report = plane.slo_report()
-    audit = plane.reconcile(monitor.all_stats(), monitor.degradations)
     tel.detach_plane()
 """
 
@@ -53,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.telemetry.metrics import series_name
+from repro.telemetry.metrics import series_base, series_name
 
 _PROM_SANITIZE = str.maketrans({".": "_", "-": "_"})
 
@@ -63,10 +60,6 @@ def _prom_name(series: str) -> str:
     '{kind="x"}')`` — sanitize the metric name, keep labels verbatim."""
     name, brace, labels = series.partition("{")
     return "repro_" + name.translate(_PROM_SANITIZE), brace + labels
-
-
-def _series_base(series: str) -> str:
-    return series.partition("{")[0]
 
 
 class TimeseriesSampler:
@@ -416,7 +409,7 @@ class SLOEngine:
     def _matching(series_map: dict, metric: str) -> Dict[str, object]:
         return {
             series: value for series, value in series_map.items()
-            if _series_base(series) == metric
+            if series_base(series) == metric
         }
 
     def _value_at(self, obj: SLObjective, sample: dict,
@@ -581,9 +574,7 @@ class ObservabilityPlane:
         self.slo = slo if slo is not None else SLOConfig.default()
         self.engine = SLOEngine(self.slo)
         self.clock = None
-        #: per-kind degradation tallies mirrored from the ledger hook —
-        #: must reconcile exactly with ledger + counter.
-        self._ledger_counts: Dict[str, int] = {}
+        #: per-(kind, pid) degradation tallies, for ``slo_report``.
         self._ledger_by_pid: Dict[str, int] = {}
         self._finalized = False
 
@@ -627,13 +618,11 @@ class ObservabilityPlane:
             self.sampler.maybe_sample(t)
 
     def on_degradation(self, event) -> None:
-        """Mirror of ``DegradationLedger.record`` (quarantines, fault
-        injections, dead letters, PSB re-syncs, cache bypasses...)."""
+        """Journal one ``DegradationLedger.record`` event (quarantines,
+        fault injections, dead letters, PSB re-syncs, cache bypasses...)."""
         t = event.at if event.at else self.now()
         self.flight.record(event.kind, t, pid=event.pid,
                            detail=event.detail)
-        self._ledger_counts[event.kind] = \
-            self._ledger_counts.get(event.kind, 0) + 1
         key = series_name(event.kind, (("pid", str(event.pid)),))
         self._ledger_by_pid[key] = self._ledger_by_pid.get(key, 0) + 1
 
@@ -690,81 +679,6 @@ class ObservabilityPlane:
         )
         return report
 
-    def reconcile(self, stats_list, ledger=None) -> dict:
-        """Exact-accounting audit of everything the plane observed.
-
-        - the final sample's ``monitor.checks`` counter must equal the
-          summed ``stats.checks`` — and the flight recorder must hold
-          one ``verdict`` event per check,
-        - per degradation kind, the flight tally, the sampled
-          ``resilience.events`` counter and the ledger's
-          telemetry-enabled counts must agree exactly.
-
-        ``ledger`` may be one :class:`DegradationLedger` or a sequence
-        of them (service mode: one tenant-scoped ledger per tenant,
-        all mirrored into this one plane); the per-kind audit then runs
-        against their summed telemetry counts, with tenant-labeled
-        counter series folded back into per-kind totals.
-        """
-        self.finalize()
-        stats_list = list(stats_list)
-        last = self.sampler.samples[-1]
-        report: Dict[str, object] = {}
-        exact = True
-
-        checks_sampled = sum(
-            value for series, value in last["counters"].items()
-            if _series_base(series) == "monitor.checks"
-        )
-        checks_expected = sum(s.checks for s in stats_list)
-        verdict_events = self.flight.counts.get("verdict", 0)
-        ok = (int(checks_sampled) == checks_expected
-              and verdict_events == checks_expected)
-        exact = exact and ok
-        report["checks"] = {
-            "sampled": int(checks_sampled),
-            "stats": checks_expected,
-            "flight_verdicts": verdict_events,
-            "ok": ok,
-        }
-
-        if ledger is not None:
-            kinds: Dict[str, dict] = {}
-            ledgers = (
-                [ledger] if hasattr(ledger, "telemetry_counts")
-                else list(ledger)
-            )
-            ledger_counts: Dict[str, int] = {}
-            for one in ledgers:
-                for kind, count in one.telemetry_counts().items():
-                    ledger_counts[kind] = ledger_counts.get(kind, 0) + count
-            # Tenant-labeled series of the same kind fold into one
-            # per-kind total (the flight recorder tallies by kind).
-            sampled_counts: Dict[str, int] = {}
-            for series, value in last["counters"].items():
-                if _series_base(series) == "resilience.events":
-                    kind = _series_label(series, "kind")
-                    sampled_counts[kind] = (
-                        sampled_counts.get(kind, 0) + int(value)
-                    )
-            for kind in sorted(set(ledger_counts) | set(sampled_counts)
-                               | set(self._ledger_counts)):
-                row = {
-                    "ledger": ledger_counts.get(kind, 0),
-                    "counter": sampled_counts.get(kind, 0),
-                    "flight": self._ledger_counts.get(kind, 0),
-                }
-                row["ok"] = (row["ledger"] == row["counter"]
-                             == row["flight"])
-                exact = exact and row["ok"]
-                kinds[kind] = row
-            report["degradations"] = kinds
-
-        report["exact"] = exact
-        if not exact:
-            self.record_drift("plane reconcile")
-        return report
-
     # -- export --------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -793,18 +707,6 @@ class ObservabilityPlane:
     def reset(self) -> None:
         self.sampler.reset()
         self.flight.reset()
-        self._ledger_counts.clear()
         self._ledger_by_pid.clear()
         self._finalized = False
 
-
-def _series_label(series: str, label: str) -> str:
-    """Extract one label value from a rendered series name."""
-    _, brace, rest = series.partition("{")
-    if not brace:
-        return ""
-    for pair in rest.rstrip("}").split(","):
-        key, _, value = pair.partition("=")
-        if key == label:
-            return value.strip('"')
-    return ""

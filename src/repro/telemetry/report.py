@@ -23,6 +23,8 @@ from __future__ import annotations
 import html as _html
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.telemetry.metrics import series_base
+
 _SPARK = "▁▂▃▄▅▆▇█"
 
 #: counter series charted in the timeseries section, by base name
@@ -50,10 +52,6 @@ def sparkline(values: Sequence[float]) -> str:
 # -- block model -------------------------------------------------------------
 
 Block = Tuple  # ("heading", level, text) | ("para", text) | ("table", ...)
-
-
-def _series_base(series: str) -> str:
-    return series.partition("{")[0]
 
 
 def _fmt(value) -> str:
@@ -130,14 +128,14 @@ def _timeseries_blocks(samples: Sequence[dict]) -> List[Block]:
     # per-window deltas.
     totals: Dict[str, float] = {}
     for series, value in samples[-1]["counters"].items():
-        base = _series_base(series)
+        base = series_base(series)
         totals[base] = totals.get(base, 0.0) + value
     top = sorted(totals, key=lambda b: -totals[b])[:_CHART_LIMIT]
     rows = []
     for base in top:
         cum = [
             sum(v for s, v in sample["counters"].items()
-                if _series_base(s) == base)
+                if series_base(s) == base)
             for sample in samples
         ]
         deltas = [b - a for a, b in zip(cum, cum[1:])]

@@ -125,6 +125,9 @@ def fast_decode(data, sync: bool = False,
         pos = data.find(PSB_PATTERN)
         if pos < 0:
             return FastDecodeResult([], 0.0, synced_offset=len(data))
+        # The PSB is the last eight bytes of its run of 82 02 pairs.
+        while data[pos + 8:pos + 10] == PSB_PATTERN[:2]:
+            pos += 2
     synced = pos
     packets: List[DecodedPacket] = []
     last_ip = 0

@@ -197,6 +197,19 @@ class TestCommands:
         assert main(["report", str(bad)]) == 2
         assert "unrecognized" in capsys.readouterr().err
 
+    def test_tenant_ledger_drift_exits(self, capsys):
+        from types import SimpleNamespace
+
+        from repro.cli import _books_drift
+
+        exact = {"accounting_exact": True, "ledger_exact": True}
+        result = SimpleNamespace(tenants={
+            "acme": exact, "noisy": {**exact, "ledger_exact": False},
+        })
+        assert _books_drift(result)
+        assert "do NOT reconcile: noisy" in capsys.readouterr().err
+        assert not _books_drift(SimpleNamespace(tenants={"acme": exact}))
+
     def test_fleet_json(self, capsys):
         import json
 

@@ -28,14 +28,19 @@ from repro.attacks import (
 )
 from repro.fleet.rings import RingPolicy
 from repro.fleet.service import FleetConfig, FleetService
+from repro.cpu.events import BranchEvent, CoFIKind
+from repro.ipt import IPTConfig, IPTEncoder, ToPA, ToPARegion
 from repro.ipt.columnar import (
     ColumnarSegment,
     NO_IP,
     columnar_decode_parallel,
     columnar_scan,
+    psb_boundaries,
     psb_offsets,
     psb_offsets_reversed,
+    sync_to_psb,
 )
+from repro.ipt.msr import RTIT_CTL
 from repro.ipt.packets import (
     FUP_HEADER,
     OVF_BYTE,
@@ -760,9 +765,9 @@ class TestPsbOffsetsMemoryview:
 
 class TestPsbOffsetsReversed:
     """The backward tail walk's lazy PSB search returns the forward
-    scan's offsets, newest first — including where an IP payload ending
-    ``82 02`` right before a PSB makes the pattern match at two
-    alignments."""
+    scan's offsets, newest first, and both find the true PSBs where an
+    IP payload ending ``82 02`` right before a PSB makes the pattern
+    match at more than one alignment."""
 
     def test_matches_forward_scan(self, trace):
         data, _ = trace
@@ -777,19 +782,112 @@ class TestPsbOffsetsReversed:
 
     @pytest.mark.parametrize("run", [1, 2, 3, 5, 8])
     def test_overlapping_pattern_runs(self, run):
-        # A TIP whose payload ends 82 02, then a PSB: the forward scan
-        # takes the earlier alignment, and so must the backward walk.
+        # A TIP whose payload ends 82 02, then a PSB: the PSB is the
+        # last eight bytes of the 82 02 run.
         tip, _ = encode_ip_packet(TIP_HEADER, 0x400282, 0x400000)
-        assert tip.endswith(b"\x82\x02")
-        for data in (
-            PSB_PATTERN + b"\x23" + tip + PSB_PATTERN + b"\x23"
-            + tip * run + PSB_PATTERN,
-            b"\x82\x02" * (4 + run) + b"\x23" + PSB_PATTERN,
-            bytes(build_stream(run, packets=60)) + tip + PSB_PATTERN,
+        assert tip == b"\x0d\x02\x82\x02"
+        stream = bytes(build_stream(run, packets=60))
+        for data, expected in (
+            (
+                PSB_PATTERN + b"\x23" + tip + PSB_PATTERN + b"\x23"
+                + tip * run + PSB_PATTERN,
+                [0, 13, 22 + 4 * run],
+            ),
+            (
+                b"\x82\x02" * (4 + run) + b"\x23" + PSB_PATTERN,
+                [2 * run, 2 * (4 + run) + 1],
+            ),
+            (
+                stream + tip + PSB_PATTERN,
+                psb_offsets(stream) + [len(stream) + len(tip)],
+            ),
         ):
-            assert list(psb_offsets_reversed(data)) == (
-                psb_offsets(data)[::-1]
-            )
+            assert psb_offsets(data) == expected
+            assert list(psb_offsets_reversed(data)) == expected[::-1]
+
+    def test_width_eight_payload_of_pattern_pairs(self):
+        # The whole payload is four 82 02 pairs: a PSB's twin.
+        fup, _ = encode_ip_packet(FUP_HEADER, 0x400010, 0)
+        tip, _ = encode_ip_packet(TIP_HEADER, 0x0282028202820282, 0)
+        assert tip == b"\x0d\x08" + PSB_PATTERN
+        group = PSB_PATTERN + fup + bytes([PSBEND_BYTE])
+        data = group + tip + group
+        psb = len(group) + len(tip)
+        assert psb_offsets(data) == [0, psb]
+        assert list(psb_offsets_reversed(data)) == [psb, 0]
+        assert sync_to_psb(data, 1) == psb
+        assert columnar_scan(data).record_count == 1
+
+
+def _psb_group(ip):
+    fup, _ = encode_ip_packet(FUP_HEADER, ip, 0)
+    return PSB_PATTERN + fup + bytes([PSBEND_BYTE])
+
+
+class TestPsbAlignment:
+    """A PSB is the last eight bytes of a maximal ``82 02`` run: the
+    packet after it is a FUP or PSBEND, never ``0x82``.  Every PSB
+    finder and both scanners' sync apply that rule."""
+
+    # PSB FUP PSBEND | TIP 0d 02 82 02 | PSB FUP PSBEND | TIP
+    DATA = (
+        _psb_group(0x400010) + b"\x0d\x02\x82\x02"
+        + _psb_group(0x400282) + b"\x0d\x02\x10\x05"
+    )
+
+    def test_finders_take_the_last_alignment(self):
+        data = self.DATA
+        assert psb_offsets(data) == [0, 19]
+        assert list(psb_offsets_reversed(data)) == [19, 0]
+        assert sync_to_psb(data, 1) == 19
+        assert sync_to_psb(memoryview(data), 1) == 19
+        assert psb_boundaries(data) == [0, 19, len(data)]
+
+    def test_scan_sync_skips_the_payload_pair(self):
+        # A segment cut two bytes early starts with the payload's 82 02:
+        # the sync must land on the PSB, not on the pair before it.
+        data = self.DATA
+        synced = columnar_scan(data[17:], sync=True)
+        assert [(r.ip, r.offset) for r in synced.tip_records()] == [
+            (r.ip, r.offset + 2)
+            for r in columnar_scan(data[19:]).tip_records()
+        ] == [(0x400510, 17)]
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_encoder_stream_tail_walk_is_clean(self, cached):
+        """An encoder-built stream with a PSB after every TIP to an
+        address ending 0x0282: the fast path's backward tail walk must
+        stitch every segment without a ``corrupt-segment``."""
+        config = IPTConfig(psb_period=1)
+        config.write_ctl(RTIT_CTL.TRACE_EN | RTIT_CTL.BRANCH_EN)
+        encoder = IPTEncoder(config, output=ToPA([ToPARegion(1 << 14)]))
+        src = 0x400010
+        for i in range(40):
+            encoder.on_branch(BranchEvent(
+                CoFIKind.COND_BRANCH, src, src + 8, taken=(i % 3 == 0),
+            ))
+            dst = 0x400282 if i % 2 == 0 else 0x400510 + 16 * i
+            encoder.on_branch(BranchEvent(CoFIKind.RET, src + 8, dst))
+            src = dst
+        encoder.flush()
+        data = encoder.output.snapshot()
+        assert b"\x82\x02" + PSB_PATTERN in data
+        ledger = DegradationLedger()
+        checker = FastPathChecker(
+            None, None, pkt_count=10**6,
+            require_cross_module=False, require_executable=False,
+            segment_cache=SegmentDecodeCache(SEG_ENTRIES) if cached
+            else None,
+            ledger=ledger,
+        )
+        tail = checker.decode_tail_columnar(data)
+        assert checker.last_corrupt_segments == 0
+        assert ledger.counts() == {}
+        assert tail.start == 0
+        assert [r.ip for r in tail.records()] == [
+            r.ip for r in columnar_scan(data).tip_records()
+        ]
+        assert len(tail.records()) == 40
 
 
 class TestColumnarSegmentViews:

@@ -28,6 +28,7 @@ from repro.ipt import PSB_PATTERN, PacketError, ToPA, ToPARegion, columnar_scan
 from repro.ipt.packets import encode_tnt
 from repro.service import builtin_serve_config, run_service
 from repro.telemetry.metrics import percentile
+from repro.telemetry.plane import ObservabilityPlane
 from repro.workloads import build_nginx, build_vdso
 from tests.meter_view import assert_view_matches_stats
 
@@ -330,6 +331,54 @@ class TestFleetTelemetry:
         assert service.run().accounting["exact"]
         service.dispatcher.intercept_cycles += 123.0
         assert not service._build_result().accounting["exact"]
+
+    def test_tampered_ledger_cycles_fail_ledger_reconcile(self, capsys):
+        from repro.cli import _books_drift
+
+        service = _mixed_fleet(workers=1)
+        result = service.run()
+        assert result.resilience["ledger_reconcile"]["exact"]
+        assert not _books_drift(result)
+        # A wasted cycle the dispatcher's retry_cycles never saw.
+        service.monitor.degradations.wasted_cycles += 50.0
+        tampered = service._build_result()
+        assert tampered.accounting["exact"]
+        assert not tampered.resilience["ledger_reconcile"]["exact"]
+        assert _books_drift(tampered)
+        assert "retry cycles" in capsys.readouterr().err
+
+    def test_drop_drain_names_pid_and_time(self):
+        """A lossy fleet whose one-deep checker queue is congested
+        drops PMI drains; each drop is ledgered against the process
+        whose window went unexamined, at the fleet time it passed."""
+        tel = telemetry.get_telemetry()
+        tel.reset()
+        plane = ObservabilityPlane(interval=2000.0)
+        tel.attach_plane(plane)
+        try:
+            service = FleetService(FleetConfig(
+                workers=1, ring_policy=RingPolicy.LOSSY, ring_bytes=1024,
+                max_queue_depth=1,
+            ))
+            seed_server_fs(service.kernel)
+            for name in ("nginx", "exim", "nginx", "exim"):
+                service.add_workload(
+                    server_pipeline(name), server_requests(name, 2)
+                )
+            result = service.run()
+        finally:
+            tel.detach_plane()
+            tel.disable()
+        drops = service.monitor.degradations.events_of("drop-drain")
+        assert result.dropped_checks == len(drops) > 0
+        pids = {row["pid"] for row in result.processes}
+        assert all(e.pid in pids and e.at > 0 for e in drops)
+        by_pid = result.slo["degradations_by_pid"]
+        assert 'drop-drain{pid="-1"}' not in by_pid
+        assert sum(
+            count for series, count in by_pid.items()
+            if series.startswith("drop-drain{")
+        ) == len(drops)
 
     def test_disabled_fleet_registers_nothing(self):
         telemetry.get_telemetry().reset()

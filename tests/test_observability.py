@@ -391,11 +391,8 @@ class TestPlaneIntegration:
         plane = _plane(interval=2000.0)
         service = build_fleet(2, 2, 1)
         result = service.run()
-        audit = plane.reconcile(service.monitor.all_stats(),
-                                service.monitor.degradations)
-        assert audit["exact"], audit
-        assert audit["checks"]["flight_verdicts"] == \
-            audit["checks"]["stats"]
+        assert result.accounting["exact"]
+        assert result.resilience["ledger_reconcile"]["exact"]
         assert result.slo is not None
         assert result.slo["sampler"]["samples"] == plane.sampler.taken
         assert plane.sampler.taken > 0

@@ -1,8 +1,10 @@
 """One cycle meter: ``MonitorStats.charge`` is the only writer.
 
 The structural tests parse ``src/`` and fail on any other write to the
-charged accumulators (or to ``pmi_count``), and on any surviving call
-to the deleted profiler writers.  The run tests check that the
+charged accumulators (or to ``pmi_count``), on any surviving call to
+the deleted profiler writers, and on any ``resilience.*`` metric
+series obtained outside ``resilience/ledger.py`` (the degradation
+ledger is the one record of a downgrade).  The run tests check that the
 profiler's view over the charged cells folds back into the
 ``MonitorStats`` accumulators across the shapes the monitor runs in:
 a solo server, a faulted fleet, a two-tenant service and an
@@ -115,6 +117,33 @@ class TestSingleWriter:
         }
         assert writers == {"FlowGuardMonitor.count_pmi"}
 
+    def test_one_downgrade_writer(self):
+        """Every ``resilience.*`` series comes from
+        ``DegradationLedger.record``: an instrument lookup with such a
+        name anywhere else in ``src/`` is a second count of a
+        downgrade."""
+        offenders = []
+        for path, scope, node in _src_functions():
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("counter", "gauge", "histogram")
+            ):
+                continue
+            names = [
+                arg.value
+                for expr in node.args
+                for arg in ast.walk(expr)
+                if isinstance(arg, ast.Constant)
+                and isinstance(arg.value, str)
+            ]
+            if any(name.startswith("resilience.") for name in names) and (
+                path.relative_to(SRC).as_posix()
+                != "repro/resilience/ledger.py"
+            ):
+                offenders.append(f"{path.name}:{node.lineno} {scope}")
+        assert offenders == []
+
 
 # -- the view equals the accumulators -----------------------------------------
 
@@ -217,7 +246,19 @@ def test_v4_report_with_reconciliation_still_loads():
         },
         "caches": None,
         "fleet": None,
-        "resilience": None,
+        # Solo reports also carried the deleted per-kind counter audit
+        # under ``ledger_reconcile``; it is ``None`` now.
+        "resilience": {
+            "faults": None,
+            "degradations": {"events": 1, "counts": {"retry": 1},
+                             "wasted_cycles": 0.0, "tenant": None},
+            "ledger_reconcile": {
+                "kinds": {"retry": {"ledger": 1, "counter": 1,
+                                    "ok": True}},
+                "exact": True,
+                "counter_only": 0.0,
+            },
+        },
         "slo": None,
         "tenants": None,
         "telemetry": None,
@@ -225,4 +266,18 @@ def test_v4_report_with_reconciliation_still_loads():
     report = StatsReport.from_dict(json.loads(json.dumps(payload)))
     assert report.schema_version == 4
     assert report.monitor["reconciliation"]["exact"] is True
-    assert report.to_dict()["monitor"] == payload["monitor"]
+    assert report.to_dict() == payload
+
+
+def test_solo_report_has_no_ledger_balance():
+    kernel = Kernel()
+    seed_server_fs(kernel)
+    monitor, proc = server_pipeline("exim").deploy(
+        kernel, faults=FaultPlan.standard_mix(seed=42)
+    )
+    for request in server_requests("exim", 2):
+        proc.push_connection(request)
+    kernel.run(proc)
+    report = StatsReport.from_monitor(monitor).to_dict()
+    assert report["resilience"]["degradations"]["events"] > 0
+    assert report["resilience"]["ledger_reconcile"] is None

@@ -15,9 +15,9 @@ The contracts under test, per subsystem:
   next PSB and never fabricates a violation; fast-path fallbacks
   deliver the slow-path oracle's verdict (clean traffic passes, the
   attack matrix still detects).
-- **ledger** — every downgrade reconciles exactly against the
-  ``resilience.*`` telemetry counters and the dispatcher's wasted-cycle
-  entry.
+- **ledger** — the ledger's wasted cycles balance exactly against the
+  dispatcher's ``retry_cycles``, and a tampered tally fails the
+  balance.
 - **facade** — ``repro.api`` imports clean under
   ``-W error::DeprecationWarning``, and the package roots export no
   relocated names.
@@ -538,36 +538,44 @@ class TestMonitorUnderFaults:
         assert sum(monitor.fault_injector.stats()["fired"].values()) > 0
         assert len(monitor.degradations) > 0
 
-    def test_solo_ledger_reconciles_with_counters(self, pipeline):
-        with telemetry.capture() as tel:
-            monitor, _, _ = self._faulted_run(pipeline, 21)
-            report = monitor.degradations.reconcile(tel.metrics)
-        assert len(monitor.degradations) > 0
-        assert report["exact"], report
-
 
 class TestDegradationLedger:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             DegradationLedger().record("nope")
 
-    def test_reconciles_counters_and_retry_cycles(self):
-        with telemetry.capture():
-            ledger = DegradationLedger()
-            ledger.record("retry", cycles=100.0)
-            ledger.record("hedge")
-            ledger.record("worker-crash", cycles=50.0)
-            assert ledger.reconcile(retry_cycles=150.0)["exact"]
-            assert not ledger.reconcile(retry_cycles=151.0)["exact"]
-
-    def test_counter_only_drift_flagged(self):
-        with telemetry.capture() as tel:
-            ledger = DegradationLedger()
-            ledger.record("retry")
-            tel.metrics.counter("resilience.events").inc(kind="hedge")
-            report = ledger.reconcile()
-        assert report["counter_only"] == 1
+    def test_reconciles_retry_cycles(self):
+        ledger = DegradationLedger()
+        ledger.record("retry", cycles=100.0)
+        ledger.record("hedge")
+        ledger.record("worker-crash", cycles=50.0)
+        assert ledger.reconcile(retry_cycles=150.0)["exact"]
+        report = ledger.reconcile(retry_cycles=151.0)
         assert not report["exact"]
+        assert report["retry_cycles"] == {
+            "ledger": 150.0, "dispatcher": 151.0, "ok": False,
+        }
+
+    def test_events_counter_is_a_view(self):
+        with telemetry.capture() as tel:
+            ledger = DegradationLedger(tenant="acme")
+            ledger.record("retry", cycles=10.0)
+            ledger.record("retry")
+            ledger.record("hedge")
+            counter = tel.metrics.counter("resilience.events")
+            assert counter.value(kind="retry", tenant="acme") == 2
+            assert counter.value(kind="hedge", tenant="acme") == 1
+            # The only resilience.* series the ledger writes.
+            resilience = [
+                name
+                for group in tel.metrics.snapshot().values()
+                for name in group
+                if name.startswith("resilience.")
+            ]
+            assert sorted(resilience) == [
+                'resilience.events{kind="hedge",tenant="acme"}',
+                'resilience.events{kind="retry",tenant="acme"}',
+            ]
 
 
 class TestFleetUnderFaults:
