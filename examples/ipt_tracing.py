@@ -82,9 +82,9 @@ def main() -> None:
     print(f"\nfast decode (framing only): {scan.pkt_count} packets")
     for ip in scan.fup_addresses():
         print(f"  FUP  ip={ip:#x}")
-    for record in scan.tip_records():
-        bits = "".join("1" if b else "0" for b in record.tnt_before)
-        print(f"  TIP  ip={record.ip:#x}  TNT before: {bits or '-'}")
+    for ip, sig in zip(scan.ip_column(), scan.sig_column()):
+        bits = format(sig, "b")[1:]  # drop the signature's 1-prefix
+        print(f"  TIP  ip={ip:#x}  TNT before: {bits or '-'}")
 
     print("\nfull decode (instruction-flow layer, needs the binary):")
     result = FullDecoder(memory).decode(ColumnarSlowSource([(scan, 0)]))

@@ -120,9 +120,6 @@ class ControlFlowGraph:
                 out.add(edge.dst)
         return out
 
-    def indirect_branch_count(self) -> int:
-        return len(self.indirect_targets)
-
     def stats(self) -> Dict[str, int]:
         """|V| and |E| split by module class (Table 4 columns)."""
         exec_blocks = lib_blocks = 0

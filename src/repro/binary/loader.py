@@ -60,9 +60,6 @@ class LoadedModule:
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.end
 
-    def contains_code(self, addr: int) -> bool:
-        return self.base <= addr < self.base + len(self.module.code)
-
     def addr_of(self, symbol: str) -> int:
         """Absolute address of an exported symbol."""
         sym = self.module.symbols.get(symbol)
@@ -74,10 +71,6 @@ class LoadedModule:
     def local_addr_of(self, label: str) -> int:
         """Absolute address of any code label (exported or not)."""
         return self.base + self.module.local_symbols[label]
-
-    def plt_addr(self, import_name: str) -> int:
-        """Absolute address of the PLT stub for ``import_name``."""
-        return self.base + self.module.plt[import_name]
 
     def code_offset(self, addr: int) -> int:
         """Module-relative code offset of absolute address ``addr``."""

@@ -73,13 +73,6 @@ class Module:
     def is_executable(self) -> bool:
         return self.entry is not None
 
-    def symbol_offset(self, name: str) -> int:
-        """Code offset of exported function ``name``."""
-        sym = self.symbols.get(name)
-        if sym is None:
-            raise KeyError(f"{self.name}: no symbol {name!r}")
-        return sym.offset
-
     def exports(self) -> List[str]:
         """Names of all exported function symbols."""
         return [s.name for s in self.symbols.values() if s.is_function]

@@ -345,7 +345,9 @@ def _build_fleet_service(args: argparse.Namespace):
     ``fleet`` and ``top``."""
     import random
 
-    from repro.api import Fleet, FleetConfig, RingPolicy
+    from repro.api import (
+        Fleet, FleetConfig, FlowGuardPolicy, RingPolicy, RunConfig,
+    )
     from repro.experiments.common import (
         seed_server_fs, server_pipeline, server_requests,
     )
@@ -357,12 +359,14 @@ def _build_fleet_service(args: argparse.Namespace):
         ring_bytes=args.ring_bytes,
         ring_policy=RingPolicy(args.policy),
         max_queue_depth=args.queue_depth,
-        segment_cache_entries=args.segment_cache,
-        edge_cache_entries=args.edge_cache,
         seed=args.seed,
         faults=_faults_from_args(args),
     )
-    service = Fleet.build(config)
+    policy = FlowGuardPolicy(
+        segment_cache_entries=args.segment_cache,
+        edge_cache_entries=args.edge_cache,
+    )
+    service = Fleet.build(RunConfig(policy=policy, fleet=config))
     seed_server_fs(service.kernel)
 
     assignment = [servers[i % len(servers)]
@@ -633,12 +637,13 @@ def _tenant_lines(sample: dict, tenants: List[str]) -> List[str]:
 
     counters = sample.get("counters", {})
 
-    def total(name: str, tenant: str) -> float:
+    def total(name: str, tenant: str, kind: str = "") -> float:
         tag = f'tenant="{tenant}"'
         return sum(
             value for series, value in counters.items()
             if series_base(series) == name
             and (f"{{{tag}" in series or f",{tag}" in series)
+            and (not kind or f'{{kind="{kind}",' in series)
         )
 
     lines = [
@@ -650,7 +655,7 @@ def _tenant_lines(sample: dict, tenants: List[str]) -> List[str]:
             f"  {tenant:<10} "
             f"{total('loadgen.offered', tenant):>7.0f} "
             f"{total('loadgen.completed', tenant):>6.0f} "
-            f"{total('service.shed', tenant):>5.0f} "
+            f"{total('resilience.events', tenant, 'shed-load'):>5.0f} "
             f"{total('service.rounds', tenant):>6.0f} "
             f"{total('service.throttle_cycles', tenant):>12,.0f} "
             f"{total('resilience.events', tenant):>8.0f}"

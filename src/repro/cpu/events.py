@@ -48,11 +48,6 @@ class CoFIKind(enum.Enum):
         """True if IPT emits a TIP packet for this kind."""
         return self.is_indirect or self is CoFIKind.FAR_TRANSFER
 
-    @property
-    def produces_tnt(self) -> bool:
-        """True if IPT emits a TNT bit for this kind."""
-        return self is CoFIKind.COND_BRANCH
-
 
 class BranchEvent(NamedTuple):
     """One retired change-of-flow instruction.

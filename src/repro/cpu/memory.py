@@ -80,12 +80,6 @@ class Memory:
         """
         return self._pages, self._prots
 
-    def is_mapped(self, addr: int) -> bool:
-        return (addr >> PAGE_SHIFT) in self._pages
-
-    def prot_of(self, addr: int) -> int:
-        return self._prots.get(addr >> PAGE_SHIFT, 0)
-
     # -- raw access (loader-level, ignores protections) -------------------
 
     def write_raw(self, addr: int, data: bytes) -> None:

@@ -59,7 +59,9 @@ def run(tip_window: int = 100) -> MicroResult:
 
     slow_engine = SlowPathEngine(proc.machine.memory, pipeline.ocfg)
     # The whole decoded tail, not only the window's PSB segments.
-    slow = slow_engine.check(fast.tail.slow_source(), window=fast.window)
+    slow = slow_engine.check(
+        fast.tail.slow_source(), fast.window_ips, fast.window_sigs
+    )
     return MicroResult(
         fast_cycles=fast_cycles,
         slow_cycles=slow.cycles,

@@ -131,9 +131,6 @@ class RoundRobinScheduler:
         self.entries.append(entry)
         self._by_pid[entry.proc.pid] = entry
 
-    def entry_for(self, pid: int) -> Optional[FleetEntry]:
-        return self._by_pid.get(pid)
-
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> None:

@@ -49,10 +49,6 @@ class FleetConfig:
     #: in-flight checks before backpressure kicks in.
     max_queue_depth: int = 64
     max_rounds: int = 100_000
-    #: fast-path cache capacities applied to the default policy; 0
-    #: keeps caching off.
-    segment_cache_entries: int = 0
-    edge_cache_entries: int = 0
     seed: int = 0
     #: deterministic fault plan (None = fault-free run).
     faults: Optional[FaultPlan] = None
@@ -201,11 +197,6 @@ class FleetService:
     ) -> None:
         self.config = config if config is not None else FleetConfig()
         self.kernel = kernel if kernel is not None else Kernel()
-        if policy is None:
-            policy = FlowGuardPolicy(
-                segment_cache_entries=self.config.segment_cache_entries,
-                edge_cache_entries=self.config.edge_cache_entries,
-            )
         self.pool = SimulatedWorkerPool(self.config.workers)
         self.dispatcher = FleetDispatcher(
             self.pool,

@@ -274,9 +274,6 @@ class SimulatedWorkerPool:
     def busy_total(self) -> float:
         return sum(self.busy_cycles)
 
-    def earliest_free(self) -> float:
-        return min(self.free_at)
-
     def utilization(self, span: float) -> List[float]:
         """Per-worker busy fraction of the fleet's total span."""
         if span <= 0:

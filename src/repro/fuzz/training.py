@@ -16,6 +16,7 @@ from repro.binary.module import Module
 from repro.ipt.encoder import ENCODER_KINDS, IPTEncoder
 from repro.ipt.columnar import columnar_scan
 from repro.ipt.msr import IPTConfig
+from repro.ipt.packets import unpack_tnt_sig
 from repro.ipt.topa import ToPA, ToPARegion
 from repro.itccfg.credits import CreditLabeledITC
 from repro.itccfg.paths import PathIndex
@@ -94,15 +95,17 @@ def train_credits(
             # freed as soon as this replay is done.
             proc.executor.remove_listener(encoder.on_branch)
             encoder.flush()
-            records = columnar_scan(
+            scan = columnar_scan(
                 encoder.output.snapshot(), sync=encoder.output.wrapped
-            ).tip_records()
+            )
+            ips = scan.ip_column()
             edges = labeled.observe_trace(
-                ((r.ip, r.tnt_before) for r in records), strict=False
+                zip(ips, map(unpack_tnt_sig, scan.sig_column())),
+                strict=False,
             )
             report.edges_observed += edges
             if path_index is not None:
-                path_index.observe_sequence([r.ip for r in records])
+                path_index.observe_sequence(ips)
             report.inputs_replayed += 1
             report.ratio_history.append(labeled.trained_ratio())
         if tel.enabled:

@@ -40,10 +40,6 @@ class BTSBuffer:
                 self.threshold_callback()
             self.records.clear()
 
-    @property
-    def bytes_used(self) -> int:
-        return costs.BTS_RECORD_BYTES * len(self.records)
-
 
 class BTSTracer:
     """CoFI listener writing BTS records (no filtering mechanisms)."""

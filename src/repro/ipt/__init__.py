@@ -30,7 +30,6 @@ from repro.ipt.columnar import (
     ColumnarSegment,
     ColumnarSlowSource,
     ColumnarTail,
-    TipRecord,
     columnar_decode_parallel,
     columnar_scan,
     psb_boundaries,
@@ -64,7 +63,6 @@ __all__ = [
     "PacketKind",
     "RTIT_CTL",
     "SegmentDecodeCache",
-    "TipRecord",
     "ToPA",
     "ToPARegion",
     "TraceMismatch",

@@ -12,12 +12,11 @@
  * into array('Q')/array('L') on LP64 platforms).  Outputs land in
  * out[]:
  *
- *   out[0]  final scan position            out[6]  trailing after_far
- *   out[1]  packet count                   out[7]  truncated flag
- *   out[2]  TIP record count               out[8]  FUP count
- *   out[3]  packed TNT byte count          out[9]  error offset
- *   out[4]  total TNT bits                 out[10] error value
- *   out[5]  pending-bit-run start
+ *   out[0]  final scan position            out[5]  pending-bit-run start
+ *   out[1]  packet count                   out[6]  truncated flag
+ *   out[2]  TIP record count               out[7]  FUP count
+ *   out[3]  packed TNT byte count          out[8]  error offset
+ *   out[4]  total TNT bits                 out[9]  error value
  *
  * Return value: 0 = clean scan, 1 = invalid TNT payload, 2 = impossible
  * IP width, 3 = unknown header (desync).  On error the wrapper raises
@@ -33,8 +32,7 @@ typedef unsigned long long u64;
 long ipt_scan(const unsigned char *data, long size, long start,
               u64 *rec_ips, u64 *rec_offsets,
               u64 *rec_bit_start, u64 *rec_bit_end,
-              unsigned char *tnt_buf, u64 *fup_ips,
-              unsigned char *far_bitmap, u64 *out)
+              unsigned char *tnt_buf, u64 *fup_ips, u64 *out)
 {
     static const unsigned char psb[8] = {
         0x82, 0x02, 0x82, 0x02, 0x82, 0x02, 0x82, 0x02
@@ -44,7 +42,7 @@ long ipt_scan(const unsigned char *data, long size, long start,
     int acc_bits = 0;
     u64 total_bits = 0, pend_start = 0, pkt_count = 0;
     long nrec = 0, ntnt = 0, nfup = 0;
-    int after_far = 0, truncated = 0;
+    int truncated = 0;
     u64 last_ip = 0;
 
     while (pos < size) {
@@ -55,7 +53,7 @@ long ipt_scan(const unsigned char *data, long size, long start,
             if (pos + 2 > size) { truncated = 1; break; }
             payload = data[pos + 1];
             if (payload <= 1 || payload > 0x7F) {
-                out[9] = (u64)pos; out[10] = payload;
+                out[8] = (u64)pos; out[9] = payload;
                 return 1;
             }
             width = 31 - __builtin_clz(payload); /* bit_length - 1 */
@@ -78,7 +76,7 @@ long ipt_scan(const unsigned char *data, long size, long start,
             if (pos + 2 > size) { truncated = 1; break; }
             width = data[pos + 1];
             if (width > 8) {
-                out[9] = (u64)pos; out[10] = (u64)width;
+                out[8] = (u64)pos; out[9] = (u64)width;
                 return 2;
             }
             end = pos + 2 + width;
@@ -94,19 +92,12 @@ long ipt_scan(const unsigned char *data, long size, long start,
                 last_ip = ip;
             }
             if (header == 0x0D) { /* TIP */
-                if (after_far) {
-                    far_bitmap[nrec >> 3] |=
-                        (unsigned char)(1u << (nrec & 7));
-                    after_far = 0;
-                }
                 rec_ips[nrec] = suppressed ? NO_IP : ip;
                 rec_offsets[nrec] = (u64)pos;
                 rec_bit_start[nrec] = pend_start;
                 rec_bit_end[nrec] = total_bits;
                 pend_start = total_bits;
                 nrec++;
-            } else if (header == 0x11) { /* TIP.PGE */
-                after_far = 1;
             } else if (header == 0x1D && !suppressed) { /* FUP */
                 fup_ips[nfup++] = ip;
             }
@@ -129,7 +120,7 @@ long ipt_scan(const unsigned char *data, long size, long start,
                 truncated = 1;
                 break;
             }
-            out[9] = (u64)pos; out[10] = header;
+            out[8] = (u64)pos; out[9] = header;
             return 3;
         }
     }
@@ -143,8 +134,7 @@ long ipt_scan(const unsigned char *data, long size, long start,
     out[3] = (u64)ntnt;
     out[4] = total_bits;
     out[5] = pend_start;
-    out[6] = (u64)after_far;
-    out[7] = (u64)truncated;
-    out[8] = (u64)nfup;
+    out[6] = (u64)truncated;
+    out[7] = (u64)nfup;
     return 0;
 }

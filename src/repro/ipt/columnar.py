@@ -19,8 +19,6 @@ column                  contents
                         first, MSB-first within each byte)
 ``rec_bit_start/end``   ``array('L')`` — each TIP's slice of ``tnt_bits``
                         (the TNT run observed since the previous TIP)
-``far_mask``            int bitset — bit *i* set iff record *i* is the
-                        first TIP after a far-transfer resume
 ``fup_ips``             ``array('Q')`` — FUP source addresses
 ======================  ====================================================
 
@@ -41,11 +39,13 @@ and against an independently written packet-object decoder
 ``bytes * FAST_DECODE_CYCLES_PER_BYTE`` for the bytes it consumed.
 
 The columns are the only packet representation.  Every consumer reads
-them: the fast path's backward tail walk (:class:`ColumnarTail`),
-credit training (:meth:`ColumnarSegment.tip_records`), the PSB-parallel
-decode of §5.3 (:func:`columnar_decode_parallel`), and the slow path,
-whose full decoder walks the retained segment bytes through the byte
-cursor of :class:`ColumnarSlowSource`.
+them: the fast path's backward tail walk (:class:`ColumnarTail`), whose
+windows are packed ip/TNT-signature columns from the scan through the
+edge check to the slow-path hand-off; credit training
+(:meth:`ColumnarSegment.ip_column` / :meth:`~ColumnarSegment.sig_column`);
+the PSB-parallel decode of §5.3 (:func:`columnar_decode_parallel`); and
+the slow path, whose full decoder walks the retained segment bytes
+through the byte cursor of :class:`ColumnarSlowSource`.
 
 PSB packets reset IP compression, so any PSB is a valid entry point:
 :func:`psb_offsets` and :func:`psb_boundaries` split a stream into
@@ -59,8 +59,7 @@ import os
 import re
 import struct
 from array import array
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from repro import costs
 from repro.telemetry import get_telemetry
@@ -79,7 +78,6 @@ from repro.ipt.packets import (
     TNT_BITS_TABLE,
     TNT_HEADER,
     compose_tnt_sigs,
-    unpack_tnt_sig,
 )
 
 #: sentinel for an IP-suppressed TIP in the ``rec_ips`` column
@@ -109,25 +107,6 @@ _ACTION_KIND = (
 )
 
 _END = -1  # byte-cursor stream end
-
-#: bounded per-base record-materialisation memo.
-_MEMO_LIMIT = 8
-
-
-@dataclass(frozen=True)
-class TipRecord:
-    """One plain TIP packet: an indirect-branch/return target.
-
-    ``tnt_before`` holds the conditional-branch outcomes observed since
-    the previous TIP-family packet — the information the credit-labelled
-    ITC-CFG edges carry (§4.3).
-    ``after_far`` marks the first TIP following a far-transfer resume.
-    """
-
-    ip: Optional[int]
-    tnt_before: Tuple[bool, ...]
-    offset: int
-    after_far: bool = False
 
 
 def sync_to_psb(data: bytes, start: int = 0) -> int:
@@ -169,14 +148,16 @@ def psb_offsets_reversed(data: bytes) -> Iterator[int]:
     """
     if isinstance(data, memoryview):
         data = bytes(data)
+    rfind = data.rfind
+    startswith = data.startswith
     end = len(data)
     while True:
-        pos = data.rfind(PSB_PATTERN, 0, end)
+        pos = rfind(PSB_PATTERN, 0, end)
         if pos < 0:
             return
         yield pos
         end = pos
-        while end >= 2 and data.startswith(_PSB_HEAD, end - 2):
+        while end >= 2 and startswith(_PSB_HEAD, end - 2):
             end -= 2
 
 
@@ -294,8 +275,7 @@ def _bits_sig(buf, start: int, end: int) -> int:
     """Signature of bitstream slice ``[start, end)`` (1-prefixed).
 
     One ``int.from_bytes`` over the covering byte range instead of a
-    per-bit loop — the window-materialisation hot spot before the memo
-    columns existed, still used to build them.
+    per-bit loop.
     """
     if start >= end:
         return 1
@@ -310,21 +290,19 @@ class ColumnarSegment:
     """One scanned stream (usually a PSB segment) in columnar form.
 
     Offsets in the columns are relative to ``data``; consumers carry the
-    segment's stream base separately and add it at materialisation time,
-    which is what makes cached segments rebase zero-copy.
+    segment's stream base separately and add it where they need a
+    stream offset, which is what makes cached segments rebase zero-copy.
 
-    Materialised *window* shapes are memoised on the segment
-    (``sig_column``/``ip_column``/``tnt_column``/``records_at``), so a
-    cache-resident segment pays the unpack cost once and every warm hit
-    serves list slices.
+    The window columns (:meth:`ip_column`, :meth:`sig_column`) are
+    memoised on the segment, so a cache-resident segment pays the
+    unpack cost once and every warm hit serves list slices.
     """
 
     __slots__ = (
         "data", "sync", "synced_offset", "scanned", "pkt_count", "cycles",
         "truncated", "rec_ips", "rec_offsets", "rec_bit_start",
-        "rec_bit_end", "tnt_bits", "total_bits", "pend_start",
-        "trailing_far", "far_mask", "fup_ips",
-        "_sigs", "_ips", "_tnts", "_recmemo",
+        "rec_bit_end", "tnt_bits", "total_bits", "pend_start", "fup_ips",
+        "_sigs", "_ips", "_trail",
     )
 
     def __init__(
@@ -343,8 +321,6 @@ class ColumnarSegment:
         tnt_bits: bytes,
         total_bits: int,
         pend_start: int,
-        trailing_far: bool,
-        far_mask: int,
         fup_ips,
     ) -> None:
         self.data = data
@@ -363,13 +339,10 @@ class ColumnarSegment:
         self.tnt_bits = tnt_bits
         self.total_bits = total_bits
         self.pend_start = pend_start
-        self.trailing_far = trailing_far
-        self.far_mask = far_mask
         self.fup_ips = fup_ips
         self._sigs: Optional[list] = None
         self._ips: Optional[list] = None
-        self._tnts: Optional[list] = None
-        self._recmemo: Optional[dict] = None
+        self._trail: Optional[int] = None
 
     # -- columnar access -----------------------------------------------------
 
@@ -377,20 +350,15 @@ class ColumnarSegment:
     def record_count(self) -> int:
         return len(self.rec_ips)
 
-    def record_sig(self, index: int) -> int:
-        """Packed TNT signature of record ``index``."""
-        return _bits_sig(
-            self.tnt_bits, self.rec_bit_start[index],
-            self.rec_bit_end[index],
-        )
-
     def trailing_sig(self) -> int:
-        """Signature of the TNT run dangling past the last record."""
-        return _bits_sig(self.tnt_bits, self.pend_start, self.total_bits)
-
-    def record_ip(self, index: int) -> Optional[int]:
-        raw = self.rec_ips[index]
-        return None if raw == NO_IP else raw
+        """Signature of the TNT run dangling past the last record
+        (memoised: a cache-resident segment is stitched on every hit)."""
+        sig = self._trail
+        if sig is None:
+            sig = self._trail = _bits_sig(
+                self.tnt_bits, self.pend_start, self.total_bits
+            )
+        return sig
 
     # -- memoised window columns ---------------------------------------------
 
@@ -416,68 +384,6 @@ class ColumnarSegment:
             self._ips = ips
         return ips
 
-    def tnt_column(self) -> list:
-        """TNT bit tuple per record (shared memo — do not mutate)."""
-        tnts = self._tnts
-        if tnts is None:
-            tnts = [unpack_tnt_sig(sig) for sig in self.sig_column()]
-            self._tnts = tnts
-        return tnts
-
-    def records_at(self, base: int) -> list:
-        """Unpatched :class:`TipRecord` list rebased to ``base``,
-        memoised per base (shared — callers slice, never mutate)."""
-        memo = self._recmemo
-        if memo is None:
-            memo = self._recmemo = {}
-        records = memo.get(base)
-        if records is None:
-            ips = self.ip_column()
-            tnts = self.tnt_column()
-            offsets = self.rec_offsets
-            far_mask = self.far_mask
-            records = [
-                TipRecord(
-                    ips[i], tnts[i], offsets[i] + base,
-                    bool((far_mask >> i) & 1),
-                )
-                for i in range(len(ips))
-            ]
-            if len(memo) < _MEMO_LIMIT:
-                memo[base] = records
-        return records
-
-    # -- record materialisation ----------------------------------------------
-
-    def tip_records_with_state(
-        self, base: int = 0
-    ) -> Tuple[List[TipRecord], Tuple[bool, ...], bool]:
-        """The full record list plus the state dangling at the end of the
-        segment: ``(records, trailing_tnt, trailing_far)``.
-
-        TNT bits and the far-transfer marker accumulate *across* PSB
-        boundaries (a PSB resets IP compression, not branch context), so
-        stitching independently decoded segments needs the trailing
-        state of each segment to patch the first TIP of the next."""
-        return (
-            list(self.records_at(base)),
-            unpack_tnt_sig(self.trailing_sig()),
-            self.trailing_far,
-        )
-
-    def tip_records(self, base: int = 0) -> List[TipRecord]:
-        """Plain-TIP targets with interleaved TNT context."""
-        return self.tip_records_with_state(base)[0]
-
-    def materialise_record(self, index: int, base: int = 0) -> TipRecord:
-        raw = self.rec_ips[index]
-        return TipRecord(
-            None if raw == NO_IP else raw,
-            unpack_tnt_sig(self.record_sig(index)),
-            self.rec_offsets[index] + base,
-            bool((self.far_mask >> index) & 1),
-        )
-
     def fup_addresses(self) -> List[int]:
         """All FUP source addresses (syscall sites + PSB context)."""
         return list(self.fup_ips)
@@ -487,14 +393,14 @@ def _empty_segment(data, sync: bool) -> ColumnarSegment:
     return ColumnarSegment(
         data, sync, len(data), 0, 0, 0.0, False,
         array("Q"), array("Q"), array("L"), array("L"),
-        b"", 0, 0, False, 0, array("Q"),
+        b"", 0, 0, array("Q"),
     )
 
 
 def _finish_segment(
     data, sync, synced, pos, pkt_count, charge, truncated,
     rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
-    tnt_bits, total_bits, pend_start, after_far, far_mask, fup_ips,
+    tnt_bits, total_bits, pend_start, fup_ips,
 ) -> ColumnarSegment:
     """Shared scan epilogue: the identical cycle charge and telemetry
     counters regardless of which scanner produced the columns."""
@@ -509,8 +415,7 @@ def _finish_segment(
     return ColumnarSegment(
         data, sync, synced, scanned, pkt_count, cycles, truncated,
         rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
-        tnt_bits, total_bits, pend_start, after_far,
-        far_mask, fup_ips,
+        tnt_bits, total_bits, pend_start, fup_ips,
     )
 
 
@@ -588,8 +493,6 @@ def _scan_python(data, sync: bool, charge: bool) -> ColumnarSegment:
     acc_bits = 0
     total_bits = 0
     pend_start = 0
-    far_mask = 0
-    after_far = False
     last_ip = 0
     pkt_count = 0
     truncated = False
@@ -643,16 +546,11 @@ def _scan_python(data, sync: bool, charge: bool) -> ColumnarSegment:
                 )
                 last_ip = ip
             if action == _A_TIP:
-                if after_far:
-                    far_mask |= 1 << len(rec_ips)
-                    after_far = False
                 add_ip(NO_IP if ip is None else ip)
                 add_offset(pos)
                 add_bit_start(pend_start)
                 add_bit_end(total_bits)
                 pend_start = total_bits
-            elif action == _A_PGE:
-                after_far = True
             elif action == _A_FUP and ip is not None:
                 add_fup(ip)
             pkt_count += 1
@@ -682,13 +580,12 @@ def _scan_python(data, sync: bool, charge: bool) -> ColumnarSegment:
     return _finish_segment(
         data, sync, synced, pos, pkt_count, charge, truncated,
         rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
-        bytes(tnt_buf), total_bits, pend_start, after_far,
-        far_mask, fup_ips,
+        bytes(tnt_buf), total_bits, pend_start, fup_ips,
     )
 
 
 #: ``out[]`` of the C kernel (see ``_scan_kernel.c``), at arena offset 0.
-_KERNEL_OUT = struct.Struct("=12Q")
+_KERNEL_OUT = struct.Struct("=10Q")
 
 # The C kernel's column buffers: one grow-only arena per process, sized
 # to the largest scan so far — a bytearray, the ctypes object exporting
@@ -724,31 +621,26 @@ def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment
     # Worst-case capacities: every record-bearing packet is >= 2 bytes,
     # every TNT pair contributes <= 6 bits.  Layout: out[], five u64
     # columns (TIP ips, offsets, bit starts, bit ends; FUP ips), then
-    # the far bitmap and the packed TNT bytes, which the kernel ORs
-    # into / appends to and so must start zeroed.
-    max_rec = span // 2 + 1
-    column = 8 * max_rec
+    # the packed TNT bytes.  The kernel writes every byte it reports,
+    # so nothing needs zeroing.
+    column = 8 * (span // 2 + 1)
     ips_at = _KERNEL_OUT.size
     offs_at = ips_at + column
     bit_start_at = offs_at + column
     bit_end_at = bit_start_at + column
     fup_at = bit_end_at + column
-    far_at = fup_at + column
-    tnt_at = far_at + max_rec // 8 + 1
-    end = tnt_at + (span * 3) // 8 + 2
-    arena, base = _kernel_arena(end)
-    ctypes.memset(base + far_at, 0, end - far_at)
+    tnt_at = fup_at + column
+    arena, base = _kernel_arena(tnt_at + (span * 3) // 8 + 2)
 
     status = lib.ipt_scan(
         raw, size, pos,
         base + ips_at, base + offs_at, base + bit_start_at,
-        base + bit_end_at, base + tnt_at, base + fup_at, base + far_at,
-        base,
+        base + bit_end_at, base + tnt_at, base + fup_at, base,
     )
     out = _KERNEL_OUT.unpack_from(arena)
     if status:
-        err_offset = out[9]
-        err_value = out[10]
+        err_offset = out[8]
+        err_value = out[9]
         if status == 1:
             raise PacketError(f"invalid TNT payload {err_value:#x}")
         if status == 2:
@@ -761,7 +653,7 @@ def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment
             f"header {err_value:#04x}"
         )
     end_pos, pkt_count, nrec, ntnt = out[0], out[1], out[2], out[3]
-    nfup = out[8]
+    nfup = out[7]
     view = memoryview(arena)
     rec_bytes = 8 * nrec
     rec_ips = array("Q")
@@ -774,17 +666,12 @@ def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment
     rec_bit_end.frombytes(view[bit_end_at:bit_end_at + rec_bytes])
     fup_ips = array("Q")
     fup_ips.frombytes(view[fup_at:fup_at + 8 * nfup])
-    far_mask = (
-        int.from_bytes(view[far_at:far_at + (nrec + 7) // 8], "little")
-        if nrec else 0
-    )
     tnt_bits = bytes(view[tnt_at:tnt_at + ntnt])
     view.release()
     return _finish_segment(
-        data, sync, pos, end_pos, pkt_count, charge, bool(out[7]),
+        data, sync, pos, end_pos, pkt_count, charge, bool(out[6]),
         rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
-        tnt_bits, out[4], out[5], bool(out[6]),
-        far_mask, fup_ips,
+        tnt_bits, out[4], out[5], fup_ips,
     )
 
 
@@ -793,89 +680,15 @@ def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment
 
 class _TailEntry:
     """One segment of a backward-accumulated tail, with the stitch patch
-    that applies to its *first* record (trailing TNT/far state of every
+    that applies to its *first* record (trailing TNT runs of every
     earlier segment folded in, composed without unpacking)."""
 
-    __slots__ = ("seg", "base", "patch_sig", "patch_far")
+    __slots__ = ("seg", "base", "patch_sig")
 
     def __init__(self, seg: ColumnarSegment, base: int) -> None:
         self.seg = seg
         self.base = base
         self.patch_sig = 1
-        self.patch_far = False
-
-
-class LazyRecords:
-    """A window's :class:`TipRecord` sequence, built on demand.
-
-    The batched fast path verdicts on the ip/sig columns alone, so the
-    record objects a :class:`FastPathResult` carries are only needed on
-    hand-off — slow-path replay, telemetry, fingerprints.  This defers
-    their materialisation (slices of the owning segments' memoised
-    record columns, head-stitch patch applied to the fresh copy) until
-    something actually indexes, iterates or compares the window; a
-    PASS verdict never pays for it.  ``parts`` are ``(entry, lo)``
-    latest-first, exactly the slices :meth:`ColumnarTail.window` chose.
-    """
-
-    __slots__ = ("_parts", "_items")
-
-    def __init__(self, parts) -> None:
-        self._parts = parts
-        self._items: Optional[list] = None
-
-    def _force(self) -> list:
-        items = self._items
-        if items is None:
-            items = []
-            parts = self._parts
-            for index in range(len(parts) - 1, -1, -1):
-                entry, lo = parts[index]
-                seg = entry.seg
-                recs = seg.records_at(entry.base)[lo:]
-                if lo == 0 and (entry.patch_sig != 1 or entry.patch_far):
-                    head = recs[0]
-                    tnt = head.tnt_before
-                    if entry.patch_sig != 1:
-                        tnt = unpack_tnt_sig(compose_tnt_sigs(
-                            entry.patch_sig, seg.sig_column()[0]
-                        ))
-                    recs[0] = TipRecord(
-                        head.ip, tnt, head.offset,
-                        head.after_far or entry.patch_far,
-                    )
-                items.extend(recs)
-            self._items = items
-        return items
-
-    def __len__(self) -> int:
-        total = 0
-        for entry, lo in self._parts:
-            total += entry.seg.record_count - lo
-        return total
-
-    def __bool__(self) -> bool:
-        return bool(self._parts)
-
-    def __getitem__(self, index):
-        return self._force()[index]
-
-    def __iter__(self):
-        return iter(self._force())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LazyRecords):
-            return self._force() == other._force()
-        if isinstance(other, (list, tuple)):
-            return self._force() == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        state = (
-            f"{len(self._items)} records"
-            if self._items is not None else "unmaterialised"
-        )
-        return f"LazyRecords({state})"
 
 
 class ColumnarTail:
@@ -883,10 +696,10 @@ class ColumnarTail:
 
     Prepending an earlier segment is an O(1) append of a
     :class:`_TailEntry`, and stitching its trailing TNT run onto the
-    current head record is a signature composition — nothing materialises
-    until a window is requested, and window materialisation itself
-    serves slices of the segments' memo columns (so a warm segment cache
-    means warm windows too).
+    current head record is a signature composition — nothing is built
+    until a window is requested, and the window itself is slices of the
+    segments' memo columns (so a warm segment cache means warm windows
+    too).
     """
 
     __slots__ = ("entries", "count", "cycles", "start", "_head")
@@ -899,15 +712,14 @@ class ColumnarTail:
         self._head: Optional[_TailEntry] = None
 
     def prepend(self, seg: ColumnarSegment, base: int) -> None:
-        """Add the next-earlier segment: its trailing TNT run and far
-        marker fold onto the current head record, if any."""
-        if self.count and (seg.pend_start < seg.total_bits
-                           or seg.trailing_far):
+        """Add the next-earlier segment: its trailing TNT run folds onto
+        the current head record, if any (a PSB resets IP compression,
+        not branch context)."""
+        if self.count and seg.pend_start < seg.total_bits:
             head = self._head
             head.patch_sig = compose_tnt_sigs(
                 seg.trailing_sig(), head.patch_sig
             )
-            head.patch_far = head.patch_far or seg.trailing_far
         entry = _TailEntry(seg, base)
         self.entries.append(entry)
         records = len(seg.rec_ips)
@@ -915,46 +727,23 @@ class ColumnarTail:
             self._head = entry
             self.count += records
 
-    # -- materialisation -----------------------------------------------------
-
-    def _effective(self, entry: _TailEntry, index: int):
-        """(ip_or_none, sig, offset, far) of one record, patch applied."""
-        seg = entry.seg
-        sig = seg.record_sig(index)
-        far = bool((seg.far_mask >> index) & 1)
-        if index == 0:
-            # Patches were accumulated while this entry's first record
-            # was the tail's head; they stay valid after earlier
-            # record-bearing segments arrive.
-            if entry.patch_sig != 1:
-                sig = compose_tnt_sigs(entry.patch_sig, sig)
-            far = far or entry.patch_far
-        raw = seg.rec_ips[index]
-        return (
-            None if raw == NO_IP else raw,
-            sig,
-            seg.rec_offsets[index] + entry.base,
-            far,
-        )
-
     def window(self, n: int):
-        """Materialise the last ``n`` records.
+        """The last ``n`` records as ``(ips, sigs, first_offset)``.
 
-        Returns ``(records, ips, sigs)``: the raw ip and packed-TNT
-        columns the batched edge check consumes directly (slices of the
-        segments' memo columns; a stitch patch lands on the fresh slice
-        copy, never the memo), plus the :class:`TipRecord`
-        window as a :class:`LazyRecords` sequence — the verdict is
-        computed from the columns alone, so the record objects only
-        build when a consumer (slow-path hand-off, telemetry,
-        fingerprinting) actually touches them.  A PASS check never
-        pays for them.
+        ``ips`` (None = IP-suppressed) and ``sigs`` (packed TNT runs)
+        are the columns the batched edge check and the slow-path
+        hand-off consume: slices of the segments' memo columns, with a
+        stitch patch landing on the fresh slice copy, never the memo.
+        ``first_offset`` is the stream offset of the window's first
+        record (None for an empty window).
         """
-        rec_parts = []  # (entry, lo) latest-first
         ip_parts = []
         sig_parts = []
+        first_offset = None
         need = n
         for entry in self.entries:
+            if not need:
+                break
             seg = entry.seg
             record_count = seg.record_count
             if not record_count:
@@ -965,25 +754,18 @@ class ColumnarTail:
             sigs = seg.sig_column()[lo:]
             if lo == 0 and entry.patch_sig != 1:
                 sigs[0] = compose_tnt_sigs(entry.patch_sig, sigs[0])
-            rec_parts.append((entry, lo))
             ip_parts.append(ips)
             sig_parts.append(sigs)
+            first_offset = seg.rec_offsets[lo] + entry.base
             need -= take
-            if not need:
-                break
-        records = LazyRecords(tuple(rec_parts))
         if len(ip_parts) == 1:
-            return records, ip_parts[0], sig_parts[0]
+            return ip_parts[0], sig_parts[0], first_offset
         ips_out: list = []
         sigs_out: list = []
         for index in range(len(ip_parts) - 1, -1, -1):
             ips_out.extend(ip_parts[index])
             sigs_out.extend(sig_parts[index])
-        return records, ips_out, sigs_out
-
-    def records(self) -> List[TipRecord]:
-        """Every record of the tail, materialised in stream order."""
-        return self.window(self.count)[0] if self.count else []
+        return ips_out, sigs_out, first_offset
 
     def last_ips(self, n: int) -> list:
         """IPs of the last ``n`` records (module-span requirement

@@ -65,11 +65,11 @@ def _build() -> ctypes.CDLL:
         os.replace(tmp_path, so_path)
     lib = ctypes.CDLL(so_path)
     scan = lib.ipt_scan
-    # data, size, start, then seven column pointers and out[]: the
+    # data, size, start, then six column pointers and out[]: the
     # wrapper passes addresses into its scan arena as plain ints.
     scan.argtypes = (
         [ctypes.c_char_p, ctypes.c_long, ctypes.c_long]
-        + [ctypes.c_void_p] * 8
+        + [ctypes.c_void_p] * 7
     )
     scan.restype = ctypes.c_long
     return lib
@@ -101,11 +101,3 @@ def build_error() -> Optional[str]:
     """Why the kernel is unavailable (None when it loaded fine)."""
     load()
     return _error
-
-
-def _reset() -> None:
-    """Forget the cached build attempt (tests only)."""
-    global _lib, _attempted, _error
-    _lib = None
-    _attempted = False
-    _error = None

@@ -39,7 +39,10 @@ class SegmentDecodeCache:
         if entries < 1:
             raise ValueError("segment cache needs at least one entry")
         self.entries = entries
-        self._store: "OrderedDict[bytes, ColumnarSegment]" = OrderedDict()
+        #: segment bytes -> (columns, hit charge).
+        self._store: "OrderedDict[bytes, Tuple[ColumnarSegment, float]]" = (
+            OrderedDict()
+        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -82,39 +85,40 @@ class SegmentDecodeCache:
         hash + per-byte decode on a miss; truncated segments are never
         stored.
         """
-        size = len(segment)
         key = bytes(segment)
-        tel = get_telemetry()
-        seg = self._store.get(key)
-        if seg is not None:
-            self._store.move_to_end(key)
+        store = self._store
+        hit = store.get(key)
+        if hit is not None:
+            store.move_to_end(key)
             self.hits += 1
-            self.bytes_served += size
+            self.bytes_served += len(key)
+            tel = get_telemetry()
             if tel.enabled:
                 tel.metrics.counter("ipt.segment_cache.hits").inc()
-            return seg, (
-                size * costs.SEGMENT_CACHE_HASH_CYCLES_PER_BYTE
-                + costs.SEGMENT_CACHE_PROBE_CYCLES
-            )
+            return hit
 
+        size = len(key)
         self.misses += 1
+        tel = get_telemetry()
         if tel.enabled:
             tel.metrics.counter("ipt.segment_cache.misses").inc()
         seg = columnar_scan(segment)
         self.bytes_decoded += size
-        cycles = size * costs.SEGMENT_CACHE_HASH_CYCLES_PER_BYTE + seg.cycles
+        hash_cycles = size * costs.SEGMENT_CACHE_HASH_CYCLES_PER_BYTE
         if seg.truncated:
             # Mid-packet segments will decode differently once the
             # missing bytes arrive — never pin them in the store.
-            return seg, cycles
-        self._store[key] = seg
+            return seg, hash_cycles + seg.cycles
+        # A hit returns the stored pair as is: the segment and its
+        # hash + probe charge.
+        store[key] = (seg, hash_cycles + costs.SEGMENT_CACHE_PROBE_CYCLES)
         if tel.enabled and tel.plane is not None:
             # Cache state transitions feed the flight recorder.
             tel.plane.on_cache_event(
-                "cache-insert", detail=f"resident={len(self._store)}"
+                "cache-insert", detail=f"resident={len(store)}"
             )
-        if len(self._store) > self.entries:
-            self._store.popitem(last=False)
+        if len(store) > self.entries:
+            store.popitem(last=False)
             self.evictions += 1
             if tel.enabled:
                 tel.metrics.counter("ipt.segment_cache.evictions").inc()
@@ -122,4 +126,4 @@ class SegmentDecodeCache:
                     tel.plane.on_cache_event(
                         "cache-evict", detail=f"evictions={self.evictions}"
                     )
-        return seg, cycles
+        return seg, hash_cycles + seg.cycles

@@ -6,6 +6,11 @@ addresses, so membership tests are two binary searches.  A separate
 "hot" store caches high-credit edges (with their TNT patterns) for the
 common case.  Every probe charges cycles so the micro-benchmarks can
 report realistic fast-path costs.
+
+Edges are checked a window at a time by :meth:`FlowSearchIndex.check_batch`
+over the packed columns the fast path decodes: record IPs and 1-prefixed
+TNT signatures (:func:`repro.ipt.packets.pack_tnt_sig`).  The per-edge
+walk it replaced is kept as the oracle in ``tests/searchindex_reference.py``.
 """
 
 from __future__ import annotations
@@ -21,15 +26,10 @@ from repro.telemetry import get_telemetry
 from repro.ipt.packets import pack_tnt_sig, unpack_tnt_sig
 from repro.itccfg.credits import CreditLabeledITC, CreditLevel
 
-
-@dataclass
-class LookupResult:
-    """Outcome of one edge check."""
-
-    in_graph: bool
-    credit: CreditLevel
-    tnt_ok: bool
-    probes: int
+# Memoised edge outcomes.
+_OUT_OF_GRAPH = 0
+_LOW_CREDIT = 1  # in graph, but low credit or an unseen TNT run
+_TRUSTED = 2  # high credit with a trained TNT run
 
 
 @dataclass
@@ -37,7 +37,7 @@ class BatchCheckResult:
     """Outcome of one :meth:`FlowSearchIndex.check_batch` call.
 
     ``checked`` counts pairs actually verified — the batch stops at the
-    first out-of-graph edge, exactly like the per-edge loop it replaces.
+    first out-of-graph edge.
     """
 
     violation: Optional[Tuple[int, int]] = None
@@ -49,7 +49,7 @@ class FlowSearchIndex:
     """Sorted-array search structure over a credit-labelled ITC-CFG.
 
     ``edge_cache_entries`` > 0 additionally memoizes full
-    ``(src, dst, tnt)`` lookup verdicts in a bounded LRU: a memo hit is
+    ``(src, dst, sig)`` lookup outcomes in a bounded LRU: a memo hit is
     a single hash probe (``EDGE_CACHE_PROBE_CYCLES``) instead of the
     credit-cache probe plus binary searches.  :meth:`promote` mutates
     edge state, so it invalidates every memo for the promoted edge.
@@ -62,40 +62,29 @@ class FlowSearchIndex:
     ) -> None:
         self.labeled = labeled
         self.edge_cache_entries = edge_cache_entries
-        self._memo: "OrderedDict[Tuple[int, int, Tuple[bool, ...]], LookupResult]" = OrderedDict()
+        self._memo: "OrderedDict[Tuple[int, int, int], int]" = OrderedDict()
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_invalidations = 0
         succ: Dict[int, Set[int]] = {}
         for edge in labeled.itc.edges:
             succ.setdefault(edge.src, set()).add(edge.dst)
-        #: sorted source-node array (§5.3).
-        self._sources: List[int] = sorted(succ)
-        #: per-source sorted target arrays.
-        self._targets: List[List[int]] = [
-            sorted(succ[source]) for source in self._sources
-        ]
-        #: flattened packed mirrors for the batched check: one sorted
-        #: ``array('Q')`` of sources, all target arrays concatenated
-        #: into one ``array('Q')`` with per-source bounds — bisect runs
-        #: on C-contiguous arrays instead of per-source Python lists.
-        self._src_arr: array = array("Q", self._sources)
+        sources = sorted(succ)
+        #: sorted source-node array (§5.3), and every source's sorted
+        #: targets concatenated into one array with per-source bounds —
+        #: bisect runs on C-contiguous arrays.
+        self._src_arr: array = array("Q", sources)
         self._tgt_flat: array = array("Q")
-        bounds = array("L", [0] * (len(self._targets) + 1))
-        for index, targets in enumerate(self._targets):
-            self._tgt_flat.extend(targets)
+        bounds = array("L", [0] * (len(sources) + 1))
+        for index, source in enumerate(sources):
+            self._tgt_flat.extend(sorted(succ[source]))
             bounds[index + 1] = len(self._tgt_flat)
         self._tgt_bounds: array = bounds
-        #: hot cache: high-credit edges with TNT patterns, in separate
-        #: memory for fast matching.
-        self._hot: Dict[Tuple[int, int], Set[Tuple[bool, ...]]] = {}
-        #: packed-signature mirror of ``_hot`` (kept in lockstep by
-        #: :meth:`promote`) so the batched check matches TNT runs
-        #: without unpacking them into tuples.
+        #: hot cache: high-credit edges with their packed TNT patterns,
+        #: in separate memory for fast matching.
         self._hot_sigs: Dict[Tuple[int, int], Set[int]] = {}
         for (src, dst), label in labeled.labels.items():
             if label.credit is CreditLevel.HIGH:
-                self._hot[(src, dst)] = set(label.tnt_patterns)
                 self._hot_sigs[(src, dst)] = {
                     pack_tnt_sig(pattern) for pattern in label.tnt_patterns
                 }
@@ -109,10 +98,8 @@ class FlowSearchIndex:
 
     def promote(self, src: int, dst: int, tnt: Tuple[bool, ...] = ()) -> None:
         """Mirror a credit promotion into the hot cache."""
-        patterns = self._hot.setdefault((src, dst), set())
         sigs = self._hot_sigs.setdefault((src, dst), set())
         if tnt:
-            patterns.add(tuple(tnt))
             sigs.add(pack_tnt_sig(tnt))
         if self._memo:
             stale = [
@@ -131,46 +118,6 @@ class FlowSearchIndex:
 
     # -- lookups ----------------------------------------------------------------
 
-    def _binary_search(self, array: List[int], value: int) -> Tuple[bool, int]:
-        """Membership + probe count (log2 cost model)."""
-        probes = max(1, len(array).bit_length())
-        index = bisect.bisect_left(array, value)
-        found = index < len(array) and array[index] == value
-        return found, probes
-
-    def check_edge(
-        self, src: int, dst: int, tnt: Tuple[bool, ...] = ()
-    ) -> LookupResult:
-        """The §5.3 two-step check: source lookup, then target lookup.
-
-        The hot cache is consulted first; a hit is a single hash probe.
-        With edge memoization enabled, a previously computed verdict for
-        the exact ``(src, dst, tnt)`` triple short-circuits everything
-        at one probe.
-        """
-        if not self.edge_cache_entries:
-            return self._check_edge_uncached(src, dst, tnt)
-        key = (src, dst, tuple(tnt))
-        self.cycles += costs.EDGE_CACHE_PROBE_CYCLES
-        cached = self._memo.get(key)
-        tel = get_telemetry()
-        if cached is not None:
-            self._memo.move_to_end(key)
-            self.memo_hits += 1
-            if tel.enabled:
-                tel.metrics.counter("itccfg.edge_cache.hits").inc()
-            return LookupResult(
-                cached.in_graph, cached.credit, cached.tnt_ok, probes=1
-            )
-        self.memo_misses += 1
-        if tel.enabled:
-            tel.metrics.counter("itccfg.edge_cache.misses").inc()
-        result = self._check_edge_uncached(src, dst, tnt)
-        self._memo[key] = result
-        if len(self._memo) > self.edge_cache_entries:
-            self._memo.popitem(last=False)
-        return result
-
     def edge_cache_stats(self) -> dict:
         return {
             "entries": self.edge_cache_entries,
@@ -184,52 +131,18 @@ class FlowSearchIndex:
             ),
         }
 
-    def _check_edge_uncached(
-        self, src: int, dst: int, tnt: Tuple[bool, ...] = ()
-    ) -> LookupResult:
-        probes = 1
-        self.cycles += costs.CREDIT_CACHE_PROBE_CYCLES
-        hot = self._hot.get((src, dst))
-        if hot is not None:
-            tnt_ok = not hot or tuple(tnt) in hot
-            return LookupResult(True, CreditLevel.HIGH, tnt_ok, probes)
-
-        found_src, src_probes = self._binary_search(self._sources, src)
-        probes += src_probes
-        self.cycles += src_probes * costs.SEARCH_PROBE_CYCLES
-        if not found_src:
-            return LookupResult(False, CreditLevel.LOW, False, probes)
-        index = bisect.bisect_left(self._sources, src)
-        found_dst, dst_probes = self._binary_search(
-            self._targets[index], dst
-        )
-        probes += dst_probes
-        self.cycles += dst_probes * costs.SEARCH_PROBE_CYCLES
-        if not found_dst:
-            return LookupResult(False, CreditLevel.LOW, False, probes)
-        credit = self.labeled.credit_of(src, dst)
-        tnt_ok = (
-            credit is CreditLevel.HIGH
-            and self.labeled.tnt_matches(src, dst, tnt)
-        )
-        return LookupResult(True, credit, tnt_ok, probes)
-
     def check_batch(self, ips: list, sigs: list) -> BatchCheckResult:
         """Verify a whole window of TIP records in one call.
 
         ``ips`` are the window's record IPs in stream order; ``sigs``
         their packed TNT signatures (``sigs[i]`` is the run observed
-        before ``ips[i]``).  Pair *i* is the edge
-        ``ips[i-1] -> ips[i]`` checked with ``sigs[i]`` — exactly the
-        pairs the per-edge loop fed to :meth:`check_edge`.
-
-        This is the batched mirror of :meth:`check_edge`: identical
-        cycle charges in identical order (the cycle model is the
-        measurement instrument), identical memo state transitions and
-        telemetry counters, and the same early stop at the first
-        out-of-graph edge — but one flat loop over packed arrays instead
-        of a method call, tuple key build and dataclass allocation per
-        pair.
+        before ``ips[i]``).  Pair *i* is the edge ``ips[i-1] -> ips[i]``
+        checked with ``sigs[i]``, through the §5.3 two-step check: the
+        hot cache first (one hash probe), else a source search and a
+        target search.  With edge memoization on, a previously computed
+        outcome for the exact ``(src, dst, sig)`` triple short-circuits
+        everything at one probe.  The batch stops at the first
+        out-of-graph edge.
         """
         outcome = BatchCheckResult()
         low_credit = outcome.low_credit
@@ -245,7 +158,6 @@ class FlowSearchIndex:
         memo_probe = costs.EDGE_CACHE_PROBE_CYCLES
         bisect_left = bisect.bisect_left
         high = CreditLevel.HIGH
-        low_level = CreditLevel.LOW
         labeled = self.labeled
         hit_counter = miss_counter = None
         if memo_capacity:
@@ -260,92 +172,70 @@ class FlowSearchIndex:
             dst = ips[index]
             sig = sigs[index]
             checked += 1
-            key = None
             if memo_capacity:
-                tnt = sig_tuples.get(sig)
-                if tnt is None:
-                    tnt = unpack_tnt_sig(sig)
-                    sig_tuples[sig] = tnt
-                key = (src, dst, tnt)
+                key = (src, dst, sig)
                 self.cycles += memo_probe
-                cached = memo.get(key)
-                if cached is not None:
+                edge = memo.get(key)
+                if edge is not None:
                     memo.move_to_end(key)
                     self.memo_hits += 1
                     if hit_counter is not None:
                         hit_counter.inc()
-                    if not cached.in_graph:
+                    if edge == _OUT_OF_GRAPH:
                         outcome.violation = (src, dst)
                         break
-                    if cached.credit is not high or not cached.tnt_ok:
+                    if edge == _LOW_CREDIT:
                         low_credit.append((src, dst))
                     continue
                 self.memo_misses += 1
                 if miss_counter is not None:
                     miss_counter.inc()
-            # -- uncached lookup (mirrors _check_edge_uncached) --------------
-            probes = 1
             self.cycles += credit_probe
             hot = hot_sigs.get((src, dst))
             if hot is not None:
-                in_graph = True
-                credit = high
-                tnt_ok = not hot or sig in hot
+                edge = _TRUSTED if not hot or sig in hot else _LOW_CREDIT
             else:
-                probes += src_probes
+                edge = _OUT_OF_GRAPH
                 self.cycles += src_probes * search_probe
                 position = bisect_left(src_arr, src)
                 if position < len(src_arr) and src_arr[position] == src:
                     lo = tgt_bounds[position]
                     hi = tgt_bounds[position + 1]
-                    dst_probes = max(1, (hi - lo).bit_length())
-                    probes += dst_probes
-                    self.cycles += dst_probes * search_probe
+                    self.cycles += max(1, (hi - lo).bit_length()) * search_probe
                     slot = bisect_left(tgt_flat, dst, lo, hi)
                     if slot < hi and tgt_flat[slot] == dst:
-                        in_graph = True
-                        credit = labeled.credit_of(src, dst)
-                        if credit is high:
+                        edge = _LOW_CREDIT
+                        # An edge promoted through a labelling this
+                        # index shares, but not through this index.
+                        if labeled.credit_of(src, dst) is high:
                             tnt = sig_tuples.get(sig)
                             if tnt is None:
                                 tnt = unpack_tnt_sig(sig)
                                 sig_tuples[sig] = tnt
-                            tnt_ok = labeled.tnt_matches(src, dst, tnt)
-                        else:
-                            tnt_ok = False
-                    else:
-                        in_graph = False
-                        credit = low_level
-                        tnt_ok = False
-                else:
-                    in_graph = False
-                    credit = low_level
-                    tnt_ok = False
+                            if labeled.tnt_matches(src, dst, tnt):
+                                edge = _TRUSTED
             if memo_capacity:
-                memo[key] = LookupResult(in_graph, credit, tnt_ok, probes)
+                memo[key] = edge
                 if len(memo) > memo_capacity:
                     memo.popitem(last=False)
-            if not in_graph:
+            if edge == _OUT_OF_GRAPH:
                 outcome.violation = (src, dst)
                 break
-            if credit is not high or not tnt_ok:
+            if edge == _LOW_CREDIT:
                 low_credit.append((src, dst))
         outcome.checked = checked
         return outcome
-
-    def source_count(self) -> int:
-        return len(self._sources)
 
     def memory_bytes(self) -> int:
         """Estimated resident size (Table 5's memory-usage column).
 
         Source records are (address, count, pointer) = 24 bytes; target
         entries are 8-byte addresses; hot-cache entries carry the edge
-        key plus packed TNT patterns.
+        key plus packed TNT patterns (a signature's pattern is
+        ``sig.bit_length() - 1`` branches long).
         """
-        size = 24 * len(self._sources)
-        size += sum(8 * len(targets) for targets in self._targets)
-        for patterns in self._hot.values():
+        size = 24 * len(self._src_arr) + 8 * len(self._tgt_flat)
+        for sigs in self._hot_sigs.values():
             size += 16  # edge key
-            size += sum(8 + (len(p) + 7) // 8 for p in patterns)
+            size += sum(8 + (sig.bit_length() + 6) // 8 for sig in sigs)
         return size

@@ -117,13 +117,6 @@ class Program:
         self.builder.add_function(func.name, items, export=func.export)
         return self
 
-    def add_asm_function(
-        self, name: str, items: Sequence[Item], export: bool = True
-    ) -> "Program":
-        """Add a hand-written assembly function."""
-        self.builder.add_function(name, items, export=export)
-        return self
-
     def build(self) -> Module:
         if self._entry_func is not None:
             from repro.isa.registers import R1

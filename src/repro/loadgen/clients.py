@@ -296,10 +296,6 @@ class LoadTracker:
     def total_idle_cycles(self) -> float:
         return sum(st.idle_cycles for st in self._pids.values())
 
-    def idle_cycles_for(self, pid: int) -> float:
-        st = self._pids.get(pid)
-        return st.idle_cycles if st is not None else 0.0
-
     def latency_percentile(self, q: float) -> float:
         """Exact nearest-rank percentile over completed requests."""
         return nearest_rank(self._latencies, q)

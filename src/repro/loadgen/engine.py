@@ -129,7 +129,8 @@ def build_load_service(
     ``max_sessions`` is the serving admission cap: sessions beyond it
     (counted across connections, in connection order) are *shed* at
     admission — each shed session records a ``shed-load`` ledger event
-    and bumps ``service.shed`` — rather than queued.  0 admits
+    (counted in the ledger's ``resilience.events`` series) — rather
+    than queued.  0 admits
     everything, leaving the build byte-identical to the pre-serving
     behavior.
     """
@@ -175,10 +176,6 @@ def build_load_service(
                     "shed-load",
                     detail=f"connection {index} session {k}",
                 )
-                if tel.enabled:
-                    tel.metrics.counter("service.shed").inc(
-                        **({"tenant": tenant} if tenant else {})
-                    )
             payloads = payloads[:admitted]
             session_budget -= admitted
         inject = (

@@ -29,7 +29,6 @@ from repro.telemetry import get_telemetry
 from repro.ipt.columnar import (
     ColumnarSlowSource,
     ColumnarTail,
-    TipRecord,
     columnar_scan,
     psb_offsets_reversed,
 )
@@ -53,8 +52,12 @@ class FastPathResult:
     violation_edge: Optional[Tuple[int, int]] = None
     decode_cycles: float = 0.0
     search_cycles: float = 0.0
-    #: the decoded window, for hand-off to the slow path.
-    window: List[TipRecord] = field(default_factory=list)
+    #: the checked window, for hand-off to the slow path: its record
+    #: IPs (None = IP-suppressed), their packed TNT signatures, and the
+    #: stream offset of its first record (None for an empty window).
+    window_ips: list = field(default_factory=list)
+    window_sigs: list = field(default_factory=list)
+    first_record_offset: Optional[int] = None
     window_offset: int = 0  # stream offset the window decode started at
     #: the decoded tail's scanned segments, for the slow-path hand-off.
     tail: ColumnarTail = field(default_factory=ColumnarTail)
@@ -66,9 +69,7 @@ class FastPathResult:
         nearest *before* the checked window onward, not the whole tail
         — the slow path only needs to reconstruct the suspicious region.
         """
-        return self.tail.slow_source(
-            self.window[0].offset if self.window else None
-        )
+        return self.tail.slow_source(self.first_record_offset)
 
 
 class FastPathChecker:
@@ -103,9 +104,8 @@ class FastPathChecker:
         #: audits corrupt-segment recovery, attributed to ``owner_pid``.
         self.ledger = ledger
         self.owner_pid = owner_pid
-        #: corrupt segments hit by the most recent / all tail decodes.
+        #: corrupt segments hit by the most recent tail decode.
         self.last_corrupt_segments = 0
-        self.corrupt_segments = 0
 
     # -- tail decoding -------------------------------------------------------
 
@@ -119,10 +119,10 @@ class FastPathChecker:
         from the buffer end, prepending one segment at a time until the
         ``pkt_count``/module-span requirements hold.  Segments scan
         independently because PSBs reset IP compression; the dangling
-        TNT bits and far-transfer marker a segment ends with are
-        stitched onto the first TIP of the already-accumulated suffix
-        (a signature composition — nothing is materialised until the
-        check loop asks for its window, and prepending is O(1)).
+        TNT bits a segment ends with are stitched onto the first TIP of
+        the already-accumulated suffix (a signature composition — nothing
+        is built until the check loop asks for its window, and
+        prepending is O(1)).
 
         A segment that raises :class:`PacketError` (corrupt drain bytes)
         stops the backward scan: the clean suffix already accumulated —
@@ -134,6 +134,10 @@ class FastPathChecker:
         """
         self.last_corrupt_segments = 0
         tail = ColumnarTail()
+        cache = self.segment_cache
+        probe = None if cache is None else cache.decode_segment_columnar
+        pkt_count = self.pkt_count
+        check_span = self.require_cross_module or self.require_executable
         view = memoryview(data)
         cycles = 0.0
         size = len(data)
@@ -142,7 +146,13 @@ class FastPathChecker:
             if end == size:  # the newest segment: the window starts here
                 start = begin
             try:
-                seg, seg_cycles = self._decode_segment(view, begin, end)
+                # Zero-copy slices; the columns stay segment-relative
+                # and ``begin`` is the base the tail carries.
+                if probe is None:
+                    seg = columnar_scan(view[begin:end])
+                    seg_cycles = seg.cycles
+                else:
+                    seg, seg_cycles = probe(view[begin:end])
             except PacketError:
                 cycles += self._corrupt_segment(begin, end, tail.count > 0)
                 break
@@ -160,11 +170,11 @@ class FastPathChecker:
             cycles += seg_cycles
             tail.prepend(seg, begin)
             start = end = begin
-            if tail.count > self.pkt_count and (
+            if tail.count > pkt_count and (
                 # Evaluate the flags before materialising the ip
                 # window, which only the module requirements read.
-                not (self.require_cross_module or self.require_executable)
-                or self._spans_modules(tail.last_ips(self.pkt_count + 1))
+                not check_span
+                or self._spans_modules(tail.last_ips(pkt_count + 1))
             ):
                 break
         tail.cycles = cycles
@@ -176,7 +186,6 @@ class FastPathChecker:
         failed decode burned (the decoder scanned up to the corruption,
         charged conservatively for the whole segment)."""
         self.last_corrupt_segments += 1
-        self.corrupt_segments += 1
         if self.ledger is not None:
             self.ledger.record(
                 "corrupt-segment", pid=self.owner_pid,
@@ -188,21 +197,7 @@ class FastPathChecker:
             if resynced:
                 self.ledger.record("psb-resync", pid=self.owner_pid,
                                    detail=f"resync@{end}")
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.metrics.counter("fastpath.corrupt_segments").inc()
         return (end - begin) * costs.FAST_DECODE_CYCLES_PER_BYTE
-
-    def _decode_segment(self, view, begin: int, end: int):
-        """One PSB segment in columnar form, via the cache if attached;
-        returns ``(segment, charged_cycles)`` — the columns stay
-        segment-relative, the caller carries ``begin`` as the base."""
-        if self.segment_cache is not None:
-            return self.segment_cache.decode_segment_columnar(
-                view[begin:end]
-            )
-        seg = columnar_scan(view[begin:end])
-        return seg, seg.cycles
 
     def _spans_modules(self, ips: list) -> bool:
         modules = set()
@@ -240,7 +235,9 @@ class FastPathChecker:
             m.counter("fastpath.low_credit_pairs").inc(
                 len(result.low_credit_pairs)
             )
-            m.histogram("fastpath.window_tips").observe(len(result.window))
+            m.histogram("fastpath.window_tips").observe(
+                len(result.window_ips)
+            )
             m.histogram("fastpath.decode_cycles").observe(
                 result.decode_cycles
             )
@@ -249,41 +246,39 @@ class FastPathChecker:
             )
         return result
 
+    def window_result(self, tail: ColumnarTail) -> FastPathResult:
+        """An INSUFFICIENT result over ``tail`` carrying its window —
+        the last ``pkt_count + 1`` records' ip/signature columns, which
+        the slow-path hand-off reads — and the tail's decode cost."""
+        ips, sigs, first = tail.window(self.pkt_count + 1)
+        return FastPathResult(
+            Verdict.INSUFFICIENT,
+            decode_cycles=tail.cycles,
+            window_ips=ips,
+            window_sigs=sigs,
+            first_record_offset=first,
+            window_offset=tail.start,
+            tail=tail,
+            corrupt_segments=self.last_corrupt_segments,
+        )
+
     def _check(self, data: bytes) -> FastPathResult:
-        """Columnar tail + one batched edge check.  The window's records
-        materialise only when a consumer touches them (telemetry,
-        slow-path hand-off); a PASS verdict reads the columns alone."""
+        """Columnar tail + one batched edge check over the window's
+        ip/signature columns."""
         tail = self.decode_tail_columnar(data)
-        corrupt = self.last_corrupt_segments
-        decode_cycles = tail.cycles
-        start = tail.start
+        result = self.window_result(tail)
         if tail.count < 2:
-            return FastPathResult(
-                Verdict.INSUFFICIENT,
-                decode_cycles=decode_cycles,
-                window=tail.records(),
-                window_offset=start,
-                tail=tail,
-                corrupt_segments=corrupt,
-            )
-        window, ips, sigs = tail.window(self.pkt_count + 1)
+            return result
+        ips = result.window_ips
         search_before = self.index.cycles
-        batch = self.index.check_batch(ips, sigs)
-        search_cycles = self.index.cycles - search_before
+        batch = self.index.check_batch(ips, result.window_sigs)
+        result.search_cycles = self.index.cycles - search_before
+        result.checked_pairs = checked = batch.checked
         if batch.violation is not None:
-            return FastPathResult(
-                Verdict.VIOLATION,
-                checked_pairs=batch.checked,
-                violation_edge=batch.violation,
-                decode_cycles=decode_cycles,
-                search_cycles=search_cycles,
-                window=window,
-                window_offset=start,
-                tail=tail,
-                corrupt_segments=corrupt,
-            )
+            result.verdict = Verdict.VIOLATION
+            result.violation_edge = batch.violation
+            return result
         low_credit = batch.low_credit
-        checked = batch.checked
         high = checked - len(low_credit)
         ratio = high / checked if checked else 0.0
         verdict = (
@@ -296,14 +291,6 @@ class FastPathChecker:
                 low_credit.extend(
                     (gram[0], gram[1]) for gram in untrained[:4]
                 )
-        return FastPathResult(
-            verdict,
-            checked_pairs=checked,
-            low_credit_pairs=low_credit,
-            decode_cycles=decode_cycles,
-            search_cycles=search_cycles,
-            window=window,
-            window_offset=start,
-            tail=tail,
-            corrupt_segments=corrupt,
-        )
+        result.verdict = verdict
+        result.low_credit_pairs = low_credit
+        return result

@@ -233,22 +233,9 @@ class FlowGuardMonitor:
             config, output=topa,
             current_cr3=lambda p=process: p.cr3,
         )
-        index = FlowSearchIndex(
-            labeled, edge_cache_entries=self.policy.edge_cache_entries
+        index, checker, slow = self._checking_stack(
+            process, labeled, ocfg, path_index
         )
-        checker = FastPathChecker(
-            index,
-            process.image,
-            pkt_count=self.policy.pkt_count,
-            cred_ratio=self.policy.cred_ratio,
-            require_cross_module=self.policy.require_cross_module,
-            require_executable=self.policy.require_executable,
-            path_index=path_index if self.policy.path_sensitive else None,
-            segment_cache=self.segment_cache,
-            ledger=self.degradations,
-            owner_pid=process.pid,
-        )
-        slow = SlowPathEngine(process.machine.memory, ocfg)
         pp = ProtectedProcess(
             process=process,
             config=config,
@@ -284,27 +271,39 @@ class FlowGuardMonitor:
         never change (or drop) a check already in flight; it only
         redirects checks submitted afterwards.
         """
-        process = pp.process
+        pp.index, pp.checker, pp.slow = self._checking_stack(
+            pp.process, labeled, ocfg, path_index
+        )
+        pp.labeled = labeled
+
+    def _checking_stack(
+        self,
+        process: Process,
+        labeled: CreditLabeledITC,
+        ocfg: ControlFlowGraph,
+        path_index,
+    ) -> Tuple[FlowSearchIndex, FastPathChecker, SlowPathEngine]:
+        """The policy's checking stack over one CFG version: the search
+        index, the fast-path checker over it and the slow-path engine
+        (what :meth:`protect` builds and :meth:`rebind` swaps)."""
+        policy = self.policy
         index = FlowSearchIndex(
-            labeled, edge_cache_entries=self.policy.edge_cache_entries
+            labeled, edge_cache_entries=policy.edge_cache_entries
         )
         checker = FastPathChecker(
             index,
             process.image,
-            pkt_count=self.policy.pkt_count,
-            cred_ratio=self.policy.cred_ratio,
-            require_cross_module=self.policy.require_cross_module,
-            require_executable=self.policy.require_executable,
-            path_index=path_index if self.policy.path_sensitive else None,
+            pkt_count=policy.pkt_count,
+            cred_ratio=policy.cred_ratio,
+            require_cross_module=policy.require_cross_module,
+            require_executable=policy.require_executable,
+            path_index=path_index if policy.path_sensitive else None,
             segment_cache=self.segment_cache,
             ledger=self.degradations,
             owner_pid=process.pid,
         )
         slow = SlowPathEngine(process.machine.memory, ocfg)
-        pp.labeled = labeled
-        pp.index = index
-        pp.checker = checker
-        pp.slow = slow
+        return index, checker, slow
 
     def auto_protect(
         self,
@@ -494,23 +493,10 @@ class FlowGuardMonitor:
         shares no state with the fast checker) delivers the verdict."""
         checker = pp.checker
         tail = checker.decode_tail_columnar(data)
-        if tail.count < 2:
-            return FastPathResult(
-                Verdict.INSUFFICIENT,
-                decode_cycles=tail.cycles,
-                window=tail.records(),
-                window_offset=tail.start,
-                tail=tail,
-                corrupt_segments=checker.last_corrupt_segments,
-            )
-        return FastPathResult(
-            Verdict.SUSPICIOUS,
-            decode_cycles=tail.cycles,
-            window=tail.window(checker.pkt_count + 1)[0],
-            window_offset=tail.start,
-            tail=tail,
-            corrupt_segments=checker.last_corrupt_segments,
-        )
+        result = checker.window_result(tail)
+        if tail.count >= 2:
+            result.verdict = Verdict.SUSPICIOUS
+        return result
 
     def _run_slow(
         self, pp: ProtectedProcess, nr: int, result: FastPathResult
@@ -523,7 +509,8 @@ class FlowGuardMonitor:
             if inj is not None and inj.fire("slowpath_error"):
                 raise InjectedFault("injected slow-path decode error")
             slow_result = pp.slow.check(
-                result.slow_path_source(), window=result.window
+                result.slow_path_source(), result.window_ips,
+                result.window_sigs,
             )
         except InjectedFault:
             # The engine died after the upcall: charge the upcall, audit

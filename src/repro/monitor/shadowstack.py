@@ -63,10 +63,6 @@ class ShadowStack:
             if edge.dst != expected:
                 raise ShadowStackViolation(edge.src, expected, edge.dst)
 
-    def feed_all(self, edges) -> None:
-        for edge in edges:
-            self.feed(edge)
-
     @property
     def depth(self) -> int:
         return len(self._stack)

@@ -16,14 +16,15 @@ paper; here the upcall is modelled as a fixed cycle cost.  It:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import costs
 from repro.analysis.cfg import ControlFlowGraph
 from repro.cpu.events import CoFIKind
 from repro.cpu.memory import Memory
-from repro.ipt.columnar import ColumnarSlowSource, TipRecord
+from repro.ipt.columnar import ColumnarSlowSource
 from repro.ipt.full_decoder import FullDecoder, TraceMismatch
+from repro.ipt.packets import unpack_tnt_sig
 from repro.monitor.shadowstack import ShadowStack, ShadowStackViolation
 
 
@@ -53,14 +54,15 @@ class SlowPathEngine:
     def check(
         self,
         source: ColumnarSlowSource,
-        window: Optional[List[TipRecord]] = None,
+        ips: Sequence[Optional[int]] = (),
+        sigs: Sequence[int] = (),
     ) -> SlowPathResult:
         """Verify the packets of ``source`` (usually
-        ``FastPathResult.slow_path_source()``); ``window`` lists the
-        fast-path TIP records for promotion bookkeeping.  A trace the
-        binaries cannot follow — a desync, including an IP-suppressed
-        packet where the walk needs a target — fails the check and
-        confirms nothing.
+        ``FastPathResult.slow_path_source()``); ``ips``/``sigs`` are the
+        fast-path window's record IPs and packed TNT signatures, for
+        promotion bookkeeping.  A trace the binaries cannot follow — a
+        desync, including an IP-suppressed packet where the walk needs a
+        target — fails the check and confirms nothing.
         """
         cycles = costs.SLOWPATH_UPCALL_CYCLES
         try:
@@ -120,10 +122,10 @@ class SlowPathEngine:
                     shadow_cycles=shadow.cycles,
                 )
 
-        confirmed: List[Tuple[int, int, Tuple[bool, ...]]] = []
-        if window:
-            for prev, cur in zip(window, window[1:]):
-                confirmed.append((prev.ip, cur.ip, cur.tnt_before))
+        confirmed = [
+            (ips[i - 1], ips[i], unpack_tnt_sig(sigs[i]))
+            for i in range(1, len(ips))
+        ]
         return SlowPathResult(
             ok=True,
             cycles=cycles + shadow.cycles,

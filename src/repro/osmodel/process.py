@@ -107,6 +107,3 @@ class Process:
         conn = Connection.from_request(payload)
         self.pending_connections.append(conn)
         return conn
-
-    def stdout_text(self) -> str:
-        return self.stdout.decode("utf-8", errors="replace")

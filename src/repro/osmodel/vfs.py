@@ -35,9 +35,6 @@ class FileSystem:
         buf[offset : offset + len(data)] = data
         return len(data)
 
-    def size_of(self, path: str) -> int:
-        return len(self._files[path])
-
     def contents(self, path: str) -> bytes:
         """Whole-file read (test/driver convenience)."""
         return bytes(self._files[path])

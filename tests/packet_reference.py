@@ -10,13 +10,17 @@ list.  The scan-parity, robustness and columnar suites hold the scan to
 truncation, ``PacketError`` text, charged cycles), and the cursor suites
 and ``tests/test_full_decode_differential.py`` hold the byte cursor to
 :class:`PacketCursor` (every result and ``TraceMismatch`` message).
+
+The scan's consumers read packed ip/TNT-signature columns; the oracle's
+shape is one :class:`TipRecord` per TIP.  :func:`segment_records` and
+:func:`tail_records` render a scanned segment or a stitched tail in that
+shape so the two can be compared record for record.
 """
 
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro import costs
-from repro.ipt.columnar import TipRecord
 from repro.ipt.full_decoder import TraceMismatch
 from repro.ipt.packets import (
     FUP_HEADER,
@@ -31,6 +35,7 @@ from repro.ipt.packets import (
     TIP_PGE_HEADER,
     TNT_HEADER,
     decode_tnt_payload,
+    unpack_tnt_sig,
 )
 
 _IP_KINDS = {
@@ -52,6 +57,46 @@ def decompress_ip(payload: bytes, last_ip: int) -> int:
         return last_ip
     mask = (1 << (8 * width)) - 1
     return (last_ip & ~mask) | int.from_bytes(payload, "little")
+
+
+@dataclass(frozen=True)
+class TipRecord:
+    """One plain TIP packet: an indirect-branch/return target.
+
+    ``tnt_before`` holds the conditional-branch outcomes observed since
+    the previous TIP-family packet — the information the credit-labelled
+    ITC-CFG edges carry (§4.3).
+    """
+
+    ip: Optional[int]
+    tnt_before: Tuple[bool, ...]
+    offset: int
+
+
+def segment_records(seg, base: int = 0) -> List[TipRecord]:
+    """A scanned ``ColumnarSegment``'s records, offsets rebased to
+    ``base``."""
+    return [
+        TipRecord(ip, unpack_tnt_sig(sig), offset + base)
+        for ip, sig, offset in zip(
+            seg.ip_column(), seg.sig_column(), seg.rec_offsets
+        )
+    ]
+
+
+def tail_records(tail) -> List[TipRecord]:
+    """Every record of a ``ColumnarTail`` in stream order, stitch
+    patches applied: its full window plus each segment's offsets."""
+    ips, sigs, _ = tail.window(tail.count)
+    offsets = [
+        offset + entry.base
+        for entry in reversed(tail.entries)
+        for offset in entry.seg.rec_offsets
+    ]
+    return [
+        TipRecord(ip, unpack_tnt_sig(sig), offset)
+        for ip, sig, offset in zip(ips, sigs, offsets)
+    ]
 
 
 @dataclass(frozen=True)
@@ -80,12 +125,11 @@ class FastDecodeResult:
 
     def tip_records_with_state(
         self,
-    ) -> Tuple[List[TipRecord], Tuple[bool, ...], bool]:
-        """Plain-TIP records plus the TNT run and far-transfer marker
-        dangling at the end of the stream."""
+    ) -> Tuple[List[TipRecord], Tuple[bool, ...]]:
+        """Plain-TIP records plus the TNT run dangling at the end of the
+        stream."""
         records: List[TipRecord] = []
         pending_tnt: List[bool] = []
-        after_far = False
         for packet in self.packets:
             if packet.kind is PacketKind.TNT:
                 pending_tnt.extend(packet.bits)
@@ -95,14 +139,10 @@ class FastDecodeResult:
                         ip=packet.ip,
                         tnt_before=tuple(pending_tnt),
                         offset=packet.offset,
-                        after_far=after_far,
                     )
                 )
                 pending_tnt = []
-                after_far = False
-            elif packet.kind is PacketKind.TIP_PGE:
-                after_far = True
-        return records, tuple(pending_tnt), after_far
+        return records, tuple(pending_tnt)
 
     def fup_ips(self) -> List[int]:
         return [

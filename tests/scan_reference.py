@@ -17,7 +17,6 @@ from repro.ipt.columnar import (
     _A_FUP,
     _A_OVF,
     _A_PAD,
-    _A_PGE,
     _A_PSB,
     _A_PSBEND,
     _A_TIP,
@@ -64,8 +63,6 @@ def columnar_scan_reference(
     acc_bits = 0
     total_bits = 0
     pend_start = 0
-    far_mask = 0
-    after_far = False
     last_ip = 0
     pkt_count = 0
     truncated = False
@@ -112,16 +109,11 @@ def columnar_scan_reference(
                 )
                 last_ip = ip
             if action == _A_TIP:
-                if after_far:
-                    far_mask |= 1 << len(rec_ips)
-                    after_far = False
                 add_ip(NO_IP if ip is None else ip)
                 add_offset(pos)
                 add_bit_start(pend_start)
                 add_bit_end(total_bits)
                 pend_start = total_bits
-            elif action == _A_PGE:
-                after_far = True
             elif action == _A_FUP and ip is not None:
                 add_fup(ip)
             pkt_count += 1
@@ -151,6 +143,5 @@ def columnar_scan_reference(
     return _finish_segment(
         data, sync, synced, pos, pkt_count, charge, truncated,
         rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
-        bytes(tnt_buf), total_bits, pend_start, after_far,
-        far_mask, fup_ips,
+        bytes(tnt_buf), total_bits, pend_start, fup_ips,
     )

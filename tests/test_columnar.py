@@ -5,8 +5,8 @@ plus one batched edge check.  The suite holds it to two oracles — the
 packet-object decoder of ``tests/packet_reference.py`` (same TIP
 records, trailing stitch state, FUP addresses, packet counts,
 truncation flags, ``PacketError`` messages and charged cycles) and the
-per-edge ``check_edge`` loop (same verdicts, cycles,
-memo state and ``promote`` invalidation) — on synthetic and real traces,
+per-edge loop of ``tests/searchindex_reference.py`` (same verdicts,
+cycles, memo state and ``promote`` invalidation) — on synthetic and real traces,
 including every truncation cut and random corruption.  It also covers
 the segment cache, zero-copy slicing, the slow-path hand-off trim,
 corrupt and truncated middle segments, the full attack matrix, and a
@@ -61,6 +61,7 @@ from repro.ipt.packets import (
 from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.itccfg import FlowSearchIndex
 from repro.monitor.fastpath import FastPathChecker, FastPathResult, Verdict
+from repro.monitor.policy import FlowGuardPolicy
 from repro.osmodel import Kernel, ProcessState
 from repro.pipeline import FlowGuardPipeline
 from repro.resilience import DegradationLedger, FaultPlan
@@ -70,7 +71,13 @@ from repro.workloads import (
     build_vdso,
     nginx_request,
 )
-from tests.packet_reference import fast_decode, packets_of
+from tests.packet_reference import (
+    fast_decode,
+    packets_of,
+    segment_records,
+    tail_records,
+)
+from tests.searchindex_reference import ReferenceSearchIndex
 
 LIBS = {"libsim.so": build_libsim()}
 SEG_ENTRIES = 64
@@ -140,10 +147,9 @@ def fingerprint(result):
         result.violation_edge,
         result.window_offset,
         result.corrupt_segments,
-        tuple(
-            (r.ip, r.tnt_before, r.offset, r.after_far)
-            for r in result.window
-        ),
+        result.first_record_offset,
+        tuple(result.window_ips),
+        tuple(result.window_sigs),
         tuple((e.base, bytes(e.seg.data)) for e in result.tail.entries),
     )
 
@@ -208,11 +214,9 @@ def assert_scan_parity(data, sync=False):
     assert col_error == obj_error
     if obj is None:
         return
-    obj_records, obj_trailing, obj_far = obj.tip_records_with_state()
-    col_records, col_trailing, col_far = col.tip_records_with_state()
-    assert col_records == obj_records
-    assert col_trailing == obj_trailing
-    assert col_far == obj_far
+    obj_records, obj_trailing = obj.tip_records_with_state()
+    assert segment_records(col) == obj_records
+    assert unpack_tnt_sig(col.trailing_sig()) == obj_trailing
     assert col.cycles == obj.cycles
     assert col.truncated == obj.truncated
     assert col.synced_offset == obj.synced_offset
@@ -310,39 +314,25 @@ class TestCheckBatch:
     def test_matches_edge_loop(self, pipeline, trace, cached):
         data, image = trace
         entries = EDGE_ENTRIES if cached else 0
-        loop_index = FlowSearchIndex(
+        loop_index = ReferenceSearchIndex(
             pipeline.labeled, edge_cache_entries=entries
         )
         batch_index = FlowSearchIndex(
             pipeline.labeled, edge_cache_entries=entries
         )
         for cut in snapshot_cuts(data):
-            records, ips, sigs = self._window(pipeline, trace, cut)
-            # Reference: the object engine's per-edge loop.
-            violation = None
-            low_credit = []
-            checked = 0
-            for prev, cur in zip(records, records[1:]):
-                lookup = loop_index.check_edge(
-                    prev.ip, cur.ip, cur.tnt_before
-                )
-                checked += 1
-                if not lookup.in_graph:
-                    violation = (prev.ip, cur.ip)
-                    break
-                if not lookup.tnt_ok or lookup.credit.name != "HIGH":
-                    low_credit.append((prev.ip, cur.ip))
+            ips, sigs, _ = self._window(pipeline, trace, cut)
+            want = loop_index.check_window(ips, sigs)
             batch = batch_index.check_batch(ips, sigs)
-            assert batch.violation == violation
-            assert batch.checked == checked
-            if violation is None:
-                assert batch.low_credit == low_credit
+            assert batch.violation == want.violation
+            assert batch.checked == want.checked
+            assert batch.low_credit == want.low_credit
             assert batch_index.cycles == loop_index.cycles
             assert batch_index.memo_hits == loop_index.memo_hits
             assert batch_index.memo_misses == loop_index.memo_misses
 
     def test_violation_early_stop(self, pipeline, trace):
-        records, ips, sigs = self._window(
+        ips, sigs, _ = self._window(
             pipeline, trace, len(trace[0])
         )
         assert len(ips) > 3
@@ -355,34 +345,27 @@ class TestCheckBatch:
         assert batch.checked == 2
 
     def test_promote_keeps_parity(self, pipeline, trace):
-        records, ips, sigs = self._window(
+        ips, sigs, _ = self._window(
             pipeline, trace, len(trace[0])
         )
-        pairs = list(zip(records, records[1:]))
-        promoted = pairs[len(pairs) // 2]
-        loop_index = FlowSearchIndex(
+        middle = len(ips) // 2
+        promoted = (ips[middle - 1], ips[middle])
+        loop_index = ReferenceSearchIndex(
             pipeline.labeled, edge_cache_entries=EDGE_ENTRIES
         )
         batch_index = FlowSearchIndex(
             pipeline.labeled, edge_cache_entries=EDGE_ENTRIES
         )
-        for prev, cur in pairs:
-            loop_index.check_edge(prev.ip, cur.ip, cur.tnt_before)
+        loop_index.check_window(ips, sigs)
         batch_index.check_batch(ips, sigs)
         for index in (loop_index, batch_index):
-            index.promote(
-                promoted[0].ip, promoted[1].ip, promoted[1].tnt_before
-            )
+            index.promote(*promoted, unpack_tnt_sig(sigs[middle]))
         batch = batch_index.check_batch(ips, sigs)
-        low_credit = []
-        for prev, cur in pairs:
-            lookup = loop_index.check_edge(prev.ip, cur.ip, cur.tnt_before)
-            assert lookup.in_graph
-            if not lookup.tnt_ok or lookup.credit.name != "HIGH":
-                low_credit.append((prev.ip, cur.ip))
-        assert batch.low_credit == low_credit
+        want = loop_index.check_window(ips, sigs)
+        assert want.violation is None
+        assert batch.low_credit == want.low_credit
         assert batch_index.cycles == loop_index.cycles
-        assert (promoted[0].ip, promoted[1].ip) not in batch.low_credit
+        assert promoted not in batch.low_credit
 
     def test_short_windows(self, pipeline):
         index = FlowSearchIndex(pipeline.labeled)
@@ -391,22 +374,31 @@ class TestCheckBatch:
         assert index.cycles == 0.0
 
 
-def reference_check(checker, data):
-    """The per-edge check loop over the tail's materialised records —
-    the oracle for :meth:`FastPathChecker.check`'s batched edge check
-    (no path index: the checkers under test run without one)."""
+def reference_check(checker, index, data):
+    """The per-edge check loop of the reference ``index`` over the
+    packet oracle's decode of the tail's bytes — the oracle for
+    :meth:`FastPathChecker.check`'s window and batched edge check (no
+    path index: the checkers under test run without one).  Only the
+    tail's extent, cycles and segments come from the checker; the
+    records never pass through ``ColumnarTail.window``."""
     tail = checker.decode_tail_columnar(data)
+    start = tail.start
+    records = [
+        dataclasses.replace(r, offset=r.offset + start)
+        for r in fast_decode(data[start:]).tip_records()
+    ]
+    window = records[-(checker.pkt_count + 1):]
     common = dict(
         decode_cycles=tail.cycles,
+        window_ips=[r.ip for r in window],
+        window_sigs=[pack_tnt_sig(r.tnt_before) for r in window],
+        first_record_offset=window[0].offset if window else None,
         window_offset=tail.start,
         tail=tail,
         corrupt_segments=checker.last_corrupt_segments,
     )
-    records = tail.records()
     if len(records) < 2:
-        return FastPathResult(Verdict.INSUFFICIENT, window=records, **common)
-    window = records[-(checker.pkt_count + 1):]
-    index = checker.index
+        return FastPathResult(Verdict.INSUFFICIENT, **common)
     before = index.cycles
     low_credit = []
     for checked, (prev, cur) in enumerate(zip(window, window[1:]), 1):
@@ -415,8 +407,7 @@ def reference_check(checker, data):
             return FastPathResult(
                 Verdict.VIOLATION, checked_pairs=checked,
                 violation_edge=(prev.ip, cur.ip),
-                search_cycles=index.cycles - before, window=window,
-                **common,
+                search_cycles=index.cycles - before, **common,
             )
         if lookup.credit.name != "HIGH" or not lookup.tnt_ok:
             low_credit.append((prev.ip, cur.ip))
@@ -425,7 +416,7 @@ def reference_check(checker, data):
     return FastPathResult(
         Verdict.PASS if ratio >= checker.cred_ratio else Verdict.SUSPICIOUS,
         checked_pairs=checked, low_credit_pairs=low_credit,
-        search_cycles=index.cycles - before, window=window, **common,
+        search_cycles=index.cycles - before, **common,
     )
 
 
@@ -455,10 +446,14 @@ class TestCheckerParity:
     def test_snapshot_series(self, pipeline, trace, cached):
         data, image = trace
         checker, _, index = make_checker(pipeline, image, cached)
-        oracle, _, oracle_index = make_checker(pipeline, image, cached)
+        oracle, _, _ = make_checker(pipeline, image, cached)
+        oracle_index = ReferenceSearchIndex(
+            pipeline.labeled,
+            edge_cache_entries=EDGE_ENTRIES if cached else 0,
+        )
         for cut in snapshot_cuts(data, count=12):
             got = checker.check(data[:cut])
-            want = reference_check(oracle, data[:cut])
+            want = reference_check(oracle, oracle_index, data[:cut])
             assert fingerprint(got) == fingerprint(want)
             assert got.decode_cycles == want.decode_cycles
             assert got.search_cycles == want.search_cycles
@@ -475,7 +470,7 @@ class TestCheckerParity:
             tail = checker.decode_tail_columnar(data[:cut])
             start = tail.start
             suffix = fast_decode(data[start:cut])
-            assert tail.records() == [
+            assert tail_records(tail) == [
                 dataclasses.replace(r, offset=r.offset + start)
                 for r in suffix.tip_records()
             ]
@@ -494,8 +489,8 @@ class TestCheckerParity:
         result = checker.check(data)
         assert result.corrupt_segments == 1
         assert result.window_offset == resync
-        assert result.window
-        assert all(r.offset >= resync for r in result.window)
+        assert result.window_ips
+        assert result.first_record_offset >= resync
         assert ledger.count("corrupt-segment") == 1
         assert ledger.count("psb-resync") == 1
         return result
@@ -543,8 +538,8 @@ class TestSlowPathHandOff:
             result = checker.check(data[:cut])
             source = result.slow_path_source()
             packets = packets_of(result.tail.slow_source().parts)
-            if result.window:
-                first = result.window[0].offset
+            if result.window_ips:
+                first = result.first_record_offset
                 begin = max(
                     i for i, p in enumerate(packets)
                     if p.kind is PacketKind.PSB and p.offset <= first
@@ -589,12 +584,14 @@ class TestEngineOracle:
             workers=2,
             ring_policy=RingPolicy.STALL,
             max_queue_depth=1_000_000,
-            segment_cache_entries=SEG_ENTRIES,
-            edge_cache_entries=EDGE_ENTRIES,
             faults=FaultPlan.standard_mix(seed=5),
         )
+        policy = FlowGuardPolicy(
+            segment_cache_entries=SEG_ENTRIES,
+            edge_cache_entries=EDGE_ENTRIES,
+        )
         with telemetry.capture():
-            service = FleetService(config)
+            service = FleetService(config, policy=policy)
             seed_server_fs(service.kernel)
             service.add_workload(
                 server_pipeline("nginx"), server_requests("nginx", 1)
@@ -848,9 +845,9 @@ class TestPsbAlignment:
         # the sync must land on the PSB, not on the pair before it.
         data = self.DATA
         synced = columnar_scan(data[17:], sync=True)
-        assert [(r.ip, r.offset) for r in synced.tip_records()] == [
+        assert [(r.ip, r.offset) for r in segment_records(synced)] == [
             (r.ip, r.offset + 2)
-            for r in columnar_scan(data[19:]).tip_records()
+            for r in segment_records(columnar_scan(data[19:]))
         ] == [(0x400510, 17)]
 
     @pytest.mark.parametrize("cached", [False, True])
@@ -884,10 +881,10 @@ class TestPsbAlignment:
         assert checker.last_corrupt_segments == 0
         assert ledger.counts() == {}
         assert tail.start == 0
-        assert [r.ip for r in tail.records()] == [
-            r.ip for r in columnar_scan(data).tip_records()
-        ]
-        assert len(tail.records()) == 40
+        ips, _, first = tail.window(tail.count)
+        assert ips == columnar_scan(data).ip_column()
+        assert len(ips) == 40
+        assert first == columnar_scan(data).rec_offsets[0]
 
 
 class TestColumnarSegmentViews:
@@ -896,14 +893,14 @@ class TestColumnarSegmentViews:
         seg = columnar_scan(data)
         records = fast_decode(data).tip_records()
         assert seg.record_count == len(records)
-        for index, record in enumerate(records):
-            assert seg.record_ip(index) == record.ip
-            assert unpack_tnt_sig(seg.record_sig(index)) == (
-                record.tnt_before
-            )
-            assert seg.materialise_record(index) == record
-            rebased = seg.materialise_record(index, base=100)
-            assert rebased.offset == record.offset + 100
+        assert seg.ip_column() == [r.ip for r in records]
+        assert seg.sig_column() == [
+            pack_tnt_sig(r.tnt_before) for r in records
+        ]
+        assert list(seg.rec_offsets) == [r.offset for r in records]
+        assert segment_records(seg, base=100) == [
+            dataclasses.replace(r, offset=r.offset + 100) for r in records
+        ]
 
     def test_suppressed_ip_uses_sentinel(self):
         stream = bytearray(PSB_PATTERN)
@@ -914,6 +911,4 @@ class TestColumnarSegmentViews:
         stream += encoded
         seg = columnar_scan(bytes(stream))
         assert list(seg.rec_ips) == [0x400010, NO_IP]
-        assert seg.record_ip(1) is None
-        records = seg.tip_records()
-        assert records[1].ip is None
+        assert seg.ip_column() == [0x400010, None]

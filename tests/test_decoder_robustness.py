@@ -23,7 +23,7 @@ from repro.ipt import (
 )
 from repro.ipt.msr import RTIT_CTL
 from repro.cpu.events import BranchEvent, CoFIKind
-from tests.packet_reference import fast_decode, packets_of
+from tests.packet_reference import fast_decode, packets_of, segment_records
 
 
 def _sample_trace() -> bytes:
@@ -61,13 +61,16 @@ class TestFastDecodeRobustness:
         # when the prefix is arbitrary junk.
         result = columnar_scan(data, sync=True)
         reference = columnar_scan(_sample_trace())
-        got = (result.pkt_count, [
-            (r.ip, r.tnt_before, r.offset - result.synced_offset)
-            for r in result.tip_records()
-        ], result.fup_addresses())
-        want = (reference.pkt_count, [
-            (r.ip, r.tnt_before, r.offset) for r in reference.tip_records()
-        ], reference.fup_addresses())
+        got = (
+            result.pkt_count,
+            segment_records(result, base=-result.synced_offset),
+            result.fup_addresses(),
+        )
+        want = (
+            reference.pkt_count,
+            segment_records(reference),
+            reference.fup_addresses(),
+        )
         # The garbage may itself contain a fake PSB pattern; in that
         # rare case decoding starts earlier but must still terminate.
         if result.synced_offset == len(garbage):

@@ -173,6 +173,20 @@ class TestChargedOutputPins:
             "sjeng": want["sjeng"]
         }
 
+    def test_table5_memory_column(self, monkeypatch):
+        # ITC-CFG + search-index bytes per server, on freshly trained
+        # labels (the cached pipelines may carry slow-path promotions).
+        monkeypatch.setattr(
+            table5, "server_pipeline", common.server_pipeline.__wrapped__
+        )
+        result = table5.run()
+        assert {
+            row.application: row.memory_kib * 1024 for row in result.rows
+        } == {
+            "nginx": 12769.0, "vsftpd": 8804.0,
+            "openssh": 10399.0, "exim": 10585.0,
+        }
+
     def test_fig5d_training_curve(self):
         result = fig5d.run(fuzz_budget=200, sessions=5)
         assert [p.cred_ratio for p in result.points] == [

@@ -35,7 +35,6 @@ from repro.ipt.packets import PSB_PATTERN, TIP_HEADER, encode_ip_packet
 from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.itccfg import (
     CreditLabeledITC,
-    CreditLevel,
     FlowSearchIndex,
     ITCCFG,
     ITCEdge,
@@ -50,7 +49,13 @@ from repro.workloads import (
     build_vdso,
     nginx_request,
 )
-from tests.packet_reference import fast_decode, packets_of
+from tests.packet_reference import (
+    fast_decode,
+    packets_of,
+    segment_records,
+    tail_records,
+)
+from tests.searchindex_reference import check_pair
 
 LIBS = {"libsim.so": build_libsim()}
 
@@ -125,10 +130,9 @@ def fingerprint(result):
         tuple(result.low_credit_pairs),
         result.violation_edge,
         result.window_offset,
-        tuple(
-            (r.ip, r.tnt_before, r.offset, r.after_far)
-            for r in result.window
-        ),
+        result.first_record_offset,
+        tuple(result.window_ips),
+        tuple(result.window_sigs),
         tuple((e.base, bytes(e.seg.data)) for e in result.tail.entries),
     )
 
@@ -167,7 +171,7 @@ def tail_views(checker, data):
     """``decode_tail_columnar`` in the oracle's shape."""
     tail = checker.decode_tail_columnar(data)
     packets = packets_of(tail.slow_source().parts)
-    return tail.records(), packets, tail.cycles, tail.start
+    return tail_records(tail), packets, tail.cycles, tail.start
 
 
 class TestIncrementalDecodeTail:
@@ -326,7 +330,7 @@ class TestTruncatedNeverCached:
         segment = PSB_PATTERN + tip + bytes([0x0D, 4, 1, 2])
         seg, _ = cache.decode_segment_columnar(segment)
         assert seg.truncated
-        record = seg.records_at(100)[0]
+        record = segment_records(seg, base=100)[0]
         assert record.offset == 100 + len(PSB_PATTERN)
 
     def test_completed_segment_cached_after_fill(self):
@@ -342,7 +346,7 @@ class TestTruncatedNeverCached:
         assert len(cache) == 1
         again, _ = cache.decode_segment_columnar(complete)
         assert cache.hits == 1
-        assert again.tip_records() == first.tip_records()
+        assert segment_records(again) == segment_records(first)
 
 
 class TestPromoteInvalidation:
@@ -358,25 +362,25 @@ class TestPromoteInvalidation:
 
     def test_promote_invalidates_memo(self):
         index = FlowSearchIndex(self.make_labeled(), edge_cache_entries=8)
-        first = index.check_edge(0x100, 0x300)
-        assert first.credit is CreditLevel.LOW
-        memoized = index.check_edge(0x100, 0x300)
-        assert memoized.credit is CreditLevel.LOW
+        first = check_pair(index, 0x100, 0x300)
+        assert first.low_credit == [(0x100, 0x300)]
+        memoized = check_pair(index, 0x100, 0x300)
+        assert memoized.low_credit == [(0x100, 0x300)]
         assert index.memo_hits == 1
         index.promote(0x100, 0x300)
         # Without invalidation the stale LOW memo would be returned.
-        after = index.check_edge(0x100, 0x300)
-        assert after.in_graph
-        assert after.credit is CreditLevel.HIGH
+        after = check_pair(index, 0x100, 0x300)
+        assert after.violation is None
+        assert after.low_credit == []
         assert index.memo_invalidations == 1
 
     def test_promote_only_invalidates_promoted_edge(self):
         index = FlowSearchIndex(self.make_labeled(), edge_cache_entries=8)
-        index.check_edge(0x100, 0x300)
-        index.check_edge(0x200, 0x300)
+        check_pair(index, 0x100, 0x300)
+        check_pair(index, 0x200, 0x300)
         index.promote(0x100, 0x300)
         assert index.memo_invalidations == 1
-        index.check_edge(0x200, 0x300)
+        check_pair(index, 0x200, 0x300)
         assert index.memo_hits == 1  # the other memo survived
 
     def test_memoized_verdicts_match_uncached(self):
@@ -392,10 +396,10 @@ class TestPromoteInvalidation:
         ]
         for _ in range(2):  # second pass is all memo hits
             for src, dst, tnt in edges:
-                want = plain.check_edge(src, dst, tnt)
-                got = memo.check_edge(src, dst, tnt)
-                assert (got.in_graph, got.credit, got.tnt_ok) == (
-                    want.in_graph, want.credit, want.tnt_ok
+                want = check_pair(plain, src, dst, tnt)
+                got = check_pair(memo, src, dst, tnt)
+                assert (got.violation, got.low_credit) == (
+                    want.violation, want.low_credit
                 )
         assert memo.memo_hits == len(edges)
 
@@ -436,7 +440,7 @@ class TestLRUBounds:
         labeled = TestPromoteInvalidation().make_labeled()
         index = FlowSearchIndex(labeled, edge_cache_entries=2)
         for dst in (0x200, 0x300, 0x400, 0x500):
-            index.check_edge(0x100, dst)
+            check_pair(index, 0x100, dst)
         assert index.edge_cache_stats()["resident"] == 2
 
 
@@ -511,8 +515,8 @@ class TestTelemetryCounters:
         labeled = TestPromoteInvalidation().make_labeled()
         with telemetry.capture() as tel:
             index = FlowSearchIndex(labeled, edge_cache_entries=8)
-            index.check_edge(0x100, 0x300)
-            index.check_edge(0x100, 0x300)
+            check_pair(index, 0x100, 0x300)
+            check_pair(index, 0x100, 0x300)
             index.promote(0x100, 0x300)
             assert tel.metrics.counter(
                 "itccfg.edge_cache.hits"
@@ -543,11 +547,13 @@ class TestFleetParity:
             # Unbounded queue: backpressure must not reshape the
             # submitted work between the two runs.
             max_queue_depth=1_000_000,
+        )
+        policy = FlowGuardPolicy(
             segment_cache_entries=SEG_ENTRIES if cached else 0,
             edge_cache_entries=EDGE_ENTRIES if cached else 0,
         )
         with telemetry.capture():
-            service = FleetService(config)
+            service = FleetService(config, policy=policy)
             seed_server_fs(service.kernel)
             for name in ("nginx", "nginx"):
                 service.add_workload(

@@ -219,6 +219,25 @@ class TestFleetConfig:
         with pytest.raises(ValueError, match=key):
             FleetConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key", ["segment_cache_entries", "edge_cache_entries"]
+    )
+    def test_cache_capacities_live_on_the_policy(self, key):
+        """A cache capacity is a policy field only: the old fleet key
+        fails as an unknown ``FleetConfig`` key instead of being
+        accepted and ignored, and a ``RunConfig`` policy's capacity
+        reaches the fleet's monitor."""
+        from repro.api import Fleet, FlowGuardPolicy, RunConfig
+
+        with pytest.raises(ValueError, match="unknown FleetConfig keys"):
+            RunConfig.from_dict({"fleet": {key: 512}})
+        service = Fleet.build(
+            RunConfig(policy=FlowGuardPolicy(**{key: 512}))
+        )
+        assert getattr(service.monitor.policy, key) == 512
+        if key == "segment_cache_entries":
+            assert service.monitor.segment_cache is not None
+
 
 class TestScaleSweep:
     def test_small_fleet_sweep_ends_at_max_processes(self):

@@ -41,7 +41,9 @@ class TestPatternMatchDecoder:
         hw = PatternMatchDecoder()
         hardware = hw.decode(data)
         assert hardware.pkt_count == software.pkt_count
-        assert hardware.tip_records() == software.tip_records()
+        assert hardware.ip_column() == software.ip_column()
+        assert hardware.sig_column() == software.sig_column()
+        assert hardware.rec_offsets == software.rec_offsets
         assert hardware.fup_addresses() == software.fup_addresses()
         assert hardware.cycles < software.cycles / 10
         assert hw.bytes_processed == len(data)

@@ -15,6 +15,7 @@ from repro.itccfg import (
     itccfg_from_dict,
     itccfg_to_dict,
 )
+from tests.searchindex_reference import ReferenceSearchIndex, check_pair
 
 
 class TestToPAReferenceModel:
@@ -99,25 +100,35 @@ class TestSerializationEquivalence:
         identically to the graph it was built from."""
         index = FlowSearchIndex(labeled)
         for edge in labeled.itc.edges:
-            assert index.check_edge(edge.src, edge.dst).in_graph
+            assert check_pair(index, edge.src, edge.dst).violation is None
         # Nodes with no edge between them must be rejected.
         nodes = sorted(labeled.itc.nodes)
         for src in nodes[:5]:
             for dst in nodes[:5]:
                 expected = labeled.itc.has_edge(src, dst)
-                assert index.check_edge(src, dst).in_graph == expected
+                in_graph = check_pair(index, src, dst).violation is None
+                assert in_graph == expected
 
     @given(labeled_graphs())
     @settings(max_examples=30, deadline=None)
     def test_restored_index_equivalent(self, labeled):
+        restored_labeled = itccfg_from_dict(itccfg_to_dict(labeled))
         original = FlowSearchIndex(labeled)
-        restored = FlowSearchIndex(
-            itccfg_from_dict(itccfg_to_dict(labeled))
-        )
+        restored = FlowSearchIndex(restored_labeled)
+        assert original.memory_bytes() == restored.memory_bytes()
+        # The per-edge oracle exposes each edge's credit level, which
+        # an empty-TNT batch probe alone would not distinguish.
+        ref_original = ReferenceSearchIndex(labeled)
+        ref_restored = ReferenceSearchIndex(restored_labeled)
         for edge in labeled.itc.edges:
-            a = original.check_edge(edge.src, edge.dst)
-            b = restored.check_edge(edge.src, edge.dst)
-            assert (a.in_graph, a.credit) == (b.in_graph, b.credit)
+            a = check_pair(original, edge.src, edge.dst)
+            b = check_pair(restored, edge.src, edge.dst)
+            assert (a.violation, a.low_credit) == (b.violation, b.low_credit)
+            ra = ref_original.check_edge(edge.src, edge.dst)
+            rb = ref_restored.check_edge(edge.src, edge.dst)
+            assert (ra.in_graph, ra.credit, ra.tnt_ok) == (
+                rb.in_graph, rb.credit, rb.tnt_ok
+            )
 
 
 class TestPathIndexInvariants:

@@ -312,10 +312,10 @@ class TestFastDecode:
 
     def test_tip_records_carry_tnt_context(self):
         _, encoder, _, symbols = run_traced(LOOP_SNIPPET)
-        records = columnar_scan(encoder.output.snapshot()).tip_records()
-        assert len(records) == 1
-        assert records[0].ip == symbols["fin"]
-        assert len(records[0].tnt_before) == 20
+        seg = columnar_scan(encoder.output.snapshot())
+        assert seg.ip_column() == [symbols["fin"]]
+        # a 20-branch TNT run, packed behind the signature's 1-prefix
+        assert seg.sig_column()[0].bit_length() - 1 == 20
 
     def test_parallel_decode_equivalent(self):
         _, encoder, _, _ = run_traced(

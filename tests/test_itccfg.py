@@ -8,6 +8,8 @@ ITC-CFG edge.
 
 import pytest
 
+from repro import costs
+
 from repro.analysis import (
     ControlFlowGraph,
     Edge,
@@ -23,6 +25,7 @@ from repro.binary import Loader
 from repro.cpu import Executor, Machine, PROT_READ, PROT_WRITE
 from repro.ipt import IPTConfig, IPTEncoder, ToPA, ToPARegion, columnar_scan
 from repro.ipt.msr import RTIT_CTL
+from repro.ipt.packets import unpack_tnt_sig
 from repro.itccfg import (
     CreditLabeledITC,
     CreditLevel,
@@ -52,6 +55,7 @@ from repro.lang import (
     Var,
     While,
 )
+from tests.searchindex_reference import check_pair
 
 
 def figure3_ocfg():
@@ -216,34 +220,36 @@ class TestSearchIndex:
 
     def test_hot_cache_hit(self):
         index = self.make_index()
-        result = index.check_edge(0x100, 0x200, (True,))
-        assert result.in_graph
-        assert result.credit is CreditLevel.HIGH
-        assert result.tnt_ok
-        assert result.probes == 1  # single hash probe
+        result = check_pair(index, 0x100, 0x200, (True,))
+        assert result.violation is None
+        assert result.low_credit == []
+        # a single hash probe
+        assert index.cycles == costs.CREDIT_CACHE_PROBE_CYCLES
 
     def test_cold_edge_binary_search(self):
         index = self.make_index()
-        result = index.check_edge(0x100, 0x300)
-        assert result.in_graph
-        assert result.credit is CreditLevel.LOW
-        assert result.probes > 1
+        result = check_pair(index, 0x100, 0x300)
+        assert result.violation is None
+        assert result.low_credit == [(0x100, 0x300)]
+        assert index.cycles > costs.CREDIT_CACHE_PROBE_CYCLES
 
     def test_edge_not_in_graph(self):
         index = self.make_index()
-        assert not index.check_edge(0x300, 0x100).in_graph
-        assert not index.check_edge(0xDEAD, 0xBEEF).in_graph
+        assert check_pair(index, 0x300, 0x100).violation == (0x300, 0x100)
+        assert check_pair(index, 0xDEAD, 0xBEEF).violation == (
+            0xDEAD, 0xBEEF
+        )
 
     def test_tnt_mismatch_flagged(self):
         index = self.make_index()
-        result = index.check_edge(0x100, 0x200, (False,))
-        assert result.in_graph
-        assert not result.tnt_ok
+        result = check_pair(index, 0x100, 0x200, (False,))
+        assert result.violation is None
+        assert result.low_credit == [(0x100, 0x200)]
 
     def test_cycle_accounting(self):
         index = self.make_index()
         before = index.cycles
-        index.check_edge(0x100, 0x300)
+        check_pair(index, 0x100, 0x300)
         assert index.cycles > before
 
     def test_memory_estimate_positive(self):
@@ -358,14 +364,14 @@ class TestITCSoundness:
         image, encoder = self.trace_program(prog)
         cfg = build_ocfg(image)
         itc = build_itccfg(cfg)
-        records = columnar_scan(encoder.output.snapshot()).tip_records()
-        assert len(records) >= 5
-        for prev, cur in zip(records, records[1:]):
+        ips = columnar_scan(encoder.output.snapshot()).ip_column()
+        assert len(ips) >= 5
+        for prev, cur in zip(ips, ips[1:]):
             # Every TIP lands on an IT-BB and every consecutive pair is
             # an ITC edge — the no-false-positive guarantee.
-            assert itc.has_node(cur.ip), hex(cur.ip)
-            assert itc.has_edge(prev.ip, cur.ip), (
-                f"missing ITC edge {prev.ip:#x} -> {cur.ip:#x}"
+            assert itc.has_node(cur), hex(cur)
+            assert itc.has_edge(prev, cur), (
+                f"missing ITC edge {prev:#x} -> {cur:#x}"
             )
 
     def test_training_then_full_fast_path_match(self):
@@ -374,15 +380,15 @@ class TestITCSoundness:
         cfg = build_ocfg(image)
         itc = build_itccfg(cfg)
         labeled = CreditLabeledITC(itc=itc)
-        records = columnar_scan(encoder.output.snapshot()).tip_records()
-        labeled.observe_trace((r.ip, r.tnt_before) for r in records)
+        seg = columnar_scan(encoder.output.snapshot())
+        ips, sigs = seg.ip_column(), seg.sig_column()
+        labeled.observe_trace(zip(ips, map(unpack_tnt_sig, sigs)))
         index = FlowSearchIndex(labeled)
         # Replaying the same trace must be all high-credit hits.
-        for prev, cur in zip(records, records[1:]):
-            result = index.check_edge(prev.ip, cur.ip, cur.tnt_before)
-            assert result.in_graph
-            assert result.credit is CreditLevel.HIGH
-            assert result.tnt_ok
+        result = index.check_batch(ips, sigs)
+        assert result.checked == len(ips) - 1
+        assert result.violation is None
+        assert result.low_credit == []
 
     def test_aia_ordering_matches_table4_shape(self):
         """AIA(ITC w/o TNT) >= AIA(O-CFG) >= AIA(FlowGuard-trained)."""

@@ -29,6 +29,7 @@ from repro.fleet.service import FleetConfig, FleetService
 from repro.itccfg.credits import CreditLabeledITC
 from repro.osmodel import Kernel
 from repro.resilience import FaultPlan, RetryPolicy
+from repro.resilience.ledger import EVENT_KINDS
 from repro.service import TraceCheckService, builtin_serve_config
 from repro.stats_report import StatsReport
 from tests.meter_view import assert_view_matches_stats
@@ -143,6 +144,39 @@ class TestSingleWriter:
             ):
                 offenders.append(f"{path.name}:{node.lineno} {scope}")
         assert offenders == []
+
+        # Nor may the function that records a downgrade kind bump a
+        # metric named after it (``fastpath.corrupt_segments`` beside
+        # ``corrupt-segment``, ``service.shed`` beside ``shed-load``):
+        # read the ledger's ``resilience.events`` series instead.  A
+        # cycles total (``service.throttle_cycles``) measures cost, not
+        # the count, and may stay.
+        recorded = {}
+        metrics = {}
+        for path, scope, node in _src_functions():
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                continue
+            key = (path.name, scope)
+            name = node.args[0].value
+            if node.func.attr == "record" and name in EVENT_KINDS:
+                recorded.setdefault(key, set()).add(name.split("-")[0])
+            elif node.func.attr in ("counter", "gauge", "histogram"):
+                metrics.setdefault(key, []).append((node.lineno, name))
+        mirrors = []
+        for key, words in recorded.items():
+            for lineno, name in metrics.get(key, []):
+                leaf = name.rsplit(".", 1)[-1]
+                if leaf.endswith("_cycles"):
+                    continue
+                if words & {word.rstrip("s") for word in leaf.split("_")}:
+                    mirrors.append(f"{key[0]}:{lineno} {key[1]} {name}")
+        assert mirrors == []
 
 
 # -- the view equals the accumulators -----------------------------------------

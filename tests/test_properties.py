@@ -105,12 +105,12 @@ def test_itc_soundness_on_generated_programs(seed):
     exe = generate_program(seed, f"gen{seed}")
     image, cpu, encoder, events = traced_run(exe)
     itc = build_itccfg(build_ocfg(image))
-    records = columnar_scan(encoder.output.snapshot()).tip_records()
-    assert records, "generated programs must produce TIPs"
-    for prev, cur in zip(records, records[1:]):
-        assert itc.has_node(cur.ip), hex(cur.ip)
-        assert itc.has_edge(prev.ip, cur.ip), (
-            f"seed {seed}: missing ITC edge {prev.ip:#x} -> {cur.ip:#x}"
+    ips = columnar_scan(encoder.output.snapshot()).ip_column()
+    assert ips, "generated programs must produce TIPs"
+    for prev, cur in zip(ips, ips[1:]):
+        assert itc.has_node(cur), hex(cur)
+        assert itc.has_edge(prev, cur), (
+            f"seed {seed}: missing ITC edge {prev:#x} -> {cur:#x}"
         )
 
 

@@ -410,7 +410,7 @@ class TestCorruptSegmentNeverCached:
         assert checker.last_corrupt_segments == 1
         # The scan re-synced at the PSB *after* the corruption.
         assert tail.start == offsets[mid + 1]
-        assert tail.records()
+        assert tail.count
         # The corrupted segment is not resident (the cache is keyed by
         # segment content)...
         assert corrupt[begin:end] not in cache._store

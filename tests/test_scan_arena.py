@@ -3,7 +3,7 @@
 Every kernel scan writes its columns into one grow-only per-process
 arena and copies them out before returning.  These tests scan with the
 kernel forced on, in orders that leave stale bytes behind — a large
-snapshot, then a smaller one whose far bitmap and TNT span are shorter;
+snapshot, then a smaller one whose columns and TNT span are shorter;
 a failing scan between good ones — and hold each result to a scan with
 a brand-new arena and to the per-byte oracle in
 ``tests/scan_reference.py``.
@@ -55,8 +55,8 @@ def reference(data, sync=False):
 
 
 def far_heavy_stream(records):
-    """Every TIP follows a TIP.PGE, so every far bit is set; six TNT
-    bits before each TIP fill the TNT span."""
+    """Every TIP follows a TIP.PGE; six TNT bits before each TIP fill
+    the TNT span."""
     out = bytearray(PSB_PATTERN)
     out.append(PSBEND_BYTE)
     last_ip = 0
@@ -90,11 +90,11 @@ def test_small_scan_after_large_one():
     small = plain_stream(5)
     big = segment_columns(columnar_scan(large))
     assert big == reference(large)
-    assert big[13] == (1 << 2000) - 1  # every far bit set
+    assert len(big[9]) == 2000 * 6 // 8  # the packed TNT bytes
     arena = columnar._arena
     got = segment_columns(columnar_scan(small))
     assert columnar._arena is arena  # reused, not reallocated
-    assert got[13] == 0  # no stale far bits
+    assert got[9] == bytes([0b10010000])  # no stale TNT bytes
     assert got == fresh_scan(small) == reference(small)
 
 

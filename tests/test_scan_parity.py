@@ -73,8 +73,6 @@ def segment_columns(seg):
         bytes(seg.tnt_bits),
         seg.total_bits,
         seg.pend_start,
-        seg.trailing_far,
-        seg.far_mask,
         tuple(seg.fup_ips),
     )
 
@@ -377,17 +375,17 @@ class TestPolicyKnobs:
         assert not set(self.STALE) & set(clone.to_dict())
 
     def test_fleet_config_knobs(self):
-        """The fleet's default policy takes the cache sizes and nothing
-        else from the config."""
+        """The fleet config carries no checking knob: without a policy
+        the fleet runs the default one, and cache sizes come from the
+        policy alone."""
         from repro.fleet.service import FleetConfig, FleetService
         from repro.monitor.policy import FlowGuardPolicy
 
-        service = FleetService(
-            FleetConfig(segment_cache_entries=8, edge_cache_entries=16)
-        )
-        assert service.monitor.policy == FlowGuardPolicy(
-            segment_cache_entries=8, edge_cache_entries=16
-        )
+        service = FleetService(FleetConfig())
+        assert service.monitor.policy == FlowGuardPolicy()
+        for knob in ("segment_cache_entries", "edge_cache_entries"):
+            with pytest.raises(TypeError, match=knob):
+                FleetConfig(**{knob: 8})
 
 
 # -- bursty open-loop schedule ------------------------------------------------

@@ -299,7 +299,7 @@ class TestServing:
             for series in snapshot["counters"]
         ), sorted(snapshot["counters"])
         shed = [s for s in snapshot["counters"]
-                if s.startswith("service.shed")]
+                if s.startswith('resilience.events{kind="shed-load"')]
         assert shed and all('tenant="capped"' in s for s in shed)
 
 

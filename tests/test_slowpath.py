@@ -7,6 +7,7 @@ from repro.analysis.cfg import BasicBlock
 from repro.cpu import CoFIKind, Memory
 from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
 from repro.ipt.full_decoder import FlowEdge, TraceMismatch
+from repro.ipt.packets import pack_tnt_sig
 from repro.monitor.shadowstack import (
     _DIRECT_CALL_LEN,
     _INDIRECT_CALL_LEN,
@@ -266,14 +267,11 @@ class TestSuppressedIP:
 
     @pytest.mark.parametrize("kind", SUPPRESSED_KINDS)
     def test_slow_path_fails_closed(self, kind):
-        from repro.ipt import TipRecord
-
         memory, data, offset = far_or_tip_case(kind)
-        window = [
-            TipRecord(CODE, (), 0), TipRecord(CODE + 0x10, (True,), offset),
-        ]
         engine = SlowPathEngine(memory, ControlFlowGraph())
-        result = engine.check(scanned(data), window=window)
+        result = engine.check(
+            scanned(data), [CODE, CODE + 0x10], [1, pack_tnt_sig((True,))]
+        )
         assert not result.ok
         assert result.reason == (
             f"decoder desync: IP-suppressed {kind} at offset {offset}"
