@@ -7,10 +7,21 @@
  * ipt_scan through ctypes; when no compiler is available the engine
  * falls back to the pure-Python scan with identical results.
  *
- * Column buffers are caller-allocated at worst-case sizes (every
- * record column entry is a u64 so the wrapper can frombytes() straight
- * into array('Q')/array('L') on LP64 platforms).  Outputs land in
- * out[]:
+ * Arguments: the stream (data, size) and the scan start (a PSB when
+ * the wrapper synced), then the caller-allocated columns: rec_ips,
+ * rec_offsets, rec_bit_start, rec_bit_end and rec_sigs (one entry per
+ * TIP record), tnt_buf (the packed TNT bitstream), fup_ips, and out[].
+ * Columns are allocated at worst-case sizes (every record column entry
+ * is a u64 so the wrapper can frombytes() straight into
+ * array('Q')/array('L') on LP64 platforms).
+ *
+ * rec_sigs holds each record's packed TNT signature: the run of TNT
+ * bits observed since the previous TIP, under a leading 1 bit.  The
+ * run is kept in a register while it is at most 62 bits long (so every
+ * signature stays below 2**63); a longer run gets the sentinel 0, and
+ * the Python epilogue computes it from the bit-range columns.
+ *
+ * Scalar outputs land in out[]:
  *
  *   out[0]  final scan position            out[5]  pending-bit-run start
  *   out[1]  packet count                   out[6]  truncated flag
@@ -28,10 +39,11 @@
 typedef unsigned long long u64;
 
 #define NO_IP (~0ULL)
+#define SIG_MAX_BITS 62 /* longest TNT run with an in-register signature */
 
 long ipt_scan(const unsigned char *data, long size, long start,
               u64 *rec_ips, u64 *rec_offsets,
-              u64 *rec_bit_start, u64 *rec_bit_end,
+              u64 *rec_bit_start, u64 *rec_bit_end, u64 *rec_sigs,
               unsigned char *tnt_buf, u64 *fup_ips, u64 *out)
 {
     static const unsigned char psb[8] = {
@@ -40,6 +52,7 @@ long ipt_scan(const unsigned char *data, long size, long start,
     long pos = start;
     u64 acc = 0;
     int acc_bits = 0;
+    u64 run = 1; /* 1-prefixed signature of the pending TNT run */
     u64 total_bits = 0, pend_start = 0, pkt_count = 0;
     long nrec = 0, ntnt = 0, nfup = 0;
     int truncated = 0;
@@ -58,6 +71,8 @@ long ipt_scan(const unsigned char *data, long size, long start,
             }
             width = 31 - __builtin_clz(payload); /* bit_length - 1 */
             acc = (acc << width) | (payload ^ (1u << width));
+            /* past SIG_MAX_BITS the register only loses high bits */
+            run = (run << width) | (payload ^ (1u << width));
             acc_bits += width;
             total_bits += (u64)width;
             while (acc_bits >= 8) {
@@ -96,6 +111,9 @@ long ipt_scan(const unsigned char *data, long size, long start,
                 rec_offsets[nrec] = (u64)pos;
                 rec_bit_start[nrec] = pend_start;
                 rec_bit_end[nrec] = total_bits;
+                rec_sigs[nrec] = (total_bits - pend_start <= SIG_MAX_BITS)
+                    ? run : 0;
+                run = 1;
                 pend_start = total_bits;
                 nrec++;
             } else if (header == 0x1D && !suppressed) { /* FUP */

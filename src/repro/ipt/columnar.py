@@ -19,6 +19,11 @@ column                  contents
                         first, MSB-first within each byte)
 ``rec_bit_start/end``   ``array('L')`` — each TIP's slice of ``tnt_bits``
                         (the TNT run observed since the previous TIP)
+``rec_sigs``            ``array('Q')`` — each TIP's packed TNT signature
+                        (that run under a leading 1 bit), built while
+                        scanning; ``0`` marks a run longer than
+                        :data:`SIG_MAX_BITS`, filled in from the bit range
+                        by the shared scan epilogue
 ``fup_ips``             ``array('Q')`` — FUP source addresses
 ======================  ====================================================
 
@@ -84,6 +89,11 @@ from repro.ipt.packets import (
 #: (``array('Q')`` cannot hold ``None``; no simulated address is ever
 #: 2**64-1).
 NO_IP = (1 << 64) - 1
+
+#: longest TNT run whose signature the scanners build in a register;
+#: a longer run's ``rec_sigs`` entry is the sentinel ``0`` (its
+#: signature no longer fits below 2**63).
+SIG_MAX_BITS = 62
 
 # Dispatch action codes.  TNT first and the IP family contiguous right
 # after it, so the scan loop resolves the two hot cases with at most
@@ -294,15 +304,17 @@ class ColumnarSegment:
     stream offset, which is what makes cached segments rebase zero-copy.
 
     The window columns (:meth:`ip_column`, :meth:`sig_column`) are
-    memoised on the segment, so a cache-resident segment pays the
-    unpack cost once and every warm hit serves list slices.
+    lists, so a cache-resident segment pays the unpack cost once and
+    every warm hit serves list slices.  The signature list is built by
+    the scan epilogue from ``rec_sigs``; the ip list is memoised on
+    first use.
     """
 
     __slots__ = (
         "data", "sync", "synced_offset", "scanned", "pkt_count", "cycles",
         "truncated", "rec_ips", "rec_offsets", "rec_bit_start",
-        "rec_bit_end", "tnt_bits", "total_bits", "pend_start", "fup_ips",
-        "_sigs", "_ips", "_trail",
+        "rec_bit_end", "rec_sigs", "tnt_bits", "total_bits", "pend_start",
+        "fup_ips", "_sigs", "_ips", "_trail",
     )
 
     def __init__(
@@ -318,6 +330,8 @@ class ColumnarSegment:
         rec_offsets,
         rec_bit_start,
         rec_bit_end,
+        rec_sigs,
+        sigs: list,
         tnt_bits: bytes,
         total_bits: int,
         pend_start: int,
@@ -336,11 +350,13 @@ class ColumnarSegment:
         self.rec_offsets = rec_offsets
         self.rec_bit_start = rec_bit_start
         self.rec_bit_end = rec_bit_end
+        #: the scanners' signature column, sentinels included.
+        self.rec_sigs = rec_sigs
         self.tnt_bits = tnt_bits
         self.total_bits = total_bits
         self.pend_start = pend_start
         self.fup_ips = fup_ips
-        self._sigs: Optional[list] = None
+        self._sigs = sigs
         self._ips: Optional[list] = None
         self._trail: Optional[int] = None
 
@@ -360,27 +376,19 @@ class ColumnarSegment:
             )
         return sig
 
-    # -- memoised window columns ---------------------------------------------
+    # -- window columns ------------------------------------------------------
 
     def sig_column(self) -> list:
-        """Packed signature per record (shared memo — do not mutate)."""
-        sigs = self._sigs
-        if sigs is None:
-            tnt = self.tnt_bits
-            starts = self.rec_bit_start
-            ends = self.rec_bit_end
-            sigs = [
-                _bits_sig(tnt, starts[i], ends[i])
-                for i in range(len(starts))
-            ]
-            self._sigs = sigs
-        return sigs
+        """Packed signature per record (shared — do not mutate)."""
+        return self._sigs
 
     def ip_column(self) -> list:
         """IP-or-None per record (shared memo — do not mutate)."""
         ips = self._ips
         if ips is None:
-            ips = [None if raw == NO_IP else raw for raw in self.rec_ips]
+            ips = self.rec_ips.tolist()
+            if NO_IP in ips:
+                ips = [None if raw == NO_IP else raw for raw in ips]
             self._ips = ips
         return ips
 
@@ -392,18 +400,28 @@ class ColumnarSegment:
 def _empty_segment(data, sync: bool) -> ColumnarSegment:
     return ColumnarSegment(
         data, sync, len(data), 0, 0, 0.0, False,
-        array("Q"), array("Q"), array("L"), array("L"),
+        array("Q"), array("Q"), array("L"), array("L"), array("Q"), [],
         b"", 0, 0, array("Q"),
     )
 
 
 def _finish_segment(
     data, sync, synced, pos, pkt_count, charge, truncated,
-    rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
+    rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs,
     tnt_bits, total_bits, pend_start, fup_ips,
 ) -> ColumnarSegment:
-    """Shared scan epilogue: the identical cycle charge and telemetry
-    counters regardless of which scanner produced the columns."""
+    """Shared scan epilogue: the identical cycle charge, telemetry
+    counters and signature list regardless of which scanner produced
+    the columns.  A ``rec_sigs`` sentinel (a TNT run longer than
+    :data:`SIG_MAX_BITS`) is the one record whose signature is computed
+    here, from its bit range."""
+    sigs = rec_sigs.tolist()
+    if 0 in sigs:
+        for index, sig in enumerate(sigs):
+            if not sig:
+                sigs[index] = _bits_sig(
+                    tnt_bits, rec_bit_start[index], rec_bit_end[index]
+                )
     scanned = pos - synced
     cycles = scanned * costs.FAST_DECODE_CYCLES_PER_BYTE if charge else 0.0
     tel = get_telemetry()
@@ -414,7 +432,7 @@ def _finish_segment(
         m.counter("ipt.columnar_scan.packets").inc(pkt_count)
     return ColumnarSegment(
         data, sync, synced, scanned, pkt_count, cycles, truncated,
-        rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
+        rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs, sigs,
         tnt_bits, total_bits, pend_start, fup_ips,
     )
 
@@ -458,9 +476,10 @@ def _scan_python(data, sync: bool, charge: bool) -> ColumnarSegment:
     consumed per *run*: a regex pre-classification finds each maximal
     run, ``bytes.translate`` over :data:`TNT_WIDTH` yields every
     payload's width in one call, and the accumulated bits flush to the
-    packed stream in one ``int.to_bytes``.  The IP family stays scalar
-    (IP compression chains ``last_ip`` sequentially).  PSB sync is one
-    :func:`sync_to_psb` search.
+    packed stream in one ``int.to_bytes``; the same bits extend the
+    pending record's signature while its run fits :data:`SIG_MAX_BITS`.
+    The IP family stays scalar (IP compression chains ``last_ip``
+    sequentially).  PSB sync is one :func:`sync_to_psb` search.
     """
     raw = data if isinstance(data, bytes) else bytes(data)
     pos = 0
@@ -481,16 +500,19 @@ def _scan_python(data, sync: bool, charge: bool) -> ColumnarSegment:
     rec_offsets = array("Q")
     rec_bit_start = array("L")
     rec_bit_end = array("L")
+    rec_sigs = array("Q")
     fup_ips = array("Q")
     add_ip = rec_ips.append
     add_offset = rec_offsets.append
     add_bit_start = rec_bit_start.append
     add_bit_end = rec_bit_end.append
+    add_sig = rec_sigs.append
     add_fup = fup_ips.append
 
     tnt_buf = bytearray()
     acc = 0  # bit accumulator, bulk-flushed per TNT run
     acc_bits = 0
+    run_sig = 1  # 1-prefixed signature of the pending TNT run
     total_bits = 0
     pend_start = 0
     last_ip = 0
@@ -516,6 +538,10 @@ def _scan_python(data, sync: bool, charge: bool) -> ColumnarSegment:
             run_bits = sum(widths)
             acc_bits += run_bits
             total_bits += run_bits
+            if total_bits - pend_start <= SIG_MAX_BITS:
+                run_sig = (run_sig << run_bits) | (
+                    acc & ((1 << run_bits) - 1)
+                )
             if acc_bits >= 8:
                 rem = acc_bits & 7
                 tnt_buf += (acc >> rem).to_bytes(acc_bits >> 3, "big")
@@ -550,6 +576,11 @@ def _scan_python(data, sync: bool, charge: bool) -> ColumnarSegment:
                 add_offset(pos)
                 add_bit_start(pend_start)
                 add_bit_end(total_bits)
+                add_sig(
+                    run_sig if total_bits - pend_start <= SIG_MAX_BITS
+                    else 0
+                )
+                run_sig = 1
                 pend_start = total_bits
             elif action == _A_FUP and ip is not None:
                 add_fup(ip)
@@ -579,7 +610,7 @@ def _scan_python(data, sync: bool, charge: bool) -> ColumnarSegment:
 
     return _finish_segment(
         data, sync, synced, pos, pkt_count, charge, truncated,
-        rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
+        rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs,
         bytes(tnt_buf), total_bits, pend_start, fup_ips,
     )
 
@@ -619,23 +650,25 @@ def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment
     size = len(raw)
     span = size - pos
     # Worst-case capacities: every record-bearing packet is >= 2 bytes,
-    # every TNT pair contributes <= 6 bits.  Layout: out[], five u64
-    # columns (TIP ips, offsets, bit starts, bit ends; FUP ips), then
-    # the packed TNT bytes.  The kernel writes every byte it reports,
-    # so nothing needs zeroing.
+    # every TNT pair contributes <= 6 bits.  Layout: out[], six u64
+    # columns (TIP ips, offsets, bit starts, bit ends, signatures; FUP
+    # ips), then the packed TNT bytes.  The kernel writes every byte it
+    # reports, so nothing needs zeroing.
     column = 8 * (span // 2 + 1)
     ips_at = _KERNEL_OUT.size
     offs_at = ips_at + column
     bit_start_at = offs_at + column
     bit_end_at = bit_start_at + column
-    fup_at = bit_end_at + column
+    sigs_at = bit_end_at + column
+    fup_at = sigs_at + column
     tnt_at = fup_at + column
     arena, base = _kernel_arena(tnt_at + (span * 3) // 8 + 2)
 
     status = lib.ipt_scan(
         raw, size, pos,
         base + ips_at, base + offs_at, base + bit_start_at,
-        base + bit_end_at, base + tnt_at, base + fup_at, base,
+        base + bit_end_at, base + sigs_at, base + tnt_at, base + fup_at,
+        base,
     )
     out = _KERNEL_OUT.unpack_from(arena)
     if status:
@@ -664,13 +697,15 @@ def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment
     rec_bit_start.frombytes(view[bit_start_at:bit_start_at + rec_bytes])
     rec_bit_end = array("L")
     rec_bit_end.frombytes(view[bit_end_at:bit_end_at + rec_bytes])
+    rec_sigs = array("Q")
+    rec_sigs.frombytes(view[sigs_at:sigs_at + rec_bytes])
     fup_ips = array("Q")
     fup_ips.frombytes(view[fup_at:fup_at + 8 * nfup])
     tnt_bits = bytes(view[tnt_at:tnt_at + ntnt])
     view.release()
     return _finish_segment(
         data, sync, pos, end_pos, pkt_count, charge, bool(out[6]),
-        rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
+        rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs,
         tnt_bits, out[4], out[5], fup_ips,
     )
 
@@ -698,11 +733,11 @@ class ColumnarTail:
     :class:`_TailEntry`, and stitching its trailing TNT run onto the
     current head record is a signature composition — nothing is built
     until a window is requested, and the window itself is slices of the
-    segments' memo columns (so a warm segment cache means warm windows
-    too).
+    segments' columns (so a warm segment cache means warm windows too).
+    The last window built is memoised until the next prepend.
     """
 
-    __slots__ = ("entries", "count", "cycles", "start", "_head")
+    __slots__ = ("entries", "count", "cycles", "start", "_head", "_window")
 
     def __init__(self) -> None:
         self.entries: List[_TailEntry] = []
@@ -710,11 +745,14 @@ class ColumnarTail:
         self.cycles = 0.0
         self.start = 0
         self._head: Optional[_TailEntry] = None
+        self._window: Optional[tuple] = None
 
     def prepend(self, seg: ColumnarSegment, base: int) -> None:
         """Add the next-earlier segment: its trailing TNT run folds onto
         the current head record, if any (a PSB resets IP compression,
-        not branch context)."""
+        not branch context).  Drops the memoised window: the fold can
+        change the signature of the window's first record."""
+        self._window = None
         if self.count and seg.pend_start < seg.total_bits:
             head = self._head
             head.patch_sig = compose_tnt_sigs(
@@ -732,11 +770,15 @@ class ColumnarTail:
 
         ``ips`` (None = IP-suppressed) and ``sigs`` (packed TNT runs)
         are the columns the batched edge check and the slow-path
-        hand-off consume: slices of the segments' memo columns, with a
-        stitch patch landing on the fresh slice copy, never the memo.
+        hand-off consume: slices of the segments' columns, with a
+        stitch patch landing on the fresh slice copy, never the column.
         ``first_offset`` is the stream offset of the window's first
-        record (None for an empty window).
+        record (None for an empty window).  The result is memoised until
+        the next :meth:`prepend` (callers share it — do not mutate).
         """
+        memo = self._window
+        if memo is not None and memo[0] == n:
+            return memo[1]
         ip_parts = []
         sig_parts = []
         first_offset = None
@@ -759,36 +801,16 @@ class ColumnarTail:
             first_offset = seg.rec_offsets[lo] + entry.base
             need -= take
         if len(ip_parts) == 1:
-            return ip_parts[0], sig_parts[0], first_offset
-        ips_out: list = []
-        sigs_out: list = []
-        for index in range(len(ip_parts) - 1, -1, -1):
-            ips_out.extend(ip_parts[index])
-            sigs_out.extend(sig_parts[index])
-        return ips_out, sigs_out, first_offset
-
-    def last_ips(self, n: int) -> list:
-        """IPs of the last ``n`` records (module-span requirement
-        checks) without building records or signatures."""
-        parts = []
-        need = n
-        for entry in self.entries:
-            seg = entry.seg
-            record_count = seg.record_count
-            if not record_count:
-                continue
-            take = record_count if record_count < need else need
-            parts.append(seg.ip_column()[record_count - take:])
-            need -= take
-            if not need:
-                break
-        if len(parts) == 1:
-            return parts[0]
-        parts.reverse()
-        ips: list = []
-        for part in parts:
-            ips.extend(part)
-        return ips
+            window = ip_parts[0], sig_parts[0], first_offset
+        else:
+            ips_out: list = []
+            sigs_out: list = []
+            for index in range(len(ip_parts) - 1, -1, -1):
+                ips_out.extend(ip_parts[index])
+                sigs_out.extend(sig_parts[index])
+            window = ips_out, sigs_out, first_offset
+        self._window = (n, window)
+        return window
 
     def slow_source(
         self, window_start: Optional[int] = None

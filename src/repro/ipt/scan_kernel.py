@@ -65,11 +65,11 @@ def _build() -> ctypes.CDLL:
         os.replace(tmp_path, so_path)
     lib = ctypes.CDLL(so_path)
     scan = lib.ipt_scan
-    # data, size, start, then six column pointers and out[]: the
+    # data, size, start, then seven column pointers and out[]: the
     # wrapper passes addresses into its scan arena as plain ints.
     scan.argtypes = (
         [ctypes.c_char_p, ctypes.c_long, ctypes.c_long]
-        + [ctypes.c_void_p] * 7
+        + [ctypes.c_void_p] * 8
     )
     scan.restype = ctypes.c_long
     return lib

@@ -20,6 +20,7 @@ attached :class:`~repro.resilience.DegradationLedger`.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -106,6 +107,14 @@ class FastPathChecker:
         self.owner_pid = owner_pid
         #: corrupt segments hit by the most recent tail decode.
         self.last_corrupt_segments = 0
+        #: the module-span range table (see :func:`module_ranges`):
+        #: range starts for ``bisect``, and ``(base, end, name,
+        #: is_executable)`` per range.  Per checker, because the image
+        #: is; ``execve`` and ``rebind`` build a fresh checker.  A
+        #: checker with no span requirement may have no image.
+        ranges = [] if image is None else module_ranges(image)
+        self._range_starts = [entry[0] for entry in ranges]
+        self._ranges = ranges
 
     # -- tail decoding -------------------------------------------------------
 
@@ -117,7 +126,12 @@ class FastPathChecker:
 
         Each PSB segment is scanned exactly once: the walk goes backward
         from the buffer end, prepending one segment at a time until the
-        ``pkt_count``/module-span requirements hold.  Segments scan
+        ``pkt_count``/module-span requirements hold.  Once the tail
+        holds more than ``pkt_count`` records its newest ``pkt_count +
+        1`` ips are fixed (prepending only adds older records), so the
+        module span is judged once, on that window; if it fails, the
+        walk still scans and charges every remaining segment, but never
+        re-judges it.  Segments scan
         independently because PSBs reset IP compression; the dangling
         TNT bits a segment ends with are stitched onto the first TIP of
         the already-accumulated suffix (a signature composition — nothing
@@ -138,6 +152,7 @@ class FastPathChecker:
         probe = None if cache is None else cache.decode_segment_columnar
         pkt_count = self.pkt_count
         check_span = self.require_cross_module or self.require_executable
+        span_judged = False
         view = memoryview(data)
         cycles = 0.0
         size = len(data)
@@ -170,13 +185,12 @@ class FastPathChecker:
             cycles += seg_cycles
             tail.prepend(seg, begin)
             start = end = begin
-            if tail.count > pkt_count and (
-                # Evaluate the flags before materialising the ip
-                # window, which only the module requirements read.
-                not check_span
-                or self._spans_modules(tail.last_ips(pkt_count + 1))
-            ):
-                break
+            if tail.count > pkt_count and not span_judged:
+                if not check_span or self._spans_modules(
+                    tail.window(pkt_count + 1)[0]
+                ):
+                    break
+                span_judged = True
         tail.cycles = cycles
         tail.start = start
         return tail
@@ -200,20 +214,30 @@ class FastPathChecker:
         return (end - begin) * costs.FAST_DECODE_CYCLES_PER_BYTE
 
     def _spans_modules(self, ips: list) -> bool:
+        """Whether ``ips`` meet the module-span requirements; an
+        IP-suppressed (None) ip lies in no module.  Stops at the first
+        ip that completes them."""
+        starts = self._range_starts
+        ranges = self._ranges
+        need_exec = self.require_executable
+        need_modules = 2 if self.require_cross_module else 0
         modules = set()
         has_exec = False
         for ip in ips:
-            lm = self.image.module_of(ip)
-            if lm is None:
+            if ip is None:
                 continue
-            modules.add(lm.name)
-            if lm.is_executable:
+            slot = bisect_right(starts, ip) - 1
+            if slot < 0:
+                continue
+            _, end, name, is_executable = ranges[slot]
+            if ip >= end:
+                continue
+            modules.add(name)
+            if is_executable:
                 has_exec = True
-        if self.require_executable and not has_exec:
-            return False
-        if self.require_cross_module and len(modules) < 2:
-            return False
-        return True
+            if (has_exec or not need_exec) and len(modules) >= need_modules:
+                return True
+        return (has_exec or not need_exec) and len(modules) >= need_modules
 
     # -- checking -----------------------------------------------------------------
 
@@ -249,7 +273,9 @@ class FastPathChecker:
     def window_result(self, tail: ColumnarTail) -> FastPathResult:
         """An INSUFFICIENT result over ``tail`` carrying its window —
         the last ``pkt_count + 1`` records' ip/signature columns, which
-        the slow-path hand-off reads — and the tail's decode cost."""
+        the slow-path hand-off reads — and the tail's decode cost (the
+        tail walk's span judgement already built and memoised the
+        window when nothing was prepended after it)."""
         ips, sigs, first = tail.window(self.pkt_count + 1)
         return FastPathResult(
             Verdict.INSUFFICIENT,
@@ -294,3 +320,23 @@ class FastPathChecker:
         result.verdict = verdict
         result.low_credit_pairs = low_credit
         return result
+
+
+def module_ranges(image: Image) -> List[Tuple[int, int, str, bool]]:
+    """``image``'s module map as sorted, disjoint ``(base, end, name,
+    is_executable)`` ranges that answer like ``Image.module_of``.
+
+    The map is cut at every module's base and end; each piece goes to
+    the first module of ``image.all_modules()`` (the modules in load
+    order, then the vDSO: ``module_of``'s precedence) that covers it,
+    and a piece no module covers is left out.
+    """
+    modules = image.all_modules()
+    cuts = sorted({lm.base for lm in modules} | {lm.end for lm in modules})
+    ranges = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        for lm in modules:
+            if lm.base <= lo < lm.end:
+                ranges.append((lo, hi, lm.name, lm.is_executable))
+                break
+    return ranges

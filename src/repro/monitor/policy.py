@@ -18,10 +18,13 @@ class FlowGuardPolicy:
     - ``cred_ratio``: minimum fraction of high-credit edges in a passing
       fast-path check.  The paper sets it to 1.0 — *any* low-credit edge
       forwards the window to the slow path,
-    - ``require_cross_module`` / ``require_executable``: the checked
-      window must stride multiple modules with at least one TIP in the
-      executable, closing the return-to-lib endpoint-in-another-module
-      gap,
+    - ``require_cross_module`` / ``require_executable``: how far back
+      the tail walk scans — until the newest ``pkt_count + 1`` TIPs
+      stride multiple modules with at least one in the executable, or
+      the whole buffer when they never do.  This changes what a check
+      costs, never its fast-path verdict: the same pairs are judged
+      either way, so a window that fails the span still passes or
+      fails on its edges alone,
     - ``endpoints``: the intercepted syscall set (PathArmor's by
       default), user-extensible per §7.1.2,
     - ``check_on_pmi``: also treat buffer-full PMIs as endpoints (the

@@ -5,6 +5,11 @@ optional C kernel.  This is the original per-byte walk over the
 256-entry :data:`~repro.ipt.columnar.DISPATCH` /
 :data:`~repro.ipt.columnar.TNT_WIDTH` tables, kept here as the oracle
 both are property-tested against (``tests/test_scan_parity.py``).
+
+It derives the ``rec_sigs`` column on its own: the pending TNT run is
+an unbounded 1-prefixed int grown one packet at a time, and a record
+whose run is longer than :data:`~repro.ipt.columnar.SIG_MAX_BITS` bits
+gets the sentinel ``0`` from its length alone.
 """
 
 from array import array
@@ -13,6 +18,7 @@ from typing import Optional
 from repro.ipt.columnar import (
     DISPATCH,
     NO_IP,
+    SIG_MAX_BITS,
     TNT_WIDTH,
     _A_FUP,
     _A_OVF,
@@ -50,17 +56,20 @@ def columnar_scan_reference(
     rec_offsets = array("Q")
     rec_bit_start = array("L")
     rec_bit_end = array("L")
+    rec_sigs = array("Q")
     fup_ips = array("Q")
     add_ip = rec_ips.append
     add_offset = rec_offsets.append
     add_bit_start = rec_bit_start.append
     add_bit_end = rec_bit_end.append
+    add_sig = rec_sigs.append
     add_fup = fup_ips.append
 
     tnt_buf = bytearray()
     emit_byte = tnt_buf.append
     acc = 0  # bit accumulator, flushed every 8 bits
     acc_bits = 0
+    pending = 1  # the TNT run since the last TIP, under a leading 1
     total_bits = 0
     pend_start = 0
     last_ip = 0
@@ -78,6 +87,7 @@ def columnar_scan_reference(
             if width == 255:
                 raise PacketError(f"invalid TNT payload {payload:#x}")
             acc = (acc << width) | (payload ^ (1 << width))
+            pending = (pending << width) | (payload ^ (1 << width))
             acc_bits += width
             total_bits += width
             while acc_bits >= 8:
@@ -113,6 +123,9 @@ def columnar_scan_reference(
                 add_offset(pos)
                 add_bit_start(pend_start)
                 add_bit_end(total_bits)
+                run_bits = pending.bit_length() - 1
+                add_sig(pending if run_bits <= SIG_MAX_BITS else 0)
+                pending = 1
                 pend_start = total_bits
             elif action == _A_FUP and ip is not None:
                 add_fup(ip)
@@ -142,6 +155,6 @@ def columnar_scan_reference(
 
     return _finish_segment(
         data, sync, synced, pos, pkt_count, charge, truncated,
-        rec_ips, rec_offsets, rec_bit_start, rec_bit_end,
+        rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs,
         bytes(tnt_buf), total_bits, pend_start, fup_ips,
     )

@@ -32,6 +32,7 @@ from repro.cpu.events import BranchEvent, CoFIKind
 from repro.ipt import IPTConfig, IPTEncoder, ToPA, ToPARegion
 from repro.ipt.columnar import (
     ColumnarSegment,
+    ColumnarTail,
     NO_IP,
     columnar_decode_parallel,
     columnar_scan,
@@ -912,3 +913,56 @@ class TestColumnarSegmentViews:
         seg = columnar_scan(bytes(stream))
         assert list(seg.rec_ips) == [0x400010, NO_IP]
         assert seg.ip_column() == [0x400010, None]
+
+
+class TestTailWindowMemo:
+    """``ColumnarTail.window`` is memoised until the next ``prepend``,
+    which must drop it: a prepend can stitch TNT bits onto the head
+    record, changing the window's first signature but never its ips."""
+
+    @staticmethod
+    def segments():
+        """Two PSB segments; the older one ends in a dangling TNT run
+        that belongs to the newer one's first record."""
+        older = bytearray(PSB_PATTERN)
+        older.append(PSBEND_BYTE)
+        encoded, _ = encode_ip_packet(TIP_HEADER, 0x400010, 0)
+        older += encoded + encode_tnt((True, False, True))
+        newer = bytearray(PSB_PATTERN)
+        newer.append(PSBEND_BYTE)
+        newer += encode_tnt((False, True))
+        encoded, last = encode_ip_packet(TIP_HEADER, 0x400020, 0)
+        newer += encoded + encode_tnt((True,))
+        encoded, _ = encode_ip_packet(TIP_HEADER, 0x400030, last)
+        newer += encoded
+        return bytes(older), bytes(newer)
+
+    def test_prepend_drops_the_memo(self):
+        older, newer = self.segments()
+        tail = ColumnarTail()
+        tail.prepend(columnar_scan(newer), len(older))
+        before = tail.window(2)
+        assert tail.window(2) is before
+        assert before[1][0] == pack_tnt_sig((False, True))
+        tail.prepend(columnar_scan(older), 0)
+        after = tail.window(2)
+        assert after is not before
+        assert after[0] == before[0]
+        assert after[1][0] == pack_tnt_sig((True, False, True, False, True))
+        assert after[1][1:] == before[1][1:]
+        records = fast_decode(older + newer).tip_records()[-2:]
+        assert after == (
+            [r.ip for r in records],
+            [pack_tnt_sig(r.tnt_before) for r in records],
+            records[0].offset,
+        )
+
+    def test_other_length_rebuilds(self):
+        older, newer = self.segments()
+        tail = ColumnarTail()
+        tail.prepend(columnar_scan(newer), len(older))
+        tail.prepend(columnar_scan(older), 0)
+        pair = tail.window(2)
+        assert tail.window(3)[0] == [0x400010, 0x400020, 0x400030]
+        assert tail.window(2) is not pair
+        assert tail.window(2) == pair

@@ -24,14 +24,23 @@ import pytest
 
 from repro.ipt import columnar, scan_kernel
 from repro.ipt.columnar import (
+    SIG_MAX_BITS,
     ColumnarSlowSource,
+    _bits_sig,
     columnar_scan,
     scan_kernel_active,
     scan_kernel_mode,
     set_scan_kernel,
 )
 from repro.ipt.full_decoder import TraceMismatch
-from repro.ipt.packets import PacketError
+from repro.ipt.packets import (
+    PacketError,
+    TIP_HEADER,
+    encode_ip_packet,
+    encode_tnt,
+    pack_tnt_sig,
+)
+from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.monitor.flowguard import FlowGuardMonitor
 from repro.osmodel import Kernel
 from tests.packet_reference import PacketCursor, fast_decode
@@ -74,6 +83,8 @@ def segment_columns(seg):
         seg.total_bits,
         seg.pend_start,
         tuple(seg.fup_ips),
+        tuple(seg.rec_sigs),
+        tuple(seg.sig_column()),
     )
 
 
@@ -170,6 +181,68 @@ class TestScannerTriParity:
             set_scan_kernel("on")
             assert scan_kernel_active()
             assert segment_columns(columnar_scan(data)) == want
+
+
+def tnt_run_stream(seed, runs):
+    """A TIP, then per entry of ``runs`` a TNT run of exactly that many
+    branches (random packet widths and outcomes) closed by a TIP."""
+    rng = random.Random(seed)
+    encoded, last_ip = encode_ip_packet(TIP_HEADER, 0x400000, 0)
+    out = bytearray(encoded)
+    for index, bits in enumerate(runs):
+        while bits:
+            width = rng.randint(1, min(6, bits))
+            out += encode_tnt(tuple(rng.random() < 0.5 for _ in range(width)))
+            bits -= width
+        encoded, last_ip = encode_ip_packet(
+            TIP_HEADER, 0x400000 + 16 * (index + 1), last_ip
+        )
+        out += encoded
+    return bytes(out)
+
+
+class TestSignatureColumn:
+    """``rec_sigs``: built by the scanners while the run fits
+    ``SIG_MAX_BITS`` bits, sentinel ``0`` past it, and filled in from
+    the bit range by the shared epilogue."""
+
+    @pytest.mark.parametrize("bits", [61, 62, 63, 300, 701])
+    def test_run_length_edges(self, bits):
+        runs = [bits, 0, bits, 5]
+        data = tnt_run_stream(bits, runs)
+        assert_tri_parity(data)
+        lengths = [0] + runs
+        reference = columnar_scan_reference(data)
+        assert [sig == 0 for sig in reference.rec_sigs] == [
+            length > SIG_MAX_BITS for length in lengths
+        ]
+        seg = columnar_scan(data)
+        assert [sig.bit_length() - 1 for sig in seg.sig_column()] == lengths
+        assert seg.sig_column() == [
+            pack_tnt_sig(record.tnt_before)
+            for record in fast_decode(data).tip_records()
+        ]
+
+    def test_run_edges_every_truncation_cut(self):
+        data = tnt_run_stream(5, [61, 62, 63, 130, 2])
+        for cut in range(len(data) + 1):
+            assert_tri_parity(data[:cut])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sig_column_is_the_bit_range_signature(self, seed):
+        data = build_stream(seed, packets=200) + tnt_run_stream(
+            seed, [63, 200, 62, 1]
+        )
+        cache = SegmentDecodeCache(4)
+        fresh = columnar_scan(data)
+        miss, _ = cache.decode_segment_columnar(memoryview(data))
+        hit, _ = cache.decode_segment_columnar(memoryview(data))
+        assert cache.hits == 1
+        for seg in (fresh, miss, hit):
+            assert seg.sig_column() == [
+                _bits_sig(seg.tnt_bits, start, end)
+                for start, end in zip(seg.rec_bit_start, seg.rec_bit_end)
+            ]
 
 
 class TestKernelGating:
