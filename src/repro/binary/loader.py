@@ -189,6 +189,7 @@ class Loader:
         data_base = base + code_size
         memory.map_region(base, code_size, PROT_READ | PROT_EXEC)
         memory.write_raw(base, module.code)
+        memory.attach_blocks(base, code_size, module.blocks)
         memory.map_region(data_base, data_size, PROT_READ | PROT_WRITE)
         memory.write_raw(data_base, module.data)
         return LoadedModule(

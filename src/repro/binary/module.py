@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.cpu.blocks import BlockStore
+
 
 @dataclass(frozen=True)
 class Symbol:
@@ -52,6 +54,8 @@ class Module:
         function_ranges: name -> (start, end) code offsets; the ground
             truth used by static analysis to bound disassembly and by
             tests to validate CFG recovery.
+        blocks: the interpreter's compiled blocks of ``code``, shared by
+            every address space the module is loaded into.
     """
 
     name: str
@@ -68,6 +72,9 @@ class Module:
     # All code labels (exported or not) at their code offsets; used to
     # resolve module-local relocation targets.
     local_symbols: Dict[str, int] = field(default_factory=dict)
+    blocks: BlockStore = field(
+        default_factory=BlockStore, compare=False, repr=False
+    )
 
     @property
     def is_executable(self) -> bool:

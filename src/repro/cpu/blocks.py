@@ -1,0 +1,359 @@
+"""Hot basic blocks compiled to straight-line Python.
+
+A *block* starts at a leader — the instruction after a retired CoFI or
+SYSCALL — and runs up to and including the next CoFI (JMP, Jcc, CALL,
+CALLR, RET, JMPR).  It ends *before* a SYSCALL or HALT, before an
+instruction that cannot be fetched or decoded, and after
+:data:`MAX_BLOCK_INSNS` instructions.  This is the unit Intel PT reports
+in: between two retired CoFIs the CPU runs exactly one block.
+
+:func:`compile_block` turns a block into one generated function::
+
+    fn(regs, pages, prots, cycles, flags) -> (ip, cycles, flags, retired)
+
+The body is the dispatch loop's fast path for each instruction, in
+order, with the opcode dispatch resolved at compile time.  It keeps one
+``cycles += cost`` per instruction, in retirement order: ``cycles`` is a
+float that also takes fractional IPT and I/O charges, so a merged sum
+could round differently.  Each memory access makes the loop's one
+protection lookup.  Where the loop would leave its fast path — a miss
+on the page tables, a u64 that crosses a page, a zero divisor — the
+function *bails*: it returns before that instruction, uncharged, with
+``retired`` short of the block's size and registers exactly as the
+loop would have them, and the loop runs the instruction itself.  So
+faults, their text and ``ip``, ``cycles`` and ``insn_count`` stay the
+loop's.  A block that ends in a CoFI returns its destination; the loop
+publishes the CoFI's event.
+
+Compiled blocks are shared: a :class:`BlockStore` belongs to the
+module whose code it compiles (:attr:`repro.binary.module.Module.blocks`)
+and the loader files the module's code pages under it
+(:meth:`repro.cpu.memory.Memory.attach_blocks`), so every process that
+maps the module — forked, or loaded by another kernel — reuses the
+same functions.  A block is compiled once :data:`HOT_ENTRIES` leader
+visits found none, and an address space uses a compiled block only
+after its own code bytes, fetched with EXEC enforced, match the bytes
+the block was compiled from, on pages none of which is writable.
+"""
+
+from __future__ import annotations
+
+import struct
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+
+from repro.cpu.events import CoFIKind
+from repro.cpu.executor import NO_BLOCK, _ROUTE_KINDS, fetch_insn, predecode
+from repro.cpu.machine import U64_MASK, to_signed
+from repro.cpu.memory import (
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    PROT_READ,
+    PROT_WRITE,
+    Memory,
+    MemoryError_,
+)
+from repro.isa.encoding import DecodeError
+from repro.isa.instructions import Op
+from repro.isa.registers import SP
+
+#: Leader visits that find no compiled block before one is compiled.
+HOT_ENTRIES = 16
+
+#: Longest block; a longer straight-line run continues in the loop.
+MAX_BLOCK_INSNS = 64
+
+_OFFSET = PAGE_SIZE - 1
+_LAST = PAGE_SIZE - 8  # a u64 at a higher page offset crosses pages
+_SIGN = 1 << 63
+
+_ROUTE = {
+    int(Op.JMP): _ROUTE_KINDS.index(CoFIKind.DIRECT_JMP),
+    int(Op.CALL): _ROUTE_KINDS.index(CoFIKind.DIRECT_CALL),
+    int(Op.JCC): _ROUTE_KINDS.index(CoFIKind.COND_BRANCH),
+    int(Op.JMPR): _ROUTE_KINDS.index(CoFIKind.INDIRECT_JMP),
+    int(Op.CALLR): _ROUTE_KINDS.index(CoFIKind.INDIRECT_CALL),
+    int(Op.RET): _ROUTE_KINDS.index(CoFIKind.RET),
+}
+_STOPS = frozenset((Op.SYSCALL, Op.HALT))
+_FLAG_WRITERS = frozenset(int(op) for op in (
+    Op.ADD, Op.SUB, Op.ADDI, Op.SUBI, Op.MUL, Op.MULI, Op.AND, Op.ANDI,
+    Op.OR, Op.XOR, Op.CMP, Op.CMPI,
+))
+#: Instructions that read the flags word: a Jcc, and every instruction
+#: that can bail (the bail returns the flags as they stand).
+_FLAG_READERS = frozenset(int(op) for op in (
+    Op.JCC, Op.LOAD, Op.STORE, Op.LOADB, Op.STOREB, Op.PUSH, Op.POP,
+    Op.DIV, Op.MOD, Op.CALL, Op.CALLR, Op.RET,
+))
+_U64 = struct.Struct("<Q")
+#: The names a generated function binds as default arguments.
+_NAMESPACE = {
+    "unpack": _U64.unpack_from,
+    "pack": _U64.pack_into,
+    "to_signed": to_signed,
+}
+
+
+class Block(NamedTuple):
+    """One compiled block, as the dispatch loop reads it."""
+
+    #: ``fn(regs, pages, prots, cycles, flags)`` returning
+    #: ``(ip, cycles, flags, retired)``.
+    fn: Callable
+    #: Instructions in the block, its CoFI included.
+    size: int
+    #: Index of the ending CoFI's kind in the loop's listener routes;
+    #: -1 when the block ends without one.
+    route: int
+    #: The ending CoFI's event per flags word when its target is static
+    #: (JMP, CALL, Jcc); None when it is computed.
+    events: Optional[tuple]
+    #: The ending CoFI's kind and address (for computed targets).
+    kind: Optional[CoFIKind]
+    term_ip: int
+
+
+class BlockStore:
+    """The compiled blocks of one module's code, by entry address."""
+
+    def __init__(self) -> None:
+        #: Entry ip -> ``(code bytes, block)`` variants.
+        self._variants: Dict[int, List[Tuple[bytes, Block]]] = {}
+        self._heat: Dict[int, int] = {}
+
+    def lookup(
+        self, memory: Memory, ip: int
+    ) -> Union[Block, Tuple[()], None]:
+        """The block entered at leader ``ip`` in ``memory``.
+
+        A variant compiled from the same bytes is reused; otherwise the
+        visit counts toward :data:`HOT_ENTRIES`, and a hot ``ip`` is
+        compiled.  Returns None while ``ip`` is cold, and
+        :data:`NO_BLOCK` when no block can start there.
+        """
+        variants = self._variants.get(ip)
+        if variants:
+            for code, block in variants:
+                if _matches(memory, ip, code):
+                    return block
+        heat = self._heat.get(ip, 0) + 1
+        self._heat[ip] = heat
+        if heat < HOT_ENTRIES:
+            return None
+        compiled = compile_block(memory, ip)
+        if compiled is None:
+            return NO_BLOCK
+        self._variants.setdefault(ip, []).append(compiled)
+        return compiled[1]
+
+
+def _writable(memory: Memory, ip: int, size: int) -> bool:
+    prots = memory.tables()[1]
+    first = ip >> PAGE_SHIFT
+    last = (ip + size - 1) >> PAGE_SHIFT
+    return any(prots.get(pageno, 0) & PROT_WRITE
+               for pageno in range(first, last + 1))
+
+
+def _matches(memory: Memory, ip: int, code: bytes) -> bool:
+    """Whether ``memory`` executes ``code`` at ``ip`` (EXEC enforced) from
+    pages nothing can write."""
+    try:
+        same = memory.fetch(ip, len(code)) == code
+    except MemoryError_:
+        return False
+    return same and not _writable(memory, ip, len(code))
+
+
+def compile_block(memory: Memory, ip: int) -> Optional[Tuple[bytes, Block]]:
+    """Compile the block entered at ``ip``: its code bytes and function.
+
+    None when no instruction can start a block there (a SYSCALL, HALT or
+    unfetchable instruction at ``ip``), or when the block's code sits on
+    a writable page.
+    """
+    entries = []
+    code = bytearray()
+    at = ip
+    while len(entries) < MAX_BLOCK_INSNS:
+        try:
+            insn, length, raw = fetch_insn(memory, at)
+        except (MemoryError_, DecodeError):
+            break
+        if insn.op in _STOPS:
+            break
+        entries.append((at, predecode(insn, at, length)))
+        code += raw
+        at += length
+        if entries[-1][1][0] in _ROUTE:
+            break
+    if not entries or _writable(memory, ip, len(code)):
+        return None
+    namespace = dict(_NAMESPACE)
+    exec(compile(_source(entries), f"<block {ip:#x}>", "exec"), namespace)
+    # Popped, so the function and its globals form no reference cycle.
+    fn = namespace.pop("block")
+    term_ip, last = entries[-1]
+    op = last[0]
+    route = _ROUTE.get(op, -1)
+    events = kind = None
+    if op == Op.JCC:
+        events = last[4]
+    elif op == Op.JMP or op == Op.CALL:
+        events = (last[4],) * 4
+    elif route >= 0:
+        kind = _ROUTE_KINDS[route]
+    block = Block(fn, len(entries), route, events, kind, term_ip)
+    return bytes(code), block
+
+
+def _source(entries) -> str:
+    """The generated function for ``entries`` (``(ip, predecoded)``
+    pairs)."""
+    # Flags are live after an instruction if something reads them before
+    # the next instruction that writes them, or if the block ends first.
+    live_after = [True] * len(entries)
+    live = True
+    for k in range(len(entries) - 1, -1, -1):
+        live_after[k] = live
+        op = entries[k][1][0]
+        if op in _FLAG_WRITERS:
+            live = False
+        elif op in _FLAG_READERS:
+            live = True
+
+    size = len(entries)
+    out = ["def block(regs, pages, prots, c, fl, unpack=unpack, pack=pack,"
+           " to_signed=to_signed):"]
+    for k, (pc, e) in enumerate(entries):
+        out.extend("    " + line
+                   for line in _insn(k, pc, e, live_after[k], size))
+    if entries[-1][1][0] not in _ROUTE:
+        out.append(f"    return {entries[-1][1][2]}, c, fl, {size}")
+    return "\n".join(out) + "\n"
+
+
+def _access(addr: str, prot: int, k: int, pc: int, word: bool) -> List[str]:
+    """Compute ``a`` (page ``p``, offset ``o``) and bail unless the
+    loop's one-page fast path covers the access."""
+    lines = [f"a = {addr}", f"p = a >> {PAGE_SHIFT}"]
+    if word:
+        lines += [f"o = a & {_OFFSET}",
+                  f"if o > {_LAST} or not prots.get(p, 0) & {prot}:"]
+    else:
+        lines += [f"if not prots.get(p, 0) & {prot}:"]
+    lines.append(f"    return {pc}, c, fl, {k}")
+    return lines
+
+
+def _insn(k: int, pc: int, e: tuple, flags_live: bool,
+          size: int) -> List[str]:
+    """Source lines for instruction ``k`` of a block (predecoded ``e`` at
+    ``pc``)."""
+    R, W = PROT_READ, PROT_WRITE
+    op, cost, next_ip = e[0], e[1], e[2]
+    charge = f"c += {cost!r}"
+    mask = U64_MASK
+    bail = f"return {pc}, c, fl, {k}"
+
+    def alu(expr: str, dst: int) -> List[str]:
+        if flags_live:
+            return [charge, f"r = regs[{dst}] = {expr}",
+                    "fl = r >> 63 if r else 2"]
+        return [charge, f"regs[{dst}] = {expr}"]
+
+    def disp(base: int, off: int) -> str:
+        return f"regs[{base}] + {off}" if off else f"regs[{base}]"
+
+    if op == Op.LOAD:
+        return (_access(disp(e[4], e[5]), R, k, pc, True)
+                + [charge, f"regs[{e[3]}] = unpack(pages[p], o)[0]"])
+    if op == Op.STORE:
+        return (_access(disp(e[3], e[4]), W, k, pc, True)
+                + [charge, f"pack(pages[p], o, regs[{e[5]}])"])
+    if op == Op.LOADB:
+        return (_access(disp(e[4], e[5]), R, k, pc, False)
+                + [charge, f"regs[{e[3]}] = pages[p][a & {_OFFSET}]"])
+    if op == Op.STOREB:
+        return (_access(disp(e[3], e[4]), W, k, pc, False)
+                + [charge,
+                   f"pages[p][a & {_OFFSET}] = regs[{e[5]}] & 255"])
+    if op == Op.PUSH:
+        # SP moves only once the push cannot bail; the value is read
+        # first, so PUSH SP stores the old SP.
+        return (_access(f"(regs[{SP}] - 8) & {mask}", W, k, pc, True)
+                + [charge, f"pack(pages[p], o, regs[{e[3]}])",
+                   f"regs[{SP}] = a"])
+    if op == Op.POP:
+        return (_access(f"regs[{SP}]", R, k, pc, True)
+                + [charge, "v = unpack(pages[p], o)[0]",
+                   f"regs[{SP}] = (a + 8) & {mask}", f"regs[{e[3]}] = v"])
+    if op == Op.MOV_RR:
+        return [charge, f"regs[{e[3]}] = regs[{e[4]}]"]
+    if op == Op.MOV_RI:
+        return [charge, f"regs[{e[3]}] = {e[4]}"]
+    if op == Op.ADD:
+        return alu(f"(regs[{e[3]}] + regs[{e[4]}]) & {mask}", e[3])
+    if op == Op.SUB:
+        return alu(f"(regs[{e[3]}] - regs[{e[4]}]) & {mask}", e[3])
+    if op == Op.ADDI:
+        return alu(f"(regs[{e[3]}] + {e[4]}) & {mask}", e[3])
+    if op == Op.SUBI:
+        return alu(f"(regs[{e[3]}] - {e[4]}) & {mask}", e[3])
+    if op == Op.MUL:
+        return alu(f"(regs[{e[3]}] * regs[{e[4]}]) & {mask}", e[3])
+    if op == Op.MULI:
+        return alu(f"(regs[{e[3]}] * {e[4]}) & {mask}", e[3])
+    if op == Op.AND:
+        return alu(f"regs[{e[3]}] & regs[{e[4]}]", e[3])
+    if op == Op.ANDI:
+        return alu(f"regs[{e[3]}] & {e[4]}", e[3])
+    if op == Op.OR:
+        return alu(f"regs[{e[3]}] | regs[{e[4]}]", e[3])
+    if op == Op.XOR:
+        return alu(f"regs[{e[3]}] ^ regs[{e[4]}]", e[3])
+    if op == Op.SHL:
+        return [charge,
+                f"regs[{e[3]}] = (regs[{e[3]}] << (regs[{e[4]}] & 63))"
+                f" & {mask}"]
+    if op == Op.SHR:
+        return [charge, f"regs[{e[3]}] = regs[{e[3]}] >> (regs[{e[4]}] & 63)"]
+    if op == Op.CMP:
+        if not flags_live:
+            return [charge]
+        return [charge, f"a = regs[{e[3]}]", f"b = regs[{e[4]}]",
+                f"fl = 2 if a == b else (a ^ {_SIGN}) < (b ^ {_SIGN})"]
+    if op == Op.CMPI:
+        if not flags_live:
+            return [charge]
+        return [charge, f"a = regs[{e[3]}]",
+                f"fl = 2 if a == {e[4]} else (a ^ {_SIGN}) < {e[5]}"]
+    if op == Op.DIV or op == Op.MOD:
+        result = "q" if op == Op.DIV else "x - q * d"
+        return [f"d = to_signed(regs[{e[4]}])", "if d == 0:",
+                f"    {bail}", charge,
+                f"x = to_signed(regs[{e[3]}])",
+                "q = abs(x) // abs(d)",
+                "if (x < 0) != (d < 0):", "    q = -q",
+                f"regs[{e[3]}] = ({result}) & {mask}"]
+    if op == Op.NOP:
+        return [charge]
+    # The block's CoFI.
+    if op == Op.JMP:
+        return [charge, f"return {e[3]}, c, fl, {size}"]
+    if op == Op.JCC:
+        return [charge, f"return {e[3]!r}[fl], c, fl, {size}"]
+    if op == Op.JMPR:
+        return [charge, f"return regs[{e[3]}], c, fl, {size}"]
+    if op == Op.CALL or op == Op.CALLR:
+        target = str(e[3]) if op == Op.CALL else "t"
+        first = [] if op == Op.CALL else [f"t = regs[{e[3]}]"]
+        return (first
+                + _access(f"(regs[{SP}] - 8) & {mask}", W, k, pc, True)
+                + [charge, f"pack(pages[p], o, {next_ip})",
+                   f"regs[{SP}] = a", f"return {target}, c, fl, {size}"])
+    if op == Op.RET:
+        return (_access(f"regs[{SP}]", R, k, pc, True)
+                + [charge, f"regs[{SP}] = (a + 8) & {mask}",
+                   f"return unpack(pages[p], o)[0], c, fl, {size}"])
+    raise ValueError(f"no block form for opcode {op:#04x}")

@@ -3,10 +3,17 @@
 Each instruction is decoded once per address into a flat *predecoded
 entry* (see :func:`predecode`) and executed by one dispatch loop,
 :meth:`Executor._execute`, that :meth:`Executor.run` and
-:meth:`Executor.step` share.  Code pages are read-only under the W^X
-assumption, so the cache needs no invalidation during a run;
-:meth:`Executor.flush_icache` exists for loaders and mprotect that
-re-map code.
+:meth:`Executor.step` share.  At a leader — after a CoFI or SYSCALL
+retires — the loop runs the hot basic block entered there as one
+compiled function (:mod:`repro.cpu.blocks`); everything a block does not
+cover runs one instruction at a time.
+
+The icache and the block map hold decoded code, so the loop drops both
+whenever ``machine.memory`` is replaced (execve) or its ``code_epoch``
+moves (an executable page re-mapped or re-protected, including an
+mprotect that revokes EXEC).  It checks on entry and after every
+call-out, the only times either can change.  Code patched in place
+without a protection change needs :meth:`Executor.flush_icache`.
 
 Cycle accounting follows :mod:`repro.costs`; tracing hardware attached to
 the event bus keeps its own cycle accounts which the experiment harnesses
@@ -27,6 +34,7 @@ from repro.cpu.memory import (
     PAGE_SIZE,
     PROT_READ,
     PROT_WRITE,
+    Memory,
     MemoryError_,
 )
 from repro.isa.encoding import (
@@ -51,6 +59,9 @@ _ROUTE_KINDS = (
 )
 _ALL_KINDS = frozenset(_ROUTE_KINDS)
 _new_event = tuple.__new__
+
+#: The block map's entry for a leader where no compiled block can run.
+NO_BLOCK = ()
 
 #: Jcc outcome per condition code, indexed by the flags word
 #: ``2 * zf + sf`` (the form the dispatch loop keeps the flags in).
@@ -78,6 +89,21 @@ _DISPATCH_ORDER = (
     Op.DIV, Op.MOD, Op.HALT, Op.NOP,
 )
 _DISPATCH_INTS = tuple(int(op) for op in _DISPATCH_ORDER)
+
+
+def fetch_insn(memory: Memory, ip: int) -> Tuple[Insn, int, bytes]:
+    """Fetch (EXEC enforced) and decode the instruction at ``ip``: the
+    instruction, its length and its bytes.
+
+    Raises :class:`MemoryError_` or :class:`DecodeError`.
+    """
+    op_byte = memory.fetch(ip, 1)[0]
+    try:
+        length = instruction_length(Op(op_byte))
+    except ValueError as exc:
+        raise DecodeError(f"invalid opcode {op_byte:#04x}") from exc
+    raw = memory.fetch(ip, length)
+    return decode_at(raw, 0)[0], length, raw
 
 
 class CPUFault(Exception):
@@ -178,6 +204,12 @@ class Executor:
         #: line auto-deasserts when the run loop observes it.
         self.stop_requested = False
         self._icache: Dict[int, tuple] = {}
+        #: The block map: leader ip -> compiled block this address space
+        #: may run (:mod:`repro.cpu.blocks`), or :data:`NO_BLOCK`.
+        self._blocks: Dict[int, tuple] = {}
+        #: The memory and code epoch the two caches were decoded from.
+        self._code_memory = machine.memory
+        self._code_epoch = machine.memory.code_epoch
 
     # -- instrumentation ---------------------------------------------------
 
@@ -210,25 +242,49 @@ class Executor:
         )
 
     def flush_icache(self) -> None:
-        """Drop decoded-instruction cache (after remapping code pages)."""
+        """Drop decoded instructions and the block map.
+
+        The loop drops them by itself when ``machine.memory`` is replaced
+        or its ``code_epoch`` moves; code patched in place (``write_raw``)
+        needs this call.
+        """
         self._icache.clear()
+        self._blocks.clear()
+
+    def _sync_code(self) -> int:
+        """Flush if the machine's memory was replaced or its code
+        re-mapped since the caches were filled; returns the epoch."""
+        memory = self.machine.memory
+        epoch = memory.code_epoch
+        if memory is not self._code_memory or epoch != self._code_epoch:
+            self.flush_icache()
+            self._code_memory = memory
+            self._code_epoch = epoch
+        return epoch
 
     # -- fetch/decode -------------------------------------------------------
 
     def _predecode(self, ip: int) -> tuple:
-        memory = self.machine.memory
-        # Fetch a maximal instruction window; instructions are <= 10 bytes.
         try:
-            op_byte = memory.fetch(ip, 1)[0]
-            try:
-                length = instruction_length(Op(op_byte))
-            except ValueError as exc:
-                raise DecodeError(f"invalid opcode {op_byte:#04x}") from exc
-            insn, _ = decode_at(memory.fetch(ip, length), 0)
+            insn, length, _ = fetch_insn(self.machine.memory, ip)
         except (MemoryError_, DecodeError) as exc:
             raise CPUFault(f"fetch/decode fault: {exc}", ip) from exc
         entry = self._icache[ip] = predecode(insn, ip, length)
         return entry
+
+    def _block_at(self, ip: int):
+        """The compiled block entered at leader ``ip``, remembered in the
+        block map once it is known; falsy when there is none (yet)."""
+        memory = self.machine.memory
+        store = memory.block_store(ip)
+        if store is None:
+            self._blocks[ip] = NO_BLOCK
+            return NO_BLOCK
+        block = store.lookup(memory, ip)
+        if block is None:
+            return NO_BLOCK
+        self._blocks[ip] = block
+        return block
 
     # -- execute ------------------------------------------------------------
 
@@ -270,6 +326,12 @@ class Executor:
         without (``step``) the instruction executes regardless.  Both
         can only change while the loop calls out (HALT aside), so they
         are tested on entry and after each call-out.
+
+        At a leader — after a CoFI or SYSCALL retires — the loop runs
+        compiled blocks (:mod:`repro.cpu.blocks`) for as long as one is
+        known there and fits the remaining budget, publishing each
+        block's CoFI as it would its own; everything else runs one
+        instruction at a time.
         """
         m = self.machine
         if lines and (m.halted or self.stop_requested):
@@ -294,9 +356,12 @@ class Executor:
         event = _new_event
         Event = BranchEvent
         icache = self._icache
+        blocks = self._blocks
+        routes = self._routes
         (to_jmp, to_call, to_jcc, to_jmpr, to_callr, to_ret,
-         to_far) = self._routes
+         to_far) = routes
         regs = m.regs
+        epoch = self._sync_code()
         mem = m.memory
         pages, prots = mem.tables()
         ip = m.ip
@@ -382,16 +447,12 @@ class Executor:
                 continue
             elif op == JMP:
                 ip = e[3]
-                if not to_jmp:
-                    continue
-                ev = e[4]
                 out = to_jmp
+                ev = e[4]
             elif op == JCC:
                 ip = e[3][fl]
-                if not to_jcc:
-                    continue
-                ev = e[4][fl]
                 out = to_jcc
+                ev = e[4][fl]
             elif op == CMP:
                 a = regs[e[3]]
                 b = regs[e[4]]
@@ -413,11 +474,14 @@ class Executor:
                 handler = self.syscall_handler
                 if handler is not None:
                     # The handler may rewrite machine state (exit,
-                    # execve, sigreturn) and charge cycles.
+                    # execve, sigreturn), charge cycles, re-map code and
+                    # subscribe listeners (execve protecting the new
+                    # image).
                     self._write_back(ip, cycles, n, fl)
                     handler(m)
                     regs = m.regs
-                    if m.memory is not mem:
+                    if m.memory is not mem or mem.code_epoch != epoch:
+                        epoch = self._sync_code()
                         mem = m.memory
                         pages, prots = mem.tables()
                     ip = m.ip
@@ -425,19 +489,17 @@ class Executor:
                     cycles = self.cycles
                     limit += self.insn_count - n
                     n = self.insn_count
-                    # The handler may subscribe listeners (execve
-                    # protecting the new image).
+                    routes = self._routes
                     (to_jmp, to_call, to_jcc, to_jmpr, to_callr, to_ret,
-                     to_far) = self._routes
-                if not to_far:
-                    if lines and (m.halted or self.stop_requested):
-                        break
-                    continue
-                # Far transfer: destination reflects any handler
-                # redirection (e.g. sigreturn), matching what IPT would
-                # trace on resume.
-                ev = event(Event, (K_FAR, pc, ip, True))
+                     to_far) = routes
                 out = to_far
+                if out:
+                    # Far transfer: destination reflects any handler
+                    # redirection (e.g. sigreturn), matching what IPT
+                    # would trace on resume.
+                    ev = event(Event, (K_FAR, pc, ip, True))
+                elif lines and (m.halted or self.stop_requested):
+                    break
             elif op == SUB:
                 r = regs[e[3]] = (regs[e[3]] - regs[e[4]]) & MASK
                 fl = r >> 63 if r else 2
@@ -454,10 +516,9 @@ class Executor:
                         raise self._fault(f"stack pop fault: {exc}", pc,
                                           ip, cycles, n, fl) from exc
                 regs[SP] = (a + 8) & MASK
-                if not to_ret:
-                    continue
-                ev = event(Event, (K_RET, pc, ip, True))
                 out = to_ret
+                if out:
+                    ev = event(Event, (K_RET, pc, ip, True))
             elif op == SUBI:
                 r = regs[e[3]] = (regs[e[3]] - e[4]) & MASK
                 fl = r >> 63 if r else 2
@@ -476,21 +537,17 @@ class Executor:
                                           ip, cycles, n, fl) from exc
                 ip = target
                 if op == CALL:
-                    if not to_call:
-                        continue
-                    ev = e[4]
                     out = to_call
+                    ev = e[4]
                 else:
-                    if not to_callr:
-                        continue
-                    ev = event(Event, (K_CALLR, pc, target, True))
                     out = to_callr
+                    if out:
+                        ev = event(Event, (K_CALLR, pc, target, True))
             elif op == JMPR:
                 ip = regs[e[3]]
-                if not to_jmpr:
-                    continue
-                ev = event(Event, (K_JMPR, pc, ip, True))
                 out = to_jmpr
+                if out:
+                    ev = event(Event, (K_JMPR, pc, ip, True))
             elif op == ADDI:
                 r = regs[e[3]] = (regs[e[3]] + e[4]) & MASK
                 fl = r >> 63 if r else 2
@@ -556,29 +613,55 @@ class Executor:
                 raise self._fault(f"unimplemented opcode {op:#04x}", pc, ip,
                                   cycles, n, fl)
 
-            # A CoFI retired with listeners subscribed to its kind
-            # (``out``): publish its event with the machine state
-            # current, then pick up whatever the listeners changed.
-            m.ip = ip
-            m.zf = fl >= 2
-            m.sf = (fl & 1) == 1
-            self.cycles = cycles
-            self.insn_count = n
-            for listener in out:
-                listener(ev)
-            regs = m.regs
-            if m.memory is not mem:
-                mem = m.memory
-                pages, prots = mem.tables()
-            ip = m.ip
-            fl = (m.zf << 1) | m.sf
-            cycles = self.cycles
-            limit += self.insn_count - n
-            n = self.insn_count
-            (to_jmp, to_call, to_jcc, to_jmpr, to_callr, to_ret,
-             to_far) = self._routes
-            if lines and (m.halted or self.stop_requested):
-                break
+            # A CoFI or SYSCALL retired, so ``ip`` is a leader.  Each
+            # pass publishes the CoFI just retired (``ev``) if listeners
+            # subscribed to its kind (``out``), with the machine state
+            # current, picks up whatever they changed, then runs the
+            # compiled block at the new leader, if one is known and fits
+            # the budget.
+            while True:
+                if out:
+                    m.ip = ip
+                    m.zf = fl >= 2
+                    m.sf = (fl & 1) == 1
+                    self.cycles = cycles
+                    self.insn_count = n
+                    for listener in out:
+                        listener(ev)
+                    regs = m.regs
+                    if m.memory is not mem or mem.code_epoch != epoch:
+                        epoch = self._sync_code()
+                        mem = m.memory
+                        pages, prots = mem.tables()
+                    ip = m.ip
+                    fl = (m.zf << 1) | m.sf
+                    cycles = self.cycles
+                    limit += self.insn_count - n
+                    n = self.insn_count
+                    routes = self._routes
+                    (to_jmp, to_call, to_jcc, to_jmpr, to_callr, to_ret,
+                     to_far) = routes
+                    if lines and (m.halted or self.stop_requested):
+                        self._write_back(ip, cycles, n, fl)
+                        return self._halt_reason()
+                if n >= limit:
+                    break
+                b = blocks.get(ip)
+                if b is None:
+                    b = self._block_at(ip)
+                if not b or n + b[1] > limit:
+                    break
+                ip, cycles, fl, k = b[0](regs, pages, prots, cycles, fl)
+                n += k
+                if k != b[1] or b[2] < 0:
+                    # It bailed, or ended before a SYSCALL or HALT: the
+                    # loop takes over at ``ip``, which is no leader.
+                    break
+                out = routes[b[2]]
+                if out:
+                    ev = b[3]
+                    ev = (ev[fl] if ev is not None
+                          else event(Event, (b[4], b[5], ip, True)))
 
         self._write_back(ip, cycles, n, fl)
         if lines:

@@ -10,7 +10,10 @@ so control-flow hijacking — not code injection — is the attack surface.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.cpu.blocks import BlockStore
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
@@ -34,6 +37,9 @@ class Memory:
         #: executable page re-mapped or re-protected), so decoders that
         #: cache disassembly know to drop it.
         self.code_epoch = 0
+        #: Compiled-block stores by code page number: the loader files
+        #: each module's code pages under the module's own store.
+        self._block_stores: Dict[int, "BlockStore"] = {}
 
     # -- mapping ---------------------------------------------------------
 
@@ -69,7 +75,20 @@ class Memory:
         }
         other._prots = dict(self._prots)
         other.code_epoch = self.code_epoch
+        other._block_stores = dict(self._block_stores)
         return other
+
+    def attach_blocks(self, base: int, size: int, store: "BlockStore") -> None:
+        """File the code pages of ``size`` bytes at ``base`` under
+        ``store``, where compiled blocks entered there are kept."""
+        first = base >> PAGE_SHIFT
+        last = (base + size - 1) >> PAGE_SHIFT
+        for pageno in range(first, last + 1):
+            self._block_stores[pageno] = store
+
+    def block_store(self, addr: int) -> Optional["BlockStore"]:
+        """The store for blocks entered at ``addr``, if its page has one."""
+        return self._block_stores.get(addr >> PAGE_SHIFT)
 
     def tables(self) -> Tuple[Dict[int, bytearray], Dict[int, int]]:
         """The live page and protection dicts, keyed by page number.

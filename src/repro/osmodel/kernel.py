@@ -27,7 +27,6 @@ from repro.cpu.machine import Machine, to_signed
 from repro.cpu.memory import (
     Memory,
     MemoryError_,
-    PROT_EXEC,
     PROT_READ,
     PROT_WRITE,
 )
@@ -371,8 +370,6 @@ class Kernel:
             proc.machine.memory.protect(addr, size, prot)
         except MemoryError_:
             return EINVAL
-        if prot & PROT_EXEC:
-            proc.executor.flush_icache()
         return 0
 
     def _sys_execve(self, kernel: "Kernel", proc: Process) -> int:
@@ -392,7 +389,6 @@ class Kernel:
         proc.machine.regs = [0] * len(proc.machine.regs)
         proc.machine.set_reg(SP, STACK_TOP - 64)
         proc.machine.ip = image.entry_address
-        proc.executor.flush_icache()
         proc.name = path
         # A fresh mm means a fresh CR3 — the detail the paper's ptrace
         # trick exists to observe.

@@ -6,7 +6,10 @@ one ``if op is Op.X`` test per opcode, every register and flag access
 through :class:`~repro.cpu.machine.Machine` — kept as the oracle the
 loop is tested against in lock step (``tests/test_cpu_differential.py``).
 It carries two fixes the loop made: DIV/MOD divide exactly, and a stack
-fault reports the address of the faulting instruction.
+fault reports the address of the faulting instruction.  It follows the
+loop's icache rule: decoded instructions are dropped whenever
+``machine.memory`` is replaced or its ``code_epoch`` moves, so code
+whose EXEC permission is revoked stops running at the next fetch.
 """
 
 from typing import Callable, Dict, List, Optional, Tuple
@@ -51,6 +54,8 @@ class ReferenceExecutor:
         self.insn_count = 0
         self.stop_requested = False
         self._icache: Dict[int, Tuple[Insn, int]] = {}
+        self._code_memory = machine.memory
+        self._code_epoch = machine.memory.code_epoch
 
     def add_listener(self, listener, kinds=None) -> None:
         """Subscribe ``listener``; ``kinds`` is accepted and ignored —
@@ -69,6 +74,12 @@ class ReferenceExecutor:
             listener(event)
 
     def _decode(self, ip: int) -> Tuple[Insn, int]:
+        memory = self.machine.memory
+        if (memory is not self._code_memory
+                or memory.code_epoch != self._code_epoch):
+            self._icache.clear()
+            self._code_memory = memory
+            self._code_epoch = memory.code_epoch
         cached = self._icache.get(ip)
         if cached is not None:
             return cached

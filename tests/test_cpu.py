@@ -16,6 +16,7 @@ from repro.cpu import (
     PROT_READ,
     PROT_WRITE,
 )
+from repro.cpu.blocks import BlockStore
 from repro.isa import A, Cond, Label, asm
 from repro.isa.registers import FP, R0, R1, R2, R3, SP
 
@@ -398,10 +399,20 @@ class TestCycles:
         assert cpu.insn_count == 2
 
     def test_icache_flush(self):
-        cpu, _ = make_cpu([A.halt()])
+        """``flush_icache`` drops decoded instructions and the block
+        map, and the next run compiles nothing stale."""
+        items = [Label("top"), A.addi(R0, 1), A.cmpi(R0, 40),
+                 A.jcc(Cond.LT, "top"), A.halt()]
+        cpu, _ = make_cpu(items)
+        cpu.machine.memory.attach_blocks(CODE_BASE, 0x1000, BlockStore())
         cpu.run()
+        assert cpu._icache
+        assert [ip for ip, block in cpu._blocks.items() if block] == [
+            CODE_BASE
+        ]
         cpu.flush_icache()
         assert not cpu._icache
+        assert not cpu._blocks
 
     def test_listener_removal(self):
         events = []

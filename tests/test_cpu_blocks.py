@@ -1,0 +1,477 @@
+"""Compiled blocks against the oracle, with the compiled path running.
+
+``tests/test_cpu_differential.py``'s lock step retires one instruction
+per call, so it never runs a block longer than one instruction, and most
+of its hand-written programs are too cold to compile.  Every program
+here loops long enough for its blocks to compile
+(:data:`repro.cpu.blocks.HOT_ENTRIES` leader visits), and every test
+asserts that compiled blocks ran — through :func:`compile_block`
+wrapped to count each block call — while the loop and
+:class:`tests.cpu_reference.ReferenceExecutor` agree on registers,
+flags, ``ip``, exact ``cycles``, ``insn_count``, events, call-out state
+and faults.
+"""
+
+import random
+
+import pytest
+
+import repro.cpu.blocks as blocks
+from repro.cpu import (
+    CPUFault,
+    Executor,
+    HaltReason,
+    Machine,
+    PROT_EXEC,
+    PROT_READ,
+    PROT_WRITE,
+)
+from repro.cpu.blocks import BlockStore
+from repro.isa import A, Cond, Label, asm
+from repro.isa.registers import (
+    R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, R11, R12, SP,
+)
+from repro.lang import (
+    Assign,
+    BinOp,
+    Call,
+    Const,
+    Func,
+    If,
+    Let,
+    Program,
+    Rel,
+    Return,
+    SyscallExpr,
+    Var,
+    While,
+)
+from repro.osmodel import Kernel, Sys
+from tests.cpu_reference import ReferenceExecutor
+from tests.test_cpu_differential import (
+    CODE_BASE,
+    DATA_BASE,
+    RO_BASE,
+    STACK_TOP,
+    Side,
+    build_machine,
+    sliced,
+)
+
+WO_BASE = 0x74000  # one write-only page: pushes land, loads bail
+LOOPS = 40  # iterations: the loop's blocks are hot after HOT_ENTRIES
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Every compiled-block call: ``(entry ip, retired, size)``."""
+    calls = []
+    compile_block = blocks.compile_block
+
+    def counting(memory, ip):
+        compiled = compile_block(memory, ip)
+        if compiled is None:
+            return None
+        code, block = compiled
+        fn, size = block.fn, block.size
+
+        def counted(*args):
+            out = fn(*args)
+            calls.append((ip, out[3], size))
+            return out
+
+        return code, block._replace(fn=counted)
+
+    monkeypatch.setattr(blocks, "compile_block", counting)
+    return calls
+
+
+def block_pair(items, handler=None, listener=None, store=None, **kw):
+    """Two sides as ``make_pair`` builds them, the loop's code filed
+    under a block store (``store`` to share one)."""
+    sides = []
+    for cls in (Executor, ReferenceExecutor):
+        machine, symbols = build_machine(items, **kw)
+        machine.memory.map_region(WO_BASE, 0x1000, PROT_WRITE)
+        if cls is Executor:
+            machine.memory.attach_blocks(
+                CODE_BASE, 0x1000, store if store is not None else BlockStore()
+            )
+        side = Side(cls(machine))
+        if handler is not None:
+            side.cpu.syscall_handler = handler(side)
+        if listener is not None:
+            side.cpu.add_listener(listener(side))
+        sides.append(side)
+    return sides[0], sides[1], symbols
+
+
+def variants(store):
+    """Compiled variants per entry ip."""
+    return {ip: len(v) for ip, v in store._variants.items()}
+
+
+def run_out(new, ref, budget=100_000):
+    """``run`` both sides until neither can go on."""
+    return sliced(new, ref, [budget] * 50)[-1]
+
+
+# -- budgets ------------------------------------------------------------------
+
+MIXED_LOOP = [
+    A.mov(R1, DATA_BASE + 0x100), A.mov(R2, 7), A.mov(R6, 0),
+    Label("top"),
+    A.load(R0, R1, 8), A.addi(R0, 3), A.store(R1, 8, R0),
+    A.push(R0), A.pop(R3), A.loadb(R4, R1, 9), A.storeb(R1, 10, R4),
+    A.mul(R3, R2), A.xor(R3, R4), A.cmp(R3, R2), A.shl(R3, R2),
+    A.addi(R6, 1), A.cmpi(R6, LOOPS), A.jcc(Cond.LT, "top"),
+    A.halt(),
+]
+MIXED_BLOCK = 14  # instructions from "top" to the Jcc
+
+
+@pytest.mark.parametrize("budget", range(1, MIXED_BLOCK + 2))
+def test_every_budget_at_every_offset(runs, budget):
+    """Quanta of every size from 1 to the block's length + 1: each
+    quantum ends at every offset into the block in turn, and a block
+    runs only where it fits."""
+    new, ref, symbols = block_pair(MIXED_LOOP)
+    outcomes = sliced(new, ref, [budget] * (LOOPS * MIXED_BLOCK + 20))
+    assert outcomes[-1] == ("ok", HaltReason.HALTED)
+    assert all(retired == size == MIXED_BLOCK
+               for _, retired, size in runs)
+    # A run is entered mid-block (the entry is no leader): with quanta of
+    # the block's own length, no leader ever has a whole block left.
+    assert bool(runs) == (budget > MIXED_BLOCK)
+    # Lookups happen only at leaders: quantum cuts mint no suffix block.
+    store = new.cpu.machine.memory.block_store(CODE_BASE)
+    assert set(store._variants) <= {symbols["top"]}
+
+
+def test_cycles_are_added_per_instruction(runs):
+    """At 2**53 a 1-cycle add is lost to rounding and a 2-cycle add is
+    not: only per-instruction adds, in order, match the oracle."""
+    new, ref, _ = block_pair(MIXED_LOOP)
+    for side in (new, ref):
+        side.cpu.cycles = float(2 ** 53)
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    assert runs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_alu_blocks_feed_their_jcc(runs, seed):
+    """Random ALU runs (with loads and stores between them) ending in a
+    Jcc on a random condition: the flags the Jcc and every possible
+    bail point read are exact, whichever flag-writer set them."""
+    rng = random.Random(seed)
+    regs = [R0, R1, R2, R3, R4, R5]
+    values = [0, 1, 2, 63, (1 << 63) - 1, 1 << 63, (1 << 64) - 1, -3]
+    body = []
+    for _ in range(40):
+        rd, rs = rng.choice(regs), rng.choice(regs)
+        imm = rng.randint(-(1 << 31), (1 << 31) - 1)
+        body.append(rng.choice([
+            A.add(rd, rs), A.sub(rd, rs), A.mul(rd, rs), A.and_(rd, rs),
+            A.or_(rd, rs), A.xor(rd, rs), A.shl(rd, rs), A.shr(rd, rs),
+            A.cmp(rd, rs), A.addi(rd, imm), A.subi(rd, imm),
+            A.muli(rd, imm), A.andi(rd, imm), A.cmpi(rd, imm),
+            A.movr(rd, rs), A.load(rd, R8, 8 * rng.randrange(4)),
+            A.store(R8, 8 * rng.randrange(4), rs),
+        ]))
+    items = [A.mov(r, rng.choice(values)) for r in regs] + [
+        A.mov(R8, DATA_BASE), Label("top"),
+    ] + body[:rng.randrange(1, len(body))] + [
+        A.jcc(rng.choice(list(Cond)), "skip"), A.addi(R7, 1),
+        Label("skip"),
+    ] + body + [A.addi(R6, 1), A.cmpi(R6, LOOPS), A.jcc(Cond.LT, "top"),
+                A.halt()]
+    new, ref, _ = block_pair(items)
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    assert runs
+
+
+# -- bails --------------------------------------------------------------------
+
+def _victim_loop(snippet):
+    """A loop whose block (after the SYSCALL) runs ``snippet``; the
+    syscall handler poisons the snippet's address register once the
+    block is hot."""
+    return [
+        A.mov(R1, DATA_BASE + 0x100), A.mov(R9, STACK_TOP - 64),
+        A.mov(R10, STACK_TOP - 64), A.mov(R11, STACK_TOP - 72),
+        A.mov(R12, 3), A.mov(R0, 0x1122334455667788),
+        Label("top"), A.syscall(), A.addi(R6, 1),
+    ] + snippet + [
+        A.addi(R7, 3), A.cmpi(R6, LOOPS), A.jcc(Cond.LT, "top"), A.halt(),
+        Label("fn"), A.movr(SP, R11), A.ret(),
+    ]
+
+
+CALL_FN = [A.movr(SP, R9), A.call("fn"), A.movr(SP, R10)]
+# (snippet, poisoned register, value as an offset from the bad address)
+VICTIMS = {
+    "load": ([A.load(R5, R1, 8)], R1, -8, "r"),
+    "store": ([A.store(R1, 8, R6)], R1, -8, "w"),
+    "loadb": ([A.loadb(R5, R1, 1)], R1, -1, "rb"),
+    "storeb": ([A.storeb(R1, 1, R6)], R1, -1, "wb"),
+    "push": ([A.movr(SP, R9), A.push(R6), A.movr(SP, R10)], R9, 8, "w"),
+    "pop": ([A.movr(SP, R9), A.pop(R5), A.movr(SP, R10)], R9, 0, "r"),
+    "call": (CALL_FN, R9, 8, "w"),
+    "ret": (CALL_FN, R11, 0, "r"),
+    "div": ([A.div(R0, R12)], R12, None, "z"),
+    "mod": ([A.mod(R0, R12)], R12, None, "z"),
+}
+BAD = {
+    "unmapped": 0x900000,
+    "read-only": RO_BASE + 0x10,
+    "write-only": WO_BASE + 0x10,
+    # A u64 that crosses into the unmapped page after the data pages,
+    # and one that crosses between two mapped pages (the loop's slow
+    # path then completes it).
+    "straddle-unmapped": DATA_BASE + 0x1FFC,
+    "straddle-mapped": DATA_BASE + 0xFFC,
+}
+BAIL_CASES = [
+    (victim, bad)
+    for victim, (_, _, _, access) in VICTIMS.items()
+    for bad in (["zero"] if access == "z" else BAD)
+    if not (access.endswith("b") and bad.startswith("straddle"))
+]
+
+
+@pytest.mark.parametrize("victim,bad", BAIL_CASES)
+def test_fast_path_miss_bails_before_the_instruction(runs, victim, bad):
+    snippet, reg, delta, access = VICTIMS[victim]
+    value = 0 if bad == "zero" else BAD[bad] + delta
+
+    def handler(side):
+        def on_syscall(machine):
+            side.note("syscall")
+            if machine.regs[R6] == LOOPS // 2:
+                machine.regs[reg] = value
+        return on_syscall
+
+    new, ref, _ = block_pair(_victim_loop(snippet), handler=handler)
+    outcome = run_out(new, ref)
+    assert runs
+    misses = (bad == "zero" or bad.startswith("straddle")
+              or bad == "unmapped"
+              or (bad == "read-only" and access.startswith("w"))
+              or (bad == "write-only" and access.startswith("r")))
+    # A miss leaves the block before the victim; the loop runs it (and
+    # faults, unless its slow path completes a straddling access).
+    bailed = [r for r in runs if r[1] != r[2]]
+    assert bool(bailed) == misses
+    # A RET that reads anything but its return address jumps to garbage.
+    faulted = (misses and bad != "straddle-mapped") or victim == "ret"
+    assert (outcome[0] == "CPUFault") == faulted
+
+
+# -- code changes -------------------------------------------------------------
+
+def test_mprotect_remap_of_a_compiled_block(runs):
+    """A handler re-maps the loop's code (RW, patch, RX): the code epoch
+    moves, the block map drops the stale block, and the new bytes
+    compile and run."""
+    def handler(side):
+        def on_syscall(machine):
+            side.note("syscall")
+            if machine.regs[R6] == LOOPS // 2:
+                memory = machine.memory
+                memory.protect(CODE_BASE, 0x1000, PROT_READ | PROT_WRITE)
+                patch, _ = asm([A.addi(R7, 100)])
+                memory.write(machine.regs[R5], patch)
+                memory.protect(CODE_BASE, 0x1000, PROT_READ | PROT_EXEC)
+        return on_syscall
+
+    items = [A.lea(R5, "patch"), Label("top"), A.syscall(), A.addi(R6, 1),
+             Label("patch"), A.addi(R7, 1), A.cmpi(R6, 2 * LOOPS),
+             A.jcc(Cond.LT, "top"), A.halt()]
+    new, ref, symbols = block_pair(items, handler=handler)
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    assert new.cpu.machine.regs[R7] == LOOPS // 2 + 100 * (LOOPS * 3 // 2)
+    store = new.cpu.machine.memory.block_store(CODE_BASE)
+    # The old bytes' block and the patched one.
+    assert variants(store) == {symbols["top"] + 1: 2}
+    entry = symbols["top"] + 1  # after the SYSCALL
+    assert {ip for ip, _, _ in runs} == {entry}
+
+
+def test_address_spaces_with_different_code_never_share_a_block(runs):
+    """Two address spaces file different bytes at the same ip under one
+    store: each runs a block compiled from its own bytes."""
+    store = BlockStore()
+    results = []
+    for step in (1, 5):
+        items = [Label("top"), A.addi(R0, step), A.addi(R6, 1),
+                 A.cmpi(R6, LOOPS), A.jcc(Cond.LT, "top"), A.halt()]
+        new, ref, _ = block_pair(items, store=store)
+        assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+        results.append(new.cpu.machine.regs[R0])
+    assert results == [LOOPS, 5 * LOOPS]
+    assert list(store._variants) == [CODE_BASE]
+    first, second = store._variants[CODE_BASE]
+    assert first[0] != second[0] and first[1].fn is not second[1].fn
+
+
+def test_code_on_a_writable_page_stays_in_the_loop(runs):
+    items = [Label("top"), A.addi(R6, 1), A.cmpi(R6, LOOPS),
+             A.jcc(Cond.LT, "top"), A.halt()]
+    new, ref, _ = block_pair(items, code_prot=PROT_READ | PROT_WRITE
+                             | PROT_EXEC)
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    assert not runs
+
+
+# -- call-outs at a block's CoFI ----------------------------------------------
+
+HOT_LOOP = [A.mov(R1, DATA_BASE + 16), Label("top"), A.load(R0, R1, 0),
+            A.addi(R0, 1), A.store(R1, 0, R0), A.cmpi(R0, LOOPS),
+            A.jcc(Cond.LT, "top"), A.halt()]
+
+
+@pytest.mark.parametrize("action", ["stop", "halt", "regs", "memory"])
+def test_listener_acting_at_a_block_ending_cofi(runs, action):
+    def listener(side):
+        def on_event(event):
+            if len(side.events) < LOOPS // 2 or len(side.events) % 3:
+                return
+            cpu, machine = side.cpu, side.cpu.machine
+            if action == "stop":
+                cpu.stop_requested = True
+            elif action == "halt":
+                machine.halted = True
+            elif action == "regs":
+                machine.regs = list(machine.regs)
+                machine.regs[R2] += 1
+                cpu.cycles += 0.5
+            else:
+                machine.memory = machine.memory.clone()
+        return on_event
+
+    new, ref, _ = block_pair(HOT_LOOP, listener=listener)
+    outcomes = sliced(new, ref, [1000] * (LOOPS + 5))
+    assert runs
+    reasons = [outcome[1] for outcome in outcomes]
+    if action == "stop":
+        assert HaltReason.INTERRUPTED in reasons
+    assert reasons[-1] is HaltReason.HALTED
+    if action == "memory":
+        # A replaced memory drops the block map; the clone shares the
+        # store, so the block is found again without a compile.
+        store = new.cpu.machine.memory.block_store(CODE_BASE)
+        assert list(variants(store).values()) == [1]
+
+
+# -- sharing ------------------------------------------------------------------
+
+def _forking_program():
+    prog = Program("forker")
+    prog.add_func(Func("spin", ["n"], [
+        Let("i", Const(0)),
+        While(Rel("<", Var("i"), Var("n")),
+              [Assign("i", BinOp("+", Var("i"), Const(1)))]),
+        Return(Var("i")),
+    ]))
+    prog.add_func(Func("main", [], [
+        Let("a", Call("spin", [Const(LOOPS)])),
+        Let("pid", SyscallExpr(int(Sys.FORK), [])),
+        Let("b", Call("spin", [Const(LOOPS)])),
+        If(Rel("==", Var("pid"), Const(0)), [Return(Const(7))]),
+        Return(Const(0)),
+    ]))
+    prog.set_entry("main")
+    return prog.build()
+
+
+def test_forked_child_reuses_its_parents_blocks(runs):
+    module = _forking_program()
+    kernel = Kernel()
+    kernel.register_program("forker", module)
+    parent = kernel.spawn("forker")
+    kernel.run(parent)
+    child = kernel.processes[parent.children[0]]
+    compiled = variants(module.blocks)
+    kernel.run(child)
+    assert child.exit_code == 7
+    assert runs and variants(module.blocks) == compiled
+    shared = [ip for ip, block in child.executor._blocks.items()
+              if block and parent.executor._blocks.get(ip) is block]
+    assert shared
+
+
+def test_kernels_loading_one_module_share_its_blocks(runs):
+    """Two kernels load one built module: the second process compiles
+    nothing and runs the first one's blocks."""
+    module = _forking_program()
+    procs, compiled = [], []
+    for _ in range(2):
+        kernel = Kernel()
+        kernel.register_program("forker", module)
+        proc = kernel.spawn("forker")
+        kernel.run(proc)
+        procs.append(proc)
+        compiled.append(variants(module.blocks))
+    assert compiled[0] and compiled[1] == compiled[0]
+    first, second = procs
+    assert any(block and first.executor._blocks.get(ip) is block
+               for ip, block in second.executor._blocks.items())
+
+
+# -- EXEC revoked -------------------------------------------------------------
+
+def test_mprotect_revoking_exec_stops_the_cpu_at_the_next_fetch():
+    """A loop on an mmap'd page calls mprotect(page, RX), then, on its
+    second pass, mprotect(page, RW): the instruction right after that
+    SYSCALL must fault, not run from the icache."""
+    prog = Program("nx")
+    prog.add_func(Func("main", [], [Return(Const(0))]))
+    prog.set_entry("main")
+    kernel = Kernel()
+    kernel.register_program("nx", prog.build())
+    proc = kernel.spawn("nx")
+    machine = proc.machine
+    machine.set_reg(R0, int(Sys.MMAP))
+    machine.set_reg(R2, 0x1000)
+    machine.set_reg(R3, PROT_READ | PROT_EXEC)
+    proc.executor.syscall_handler(machine)
+    page = machine.reg(R0)
+    rx, rw = PROT_READ | PROT_EXEC, PROT_READ | PROT_WRITE
+    code, symbols = asm([
+        A.mov(R6, rx), Label("top"),
+        A.mov(R0, int(Sys.MPROTECT)), A.mov(R1, page), A.mov(R2, 0x1000),
+        A.movr(R3, R6), A.syscall(),
+        Label("after"), A.addi(R7, 1), A.cmpi(R7, 2), A.jcc(Cond.EQ, "done"),
+        A.mov(R6, rw), A.jmp("top"),
+        Label("done"), A.halt(),
+    ], base=page)
+    machine.memory.write_raw(page, code)
+    machine.ip = page
+    kernel.run(proc)
+    assert machine.reg(R7) == 1
+    assert proc.fault is not None
+    assert "fetch" in proc.fault
+    assert proc.fault.endswith(f"(ip={symbols['after']:#x})")
+
+
+def test_icache_and_block_map_follow_the_memory():
+    """The executor drops both caches when ``machine.memory`` is
+    replaced or its code epoch moves, without a ``flush_icache`` call."""
+    items = [Label("top"), A.addi(R6, 1), A.cmpi(R6, LOOPS),
+             A.jcc(Cond.LT, "top"), A.halt()]
+    machine, symbols = build_machine(items)
+    machine.memory.attach_blocks(CODE_BASE, 0x1000, BlockStore())
+    cpu = Executor(machine)
+    cpu.run()
+    assert cpu._icache and any(cpu._blocks.values())
+    machine.memory.protect(CODE_BASE, 0x1000, PROT_READ)
+    machine.ip = symbols["top"]
+    machine.halted = False
+    with pytest.raises(CPUFault, match="fetch"):
+        cpu.run()
+    assert not cpu._blocks
+    machine.memory = Machine().memory
+    cpu._icache[123] = ()
+    with pytest.raises(CPUFault, match="fetch"):
+        cpu.run()
+    assert 123 not in cpu._icache
