@@ -2,9 +2,14 @@
 
 Commands:
 
-- ``experiments [names...]`` — regenerate paper tables/figures
-  (default: all).  Names: table1, sec2, table4, table5, fig5a, fig5b,
-  fig5c, fig5d, micro, hwext, security, ablations, fleet.
+- ``experiments [names...] [--quick]`` — regenerate paper
+  tables/figures and run the gated beyond-paper experiments (default:
+  all).  Names: table1, sec2, table4, table5, fig5a, fig5b, fig5c,
+  fig5d, micro, hwext, security, ablations, and the gated fleet,
+  fleet-scale, resilience, observability, loadgen, service and
+  fastpath-cache.  A gated experiment writes ``BENCH_<name>.json``
+  and the command exits 1 naming every gate that is not ``True``;
+  ``--quick`` shrinks them for smoke runs.
 - ``attack [rop|srop|retlib|flushing]`` — run one
   attack unprotected and under FlowGuard.
 - ``serve <server> [-n N] [--seed N] [--unprotected]``
@@ -67,7 +72,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro import __version__
 
@@ -84,41 +89,101 @@ def _export_trace(tracer, args: argparse.Namespace) -> None:
         print(f"[spans: {count} spans -> {spans_out}]", file=sys.stderr)
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro import telemetry
+class _Experiment(NamedTuple):
+    """One ``repro experiments`` entry: ``run(quick)`` makes the
+    results ``render`` prints.  A gated run's results carry the
+    module's ``gates(results)`` under ``"gates"``; the runner writes
+    them to ``BENCH_<name>.json`` and judges them."""
+
+    run: Callable[[bool], object]
+    render: Callable[[object], str]
+    gated: bool = False
+
+
+def _experiments() -> Dict[str, _Experiment]:
     from repro.experiments import (
         ablations,
+        fastpath_cache,
         fig5a,
         fig5b,
         fig5c,
         fig5d,
         fleet_scaling,
         hwext_breakdown,
+        loadgen,
         micro,
+        observability,
+        resilience,
         sec2_decode,
         security,
+        service,
         table1,
         table4,
         table5,
     )
 
-    registry: Dict[str, Callable[[], str]] = {
-        "table1": lambda: table1.format_table(table1.run()),
-        "sec2": lambda: sec2_decode.format_table(sec2_decode.run()),
-        "table4": lambda: table4.format_table(table4.run()),
-        "table5": lambda: table5.format_table(table5.run()),
-        "fig5a": lambda: fig5a.format_table(fig5a.run()),
-        "fig5b": lambda: fig5b.format_table(fig5b.run()),
-        "fig5c": lambda: fig5c.format_table(fig5c.run()),
-        "fig5d": lambda: fig5d.format_table(fig5d.run()),
-        "micro": lambda: micro.format_table(micro.run()),
-        "hwext": lambda: hwext_breakdown.format_table(
-            hwext_breakdown.run()),
-        "security": lambda: security.format_table(security.run()),
-        "ablations": ablations.format_all,
-        "fleet": lambda: fleet_scaling.format_table(
-            fleet_scaling.run(quick=True)),
+    def paper(module) -> _Experiment:
+        return _Experiment(lambda quick: module.run(), module.format_table)
+
+    def gated(run, render) -> _Experiment:
+        return _Experiment(run, render, gated=True)
+
+    return {
+        "table1": paper(table1),
+        "sec2": paper(sec2_decode),
+        "table4": paper(table4),
+        "table5": paper(table5),
+        "fig5a": paper(fig5a),
+        "fig5b": paper(fig5b),
+        "fig5c": paper(fig5c),
+        "fig5d": paper(fig5d),
+        "micro": paper(micro),
+        "hwext": paper(hwext_breakdown),
+        "security": paper(security),
+        "ablations": _Experiment(
+            lambda quick: None, lambda _: ablations.format_all()
+        ),
+        "fleet": gated(fleet_scaling.run, fleet_scaling.format_table),
+        "fleet-scale": gated(
+            fleet_scaling.run_scale, fleet_scaling.format_scale_table
+        ),
+        "resilience": gated(resilience.run, resilience.format_table),
+        "observability": gated(
+            observability.run, observability.format_table
+        ),
+        "loadgen": gated(loadgen.run, loadgen.format_table),
+        "service": gated(service.run, service.format_table),
+        "fastpath-cache": gated(
+            fastpath_cache.run, fastpath_cache.format_table
+        ),
     }
+
+
+def _judge(name: str, results: dict) -> List[str]:
+    """Write a gated run's ``BENCH_<name>.json``; return the names of
+    its gates whose value is not ``True`` (a number or ``None`` fails,
+    never passes)."""
+    from pathlib import Path
+
+    out = Path(f"BENCH_{name.replace('-', '_')}.json")
+    out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    print(f"[wrote {out}]")
+    gates = results["gates"]
+    print("gates: " + ", ".join(
+        f"{gate}={'ok' if value is True else 'FAIL'}"
+        for gate, value in gates.items()
+    ))
+    failed = [gate for gate, value in gates.items() if value is not True]
+    for gate in failed:
+        print(f"FAIL: {name} gate {gate} = {gates[gate]!r}",
+              file=sys.stderr)
+    return failed
+
+
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro import telemetry
+
+    registry = _experiments()
     names = args.names or list(registry)
     unknown = [n for n in names if n not in registry]
     if unknown:
@@ -130,18 +195,23 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     enabled_here = bool(args.trace_out or args.spans_out) and not tel.enabled
     if enabled_here:
         tel.enable()
+    failed = []
     try:
         for name in names:
+            experiment = registry[name]
             # Wall-clock timing flows through the tracer, the same code
             # path the trace exports read.
             with tel.tracer.span("experiment", experiment=name) as span:
-                print(f"\n{registry[name]()}")
+                results = experiment.run(args.quick)
+                print(f"\n{experiment.render(results)}")
             print(f"[{name}: {span.duration_s:.1f}s]")
+            if experiment.gated:
+                failed += _judge(name, results)
         _export_trace(tel.tracer, args)
     finally:
         if enabled_here:
             tel.disable()
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
@@ -1057,11 +1127,16 @@ def build_parser() -> argparse.ArgumentParser:
     plane = _plane_parent()
 
     experiments = sub.add_parser(
-        "experiments", help="regenerate paper tables/figures",
+        "experiments",
+        help="regenerate paper tables/figures and run the gated "
+             "experiments",
         parents=[trace],
     )
     experiments.add_argument("names", nargs="*",
                              help="subset of experiments (default all)")
+    experiments.add_argument("--quick", action="store_true",
+                             help="smaller gated experiments for smoke "
+                                  "runs (same gates, same JSON shape)")
     experiments.set_defaults(func=_cmd_experiments)
 
     attack = sub.add_parser("attack", help="run one attack demo")

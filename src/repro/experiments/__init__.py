@@ -16,6 +16,13 @@ paper-vs-measured records.
 - :mod:`repro.experiments.micro` — fast vs slow path checking time
 - :mod:`repro.experiments.hwext_breakdown` — §7.2.4 projections
 - :mod:`repro.experiments.security` — §7.1.2 attack matrix
+
+The gated beyond-paper experiments (``fleet_scaling``, ``resilience``,
+``observability``, ``loadgen``, ``service``, ``fastpath_cache``) also
+define a pure ``gates(results)`` that ``run`` stores under
+``results["gates"]``; ``python -m repro experiments NAME [--quick]``
+runs any of them, writes ``BENCH_<name>.json`` and fails on any gate
+that is not ``True``.
 """
 
 from repro.experiments import common

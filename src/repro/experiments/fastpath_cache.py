@@ -21,8 +21,9 @@ uncached baseline:
   (``FleetResult.accounting``), and the shared cache actually absorbs
   repeated slices across processes.
 
-``experiments/fastpath_cache.py`` writes the result to
-``BENCH_fastpath_cache.json`` and gates on the ≥2x reductions.
+``python -m repro experiments fastpath-cache`` writes the result to
+``BENCH_fastpath_cache.json`` and judges :func:`gates`, the ≥2x
+reductions among them.
 """
 
 from __future__ import annotations
@@ -266,24 +267,32 @@ def run(quick: bool = False) -> dict:
         processes=4 if quick else 6,
         sessions=1 if quick else 2,
     )
-    return {
+    results = {
         "quick": quick,
         "segment_cache_entries": SEGMENT_CACHE_ENTRIES,
         "edge_cache_entries": EDGE_CACHE_ENTRIES,
         "tail": tail,
         "fleet": fleet,
-        "gates": {
-            "tail_bytes_ratio_2x": tail["bytes_ratio"] >= 2.0,
-            "tail_wall_ratio_2x": tail["wall_ratio"] >= 2.0,
-            "tail_verdicts_identical": tail["verdicts_identical"],
-            "fleet_bytes_ratio_2x": fleet["bytes_ratio"] >= 2.0,
-            "fleet_verdicts_identical": fleet["verdicts_identical"],
-            "fleet_cache_hits": fleet["segment_cache_hits"] > 0,
-            "fleet_accounting_exact": (
-                fleet["cached"]["accounting_exact"]
-                and fleet["uncached"]["accounting_exact"]
-            ),
-        },
+    }
+    results["gates"] = gates(results)
+    return results
+
+
+def gates(results: dict) -> Dict[str, bool]:
+    """The acceptance gates over a :func:`run` result."""
+    tail = results["tail"]
+    fleet = results["fleet"]
+    return {
+        "tail_bytes_ratio_2x": tail["bytes_ratio"] >= 2.0,
+        "tail_wall_ratio_2x": tail["wall_ratio"] >= 2.0,
+        "tail_verdicts_identical": tail["verdicts_identical"],
+        "fleet_bytes_ratio_2x": fleet["bytes_ratio"] >= 2.0,
+        "fleet_verdicts_identical": fleet["verdicts_identical"],
+        "fleet_cache_hits": fleet["segment_cache_hits"] > 0,
+        "fleet_accounting_exact": (
+            fleet["cached"]["accounting_exact"]
+            and fleet["uncached"]["accounting_exact"]
+        ),
     }
 
 
@@ -313,11 +322,4 @@ def format_table(results: dict) -> str:
         f"verdicts identical: {fleet['verdicts_identical']}, "
         f"ledger exact: {fleet['cached']['accounting_exact']}",
     ]
-    gates = results["gates"]
-    failed = [name for name, ok in gates.items() if not ok]
-    lines.append("")
-    lines.append(
-        "gates: all passed" if not failed
-        else f"gates FAILED: {', '.join(failed)}"
-    )
     return "\n".join(lines)

@@ -14,16 +14,22 @@ Three sweeps over the :mod:`repro.fleet` service, all deterministic:
   cycles (higher overhead); lossy keeps the fleet moving but drops
   bytes and forces PSB re-syncs.
 
-The aggregate result is written to ``BENCH_fleet.json`` by
-``experiments/fleet_scaling.py`` and asserted by ``tests/test_fleet.py``.
+``python -m repro experiments fleet`` writes the result to
+``BENCH_fleet.json`` and judges :func:`gates`; ``fleet-scale`` does the
+same for :func:`run_scale` (→ ``BENCH_fleet_scale.json``).
+
+:func:`build_fault_fleet` is the fault-injected fleet the resilience
+and observability experiments share.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.attacks import build_rop_request, run_recon
 from repro.experiments.common import (
     format_rows,
+    libraries,
     run_server_overhead,
     seed_server_fs,
     server_pipeline,
@@ -31,6 +37,8 @@ from repro.experiments.common import (
 )
 from repro.fleet.rings import RingPolicy
 from repro.fleet.service import FleetConfig, FleetService
+from repro.resilience import RetryPolicy
+from repro.workloads import build_nginx, build_vdso
 
 #: the two concurrently-served workloads (ISSUE: "two different server
 #: workloads"); alternated across fleet slots.
@@ -55,7 +63,7 @@ def build_fleet(
     submitted work is *identical* across worker counts — stall-mode
     feedback would change the schedule itself and confound the sweep.
     ``faults``/``retry`` arm the resilience plane (see
-    :mod:`repro.experiments.resilience`).
+    :func:`build_fault_fleet`).
     """
     config = FleetConfig(
         workers=workers,
@@ -74,6 +82,65 @@ def build_fleet(
             server_pipeline(name), server_requests(name, sessions)
         )
     return service
+
+
+#: the fault fleet's shape, shared by the resilience and observability
+#: experiments: four alternating nginx/exim processes on two workers
+#: with 8 KiB rings (lossy by default: the fault mix includes dropped
+#: PMIs, which only degrade meaningfully when the ring may wrap).
+FAULT_PROCESSES = 4
+FAULT_WORKERS = 2
+FAULT_RING_BYTES = 8192
+
+#: retry policy for fault-injected fleets: enough attempts that the
+#: standard mix never exhausts them (dead-lettering is exercised by its
+#: own scheduled scenario, not left to chance).  The watchdog is a
+#: small multiple of a typical check cost, and hung attempts are hedged
+#: after ``hedge_delay`` cycles rather than waited out — the two knobs
+#: that keep the p99 verdict-lag gate bounded.
+FAULT_RETRY = RetryPolicy(
+    max_attempts=4,
+    task_timeout=2_000.0,
+    backoff_base=50.0,
+    backoff_cap=400.0,
+    hedge_delay=250.0,
+)
+
+
+def build_fault_fleet(
+    sessions: int,
+    faults=None,
+    retry=None,
+    seed: int = 0,
+    policy: RingPolicy = RingPolicy.LOSSY,
+    inject_rop: bool = False,
+) -> Tuple[FleetService, Optional[int]]:
+    """The fault fleet, and the pid of its attacked process.
+
+    With ``inject_rop`` the first nginx instance gets a ROP exploit
+    planted mid-stream; everyone else serves clean sessions (the
+    attacked pid is ``None`` without it).
+    """
+    # processes=0: build_fleet seeds the filesystem but leaves the fleet
+    # empty, so the rop payload can go into the first instance's stream.
+    service = build_fleet(
+        0, FAULT_WORKERS, sessions, policy=policy,
+        ring_bytes=FAULT_RING_BYTES, seed=seed, faults=faults, retry=retry,
+    )
+    rop = None
+    if inject_rop:
+        recon = run_recon(build_nginx(), libraries(), vdso=build_vdso())
+        rop = build_rop_request(recon)
+    attacked_pid = None
+    for index in range(FAULT_PROCESSES):
+        name = FLEET_SERVERS[index % len(FLEET_SERVERS)]
+        requests = list(server_requests(name, sessions))
+        if index == 0 and rop is not None:
+            requests.insert(len(requests) // 2, rop)
+        proc = service.add_workload(server_pipeline(name), requests)
+        if index == 0 and rop is not None:
+            attacked_pid = proc.pid
+    return service, attacked_pid
 
 
 def _fleet_row(result) -> dict:
@@ -163,19 +230,35 @@ def run(quick: bool = False) -> Dict[str, object]:
         }
         for name, cell in per_server.items()
     }
+    results["gates"] = gates(results)
     return results
 
 
-def run_scale(max_processes: int = 100) -> Dict[str, object]:
+def gates(results: Dict[str, object]) -> Dict[str, bool]:
+    """The acceptance gates over a :func:`run` result."""
+    p99s = [row["lag_p99"] for row in results["worker_sweep"]]
+    stall, lossy = results["policy_pressure"]
+    return {
+        "lag_p99_falls_with_workers": all(
+            b < a for a, b in zip(p99s, p99s[1:])
+        ),
+        "stall_overhead_exceeds_lossy": (
+            stall["overhead"] > lossy["overhead"]
+        ),
+    }
+
+
+def run_scale(
+    quick: bool = False, max_processes: Optional[int] = None,
+) -> Dict[str, object]:
     """The 100× sweep: one monitor serving hundreds of protected
     processes, workers scaled at one per four processes.
 
-    Two gates, both computed here and asserted by the wrapper:
-
-    - **sublinear lag** — lag_p99 must grow strictly slower than fleet
-      size between consecutive sizes.
-    - **exact accounting** — every fleet's cycle ledger reconciles.
+    Fleets of 16, 32, 64 and 100 processes below ``max_processes``
+    (default 100, or 32 with ``quick``), then ``max_processes`` itself.
     """
+    if max_processes is None:
+        max_processes = 32 if quick else 100
     sizes = [
         size for size in (16, 32, 64, 100, 128) if size < max_processes
     ]
@@ -200,13 +283,24 @@ def run_scale(max_processes: int = 100) -> Dict[str, object]:
             "lag_ratio": lag_ratio,
             "sublinear": lag_ratio < size_ratio,
         })
-    return {
+    results: Dict[str, object] = {
         "max_processes": max_processes,
         "scale_sweep": scale_rows,
         "lag_growth": growth,
-        "lag_sublinear": all(g["sublinear"] for g in growth),
+    }
+    results["gates"] = scale_gates(results)
+    return results
+
+
+def scale_gates(results: Dict[str, object]) -> Dict[str, bool]:
+    """The acceptance gates over a :func:`run_scale` result: lag_p99
+    grows strictly slower than fleet size between consecutive sizes,
+    and every fleet's cycle ledger reconciles exactly (the largest
+    clean fleets any gate checks)."""
+    return {
+        "lag_sublinear": all(g["sublinear"] for g in results["lag_growth"]),
         "accounting_exact": all(
-            row["accounting_exact"] for row in scale_rows
+            row["accounting_exact"] for row in results["scale_sweep"]
         ),
     }
 
@@ -227,12 +321,7 @@ def format_scale_table(results: Dict[str, object]) -> str:
         ["procs", "workers", "lag p99", "lag/proc", "thru/Mcyc", "util"],
         rows,
     )
-    return (
-        "Fleet at 100x: process sweep\n"
-        + table
-        + f"\n\nlag p99 sublinear: {results['lag_sublinear']}"
-        + f"\naccounting exact: {results['accounting_exact']}"
-    )
+    return "Fleet at 100x: process sweep\n" + table
 
 
 def format_table(results: Dict[str, object]) -> str:

@@ -1,7 +1,7 @@
 """Load-generation acceptance: knee shape, SLO search, security under load.
 
-The harness's contract has four legs, all gated by
-``experiments/loadgen.py`` (→ ``BENCH_loadgen.json``):
+The harness's contract has four legs, all gated by ``python -m repro
+experiments loadgen`` (→ ``BENCH_loadgen.json``):
 
 - **throughput shape** — the closed-loop connection sweep must grow
   monotonically (within tolerance) up to its saturation knee: more
@@ -20,21 +20,27 @@ The harness's contract has four legs, all gated by
   pipelines' promote state first — the first slow-path excursion
   around an attack feeds verified ITC pairs back into the cached
   pipeline, so run 0 legitimately differs from every run after it.
-- **exactness** — a faulted, lossy-ring load point run with telemetry
-  enabled must still reconcile both the fleet cycle ledger and the
-  degradation ledger exactly, as must every point of the clean sweep.
+- **knee floor** — a full sweep's saturation knee must stay at or
+  above :data:`~repro.experiments.trajectory.KNEE_FLOOR` req/Mcycle.
+  A ``--quick`` sweep's knee is not comparable to the floor and is not
+  judged.
 
-The written JSON is the ``kind: "loadgen-bench"`` payload ``repro
-report`` renders, extended with the extra scenarios and the gates.
+A faulted, lossy-ring load point (telemetry on) and every sweep point
+record whether their cycle and degradation ledgers reconcile; the
+resilience and fleet-scale experiments gate those books on larger
+fleets.  The written JSON is the ``kind: "loadgen-bench"`` payload
+``repro report`` renders, extended with the extra scenarios and the
+gates.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict
 
 from repro import telemetry
 from repro.experiments.common import format_rows
+from repro.experiments.trajectory import KNEE_FLOOR
 from repro.loadgen import builtin_scenario, run_bench, slo_search
 from repro.loadgen.engine import run_load_point, warm_pipelines
 from repro.loadgen.search import probe_budget
@@ -48,13 +54,11 @@ def run(quick: bool = False) -> Dict[str, object]:
     # -- sweep + knee + SLO search (the `repro bench` payload) ------------
     results: Dict[str, object] = dict(run_bench(base))
     results["quick"] = quick
-    search = results["search"]
 
     # -- search stability: an independently seeded second search ----------
     reseeded = base.with_seed(1)
     warm_pipelines(reseeded)
-    search_seed1 = slo_search(reseeded)
-    results["search_seed1"] = search_seed1.to_dict()
+    results["search_seed1"] = slo_search(reseeded).to_dict()
 
     # -- saturation + attack: detection and bit-identity under load -------
     attack = replace(
@@ -65,16 +69,14 @@ def run(quick: bool = False) -> Dict[str, object]:
     )
     saturation_c = attack.connections_upper_bound
     warm_pipelines(attack)
-    run_a = run_load_point(attack, saturation_c)
-    run_b = run_load_point(attack, saturation_c)
     results["saturation"] = {
         "connections": saturation_c,
         "attacks": attack.attack_count,
-        "run_a": run_a.to_dict(),
-        "run_b": run_b.to_dict(),
+        "run_a": run_load_point(attack, saturation_c).to_dict(),
+        "run_b": run_load_point(attack, saturation_c).to_dict(),
     }
 
-    # -- faulted lossy-ring point, telemetry on: ledgers stay exact -------
+    # -- faulted lossy-ring point, telemetry on (recorded books) ----------
     faulted = builtin_scenario("faulted-closed")
     faulted_c = 2 if quick else faulted.connections_upper_bound
     tel = telemetry.get_telemetry()
@@ -88,42 +90,43 @@ def run(quick: bool = False) -> Dict[str, object]:
         "point": faulted_point.to_dict(),
     }
 
-    # -- acceptance gates -------------------------------------------------
+    results["gates"] = gates(results)
+    return results
+
+
+def gates(results: Dict[str, object]) -> Dict[str, bool]:
+    """The acceptance gates over a :func:`run` result."""
+    scenario = results["scenario"]
+    search = results["search"]
+    seed1 = results["search_seed1"]
+    runs = (results["saturation"]["run_a"], results["saturation"]["run_b"])
     budget = probe_budget(
-        base.connections_lower_bound, base.connections_upper_bound
+        scenario["connections_lower_bound"],
+        scenario["connections_upper_bound"],
     )
-    results["gates"] = {
+    verdicts = {
         "throughput_monotone_to_knee": bool(results["monotone_to_knee"]),
         "search_converged": (
             bool(search["converged"])
             and search["probes"] <= budget
-            and search_seed1.converged
+            and bool(seed1["converged"])
         ),
         "search_stable_across_seeds": (
-            search["best_connections"] == search_seed1.best_connections
+            search["best_connections"] == seed1["best_connections"]
         ),
         "detection_under_load": all(
-            r.detection_rate == 1.0 and r.false_quarantines == 0
-            for r in (run_a, run_b)
+            r["detection_rate"] == 1.0 and r["false_quarantines"] == 0
+            for r in runs
         ),
-        "verdicts_bit_identical_under_load": run_a.digest == run_b.digest,
-        "ledger_exact_under_faults": (
-            faulted_point.accounting_exact and faulted_point.ledger_exact
-        ),
-        "sweep_points_exact": all(
-            p["accounting_exact"] and p["ledger_exact"]
-            for p in results["sweep"]
+        "verdicts_bit_identical_under_load": (
+            runs[0]["digest"] == runs[1]["digest"]
         ),
     }
-    return results
-
-
-def gates_passed(results: Dict[str, object]) -> List[str]:
-    """Names of the gates that failed (empty = all green)."""
-    return [
-        name for name, ok in results["gates"].items()
-        if isinstance(ok, bool) and not ok
-    ]
+    if not results["quick"]:
+        verdicts["knee_at_or_above_floor"] = (
+            results["knee"]["throughput"] >= KNEE_FLOOR
+        )
+    return verdicts
 
 
 def format_table(results: Dict[str, object]) -> str:
@@ -151,7 +154,8 @@ def format_table(results: Dict[str, object]) -> str:
     seed1 = results["search_seed1"]
     sections.append(
         f"knee: {knee['connections']} connections at "
-        f"{knee['throughput']:.1f} req/Mcycle\n"
+        f"{knee['throughput']:.1f} req/Mcycle (floor {KNEE_FLOOR}, "
+        f"{'not judged on a quick sweep' if results['quick'] else 'judged'})\n"
         f"search (seed {scenario['seed']}): best "
         f"{search['best_connections']} connections in "
         f"{search['probes']} probes; reseeded search (seed 1): best "
@@ -168,11 +172,5 @@ def format_table(results: Dict[str, object]) -> str:
         f"throughput {results['faulted']['point']['throughput']:.1f} "
         f"req/Mcycle, ledger "
         f"{'exact' if results['faulted']['point']['ledger_exact'] else 'DRIFT'}"
-    )
-    sections.append(
-        "Gates: " + ", ".join(
-            f"{name}={'ok' if ok else 'FAIL'}"
-            for name, ok in results["gates"].items()
-        )
     )
     return "\n\n".join(sections)

@@ -1,8 +1,9 @@
 """Resilience under fault injection: detection, degradation, recovery.
 
 Four deterministic scenarios over the :mod:`repro.resilience` plane,
-all asserted by ``experiments/resilience.py`` (→ ``BENCH_resilience.json``)
-and ``tests/test_resilience.py``:
+all judged by :func:`gates` (``python -m repro experiments
+resilience`` → ``BENCH_resilience.json``), on the fault fleet
+:func:`~repro.experiments.fleet_scaling.build_fault_fleet` builds:
 
 - **baseline** — the fault-free fleet the faulted runs are judged
   against (same workload, same shape, no plan armed).
@@ -34,52 +35,18 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro import telemetry
-from repro.attacks import build_rop_request, run_recon
-from repro.experiments.common import (
-    format_rows,
-    libraries,
-    run_server,
-    server_pipeline,
-    server_requests,
+from repro.experiments.common import format_rows, run_server, server_requests
+from repro.experiments.fleet_scaling import (
+    FAULT_PROCESSES,
+    FAULT_RETRY,
+    FAULT_WORKERS,
+    build_fault_fleet,
 )
-from repro.experiments.fleet_scaling import build_fleet
-from repro.fleet.rings import RingPolicy
-from repro.resilience import FaultPlan, FaultSite, RetryPolicy
-from repro.workloads import build_nginx, build_vdso
+from repro.resilience import FaultPlan, FaultSite
 
 #: p99 verdict lag under faults may grow at most this much over the
 #: fault-free baseline (the graceful-degradation latency gate).
 LAG_BOUND = 3.0
-
-#: fleet shape shared by every scenario (lossy rings: the fault mix
-#: includes dropped PMIs, which only degrade meaningfully when the
-#: ring is allowed to wrap).
-PROCESSES = 4
-WORKERS = 2
-RING_BYTES = 8192
-
-#: retry policy for the probabilistic scenarios: enough attempts that
-#: the standard mix never exhausts them (dead-lettering is exercised
-#: by its own scheduled scenario, not left to chance).  The watchdog
-#: is a small multiple of a typical check cost, and hung attempts are
-#: hedged after ``hedge_delay`` cycles rather than waited out — the
-#: two knobs that keep the p99 verdict-lag gate bounded.
-RETRY = RetryPolicy(
-    max_attempts=4,
-    task_timeout=2_000.0,
-    backoff_base=50.0,
-    backoff_cap=400.0,
-    hedge_delay=250.0,
-)
-
-
-def _fleet(sessions: int, faults=None, retry=None,
-           seed: int = 0, processes: int = PROCESSES):
-    return build_fleet(
-        processes, WORKERS, sessions,
-        policy=RingPolicy.LOSSY, ring_bytes=RING_BYTES,
-        seed=seed, faults=faults, retry=retry,
-    )
 
 
 def _row(result) -> dict:
@@ -108,28 +75,6 @@ def _row(result) -> dict:
     }
 
 
-def _attack_fleet(sessions: int, faults, retry, seed: int):
-    """The detection scenario: one nginx instance gets a mid-stream
-    ROP exploit; everyone else serves clean sessions."""
-    # processes=0: build_fleet seeds the filesystem but leaves the
-    # fleet empty — we add the workloads ourselves to plant the rop
-    # payload mid-stream in the first instance.
-    service = _fleet(sessions, faults=faults, retry=retry,
-                     seed=seed, processes=0)
-    recon = run_recon(build_nginx(), libraries(), vdso=build_vdso())
-    rop = build_rop_request(recon)
-    attacked_pid = None
-    for index in range(PROCESSES):
-        name = ("nginx", "exim")[index % 2]
-        requests = list(server_requests(name, sessions))
-        if index == 0:
-            requests.insert(len(requests) // 2, rop)
-        proc = service.add_workload(server_pipeline(name), requests)
-        if index == 0:
-            attacked_pid = proc.pid
-    return service, attacked_pid
-
-
 def run(quick: bool = False) -> Dict[str, object]:
     sessions = 2 if quick else 3
     seeds = (42, 1337) if quick else (42, 1337, 2024)
@@ -141,13 +86,14 @@ def run(quick: bool = False) -> Dict[str, object]:
     try:
         # -- baseline: same fleet, no faults ------------------------------
         tel.reset()
-        service = _fleet(sessions)
+        service, _ = build_fault_fleet(sessions)
         results["baseline"] = _row(service.run())
 
         # -- faulted: standard mix over the identical workload ------------
         tel.reset()
-        service = _fleet(
-            sessions, faults=FaultPlan.standard_mix(seed=42), retry=RETRY,
+        service, _ = build_fault_fleet(
+            sessions, faults=FaultPlan.standard_mix(seed=42),
+            retry=FAULT_RETRY,
         )
         faulted = _row(service.run())
         base_p99 = max(results["baseline"]["lag_p99"], 1.0)
@@ -159,10 +105,12 @@ def run(quick: bool = False) -> Dict[str, object]:
         plan = FaultPlan(
             seed=7,
             worker_crash=FaultSite(
-                at=tuple(range(RETRY.max_attempts))
+                at=tuple(range(FAULT_RETRY.max_attempts))
             ),
         )
-        service = _fleet(sessions, faults=plan, retry=RETRY)
+        service, _ = build_fault_fleet(
+            sessions, faults=plan, retry=FAULT_RETRY,
+        )
         dl_result = service.run()
         dl = _row(dl_result)
         dl["quarantine_reasons"] = [
@@ -174,8 +122,9 @@ def run(quick: bool = False) -> Dict[str, object]:
         detection_rows: List[dict] = []
         for seed in seeds:
             tel.reset()
-            service, attacked_pid = _attack_fleet(
-                sessions, FaultPlan.standard_mix(seed=seed), RETRY, seed,
+            service, attacked_pid = build_fault_fleet(
+                sessions, faults=FaultPlan.standard_mix(seed=seed),
+                retry=FAULT_RETRY, seed=seed, inject_rop=True,
             )
             result = service.run()
             row = _row(result)
@@ -210,19 +159,28 @@ def run(quick: bool = False) -> Dict[str, object]:
         if enabled_here:
             tel.disable()
 
-    # -- acceptance gates -------------------------------------------------
+    detection = results["detection"]
+    results["detection_rate"] = (
+        sum(1 for r in detection if r["detected"]) / len(detection)
+    )
+    results["false_positives"] = (
+        sum(r["false_positives"] for r in detection)
+        + results["faulted"]["quarantined"]
+        + results["solo"]["detections"]
+    )
+    results["lag_bound"] = LAG_BOUND
+    results["gates"] = gates(results)
+    return results
+
+
+def gates(results: Dict[str, object]) -> Dict[str, bool]:
+    """The acceptance gates over a :func:`run` result."""
     detection = results["detection"]
     dl = results["dead_letter"]
     faulted = results["faulted"]
-    results["gates"] = {
-        "detection_rate": (
-            sum(1 for r in detection if r["detected"]) / len(detection)
-        ),
-        "false_positives": (
-            sum(r["false_positives"] for r in detection)
-            + faulted["quarantined"]
-            + results["solo"]["detections"]
-        ),
+    return {
+        "all_attacks_detected": results["detection_rate"] == 1.0,
+        "no_false_positives": results["false_positives"] == 0,
         "dead_letters_quarantined": (
             dl["dead_letters"] > 0
             and dl["quarantined"] == dl["dead_letters"]
@@ -235,17 +193,12 @@ def run(quick: bool = False) -> Dict[str, object]:
             results[k]["finished"]
             for k in ("baseline", "faulted", "dead_letter")
         ) and all(r["finished"] for r in detection),
-        "lag_p99_ratio": faulted["lag_p99_ratio"],
-        "lag_bound": LAG_BOUND,
         "lag_within_bound": faulted["lag_p99_ratio"] <= LAG_BOUND,
         "ledgers_exact": all(
             row["accounting_exact"] and row["ledger_exact"]
-            for row in (
-                [results["baseline"], faulted, dl] + detection
-            )
+            for row in [results["baseline"], faulted, dl] + detection
         ),
     }
-    return results
 
 
 def format_table(results: Dict[str, object]) -> str:
@@ -280,7 +233,8 @@ def format_table(results: Dict[str, object]) -> str:
         ])
     sections.append(
         "Resilience under fault injection "
-        f"({PROCESSES} processes / {WORKERS} workers, lossy rings)\n"
+        f"({FAULT_PROCESSES} processes / {FAULT_WORKERS} workers, "
+        "lossy rings)\n"
         + format_rows(headers, rows)
     )
     faulted = results["faulted"]
@@ -288,16 +242,10 @@ def format_table(results: Dict[str, object]) -> str:
         f"{k}={v}" for k, v in sorted(faulted["degradations"].items())
     )
     sections.append(f"Faulted-run degradations: {degr or 'none'}")
-    gates = results["gates"]
     sections.append(
-        "Gates: "
-        f"detection {gates['detection_rate']:.0%}, "
-        f"false positives {gates['false_positives']}, "
-        f"dead letters quarantined "
-        f"{'yes' if gates['dead_letters_quarantined'] else 'NO'}, "
-        f"p99 ratio {gates['lag_p99_ratio']:.2f} "
-        f"(bound {gates['lag_bound']:.1f}), "
-        f"ledgers {'exact' if gates['ledgers_exact'] else 'DRIFT'}, "
-        f"wedged {'never' if gates['never_wedged'] else 'YES'}"
+        f"detection {results['detection_rate']:.0%}, "
+        f"false positives {results['false_positives']}, "
+        f"p99 lag ratio {faulted['lag_p99_ratio']:.2f} "
+        f"(bound {results['lag_bound']:.1f})"
     )
     return "\n\n".join(sections)

@@ -1,6 +1,6 @@
 """Per-PR performance trajectory: the knee curve over time, not a point.
 
-``experiments/loadgen.py`` measures one PR's saturation knee and
+``repro experiments loadgen`` measures one PR's saturation knee and
 max-throughput-under-SLO; this module keeps the *history*.  Each perf
 PR appends one entry to ``BENCH_trajectory.json`` — an append-only
 record extracted from that PR's ``BENCH_loadgen.json`` — so a reviewer

@@ -67,9 +67,9 @@ class _WorkerIndex:
     ``SimulatedWorkerPool`` used to pick workers with an O(M) scan per
     slice — quadratic total scheduling cost once fleets carry hundreds
     of workers.  This index answers both selection queries in O(log M)
-    with the *exact* tie-breaks of the linear oracle (kept below as
-    ``_earliest_linear``/``_latest_linear`` and asserted identical by
-    the tests):
+    with the *exact* tie-breaks of the linear scan it replaced (kept in
+    ``tests/test_fleet.py`` as the ``earliest_linear``/``latest_linear``
+    oracles the dispatch tests hold it to):
 
     - earliest(t0): the lowest-index worker with ``free_at <= t0`` if
       any is idle at t0, else the lexicographic argmin of
@@ -175,26 +175,6 @@ class SimulatedWorkerPool:
         least healthy capacity, and consecutive degraded checks
         serialize behind each other instead of spreading."""
         return self._index.latest()
-
-    # Linear-scan oracles: the original O(M) selections, kept verbatim
-    # so tests can assert the segment tree produces identical schedules.
-
-    def _earliest_linear(self, not_before: float) -> int:
-        best = 0
-        best_start = max(self.free_at[0], not_before)
-        for index in range(1, self.workers):
-            start = max(self.free_at[index], not_before)
-            if start < best_start:
-                best = index
-                best_start = start
-        return best
-
-    def _latest_linear(self) -> int:
-        best = self.workers - 1
-        for index in range(self.workers - 2, -1, -1):
-            if self.free_at[index] > self.free_at[best]:
-                best = index
-        return best
 
     def dispatch(
         self, task: CheckTask, not_before: Optional[float] = None

@@ -1,7 +1,7 @@
 """`repro bench` orchestration: sweep + knee + SLO search, one payload.
 
 The returned dict is the ``kind: "loadgen-bench"`` document `repro
-report` renders and ``experiments/loadgen.py`` extends with its
+report` renders and ``repro experiments loadgen`` extends with its
 acceptance gates.  Sweep and search share one memoised prober, so a
 connection count measured by the sweep is never re-run by the search.
 """

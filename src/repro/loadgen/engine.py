@@ -357,7 +357,7 @@ def warm_pipelines(
     The cached server pipelines are shared across runs and the first
     slow-path excursion *promotes* verified ITC pairs back into them,
     so measured runs after this warm-up differ only by what is being
-    measured (the same trick ``experiments/observability.py`` uses).
+    measured (the same trick the observability experiment uses).
     """
     run_load_point(
         scenario,

@@ -22,7 +22,7 @@ root-of-trust monitor:
   hook surface the pipeline calls into.
 
 Everything here *observes*; nothing charges simulated cycles or
-perturbs verdicts — ``experiments/observability.py`` gates that an
+perturbs verdicts — ``repro experiments observability`` gates that an
 instrumented run is bit-identical to an uninstrumented one.  The plane
 keeps no count of its own to audit: its check and degradation views
 are written in the same calls as ``MonitorStats`` and the
@@ -357,7 +357,7 @@ class SLOConfig:
         """The stock objective set for fleet runs.
 
         Thresholds are sized for the repo's default fleet shapes (the
-        ``experiments/observability.py`` clean run must meet all of
+        ``repro experiments observability`` clean run must meet all of
         them); a fault-injected run burns ``degradation-free`` budget.
         """
         return cls(objectives=[

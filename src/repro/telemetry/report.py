@@ -7,7 +7,7 @@
 - a **BENCH_observability.json** (the experiment's scenario pairs, each
   plane-attached scenario carrying its own plane dump),
 - a **loadgen bench** payload (``kind: "loadgen-bench"``, from ``repro
-  bench`` or ``experiments/loadgen.py``: throughput vs offered load
+  bench`` or ``repro experiments loadgen``: throughput vs offered load
   with the SLO-knee callout and the search convergence trace), or
 - a **StatsReport** v3+ (``schema_version`` present; the ``slo``
   section is rendered, the timeseries sections are skipped).

@@ -133,6 +133,46 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table 5" in out
 
+    @staticmethod
+    def _fake_experiment(monkeypatch, tmp_path, gates):
+        """Register a gated experiment ``fake-exp`` whose run returns
+        ``gates`` and run ``repro experiments fake-exp`` from
+        ``tmp_path``."""
+        from repro import cli
+
+        registry = {"fake-exp": cli._Experiment(
+            lambda quick: {"quick": quick, "gates": dict(gates)},
+            lambda results: "fake table", gated=True,
+        )}
+        monkeypatch.setattr(cli, "_experiments", lambda: registry)
+        monkeypatch.chdir(tmp_path)
+        return main(["experiments", "fake-exp", "--quick"])
+
+    def test_experiments_all_gates_true_writes_bench(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import json
+
+        code = self._fake_experiment(
+            monkeypatch, tmp_path, {"a": True, "b": True}
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "BENCH_fake_exp.json").read_text())
+        assert payload == {"quick": True, "gates": {"a": True, "b": True}}
+        assert "fake table" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [False, None, 0])
+    def test_experiments_gate_not_true_fails(
+        self, monkeypatch, tmp_path, capsys, value
+    ):
+        code = self._fake_experiment(
+            monkeypatch, tmp_path, {"holds": True, "broken": value}
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "broken" in err and "holds" not in err
+        assert (tmp_path / "BENCH_fake_exp.json").exists()
+
     def test_stats(self, capsys):
         import json
 

@@ -245,7 +245,9 @@ class TestScaleSweep:
         rows = results["scale_sweep"]
         assert [row["processes"] for row in rows] == [4]
         assert rows[0]["accounting_exact"]
-        assert results["accounting_exact"]
+        assert results["gates"] == {
+            "lag_sublinear": True, "accounting_exact": True,
+        }
         assert results["lag_growth"] == []
 
 
@@ -463,14 +465,37 @@ class TestFleetQuarantine:
 # -- dispatch index: segment tree vs linear oracle ---------------------------
 
 
+def earliest_linear(pool, not_before):
+    """The original O(workers) earliest-free selection, verbatim: the
+    oracle ``_WorkerIndex.earliest`` must match tie for tie."""
+    best = 0
+    best_start = max(pool.free_at[0], not_before)
+    for index in range(1, pool.workers):
+        start = max(pool.free_at[index], not_before)
+        if start < best_start:
+            best = index
+            best_start = start
+    return best
+
+
+def latest_linear(pool):
+    """The original O(workers) degraded-lane selection, verbatim: the
+    oracle for ``_WorkerIndex.latest``."""
+    best = pool.workers - 1
+    for index in range(pool.workers - 2, -1, -1):
+        if pool.free_at[index] > pool.free_at[best]:
+            best = index
+    return best
+
+
 class _LinearPool(SimulatedWorkerPool):
     """The pre-optimisation pool: same dispatch, O(workers) scans."""
 
     def _earliest(self, not_before):
-        return self._earliest_linear(not_before)
+        return earliest_linear(self, not_before)
 
     def _latest(self):
-        return self._latest_linear()
+        return latest_linear(self)
 
 
 def _random_task(index, rng):
@@ -499,8 +524,8 @@ class TestDispatchOracle:
             ]
             for _ in range(200):
                 t0 = float(rng.randrange(0, 600))
-                assert pool._earliest(t0) == pool._earliest_linear(t0)
-                assert pool._latest() == pool._latest_linear()
+                assert pool._earliest(t0) == earliest_linear(pool, t0)
+                assert pool._latest() == latest_linear(pool)
                 # Mutate through the indexed writer and re-compare.
                 pool._set_free(
                     rng.randrange(workers), float(rng.randrange(0, 700))

@@ -242,3 +242,50 @@ def test_slo_search_on_smoke_scenario():
     assert result.best_connections in (None, 1, 2)
     if result.best_connections is not None:
         assert result.best.slo_value <= result.slo_latency
+
+
+# -- the knee floor gate ------------------------------------------------------
+
+
+class TestKneeFloorGate:
+    """``loadgen.gates`` judges the knee the same run measured against
+    the committed floor, on full sweeps only: a ``--quick`` sweep's
+    knee is not comparable to the floor."""
+
+    @staticmethod
+    def _gates(throughput, quick):
+        from repro.experiments import loadgen
+
+        point = {"detection_rate": 1.0, "false_quarantines": 0,
+                 "digest": "d"}
+        search = {"converged": True, "probes": 1, "best_connections": 3}
+        return loadgen.gates({
+            "quick": quick,
+            "scenario": {"connections_lower_bound": 1,
+                         "connections_upper_bound": 8},
+            "monotone_to_knee": True,
+            "knee": {"connections": 3, "throughput": throughput},
+            "search": search,
+            "search_seed1": dict(search),
+            "saturation": {"run_a": point, "run_b": dict(point)},
+        })
+
+    def test_quick_knee_below_floor_not_judged(self):
+        from repro.experiments.trajectory import KNEE_FLOOR
+
+        gates = self._gates(KNEE_FLOOR - 7.9, quick=True)
+        assert "knee_at_or_above_floor" not in gates
+        assert all(value is True for value in gates.values())
+
+    def test_full_knee_below_floor_fails(self):
+        from repro.experiments.trajectory import KNEE_FLOOR
+
+        gates = self._gates(KNEE_FLOOR - 0.1, quick=False)
+        assert gates["knee_at_or_above_floor"] is False
+
+    def test_full_knee_at_or_above_floor_passes(self):
+        from repro.experiments.trajectory import KNEE_FLOOR
+
+        for knee in (KNEE_FLOOR, KNEE_FLOOR + 1.0):
+            gates = self._gates(knee, quick=False)
+            assert gates["knee_at_or_above_floor"] is True

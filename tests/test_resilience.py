@@ -589,16 +589,18 @@ class TestFleetUnderFaults:
             server_pipeline,
             server_requests,
         )
+        from repro.experiments.fleet_scaling import (
+            FAULT_RETRY,
+            FAULT_RING_BYTES,
+            FAULT_WORKERS,
+        )
 
         config = FleetConfig(
-            workers=2,
+            workers=FAULT_WORKERS,
             ring_policy=RingPolicy.LOSSY,
-            ring_bytes=8192,
+            ring_bytes=FAULT_RING_BYTES,
             faults=FaultPlan.standard_mix(seed=13),
-            retry=RetryPolicy(
-                max_attempts=4, task_timeout=2000.0, backoff_base=50.0,
-                backoff_cap=400.0, hedge_delay=250.0,
-            ),
+            retry=FAULT_RETRY,
         )
         with telemetry.capture():
             service = FleetService(config)

@@ -341,47 +341,6 @@ class TestSchemaV4:
 # -- facade ------------------------------------------------------------------
 
 
-class TestKneeGate:
-    """The service bench judges only a full-sweep loadgen knee against
-    the committed floor; a ``--quick`` sweep's knee is reported."""
-
-    @staticmethod
-    def _judge(tmp_path, throughput, quick):
-        from repro.experiments.service import loadgen_knee
-
-        path = tmp_path / "BENCH_loadgen.json"
-        path.write_text(json.dumps({
-            "kind": "loadgen-bench",
-            "quick": quick,
-            "knee": {"throughput": throughput},
-        }))
-        return loadgen_knee(str(path))
-
-    def test_quick_knee_below_floor_not_judged(self, tmp_path):
-        from repro.experiments.trajectory import KNEE_FLOOR
-
-        knee = self._judge(tmp_path, KNEE_FLOOR - 7.9, quick=True)
-        assert knee["quick"] and knee["ok"]
-
-    def test_full_knee_below_floor_fails(self, tmp_path):
-        from repro.experiments.trajectory import KNEE_FLOOR
-
-        knee = self._judge(tmp_path, KNEE_FLOOR - 0.1, quick=False)
-        assert not knee["quick"] and not knee["ok"]
-
-    def test_full_knee_at_or_above_floor_passes(self, tmp_path):
-        from repro.experiments.trajectory import KNEE_FLOOR
-
-        assert self._judge(tmp_path, KNEE_FLOOR, quick=False)["ok"]
-        assert self._judge(tmp_path, KNEE_FLOOR + 1.0, quick=False)["ok"]
-
-    def test_missing_file_not_measured(self, tmp_path):
-        from repro.experiments.service import loadgen_knee
-
-        knee = loadgen_knee(str(tmp_path / "absent.json"))
-        assert knee["throughput"] is None and knee["ok"]
-
-
 def test_api_exports_service_surface():
     import repro.api as api
 
