@@ -852,6 +852,12 @@ class ColumnarSlowSource:
         return _ByteCursor(self.parts)
 
 
+#: payload byte -> TNT bit tuple, newest first (``pending_bits`` order).
+_TNT_BITS_NEWEST_FIRST = [
+    None if bits is None else bits[::-1] for bits in TNT_BITS_TABLE
+]
+
+
 class _ByteCursor:
     """Sequential packet consumption straight out of segment bytes.
 
@@ -866,7 +872,7 @@ class _ByteCursor:
     """
 
     __slots__ = ("_parts", "_part", "_raw", "_size", "_pos", "_base",
-                 "_last_ip", "_bits", "_offset", "_payload", "_ip")
+                 "_last_ip", "pending_bits", "_offset", "_payload", "_ip")
 
     def __init__(self, parts) -> None:
         self._parts = parts
@@ -876,7 +882,10 @@ class _ByteCursor:
         self._pos = 0
         self._base = 0
         self._last_ip = 0
-        self._bits: list = []
+        #: TNT bits decoded but not yet consumed, oldest *last*: the
+        #: full decoder pops a JCC's bit from here inline and calls
+        #: :meth:`next_tnt_bit` only when the list runs dry.
+        self.pending_bits: list = []
         self._offset = 0
         self._payload = 0
         self._ip: Optional[int] = None
@@ -968,7 +977,7 @@ class _ByteCursor:
 
     def next_tnt_bit(self) -> Optional[bool]:
         """Next conditional-branch outcome, or None at stream end."""
-        bits = self._bits
+        bits = self.pending_bits
         while not bits:
             action = self._advance()
             if action == _END:
@@ -977,17 +986,17 @@ class _ByteCursor:
                 self._skip_psb_group()
                 continue
             if action == _A_TNT:
-                bits.extend(TNT_BITS_TABLE[self._payload])
+                bits.extend(_TNT_BITS_NEWEST_FIRST[self._payload])
                 continue
             raise TraceMismatch(
                 f"expected TNT, found {_ACTION_KIND[action]} at "
                 f"offset {self._offset}"
             )
-        return bits.pop(0)
+        return bits.pop()
 
     def next_tip(self) -> Optional[int]:
         """Next plain-TIP target, or None at stream end."""
-        if self._bits:
+        if self.pending_bits:
             raise TraceMismatch("unconsumed TNT bits before a TIP")
         while True:
             action = self._advance()
@@ -1005,7 +1014,7 @@ class _ByteCursor:
 
     def next_far_resume(self, expected_src: int) -> Optional[int]:
         """Consume a FUP/TIP.PGD/TIP.PGE group; return the resume IP."""
-        if self._bits:
+        if self.pending_bits:
             raise TraceMismatch("unconsumed TNT bits before a far transfer")
         while True:
             action = self._advance()

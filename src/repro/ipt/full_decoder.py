@@ -9,12 +9,14 @@ transfer consumes its FUP/PGD/PGE group.
 On the charged clock the walk is per instruction: every instruction
 walked charges :data:`repro.costs.FULL_DECODE_CYCLES_PER_INSN`, which is
 why decoding is orders of magnitude slower than tracing (§2: ~230x on
-SPECCPU).  On the wall clock it is block-stepped, like libipt's block
+SPECCPU).  On the wall clock it steps per chained run, like libipt's block
 decoder (``pt_blk_*`` rather than ``pt_insn_*``): :class:`FullDecoder`
-keeps a lazy map from an address to its basic block — the straight-line
-run up to the next control-flow instruction — so a run adds its length
-to ``insn_count`` in one step.  Edges, instruction counts, end points,
-and ``TraceMismatch`` messages are those of the per-instruction walk.
+keeps a lazy map from an address to its chained run — straight-line
+code and the direct JMPs and CALLs it passes, up to the next
+instruction that consumes a packet — so a run adds its length to
+``insn_count`` and its prebuilt edges to the edge list in one step.
+Edges, instruction counts, end points, and ``TraceMismatch`` messages
+are those of the per-instruction walk.
 """
 
 from __future__ import annotations
@@ -56,10 +58,11 @@ class FullDecodeResult:
     exhausted: bool = True  # packets fully consumed
 
 
-#: Block terminators: the instructions the walk must stop at, because
-#: they end the run or consume packets.
+#: Chain terminators: the instructions a chained run stops at, because
+#: they end the walk or consume packets.  Direct JMPs and CALLs have
+#: static targets, so a chained run continues through them.
 _TERMINATORS = frozenset(
-    (Op.HALT, Op.JMP, Op.CALL, Op.JCC, Op.JMPR, Op.CALLR, Op.RET, Op.SYSCALL)
+    (Op.HALT, Op.JCC, Op.JMPR, Op.CALLR, Op.RET, Op.SYSCALL)
 )
 _DIRECT_KIND = {Op.JMP: CoFIKind.DIRECT_JMP, Op.CALL: CoFIKind.DIRECT_CALL}
 _INDIRECT_KIND = {
@@ -67,21 +70,23 @@ _INDIRECT_KIND = {
     Op.CALLR: CoFIKind.INDIRECT_CALL,
     Op.RET: CoFIKind.RET,
 }
-#: Longest straight-line run one block records; a longer run chains
-#: into the next block, so building a block never walks far past the
-#: instruction budget (a NOP sled stops where the budget does).
+#: Most instructions one chained run records; a longer run continues
+#: in the next chained run, so building one never walks far past the
+#: instruction budget (a NOP sled stops where the budget does) and a
+#: ``jmp .`` cycle ends after this many steps.
 MAX_BLOCK_RUN = 64
 
-#: ``(run, term_ip, term_op, flow, fault)``: ``run`` straight-line
-#: instructions from the block's address, then the instruction at
-#: ``term_ip`` with opcode ``term_op``.  Edges with a static target are
-#: built once (a ``FlowEdge`` is immutable): ``flow`` is the edge of a
-#: JMP or CALL, and the (not-taken, taken) pair of a JCC, indexed by
-#: the TNT bit.  ``term_op`` is None when the run hit
+#: ``(run, edges, term_ip, term_op, flow, fault)``: ``run``
+#: instructions from the run's address, through straight-line code and
+#: direct JMPs and CALLs (whose ``FlowEdge``s, built once, are
+#: ``edges``), then the instruction at ``term_ip`` with opcode
+#: ``term_op``.  ``flow`` is the (not-taken, taken) edge pair of a JCC,
+#: indexed by the TNT bit.  ``term_op`` is None when the run hit
 #: :data:`MAX_BLOCK_RUN` (the walk continues at ``term_ip``) or when
 #: ``term_ip`` cannot be disassembled (``fault`` holds the
 #: ``TraceMismatch`` message).
-Block = Tuple[int, int, Optional[Op], object, Optional[str]]
+Chain = Tuple[int, Tuple[FlowEdge, ...], int, Optional[Op], object,
+              Optional[str]]
 
 
 class FullDecoder:
@@ -91,7 +96,7 @@ class FullDecoder:
         self.memory = memory
         self.max_insns = max_insns
         self._icache: Dict[int, Tuple[Insn, int]] = {}
-        self._blocks: Dict[int, Block] = {}
+        self._chains: Dict[int, Chain] = {}
         self._code_epoch = memory.code_epoch
 
     def _fetch(self, ip: int) -> Tuple[Insn, int]:
@@ -115,13 +120,14 @@ class FullDecoder:
         epoch = self.memory.code_epoch
         if epoch != self._code_epoch:
             self._icache.clear()
-            self._blocks.clear()
+            self._chains.clear()
             self._code_epoch = epoch
 
-    def _block(self, start: int) -> Block:
-        """Decode (and remember) the basic block at ``start``."""
+    def _chain(self, start: int) -> Chain:
+        """Decode (and remember) the chained run at ``start``."""
         ip = start
         run = 0
+        edges: List[FlowEdge] = []
         fetch = self._fetch
         while run < MAX_BLOCK_RUN:
             try:
@@ -129,27 +135,30 @@ class FullDecoder:
             except TraceMismatch as exc:
                 # Not remembered: like a failed fetch, it is retried on
                 # the next visit, when the code may have been mapped.
-                return (run, ip, None, None, str(exc))
+                return (run, tuple(edges), ip, None, None, str(exc))
             op = insn.op
+            if op in _DIRECT_KIND:
+                edge = FlowEdge(_DIRECT_KIND[op], ip, ip + length + insn.rel)
+                edges.append(edge)
+                run += 1
+                ip = edge.dst
+                continue
             if op in _TERMINATORS:
-                next_ip = ip + length
+                flow = None
                 if op is Op.JCC:
+                    next_ip = ip + length
                     flow = (
                         FlowEdge(CoFIKind.COND_BRANCH, ip, next_ip, False),
                         FlowEdge(CoFIKind.COND_BRANCH, ip, next_ip + insn.rel),
                     )
-                elif op in _DIRECT_KIND:
-                    flow = FlowEdge(_DIRECT_KIND[op], ip, next_ip + insn.rel)
-                else:
-                    flow = None
-                block = (run, ip, op, flow, None)
+                chain = (run, tuple(edges), ip, op, flow, None)
                 break
             run += 1
             ip += length
         else:
-            block = (run, ip, None, None, None)
-        self._blocks[start] = block
-        return block
+            chain = (run, tuple(edges), ip, None, None, None)
+        self._chains[start] = chain
+        return chain
 
     def decode(
         self,
@@ -171,23 +180,39 @@ class FullDecoder:
             return FullDecodeResult(edges, 0, 0.0, exhausted=True)
 
         self._sync_code()
-        blocks = self._blocks
+        chains = self._chains
         append = edges.append
+        extend = edges.extend
+        # Pending TNT bits, oldest last: a JCC pops its bit here and
+        # calls the cursor only when a packet boundary is reached.
+        pending = cursor.pending_bits
+        next_tnt_bit = cursor.next_tnt_bit
         budget = self.max_insns
         insn_count = 0
         while True:
-            block = blocks.get(ip)
-            if block is None:
-                block = self._block(ip)
-            run, term_ip, op, flow, fault = block
+            chain = chains.get(ip)
+            if chain is None:
+                chain = self._chain(ip)
+            run, run_edges, term_ip, op, flow, fault = chain
             if insn_count + run >= budget:
-                # The budget ends inside the straight-line run (or at
-                # its terminator, which is then never fetched).
+                # The budget ends inside the run (or at its terminator,
+                # which is then never fetched): step it instruction by
+                # instruction, taking the run's edges as JMPs and CALLs
+                # are passed.
+                taken = iter(run_edges)
                 while insn_count < budget:
-                    ip += self._fetch(ip)[1]
+                    insn, length = self._fetch(ip)
                     insn_count += 1
+                    if insn.op in _DIRECT_KIND:
+                        edge = next(taken)
+                        append(edge)
+                        ip = edge.dst
+                    else:
+                        ip += length
                 return self._finish(edges, insn_count, ip, False)
             insn_count += run
+            if run_edges:
+                extend(run_edges)
             ip = term_ip
             if op is None:
                 if fault is not None:
@@ -196,12 +221,13 @@ class FullDecoder:
 
             insn_count += 1
             if op is Op.JCC:
-                bit = cursor.next_tnt_bit()
-                if bit is None:
-                    return self._finish(edges, insn_count, ip, True)
+                if pending:
+                    bit = pending.pop()
+                else:
+                    bit = next_tnt_bit()
+                    if bit is None:
+                        return self._finish(edges, insn_count, ip, True)
                 edge = flow[bit]
-            elif flow is not None:
-                edge = flow
             elif op is Op.SYSCALL:
                 resume = cursor.next_far_resume(ip)
                 if resume is None:

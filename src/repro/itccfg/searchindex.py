@@ -152,7 +152,8 @@ class FlowSearchIndex:
         src_arr = self._src_arr
         tgt_flat = self._tgt_flat
         tgt_bounds = self._tgt_bounds
-        src_probes = max(1, len(src_arr).bit_length())
+        n_src = len(src_arr)
+        src_probes = max(1, n_src.bit_length())
         credit_probe = costs.CREDIT_CACHE_PROBE_CYCLES
         search_probe = costs.SEARCH_PROBE_CYCLES
         memo_probe = costs.EDGE_CACHE_PROBE_CYCLES
@@ -197,8 +198,14 @@ class FlowSearchIndex:
             else:
                 edge = _OUT_OF_GRAPH
                 self.cycles += src_probes * search_probe
-                position = bisect_left(src_arr, src)
-                if position < len(src_arr) and src_arr[position] == src:
+                # An IP-suppressed TIP puts a None ip in the window: it
+                # is no graph node, so the pair fails closed at an
+                # untrained source's cost and never reaches a bisect.
+                if src is None or dst is None:
+                    position = n_src
+                else:
+                    position = bisect_left(src_arr, src)
+                if position < n_src and src_arr[position] == src:
                     lo = tgt_bounds[position]
                     hi = tgt_bounds[position + 1]
                     self.cycles += max(1, (hi - lo).bit_length()) * search_probe

@@ -417,10 +417,10 @@ class FlowGuardMonitor:
                     pid=pp.process.pid,
                     syscall_nr=nr,
                     path="fast",
-                    reason=(
-                        "flow outside ITC-CFG: "
-                        f"{result.violation_edge[0]:#x} -> "
-                        f"{result.violation_edge[1]:#x}"
+                    reason="flow outside ITC-CFG: " + " -> ".join(
+                        # None: an IP-suppressed TIP (fails closed).
+                        "suppressed" if ip is None else f"{ip:#x}"
+                        for ip in result.violation_edge
                     ),
                     edge=result.violation_edge,
                 )

@@ -25,7 +25,20 @@ from repro.cpu.memory import Memory
 from repro.ipt.columnar import ColumnarSlowSource
 from repro.ipt.full_decoder import FullDecoder, TraceMismatch
 from repro.ipt.packets import unpack_tnt_sig
-from repro.monitor.shadowstack import ShadowStack, ShadowStackViolation
+
+# Edges no policy judges: conditional and direct jumps (their targets
+# are static) and far transfers.  A tuple, not a set: an identity scan
+# over three enum members beats hashing one.
+_UNJUDGED = (
+    CoFIKind.DIRECT_JMP, CoFIKind.COND_BRANCH, CoFIKind.FAR_TRANSFER
+)
+_DIRECT_CALL = CoFIKind.DIRECT_CALL
+_INDIRECT_CALL = CoFIKind.INDIRECT_CALL
+_RET = CoFIKind.RET
+# Encoded lengths of the two call instructions (opcode + operands): a
+# call's return site is its address plus its length.
+_DIRECT_CALL_LEN = 5
+_INDIRECT_CALL_LEN = 2
 
 
 @dataclass
@@ -75,52 +88,66 @@ class SlowPathEngine:
             )
         cycles += decoded.cycles
 
-        shadow = ShadowStack()
+        # The policy pass: only calls, returns and indirect jumps are
+        # judged, in edge order.  Forward edges must land in their
+        # fine-grained TypeArmor target set; the shadow stack (one op
+        # per call or return) enforces the single-target backward-edge
+        # policy, and a return that outruns the window's reconstructed
+        # stack falls back to the conservative call/return-matched
+        # O-CFG set.
+        allowed_of = self.ocfg.indirect_targets.get
+        stack: List[int] = []
+        push = stack.append
+        shadow = 0.0
+        shadow_op = costs.SHADOW_STACK_OP_CYCLES
         for edge in decoded.edges:
-            # Forward edges: fine-grained TypeArmor target sets.
-            if edge.kind in (CoFIKind.INDIRECT_CALL, CoFIKind.INDIRECT_JMP):
-                allowed = self.ocfg.indirect_targets.get(edge.src)
-                if allowed is None or edge.dst not in allowed:
-                    return SlowPathResult(
-                        ok=False,
-                        reason=(
-                            f"forward-edge violation: {edge.kind.value} at "
-                            f"{edge.src:#x} -> {edge.dst:#x}"
-                        ),
-                        violation_addr=edge.src,
-                        cycles=cycles + shadow.cycles,
-                        insns_decoded=decoded.insn_count,
-                        shadow_cycles=shadow.cycles,
+            kind = edge.kind
+            if kind in _UNJUDGED:
+                continue
+            if kind is _DIRECT_CALL:
+                push(edge.src + _DIRECT_CALL_LEN)
+                shadow += shadow_op
+                continue
+            if kind is _RET:
+                if stack:
+                    shadow += shadow_op
+                    expected = stack.pop()
+                    if edge.dst == expected:
+                        continue
+                    reason = (
+                        f"ret at {edge.src:#x}: expected return to "
+                        f"{expected:#x}, observed {edge.dst:#x}"
                     )
-            # Backward edges: shadow stack; returns that outrun the
-            # window's reconstructed stack fall back to the conservative
-            # call/return-matched O-CFG target sets.
-            if edge.kind is CoFIKind.RET and shadow.depth == 0:
-                allowed = self.ocfg.indirect_targets.get(edge.src)
-                if allowed and edge.dst not in allowed:
-                    return SlowPathResult(
-                        ok=False,
-                        reason=(
-                            f"backward-edge violation: ret at "
-                            f"{edge.src:#x} -> {edge.dst:#x} outside the "
-                            f"call/return-matched set"
-                        ),
-                        violation_addr=edge.src,
-                        cycles=cycles + shadow.cycles,
-                        insns_decoded=decoded.insn_count,
-                        shadow_cycles=shadow.cycles,
+                else:
+                    allowed = allowed_of(edge.src)
+                    if not allowed or edge.dst in allowed:
+                        # The window began inside a call it never saw.
+                        shadow += shadow_op
+                        continue
+                    reason = (
+                        f"backward-edge violation: ret at "
+                        f"{edge.src:#x} -> {edge.dst:#x} outside the "
+                        f"call/return-matched set"
                     )
-            try:
-                shadow.feed(edge)
-            except ShadowStackViolation as exc:
-                return SlowPathResult(
-                    ok=False,
-                    reason=str(exc),
-                    violation_addr=exc.ret_addr,
-                    cycles=cycles + shadow.cycles,
-                    insns_decoded=decoded.insn_count,
-                    shadow_cycles=shadow.cycles,
+            else:
+                allowed = allowed_of(edge.src)
+                if allowed is not None and edge.dst in allowed:
+                    if kind is _INDIRECT_CALL:
+                        push(edge.src + _INDIRECT_CALL_LEN)
+                        shadow += shadow_op
+                    continue
+                reason = (
+                    f"forward-edge violation: {kind.value} at "
+                    f"{edge.src:#x} -> {edge.dst:#x}"
                 )
+            return SlowPathResult(
+                ok=False,
+                reason=reason,
+                violation_addr=edge.src,
+                cycles=cycles + shadow,
+                insns_decoded=decoded.insn_count,
+                shadow_cycles=shadow,
+            )
 
         confirmed = [
             (ips[i - 1], ips[i], unpack_tnt_sig(sigs[i]))
@@ -128,8 +155,8 @@ class SlowPathEngine:
         ]
         return SlowPathResult(
             ok=True,
-            cycles=cycles + shadow.cycles,
+            cycles=cycles + shadow,
             insns_decoded=decoded.insn_count,
-            shadow_cycles=shadow.cycles,
+            shadow_cycles=shadow,
             confirmed_pairs=confirmed,
         )

@@ -332,7 +332,9 @@ def build_blocks(payload: dict, title: Optional[str] = None) -> List[Block]:
             ))
             slo = dump.get("slo")
             if slo:
-                blocks.extend(_slo_blocks(slo, title=f"SLO — {name}"))
+                blocks.extend(
+                    _slo_blocks(slo, title=f"SLO objectives — {name}")
+                )
             blocks.extend(_timeseries_blocks(dump.get("samples", [])))
             blocks.extend(_flight_blocks(
                 dump.get("flight") or {}, dump.get("dumps", [])

@@ -275,7 +275,9 @@ class PacketCursor:
     def __init__(self, packets: List[DecodedPacket]) -> None:
         self._packets = packets
         self._index = 0
-        self._tnt_bits: List[bool] = []
+        #: Decoded, unconsumed TNT bits, oldest last (the byte
+        #: cursor's protocol: the full decoder pops them inline).
+        self.pending_bits: List[bool] = []
 
     def _advance_raw(self) -> Optional[DecodedPacket]:
         if self._index >= len(self._packets):
@@ -303,7 +305,7 @@ class PacketCursor:
 
     def next_tnt_bit(self) -> Optional[bool]:
         """Next conditional-branch outcome, or None at stream end."""
-        while not self._tnt_bits:
+        while not self.pending_bits:
             packet = self._advance_raw()
             if packet is None:
                 return None
@@ -311,17 +313,17 @@ class PacketCursor:
                 self._skip_psb_group()
                 continue
             if packet.kind is PacketKind.TNT:
-                self._tnt_bits.extend(packet.bits)
+                self.pending_bits.extend(reversed(packet.bits))
                 continue
             raise TraceMismatch(
                 f"expected TNT, found {packet.kind.value} at "
                 f"offset {packet.offset}"
             )
-        return self._tnt_bits.pop(0)
+        return self.pending_bits.pop()
 
     def next_tip(self) -> Optional[int]:
         """Next plain-TIP target, or None at stream end."""
-        if self._tnt_bits:
+        if self.pending_bits:
             raise TraceMismatch("unconsumed TNT bits before a TIP")
         while True:
             packet = self._advance_raw()
@@ -339,7 +341,7 @@ class PacketCursor:
 
     def next_far_resume(self, expected_src: int) -> Optional[int]:
         """Consume a FUP/TIP.PGD/TIP.PGE group; return the resume IP."""
-        if self._tnt_bits:
+        if self.pending_bits:
             raise TraceMismatch("unconsumed TNT bits before a far transfer")
         while True:
             packet = self._advance_raw()

@@ -89,6 +89,8 @@ class ReferenceSearchIndex:
     def _binary_search(self, array: List[int], value: int) -> Tuple[bool, int]:
         """Membership + probe count (log2 cost model)."""
         probes = max(1, len(array).bit_length())
+        if value is None:  # an IP-suppressed TIP: never a graph node
+            return False, probes
         index = bisect.bisect_left(array, value)
         found = index < len(array) and array[index] == value
         return found, probes
@@ -136,7 +138,11 @@ class ReferenceSearchIndex:
             tnt_ok = not hot or tuple(tnt) in hot
             return LookupResult(True, CreditLevel.HIGH, tnt_ok, probes)
 
-        found_src, src_probes = self._binary_search(self._sources, src)
+        # A None endpoint (IP-suppressed TIP) fails as an untrained
+        # source does: same probes, out of graph.
+        found_src, src_probes = self._binary_search(
+            self._sources, None if dst is None else src
+        )
         probes += src_probes
         self.cycles += src_probes * costs.SEARCH_PROBE_CYCLES
         if not found_src:

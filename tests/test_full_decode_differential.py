@@ -1,4 +1,4 @@
-"""Differential test: the block-stepped full decoder against the oracle.
+"""Differential test: the chained-run full decoder against the oracle.
 
 Every case decodes one input with the production
 :class:`~repro.ipt.full_decoder.FullDecoder` and with the per-instruction
@@ -8,8 +8,8 @@ packet-list cursor of ``tests/packet_reference.py``), and asserts the two
 agree on the edge list (kind, src, dst, taken, order), ``insn_count``,
 ``cycles``, ``end_ip``, ``exhausted``, the ``TraceMismatch`` message,
 and the ``ipt.full_decode.*`` counters.  Production decoders are compared both
-fresh and warm (their block map filled by earlier decodes), since a
-remembered block must not change any outcome.
+fresh and warm (their chained runs filled by earlier decodes), since a
+remembered run must not change any outcome.
 """
 
 import pytest
@@ -26,10 +26,12 @@ from repro.ipt import (
     ToPARegion,
     TraceMismatch,
 )
-from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
+from repro.ipt.columnar import ColumnarSlowSource, columnar_scan, psb_offsets
 from repro.ipt.full_decoder import MAX_BLOCK_RUN
 from repro.ipt.msr import RTIT_CTL
 from repro.isa import A, Cond, Label, asm
+from repro.isa.encoding import instruction_length
+from repro.isa.instructions import Insn, Op
 from repro.isa.registers import R0, R1, R2, SP
 from repro.workloads import build_libsim
 from repro.workloads.programgen import generate_program
@@ -167,7 +169,33 @@ CALLS = [
     A.ret(),
 ]
 
-SNIPPETS = {"loop": LOOP, "calls": CALLS}
+# Direct JMPs and CALLs between the packet consumers: chained runs pass
+# through them (a CALL into a callee that JMPs on), and the RETs and the
+# JCC stop them.
+CHAINS = [
+    A.mov(R1, 2),
+    Label("top"),
+    A.jmp("a"),
+    Label("b"),
+    A.call("leaf"),
+    A.jmp("c"),
+    Label("a"),
+    A.mov(R2, 1),
+    A.jmp("b"),
+    Label("c"),
+    A.subi(R1, 1),
+    A.cmpi(R1, 0),
+    A.jcc(Cond.NE, "top"),
+    A.call("leaf"),
+    A.halt(),
+    Label("leaf"),
+    A.jmp("leaf2"),
+    Label("leaf2"),
+    A.mov(R0, 3),
+    A.ret(),
+]
+
+SNIPPETS = {"loop": LOOP, "calls": CALLS, "chains": CHAINS}
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -365,3 +393,164 @@ def test_monitor_slow_path_windows(monkeypatch):
     assert monitor.detections == []
     assert len(compared) >= 10, compared
     assert set(compared) == {"ColumnarSlowSource"}
+
+
+def mapped_code(items, size=0x1000):
+    """A memory with ``items`` assembled at ``CODE_BASE``."""
+    code, symbols = asm(items, base=CODE_BASE)
+    memory = Memory()
+    memory.map_region(CODE_BASE, size, PROT_READ | PROT_EXEC)
+    memory.write_raw(CODE_BASE, code)
+    return memory, symbols
+
+
+@pytest.mark.parametrize("items", [
+    [Label("x"), A.jmp("x")],
+    [A.mov(R0, 1), Label("x"), A.mov(R1, 2), A.jmp("x")],
+    [Label("x"), A.jmp("y"), Label("y"), A.call("x")],
+], ids=["jmp-self", "run-then-jmp-self", "jmp-call-cycle"])
+def test_jump_cycle_under_budgets(items):
+    """A ``jmp .`` cycle consumes no packet: the walk only ends on the
+    budget, and building its chained run must stop on its own."""
+    memory, _ = mapped_code(items)
+    chain = FullDecoder(memory)._chain(CODE_BASE)
+    assert chain[0] == MAX_BLOCK_RUN and chain[3] is None
+    warm = FullDecoder(memory)
+    for budget in range(3 * MAX_BLOCK_RUN + 5):
+        got = assert_same(memory, b"", start_ip=CODE_BASE,
+                          max_insns=budget, warm=warm)
+        edges, insn_count, _, _, exhausted = got["packets"][0]
+        assert insn_count == budget and exhausted is False
+        assert edges or budget <= 2
+
+
+def test_chain_budget_at_every_offset():
+    """A JMP/CALL chain with no packet consumer until the HALT: every
+    budget cuts it at a different offset, before and after each edge."""
+    memory, _ = mapped_code([
+        A.mov(R0, 1),
+        A.jmp("a"),
+        A.halt(),
+        Label("a"),
+        A.mov(R1, 2),
+        A.mov(R2, 3),
+        A.call("f"),
+        A.halt(),
+        Label("f"),
+        A.jmp("g"),
+        Label("g"),
+        A.call("h"),
+        Label("h"),
+        A.mov(R0, 4),
+        A.halt(),
+    ])
+    full = FullDecoder(memory).decode(ColumnarSlowSource([]),
+                                      start_ip=CODE_BASE)
+    assert [e.kind.value for e in full.edges] == [
+        "direct_jmp", "direct_call", "direct_jmp", "direct_call",
+    ]
+    warm = FullDecoder(memory)
+    for budget in range(full.insn_count + 2):
+        got = assert_same(memory, b"", start_ip=CODE_BASE,
+                          max_insns=budget, warm=warm)
+    assert got["packets"][0] == fields(full)
+
+
+@pytest.mark.parametrize("via", ["jmp", "call"])
+def test_chain_into_unmapped_code_mapped_later(via):
+    """A chained run that reaches an unmapped page is not remembered:
+    once the page is mapped (no code-epoch move: the page is new) the
+    same decoder walks on into it."""
+    memory = Memory()
+    memory.map_region(CODE_BASE, 0x1000, PROT_READ | PROT_EXEC)
+    far = CODE_BASE + 0x1000
+    head = [A.mov(R0, 1), A.jmp("near"), Label("near")]
+    op = Op.JMP if via == "jmp" else Op.CALL
+    at = CODE_BASE + len(asm(head, base=CODE_BASE)[0])
+    code, _ = asm(
+        head + [Insn(op, rel=far - at - instruction_length(op))],
+        base=CODE_BASE,
+    )
+    memory.write_raw(CODE_BASE, code)
+    decoder = FullDecoder(memory, max_insns=100)
+    epoch = memory.code_epoch
+    for budget in range(6):
+        assert_same(memory, b"", start_ip=CODE_BASE, max_insns=budget,
+                    warm=decoder)
+    with pytest.raises(TraceMismatch, match="cannot disassemble"):
+        decoder.decode(ColumnarSlowSource([]), start_ip=CODE_BASE)
+    memory.map_region(far, 0x1000, PROT_READ | PROT_EXEC)
+    tail, symbols = asm([A.mov(R1, 1), Label("end"), A.halt()], base=far)
+    memory.write_raw(far, tail)
+    assert memory.code_epoch == epoch
+    got = assert_same(memory, b"", start_ip=CODE_BASE, max_insns=100,
+                      warm=decoder)
+    edges, insn_count, _, end_ip, exhausted = got["packets"][0]
+    assert (len(edges), insn_count, end_ip, exhausted) == (
+        2, 5, symbols["end"], True
+    )
+
+
+def test_code_epoch_change_between_decodes():
+    """Code re-mapped between two decodes: the warm decoder drops its
+    chained runs and follows the new direct targets."""
+    items = [
+        A.jmp("a"),
+        Label("a"),
+        A.call("f"),
+        A.halt(),
+        Label("f"),
+        A.mov(R0, 1),
+        A.halt(),
+    ]
+    memory, symbols = mapped_code(items)
+    warm = FullDecoder(memory)
+    before = assert_same(memory, b"", start_ip=CODE_BASE, warm=warm)
+    # Re-assemble with the JMP skipping the CALL, then re-protect the
+    # page (mprotect model: the code epoch moves).
+    code, _ = asm([
+        A.jmp("b"),
+        Label("a"),
+        A.call("f"),
+        Label("b"),
+        A.halt(),
+        Label("f"),
+        A.mov(R0, 1),
+        A.halt(),
+    ], base=CODE_BASE)
+    memory.write_raw(CODE_BASE, code)
+    epoch = memory.code_epoch
+    memory.protect(CODE_BASE, 0x1000, PROT_READ | PROT_EXEC)
+    assert memory.code_epoch > epoch
+    after = assert_same(memory, b"", start_ip=CODE_BASE, warm=warm)
+    assert after != before
+    assert [kind.value for kind, *_ in after["packets"][0][0]] == [
+        "direct_jmp"
+    ]
+
+
+def test_jcc_bits_cross_tnt_packets_and_psbs():
+    """A 60-iteration loop under a short PSB period: its JCC bits span
+    many TNT packets with PSB+ groups between them, popped inline from
+    the cursor's pending bits and refilled at each packet boundary."""
+    items = [
+        A.mov(R0, 0),
+        Label("loop"),
+        A.addi(R0, 1),
+        A.jmp("test"),
+        Label("test"),
+        A.cmpi(R0, 60),
+        A.jcc(Cond.LT, "loop"),
+        A.halt(),
+    ]
+    memory, data = traced_snippet(items, psb_period=4)
+    assert len(psb_offsets(data)) > 3
+    got = assert_same(memory, data, warm=FullDecoder(memory))
+    edges = got["packets"][0][0]
+    assert sum(kind.value == "cond_branch" for kind, *_ in edges) == 60
+    full = FullDecoder(memory).decode(sources(data)["columnar"]())
+    warm = FullDecoder(memory)
+    for budget in range(full.insn_count + 2):
+        assert_same(memory, data, max_insns=budget, warm=warm)
+    for cut in range(len(data) + 1):
+        assert_same(memory, data[:cut], warm=warm)

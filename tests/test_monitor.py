@@ -136,6 +136,33 @@ class TestBenignTraffic:
         assert proc.state is ProcessState.EXITED
 
 
+class TestMalformedWindow:
+    def test_ip_suppressed_tip_fails_closed(self, nginx_pipeline,
+                                            monkeypatch):
+        """An IP-suppressed TIP at the newest end of the window: the
+        pair it ends is out of graph, so the check is a fast-path
+        VIOLATION whose edge and reason name the suppressed ip (None) —
+        not a ``TypeError`` from the index or the report."""
+        from repro.ipt.packets import TIP_HEADER, encode_ip_packet
+        from repro.monitor.fastpath import FastPathChecker
+
+        suppressed = encode_ip_packet(TIP_HEADER, None, 0)[0]
+        check = FastPathChecker.check
+        monkeypatch.setattr(
+            FastPathChecker, "check",
+            lambda checker, data: check(checker, bytes(data) + suppressed),
+        )
+        kernel = fresh_kernel()
+        monitor, proc = nginx_pipeline.deploy(kernel)
+        proc.push_connection(nginx_request("/index.html"))
+        kernel.run(proc)
+        assert proc.state is ProcessState.KILLED
+        [detection] = monitor.detections
+        assert detection.path == "fast"
+        assert detection.edge[1] is None
+        assert detection.reason.endswith(" -> suppressed")
+
+
 class TestPolicy:
     def test_with_endpoints_extends(self):
         policy = FlowGuardPolicy()

@@ -465,6 +465,32 @@ class TestRunReports:
         assert html.startswith("<!DOCTYPE html>")
         assert "<table>" in html
 
+    def test_report_from_observability_bench(self):
+        """A BENCH_observability-shaped payload titles each scenario's
+        SLO section like every other report, so a search for "SLO
+        objectives" (the CI smoke step's) finds it."""
+        from repro.telemetry.report import render_report
+
+        plane = _plane(interval=2000.0)
+        service = build_fleet(1, 1, 1)
+        result = service.run()
+        payload = json.loads(json.dumps({
+            "gates": {"transparent": True},
+            "scenarios": {
+                "clean": {
+                    "tasks": result.tasks,
+                    "quarantined": sorted(result.quarantined_pids),
+                    "overhead": result.overhead,
+                    "digest": "0" * 64,
+                    "plane_dump": plane.to_dict(),
+                },
+            },
+        }))
+        md = render_report(payload, fmt="markdown")
+        assert "# FlowGuard observability report" in md
+        assert "## Scenario: clean" in md
+        assert "## SLO objectives — clean" in md
+
     def test_report_rejects_unknown_payloads(self):
         from repro.telemetry.report import render_report
 

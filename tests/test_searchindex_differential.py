@@ -157,6 +157,67 @@ def test_violation_stops_both_at_the_same_pair(captures, memo):
         assert_same_state(batch_index, ref_index)
 
 
+@pytest.mark.parametrize("memo", [0, EDGE_ENTRIES], ids=["memo-off",
+                                                          "memo-on"])
+@pytest.mark.parametrize("shape", ["trained-src", "none-src", "untrained-src"])
+def test_ip_suppressed_tip_fails_closed(memo, shape):
+    """An IP-suppressed TIP puts a None ip in the window.  The pair it
+    ends or starts is out of graph (a violation at that pair), charged
+    what an untrained source pays: the credit probe plus the source
+    search.  It must never reach a bisect."""
+    from repro import costs
+
+    labeled = private_labeled("nginx", thin=False)
+    batch_index = FlowSearchIndex(labeled, edge_cache_entries=memo)
+    ref_index = ReferenceSearchIndex(labeled, edge_cache_entries=memo)
+    trained = 0x400000
+    assert trained in batch_index._src_arr
+    ips = {
+        "trained-src": [trained, None],
+        "none-src": [None, trained],
+        "untrained-src": [0x123, None],
+    }[shape]
+    sigs = [1, pack_tnt_sig((True,))]
+    src_probes = max(1, len(batch_index._src_arr).bit_length())
+    want_cycles = (
+        (costs.EDGE_CACHE_PROBE_CYCLES if memo else 0)
+        + costs.CREDIT_CACHE_PROBE_CYCLES
+        + src_probes * costs.SEARCH_PROBE_CYCLES
+    )
+    for _ in range(2):  # the second pass is a memo hit when memo is on
+        before = batch_index.cycles
+        got = batch_index.check_batch(ips, sigs)
+        want = ref_index.check_window(ips, sigs)
+        assert got.violation == want.violation == tuple(ips)
+        assert got.checked == want.checked == 1
+        assert got.low_credit == want.low_credit == []
+        assert_same_state(batch_index, ref_index)
+        if not memo or not batch_index.memo_hits:
+            assert batch_index.cycles - before == want_cycles
+
+
+def test_ip_suppressed_tip_mid_window(captures):
+    """A None ip inside a captured window: the batch stops at the first
+    pair that touches it, exactly where the oracle does."""
+    labeled = private_labeled("nginx", thin=False)
+    batch_index = FlowSearchIndex(labeled)
+    ref_index = ReferenceSearchIndex(labeled)
+    judged = 0
+    for ips, sigs in windows(captures, "nginx"):
+        if len(ips) < 4:
+            continue
+        ips = ips[:2] + [None] + ips[3:]
+        got = batch_index.check_batch(ips, sigs)
+        want = ref_index.check_window(ips, sigs)
+        assert (got.violation, got.checked, got.low_credit) == (
+            want.violation, want.checked, want.low_credit
+        )
+        assert got.violation == (ips[1], None)
+        assert_same_state(batch_index, ref_index)
+        judged += 1
+    assert judged
+
+
 @pytest.mark.parametrize("server", SERVER_NAMES)
 def test_memory_bytes_matches_reference(server):
     labeled = private_labeled(server, thin=True)

@@ -1,4 +1,9 @@
-"""Tests for the slow path: shadow stack + fine-grained forward edges."""
+"""Tests for the slow path: shadow stack + fine-grained forward edges.
+
+``TestShadowStack`` covers the per-edge shadow stack of the policy
+oracle (``tests/slowpath_reference.py``); the engine's inlined stack is
+held to it by ``tests/test_slowpath_differential.py``.
+"""
 
 import pytest
 
@@ -8,13 +13,12 @@ from repro.cpu import CoFIKind, Memory
 from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
 from repro.ipt.full_decoder import FlowEdge, TraceMismatch
 from repro.ipt.packets import pack_tnt_sig
-from repro.monitor.shadowstack import (
+from repro.monitor.slowpath import (
     _DIRECT_CALL_LEN,
     _INDIRECT_CALL_LEN,
-    ShadowStack,
-    ShadowStackViolation,
+    SlowPathEngine,
 )
-from repro.monitor.slowpath import SlowPathEngine
+from tests.slowpath_reference import ShadowStack, ShadowStackViolation
 
 
 class TestShadowStack:
