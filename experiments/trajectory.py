@@ -7,9 +7,9 @@ Usage::
         [--loadgen BENCH_loadgen.json] [--out BENCH_trajectory.json]
     PYTHONPATH=src python experiments/trajectory.py --check
 
-Reads the knee / max-throughput-under-SLO already measured by
-``experiments/loadgen.py`` and appends one labelled entry to the
-trajectory file — so perf PRs show the curve across PRs, not just this
+Reads the knee / max-throughput-under-SLO already measured into
+``BENCH_loadgen.json`` by ``python -m repro experiments loadgen`` and
+appends one labelled entry to the trajectory file — so perf PRs show the curve across PRs, not just this
 PR's point.  Existing entries are never rewritten (re-recording the
 same label replaces only that label's entry).
 

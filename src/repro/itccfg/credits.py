@@ -111,8 +111,9 @@ class CreditLabeledITC:
                 tnt: Tuple[bool, ...] = ()) -> None:
         """Promote an edge to high credit (slow-path negative caching:
         §7.1.1 — "negative results of slow path checking are cached for
-        the subsequent fast path checking")."""
+        the subsequent fast path checking").  The confirmed TNT run is
+        recorded even when it is empty: a promoted edge trusts exactly
+        the runs confirmed on it, as a trained edge does."""
         label = self.labels.setdefault((src, dst), EdgeLabel())
         label.credit = CreditLevel.HIGH
-        if tnt:
-            label.tnt_patterns.add(tuple(tnt))
+        label.tnt_patterns.add(tuple(tnt))

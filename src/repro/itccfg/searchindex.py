@@ -4,13 +4,16 @@ FlowGuard maintains an array of source-node records, each holding a
 count of outgoing edges and a pointer to a sorted array of target
 addresses, so membership tests are two binary searches.  A separate
 "hot" store caches high-credit edges (with their TNT patterns) for the
-common case.  Every probe charges cycles so the micro-benchmarks can
-report realistic fast-path costs.
+common case: one set of hot ``(src, dst)`` edges and one set of trusted
+``(src, dst, sig)`` triples.  Every probe charges cycles so the
+micro-benchmarks can report realistic fast-path costs.
 
 Edges are checked a window at a time by :meth:`FlowSearchIndex.check_batch`
 over the packed columns the fast path decodes: record IPs and 1-prefixed
-TNT signatures (:func:`repro.ipt.packets.pack_tnt_sig`).  The per-edge
-walk it replaced is kept as the oracle in ``tests/searchindex_reference.py``.
+TNT signatures (:func:`repro.ipt.packets.pack_tnt_sig`).  A window whose
+every pair is a trusted triple is judged by one set-membership sweep;
+anything else takes the per-edge loop.  The per-edge walk both replaced
+is kept as the oracle in ``tests/searchindex_reference.py``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import bisect
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import costs
@@ -47,6 +51,12 @@ class BatchCheckResult:
 
 class FlowSearchIndex:
     """Sorted-array search structure over a credit-labelled ITC-CFG.
+
+    The hot cache is two sets: ``_hot`` holds the high-credit
+    ``(src, dst)`` edges and ``_trusted`` every ``(src, dst, sig)``
+    triple of a high-credit edge with a TNT run seen on it (in training
+    or confirmed by the slow path).  An edge is trusted only with a run
+    in ``_trusted``; a hot edge with any other run is low credit.
 
     ``edge_cache_entries`` > 0 additionally memoizes full
     ``(src, dst, sig)`` lookup outcomes in a bounded LRU: a memo hit is
@@ -80,14 +90,17 @@ class FlowSearchIndex:
             self._tgt_flat.extend(sorted(succ[source]))
             bounds[index + 1] = len(self._tgt_flat)
         self._tgt_bounds: array = bounds
-        #: hot cache: high-credit edges with their packed TNT patterns,
-        #: in separate memory for fast matching.
-        self._hot_sigs: Dict[Tuple[int, int], Set[int]] = {}
+        #: hot cache, in separate memory for fast matching: the
+        #: high-credit edges, and each one's trusted packed TNT runs.
+        self._hot: Set[Tuple[int, int]] = set()
+        self._trusted: Set[Tuple[int, int, int]] = set()
         for (src, dst), label in labeled.labels.items():
             if label.credit is CreditLevel.HIGH:
-                self._hot_sigs[(src, dst)] = {
-                    pack_tnt_sig(pattern) for pattern in label.tnt_patterns
-                }
+                self._hot.add((src, dst))
+                self._trusted.update(
+                    (src, dst, pack_tnt_sig(pattern))
+                    for pattern in label.tnt_patterns
+                )
         #: packed signature -> unpacked tuple, shared across
         #: ``check_batch`` calls (pure function of the sig; bounded
         #: because real traces repeat a small set of TNT runs).
@@ -97,10 +110,10 @@ class FlowSearchIndex:
     # -- maintenance ---------------------------------------------------------
 
     def promote(self, src: int, dst: int, tnt: Tuple[bool, ...] = ()) -> None:
-        """Mirror a credit promotion into the hot cache."""
-        sigs = self._hot_sigs.setdefault((src, dst), set())
-        if tnt:
-            sigs.add(pack_tnt_sig(tnt))
+        """Mirror a credit promotion into the hot cache: the edge turns
+        hot and trusts the confirmed run ``tnt`` (empty included)."""
+        self._hot.add((src, dst))
+        self._trusted.add((src, dst, pack_tnt_sig(tnt)))
         if self._memo:
             stale = [
                 key for key in self._memo
@@ -143,12 +156,27 @@ class FlowSearchIndex:
         outcome for the exact ``(src, dst, sig)`` triple short-circuits
         everything at one probe.  The batch stops at the first
         out-of-graph edge.
+
+        The common case — memo off and every pair a trusted triple — is
+        one C-level membership sweep over the zipped columns, charged
+        one hot-cache probe per pair in a single add.  That add equals
+        the per-pair sum bit for bit: every charge here is a multiple
+        of 0.5 cycles, so each partial sum is exact.  Any other window
+        (a miss, a ``None`` ip, memo on) runs the per-edge loop from
+        the first pair.
         """
+        memo_capacity = self.edge_cache_entries
+        trusted = self._trusted
+        if not memo_capacity and all(map(trusted.__contains__, zip(
+            ips, islice(ips, 1, None), islice(sigs, 1, None)
+        ))):
+            pairs = max(len(ips) - 1, 0)
+            self.cycles += pairs * costs.CREDIT_CACHE_PROBE_CYCLES
+            return BatchCheckResult(checked=pairs)
         outcome = BatchCheckResult()
         low_credit = outcome.low_credit
-        memo_capacity = self.edge_cache_entries
         memo = self._memo
-        hot_sigs = self._hot_sigs
+        hot = self._hot
         src_arr = self._src_arr
         tgt_flat = self._tgt_flat
         tgt_bounds = self._tgt_bounds
@@ -173,8 +201,8 @@ class FlowSearchIndex:
             dst = ips[index]
             sig = sigs[index]
             checked += 1
+            key = (src, dst, sig)
             if memo_capacity:
-                key = (src, dst, sig)
                 self.cycles += memo_probe
                 edge = memo.get(key)
                 if edge is not None:
@@ -192,9 +220,10 @@ class FlowSearchIndex:
                 if miss_counter is not None:
                     miss_counter.inc()
             self.cycles += credit_probe
-            hot = hot_sigs.get((src, dst))
-            if hot is not None:
-                edge = _TRUSTED if not hot or sig in hot else _LOW_CREDIT
+            if key in trusted:
+                edge = _TRUSTED
+            elif (src, dst) in hot:
+                edge = _LOW_CREDIT
             else:
                 edge = _OUT_OF_GRAPH
                 self.cycles += src_probes * search_probe
@@ -242,7 +271,8 @@ class FlowSearchIndex:
         ``sig.bit_length() - 1`` branches long).
         """
         size = 24 * len(self._src_arr) + 8 * len(self._tgt_flat)
-        for sigs in self._hot_sigs.values():
-            size += 16  # edge key
-            size += sum(8 + (sig.bit_length() + 6) // 8 for sig in sigs)
+        size += 16 * len(self._hot)  # edge keys
+        size += sum(
+            8 + (sig.bit_length() + 6) // 8 for _, _, sig in self._trusted
+        )
         return size

@@ -67,10 +67,10 @@ class ReferenceSearchIndex:
         self.cycles = 0.0
 
     def promote(self, src: int, dst: int, tnt: Tuple[bool, ...] = ()) -> None:
-        """Mirror a credit promotion into the hot cache."""
-        patterns = self._hot.setdefault((src, dst), set())
-        if tnt:
-            patterns.add(tuple(tnt))
+        """Mirror a credit promotion into the hot cache.  The confirmed
+        run is recorded even when empty: a hot edge trusts exactly the
+        runs recorded for it."""
+        self._hot.setdefault((src, dst), set()).add(tuple(tnt))
         if self._memo:
             stale = [
                 key for key in self._memo
@@ -135,7 +135,7 @@ class ReferenceSearchIndex:
         self.cycles += costs.CREDIT_CACHE_PROBE_CYCLES
         hot = self._hot.get((src, dst))
         if hot is not None:
-            tnt_ok = not hot or tuple(tnt) in hot
+            tnt_ok = tuple(tnt) in hot
             return LookupResult(True, CreditLevel.HIGH, tnt_ok, probes)
 
         # A None endpoint (IP-suppressed TIP) fails as an untrained

@@ -211,6 +211,15 @@ class TestCredits:
         assert labeled.credit_of(0x100, 0x300) is CreditLevel.HIGH
         assert labeled.tnt_matches(0x100, 0x300, (True,))
 
+    def test_promote_records_an_empty_run(self):
+        # The slow path confirms pairs with no TNT bits between their
+        # TIPs; the edge must trust that run and no other.
+        labeled = self.make_labeled()
+        labeled.promote(0x100, 0x300, ())
+        assert labeled.credit_of(0x100, 0x300) is CreditLevel.HIGH
+        assert labeled.tnt_matches(0x100, 0x300, ())
+        assert not labeled.tnt_matches(0x100, 0x300, (True,))
+
 
 class TestSearchIndex:
     def make_index(self):

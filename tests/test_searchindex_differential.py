@@ -9,7 +9,10 @@ places that shape replaced an object path to the oracles kept in
   ``tests/searchindex_reference.py``, on tail windows captured from all
   four servers, with the edge memo on and off and ``promote`` calls
   interleaved: violation edge, ``checked``, ``low_credit``, charged
-  cycles, memo hits / misses / invalidations and ``memory_bytes()``;
+  cycles, memo hits / misses / invalidations and ``memory_bytes()``.
+  A fully trusted window must take the one-pass membership sweep, and
+  every window it cannot judge (an untrusted pair anywhere, a ``None``
+  ip, memo on) the per-edge loop, with the same outcome and charge;
 - the slow path's ``confirmed_pairs``, built from the window columns,
   against the pairs of the packet-object decode of
   ``tests/packet_reference.py`` — including stitched multi-segment
@@ -20,6 +23,7 @@ import random
 
 import pytest
 
+from repro import costs
 from repro.experiments.common import (
     SERVER_NAMES,
     run_server,
@@ -216,6 +220,198 @@ def test_ip_suppressed_tip_mid_window(captures):
         assert_same_state(batch_index, ref_index)
         judged += 1
     assert judged
+
+
+class CountingSigs(list):
+    """A signature column that counts indexed reads: only the per-edge
+    loop indexes ``sigs``; the sweep iterates it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def trusted_windows(labeled, server, captures):
+    """The captured windows of ``server`` whose every pair ``labeled``
+    trusts (the oracle says so: no violation, no low-credit pair)."""
+    ref_index = ReferenceSearchIndex(labeled)
+    return [
+        (ips, sigs) for ips, sigs in windows(captures, server)
+        if len(ips) > 1
+        and not (want := ref_index.check_window(ips, sigs)).low_credit
+        and want.violation is None
+    ]
+
+
+def assert_same_outcome(got, want):
+    assert (got.violation, got.checked, got.low_credit) == (
+        want.violation, want.checked, want.low_credit
+    )
+
+
+@pytest.mark.parametrize("server", SERVER_NAMES)
+@pytest.mark.parametrize("memo", [0, EDGE_ENTRIES], ids=["memo-off",
+                                                          "memo-on"])
+def test_trusted_window_takes_the_sweep(captures, server, memo):
+    """With the memo off a fully trusted window is one sweep; with it
+    on, the per-edge loop, so the memo counts every pair."""
+    labeled = private_labeled(server, thin=False)
+    batch_index = FlowSearchIndex(labeled, edge_cache_entries=memo)
+    ref_index = ReferenceSearchIndex(labeled, edge_cache_entries=memo)
+    clean = trusted_windows(labeled, server, captures)
+    assert clean, f"{server}: no fully trusted window captured"
+    pairs = 0
+    for ips, sigs in clean:
+        counted = CountingSigs(sigs)
+        got = batch_index.check_batch(ips, counted)
+        assert counted.reads == (len(ips) - 1 if memo else 0)
+        assert_same_outcome(got, ref_index.check_window(ips, sigs))
+        assert got.checked == len(ips) - 1
+        assert_same_state(batch_index, ref_index)
+        pairs += len(ips) - 1
+    if memo:
+        assert batch_index.memo_hits + batch_index.memo_misses == pairs
+
+
+def test_promoted_window_takes_the_sweep(captures):
+    """Promoting a window's low-credit pairs through the index makes
+    the next check of that window one sweep."""
+    labeled = private_labeled("nginx", thin=True)
+    batch_index = FlowSearchIndex(labeled)
+    ref_index = ReferenceSearchIndex(labeled)
+    promoted = 0
+    for ips, sigs in windows(captures, "nginx"):
+        got = batch_index.check_batch(ips, sigs)
+        assert_same_outcome(got, ref_index.check_window(ips, sigs))
+        if got.violation is not None or not got.low_credit:
+            continue
+        for position in range(1, len(ips)):
+            pair = (ips[position - 1], ips[position])
+            if pair in got.low_credit:
+                tnt = unpack_tnt_sig(sigs[position])
+                labeled.promote(*pair, tnt)
+                batch_index.promote(*pair, tnt)
+                ref_index.promote(*pair, tnt)
+        counted = CountingSigs(sigs)
+        again = batch_index.check_batch(ips, counted)
+        assert counted.reads == 0, "a promoted window left the sweep"
+        assert again.low_credit == []
+        assert_same_outcome(again, ref_index.check_window(ips, sigs))
+        assert_same_state(batch_index, ref_index)
+        promoted += 1
+    assert promoted
+
+
+def untrained_sig(labeled, src, dst):
+    """A TNT signature never seen on ``src -> dst``."""
+    sig = pack_tnt_sig((True, False) * 20)
+    while labeled.tnt_matches(src, dst, unpack_tnt_sig(sig)):
+        sig += 1
+    return sig
+
+
+@pytest.mark.parametrize("memo", [0, EDGE_ENTRIES], ids=["memo-off",
+                                                          "memo-on"])
+def test_untrusted_pair_at_every_position_falls_back(captures, memo):
+    labeled = private_labeled("nginx", thin=False)
+    ips, sigs = max(trusted_windows(labeled, "nginx", captures),
+                    key=lambda window: len(window[0]))
+    assert len(ips) > 8
+    for position in range(1, len(ips)):
+        for shape in ("unseen-run", "off-graph", "suppressed"):
+            window_ips, window_sigs = list(ips), list(sigs)
+            if shape == "unseen-run":
+                window_sigs[position] = untrained_sig(
+                    labeled, ips[position - 1], ips[position]
+                )
+            else:
+                window_ips[position] = (
+                    0xDEAD0000 if shape == "off-graph" else None
+                )
+            batch_index = FlowSearchIndex(labeled, edge_cache_entries=memo)
+            ref_index = ReferenceSearchIndex(
+                labeled, edge_cache_entries=memo
+            )
+            counted = CountingSigs(window_sigs)
+            got = batch_index.check_batch(window_ips, counted)
+            want = ref_index.check_window(window_ips, window_sigs)
+            assert counted.reads > 0
+            assert_same_outcome(got, want)
+            assert_same_state(batch_index, ref_index)
+            if shape == "unseen-run":
+                assert got.low_credit == [(ips[position - 1], ips[position])]
+                assert got.checked == len(ips) - 1
+            else:
+                assert got.violation == (
+                    ips[position - 1], window_ips[position]
+                )
+                assert got.checked == position
+
+
+def test_probe_costs_are_half_cycle_multiples():
+    """The sweep charges a whole window in one add; that equals the
+    per-pair sum exactly only while every ``check_batch`` charge is a
+    multiple of 0.5 cycles."""
+    for name in ("CREDIT_CACHE_PROBE_CYCLES", "SEARCH_PROBE_CYCLES",
+                 "EDGE_CACHE_PROBE_CYCLES"):
+        value = getattr(costs, name)
+        assert (value * 2).is_integer(), f"{name} = {value!r}"
+
+
+class TestEmptyRunPromotion:
+    """The slow path confirms pairs whose TNT run is empty.  Promoting
+    one trusts that run and no other, in the promoting index, in an
+    index that shares the labelling, and in one built from it later."""
+
+    @staticmethod
+    def _edge(labeled):
+        """An in-graph edge with no label: low credit on every run."""
+        return next(
+            (edge.src, edge.dst)
+            for edge in sorted(labeled.itc.edges,
+                               key=lambda edge: (edge.src, edge.dst))
+            if (edge.src, edge.dst) not in labeled.labels
+        )
+
+    def _indexes(self):
+        labeled = private_labeled("nginx", thin=True)
+        src, dst = self._edge(labeled)
+        promoting = FlowSearchIndex(labeled)
+        sharing = FlowSearchIndex(labeled)
+        ref_promoting = ReferenceSearchIndex(labeled)
+        ref_sharing = ReferenceSearchIndex(labeled)
+        labeled.promote(src, dst, ())
+        promoting.promote(src, dst, ())
+        ref_promoting.promote(src, dst, ())
+        fresh = FlowSearchIndex(labeled)
+        ref_fresh = ReferenceSearchIndex(labeled)
+        return (src, dst), [
+            (promoting, ref_promoting),
+            (sharing, ref_sharing),
+            (fresh, ref_fresh),
+        ]
+
+    def test_empty_run_is_trusted_everywhere(self):
+        pair, indexes = self._indexes()
+        for index, ref_index in indexes:
+            got = index.check_batch(list(pair), [1, 1])
+            assert_same_outcome(got, ref_index.check_window(list(pair),
+                                                            [1, 1]))
+            assert got.violation is None
+            assert got.low_credit == []
+            assert_same_state(index, ref_index)
+
+    def test_other_runs_stay_low_credit_everywhere(self):
+        pair, indexes = self._indexes()
+        sig = pack_tnt_sig((True,))
+        for index, ref_index in indexes:
+            got = index.check_batch(list(pair), [1, sig])
+            assert_same_outcome(got, ref_index.check_window(list(pair),
+                                                            [1, sig]))
+            assert got.low_credit == [pair]
+            assert_same_state(index, ref_index)
 
 
 @pytest.mark.parametrize("server", SERVER_NAMES)
