@@ -3,7 +3,7 @@
 A *block* starts at a leader — the instruction after a retired CoFI or
 SYSCALL — and runs up to and including the next CoFI (JMP, Jcc, CALL,
 CALLR, RET, JMPR).  It ends *before* a SYSCALL or HALT, before an
-instruction that cannot be fetched or decoded, and after
+instruction that does not decode wholly on the leader's page, and after
 :data:`MAX_BLOCK_INSNS` instructions.  This is the unit Intel PT reports
 in: between two retired CoFIs the CPU runs exactly one block.
 
@@ -25,15 +25,20 @@ faults, their text and ``ip``, ``cycles`` and ``insn_count`` stay the
 loop's.  A block that ends in a CoFI returns its destination; the loop
 publishes the CoFI's event.
 
-Compiled blocks are shared: a :class:`BlockStore` belongs to the
-module whose code it compiles (:attr:`repro.binary.module.Module.blocks`)
-and the loader files the module's code pages under it
-(:meth:`repro.cpu.memory.Memory.attach_blocks`), so every process that
-maps the module — forked, or loaded by another kernel — reuses the
-same functions.  A block is compiled once :data:`HOT_ENTRIES` leader
-visits found none, and an address space uses a compiled block only
-after its own code bytes, fetched with EXEC enforced, match the bytes
-the block was compiled from, on pages none of which is writable.
+Decoded code is shared: a :class:`BlockStore` belongs to the module
+whose code it holds (:attr:`repro.binary.module.Module.blocks`) and the
+loader files the module's code pages under it
+(:meth:`repro.cpu.memory.Memory.attach_blocks`).  The store keeps, per
+code page and per distinct content of that page, one :class:`CodePage`:
+the page's bytes, the predecoded entries decoded from them and the blocks
+compiled from those entries.  An executor *attests* a page once per
+memory and code epoch (:meth:`BlockStore.attest`): the page must be
+mapped EXEC and not WRITE, and its bytes select the variant decoded from
+the same bytes.  From then on every process that maps the module —
+forked, or loaded by another kernel — takes entries and blocks from a
+dict, without fetching, decoding or comparing code again.  A block is
+compiled once :data:`HOT_ENTRIES` leader visits found none, and holds
+only instructions that lie wholly on its page.
 """
 
 from __future__ import annotations
@@ -42,17 +47,17 @@ import struct
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.cpu.events import CoFIKind
-from repro.cpu.executor import NO_BLOCK, _ROUTE_KINDS, fetch_insn, predecode
+from repro.cpu.executor import NO_BLOCK, _ROUTE_KINDS, predecode
 from repro.cpu.machine import U64_MASK, to_signed
 from repro.cpu.memory import (
     PAGE_SHIFT,
     PAGE_SIZE,
+    PROT_EXEC,
     PROT_READ,
     PROT_WRITE,
     Memory,
-    MemoryError_,
 )
-from repro.isa.encoding import DecodeError
+from repro.isa.encoding import DecodeError, decode_at
 from repro.isa.instructions import Op
 from repro.isa.registers import SP
 
@@ -74,7 +79,7 @@ _ROUTE = {
     int(Op.CALLR): _ROUTE_KINDS.index(CoFIKind.INDIRECT_CALL),
     int(Op.RET): _ROUTE_KINDS.index(CoFIKind.RET),
 }
-_STOPS = frozenset((Op.SYSCALL, Op.HALT))
+_STOPS = frozenset((int(Op.SYSCALL), int(Op.HALT)))
 _FLAG_WRITERS = frozenset(int(op) for op in (
     Op.ADD, Op.SUB, Op.ADDI, Op.SUBI, Op.MUL, Op.MULI, Op.AND, Op.ANDI,
     Op.OR, Op.XOR, Op.CMP, Op.CMPI,
@@ -113,81 +118,90 @@ class Block(NamedTuple):
     term_ip: int
 
 
-class BlockStore:
-    """The compiled blocks of one module's code, by entry address."""
+class CodePage:
+    """One code page as some address spaces map it: its bytes, and the
+    predecoded entries and compiled blocks made from them, by address."""
 
-    def __init__(self) -> None:
-        #: Entry ip -> ``(code bytes, block)`` variants.
-        self._variants: Dict[int, List[Tuple[bytes, Block]]] = {}
+    __slots__ = ("base", "data", "entries", "blocks", "_heat")
+
+    def __init__(self, pageno: int, data: bytes) -> None:
+        self.base = pageno << PAGE_SHIFT
+        self.data = data
+        self.entries: Dict[int, tuple] = {}
+        #: Leader ip -> compiled block, or :data:`NO_BLOCK`.
+        self.blocks: Dict[int, Union[Block, Tuple[()]]] = {}
         self._heat: Dict[int, int] = {}
 
-    def lookup(
-        self, memory: Memory, ip: int
-    ) -> Union[Block, Tuple[()], None]:
-        """The block entered at leader ``ip`` in ``memory``.
+    def entry(self, ip: int) -> Optional[tuple]:
+        """The predecoded entry at ``ip``, decoded from the page's bytes
+        on first use; None unless an instruction decodes there wholly on
+        this page."""
+        entry = self.entries.get(ip)
+        if entry is None:
+            try:
+                insn, length = decode_at(self.data, ip - self.base)
+            except DecodeError:  # off the page, cut by its end, or invalid
+                return None
+            entry = self.entries[ip] = predecode(insn, ip, length)
+        return entry
 
-        A variant compiled from the same bytes is reused; otherwise the
-        visit counts toward :data:`HOT_ENTRIES`, and a hot ``ip`` is
-        compiled.  Returns None while ``ip`` is cold, and
+    def block(self, ip: int) -> Union[Block, Tuple[()], None]:
+        """The block entered at leader ``ip``.
+
+        A visit that finds none counts toward :data:`HOT_ENTRIES`, and a
+        hot ``ip`` is compiled.  Returns None while ``ip`` is cold, and
         :data:`NO_BLOCK` when no block can start there.
         """
-        variants = self._variants.get(ip)
-        if variants:
-            for code, block in variants:
-                if _matches(memory, ip, code):
-                    return block
-        heat = self._heat.get(ip, 0) + 1
-        self._heat[ip] = heat
-        if heat < HOT_ENTRIES:
+        block = self.blocks.get(ip)
+        if block is None:
+            heat = self._heat[ip] = self._heat.get(ip, 0) + 1
+            if heat < HOT_ENTRIES:
+                return None
+            block = self.blocks[ip] = compile_block(self, ip) or NO_BLOCK
+        return block
+
+
+class BlockStore:
+    """The decoded code of one module: per code page number, one
+    :class:`CodePage` per distinct content the page was attested with."""
+
+    def __init__(self) -> None:
+        self._pages: Dict[int, List[CodePage]] = {}
+
+    def attest(self, memory: Memory, pageno: int) -> Optional[CodePage]:
+        """The store's page for page ``pageno`` of ``memory``: the variant
+        decoded from the same bytes, made on first sight of them.  None
+        unless the page is mapped EXEC and not WRITE."""
+        pages, prots = memory.tables()
+        if prots.get(pageno, 0) & (PROT_EXEC | PROT_WRITE) != PROT_EXEC:
             return None
-        compiled = compile_block(memory, ip)
-        if compiled is None:
-            return NO_BLOCK
-        self._variants.setdefault(ip, []).append(compiled)
-        return compiled[1]
+        data = pages[pageno]
+        variants = self._pages.setdefault(pageno, [])
+        for page in variants:
+            if page.data == data:
+                return page
+        page = CodePage(pageno, bytes(data))
+        variants.append(page)
+        return page
 
 
-def _writable(memory: Memory, ip: int, size: int) -> bool:
-    prots = memory.tables()[1]
-    first = ip >> PAGE_SHIFT
-    last = (ip + size - 1) >> PAGE_SHIFT
-    return any(prots.get(pageno, 0) & PROT_WRITE
-               for pageno in range(first, last + 1))
+def compile_block(page: CodePage, ip: int) -> Optional[Block]:
+    """Compile the block entered at ``ip`` on ``page``.
 
-
-def _matches(memory: Memory, ip: int, code: bytes) -> bool:
-    """Whether ``memory`` executes ``code`` at ``ip`` (EXEC enforced) from
-    pages nothing can write."""
-    try:
-        same = memory.fetch(ip, len(code)) == code
-    except MemoryError_:
-        return False
-    return same and not _writable(memory, ip, len(code))
-
-
-def compile_block(memory: Memory, ip: int) -> Optional[Tuple[bytes, Block]]:
-    """Compile the block entered at ``ip``: its code bytes and function.
-
-    None when no instruction can start a block there (a SYSCALL, HALT or
-    unfetchable instruction at ``ip``), or when the block's code sits on
-    a writable page.
+    None when no instruction can start a block there: a SYSCALL or HALT,
+    or no instruction that decodes wholly on the page.
     """
     entries = []
-    code = bytearray()
     at = ip
     while len(entries) < MAX_BLOCK_INSNS:
-        try:
-            insn, length, raw = fetch_insn(memory, at)
-        except (MemoryError_, DecodeError):
+        e = page.entry(at)
+        if e is None or e[0] in _STOPS:
             break
-        if insn.op in _STOPS:
+        entries.append((at, e))
+        at = e[2]
+        if e[0] in _ROUTE:
             break
-        entries.append((at, predecode(insn, at, length)))
-        code += raw
-        at += length
-        if entries[-1][1][0] in _ROUTE:
-            break
-    if not entries or _writable(memory, ip, len(code)):
+    if not entries:
         return None
     namespace = dict(_NAMESPACE)
     exec(compile(_source(entries), f"<block {ip:#x}>", "exec"), namespace)
@@ -203,8 +217,7 @@ def compile_block(memory: Memory, ip: int) -> Optional[Tuple[bytes, Block]]:
         events = (last[4],) * 4
     elif route >= 0:
         kind = _ROUTE_KINDS[route]
-    block = Block(fn, len(entries), route, events, kind, term_ip)
-    return bytes(code), block
+    return Block(fn, len(entries), route, events, kind, term_ip)
 
 
 def _source(entries) -> str:

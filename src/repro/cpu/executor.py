@@ -1,18 +1,27 @@
 """The interpreter: fetch, decode, execute, retire CoFI events.
 
-Each instruction is decoded once per address into a flat *predecoded
-entry* (see :func:`predecode`) and executed by one dispatch loop,
+Each instruction is decoded once into a flat *predecoded entry* (see
+:func:`predecode`) and executed by one dispatch loop,
 :meth:`Executor._execute`, that :meth:`Executor.run` and
 :meth:`Executor.step` share.  At a leader — after a CoFI or SYSCALL
 retires — the loop runs the hot basic block entered there as one
 compiled function (:mod:`repro.cpu.blocks`); everything a block does not
 cover runs one instruction at a time.
 
-The icache and the block map hold decoded code, so the loop drops both
-whenever ``machine.memory`` is replaced (execve) or its ``code_epoch``
-moves (an executable page re-mapped or re-protected, including an
-mprotect that revokes EXEC).  It checks on entry and after every
-call-out, the only times either can change.  Code patched in place
+Decoded code is shared between address spaces: on an icache miss the
+executor takes the entry from the store of the module that owns the page
+(:class:`repro.cpu.blocks.BlockStore`), once it has *attested* the page —
+mapped EXEC and not WRITE, with bytes the store decoded.  Anything else
+(code no module filed, an instruction that crosses into another page) is
+fetched and decoded privately, and an instruction on a writable page is
+decoded at every fetch and cached nowhere, so a store that rewrites code
+takes effect at the next fetch, as on x86.
+
+The icache, the block map and the attestations hold decoded code, so the
+loop drops them whenever ``machine.memory`` is replaced (execve) or its
+``code_epoch`` moves (an executable page re-mapped or re-protected,
+including an mprotect that revokes EXEC).  It checks on entry and after
+every call-out, the only times either can change.  Code patched in place
 without a protection change needs :meth:`Executor.flush_icache`.
 
 Cycle accounting follows :mod:`repro.costs`; tracing hardware attached to
@@ -24,7 +33,9 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple,
+)
 
 from repro import costs
 from repro.cpu.events import BranchEvent, CoFIKind
@@ -45,6 +56,9 @@ from repro.isa.encoding import (
 )
 from repro.isa.instructions import Insn, Op
 from repro.isa.registers import SP, Cond
+
+if TYPE_CHECKING:
+    from repro.cpu.blocks import CodePage
 
 Listener = Callable[[BranchEvent], None]
 
@@ -91,9 +105,9 @@ _DISPATCH_ORDER = (
 _DISPATCH_INTS = tuple(int(op) for op in _DISPATCH_ORDER)
 
 
-def fetch_insn(memory: Memory, ip: int) -> Tuple[Insn, int, bytes]:
+def fetch_insn(memory: Memory, ip: int) -> Tuple[Insn, int]:
     """Fetch (EXEC enforced) and decode the instruction at ``ip``: the
-    instruction, its length and its bytes.
+    instruction and its length.
 
     Raises :class:`MemoryError_` or :class:`DecodeError`.
     """
@@ -102,8 +116,7 @@ def fetch_insn(memory: Memory, ip: int) -> Tuple[Insn, int, bytes]:
         length = instruction_length(Op(op_byte))
     except ValueError as exc:
         raise DecodeError(f"invalid opcode {op_byte:#04x}") from exc
-    raw = memory.fetch(ip, length)
-    return decode_at(raw, 0)[0], length, raw
+    return decode_at(memory.fetch(ip, length), 0)[0], length
 
 
 class CPUFault(Exception):
@@ -207,7 +220,10 @@ class Executor:
         #: The block map: leader ip -> compiled block this address space
         #: may run (:mod:`repro.cpu.blocks`), or :data:`NO_BLOCK`.
         self._blocks: Dict[int, tuple] = {}
-        #: The memory and code epoch the two caches were decoded from.
+        #: Attested code pages: page number -> the store's page whose
+        #: entries and blocks this address space runs, or None.
+        self._code_pages: Dict[int, Optional["CodePage"]] = {}
+        #: The memory and code epoch the caches were filled from.
         self._code_memory = machine.memory
         self._code_epoch = machine.memory.code_epoch
 
@@ -242,7 +258,7 @@ class Executor:
         )
 
     def flush_icache(self) -> None:
-        """Drop decoded instructions and the block map.
+        """Drop decoded instructions, the block map and the attestations.
 
         The loop drops them by itself when ``machine.memory`` is replaced
         or its ``code_epoch`` moves; code patched in place (``write_raw``)
@@ -250,6 +266,7 @@ class Executor:
         """
         self._icache.clear()
         self._blocks.clear()
+        self._code_pages.clear()
 
     def _sync_code(self) -> int:
         """Flush if the machine's memory was replaced or its code
@@ -264,23 +281,40 @@ class Executor:
 
     # -- fetch/decode -------------------------------------------------------
 
-    def _predecode(self, ip: int) -> tuple:
+    def _code_page(self, pageno: int) -> Optional["CodePage"]:
+        """The store's page this address space runs at ``pageno``,
+        attested on first use; None when the page takes the private
+        path."""
         try:
-            insn, length, _ = fetch_insn(self.machine.memory, ip)
-        except (MemoryError_, DecodeError) as exc:
-            raise CPUFault(f"fetch/decode fault: {exc}", ip) from exc
-        entry = self._icache[ip] = predecode(insn, ip, length)
+            return self._code_pages[pageno]
+        except KeyError:
+            memory = self.machine.memory
+            store = memory.block_store(pageno << PAGE_SHIFT)
+            page = self._code_pages[pageno] = (
+                store.attest(memory, pageno) if store is not None else None
+            )
+            return page
+
+    def _predecode(self, ip: int) -> tuple:
+        page = self._code_page(ip >> PAGE_SHIFT)
+        entry = page.entry(ip) if page is not None else None
+        if entry is None:
+            memory = self.machine.memory
+            try:
+                insn, length = fetch_insn(memory, ip)
+            except (MemoryError_, DecodeError) as exc:
+                raise CPUFault(f"fetch/decode fault: {exc}", ip) from exc
+            entry = predecode(insn, ip, length)
+            if memory.writable(ip, length):
+                return entry  # a store may rewrite it before the next fetch
+        self._icache[ip] = entry
         return entry
 
     def _block_at(self, ip: int):
         """The compiled block entered at leader ``ip``, remembered in the
         block map once it is known; falsy when there is none (yet)."""
-        memory = self.machine.memory
-        store = memory.block_store(ip)
-        if store is None:
-            self._blocks[ip] = NO_BLOCK
-            return NO_BLOCK
-        block = store.lookup(memory, ip)
+        page = self._code_page(ip >> PAGE_SHIFT)
+        block = page.block(ip) if page is not None else NO_BLOCK
         if block is None:
             return NO_BLOCK
         self._blocks[ip] = block

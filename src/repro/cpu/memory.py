@@ -37,7 +37,7 @@ class Memory:
         #: executable page re-mapped or re-protected), so decoders that
         #: cache disassembly know to drop it.
         self.code_epoch = 0
-        #: Compiled-block stores by code page number: the loader files
+        #: Decoded-code stores by code page number: the loader files
         #: each module's code pages under the module's own store.
         self._block_stores: Dict[int, "BlockStore"] = {}
 
@@ -80,15 +80,23 @@ class Memory:
 
     def attach_blocks(self, base: int, size: int, store: "BlockStore") -> None:
         """File the code pages of ``size`` bytes at ``base`` under
-        ``store``, where compiled blocks entered there are kept."""
+        ``store``, where the code decoded there is kept."""
         first = base >> PAGE_SHIFT
         last = (base + size - 1) >> PAGE_SHIFT
         for pageno in range(first, last + 1):
             self._block_stores[pageno] = store
 
     def block_store(self, addr: int) -> Optional["BlockStore"]:
-        """The store for blocks entered at ``addr``, if its page has one."""
+        """The store for code at ``addr``, if its page has one."""
         return self._block_stores.get(addr >> PAGE_SHIFT)
+
+    def writable(self, addr: int, size: int) -> bool:
+        """Whether any page of the ``size`` bytes at ``addr`` is mapped
+        with ``PROT_WRITE``."""
+        first = addr >> PAGE_SHIFT
+        last = (addr + size - 1) >> PAGE_SHIFT
+        return any(self._prots.get(pageno, 0) & PROT_WRITE
+                   for pageno in range(first, last + 1))
 
     def tables(self) -> Tuple[Dict[int, bytearray], Dict[int, int]]:
         """The live page and protection dicts, keyed by page number.

@@ -7,9 +7,11 @@ through :class:`~repro.cpu.machine.Machine` — kept as the oracle the
 loop is tested against in lock step (``tests/test_cpu_differential.py``).
 It carries two fixes the loop made: DIV/MOD divide exactly, and a stack
 fault reports the address of the faulting instruction.  It follows the
-loop's icache rule: decoded instructions are dropped whenever
+loop's icache rules: decoded instructions are dropped whenever
 ``machine.memory`` is replaced or its ``code_epoch`` moves, so code
-whose EXEC permission is revoked stops running at the next fetch.
+whose EXEC permission is revoked stops running at the next fetch, and an
+instruction on a writable page is decoded at every fetch and cached
+nowhere, so a store that rewrites it takes effect at the next fetch.
 """
 
 from typing import Callable, Dict, List, Optional, Tuple
@@ -18,7 +20,7 @@ from repro import costs
 from repro.cpu.events import BranchEvent, CoFIKind
 from repro.cpu.executor import CPUFault, HaltReason
 from repro.cpu.machine import Machine, U64_MASK, to_signed
-from repro.cpu.memory import MemoryError_
+from repro.cpu.memory import PAGE_SHIFT, PROT_WRITE, MemoryError_
 from repro.isa.encoding import DecodeError, decode_at, instruction_length
 from repro.isa.instructions import Insn, Op
 from repro.isa.registers import SP, Cond
@@ -94,7 +96,11 @@ class ReferenceExecutor:
             insn, _ = decode_at(raw, 0)
         except (MemoryError_, DecodeError) as exc:
             raise CPUFault(f"fetch/decode fault: {exc}", ip) from exc
-        self._icache[ip] = (insn, length)
+        prots = memory.tables()[1]
+        first, last = ip >> PAGE_SHIFT, (ip + length - 1) >> PAGE_SHIFT
+        if not any(prots[page] & PROT_WRITE
+                   for page in range(first, last + 1)):
+            self._icache[ip] = (insn, length)
         return insn, length
 
     def _push(self, value: int, ip: int) -> None:

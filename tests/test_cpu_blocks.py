@@ -9,24 +9,32 @@ asserts that compiled blocks ran — through :func:`compile_block`
 wrapped to count each block call — while the loop and
 :class:`tests.cpu_reference.ReferenceExecutor` agree on registers,
 flags, ``ip``, exact ``cycles``, ``insn_count``, events, call-out state
-and faults.
+and faults.  The shared code image (entries and blocks kept per module
+page and attested per address space) is held to the oracle the same way,
+across kernels, forks, execve, patched and writable pages, page edges
+and a library at two bases.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
 import repro.cpu.blocks as blocks
+import repro.cpu.executor as executor_module
+import repro.osmodel.kernel as kernel_module
+from repro.binary.loader import LIB_BASE, LIB_STRIDE
 from repro.cpu import (
     CPUFault,
     Executor,
     HaltReason,
     Machine,
+    Memory,
     PROT_EXEC,
     PROT_READ,
     PROT_WRITE,
 )
-from repro.cpu.blocks import BlockStore
+from repro.cpu.blocks import HOT_ENTRIES, BlockStore
 from repro.isa import A, Cond, Label, asm
 from repro.isa.registers import (
     R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, R11, R12, SP,
@@ -37,6 +45,7 @@ from repro.lang import (
     Call,
     Const,
     Func,
+    Global,
     If,
     Let,
     Program,
@@ -68,11 +77,10 @@ def runs(monkeypatch):
     calls = []
     compile_block = blocks.compile_block
 
-    def counting(memory, ip):
-        compiled = compile_block(memory, ip)
-        if compiled is None:
+    def counting(page, ip):
+        block = compile_block(page, ip)
+        if block is None:
             return None
-        code, block = compiled
         fn, size = block.fn, block.size
 
         def counted(*args):
@@ -80,7 +88,7 @@ def runs(monkeypatch):
             calls.append((ip, out[3], size))
             return out
 
-        return code, block._replace(fn=counted)
+        return block._replace(fn=counted)
 
     monkeypatch.setattr(blocks, "compile_block", counting)
     return calls
@@ -107,8 +115,14 @@ def block_pair(items, handler=None, listener=None, store=None, **kw):
 
 
 def variants(store):
-    """Compiled variants per entry ip."""
-    return {ip: len(v) for ip, v in store._variants.items()}
+    """Compiled blocks per entry ip, over the store's page variants."""
+    counts = {}
+    for pages in store._pages.values():
+        for page in pages:
+            for ip, block in page.blocks.items():
+                if block:
+                    counts[ip] = counts.get(ip, 0) + 1
+    return counts
 
 
 def run_out(new, ref, budget=100_000):
@@ -145,7 +159,7 @@ def test_every_budget_at_every_offset(runs, budget):
     assert bool(runs) == (budget > MIXED_BLOCK)
     # Lookups happen only at leaders: quantum cuts mint no suffix block.
     store = new.cpu.machine.memory.block_store(CODE_BASE)
-    assert set(store._variants) <= {symbols["top"]}
+    assert set(variants(store)) <= {symbols["top"]}
 
 
 def test_cycles_are_added_per_instruction(runs):
@@ -309,9 +323,10 @@ def test_address_spaces_with_different_code_never_share_a_block(runs):
         assert run_out(new, ref) == ("ok", HaltReason.HALTED)
         results.append(new.cpu.machine.regs[R0])
     assert results == [LOOPS, 5 * LOOPS]
-    assert list(store._variants) == [CODE_BASE]
-    first, second = store._variants[CODE_BASE]
-    assert first[0] != second[0] and first[1].fn is not second[1].fn
+    assert variants(store) == {CODE_BASE: 2}
+    first, second = store._pages[CODE_BASE >> 12]
+    assert first.data != second.data
+    assert first.blocks[CODE_BASE].fn is not second.blocks[CODE_BASE].fn
 
 
 def test_code_on_a_writable_page_stays_in_the_loop(runs):
@@ -416,6 +431,398 @@ def test_kernels_loading_one_module_share_its_blocks(runs):
     first, second = procs
     assert any(block and first.executor._blocks.get(ip) is block
                for ip, block in second.executor._blocks.items())
+
+
+# -- the shared code image ----------------------------------------------------
+
+PAGE = 0x1000
+
+
+def crosses(ip, length):
+    """Whether the ``length`` bytes at ``ip`` span two pages."""
+    return ip // PAGE != (ip + length - 1) // PAGE
+
+
+def kernel_outcomes(programs, name, cls=Executor, libs=None, hook=None):
+    """Spawn ``name`` in a fresh kernel whose processes all run on
+    ``cls``, and run every process to its end: per pid, the process's
+    name, exit code, fault, ``ip``, exact cycles, ``insn_count``,
+    registers and every event it published.  ``hook`` is called after
+    every spawn, fork and execve."""
+    kernel = Kernel()
+    for program, module in programs.items():
+        kernel.register_program(program, module, libs)
+    events = {}
+
+    def subscribe(proc):
+        if proc.pid not in events:
+            events[proc.pid] = []
+            proc.executor.add_listener(events[proc.pid].append)
+
+    kernel.spawn_hooks.append(subscribe)
+    if hook is not None:
+        kernel.spawn_hooks.append(hook)
+    with mock.patch.object(kernel_module, "Executor", cls):
+        kernel.spawn(name)
+        while any(proc.alive for proc in kernel.processes.values()):
+            for proc in list(kernel.processes.values()):
+                if proc.alive:
+                    kernel.run(proc)
+    out = {}
+    for pid, proc in kernel.processes.items():
+        assert type(proc.executor) is cls
+        cpu, machine = proc.executor, proc.machine
+        out[pid] = (proc.name, proc.exit_code, proc.fault, machine.ip,
+                    cpu.cycles, cpu.insn_count, list(machine.regs),
+                    events[pid])
+    return out, kernel
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Every fetch-and-decode (``ip``, length), every predecode ``ip``
+    and every ``Memory.fetch`` the loop and the store make."""
+    seen = {"fetch_insn": [], "predecode": [], "fetch": []}
+    fetch_insn, predecode = executor_module.fetch_insn, blocks.predecode
+    fetch = Memory.fetch
+
+    def counting_fetch_insn(memory, ip):
+        insn, length = fetch_insn(memory, ip)
+        seen["fetch_insn"].append((ip, length))
+        return insn, length
+
+    def counting_predecode(insn, ip, length):
+        seen["predecode"].append(ip)
+        return predecode(insn, ip, length)
+
+    def counting_fetch(memory, addr, size):
+        seen["fetch"].append(addr)
+        return fetch(memory, addr, size)
+
+    monkeypatch.setattr(executor_module, "fetch_insn", counting_fetch_insn)
+    monkeypatch.setattr(executor_module, "predecode", counting_predecode)
+    monkeypatch.setattr(blocks, "predecode", counting_predecode)
+    monkeypatch.setattr(Memory, "fetch", counting_fetch)
+    return seen
+
+
+def test_second_kernel_decodes_and_byte_checks_nothing(runs, decodes):
+    """A second kernel loading an already-run module takes every entry
+    and block from the shared image: it fetches and predecodes only
+    instructions that cross a page, and reads no code to check a
+    leader."""
+    module = _forking_program()
+    programs = {"forker": module}
+    first, _ = kernel_outcomes(programs, "forker")
+    decoded = {ip for pages in module.blocks._pages.values()
+               for page in pages for ip in page.entries}
+    assert decoded
+    for seen in decodes.values():
+        seen.clear()
+    calls = len(runs)
+    second, kernel = kernel_outcomes(programs, "forker")
+    assert len(runs) > calls
+    straddlers = [ip for ip, length in decodes["fetch_insn"]
+                  if crosses(ip, length)]
+    assert straddlers == [ip for ip, _ in decodes["fetch_insn"]]
+    assert decodes["predecode"] == straddlers
+    assert not decoded & set(decodes["predecode"])
+    assert len(decodes["fetch"]) == 2 * len(straddlers)
+    # Entries are the image's own objects, not copies.
+    parent = kernel.processes[1].executor
+    page = parent._code_pages[parent.machine.ip // PAGE]
+    assert page is not None
+    assert any(parent._icache[ip] is entry
+               for ip, entry in page.entries.items()
+               if ip in parent._icache)
+    oracle, _ = kernel_outcomes(programs, "forker", ReferenceExecutor)
+    assert first == second == oracle
+
+
+def test_patched_page_runs_its_own_bytes_beside_a_sibling(runs):
+    """Three address spaces share one store.  The second patches its
+    code with ``write_raw`` + ``flush_icache`` halfway through and runs
+    its own bytes from then on; the third, with the original bytes,
+    runs the first one's entries and blocks."""
+    store = BlockStore()
+    items = [A.lea(R5, "patch"), Label("top"), A.syscall(), A.addi(R6, 1),
+             Label("patch"), A.addi(R7, 1), A.cmpi(R6, LOOPS),
+             A.jcc(Cond.LT, "top"), A.halt()]
+    patch, _ = asm([A.addi(R7, 100)])
+
+    def patching(side):
+        def on_syscall(machine):
+            side.note("syscall")
+            if machine.regs[R6] == LOOPS // 2:
+                machine.memory.write_raw(machine.regs[R5], patch)
+                side.cpu.flush_icache()
+        return on_syscall
+
+    sides = []
+    for handler in (None, patching, None):
+        new, ref, symbols = block_pair(items, handler=handler, store=store)
+        assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+        sides.append(new.cpu)
+    first, patched, third = sides
+    assert first.machine.regs[R7] == third.machine.regs[R7] == LOOPS
+    assert patched.machine.regs[R7] == LOOPS // 2 + 100 * (LOOPS // 2)
+    pageno = CODE_BASE // PAGE
+    original, own = store._pages[pageno]
+    assert first._code_pages[pageno] is third._code_pages[pageno] is original
+    assert patched._code_pages[pageno] is own
+    # The SYSCALL ends no block, so the loop runs it from the icache.
+    top, at = symbols["top"], symbols["patch"]
+    assert third._icache[top] is first._icache[top] is original.entries[top]
+    assert patched._icache[at] is own.entries[at] != original.entries[at]
+    entry = top + 1  # after the SYSCALL
+    assert third._blocks[entry] is first._blocks[entry]
+    assert patched._blocks[entry] is not first._blocks[entry]
+
+
+def test_mprotect_adding_write_stops_shared_use(runs):
+    """A hot loop's code page becomes writable (a syscall handler
+    mprotects it RWX); the loop then patches its own body with a STOREB.
+    From the mprotect on no block runs, and the patched instruction runs
+    at its very next fetch."""
+    one, _ = asm([A.addi(R7, 1)])
+    hundred, _ = asm([A.addi(R7, 100)])
+    (offset,) = [i for i in range(len(one)) if one[i] != hundred[i]]
+    half = LOOPS // 2
+    rwx = PROT_READ | PROT_WRITE | PROT_EXEC
+    seen_runs = []
+
+    def handler(side):
+        def on_syscall(machine):
+            side.note("syscall")
+            if machine.regs[R6] == half - 1:
+                machine.memory.protect(CODE_BASE, 0x1000, rwx)
+                if isinstance(side.cpu, Executor):
+                    seen_runs.append(len(runs))
+        return on_syscall
+
+    items = [A.lea(R5, "patch"), A.addi(R5, offset),
+             A.mov(R4, hundred[offset]),
+             Label("top"), A.syscall(), A.addi(R6, 1), A.cmpi(R6, half),
+             A.jcc(Cond.LT, "patch"), A.storeb(R5, 0, R4),
+             Label("patch"), A.addi(R7, 1), A.cmpi(R6, LOOPS),
+             A.jcc(Cond.LT, "top"), A.halt()]
+    new, ref, _ = block_pair(items, handler=handler)
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    assert seen_runs and seen_runs[0] > 0
+    assert len(runs) == seen_runs[0]
+    assert new.cpu.machine.regs[R7] == (half - 1) + 100 * (LOOPS - half + 1)
+    assert new.cpu._code_pages[CODE_BASE // PAGE] is None
+    assert not new.cpu._icache
+
+
+def _straddle_items(align, limit=LOOPS):
+    """A loop at the end of the first code page whose body crosses into
+    the second: an instruction across the edge (``across``), or two
+    that meet at it (``edge``)."""
+    big = A.mov(R0, 0x1122334455667788)
+    body = [A.addi(R6, 1), big, A.cmpi(R6, limit),
+            A.jcc(Cond.LT, "top"), A.halt()]
+    head, _ = asm([A.jmp("top"), Label("top")], base=CODE_BASE)
+    first, _ = asm(body[:1])
+    crossing, _ = asm(body[1:2])
+    # Where the crossing instruction starts: across the edge, or on it.
+    start = PAGE - (len(crossing) // 2 if align == "across" else 0)
+    pad = start - len(head) - len(first)
+    nop, _ = asm([A.nop()])
+    assert pad > 0 and pad % len(nop) == 0
+    return [A.jmp("top")] + [A.nop()] * (pad // len(nop)) + [
+        Label("top")] + body
+
+
+def straddle_machine(items, second):
+    """Code over two pages; the second mapped RX, RW or not at all."""
+    code, symbols = asm(items, base=CODE_BASE)
+    machine, _ = build_machine([A.halt()])
+    memory = machine.memory
+    memory.write_raw(CODE_BASE, code[:PAGE])
+    if second is not None:
+        memory.map_region(CODE_BASE + PAGE, PAGE, second)
+        memory.write_raw(CODE_BASE + PAGE, code[PAGE:])
+    return machine, symbols
+
+
+@pytest.mark.parametrize("align", ["across", "edge"])
+@pytest.mark.parametrize("second", ["rx", "rw", "unmapped", "revoked"])
+def test_code_across_a_page_edge(runs, align, second):
+    """A hot loop crossing into a second code page that is executable,
+    not executable, unmapped, or made non-executable once the loop is
+    hot: blocks stop at the page edge, and the loop runs, or faults,
+    exactly as the oracle does."""
+    prot = {"rx": PROT_READ | PROT_EXEC, "rw": PROT_READ | PROT_WRITE,
+            "unmapped": None, "revoked": PROT_READ | PROT_EXEC}[second]
+    items = _straddle_items(align)
+    store = BlockStore()
+    sides = []
+    for cls in (Executor, ReferenceExecutor):
+        machine, symbols = straddle_machine(items, prot)
+        if cls is Executor:
+            machine.memory.attach_blocks(CODE_BASE, 2 * PAGE, store)
+        side = Side(cls(machine))
+        if second == "revoked":
+            def revoke(event, side=side):
+                if len(side.events) == HOT_ENTRIES + 8:
+                    side.cpu.machine.memory.protect(
+                        CODE_BASE + PAGE, PAGE, PROT_READ)
+            side.cpu.add_listener(revoke)
+        sides.append(side)
+    new, ref = sides
+    outcome = run_out(new, ref)
+    if second == "rx":
+        assert outcome == ("ok", HaltReason.HALTED)
+        assert new.cpu.machine.regs[R6] == LOOPS
+        assert runs
+    else:
+        assert outcome[0] == "CPUFault" and "fetch" in outcome[1]
+    # No block holds code from two pages.
+    for block_ip, retired, size in runs:
+        assert block_ip // PAGE == CODE_BASE // PAGE
+    for pages in store._pages.values():
+        for page in pages:
+            for ip, entry in page.entries.items():
+                assert not crosses(ip, entry[2] - ip)
+                assert ip // PAGE == page.base // PAGE
+
+
+def test_differently_patched_second_pages_never_share(runs):
+    """Two address spaces with the same first page and different second
+    pages (a different loop bound after the edge) share the first
+    page's entries and each runs its own second page."""
+    store = BlockStore()
+    results = []
+    for limit in (LOOPS, LOOPS + 7):
+        items = _straddle_items("across", limit)
+        sides = []
+        for cls in (Executor, ReferenceExecutor):
+            machine, symbols = straddle_machine(items,
+                                                PROT_READ | PROT_EXEC)
+            if cls is Executor:
+                machine.memory.attach_blocks(CODE_BASE, 2 * PAGE, store)
+            sides.append(Side(cls(machine)))
+        new, ref = sides
+        assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+        results.append((new.cpu.machine.regs[R6], new.cpu._code_pages))
+    (first, pages_a), (second, pages_b) = results
+    assert (first, second) == (LOOPS, LOOPS + 7)
+    low, high = CODE_BASE // PAGE, CODE_BASE // PAGE + 1
+    assert pages_a[low] is pages_b[low]
+    assert pages_a[high] is not pages_b[high]
+    assert [len(store._pages[n]) for n in (low, high)] == [1, 2]
+
+
+def _library(name, body_name):
+    lib = Program(name)
+    lib.add_func(Func(body_name, ["n"], [
+        Let("i", Const(0)), Let("acc", Const(0)),
+        While(Rel("<", Var("i"), Var("n")), [
+            Assign("acc", BinOp("+", Var("acc"), BinOp("*", Var("i"),
+                                                        Const(3)))),
+            Assign("i", BinOp("+", Var("i"), Const(1))),
+        ]),
+        Return(Var("acc")),
+    ]))
+    return lib.build()
+
+
+def _caller(name, needed, calls):
+    prog = Program(name)
+    for soname in needed:
+        prog.add_needed(soname)
+    for fn in calls:
+        prog.import_symbol(fn)
+    total = Const(0)
+    for fn in calls:
+        total = BinOp("+", total, Call(fn, [Const(LOOPS)]))
+    prog.add_func(Func("main", [], [Return(BinOp("&", total,
+                                                  Const(0xFF)))]))
+    prog.set_entry("main")
+    return prog.build()
+
+
+def test_library_mapped_at_two_bases(runs):
+    """One library at a different base in each of two programs: each
+    base gets its own pages in the library's store, and both programs
+    run exactly as the oracle does."""
+    libs = {"liba.so": _library("liba.so", "fa"),
+            "libb.so": _library("libb.so", "fb")}
+    programs = {"both": _caller("both", ["liba.so", "libb.so"],
+                                ["fa", "fb"]),
+                "only": _caller("only", ["libb.so"], ["fb"])}
+    for name in ("both", "only", "both"):
+        new, _ = kernel_outcomes(programs, name, libs=libs)
+        ref, _ = kernel_outcomes(programs, name, ReferenceExecutor, libs)
+        assert new == ref
+        assert new[1][1] == (2 if name == "both" else 1) * (
+            3 * LOOPS * (LOOPS - 1) // 2) & 0xFF
+    bases = {pageno * PAGE - (pageno * PAGE - LIB_BASE) % LIB_STRIDE
+             for pageno in libs["libb.so"].blocks._pages}
+    assert bases == {LIB_BASE, LIB_BASE + LIB_STRIDE}
+    assert runs
+
+
+def test_fork_child_runs_the_shared_image(runs, decodes):
+    """The fork child re-attests its cloned pages and runs the parent's
+    entries and blocks without decoding, exactly as the oracle does."""
+    module = _forking_program()
+    kernel = Kernel()
+    kernel.register_program("forker", module)
+    parent = kernel.spawn("forker")
+    kernel.run(parent)
+    child = kernel.processes[parent.children[0]]
+    decoded = {ip for pages in module.blocks._pages.values()
+               for page in pages for ip in page.entries}
+    for seen in decodes.values():
+        seen.clear()
+    kernel.run(child)
+    assert child.exit_code == 7
+    # Only the child's own path (fork returned 0) is new code.
+    assert decodes["predecode"]
+    assert not decoded & set(decodes["predecode"])
+    icache = child.executor._icache
+    assert any(parent.executor._icache.get(ip) is entry
+               for ip, entry in icache.items())
+    pages = child.executor._code_pages
+    assert all(entry is pages[ip // PAGE].entries[ip]
+               for ip, entry in icache.items()
+               if not crosses(ip, entry[2] - ip))
+    new, _ = kernel_outcomes({"forker": module}, "forker")
+    ref, _ = kernel_outcomes({"forker": module}, "forker",
+                             ReferenceExecutor)
+    assert new == ref
+
+
+def test_execve_image_runs_the_shared_image(runs, decodes):
+    """An execve'd image of an already-run module decodes none of its
+    code, and the run matches the oracle."""
+    spinner = _forking_program()
+    launcher = Program("launcher")
+    launcher.add_string("path", "forker")
+    launcher.add_func(Func("main", [], [
+        Return(SyscallExpr(int(Sys.EXECVE), [Global("path")])),
+    ]))
+    launcher.set_entry("main")
+    programs = {"forker": spinner, "launcher": launcher.build()}
+    kernel_outcomes(programs, "forker")
+
+    def exec_hook(proc):
+        if proc.name == "forker":  # from the execve on
+            for seen in decodes.values():
+                seen.clear()
+
+    new, kernel = kernel_outcomes(programs, "launcher", hook=exec_hook)
+    assert new[1][0] == "forker"
+    assert decodes["predecode"] == [ip for ip, length in
+                                    decodes["fetch_insn"]
+                                    if crosses(ip, length)]
+    exe = kernel.processes[1].executor
+    assert any(page is not None and page in spinner.blocks._pages.get(n, [])
+               for n, page in exe._code_pages.items())
+    ref, _ = kernel_outcomes(programs, "launcher", ReferenceExecutor)
+    assert new == ref
 
 
 # -- EXEC revoked -------------------------------------------------------------

@@ -150,11 +150,14 @@ def both_ways(items, slices=(1, 2, 3, 5, 1000), **kw):
 # -- generated programs -------------------------------------------------------
 
 
-def kernel_pair(seed):
+def kernel_pair(seed, module=None):
+    """A process of generated program ``seed`` on each side; both load
+    ``module`` when one is given."""
     procs = []
     for cls in (Executor, ReferenceExecutor):
         kernel = Kernel()
-        kernel.register_program(f"gen{seed}", generate_program(seed), LIBS)
+        kernel.register_program(f"gen{seed}",
+                                module or generate_program(seed), LIBS)
         proc = kernel.spawn(f"gen{seed}")
         if cls is ReferenceExecutor:
             proc.executor = ReferenceExecutor(
@@ -186,6 +189,34 @@ def test_generated_programs_run_in_slices(seed, record):
         assert_same(new, ref)
     assert new_proc.state == ref_proc.state
     assert new_proc.exit_code == ref_proc.exit_code
+
+
+@pytest.mark.parametrize("mode", ["step", "slices"])
+@pytest.mark.parametrize("seed", range(8))
+def test_generated_programs_warm_second_process(seed, mode):
+    """The lock step again, on a second process of a module whose first
+    process filled the shared code image: a stale or wrongly attested
+    shared entry or block shows up as a divergence."""
+    module = generate_program(seed)
+    kernel = Kernel()
+    kernel.register_program(f"gen{seed}", module, LIBS)
+    first = kernel.spawn(f"gen{seed}")
+    kernel.run(first)
+    assert module.blocks._pages
+    (new_kernel, new_proc), (ref_kernel, ref_proc) = kernel_pair(seed,
+                                                                 module)
+    new, ref = Side(new_proc.executor), Side(ref_proc.executor)
+    if mode == "step":
+        assert lockstep(new, ref) == ("ok", None)
+    else:
+        rng = random.Random(seed)
+        while new_proc.alive:
+            budget = rng.choice((1, 2, 7, 31, 500))
+            outcome = new_kernel.step(new_proc, budget)
+            assert outcome == ref_kernel.step(ref_proc, budget)
+            assert_same(new, ref)
+    assert new_proc.exit_code == ref_proc.exit_code == first.exit_code
+    assert new.events
 
 
 def test_random_straight_line_alu():
@@ -515,6 +546,29 @@ def test_syscall_handler_rewriting_code_flushes_icache():
     new, ref, _ = make_pair(items, handler=handler)
     lockstep(new, ref)
     assert new.cpu.machine.regs[R1] == 42
+
+
+def test_store_rewriting_code_on_a_writable_page_takes_effect():
+    """Code on a writable+executable page is coherent with stores, as on
+    x86: a STOREB that patches ``f``'s immediate between two calls makes
+    the second call run the new instruction."""
+    one, _ = asm([A.mov(R0, 1)])
+    two, _ = asm([A.mov(R0, 2)])
+    (offset,) = [i for i in range(len(one)) if one[i] != two[i]]
+    items = [
+        A.lea(R1, "f"), A.addi(R1, offset), A.mov(R2, two[offset]),
+        A.call("f"), A.movr(R3, R0), A.storeb(R1, 0, R2), A.call("f"),
+        A.halt(),
+        Label("f"), A.mov(R0, 1), A.ret(),
+    ]
+    rwx = PROT_READ | PROT_WRITE | PROT_EXEC
+    assert both_ways(items, code_prot=rwx) == ("ok", None)
+    for run in (lockstep, lambda new, ref: sliced(new, ref, [1000])):
+        new, ref, _ = make_pair(items, code_prot=rwx)
+        run(new, ref)
+        for side in (new, ref):
+            regs = side.cpu.machine.regs
+            assert (regs[R3], regs[R0]) == (1, 2)
 
 
 # -- a protected server -----------------------------------------------------------
