@@ -4,9 +4,13 @@ Each instruction is decoded once into a flat *predecoded entry* (see
 :func:`predecode`) and executed by one dispatch loop,
 :meth:`Executor._execute`, that :meth:`Executor.run` and
 :meth:`Executor.step` share.  At a leader — after a CoFI or SYSCALL
-retires — the loop runs the hot basic block entered there as one
-compiled function (:mod:`repro.cpu.blocks`); everything a block does not
-cover runs one instruction at a time.
+retires — the loop runs the hot block entered there as one compiled
+function with the guest registers in Python locals
+(:mod:`repro.cpu.blocks`); everything a block does not cover runs one
+instruction at a time.  While no listener subscribes to direct JMPs or
+CALLs, the blocks are superblocks that run straight through those
+CoFIs when their target is on the same page; the executor switches
+between superblocks and basic blocks as listeners come and go.
 
 Decoded code is shared between address spaces: on an icache miss the
 executor takes the entry from the store of the module that owns the page
@@ -72,6 +76,9 @@ _ROUTE_KINDS = (
     CoFIKind.FAR_TRANSFER,
 )
 _ALL_KINDS = frozenset(_ROUTE_KINDS)
+#: The kinds whose CoFIs a superblock runs through without publishing.
+_CHAINED_ROUTES = (_ROUTE_KINDS.index(CoFIKind.DIRECT_JMP),
+                   _ROUTE_KINDS.index(CoFIKind.DIRECT_CALL))
 _new_event = tuple.__new__
 
 #: The block map's entry for a leader where no compiled block can run.
@@ -220,6 +227,9 @@ class Executor:
         #: The block map: leader ip -> compiled block this address space
         #: may run (:mod:`repro.cpu.blocks`), or :data:`NO_BLOCK`.
         self._blocks: Dict[int, tuple] = {}
+        #: Whether the block map holds superblocks: no listener wants
+        #: direct JMPs or CALLs (see :meth:`_reroute`).
+        self._chain = True
         #: Attested code pages: page number -> the store's page whose
         #: entries and blocks this address space runs, or None.
         self._code_pages: Dict[int, Optional["CodePage"]] = {}
@@ -251,11 +261,19 @@ class Executor:
         self._reroute()
 
     def _reroute(self) -> None:
+        """Rebuild the per-kind routes.  Superblocks run through direct
+        JMPs and CALLs without publishing them, so the block map switches
+        between superblocks and basic blocks (and is dropped) when a
+        listener for either kind comes or goes."""
         pairs = list(zip(self.listeners, self._listener_kinds))
-        self._routes = tuple(
+        routes = self._routes = tuple(
             tuple(fn for fn, kinds in pairs if kind in kinds)
             for kind in _ROUTE_KINDS
         )
+        chain = not any(routes[i] for i in _CHAINED_ROUTES)
+        if chain != self._chain:
+            self._chain = chain
+            self._blocks.clear()
 
     def flush_icache(self) -> None:
         """Drop decoded instructions, the block map and the attestations.
@@ -311,10 +329,12 @@ class Executor:
         return entry
 
     def _block_at(self, ip: int):
-        """The compiled block entered at leader ``ip``, remembered in the
+        """The compiled block entered at leader ``ip`` — a superblock
+        while no listener wants direct JMPs or CALLs — remembered in the
         block map once it is known; falsy when there is none (yet)."""
         page = self._code_page(ip >> PAGE_SHIFT)
-        block = page.block(ip) if page is not None else NO_BLOCK
+        block = (page.block(ip, self._chain) if page is not None
+                 else NO_BLOCK)
         if block is None:
             return NO_BLOCK
         self._blocks[ip] = block

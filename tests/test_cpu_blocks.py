@@ -8,11 +8,14 @@ here loops long enough for its blocks to compile
 asserts that compiled blocks ran — through :func:`compile_block`
 wrapped to count each block call — while the loop and
 :class:`tests.cpu_reference.ReferenceExecutor` agree on registers,
-flags, ``ip``, exact ``cycles``, ``insn_count``, events, call-out state
-and faults.  The shared code image (entries and blocks kept per module
-page and attested per address space) is held to the oracle the same way,
-across kernels, forks, execve, patched and writable pages, page edges
-and a library at two bases.
+flags, ``ip``, exact ``cycles``, ``insn_count``, page bytes, events,
+call-out state and faults.  The shared code image (entries and blocks
+kept per module page and attested per address space) is held to the
+oracle the same way, across kernels, forks, execve, patched and
+writable pages, page edges and a library at two bases.  Superblocks run
+wherever a side records only the encoder's kinds; the access-group
+cases cover each way one protection check per base value can fail,
+split or alias.
 """
 
 import random
@@ -34,10 +37,12 @@ from repro.cpu import (
     PROT_READ,
     PROT_WRITE,
 )
-from repro.cpu.blocks import HOT_ENTRIES, BlockStore
-from repro.isa import A, Cond, Label, asm
+from repro.cpu.blocks import GROUP_SPAN, HOT_ENTRIES, BlockStore, CodePage
+from repro.cpu.events import CoFIKind
+from repro.ipt.encoder import ENCODER_KINDS
+from repro.isa import A, Cond, Label, Op, asm, instruction_length
 from repro.isa.registers import (
-    R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, R11, R12, SP,
+    FP, R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, R11, R12, SP,
 )
 from repro.lang import (
     Assign,
@@ -73,19 +78,20 @@ LOOPS = 40  # iterations: the loop's blocks are hot after HOT_ENTRIES
 
 @pytest.fixture
 def runs(monkeypatch):
-    """Every compiled-block call: ``(entry ip, retired, size)``."""
+    """Every compiled-block call: ``(entry ip, retired, size, chain)``,
+    ``chain`` true for a superblock."""
     calls = []
     compile_block = blocks.compile_block
 
-    def counting(page, ip):
-        block = compile_block(page, ip)
+    def counting(page, ip, chain):
+        block = compile_block(page, ip, chain)
         if block is None:
             return None
         fn, size = block.fn, block.size
 
         def counted(*args):
             out = fn(*args)
-            calls.append((ip, out[3], size))
+            calls.append((ip, out[3], size, chain))
             return out
 
         return block._replace(fn=counted)
@@ -94,9 +100,11 @@ def runs(monkeypatch):
     return calls
 
 
-def block_pair(items, handler=None, listener=None, store=None, **kw):
+def block_pair(items, handler=None, listener=None, store=None, kinds=None,
+               **kw):
     """Two sides as ``make_pair`` builds them, the loop's code filed
-    under a block store (``store`` to share one)."""
+    under a block store (``store`` to share one).  Each side's recorder
+    subscribes to ``kinds`` (None: every kind, so no superblock runs)."""
     sides = []
     for cls in (Executor, ReferenceExecutor):
         machine, symbols = build_machine(items, **kw)
@@ -105,7 +113,7 @@ def block_pair(items, handler=None, listener=None, store=None, **kw):
             machine.memory.attach_blocks(
                 CODE_BASE, 0x1000, store if store is not None else BlockStore()
             )
-        side = Side(cls(machine))
+        side = Side(cls(machine), kinds=kinds)
         if handler is not None:
             side.cpu.syscall_handler = handler(side)
         if listener is not None:
@@ -115,11 +123,12 @@ def block_pair(items, handler=None, listener=None, store=None, **kw):
 
 
 def variants(store):
-    """Compiled blocks per entry ip, over the store's page variants."""
+    """Compiled blocks and superblocks per entry ip, over the store's
+    page variants."""
     counts = {}
     for pages in store._pages.values():
         for page in pages:
-            for ip, block in page.blocks.items():
+            for ip, block in [*page.blocks.items(), *page.chains.items()]:
                 if block:
                     counts[ip] = counts.get(ip, 0) + 1
     return counts
@@ -153,7 +162,7 @@ def test_every_budget_at_every_offset(runs, budget):
     outcomes = sliced(new, ref, [budget] * (LOOPS * MIXED_BLOCK + 20))
     assert outcomes[-1] == ("ok", HaltReason.HALTED)
     assert all(retired == size == MIXED_BLOCK
-               for _, retired, size in runs)
+               for _, retired, size, _ in runs)
     # A run is entered mid-block (the entry is no leader): with quanta of
     # the block's own length, no leader ever has a whole block left.
     assert bool(runs) == (budget > MIXED_BLOCK)
@@ -253,11 +262,10 @@ BAIL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("victim,bad", BAIL_CASES)
-def test_fast_path_miss_bails_before_the_instruction(runs, victim, bad):
-    snippet, reg, delta, access = VICTIMS[victim]
-    value = 0 if bad == "zero" else BAD[bad] + delta
-
+def poisoned(snippet, reg, value, kinds=None, prepare=None):
+    """Run ``_victim_loop(snippet)`` on both sides, setting ``reg`` to
+    ``value`` halfway; ``prepare(memory)`` adjusts each side's memory
+    first.  Returns the last outcome."""
     def handler(side):
         def on_syscall(machine):
             side.note("syscall")
@@ -265,8 +273,18 @@ def test_fast_path_miss_bails_before_the_instruction(runs, victim, bad):
                 machine.regs[reg] = value
         return on_syscall
 
-    new, ref, _ = block_pair(_victim_loop(snippet), handler=handler)
-    outcome = run_out(new, ref)
+    new, ref, _ = block_pair(_victim_loop(snippet), handler=handler,
+                             kinds=kinds)
+    if prepare is not None:
+        for side in (new, ref):
+            prepare(side.cpu.machine.memory)
+    return run_out(new, ref)
+
+
+def _miss_case(runs, victim, bad, kinds):
+    snippet, reg, delta, access = VICTIMS[victim]
+    value = 0 if bad == "zero" else BAD[bad] + delta
+    outcome = poisoned(snippet, reg, value, kinds)
     assert runs
     misses = (bad == "zero" or bad.startswith("straddle")
               or bad == "unmapped"
@@ -279,6 +297,24 @@ def test_fast_path_miss_bails_before_the_instruction(runs, victim, bad):
     # A RET that reads anything but its return address jumps to garbage.
     faulted = (misses and bad != "straddle-mapped") or victim == "ret"
     assert (outcome[0] == "CPUFault") == faulted
+
+
+@pytest.mark.parametrize("victim,bad", BAIL_CASES)
+def test_fast_path_miss_bails_before_the_instruction(runs, victim, bad):
+    _miss_case(runs, victim, bad, None)
+
+
+@pytest.mark.parametrize("victim,bad", BAIL_CASES)
+def test_superblock_miss_bails_before_the_instruction(runs, victim, bad):
+    """The same misses with only the encoder's kinds subscribed: the
+    block runs as a superblock, through ``call fn`` into ``fn``, and a
+    CALL or RET miss bails in the middle of it."""
+    _miss_case(runs, victim, bad, ENCODER_KINDS)
+    assert all(chain for _, _, _, chain in runs)
+    if VICTIMS[victim][0] is CALL_FN:
+        # Entered after the SYSCALL: ADDI, MOV_RR, CALL, then ``fn``'s
+        # MOV_RR and RET.
+        assert max(size for _, _, size, _ in runs) == 5
 
 
 # -- code changes -------------------------------------------------------------
@@ -308,7 +344,7 @@ def test_mprotect_remap_of_a_compiled_block(runs):
     # The old bytes' block and the patched one.
     assert variants(store) == {symbols["top"] + 1: 2}
     entry = symbols["top"] + 1  # after the SYSCALL
-    assert {ip for ip, _, _ in runs} == {entry}
+    assert {ip for ip, _, _, _ in runs} == {entry}
 
 
 def test_address_spaces_with_different_code_never_share_a_block(runs):
@@ -679,7 +715,7 @@ def test_code_across_a_page_edge(runs, align, second):
     else:
         assert outcome[0] == "CPUFault" and "fetch" in outcome[1]
     # No block holds code from two pages.
-    for block_ip, retired, size in runs:
+    for block_ip, _, _, _ in runs:
         assert block_ip // PAGE == CODE_BASE // PAGE
     for pages in store._pages.values():
         for page in pages:
@@ -882,3 +918,284 @@ def test_icache_and_block_map_follow_the_memory():
     with pytest.raises(CPUFault, match="fetch"):
         cpu.run()
     assert 123 not in cpu._icache
+
+
+# -- access groups ------------------------------------------------------------
+#
+# A block checks each group of accesses to one base value once, at the
+# group's first access (``repro.cpu.blocks``).  Each case below is a way
+# such a check can fail, split or alias; each runs with basic blocks and
+# with superblocks, against the oracle (registers, flags, counters,
+# events and every page's bytes).
+
+KINDS = {"all": None, "encoder": ENCODER_KINDS}
+
+
+def _frame_loop(start):
+    """Call ``f``, whose frame and stack temporaries sit 8 bytes lower
+    on every pass: from ``start`` down, so they sweep across the page
+    edge at ``DATA_BASE + 0x1000``."""
+    return [
+        A.mov(R9, start), A.mov(R1, 5),
+        Label("top"), A.subi(R9, 8), A.movr(R10, SP), A.movr(SP, R9),
+        A.call("f"), A.movr(SP, R10), A.addi(R6, 1), A.cmpi(R6, LOOPS),
+        A.jcc(Cond.LT, "top"), A.halt(),
+        Label("f"), A.push(FP), A.movr(FP, SP), A.subi(SP, 32),
+        A.store(FP, -8, R1), A.store(FP, -16, R6), A.load(R0, FP, -8),
+        A.push(R0), A.load(R2, FP, -16), A.pop(R3), A.add(R3, R2),
+        A.store(FP, -24, R3), A.movr(SP, FP), A.pop(FP), A.ret(),
+    ]
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+def test_frame_and_stack_groups_straddling_a_page_edge(runs, kinds):
+    """Frames that straddle the edge between two mapped pages bail at
+    their group's first access and finish in the loop; the others run
+    whole."""
+    new, ref, _ = block_pair(_frame_loop(DATA_BASE + 0x1000 + 160),
+                             kinds=KINDS[kinds])
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    bailed = [r for r in runs if r[1] != r[2]]
+    assert bailed and len(bailed) < len(runs)
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+def test_mixed_group_on_the_read_only_page_faults_in_the_loop(runs, kinds):
+    """Two loads and a store of one base value on the read-only page:
+    the group needs READ and WRITE, so it bails at the first load; the
+    loop runs both loads and faults at the store, with its own text."""
+    snippet = [A.load(R5, R1, 0), A.load(R4, R1, 8), A.store(R1, 16, R5)]
+    outcome = poisoned(snippet, R1, RO_BASE + 0x10, KINDS[kinds])
+    assert outcome[0] == "CPUFault"
+    assert outcome[1].startswith("store fault: write protection")
+    assert [r for r in runs if r[1] != r[2]]
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+@pytest.mark.parametrize("gap", [GROUP_SPAN, 0x1000, 0x1008])
+def test_offsets_too_far_apart_split_the_group(runs, kinds, gap):
+    """Accesses of one base value further apart than a group spans get
+    groups of their own, so neither ever bails."""
+    items = [
+        A.mov(R1, DATA_BASE + 0x10), A.mov(R2, 3),
+        Label("top"), A.store(R1, 0, R2), A.store(R1, gap, R6),
+        A.load(R3, R1, 0), A.load(R4, R1, gap), A.add(R3, R4),
+        A.addi(R6, 1), A.cmpi(R6, LOOPS), A.jcc(Cond.LT, "top"), A.halt(),
+    ]
+    new, ref, _ = block_pair(items, kinds=KINDS[kinds])
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    assert runs and all(r[1] == r[2] for r in runs)
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+@pytest.mark.parametrize("sp,faults", [(48, False), (24, False),
+                                       (16, True), (0, True)])
+def test_stack_within_64_bytes_of_zero(runs, kinds, sp, faults):
+    """Page 0 mapped and SP near 0: three pushes below 24 wrap SP past
+    zero, which the loop faults on; the block's group must bail there
+    rather than index page 0."""
+    snippet = [A.movr(SP, R9), A.push(R0), A.push(R6), A.push(R0),
+               A.pop(R5), A.pop(R4), A.pop(R5), A.movr(SP, R10)]
+
+    def low_page(memory):
+        memory.map_region(0, 0x1000, PROT_READ | PROT_WRITE)
+
+    outcome = poisoned(snippet, R9, sp, KINDS[kinds], low_page)
+    assert runs
+    assert (outcome[0] == "CPUFault") == faults
+    if faults:
+        assert outcome[1].startswith("stack push fault")
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+def test_stack_wrapping_past_the_top_of_memory(runs, kinds):
+    """The top page mapped and SP 8 bytes below 2**64: a POP wraps SP to
+    0, so the next load at SP - 8 is at -8, which the loop faults on.
+    The load's group covers SP itself, so it crosses the top page's end
+    and bails, rather than reading the top page."""
+    top = (1 << 64) - 0x1000
+    snippet = [A.movr(SP, R9), A.pop(R5), A.load(R4, SP, -8),
+               A.movr(SP, R10)]
+
+    def top_page(memory):
+        memory.map_region(top, 0x1000, PROT_READ | PROT_WRITE)
+
+    outcome = poisoned(snippet, R9, top + 0xFF8, KINDS[kinds], top_page)
+    assert outcome[0] == "CPUFault"
+    assert outcome[1].startswith("load fault: read of unmapped")
+    assert [r for r in runs if r[1] != r[2]]
+
+
+ALIASES = {
+    # LOAD whose destination is its own base register; the loads after
+    # it use the new value.
+    "load-into-base": [A.mov(R2, DATA_BASE + 0x200), A.store(R1, 8, R2),
+                       A.load(R1, R1, 8), A.load(R5, R1, 16),
+                       A.store(R1, 24, R1), A.mov(R1, DATA_BASE + 0x100)],
+    # STORE whose source is its base register.
+    "store-base": [A.store(R1, 8, R1), A.load(R5, R1, 8),
+                   A.storeb(R1, 17, R1), A.loadb(R4, R1, 17)],
+    # PUSH SP stores the old SP; POP SP keeps the popped value.
+    "push-pop-sp": [A.movr(SP, R9), A.push(SP), A.pop(R5), A.push(SP),
+                    A.push(R6), A.pop(R4), A.pop(SP), A.movr(R3, SP),
+                    A.store(R1, 0, R3), A.movr(SP, R10)],
+    # A MOV_RR alias whose source is overwritten next.
+    "alias-overwritten": [A.movr(R5, R7), A.addi(R7, 3),
+                          A.store(R1, 8, R5), A.movr(R4, R5),
+                          A.xor(R5, R5), A.store(R1, 16, R4),
+                          A.movr(R2, SP), A.push(R2), A.pop(R3),
+                          A.sub(R3, R2)],
+}
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+@pytest.mark.parametrize("case", ALIASES)
+def test_register_aliases(runs, kinds, case):
+    new, ref, _ = block_pair(_victim_loop(ALIASES[case]),
+                             kinds=KINDS[kinds])
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    assert runs and all(r[1] == r[2] for r in runs)
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+@pytest.mark.parametrize("op", [A.div, A.mod])
+def test_divide_by_zero_with_dirty_registers(runs, kinds, op):
+    """Registers written (and SP moved and restored) before a DIV or MOD
+    whose divisor turns zero: the bail stores them back first."""
+    snippet = [A.addi(R3, 5), A.movr(R4, R6), A.push(R3), A.pop(R2),
+               A.movr(R5, SP), A.push(R4), op(R0, R12), A.pop(R8)]
+    outcome = poisoned(snippet, R12, 0, KINDS[kinds])
+    assert outcome[0] == "CPUFault" and "divide by zero" in outcome[1]
+    assert [r for r in runs if r[1] != r[2]]
+
+
+# -- superblocks --------------------------------------------------------------
+
+CHAIN_LOOP = [
+    A.mov(R1, DATA_BASE + 0x100), A.mov(R9, STACK_TOP - 64),
+    Label("top"), A.syscall(), A.addi(R6, 1), A.jmp("next"),
+    Label("back"), A.addi(R7, 2), A.cmpi(R6, LOOPS),
+    A.jcc(Cond.LT, "top"), A.halt(),
+    Label("next"), A.movr(R10, SP), A.movr(SP, R9), A.call("f"),
+    A.movr(SP, R10), A.jmp("back"),
+    Label("f"), A.store(R1, 0, R6), A.load(R5, R1, 0), A.ret(),
+]
+#: The superblock after the SYSCALL: ADDI, JMP, MOV_RR, MOV_RR, CALL,
+#: then ``f``'s STORE, LOAD and RET.
+CHAIN_SIZE = 8
+
+
+def test_mid_chain_call_onto_an_unmapped_stack_page(runs):
+    """SP turns unmapped halfway: the superblock bails at its CALL, in
+    the middle of the chain, and the loop faults on the push."""
+    def handler(side):
+        def on_syscall(machine):
+            side.note("syscall")
+            if machine.regs[R6] == LOOPS // 2:
+                machine.regs[R9] = 0x900000
+        return on_syscall
+
+    new, ref, symbols = block_pair(CHAIN_LOOP, handler=handler,
+                                   kinds=ENCODER_KINDS)
+    outcome = run_out(new, ref)
+    assert outcome[0] == "CPUFault"
+    assert outcome[1].startswith("stack push fault")
+    entry = symbols["top"] + 1  # after the SYSCALL
+    assert {(size, chain) for ip, _, size, chain in runs
+            if ip == entry} == {(CHAIN_SIZE, True)}
+    # Bailed before the CALL: ADDI, JMP and two MOV_RRs retired.
+    assert runs[-1][0] == entry and runs[-1][1] == 4
+
+
+@pytest.mark.parametrize("far", ["jmp", "call"])
+def test_jmp_or_call_to_another_page_does_not_chain(runs, far):
+    """A direct JMP or CALL whose target is on the next page ends the
+    superblock there, as it ends a basic block."""
+    body = [Label("top"), A.addi(R6, 1), A.jmp("near"), Label("near"),
+            A.addi(R7, 1),
+            A.jmp("there") if far == "jmp" else A.call("there"),
+            Label("back"), A.cmpi(R6, LOOPS), A.jcc(Cond.LT, "top"),
+            A.halt()]
+    head = sum(instruction_length(i.op) for i in body if hasattr(i, "op"))
+    head += instruction_length(Op.JMP)
+    pad = (PAGE - head) // instruction_length(Op.NOP)
+    there = [Label("there")] + ([A.jmp("back")] if far == "jmp"
+                                else [A.movr(R5, R6), A.ret()])
+    items = [A.jmp("top")] + body + [A.nop()] * pad + there
+    sides = []
+    for cls in (Executor, ReferenceExecutor):
+        machine, symbols = straddle_machine(items, PROT_READ | PROT_EXEC)
+        if cls is Executor:
+            machine.memory.attach_blocks(CODE_BASE, 2 * PAGE, BlockStore())
+        sides.append(Side(cls(machine), kinds=ENCODER_KINDS))
+    new, ref = sides
+    assert symbols["there"] // PAGE != symbols["top"] // PAGE
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    sizes = {ip: size for ip, _, size, chain in runs if chain}
+    # ADDI, JMP (chained: same page), ADDI, then the far JMP or CALL.
+    assert sizes[symbols["top"]] == 4
+
+
+def test_direct_listener_subscribed_and_dropped_mid_run(runs):
+    """A syscall handler subscribes a direct JMP/CALL listener halfway
+    through, once superblocks run, and drops it again: the loop switches
+    from superblocks to basic blocks and back, and the listener sees
+    exactly the oracle's direct events while it is subscribed."""
+    direct = {CoFIKind.DIRECT_JMP, CoFIKind.DIRECT_CALL}
+
+    def handler(side):
+        side.direct = []
+
+        def on_direct(event):
+            if event.kind in direct:
+                side.direct.append(event)
+                side.note("direct")
+
+        def on_syscall(machine):
+            side.note("syscall")
+            if machine.regs[R6] == LOOPS // 2:
+                side.cpu.add_listener(on_direct, direct)
+            elif machine.regs[R6] == 3 * LOOPS // 4:
+                side.cpu.remove_listener(on_direct)
+        return on_syscall
+
+    new, ref, _ = block_pair(CHAIN_LOOP, handler=handler,
+                             kinds=ENCODER_KINDS)
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    assert new.direct == ref.direct and new.direct
+    modes = [chain for _, _, _, chain in runs]
+    # Superblocks, then basic blocks, then superblocks again.
+    switches = [m for i, m in enumerate(modes) if i == 0 or m != modes[i - 1]]
+    assert switches == [True, False, True]
+
+
+def test_one_protection_check_per_base_value():
+    """A block of frame and stack accesses through three base values
+    looks up three protections, however many accesses it makes: SP at
+    entry (moved by constants by PUSH, POP and the FP copy of SP), SP
+    after the SUBI, and R1."""
+    class Counting(dict):
+        gets = 0
+
+        def get(self, *args):
+            Counting.gets += 1
+            return dict.get(self, *args)
+
+    items = [A.push(FP), A.movr(FP, SP), A.subi(SP, 32),
+             A.store(FP, -8, R2), A.store(FP, -16, R3),
+             A.load(R4, FP, -8), A.push(R4), A.load(R5, FP, -16),
+             A.pop(R6), A.add(R6, R5), A.store(FP, -24, R6),
+             A.load(R7, R1, 0), A.store(R1, 8, R7), A.loadb(R8, R1, 3),
+             A.movr(SP, FP), A.pop(FP), A.ret()]
+    code, _ = asm(items, base=CODE_BASE)
+    page = CodePage(CODE_BASE // PAGE, code.ljust(PAGE, b"\0"))
+    block = blocks.compile_block(page, CODE_BASE, False)
+    assert block.size == len(items)
+    machine, _ = build_machine([A.halt()])
+    pages, prots = machine.memory.tables()
+    regs = list(machine.regs)
+    regs[R1] = DATA_BASE + 0x40
+    regs[SP] = STACK_TOP - 0x100
+    ip, _, _, retired = block.fn(regs, pages, Counting(prots), 0.0, 0)
+    assert retired == len(items) and Counting.gets == 3
+    assert regs[SP] == STACK_TOP - 0x100 + 8 and ip == 0

@@ -5,16 +5,18 @@ Every case builds two identical machines, runs the production
 :class:`tests.cpu_reference.ReferenceExecutor` on the other, and after
 each step (or each ``run`` slice) asserts the two agree on registers,
 flags, ``ip``, ``halted``, ``cycles`` (exact float equality),
-``insn_count``, the retired :class:`BranchEvent` stream, and the fault
-type and text.  Listeners and syscall handlers also record what they
-saw of the executor when called, so the write-back contract (state is
-current whenever the loop calls out) is compared too.
+``insn_count``, every mapped page's bytes and protection, the retired
+:class:`BranchEvent` stream, and the fault type and text.  Listeners
+and syscall handlers also record what they saw of the executor when
+called, so the write-back contract (state is current whenever the loop
+calls out) is compared too.
 """
 
 import random
 
 import pytest
 
+import repro.cpu.blocks as blocks
 import repro.osmodel.kernel as kernel_module
 from repro.cpu import (
     CPUFault,
@@ -59,17 +61,25 @@ def build_machine(items, code_prot=PROT_READ | PROT_EXEC):
 
 
 class Side:
-    """One interpreter plus everything it published."""
+    """One interpreter plus everything it published.
 
-    def __init__(self, cpu, record: bool = True) -> None:
+    The recorder subscribes to ``kinds`` (None: every kind) and keeps
+    only events of those kinds, so on the oracle, which delivers every
+    kind, it records the same stream the loop delivers.
+    """
+
+    def __init__(self, cpu, record: bool = True, kinds=None) -> None:
         self.cpu = cpu
         self.events = []
         #: (what, cycles, insn_count, ip, zf, sf) at each call-out.
         self.seen = []
+        self.kinds = None if kinds is None else frozenset(kinds)
         if record:
-            cpu.add_listener(self._record)
+            cpu.add_listener(self._record, kinds)
 
     def _record(self, event) -> None:
+        if self.kinds is not None and event.kind not in self.kinds:
+            return
         self.events.append(event)
         self.note("listener")
 
@@ -78,9 +88,13 @@ class Side:
         self.seen.append((what, cpu.cycles, cpu.insn_count, m.ip, m.zf, m.sf))
 
     def state(self):
+        """Registers, flags, ``ip``, counters, and every mapped page's
+        bytes and protection."""
         cpu, m = self.cpu, self.cpu.machine
+        pages, prots = m.memory.tables()
         return (list(m.regs), m.zf, m.sf, m.ip, m.halted, cpu.cycles,
-                cpu.insn_count, cpu.stop_requested)
+                cpu.insn_count, cpu.stop_requested,
+                {n: bytes(page) for n, page in pages.items()}, dict(prots))
 
     def attempt(self, call):
         try:
@@ -175,12 +189,25 @@ def test_generated_programs_step_in_lockstep(seed):
     assert new_proc.exit_code == ref_proc.exit_code
 
 
-@pytest.mark.parametrize("record", [True, False])
+def recorder(record):
+    """``Side`` arguments for a ``record`` parameter: True records every
+    kind (so the loop runs basic blocks), ``"encoder"`` the encoder's
+    kinds only (so it runs superblocks and publishes their ends), False
+    nothing."""
+    if record == "encoder":
+        return {"record": True, "kinds": ENCODER_KINDS}
+    return {"record": record}
+
+
+@pytest.mark.parametrize("record", [True, False, "encoder"])
 @pytest.mark.parametrize("seed", range(10))
-def test_generated_programs_run_in_slices(seed, record):
+def test_generated_programs_run_in_slices(seed, record, monkeypatch):
+    """Every leader is compiled at its first visit, so blocks and
+    superblocks run for most of each program."""
+    monkeypatch.setattr(blocks, "HOT_ENTRIES", 1)
     (new_kernel, new_proc), (ref_kernel, ref_proc) = kernel_pair(seed)
-    new = Side(new_proc.executor, record)
-    ref = Side(ref_proc.executor, record)
+    new = Side(new_proc.executor, **recorder(record))
+    ref = Side(ref_proc.executor, **recorder(record))
     rng = random.Random(seed)
     while new_proc.alive:
         budget = rng.choice((1, 2, 7, 31, 500))
@@ -191,12 +218,15 @@ def test_generated_programs_run_in_slices(seed, record):
     assert new_proc.exit_code == ref_proc.exit_code
 
 
-@pytest.mark.parametrize("mode", ["step", "slices"])
+@pytest.mark.parametrize("mode", ["step", "slices", "encoder"])
 @pytest.mark.parametrize("seed", range(8))
-def test_generated_programs_warm_second_process(seed, mode):
+def test_generated_programs_warm_second_process(seed, mode, monkeypatch):
     """The lock step again, on a second process of a module whose first
-    process filled the shared code image: a stale or wrongly attested
-    shared entry or block shows up as a divergence."""
+    process filled the shared code image (every leader compiled at its
+    first visit): a stale or wrongly attested shared entry or block
+    shows up as a divergence.  ``encoder`` runs slices with a recorder
+    of the encoder's kinds only, so superblocks run."""
+    monkeypatch.setattr(blocks, "HOT_ENTRIES", 1)
     module = generate_program(seed)
     kernel = Kernel()
     kernel.register_program(f"gen{seed}", module, LIBS)
@@ -205,7 +235,9 @@ def test_generated_programs_warm_second_process(seed, mode):
     assert module.blocks._pages
     (new_kernel, new_proc), (ref_kernel, ref_proc) = kernel_pair(seed,
                                                                  module)
-    new, ref = Side(new_proc.executor), Side(ref_proc.executor)
+    kinds = ENCODER_KINDS if mode == "encoder" else None
+    new = Side(new_proc.executor, kinds=kinds)
+    ref = Side(ref_proc.executor, kinds=kinds)
     if mode == "step":
         assert lockstep(new, ref) == ("ok", None)
     else:
