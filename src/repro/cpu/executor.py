@@ -28,6 +28,19 @@ including an mprotect that revokes EXEC).  It checks on entry and after
 every call-out, the only times either can change.  Code patched in place
 without a protection change needs :meth:`Executor.flush_icache`.
 
+A listener that *takes runs* — an object with ``on_run(events)`` and
+``run_room()`` beside the ``on_branch`` it subscribed, as the IPT encoder
+has — is not called per event while it is the only subscriber of every
+kind it takes.  The loop appends its events to a run instead, and hands
+the run over before any other call-out, whenever the loop returns or
+raises, and when the run reaches the room ``run_room()`` gave, reading
+the room again then; with no room left, events go through ``on_branch``
+one by one until a call-out makes room.  The taker promises that ``on_run``
+is exactly ``on_branch`` applied to each event in turn, runs no foreign
+code, reads nothing of the executor and keeps no reference to the list
+it is given (the loop reuses it), so deferring changes nothing a
+listener, a handler or the caller can observe.
+
 Cycle accounting follows :mod:`repro.costs`; tracing hardware attached to
 the event bus keeps its own cycle accounts which the experiment harnesses
 combine with the CPU's.
@@ -80,6 +93,10 @@ _ALL_KINDS = frozenset(_ROUTE_KINDS)
 _CHAINED_ROUTES = (_ROUTE_KINDS.index(CoFIKind.DIRECT_JMP),
                    _ROUTE_KINDS.index(CoFIKind.DIRECT_CALL))
 _new_event = tuple.__new__
+#: The route of a kind whose events the loop appends to a run for the
+#: listener that takes runs, instead of calling it (see
+#: :meth:`Executor._reroute`).
+_DEFER = (None,)
 
 #: The block map's entry for a leader where no compiled block can run.
 NO_BLOCK = ()
@@ -201,7 +218,9 @@ class Executor:
     subscribing or removing listeners — is picked up before the next
     instruction.  A listener is called only for the CoFI kinds it
     subscribed to; a CoFI whose kind nobody subscribed to builds no
-    event and makes no call-out.
+    event and makes no call-out.  A listener that takes runs gets its
+    events in runs while it is their kinds' only subscriber (see the
+    module docstring).
     """
 
     def __init__(
@@ -217,6 +236,12 @@ class Executor:
         self._listener_kinds: List[frozenset] = []
         #: One tuple of listeners per kind, in ``_ROUTE_KINDS`` order.
         self._routes: Tuple[tuple, ...] = ((),) * len(_ROUTE_KINDS)
+        #: While a listener that takes runs is the only subscriber of
+        #: every kind it takes: the routes with those kinds set to
+        #: :data:`_DEFER`, its ``on_run`` and its ``run_room``.
+        self._runs: Optional[tuple] = None
+        #: The events the loop has deferred and not yet handed over.
+        self._run: List[BranchEvent] = []
         self.cycles = 0.0
         self.insn_count = 0
         #: Interrupt line: listeners (a ToPA PMI, a scheduler) assert it
@@ -261,15 +286,34 @@ class Executor:
         self._reroute()
 
     def _reroute(self) -> None:
-        """Rebuild the per-kind routes.  Superblocks run through direct
-        JMPs and CALLs without publishing them, so the block map switches
-        between superblocks and basic blocks (and is dropped) when a
-        listener for either kind comes or goes."""
+        """Rebuild the per-kind routes.
+
+        A listener that takes runs (see the module docstring) gets them
+        while it is the only subscriber of every kind it takes;
+        otherwise it is called per event, and the executor keeps no
+        reference to it beyond ``listeners``.  Superblocks run through
+        direct JMPs and CALLs without publishing them, so the block map
+        switches between superblocks and basic blocks (and is dropped)
+        when a listener for either kind comes or goes."""
         pairs = list(zip(self.listeners, self._listener_kinds))
         routes = self._routes = tuple(
             tuple(fn for fn, kinds in pairs if kind in kinds)
             for kind in _ROUTE_KINDS
         )
+        self._runs = None
+        for fn, kinds in pairs:
+            owner = getattr(fn, "__self__", None)
+            on_run = getattr(owner, "on_run", None)
+            if on_run is None or fn != getattr(owner, "on_branch", None):
+                continue
+            if all(route == (fn,) for kind, route in zip(_ROUTE_KINDS, routes)
+                   if kind in kinds):
+                deferred = tuple(
+                    _DEFER if kind in kinds else route
+                    for kind, route in zip(_ROUTE_KINDS, routes)
+                )
+                self._runs = (deferred, on_run, owner.run_room)
+                break
         chain = not any(routes[i] for i in _CHAINED_ROUTES)
         if chain != self._chain:
             self._chain = chain
@@ -358,14 +402,36 @@ class Executor:
             return HaltReason.INTERRUPTED
         return HaltReason.STEPS_EXHAUSTED
 
+    def _live_routes(self) -> Tuple[Tuple[tuple, ...], int]:
+        """The routes the loop publishes through, and how many events it
+        may defer before it hands its run over: the deferring routes
+        while the run taker has room for an event, else the per-event
+        ones (and 0)."""
+        runs = self._runs
+        if runs is not None:
+            left = runs[2]()
+            if left > 0:
+                return runs[0], left
+        return self._routes, 0
+
+    def _hand_over(self) -> None:
+        """Pass the deferred events to the run taker."""
+        run = self._run
+        self._runs[1](run)
+        run.clear()
+
     def _write_back(self, ip: int, cycles: float, count: int, flags) -> None:
-        """Store the dispatch loop's local state on the machine."""
+        """Store the dispatch loop's local state on the machine, and hand
+        its deferred events over: the loop does this before it calls out
+        and whenever it returns or raises."""
         m = self.machine
         m.ip = ip
         m.zf = flags >= 2
         m.sf = (flags & 1) == 1
         self.cycles = cycles
         self.insn_count = count
+        if self._run:
+            self._hand_over()
 
     def _fault(self, message: str, pc: int, ip: int, cycles: float,
                count: int, flags) -> CPUFault:
@@ -386,6 +452,10 @@ class Executor:
         known there and fits the remaining budget, publishing each
         block's CoFI as it would its own; everything else runs one
         instruction at a time.
+
+        Events of deferred kinds go into ``self._run``; ``left`` counts
+        the events that still fit the run taker's room, and the loop
+        holds the deferring routes only while ``left`` is positive.
         """
         m = self.machine
         if lines and (m.halted or self.stop_requested):
@@ -411,7 +481,10 @@ class Executor:
         Event = BranchEvent
         icache = self._icache
         blocks = self._blocks
-        routes = self._routes
+        DEFER = _DEFER
+        run = self._run
+        run_append = run.append
+        routes, left = self._live_routes()
         (to_jmp, to_call, to_jcc, to_jmpr, to_callr, to_ret,
          to_far) = routes
         regs = m.regs
@@ -543,7 +616,7 @@ class Executor:
                     cycles = self.cycles
                     limit += self.insn_count - n
                     n = self.insn_count
-                    routes = self._routes
+                    routes, left = self._live_routes()
                     (to_jmp, to_call, to_jcc, to_jmpr, to_callr, to_ret,
                      to_far) = routes
                 out = to_far
@@ -552,6 +625,10 @@ class Executor:
                     # redirection (e.g. sigreturn), matching what IPT
                     # would trace on resume.
                     ev = event(Event, (K_FAR, pc, ip, True))
+                    if out is DEFER and lines and (m.halted
+                                                   or self.stop_requested):
+                        run_append(ev)  # the exit hands it over
+                        break
                 elif lines and (m.halted or self.stop_requested):
                     break
             elif op == SUB:
@@ -669,12 +746,23 @@ class Executor:
 
             # A CoFI or SYSCALL retired, so ``ip`` is a leader.  Each
             # pass publishes the CoFI just retired (``ev``) if listeners
-            # subscribed to its kind (``out``), with the machine state
-            # current, picks up whatever they changed, then runs the
-            # compiled block at the new leader, if one is known and fits
-            # the budget.
+            # subscribed to its kind (``out``) — appended to the run if
+            # its kind is deferred, else with the run handed over and the
+            # machine state current, picking up whatever the listeners
+            # changed — then runs the compiled block at the new leader,
+            # if one is known and fits the budget.
             while True:
-                if out:
+                if out is DEFER:
+                    run_append(ev)
+                    left -= 1
+                    if not left:
+                        self._hand_over()
+                        routes, left = self._live_routes()
+                        (to_jmp, to_call, to_jcc, to_jmpr, to_callr, to_ret,
+                         to_far) = routes
+                elif out:
+                    if run:
+                        self._hand_over()
                     m.ip = ip
                     m.zf = fl >= 2
                     m.sf = (fl & 1) == 1
@@ -692,7 +780,7 @@ class Executor:
                     cycles = self.cycles
                     limit += self.insn_count - n
                     n = self.insn_count
-                    routes = self._routes
+                    routes, left = self._live_routes()
                     (to_jmp, to_call, to_jcc, to_jmpr, to_callr, to_ret,
                      to_far) = routes
                     if lines and (m.halted or self.stop_requested):

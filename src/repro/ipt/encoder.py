@@ -19,6 +19,17 @@ oldest first — so a full packet is a single table lookup.
 A PSB+ group (PSB, FUP with the current IP, PSBEND) is inserted every
 ``psb_period`` output bytes so decoders can synchronise mid-stream.
 
+Two entry points write the same packets.  :meth:`IPTEncoder.on_branch`
+takes one event and writes each packet as it forms, so a PMI raised by
+a region that fills mid-event sees the encoder's state at that packet.
+:meth:`IPTEncoder.on_run` takes a *run* of events the CPU deferred while
+no region could fill (at most :meth:`IPTEncoder.run_room` of them, each
+writing at most :data:`MAX_EVENT_BYTES`): it reads the config and CR3
+once, builds the run's packets in one buffer and makes one ToPA write,
+with the same ``cycles`` additions in the same order.  The dispatch loop
+(:mod:`repro.cpu.executor`) hands the encoder runs while it is the only
+subscriber of its kinds, and calls ``on_branch`` for every other event.
+
 Tracing cost is charged per emitted byte (:data:`repro.costs`), the
 source of IPT's ~3% tracing overhead versus BTS's per-record stalls.
 """
@@ -69,10 +80,22 @@ _TNT_CYCLES = 2 * _BYTE_CYCLES
 _PSB_CYCLES = len(PSB_PATTERN) * _BYTE_CYCLES
 _PSBEND = bytes((PSBEND_BYTE,))
 _PGD_SUPPRESSED = bytes((TIP_PGD_HEADER, 0))
+_PGD_CYCLES = len(_PGD_SUPPRESSED) * _BYTE_CYCLES
 #: ``(last_ip ^ target).bit_length()`` -> (payload width, packet
 #: length, payload mask) of the IP packet that encodes ``target``.
 _IP_FORMS = tuple(
     (width, width + 2, (1 << (8 * width)) - 1) for width in IP_WIDTH_FOR_BITS
+)
+_MAX_IP_PACKET = _IP_FORMS[-1][1]
+#: A bound on the bytes one event writes: a TNT flush, a PSB+ group and
+#: a FUP/TIP.PGD/TIP.PGE group, with every IP packet at full width (43).
+#: The largest event that can occur writes 36: a far transfer that
+#: lands on a due PSB with TNT bits pending, whose FUP then compresses
+#: against the PSB's.
+MAX_EVENT_BYTES = (
+    len(_TNT_PACKETS[1])
+    + len(PSB_PATTERN) + _MAX_IP_PACKET + len(_PSBEND)
+    + _MAX_IP_PACKET + len(_PGD_SUPPRESSED) + _MAX_IP_PACKET
 )
 
 
@@ -187,6 +210,104 @@ class IPTEncoder:
         self._write(self._ip_packet(FUP_HEADER, src))
         self._write(_PGD_SUPPRESSED)
         self._write(self._ip_packet(TIP_PGE_HEADER, dst))
+
+    def run_room(self) -> int:
+        """How many events :meth:`on_run` may take now with no region
+        filling while it writes them."""
+        return (self.output.bytes_to_fill() - 1) // MAX_EVENT_BYTES
+
+    def on_run(self, events) -> None:
+        """Packetize a run of events exactly as :meth:`on_branch` would
+        one by one: the same bytes, ``cycles`` additions and counters.
+
+        The caller hands over at most :meth:`run_room` events, and runs
+        no other code between them, so no region fills (no PMI can see
+        a half-written run) and the config and CR3 cannot change
+        mid-run.
+        """
+        config = self.config
+        ctl = config.ctl
+        if ctl & _ON != _ON:
+            return
+        if ctl & _CR3_FILTER and self.current_cr3() != config.cr3_match:
+            return
+        period = config.psb_period
+        psb_at = period if self._started else 0  # PSB when since >= psb_at
+        forms = _IP_FORMS
+        tnt = self._tnt
+        last_ip = self._last_ip
+        since = self._bytes_since_psb
+        cycles = self.cycles
+        packets = self.packets_emitted
+        out = bytearray()
+        for kind, src, dst, taken in events:
+            if since >= psb_at:
+                if kind is _DIRECT_JMP or kind is _DIRECT_CALL:
+                    continue
+                if tnt != 1:
+                    out += _TNT_PACKETS[tnt]
+                    tnt = 1
+                    cycles += _TNT_CYCLES
+                    packets += 1
+                out += PSB_PATTERN
+                cycles += _PSB_CYCLES
+                width, length, mask = forms[src.bit_length()]
+                out += ((src & mask) << 16 | width << 8 | FUP_HEADER
+                        ).to_bytes(length, "little")
+                out += _PSBEND
+                cycles += (length + 1) * _BYTE_CYCLES
+                last_ip = src
+                since = 0
+                packets += 3
+                psb_at = period
+                self._started = True
+            if kind is _COND:
+                tnt = (tnt << 1) | 1 if taken else tnt << 1
+                if tnt >= _TNT_FULL:
+                    out += _TNT_PACKETS[tnt]
+                    tnt = 1
+                    cycles += _TNT_CYCLES
+                    since += 2
+                    packets += 1
+                continue
+            if kind is _DIRECT_JMP or kind is _DIRECT_CALL:
+                continue
+            if tnt != 1:
+                out += _TNT_PACKETS[tnt]
+                tnt = 1
+                cycles += _TNT_CYCLES
+                since += 2
+                packets += 1
+            if kind is not _FAR:
+                width, length, mask = forms[(last_ip ^ dst).bit_length()]
+                out += ((dst & mask) << 16 | width << 8 | TIP_HEADER
+                        ).to_bytes(length, "little")
+                cycles += length * _BYTE_CYCLES
+                since += length
+                packets += 1
+                last_ip = dst
+                continue
+            width, length, mask = forms[(last_ip ^ src).bit_length()]
+            out += ((src & mask) << 16 | width << 8 | FUP_HEADER
+                    ).to_bytes(length, "little")
+            cycles += length * _BYTE_CYCLES
+            out += _PGD_SUPPRESSED
+            cycles += _PGD_CYCLES
+            since += length + 2
+            width, length, mask = forms[(src ^ dst).bit_length()]
+            out += ((dst & mask) << 16 | width << 8 | TIP_PGE_HEADER
+                    ).to_bytes(length, "little")
+            cycles += length * _BYTE_CYCLES
+            since += length
+            packets += 3
+            last_ip = dst
+        if out:
+            self.output.write(out)
+        self._tnt = tnt
+        self._last_ip = last_ip
+        self._bytes_since_psb = since
+        self.cycles = cycles
+        self.packets_emitted = packets
 
     def flush(self) -> None:
         """Flush buffered TNT bits (monitor is about to read the trace)."""

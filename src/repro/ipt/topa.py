@@ -5,6 +5,11 @@ pointers.  FlowGuard configures one ToPA with two regions (§5.1), with a
 performance-monitoring interrupt (PMI) raised when the final region
 fills, after which output wraps to the first region.
 
+A region fill is the only point where a write runs foreign code (the
+PMI handler) or changes how later writes behave (a stop region).
+:meth:`ToPA.bytes_to_fill` says how far off the next fill is, so a
+writer can batch output that provably stays clear of it.
+
 The monitor reads the buffer back with :meth:`ToPA.snapshot`, which
 returns bytes oldest-to-newest; after a wrap the first bytes may be a
 packet *tail*, so consumers must resynchronise at a PSB — exactly the
@@ -78,6 +83,12 @@ class ToPA:
     @property
     def stopped(self) -> bool:
         return self._stopped
+
+    def bytes_to_fill(self) -> int:
+        """How many bytes fill the current region: any write shorter
+        than this lands whole in it, raising no PMI and moving to no
+        other region.  The IPT encoder sizes its deferred runs by it."""
+        return self.regions[self._region].size - self._offset
 
     def write(self, data: bytes) -> None:
         """Append packet bytes, moving across regions and wrapping.

@@ -15,7 +15,9 @@ oracle the same way, across kernels, forks, execve, patched and
 writable pages, page edges and a library at two bases.  Superblocks run
 wherever a side records only the encoder's kinds; the access-group
 cases cover each way one protection check per base value can fail,
-split or alias.
+split or alias.  The deferred-trace cases make an IPT encoder the
+loop's only listener, so the loop hands it runs, while the oracle feeds
+the reference encoder per event; the ToPA bytes must match too.
 """
 
 import random
@@ -39,7 +41,9 @@ from repro.cpu import (
 )
 from repro.cpu.blocks import GROUP_SPAN, HOT_ENTRIES, BlockStore, CodePage
 from repro.cpu.events import CoFIKind
-from repro.ipt.encoder import ENCODER_KINDS
+from repro.ipt.encoder import ENCODER_KINDS, IPTEncoder
+from repro.ipt.msr import IPTConfig
+from repro.ipt.topa import ToPA, ToPARegion
 from repro.isa import A, Cond, Label, Op, asm, instruction_length
 from repro.isa.registers import (
     FP, R0, R1, R2, R3, R4, R5, R6, R7, R8, R9, R10, R11, R12, SP,
@@ -62,6 +66,7 @@ from repro.lang import (
 )
 from repro.osmodel import Kernel, Sys
 from tests.cpu_reference import ReferenceExecutor
+from tests.encoder_reference import ReferenceEncoder, ReferenceToPA
 from tests.test_cpu_differential import (
     CODE_BASE,
     DATA_BASE,
@@ -69,8 +74,11 @@ from tests.test_cpu_differential import (
     STACK_TOP,
     Side,
     build_machine,
+    kernel_pair,
     sliced,
 )
+from tests.test_encoder_differential import ON, guard_runs
+from tests.test_encoder_differential import Side as TraceSide
 
 WO_BASE = 0x74000  # one write-only page: pushes land, loads bail
 LOOPS = 40  # iterations: the loop's blocks are hot after HOT_ENTRIES
@@ -101,10 +109,11 @@ def runs(monkeypatch):
 
 
 def block_pair(items, handler=None, listener=None, store=None, kinds=None,
-               **kw):
+               record=True, **kw):
     """Two sides as ``make_pair`` builds them, the loop's code filed
     under a block store (``store`` to share one).  Each side's recorder
-    subscribes to ``kinds`` (None: every kind, so no superblock runs)."""
+    subscribes to ``kinds`` (None: every kind, so no superblock runs);
+    without ``record`` there is none."""
     sides = []
     for cls in (Executor, ReferenceExecutor):
         machine, symbols = build_machine(items, **kw)
@@ -113,7 +122,7 @@ def block_pair(items, handler=None, listener=None, store=None, kinds=None,
             machine.memory.attach_blocks(
                 CODE_BASE, 0x1000, store if store is not None else BlockStore()
             )
-        side = Side(cls(machine), kinds=kinds)
+        side = Side(cls(machine), record=record, kinds=kinds)
         if handler is not None:
             side.cpu.syscall_handler = handler(side)
         if listener is not None:
@@ -1199,3 +1208,88 @@ def test_one_protection_check_per_base_value():
     ip, _, _, retired = block.fn(regs, pages, Counting(prots), 0.0, 0)
     assert retired == len(items) and Counting.gets == 3
     assert regs[SP] == STACK_TOP - 0x100 + 8 and ip == 0
+
+
+# -- deferred trace runs -------------------------------------------------------
+
+TRACE_REGIONS = {
+    "large": [ToPARegion(1 << 16, interrupt=True)],
+    "near-fill": [ToPARegion(131), ToPARegion(89, interrupt=True)],
+}
+
+
+def trace(side, regions):
+    """Subscribe an encoder to the side's CPU as its only listener: the
+    production one, guarded, on the loop (which then defers its events
+    into runs); the reference one on the oracle (fed per event).  Every
+    PMI flushes."""
+    new = isinstance(side.cpu, Executor)
+    side.trace = TraceSide(
+        IPTEncoder if new else ReferenceEncoder,
+        ToPA if new else ReferenceToPA,
+        regions, IPTConfig(ctl=ON, psb_period=64), lambda: None,
+        on_pmi=lambda t: t.encoder.flush(),
+    )
+    if new:
+        guard_runs(side.trace)
+    side.cpu.add_listener(side.trace.encoder.on_branch, ENCODER_KINDS)
+
+
+def assert_traced_same(new, ref):
+    assert new.state() == ref.state()
+    assert new.trace.state() == ref.trace.state()
+
+
+@pytest.mark.parametrize("regions", sorted(TRACE_REGIONS))
+@pytest.mark.parametrize("seed", range(6))
+def test_generated_programs_traced_in_runs(runs, seed, regions,
+                                           monkeypatch):
+    """Generated programs in random slices with every leader compiled at
+    its first visit: registers, flags, ``ip``, cycles, counts, page
+    bytes and the ToPA agree after every slice, with events deferred
+    from superblock ends and from single-stepped instructions."""
+    monkeypatch.setattr(blocks, "HOT_ENTRIES", 1)
+    (new_kernel, new_proc), (ref_kernel, ref_proc) = kernel_pair(seed)
+    new = Side(new_proc.executor, record=False)
+    ref = Side(ref_proc.executor, record=False)
+    for side in (new, ref):
+        trace(side, TRACE_REGIONS[regions])
+    rng = random.Random(seed)
+    while new_proc.alive:
+        budget = rng.choice((1, 2, 7, 31, 500))
+        outcome = new_kernel.step(new_proc, budget)
+        assert outcome == ref_kernel.step(ref_proc, budget)
+        assert_traced_same(new, ref)
+    assert new_proc.exit_code == ref_proc.exit_code
+    for side in (new, ref):
+        side.trace.encoder.flush()
+    assert_traced_same(new, ref)
+    assert runs and new.trace.runs
+    assert any(chain for _, _, _, chain in runs)
+
+
+TRACED_ENDS = {
+    "halt": [],
+    "bad-fetch": [A.mov(R5, 0x900000), A.jmpr(R5)],
+    "read-only-store": [A.mov(R5, RO_BASE), A.store(R5, 0, R6)],
+}
+
+
+@pytest.mark.parametrize("regions", sorted(TRACE_REGIONS))
+@pytest.mark.parametrize("end", sorted(TRACED_ENDS))
+def test_hot_loop_traced_in_runs(runs, end, regions):
+    """A hot loop that halts or faults at its end, run in slices: the
+    same state, fault text and ToPA bytes when the fault propagates."""
+    items = MIXED_LOOP[:-1] + TRACED_ENDS[end] + [A.halt()]
+    new, ref, _ = block_pair(items, record=False)
+    for side in (new, ref):
+        trace(side, TRACE_REGIONS[regions])
+    outcome = None
+    for budget in [5, 60, 100_000] * 5:
+        outcome = new.attempt(lambda: new.cpu.run(budget))
+        assert outcome == ref.attempt(lambda: ref.cpu.run(budget))
+        assert_traced_same(new, ref)
+        if outcome[0] != "ok" or new.cpu.machine.halted:
+            break
+    assert (outcome[0] == "CPUFault") == (end != "halt")
+    assert runs and new.trace.runs

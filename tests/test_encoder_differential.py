@@ -12,18 +12,31 @@ handler saw of the ToPA and the encoder, and those records must match.
 
 Live cases run programs on the production interpreter: the packed
 encoder subscribed to :data:`ENCODER_KINDS`, the oracle to every kind,
-so filtered delivery is checked against unfiltered delivery too.
+so filtered delivery is checked against unfiltered delivery too.  Being
+the only subscriber of its kinds, the packed encoder gets its events in
+deferred runs (``IPTEncoder.on_run``) while the oracle, which takes no
+runs, is called per event; the deferred-run cases end a run at each
+place the loop must hand one over (a fault, ``exit()``, another
+listener, a syscall handler that changes CR3, ``ctl`` or the
+subscriptions, a region close to filling), and pin the room rule: no
+region fills while ``on_run`` writes.
 """
 
 import random
+import weakref
 
 import pytest
 
+import repro.cpu.blocks as blocks
 import repro.monitor.flowguard as flowguard_module
+from repro.cpu import CPUFault, Executor
+from repro.cpu.blocks import BlockStore
 from repro.cpu.events import BranchEvent, CoFIKind
-from repro.ipt.encoder import ENCODER_KINDS, IPTEncoder
+from repro.ipt.encoder import ENCODER_KINDS, MAX_EVENT_BYTES, IPTEncoder
 from repro.ipt.msr import RTIT_CTL, IPTConfig
 from repro.ipt.topa import ToPA, ToPARegion
+from repro.isa import A, Cond, Label
+from repro.isa.registers import R2, R6
 from repro.lang import (
     Assign,
     BinOp,
@@ -43,6 +56,7 @@ from repro.osmodel import Kernel, Sys
 from repro.workloads import build_libsim
 from repro.workloads.programgen import generate_program
 from tests.encoder_reference import ReferenceEncoder, ReferenceToPA
+from tests.test_cpu_differential import CODE_BASE, RO_BASE, build_machine
 
 LIBS = {"libsim.so": build_libsim()}
 ON = RTIT_CTL.TRACE_EN | RTIT_CTL.BRANCH_EN | RTIT_CTL.USER
@@ -54,6 +68,8 @@ class Side:
     def __init__(self, encoder_cls, topa_cls, regions, config, cr3,
                  on_pmi=None) -> None:
         self.pmis = []
+        #: Set while ``on_run`` writes: no PMI may land then.
+        self.in_run = False
         self.topa = topa_cls(
             [ToPARegion(r.size, r.interrupt, r.stop) for r in regions],
             pmi_callback=self._pmi,
@@ -63,6 +79,7 @@ class Side:
         self.on_pmi = on_pmi
 
     def _pmi(self) -> None:
+        assert not self.in_run, "a region filled inside on_run"
         topa, encoder = self.topa, self.encoder
         self.pmis.append((
             topa._region, topa._offset, topa.total_bytes_written,
@@ -96,6 +113,32 @@ def make_sides(regions, ctl=ON, cr3_match=0x1000, psb_period=256,
 def assert_same(new: Side, ref: Side) -> None:
     assert new.state() == ref.state()
     assert type(new.encoder.cycles) is float
+
+
+def guard_runs(side: Side) -> None:
+    """Wrap the side's ``on_run`` (before it subscribes: the executor
+    looks the method up then) so it fails if a run is empty or longer
+    than the room, or if a region fills or the ToPA stops while it
+    writes; ``side.runs`` keeps each run's length."""
+    encoder, topa = side.encoder, side.topa
+    on_run = encoder.on_run
+    side.runs = []
+
+    def guarded(events):
+        assert 0 < len(events) <= encoder.run_room()
+        to_fill = topa.bytes_to_fill()
+        written = topa.total_bytes_written
+        stopped = topa.stopped
+        side.in_run = True
+        try:
+            on_run(events)
+        finally:
+            side.in_run = False
+        assert topa.total_bytes_written - written < to_fill
+        assert topa.stopped == stopped
+        side.runs.append(len(events))
+
+    encoder.on_run = guarded
 
 
 def random_events(rng: random.Random, count: int):
@@ -255,6 +298,117 @@ def test_topa_chunks_match_per_byte_writes(seed):
         ref.total_bytes_written, ref.snapshot())
 
 
+# -- deferred runs, synthetic ---------------------------------------------------
+
+#: Every region shape the suite uses, each ending in a PMI region: most
+#: leave little room, so runs end at the room and events near a fill go
+#: through ``on_branch``.
+REGION_SHAPES = {
+    "one-large": [ToPARegion(1 << 16, interrupt=True)],
+    "4k": [ToPARegion(4096, interrupt=True)],
+    "16-16": [ToPARegion(16), ToPARegion(16, interrupt=True)],
+    "5-7-3": [ToPARegion(5), ToPARegion(7, interrupt=True), ToPARegion(3)],
+    "1-2": [ToPARegion(1), ToPARegion(2, interrupt=True)],
+    "33-31": [ToPARegion(33), ToPARegion(31, interrupt=True)],
+    "13-11": [ToPARegion(13), ToPARegion(11, interrupt=True)],
+    "stop-64": [ToPARegion(64, interrupt=True, stop=True)],
+    "stop-32-40": [ToPARegion(32, interrupt=True),
+                   ToPARegion(40, interrupt=True, stop=True)],
+    "stop-3-9": [ToPARegion(3, interrupt=True),
+                 ToPARegion(9, interrupt=True, stop=True)],
+    "131-89": [ToPARegion(131), ToPARegion(89, interrupt=True)],
+    "stop-200-97": [ToPARegion(200, interrupt=True),
+                    ToPARegion(97, interrupt=True, stop=True)],
+}
+
+
+def feed_in_runs(side: Side, events, rng: random.Random) -> None:
+    """Feed ``events`` to a guarded production encoder as the dispatch
+    loop does: append to a run while the room allows, hand it over when
+    it reaches the room and read the room again, call ``on_branch`` per
+    event while there is none; at random a call-out (here an
+    endpoint-style ``flush()``) ends the run early."""
+    encoder = side.encoder
+    run = []
+
+    def hand_over():
+        if run:
+            encoder.on_run(list(run))
+            run.clear()
+
+    left = encoder.run_room()
+    for event in events:
+        if left > 0:
+            run.append(event)
+            left -= 1
+            if not left:
+                hand_over()
+                left = encoder.run_room()
+        else:
+            encoder.on_branch(event)
+            left = encoder.run_room()
+        if rng.random() < 0.02:
+            hand_over()
+            encoder.flush()
+            left = encoder.run_room()
+    hand_over()
+    encoder.flush()
+
+
+@pytest.mark.parametrize("psb_period", [1, 17, 256])
+@pytest.mark.parametrize("shape", sorted(REGION_SHAPES))
+@pytest.mark.parametrize("seed", range(3))
+def test_runs_never_fill_a_region(seed, shape, psb_period):
+    """The room rule, over random streams and every region shape: a
+    PMI inside ``on_run``, or a run that reaches a fill, fails the
+    guard; the ToPA and the counters match the oracle fed per event
+    (flushing at the same points, and from every PMI)."""
+    regions = REGION_SHAPES[shape]
+    new, ref = make_sides(regions, psb_period=psb_period,
+                          on_pmi=lambda side: side.encoder.flush())
+    guard_runs(new)
+    events = random_events(random.Random(seed * 7919 + psb_period), 1500)
+    feed_in_runs(new, events, random.Random(seed))
+    cuts = random.Random(seed)
+    for event in events:
+        ref.encoder.on_branch(event)
+        if cuts.random() < 0.02:
+            ref.encoder.flush()
+    ref.encoder.flush()
+    assert_same(new, ref)
+    if shape in ("one-large", "4k"):
+        assert max(new.runs) > 1
+
+
+def test_largest_event_fits_the_bound():
+    """The largest event that can occur — a far transfer between 8-byte
+    IPs, with TNT bits pending and a PSB due — writes 36 bytes, within
+    the bound the room divides by.  A PSB falls due with bits pending
+    only once the count since the last PSB reaches the period without a
+    TNT flush: here a period of 0 (a handler may also lower it)."""
+    assert MAX_EVENT_BYTES == 43
+    src, dst = 0xFFFF800000001000, 0x400000
+    first = BranchEvent(CoFIKind.COND_BRANCH, 0x400100, 0x400200, True)
+    far = BranchEvent(CoFIKind.FAR_TRANSFER, src, dst, True)
+    written = []
+    for deliver in ("on_branch", "on_run"):
+        new, ref = make_sides([ToPARegion(4096)], psb_period=0)
+        for side in (new, ref):
+            side.encoder.on_branch(first)
+        assert new.encoder._tnt != 1
+        before = new.topa.total_bytes_written
+        if deliver == "on_run":
+            assert new.encoder.run_room() >= 1
+            new.encoder.on_run([far])
+        else:
+            new.encoder.on_branch(far)
+        ref.encoder.on_branch(far)
+        written.append(new.topa.total_bytes_written - before)
+        assert_same(new, ref)
+    assert written == [36, 36]
+    assert max(written) <= MAX_EVENT_BYTES
+
+
 # -- live runs -------------------------------------------------------------------
 
 
@@ -265,10 +419,12 @@ def spawn(kernel_setup, program):
 
 
 def live_pair(kernel_setup, program, regions, psb_period=256,
-              on_pmi=None, flush_every=None, seed=0):
+              on_pmi=None, flush_every=None, seed=0, hook=None):
     """Run ``program`` twice, once per encoder, stepping in random
     quanta; with ``flush_every`` an endpoint-style ``flush()`` lands
-    between quanta at random."""
+    between quanta at random.  The packed encoder's runs are guarded
+    (:func:`guard_runs`); ``hook(side)`` runs on each side once it has
+    subscribed."""
     results = []
     for encoder_cls, topa_cls, kinds in (
         (IPTEncoder, ToPA, ENCODER_KINDS),
@@ -280,7 +436,12 @@ def live_pair(kernel_setup, program, regions, psb_period=256,
         side = Side(encoder_cls, topa_cls, regions, config,
                     lambda p=proc: p.cr3, on_pmi)
         side.proc = proc
+        side.kinds = kinds
+        if encoder_cls is IPTEncoder:
+            guard_runs(side)
         proc.executor.add_listener(side.encoder.on_branch, kinds)
+        if hook is not None:
+            hook(side)
         rng = random.Random(seed)
         while proc.alive:
             kernel.step(proc, rng.choice((3, 17, 250, 5000)))
@@ -385,3 +546,199 @@ def test_nginx_server(monkeypatch):
         ))
     assert runs[0] == runs[1]
     assert runs[0][4] > 0
+
+
+# -- deferred runs, live ---------------------------------------------------------
+
+
+@pytest.fixture
+def hot(monkeypatch):
+    """Every leader compiles at its first visit, so runs are deferred
+    from block ends as well as from single-stepped instructions."""
+    monkeypatch.setattr(blocks, "HOT_ENTRIES", 1)
+
+
+def syscall_loop(name, rounds, tail):
+    """A loop with a conditional and a GETPID syscall every round,
+    then ``tail``."""
+    prog = Program(name)
+    prog.add_string("path", "other")
+    prog.add_func(Func("main", [], [
+        Let("i", Const(0)),
+        While(Rel("<", Var("i"), Const(rounds)), [
+            If(Rel("==", BinOp("&", Var("i"), Const(3)), Const(1)),
+               [Assign("i", BinOp("+", Var("i"), Const(2)))]),
+            SyscallExpr(int(Sys.GETPID), []),
+            Assign("i", BinOp("+", Var("i"), Const(1))),
+        ]),
+    ] + tail))
+    prog.set_entry("main")
+    return prog.build()
+
+
+def syscall_setup(kernel):
+    """``prog`` loops with syscalls, then execs ``other``, which loops
+    with syscalls too."""
+    kernel.register_program("other", syscall_loop(
+        "other", 60, [Return(Const(5))]))
+    kernel.register_program("prog", syscall_loop("prog", 60, [
+        SyscallExpr(int(Sys.EXECVE), [Global("path")]),
+        Return(Const(1)),
+    ]))
+
+
+def on_syscalls(action):
+    """A ``live_pair`` hook: ``action(side, count)`` runs inside the
+    syscall handler, before the ``count``-th syscall is handled."""
+    def hook(side):
+        executor = side.proc.executor
+        handler = executor.syscall_handler
+        count = [0]
+
+        def wrapped(machine):
+            count[0] += 1
+            action(side, count[0])
+            handler(machine)
+
+        executor.syscall_handler = wrapped
+    return hook
+
+
+def test_exit_while_a_run_is_deferred(hot):
+    """``exit()``'s far transfer is deferred, and the loop must still
+    stop at it: code after the syscall never runs."""
+    def setup(kernel):
+        kernel.register_program("quits", syscall_loop("quits", 40, [
+            SyscallExpr(int(Sys.EXIT), [Const(7)]),
+            Return(Const(1)),
+        ]))
+
+    for seed in range(4):
+        new, _ = live_pair(setup, "quits", [ToPARegion(1 << 16)], seed=seed)
+        assert new.proc.exit_code == 7
+        assert new.runs
+
+
+FAULTS = {
+    "bad-fetch": [A.mov(R2, 0x900000), A.jmpr(R2)],
+    "read-only-store": [A.mov(R2, RO_BASE), A.store(R2, 0, R6)],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_while_a_run_is_deferred(hot, fault):
+    """A CPUFault with a run pending: when it propagates, the ToPA
+    already holds the run's packets."""
+    items = [
+        A.mov(R6, 0), Label("top"), A.call("fn"), A.addi(R6, 1),
+        A.cmpi(R6, 40), A.jcc(Cond.LT, "top"),
+    ] + FAULTS[fault] + [A.halt(), Label("fn"), A.ret()]
+    new, ref = make_sides([ToPARegion(1 << 16)])
+    guard_runs(new)
+    outcomes = []
+    for side, kinds in ((new, ENCODER_KINDS), (ref, None)):
+        machine, _ = build_machine(items)
+        machine.memory.attach_blocks(CODE_BASE, 0x1000, BlockStore())
+        cpu = Executor(machine)
+        cpu.add_listener(side.encoder.on_branch, kinds)
+        with pytest.raises(CPUFault) as info:
+            cpu.run(100_000)
+        outcomes.append((str(info.value), cpu.insn_count, cpu.cycles))
+    assert outcomes[0] == outcomes[1]
+    assert new.runs
+    assert_same(new, ref)
+    for side in (new, ref):
+        side.encoder.flush()
+    assert_same(new, ref)
+
+
+@pytest.mark.parametrize("kind", [CoFIKind.COND_BRANCH, CoFIKind.DIRECT_JMP])
+def test_second_listener_comes_and_goes(hot, kind):
+    """A syscall handler subscribes a second listener of ``kind`` and a
+    later one drops it.  Sharing COND_BRANCH switches deferral off and
+    back on mid-run; a DIRECT_JMP listener leaves it on, so the run is
+    handed over before each of its call-outs.  What the listener saw
+    of the encoder and its ToPA must match."""
+    def action(side, count):
+        executor = side.proc.executor
+        if count == 3:
+            side.seen = []
+
+            def watch(event, side=side):
+                side.seen.append((
+                    event, side.topa.total_bytes_written,
+                    side.encoder.cycles, side.encoder.packets_emitted,
+                ))
+
+            side.watch = watch
+            executor.add_listener(watch, [kind])
+        elif count == 30:
+            executor.remove_listener(side.watch)
+            side.runs_before_drop = len(getattr(side, "runs", ()))
+
+    new, ref = live_pair(syscall_setup, "prog", [ToPARegion(1 << 16)],
+                         hook=on_syscalls(action))
+    assert new.seen and new.seen == ref.seen
+    assert len(new.runs) > new.runs_before_drop > 0
+
+
+def test_handler_removes_the_encoder(hot):
+    """A handler unsubscribes the encoder and a later one subscribes it
+    again, each with a run pending."""
+    def action(side, count):
+        executor = side.proc.executor
+        if count == 5:
+            executor.remove_listener(side.encoder.on_branch)
+        elif count == 25:
+            executor.add_listener(side.encoder.on_branch, side.kinds)
+
+    new, _ = live_pair(syscall_setup, "prog", [ToPARegion(1 << 16)],
+                       hook=on_syscalls(action))
+    assert new.runs
+
+
+def test_executor_lets_go_of_a_removed_encoder():
+    """Unsubscribing drops every reference the executor held to the
+    encoder, so nothing keeps it (or its ToPA) alive."""
+    machine, _ = build_machine([A.halt()])
+    cpu = Executor(machine)
+    encoder = IPTEncoder(IPTConfig(ctl=ON), output=ToPA([ToPARegion(4096)]))
+    gone = weakref.ref(encoder)
+    cpu.add_listener(encoder.on_branch, ENCODER_KINDS)
+    cpu.run(10)
+    cpu.remove_listener(encoder.on_branch)
+    del encoder
+    assert gone() is None
+
+
+def test_cr3_and_ctl_change_inside_a_handler(hot):
+    """Every fourth syscall turns tracing off until the next one, and
+    execve moves the process to a fresh CR3: each change lands while a
+    run is pending, which the loop hands over before the handler."""
+    def action(side, count):
+        config = side.encoder.config
+        if count % 4 == 0:
+            side.ctl = config.ctl
+            config.write_ctl(config.ctl & ~RTIT_CTL.TRACE_EN)
+        elif count % 4 == 1 and count > 1:
+            config.write_ctl(side.ctl)
+
+    new, _ = live_pair(syscall_setup, "prog", [ToPARegion(1 << 16)],
+                       hook=on_syscalls(action))
+    assert new.proc.exit_code == 5
+    assert new.proc.cr3 != new.encoder.config.cr3_match
+    assert new.runs
+
+
+@pytest.mark.parametrize("shape", ["13-11", "131-89", "stop-200-97"])
+@pytest.mark.parametrize("seed", BUSY_SEEDS[:3])
+def test_deferred_runs_near_a_fill(hot, seed, shape):
+    """Regions too small for a run (13/11 bytes), a little larger, and
+    a stop region: most events sit near a fill, so the loop switches
+    between runs and per-event delivery all the time, and every PMI
+    flushes and stops the loop."""
+    new, _ = live_pair(register_generated(seed), f"gen{seed}",
+                       REGION_SHAPES[shape], psb_period=50,
+                       on_pmi=stop_and_flush, flush_every=0.3, seed=seed)
+    assert new.pmis
+    assert bool(new.runs) == (shape != "13-11")
