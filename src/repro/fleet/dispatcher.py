@@ -151,15 +151,14 @@ class FleetDispatcher:
     ) -> CheckTask:
         """Run one check through the monitor and schedule its cost.
 
-        ``data`` is the ring content the check examines (defaults to a
-        live ToPA snapshot, which is what ``_run_check`` consumes); the
-        verdict is computed eagerly so state matches solo mode, but its
-        effect is deferred to the task's completion time.
+        ``data`` is the ring content the check examines, a ToPA snapshot
+        taken after flushing the encoder (None takes one here); the
+        check decodes exactly these bytes, and the slices are cut over
+        them.  The verdict is computed eagerly so state matches solo
+        mode, but its effect is deferred to the task's completion time.
         """
         assert self.monitor is not None, "dispatcher not bound to a monitor"
         if data is None:
-            # Flush first: ``_run_check`` will, and the slice boundaries
-            # must be computed over the same bytes it decodes.
             pp.encoder.flush()
             data = pp.topa.snapshot()
         stats = pp.stats
@@ -169,7 +168,7 @@ class FleetDispatcher:
             stats.other_cycles,
         )
         slow_before = stats.slow_path_runs
-        verdict = self.monitor._run_check(pp, nr)
+        verdict = self.monitor._run_check(pp, nr, data)
         decode_delta = stats.decode_cycles - before[0]
         check_delta = stats.check_cycles - before[1]
         other_delta = stats.other_cycles - before[2]

@@ -64,7 +64,7 @@ import os
 import re
 import struct
 from array import array
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro import costs
 from repro.telemetry import get_telemetry
@@ -136,8 +136,9 @@ def sync_to_psb(data: bytes, start: int = 0) -> int:
 def psb_offsets(data: bytes, start: int = 0) -> List[int]:
     """All PSB packet offsets at/after ``start``, in stream order.
 
-    The one shared PSB scan: tail decoding, segment splitting and slice
-    accounting all derive their boundaries from it.  A ``memoryview``
+    The one forward PSB scan: segment splitting and slice accounting
+    derive their boundaries from it (the fast path's tail walk searches
+    backward from the end under the same rule).  A ``memoryview``
     input (a fleet ring drain) is converted to ``bytes`` exactly once up
     front, so the whole scan runs on ``bytes.find``.
     """
@@ -146,29 +147,6 @@ def psb_offsets(data: bytes, start: int = 0) -> List[int]:
     # One match per maximal ``82 02`` run, at its last eight bytes (see
     # :func:`sync_to_psb`), in one C-level pass.
     return [match.start() for match in _PSB_RE.finditer(data, start)]
-
-
-def psb_offsets_reversed(data: bytes) -> Iterator[int]:
-    """:func:`psb_offsets` newest first, found lazily from the end.
-
-    A backward tail walk stops after a few segments, so it should not
-    pay for every PSB in the buffer.  The rightmost pattern match ends
-    its ``82 02`` run, so it is the PSB; the search then resumes in
-    front of the whole run, whose earlier pairs are IP payload.
-    """
-    if isinstance(data, memoryview):
-        data = bytes(data)
-    rfind = data.rfind
-    startswith = data.startswith
-    end = len(data)
-    while True:
-        pos = rfind(PSB_PATTERN, 0, end)
-        if pos < 0:
-            return
-        yield pos
-        end = pos
-        while end >= 2 and startswith(_PSB_HEAD, end - 2):
-            end -= 2
 
 
 def psb_boundaries(data: bytes, start: int = 0) -> List[int]:
@@ -771,44 +749,51 @@ class ColumnarTail:
         ``ips`` (None = IP-suppressed) and ``sigs`` (packed TNT runs)
         are the columns the batched edge check and the slow-path
         hand-off consume: slices of the segments' columns, with a
-        stitch patch landing on the fresh slice copy, never the column.
+        stitch patch landing on the fresh copy, never the column.
         ``first_offset`` is the stream offset of the window's first
         record (None for an empty window).  The result is memoised until
         the next :meth:`prepend` (callers share it — do not mutate).
+
+        One pass: the walk newest-first only counts records to find the
+        oldest segment the window reaches; the columns are then built
+        oldest-first straight into the two output lists.
         """
         memo = self._window
         if memo is not None and memo[0] == n:
             return memo[1]
-        ip_parts = []
-        sig_parts = []
-        first_offset = None
+        entries = self.entries
         need = n
-        for entry in self.entries:
-            if not need:
-                break
+        reach = 0  # entries[:reach] hold the window
+        if need > 0:
+            for entry in entries:
+                reach += 1
+                need -= len(entry.seg.rec_ips)
+                if need <= 0:
+                    break
+        # ``-need`` records of the oldest reached segment are older
+        # than the window (need > 0: the tail is shorter than ``n``).
+        skip = -need if need < 0 else 0
+        ips = sigs = None
+        first_offset = None
+        for index in range(reach - 1, -1, -1):
+            entry = entries[index]
             seg = entry.seg
-            record_count = seg.record_count
-            if not record_count:
+            if not len(seg.rec_ips):
                 continue
-            take = record_count if record_count < need else need
-            lo = record_count - take
-            ips = seg.ip_column()[lo:]
-            sigs = seg.sig_column()[lo:]
-            if lo == 0 and entry.patch_sig != 1:
-                sigs[0] = compose_tnt_sigs(entry.patch_sig, sigs[0])
-            ip_parts.append(ips)
-            sig_parts.append(sigs)
-            first_offset = seg.rec_offsets[lo] + entry.base
-            need -= take
-        if len(ip_parts) == 1:
-            window = ip_parts[0], sig_parts[0], first_offset
-        else:
-            ips_out: list = []
-            sigs_out: list = []
-            for index in range(len(ip_parts) - 1, -1, -1):
-                ips_out.extend(ip_parts[index])
-                sigs_out.extend(sig_parts[index])
-            window = ips_out, sigs_out, first_offset
+            if ips is None:
+                ips = seg.ip_column()[skip:]
+                sigs = seg.sig_column()[skip:]
+                first_offset = seg.rec_offsets[skip] + entry.base
+                at = 0 if skip == 0 else -1
+            else:
+                at = len(sigs)
+                ips += seg.ip_column()
+                sigs += seg.sig_column()
+            if at >= 0 and entry.patch_sig != 1:
+                sigs[at] = compose_tnt_sigs(entry.patch_sig, sigs[at])
+        if ips is None:
+            ips, sigs = [], []
+        window = ips, sigs, first_offset
         self._window = (n, window)
         return window
 

@@ -39,14 +39,42 @@ class TraceMismatch(Exception):
     """Packet stream and binaries disagree (decoder desync)."""
 
 
-@dataclass(frozen=True)
 class FlowEdge:
-    """One reconstructed control transfer."""
+    """One reconstructed control transfer.
 
-    kind: CoFIKind
-    src: int
-    dst: int
-    taken: bool = True
+    A value: equality, hash and repr are those of a frozen dataclass
+    with these four fields.  It is a plain ``__slots__`` class because
+    the decoder builds one per far transfer, return and indirect branch,
+    and a frozen dataclass pays ``object.__setattr__`` per field; treat
+    it as immutable (it is hashed).
+    """
+
+    __slots__ = ("kind", "src", "dst", "taken")
+
+    def __init__(
+        self, kind: CoFIKind, src: int, dst: int, taken: bool = True
+    ) -> None:
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.taken = taken
+
+    def _key(self) -> tuple:
+        return (self.kind, self.src, self.dst, self.taken)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"FlowEdge(kind={self.kind!r}, src={self.src!r}, "
+            f"dst={self.dst!r}, taken={self.taken!r})"
+        )
 
 
 @dataclass

@@ -33,10 +33,14 @@ class ITCCFG:
     nodes: Set[int] = field(default_factory=set)
     edges: List[ITCEdge] = field(default_factory=list)
     _succ: Dict[int, Set[int]] = field(default_factory=dict)
+    #: bumped by every :meth:`add_edge`; structures derived from the
+    #: edges are cached against it (:meth:`CreditLabeledITC.derived`).
+    generation: int = field(default=0, compare=False, repr=False)
 
     def add_edge(self, edge: ITCEdge) -> None:
         self.edges.append(edge)
         self._succ.setdefault(edge.src, set()).add(edge.dst)
+        self.generation += 1
 
     def successors(self, node: int) -> Set[int]:
         return self._succ.get(node, set())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.itccfg.construct import ITCCFG
 
@@ -35,12 +35,26 @@ class UnknownEdge(Exception):
 
 @dataclass
 class CreditLabeledITC:
-    """An ITC-CFG plus per-edge training labels."""
+    """An ITC-CFG plus per-edge training labels.
+
+    Structures derived from the labelling (the search index's tables)
+    are cached by :meth:`derived` against ``generation``, which every
+    mutator here bumps, and against the graph's own
+    :attr:`ITCCFG.generation`.  Labels changed by hand (not through
+    :meth:`observe_pair` or :meth:`promote`) must bump it themselves,
+    as the :mod:`~repro.itccfg.serialize` loader does.
+    """
 
     itc: ITCCFG
     labels: Dict[Tuple[int, int], EdgeLabel] = field(default_factory=dict)
     #: IT-BBs observed as the *first* TIP of a trace during training.
     trained_entry_nodes: Set[int] = field(default_factory=set)
+    #: bumped by every label mutation (see :meth:`derived`).
+    generation: int = field(default=0, compare=False, repr=False)
+    #: build function -> (generation, itc, itc generation, value).
+    _derived: Dict[Callable, tuple] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     # -- training ----------------------------------------------------------
 
@@ -58,6 +72,7 @@ class CreditLabeledITC:
         label = self.labels.setdefault((src, dst), EdgeLabel())
         label.credit = CreditLevel.HIGH
         label.tnt_patterns.add(tuple(tnt))
+        self.generation += 1
 
     def observe_trace(
         self, tips: Iterable[Tuple[int, Tuple[bool, ...]]],
@@ -117,3 +132,28 @@ class CreditLabeledITC:
         label = self.labels.setdefault((src, dst), EdgeLabel())
         label.credit = CreditLevel.HIGH
         label.tnt_patterns.add(tuple(tnt))
+        self.generation += 1
+
+    # -- derived structures ----------------------------------------------
+
+    def derived(self, build: Callable[["CreditLabeledITC"], object]):
+        """``build(self)``, computed once per state of the labelling.
+
+        The value is cached per build function and rebuilt when this
+        labelling's ``generation``, its graph object or the graph's
+        ``generation`` has moved since it was built, so every consumer
+        built between two mutations shares one value (consumers must
+        not mutate it).
+        """
+        itc = self.itc
+        cached = self._derived.get(build)
+        if (
+            cached is not None
+            and cached[0] == self.generation
+            and cached[1] is itc
+            and cached[2] == itc.generation
+        ):
+            return cached[3]
+        value = build(self)
+        self._derived[build] = (self.generation, itc, itc.generation, value)
+        return value

@@ -14,6 +14,13 @@ TNT signatures (:func:`repro.ipt.packets.pack_tnt_sig`).  A window whose
 every pair is a trusted triple is judged by one set-membership sweep;
 anything else takes the per-edge loop.  The per-edge walk both replaced
 is kept as the oracle in ``tests/searchindex_reference.py``.
+
+The sorted arrays and the hot-cache sets depend only on the labelling,
+so :func:`search_tables` builds them once per state of it (cached by
+:meth:`~repro.itccfg.credits.CreditLabeledITC.derived`, which every
+label or edge mutation invalidates): every deploy of one pipeline
+shares the arrays, and each index copies only the two sets its own
+:meth:`FlowSearchIndex.promote` mutates.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro import costs
 from repro.telemetry import get_telemetry
@@ -34,6 +41,46 @@ from repro.itccfg.credits import CreditLabeledITC, CreditLevel
 _OUT_OF_GRAPH = 0
 _LOW_CREDIT = 1  # in graph, but low credit or an unseen TNT run
 _TRUSTED = 2  # high credit with a trained TNT run
+
+
+class SearchTables(NamedTuple):
+    """What :class:`FlowSearchIndex` derives from a labelling: the
+    sorted source array, the concatenated per-source target arrays with
+    their bounds, and the frozen hot-cache sets."""
+
+    src_arr: array
+    tgt_flat: array
+    tgt_bounds: array
+    hot: FrozenSet[Tuple[int, int]]
+    trusted: FrozenSet[Tuple[int, int, int]]
+
+
+def search_tables(labeled: CreditLabeledITC) -> SearchTables:
+    """Build the search tables of ``labeled``.  Indexes get them
+    through ``labeled.derived(search_tables)``, so every deploy of one
+    state of a labelling builds them once."""
+    succ: Dict[int, Set[int]] = {}
+    for edge in labeled.itc.edges:
+        succ.setdefault(edge.src, set()).add(edge.dst)
+    sources = sorted(succ)
+    tgt_flat = array("Q")
+    bounds = array("L", [0] * (len(sources) + 1))
+    for index, source in enumerate(sources):
+        tgt_flat.extend(sorted(succ[source]))
+        bounds[index + 1] = len(tgt_flat)
+    hot = set()
+    trusted = set()
+    for (src, dst), label in labeled.labels.items():
+        if label.credit is CreditLevel.HIGH:
+            hot.add((src, dst))
+            trusted.update(
+                (src, dst, pack_tnt_sig(pattern))
+                for pattern in label.tnt_patterns
+            )
+    return SearchTables(
+        array("Q", sources), tgt_flat, bounds,
+        frozenset(hot), frozenset(trusted),
+    )
 
 
 @dataclass
@@ -76,31 +123,19 @@ class FlowSearchIndex:
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_invalidations = 0
-        succ: Dict[int, Set[int]] = {}
-        for edge in labeled.itc.edges:
-            succ.setdefault(edge.src, set()).add(edge.dst)
-        sources = sorted(succ)
+        tables = labeled.derived(search_tables)
         #: sorted source-node array (§5.3), and every source's sorted
         #: targets concatenated into one array with per-source bounds —
-        #: bisect runs on C-contiguous arrays.
-        self._src_arr: array = array("Q", sources)
-        self._tgt_flat: array = array("Q")
-        bounds = array("L", [0] * (len(sources) + 1))
-        for index, source in enumerate(sources):
-            self._tgt_flat.extend(sorted(succ[source]))
-            bounds[index + 1] = len(self._tgt_flat)
-        self._tgt_bounds: array = bounds
+        #: bisect runs on C-contiguous arrays.  Shared (read-only) by
+        #: every index over the same state of the labelling.
+        self._src_arr: array = tables.src_arr
+        self._tgt_flat: array = tables.tgt_flat
+        self._tgt_bounds: array = tables.tgt_bounds
         #: hot cache, in separate memory for fast matching: the
         #: high-credit edges, and each one's trusted packed TNT runs.
-        self._hot: Set[Tuple[int, int]] = set()
-        self._trusted: Set[Tuple[int, int, int]] = set()
-        for (src, dst), label in labeled.labels.items():
-            if label.credit is CreditLevel.HIGH:
-                self._hot.add((src, dst))
-                self._trusted.update(
-                    (src, dst, pack_tnt_sig(pattern))
-                    for pattern in label.tnt_patterns
-                )
+        #: This index's own copies, so its :meth:`promote` stays its own.
+        self._hot: Set[Tuple[int, int]] = set(tables.hot)
+        self._trusted: Set[Tuple[int, int, int]] = set(tables.trusted)
         #: packed signature -> unpacked tuple, shared across
         #: ``check_batch`` calls (pure function of the sig; bounded
         #: because real traces repeat a small set of TNT runs).
@@ -167,9 +202,9 @@ class FlowSearchIndex:
         """
         memo_capacity = self.edge_cache_entries
         trusted = self._trusted
-        if not memo_capacity and all(map(trusted.__contains__, zip(
+        if not memo_capacity and trusted.issuperset(zip(
             ips, islice(ips, 1, None), islice(sigs, 1, None)
-        ))):
+        )):
             pairs = max(len(ips) - 1, 0)
             self.cycles += pairs * costs.CREDIT_CACHE_PROBE_CYCLES
             return BatchCheckResult(checked=pairs)

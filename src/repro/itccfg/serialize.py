@@ -48,6 +48,8 @@ def itccfg_from_dict(data: Dict) -> CreditLabeledITC:
             label.tnt_patterns.add(tuple(c == "1" for c in pattern))
         labeled.labels[(entry["src"], entry["dst"])] = label
     labeled.trained_entry_nodes = set(data.get("trained_entry_nodes", []))
+    # The labels were written directly, not through a mutator.
+    labeled.generation += 1
     return labeled
 
 

@@ -28,12 +28,13 @@ from repro import costs
 from repro.binary.loader import Image
 from repro.telemetry import get_telemetry
 from repro.ipt.columnar import (
+    _PSB_HEAD,
     ColumnarSlowSource,
     ColumnarTail,
+    _TailEntry,
     columnar_scan,
-    psb_offsets_reversed,
 )
-from repro.ipt.packets import PacketError
+from repro.ipt.packets import PSB_PATTERN, PacketError, compose_tnt_sigs
 from repro.itccfg.paths import PathIndex
 from repro.itccfg.searchindex import FlowSearchIndex
 
@@ -148,16 +149,35 @@ class FastPathChecker:
         """
         self.last_corrupt_segments = 0
         tail = ColumnarTail()
+        entries = tail.entries
         cache = self.segment_cache
         probe = None if cache is None else cache.decode_segment_columnar
         pkt_count = self.pkt_count
         check_span = self.require_cross_module or self.require_executable
         span_judged = False
         view = memoryview(data)
+        # PSBs are found lazily from the end, inline (a walk stops after
+        # a few segments, so it must not pay for every PSB in the
+        # buffer).  A view (a ring drain) has no ``rfind``, so it is
+        # searched as bytes.
+        buf = bytes(data) if isinstance(data, memoryview) else data
+        rfind = buf.rfind
+        startswith = buf.startswith
         cycles = 0.0
         size = len(data)
-        end = start = size
-        for begin in psb_offsets_reversed(data):
+        end = start = search_end = size
+        count = 0
+        head = None  # the oldest entry holding records
+        while True:
+            begin = rfind(PSB_PATTERN, 0, search_end)
+            if begin < 0:
+                break
+            # The rightmost match ends its ``82 02`` run, so it is the
+            # PSB (see :func:`~repro.ipt.columnar.sync_to_psb`); resume
+            # in front of the whole run, whose earlier pairs are payload.
+            search_end = begin
+            while search_end >= 2 and startswith(_PSB_HEAD, search_end - 2):
+                search_end -= 2
             if end == size:  # the newest segment: the window starts here
                 start = begin
             try:
@@ -169,7 +189,7 @@ class FastPathChecker:
                 else:
                     seg, seg_cycles = probe(view[begin:end])
             except PacketError:
-                cycles += self._corrupt_segment(begin, end, tail.count > 0)
+                cycles += self._corrupt_segment(begin, end, count > 0)
                 break
             if seg.truncated and end < size:
                 # Only the *final* segment of a clean stream can end
@@ -179,18 +199,31 @@ class FastPathChecker:
                 # records would stitch across the gap and pair TIPs
                 # that were never adjacent.
                 cycles += seg_cycles + self._corrupt_segment(
-                    begin, end, tail.count > 0
+                    begin, end, count > 0
                 )
                 break
             cycles += seg_cycles
-            tail.prepend(seg, begin)
+            # :meth:`ColumnarTail.prepend`, inline: fold the segment's
+            # dangling TNT run onto the head record, append its entry.
+            if count and seg.pend_start < seg.total_bits:
+                head.patch_sig = compose_tnt_sigs(
+                    seg.trailing_sig(), head.patch_sig
+                )
+            entry = _TailEntry(seg, begin)
+            entries.append(entry)
+            records = len(seg.rec_ips)
+            if records:
+                head = entry
+                count += records
             start = end = begin
-            if tail.count > pkt_count and not span_judged:
+            if count > pkt_count and not span_judged:
                 if not check_span or self._spans_modules(
-                    tail.window(pkt_count + 1)[0]
+                    _window_ips(entries, pkt_count + 1)
                 ):
                     break
                 span_judged = True
+        tail.count = count
+        tail._head = head
         tail.cycles = cycles
         tail.start = start
         return tail
@@ -273,9 +306,7 @@ class FastPathChecker:
     def window_result(self, tail: ColumnarTail) -> FastPathResult:
         """An INSUFFICIENT result over ``tail`` carrying its window —
         the last ``pkt_count + 1`` records' ip/signature columns, which
-        the slow-path hand-off reads — and the tail's decode cost (the
-        tail walk's span judgement already built and memoised the
-        window when nothing was prepended after it)."""
+        the slow-path hand-off reads — and the tail's decode cost."""
         ips, sigs, first = tail.window(self.pkt_count + 1)
         return FastPathResult(
             Verdict.INSUFFICIENT,
@@ -290,36 +321,67 @@ class FastPathChecker:
 
     def _check(self, data: bytes) -> FastPathResult:
         """Columnar tail + one batched edge check over the window's
-        ip/signature columns."""
+        ip/signature columns.  The window is built once, and the result
+        once with every field passed."""
         tail = self.decode_tail_columnar(data)
-        result = self.window_result(tail)
-        if tail.count < 2:
-            return result
-        ips = result.window_ips
-        search_before = self.index.cycles
-        batch = self.index.check_batch(ips, result.window_sigs)
-        result.search_cycles = self.index.cycles - search_before
-        result.checked_pairs = checked = batch.checked
-        if batch.violation is not None:
-            result.verdict = Verdict.VIOLATION
-            result.violation_edge = batch.violation
-            return result
-        low_credit = batch.low_credit
-        high = checked - len(low_credit)
-        ratio = high / checked if checked else 0.0
-        verdict = (
-            Verdict.PASS if ratio >= self.cred_ratio else Verdict.SUSPICIOUS
-        )
-        if verdict is Verdict.PASS and self.path_index is not None:
-            untrained = self.path_index.untrained_grams(ips)
-            if untrained:
-                verdict = Verdict.SUSPICIOUS
-                low_credit.extend(
-                    (gram[0], gram[1]) for gram in untrained[:4]
+        ips, sigs, first = tail.window(self.pkt_count + 1)
+        verdict = Verdict.INSUFFICIENT
+        checked = 0
+        low_credit: List[Tuple[int, int]] = []
+        violation = None
+        search_cycles = 0.0
+        if tail.count >= 2:
+            index = self.index
+            search_before = index.cycles
+            batch = index.check_batch(ips, sigs)
+            search_cycles = index.cycles - search_before
+            checked = batch.checked
+            violation = batch.violation
+            if violation is not None:
+                verdict = Verdict.VIOLATION
+            else:
+                low_credit = batch.low_credit
+                high = checked - len(low_credit)
+                ratio = high / checked if checked else 0.0
+                verdict = (
+                    Verdict.PASS if ratio >= self.cred_ratio
+                    else Verdict.SUSPICIOUS
                 )
-        result.verdict = verdict
-        result.low_credit_pairs = low_credit
-        return result
+                if verdict is Verdict.PASS and self.path_index is not None:
+                    untrained = self.path_index.untrained_grams(ips)
+                    if untrained:
+                        verdict = Verdict.SUSPICIOUS
+                        low_credit.extend(
+                            (gram[0], gram[1]) for gram in untrained[:4]
+                        )
+        return FastPathResult(
+            verdict,
+            checked_pairs=checked,
+            low_credit_pairs=low_credit,
+            violation_edge=violation,
+            decode_cycles=tail.cycles,
+            search_cycles=search_cycles,
+            window_ips=ips,
+            window_sigs=sigs,
+            first_record_offset=first,
+            window_offset=tail.start,
+            tail=tail,
+            corrupt_segments=self.last_corrupt_segments,
+        )
+
+
+def _window_ips(entries, n: int):
+    """The ips of the newest ``n`` records of a tail's ``entries``
+    (newest segment first), newest segment first — the order a module
+    span judgement need not care about — without building a window."""
+    for entry in entries:
+        ips = entry.seg.ip_column()
+        records = len(ips)
+        if records >= n:
+            yield from ips[records - n:]
+            return
+        yield from ips
+        n -= records
 
 
 def module_ranges(image: Image) -> List[Tuple[int, int, str, bool]]:

@@ -376,25 +376,35 @@ class FlowGuardMonitor:
 
     # -- checking -----------------------------------------------------------------
 
-    def _run_check(self, pp: ProtectedProcess, nr: int) -> Verdict:
+    def _run_check(
+        self, pp: ProtectedProcess, nr: int, data: Optional[bytes] = None
+    ) -> Verdict:
         """One endpoint check, observed: the observability plane (when
         attached) journals every verdict into the flight recorder and
         auto-dumps on VIOLATION.  The plane only reads state — verdicts
-        and charged cycles are bit-identical with it detached."""
-        verdict = self._run_check_inner(pp, nr)
+        and charged cycles are bit-identical with it detached.
+
+        ``data`` is a ToPA snapshot the caller already took after
+        flushing the encoder (the fleet's submit, drain and exit paths);
+        None flushes and snapshots here."""
+        verdict = self._run_check_inner(pp, nr, data)
         plane = self._telemetry.plane
         if plane is not None:
             plane.on_check(pp, nr, verdict)
         return verdict
 
-    def _run_check_inner(self, pp: ProtectedProcess, nr: int) -> Verdict:
+    def _run_check_inner(
+        self, pp: ProtectedProcess, nr: int, data: Optional[bytes]
+    ) -> Verdict:
         tel = self._telemetry
         stats = pp.stats
         stats.checks += 1
         stats.charge("monitor.intercept", "intercept",
                      costs.MONITOR_INTERCEPT_CYCLES)
-        pp.encoder.flush()
-        result = self._fastpath_with_recovery(pp)
+        if data is None:
+            pp.encoder.flush()
+            data = pp.topa.snapshot()
+        result = self._fastpath_with_recovery(pp, data)
         stats.charge("monitor.fastpath", "decode", result.decode_cycles)
         stats.charge("monitor.fastpath", "search", result.search_cycles)
         stats.edges_checked += result.checked_pairs
@@ -436,10 +446,12 @@ class FlowGuardMonitor:
         # Suspicious: upcall into the slow path with the same window.
         return self._run_slow(pp, nr, result)
 
-    def _fastpath_with_recovery(self, pp: ProtectedProcess) -> FastPathResult:
-        """Snapshot the ToPA and run the fast path, surviving the fault
-        plane.  Fault-free (no injector) this is exactly one snapshot
-        and one check — bit-identical to the pre-resilience monitor.
+    def _fastpath_with_recovery(
+        self, pp: ProtectedProcess, data: bytes
+    ) -> FastPathResult:
+        """Run the fast path over the ToPA snapshot ``data``, surviving
+        the fault plane.  Fault-free (no injector) this is exactly one
+        check — bit-identical to the pre-resilience monitor.
 
         Under faults, the drain bytes are mangled per the plan; an
         injected fast-path decode error downgrades the check to
@@ -450,7 +462,6 @@ class FlowGuardMonitor:
         mangled.  Every attempt's decode cost is charged.
         """
         inj = self.fault_injector
-        data = pp.topa.snapshot()
         if inj is None:
             return pp.checker.check(data)
         stats = pp.stats

@@ -38,7 +38,6 @@ from repro.ipt.columnar import (
     columnar_scan,
     psb_boundaries,
     psb_offsets,
-    psb_offsets_reversed,
     sync_to_psb,
 )
 from repro.ipt.msr import RTIT_CTL
@@ -761,22 +760,36 @@ class TestPsbOffsetsMemoryview:
         assert psb_offsets(memoryview(data)) == psb_offsets(data)
 
 
+def walked_psbs(data):
+    """The PSB offsets the fast path's backward tail walk visits, newest
+    first: its entries' bases, with nothing to stop it early (no span
+    requirement, an unbounded ``pkt_count``; these streams decode
+    cleanly)."""
+    checker = FastPathChecker(
+        None, None, pkt_count=10**6,
+        require_cross_module=False, require_executable=False,
+    )
+    tail = checker.decode_tail_columnar(data)
+    assert checker.last_corrupt_segments == 0
+    return [entry.base for entry in tail.entries]
+
+
 class TestPsbOffsetsReversed:
-    """The backward tail walk's lazy PSB search returns the forward
-    scan's offsets, newest first, and both find the true PSBs where an
-    IP payload ending ``82 02`` right before a PSB makes the pattern
-    match at more than one alignment."""
+    """The backward tail walk's inline PSB search (``rfind`` from the
+    end) visits the forward scan's offsets, newest first, and both find
+    the true PSBs where an IP payload ending ``82 02`` right before a
+    PSB makes the pattern match at more than one alignment."""
 
     def test_matches_forward_scan(self, trace):
         data, _ = trace
         for cut in snapshot_cuts(data, count=8):
-            assert list(psb_offsets_reversed(data[:cut])) == (
+            assert walked_psbs(data[:cut]) == (
                 psb_offsets(data[:cut])[::-1]
             )
-        assert list(psb_offsets_reversed(memoryview(data))) == (
+        assert walked_psbs(memoryview(data)) == (
             psb_offsets(data)[::-1]
         )
-        assert list(psb_offsets_reversed(b"\x00" * 40)) == []
+        assert walked_psbs(b"\x00" * 40) == []
 
     @pytest.mark.parametrize("run", [1, 2, 3, 5, 8])
     def test_overlapping_pattern_runs(self, run):
@@ -801,7 +814,7 @@ class TestPsbOffsetsReversed:
             ),
         ):
             assert psb_offsets(data) == expected
-            assert list(psb_offsets_reversed(data)) == expected[::-1]
+            assert walked_psbs(data) == expected[::-1]
 
     def test_width_eight_payload_of_pattern_pairs(self):
         # The whole payload is four 82 02 pairs: a PSB's twin.
@@ -812,7 +825,7 @@ class TestPsbOffsetsReversed:
         data = group + tip + group
         psb = len(group) + len(tip)
         assert psb_offsets(data) == [0, psb]
-        assert list(psb_offsets_reversed(data)) == [psb, 0]
+        assert walked_psbs(data) == [psb, 0]
         assert sync_to_psb(data, 1) == psb
         assert columnar_scan(data).record_count == 1
 
@@ -836,7 +849,7 @@ class TestPsbAlignment:
     def test_finders_take_the_last_alignment(self):
         data = self.DATA
         assert psb_offsets(data) == [0, 19]
-        assert list(psb_offsets_reversed(data)) == [19, 0]
+        assert walked_psbs(data) == [19, 0]
         assert sync_to_psb(data, 1) == 19
         assert sync_to_psb(memoryview(data), 1) == 19
         assert psb_boundaries(data) == [0, 19, len(data)]
@@ -966,3 +979,390 @@ class TestTailWindowMemo:
         assert tail.window(3)[0] == [0x400010, 0x400020, 0x400030]
         assert tail.window(2) is not pair
         assert tail.window(2) == pair
+
+
+# -- the one-pass tail walk and window, against the packet oracle ------------
+
+
+#: ``(name, base, end, is_executable)`` of the stub image the walk
+#: differential judges module spans against; :func:`build_tail_stream`
+#: draws addresses from all three and from outside them.
+WALK_MODULES = (
+    ("exe", 0x400000, 0x400180, True),
+    ("lib", 0x400180, 0x400300, False),
+    ("vdso", 0x7F0000000000, 0x7F0000000200, True),
+)
+WALK_ADDRESSES = (
+    [0x400000 + 16 * i for i in range(48)]
+    + [0x7F0000000000 + 32 * i for i in range(16)]
+    + [0x500000 + 64 * i for i in range(4)]  # in no module
+    # Its two-byte payload is ``82 02``: right before a PSB it
+    # lengthens the PSB's pattern run (see ``TestPsbAlignment``).
+    + [0x400282] * 8
+)
+#: a TIP target whose full-width payload is four ``82 02`` pairs, a
+#: PSB's twin; :func:`build_tail_stream` puts it only right before a
+#: PSB, the one place the stream stays unambiguous.
+PSB_TWIN_IP = 0x0282028202820282
+
+
+class _StubModule:
+    def __init__(self, name, base, end, is_executable):
+        self.name = name
+        self.base = base
+        self.end = end
+        self.is_executable = is_executable
+
+
+class _StubImage:
+    """What ``module_ranges`` reads of an image."""
+
+    def all_modules(self):
+        return [_StubModule(*module) for module in WALK_MODULES]
+
+
+def reference_spans(ips, cross_module, executable):
+    names = set()
+    has_exec = False
+    for ip in ips:
+        for name, base, end, is_executable in WALK_MODULES:
+            if ip is not None and base <= ip < end:
+                names.add(name)
+                has_exec = has_exec or is_executable
+                break
+    return (has_exec or not executable) and (
+        len(names) >= 2 or not cross_module
+    )
+
+
+def build_tail_stream(seed, segments=10, corrupt=None):
+    """PSB segments of TNT runs and TIPs (a tenth IP-suppressed), some
+    with no TIP at all and most ending in a dangling TNT run, so runs
+    stitch across one or more PSBs.  Segment ``corrupt`` gets an
+    undecodable header byte between two packets."""
+    rng = random.Random(seed)
+    out = bytearray()
+    for index in range(segments):
+        out += PSB_PATTERN
+        out.append(PSBEND_BYTE)
+        last_ip = 0
+        tips = 0 if rng.random() < 0.25 else rng.randint(1, 9)
+        packets = ["tip"] * tips + ["tnt"] * rng.randint(0, 6)
+        rng.shuffle(packets)
+        if index == corrupt:
+            packets.insert(rng.randint(0, len(packets)), "bad")
+        roll = rng.random()
+        if roll < 0.7:
+            packets.append("tnt")  # the run that dangles past the PSB
+        elif roll < 0.85 and index < segments - 1:
+            packets.append("twin")
+        for packet in packets:
+            if packet == "tnt":
+                out += encode_tnt(tuple(
+                    rng.random() < 0.5 for _ in range(rng.randint(1, 6))
+                ))
+            elif packet == "bad":
+                out.append(0xFF)
+            elif packet == "twin":
+                encoded, last_ip = encode_ip_packet(
+                    TIP_HEADER, PSB_TWIN_IP, last_ip
+                )
+                assert encoded.endswith(PSB_PATTERN)
+                out += encoded
+                continue  # no PAD: the PSB must follow at once
+            else:
+                target = (
+                    None if rng.random() < 0.1
+                    else rng.choice(WALK_ADDRESSES)
+                )
+                encoded, last_ip = encode_ip_packet(
+                    TIP_HEADER, target, last_ip
+                )
+                out += encoded
+            if rng.random() < 0.1:
+                out.append(PAD_BYTE)
+    return bytes(out)
+
+
+def reference_walk(data, pkt_count, cross_module, executable, cache=None):
+    """``FastPathChecker.decode_tail_columnar`` rebuilt on the packet
+    oracle: segments newest first, each decoded by ``fast_decode``
+    (charged what ``cache`` charges when one is given), stopping at a
+    corrupt or truncated middle segment, or once the tail holds more
+    than ``pkt_count`` records and — judged once, on the newest
+    ``pkt_count + 1`` — spans the required modules.  The window and
+    every record come from one ``fast_decode`` of the walked suffix,
+    which carries TNT runs across PSBs.  Returns a dict of what the
+    walk must produce."""
+    size = len(data)
+    offsets = psb_offsets(data)
+    cycles = 0.0
+    corrupt = 0
+    start = size
+    entries = []
+    count = 0
+    judged = False
+    check_span = cross_module or executable
+    for begin, end in reversed(list(zip(offsets, offsets[1:] + [size]))):
+        if end == size:
+            start = begin
+        segment = data[begin:end]
+        penalty = (end - begin) * costs.FAST_DECODE_CYCLES_PER_BYTE
+        try:
+            decoded = fast_decode(segment)
+        except PacketError:
+            if cache is not None:
+                with pytest.raises(PacketError):
+                    cache.decode_segment_columnar(memoryview(segment))
+            cycles += penalty
+            corrupt += 1
+            break
+        charge = decoded.cycles
+        if cache is not None:
+            charge = cache.decode_segment_columnar(memoryview(segment))[1]
+        if decoded.truncated and end < size:
+            cycles += charge + penalty
+            corrupt += 1
+            break
+        cycles += charge
+        entries.append((begin, segment))
+        count += len(decoded.tip_records())
+        start = begin
+        if count > pkt_count and not judged:
+            newest = fast_decode(data[start:]).tip_records()[
+                -(pkt_count + 1):
+            ]
+            if not check_span or reference_spans(
+                [r.ip for r in newest], cross_module, executable
+            ):
+                break
+            judged = True
+    records = [
+        dataclasses.replace(r, offset=r.offset + entries[-1][0])
+        for r in fast_decode(data[entries[-1][0]:]).tip_records()
+    ] if entries else []
+    return {
+        "start": start,
+        "cycles": cycles,
+        "corrupt": corrupt,
+        "entries": entries,
+        "records": records,
+    }
+
+
+def oracle_window(records, n):
+    window = records[-n:] if n else []
+    return (
+        [r.ip for r in window],
+        [pack_tnt_sig(r.tnt_before) for r in window],
+        window[0].offset if window else None,
+    )
+
+
+WALK_SPANS = [(False, False), (True, False), (False, True), (True, True)]
+
+
+class TestOnePassTailWalk:
+    """The inline tail walk and the one-pass ``ColumnarTail.window``
+    against :func:`reference_walk`: the window's ips, signatures and
+    first offset, the tail's start, charged cycles, entries and record
+    count, and the corrupt-segment count — on random multi-segment
+    streams cut at random points, with every span requirement (so
+    windows that fail it keep walking), corrupt and truncated middle
+    segments, and the segment cache off and on."""
+
+    @staticmethod
+    def walk_checker(pkt_count, spans, cached):
+        return FastPathChecker(
+            None, _StubImage(), pkt_count=pkt_count,
+            require_cross_module=spans[0], require_executable=spans[1],
+            segment_cache=SegmentDecodeCache(SEG_ENTRIES) if cached
+            else None,
+        )
+
+    def assert_walk(self, checker, data, ref_cache=None):
+        tail = checker.decode_tail_columnar(data)
+        want = reference_walk(
+            data, checker.pkt_count, checker.require_cross_module,
+            checker.require_executable, cache=ref_cache,
+        )
+        assert tail.start == want["start"]
+        assert tail.cycles == want["cycles"]
+        assert checker.last_corrupt_segments == want["corrupt"]
+        assert [
+            (entry.base, bytes(entry.seg.data)) for entry in tail.entries
+        ] == want["entries"]
+        records = want["records"]
+        assert tail.count == len(records)
+        n = checker.pkt_count + 1
+        assert tail.window(n) == oracle_window(records, n)
+        assert tail_records(tail) == records
+        return tail, want
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached",
+                                                           "cached"])
+    @pytest.mark.parametrize("spans", WALK_SPANS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_tails(self, seed, spans, cached):
+        rng = random.Random(f"walk-{seed}-{spans}")
+        data = build_tail_stream(seed, segments=rng.randint(3, 12))
+        checker = self.walk_checker(rng.randint(1, 24), spans, cached)
+        ref_cache = SegmentDecodeCache(SEG_ENTRIES) if cached else None
+        cuts = sorted(rng.sample(range(1, len(data)), 8)) + [len(data)]
+        walked = 0
+        for cut in cuts + cuts[-3:]:  # repeats: warm segment-cache hits
+            _, want = self.assert_walk(checker, data[:cut], ref_cache)
+            walked += len(want["entries"]) > 1
+        assert walked, "no cut walked more than one segment"
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached",
+                                                           "cached"])
+    @pytest.mark.parametrize("spans", WALK_SPANS)
+    def test_corrupt_middle_segment(self, spans, cached):
+        for seed in range(4):
+            data = build_tail_stream(100 + seed, segments=8, corrupt=3)
+            offsets = psb_offsets(data)
+            assert len(offsets) == 8
+            for pkt_count in (1, 6, 10**6):
+                checker = self.walk_checker(pkt_count, spans, cached)
+                ref_cache = (
+                    SegmentDecodeCache(SEG_ENTRIES) if cached else None
+                )
+                _, want = self.assert_walk(checker, data, ref_cache)
+                if pkt_count == 10**6:
+                    # The walk reached the corruption: the window is
+                    # the clean suffix after it.
+                    assert want["corrupt"] == 1
+                    assert want["start"] == offsets[4]
+
+    def test_corrupt_newest_segment(self):
+        """A corrupt newest segment stops the walk before any record:
+        the tail starts at that segment and holds nothing."""
+        for seed in range(3):
+            data = build_tail_stream(150 + seed, segments=5, corrupt=4)
+            checker = self.walk_checker(4, (False, False), cached=False)
+            tail, want = self.assert_walk(checker, data)
+            assert want["corrupt"] == 1 and not tail.entries
+            assert tail.start == psb_offsets(data)[4]
+
+    def test_payload_pattern_pairs_before_psbs(self):
+        """Streams with a PSB's twin (a TIP payload of four ``82 02``
+        pairs) right before a PSB: the inline PSB search resumes in
+        front of the whole run, never at the payload."""
+        hits = 0
+        for seed in range(40):
+            data = build_tail_stream(400 + seed, segments=8)
+            if PSB_PATTERN + PSB_PATTERN not in data:
+                continue
+            hits += 1
+            checker = self.walk_checker(10**6, (False, False), cached=False)
+            tail, want = self.assert_walk(checker, data)
+            assert want["corrupt"] == 0 and tail.start == 0
+        assert hits
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached",
+                                                           "cached"])
+    def test_truncated_middle_segment(self, cached):
+        stopped = 0
+        for seed in range(4):
+            data = build_tail_stream(200 + seed, segments=8)
+            offsets = psb_offsets(data)
+            for index in range(1, 7):
+                try:
+                    spliced, resync = splice_truncated_segment(
+                        data, offsets, index
+                    )
+                except AssertionError:  # no clean mid-packet cut
+                    continue
+                checker = self.walk_checker(10**6, (False, False), cached)
+                ref_cache = (
+                    SegmentDecodeCache(SEG_ENTRIES) if cached else None
+                )
+                _, want = self.assert_walk(checker, spliced, ref_cache)
+                assert want["corrupt"] == 1
+                assert want["start"] == resync
+                stopped += 1
+        assert stopped
+
+    def test_ip_suppressed_records_lie_in_no_module(self):
+        """A window of suppressed TIPs and one module never spans, so
+        the walk runs on to the stream's first segment."""
+        stream = bytearray()
+        for ip in (0x400010, None, 0x400020, None, 0x400030, None):
+            stream += PSB_PATTERN
+            stream.append(PSBEND_BYTE)
+            encoded, _ = encode_ip_packet(TIP_HEADER, ip, 0)
+            stream += encoded + encode_tnt((True,))
+        checker = self.walk_checker(2, (True, False), cached=False)
+        tail, want = self.assert_walk(checker, bytes(stream))
+        assert tail.start == 0 and len(tail.entries) == 6
+        assert tail.window(3)[0] == [None, 0x400030, None]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_memo_after_later_prepends(self, seed):
+        """The window the walk's caller builds is memoised; prepending
+        the next-older segment drops it, and the rebuilt window — of
+        either length — is the oracle's over the longer suffix."""
+        data = build_tail_stream(300 + seed, segments=10)
+        offsets = psb_offsets(data)
+        checker = self.walk_checker(3, (False, False), cached=False)
+        tail, want = self.assert_walk(checker, data)
+        n = checker.pkt_count + 1
+        assert tail.window(n) is tail.window(n)
+        index = offsets.index(tail.start)
+        while index > 0:
+            index -= 1
+            begin, end = offsets[index], offsets[index + 1]
+            before = tail.window(n)
+            tail.prepend(columnar_scan(data[begin:end]), begin)
+            records = [
+                dataclasses.replace(r, offset=r.offset + begin)
+                for r in fast_decode(data[begin:]).tip_records()
+            ]
+            assert tail.window(n) is not before
+            assert tail.window(n) == oracle_window(records, n)
+            assert tail.window(tail.count) == oracle_window(
+                records, len(records)
+            )
+            assert tail.window(len(records) + 5) == oracle_window(
+                records, len(records)
+            )
+
+    def test_empty_and_recordless_tails(self):
+        assert ColumnarTail().window(4) == ([], [], None)
+        stream = bytearray()
+        for _ in range(3):
+            stream += PSB_PATTERN
+            stream.append(PSBEND_BYTE)
+            stream += encode_tnt((True, False))
+        checker = self.walk_checker(2, (False, False), cached=False)
+        tail, _ = self.assert_walk(checker, bytes(stream))
+        assert tail.count == 0 and len(tail.entries) == 3
+        assert tail.window(3) == ([], [], None)
+        checker = self.walk_checker(2, (False, False), cached=False)
+        self.assert_walk(checker, b"")
+        self.assert_walk(checker, b"\x00" * 16)
+
+    def test_check_builds_the_window_once(self, pipeline, trace,
+                                          monkeypatch):
+        """A check builds its window once (the walk judges module spans
+        without one) and hands the memoised lists to the result."""
+        data, image = trace
+        builds = []
+        real = ColumnarTail.window
+
+        def counting(tail, n):
+            if tail._window is None or tail._window[0] != n:
+                builds.append(n)
+            return real(tail, n)
+
+        monkeypatch.setattr(ColumnarTail, "window", counting)
+        checker, _, _ = make_checker(pipeline, image, cached=False)
+        checker.require_cross_module = checker.require_executable = True
+        for cut in snapshot_cuts(data, count=6):
+            del builds[:]
+            result = checker.check(data[:cut])
+            assert builds == [checker.pkt_count + 1]
+            window = result.tail.window(checker.pkt_count + 1)
+            assert window[0] is result.window_ips
+            assert window[1] is result.window_sigs

@@ -279,6 +279,40 @@ class TestFleetService:
             accounting["busy_cycles"], rel=1e-9
         )
 
+    @pytest.mark.parametrize("policy", [RingPolicy.STALL, RingPolicy.LOSSY])
+    def test_a_check_decodes_its_submitters_snapshot(self, monkeypatch,
+                                                     policy):
+        """Every fleet check is handed the ToPA snapshot its submitter
+        (endpoint, drain or exit path) took after flushing: the monitor
+        takes no second snapshot."""
+        from repro.monitor.flowguard import FlowGuardMonitor
+
+        inside = []  # snapshots taken by each running check
+        real_snapshot = ToPA.snapshot
+        real_check = FlowGuardMonitor._run_check
+
+        def snapshot(topa):
+            if inside:
+                inside[-1] += 1
+            return real_snapshot(topa)
+
+        checks = []
+
+        def run_check(monitor, pp, nr, data=None):
+            inside.append(0)
+            try:
+                return real_check(monitor, pp, nr, data)
+            finally:
+                checks.append((data is not None, inside.pop()))
+
+        monkeypatch.setattr(ToPA, "snapshot", snapshot)
+        monkeypatch.setattr(FlowGuardMonitor, "_run_check", run_check)
+        result = build_fleet(
+            2, 2, sessions=1, policy=policy, ring_bytes=1024,
+        ).run()
+        assert result.tasks == len(checks) > 0
+        assert set(checks) == {(True, 0)}
+
     def test_same_seed_same_everything(self):
         first = build_fleet(2, 2, sessions=1).run()
         second = build_fleet(2, 2, sessions=1).run()

@@ -31,11 +31,13 @@ from repro.experiments.common import (
     server_requests,
 )
 from repro.ipt.packets import pack_tnt_sig, unpack_tnt_sig
-from repro.itccfg import FlowSearchIndex
+from repro.itccfg import FlowSearchIndex, ITCEdge
+from repro.itccfg import searchindex
 from repro.itccfg.serialize import itccfg_from_dict, itccfg_to_dict
 from repro.monitor.fastpath import FastPathChecker
 from repro.monitor.policy import FlowGuardPolicy
 from repro.monitor.slowpath import SlowPathEngine
+from repro.osmodel import Kernel
 from tests.packet_reference import fast_decode
 from tests.searchindex_reference import ReferenceSearchIndex
 
@@ -465,3 +467,156 @@ def test_confirmed_pairs_match_packet_oracle(captures, server):
             for entry in tail.entries if entry.seg.record_count
         )
     assert stitched, f"{server}: no TNT run straddled a PSB in the windows"
+
+
+class TestSharedTables:
+    """Every index over one state of a labelling shares one set of
+    search tables (``CreditLabeledITC.derived``); any mutation of the
+    labelling or its graph moves a generation, and an index built after
+    it rebuilds them.  An index is always the one the reference builds
+    at the same moment: it sees every change made before it was built,
+    none made after, and never a sibling's own ``promote``."""
+
+    @staticmethod
+    def probe(labeled, src, dst, tnt):
+        """A fresh index and a fresh reference over ``labeled`` now,
+        with the one-pair window ``src -> dst`` over ``tnt``."""
+        return (
+            FlowSearchIndex(labeled), ReferenceSearchIndex(labeled),
+            [src, dst], [1, pack_tnt_sig(tnt)],
+        )
+
+    @staticmethod
+    def assert_like(index, ref_index, ips, sigs):
+        got = index.check_batch(ips, sigs)
+        want = ref_index.check_window(ips, sigs)
+        assert_same_outcome(got, want)
+        assert_same_state(index, ref_index)
+        return got
+
+    @staticmethod
+    def unlabelled_edge(labeled):
+        return next(
+            (edge.src, edge.dst)
+            for edge in sorted(labeled.itc.edges,
+                               key=lambda edge: (edge.src, edge.dst))
+            if (edge.src, edge.dst) not in labeled.labels
+        )
+
+    @pytest.mark.parametrize("mutation", ["promote", "observe_pair",
+                                          "add_edge"])
+    def test_an_index_sees_exactly_the_changes_before_it(self, mutation):
+        labeled = private_labeled("nginx", thin=True)
+        tnt = (True, False)
+        if mutation == "add_edge":
+            src, dst = labeled.itc.edges[0].src, 0xDEAD0000
+        else:
+            src, dst = self.unlabelled_edge(labeled)
+        before, ref_before, ips, sigs = self.probe(labeled, src, dst, tnt)
+        generation = (labeled.generation, labeled.itc.generation)
+        if mutation == "promote":
+            labeled.promote(src, dst, tnt)
+        elif mutation == "observe_pair":
+            labeled.observe_pair(src, dst, tnt)
+        else:
+            labeled.itc.add_edge(ITCEdge(src, dst, 0))
+        assert (labeled.generation, labeled.itc.generation) != generation
+        after, ref_after, _, _ = self.probe(labeled, src, dst, tnt)
+        assert after._src_arr is not before._src_arr
+        got_after = self.assert_like(after, ref_after, ips, sigs)
+        got_before = self.assert_like(before, ref_before, ips, sigs)
+        if mutation == "add_edge":
+            assert got_before.violation == (src, dst)
+            assert got_after.violation is None
+            assert got_after.low_credit == [(src, dst)]
+        else:
+            # Only the later index holds the edge in its hot cache; the
+            # earlier one finds the promotion through the shared
+            # labelling, at the cost of the two searches.
+            assert (src, dst) in after._hot
+            assert (src, dst) not in before._hot
+            assert got_after.low_credit == got_before.low_credit == []
+            assert before.cycles > after.cycles
+
+    def test_a_sibling_promote_stays_its_own(self):
+        labeled = private_labeled("nginx", thin=True)
+        src, dst = self.unlabelled_edge(labeled)
+        tnt = (False,)
+        promoting, ref_promoting, ips, sigs = self.probe(
+            labeled, src, dst, tnt
+        )
+        sibling, ref_sibling, _, _ = self.probe(labeled, src, dst, tnt)
+        assert sibling._src_arr is promoting._src_arr
+        assert sibling._trusted is not promoting._trusted
+        promoting.promote(src, dst, tnt)
+        ref_promoting.promote(src, dst, tnt)
+        later, ref_later, _, _ = self.probe(labeled, src, dst, tnt)
+        assert later._src_arr is promoting._src_arr  # labelling unchanged
+        assert self.assert_like(
+            promoting, ref_promoting, ips, sigs
+        ).low_credit == []
+        for index, ref_index in ((sibling, ref_sibling),
+                                 (later, ref_later)):
+            assert (src, dst) not in index._hot
+            assert self.assert_like(
+                index, ref_index, ips, sigs
+            ).low_credit == [(src, dst)]
+
+    @pytest.mark.parametrize("server", SERVER_NAMES)
+    def test_serialize_loaded_graph_builds_a_correct_index(
+        self, captures, server
+    ):
+        labeled = server_pipeline(server).labeled
+        FlowSearchIndex(labeled)  # tables cached on the source labelling
+        loaded = itccfg_from_dict(itccfg_to_dict(labeled))
+        assert loaded.generation > 0
+        index = FlowSearchIndex(loaded)
+        ref_index = ReferenceSearchIndex(loaded)
+        assert index._src_arr is not FlowSearchIndex(labeled)._src_arr
+        for ips, sigs in windows(captures, server):
+            self.assert_like(index, ref_index, ips, sigs)
+
+    def test_deploys_build_the_tables_once(self, monkeypatch):
+        builds = []
+        real = searchindex.search_tables
+
+        def counting(labeled):
+            builds.append(labeled)
+            return real(labeled)
+
+        monkeypatch.setattr(searchindex, "search_tables", counting)
+        pipeline = server_pipeline("exim")
+        indexes = []
+        for _ in range(5):
+            monitor, proc = pipeline.deploy(Kernel())
+            indexes.append(monitor.protected_for(proc).index)
+        assert builds == [pipeline.labeled]
+        assert len({id(index._tgt_flat) for index in indexes}) == 1
+        assert len({id(index._hot) for index in indexes}) == 5
+
+    def test_every_mutation_rebuilds_once(self, monkeypatch):
+        builds = []
+        real = searchindex.search_tables
+
+        def counting(labeled):
+            builds.append(labeled)
+            return real(labeled)
+
+        monkeypatch.setattr(searchindex, "search_tables", counting)
+        labeled = private_labeled("vsftpd", thin=True)
+        src, dst = self.unlabelled_edge(labeled)
+        expected = 0
+        for mutate in (
+            lambda: None,
+            lambda: labeled.promote(src, dst, (True,)),
+            lambda: labeled.observe_pair(src, dst, (False,)),
+            lambda: labeled.itc.add_edge(ITCEdge(src, 0xBEEF0000, 0)),
+            lambda: setattr(labeled, "itc", itccfg_from_dict(
+                itccfg_to_dict(labeled)
+            ).itc),
+        ):
+            mutate()
+            expected += 1
+            for _ in range(3):
+                FlowSearchIndex(labeled)
+            assert len(builds) == expected
