@@ -12,6 +12,7 @@ Run:  python examples/cfg_reconstruction.py
 
 from repro.analysis import ControlFlowGraph, Edge, EdgeKind, aia_itc, aia_ocfg
 from repro.analysis.cfg import BasicBlock
+from repro.ipt.packets import pack_tnt_sig
 from repro.itccfg import CreditLabeledITC, CreditLevel, build_itccfg
 
 
@@ -51,9 +52,11 @@ def figure3() -> None:
 
     print("\nFigure 3 (c): training labels")
     labeled = CreditLabeledITC(itc=itc)
-    # Simulate a training trace visiting everything except BB-2 -> BB-7.
-    labeled.observe_trace([(bb[2], ()), (bb[5], (True,)), (bb[10], ())])
-    labeled.observe_trace([(bb[3], ()), (bb[9], (False,))])
+    # Simulate a training trace visiting everything except BB-2 -> BB-7
+    # (each TIP with its packed TNT run; 1 is the empty run).
+    labeled.observe_trace([(bb[2], 1), (bb[5], pack_tnt_sig((True,))),
+                           (bb[10], 1)])
+    labeled.observe_trace([(bb[3], 1), (bb[9], pack_tnt_sig((False,)))])
     for edge in itc.edges:
         credit = labeled.credit_of(edge.src, edge.dst)
         tag = "HIGH" if credit is CreditLevel.HIGH else "low "

@@ -15,7 +15,7 @@ submodule home::
 
     # Fleet: N processes / M checker workers, one config tree.
     config = RunConfig(
-        policy=FlowGuardPolicy(segment_cache_entries=512),
+        policy=FlowGuardPolicy(check_on_pmi=True),
         fleet=FleetConfig(workers=4, ring_policy=RingPolicy.LOSSY,
                           faults=FaultPlan.standard_mix(seed=7),
                           retry=RetryPolicy(task_timeout=20_000.0)),

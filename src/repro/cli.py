@@ -6,8 +6,8 @@ Commands:
   tables/figures and run the gated beyond-paper experiments (default:
   all).  Names: table1, sec2, table4, table5, fig5a, fig5b, fig5c,
   fig5d, micro, hwext, security, ablations, and the gated fleet,
-  fleet-scale, resilience, observability, loadgen, service and
-  fastpath-cache.  A gated experiment writes ``BENCH_<name>.json``
+  fleet-scale, resilience, observability, loadgen and service.  A
+  gated experiment writes ``BENCH_<name>.json``
   and the command exits 1 naming every gate that is not ``True``;
   ``--quick`` shrinks them for smoke runs.
 - ``attack [rop|srop|retlib|flushing]`` — run one
@@ -26,21 +26,19 @@ Commands:
   report discovered paths.
 - ``disasm <server|utility|spec-name>`` — dump a workload's entry
   function as assembly text.
-- ``stats <server> [-n N] [--segment-cache N] [--edge-cache N]
+- ``stats <server> [-n N]
   [--faults PLAN] [--fault-seed N] [--plane] [--slo FILE]
   [--plane-out F] [--sample-interval N] [--trace-out F]
   [--spans-out F]`` —
   run a protected server with telemetry enabled and dump the
   versioned :class:`~repro.stats_report.StatsReport` (JSON), exiting
-  1 if the degradation ledger drifts; the cache flags enable the
-  fast-path decode/verdict caches and report their hit rates.
+  1 if the degradation ledger drifts.
   ``--plane`` attaches the observability plane: the report gains the
   v3 ``slo`` section and the run exits 1 if the plane's own
   exact-accounting audit drifts; ``--plane-out`` writes the full
   plane dump (a ``repro report`` input).
 - ``fleet [--processes N] [--workers M] [--policy stall|lossy]
-  [--segment-cache N] [--edge-cache N] [--faults PLAN]
-  [--fault-seed N]`` —
+  [--faults PLAN] [--fault-seed N]`` —
   time-slice N protected server processes against M checker workers,
   optionally injecting a ROP attack into one of them
   (``--inject-rop``); exits non-zero if the cycle ledger drifts or an
@@ -48,8 +46,8 @@ Commands:
 - ``top [fleet flags] [--scenario REF] [--once] [--refresh K]
   [--sample-interval N] [--slo FILE] [--plane-out F]`` — the live
   fleet view: runs a fleet with the observability plane attached and
-  renders a frame (per-pid checker lag, worker utilization, cache hit
-  rates, SLO budget burn, flight-recorder tail) every K samples — or
+  renders a frame (per-pid checker lag, worker utilization, SLO
+  budget burn, flight-recorder tail) every K samples — or
   just the final frame with ``--once``.  ``--scenario`` runs a
   loadgen scenario at its upper connection bound instead of the
   fleet-shape flags, adding live offered-load / achieved-throughput /
@@ -60,7 +58,7 @@ Commands:
   ``BENCH_observability.json``, or a StatsReport v3 payload.
 
 Shared option groups (implemented as argparse parent parsers, defined
-once): the cache flags, the fault-injection flags (``--faults`` loads a
+once): the fault-injection flags (``--faults`` loads a
 JSON :class:`~repro.resilience.FaultPlan`; ``--fault-seed`` reseeds it,
 or arms the standard mix when no plan file is given), and the trace
 exports (``--trace-out`` writes a Chrome ``chrome://tracing``
@@ -103,7 +101,6 @@ class _Experiment(NamedTuple):
 def _experiments() -> Dict[str, _Experiment]:
     from repro.experiments import (
         ablations,
-        fastpath_cache,
         fig5a,
         fig5b,
         fig5c,
@@ -153,9 +150,6 @@ def _experiments() -> Dict[str, _Experiment]:
         ),
         "loadgen": gated(loadgen.run, loadgen.format_table),
         "service": gated(service.run, service.format_table),
-        "fastpath-cache": gated(
-            fastpath_cache.run, fastpath_cache.format_table
-        ),
     }
 
 
@@ -322,14 +316,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Run a protected server under full telemetry and dump the
     StatsReport."""
     from repro import telemetry
-    from repro.api import FlowGuardPolicy, StatsReport, run_workload
+    from repro.api import StatsReport, run_workload
 
-    policy = None
-    if args.segment_cache or args.edge_cache:
-        policy = FlowGuardPolicy(
-            segment_cache_entries=args.segment_cache,
-            edge_cache_entries=args.edge_cache,
-        )
     faults = _faults_from_args(args)
     tel = telemetry.get_telemetry()
     tel.reset()
@@ -343,7 +331,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             args.server,
             sessions=args.sessions,
             protected=True,
-            policy=policy,
             faults=faults,
         )
         assert run.monitor is not None and run.stats is not None
@@ -370,13 +357,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         tel.disable()
     json.dump(payload, sys.stdout, indent=2, default=str)
     print()
-    for name in ("segment", "edge"):
-        cache = payload["caches"].get(name)
-        if cache is not None:
-            print(f"[{name} cache: {cache['hits']} hits / "
-                  f"{cache['misses']} misses "
-                  f"({cache['hit_rate']:.1%} hit rate)]",
-                  file=sys.stderr)
     return 0
 
 
@@ -415,9 +395,7 @@ def _build_fleet_service(args: argparse.Namespace):
     ``fleet`` and ``top``."""
     import random
 
-    from repro.api import (
-        Fleet, FleetConfig, FlowGuardPolicy, RingPolicy, RunConfig,
-    )
+    from repro.api import Fleet, FleetConfig, RingPolicy, RunConfig
     from repro.experiments.common import (
         seed_server_fs, server_pipeline, server_requests,
     )
@@ -432,11 +410,7 @@ def _build_fleet_service(args: argparse.Namespace):
         seed=args.seed,
         faults=_faults_from_args(args),
     )
-    policy = FlowGuardPolicy(
-        segment_cache_entries=args.segment_cache,
-        edge_cache_entries=args.edge_cache,
-    )
-    service = Fleet.build(RunConfig(policy=policy, fleet=config))
+    service = Fleet.build(RunConfig(fleet=config))
     seed_server_fs(service.kernel)
 
     assignment = [servers[i % len(servers)]
@@ -498,13 +472,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     print(f"  overhead: {result.overhead:.2%} "
           f"(monitor {result.monitor_cycles:.0f} + stall "
           f"{result.stall_cycles:.0f} over app {result.app_cycles:.0f})")
-    if result.caches:
-        for name in ("segment", "edge"):
-            cache = result.caches.get(name)
-            if cache is not None:
-                print(f"  {name} cache: {cache['hits']} hits / "
-                      f"{cache['misses']} misses "
-                      f"({cache['hit_rate']:.1%} hit rate)")
     resilience = result.resilience or {}
     if resilience.get("faults") is not None:
         fired = resilience["faults"]["fired"]
@@ -641,21 +608,12 @@ def _format_top_frame(service, plane, sample: dict) -> str:
             f"{checks:>6} {mean:>9,.0f} "
             f"{row['lag_max'] if row else 0.0:>9,.0f}"
         )
-    # Workers, caches, SLO burn, flight tail.
+    # Workers, SLO burn, flight tail.
     pool = service.pool
     lines.append("  workers: " + "  ".join(
         f"w{i} {busy / now if now > 0 else 0.0:.0%} ({n} tasks)"
         for i, (busy, n) in enumerate(zip(pool.busy_cycles, pool.tasks_run))
     ))
-    caches = service.monitor.cache_stats() or {}
-    cache_bits = [
-        f"{name} {cache['hit_rate']:.0%} hit "
-        f"({cache['hits']}/{cache['hits'] + cache['misses']})"
-        for name in ("segment", "edge")
-        if (cache := caches.get(name)) is not None
-    ]
-    if cache_bits:
-        lines.append("  caches:  " + ", ".join(cache_bits))
     # Live load-generation rows, present whenever a bench scenario is
     # driving the fleet (the tracker publishes ``loadgen.*`` series).
     counters = sample.get("counters", {})
@@ -1046,17 +1004,6 @@ def _trace_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _cache_parent() -> argparse.ArgumentParser:
-    """Shared fast-path cache flags (parent parser)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--segment-cache", type=int, default=0,
-                        metavar="N",
-                        help="segment decode cache entries (0 = off)")
-    parent.add_argument("--edge-cache", type=int, default=0, metavar="N",
-                        help="edge-verdict memo entries (0 = off)")
-    return parent
-
-
 def _plane_parent() -> argparse.ArgumentParser:
     """Shared observability-plane flags (parent parser)."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -1122,7 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     trace = _trace_parent()
-    caches = _cache_parent()
     faults = _fault_parent()
     plane = _plane_parent()
 
@@ -1175,7 +1121,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats",
         help="run a protected server under telemetry, dump the report",
-        parents=[caches, faults, plane, trace],
+        parents=[faults, plane, trace],
     )
     stats.add_argument("server",
                        choices=["nginx", "vsftpd", "openssh", "exim"])
@@ -1188,7 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet",
         help="time-slice N protected processes over M checker workers",
-        parents=[caches, faults],
+        parents=[faults],
     )
     _add_fleet_shape_args(fleet)
     fleet.add_argument("--json", action="store_true",
@@ -1198,7 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top",
         help="live fleet view via the observability plane",
-        parents=[caches, faults, plane],
+        parents=[faults, plane],
     )
     _add_fleet_shape_args(top)
     top.add_argument("--scenario", default=None, metavar="REF",

@@ -94,16 +94,6 @@ HW_DECODE_CYCLES_PER_BYTE = 0.02
 SEARCH_PROBE_CYCLES = 0.5
 # Hash-probe of the high-credit fast-matching cache (§5.3).
 CREDIT_CACHE_PROBE_CYCLES = 0.5
-# Content-addressed segment decode cache: hashing streams a segment
-# through a short-digest hash (hardware-rate, like the pattern-matching
-# decoder above), then one probe of the content-addressed store.  A hit
-# pays hash + probe instead of the per-byte fast decode; a miss pays
-# hash + decode.
-SEGMENT_CACHE_HASH_CYCLES_PER_BYTE = 0.02
-SEGMENT_CACHE_PROBE_CYCLES = 4.0
-# Memoized edge-verdict probe: one hash probe of the (src, dst, TNT)
-# verdict store, replacing the credit-cache probe + binary searches.
-EDGE_CACHE_PROBE_CYCLES = 0.5
 # Per-entry shadow-stack push/pop/compare in the slow path.
 SHADOW_STACK_OP_CYCLES = 2.0
 # Upcall from kernel module to the user-level slow-path process.

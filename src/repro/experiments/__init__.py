@@ -18,7 +18,7 @@ paper-vs-measured records.
 - :mod:`repro.experiments.security` — §7.1.2 attack matrix
 
 The gated beyond-paper experiments (``fleet_scaling``, ``resilience``,
-``observability``, ``loadgen``, ``service``, ``fastpath_cache``) also
+``observability``, ``loadgen``, ``service``) also
 define a pure ``gates(results)`` that ``run`` stores under
 ``results["gates"]``; ``python -m repro experiments NAME [--quick]``
 runs any of them, writes ``BENCH_<name>.json`` and fails on any gate

@@ -116,16 +116,19 @@ class ProcessRing:
 
     # -- draining ------------------------------------------------------------
 
-    def pending_loss(self) -> int:
-        """Bytes already overwritten since the last drain (lossy wrap)."""
+    def pending_loss(self, data: bytes) -> int:
+        """Bytes already overwritten since the last drain (lossy wrap),
+        given ``data``, a snapshot of the ring since its last write."""
         written = self.topa.total_bytes_written - self._drained_mark
-        return max(0, written - len(self.topa.snapshot()))
+        return max(0, written - len(data))
 
-    def drain(self) -> DrainResult:
-        """Consume the ring: snapshot, account losses, reset."""
-        data = self.topa.snapshot()
-        written = self.topa.total_bytes_written - self._drained_mark
-        overwritten = max(0, written - len(data))
+    def drain(self, data: Optional[bytes] = None) -> DrainResult:
+        """Consume the ring: account losses, re-sync, reset.  ``data``
+        is a snapshot of the ring since its last write, when the caller
+        already holds one (None takes one here)."""
+        if data is None:
+            data = self.topa.snapshot()
+        overwritten = self.pending_loss(data)
         resync_dropped = 0
         resynced = False
         if overwritten > 0:

@@ -42,6 +42,7 @@ from repro.telemetry import get_telemetry
 
 from repro.fleet.dispatcher import FleetDispatcher
 from repro.fleet.rings import ProcessRing
+from repro.fleet.workers import CheckTask
 
 
 class FleetClock:
@@ -226,16 +227,31 @@ class RoundRobinScheduler:
 
     # -- PMI / backpressure handling ----------------------------------------
 
+    def _drain_ring(self, entry: FleetEntry, kind: str,
+                    skip_empty: bool = False) -> Optional[CheckTask]:
+        """Check the ring and consume it from one ToPA snapshot: flush
+        the encoder, snapshot once, submit a ``kind`` check over the
+        snapshot (untrimmed; ``resynced`` when drop-oldest wrapping lost
+        bytes since the last drain), then drain the ring with it.
+        Returns the check task, or None for an empty ring when
+        ``skip_empty`` (then nothing is checked or drained)."""
+        pp = entry.pp
+        pp.encoder.flush()
+        data = pp.topa.snapshot()
+        if skip_empty and not data:
+            return None
+        ring = entry.ring
+        task = self.dispatcher.submit(
+            pp, -1, kind, self.clock.now,
+            data=data, resynced=ring.pending_loss(data) > 0,
+        )
+        ring.drain(data)
+        return task
+
     def _stall_for_drain(self, entry: FleetEntry) -> None:
         """Stall policy: pause until a worker drains the ring."""
         now = self.clock.now
-        entry.pp.encoder.flush()
-        data = entry.pp.topa.snapshot()
-        task = self.dispatcher.submit(
-            entry.pp, -1, "pmi-drain", now,
-            data=data, resynced=entry.ring.pending_loss() > 0,
-        )
-        entry.ring.drain()
+        task = self._drain_ring(entry, "pmi-drain")
         entry.ring.begin_stall(now, task.finished_at)
 
     def _stall_for_backpressure(self, entry: FleetEntry) -> None:
@@ -249,13 +265,7 @@ class RoundRobinScheduler:
         if self.dispatcher.congested(now):
             self.dispatcher.drop_drain(entry.ring, entry.pp.process.pid, now)
             return
-        entry.pp.encoder.flush()
-        data = entry.pp.topa.snapshot()
-        self.dispatcher.submit(
-            entry.pp, -1, "pmi-drain", now,
-            data=data, resynced=entry.ring.pending_loss() > 0,
-        )
-        entry.ring.drain()
+        self._drain_ring(entry, "pmi-drain")
 
     # -- retirement / enforcement -------------------------------------------
 
@@ -264,15 +274,8 @@ class RoundRobinScheduler:
         entry.finished_at = self.clock.now
         if entry.quarantined:
             return
-        entry.pp.encoder.flush()
-        data = entry.pp.topa.snapshot()
-        if data:
-            # Residual trace after the last endpoint still gets checked.
-            self.dispatcher.submit(
-                entry.pp, -1, "exit-drain", self.clock.now,
-                data=data, resynced=entry.ring.pending_loss() > 0,
-            )
-            entry.ring.drain()
+        # Residual trace after the last endpoint still gets checked.
+        self._drain_ring(entry, "exit-drain", skip_empty=True)
 
     def _apply_due_verdicts(self) -> None:
         for task in self.dispatcher.due_tasks(self.clock.now):

@@ -115,8 +115,6 @@ class FleetResult:
     stall_cycles: float
     accounting: dict
     schedule_digest: str
-    #: monitor.cache_stats() snapshot (segment + edge caches).
-    caches: Optional[dict] = None
     #: checks abandoned after exhausting retries (fail-closed handled).
     dead_letters: Optional[List[DeadLetter]] = None
     #: fault-plane stats + degradation ledger + its reconciliation.
@@ -178,7 +176,6 @@ class FleetResult:
         }
         return StatsReport(
             monitor=monitor,
-            caches=self.caches,
             fleet=fleet,
             resilience=self.resilience,
             slo=self.slo,
@@ -386,7 +383,6 @@ class FleetService:
             stall_cycles=stall_cycles,
             accounting=accounting,
             schedule_digest=self.scheduler.schedule_digest(),
-            caches=self.monitor.cache_stats(),
             dead_letters=list(self.dispatcher.dead_letters),
             resilience=resilience,
             slo=slo,

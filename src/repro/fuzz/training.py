@@ -16,7 +16,6 @@ from repro.binary.module import Module
 from repro.ipt.encoder import ENCODER_KINDS, IPTEncoder
 from repro.ipt.columnar import columnar_scan
 from repro.ipt.msr import IPTConfig
-from repro.ipt.packets import unpack_tnt_sig
 from repro.ipt.topa import ToPA, ToPARegion
 from repro.itccfg.credits import CreditLabeledITC
 from repro.itccfg.paths import PathIndex
@@ -100,8 +99,7 @@ def train_credits(
             )
             ips = scan.ip_column()
             edges = labeled.observe_trace(
-                zip(ips, map(unpack_tnt_sig, scan.sig_column())),
-                strict=False,
+                zip(ips, scan.sig_column()), strict=False
             )
             report.edges_observed += edges
             if path_index is not None:

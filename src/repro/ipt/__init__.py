@@ -39,7 +39,6 @@ from repro.ipt.columnar import (
 from repro.ipt.topa import PMI, ToPA, ToPARegion
 from repro.ipt.msr import RTIT_CTL, IPTConfig
 from repro.ipt.encoder import IPTEncoder
-from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.ipt.full_decoder import (
     FlowEdge,
     FullDecodeResult,
@@ -62,7 +61,6 @@ __all__ = [
     "PacketError",
     "PacketKind",
     "RTIT_CTL",
-    "SegmentDecodeCache",
     "ToPA",
     "ToPARegion",
     "TraceMismatch",

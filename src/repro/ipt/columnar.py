@@ -279,20 +279,19 @@ class ColumnarSegment:
 
     Offsets in the columns are relative to ``data``; consumers carry the
     segment's stream base separately and add it where they need a
-    stream offset, which is what makes cached segments rebase zero-copy.
+    stream offset, so a segment scanned from a slice never copies.
 
     The window columns (:meth:`ip_column`, :meth:`sig_column`) are
-    lists, so a cache-resident segment pays the unpack cost once and
-    every warm hit serves list slices.  The signature list is built by
-    the scan epilogue from ``rec_sigs``; the ip list is memoised on
-    first use.
+    lists.  The signature list is built by the scan epilogue from
+    ``rec_sigs``; the ip list is memoised on first use (the tail walk's
+    span judgement and the window both read it).
     """
 
     __slots__ = (
         "data", "sync", "synced_offset", "scanned", "pkt_count", "cycles",
         "truncated", "rec_ips", "rec_offsets", "rec_bit_start",
         "rec_bit_end", "rec_sigs", "tnt_bits", "total_bits", "pend_start",
-        "fup_ips", "_sigs", "_ips", "_trail",
+        "fup_ips", "_sigs", "_ips",
     )
 
     def __init__(
@@ -336,7 +335,6 @@ class ColumnarSegment:
         self.fup_ips = fup_ips
         self._sigs = sigs
         self._ips: Optional[list] = None
-        self._trail: Optional[int] = None
 
     # -- columnar access -----------------------------------------------------
 
@@ -345,14 +343,8 @@ class ColumnarSegment:
         return len(self.rec_ips)
 
     def trailing_sig(self) -> int:
-        """Signature of the TNT run dangling past the last record
-        (memoised: a cache-resident segment is stitched on every hit)."""
-        sig = self._trail
-        if sig is None:
-            sig = self._trail = _bits_sig(
-                self.tnt_bits, self.pend_start, self.total_bits
-            )
-        return sig
+        """Signature of the TNT run dangling past the last record."""
+        return _bits_sig(self.tnt_bits, self.pend_start, self.total_bits)
 
     # -- window columns ------------------------------------------------------
 
@@ -711,7 +703,7 @@ class ColumnarTail:
     :class:`_TailEntry`, and stitching its trailing TNT run onto the
     current head record is a signature composition — nothing is built
     until a window is requested, and the window itself is slices of the
-    segments' columns (so a warm segment cache means warm windows too).
+    segments' columns.
     The last window built is memoised until the next prepend.
     """
 
@@ -1095,16 +1087,10 @@ class ColumnarParallelResult:
 
 
 def columnar_decode_parallel(
-    data, sync: bool = False, cache=None
+    data, sync: bool = False
 ) -> ColumnarParallelResult:
     """Split at PSBs and scan segments independently (zero-copy
     ``memoryview`` slices), accounting total and critical-path cycles.
-
-    ``cache`` optionally routes each segment through a
-    :class:`repro.ipt.segment_cache.SegmentDecodeCache`, so
-    byte-identical segments across snapshots and processes decode once;
-    hits charge the cache's probe cost model instead of the per-byte
-    decode cost (and are reported in ``cycles`` accordingly).
     """
     start = 0
     if sync:
@@ -1119,14 +1105,10 @@ def columnar_decode_parallel(
     for begin, end in zip(boundaries, boundaries[1:]):
         if begin >= end:
             continue
-        if cache is not None:
-            seg, seg_cycles = cache.decode_segment_columnar(view[begin:end])
-        else:
-            seg = columnar_scan(view[begin:end])
-            seg_cycles = seg.cycles
+        seg = columnar_scan(view[begin:end])
         columns.append((seg, begin))
-        total += seg_cycles
-        critical = max(critical, seg_cycles)
+        total += seg.cycles
+        critical = max(critical, seg.cycles)
     return ColumnarParallelResult(
         columns, total, start, max(len(columns), 1), critical
     )

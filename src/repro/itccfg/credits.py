@@ -6,6 +6,10 @@ credit, attaching the TNT sequence seen between the two TIP packets.
 Untrained edges keep a *low* credit — they are still legal (the graph is
 conservative), but traversing one at runtime demotes the check to the
 slow path.
+
+A TNT sequence is held as the scan produces it, a 1-prefixed packed
+signature (:func:`repro.ipt.packets.pack_tnt_sig`; ``1`` is the empty
+run), from training through to the fast-path verdict.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ class CreditLevel(enum.IntEnum):
 @dataclass
 class EdgeLabel:
     credit: CreditLevel = CreditLevel.LOW
-    #: TNT sequences observed on this edge during training.
-    tnt_patterns: Set[Tuple[bool, ...]] = field(default_factory=set)
+    #: TNT sequences observed on this edge, as packed signatures.
+    tnt_patterns: Set[int] = field(default_factory=set)
 
 
 class UnknownEdge(Exception):
@@ -59,10 +63,10 @@ class CreditLabeledITC:
     # -- training ----------------------------------------------------------
 
     def observe_pair(
-        self, src: int, dst: int, tnt: Tuple[bool, ...],
-        strict: bool = True,
+        self, src: int, dst: int, sig: int, strict: bool = True,
     ) -> None:
-        """Record one consecutive-TIP observation from a training trace."""
+        """Record one consecutive-TIP observation from a training trace
+        (``sig``: the packed TNT run seen between the two TIPs)."""
         if not self.itc.has_edge(src, dst):
             if strict:
                 raise UnknownEdge(
@@ -71,25 +75,25 @@ class CreditLabeledITC:
             return
         label = self.labels.setdefault((src, dst), EdgeLabel())
         label.credit = CreditLevel.HIGH
-        label.tnt_patterns.add(tuple(tnt))
+        label.tnt_patterns.add(sig)
         self.generation += 1
 
     def observe_trace(
-        self, tips: Iterable[Tuple[int, Tuple[bool, ...]]],
-        strict: bool = True,
+        self, tips: Iterable[Tuple[int, int]], strict: bool = True,
     ) -> int:
-        """Label edges from a sequence of (tip_ip, tnt_before) records.
+        """Label edges from a sequence of ``(tip_ip, sig_before)``
+        records (the scan's ip and signature columns, zipped).
 
         Returns the number of edges observed.
         """
         previous: Optional[int] = None
         count = 0
-        for ip, tnt in tips:
+        for ip, sig in tips:
             if previous is None:
                 if self.itc.has_node(ip):
                     self.trained_entry_nodes.add(ip)
             else:
-                self.observe_pair(previous, ip, tnt, strict=strict)
+                self.observe_pair(previous, ip, sig, strict=strict)
                 count += 1
             previous = ip
         return count
@@ -100,13 +104,13 @@ class CreditLabeledITC:
         label = self.labels.get((src, dst))
         return label.credit if label is not None else CreditLevel.LOW
 
-    def tnt_matches(self, src: int, dst: int, tnt: Tuple[bool, ...]) -> bool:
-        """Whether a runtime TNT sequence was seen on this edge in
+    def tnt_matches(self, src: int, dst: int, sig: int) -> bool:
+        """Whether a runtime TNT run (packed) was seen on this edge in
         training (only meaningful for high-credit edges)."""
         label = self.labels.get((src, dst))
         if label is None:
             return False
-        return tuple(tnt) in label.tnt_patterns
+        return sig in label.tnt_patterns
 
     def high_credit_edges(self) -> List[Tuple[int, int]]:
         return [
@@ -122,16 +126,16 @@ class CreditLabeledITC:
         unique_edges = {(e.src, e.dst) for e in self.itc.edges}
         return len(self.high_credit_edges()) / len(unique_edges)
 
-    def promote(self, src: int, dst: int,
-                tnt: Tuple[bool, ...] = ()) -> None:
+    def promote(self, src: int, dst: int, sig: int = 1) -> None:
         """Promote an edge to high credit (slow-path negative caching:
         §7.1.1 — "negative results of slow path checking are cached for
         the subsequent fast path checking").  The confirmed TNT run is
-        recorded even when it is empty: a promoted edge trusts exactly
-        the runs confirmed on it, as a trained edge does."""
+        recorded even when it is empty (``sig == 1``): a promoted edge
+        trusts exactly the runs confirmed on it, as a trained edge
+        does."""
         label = self.labels.setdefault((src, dst), EdgeLabel())
         label.credit = CreditLevel.HIGH
-        label.tnt_patterns.add(tuple(tnt))
+        label.tnt_patterns.add(sig)
         self.generation += 1
 
     # -- derived structures ----------------------------------------------

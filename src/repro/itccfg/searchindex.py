@@ -27,20 +27,12 @@ from __future__ import annotations
 
 import bisect
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro import costs
-from repro.telemetry import get_telemetry
-from repro.ipt.packets import pack_tnt_sig, unpack_tnt_sig
 from repro.itccfg.credits import CreditLabeledITC, CreditLevel
-
-# Memoised edge outcomes.
-_OUT_OF_GRAPH = 0
-_LOW_CREDIT = 1  # in graph, but low credit or an unseen TNT run
-_TRUSTED = 2  # high credit with a trained TNT run
 
 
 class SearchTables(NamedTuple):
@@ -73,10 +65,7 @@ def search_tables(labeled: CreditLabeledITC) -> SearchTables:
     for (src, dst), label in labeled.labels.items():
         if label.credit is CreditLevel.HIGH:
             hot.add((src, dst))
-            trusted.update(
-                (src, dst, pack_tnt_sig(pattern))
-                for pattern in label.tnt_patterns
-            )
+            trusted.update((src, dst, sig) for sig in label.tnt_patterns)
     return SearchTables(
         array("Q", sources), tgt_flat, bounds,
         frozenset(hot), frozenset(trusted),
@@ -104,25 +93,10 @@ class FlowSearchIndex:
     triple of a high-credit edge with a TNT run seen on it (in training
     or confirmed by the slow path).  An edge is trusted only with a run
     in ``_trusted``; a hot edge with any other run is low credit.
-
-    ``edge_cache_entries`` > 0 additionally memoizes full
-    ``(src, dst, sig)`` lookup outcomes in a bounded LRU: a memo hit is
-    a single hash probe (``EDGE_CACHE_PROBE_CYCLES``) instead of the
-    credit-cache probe plus binary searches.  :meth:`promote` mutates
-    edge state, so it invalidates every memo for the promoted edge.
     """
 
-    def __init__(
-        self,
-        labeled: CreditLabeledITC,
-        edge_cache_entries: int = 0,
-    ) -> None:
+    def __init__(self, labeled: CreditLabeledITC) -> None:
         self.labeled = labeled
-        self.edge_cache_entries = edge_cache_entries
-        self._memo: "OrderedDict[Tuple[int, int, int], int]" = OrderedDict()
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.memo_invalidations = 0
         tables = labeled.derived(search_tables)
         #: sorted source-node array (§5.3), and every source's sorted
         #: targets concatenated into one array with per-source bounds —
@@ -136,48 +110,18 @@ class FlowSearchIndex:
         #: This index's own copies, so its :meth:`promote` stays its own.
         self._hot: Set[Tuple[int, int]] = set(tables.hot)
         self._trusted: Set[Tuple[int, int, int]] = set(tables.trusted)
-        #: packed signature -> unpacked tuple, shared across
-        #: ``check_batch`` calls (pure function of the sig; bounded
-        #: because real traces repeat a small set of TNT runs).
-        self._sig_tuples: Dict[int, Tuple[bool, ...]] = {}
         self.cycles = 0.0
 
     # -- maintenance ---------------------------------------------------------
 
-    def promote(self, src: int, dst: int, tnt: Tuple[bool, ...] = ()) -> None:
+    def promote(self, src: int, dst: int, sig: int = 1) -> None:
         """Mirror a credit promotion into the hot cache: the edge turns
-        hot and trusts the confirmed run ``tnt`` (empty included)."""
+        hot and trusts the confirmed packed run ``sig`` (the empty run
+        ``1`` included)."""
         self._hot.add((src, dst))
-        self._trusted.add((src, dst, pack_tnt_sig(tnt)))
-        if self._memo:
-            stale = [
-                key for key in self._memo
-                if key[0] == src and key[1] == dst
-            ]
-            for key in stale:
-                del self._memo[key]
-            if stale:
-                self.memo_invalidations += len(stale)
-                tel = get_telemetry()
-                if tel.enabled:
-                    tel.metrics.counter(
-                        "itccfg.edge_cache.invalidations"
-                    ).inc(len(stale))
+        self._trusted.add((src, dst, sig))
 
     # -- lookups ----------------------------------------------------------------
-
-    def edge_cache_stats(self) -> dict:
-        return {
-            "entries": self.edge_cache_entries,
-            "resident": len(self._memo),
-            "hits": self.memo_hits,
-            "misses": self.memo_misses,
-            "invalidations": self.memo_invalidations,
-            "hit_rate": (
-                self.memo_hits / (self.memo_hits + self.memo_misses)
-                if (self.memo_hits + self.memo_misses) else 0.0
-            ),
-        }
 
     def check_batch(self, ips: list, sigs: list) -> BatchCheckResult:
         """Verify a whole window of TIP records in one call.
@@ -187,22 +131,17 @@ class FlowSearchIndex:
         before ``ips[i]``).  Pair *i* is the edge ``ips[i-1] -> ips[i]``
         checked with ``sigs[i]``, through the §5.3 two-step check: the
         hot cache first (one hash probe), else a source search and a
-        target search.  With edge memoization on, a previously computed
-        outcome for the exact ``(src, dst, sig)`` triple short-circuits
-        everything at one probe.  The batch stops at the first
-        out-of-graph edge.
+        target search.  The batch stops at the first out-of-graph edge.
 
-        The common case — memo off and every pair a trusted triple — is
-        one C-level membership sweep over the zipped columns, charged
-        one hot-cache probe per pair in a single add.  That add equals
-        the per-pair sum bit for bit: every charge here is a multiple
-        of 0.5 cycles, so each partial sum is exact.  Any other window
-        (a miss, a ``None`` ip, memo on) runs the per-edge loop from
-        the first pair.
+        The common case — every pair a trusted triple — is one C-level
+        membership sweep over the zipped columns, charged one hot-cache
+        probe per pair in a single add.  That add equals the per-pair
+        sum bit for bit: every charge here is a multiple of 0.5 cycles,
+        so each partial sum is exact.  Any other window (a miss, a
+        ``None`` ip) runs the per-edge loop from the first pair.
         """
-        memo_capacity = self.edge_cache_entries
         trusted = self._trusted
-        if not memo_capacity and trusted.issuperset(zip(
+        if trusted.issuperset(zip(
             ips, islice(ips, 1, None), islice(sigs, 1, None)
         )):
             pairs = max(len(ips) - 1, 0)
@@ -210,7 +149,6 @@ class FlowSearchIndex:
             return BatchCheckResult(checked=pairs)
         outcome = BatchCheckResult()
         low_credit = outcome.low_credit
-        memo = self._memo
         hot = self._hot
         src_arr = self._src_arr
         tgt_flat = self._tgt_flat
@@ -219,81 +157,45 @@ class FlowSearchIndex:
         src_probes = max(1, n_src.bit_length())
         credit_probe = costs.CREDIT_CACHE_PROBE_CYCLES
         search_probe = costs.SEARCH_PROBE_CYCLES
-        memo_probe = costs.EDGE_CACHE_PROBE_CYCLES
         bisect_left = bisect.bisect_left
         high = CreditLevel.HIGH
         labeled = self.labeled
-        hit_counter = miss_counter = None
-        if memo_capacity:
-            tel = get_telemetry()
-            if tel.enabled:
-                hit_counter = tel.metrics.counter("itccfg.edge_cache.hits")
-                miss_counter = tel.metrics.counter("itccfg.edge_cache.misses")
-        sig_tuples = self._sig_tuples
         checked = 0
         for index in range(1, len(ips)):
             src = ips[index - 1]
             dst = ips[index]
             sig = sigs[index]
             checked += 1
-            key = (src, dst, sig)
-            if memo_capacity:
-                self.cycles += memo_probe
-                edge = memo.get(key)
-                if edge is not None:
-                    memo.move_to_end(key)
-                    self.memo_hits += 1
-                    if hit_counter is not None:
-                        hit_counter.inc()
-                    if edge == _OUT_OF_GRAPH:
-                        outcome.violation = (src, dst)
-                        break
-                    if edge == _LOW_CREDIT:
+            self.cycles += credit_probe
+            if (src, dst, sig) in trusted:
+                continue
+            if (src, dst) in hot:
+                low_credit.append((src, dst))
+                continue
+            self.cycles += src_probes * search_probe
+            # An IP-suppressed TIP puts a None ip in the window: it is
+            # no graph node, so the pair fails closed at an untrained
+            # source's cost and never reaches a bisect.
+            if src is None or dst is None:
+                position = n_src
+            else:
+                position = bisect_left(src_arr, src)
+            if position < n_src and src_arr[position] == src:
+                lo = tgt_bounds[position]
+                hi = tgt_bounds[position + 1]
+                self.cycles += max(1, (hi - lo).bit_length()) * search_probe
+                slot = bisect_left(tgt_flat, dst, lo, hi)
+                if slot < hi and tgt_flat[slot] == dst:
+                    # Trusted here only when promoted through the shared
+                    # labelling but not through this index.
+                    if not (
+                        labeled.credit_of(src, dst) is high
+                        and labeled.tnt_matches(src, dst, sig)
+                    ):
                         low_credit.append((src, dst))
                     continue
-                self.memo_misses += 1
-                if miss_counter is not None:
-                    miss_counter.inc()
-            self.cycles += credit_probe
-            if key in trusted:
-                edge = _TRUSTED
-            elif (src, dst) in hot:
-                edge = _LOW_CREDIT
-            else:
-                edge = _OUT_OF_GRAPH
-                self.cycles += src_probes * search_probe
-                # An IP-suppressed TIP puts a None ip in the window: it
-                # is no graph node, so the pair fails closed at an
-                # untrained source's cost and never reaches a bisect.
-                if src is None or dst is None:
-                    position = n_src
-                else:
-                    position = bisect_left(src_arr, src)
-                if position < n_src and src_arr[position] == src:
-                    lo = tgt_bounds[position]
-                    hi = tgt_bounds[position + 1]
-                    self.cycles += max(1, (hi - lo).bit_length()) * search_probe
-                    slot = bisect_left(tgt_flat, dst, lo, hi)
-                    if slot < hi and tgt_flat[slot] == dst:
-                        edge = _LOW_CREDIT
-                        # An edge promoted through a labelling this
-                        # index shares, but not through this index.
-                        if labeled.credit_of(src, dst) is high:
-                            tnt = sig_tuples.get(sig)
-                            if tnt is None:
-                                tnt = unpack_tnt_sig(sig)
-                                sig_tuples[sig] = tnt
-                            if labeled.tnt_matches(src, dst, tnt):
-                                edge = _TRUSTED
-            if memo_capacity:
-                memo[key] = edge
-                if len(memo) > memo_capacity:
-                    memo.popitem(last=False)
-            if edge == _OUT_OF_GRAPH:
-                outcome.violation = (src, dst)
-                break
-            if edge == _LOW_CREDIT:
-                low_credit.append((src, dst))
+            outcome.violation = (src, dst)
+            break
         outcome.checked = checked
         return outcome
 

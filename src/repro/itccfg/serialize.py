@@ -26,8 +26,9 @@ def itccfg_to_dict(labeled: CreditLabeledITC) -> Dict:
                 "src": src,
                 "dst": dst,
                 "credit": int(label.credit),
-                "tnt": ["".join("1" if b else "0" for b in pattern)
-                        for pattern in sorted(label.tnt_patterns)],
+                # A signature's bits after its leading 1, oldest
+                # first; sorted strings order as the runs' bool tuples.
+                "tnt": sorted(bin(sig)[3:] for sig in label.tnt_patterns),
             }
             for (src, dst), label in sorted(labeled.labels.items())
         ],
@@ -45,7 +46,7 @@ def itccfg_from_dict(data: Dict) -> CreditLabeledITC:
     for entry in data.get("labels", []):
         label = EdgeLabel(credit=CreditLevel(entry["credit"]))
         for pattern in entry.get("tnt", []):
-            label.tnt_patterns.add(tuple(c == "1" for c in pattern))
+            label.tnt_patterns.add(int("1" + pattern, 2))
         labeled.labels[(entry["src"], entry["dst"])] = label
     labeled.trained_entry_nodes = set(data.get("trained_entry_nodes", []))
     # The labels were written directly, not through a mutator.
@@ -59,5 +60,8 @@ def itccfg_memory_bytes(labeled: CreditLabeledITC) -> int:
     size += 24 * len(labeled.itc.edges)  # src, dst, branch
     for label in labeled.labels.values():
         size += 17  # key + credit byte
-        size += sum(8 + (len(p) + 7) // 8 for p in label.tnt_patterns)
+        # A packed signature carries ``sig.bit_length() - 1`` branches.
+        size += sum(
+            8 + (sig.bit_length() - 1 + 7) // 8 for sig in label.tnt_patterns
+        )
     return size

@@ -86,7 +86,6 @@ class FastPathChecker:
         require_cross_module: bool = True,
         require_executable: bool = True,
         path_index: "PathIndex | None" = None,
-        segment_cache=None,
         ledger=None,
         owner_pid: int = -1,
     ) -> None:
@@ -98,10 +97,6 @@ class FastPathChecker:
         self.require_executable = require_executable
         #: optional context-sensitive extension: trained k-gram paths.
         self.path_index = path_index
-        #: optional shared :class:`repro.ipt.SegmentDecodeCache`;
-        #: byte-identical PSB segments then decode once across checks
-        #: (and across checkers sharing the cache).
-        self.segment_cache = segment_cache
         #: optional :class:`~repro.resilience.DegradationLedger` that
         #: audits corrupt-segment recovery, attributed to ``owner_pid``.
         self.ledger = ledger
@@ -145,13 +140,11 @@ class FastPathChecker:
         Skipping over the gap instead would pair TIPs that were never
         adjacent and fabricate violations.  The failed decode is still
         charged for the bytes scanned, and the downgrade lands in the
-        ledger (``corrupt-segment``, ``cache-bypass``, ``psb-resync``).
+        ledger (``corrupt-segment``, ``psb-resync``).
         """
         self.last_corrupt_segments = 0
         tail = ColumnarTail()
         entries = tail.entries
-        cache = self.segment_cache
-        probe = None if cache is None else cache.decode_segment_columnar
         pkt_count = self.pkt_count
         check_span = self.require_cross_module or self.require_executable
         span_judged = False
@@ -183,11 +176,7 @@ class FastPathChecker:
             try:
                 # Zero-copy slices; the columns stay segment-relative
                 # and ``begin`` is the base the tail carries.
-                if probe is None:
-                    seg = columnar_scan(view[begin:end])
-                    seg_cycles = seg.cycles
-                else:
-                    seg, seg_cycles = probe(view[begin:end])
+                seg = columnar_scan(view[begin:end])
             except PacketError:
                 cycles += self._corrupt_segment(begin, end, count > 0)
                 break
@@ -198,11 +187,11 @@ class FastPathChecker:
                 # in a way that mimics truncation — keeping its prefix
                 # records would stitch across the gap and pair TIPs
                 # that were never adjacent.
-                cycles += seg_cycles + self._corrupt_segment(
+                cycles += seg.cycles + self._corrupt_segment(
                     begin, end, count > 0
                 )
                 break
-            cycles += seg_cycles
+            cycles += seg.cycles
             # :meth:`ColumnarTail.prepend`, inline: fold the segment's
             # dangling TNT run onto the head record, append its entry.
             if count and seg.pend_start < seg.total_bits:
@@ -238,9 +227,6 @@ class FastPathChecker:
                 "corrupt-segment", pid=self.owner_pid,
                 detail=f"segment@{begin}",
             )
-            if self.segment_cache is not None:
-                self.ledger.record("cache-bypass", pid=self.owner_pid,
-                                   detail=f"segment@{begin}")
             if resynced:
                 self.ledger.record("psb-resync", pid=self.owner_pid,
                                    detail=f"resync@{end}")

@@ -26,7 +26,6 @@ from repro.analysis.cfg import ControlFlowGraph
 from repro.ipt.encoder import ENCODER_KINDS, IPTEncoder
 from repro.ipt.msr import IPTConfig
 from repro.ipt.topa import ToPA
-from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.itccfg.credits import CreditLabeledITC
 from repro.itccfg.searchindex import FlowSearchIndex
 from repro.monitor.fastpath import FastPathChecker, FastPathResult, Verdict
@@ -172,15 +171,6 @@ class FlowGuardMonitor:
         #: subclasses (the fleet's per-process rings) override the
         #: paper's two-region 16 KiB default.
         self.topa_factory: Optional[Callable[[Callable[[], None]], ToPA]] = None
-        #: one content-addressed segment cache shared by every protected
-        #: process (None when the policy leaves it disabled): identical
-        #: PSB segments across snapshots — and across processes running
-        #: the same binaries — decode once.
-        self.segment_cache: Optional[SegmentDecodeCache] = (
-            SegmentDecodeCache(self.policy.segment_cache_entries)
-            if self.policy.segment_cache_entries > 0
-            else None
-        )
         kernel.spawn_hooks.append(self._on_exec)
 
     # -- lifecycle -----------------------------------------------------------
@@ -287,9 +277,7 @@ class FlowGuardMonitor:
         index, the fast-path checker over it and the slow-path engine
         (what :meth:`protect` builds and :meth:`rebind` swaps)."""
         policy = self.policy
-        index = FlowSearchIndex(
-            labeled, edge_cache_entries=policy.edge_cache_entries
-        )
+        index = FlowSearchIndex(labeled)
         checker = FastPathChecker(
             index,
             process.image,
@@ -298,7 +286,6 @@ class FlowGuardMonitor:
             require_cross_module=policy.require_cross_module,
             require_executable=policy.require_executable,
             path_index=path_index if policy.path_sensitive else None,
-            segment_cache=self.segment_cache,
             ledger=self.degradations,
             owner_pid=process.pid,
         )
@@ -566,9 +553,9 @@ class FlowGuardMonitor:
                 tel.metrics.counter("monitor.detections").inc(path="slow")
             return Verdict.VIOLATION
         if self.policy.cache_slow_path_negatives:
-            for src, dst, tnt in slow_result.confirmed_pairs:
-                pp.labeled.promote(src, dst, tnt)
-                pp.index.promote(src, dst, tnt)
+            for src, dst, sig in slow_result.confirmed_pairs:
+                pp.labeled.promote(src, dst, sig)
+                pp.index.promote(src, dst, sig)
             if tel.enabled:
                 tel.metrics.counter("monitor.promotions").inc(
                     len(slow_result.confirmed_pairs)
@@ -610,35 +597,6 @@ class FlowGuardMonitor:
         return [
             self.stats_for(pp.process) for pp in self._protected.values()
         ]
-
-    def cache_stats(self) -> dict:
-        """Fast-path cache effectiveness: the shared segment decode
-        cache plus the per-process edge-verdict memos aggregated
-        (None members when the policy leaves a cache disabled)."""
-        segment = (
-            self.segment_cache.stats()
-            if self.segment_cache is not None
-            else None
-        )
-        edge = None
-        if self.policy.edge_cache_entries:
-            hits = misses = invalidations = resident = 0
-            for pp in self._protected.values():
-                stats = pp.index.edge_cache_stats()
-                hits += stats["hits"]
-                misses += stats["misses"]
-                invalidations += stats["invalidations"]
-                resident += stats["resident"]
-            probes = hits + misses
-            edge = {
-                "entries": self.policy.edge_cache_entries,
-                "resident": resident,
-                "hits": hits,
-                "misses": misses,
-                "invalidations": invalidations,
-                "hit_rate": hits / probes if probes else 0.0,
-            }
-        return {"segment": segment, "edge": edge}
 
     def report(self) -> dict:
         """A JSON-compatible operational report across all protected

@@ -50,12 +50,6 @@ class FlowGuardPolicy:
     #: default.  Finer periods trade trace bytes for smaller decode
     #: windows per check.
     psb_period: int = 0  # 0 = hardware default
-    #: content-addressed segment decode cache capacity (entries); 0
-    #: disables it.  Shared across every process the monitor protects,
-    #: so byte-identical PSB segments decode once per fleet.
-    segment_cache_entries: int = 0
-    #: per-index (src, dst, tnt) verdict memo capacity; 0 disables it.
-    edge_cache_entries: int = 0
 
     # -- serialisation -------------------------------------------------------
 

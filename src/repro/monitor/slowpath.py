@@ -24,7 +24,6 @@ from repro.cpu.events import CoFIKind
 from repro.cpu.memory import Memory
 from repro.ipt.columnar import ColumnarSlowSource
 from repro.ipt.full_decoder import FullDecoder, TraceMismatch
-from repro.ipt.packets import unpack_tnt_sig
 
 # Edges no policy judges: conditional and direct jumps (their targets
 # are static) and far transfers.  A tuple, not a set: an identity scan
@@ -50,10 +49,9 @@ class SlowPathResult:
     insns_decoded: int = 0
     #: shadow-stack share of ``cycles`` (telemetry phase attribution).
     shadow_cycles: float = 0.0
-    #: (src_ip, dst_ip, tnt) ITC pairs confirmed clean — promotion list.
-    confirmed_pairs: List[Tuple[int, int, Tuple[bool, ...]]] = field(
-        default_factory=list
-    )
+    #: (src_ip, dst_ip, sig) ITC pairs confirmed clean, each with its
+    #: packed TNT run — the promotion list.
+    confirmed_pairs: List[Tuple[int, int, int]] = field(default_factory=list)
 
 
 class SlowPathEngine:
@@ -150,8 +148,7 @@ class SlowPathEngine:
             )
 
         confirmed = [
-            (ips[i - 1], ips[i], unpack_tnt_sig(sigs[i]))
-            for i in range(1, len(ips))
+            (ips[i - 1], ips[i], sigs[i]) for i in range(1, len(ips))
         ]
         return SlowPathResult(
             ok=True,

@@ -37,7 +37,7 @@ EVENT_KINDS = (
     # PMI faults (monitor / fleet rings)
     "pmi-drop", "pmi-delay",
     # fast-path degradation (checker)
-    "corrupt-segment", "cache-bypass", "psb-resync",
+    "corrupt-segment", "psb-resync",
     # path downgrades (monitor)
     "slowpath-fallback", "slowpath-error",
     # dispatcher recovery (fleet)

@@ -13,7 +13,6 @@ dump, and library consumers got a third shape from
 - ``monitor`` — the checking stack: policy, per-process cycle
   breakdowns, detections (fleet runs add their worker-ledger
   ``accounting`` audit),
-- ``caches`` — segment-decode / edge-verdict cache hit rates,
 - ``fleet`` — fleet-only observables (schedule, lag, workers, config);
   ``None`` for solo runs,
 - ``resilience`` — fault-plane stats, the degradation ledger and its
@@ -43,6 +42,12 @@ profiler is a view over ``MonitorStats``, so there is no second copy
 to compare).  The section is free-form, so older v4 payloads that
 still carry the key load unchanged.
 
+There is no ``caches`` section any more: the fast path has no
+optional caches to report on.  Older v4 payloads that carry it (always
+``None`` unless a cache was switched on) still load; the key is
+dropped.  Readers never required it (:meth:`StatsReport.from_dict`
+read it with ``get``), so older readers load newer payloads too.
+
 ``resilience.ledger_reconcile`` balances the ledger's wasted cycles
 against the fleet dispatcher's ``retry_cycles``; a solo run has no
 dispatcher, so its value is ``None``.  Older v4 payloads whose solo
@@ -64,7 +69,6 @@ _SECTIONS = (
     "schema_version",
     "context",
     "monitor",
-    "caches",
     "fleet",
     "resilience",
     "slo",
@@ -78,7 +82,6 @@ class StatsReport:
     """One run's complete observable state, in the unified schema."""
 
     monitor: dict
-    caches: Optional[dict] = None
     fleet: Optional[dict] = None
     resilience: Optional[dict] = None
     slo: Optional[dict] = None
@@ -93,7 +96,6 @@ class StatsReport:
             "schema_version": self.schema_version,
             "context": self.context,
             "monitor": self.monitor,
-            "caches": self.caches,
             "fleet": self.fleet,
             "resilience": self.resilience,
             "slo": self.slo,
@@ -103,7 +105,8 @@ class StatsReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StatsReport":
-        unknown = set(data) - set(_SECTIONS)
+        # ``caches``: a section older v4 payloads carry (see above).
+        unknown = set(data) - set(_SECTIONS) - {"caches"}
         if unknown:
             raise ValueError(
                 f"unknown StatsReport keys: {', '.join(sorted(unknown))}"
@@ -116,7 +119,6 @@ class StatsReport:
             )
         return cls(
             monitor=data.get("monitor") or {},
-            caches=data.get("caches"),
             fleet=data.get("fleet"),
             resilience=data.get("resilience"),
             slo=data.get("slo"),  # absent before v3
@@ -152,7 +154,6 @@ class StatsReport:
             }
         return cls(
             monitor=block,
-            caches=monitor.cache_stats(),
             resilience=resilience,
             slo=slo,
             telemetry=telemetry,

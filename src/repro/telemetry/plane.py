@@ -549,7 +549,6 @@ class ObservabilityPlane:
     - ``FleetClock.unpin/advance_to`` -> :meth:`maybe_sample`
     - ``FlowGuardMonitor._run_check`` -> :meth:`on_check`
     - ``DegradationLedger.record``    -> :meth:`on_degradation`
-    - ``SegmentDecodeCache``          -> :meth:`on_cache_event`
     - reconciliation call sites       -> :meth:`check_reconciliation`
     """
 
@@ -619,16 +618,12 @@ class ObservabilityPlane:
 
     def on_degradation(self, event) -> None:
         """Journal one ``DegradationLedger.record`` event (quarantines,
-        fault injections, dead letters, PSB re-syncs, cache bypasses...)."""
+        fault injections, dead letters, PSB re-syncs...)."""
         t = event.at if event.at else self.now()
         self.flight.record(event.kind, t, pid=event.pid,
                            detail=event.detail)
         key = series_name(event.kind, (("pid", str(event.pid)),))
         self._ledger_by_pid[key] = self._ledger_by_pid.get(key, 0) + 1
-
-    def on_cache_event(self, kind: str, detail: str = "") -> None:
-        """Segment-cache state transitions (insert / evict)."""
-        self.flight.record(kind, self.now(), detail=detail)
 
     # -- drift dumps ---------------------------------------------------------
 

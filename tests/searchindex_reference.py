@@ -3,24 +3,23 @@
 :meth:`repro.itccfg.searchindex.FlowSearchIndex.check_batch` is the only
 lookup the fast path runs: one flat loop over a window's packed ip/TNT
 signature columns.  This is the per-edge structure it replaced — sorted
-``_sources`` / per-source ``_targets`` lists, a tuple-TNT ``_hot`` set,
-one :meth:`ReferenceSearchIndex.check_edge` call and one
-:class:`LookupResult` per pair, memo keyed by the unpacked TNT tuple —
-kept here so ``tests/test_searchindex_differential.py`` can hold the
-batch to it: verdicts, charged cycles, memo hits/misses/invalidations
-and ``memory_bytes()``.
+``_sources`` / per-source ``_targets`` lists, a ``_hot`` map holding
+each hot edge's TNT runs as unpacked bool tuples, one
+:meth:`ReferenceSearchIndex.check_edge` call and one
+:class:`LookupResult` per pair — kept here so
+``tests/test_searchindex_differential.py`` can hold the batch to it:
+verdicts, charged cycles and ``memory_bytes()``.  Its interface takes
+packed signatures, as the production index's does.
 
 :func:`check_pair` runs one edge through the production batch, for
 tests that probe a single pair.
 """
 
 import bisect
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro import costs
-from repro.telemetry import get_telemetry
 from repro.ipt.packets import pack_tnt_sig, unpack_tnt_sig
 from repro.itccfg.credits import CreditLabeledITC, CreditLevel
 from repro.itccfg.searchindex import BatchCheckResult
@@ -39,17 +38,8 @@ class LookupResult:
 class ReferenceSearchIndex:
     """The per-edge §5.3 index: same cost model, one call per pair."""
 
-    def __init__(
-        self,
-        labeled: CreditLabeledITC,
-        edge_cache_entries: int = 0,
-    ) -> None:
+    def __init__(self, labeled: CreditLabeledITC) -> None:
         self.labeled = labeled
-        self.edge_cache_entries = edge_cache_entries
-        self._memo: "OrderedDict[Tuple[int, int, Tuple[bool, ...]], LookupResult]" = OrderedDict()
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.memo_invalidations = 0
         succ: Dict[int, Set[int]] = {}
         for edge in labeled.itc.edges:
             succ.setdefault(edge.src, set()).add(edge.dst)
@@ -63,28 +53,16 @@ class ReferenceSearchIndex:
         self._hot: Dict[Tuple[int, int], Set[Tuple[bool, ...]]] = {}
         for (src, dst), label in labeled.labels.items():
             if label.credit is CreditLevel.HIGH:
-                self._hot[(src, dst)] = set(label.tnt_patterns)
+                self._hot[(src, dst)] = {
+                    unpack_tnt_sig(sig) for sig in label.tnt_patterns
+                }
         self.cycles = 0.0
 
-    def promote(self, src: int, dst: int, tnt: Tuple[bool, ...] = ()) -> None:
+    def promote(self, src: int, dst: int, sig: int = 1) -> None:
         """Mirror a credit promotion into the hot cache.  The confirmed
         run is recorded even when empty: a hot edge trusts exactly the
         runs recorded for it."""
-        self._hot.setdefault((src, dst), set()).add(tuple(tnt))
-        if self._memo:
-            stale = [
-                key for key in self._memo
-                if key[0] == src and key[1] == dst
-            ]
-            for key in stale:
-                del self._memo[key]
-            if stale:
-                self.memo_invalidations += len(stale)
-                tel = get_telemetry()
-                if tel.enabled:
-                    tel.metrics.counter(
-                        "itccfg.edge_cache.invalidations"
-                    ).inc(len(stale))
+        self._hot.setdefault((src, dst), set()).add(unpack_tnt_sig(sig))
 
     def _binary_search(self, array: List[int], value: int) -> Tuple[bool, int]:
         """Membership + probe count (log2 cost model)."""
@@ -101,36 +79,7 @@ class ReferenceSearchIndex:
         """The §5.3 two-step check: source lookup, then target lookup.
 
         The hot cache is consulted first; a hit is a single hash probe.
-        With edge memoization enabled, a previously computed verdict for
-        the exact ``(src, dst, tnt)`` triple short-circuits everything
-        at one probe.
         """
-        if not self.edge_cache_entries:
-            return self._check_edge_uncached(src, dst, tnt)
-        key = (src, dst, tuple(tnt))
-        self.cycles += costs.EDGE_CACHE_PROBE_CYCLES
-        cached = self._memo.get(key)
-        tel = get_telemetry()
-        if cached is not None:
-            self._memo.move_to_end(key)
-            self.memo_hits += 1
-            if tel.enabled:
-                tel.metrics.counter("itccfg.edge_cache.hits").inc()
-            return LookupResult(
-                cached.in_graph, cached.credit, cached.tnt_ok, probes=1
-            )
-        self.memo_misses += 1
-        if tel.enabled:
-            tel.metrics.counter("itccfg.edge_cache.misses").inc()
-        result = self._check_edge_uncached(src, dst, tnt)
-        self._memo[key] = result
-        if len(self._memo) > self.edge_cache_entries:
-            self._memo.popitem(last=False)
-        return result
-
-    def _check_edge_uncached(
-        self, src: int, dst: int, tnt: Tuple[bool, ...] = ()
-    ) -> LookupResult:
         probes = 1
         self.cycles += costs.CREDIT_CACHE_PROBE_CYCLES
         hot = self._hot.get((src, dst))
@@ -158,7 +107,7 @@ class ReferenceSearchIndex:
         credit = self.labeled.credit_of(src, dst)
         tnt_ok = (
             credit is CreditLevel.HIGH
-            and self.labeled.tnt_matches(src, dst, tnt)
+            and self.labeled.tnt_matches(src, dst, pack_tnt_sig(tnt))
         )
         return LookupResult(True, credit, tnt_ok, probes)
 
@@ -177,19 +126,6 @@ class ReferenceSearchIndex:
             if lookup.credit is not CreditLevel.HIGH or not lookup.tnt_ok:
                 outcome.low_credit.append((src, dst))
         return outcome
-
-    def edge_cache_stats(self) -> dict:
-        return {
-            "entries": self.edge_cache_entries,
-            "resident": len(self._memo),
-            "hits": self.memo_hits,
-            "misses": self.memo_misses,
-            "invalidations": self.memo_invalidations,
-            "hit_rate": (
-                self.memo_hits / (self.memo_hits + self.memo_misses)
-                if (self.memo_hits + self.memo_misses) else 0.0
-            ),
-        }
 
     def memory_bytes(self) -> int:
         """Estimated resident size (Table 5's memory-usage column).

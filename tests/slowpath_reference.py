@@ -17,7 +17,6 @@ from typing import List
 from repro import costs
 from repro.cpu.events import CoFIKind
 from repro.ipt.full_decoder import FlowEdge, TraceMismatch
-from repro.ipt.packets import unpack_tnt_sig
 from repro.monitor.slowpath import (
     _DIRECT_CALL_LEN,
     _INDIRECT_CALL_LEN,
@@ -138,8 +137,7 @@ class ReferenceSlowPathEngine(SlowPathEngine):
                 )
 
         confirmed = [
-            (ips[i - 1], ips[i], unpack_tnt_sig(sigs[i]))
-            for i in range(1, len(ips))
+            (ips[i - 1], ips[i], sigs[i]) for i in range(1, len(ips))
         ]
         return SlowPathResult(
             ok=True,

@@ -30,17 +30,19 @@ class TestParser:
         assert args.seed == 0
         assert not args.inject_rop
 
-    def test_fleet_cache_flags_reach_the_policy(self):
-        from repro.cli import _build_fleet_service
-
-        args = build_parser().parse_args([
-            "fleet", "-p", "1", "-w", "1", "-n", "1",
-            "--segment-cache", "512", "--edge-cache", "64",
-        ])
-        service, _, _ = _build_fleet_service(args)
-        assert service.monitor.segment_cache is not None
-        assert service.monitor.policy.segment_cache_entries == 512
-        assert service.monitor.policy.edge_cache_entries == 64
+    def test_cache_flags_are_gone(self, capsys):
+        """``stats``, ``fleet`` and ``top`` no longer take the fast-path
+        cache flags; the parse error names the stale flag."""
+        parser = build_parser()
+        for argv in (["stats", "nginx"], ["fleet"], ["top"]):
+            for flag in ("--segment-cache", "--edge-cache"):
+                assert flag[2:].replace("-", "_") not in vars(
+                    parser.parse_args(argv)
+                )
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv + [flag, "512"])
+                assert exc.value.code == 2
+                assert flag in capsys.readouterr().err
 
     def test_fleet_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):

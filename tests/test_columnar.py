@@ -5,12 +5,13 @@ plus one batched edge check.  The suite holds it to two oracles — the
 packet-object decoder of ``tests/packet_reference.py`` (same TIP
 records, trailing stitch state, FUP addresses, packet counts,
 truncation flags, ``PacketError`` messages and charged cycles) and the
-per-edge loop of ``tests/searchindex_reference.py`` (same verdicts,
-cycles, memo state and ``promote`` invalidation) — on synthetic and real traces,
+per-edge loop of ``tests/searchindex_reference.py`` (same verdicts and
+cycles, ``promote`` included) — on synthetic and real traces,
 including every truncation cut and random corruption.  It also covers
-the segment cache, zero-copy slicing, the slow-path hand-off trim,
-corrupt and truncated middle segments, the full attack matrix, and a
-fleet run under fault injection.
+the tail walk against the quadratic re-decode loop it replaced,
+zero-copy slicing, the slow-path hand-off trim, corrupt and truncated
+middle segments, the full attack matrix, and a fleet run under fault
+injection.
 """
 
 import dataclasses
@@ -58,10 +59,8 @@ from repro.ipt.packets import (
     pack_tnt_sig,
     unpack_tnt_sig,
 )
-from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.itccfg import FlowSearchIndex
 from repro.monitor.fastpath import FastPathChecker, FastPathResult, Verdict
-from repro.monitor.policy import FlowGuardPolicy
 from repro.osmodel import Kernel, ProcessState
 from repro.pipeline import FlowGuardPipeline
 from repro.resilience import DegradationLedger, FaultPlan
@@ -80,8 +79,6 @@ from tests.packet_reference import (
 from tests.searchindex_reference import ReferenceSearchIndex
 
 LIBS = {"libsim.so": build_libsim()}
-SEG_ENTRIES = 64
-EDGE_ENTRIES = 1024
 
 
 @pytest.fixture(scope="module")
@@ -123,18 +120,13 @@ def snapshot_cuts(data, count=10):
     return list(range(step, len(data), step)) + [len(data)]
 
 
-def make_checker(pipeline, image, cached, **kwargs):
-    cache = SegmentDecodeCache(SEG_ENTRIES) if cached else None
-    index = FlowSearchIndex(
-        pipeline.labeled,
-        edge_cache_entries=EDGE_ENTRIES if cached else 0,
-    )
+def make_checker(pipeline, image, **kwargs):
+    index = FlowSearchIndex(pipeline.labeled)
     checker = FastPathChecker(
         index, image, pkt_count=kwargs.pop("pkt_count", 12),
-        require_cross_module=False, require_executable=False,
-        segment_cache=cache, **kwargs,
+        require_cross_module=False, require_executable=False, **kwargs,
     )
-    return checker, cache, index
+    return checker, index
 
 
 def fingerprint(result):
@@ -306,20 +298,14 @@ class TestPackedSigs:
 class TestCheckBatch:
     def _window(self, pipeline, trace, cut):
         data, image = trace
-        checker, _, _ = make_checker(pipeline, image, cached=False)
+        checker, _ = make_checker(pipeline, image)
         tail = checker.decode_tail_columnar(data[:cut])
         return tail.window(checker.pkt_count + 1)
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_matches_edge_loop(self, pipeline, trace, cached):
+    def test_matches_edge_loop(self, pipeline, trace):
         data, image = trace
-        entries = EDGE_ENTRIES if cached else 0
-        loop_index = ReferenceSearchIndex(
-            pipeline.labeled, edge_cache_entries=entries
-        )
-        batch_index = FlowSearchIndex(
-            pipeline.labeled, edge_cache_entries=entries
-        )
+        loop_index = ReferenceSearchIndex(pipeline.labeled)
+        batch_index = FlowSearchIndex(pipeline.labeled)
         for cut in snapshot_cuts(data):
             ips, sigs, _ = self._window(pipeline, trace, cut)
             want = loop_index.check_window(ips, sigs)
@@ -328,8 +314,6 @@ class TestCheckBatch:
             assert batch.checked == want.checked
             assert batch.low_credit == want.low_credit
             assert batch_index.cycles == loop_index.cycles
-            assert batch_index.memo_hits == loop_index.memo_hits
-            assert batch_index.memo_misses == loop_index.memo_misses
 
     def test_violation_early_stop(self, pipeline, trace):
         ips, sigs, _ = self._window(
@@ -350,16 +334,12 @@ class TestCheckBatch:
         )
         middle = len(ips) // 2
         promoted = (ips[middle - 1], ips[middle])
-        loop_index = ReferenceSearchIndex(
-            pipeline.labeled, edge_cache_entries=EDGE_ENTRIES
-        )
-        batch_index = FlowSearchIndex(
-            pipeline.labeled, edge_cache_entries=EDGE_ENTRIES
-        )
+        loop_index = ReferenceSearchIndex(pipeline.labeled)
+        batch_index = FlowSearchIndex(pipeline.labeled)
         loop_index.check_window(ips, sigs)
         batch_index.check_batch(ips, sigs)
         for index in (loop_index, batch_index):
-            index.promote(*promoted, unpack_tnt_sig(sigs[middle]))
+            index.promote(*promoted, sigs[middle])
         batch = batch_index.check_batch(ips, sigs)
         want = loop_index.check_window(ips, sigs)
         assert want.violation is None
@@ -438,19 +418,14 @@ def splice_truncated_segment(data, offsets, index):
 
 
 class TestCheckerParity:
-    """``check`` agrees with the per-edge reference loop, cached and
-    uncached, and degrades a broken middle segment to the clean suffix
-    after it."""
+    """``check`` agrees with the per-edge reference loop, and degrades
+    a broken middle segment to the clean suffix after it."""
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_snapshot_series(self, pipeline, trace, cached):
+    def test_snapshot_series(self, pipeline, trace):
         data, image = trace
-        checker, _, index = make_checker(pipeline, image, cached)
-        oracle, _, _ = make_checker(pipeline, image, cached)
-        oracle_index = ReferenceSearchIndex(
-            pipeline.labeled,
-            edge_cache_entries=EDGE_ENTRIES if cached else 0,
-        )
+        checker, index = make_checker(pipeline, image)
+        oracle, _ = make_checker(pipeline, image)
+        oracle_index = ReferenceSearchIndex(pipeline.labeled)
         for cut in snapshot_cuts(data, count=12):
             got = checker.check(data[:cut])
             want = reference_check(oracle, oracle_index, data[:cut])
@@ -465,7 +440,7 @@ class TestCheckerParity:
         decode of that suffix, rebased, and the charged cycles are that
         decode's."""
         data, image = trace
-        checker, _, _ = make_checker(pipeline, image, cached=False)
+        checker, _ = make_checker(pipeline, image)
         for cut in snapshot_cuts(data, count=6):
             tail = checker.decode_tail_columnar(data[:cut])
             start = tail.start
@@ -483,8 +458,8 @@ class TestCheckerParity:
     def _assert_resynced(self, pipeline, image, data, resync):
         ledger = DegradationLedger()
         # A huge pkt_count forces the backward walk down to the break.
-        checker, _, _ = make_checker(
-            pipeline, image, cached=False, pkt_count=10**6, ledger=ledger
+        checker, _ = make_checker(
+            pipeline, image, pkt_count=10**6, ledger=ledger
         )
         result = checker.check(data)
         assert result.corrupt_segments == 1
@@ -508,9 +483,7 @@ class TestCheckerParity:
         pos = begin + len(PSB_PATTERN) + (end - begin - len(PSB_PATTERN)) // 2
         corrupt = data[:pos - 8] + b"\xff" * 16 + data[pos + 8:]
         result = self._assert_resynced(pipeline, image, corrupt, end)
-        clean, _, _ = make_checker(
-            pipeline, image, cached=False, pkt_count=10**6
-        )
+        clean, _ = make_checker(pipeline, image, pkt_count=10**6)
         suffix = clean.decode_tail_columnar(corrupt[end:])
         assert result.decode_cycles == pytest.approx(
             suffix.cycles
@@ -533,7 +506,7 @@ class TestSlowPathHandOff:
         or before the checked window's first TIP onward: its packets are
         the whole tail's, cut at that PSB."""
         data, image = trace
-        checker, _, _ = make_checker(pipeline, image, cached=False)
+        checker, _ = make_checker(pipeline, image)
         for cut in snapshot_cuts(data, count=6):
             result = checker.check(data[:cut])
             source = result.slow_path_source()
@@ -586,12 +559,8 @@ class TestEngineOracle:
             max_queue_depth=1_000_000,
             faults=FaultPlan.standard_mix(seed=5),
         )
-        policy = FlowGuardPolicy(
-            segment_cache_entries=SEG_ENTRIES,
-            edge_cache_entries=EDGE_ENTRIES,
-        )
         with telemetry.capture():
-            service = FleetService(config, policy=policy)
+            service = FleetService(config)
             seed_server_fs(service.kernel)
             service.add_workload(
                 server_pipeline("nginx"), server_requests("nginx", 1)
@@ -620,72 +589,80 @@ class TestEngineOracle:
         assert self._faulted_fleet() == first
 
 
-class TestSegmentCacheDualShape:
-    """The segment cache's cost model, truncation rule and zero-copy
-    storage."""
+def reference_decode_tail(checker, data):
+    """The quadratic tail decode the walk replaced: re-decodes
+    ``data[start:]`` for every candidate start.  Kept here as the
+    behavioral oracle; returns ``(records, packets, cycles, start)`` in
+    stream offsets."""
+    offsets = psb_offsets(data)
+    if not offsets:
+        return [], [], 0.0, len(data)
 
-    def _segment(self, trace):
-        data, _ = trace
-        offsets = psb_offsets(data)
-        view = memoryview(data)
-        return view[offsets[0]:offsets[1]]
+    def decode_from(start):
+        result = fast_decode(data[start:])
+        records = [
+            dataclasses.replace(r, offset=r.offset + start)
+            for r in result.tip_records()
+        ]
+        packets = [
+            dataclasses.replace(p, offset=p.offset + start)
+            for p in result.packets
+        ]
+        return records, packets, result.cycles, start
 
-    def test_hit_cycles_match_object_path(self, trace):
-        segment = self._segment(trace)
-        size = len(segment)
-        cache = SegmentDecodeCache(8)
-        cache.decode_segment_columnar(segment)
-        _, hit_cycles = cache.decode_segment_columnar(segment)
-        assert hit_cycles == (
-            size * costs.SEGMENT_CACHE_HASH_CYCLES_PER_BYTE
-            + costs.SEGMENT_CACHE_PROBE_CYCLES
-        )
+    for start in reversed(offsets):
+        decoded = decode_from(start)
+        records = decoded[0]
+        if len(records) > checker.pkt_count and checker._spans_modules(
+            [r.ip for r in records[-(checker.pkt_count + 1):]]
+        ):
+            return decoded
+    return decode_from(offsets[0])
 
-    def test_miss_cycles_charge_scan(self, trace):
-        segment = self._segment(trace)
-        cache = SegmentDecodeCache(8)
-        seg, cycles = cache.decode_segment_columnar(segment)
-        assert cycles == (
-            len(segment) * costs.SEGMENT_CACHE_HASH_CYCLES_PER_BYTE
-            + seg.cycles
-        )
 
-    def test_truncated_never_cached(self, trace):
-        data, _ = trace
-        offsets = psb_offsets(data)
-        view = memoryview(data)
-        whole = view[offsets[0]:offsets[1]]
-        truncated = next(
-            whole[:cut] for cut in range(len(whole) - 1, 0, -1)
-            if columnar_scan(bytes(whole[:cut])).truncated
-        )
-        cache = SegmentDecodeCache(8)
-        seg, _ = cache.decode_segment_columnar(truncated)
-        assert seg.truncated
-        assert len(cache) == 0
-        cache.decode_segment_columnar(truncated)
-        assert cache.misses == 2 and cache.hits == 0
+def tail_views(checker, data):
+    """``decode_tail_columnar`` in the oracle's shape."""
+    tail = checker.decode_tail_columnar(data)
+    packets = packets_of(tail.slow_source().parts)
+    return tail_records(tail), packets, tail.cycles, tail.start
 
-    def test_cached_segment_is_zero_copy(self, trace):
-        data, _ = trace
-        segment = self._segment(trace)
-        cache = SegmentDecodeCache(8)
-        seg, _ = cache.decode_segment_columnar(segment)
-        assert isinstance(seg.data, memoryview)
-        assert seg.data.obj is data
 
-    def test_columnar_parallel_through_cache(self, trace):
-        """`columnar_decode_parallel` with a cache holds the packets of
-        a serial packet decode and reuses resident segments."""
-        data, _ = trace
-        cache = SegmentDecodeCache(SEG_ENTRIES)
-        first = columnar_decode_parallel(data, cache=cache)
-        second = columnar_decode_parallel(data, cache=cache)
-        reference = fast_decode(data).packets
-        assert packets_of(first.columns) == reference
-        assert packets_of(second.columns) == reference
-        assert first.cycles != second.cycles  # hits are cheaper
-        assert cache.hits > 0
+class TestIncrementalDecodeTail:
+    """The incremental tail walk is observationally identical to the
+    old quadratic loop — records, packets, charged cycles, start."""
+
+    def test_matches_reference_on_trace_cuts(self, pipeline, trace):
+        data, image = trace
+        checker, _ = make_checker(pipeline, image)
+        for cut in snapshot_cuts(data):
+            got = tail_views(checker, data[:cut])
+            want = reference_decode_tail(checker, data[:cut])
+            assert got[0] == want[0], f"records differ at cut {cut}"
+            assert got[1] == want[1], f"packets differ at cut {cut}"
+            assert got[2] == pytest.approx(want[2]), (
+                f"cycles differ at cut {cut}"
+            )
+            assert got[3] == want[3], f"start differs at cut {cut}"
+
+    def test_matches_reference_with_module_requirements(
+        self, pipeline, trace
+    ):
+        data, image = trace
+        checker, _ = make_checker(pipeline, image)
+        checker.require_cross_module = True
+        checker.require_executable = True
+        for cut in snapshot_cuts(data, count=5):
+            got = tail_views(checker, data[:cut])
+            want = reference_decode_tail(checker, data[:cut])
+            assert got[0] == want[0]
+            assert got[2] == pytest.approx(want[2])
+            assert got[3] == want[3]
+
+    def test_empty_and_psb_free_input(self, pipeline, trace):
+        _, image = trace
+        checker, _ = make_checker(pipeline, image)
+        assert tail_views(checker, b"") == ([], [], 0.0, 0)
+        assert tail_views(checker, b"\x00" * 16) == ([], [], 0.0, 16)
 
 
 class TestZeroCopy:
@@ -703,7 +680,7 @@ class TestZeroCopy:
         import repro.monitor.fastpath as fastpath
 
         monkeypatch.setattr(fastpath, "columnar_scan", spy)
-        checker, _, _ = make_checker(pipeline, image, cached=False)
+        checker, _ = make_checker(pipeline, image)
         checker.decode_tail_columnar(data)
         assert seen
         for segment in seen:
@@ -864,8 +841,7 @@ class TestPsbAlignment:
             for r in segment_records(columnar_scan(data[19:]))
         ] == [(0x400510, 17)]
 
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_encoder_stream_tail_walk_is_clean(self, cached):
+    def test_encoder_stream_tail_walk_is_clean(self):
         """An encoder-built stream with a PSB after every TIP to an
         address ending 0x0282: the fast path's backward tail walk must
         stitch every segment without a ``corrupt-segment``."""
@@ -887,8 +863,6 @@ class TestPsbAlignment:
         checker = FastPathChecker(
             None, None, pkt_count=10**6,
             require_cross_module=False, require_executable=False,
-            segment_cache=SegmentDecodeCache(SEG_ENTRIES) if cached
-            else None,
             ledger=ledger,
         )
         tail = checker.decode_tail_columnar(data)
@@ -1084,10 +1058,10 @@ def build_tail_stream(seed, segments=10, corrupt=None):
     return bytes(out)
 
 
-def reference_walk(data, pkt_count, cross_module, executable, cache=None):
+def reference_walk(data, pkt_count, cross_module, executable):
     """``FastPathChecker.decode_tail_columnar`` rebuilt on the packet
-    oracle: segments newest first, each decoded by ``fast_decode``
-    (charged what ``cache`` charges when one is given), stopping at a
+    oracle: segments newest first, each decoded by ``fast_decode``,
+    stopping at a
     corrupt or truncated middle segment, or once the tail holds more
     than ``pkt_count`` records and — judged once, on the newest
     ``pkt_count + 1`` — spans the required modules.  The window and
@@ -1111,20 +1085,14 @@ def reference_walk(data, pkt_count, cross_module, executable, cache=None):
         try:
             decoded = fast_decode(segment)
         except PacketError:
-            if cache is not None:
-                with pytest.raises(PacketError):
-                    cache.decode_segment_columnar(memoryview(segment))
             cycles += penalty
             corrupt += 1
             break
-        charge = decoded.cycles
-        if cache is not None:
-            charge = cache.decode_segment_columnar(memoryview(segment))[1]
         if decoded.truncated and end < size:
-            cycles += charge + penalty
+            cycles += decoded.cycles + penalty
             corrupt += 1
             break
-        cycles += charge
+        cycles += decoded.cycles
         entries.append((begin, segment))
         count += len(decoded.tip_records())
         start = begin
@@ -1168,23 +1136,21 @@ class TestOnePassTailWalk:
     first offset, the tail's start, charged cycles, entries and record
     count, and the corrupt-segment count — on random multi-segment
     streams cut at random points, with every span requirement (so
-    windows that fail it keep walking), corrupt and truncated middle
-    segments, and the segment cache off and on."""
+    windows that fail it keep walking), and corrupt and truncated
+    middle segments."""
 
     @staticmethod
-    def walk_checker(pkt_count, spans, cached):
+    def walk_checker(pkt_count, spans):
         return FastPathChecker(
             None, _StubImage(), pkt_count=pkt_count,
             require_cross_module=spans[0], require_executable=spans[1],
-            segment_cache=SegmentDecodeCache(SEG_ENTRIES) if cached
-            else None,
         )
 
-    def assert_walk(self, checker, data, ref_cache=None):
+    def assert_walk(self, checker, data):
         tail = checker.decode_tail_columnar(data)
         want = reference_walk(
             data, checker.pkt_count, checker.require_cross_module,
-            checker.require_executable, cache=ref_cache,
+            checker.require_executable,
         )
         assert tail.start == want["start"]
         assert tail.cycles == want["cycles"]
@@ -1199,36 +1165,28 @@ class TestOnePassTailWalk:
         assert tail_records(tail) == records
         return tail, want
 
-    @pytest.mark.parametrize("cached", [False, True], ids=["uncached",
-                                                           "cached"])
     @pytest.mark.parametrize("spans", WALK_SPANS)
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_tails(self, seed, spans, cached):
+    def test_random_tails(self, seed, spans):
         rng = random.Random(f"walk-{seed}-{spans}")
         data = build_tail_stream(seed, segments=rng.randint(3, 12))
-        checker = self.walk_checker(rng.randint(1, 24), spans, cached)
-        ref_cache = SegmentDecodeCache(SEG_ENTRIES) if cached else None
+        checker = self.walk_checker(rng.randint(1, 24), spans)
         cuts = sorted(rng.sample(range(1, len(data)), 8)) + [len(data)]
         walked = 0
-        for cut in cuts + cuts[-3:]:  # repeats: warm segment-cache hits
-            _, want = self.assert_walk(checker, data[:cut], ref_cache)
+        for cut in cuts:
+            _, want = self.assert_walk(checker, data[:cut])
             walked += len(want["entries"]) > 1
         assert walked, "no cut walked more than one segment"
 
-    @pytest.mark.parametrize("cached", [False, True], ids=["uncached",
-                                                           "cached"])
     @pytest.mark.parametrize("spans", WALK_SPANS)
-    def test_corrupt_middle_segment(self, spans, cached):
+    def test_corrupt_middle_segment(self, spans):
         for seed in range(4):
             data = build_tail_stream(100 + seed, segments=8, corrupt=3)
             offsets = psb_offsets(data)
             assert len(offsets) == 8
             for pkt_count in (1, 6, 10**6):
-                checker = self.walk_checker(pkt_count, spans, cached)
-                ref_cache = (
-                    SegmentDecodeCache(SEG_ENTRIES) if cached else None
-                )
-                _, want = self.assert_walk(checker, data, ref_cache)
+                checker = self.walk_checker(pkt_count, spans)
+                _, want = self.assert_walk(checker, data)
                 if pkt_count == 10**6:
                     # The walk reached the corruption: the window is
                     # the clean suffix after it.
@@ -1240,7 +1198,7 @@ class TestOnePassTailWalk:
         the tail starts at that segment and holds nothing."""
         for seed in range(3):
             data = build_tail_stream(150 + seed, segments=5, corrupt=4)
-            checker = self.walk_checker(4, (False, False), cached=False)
+            checker = self.walk_checker(4, (False, False))
             tail, want = self.assert_walk(checker, data)
             assert want["corrupt"] == 1 and not tail.entries
             assert tail.start == psb_offsets(data)[4]
@@ -1255,14 +1213,12 @@ class TestOnePassTailWalk:
             if PSB_PATTERN + PSB_PATTERN not in data:
                 continue
             hits += 1
-            checker = self.walk_checker(10**6, (False, False), cached=False)
+            checker = self.walk_checker(10**6, (False, False))
             tail, want = self.assert_walk(checker, data)
             assert want["corrupt"] == 0 and tail.start == 0
         assert hits
 
-    @pytest.mark.parametrize("cached", [False, True], ids=["uncached",
-                                                           "cached"])
-    def test_truncated_middle_segment(self, cached):
+    def test_truncated_middle_segment(self):
         stopped = 0
         for seed in range(4):
             data = build_tail_stream(200 + seed, segments=8)
@@ -1274,11 +1230,8 @@ class TestOnePassTailWalk:
                     )
                 except AssertionError:  # no clean mid-packet cut
                     continue
-                checker = self.walk_checker(10**6, (False, False), cached)
-                ref_cache = (
-                    SegmentDecodeCache(SEG_ENTRIES) if cached else None
-                )
-                _, want = self.assert_walk(checker, spliced, ref_cache)
+                checker = self.walk_checker(10**6, (False, False))
+                _, want = self.assert_walk(checker, spliced)
                 assert want["corrupt"] == 1
                 assert want["start"] == resync
                 stopped += 1
@@ -1293,7 +1246,7 @@ class TestOnePassTailWalk:
             stream.append(PSBEND_BYTE)
             encoded, _ = encode_ip_packet(TIP_HEADER, ip, 0)
             stream += encoded + encode_tnt((True,))
-        checker = self.walk_checker(2, (True, False), cached=False)
+        checker = self.walk_checker(2, (True, False))
         tail, want = self.assert_walk(checker, bytes(stream))
         assert tail.start == 0 and len(tail.entries) == 6
         assert tail.window(3)[0] == [None, 0x400030, None]
@@ -1305,7 +1258,7 @@ class TestOnePassTailWalk:
         either length — is the oracle's over the longer suffix."""
         data = build_tail_stream(300 + seed, segments=10)
         offsets = psb_offsets(data)
-        checker = self.walk_checker(3, (False, False), cached=False)
+        checker = self.walk_checker(3, (False, False))
         tail, want = self.assert_walk(checker, data)
         n = checker.pkt_count + 1
         assert tail.window(n) is tail.window(n)
@@ -1335,11 +1288,11 @@ class TestOnePassTailWalk:
             stream += PSB_PATTERN
             stream.append(PSBEND_BYTE)
             stream += encode_tnt((True, False))
-        checker = self.walk_checker(2, (False, False), cached=False)
+        checker = self.walk_checker(2, (False, False))
         tail, _ = self.assert_walk(checker, bytes(stream))
         assert tail.count == 0 and len(tail.entries) == 3
         assert tail.window(3) == ([], [], None)
-        checker = self.walk_checker(2, (False, False), cached=False)
+        checker = self.walk_checker(2, (False, False))
         self.assert_walk(checker, b"")
         self.assert_walk(checker, b"\x00" * 16)
 
@@ -1357,7 +1310,7 @@ class TestOnePassTailWalk:
             return real(tail, n)
 
         monkeypatch.setattr(ColumnarTail, "window", counting)
-        checker, _, _ = make_checker(pipeline, image, cached=False)
+        checker, _ = make_checker(pipeline, image)
         checker.require_cross_module = checker.require_executable = True
         for cut in snapshot_cuts(data, count=6):
             del builds[:]

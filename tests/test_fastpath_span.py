@@ -19,8 +19,8 @@ from repro.ipt.packets import TIP_HEADER, encode_ip_packet
 from repro.itccfg import FlowSearchIndex
 from repro.monitor.fastpath import FastPathChecker, module_ranges
 from repro.workloads import SERVER_BUILDERS, build_vdso
-from tests.test_fastpath_cache import snapshot_cuts
-from tests.test_fastpath_cache import pipeline, trace  # noqa: F401 (fixtures)
+from tests.test_columnar import snapshot_cuts
+from tests.test_columnar import pipeline, trace  # noqa: F401 (fixtures)
 
 FLAGS = [(True, True), (True, False), (False, True)]
 

@@ -98,7 +98,7 @@ class TestProcessRing:
         assert len(stream) == 18
         ring.topa.write(stream)
         assert ring.pmi_count == 1
-        assert ring.pending_loss() == 2
+        assert ring.pending_loss(ring.topa.snapshot()) == 2
 
         torn = ring.topa.snapshot()
         assert torn[0] == tnt[1]  # a packet tail, not a packet header
@@ -222,21 +222,15 @@ class TestFleetConfig:
     @pytest.mark.parametrize(
         "key", ["segment_cache_entries", "edge_cache_entries"]
     )
-    def test_cache_capacities_live_on_the_policy(self, key):
-        """A cache capacity is a policy field only: the old fleet key
-        fails as an unknown ``FleetConfig`` key instead of being
-        accepted and ignored, and a ``RunConfig`` policy's capacity
-        reaches the fleet's monitor."""
-        from repro.api import Fleet, FlowGuardPolicy, RunConfig
+    def test_cache_capacities_are_gone(self, key):
+        """The fast path has no optional caches: a capacity key fails
+        as unknown in either half of a ``RunConfig``."""
+        from repro.api import RunConfig
 
         with pytest.raises(ValueError, match="unknown FleetConfig keys"):
             RunConfig.from_dict({"fleet": {key: 512}})
-        service = Fleet.build(
-            RunConfig(policy=FlowGuardPolicy(**{key: 512}))
-        )
-        assert getattr(service.monitor.policy, key) == 512
-        if key == "segment_cache_entries":
-            assert service.monitor.segment_cache is not None
+        with pytest.raises(ValueError, match="unknown FlowGuardPolicy keys"):
+            RunConfig.from_dict({"policy": {key: 512}})
 
 
 class TestScaleSweep:
@@ -312,6 +306,75 @@ class TestFleetService:
         ).run()
         assert result.tasks == len(checks) > 0
         assert set(checks) == {(True, 0)}
+
+    @pytest.mark.parametrize("policy, drains", [
+        (RingPolicy.STALL, 4), (RingPolicy.LOSSY, 3),
+    ])
+    def test_a_drain_snapshots_the_ring_once(self, monkeypatch, policy,
+                                             drains):
+        """The stall, lossy and exit drain paths take one ToPA snapshot
+        per drain, shared by the check, the loss test and the drain
+        (they took three each before)."""
+        from repro.fleet.scheduler import RoundRobinScheduler
+
+        active = []
+        snapshots = []
+        real_snapshot = ToPA.snapshot
+
+        def snapshot(topa):
+            if active:
+                snapshots.append(active[-1])
+            return real_snapshot(topa)
+
+        def tracked(name):
+            real = getattr(RoundRobinScheduler, name)
+
+            def wrapper(scheduler, entry):
+                active.append(name)
+                try:
+                    return real(scheduler, entry)
+                finally:
+                    active.pop()
+
+            monkeypatch.setattr(RoundRobinScheduler, name, wrapper)
+
+        for name in ("_stall_for_drain", "_lossy_drain", "_retire"):
+            tracked(name)
+        monkeypatch.setattr(ToPA, "snapshot", snapshot)
+        service = build_fleet(
+            2, 2, sessions=1, policy=policy, ring_bytes=1024,
+        )
+        service.run()
+        checks = [
+            task for task in service.dispatcher.tasks
+            if task.kind in ("pmi-drain", "exit-drain")
+        ]
+        assert len(snapshots) == len(checks) == drains
+        assert any(task.kind == "pmi-drain" for task in checks)
+
+    def test_stall_rings_keep_the_ledger_exact(self):
+        """Two nginx processes on stall rings with an unbounded queue:
+        every check reconciles with the worker ledger, and the clean
+        fleet finishes clean."""
+        config = FleetConfig(
+            workers=2,
+            ring_policy=RingPolicy.STALL,
+            max_queue_depth=1_000_000,
+        )
+        with telemetry.capture():
+            service = FleetService(config)
+            seed_server_fs(service.kernel)
+            for name in ("nginx", "nginx"):
+                service.add_workload(
+                    server_pipeline(name), server_requests(name, 1)
+                )
+            result = service.run()
+        assert result.accounting["exact"], result.accounting
+        assert result.detections == 0
+        assert result.quarantined_pids == []
+        assert {task.verdict for task in service.dispatcher.tasks} == {
+            "pass"
+        }
 
     def test_same_seed_same_everything(self):
         first = build_fleet(2, 2, sessions=1).run()

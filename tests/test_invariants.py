@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ipt.packets import pack_tnt_sig
 from repro.ipt.topa import ToPA, ToPARegion
 from repro.itccfg import (
     CreditLabeledITC,
@@ -75,8 +76,8 @@ def labeled_graphs(draw):
         st.lists(st.sampled_from(edges), max_size=len(edges))
     )
     for src, dst, _ in trained:
-        tnt = tuple(draw(st.lists(st.booleans(), max_size=4)))
-        labeled.observe_pair(src, dst, tnt)
+        tnt = draw(st.lists(st.booleans(), max_size=4))
+        labeled.observe_pair(src, dst, pack_tnt_sig(tnt))
     return labeled
 
 

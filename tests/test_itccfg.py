@@ -25,7 +25,7 @@ from repro.binary import Loader
 from repro.cpu import Executor, Machine, PROT_READ, PROT_WRITE
 from repro.ipt import IPTConfig, IPTEncoder, ToPA, ToPARegion, columnar_scan
 from repro.ipt.msr import RTIT_CTL
-from repro.ipt.packets import unpack_tnt_sig
+from repro.ipt.packets import pack_tnt_sig as packed
 from repro.itccfg import (
     CreditLabeledITC,
     CreditLevel,
@@ -180,51 +180,54 @@ class TestCredits:
     def test_observe_trace_labels_edges(self):
         labeled = self.make_labeled()
         count = labeled.observe_trace(
-            [(0x100, ()), (0x200, (True,)), (0x300, (False, True))]
+            [(0x100, packed(())), (0x200, packed((True,))),
+             (0x300, packed((False, True)))]
         )
         assert count == 2
         assert labeled.credit_of(0x100, 0x200) is CreditLevel.HIGH
         assert labeled.credit_of(0x100, 0x300) is CreditLevel.LOW
-        assert labeled.tnt_matches(0x200, 0x300, (False, True))
-        assert not labeled.tnt_matches(0x200, 0x300, (True, True))
+        assert labeled.tnt_matches(0x200, 0x300, packed((False, True)))
+        assert not labeled.tnt_matches(0x200, 0x300, packed((True, True)))
         assert 0x100 in labeled.trained_entry_nodes
 
     def test_observe_unknown_edge_strict(self):
         labeled = self.make_labeled()
         with pytest.raises(UnknownEdge):
-            labeled.observe_pair(0x300, 0x100, ())
+            labeled.observe_pair(0x300, 0x100, packed(()))
 
     def test_observe_unknown_edge_lenient(self):
         labeled = self.make_labeled()
-        labeled.observe_pair(0x300, 0x100, (), strict=False)
+        labeled.observe_pair(0x300, 0x100, packed(()), strict=False)
         assert labeled.credit_of(0x300, 0x100) is CreditLevel.LOW
 
     def test_trained_ratio(self):
         labeled = self.make_labeled()
         assert labeled.trained_ratio() == 0.0
-        labeled.observe_pair(0x100, 0x200, ())
+        labeled.observe_pair(0x100, 0x200, packed(()))
         assert labeled.trained_ratio() == pytest.approx(1 / 3)
 
     def test_promote_caches_slow_path_negative(self):
         labeled = self.make_labeled()
-        labeled.promote(0x100, 0x300, (True,))
+        labeled.promote(0x100, 0x300, packed((True,)))
         assert labeled.credit_of(0x100, 0x300) is CreditLevel.HIGH
-        assert labeled.tnt_matches(0x100, 0x300, (True,))
+        assert labeled.tnt_matches(0x100, 0x300, packed((True,)))
 
     def test_promote_records_an_empty_run(self):
         # The slow path confirms pairs with no TNT bits between their
         # TIPs; the edge must trust that run and no other.
         labeled = self.make_labeled()
-        labeled.promote(0x100, 0x300, ())
+        labeled.promote(0x100, 0x300, packed(()))
         assert labeled.credit_of(0x100, 0x300) is CreditLevel.HIGH
-        assert labeled.tnt_matches(0x100, 0x300, ())
-        assert not labeled.tnt_matches(0x100, 0x300, (True,))
+        assert labeled.tnt_matches(0x100, 0x300, packed(()))
+        assert not labeled.tnt_matches(0x100, 0x300, packed((True,)))
 
 
 class TestSearchIndex:
     def make_index(self):
         labeled = TestCredits().make_labeled()
-        labeled.observe_trace([(0x100, ()), (0x200, (True,))])
+        labeled.observe_trace(
+            [(0x100, packed(())), (0x200, packed((True,)))]
+        )
         return FlowSearchIndex(labeled)
 
     def test_hot_cache_hit(self):
@@ -270,7 +273,8 @@ class TestSerialization:
     def test_roundtrip(self):
         labeled = TestCredits().make_labeled()
         labeled.observe_trace(
-            [(0x100, ()), (0x200, (True, False)), (0x300, ())]
+            [(0x100, packed(())), (0x200, packed((True, False))),
+             (0x300, packed(()))]
         )
         data = itccfg_to_dict(labeled)
         back = itccfg_from_dict(data)
@@ -279,7 +283,8 @@ class TestSerialization:
             (e.src, e.dst) for e in labeled.itc.edges
         }
         assert back.credit_of(0x100, 0x200) is CreditLevel.HIGH
-        assert back.tnt_matches(0x200, 0x300, ())
+        assert back.tnt_matches(0x200, 0x300, packed(()))
+        assert back.labels == labeled.labels
         assert back.trained_entry_nodes == labeled.trained_entry_nodes
 
     def test_memory_bytes(self):
@@ -391,7 +396,7 @@ class TestITCSoundness:
         labeled = CreditLabeledITC(itc=itc)
         seg = columnar_scan(encoder.output.snapshot())
         ips, sigs = seg.ip_column(), seg.sig_column()
-        labeled.observe_trace(zip(ips, map(unpack_tnt_sig, sigs)))
+        labeled.observe_trace(zip(ips, sigs))
         index = FlowSearchIndex(labeled)
         # Replaying the same trace must be all high-credit hits.
         result = index.check_batch(ips, sigs)

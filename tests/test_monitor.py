@@ -181,8 +181,6 @@ class TestPolicy:
             "cache_slow_path_negatives": False,
             "path_sensitive": True,
             "psb_period": 256,
-            "segment_cache_entries": 32,
-            "edge_cache_entries": 64,
         }
         default = FlowGuardPolicy()
         # A new policy field must be added here, with a non-default value.

@@ -10,9 +10,9 @@ The contracts under test, per subsystem:
 - **retry** — the backoff schedule is closed-form and asserted to the
   cycle, including the dispatcher's actual dispatch times under
   scheduled crashes, hedged hangs, and dead-lettering.
-- **degradation** — a corrupted PSB segment never lands in the
-  content-addressed ``SegmentDecodeCache``; the decode re-syncs at the
-  next PSB and never fabricates a violation; fast-path fallbacks
+- **degradation** — a corrupted PSB segment stops the tail decode,
+  which re-syncs at the next PSB and never fabricates a violation;
+  fast-path fallbacks
   deliver the slow-path oracle's verdict (clean traffic passes, the
   attack matrix still detects).
 - **ledger** — the ledger's wasted cycles balance exactly against the
@@ -39,8 +39,6 @@ from repro.fleet.rings import RingPolicy
 from repro.fleet.service import FleetConfig, FleetService
 from repro.fleet.workers import CheckTask, SimulatedWorkerPool
 from repro.ipt.columnar import psb_offsets
-from repro.ipt.packets import PSB_PATTERN, PacketError
-from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.itccfg import FlowSearchIndex
 from repro.monitor.fastpath import FastPathChecker, Verdict
 from repro.monitor.policy import FlowGuardPolicy
@@ -57,9 +55,6 @@ from repro.resilience import (
 from repro.workloads import build_libsim, build_nginx, build_vdso, nginx_request
 
 LIBS = {"libsim.so": build_libsim()}
-
-SEG_ENTRIES = 64
-EDGE_ENTRIES = 1024
 
 
 @pytest.fixture(scope="module")
@@ -370,21 +365,11 @@ class TestDegradedLane:
         assert pool.free_at == [0.0, 200.0]
 
 
-class TestCorruptSegmentNeverCached:
-    """Drain corruption degrades the check, never poisons the cache."""
+class TestCorruptSegmentRecovery:
+    """Drain corruption degrades the check: the tail decode re-syncs at
+    the next PSB and never fabricates a violation."""
 
-    def test_cache_never_stores_undecodable_segment(self):
-        cache = SegmentDecodeCache(8)
-        segment = PSB_PATTERN + b"\xff" * 16
-        for _ in range(2):
-            with pytest.raises(PacketError):
-                cache.decode_segment_columnar(segment)
-        assert len(cache) == 0
-        assert cache.hits == 0
-
-    def test_corrupt_segment_bypasses_cache_and_resyncs(
-        self, pipeline, trace
-    ):
+    def test_corrupt_segment_resyncs(self, pipeline, trace):
         data, image = trace
         offsets = psb_offsets(data)
         assert len(offsets) >= 3
@@ -395,47 +380,27 @@ class TestCorruptSegmentNeverCached:
         pos = begin + (end - begin - 16) // 2
         corrupt = data[:pos] + b"\xff" * 16 + data[pos + 16:]
         ledger = DegradationLedger()
-        cache = SegmentDecodeCache(SEG_ENTRIES)
-        index = FlowSearchIndex(
-            pipeline.labeled, edge_cache_entries=EDGE_ENTRIES
-        )
         # A huge pkt_count forces the backward scan all the way down to
         # the corrupted segment.
         checker = FastPathChecker(
-            index, image, pkt_count=10**6,
+            FlowSearchIndex(pipeline.labeled), image, pkt_count=10**6,
             require_cross_module=False, require_executable=False,
-            segment_cache=cache, ledger=ledger,
+            ledger=ledger,
         )
         tail = checker.decode_tail_columnar(corrupt)
         assert checker.last_corrupt_segments == 1
         # The scan re-synced at the PSB *after* the corruption.
         assert tail.start == offsets[mid + 1]
         assert tail.count
-        # The corrupted segment is not resident (the cache is keyed by
-        # segment content)...
-        assert corrupt[begin:end] not in cache._store
-        # ...and everything resident is one of the clean segments that
-        # follow the corruption.
-        clean = {
-            corrupt[bounds[i]:bounds[i + 1]]
-            for i in range(mid + 1, len(offsets))
-        }
-        assert set(cache._store) <= clean
         assert ledger.count("corrupt-segment") == 1
-        assert ledger.count("cache-bypass") == 1
         assert ledger.count("psb-resync") == 1
 
     def test_corruption_never_fabricates_violation(self, pipeline, trace):
         data, image = trace
         offsets = psb_offsets(data)
-        cache = SegmentDecodeCache(SEG_ENTRIES)
-        index = FlowSearchIndex(
-            pipeline.labeled, edge_cache_entries=EDGE_ENTRIES
-        )
         checker = FastPathChecker(
-            index, image, pkt_count=12,
+            FlowSearchIndex(pipeline.labeled), image, pkt_count=12,
             require_cross_module=False, require_executable=False,
-            segment_cache=cache,
         )
         # Corrupt every segment head in turn; no cut may conjure a
         # violation out of a benign trace.
@@ -692,7 +657,7 @@ class TestPublicFacade:
 
     def test_run_config_round_trips_through_json(self):
         config = RunConfig(
-            policy=FlowGuardPolicy(segment_cache_entries=128),
+            policy=FlowGuardPolicy(pkt_count=24, check_on_pmi=True),
             fleet=FleetConfig(
                 workers=3,
                 ring_policy=RingPolicy.LOSSY,

@@ -40,7 +40,6 @@ from repro.ipt.packets import (
     encode_tnt,
     pack_tnt_sig,
 )
-from repro.ipt.segment_cache import SegmentDecodeCache
 from repro.monitor.flowguard import FlowGuardMonitor
 from repro.osmodel import Kernel
 from tests.packet_reference import PacketCursor, fast_decode
@@ -233,12 +232,7 @@ class TestSignatureColumn:
         data = build_stream(seed, packets=200) + tnt_run_stream(
             seed, [63, 200, 62, 1]
         )
-        cache = SegmentDecodeCache(4)
-        fresh = columnar_scan(data)
-        miss, _ = cache.decode_segment_columnar(memoryview(data))
-        hit, _ = cache.decode_segment_columnar(memoryview(data))
-        assert cache.hits == 1
-        for seg in (fresh, miss, hit):
+        for seg in (columnar_scan(data), columnar_scan(memoryview(data))):
             assert seg.sig_column() == [
                 _bits_sig(seg.tnt_bits, start, end)
                 for start, end in zip(seg.rec_bit_start, seg.rec_bit_end)
@@ -434,23 +428,19 @@ class TestPolicyKnobs:
                 cls(slow_lane=lane)
 
     def test_with_endpoints_carries_knobs(self):
-        """A clone keeps the cache and PSB knobs, survives a dict round
-        trip, and grows no stale engine/lane/kernel key."""
+        """A clone keeps the PSB knob, survives a dict round trip, and
+        grows no stale engine/lane/kernel key."""
         from repro.monitor.policy import FlowGuardPolicy
 
-        policy = FlowGuardPolicy(
-            psb_period=256, segment_cache_entries=8, edge_cache_entries=16
-        )
+        policy = FlowGuardPolicy(psb_period=256)
         clone = policy.with_endpoints(0x400010)
-        assert (clone.psb_period, clone.segment_cache_entries,
-                clone.edge_cache_entries) == (256, 8, 16)
+        assert clone.psb_period == 256
         assert FlowGuardPolicy.from_dict(clone.to_dict()) == clone
         assert not set(self.STALE) & set(clone.to_dict())
 
     def test_fleet_config_knobs(self):
         """The fleet config carries no checking knob: without a policy
-        the fleet runs the default one, and cache sizes come from the
-        policy alone."""
+        the fleet runs the default one, and it takes no cache size."""
         from repro.fleet.service import FleetConfig, FleetService
         from repro.monitor.policy import FlowGuardPolicy
 

@@ -7,18 +7,22 @@ places that shape replaced an object path to the oracles kept in
 
 - :meth:`FlowSearchIndex.check_batch` against the per-edge walk of
   ``tests/searchindex_reference.py``, on tail windows captured from all
-  four servers, with the edge memo on and off and ``promote`` calls
-  interleaved: violation edge, ``checked``, ``low_credit``, charged
-  cycles, memo hits / misses / invalidations and ``memory_bytes()``.
+  four servers, with ``promote`` calls interleaved: violation edge,
+  ``checked``, ``low_credit``, charged cycles and ``memory_bytes()``.
   A fully trusted window must take the one-pass membership sweep, and
   every window it cannot judge (an untrusted pair anywhere, a ``None``
-  ip, memo on) the per-edge loop, with the same outcome and charge;
+  ip) the per-edge loop, with the same outcome and charge;
 - the slow path's ``confirmed_pairs``, built from the window columns,
   against the pairs of the packet-object decode of
   ``tests/packet_reference.py`` — including stitched multi-segment
-  tails, where a TNT run straddles a PSB.
+  tails, where a TNT run straddles a PSB;
+- serialised graphs: ``itccfg_to_dict`` output pinned byte for byte
+  for all four trained servers, and a round trip through
+  ``itccfg_from_dict`` that keeps every packed label.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -30,7 +34,7 @@ from repro.experiments.common import (
     server_pipeline,
     server_requests,
 )
-from repro.ipt.packets import pack_tnt_sig, unpack_tnt_sig
+from repro.ipt.packets import pack_tnt_sig
 from repro.itccfg import FlowSearchIndex, ITCEdge
 from repro.itccfg import searchindex
 from repro.itccfg.serialize import itccfg_from_dict, itccfg_to_dict
@@ -40,8 +44,6 @@ from repro.monitor.slowpath import SlowPathEngine
 from repro.osmodel import Kernel
 from tests.packet_reference import fast_decode
 from tests.searchindex_reference import ReferenceSearchIndex
-
-EDGE_ENTRIES = 64  # small enough to evict within one server's windows
 
 
 @pytest.fixture(scope="module")
@@ -101,29 +103,24 @@ def windows(captures, server, pkt_count=30):
 
 def assert_same_state(batch_index, ref_index):
     assert batch_index.cycles == ref_index.cycles
-    assert batch_index.edge_cache_stats() == ref_index.edge_cache_stats()
     assert batch_index.memory_bytes() == ref_index.memory_bytes()
 
 
 @pytest.mark.parametrize("server", SERVER_NAMES)
-@pytest.mark.parametrize("memo", [0, EDGE_ENTRIES], ids=["memo-off",
-                                                          "memo-on"])
 @pytest.mark.parametrize("thin", [False, True], ids=["trained", "thinned"])
-def test_check_batch_matches_edge_walk(captures, server, memo, thin):
+def test_check_batch_matches_edge_walk(captures, server, thin):
     labeled = private_labeled(server, thin)
-    batch_index = FlowSearchIndex(labeled, edge_cache_entries=memo)
-    ref_index = ReferenceSearchIndex(labeled, edge_cache_entries=memo)
-    rng = random.Random(f"{server}-{memo}-{thin}")
+    batch_index = FlowSearchIndex(labeled)
+    ref_index = ReferenceSearchIndex(labeled)
+    rng = random.Random(f"{server}-{thin}")
     promotions = 0
     for ips, sigs in windows(captures, server):
-        # Every window twice: the second pass is memo-hit dominated.
-        for _ in range(2):
-            got = batch_index.check_batch(ips, sigs)
-            want = ref_index.check_window(ips, sigs)
-            assert (got.violation, got.checked, got.low_credit) == (
-                want.violation, want.checked, want.low_credit
-            )
-            assert_same_state(batch_index, ref_index)
+        got = batch_index.check_batch(ips, sigs)
+        want = ref_index.check_window(ips, sigs)
+        assert (got.violation, got.checked, got.low_credit) == (
+            want.violation, want.checked, want.low_credit
+        )
+        assert_same_state(batch_index, ref_index)
         # Interleave the slow path's negative caching: promote through
         # both indexes, or — as another process sharing the labelling
         # would — through the labelling alone.
@@ -132,25 +129,21 @@ def test_check_batch_matches_edge_walk(captures, server, memo, thin):
                 i for i in range(1, len(ips))
                 if (ips[i - 1], ips[i]) == (src, dst)
             )
-            tnt = unpack_tnt_sig(sigs[position])
-            labeled.promote(src, dst, tnt)
+            sig = sigs[position]
+            labeled.promote(src, dst, sig)
             if rng.random() < 0.7:
-                batch_index.promote(src, dst, tnt)
-                ref_index.promote(src, dst, tnt)
+                batch_index.promote(src, dst, sig)
+                ref_index.promote(src, dst, sig)
             promotions += 1
             assert_same_state(batch_index, ref_index)
     if thin:
         assert promotions, "thinned labels must leave edges to promote"
-    if memo:
-        assert batch_index.memo_hits > 0
 
 
-@pytest.mark.parametrize("memo", [0, EDGE_ENTRIES], ids=["memo-off",
-                                                          "memo-on"])
-def test_violation_stops_both_at_the_same_pair(captures, memo):
+def test_violation_stops_both_at_the_same_pair(captures):
     labeled = private_labeled("nginx", thin=False)
-    batch_index = FlowSearchIndex(labeled, edge_cache_entries=memo)
-    ref_index = ReferenceSearchIndex(labeled, edge_cache_entries=memo)
+    batch_index = FlowSearchIndex(labeled)
+    ref_index = ReferenceSearchIndex(labeled)
     for ips, sigs in windows(captures, "nginx"):
         if len(ips) < 4:
             continue
@@ -163,10 +156,8 @@ def test_violation_stops_both_at_the_same_pair(captures, memo):
         assert_same_state(batch_index, ref_index)
 
 
-@pytest.mark.parametrize("memo", [0, EDGE_ENTRIES], ids=["memo-off",
-                                                          "memo-on"])
 @pytest.mark.parametrize("shape", ["trained-src", "none-src", "untrained-src"])
-def test_ip_suppressed_tip_fails_closed(memo, shape):
+def test_ip_suppressed_tip_fails_closed(shape):
     """An IP-suppressed TIP puts a None ip in the window.  The pair it
     ends or starts is out of graph (a violation at that pair), charged
     what an untrained source pays: the credit probe plus the source
@@ -174,8 +165,8 @@ def test_ip_suppressed_tip_fails_closed(memo, shape):
     from repro import costs
 
     labeled = private_labeled("nginx", thin=False)
-    batch_index = FlowSearchIndex(labeled, edge_cache_entries=memo)
-    ref_index = ReferenceSearchIndex(labeled, edge_cache_entries=memo)
+    batch_index = FlowSearchIndex(labeled)
+    ref_index = ReferenceSearchIndex(labeled)
     trained = 0x400000
     assert trained in batch_index._src_arr
     ips = {
@@ -186,20 +177,16 @@ def test_ip_suppressed_tip_fails_closed(memo, shape):
     sigs = [1, pack_tnt_sig((True,))]
     src_probes = max(1, len(batch_index._src_arr).bit_length())
     want_cycles = (
-        (costs.EDGE_CACHE_PROBE_CYCLES if memo else 0)
-        + costs.CREDIT_CACHE_PROBE_CYCLES
+        costs.CREDIT_CACHE_PROBE_CYCLES
         + src_probes * costs.SEARCH_PROBE_CYCLES
     )
-    for _ in range(2):  # the second pass is a memo hit when memo is on
-        before = batch_index.cycles
-        got = batch_index.check_batch(ips, sigs)
-        want = ref_index.check_window(ips, sigs)
-        assert got.violation == want.violation == tuple(ips)
-        assert got.checked == want.checked == 1
-        assert got.low_credit == want.low_credit == []
-        assert_same_state(batch_index, ref_index)
-        if not memo or not batch_index.memo_hits:
-            assert batch_index.cycles - before == want_cycles
+    got = batch_index.check_batch(ips, sigs)
+    want = ref_index.check_window(ips, sigs)
+    assert got.violation == want.violation == tuple(ips)
+    assert got.checked == want.checked == 1
+    assert got.low_credit == want.low_credit == []
+    assert_same_state(batch_index, ref_index)
+    assert batch_index.cycles == want_cycles
 
 
 def test_ip_suppressed_tip_mid_window(captures):
@@ -254,27 +241,21 @@ def assert_same_outcome(got, want):
 
 
 @pytest.mark.parametrize("server", SERVER_NAMES)
-@pytest.mark.parametrize("memo", [0, EDGE_ENTRIES], ids=["memo-off",
-                                                          "memo-on"])
-def test_trusted_window_takes_the_sweep(captures, server, memo):
-    """With the memo off a fully trusted window is one sweep; with it
-    on, the per-edge loop, so the memo counts every pair."""
+def test_trusted_window_takes_the_sweep(captures, server):
+    """A fully trusted window is one sweep: the per-edge loop never
+    indexes its signatures."""
     labeled = private_labeled(server, thin=False)
-    batch_index = FlowSearchIndex(labeled, edge_cache_entries=memo)
-    ref_index = ReferenceSearchIndex(labeled, edge_cache_entries=memo)
+    batch_index = FlowSearchIndex(labeled)
+    ref_index = ReferenceSearchIndex(labeled)
     clean = trusted_windows(labeled, server, captures)
     assert clean, f"{server}: no fully trusted window captured"
-    pairs = 0
     for ips, sigs in clean:
         counted = CountingSigs(sigs)
         got = batch_index.check_batch(ips, counted)
-        assert counted.reads == (len(ips) - 1 if memo else 0)
+        assert counted.reads == 0
         assert_same_outcome(got, ref_index.check_window(ips, sigs))
         assert got.checked == len(ips) - 1
         assert_same_state(batch_index, ref_index)
-        pairs += len(ips) - 1
-    if memo:
-        assert batch_index.memo_hits + batch_index.memo_misses == pairs
 
 
 def test_promoted_window_takes_the_sweep(captures):
@@ -292,10 +273,10 @@ def test_promoted_window_takes_the_sweep(captures):
         for position in range(1, len(ips)):
             pair = (ips[position - 1], ips[position])
             if pair in got.low_credit:
-                tnt = unpack_tnt_sig(sigs[position])
-                labeled.promote(*pair, tnt)
-                batch_index.promote(*pair, tnt)
-                ref_index.promote(*pair, tnt)
+                sig = sigs[position]
+                labeled.promote(*pair, sig)
+                batch_index.promote(*pair, sig)
+                ref_index.promote(*pair, sig)
         counted = CountingSigs(sigs)
         again = batch_index.check_batch(ips, counted)
         assert counted.reads == 0, "a promoted window left the sweep"
@@ -309,14 +290,12 @@ def test_promoted_window_takes_the_sweep(captures):
 def untrained_sig(labeled, src, dst):
     """A TNT signature never seen on ``src -> dst``."""
     sig = pack_tnt_sig((True, False) * 20)
-    while labeled.tnt_matches(src, dst, unpack_tnt_sig(sig)):
+    while labeled.tnt_matches(src, dst, sig):
         sig += 1
     return sig
 
 
-@pytest.mark.parametrize("memo", [0, EDGE_ENTRIES], ids=["memo-off",
-                                                          "memo-on"])
-def test_untrusted_pair_at_every_position_falls_back(captures, memo):
+def test_untrusted_pair_at_every_position_falls_back(captures):
     labeled = private_labeled("nginx", thin=False)
     ips, sigs = max(trusted_windows(labeled, "nginx", captures),
                     key=lambda window: len(window[0]))
@@ -332,10 +311,8 @@ def test_untrusted_pair_at_every_position_falls_back(captures, memo):
                 window_ips[position] = (
                     0xDEAD0000 if shape == "off-graph" else None
                 )
-            batch_index = FlowSearchIndex(labeled, edge_cache_entries=memo)
-            ref_index = ReferenceSearchIndex(
-                labeled, edge_cache_entries=memo
-            )
+            batch_index = FlowSearchIndex(labeled)
+            ref_index = ReferenceSearchIndex(labeled)
             counted = CountingSigs(window_sigs)
             got = batch_index.check_batch(window_ips, counted)
             want = ref_index.check_window(window_ips, window_sigs)
@@ -356,8 +333,7 @@ def test_probe_costs_are_half_cycle_multiples():
     """The sweep charges a whole window in one add; that equals the
     per-pair sum exactly only while every ``check_batch`` charge is a
     multiple of 0.5 cycles."""
-    for name in ("CREDIT_CACHE_PROBE_CYCLES", "SEARCH_PROBE_CYCLES",
-                 "EDGE_CACHE_PROBE_CYCLES"):
+    for name in ("CREDIT_CACHE_PROBE_CYCLES", "SEARCH_PROBE_CYCLES"):
         value = getattr(costs, name)
         assert (value * 2).is_integer(), f"{name} = {value!r}"
 
@@ -384,9 +360,9 @@ class TestEmptyRunPromotion:
         sharing = FlowSearchIndex(labeled)
         ref_promoting = ReferenceSearchIndex(labeled)
         ref_sharing = ReferenceSearchIndex(labeled)
-        labeled.promote(src, dst, ())
-        promoting.promote(src, dst, ())
-        ref_promoting.promote(src, dst, ())
+        labeled.promote(src, dst, 1)
+        promoting.promote(src, dst, 1)
+        ref_promoting.promote(src, dst, 1)
         fresh = FlowSearchIndex(labeled)
         ref_fresh = ReferenceSearchIndex(labeled)
         return (src, dst), [
@@ -424,9 +400,11 @@ def test_memory_bytes_matches_reference(server):
     assert batch_index.memory_bytes() == ref_index.memory_bytes()
     edges = sorted({(e.src, e.dst) for e in labeled.itc.edges})[:20]
     for number, (src, dst) in enumerate(edges):
-        tnt = tuple(bool(number >> bit & 1) for bit in range(number % 9))
+        sig = pack_tnt_sig(
+            bool(number >> bit & 1) for bit in range(number % 9)
+        )
         for index in (batch_index, ref_index):
-            index.promote(src, dst, tnt)
+            index.promote(src, dst, sig)
         assert batch_index.memory_bytes() == ref_index.memory_bytes()
 
 
@@ -456,7 +434,7 @@ def test_confirmed_pairs_match_packet_oracle(captures, server):
         )
         assert slow.ok, slow.reason
         assert slow.confirmed_pairs == [
-            (prev.ip, cur.ip, cur.tnt_before)
+            (prev.ip, cur.ip, pack_tnt_sig(cur.tnt_before))
             for prev, cur in zip(window, window[1:])
         ]
         # Window records whose TNT run began in an earlier segment.
@@ -478,12 +456,12 @@ class TestSharedTables:
     none made after, and never a sibling's own ``promote``."""
 
     @staticmethod
-    def probe(labeled, src, dst, tnt):
+    def probe(labeled, src, dst, sig):
         """A fresh index and a fresh reference over ``labeled`` now,
-        with the one-pair window ``src -> dst`` over ``tnt``."""
+        with the one-pair window ``src -> dst`` over the run ``sig``."""
         return (
             FlowSearchIndex(labeled), ReferenceSearchIndex(labeled),
-            [src, dst], [1, pack_tnt_sig(tnt)],
+            [src, dst], [1, sig],
         )
 
     @staticmethod
@@ -507,7 +485,7 @@ class TestSharedTables:
                                           "add_edge"])
     def test_an_index_sees_exactly_the_changes_before_it(self, mutation):
         labeled = private_labeled("nginx", thin=True)
-        tnt = (True, False)
+        tnt = pack_tnt_sig((True, False))
         if mutation == "add_edge":
             src, dst = labeled.itc.edges[0].src, 0xDEAD0000
         else:
@@ -541,7 +519,7 @@ class TestSharedTables:
     def test_a_sibling_promote_stays_its_own(self):
         labeled = private_labeled("nginx", thin=True)
         src, dst = self.unlabelled_edge(labeled)
-        tnt = (False,)
+        tnt = pack_tnt_sig((False,))
         promoting, ref_promoting, ips, sigs = self.probe(
             labeled, src, dst, tnt
         )
@@ -608,8 +586,8 @@ class TestSharedTables:
         expected = 0
         for mutate in (
             lambda: None,
-            lambda: labeled.promote(src, dst, (True,)),
-            lambda: labeled.observe_pair(src, dst, (False,)),
+            lambda: labeled.promote(src, dst, pack_tnt_sig((True,))),
+            lambda: labeled.observe_pair(src, dst, pack_tnt_sig((False,))),
             lambda: labeled.itc.add_edge(ITCEdge(src, 0xBEEF0000, 0)),
             lambda: setattr(labeled, "itc", itccfg_from_dict(
                 itccfg_to_dict(labeled)
@@ -620,3 +598,57 @@ class TestSharedTables:
             for _ in range(3):
                 FlowSearchIndex(labeled)
             assert len(builds) == expected
+
+
+#: sha256 of ``json.dumps(itccfg_to_dict(labeled))`` for each server's
+#: freshly trained labelling: the serialised form is pinned byte for
+#: byte, whatever the labels hold in memory.
+SERIALISED_GRAPH_SHA256 = {
+    "nginx":
+        "1c19daaa80d0da1bdbac58eedb3f9228416da65866f74d4ad92f5a393ad8cfe1",
+    "vsftpd":
+        "fe8e3807326bdfce1bbabab3a4d5fe07ec9454abba25137e70852ed032128604",
+    "openssh":
+        "2f9b3775d30da5894a79bb9eb4aab210519227723f7df4e59a18bf8531c4c567",
+    "exim":
+        "a375ecf103a22de2e405b75e91d9764ce611935269d5c4a1dde507d6da6fdf36",
+}
+
+
+class TestSerialisedGraphs:
+    """Labels hold packed signatures; the serialised graph holds each
+    as its ``'0'/'1'`` string, sorted — the bytes a bool-tuple labelling
+    wrote, because sorted bit strings order as sorted bool tuples."""
+
+    @staticmethod
+    def trained(server):
+        # The cached pipeline is promoted in place by slow-path
+        # verdicts; pin a fresh training run.
+        return server_pipeline.__wrapped__(server).labeled
+
+    @pytest.mark.parametrize("server", SERVER_NAMES)
+    def test_serialised_graph_is_pinned(self, server):
+        text = json.dumps(itccfg_to_dict(self.trained(server)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            SERIALISED_GRAPH_SHA256[server]
+        )
+
+    @pytest.mark.parametrize("server", SERVER_NAMES)
+    def test_round_trip_keeps_packed_labels(self, captures, server):
+        labeled = self.trained(server)
+        loaded = itccfg_from_dict(itccfg_to_dict(labeled))
+        assert loaded.labels == labeled.labels
+        assert all(
+            isinstance(sig, int) and sig >= 1
+            for label in loaded.labels.values()
+            for sig in label.tnt_patterns
+        )
+        index = FlowSearchIndex(loaded)
+        ref_index = ReferenceSearchIndex(loaded)
+        assert index.memory_bytes() == ref_index.memory_bytes()
+        for ips, sigs in windows(captures, server):
+            assert_same_outcome(
+                index.check_batch(ips, sigs),
+                ref_index.check_window(ips, sigs),
+            )
+            assert_same_state(index, ref_index)
