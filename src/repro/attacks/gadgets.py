@@ -14,7 +14,7 @@ and harvests:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.binary.loader import Image, LoadedModule
 from repro.isa.encoding import DecodeError, decode_at

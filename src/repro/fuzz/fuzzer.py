@@ -9,7 +9,7 @@ further mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.binary.module import Module
 from repro.fuzz.coverage import CoverageMap, CoverageTracker

@@ -9,7 +9,7 @@ TNT sequence seen between the two TIPs (§4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.telemetry import get_telemetry
 from repro.binary.module import Module

@@ -11,7 +11,7 @@ and are vulnerable to history flushing.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Tuple
 
 from repro import costs

@@ -26,7 +26,7 @@ class PatternMatchDecoder:
         """Decode like the software fast path, at hardware cost: the
         segment's ``cycles`` are the hardware charge for the bytes the
         scan consumed (a cut final packet is not consumed)."""
-        seg = columnar_scan(data, sync=sync, charge=False)
+        seg = columnar_scan(data, sync=sync)
         seg.cycles = seg.scanned * costs.HW_DECODE_CYCLES_PER_BYTE
         self.bytes_processed += seg.scanned
         self.cycles += seg.cycles

@@ -29,13 +29,15 @@ column                  contents
 
 Two scanners produce these columns, column-identical:
 
-- the vectorised pure-Python scan — PAD runs and TNT packet runs are
-  consumed per *run* (regex pre-classification + ``bytes.translate``
-  width lookup + one bulk bit flush), PSB sync uses ``bytes.find``;
-- the optional C kernel (:mod:`repro.ipt.scan_kernel`) — the same loop
-  compiled with the host C compiler, gated on build availability with
-  the pure-Python scan as fallback.  ``REPRO_SCAN_KERNEL`` /
-  :func:`set_scan_kernel` pick ``auto`` (default), ``on`` or ``off``.
+- the optional C kernel (:mod:`repro.ipt.scan_kernel`), compiled with
+  the host C compiler, runs whenever it builds;
+- the vectorised pure-Python scan is the fallback where it does not —
+  PAD runs and TNT packet runs are consumed per *run* (regex
+  pre-classification + ``bytes.translate`` width lookup + one bulk bit
+  flush), PSB sync uses ``bytes.find``.
+
+The platform alone picks the scanner (:func:`scan_kernel_active`);
+there is no switch.
 
 The tests hold both against a per-byte walk over the 256-entry
 :data:`DISPATCH` / :data:`TNT_WIDTH` tables (``tests/scan_reference.py``)
@@ -60,7 +62,6 @@ segments that decode independently.
 from __future__ import annotations
 
 import ctypes
-import os
 import re
 import struct
 from array import array
@@ -207,56 +208,10 @@ _PSB_RE = re.compile(
 #: with the byte-identical error).
 _TNT_RUN = re.compile(rb"(?:\x02[\x02-\x7f])+")
 
-# -- scan-kernel gating ------------------------------------------------------
-
-_KERNEL_MODES = ("auto", "on", "off")
-
-#: the C kernel needs LP64 column arrays (it fills u64 buffers the
-#: wrapper adopts verbatim with ``array.frombytes``).
-_KERNEL_ABI_OK = array("L").itemsize == 8
-
-
-
-def _checked_mode(mode: str, source: str = "") -> str:
-    if mode not in _KERNEL_MODES:
-        raise ValueError(
-            f"unknown scan-kernel mode {mode!r}{source}; "
-            f"pick one of {_KERNEL_MODES}"
-        )
-    return mode
-
-
-_kernel_mode = _checked_mode(
-    os.environ.get("REPRO_SCAN_KERNEL", "auto"), " in REPRO_SCAN_KERNEL"
-)
-
-
-def set_scan_kernel(mode: str) -> str:
-    """Set the process-wide scan-kernel mode; returns the previous one.
-
-    ``auto`` uses the C kernel when it builds, ``off`` forces the
-    pure-Python scan, ``on`` requires the kernel (the first scan raises
-    ``RuntimeError`` if it cannot be built).  The ``REPRO_SCAN_KERNEL``
-    environment variable provides the initial value; an unknown value
-    there fails the import with ``ValueError``.
-    """
-    global _kernel_mode
-    previous = _kernel_mode
-    _kernel_mode = _checked_mode(mode)
-    return previous
-
-
-def scan_kernel_mode() -> str:
-    return _kernel_mode
-
 
 def scan_kernel_active() -> bool:
-    """Whether the next ``columnar_scan`` will run the C kernel."""
-    return (
-        _kernel_mode != "off"
-        and _KERNEL_ABI_OK
-        and scan_kernel.available()
-    )
+    """Whether ``columnar_scan`` runs the C kernel on this host."""
+    return scan_kernel.load() is not None
 
 
 def _bits_sig(buf, start: int, end: int) -> int:
@@ -376,7 +331,7 @@ def _empty_segment(data, sync: bool) -> ColumnarSegment:
 
 
 def _finish_segment(
-    data, sync, synced, pos, pkt_count, charge, truncated,
+    data, sync, synced, pos, pkt_count, truncated,
     rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs,
     tnt_bits, total_bits, pend_start, fup_ips,
 ) -> ColumnarSegment:
@@ -393,7 +348,7 @@ def _finish_segment(
                     tnt_bits, rec_bit_start[index], rec_bit_end[index]
                 )
     scanned = pos - synced
-    cycles = scanned * costs.FAST_DECODE_CYCLES_PER_BYTE if charge else 0.0
+    cycles = scanned * costs.FAST_DECODE_CYCLES_PER_BYTE
     tel = get_telemetry()
     if tel.enabled:
         m = tel.metrics
@@ -407,9 +362,7 @@ def _finish_segment(
     )
 
 
-def columnar_scan(
-    data, sync: bool = False, charge: bool = True
-) -> ColumnarSegment:
+def columnar_scan(data, sync: bool = False) -> ColumnarSegment:
     """Scan a packet stream into columns.
 
     With ``sync=True`` (required after a ToPA wrap) the scan starts at
@@ -420,26 +373,16 @@ def columnar_scan(
     be a ``memoryview`` over a larger buffer (zero-copy segment slices).
     Each scan adds to the ``ipt.columnar_scan.*`` telemetry counters.
 
-    Dispatches to the C kernel when the current mode allows it and the
-    kernel built, otherwise to the vectorised pure-Python scan; the two
-    are column-identical.
+    Runs the C kernel when it built, otherwise the vectorised
+    pure-Python scan; the two are column-identical.
     """
-    if _kernel_mode != "off":
-        lib = scan_kernel.load() if _KERNEL_ABI_OK else None
-        if lib is not None:
-            return _scan_kernel_segment(lib, data, sync, charge)
-        if _kernel_mode == "on":
-            reason = (
-                scan_kernel.build_error()
-                if _KERNEL_ABI_OK else "array('L') is not 64-bit here"
-            )
-            raise RuntimeError(
-                f"scan kernel forced on but unavailable: {reason}"
-            )
-    return _scan_python(data, sync, charge)
+    lib = scan_kernel.load()
+    if lib is not None:
+        return _scan_kernel_segment(lib, data, sync)
+    return _scan_python(data, sync)
 
 
-def _scan_python(data, sync: bool, charge: bool) -> ColumnarSegment:
+def _scan_python(data, sync: bool) -> ColumnarSegment:
     """The vectorised pure-Python scan.
 
     PAD and TNT packets — the overwhelming bulk of a real stream — are
@@ -579,7 +522,7 @@ def _scan_python(data, sync: bool, charge: bool) -> ColumnarSegment:
         tnt_buf.append((acc << (8 - acc_bits)) & 0xFF)
 
     return _finish_segment(
-        data, sync, synced, pos, pkt_count, charge, truncated,
+        data, sync, synced, pos, pkt_count, truncated,
         rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs,
         bytes(tnt_buf), total_bits, pend_start, fup_ips,
     )
@@ -609,7 +552,7 @@ def _kernel_arena(size: int):
     return buf, address
 
 
-def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment:
+def _scan_kernel_segment(lib, data, sync: bool) -> ColumnarSegment:
     """Run the C kernel over the arena and copy its columns out."""
     raw = data if isinstance(data, bytes) else bytes(data)
     pos = 0
@@ -674,7 +617,7 @@ def _scan_kernel_segment(lib, data, sync: bool, charge: bool) -> ColumnarSegment
     tnt_bits = bytes(view[tnt_at:tnt_at + ntnt])
     view.release()
     return _finish_segment(
-        data, sync, pos, end_pos, pkt_count, charge, bool(out[6]),
+        data, sync, pos, end_pos, pkt_count, bool(out[6]),
         rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs,
         tnt_bits, out[4], out[5], fup_ips,
     )
@@ -699,41 +642,29 @@ class _TailEntry:
 class ColumnarTail:
     """Backward-accumulated PSB segments, stored latest-first.
 
-    Prepending an earlier segment is an O(1) append of a
-    :class:`_TailEntry`, and stitching its trailing TNT run onto the
-    current head record is a signature composition — nothing is built
-    until a window is requested, and the window itself is slices of the
-    segments' columns.
-    The last window built is memoised until the next prepend.
+    The fast path's tail walk
+    (:meth:`~repro.monitor.fastpath.FastPathChecker.decode_tail_columnar`)
+    builds it: each :class:`_TailEntry` carries the stitch patch for its
+    segment's first record, so nothing is built until a window is
+    requested, and the window itself is slices of the segments' columns.
     """
 
-    __slots__ = ("entries", "count", "cycles", "start", "_head", "_window")
+    __slots__ = ("entries", "count", "cycles", "start")
 
-    def __init__(self) -> None:
-        self.entries: List[_TailEntry] = []
-        self.count = 0
-        self.cycles = 0.0
-        self.start = 0
-        self._head: Optional[_TailEntry] = None
-        self._window: Optional[tuple] = None
-
-    def prepend(self, seg: ColumnarSegment, base: int) -> None:
-        """Add the next-earlier segment: its trailing TNT run folds onto
-        the current head record, if any (a PSB resets IP compression,
-        not branch context).  Drops the memoised window: the fold can
-        change the signature of the window's first record."""
-        self._window = None
-        if self.count and seg.pend_start < seg.total_bits:
-            head = self._head
-            head.patch_sig = compose_tnt_sigs(
-                seg.trailing_sig(), head.patch_sig
-            )
-        entry = _TailEntry(seg, base)
-        self.entries.append(entry)
-        records = len(seg.rec_ips)
-        if records:
-            self._head = entry
-            self.count += records
+    def __init__(
+        self,
+        entries: Optional[List[_TailEntry]] = None,
+        count: int = 0,
+        cycles: float = 0.0,
+        start: int = 0,
+    ) -> None:
+        self.entries: List[_TailEntry] = [] if entries is None else entries
+        #: records across all entries.
+        self.count = count
+        #: scan cycles charged for the walk (corrupt segments included).
+        self.cycles = cycles
+        #: stream offset of the oldest segment walked.
+        self.start = start
 
     def window(self, n: int):
         """The last ``n`` records as ``(ips, sigs, first_offset)``.
@@ -743,16 +674,12 @@ class ColumnarTail:
         hand-off consume: slices of the segments' columns, with a
         stitch patch landing on the fresh copy, never the column.
         ``first_offset`` is the stream offset of the window's first
-        record (None for an empty window).  The result is memoised until
-        the next :meth:`prepend` (callers share it — do not mutate).
+        record (None for an empty window).
 
         One pass: the walk newest-first only counts records to find the
         oldest segment the window reaches; the columns are then built
         oldest-first straight into the two output lists.
         """
-        memo = self._window
-        if memo is not None and memo[0] == n:
-            return memo[1]
         entries = self.entries
         need = n
         reach = 0  # entries[:reach] hold the window
@@ -785,9 +712,7 @@ class ColumnarTail:
                 sigs[at] = compose_tnt_sigs(entry.patch_sig, sigs[at])
         if ips is None:
             ips, sigs = [], []
-        window = ips, sigs, first_offset
-        self._window = (n, window)
-        return window
+        return ips, sigs, first_offset
 
     def slow_source(
         self, window_start: Optional[int] = None

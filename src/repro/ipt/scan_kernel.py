@@ -3,6 +3,8 @@
 ``_scan_kernel.c`` is an exact C mirror of the pure-Python columnar
 scan; this module owns the lifecycle around it:
 
+- refuse a host whose ``array('L')`` is not 64-bit: the wrapper adopts
+  the kernel's u64 column buffers verbatim with ``array.frombytes``,
 - compile on first use with whatever host compiler is on ``PATH``
   (``cc``/``gcc``/``clang``), into a per-user temp directory keyed by a
   hash of the source so stale binaries never survive a source change,
@@ -25,6 +27,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+from array import array
 from typing import Optional
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_scan_kernel.c")
@@ -35,6 +38,8 @@ _error: Optional[str] = None
 
 
 def _build() -> ctypes.CDLL:
+    if array("L").itemsize != 8:
+        raise RuntimeError("array('L') is not 64-bit here")
     with open(_SOURCE_PATH, "rb") as fh:
         source = fh.read()
     digest = hashlib.blake2b(source, digest_size=8).hexdigest()
@@ -76,7 +81,8 @@ def _build() -> ctypes.CDLL:
 
 
 def load() -> Optional[ctypes.CDLL]:
-    """The kernel library, or None if it cannot be built/loaded.
+    """The kernel library, or None if it cannot be used here (no
+    compiler, a failed build or load, or a non-LP64 ``array('L')``).
 
     The build is attempted once per process; the outcome (library or
     error string) is cached.
@@ -91,10 +97,6 @@ def load() -> Optional[ctypes.CDLL]:
         _error = f"{type(exc).__name__}: {exc}"
         _lib = None
     return _lib
-
-
-def available() -> bool:
-    return load() is not None
 
 
 def build_error() -> Optional[str]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterator, Tuple
 
 from repro.isa.encoding import decode_at
-from repro.isa.instructions import Insn, Op, OPERAND_LAYOUT
+from repro.isa.instructions import Insn, OPERAND_LAYOUT
 from repro.isa.registers import Cond, register_name
 
 

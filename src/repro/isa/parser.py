@@ -28,7 +28,7 @@ import re
 from typing import List, Tuple
 
 from repro.isa.assembler import A, Item
-from repro.isa.instructions import Insn, Label, Op
+from repro.isa.instructions import Insn, Label
 from repro.isa.registers import FP, SP, Cond
 
 

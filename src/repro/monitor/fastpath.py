@@ -143,8 +143,7 @@ class FastPathChecker:
         ledger (``corrupt-segment``, ``psb-resync``).
         """
         self.last_corrupt_segments = 0
-        tail = ColumnarTail()
-        entries = tail.entries
+        entries = []
         pkt_count = self.pkt_count
         check_span = self.require_cross_module or self.require_executable
         span_judged = False
@@ -192,8 +191,9 @@ class FastPathChecker:
                 )
                 break
             cycles += seg.cycles
-            # :meth:`ColumnarTail.prepend`, inline: fold the segment's
-            # dangling TNT run onto the head record, append its entry.
+            # Fold the segment's dangling TNT run onto the head record
+            # (a PSB resets IP compression, not branch context), then
+            # append its entry.
             if count and seg.pend_start < seg.total_bits:
                 head.patch_sig = compose_tnt_sigs(
                     seg.trailing_sig(), head.patch_sig
@@ -211,11 +211,7 @@ class FastPathChecker:
                 ):
                     break
                 span_judged = True
-        tail.count = count
-        tail._head = head
-        tail.cycles = cycles
-        tail.start = start
-        return tail
+        return ColumnarTail(entries, count, cycles, start)
 
     def _corrupt_segment(self, begin: int, end: int, resynced: bool) -> float:
         """Account one undecodable segment; returns the cycles the

@@ -35,7 +35,7 @@ from repro.resilience.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.resilience.ledger import DegradationLedger
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.process import Process
-from repro.osmodel.syscalls import SIGKILL, Sys
+from repro.osmodel.syscalls import SIGKILL
 
 
 @dataclass

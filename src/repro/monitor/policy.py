@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import FrozenSet
 
-from repro.osmodel.syscalls import SENSITIVE_SYSCALLS, Sys
+from repro.osmodel.syscalls import SENSITIVE_SYSCALLS
 
 
 @dataclass

@@ -25,14 +25,12 @@ from repro.binary.module import Module
 from repro.cpu.executor import CPUFault, Executor, HaltReason
 from repro.cpu.machine import Machine, to_signed
 from repro.cpu.memory import (
-    Memory,
     MemoryError_,
     PROT_READ,
     PROT_WRITE,
 )
 from repro.isa.registers import R0, R1, R2, R3, SP
 from repro.osmodel.process import (
-    Connection,
     FDKind,
     FileDescriptor,
     HEAP_BASE,

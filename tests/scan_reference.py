@@ -35,9 +35,7 @@ from repro.ipt.columnar import (
 from repro.ipt.packets import PSB_PATTERN, PacketError
 
 
-def columnar_scan_reference(
-    data, sync: bool = False, charge: bool = True
-) -> ColumnarSegment:
+def columnar_scan_reference(data, sync: bool = False) -> ColumnarSegment:
     """The per-byte dispatch walk; same signature and output as
     :func:`repro.ipt.columnar.columnar_scan`."""
     pos = 0
@@ -154,7 +152,7 @@ def columnar_scan_reference(
         emit_byte((acc << (8 - acc_bits)) & 0xFF)
 
     return _finish_segment(
-        data, sync, synced, pos, pkt_count, charge, truncated,
+        data, sync, synced, pos, pkt_count, truncated,
         rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs,
         bytes(tnt_buf), total_bits, pend_start, fup_ips,
     )

@@ -87,7 +87,7 @@ def sources(data):
     return {
         "packets": lambda: PacketSource(fast_decode(data).packets),
         "columnar": lambda: ColumnarSlowSource(
-            [(columnar_scan(data, charge=False), 0)]
+            [(columnar_scan(data), 0)]
         ),
     }
 

@@ -89,7 +89,7 @@ def test_full_decode_reconstructs_execution(seed):
     # oracle decoder.
     for source in (
         PacketSource(fast_decode(data).packets),
-        ColumnarSlowSource([(columnar_scan(data, charge=False), 0)]),
+        ColumnarSlowSource([(columnar_scan(data), 0)]),
     ):
         result = decoder.decode(source)
         got = [(e.kind, e.src, e.dst) for e in result.edges]

@@ -2,11 +2,11 @@
 
 Every kernel scan writes its columns into one grow-only per-process
 arena and copies them out before returning.  These tests scan with the
-kernel forced on, in orders that leave stale bytes behind — a large
-snapshot, then a smaller one whose columns and TNT span are shorter;
-a failing scan between good ones — and hold each result to a scan with
-a brand-new arena and to the per-byte oracle in
-``tests/scan_reference.py``.
+kernel (the module skips on a host that cannot build it), in orders
+that leave stale bytes behind — a large snapshot, then a smaller one
+whose columns and TNT span are shorter; a failing scan between good
+ones — and hold each result to a scan with a brand-new arena and to
+the per-byte oracle in ``tests/scan_reference.py``.
 """
 
 import ctypes
@@ -14,7 +14,7 @@ import ctypes
 import pytest
 
 from repro.ipt import columnar
-from repro.ipt.columnar import columnar_scan, set_scan_kernel
+from repro.ipt.columnar import columnar_scan
 from repro.ipt.packets import (
     PSBEND_BYTE,
     PSB_PATTERN,
@@ -31,13 +31,6 @@ from tests.test_scan_parity import KERNEL_AVAILABLE, segment_columns
 pytestmark = pytest.mark.skipif(
     not KERNEL_AVAILABLE, reason="C scan kernel not buildable here"
 )
-
-
-@pytest.fixture(autouse=True)
-def kernel_on():
-    previous = set_scan_kernel("on")
-    yield
-    set_scan_kernel(previous)
 
 
 def fresh_scan(data, sync=False):

@@ -187,13 +187,13 @@ def test_generated_programs(seed):
     reference = ReferenceSlowPathEngine(image.memory, ocfg)
     branches = set()
     for cut in range(len(data) + 1):
-        seg = columnar_scan(data[:cut], charge=False)
+        seg = columnar_scan(data[:cut])
         source = ColumnarSlowSource([(seg, 0)])
         branches.add(assert_same(
             engine, reference, source, seg.ip_column(), seg.sig_column()
         ))
     assert branches == {"ok"}
-    source = ColumnarSlowSource([(columnar_scan(data, charge=False), 0)])
+    source = ColumnarSlowSource([(columnar_scan(data), 0)])
     sites = {
         e.src for e in engine._decoder.decode(source).edges
         if e.kind is not CoFIKind.COND_BRANCH
