@@ -30,7 +30,7 @@ submodule home::
     payload = run_bench(scenario)       # `repro report` renders this
 
     # Multi-tenant serving: isolated fault domains behind one
-    # admission-controlled asyncio front-end.
+    # admission-controlled round-robin front-end.
     config = resolve_serve_config("duo-isolation")
     result = run_service(config)
     print(result.tenants["clean"]["digest"])

@@ -13,6 +13,7 @@ construction depends on (§4.1):
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -29,7 +30,15 @@ LIB_BASE = 0x7F0000000000
 LIB_STRIDE = 0x10000000
 VDSO_BASE = 0x7FFFF7FF0000
 
+_U64 = struct.Struct("<Q").pack
+
 _PAGE = 4096
+
+
+def _put_u64(memory: Memory, addr: int, value: int) -> None:
+    """Write one little-endian word the way the loader writes sections:
+    raw, with no per-word protection check."""
+    memory.write_raw(addr, _U64(value & 0xFFFFFFFFFFFFFFFF))
 
 
 def _align(value: int, boundary: int = _PAGE) -> int:
@@ -223,7 +232,7 @@ class Loader:
     def _fill_got(self, image: Image, lm: LoadedModule) -> None:
         for import_name, got_offset in lm.module.got.items():
             target = self._resolve(image, lm, import_name)
-            image.memory.write_u64(lm.data_base + got_offset, target)
+            _put_u64(image.memory, lm.data_base + got_offset, target)
 
     def _apply_relocations(self, image: Image, lm: LoadedModule) -> None:
         for reloc in lm.module.relocations:
@@ -232,6 +241,8 @@ class Loader:
                 target = lm.base + local
             else:
                 target = self._resolve(image, lm, reloc.symbol)
-            image.memory.write_u64(
-                lm.data_base + reloc.data_offset, target + reloc.addend
+            _put_u64(
+                image.memory,
+                lm.data_base + reloc.data_offset,
+                target + reloc.addend,
             )

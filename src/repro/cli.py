@@ -799,8 +799,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 def _top_service(args: argparse.Namespace, tel, plane) -> int:
     """``repro top --serve-config``: the live multi-tenant view."""
-    import asyncio
-
     from repro.service import TraceCheckService, resolve_serve_config
 
     config = resolve_serve_config(args.serve_config)
@@ -817,7 +815,7 @@ def _top_service(args: argparse.Namespace, tel, plane) -> int:
                         print()
 
             plane.sampler.on_sample.append(render)
-        result = asyncio.run(service.serve())
+        result = service.serve()
         plane.finalize(service.now)
         print(_format_service_frame(
             service, plane, plane.sampler.samples[-1]
@@ -867,12 +865,10 @@ def _cmd_service(args: argparse.Namespace) -> int:
                       f"@ {event['at']:,.0f}")
 
     try:
-        import asyncio
-
         from repro.service import TraceCheckService
 
         service = TraceCheckService(config, plane=plane)
-        result = asyncio.run(service.serve(on_event=on_event))
+        result = service.serve(on_event=on_event)
         if plane is not None:
             plane.finalize(service.now)
             if args.plane_out:

@@ -28,7 +28,6 @@ inventory lists where each property is gated.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Dict
 
 from repro import telemetry
@@ -44,21 +43,13 @@ from repro.service import (
 )
 
 
-def _drain_run(config: ServeConfig, after_yields: int):
-    """Serve ``config`` with a drain requested after a few loop turns."""
+def _drain_run(config: ServeConfig, after_rounds: int):
+    """Serve ``config`` with a drain requested after a few rounds."""
     service = TraceCheckService(config)
-
-    async def drive():
-        async def trigger():
-            for _ in range(after_yields):
-                await asyncio.sleep(0)
-            service.request_drain()
-        result, _ = await asyncio.gather(
-            service.serve(), trigger()
-        )
-        return result
-
-    return asyncio.run(drive())
+    for _ in range(after_rounds):
+        service.step()
+    service.request_drain()
+    return service.serve()
 
 
 def run(quick: bool = False) -> Dict[str, object]:
@@ -106,7 +97,7 @@ def run(quick: bool = False) -> Dict[str, object]:
 
     # -- graceful drain ---------------------------------------------------
     drain_result = _drain_run(
-        builtin_serve_config("smoke"), after_yields=2
+        builtin_serve_config("smoke"), after_rounds=2
     )
     drain_report = drain_result.tenants["acme"]
     drain_markers = [
@@ -131,9 +122,7 @@ def run(quick: bool = False) -> Dict[str, object]:
     plane = ObservabilityPlane(interval=2000.0)
     tel.attach_plane(plane)
     try:
-        observed = asyncio.run(
-            TraceCheckService(duo_config, plane=plane).serve()
-        )
+        observed = TraceCheckService(duo_config, plane=plane).serve()
     finally:
         tel.detach_plane()
         tel.disable()

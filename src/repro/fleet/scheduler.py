@@ -144,7 +144,7 @@ class RoundRobinScheduler:
 
         This is the historical ``run`` loop body, extracted so a
         serving front-end can interleave several fleets round-by-round
-        on one event loop: same verdict application order, same stall
+        in one loop: same verdict application order, same stall
         handling, same idle jumps, so N ``step_round`` calls followed
         by :meth:`finalize` produce a schedule digest byte-identical to
         one ``run``.

@@ -61,79 +61,6 @@ class CheckTask:
         return sum(self.slices) + self.serial_cycles
 
 
-class _WorkerIndex:
-    """Segment tree over worker free-times.
-
-    ``SimulatedWorkerPool`` used to pick workers with an O(M) scan per
-    slice — quadratic total scheduling cost once fleets carry hundreds
-    of workers.  This index answers both selection queries in O(log M)
-    with the *exact* tie-breaks of the linear scan it replaced (kept in
-    ``tests/test_fleet.py`` as the ``earliest_linear``/``latest_linear``
-    oracles the dispatch tests hold it to):
-
-    - earliest(t0): the lowest-index worker with ``free_at <= t0`` if
-      any is idle at t0, else the lexicographic argmin of
-      ``(free_at, index)``.
-    - latest(): the highest-index argmax of ``free_at``.
-    """
-
-    __slots__ = ("size", "tmin", "tmax")
-
-    def __init__(self, free_at: List[float]) -> None:
-        size = 1
-        while size < len(free_at):
-            size *= 2
-        self.size = size
-        inf = float("inf")
-        self.tmin = [inf] * (2 * size)
-        self.tmax = [-inf] * (2 * size)
-        for index, value in enumerate(free_at):
-            self.tmin[size + index] = value
-            self.tmax[size + index] = value
-        for node in range(size - 1, 0, -1):
-            self.tmin[node] = min(self.tmin[2 * node], self.tmin[2 * node + 1])
-            self.tmax[node] = max(self.tmax[2 * node], self.tmax[2 * node + 1])
-
-    def update(self, index: int, value: float) -> None:
-        node = self.size + index
-        self.tmin[node] = value
-        self.tmax[node] = value
-        node //= 2
-        tmin, tmax = self.tmin, self.tmax
-        while node:
-            tmin[node] = min(tmin[2 * node], tmin[2 * node + 1])
-            tmax[node] = max(tmax[2 * node], tmax[2 * node + 1])
-            node //= 2
-
-    def earliest(self, not_before: float) -> int:
-        tmin = self.tmin
-        node = 1
-        if tmin[1] <= not_before:
-            # Some worker is already idle at t0: every idle worker
-            # starts exactly at t0, so the lowest index wins —
-            # descend to the leftmost leaf under the threshold.
-            while node < self.size:
-                left = 2 * node
-                node = left if tmin[left] <= not_before else left + 1
-        else:
-            # All busy: the earliest-free worker starts first; on
-            # ties the leftmost argmin is the lowest index.
-            target = tmin[1]
-            while node < self.size:
-                left = 2 * node
-                node = left if tmin[left] == target else left + 1
-        return node - self.size
-
-    def latest(self) -> int:
-        tmax = self.tmax
-        node = 1
-        target = tmax[1]
-        while node < self.size:
-            right = 2 * node + 1
-            node = right if tmax[right] == target else right - 1
-        return node - self.size
-
-
 class SimulatedWorkerPool:
     """Deterministic M-core list scheduler with a busy-cycle ledger."""
 
@@ -147,34 +74,23 @@ class SimulatedWorkerPool:
 
     # -- scheduling ----------------------------------------------------------
 
-    @property
-    def free_at(self) -> List[float]:
-        return self._free_at
-
-    @free_at.setter
-    def free_at(self, values) -> None:
-        # Whole-list assignment (tests seed schedules this way)
-        # rebuilds the selection index; element writes inside the pool
-        # go through _set_free to keep it incremental.
-        self._free_at = list(values)
-        self._index = _WorkerIndex(self._free_at)
-
-    def _set_free(self, index: int, value: float) -> None:
-        """Every ``free_at`` write goes through here so the selection
-        index stays coherent with the array."""
-        self.free_at[index] = value
-        self._index.update(index, value)
-
     def _earliest(self, not_before: float) -> int:
-        """Worker index that can start soonest (ties: lowest index)."""
-        return self._index.earliest(not_before)
+        """Worker index that can start soonest: the lowest index idle
+        at ``not_before``, else the lowest index of the earliest
+        ``free_at``."""
+        free_at = self.free_at
+        for index, free in enumerate(free_at):
+            if free <= not_before:
+                return index
+        return free_at.index(min(free_at))
 
     def _latest(self) -> int:
         """The degraded lane: the worker already booked furthest out
         (ties: highest index).  Piling recovery work onto it costs the
         least healthy capacity, and consecutive degraded checks
         serialize behind each other instead of spreading."""
-        return self._index.latest()
+        free_at = self.free_at
+        return len(free_at) - 1 - free_at[::-1].index(max(free_at))
 
     def dispatch(
         self, task: CheckTask, not_before: Optional[float] = None
@@ -192,7 +108,7 @@ class SimulatedWorkerPool:
             w = self._latest()
             start = max(self.free_at[w], t0)
             cost = task.cost
-            self._set_free(w, start + cost)
+            self.free_at[w] = start + cost
             self.busy_cycles[w] += cost
             self.tasks_run[w] += 1
             task.started_at = start
@@ -205,7 +121,7 @@ class SimulatedWorkerPool:
             w = self._earliest(t0)
             start = max(self.free_at[w], t0)
             end = start + cycles
-            self._set_free(w, end)
+            self.free_at[w] = end
             self.busy_cycles[w] += cycles
             if first_start is None or start < first_start:
                 first_start = start
@@ -218,7 +134,7 @@ class SimulatedWorkerPool:
             w = last_worker if last_worker is not None else self._earliest(t0)
             start = max(self.free_at[w], t0, slice_end)
             end = start + task.serial_cycles
-            self._set_free(w, end)
+            self.free_at[w] = end
             self.busy_cycles[w] += task.serial_cycles
             self.tasks_run[w] += 1
             if first_start is None:
@@ -244,7 +160,7 @@ class SimulatedWorkerPool:
         w = self._latest() if lane else self._earliest(not_before)
         start = max(self.free_at[w], not_before)
         end = start + cycles
-        self._set_free(w, end)
+        self.free_at[w] = end
         self.busy_cycles[w] += cycles
         return end
 

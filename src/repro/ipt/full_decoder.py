@@ -16,7 +16,8 @@ code and the direct JMPs and CALLs it passes, up to the next
 instruction that consumes a packet — so a run adds its length to
 ``insn_count`` and its prebuilt edges to the edge list in one step.
 Edges, instruction counts, end points, and ``TraceMismatch`` messages
-are those of the per-instruction walk.
+are those of the per-instruction walk.  Code on a writable page is
+decoded afresh at every visit, since a guest store moves no code epoch.
 """
 
 from __future__ import annotations
@@ -140,7 +141,11 @@ class FullDecoder:
             raise TraceMismatch(
                 f"cannot disassemble at {ip:#x}: {exc}"
             ) from exc
-        self._icache[ip] = (insn, length)
+        # A guest store to a writable page moves no code epoch, so code
+        # there is decoded at every fetch and remembered nowhere (the
+        # CPU's rule).
+        if not self.memory.writable(ip, length):
+            self._icache[ip] = (insn, length)
         return insn, length
 
     def _sync_code(self) -> None:
@@ -157,6 +162,11 @@ class FullDecoder:
         run = 0
         edges: List[FlowEdge] = []
         fetch = self._fetch
+        icache = self._icache
+        # Whether ``_fetch`` cached every instruction, i.e. none sits on
+        # a writable page: a run through writable code is not
+        # remembered either.
+        fixed = True
         while run < MAX_BLOCK_RUN:
             try:
                 insn, length = fetch(ip)
@@ -164,6 +174,8 @@ class FullDecoder:
                 # Not remembered: like a failed fetch, it is retried on
                 # the next visit, when the code may have been mapped.
                 return (run, tuple(edges), ip, None, None, str(exc))
+            if fixed and ip not in icache:
+                fixed = False
             op = insn.op
             if op in _DIRECT_KIND:
                 edge = FlowEdge(_DIRECT_KIND[op], ip, ip + length + insn.rel)
@@ -185,7 +197,8 @@ class FullDecoder:
             ip += length
         else:
             chain = (run, tuple(edges), ip, None, None, None)
-        self._chains[start] = chain
+        if fixed:
+            self._chains[start] = chain
         return chain
 
     def decode(

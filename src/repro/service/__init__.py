@@ -1,9 +1,9 @@
-"""Multi-tenant async serving front-end over the fleet simulator.
+"""Multi-tenant serving front-end over the fleet simulator.
 
 ``repro.service`` turns the single-run fleet harness into a serving
 system: named tenants, each an isolated fault domain with its own
-admission quota, driven concurrently on an asyncio event loop with
-streaming verdicts, hot O-CFG/ITC-CFG reload, and graceful drain.
+admission quota, driven round-robin in config order, with per-tenant
+verdict streams, hot O-CFG/ITC-CFG reload, and graceful drain.
 See :mod:`repro.service.service` for the front-end itself.
 """
 

@@ -1,11 +1,11 @@
-"""The multi-tenant async serving front-end (``repro service``).
+"""The multi-tenant serving front-end (``repro service``).
 
 :class:`TraceCheckService` admits trace-check work from multiple named
-tenants and drives each tenant's isolated fleet as its own asyncio
-task.  The event loop's FIFO ready queue interleaves tenants
-round-robin in config order, one scheduler round per turn — fully
-deterministic, so the whole service run is reproducible byte-for-byte
-(each tenant's verdict digest is a pure function of its own spec).
+tenants and drives each tenant's isolated fleet in a plain round-robin
+loop: every round gives each tenant whose stream is still open one
+scheduler round, in config order.  Nothing in the loop depends on wall
+time, so the whole service run is reproducible byte-for-byte (each
+tenant's verdict digest is a pure function of its own spec).
 
 Per tenant the service provides:
 
@@ -18,19 +18,16 @@ Per tenant the service provides:
 * **hot reload** — a fresh O-CFG/ITC-CFG pipeline version swapped in
   between rounds without dropping in-flight checks, the old version
   retired after drain (:mod:`repro.service.reload`);
-* **a verdict stream** — an :class:`asyncio.Queue` of verdict events
-  as they come due on the tenant's clock, ending with a ``done`` (or
-  ``drained``) marker.
+* **a verdict stream** — the list of verdict events as they came due on
+  the tenant's clock, ending with a ``done`` (or ``drained``) marker.
 
-``run_service`` is the synchronous entry point: it runs the event
-loop, collects every stream, and returns a :class:`ServiceResult`
-whose ``tenants`` mapping is exactly the StatsReport v4 ``tenants``
-section.
+``run_service`` is the one-call entry point: it serves a config to
+completion and returns a :class:`ServiceResult` whose ``tenants``
+mapping is exactly the StatsReport v4 ``tenants`` section.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -84,7 +81,7 @@ class ServiceResult:
 
 
 class TraceCheckService:
-    """Asyncio front-end over per-tenant fleet stacks."""
+    """Round-robin front-end over per-tenant fleet stacks."""
 
     def __init__(self, config: ServeConfig, plane=None) -> None:
         config.validate()
@@ -93,8 +90,12 @@ class TraceCheckService:
         self.runtimes: List[TenantRuntime] = [
             TenantRuntime(spec) for spec in config.tenants
         ]
-        #: tenant -> live verdict stream (filled while serving).
-        self.streams: Dict[str, asyncio.Queue] = {}
+        #: tenant -> its verdict stream so far, in stream order.
+        self.events: Dict[str, List[dict]] = {
+            rt.name: [] for rt in self.runtimes
+        }
+        #: tenants whose stream has no ``done``/``drained`` marker yet.
+        self._open: List[TenantRuntime] = list(self.runtimes)
         self._drain_requested = False
         self._served = False
 
@@ -122,25 +123,52 @@ class TraceCheckService:
 
     # -- serving -------------------------------------------------------------
 
-    async def serve(
+    def step(self) -> bool:
+        """One round over the open tenants, in config order; returns
+        whether any stream is still open."""
+        still_open: List[TenantRuntime] = []
+        for rt in self._open:
+            events = self.events[rt.name]
+            if self._drain_requested:
+                # Drain: apply every already-submitted check before
+                # stopping — verdicts are computed at submit, so none
+                # can be dropped; we simply run the rounds out.
+                rt.fleet.scheduler.finalize()
+                rt.finished = True
+            else:
+                more = rt.step()
+                events.extend(rt.due_events())
+                if self.plane is not None:
+                    self.plane.maybe_sample(self.now)
+                if more:
+                    still_open.append(rt)
+                    continue
+            events.extend(rt.due_events())
+            events.append(
+                {
+                    "type": "drained" if self._drain_requested else "done",
+                    "tenant": rt.name,
+                    "at": rt.clock.now,
+                }
+            )
+        self._open = still_open
+        return bool(still_open)
+
+    def serve(
         self, on_event: Optional[Callable[[dict], None]] = None
     ) -> ServiceResult:
-        """Drive every tenant to completion (or through a drain)."""
+        """Drive every tenant to completion (or through a drain), then
+        hand each tenant's events to ``on_event``, tenant by tenant."""
         if self._served:
             raise RuntimeError("a TraceCheckService serves exactly once")
         self._served = True
-        for rt in self.runtimes:
-            self.streams[rt.name] = asyncio.Queue()
         tel = get_telemetry()
         if tel.enabled:
             tel.metrics.counter("service.tenants").inc(
                 len(self.runtimes)
             )
-        workers = [
-            asyncio.create_task(self._run_tenant(rt))
-            for rt in self.runtimes
-        ]
-        await asyncio.gather(*workers)
+        while self.step():
+            pass
         if self.plane is not None:
             # Refresh every tenant's MonitorStats first (that is what
             # copies the cumulative trace cycles the profiler reads),
@@ -154,44 +182,13 @@ class TraceCheckService:
             name=self.config.name, drained=self._drain_requested
         )
         for rt in self.runtimes:
-            events: List[dict] = []
-            queue = self.streams[rt.name]
-            while not queue.empty():
-                event = queue.get_nowait()
-                events.append(event)
-                if on_event is not None:
+            events = self.events[rt.name]
+            if on_event is not None:
+                for event in events:
                     on_event(event)
             result.events[rt.name] = events
             result.tenants[rt.name] = rt.report()
         return result
-
-    async def _run_tenant(self, rt: TenantRuntime) -> None:
-        queue = self.streams[rt.name]
-        more = True
-        while more and not self._drain_requested:
-            more = rt.step()
-            for event in rt.due_events():
-                queue.put_nowait(event)
-            if self.plane is not None:
-                self.plane.maybe_sample(self.now)
-            # Yield to the loop's FIFO ready queue: tenants interleave
-            # round-robin in config order, deterministically.
-            await asyncio.sleep(0)
-        if more and self._drain_requested:
-            # Drain: apply every already-submitted check before
-            # stopping — verdicts are computed at submit, so none can
-            # be dropped; we simply run the rounds out.
-            rt.fleet.scheduler.finalize()
-            rt.finished = True
-        for event in rt.due_events():
-            queue.put_nowait(event)
-        queue.put_nowait(
-            {
-                "type": "drained" if self._drain_requested else "done",
-                "tenant": rt.name,
-                "at": rt.clock.now,
-            }
-        )
 
 
 def run_service(
@@ -199,6 +196,5 @@ def run_service(
     plane=None,
     on_event: Optional[Callable[[dict], None]] = None,
 ) -> ServiceResult:
-    """Run a serving config to completion on a private event loop."""
-    service = TraceCheckService(config, plane=plane)
-    return asyncio.run(service.serve(on_event=on_event))
+    """Serve a config to completion."""
+    return TraceCheckService(config, plane=plane).serve(on_event=on_event)

@@ -6,19 +6,37 @@ count it, dispatch on its opcode — kept as the oracle the block walk is
 tested against (``tests/test_full_decode_differential.py``): edges,
 ``insn_count``, ``cycles``, ``end_ip``, ``exhausted`` and every
 ``TraceMismatch`` message must agree.  It shares the production
-decoder's fetch (and its code-epoch invalidation) and its result
-bookkeeping, so only the walk differs.
+decoder's result bookkeeping, but fetches on its own: every fetch
+decodes the bytes in memory now, so it can never serve stale code.
 """
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.cpu.events import CoFIKind
-from repro.ipt.full_decoder import FlowEdge, FullDecoder, FullDecodeResult
-from repro.isa.instructions import Op
+from repro.cpu.memory import MemoryError_
+from repro.ipt.full_decoder import (
+    FlowEdge,
+    FullDecoder,
+    FullDecodeResult,
+    TraceMismatch,
+)
+from repro.isa.encoding import DecodeError, decode_at, instruction_length
+from repro.isa.instructions import Insn, Op
 
 
 class ReferenceFullDecoder(FullDecoder):
     """Same surface as :class:`~repro.ipt.full_decoder.FullDecoder`."""
+
+    def _fetch(self, ip: int) -> Tuple[Insn, int]:
+        try:
+            header = self.memory.read_raw(ip, 1)
+            length = instruction_length(Op(header[0]))
+            insn, _ = decode_at(self.memory.read_raw(ip, length), 0)
+        except (MemoryError_, DecodeError, ValueError) as exc:
+            raise TraceMismatch(
+                f"cannot disassemble at {ip:#x}: {exc}"
+            ) from exc
+        return insn, length
 
     def decode(self, source, start_ip: Optional[int] = None
                ) -> FullDecodeResult:
@@ -28,7 +46,6 @@ class ReferenceFullDecoder(FullDecoder):
         insn_count = 0
         if ip is None:
             return FullDecodeResult(edges, 0, 0.0, exhausted=True)
-        self._sync_code()
 
         while insn_count < self.max_insns:
             insn, length = self._fetch(ip)

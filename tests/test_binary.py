@@ -1,5 +1,7 @@
 """Tests for module building, loading, PLT/GOT linking, interposition."""
 
+import hashlib
+
 import pytest
 
 from repro.binary import (
@@ -263,3 +265,31 @@ class TestLoader:
         image = Loader().load(b.build())
         with pytest.raises(KeyError):
             image.by_name("nope")
+
+
+#: sha256 over every mapped page (number, protection, bytes) of each
+#: server's loaded image, taken when the loader still wrote GOT slots
+#: and relocations through the CPU-level ``Memory.write_u64``.
+SERVER_IMAGE_PINS = {
+    "exim": "03941c5bf91265d978da0af648d94cc5993fcf301680072ff02432794154be08",
+    "nginx": "f291c0866480adcbfe90a05010c6ebdc77c4c5846df9879aec89577c072f9c9c",
+    "openssh": "03f81ef902170829eaeb88241ac383d30582ea10a2d33ac4b80ff5e9959e325d",
+    "vsftpd": "ca4ed55f88554663a42345c5297579d65691cf8e008531d7ba95e30fa2c07b84",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERVER_IMAGE_PINS))
+def test_server_image_bytes_pinned(name):
+    from repro.experiments.common import libraries
+    from repro.workloads import SERVER_BUILDERS, build_vdso
+
+    image = Loader(libraries(), vdso=build_vdso()).load(
+        SERVER_BUILDERS[name]()
+    )
+    pages, prots = image.memory.tables()
+    digest = hashlib.sha256()
+    for pageno in sorted(pages):
+        digest.update(pageno.to_bytes(8, "little"))
+        digest.update(bytes([prots[pageno]]))
+        digest.update(pages[pageno])
+    assert digest.hexdigest() == SERVER_IMAGE_PINS[name]

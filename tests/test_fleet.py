@@ -244,6 +244,18 @@ class TestScaleSweep:
         }
         assert results["lag_growth"] == []
 
+    def test_schedule_digests_pinned(self):
+        """The 100-process sweep schedules exactly as it did with the
+        segment-tree worker index the pool's scan replaced."""
+        rows = run_scale()["scale_sweep"]
+        assert {row["processes"]: row["schedule_digest"][:16]
+                for row in rows} == {
+            16: "fcd19952a68322c2",
+            32: "1b98543055d318fb",
+            64: "7d1d8adf38670e96",
+            100: "0df8b692b27c81d7",
+        }
+
 
 @pytest.fixture(scope="module")
 def small_fleet_result():
@@ -559,12 +571,12 @@ class TestFleetQuarantine:
         assert result.accounting["exact"], result.accounting
 
 
-# -- dispatch index: segment tree vs linear oracle ---------------------------
+# -- worker selection: the pool's scan vs the linear oracle ----------------
 
 
 def earliest_linear(pool, not_before):
     """The original O(workers) earliest-free selection, verbatim: the
-    oracle ``_WorkerIndex.earliest`` must match tie for tie."""
+    oracle ``SimulatedWorkerPool._earliest`` must match tie for tie."""
     best = 0
     best_start = max(pool.free_at[0], not_before)
     for index in range(1, pool.workers):
@@ -577,7 +589,7 @@ def earliest_linear(pool, not_before):
 
 def latest_linear(pool):
     """The original O(workers) degraded-lane selection, verbatim: the
-    oracle for ``_WorkerIndex.latest``."""
+    oracle for ``SimulatedWorkerPool._latest``."""
     best = pool.workers - 1
     for index in range(pool.workers - 2, -1, -1):
         if pool.free_at[index] > pool.free_at[best]:
@@ -586,7 +598,7 @@ def latest_linear(pool):
 
 
 class _LinearPool(SimulatedWorkerPool):
-    """The pre-optimisation pool: same dispatch, O(workers) scans."""
+    """The oracle pool: same dispatch, selection by the linear scans."""
 
     def _earliest(self, not_before):
         return earliest_linear(self, not_before)
@@ -623,9 +635,9 @@ class TestDispatchOracle:
                 t0 = float(rng.randrange(0, 600))
                 assert pool._earliest(t0) == earliest_linear(pool, t0)
                 assert pool._latest() == latest_linear(pool)
-                # Mutate through the indexed writer and re-compare.
-                pool._set_free(
-                    rng.randrange(workers), float(rng.randrange(0, 700))
+                # Mutate one worker's free time and re-compare.
+                pool.free_at[rng.randrange(workers)] = float(
+                    rng.randrange(0, 700)
                 )
 
     def test_dispatch_schedule_identical_to_linear(self):

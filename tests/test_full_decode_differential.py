@@ -554,3 +554,68 @@ def test_jcc_bits_cross_tnt_packets_and_psbs():
         assert_same(memory, data, max_insns=budget, warm=warm)
     for cut in range(len(data) + 1):
         assert_same(memory, data[:cut], warm=warm)
+
+
+def _patch_items(target, offset=0, byte=0):
+    """A JMP at ``site`` to ``target``, reached by a taken JCC (so a
+    chained run starts there); with R0 == 1 the code first stores
+    ``byte`` at ``site + offset``."""
+    return [
+        A.lea(R1, "site"),
+        A.addi(R1, offset),
+        A.mov(R2, byte),
+        A.cmpi(R0, 1),
+        A.jcc(Cond.NE, "site"),
+        A.storeb(R1, 0, R2),
+        A.jcc(Cond.EQ, "site"),
+        A.halt(),
+        Label("site"),
+        A.jmp(target),
+        Label("b"),
+        A.mov(R0, 2),
+        A.halt(),
+        Label("a"),
+        A.mov(R0, 3),
+        A.halt(),
+    ]
+
+
+def test_code_patched_on_a_writable_page():
+    """Code on an RWX page, patched by a guest store between two decodes
+    by one decoder.  A store moves no code epoch, so nothing decoded
+    from a writable page may be remembered: the second decode must walk
+    the patched JMP, as the CPU ran it."""
+    old, symbols = asm(_patch_items("a"), base=CODE_BASE)
+    new, _ = asm(_patch_items("b"), base=CODE_BASE)
+    (at,) = [i for i in range(len(old)) if old[i] != new[i]]
+    code, symbols = asm(
+        _patch_items("a", CODE_BASE + at - symbols["site"], new[at]),
+        base=CODE_BASE,
+    )
+    memory = Memory()
+    memory.map_region(CODE_BASE, 0x1000,
+                      PROT_READ | PROT_WRITE | PROT_EXEC)
+    memory.write_raw(CODE_BASE, code)
+    memory.map_region(STACK_TOP - 0x4000, 0x4000, PROT_READ | PROT_WRITE)
+    epoch = memory.code_epoch
+    decoder = FullDecoder(memory)
+    ends = []
+    for patch in (0, 1):
+        machine = Machine(memory)
+        machine.ip = CODE_BASE
+        machine.set_reg(SP, STACK_TOP - 8)
+        machine.set_reg(R0, patch)
+        retired = []
+        cpu = Executor(machine)
+        encoder = _encoder()
+        cpu.add_listener(encoder.on_branch)
+        cpu.add_listener(retired.append)
+        cpu.run(10_000)
+        encoder.flush()
+        assert machine.halted
+        got = assert_same(memory, encoder.output.snapshot(), warm=decoder)
+        for name, (result, _) in got.items():
+            assert result[0] == [tuple(event) for event in retired], name
+        ends.append(retired[-1].dst)
+    assert memory.code_epoch == epoch
+    assert ends == [symbols["a"], symbols["b"]]

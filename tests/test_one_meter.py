@@ -12,7 +12,6 @@ undertrained server that takes the slow path.
 """
 
 import ast
-import asyncio
 import json
 from pathlib import Path
 
@@ -243,7 +242,7 @@ class TestViewEqualsAccumulators:
         config = builtin_serve_config("duo-isolation")
         with telemetry.capture() as tel:
             service = TraceCheckService(config)
-            asyncio.run(service.serve())
+            service.serve()
             assert_view_matches_stats(tel.profiler, [
                 stats
                 for rt in service.runtimes

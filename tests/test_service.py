@@ -10,7 +10,7 @@ graceful drain, the StatsReport v4 ``tenants`` section, and the
 ``repro.api`` facade exports.
 """
 
-import asyncio
+import hashlib
 import json
 import os
 
@@ -246,16 +246,10 @@ class TestServing:
 
     def test_graceful_drain_applies_inflight_checks(self):
         service = TraceCheckService(builtin_serve_config("smoke"))
-
-        async def drive():
-            async def trigger():
-                await asyncio.sleep(0)
-                await asyncio.sleep(0)
-                service.request_drain()
-            result, _ = await asyncio.gather(service.serve(), trigger())
-            return result
-
-        result = asyncio.run(drive())
+        service.step()
+        service.step()
+        service.request_drain()
+        result = service.serve()
         assert result.drained
         events = result.events["acme"]
         assert events[-1]["type"] == "drained"
@@ -281,9 +275,9 @@ class TestServing:
 
     def test_service_serves_exactly_once(self):
         service = TraceCheckService(builtin_serve_config("smoke"))
-        asyncio.run(service.serve())
+        service.serve()
         with pytest.raises(RuntimeError, match="exactly once"):
-            asyncio.run(service.serve())
+            service.serve()
 
     def test_tenant_labels_on_telemetry_series(self):
         tel = telemetry.get_telemetry()
@@ -301,6 +295,73 @@ class TestServing:
         shed = [s for s in snapshot["counters"]
                 if s.startswith('resilience.events{kind="shed-load"')]
         assert shed and all('tenant="capped"' in s for s in shed)
+
+
+# -- identity pins: the round-robin loop and the worker scan ----------------
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+#: sha256 prefixes of ``ServiceResult.to_dict()`` and of its per-tenant
+#: events for every builtin config, taken from the asyncio front-end
+#: and the segment-tree worker index the round-robin loop and the
+#: worker scan replaced.
+SERVE_PINS = {
+    "smoke": ("826b13629281682d", "cd6e6b9a1ad25c18"),
+    "duo-isolation": ("4fe432244fde1b95", "b7ef8b909a32783e"),
+    "quota-shed": ("7cf87713bd357cd3", "07d952ddc76d7146"),
+    "reload": ("036b9a9c62e07d8b", "10fddad17b37a67f"),
+    "open-mix": ("b0998294954bb663", "20fa0b5170e12abc"),
+}
+
+
+class TestServeIdentity:
+    def test_pins_cover_every_builtin(self):
+        assert set(SERVE_PINS) == set(BUILTIN_SERVE_CONFIGS)
+
+    @pytest.mark.parametrize("name", sorted(SERVE_PINS))
+    def test_builtin_config_pinned(self, name):
+        result = run_service(builtin_serve_config(name))
+        assert (
+            _digest(result.to_dict()), _digest(result.events)
+        ) == SERVE_PINS[name]
+
+    def test_two_round_drain_pinned(self):
+        """Two rounds, then a drain: the run the asyncio front-end
+        made with a drain requested after two ``sleep(0)`` turns."""
+        service = TraceCheckService(builtin_serve_config("smoke"))
+        assert service.step() and service.step()
+        service.request_drain()
+        result = service.serve()
+        assert service.runtime("acme").fleet.scheduler.rounds == 2
+        events = result.events["acme"]
+        assert events[-1]["type"] == "drained"
+        assert sum(e["type"] == "verdict" for e in events) == 8
+        assert (_digest(result.to_dict()), _digest(result.events)) == (
+            "b770e8ef1763965c", "40df868ea52b4c0a"
+        )
+
+    def test_plane_samples_pinned(self):
+        from repro.telemetry.plane import ObservabilityPlane
+
+        tel = telemetry.get_telemetry()
+        plane = ObservabilityPlane(interval=2000.0)
+        tel.attach_plane(plane)
+        try:
+            result = TraceCheckService(
+                builtin_serve_config("duo-isolation"), plane=plane
+            ).serve()
+        finally:
+            tel.detach_plane()
+        samples = list(plane.sampler.samples)
+        assert len(samples) == 20
+        assert _digest(samples) == "de57be31a77ee1f6"
+        assert (
+            _digest(result.to_dict()), _digest(result.events)
+        ) == SERVE_PINS["duo-isolation"]
 
 
 # -- StatsReport v3 -> v4 ----------------------------------------------------
