@@ -424,12 +424,9 @@ def _build_fleet_service(args: argparse.Namespace):
         if "nginx" not in assignment:
             assignment[0] = "nginx"
         attack_index = assignment.index("nginx")
-        from repro.attacks import build_rop_request, run_recon
-        from repro.experiments.common import libraries
-        from repro.workloads import build_nginx, build_vdso
+        from repro.loadgen import rop_request
 
-        recon = run_recon(build_nginx(), libraries(), vdso=build_vdso())
-        rop = build_rop_request(recon)
+        rop = rop_request()
 
     procs = []
     for index, name in enumerate(assignment):

@@ -62,7 +62,10 @@ page once per memory and code epoch (:meth:`BlockStore.attest`): the
 page must be mapped EXEC and not WRITE, and its bytes select the variant
 decoded from the same bytes.  From then on every process that maps the
 module — forked, or loaded by another kernel — takes entries and blocks
-from a dict, without fetching, decoding or comparing code again.  A
+from a dict, without fetching, decoding or comparing code again.  The
+slow path's :class:`~repro.ipt.full_decoder.FullDecoder` attests pages
+the same way and walks the same entries, so :meth:`BlockStore.attest`
+is the one rule for when decoded code may be reused.  A
 block is compiled once :data:`HOT_ENTRIES` leader visits found none, and
 holds only instructions that lie wholly on its page.
 """

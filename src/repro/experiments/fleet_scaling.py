@@ -26,10 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.attacks import build_rop_request, run_recon
 from repro.experiments.common import (
     format_rows,
-    libraries,
     run_server_overhead,
     seed_server_fs,
     server_pipeline,
@@ -37,8 +35,8 @@ from repro.experiments.common import (
 )
 from repro.fleet.rings import RingPolicy
 from repro.fleet.service import FleetConfig, FleetService
+from repro.loadgen import rop_request
 from repro.resilience import RetryPolicy
-from repro.workloads import build_nginx, build_vdso
 
 #: the two concurrently-served workloads (ISSUE: "two different server
 #: workloads"); alternated across fleet slots.
@@ -127,10 +125,7 @@ def build_fault_fleet(
         0, FAULT_WORKERS, sessions, policy=policy,
         ring_bytes=FAULT_RING_BYTES, seed=seed, faults=faults, retry=retry,
     )
-    rop = None
-    if inject_rop:
-        recon = run_recon(build_nginx(), libraries(), vdso=build_vdso())
-        rop = build_rop_request(recon)
+    rop = rop_request() if inject_rop else None
     attacked_pid = None
     for index in range(FAULT_PROCESSES):
         name = FLEET_SERVERS[index % len(FLEET_SERVERS)]

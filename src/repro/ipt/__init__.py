@@ -17,7 +17,9 @@ Faithful to the properties FlowGuard exploits (§2, Table 2, Table 3):
 - a **full decoder** that walks the program binaries
   instruction-by-instruction under a byte cursor over those scanned
   segments — Intel's reference "instruction flow layer", orders of
-  magnitude slower.
+  magnitude slower.  It reads the CPU's own decoded code (the module's
+  shared :class:`~repro.cpu.blocks.BlockStore`) and reports each edge as
+  the CPU's :class:`~repro.cpu.events.BranchEvent`.
 """
 
 from repro.ipt.packets import (
@@ -40,7 +42,6 @@ from repro.ipt.topa import PMI, ToPA, ToPARegion
 from repro.ipt.msr import RTIT_CTL, IPTConfig
 from repro.ipt.encoder import IPTEncoder
 from repro.ipt.full_decoder import (
-    FlowEdge,
     FullDecodeResult,
     FullDecoder,
     TraceMismatch,
@@ -51,7 +52,6 @@ __all__ = [
     "ColumnarSegment",
     "ColumnarSlowSource",
     "ColumnarTail",
-    "FlowEdge",
     "FullDecodeResult",
     "FullDecoder",
     "IPTConfig",

@@ -16,8 +16,18 @@ code and the direct JMPs and CALLs it passes, up to the next
 instruction that consumes a packet — so a run adds its length to
 ``insn_count`` and its prebuilt edges to the edge list in one step.
 Edges, instruction counts, end points, and ``TraceMismatch`` messages
-are those of the per-instruction walk.  Code on a writable page is
-decoded afresh at every visit, since a guest store moves no code epoch.
+are those of the per-instruction walk.
+
+The decoder reads the code the CPU runs: the predecoded entries
+(:func:`repro.cpu.executor.predecode`) of the module's shared
+:class:`~repro.cpu.blocks.BlockStore`, on every page the store attests
+(mapped EXEC and not WRITE, bytes the store decoded).  Each edge is a
+:class:`~repro.cpu.events.BranchEvent`, and a direct JMP's, CALL's
+or JCC's edge is the event object held in its entry.  Anything else —
+code no module filed, a writable page, an instruction that crosses a
+page edge or does not decode on its page — is decoded from memory at
+every visit and remembered nowhere, so a guest store to a writable page
+(which moves no code epoch) is seen at the next decode.
 """
 
 from __future__ import annotations
@@ -27,12 +37,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import costs
 from repro.telemetry import get_telemetry
-from repro.cpu.events import CoFIKind
-from repro.cpu.memory import Memory, MemoryError_
+from repro.cpu.events import BranchEvent, CoFIKind
+from repro.cpu.executor import predecode
+from repro.cpu.memory import PAGE_SHIFT, Memory, MemoryError_
 from repro.isa.encoding import DecodeError, decode_at, instruction_length
-from repro.isa.instructions import Insn, Op
+from repro.isa.instructions import Op
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.cpu.blocks import CodePage
     from repro.ipt.columnar import ColumnarSlowSource
 
 
@@ -40,64 +52,31 @@ class TraceMismatch(Exception):
     """Packet stream and binaries disagree (decoder desync)."""
 
 
-class FlowEdge:
-    """One reconstructed control transfer.
-
-    A value: equality, hash and repr are those of a frozen dataclass
-    with these four fields.  It is a plain ``__slots__`` class because
-    the decoder builds one per far transfer, return and indirect branch,
-    and a frozen dataclass pays ``object.__setattr__`` per field; treat
-    it as immutable (it is hashed).
-    """
-
-    __slots__ = ("kind", "src", "dst", "taken")
-
-    def __init__(
-        self, kind: CoFIKind, src: int, dst: int, taken: bool = True
-    ) -> None:
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.taken = taken
-
-    def _key(self) -> tuple:
-        return (self.kind, self.src, self.dst, self.taken)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"FlowEdge(kind={self.kind!r}, src={self.src!r}, "
-            f"dst={self.dst!r}, taken={self.taken!r})"
-        )
-
-
 @dataclass
 class FullDecodeResult:
-    edges: List[FlowEdge]
+    edges: List[BranchEvent]
     insn_count: int
     cycles: float
     end_ip: Optional[int] = None
     exhausted: bool = True  # packets fully consumed
 
 
+_JCC = int(Op.JCC)
+_SYSCALL = int(Op.SYSCALL)
+_HALT = int(Op.HALT)
+#: Direct JMPs and CALLs: their entries hold the target and the event.
+_DIRECT = frozenset((int(Op.JMP), int(Op.CALL)))
 #: Chain terminators: the instructions a chained run stops at, because
 #: they end the walk or consume packets.  Direct JMPs and CALLs have
 #: static targets, so a chained run continues through them.
 _TERMINATORS = frozenset(
-    (Op.HALT, Op.JCC, Op.JMPR, Op.CALLR, Op.RET, Op.SYSCALL)
+    int(op) for op in (Op.HALT, Op.JCC, Op.JMPR, Op.CALLR, Op.RET,
+                       Op.SYSCALL)
 )
-_DIRECT_KIND = {Op.JMP: CoFIKind.DIRECT_JMP, Op.CALL: CoFIKind.DIRECT_CALL}
 _INDIRECT_KIND = {
-    Op.JMPR: CoFIKind.INDIRECT_JMP,
-    Op.CALLR: CoFIKind.INDIRECT_CALL,
-    Op.RET: CoFIKind.RET,
+    int(Op.JMPR): CoFIKind.INDIRECT_JMP,
+    int(Op.CALLR): CoFIKind.INDIRECT_CALL,
+    int(Op.RET): CoFIKind.RET,
 }
 #: Most instructions one chained run records; a longer run continues
 #: in the next chained run, so building one never walks far past the
@@ -107,14 +86,14 @@ MAX_BLOCK_RUN = 64
 
 #: ``(run, edges, term_ip, term_op, flow, fault)``: ``run``
 #: instructions from the run's address, through straight-line code and
-#: direct JMPs and CALLs (whose ``FlowEdge``s, built once, are
-#: ``edges``), then the instruction at ``term_ip`` with opcode
-#: ``term_op``.  ``flow`` is the (not-taken, taken) edge pair of a JCC,
-#: indexed by the TNT bit.  ``term_op`` is None when the run hit
+#: direct JMPs and CALLs (whose events are ``edges``), then the
+#: instruction at ``term_ip`` with opcode ``term_op`` (an int).
+#: ``flow`` is the (not-taken, taken) event pair of a JCC, indexed by
+#: the TNT bit.  ``term_op`` is None when the run hit
 #: :data:`MAX_BLOCK_RUN` (the walk continues at ``term_ip``) or when
 #: ``term_ip`` cannot be disassembled (``fault`` holds the
 #: ``TraceMismatch`` message).
-Chain = Tuple[int, Tuple[FlowEdge, ...], int, Optional[Op], object,
+Chain = Tuple[int, Tuple[BranchEvent, ...], int, Optional[int], object,
               Optional[str]]
 
 
@@ -124,14 +103,36 @@ class FullDecoder:
     def __init__(self, memory: Memory, max_insns: int = 5_000_000) -> None:
         self.memory = memory
         self.max_insns = max_insns
-        self._icache: Dict[int, Tuple[Insn, int]] = {}
+        #: Page number -> the store's page attested for it, or None.
+        self._pages: Dict[int, Optional[CodePage]] = {}
         self._chains: Dict[int, Chain] = {}
         self._code_epoch = memory.code_epoch
 
-    def _fetch(self, ip: int) -> Tuple[Insn, int]:
-        cached = self._icache.get(ip)
-        if cached is not None:
-            return cached
+    def _sync_code(self) -> None:
+        """Drop the attestations and chained runs if the memory's code
+        has been re-mapped."""
+        epoch = self.memory.code_epoch
+        if epoch != self._code_epoch:
+            self._pages.clear()
+            self._chains.clear()
+            self._code_epoch = epoch
+
+    def _entry(self, ip: int) -> Tuple[tuple, bool]:
+        """The predecoded entry at ``ip``, and whether it is the shared
+        store's (so a chained run through it may be remembered)."""
+        pageno = ip >> PAGE_SHIFT
+        try:
+            page = self._pages[pageno]
+        except KeyError:
+            memory = self.memory
+            store = memory.block_store(ip)
+            page = self._pages[pageno] = (
+                store.attest(memory, pageno) if store is not None else None
+            )
+        if page is not None:
+            entry = page.entry(ip)
+            if entry is not None:
+                return entry, True
         try:
             header = self.memory.read_raw(ip, 1)
             length = instruction_length(Op(header[0]))
@@ -141,63 +142,43 @@ class FullDecoder:
             raise TraceMismatch(
                 f"cannot disassemble at {ip:#x}: {exc}"
             ) from exc
-        # A guest store to a writable page moves no code epoch, so code
-        # there is decoded at every fetch and remembered nowhere (the
-        # CPU's rule).
-        if not self.memory.writable(ip, length):
-            self._icache[ip] = (insn, length)
-        return insn, length
-
-    def _sync_code(self) -> None:
-        """Drop decoded code if the memory's code has been re-mapped."""
-        epoch = self.memory.code_epoch
-        if epoch != self._code_epoch:
-            self._icache.clear()
-            self._chains.clear()
-            self._code_epoch = epoch
+        return predecode(insn, ip, length), False
 
     def _chain(self, start: int) -> Chain:
-        """Decode (and remember) the chained run at ``start``."""
+        """Decode the chained run at ``start``; remember it if every
+        entry in it is the shared store's."""
         ip = start
         run = 0
-        edges: List[FlowEdge] = []
-        fetch = self._fetch
-        icache = self._icache
-        # Whether ``_fetch`` cached every instruction, i.e. none sits on
-        # a writable page: a run through writable code is not
-        # remembered either.
-        fixed = True
+        edges: List[BranchEvent] = []
+        entry_at = self._entry
+        shared = True
         while run < MAX_BLOCK_RUN:
             try:
-                insn, length = fetch(ip)
+                e, attested = entry_at(ip)
             except TraceMismatch as exc:
                 # Not remembered: like a failed fetch, it is retried on
                 # the next visit, when the code may have been mapped.
                 return (run, tuple(edges), ip, None, None, str(exc))
-            if fixed and ip not in icache:
-                fixed = False
-            op = insn.op
-            if op in _DIRECT_KIND:
-                edge = FlowEdge(_DIRECT_KIND[op], ip, ip + length + insn.rel)
-                edges.append(edge)
+            shared = shared and attested
+            op = e[0]
+            if op in _DIRECT:
+                edges.append(e[4])
                 run += 1
-                ip = edge.dst
+                ip = e[3]
                 continue
             if op in _TERMINATORS:
                 flow = None
-                if op is Op.JCC:
-                    next_ip = ip + length
-                    flow = (
-                        FlowEdge(CoFIKind.COND_BRANCH, ip, next_ip, False),
-                        FlowEdge(CoFIKind.COND_BRANCH, ip, next_ip + insn.rel),
-                    )
+                if op == _JCC:
+                    # The entry's events, per flags word, hold both.
+                    by_bit = {event.taken: event for event in e[4]}
+                    flow = (by_bit[False], by_bit[True])
                 chain = (run, tuple(edges), ip, op, flow, None)
                 break
             run += 1
-            ip += length
+            ip = e[2]
         else:
             chain = (run, tuple(edges), ip, None, None, None)
-        if fixed:
+        if shared:
             self._chains[start] = chain
         return chain
 
@@ -216,7 +197,7 @@ class FullDecoder:
         """
         cursor = source.cursor()
         ip = start_ip if start_ip is not None else cursor.initial_ip()
-        edges: List[FlowEdge] = []
+        edges: List[BranchEvent] = []
         if ip is None:
             return FullDecodeResult(edges, 0, 0.0, exhausted=True)
 
@@ -224,6 +205,7 @@ class FullDecoder:
         chains = self._chains
         append = edges.append
         extend = edges.extend
+        new_event = tuple.__new__
         # Pending TNT bits, oldest last: a JCC pops its bit here and
         # calls the cursor only when a packet boundary is reached.
         pending = cursor.pending_bits
@@ -238,18 +220,16 @@ class FullDecoder:
             if insn_count + run >= budget:
                 # The budget ends inside the run (or at its terminator,
                 # which is then never fetched): step it instruction by
-                # instruction, taking the run's edges as JMPs and CALLs
-                # are passed.
-                taken = iter(run_edges)
+                # instruction, taking each JMP's and CALL's edge as it
+                # is passed.
                 while insn_count < budget:
-                    insn, length = self._fetch(ip)
+                    e = self._entry(ip)[0]
                     insn_count += 1
-                    if insn.op in _DIRECT_KIND:
-                        edge = next(taken)
-                        append(edge)
-                        ip = edge.dst
+                    if e[0] in _DIRECT:
+                        append(e[4])
+                        ip = e[3]
                     else:
-                        ip += length
+                        ip = e[2]
                 return self._finish(edges, insn_count, ip, False)
             insn_count += run
             if run_edges:
@@ -261,7 +241,7 @@ class FullDecoder:
                 continue
 
             insn_count += 1
-            if op is Op.JCC:
+            if op == _JCC:
                 if pending:
                     bit = pending.pop()
                 else:
@@ -269,23 +249,28 @@ class FullDecoder:
                     if bit is None:
                         return self._finish(edges, insn_count, ip, True)
                 edge = flow[bit]
-            elif op is Op.SYSCALL:
+            elif op == _SYSCALL:
                 resume = cursor.next_far_resume(ip)
                 if resume is None:
                     return self._finish(edges, insn_count, ip, True)
-                edge = FlowEdge(CoFIKind.FAR_TRANSFER, ip, resume)
-            elif op is Op.HALT:
+                edge = new_event(
+                    BranchEvent, (CoFIKind.FAR_TRANSFER, ip, resume, True)
+                )
+            elif op == _HALT:
                 return self._finish(edges, insn_count, ip, True)
             else:
                 dst = cursor.next_tip()
                 if dst is None:
                     return self._finish(edges, insn_count, ip, True)
-                edge = FlowEdge(_INDIRECT_KIND[op], ip, dst)
+                edge = new_event(
+                    BranchEvent, (_INDIRECT_KIND[op], ip, dst, True)
+                )
             append(edge)
             ip = edge.dst
 
     def _finish(
-        self, edges: List[FlowEdge], insn_count: int, ip: int, exhausted: bool
+        self, edges: List[BranchEvent], insn_count: int, ip: int,
+        exhausted: bool,
     ) -> FullDecodeResult:
         tel = get_telemetry()
         if tel.enabled:

@@ -28,6 +28,7 @@ from repro.loadgen.clients import LoadTracker, RequestRecord
 from repro.loadgen.engine import (
     LoadPointResult,
     build_load_service,
+    rop_request,
     run_load_point,
     summarize_load_point,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "knee_index",
     "mix_requests",
     "resolve_scenario",
+    "rop_request",
     "run_bench",
     "run_load_point",
     "search_max_under_slo",

@@ -30,8 +30,9 @@ from repro.telemetry import get_telemetry
 
 
 @lru_cache(maxsize=None)
-def _rop_request() -> bytes:
-    """The planted nginx exploit (recon is a one-time effort)."""
+def rop_request() -> bytes:
+    """The planted nginx ROP exploit, built once per process (recon is a
+    one-time effort)."""
     from repro.attacks import build_rop_request, run_recon
     from repro.experiments.common import libraries
     from repro.workloads import build_nginx, build_vdso
@@ -188,7 +189,7 @@ def build_load_service(
             flags = [False] * len(payloads)
             if inject:
                 payloads = list(payloads)
-                payloads.insert(mid, _rop_request())
+                payloads.insert(mid, rop_request())
                 flags.insert(mid, True)
             proc = service.add_workload(server_pipeline(server), payloads)
             tracker.track_closed(proc, flags)
@@ -211,7 +212,7 @@ def build_load_service(
             ]
             if inject:
                 schedule.insert(
-                    mid, (schedule[mid][0], _rop_request(), True)
+                    mid, (schedule[mid][0], rop_request(), True)
                 )
             proc = service.add_workload(server_pipeline(server), [])
             tracker.track_open(proc, schedule)

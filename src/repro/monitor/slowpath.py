@@ -5,7 +5,8 @@ pattern.  The engine runs as an (upcalled) user-level process in the
 paper; here the upcall is modelled as a fixed cycle cost.  It:
 
 1. fully decodes the suspicious window at the instruction-flow layer
-   (requires the binaries, charges per instruction),
+   (reads the binaries' code as the CPU decoded it, charges per
+   instruction) into the CPU's own ``BranchEvent`` edges,
 2. enforces fine-grained forward edges: every reconstructed indirect
    call/jump target must be in the TypeArmor-restricted O-CFG set,
 3. enforces the single-target backward-edge policy with a shadow stack,

@@ -1,21 +1,21 @@
 """The per-instruction full-decode walker: the oracle for the full decoder.
 
-:class:`repro.ipt.full_decoder.FullDecoder` steps from basic block to
-basic block.  This is the walk it replaced — fetch one instruction,
-count it, dispatch on its opcode — kept as the oracle the block walk is
-tested against (``tests/test_full_decode_differential.py``): edges,
+:class:`repro.ipt.full_decoder.FullDecoder` steps from chained run to
+chained run over the shared store's predecoded entries.  This is the
+walk it replaced — fetch one instruction, count it, dispatch on its
+opcode — kept as the oracle the chained walk is tested against (``tests/test_full_decode_differential.py``): edges,
 ``insn_count``, ``cycles``, ``end_ip``, ``exhausted`` and every
 ``TraceMismatch`` message must agree.  It shares the production
-decoder's result bookkeeping, but fetches on its own: every fetch
-decodes the bytes in memory now, so it can never serve stale code.
+decoder's result bookkeeping, but fetches on its own, with no store
+and no cache: every fetch decodes the bytes in memory now, so it can
+never serve stale code.
 """
 
 from typing import List, Optional, Tuple
 
-from repro.cpu.events import CoFIKind
+from repro.cpu.events import BranchEvent, CoFIKind
 from repro.cpu.memory import MemoryError_
 from repro.ipt.full_decoder import (
-    FlowEdge,
     FullDecoder,
     FullDecodeResult,
     TraceMismatch,
@@ -42,7 +42,7 @@ class ReferenceFullDecoder(FullDecoder):
                ) -> FullDecodeResult:
         cursor = source.cursor()
         ip = start_ip if start_ip is not None else cursor.initial_ip()
-        edges: List[FlowEdge] = []
+        edges: List[BranchEvent] = []
         insn_count = 0
         if ip is None:
             return FullDecodeResult(edges, 0, 0.0, exhausted=True)
@@ -57,12 +57,12 @@ class ReferenceFullDecoder(FullDecoder):
                 return self._finish(edges, insn_count, ip, True)
             if op is Op.JMP:
                 target = next_ip + insn.rel
-                edges.append(FlowEdge(CoFIKind.DIRECT_JMP, ip, target))
+                edges.append(BranchEvent(CoFIKind.DIRECT_JMP, ip, target))
                 ip = target
                 continue
             if op is Op.CALL:
                 target = next_ip + insn.rel
-                edges.append(FlowEdge(CoFIKind.DIRECT_CALL, ip, target))
+                edges.append(BranchEvent(CoFIKind.DIRECT_CALL, ip, target))
                 ip = target
                 continue
             if op is Op.JCC:
@@ -71,7 +71,7 @@ class ReferenceFullDecoder(FullDecoder):
                     return self._finish(edges, insn_count, ip, True)
                 target = next_ip + insn.rel if bit else next_ip
                 edges.append(
-                    FlowEdge(CoFIKind.COND_BRANCH, ip, target, taken=bit)
+                    BranchEvent(CoFIKind.COND_BRANCH, ip, target, taken=bit)
                 )
                 ip = target
                 continue
@@ -84,14 +84,14 @@ class ReferenceFullDecoder(FullDecoder):
                     Op.CALLR: CoFIKind.INDIRECT_CALL,
                     Op.RET: CoFIKind.RET,
                 }[op]
-                edges.append(FlowEdge(kind, ip, target))
+                edges.append(BranchEvent(kind, ip, target))
                 ip = target
                 continue
             if op is Op.SYSCALL:
                 resume = cursor.next_far_resume(ip)
                 if resume is None:
                     return self._finish(edges, insn_count, ip, True)
-                edges.append(FlowEdge(CoFIKind.FAR_TRANSFER, ip, resume))
+                edges.append(BranchEvent(CoFIKind.FAR_TRANSFER, ip, resume))
                 ip = resume
                 continue
             ip = next_ip

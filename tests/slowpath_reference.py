@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro import costs
-from repro.cpu.events import CoFIKind
-from repro.ipt.full_decoder import FlowEdge, TraceMismatch
+from repro.cpu.events import BranchEvent, CoFIKind
+from repro.ipt.full_decoder import TraceMismatch
 from repro.monitor.slowpath import (
     _DIRECT_CALL_LEN,
     _INDIRECT_CALL_LEN,
@@ -50,7 +50,7 @@ class ShadowStack:
     checked_returns: int = 0
     unknown_returns: int = 0
 
-    def feed(self, edge: FlowEdge) -> None:
+    def feed(self, edge: BranchEvent) -> None:
         """Process one reconstructed edge; raises on a mismatch."""
         if edge.kind is CoFIKind.DIRECT_CALL:
             self._stack.append(edge.src + _DIRECT_CALL_LEN)

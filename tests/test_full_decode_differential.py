@@ -18,6 +18,8 @@ from repro import telemetry
 from repro.binary import Loader
 from repro.cpu import Executor, Machine, Memory
 from repro.cpu import PROT_EXEC, PROT_READ, PROT_WRITE
+from repro.cpu.blocks import BlockStore
+from repro.cpu.memory import PAGE_SHIFT
 from repro.ipt import (
     FullDecoder,
     IPTConfig,
@@ -257,7 +259,7 @@ def test_start_ip_anchors():
         while ip < end:
             got = assert_same(memory, data, start_ip=ip, warm=warm)
             kinds.add(got["packets"][0][0] == "mismatch")
-            ip += FullDecoder(memory)._fetch(ip)[1]
+            ip = FullDecoder(memory)._entry(ip)[0][2]
     assert kinds == {True, False}
 
 
@@ -325,13 +327,13 @@ def test_nop_sled_stops_at_budget():
     memory.map_region(CODE_BASE, 1 << 20, PROT_READ | PROT_EXEC)
     decoder = FullDecoder(memory, max_insns=1000)
     fetched = []
-    fetch = decoder._fetch
+    entry = decoder._entry
 
-    def counting_fetch(ip):
+    def counting_entry(ip):
         fetched.append(ip)
-        return fetch(ip)
+        return entry(ip)
 
-    decoder._fetch = counting_fetch
+    decoder._entry = counting_entry
     got = assert_same(memory, b"", start_ip=CODE_BASE, max_insns=1000,
                       warm=decoder)
     edges, insn_count, _, end_ip, exhausted = got["packets"][0]
@@ -584,7 +586,10 @@ def test_code_patched_on_a_writable_page():
     """Code on an RWX page, patched by a guest store between two decodes
     by one decoder.  A store moves no code epoch, so nothing decoded
     from a writable page may be remembered: the second decode must walk
-    the patched JMP, as the CPU ran it."""
+    the patched JMP, as the CPU ran it.  Two inputs: a page mapped RWX
+    from the start, and a page filed under a module's store, mapped RX
+    for the first run (so shared and remembered) and mprotected to RWX
+    before the second (so neither)."""
     old, symbols = asm(_patch_items("a"), base=CODE_BASE)
     new, _ = asm(_patch_items("b"), base=CODE_BASE)
     (at,) = [i for i in range(len(old)) if old[i] != new[i]]
@@ -592,30 +597,43 @@ def test_code_patched_on_a_writable_page():
         _patch_items("a", CODE_BASE + at - symbols["site"], new[at]),
         base=CODE_BASE,
     )
-    memory = Memory()
-    memory.map_region(CODE_BASE, 0x1000,
-                      PROT_READ | PROT_WRITE | PROT_EXEC)
-    memory.write_raw(CODE_BASE, code)
-    memory.map_region(STACK_TOP - 0x4000, 0x4000, PROT_READ | PROT_WRITE)
-    epoch = memory.code_epoch
-    decoder = FullDecoder(memory)
-    ends = []
-    for patch in (0, 1):
-        machine = Machine(memory)
-        machine.ip = CODE_BASE
-        machine.set_reg(SP, STACK_TOP - 8)
-        machine.set_reg(R0, patch)
-        retired = []
-        cpu = Executor(machine)
-        encoder = _encoder()
-        cpu.add_listener(encoder.on_branch)
-        cpu.add_listener(retired.append)
-        cpu.run(10_000)
-        encoder.flush()
-        assert machine.halted
-        got = assert_same(memory, encoder.output.snapshot(), warm=decoder)
-        for name, (result, _) in got.items():
-            assert result[0] == [tuple(event) for event in retired], name
-        ends.append(retired[-1].dst)
-    assert memory.code_epoch == epoch
-    assert ends == [symbols["a"], symbols["b"]]
+    rwx = PROT_READ | PROT_WRITE | PROT_EXEC
+    for remapped in (False, True):
+        memory = Memory()
+        memory.map_region(CODE_BASE, 0x1000,
+                          PROT_READ | PROT_EXEC if remapped else rwx)
+        memory.write_raw(CODE_BASE, code)
+        if remapped:
+            memory.attach_blocks(CODE_BASE, 0x1000, BlockStore())
+        memory.map_region(STACK_TOP - 0x4000, 0x4000,
+                          PROT_READ | PROT_WRITE)
+        epoch = memory.code_epoch
+        decoder = FullDecoder(memory)
+        ends = []
+        for patch in (0, 1):
+            if remapped and patch:
+                memory.protect(CODE_BASE, 0x1000, rwx)
+            machine = Machine(memory)
+            machine.ip = CODE_BASE
+            machine.set_reg(SP, STACK_TOP - 8)
+            machine.set_reg(R0, patch)
+            retired = []
+            cpu = Executor(machine)
+            encoder = _encoder()
+            cpu.add_listener(encoder.on_branch)
+            cpu.add_listener(retired.append)
+            cpu.run(10_000)
+            encoder.flush()
+            assert machine.halted
+            got = assert_same(memory, encoder.output.snapshot(),
+                              warm=decoder)
+            for name, (result, _) in got.items():
+                assert result[0] == [tuple(event) for event in retired], \
+                    (name, remapped)
+            ends.append(retired[-1].dst)
+            shared = remapped and not patch
+            page = decoder._pages.get(CODE_BASE >> PAGE_SHIFT)
+            assert (page is not None) == shared, (remapped, patch)
+            assert bool(decoder._chains) == shared, (remapped, patch)
+        assert (memory.code_epoch == epoch) != remapped
+        assert ends == [symbols["a"], symbols["b"]], remapped

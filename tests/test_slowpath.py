@@ -9,9 +9,9 @@ import pytest
 
 from repro.analysis import ControlFlowGraph, Edge, EdgeKind
 from repro.analysis.cfg import BasicBlock
-from repro.cpu import CoFIKind, Memory
+from repro.cpu import BranchEvent, CoFIKind, Memory
 from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
-from repro.ipt.full_decoder import FlowEdge, TraceMismatch
+from repro.ipt.full_decoder import TraceMismatch
 from repro.ipt.packets import pack_tnt_sig
 from repro.monitor.slowpath import (
     _DIRECT_CALL_LEN,
@@ -24,46 +24,46 @@ from tests.slowpath_reference import ShadowStack, ShadowStackViolation
 class TestShadowStack:
     def test_matched_call_ret(self):
         shadow = ShadowStack()
-        shadow.feed(FlowEdge(CoFIKind.DIRECT_CALL, 0x100, 0x200))
-        shadow.feed(FlowEdge(CoFIKind.RET, 0x210, 0x100 + _DIRECT_CALL_LEN))
+        shadow.feed(BranchEvent(CoFIKind.DIRECT_CALL, 0x100, 0x200))
+        shadow.feed(BranchEvent(CoFIKind.RET, 0x210, 0x100 + _DIRECT_CALL_LEN))
         assert shadow.checked_returns == 1
         assert shadow.depth == 0
 
     def test_indirect_call_return_length(self):
         shadow = ShadowStack()
-        shadow.feed(FlowEdge(CoFIKind.INDIRECT_CALL, 0x100, 0x300))
+        shadow.feed(BranchEvent(CoFIKind.INDIRECT_CALL, 0x100, 0x300))
         shadow.feed(
-            FlowEdge(CoFIKind.RET, 0x310, 0x100 + _INDIRECT_CALL_LEN)
+            BranchEvent(CoFIKind.RET, 0x310, 0x100 + _INDIRECT_CALL_LEN)
         )
         assert shadow.checked_returns == 1
 
     def test_hijacked_return_raises(self):
         shadow = ShadowStack()
-        shadow.feed(FlowEdge(CoFIKind.DIRECT_CALL, 0x100, 0x200))
+        shadow.feed(BranchEvent(CoFIKind.DIRECT_CALL, 0x100, 0x200))
         with pytest.raises(ShadowStackViolation) as exc:
-            shadow.feed(FlowEdge(CoFIKind.RET, 0x210, 0xBAD))
+            shadow.feed(BranchEvent(CoFIKind.RET, 0x210, 0xBAD))
         assert exc.value.expected == 0x100 + _DIRECT_CALL_LEN
         assert exc.value.actual == 0xBAD
 
     def test_nested_calls_lifo(self):
         shadow = ShadowStack()
-        shadow.feed(FlowEdge(CoFIKind.DIRECT_CALL, 0x100, 0x200))
-        shadow.feed(FlowEdge(CoFIKind.DIRECT_CALL, 0x200, 0x300))
-        shadow.feed(FlowEdge(CoFIKind.RET, 0x310, 0x200 + _DIRECT_CALL_LEN))
-        shadow.feed(FlowEdge(CoFIKind.RET, 0x210, 0x100 + _DIRECT_CALL_LEN))
+        shadow.feed(BranchEvent(CoFIKind.DIRECT_CALL, 0x100, 0x200))
+        shadow.feed(BranchEvent(CoFIKind.DIRECT_CALL, 0x200, 0x300))
+        shadow.feed(BranchEvent(CoFIKind.RET, 0x310, 0x200 + _DIRECT_CALL_LEN))
+        shadow.feed(BranchEvent(CoFIKind.RET, 0x210, 0x100 + _DIRECT_CALL_LEN))
         assert shadow.checked_returns == 2
 
     def test_window_start_unknown_returns_tolerated(self):
         """A ret before any call in the window cannot be checked."""
         shadow = ShadowStack()
-        shadow.feed(FlowEdge(CoFIKind.RET, 0x100, 0x200))
+        shadow.feed(BranchEvent(CoFIKind.RET, 0x100, 0x200))
         assert shadow.unknown_returns == 1
         assert shadow.checked_returns == 0
 
     def test_non_call_edges_ignored(self):
         shadow = ShadowStack()
-        shadow.feed(FlowEdge(CoFIKind.COND_BRANCH, 0x100, 0x110))
-        shadow.feed(FlowEdge(CoFIKind.DIRECT_JMP, 0x110, 0x120))
+        shadow.feed(BranchEvent(CoFIKind.COND_BRANCH, 0x100, 0x110))
+        shadow.feed(BranchEvent(CoFIKind.DIRECT_JMP, 0x110, 0x120))
         assert shadow.depth == 0
 
 

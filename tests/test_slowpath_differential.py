@@ -26,11 +26,11 @@ import pytest
 from repro import costs
 from repro.analysis import build_ocfg
 from repro.binary import Loader
-from repro.cpu import CoFIKind, Executor, Machine, Memory
+from repro.cpu import BranchEvent, CoFIKind, Executor, Machine, Memory
 from repro.cpu import PROT_READ, PROT_WRITE
 from repro.ipt import IPTConfig, IPTEncoder, ToPA, ToPARegion
 from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
-from repro.ipt.full_decoder import FlowEdge, FullDecodeResult, TraceMismatch
+from repro.ipt.full_decoder import FullDecodeResult, TraceMismatch
 from repro.ipt.msr import RTIT_CTL
 from repro.ipt.packets import pack_tnt_sig
 from repro.isa.registers import SP
@@ -318,26 +318,26 @@ def ocfg_view():
 
 
 def dcall(src, dst):
-    return FlowEdge(CoFIKind.DIRECT_CALL, src, dst)
+    return BranchEvent(CoFIKind.DIRECT_CALL, src, dst)
 
 
 def icall(src, dst):
-    return FlowEdge(CoFIKind.INDIRECT_CALL, src, dst)
+    return BranchEvent(CoFIKind.INDIRECT_CALL, src, dst)
 
 
 def ijmp(src, dst):
-    return FlowEdge(CoFIKind.INDIRECT_JMP, src, dst)
+    return BranchEvent(CoFIKind.INDIRECT_JMP, src, dst)
 
 
 def ret(src, dst):
-    return FlowEdge(CoFIKind.RET, src, dst)
+    return BranchEvent(CoFIKind.RET, src, dst)
 
 
 NOISE = [
-    FlowEdge(CoFIKind.COND_BRANCH, 0x300, 0x304, False),
-    FlowEdge(CoFIKind.COND_BRANCH, 0x304, 0x400),
-    FlowEdge(CoFIKind.DIRECT_JMP, 0x400, 0x500),
-    FlowEdge(CoFIKind.FAR_TRANSFER, 0x500, 0x508),
+    BranchEvent(CoFIKind.COND_BRANCH, 0x300, 0x304, False),
+    BranchEvent(CoFIKind.COND_BRANCH, 0x304, 0x400),
+    BranchEvent(CoFIKind.DIRECT_JMP, 0x400, 0x500),
+    BranchEvent(CoFIKind.FAR_TRANSFER, 0x500, 0x508),
 ]
 
 HAND_BUILT = {
