@@ -349,17 +349,26 @@ def _finish_segment(
                 )
     scanned = pos - synced
     cycles = scanned * costs.FAST_DECODE_CYCLES_PER_BYTE
-    tel = get_telemetry()
-    if tel.enabled:
-        m = tel.metrics
-        m.counter("ipt.columnar_scan.calls").inc()
-        m.counter("ipt.columnar_scan.bytes").inc(scanned)
-        m.counter("ipt.columnar_scan.packets").inc(pkt_count)
-    return ColumnarSegment(
+    seg = ColumnarSegment(
         data, sync, synced, scanned, pkt_count, cycles, truncated,
         rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs, sigs,
         tnt_bits, total_bits, pend_start, fup_ips,
     )
+    tel = get_telemetry()
+    if tel.enabled:
+        count_scan(tel.metrics, seg)
+    return seg
+
+
+def count_scan(metrics, seg: ColumnarSegment) -> None:
+    """Add one decode of ``seg`` to the ``ipt.columnar_scan.*``
+    counters.  The scan epilogue calls it for every scan; the fast
+    path's tail walk also calls it for a segment it takes from its
+    previous walk instead of scanning, so the counters (like the cycle
+    charge) count the modelled decoder's work, not this process's."""
+    metrics.counter("ipt.columnar_scan.calls").inc()
+    metrics.counter("ipt.columnar_scan.bytes").inc(seg.scanned)
+    metrics.counter("ipt.columnar_scan.packets").inc(seg.pkt_count)
 
 
 def columnar_scan(data, sync: bool = False) -> ColumnarSegment:

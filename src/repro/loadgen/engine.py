@@ -32,12 +32,23 @@ from repro.telemetry import get_telemetry
 @lru_cache(maxsize=None)
 def rop_request() -> bytes:
     """The planted nginx ROP exploit, built once per process (recon is a
-    one-time effort)."""
+    one-time effort).  The recon is the attacker's own nginx run, not
+    traffic: it runs with telemetry off and the observability plane
+    detached, and both are restored afterwards."""
     from repro.attacks import build_rop_request, run_recon
     from repro.experiments.common import libraries
     from repro.workloads import build_nginx, build_vdso
 
-    recon = run_recon(build_nginx(), libraries(), vdso=build_vdso())
+    tel = get_telemetry()
+    enabled = tel.enabled
+    plane = tel.detach_plane()
+    tel.disable()
+    try:
+        recon = run_recon(build_nginx(), libraries(), vdso=build_vdso())
+    finally:
+        tel.plane = plane
+        if enabled:
+            tel.enable()
     return build_rop_request(recon)
 
 

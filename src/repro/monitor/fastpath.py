@@ -33,6 +33,7 @@ from repro.ipt.columnar import (
     ColumnarTail,
     _TailEntry,
     columnar_scan,
+    count_scan,
 )
 from repro.ipt.packets import PSB_PATTERN, PacketError, compose_tnt_sigs
 from repro.itccfg.paths import PathIndex
@@ -75,7 +76,13 @@ class FastPathResult:
 
 
 class FastPathChecker:
-    """Stateless checking logic over a search index."""
+    """Checking logic over a search index, one checker per protected
+    process (``execve`` and ``rebind`` build a fresh one).
+
+    The one thing a check leaves for the next is the segments its tail
+    walk scanned, keyed by their bytes, so the next walk scans only the
+    segments whose bytes are new (see :meth:`decode_tail_columnar`).
+    """
 
     def __init__(
         self,
@@ -111,6 +118,8 @@ class FastPathChecker:
         ranges = [] if image is None else module_ranges(image)
         self._range_starts = [entry[0] for entry in ranges]
         self._ranges = ranges
+        #: the previous tail walk's segments, keyed by their bytes.
+        self._last_walk: dict = {}
 
     # -- tail decoding -------------------------------------------------------
 
@@ -120,7 +129,7 @@ class FastPathChecker:
         Only the bytes actually decoded are charged — the §5.3 point
         that the whole ToPA buffer need not be decoded.
 
-        Each PSB segment is scanned exactly once: the walk goes backward
+        Each PSB segment is scanned at most once: the walk goes backward
         from the buffer end, prepending one segment at a time until the
         ``pkt_count``/module-span requirements hold.  Once the tail
         holds more than ``pkt_count`` records its newest ``pkt_count +
@@ -141,18 +150,35 @@ class FastPathChecker:
         adjacent and fabricate violations.  The failed decode is still
         charged for the bytes scanned, and the downgrade lands in the
         ledger (``corrupt-segment``, ``psb-resync``).
+
+        The walk keeps the segments it scanned, keyed by their bytes,
+        until the next walk, which takes a segment from there instead of
+        scanning bytes it has already seen (successive snapshots of one
+        process share most of their tail).  This is exact: a scan is a
+        pure function of the segment's bytes and its columns are
+        segment-relative (the walk carries ``begin``), so a kept segment
+        is what a rescan would build, at whatever offset a ring wrap has
+        moved it to.  A segment that raised is never kept, the
+        truncation rule judges a kept segment as it would a fresh one,
+        and the charge and the ``ipt.columnar_scan.*`` counters count
+        every segment walked, kept or scanned: they model the paper's
+        decoder, which has no such memory.
         """
         self.last_corrupt_segments = 0
         entries = []
         pkt_count = self.pkt_count
         check_span = self.require_cross_module or self.require_executable
         span_judged = False
-        view = memoryview(data)
         # PSBs are found lazily from the end, inline (a walk stops after
         # a few segments, so it must not pay for every PSB in the
-        # buffer).  A view (a ring drain) has no ``rfind``, so it is
-        # searched as bytes.
-        buf = bytes(data) if isinstance(data, memoryview) else data
+        # buffer).  Anything but ``bytes`` (a ring drain's view) is
+        # copied once: the segments' keys and the kept segments' slices
+        # must not change under a later write to the caller's buffer.
+        buf = data if isinstance(data, bytes) else bytes(data)
+        view = memoryview(buf)
+        last_walk = self._last_walk
+        walked = {}
+        tel = get_telemetry()
         rfind = buf.rfind
         startswith = buf.startswith
         cycles = 0.0
@@ -172,13 +198,19 @@ class FastPathChecker:
                 search_end -= 2
             if end == size:  # the newest segment: the window starts here
                 start = begin
-            try:
-                # Zero-copy slices; the columns stay segment-relative
-                # and ``begin`` is the base the tail carries.
-                seg = columnar_scan(view[begin:end])
-            except PacketError:
-                cycles += self._corrupt_segment(begin, end, count > 0)
-                break
+            key = buf[begin:end]
+            seg = last_walk.get(key)
+            if seg is None:
+                try:
+                    # Zero-copy slices; the columns stay segment-relative
+                    # and ``begin`` is the base the tail carries.
+                    seg = columnar_scan(view[begin:end])
+                except PacketError:
+                    cycles += self._corrupt_segment(begin, end, count > 0)
+                    break
+            elif tel.enabled:
+                count_scan(tel.metrics, seg)
+            walked[key] = seg
             if seg.truncated and end < size:
                 # Only the *final* segment of a clean stream can end
                 # mid-packet (the snapshot caught the producer).  A
@@ -211,6 +243,7 @@ class FastPathChecker:
                 ):
                     break
                 span_judged = True
+        self._last_walk = walked
         return ColumnarTail(entries, count, cycles, start)
 
     def _corrupt_segment(self, begin: int, end: int, resynced: bool) -> float:

@@ -1083,11 +1083,13 @@ def reference_walk(data, pkt_count, cross_module, executable):
     ``pkt_count + 1`` — spans the required modules.  The window and
     every record come from one ``fast_decode`` of the walked suffix,
     which carries TNT runs across PSBs.  Returns a dict of what the
-    walk must produce."""
+    walk must produce; ``stop`` is the segment a corrupt or truncated
+    middle segment stopped it at, with whether its decode raised."""
     size = len(data)
     offsets = psb_offsets(data)
     cycles = 0.0
     corrupt = 0
+    stop = None
     start = size
     entries = []
     count = 0
@@ -1103,10 +1105,12 @@ def reference_walk(data, pkt_count, cross_module, executable):
         except PacketError:
             cycles += penalty
             corrupt += 1
+            stop = (segment, True)
             break
         if decoded.truncated and end < size:
             cycles += decoded.cycles + penalty
             corrupt += 1
+            stop = (segment, False)
             break
         cycles += decoded.cycles
         entries.append((begin, segment))
@@ -1131,6 +1135,7 @@ def reference_walk(data, pkt_count, cross_module, executable):
         "corrupt": corrupt,
         "entries": entries,
         "records": records,
+        "stop": stop,
     }
 
 
@@ -1165,7 +1170,7 @@ class TestOnePassTailWalk:
     def assert_walk(self, checker, data):
         tail = checker.decode_tail_columnar(data)
         want = reference_walk(
-            data, checker.pkt_count, checker.require_cross_module,
+            bytes(data), checker.pkt_count, checker.require_cross_module,
             checker.require_executable,
         )
         assert tail.start == want["start"]
@@ -1321,3 +1326,196 @@ class TestOnePassTailWalk:
                 result.window_ips, result.window_sigs,
                 result.first_record_offset,
             )
+
+    # -- the previous walk's segments ----------------------------------------
+
+    @staticmethod
+    def count_scans(monkeypatch):
+        """The bytes of every segment the tail walk hands the scan."""
+        import repro.monitor.fastpath as fastpath
+
+        scans = []
+        real = fastpath.columnar_scan
+
+        def counting(segment, *args, **kwargs):
+            scans.append(bytes(segment))
+            return real(segment, *args, **kwargs)
+
+        monkeypatch.setattr(fastpath, "columnar_scan", counting)
+        return scans
+
+    def assert_reuse(self, checker, snapshots, scans):
+        """Walk ``snapshots`` in turn on one checker, each against
+        :func:`reference_walk` and against a fresh checker's ledger,
+        and check that a walk scans exactly the segments whose bytes
+        the previous walk did not keep: a clean segment is kept, one
+        whose decode raised never is.  Returns how many segments the
+        walks took from a previous walk."""
+        kept = set()
+        reused = 0
+        for data in snapshots:
+            fresh = self.walk_checker(
+                checker.pkt_count,
+                (checker.require_cross_module, checker.require_executable),
+            )
+            fresh.ledger = DegradationLedger()
+            fresh.owner_pid = checker.owner_pid
+            fresh.decode_tail_columnar(bytes(data))
+            before = len(checker.ledger.events)
+            del scans[:]
+            _, want = self.assert_walk(checker, data)
+            walked = [segment for _, segment in want["entries"]]
+            expect = [segment for segment in walked if segment not in kept]
+            if want["stop"] is not None:
+                segment, raised = want["stop"]
+                if raised or segment not in kept:
+                    expect.append(segment)
+                if not raised:
+                    walked.append(segment)
+            assert scans == expect
+            reused += len(walked) - len(expect)
+            kept = set(walked)
+            assert [
+                (e.kind, e.pid, e.detail)
+                for e in checker.ledger.events[before:]
+            ] == [(e.kind, e.pid, e.detail) for e in fresh.ledger.events]
+        return reused
+
+    def reuse_checkers(self, seed, spans):
+        """A checker whose walks stop early, then one that walks every
+        segment (so every segment a snapshot keeps is walked again)."""
+        rng = random.Random(f"reuse-{seed}-{spans}")
+        checkers = []
+        for pkt_count in (rng.choice([4, 12]), 10**6):
+            checker = self.walk_checker(pkt_count, spans)
+            checker.ledger = DegradationLedger()
+            checker.owner_pid = 7
+            checkers.append(checker)
+        return checkers
+
+    def assert_reuse_each(self, seed, spans, snapshots, scans):
+        reused = [
+            self.assert_reuse(checker, snapshots, scans)
+            for checker in self.reuse_checkers(seed, spans)
+        ]
+        assert reused[-1], "the whole walks kept no segment"
+
+    @pytest.mark.parametrize("spans", WALK_SPANS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reuse_over_growing_cuts(self, seed, spans, monkeypatch):
+        """Growing cuts of one stream, each walked twice: the repeat
+        scans nothing, a longer cut only its changed segments."""
+        scans = self.count_scans(monkeypatch)
+        data = build_tail_stream(500 + seed, segments=12)
+        rng = random.Random(seed)
+        cuts = sorted(rng.sample(range(1, len(data)), 10)) + [len(data)]
+        snapshots = [data[:cut] for cut in cuts for _ in range(2)]
+        self.assert_reuse_each(seed, spans, snapshots, scans)
+        checker = self.reuse_checkers(seed, spans)[0]
+        checker.decode_tail_columnar(data)
+        del scans[:]
+        checker.decode_tail_columnar(data)
+        assert scans == []
+
+    @pytest.mark.parametrize("spans", WALK_SPANS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reuse_across_a_ring_wrap(self, seed, spans, monkeypatch):
+        """A ring that wraps drops its head, so every kept segment sits
+        at a smaller offset in the next snapshot."""
+        scans = self.count_scans(monkeypatch)
+        data = build_tail_stream(600 + seed, segments=16)
+        capacity = len(data) // 3
+        ends = range(capacity, len(data) + 1, max(1, capacity // 10))
+        snapshots = [data[end - capacity:end] for end in ends]
+        self.assert_reuse_each(seed, spans, snapshots, scans)
+
+    @pytest.mark.parametrize("spans", WALK_SPANS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reuse_across_a_drain(self, seed, spans, monkeypatch):
+        """A drain empties the buffer: the next snapshot restarts
+        mid-stream, its old bytes gone and its offsets from zero."""
+        scans = self.count_scans(monkeypatch)
+        data = build_tail_stream(700 + seed, segments=14)
+        rng = random.Random(seed)
+        drain = rng.randrange(len(data) // 3, 2 * len(data) // 3)
+        cuts = sorted(rng.sample(range(drain + 1, len(data)), 4))
+        snapshots = [data[:drain // 2], data[:drain]] + [
+            data[drain:cut] for cut in cuts + [len(data)]
+        ]
+        self.assert_reuse_each(seed, spans, snapshots, scans)
+
+    @pytest.mark.parametrize("spans", WALK_SPANS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reuse_after_a_lossy_resync(self, seed, spans, monkeypatch):
+        """A lossy ring overwrote its oldest bytes; the drain re-syncs
+        at the first PSB it still holds."""
+        scans = self.count_scans(monkeypatch)
+        data = build_tail_stream(800 + seed, segments=14)
+        offsets = psb_offsets(data)
+        snapshots = [data[:offsets[6]], data[:offsets[8] + 5]]
+        for psb, end in ((2, 10), (5, 12), (9, len(offsets))):
+            stop = len(data) if end == len(offsets) else offsets[end]
+            snapshots.append(data[offsets[psb]:stop])
+        self.assert_reuse_each(seed, spans, snapshots, scans)
+
+    @pytest.mark.parametrize("spans", WALK_SPANS)
+    def test_reused_segment_corrupt_in_next_snapshot(self, spans,
+                                                     monkeypatch):
+        """A segment the previous walk kept arrives corrupt: the walk
+        rescans it, stops there and ledgers it as a fresh checker
+        would; the same corruption again is rescanned, never kept, and
+        the clean bytes after it are scanned anew."""
+        scans = self.count_scans(monkeypatch)
+        for seed in range(4):
+            data = build_tail_stream(900 + seed, segments=10)
+            offsets = psb_offsets(data)
+            checker = self.reuse_checkers(seed, spans)[-1]
+            at = offsets[5] + len(PSB_PATTERN)  # its PSBEND
+            corrupt = data[:at] + b"\xff" + data[at + 1:]
+            grown = corrupt + build_tail_stream(950 + seed, segments=2)
+            snapshots = [data, corrupt, corrupt, grown, data]
+            assert self.assert_reuse(checker, snapshots, scans)
+            assert checker.ledger.count("corrupt-segment") == 3
+
+    def test_reused_segment_truncated_in_next_snapshot(self, monkeypatch):
+        """A snapshot catches the producer mid-packet, and the next one
+        has a PSB right after the cut: the kept (truncated) segment now
+        lies in the middle and is judged corrupt, as a fresh walk
+        judges it."""
+        scans = self.count_scans(monkeypatch)
+        judged = 0
+        for seed in range(4):
+            data = build_tail_stream(1000 + seed, segments=8)
+            offsets = psb_offsets(data)
+            for index in range(1, 7):
+                try:
+                    spliced, resync = splice_truncated_segment(
+                        data, offsets, index
+                    )
+                except AssertionError:  # no clean mid-packet cut
+                    continue
+                checker = self.reuse_checkers(seed, (False, False))[-1]
+                assert self.assert_reuse(
+                    checker, [spliced[:resync], spliced, spliced], scans
+                )
+                assert checker.ledger.count("corrupt-segment") == 2
+                judged += 1
+        assert judged
+
+    def test_reuse_of_a_mutated_memoryview(self):
+        """A ring drain's ``memoryview`` is overwritten after its check:
+        the tail that check returned keeps the bytes it judged, and the
+        next walk judges the new bytes."""
+        data = build_tail_stream(1100, segments=10)
+        other = build_tail_stream(1101, segments=10)[:len(data)]
+        buffer = bytearray(data)
+        checker = self.walk_checker(10**6, (False, False))
+        tail, want = self.assert_walk(checker, memoryview(buffer))
+        buffer[:len(other)] = other
+        assert [
+            (entry.base, bytes(entry.seg.data)) for entry in tail.entries
+        ] == want["entries"]
+        assert tail_records(tail) == want["records"]
+        self.assert_walk(checker, memoryview(buffer))
+        buffer[:] = data
+        self.assert_walk(checker, memoryview(buffer))

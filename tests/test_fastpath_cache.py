@@ -1,10 +1,10 @@
 """Zero-copy slicing on the fast path.
 
-The fast path keeps no decode cache of its own (the labelled ITC-CFG
-is its only cache), so what it must not waste is copies: the tail walk
-and the parallel scan's serial path hand ``columnar_scan`` slices of
-the caller's buffer, never fresh bytes.  Both are checked by spying on
-the scan's input.
+The fast path keeps no decode cache beyond its previous tail walk's
+segments (the labelled ITC-CFG is its only cache of edges), so what it
+must not waste is copies: the tail walk and the parallel scan's serial
+path hand ``columnar_scan`` slices of the caller's ``bytes``, never
+fresh bytes.  Both are checked by spying on the scan's input.
 """
 
 import pytest

@@ -289,3 +289,33 @@ class TestKneeFloorGate:
         for knee in (KNEE_FLOOR, KNEE_FLOOR + 1.0):
             gates = self._gates(knee, quick=False)
             assert gates["knee_at_or_above_floor"] is True
+
+
+# -- the planted exploit ------------------------------------------------------
+
+
+def test_rop_request_recon_is_not_traffic():
+    """A cold ``rop_request()`` under an attached plane: the attacker's
+    recon (a whole nginx run) adds to no counter and takes no sample,
+    and the plane and telemetry are as they were afterwards."""
+    from repro import telemetry
+    from repro.loadgen import rop_request
+
+    tel = telemetry.get_telemetry()
+    enabled = tel.enabled
+    tel.reset()
+    plane = telemetry.ObservabilityPlane(interval=500.0)
+    tel.attach_plane(plane)
+    try:
+        rop_request.cache_clear()
+        counters = tel.metrics.snapshot()
+        exploit = rop_request()
+        assert tel.metrics.snapshot() == counters
+        assert plane.sampler.taken == 0
+        assert tel.plane is plane and tel.enabled
+    finally:
+        tel.detach_plane()
+        if not enabled:
+            tel.disable()
+        tel.reset()
+    assert rop_request() == exploit
