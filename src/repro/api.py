@@ -4,8 +4,8 @@ Everything an integrator needs lives here, imported from its canonical
 submodule home::
 
     from repro.api import (
-        Fleet, FleetConfig, FaultPlan, FlowGuardPolicy, Monitor,
-        RetryPolicy, RingPolicy, RunConfig, run_workload,
+        Fleet, FleetConfig, FaultPlan, FlowGuardPolicy, RetryPolicy,
+        RingPolicy, RunConfig, run_workload,
     )
 
     # Solo: one protected server, optionally under fault injection.
@@ -97,7 +97,6 @@ __all__ = [
     "Kernel",
     "LoadPointResult",
     "LoadScenario",
-    "Monitor",
     "ObservabilityPlane",
     "RetryPolicy",
     "RingPolicy",
@@ -160,30 +159,6 @@ class RunConfig:
             policy=FlowGuardPolicy.from_dict(data.get("policy") or {}),
             fleet=FleetConfig.from_dict(data.get("fleet") or {}),
         )
-
-
-class Monitor:
-    """Builder facade for the solo (synchronous-verdict) monitor."""
-
-    @staticmethod
-    def build(
-        policy: Optional[FlowGuardPolicy] = None,
-        kernel: Optional[Kernel] = None,
-        faults: Optional[FaultPlan] = None,
-    ) -> FlowGuardMonitor:
-        """An installed :class:`FlowGuardMonitor` on a (new) kernel.
-
-        The returned monitor has its syscall-table hooks in place;
-        protect processes with ``monitor.protect(...)`` or deploy a
-        :class:`FlowGuardPipeline` against ``monitor.kernel``.
-        """
-        monitor = FlowGuardMonitor(
-            kernel if kernel is not None else Kernel(),
-            policy=policy,
-            faults=faults,
-        )
-        monitor.install()
-        return monitor
 
 
 class Fleet:

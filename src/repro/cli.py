@@ -407,7 +407,6 @@ def _build_fleet_service(args: argparse.Namespace):
         ring_bytes=args.ring_bytes,
         ring_policy=RingPolicy(args.policy),
         max_queue_depth=args.queue_depth,
-        seed=args.seed,
         faults=_faults_from_args(args),
     )
     service = Fleet.build(RunConfig(fleet=config))

@@ -47,27 +47,17 @@ def server_requests(
 ) -> List[bytes]:
     """The §7.2.1 client workloads, scaled down to ``count`` sessions.
 
-    ``seed=None`` keeps the legacy constant workload (every historical
-    digest depends on it).  A seed switches to the load generator's
-    deterministic ``varied`` mix — the same seed always replays the
-    same byte-exact request list (``repro serve --seed``).
+    ``seed=None`` is the load generator's constant ``steady`` mix (every
+    historical digest depends on it).  A seed switches to its
+    deterministic ``varied`` mix — the same seed always replays the same
+    byte-exact request list (``repro serve --seed``).
     """
-    if seed is not None:
-        from repro.loadgen.mixes import mix_requests
+    # Imported here: the load generator builds on this module.
+    from repro.loadgen.mixes import mix_requests
 
+    if seed is not None:
         return mix_requests(name, count, seed=seed, mix="varied")
-    if name == "nginx":
-        # ab-like: constant requests for one small file.
-        return [nginx_request("/index.html") for _ in range(count)]
-    if name == "vsftpd":
-        return [vsftpd_session(files=("/srv/file.bin",))
-                for _ in range(count)]
-    if name == "openssh":
-        return [openssh_session(("whoami", "uptime"))
-                for _ in range(count)]
-    if name == "exim":
-        return [exim_session(rcpts=2) for _ in range(count)]
-    raise KeyError(name)
+    return mix_requests(name, count, mix="steady")
 
 
 def training_corpus(name: str) -> List[bytes]:

@@ -51,7 +51,6 @@ def build_fleet(
     ring_bytes: int = 8192,
     max_queue_depth: int = 1_000_000,
     servers: Sequence[str] = FLEET_SERVERS,
-    seed: int = 0,
     faults=None,
     retry=None,
 ) -> FleetService:
@@ -68,7 +67,6 @@ def build_fleet(
         ring_bytes=ring_bytes,
         ring_policy=policy,
         max_queue_depth=max_queue_depth,
-        seed=seed,
         faults=faults,
         retry=retry,
     )
@@ -109,7 +107,6 @@ def build_fault_fleet(
     sessions: int,
     faults=None,
     retry=None,
-    seed: int = 0,
     policy: RingPolicy = RingPolicy.LOSSY,
     inject_rop: bool = False,
 ) -> Tuple[FleetService, Optional[int]]:
@@ -123,7 +120,7 @@ def build_fault_fleet(
     # empty, so the rop payload can go into the first instance's stream.
     service = build_fleet(
         0, FAULT_WORKERS, sessions, policy=policy,
-        ring_bytes=FAULT_RING_BYTES, seed=seed, faults=faults, retry=retry,
+        ring_bytes=FAULT_RING_BYTES, faults=faults, retry=retry,
     )
     rop = rop_request() if inject_rop else None
     attacked_pid = None

@@ -76,7 +76,6 @@ def _run_scenario(
     sessions: int,
     faults=None,
     retry=None,
-    seed: int = 0,
     inject_rop: bool = False,
     plane: bool = False,
     slo: Optional[SLOConfig] = None,
@@ -94,7 +93,7 @@ def _run_scenario(
         tel.disable()
     try:
         service, attacked_pid = build_fault_fleet(
-            sessions, faults=faults, retry=retry, seed=seed,
+            sessions, faults=faults, retry=retry,
             policy=(
                 RingPolicy.LOSSY if faults is not None
                 else RingPolicy.STALL

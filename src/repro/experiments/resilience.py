@@ -124,7 +124,7 @@ def run(quick: bool = False) -> Dict[str, object]:
             tel.reset()
             service, attacked_pid = build_fault_fleet(
                 sessions, faults=FaultPlan.standard_mix(seed=seed),
-                retry=FAULT_RETRY, seed=seed, inject_rop=True,
+                retry=FAULT_RETRY, inject_rop=True,
             )
             result = service.run()
             row = _row(result)

@@ -24,7 +24,7 @@ from repro.experiments.common import (
 )
 from repro.itccfg.construct import build_itccfg
 from repro.itccfg.searchindex import FlowSearchIndex
-from repro.itccfg.serialize import itccfg_memory_bytes
+from repro.itccfg.credits import itccfg_memory_bytes
 from repro.workloads import SERVER_BUILDERS, build_vdso
 
 

@@ -49,7 +49,6 @@ class FleetConfig:
     #: in-flight checks before backpressure kicks in.
     max_queue_depth: int = 64
     max_rounds: int = 100_000
-    seed: int = 0
     #: deterministic fault plan (None = fault-free run).
     faults: Optional[FaultPlan] = None
     #: retry/backoff/dead-letter policy (None = defaults).

@@ -1,30 +1,12 @@
 """§6 hardware suggestions, modelled so §7.2.4 can quantify them.
 
-1. **Dedicated pattern-matching decoder** — a simple engine matching
-   two 8-bit words per cycle that classifies packet framing and routes
-   TIP/TNT payloads to fixed memory; replaces the software fast decode
-   at a fraction of the per-byte cost.
-2. **Multi-CR3 filtering** — configurable numbers of CR3 match values,
-   so multi-process applications (post-fork servers) stay traced
-   without per-context reprogramming.
-3. **In-hardware simple CFI policies** — pattern checks on the packet
-   stream between endpoints (e.g. TIP targets confined to code regions),
-   catching wild transfers without any software involvement.
-4. **Additional trigger mechanisms** — checks fired on configurable
-   events (every Nth TIP packet, specific system events) rather than
-   only buffer-full PMIs.
+§6 proposes a dedicated pattern-matching packet decoder, multi-CR3
+filtering, in-hardware simple CFI policies and extra check triggers.
+:class:`HardwareExtensionModel` projects a measured overhead breakdown
+with the first three enabled, by scaling the decode, trace and check
+slices; ``repro experiments hwext`` reports the projection.
 """
 
-from repro.hwext.decoder import PatternMatchDecoder
-from repro.hwext.filters import HardwareCFIFilter, MultiCR3Config
-from repro.hwext.model import HardwareExtensionModel, project_overhead
-from repro.hwext.triggers import TipCountTrigger
+from repro.hwext.model import HardwareExtensionModel
 
-__all__ = [
-    "HardwareCFIFilter",
-    "HardwareExtensionModel",
-    "MultiCR3Config",
-    "PatternMatchDecoder",
-    "TipCountTrigger",
-    "project_overhead",
-]
+__all__ = ["HardwareExtensionModel"]

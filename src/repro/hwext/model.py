@@ -52,13 +52,3 @@ class HardwareExtensionModel:
             pmi_count=stats.pmi_count,
         )
 
-
-def project_overhead(
-    stats: MonitorStats,
-    app_cycles: float,
-    model: HardwareExtensionModel,
-) -> float:
-    """Projected relative overhead with the extensions enabled."""
-    if app_cycles <= 0:
-        return 0.0
-    return model.apply(stats).total_cycles / app_cycles

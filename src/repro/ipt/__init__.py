@@ -38,7 +38,7 @@ from repro.ipt.columnar import (
     psb_offsets,
     sync_to_psb,
 )
-from repro.ipt.topa import PMI, ToPA, ToPARegion
+from repro.ipt.topa import ToPA, ToPARegion
 from repro.ipt.msr import RTIT_CTL, IPTConfig
 from repro.ipt.encoder import IPTEncoder
 from repro.ipt.full_decoder import (
@@ -56,7 +56,6 @@ __all__ = [
     "FullDecoder",
     "IPTConfig",
     "IPTEncoder",
-    "PMI",
     "PSB_PATTERN",
     "PacketError",
     "PacketKind",

@@ -22,10 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 
-class PMI(Exception):
-    """Raised through no path — PMIs are delivered via callback."""
-
-
 @dataclass
 class ToPARegion:
     """One output region.

@@ -11,6 +11,12 @@ paper is preserved:
   decoding slow), and
 - a conventional downward-growing stack with return addresses stored in
   memory, so that stack smashing and ROP behave as on real hardware.
+
+Programs are built as :class:`Insn`/:class:`Label` lists (the :class:`A`
+constructors) and assembled by :func:`asm`; :func:`disassemble_range`
+and :func:`format_insn` read code back.  There is no text-assembly
+syntax: the compiler in :mod:`repro.lang` and hand-built gadgets emit
+instruction objects directly.
 """
 
 from repro.isa.registers import (
@@ -32,20 +38,18 @@ from repro.isa.registers import (
     Cond,
     register_name,
 )
-from repro.isa.instructions import Insn, Label, Op, is_cofi
+from repro.isa.instructions import Insn, Label, Op
 from repro.isa.encoding import (
     DecodeError,
     decode_at,
     encode,
     instruction_length,
 )
-from repro.isa.assembler import A, Assembler, AssemblyError, asm
+from repro.isa.assembler import A, AssemblyError, asm
 from repro.isa.disassembler import disassemble_range, format_insn
-from repro.isa.parser import AsmSyntaxError, parse_asm
 
 __all__ = [
     "A",
-    "Assembler",
     "AssemblyError",
     "Cond",
     "DecodeError",
@@ -67,14 +71,11 @@ __all__ = [
     "R10",
     "R11",
     "SP",
-    "AsmSyntaxError",
     "asm",
     "decode_at",
     "disassemble_range",
     "encode",
     "format_insn",
     "instruction_length",
-    "is_cofi",
-    "parse_asm",
     "register_name",
 ]

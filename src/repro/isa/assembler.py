@@ -23,7 +23,7 @@ assembly and compiler output read naturally::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.isa.encoding import encode, instruction_length
 from repro.isa.instructions import Insn, Label, Op
@@ -39,51 +39,18 @@ class AssemblyError(Exception):
 _LABEL_OPS = frozenset({Op.JMP, Op.JCC, Op.CALL, Op.LEA})
 
 
-class Assembler:
-    """Accumulates instructions and labels, then assembles them."""
-
-    def __init__(self) -> None:
-        self._items: List[Item] = []
-
-    def emit(self, *items: Item) -> "Assembler":
-        """Append instructions/labels to the stream."""
-        self._items.extend(items)
-        return self
-
-    def extend(self, items: Iterable[Item]) -> "Assembler":
-        """Append a sequence of instructions/labels."""
-        self._items.extend(items)
-        return self
-
-    def label(self, name: str) -> "Assembler":
-        """Append a label at the current position."""
-        self._items.append(Label(name))
-        return self
-
-    @property
-    def items(self) -> Sequence[Item]:
-        return tuple(self._items)
-
-    def assemble(self, base: int = 0) -> Tuple[bytes, Dict[str, int]]:
-        """Assemble the stream.
-
-        Returns the code bytes and a symbol table mapping label names to
-        offsets from ``base``.  ``base`` only shifts the reported symbol
-        offsets; branch displacements are position independent.
-        """
-        return assemble(self._items, base=base)
-
-
 def assemble(
     items: Sequence[Item],
     base: int = 0,
     extra_labels: Optional[Dict[str, int]] = None,
 ) -> Tuple[bytes, Dict[str, int]]:
-    """Assemble ``items``; see :meth:`Assembler.assemble`.
+    """Assemble ``items`` into code bytes and a symbol table.
 
-    ``extra_labels`` supplies label bindings defined outside the stream
-    (e.g. data-section symbols at link-time-known offsets); stream labels
-    shadow them.
+    The symbol table maps label names to offsets from ``base``.
+    ``base`` only shifts the reported symbol offsets; branch
+    displacements are position independent.  ``extra_labels`` supplies
+    label bindings defined outside the stream (e.g. data-section symbols
+    at link-time-known offsets); stream labels shadow them.
     """
     # Pass 1: lay out offsets.
     offsets: List[int] = []

@@ -133,7 +133,3 @@ class Label:
 
     name: str
 
-
-def is_cofi(op: Op) -> bool:
-    """True if opcode ``op`` is a change-of-flow instruction."""
-    return op in COFI_OPS

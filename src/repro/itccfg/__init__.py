@@ -18,14 +18,10 @@ from repro.itccfg.credits import (
     CreditLabeledITC,
     CreditLevel,
     EdgeLabel,
+    itccfg_memory_bytes,
 )
 from repro.itccfg.paths import PathIndex
 from repro.itccfg.searchindex import FlowSearchIndex
-from repro.itccfg.serialize import (
-    itccfg_from_dict,
-    itccfg_memory_bytes,
-    itccfg_to_dict,
-)
 
 __all__ = [
     "CreditLabeledITC",
@@ -36,7 +32,5 @@ __all__ = [
     "ITCEdge",
     "PathIndex",
     "build_itccfg",
-    "itccfg_from_dict",
     "itccfg_memory_bytes",
-    "itccfg_to_dict",
 ]

@@ -10,6 +10,8 @@ slow path.
 A TNT sequence is held as the scan produces it, a 1-prefixed packed
 signature (:func:`repro.ipt.packets.pack_tnt_sig`; ``1`` is the empty
 run), from training through to the fast-path verdict.
+:func:`itccfg_memory_bytes` estimates the in-kernel size of a labelled
+graph (Table 5).
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ class CreditLabeledITC:
     are cached by :meth:`derived` against ``generation``, which every
     mutator here bumps, and against the graph's own
     :attr:`ITCCFG.generation`.  Labels changed by hand (not through
-    :meth:`observe_pair` or :meth:`promote`) must bump it themselves,
-    as the :mod:`~repro.itccfg.serialize` loader does.
+    :meth:`observe_pair` or :meth:`promote`) must bump it themselves.
     """
 
     itc: ITCCFG
@@ -161,3 +162,16 @@ class CreditLabeledITC:
         value = build(self)
         self._derived[build] = (self.generation, itc, itc.generation, value)
         return value
+
+
+def itccfg_memory_bytes(labeled: CreditLabeledITC) -> int:
+    """In-kernel resident size estimate of the maintained ITC-CFG."""
+    size = 8 * len(labeled.itc.nodes)
+    size += 24 * len(labeled.itc.edges)  # src, dst, branch
+    for label in labeled.labels.values():
+        size += 17  # key + credit byte
+        # A packed signature carries ``sig.bit_length() - 1`` branches.
+        size += sum(
+            8 + (sig.bit_length() - 1 + 7) // 8 for sig in label.tnt_patterns
+        )
+    return size

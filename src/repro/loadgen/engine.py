@@ -156,7 +156,6 @@ def build_load_service(
         ring_bytes=scenario.ring_bytes,
         ring_policy=RingPolicy(scenario.ring_policy),
         max_queue_depth=scenario.max_queue_depth,
-        seed=seed_val,
         faults=scenario.faults,
         retry=scenario.retry,
         tenant=tenant,

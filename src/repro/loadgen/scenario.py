@@ -110,6 +110,8 @@ class LoadScenario:
             raise ValueError("burst must be >= 1")
         if self.slo_latency <= 0:
             raise ValueError("slo_latency must be positive")
+        if not 0 < self.slo_percentile <= 100:
+            raise ValueError("slo_percentile must be in (0, 100]")
         RingPolicy(self.ring_policy)  # raises on unknown value
 
     def with_seed(self, seed: int) -> "LoadScenario":

@@ -15,6 +15,8 @@ requirement; see ``benchmarks/test_telemetry_overhead.py``).
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -29,12 +31,18 @@ def nearest_rank(ordered: Sequence[float], q: float) -> float:
     ``q`` is in [0, 100].  This is the one percentile definition the
     whole repo uses (histograms, fleet lag, the SLO engine), so a p99
     computed anywhere matches a p99 computed anywhere else on the same
-    observations.
+    observations.  The rank is ``ceil(q * n / 100)``, computed exactly:
+    a fractional ``q`` is taken at its decimal value, so p99.9 of 1000
+    observations is the 999th (the float 99.9 is slightly above it).
     """
     if not ordered:
         return 0.0
-    rank = max(1, -(-int(q) * len(ordered) // 100))  # ceil without floats
-    return ordered[min(rank, len(ordered)) - 1]
+    n = len(ordered)
+    if q == int(q):
+        rank = -(-int(q) * n // 100)  # ceil without floats
+    else:
+        rank = math.ceil(Fraction(str(q)) * n / 100)
+    return ordered[min(max(1, rank), n) - 1]
 
 
 def percentile(values: Sequence[float], q: float) -> float:

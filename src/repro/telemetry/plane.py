@@ -7,8 +7,8 @@ root-of-trust monitor:
 
 - :class:`TimeseriesSampler` — snapshots every registered metric series
   on a virtual-clock cadence (hooked into ``FleetClock`` ticks and
-  ``Kernel.step``), ring-buffered, exportable as JSONL and Prometheus
-  text exposition format.
+  ``Kernel.step``), ring-buffered; :meth:`ObservabilityPlane.export`
+  writes the resident samples with the rest of the plane.
 - :class:`FlightRecorder` — a bounded structured journal of notable
   events (verdicts, fault injections, cache transitions, quarantines,
   dead letters, PSB re-syncs) that auto-dumps the last N events with
@@ -50,16 +50,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.telemetry.metrics import series_base, series_name
-
-_PROM_SANITIZE = str.maketrans({".": "_", "-": "_"})
-
-
-def _prom_name(series: str) -> str:
-    """``fleet.check_lag{kind="x"}`` -> ``("repro_fleet_check_lag",
-    '{kind="x"}')`` — sanitize the metric name, keep labels verbatim."""
-    name, brace, labels = series.partition("{")
-    return "repro_" + name.translate(_PROM_SANITIZE), brace + labels
+from repro.telemetry.metrics import QUANTILES, series_base, series_name
 
 
 class TimeseriesSampler:
@@ -122,50 +113,6 @@ class TimeseriesSampler:
         for hook in self.on_sample:
             hook(sample)
         return sample
-
-    # -- exports -------------------------------------------------------------
-
-    def export_jsonl(self, path: str) -> int:
-        """Write the resident samples as JSON-lines; returns the count."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for sample in self.samples:
-                fh.write(json.dumps(sample, sort_keys=True))
-                fh.write("\n")
-        return len(self.samples)
-
-    def render_prometheus(self) -> str:
-        """The *latest* sample in Prometheus text exposition format."""
-        if not self.samples:
-            return ""
-        last = self.samples[-1]
-        lines: List[str] = []
-        seen_types: set = set()
-
-        def header(pname: str, kind: str) -> None:
-            if pname not in seen_types:
-                seen_types.add(pname)
-                lines.append(f"# TYPE {pname} {kind}")
-
-        for series, value in last["counters"].items():
-            pname, labels = _prom_name(series)
-            header(pname, "counter")
-            lines.append(f"{pname}{labels} {value}")
-        for series, value in last["gauges"].items():
-            pname, labels = _prom_name(series)
-            header(pname, "gauge")
-            lines.append(f"{pname}{labels} {value}")
-        for series, cell in last["histograms"].items():
-            pname, labels = _prom_name(series)
-            header(pname, "summary")
-            inner = labels[1:-1] if labels else ""
-            for q in (50, 95, 99):
-                qlabels = f'quantile="0.{q}"'
-                merged = f"{{{inner},{qlabels}}}" if inner else f"{{{qlabels}}}"
-                lines.append(f"{pname}{merged} {cell[f'p{q}']}")
-            lines.append(f"{pname}_sum{labels} {cell['sum']}")
-            lines.append(f"{pname}_count{labels} {int(cell['count'])}")
-        lines.append("")
-        return "\n".join(lines)
 
     def reset(self) -> None:
         self.samples.clear()
@@ -272,7 +219,8 @@ class SLObjective:
     ``kind`` selects the signal:
 
     - ``histogram_quantile`` — exact nearest-rank ``q``-percentile of
-      histogram ``metric`` at each sample (cumulative-to-date tail).
+      histogram ``metric`` at each sample (cumulative-to-date tail);
+      ``q`` is one of the summary's ``QUANTILES`` (50, 95, 99).
     - ``counter_window`` — the counter's *delta* across each sampler
       window.
     - ``gauge`` — the gauge's value at each sample.
@@ -300,6 +248,12 @@ class SLObjective:
         if self.kind in ("histogram_quantile", "counter_window", "gauge") \
                 and not self.metric:
             raise ValueError(f"objective {self.name!r} needs a metric")
+        if self.kind == "histogram_quantile" and self.q not in QUANTILES:
+            # A histogram summary keeps only these percentiles.
+            raise ValueError(
+                f"objective {self.name!r}: q must be one of "
+                f"{', '.join(map(str, QUANTILES))}, not {self.q!r}"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -211,6 +211,7 @@ class TestFleetConfig:
         ("engine", "columnar"),
         ("slow_lane", "columnar"),
         ("scan_kernel", "auto"),
+        ("seed", 0),
     ])
     def test_from_dict_rejects_unknown_keys(self, key, value):
         data = FleetConfig().to_dict()

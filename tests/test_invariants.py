@@ -13,10 +13,8 @@ from repro.itccfg import (
     ITCCFG,
     ITCEdge,
     PathIndex,
-    itccfg_from_dict,
-    itccfg_to_dict,
 )
-from tests.searchindex_reference import ReferenceSearchIndex, check_pair
+from tests.searchindex_reference import check_pair
 
 
 class TestToPAReferenceModel:
@@ -83,18 +81,6 @@ def labeled_graphs(draw):
 
 class TestSerializationEquivalence:
     @given(labeled_graphs())
-    @settings(max_examples=40, deadline=None)
-    def test_json_roundtrip_preserves_everything(self, labeled):
-        data = json.loads(json.dumps(itccfg_to_dict(labeled)))
-        restored = itccfg_from_dict(data)
-        assert restored.itc.nodes == labeled.itc.nodes
-        assert {(e.src, e.dst, e.branch_addr) for e in restored.itc.edges} \
-            == {(e.src, e.dst, e.branch_addr) for e in labeled.itc.edges}
-        for key, label in labeled.labels.items():
-            assert restored.credit_of(*key) == label.credit
-            assert restored.labels[key].tnt_patterns == label.tnt_patterns
-
-    @given(labeled_graphs())
     @settings(max_examples=30, deadline=None)
     def test_search_index_agrees_with_graph(self, labeled):
         """The §5.3 sorted-array structure must answer membership
@@ -109,27 +95,6 @@ class TestSerializationEquivalence:
                 expected = labeled.itc.has_edge(src, dst)
                 in_graph = check_pair(index, src, dst).violation is None
                 assert in_graph == expected
-
-    @given(labeled_graphs())
-    @settings(max_examples=30, deadline=None)
-    def test_restored_index_equivalent(self, labeled):
-        restored_labeled = itccfg_from_dict(itccfg_to_dict(labeled))
-        original = FlowSearchIndex(labeled)
-        restored = FlowSearchIndex(restored_labeled)
-        assert original.memory_bytes() == restored.memory_bytes()
-        # The per-edge oracle exposes each edge's credit level, which
-        # an empty-TNT batch probe alone would not distinguish.
-        ref_original = ReferenceSearchIndex(labeled)
-        ref_restored = ReferenceSearchIndex(restored_labeled)
-        for edge in labeled.itc.edges:
-            a = check_pair(original, edge.src, edge.dst)
-            b = check_pair(restored, edge.src, edge.dst)
-            assert (a.violation, a.low_credit) == (b.violation, b.low_credit)
-            ra = ref_original.check_edge(edge.src, edge.dst)
-            rb = ref_restored.check_edge(edge.src, edge.dst)
-            assert (ra.in_graph, ra.credit, ra.tnt_ok) == (
-                rb.in_graph, rb.credit, rb.tnt_ok
-            )
 
 
 class TestPathIndexInvariants:

@@ -17,7 +17,6 @@ from repro.isa import (
     encode,
     format_insn,
     instruction_length,
-    is_cofi,
 )
 from repro.cpu.executor import COND_TAKEN
 from repro.isa.instructions import OPERAND_LAYOUT
@@ -172,10 +171,10 @@ class TestDisassembler:
 
 class TestCoFIPredicate:
     def test_cofi_ops(self):
-        assert is_cofi(Op.JMP)
-        assert is_cofi(Op.RET)
-        assert is_cofi(Op.SYSCALL)
-        assert not is_cofi(Op.ADD)
+        assert Insn(Op.JMP).is_cofi()
+        assert Insn(Op.RET).is_cofi()
+        assert Insn(Op.SYSCALL).is_cofi()
+        assert not Insn(Op.ADD).is_cofi()
         assert Insn(Op.CALLR).is_cofi()
         assert not Insn(Op.MOV_RI).is_cofi()
 

@@ -33,9 +33,7 @@ from repro.itccfg import (
     ITCCFG,
     ITCEdge,
     build_itccfg,
-    itccfg_from_dict,
     itccfg_memory_bytes,
-    itccfg_to_dict,
 )
 from repro.itccfg.credits import UnknownEdge
 from repro.isa.registers import SP
@@ -270,23 +268,6 @@ class TestSearchIndex:
 
 
 class TestSerialization:
-    def test_roundtrip(self):
-        labeled = TestCredits().make_labeled()
-        labeled.observe_trace(
-            [(0x100, packed(())), (0x200, packed((True, False))),
-             (0x300, packed(()))]
-        )
-        data = itccfg_to_dict(labeled)
-        back = itccfg_from_dict(data)
-        assert back.itc.nodes == labeled.itc.nodes
-        assert {(e.src, e.dst) for e in back.itc.edges} == {
-            (e.src, e.dst) for e in labeled.itc.edges
-        }
-        assert back.credit_of(0x100, 0x200) is CreditLevel.HIGH
-        assert back.tnt_matches(0x200, 0x300, packed(()))
-        assert back.labels == labeled.labels
-        assert back.trained_entry_nodes == labeled.trained_entry_nodes
-
     def test_memory_bytes(self):
         labeled = TestCredits().make_labeled()
         assert itccfg_memory_bytes(labeled) > 0

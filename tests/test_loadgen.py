@@ -52,6 +52,14 @@ def test_scenario_unknown_key_rejected():
         LoadScenario.from_dict(data)
 
 
+@pytest.mark.parametrize("percentile", [0, 250, -1])
+def test_scenario_slo_percentile_out_of_range_rejected(percentile):
+    data = LoadScenario.default().to_dict()
+    data["slo_percentile"] = percentile
+    with pytest.raises(ValueError, match="slo_percentile"):
+        LoadScenario.from_dict(data)
+
+
 def test_scenario_stale_engine_key_rejected():
     # The decode-engine knob is gone; an old scenario file that still
     # names it must fail loudly rather than be silently ignored.

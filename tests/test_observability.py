@@ -58,6 +58,13 @@ class TestExactPercentiles:
         assert nearest_rank([1.0, 2.0], 50) == 1.0
         assert nearest_rank([1.0, 2.0], 99) == 2.0
 
+    def test_fractional_percentile_ranks_exactly(self):
+        values = [float(v) for v in range(1, 1001)]
+        assert nearest_rank(values, 99.9) == 999.0
+        assert nearest_rank(values, 99.95) == 1000.0
+        assert nearest_rank(values, 99.0) == nearest_rank(values, 99) == 990.0
+        assert nearest_rank(values[:10], 12.5) == 2.0
+
     def test_histogram_percentiles_are_exact(self):
         reg = MetricsRegistry(enabled=True)
         h = reg.histogram("lag")
@@ -131,31 +138,6 @@ class TestTimeseriesSampler:
         assert sampler.dropped == 2
         assert [s["t"] for s in sampler.samples] == [30.0, 40.0, 50.0]
         assert [s["seq"] for s in sampler.samples] == [2, 3, 4]
-
-    def test_jsonl_export_round_trips(self, tmp_path):
-        plane = _plane(interval=10.0)
-        telemetry.get_telemetry().metrics.counter("demo.count").inc()
-        plane.sampler.sample(10.0)
-        path = tmp_path / "series.jsonl"
-        assert plane.sampler.export_jsonl(str(path)) == 1
-        lines = path.read_text().splitlines()
-        sample = json.loads(lines[0])
-        assert sample["counters"]["demo.count"] == 1
-
-    def test_prometheus_rendering(self):
-        plane = _plane(interval=10.0)
-        tel = telemetry.get_telemetry()
-        tel.metrics.counter("monitor.checks").inc(path="fast")
-        tel.metrics.gauge("fleet.queue_depth").set(3)
-        tel.metrics.histogram("fleet.check_lag").observe(42.0)
-        plane.sampler.sample(10.0)
-        text = plane.sampler.render_prometheus()
-        assert "# TYPE repro_monitor_checks counter" in text
-        assert 'repro_monitor_checks{path="fast"} 1.0' in text
-        assert "# TYPE repro_fleet_queue_depth gauge" in text
-        assert "# TYPE repro_fleet_check_lag summary" in text
-        assert 'repro_fleet_check_lag{quantile="0.99"} 42.0' in text
-        assert "repro_fleet_check_lag_count 1" in text
 
 
 # -- flight recorder ---------------------------------------------------------
@@ -294,6 +276,10 @@ class TestSLOEngine:
         with pytest.raises(ValueError, match="target"):
             SLObjective(name="x", kind="overhead", max_value=1.0,
                         target=0.0)
+        for q in (0, 250, 90):
+            with pytest.raises(ValueError, match="q must be one of"):
+                SLObjective(name="x", kind="histogram_quantile",
+                            metric="lag", max_value=1.0, q=q)
         with pytest.raises(ValueError, match="unknown SLObjective keys"):
             SLObjective.from_dict({"name": "x", "kind": "overhead",
                                    "max_value": 1.0, "bogus": 1})

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.itccfg import itccfg_from_dict, itccfg_to_dict
 from repro.monitor.policy import FlowGuardPolicy
 from repro.osmodel import Kernel, ProcessState
 from repro.pipeline import FlowGuardPipeline
@@ -39,15 +38,6 @@ class TestOffline:
         # Every trained edge must actually exist in the ITC-CFG.
         for src, dst in pipeline.labeled.high_credit_edges():
             assert pipeline.itc.has_edge(src, dst)
-
-    def test_trained_graph_roundtrips_through_serialization(self, pipeline):
-        data = itccfg_to_dict(pipeline.labeled)
-        import json
-
-        restored = itccfg_from_dict(json.loads(json.dumps(data)))
-        assert restored.trained_ratio() == pytest.approx(
-            pipeline.labeled.trained_ratio()
-        )
 
 
 class TestDeploy:
