@@ -5,7 +5,7 @@ Runs a small instruction sequence mirroring the paper's Table 2 —
 a taken conditional, an indirect jump, a direct call (no output!), a
 not-taken conditional, a direct jump (no output), and a return — then
 prints what the fast decode's scan sees (TIP targets with their TNT
-context, FUP addresses) and fully decodes the stream back.
+context) and fully decodes the stream back into every transfer.
 
 Run:  python examples/ipt_tracing.py
 """
@@ -80,8 +80,6 @@ def main() -> None:
           f"incl. the one-time PSB group)")
     scan = columnar_scan(data)
     print(f"\nfast decode (framing only): {scan.pkt_count} packets")
-    for ip in scan.fup_addresses():
-        print(f"  FUP  ip={ip:#x}")
     for ip, sig in zip(scan.ip_column(), scan.sig_column()):
         bits = format(sig, "b")[1:]  # drop the signature's 1-prefix
         print(f"  TIP  ip={ip:#x}  TNT before: {bits or '-'}")

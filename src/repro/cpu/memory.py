@@ -179,11 +179,20 @@ class Memory:
         self.write(addr, bytes([value & 0xFF]))
 
     def read_cstring(self, addr: int, limit: int = 4096) -> bytes:
-        """Read a NUL-terminated byte string (for syscall arguments)."""
-        out = bytearray()
-        for i in range(limit):
-            b = self.read_u8(addr + i)
-            if b == 0:
-                break
-            out.append(b)
-        return bytes(out)
+        """Read a NUL-terminated byte string (for syscall arguments):
+        at most ``limit`` bytes, without the NUL.  Each page is checked
+        at the first byte read from it and searched for the NUL in one
+        ``find``."""
+        out = b""
+        end = addr + limit
+        while addr < end:
+            self._check(addr, 1, PROT_READ, "read")
+            page = self._pages[addr >> PAGE_SHIFT]
+            offset = addr & (PAGE_SIZE - 1)
+            stop = min(PAGE_SIZE, offset + end - addr)
+            nul = page.find(0, offset, stop)
+            if nul >= 0:
+                return out + page[offset:nul]
+            out += page[offset:stop]
+            addr += stop - offset
+        return out

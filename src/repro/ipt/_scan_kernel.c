@@ -7,31 +7,33 @@
  * ipt_scan through ctypes; when no compiler is available the engine
  * falls back to the pure-Python scan with identical results.
  *
- * Arguments: the stream (data, size) and the scan start (a PSB when
- * the wrapper synced), then the caller-allocated columns: rec_ips,
- * rec_offsets, rec_bit_start, rec_bit_end and rec_sigs (one entry per
- * TIP record), tnt_buf (the packed TNT bitstream), fup_ips, and out[].
- * Columns are allocated at worst-case sizes (every record column entry
- * is a u64 so the wrapper can frombytes() straight into
- * array('Q')/array('L') on LP64 platforms).
+ * Arguments: the stream (data, size), the scan start (a PSB when the
+ * wrapper synced), and the caller's arena of u64 words with the
+ * per-column capacity (at least one entry per TIP the stream can hold).
+ * The kernel lays the arena out itself:
  *
- * rec_sigs holds each record's packed TNT signature: the run of TNT
- * bits observed since the previous TIP, under a leading 1 bit.  The
- * run is kept in a register while it is at most 62 bits long (so every
- * signature stays below 2**63); a longer run gets the sentinel 0, and
- * the Python epilogue computes it from the bit-range columns.
+ *   arena[0 .. OUT_WORDS)           scalar outputs, below
+ *   then four columns of capacity   TIP ips (NO_IP = IP-suppressed),
+ *                                   TIP offsets, signatures, and the
+ *                                   TNT bit count at each TIP
+ *   then bytes                      the packed TNT bitstream (MSB-first)
  *
- * Scalar outputs land in out[]:
+ * A signature is the run of TNT bits observed since the previous TIP,
+ * under a leading 1 bit.  The run is kept in a register while it is at
+ * most 62 bits long (so every signature stays below 2**63); a longer
+ * run gets the sentinel 0, and the wrapper computes it from the bit
+ * counts and the packed bitstream.
  *
- *   out[0]  final scan position            out[5]  pending-bit-run start
- *   out[1]  packet count                   out[6]  truncated flag
- *   out[2]  TIP record count               out[7]  FUP count
- *   out[3]  packed TNT byte count          out[8]  error offset
- *   out[4]  total TNT bits                 out[9]  error value
+ *   out[0]  final scan position            out[5]  sentinel signatures
+ *   out[1]  packet count                   out[6]  dangling-run signature
+ *   out[2]  TIP record count                       (sentinel 0 past 62 bits)
+ *   out[3]  truncated flag                 out[7]  dangling-run start bit
+ *   out[4]  IP-suppressed TIPs             out[8]  total TNT bits
  *
  * Return value: 0 = clean scan, 1 = invalid TNT payload, 2 = impossible
- * IP width, 3 = unknown header (desync).  On error the wrapper raises
- * the byte-identical PacketError the Python scan raises.
+ * IP width, 3 = unknown header (desync).  On error out[0] holds the
+ * offending offset and out[1] the bad byte; the wrapper raises the
+ * byte-identical PacketError the Python scan raises.
  */
 
 #include <string.h>
@@ -40,21 +42,27 @@ typedef unsigned long long u64;
 
 #define NO_IP (~0ULL)
 #define SIG_MAX_BITS 62 /* longest TNT run with an in-register signature */
+#define OUT_WORDS 9
 
 long ipt_scan(const unsigned char *data, long size, long start,
-              u64 *rec_ips, u64 *rec_offsets,
-              u64 *rec_bit_start, u64 *rec_bit_end, u64 *rec_sigs,
-              unsigned char *tnt_buf, u64 *fup_ips, u64 *out)
+              u64 *arena, long capacity)
 {
     static const unsigned char psb[8] = {
         0x82, 0x02, 0x82, 0x02, 0x82, 0x02, 0x82, 0x02
     };
+    u64 *out = arena;
+    u64 *rec_ips = arena + OUT_WORDS;
+    u64 *rec_offsets = rec_ips + capacity;
+    u64 *rec_sigs = rec_offsets + capacity;
+    u64 *rec_bits = rec_sigs + capacity;
+    unsigned char *tnt_buf = (unsigned char *)(rec_bits + capacity);
     long pos = start;
     u64 acc = 0;
     int acc_bits = 0;
     u64 run = 1; /* 1-prefixed signature of the pending TNT run */
     u64 total_bits = 0, pend_start = 0, pkt_count = 0;
-    long nrec = 0, ntnt = 0, nfup = 0;
+    u64 suppressed_count = 0, sentinels = 0;
+    long nrec = 0, ntnt = 0;
     int truncated = 0;
     u64 last_ip = 0;
 
@@ -66,7 +74,7 @@ long ipt_scan(const unsigned char *data, long size, long start,
             if (pos + 2 > size) { truncated = 1; break; }
             payload = data[pos + 1];
             if (payload <= 1 || payload > 0x7F) {
-                out[8] = (u64)pos; out[9] = payload;
+                out[0] = (u64)pos; out[1] = payload;
                 return 1;
             }
             width = 31 - __builtin_clz(payload); /* bit_length - 1 */
@@ -91,7 +99,7 @@ long ipt_scan(const unsigned char *data, long size, long start,
             if (pos + 2 > size) { truncated = 1; break; }
             width = data[pos + 1];
             if (width > 8) {
-                out[8] = (u64)pos; out[9] = (u64)width;
+                out[0] = (u64)pos; out[1] = (u64)width;
                 return 2;
             }
             end = pos + 2 + width;
@@ -108,16 +116,18 @@ long ipt_scan(const unsigned char *data, long size, long start,
             }
             if (header == 0x0D) { /* TIP */
                 rec_ips[nrec] = suppressed ? NO_IP : ip;
+                suppressed_count += (u64)suppressed;
                 rec_offsets[nrec] = (u64)pos;
-                rec_bit_start[nrec] = pend_start;
-                rec_bit_end[nrec] = total_bits;
-                rec_sigs[nrec] = (total_bits - pend_start <= SIG_MAX_BITS)
-                    ? run : 0;
+                if (total_bits - pend_start <= SIG_MAX_BITS) {
+                    rec_sigs[nrec] = run;
+                } else {
+                    rec_sigs[nrec] = 0;
+                    sentinels++;
+                }
+                rec_bits[nrec] = total_bits;
                 run = 1;
                 pend_start = total_bits;
                 nrec++;
-            } else if (header == 0x1D && !suppressed) { /* FUP */
-                fup_ips[nfup++] = ip;
             }
             pkt_count++;
             pos = end;
@@ -138,21 +148,22 @@ long ipt_scan(const unsigned char *data, long size, long start,
                 truncated = 1;
                 break;
             }
-            out[8] = (u64)pos; out[9] = header;
+            out[0] = (u64)pos; out[1] = header;
             return 3;
         }
     }
 
     if (acc_bits)
-        tnt_buf[ntnt++] = (unsigned char)((acc << (8 - acc_bits)) & 0xFF);
+        tnt_buf[ntnt] = (unsigned char)((acc << (8 - acc_bits)) & 0xFF);
 
     out[0] = (u64)pos;
     out[1] = pkt_count;
     out[2] = (u64)nrec;
-    out[3] = (u64)ntnt;
-    out[4] = total_bits;
-    out[5] = pend_start;
-    out[6] = (u64)truncated;
-    out[7] = (u64)nfup;
+    out[3] = (u64)truncated;
+    out[4] = suppressed_count;
+    out[5] = sentinels;
+    out[6] = (total_bits - pend_start <= SIG_MAX_BITS) ? run : 0;
+    out[7] = pend_start;
+    out[8] = total_bits;
     return 0;
 }

@@ -5,42 +5,49 @@ compressed IPs.  It never touches program binaries, which is what makes
 it orders of magnitude cheaper than the instruction-flow layer
 (:mod:`repro.ipt.full_decoder`), at the price of not knowing what
 instruction produced each packet.  Allocating an object per packet
-would dominate its wall-clock, so the scan writes *columns* instead:
+would dominate its wall-clock, so a scan builds one
+:class:`ColumnarSegment` of *columns*, one entry per plain TIP packet —
+only what the checker, training and the slow path read:
 
 ======================  ====================================================
 column                  contents
 ======================  ====================================================
-``rec_ips``             ``array('Q')`` — one entry per plain TIP packet;
-                        ``NO_IP`` (2**64-1) marks an IP-suppressed TIP
-``rec_offsets``         ``array('Q')`` — stream offset of each TIP,
+:meth:`~ColumnarSegment.ip_column`
+                        list — each TIP's target; ``None`` marks an
+                        IP-suppressed TIP
+``rec_offsets``         list — stream offset of each TIP,
                         segment-relative (rebasing is integer addition at
                         materialisation time, never a copy)
-``tnt_bits``            packed TNT bitstream (``bytes``, oldest branch
-                        first, MSB-first within each byte)
-``rec_bit_start/end``   ``array('L')`` — each TIP's slice of ``tnt_bits``
-                        (the TNT run observed since the previous TIP)
-``rec_sigs``            ``array('Q')`` — each TIP's packed TNT signature
-                        (that run under a leading 1 bit), built while
-                        scanning; ``0`` marks a run longer than
-                        :data:`SIG_MAX_BITS`, filled in from the bit range
-                        by the shared scan epilogue
-``fup_ips``             ``array('Q')`` — FUP source addresses
+:meth:`~ColumnarSegment.sig_column`
+                        list — each TIP's packed TNT signature: the TNT
+                        run observed since the previous TIP, under a
+                        leading 1 bit
+``trailing``            int — the signature of the TNT run dangling past
+                        the last TIP (``1`` for none), which the tail walk
+                        stitches onto the next segment's first record
 ======================  ====================================================
 
-Two scanners produce these columns, column-identical:
+Two scanners produce the same segment:
 
 - the optional C kernel (:mod:`repro.ipt.scan_kernel`), compiled with
-  the host C compiler, runs whenever it builds;
+  the host C compiler, runs whenever it builds; it writes its columns
+  into one reused arena, and the wrapper builds each list once from it;
 - the vectorised pure-Python scan is the fallback where it does not —
   PAD runs and TNT packet runs are consumed per *run* (regex
   pre-classification + ``bytes.translate`` width lookup + one bulk bit
   flush), PSB sync uses ``bytes.find``.
 
+Both build a signature in a register while its run is at most
+:data:`SIG_MAX_BITS` bits long; a longer run (the *sentinel* case) is
+read from the packed TNT bitstream the scan also writes, which nothing
+else reads.
+
 The platform alone picks the scanner (:func:`scan_kernel_active`);
 there is no switch.
 
 The tests hold both against a per-byte walk over the 256-entry
-:data:`DISPATCH` / :data:`TNT_WIDTH` tables (``tests/scan_reference.py``)
+:data:`DISPATCH` / :data:`TNT_WIDTH` tables (``tests/scan_reference.py``,
+which keeps the full bit-range columns and derives these from them)
 and against an independently written packet-object decoder
 (``tests/packet_reference.py``).  A scan charges
 ``bytes * FAST_DECODE_CYCLES_PER_BYTE`` for the bytes it consumed.
@@ -64,7 +71,6 @@ from __future__ import annotations
 import ctypes
 import re
 import struct
-from array import array
 from typing import List, Optional
 
 from repro import costs
@@ -86,14 +92,13 @@ from repro.ipt.packets import (
     compose_tnt_sigs,
 )
 
-#: sentinel for an IP-suppressed TIP in the ``rec_ips`` column
-#: (``array('Q')`` cannot hold ``None``; no simulated address is ever
-#: 2**64-1).
+#: the C kernel's ip for an IP-suppressed TIP (a u64 column cannot hold
+#: ``None``; no simulated address is ever 2**64-1).
 NO_IP = (1 << 64) - 1
 
 #: longest TNT run whose signature the scanners build in a register;
-#: a longer run's ``rec_sigs`` entry is the sentinel ``0`` (its
-#: signature no longer fits below 2**63).
+#: a longer run's signature no longer fits below 2**63 and is read from
+#: the packed TNT bitstream instead.
 SIG_MAX_BITS = 62
 
 # Dispatch action codes.  TNT first and the IP family contiguous right
@@ -237,16 +242,13 @@ class ColumnarSegment:
     stream offset, so a segment scanned from a slice never copies.
 
     The window columns (:meth:`ip_column`, :meth:`sig_column`) are
-    lists.  The signature list is built by the scan epilogue from
-    ``rec_sigs``; the ip list is memoised on first use (the tail walk's
-    span judgement and the window both read it).
+    lists the scan builds once; the tail walk's span judgement, the
+    window and credit training all read them.
     """
 
     __slots__ = (
         "data", "sync", "synced_offset", "scanned", "pkt_count", "cycles",
-        "truncated", "rec_ips", "rec_offsets", "rec_bit_start",
-        "rec_bit_end", "rec_sigs", "tnt_bits", "total_bits", "pend_start",
-        "fup_ips", "_sigs", "_ips",
+        "truncated", "rec_offsets", "trailing", "_ips", "_sigs",
     )
 
     def __init__(
@@ -258,16 +260,10 @@ class ColumnarSegment:
         pkt_count: int,
         cycles: float,
         truncated: bool,
-        rec_ips,
-        rec_offsets,
-        rec_bit_start,
-        rec_bit_end,
-        rec_sigs,
+        ips: list,
+        rec_offsets: list,
         sigs: list,
-        tnt_bits: bytes,
-        total_bits: int,
-        pend_start: int,
-        fup_ips,
+        trailing: int,
     ) -> None:
         self.data = data
         self.sync = sync
@@ -278,81 +274,39 @@ class ColumnarSegment:
         self.pkt_count = pkt_count
         self.cycles = cycles
         self.truncated = truncated
-        self.rec_ips = rec_ips
         self.rec_offsets = rec_offsets
-        self.rec_bit_start = rec_bit_start
-        self.rec_bit_end = rec_bit_end
-        #: the scanners' signature column, sentinels included.
-        self.rec_sigs = rec_sigs
-        self.tnt_bits = tnt_bits
-        self.total_bits = total_bits
-        self.pend_start = pend_start
-        self.fup_ips = fup_ips
+        #: signature of the TNT run dangling past the last record
+        #: (``1``: none).
+        self.trailing = trailing
+        self._ips = ips
         self._sigs = sigs
-        self._ips: Optional[list] = None
-
-    # -- columnar access -----------------------------------------------------
-
-    @property
-    def record_count(self) -> int:
-        return len(self.rec_ips)
-
-    def trailing_sig(self) -> int:
-        """Signature of the TNT run dangling past the last record."""
-        return _bits_sig(self.tnt_bits, self.pend_start, self.total_bits)
-
-    # -- window columns ------------------------------------------------------
 
     def sig_column(self) -> list:
         """Packed signature per record (shared — do not mutate)."""
         return self._sigs
 
     def ip_column(self) -> list:
-        """IP-or-None per record (shared memo — do not mutate)."""
-        ips = self._ips
-        if ips is None:
-            ips = self.rec_ips.tolist()
-            if NO_IP in ips:
-                ips = [None if raw == NO_IP else raw for raw in ips]
-            self._ips = ips
-        return ips
-
-    def fup_addresses(self) -> List[int]:
-        """All FUP source addresses (syscall sites + PSB context)."""
-        return list(self.fup_ips)
+        """IP-or-None per record (shared — do not mutate)."""
+        return self._ips
 
 
 def _empty_segment(data, sync: bool) -> ColumnarSegment:
     return ColumnarSegment(
-        data, sync, len(data), 0, 0, 0.0, False,
-        array("Q"), array("Q"), array("L"), array("L"), array("Q"), [],
-        b"", 0, 0, array("Q"),
+        data, sync, len(data), 0, 0, 0.0, False, [], [], [], 1
     )
 
 
 def _finish_segment(
-    data, sync, synced, pos, pkt_count, truncated,
-    rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs,
-    tnt_bits, total_bits, pend_start, fup_ips,
+    data, sync, synced, pos, pkt_count, truncated, ips, rec_offsets, sigs,
+    trailing,
 ) -> ColumnarSegment:
-    """Shared scan epilogue: the identical cycle charge, telemetry
-    counters and signature list regardless of which scanner produced
-    the columns.  A ``rec_sigs`` sentinel (a TNT run longer than
-    :data:`SIG_MAX_BITS`) is the one record whose signature is computed
-    here, from its bit range."""
-    sigs = rec_sigs.tolist()
-    if 0 in sigs:
-        for index, sig in enumerate(sigs):
-            if not sig:
-                sigs[index] = _bits_sig(
-                    tnt_bits, rec_bit_start[index], rec_bit_end[index]
-                )
+    """Shared scan epilogue: the identical cycle charge and telemetry
+    counters regardless of which scanner produced the columns."""
     scanned = pos - synced
-    cycles = scanned * costs.FAST_DECODE_CYCLES_PER_BYTE
     seg = ColumnarSegment(
-        data, sync, synced, scanned, pkt_count, cycles, truncated,
-        rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs, sigs,
-        tnt_bits, total_bits, pend_start, fup_ips,
+        data, sync, synced, scanned, pkt_count,
+        scanned * costs.FAST_DECODE_CYCLES_PER_BYTE, truncated,
+        ips, rec_offsets, sigs, trailing,
     )
     tel = get_telemetry()
     if tel.enabled:
@@ -383,7 +337,7 @@ def columnar_scan(data, sync: bool = False) -> ColumnarSegment:
     Each scan adds to the ``ipt.columnar_scan.*`` telemetry counters.
 
     Runs the C kernel when it built, otherwise the vectorised
-    pure-Python scan; the two are column-identical.
+    pure-Python scan; the two build identical segments.
     """
     lib = scan_kernel.load()
     if lib is not None:
@@ -400,8 +354,10 @@ def _scan_python(data, sync: bool) -> ColumnarSegment:
     payload's width in one call, and the accumulated bits flush to the
     packed stream in one ``int.to_bytes``; the same bits extend the
     pending record's signature while its run fits :data:`SIG_MAX_BITS`.
-    The IP family stays scalar (IP compression chains ``last_ip``
-    sequentially).  PSB sync is one :func:`sync_to_psb` search.
+    A longer run's signature is read from the packed stream once the
+    scan ends.  The IP family stays scalar (IP compression chains
+    ``last_ip`` sequentially).  PSB sync is one :func:`sync_to_psb`
+    search.
     """
     raw = data if isinstance(data, bytes) else bytes(data)
     pos = 0
@@ -418,18 +374,11 @@ def _scan_python(data, sync: bool) -> ColumnarSegment:
     pad_run = _PAD_RUN.match
     tnt_run = _TNT_RUN.match
 
-    rec_ips = array("Q")
-    rec_offsets = array("Q")
-    rec_bit_start = array("L")
-    rec_bit_end = array("L")
-    rec_sigs = array("Q")
-    fup_ips = array("Q")
-    add_ip = rec_ips.append
-    add_offset = rec_offsets.append
-    add_bit_start = rec_bit_start.append
-    add_bit_end = rec_bit_end.append
-    add_sig = rec_sigs.append
-    add_fup = fup_ips.append
+    ips: list = []
+    rec_offsets: list = []
+    sigs: list = []
+    #: ``(record, first bit, end bit)`` of each run past SIG_MAX_BITS.
+    long_runs = []
 
     tnt_buf = bytearray()
     acc = 0  # bit accumulator, bulk-flushed per TNT run
@@ -494,18 +443,13 @@ def _scan_python(data, sync: bool) -> ColumnarSegment:
                 )
                 last_ip = ip
             if action == _A_TIP:
-                add_ip(NO_IP if ip is None else ip)
-                add_offset(pos)
-                add_bit_start(pend_start)
-                add_bit_end(total_bits)
-                add_sig(
-                    run_sig if total_bits - pend_start <= SIG_MAX_BITS
-                    else 0
-                )
+                if total_bits - pend_start > SIG_MAX_BITS:
+                    long_runs.append((len(sigs), pend_start, total_bits))
+                ips.append(ip)
+                rec_offsets.append(pos)
+                sigs.append(run_sig)
                 run_sig = 1
                 pend_start = total_bits
-            elif action == _A_FUP and ip is not None:
-                add_fup(ip)
             pkt_count += 1
             pos = end
         elif action == _A_PAD:
@@ -529,40 +473,48 @@ def _scan_python(data, sync: bool) -> ColumnarSegment:
 
     if acc_bits:
         tnt_buf.append((acc << (8 - acc_bits)) & 0xFF)
-
+    for index, start, end in long_runs:
+        sigs[index] = _bits_sig(tnt_buf, start, end)
+    if total_bits - pend_start > SIG_MAX_BITS:
+        run_sig = _bits_sig(tnt_buf, pend_start, total_bits)
     return _finish_segment(
-        data, sync, synced, pos, pkt_count, truncated,
-        rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs,
-        bytes(tnt_buf), total_bits, pend_start, fup_ips,
+        data, sync, synced, pos, pkt_count, truncated, ips, rec_offsets,
+        sigs, run_sig,
     )
 
 
-#: ``out[]`` of the C kernel (see ``_scan_kernel.c``), at arena offset 0.
-_KERNEL_OUT = struct.Struct("=10Q")
+#: the C kernel's scalar outputs (``out[]`` in ``_scan_kernel.c``), at
+#: the head of its arena, followed by its four u64 columns.
+_KERNEL_OUT = struct.Struct("=9Q")
+_OUT_WORDS = _KERNEL_OUT.size // 8
 
-# The C kernel's column buffers: one grow-only arena per process, sized
-# to the largest scan so far — a bytearray, the ctypes object exporting
-# it to the kernel (kept alive beside it, so the address stays valid)
-# and that address, swapped as one tuple.  Every scan reuses it and
-# copies its columns out before returning.  Nothing in the package scans
-# from more than one thread; the shared arena relies on that.
-_arena: tuple = (bytearray(), None, 0)
+# The C kernel's arena: one grow-only buffer per process, sized to the
+# largest scan so far — a bytearray, the ctypes object exporting it to
+# the kernel (kept alive beside it, so the address stays valid), that
+# address, and a u64 view of it, swapped as one tuple.  Every scan
+# reuses it and builds its lists from it before returning, so no
+# segment refers to the arena.  Nothing in the package scans from more
+# than one thread; the shared arena relies on that.
+_arena: tuple = (bytearray(), None, 0, memoryview(b""))
 
 
-def _kernel_arena(size: int):
-    """The arena, at least ``size`` bytes, and its address."""
+def _kernel_arena(size: int) -> tuple:
+    """The arena, at least ``size`` bytes."""
     global _arena
-    buf, _, address = _arena
-    if len(buf) < size:
-        buf = bytearray(size)
-        export = (ctypes.c_char * size).from_buffer(buf)
-        address = ctypes.addressof(export)
-        _arena = (buf, export, address)
-    return buf, address
+    arena = _arena
+    if len(arena[0]) < size:
+        buf = bytearray((size + 7) & ~7)  # whole u64 words
+        export = (ctypes.c_char * len(buf)).from_buffer(buf)
+        arena = _arena = (
+            buf, export, ctypes.addressof(export),
+            memoryview(buf).cast("Q"),
+        )
+    return arena
 
 
 def _scan_kernel_segment(lib, data, sync: bool) -> ColumnarSegment:
-    """Run the C kernel over the arena and copy its columns out."""
+    """Run the C kernel over the arena and build the segment's lists
+    from it."""
     raw = data if isinstance(data, bytes) else bytes(data)
     pos = 0
     if sync:
@@ -571,64 +523,49 @@ def _scan_kernel_segment(lib, data, sync: bool) -> ColumnarSegment:
             return _empty_segment(data, sync)
     size = len(raw)
     span = size - pos
-    # Worst-case capacities: every record-bearing packet is >= 2 bytes,
-    # every TNT pair contributes <= 6 bits.  Layout: out[], six u64
-    # columns (TIP ips, offsets, bit starts, bit ends, signatures; FUP
-    # ips), then the packed TNT bytes.  The kernel writes every byte it
+    # Worst-case capacities: every TIP is >= 2 bytes, every TNT pair
+    # contributes <= 6 bits.  The kernel writes every word and byte it
     # reports, so nothing needs zeroing.
-    column = 8 * (span // 2 + 1)
-    ips_at = _KERNEL_OUT.size
-    offs_at = ips_at + column
-    bit_start_at = offs_at + column
-    bit_end_at = bit_start_at + column
-    sigs_at = bit_end_at + column
-    fup_at = sigs_at + column
-    tnt_at = fup_at + column
-    arena, base = _kernel_arena(tnt_at + (span * 3) // 8 + 2)
-
-    status = lib.ipt_scan(
-        raw, size, pos,
-        base + ips_at, base + offs_at, base + bit_start_at,
-        base + bit_end_at, base + sigs_at, base + tnt_at, base + fup_at,
-        base,
-    )
-    out = _KERNEL_OUT.unpack_from(arena)
+    capacity = span // 2 + 1
+    tnt_at = 8 * (_OUT_WORDS + 4 * capacity)
+    buf, _, address, words = _kernel_arena(tnt_at + (span * 3) // 8 + 2)
+    status = lib.ipt_scan(raw, size, pos, address, capacity)
+    (end_pos, pkt_count, nrec, truncated, suppressed, sentinels, trailing,
+     pend_start, total_bits) = _KERNEL_OUT.unpack_from(buf)
     if status:
-        err_offset = out[8]
-        err_value = out[9]
         if status == 1:
-            raise PacketError(f"invalid TNT payload {err_value:#x}")
+            raise PacketError(f"invalid TNT payload {pkt_count:#x}")
         if status == 2:
             raise PacketError(
-                f"desynchronised at offset {err_offset}: "
-                f"IP width {err_value} impossible"
+                f"desynchronised at offset {end_pos}: "
+                f"IP width {pkt_count} impossible"
             )
         raise PacketError(
-            f"desynchronised at offset {err_offset}: "
-            f"header {err_value:#04x}"
+            f"desynchronised at offset {end_pos}: header {pkt_count:#04x}"
         )
-    end_pos, pkt_count, nrec, ntnt = out[0], out[1], out[2], out[3]
-    nfup = out[7]
-    view = memoryview(arena)
-    rec_bytes = 8 * nrec
-    rec_ips = array("Q")
-    rec_ips.frombytes(view[ips_at:ips_at + rec_bytes])
-    rec_offsets = array("Q")
-    rec_offsets.frombytes(view[offs_at:offs_at + rec_bytes])
-    rec_bit_start = array("L")
-    rec_bit_start.frombytes(view[bit_start_at:bit_start_at + rec_bytes])
-    rec_bit_end = array("L")
-    rec_bit_end.frombytes(view[bit_end_at:bit_end_at + rec_bytes])
-    rec_sigs = array("Q")
-    rec_sigs.frombytes(view[sigs_at:sigs_at + rec_bytes])
-    fup_ips = array("Q")
-    fup_ips.frombytes(view[fup_at:fup_at + 8 * nfup])
-    tnt_bits = bytes(view[tnt_at:tnt_at + ntnt])
-    view.release()
+    at = _OUT_WORDS
+    ips = words[at:at + nrec].tolist()
+    at += capacity
+    rec_offsets = words[at:at + nrec].tolist()
+    at += capacity
+    sigs = words[at:at + nrec].tolist()
+    if suppressed:
+        ips = [None if ip == NO_IP else ip for ip in ips]
+    if sentinels or not trailing:
+        # A run past SIG_MAX_BITS: read it from the packed bitstream,
+        # between the TNT bit counts at its ends.
+        tnt = buf[tnt_at:tnt_at + ((total_bits + 7) >> 3)]
+        bits = words[at + capacity:at + capacity + nrec].tolist()
+        for index, sig in enumerate(sigs):
+            if not sig:
+                sigs[index] = _bits_sig(
+                    tnt, bits[index - 1] if index else 0, bits[index]
+                )
+        if not trailing:
+            trailing = _bits_sig(tnt, pend_start, total_bits)
     return _finish_segment(
-        data, sync, pos, end_pos, pkt_count, bool(out[6]),
-        rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs,
-        tnt_bits, out[4], out[5], fup_ips,
+        data, sync, pos, end_pos, pkt_count, bool(truncated), ips,
+        rec_offsets, sigs, trailing,
     )
 
 
@@ -695,7 +632,7 @@ class ColumnarTail:
         if need > 0:
             for entry in entries:
                 reach += 1
-                need -= len(entry.seg.rec_ips)
+                need -= len(entry.seg._ips)
                 if need <= 0:
                     break
         # ``-need`` records of the oldest reached segment are older
@@ -706,7 +643,7 @@ class ColumnarTail:
         for index in range(reach - 1, -1, -1):
             entry = entries[index]
             seg = entry.seg
-            if not len(seg.rec_ips):
+            if not seg._ips:
                 continue
             if ips is None:
                 ips = seg.ip_column()[skip:]

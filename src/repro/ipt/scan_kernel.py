@@ -3,13 +3,12 @@
 ``_scan_kernel.c`` is an exact C mirror of the pure-Python columnar
 scan; this module owns the lifecycle around it:
 
-- refuse a host whose ``array('L')`` is not 64-bit: the wrapper adopts
-  the kernel's u64 column buffers verbatim with ``array.frombytes``,
 - compile on first use with whatever host compiler is on ``PATH``
   (``cc``/``gcc``/``clang``), into a per-user temp directory keyed by a
   hash of the source so stale binaries never survive a source change,
-- load it through :mod:`ctypes` with the fixed ``ipt_scan`` signature
-  (``argtypes`` declared, so the call converts no argument by guesswork),
+- load it through :mod:`ctypes` with the fixed five-argument
+  ``ipt_scan`` signature (``argtypes`` declared, so the call converts no
+  argument by guesswork),
 - degrade cleanly: any build/load failure is recorded (see
   :func:`build_error`) and the engine falls back to the pure-Python
   scan with bit-identical results.
@@ -27,7 +26,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from array import array
 from typing import Optional
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_scan_kernel.c")
@@ -38,8 +36,6 @@ _error: Optional[str] = None
 
 
 def _build() -> ctypes.CDLL:
-    if array("L").itemsize != 8:
-        raise RuntimeError("array('L') is not 64-bit here")
     with open(_SOURCE_PATH, "rb") as fh:
         source = fh.read()
     digest = hashlib.blake2b(source, digest_size=8).hexdigest()
@@ -70,11 +66,11 @@ def _build() -> ctypes.CDLL:
         os.replace(tmp_path, so_path)
     lib = ctypes.CDLL(so_path)
     scan = lib.ipt_scan
-    # data, size, start, then seven column pointers and out[]: the
-    # wrapper passes addresses into its scan arena as plain ints.
+    # data, size, start, then the scan arena's address (a plain int)
+    # and its per-column capacity; the kernel lays the arena out.
     scan.argtypes = (
-        [ctypes.c_char_p, ctypes.c_long, ctypes.c_long]
-        + [ctypes.c_void_p] * 8
+        ctypes.c_char_p, ctypes.c_long, ctypes.c_long,
+        ctypes.c_void_p, ctypes.c_long,
     )
     scan.restype = ctypes.c_long
     return lib
@@ -82,7 +78,7 @@ def _build() -> ctypes.CDLL:
 
 def load() -> Optional[ctypes.CDLL]:
     """The kernel library, or None if it cannot be used here (no
-    compiler, a failed build or load, or a non-LP64 ``array('L')``).
+    compiler, or a failed build or load).
 
     The build is attempted once per process; the outcome (library or
     error string) is cached.

@@ -226,13 +226,13 @@ class FastPathChecker:
             # Fold the segment's dangling TNT run onto the head record
             # (a PSB resets IP compression, not branch context), then
             # append its entry.
-            if count and seg.pend_start < seg.total_bits:
+            if count and seg.trailing != 1:
                 head.patch_sig = compose_tnt_sigs(
-                    seg.trailing_sig(), head.patch_sig
+                    seg.trailing, head.patch_sig
                 )
             entry = _TailEntry(seg, begin)
             entries.append(entry)
-            records = len(seg.rec_ips)
+            records = len(seg.ip_column())
             if records:
                 head = entry
                 count += records

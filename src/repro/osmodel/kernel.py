@@ -82,6 +82,12 @@ class StepOutcome(enum.Enum):
 class Kernel:
     """The machine's single privileged agent."""
 
+    #: ``(nr, handler method name)`` per syscall, built once per class;
+    #: each kernel binds its own table from it.
+    _SYSCALLS: List[Tuple[int, str]] = [
+        (int(nr), f"_sys_{nr.name.lower()}") for nr in Sys
+    ]
+
     def __init__(self) -> None:
         self.fs = FileSystem()
         self.processes: Dict[int, Process] = {}
@@ -89,7 +95,7 @@ class Kernel:
         self._next_cr3 = 0x1000
         self.programs: Dict[str, Tuple[Module, Loader]] = {}
         self.syscall_table: Dict[int, SyscallHandler] = {
-            int(nr): getattr(self, f"_sys_{nr.name.lower()}") for nr in Sys
+            nr: getattr(self, name) for nr, name in self._SYSCALLS
         }
         # Called with (process,) when a traced child stops at execve;
         # this is where FlowGuard configures the CR3 filter.

@@ -6,7 +6,7 @@ straight from the segment bytes.  This module is the decoder they
 replaced, written independently of both: :func:`fast_decode` builds one
 :class:`DecodedPacket` per packet, and :class:`PacketCursor` walks that
 list.  The scan-parity, robustness and columnar suites hold the scan to
-:func:`fast_decode` (TIP records, trailing stitch state, FUP addresses,
+:func:`fast_decode` (TIP records, trailing stitch state,
 truncation, ``PacketError`` text, charged cycles), and the cursor suites
 and ``tests/test_full_decode_differential.py`` hold the byte cursor to
 :class:`PacketCursor` (every result and ``TraceMismatch`` message).
@@ -144,12 +144,6 @@ class FastDecodeResult:
                 pending_tnt = []
         return records, tuple(pending_tnt)
 
-    def fup_ips(self) -> List[int]:
-        return [
-            p.ip
-            for p in self.packets
-            if p.kind is PacketKind.FUP and p.ip is not None
-        ]
 
 
 def fast_decode(data, sync: bool = False,

@@ -6,19 +6,23 @@ optional C kernel.  This is the original per-byte walk over the
 :data:`~repro.ipt.columnar.TNT_WIDTH` tables, kept here as the oracle
 both are property-tested against (``tests/test_scan_parity.py``).
 
-It derives the ``rec_sigs`` column on its own: the pending TNT run is
-an unbounded 1-prefixed int grown one packet at a time, and a record
-whose run is longer than :data:`~repro.ipt.columnar.SIG_MAX_BITS` bits
-gets the sentinel ``0`` from its length alone.
+It keeps the full columns the scanners no longer build —
+``rec_bit_start``/``rec_bit_end`` (each TIP's slice of the packed TNT
+bitstream ``tnt_bits``), ``total_bits`` and ``pend_start`` — in a
+:class:`FullScan`, and derives the lean segment from
+them: every signature, the dangling run's included, is read from its
+bit range (the scanners read one from the bitstream only for a run
+longer than :data:`~repro.ipt.columnar.SIG_MAX_BITS` bits, and build
+the rest in a register).
 """
 
 from array import array
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.ipt.columnar import (
     DISPATCH,
     NO_IP,
-    SIG_MAX_BITS,
     TNT_WIDTH,
     _A_FUP,
     _A_OVF,
@@ -28,6 +32,7 @@ from repro.ipt.columnar import (
     _A_TIP,
     _A_TNT,
     ColumnarSegment,
+    _bits_sig,
     _empty_segment,
     _finish_segment,
     sync_to_psb,
@@ -35,14 +40,37 @@ from repro.ipt.columnar import (
 from repro.ipt.packets import PSB_PATTERN, PacketError
 
 
+@dataclass
+class FullScan:
+    """Every column the per-byte walk keeps, and the lean segment
+    derived from them."""
+
+    rec_ips: array  # NO_IP marks an IP-suppressed TIP
+    rec_offsets: array
+    rec_bit_start: array
+    rec_bit_end: array
+    tnt_bits: bytes
+    total_bits: int
+    pend_start: int
+    segment: ColumnarSegment
+
+
 def columnar_scan_reference(data, sync: bool = False) -> ColumnarSegment:
     """The per-byte dispatch walk; same signature and output as
     :func:`repro.ipt.columnar.columnar_scan`."""
+    return full_scan_reference(data, sync).segment
+
+
+def full_scan_reference(data, sync: bool = False) -> FullScan:
+    """The per-byte dispatch walk's full columns."""
     pos = 0
     if sync:
         pos = sync_to_psb(data)
         if pos < 0:
-            return _empty_segment(data, sync)
+            return FullScan(
+                array("Q"), array("Q"), array("L"), array("L"), b"", 0, 0,
+                _empty_segment(data, sync),
+            )
     synced = pos
     size = len(data)
     dispatch = DISPATCH
@@ -54,20 +82,15 @@ def columnar_scan_reference(data, sync: bool = False) -> ColumnarSegment:
     rec_offsets = array("Q")
     rec_bit_start = array("L")
     rec_bit_end = array("L")
-    rec_sigs = array("Q")
-    fup_ips = array("Q")
     add_ip = rec_ips.append
     add_offset = rec_offsets.append
     add_bit_start = rec_bit_start.append
     add_bit_end = rec_bit_end.append
-    add_sig = rec_sigs.append
-    add_fup = fup_ips.append
 
     tnt_buf = bytearray()
     emit_byte = tnt_buf.append
     acc = 0  # bit accumulator, flushed every 8 bits
     acc_bits = 0
-    pending = 1  # the TNT run since the last TIP, under a leading 1
     total_bits = 0
     pend_start = 0
     last_ip = 0
@@ -85,7 +108,6 @@ def columnar_scan_reference(data, sync: bool = False) -> ColumnarSegment:
             if width == 255:
                 raise PacketError(f"invalid TNT payload {payload:#x}")
             acc = (acc << width) | (payload ^ (1 << width))
-            pending = (pending << width) | (payload ^ (1 << width))
             acc_bits += width
             total_bits += width
             while acc_bits >= 8:
@@ -121,12 +143,7 @@ def columnar_scan_reference(data, sync: bool = False) -> ColumnarSegment:
                 add_offset(pos)
                 add_bit_start(pend_start)
                 add_bit_end(total_bits)
-                run_bits = pending.bit_length() - 1
-                add_sig(pending if run_bits <= SIG_MAX_BITS else 0)
-                pending = 1
                 pend_start = total_bits
-            elif action == _A_FUP and ip is not None:
-                add_fup(ip)
             pkt_count += 1
             pos = end
         elif action == _A_PAD:
@@ -151,8 +168,18 @@ def columnar_scan_reference(data, sync: bool = False) -> ColumnarSegment:
     if acc_bits:
         emit_byte((acc << (8 - acc_bits)) & 0xFF)
 
-    return _finish_segment(
+    tnt_bits = bytes(tnt_buf)
+    segment = _finish_segment(
         data, sync, synced, pos, pkt_count, truncated,
-        rec_ips, rec_offsets, rec_bit_start, rec_bit_end, rec_sigs,
-        bytes(tnt_buf), total_bits, pend_start, fup_ips,
+        [None if ip == NO_IP else ip for ip in rec_ips],
+        rec_offsets.tolist(),
+        [
+            _bits_sig(tnt_bits, start, end)
+            for start, end in zip(rec_bit_start, rec_bit_end)
+        ],
+        _bits_sig(tnt_bits, pend_start, total_bits),
+    )
+    return FullScan(
+        rec_ips, rec_offsets, rec_bit_start, rec_bit_end, tnt_bits,
+        total_bits, pend_start, segment,
     )

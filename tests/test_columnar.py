@@ -30,9 +30,8 @@ from repro.attacks import (
 from repro.fleet.rings import RingPolicy
 from repro.fleet.service import FleetConfig, FleetService
 from repro.cpu.events import BranchEvent, CoFIKind
-from repro.ipt import IPTConfig, IPTEncoder, ToPA, ToPARegion
+from repro.ipt import IPTConfig, IPTEncoder, ToPA, ToPARegion, columnar
 from repro.ipt.columnar import (
-    ColumnarSegment,
     ColumnarTail,
     NO_IP,
     columnar_decode_parallel,
@@ -76,6 +75,7 @@ from tests.packet_reference import (
     segment_records,
     tail_records,
 )
+from tests.scan_reference import full_scan_reference
 from tests.searchindex_reference import ReferenceSearchIndex
 
 LIBS = {"libsim.so": build_libsim()}
@@ -208,12 +208,11 @@ def assert_scan_parity(data, sync=False):
         return
     obj_records, obj_trailing = obj.tip_records_with_state()
     assert segment_records(col) == obj_records
-    assert unpack_tnt_sig(col.trailing_sig()) == obj_trailing
+    assert unpack_tnt_sig(col.trailing) == obj_trailing
     assert col.cycles == obj.cycles
     assert col.truncated == obj.truncated
     assert col.synced_offset == obj.synced_offset
     assert col.pkt_count == len(obj.packets)
-    assert col.fup_addresses() == obj.fup_ips()
 
 
 class TestScanParity:
@@ -245,7 +244,7 @@ class TestScanParity:
 
     def test_sync_without_psb(self):
         seg = columnar_scan(b"\xde\xad\xbe\xef", sync=True)
-        assert seg.record_count == 0
+        assert seg.ip_column() == []
         assert seg.synced_offset == 4
         assert seg.cycles == 0.0
 
@@ -804,7 +803,7 @@ class TestPsbOffsetsReversed:
         assert psb_offsets(data) == [0, psb]
         assert walked_psbs(data) == [psb, 0]
         assert sync_to_psb(data, 1) == psb
-        assert columnar_scan(data).record_count == 1
+        assert len(columnar_scan(data).ip_column()) == 1
 
 
 def _psb_group(ip):
@@ -880,7 +879,7 @@ class TestColumnarSegmentViews:
         data = build_stream(13, packets=120)
         seg = columnar_scan(data)
         records = fast_decode(data).tip_records()
-        assert seg.record_count == len(records)
+        assert len(seg.ip_column()) == len(records)
         assert seg.ip_column() == [r.ip for r in records]
         assert seg.sig_column() == [
             pack_tnt_sig(r.tnt_before) for r in records
@@ -897,9 +896,14 @@ class TestColumnarSegmentViews:
         stream += encoded
         encoded, _ = encode_ip_packet(TIP_HEADER, None, last)
         stream += encoded
-        seg = columnar_scan(bytes(stream))
-        assert list(seg.rec_ips) == [0x400010, NO_IP]
-        assert seg.ip_column() == [0x400010, None]
+        for seg in (
+            columnar_scan(bytes(stream)),
+            columnar._scan_python(bytes(stream), False),
+        ):
+            assert seg.ip_column() == [0x400010, None]
+        assert list(full_scan_reference(bytes(stream)).rec_ips) == [
+            0x400010, NO_IP,
+        ]
 
 
 class TestTailWindowMemo:

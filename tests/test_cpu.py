@@ -113,6 +113,49 @@ class TestMemory:
         mem.write(0x1000, b"nginx\x00junk")
         assert mem.read_cstring(0x1000) == b"nginx"
 
+    def test_cstring_nul_on_the_next_page(self):
+        mem = Memory()
+        mem.map_region(0x1000, 0x2000)
+        mem.write(0x1FFD, b"abc" + b"defg\x00z")
+        assert mem.read_cstring(0x1FFD) == b"abcdefg"
+        assert mem.read_cstring(0x2000) == b"defg"
+        mem.write(0x2000, b"\x00")
+        assert mem.read_cstring(0x1FFD) == b"abc"
+
+    @pytest.mark.parametrize("prot, message", [
+        (None, "read of unmapped address 0x2000"),
+        (PROT_WRITE, "read protection violation at 0x2000 (have 0x2, "
+                     "need 0x1)"),
+    ])
+    def test_cstring_stops_at_an_unreadable_page(self, prot, message):
+        """No NUL before the page end: the next page is read, and an
+        unmapped or non-readable one raises at its first byte."""
+        mem = Memory()
+        mem.map_region(0x1000, 0x1000)
+        if prot is not None:
+            mem.map_region(0x2000, 0x1000, prot)
+        mem.write(0x1FFC, b"abcd")
+        with pytest.raises(MemoryError_) as caught:
+            mem.read_cstring(0x1FFC)
+        assert str(caught.value) == message
+        with pytest.raises(MemoryError_, match="0x2000"):
+            mem.read_cstring(0x2000)
+        # A NUL before the page end never touches the next page.
+        mem.write(0x1FFE, b"\x00")
+        assert mem.read_cstring(0x1FFC) == b"ab"
+
+    def test_cstring_limit_without_nul(self):
+        mem = Memory()
+        mem.map_region(0x1000, 0x3000)
+        mem.write(0x1000, b"x" * 0x3000)
+        assert mem.read_cstring(0x1800) == b"x" * 4096
+        assert mem.read_cstring(0x1FFE, limit=5) == b"xxxxx"
+        assert mem.read_cstring(0x3FF0, limit=16) == b"x" * 16
+        assert mem.read_cstring(0x1000, limit=0) == b""
+        # One byte more reaches the unmapped page.
+        with pytest.raises(MemoryError_, match="unmapped address 0x4000"):
+            mem.read_cstring(0x3FF0, limit=17)
+
     @given(st.integers(0, 2**64 - 1))
     def test_u64_roundtrip_property(self, value):
         mem = Memory()

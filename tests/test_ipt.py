@@ -307,7 +307,7 @@ class TestFastDecode:
         assert topa.wrapped
         data = topa.snapshot()
         seg = columnar_scan(data, sync=True)
-        assert seg.pkt_count and seg.record_count
+        assert seg.pkt_count and seg.ip_column()
         assert data[seg.synced_offset:].startswith(PSB_PATTERN)
 
     def test_tip_records_carry_tnt_context(self):
@@ -336,14 +336,11 @@ class TestFastDecode:
         serial = columnar_scan(data)
         parallel = columnar_decode_parallel(data)
         # A PSB resets IP compression: the segments decode to the
-        # serial scan's packets, TIP targets and FUP addresses.
+        # serial scan's packets and TIP targets.
         columns = [seg for seg, _ in parallel.columns]
         assert sum(seg.pkt_count for seg in columns) == serial.pkt_count
         assert [ip for seg in columns for ip in seg.ip_column()] == (
             serial.ip_column()
-        )
-        assert [ip for seg in columns for ip in seg.fup_ips] == list(
-            serial.fup_ips
         )
         assert parallel.segments > 1
         assert parallel.critical_path_cycles < serial.cycles

@@ -390,6 +390,19 @@ class TestInterception:
         assert log == [proc.pid]
         assert proc.stdout == bytearray(b"ok")
 
+    def test_patched_table_is_per_kernel(self):
+        """The handler table is built from one class-level list, but
+        each kernel owns its dict and binds its own handlers: patching
+        one kernel leaves another's table as it was."""
+        first, second = Kernel(), Kernel()
+        before = dict(second.syscall_table)
+        first.install_handler(Sys.WRITE, lambda k, p: -1)
+        first.syscall_table[int(Sys.READ)] = lambda k, p: -2
+        assert second.syscall_table == before
+        assert second.syscall_table is not first.syscall_table
+        assert second.syscall_table[int(Sys.WRITE)].__self__ is second
+        assert Kernel().syscall_table.keys() == {int(nr) for nr in Sys}
+
     def test_interceptor_can_deny(self):
         kernel = build_kernel(
             [Return(sys_(Sys.UNLINK, Global("p")))], data={"p": "/x"}

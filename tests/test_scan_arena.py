@@ -1,7 +1,7 @@
 """The C scan kernel's reused output arena.
 
 Every kernel scan writes its columns into one grow-only per-process
-arena and copies them out before returning.  These tests scan with the
+arena and builds the segment's lists from it before returning.  These tests scan with the
 kernel (the module skips on a host that cannot build it), in orders
 that leave stale bytes behind — a large snapshot, then a smaller one
 whose columns and TNT span are shorter; a failing scan between good
@@ -36,11 +36,15 @@ pytestmark = pytest.mark.skipif(
 def fresh_scan(data, sync=False):
     """Columns from a scan that starts with an empty arena."""
     saved = columnar._arena
-    columnar._arena = (bytearray(), None, 0)
+    columnar._arena = EMPTY_ARENA
     try:
         return segment_columns(columnar_scan(data, sync=sync))
     finally:
         columnar._arena = saved
+
+
+#: an arena no scan has grown yet.
+EMPTY_ARENA = (bytearray(), None, 0, memoryview(b""))
 
 
 def reference(data, sync=False):
@@ -83,11 +87,12 @@ def test_small_scan_after_large_one():
     small = plain_stream(5)
     big = segment_columns(columnar_scan(large))
     assert big == reference(large)
-    assert len(big[9]) == 2000 * 6 // 8  # the packed TNT bytes
+    assert len(big[5]) == 2000  # the records
     arena = columnar._arena
     got = segment_columns(columnar_scan(small))
     assert columnar._arena is arena  # reused, not reallocated
-    assert got[9] == bytes([0b10010000])  # no stale TNT bytes
+    assert len(got[5]) == 5  # no stale records
+    assert got[-1] == 1  # and no stale dangling run
     assert got == fresh_scan(small) == reference(small)
 
 
@@ -102,14 +107,15 @@ def test_alternating_sizes(seed):
 
 
 def test_arena_grows_and_stays_exported(monkeypatch):
-    monkeypatch.setattr(columnar, "_arena", (bytearray(), None, 0))
+    monkeypatch.setattr(columnar, "_arena", EMPTY_ARENA)
     columnar_scan(plain_stream(2))
     small = len(columnar._arena[0])
     columnar_scan(far_heavy_stream(500))
-    buf, export, address = columnar._arena
+    buf, export, address, words = columnar._arena
     assert len(buf) > small
-    assert len(export) == len(buf)
+    assert len(export) == len(buf) == 8 * len(words)
     assert ctypes.addressof(export) == address
+    assert words.obj is buf
     columnar_scan(plain_stream(2))
     assert columnar._arena[0] is buf
 

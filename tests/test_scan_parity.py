@@ -40,7 +40,7 @@ from repro.ipt.packets import (
     pack_tnt_sig,
 )
 from tests.packet_reference import PacketCursor, fast_decode
-from tests.scan_reference import columnar_scan_reference
+from tests.scan_reference import columnar_scan_reference, full_scan_reference
 from tests.test_columnar import build_stream
 
 KERNEL_AVAILABLE = scan_kernel.load() is not None
@@ -54,25 +54,17 @@ needs_kernel = pytest.mark.skipif(
 
 
 def segment_columns(seg):
-    """Every column and scalar a ColumnarSegment carries, normalised
-    (the kernel path stores ``array`` columns, the Python paths lists —
-    parity is on values, not container types)."""
+    """Every column and scalar a ColumnarSegment carries."""
     return (
         seg.pkt_count,
         seg.scanned,
         seg.cycles,
         seg.truncated,
         seg.synced_offset,
-        tuple(seg.rec_ips),
+        tuple(seg.ip_column()),
         tuple(seg.rec_offsets),
-        tuple(seg.rec_bit_start),
-        tuple(seg.rec_bit_end),
-        bytes(seg.tnt_bits),
-        seg.total_bits,
-        seg.pend_start,
-        tuple(seg.fup_ips),
-        tuple(seg.rec_sigs),
         tuple(seg.sig_column()),
+        seg.trailing,
     )
 
 
@@ -209,9 +201,9 @@ def tnt_run_stream(seed, runs):
 
 
 class TestSignatureColumn:
-    """``rec_sigs``: built by the scanners while the run fits
-    ``SIG_MAX_BITS`` bits, sentinel ``0`` past it, and filled in from
-    the bit range by the shared epilogue."""
+    """The signature column: built by the scanners in a register while
+    the run fits ``SIG_MAX_BITS`` bits, read from the packed TNT
+    bitstream past it; the oracle reads every one from its bit range."""
 
     @pytest.mark.parametrize("bits", [61, 62, 63, 300, 701])
     def test_run_length_edges(self, bits):
@@ -219,10 +211,14 @@ class TestSignatureColumn:
         data = tnt_run_stream(bits, runs)
         assert_tri_parity(data)
         lengths = [0] + runs
-        reference = columnar_scan_reference(data)
-        assert [sig == 0 for sig in reference.rec_sigs] == [
-            length > SIG_MAX_BITS for length in lengths
-        ]
+        full = full_scan_reference(data)
+        assert [
+            end - start
+            for start, end in zip(full.rec_bit_start, full.rec_bit_end)
+        ] == lengths
+        assert any(length > SIG_MAX_BITS for length in lengths) == (
+            bits > SIG_MAX_BITS
+        )
         seg = columnar_scan(data)
         assert [sig.bit_length() - 1 for sig in seg.sig_column()] == lengths
         assert seg.sig_column() == [
@@ -240,11 +236,15 @@ class TestSignatureColumn:
         data = build_stream(seed, packets=200) + tnt_run_stream(
             seed, [63, 200, 62, 1]
         )
+        full = full_scan_reference(data)
         for seg in (columnar_scan(data), columnar_scan(memoryview(data))):
             assert seg.sig_column() == [
-                _bits_sig(seg.tnt_bits, start, end)
-                for start, end in zip(seg.rec_bit_start, seg.rec_bit_end)
+                _bits_sig(full.tnt_bits, start, end)
+                for start, end in zip(full.rec_bit_start, full.rec_bit_end)
             ]
+            assert seg.trailing == _bits_sig(
+                full.tnt_bits, full.pend_start, full.total_bits
+            )
 
 
 # -- slow-path byte cursor vs packet cursor -----------------------------------
