@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.configio import JsonConfig
 from repro.fleet.rings import RingPolicy
 from repro.fleet.service import FleetConfig, FleetResult, FleetService
 from repro.monitor.fastpath import Verdict
@@ -121,14 +122,14 @@ __all__ = [
 
 
 @dataclass
-class RunConfig:
+class RunConfig(JsonConfig):
     """The one config tree: checking policy + fleet shape + resilience.
 
     :class:`FlowGuardPolicy` (what the checker enforces),
     :class:`FleetConfig` (how the fleet is shaped — which itself embeds
-    the :class:`FaultPlan` and :class:`RetryPolicy`) compose here and
-    round-trip through :meth:`to_dict`/:meth:`from_dict`, so one JSON
-    document can describe an entire reproducible run.
+    the :class:`FaultPlan` and :class:`RetryPolicy`) compose here, so
+    one JSON document (:mod:`repro.configio`) can describe an entire
+    reproducible run.
     """
 
     policy: FlowGuardPolicy = field(default_factory=FlowGuardPolicy)
@@ -141,24 +142,6 @@ class RunConfig:
     @property
     def retry(self) -> Optional[RetryPolicy]:
         return self.fleet.retry
-
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy.to_dict(),
-            "fleet": self.fleet.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - {"policy", "fleet"}
-        if unknown:
-            raise ValueError(
-                f"unknown RunConfig keys: {', '.join(sorted(unknown))}"
-            )
-        return cls(
-            policy=FlowGuardPolicy.from_dict(data.get("policy") or {}),
-            fleet=FleetConfig.from_dict(data.get("fleet") or {}),
-        )
 
 
 class Fleet:

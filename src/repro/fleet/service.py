@@ -19,9 +19,10 @@ per-process ``MonitorStats`` charges: ``exact`` is false on any drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.configio import JsonConfig
 from repro.monitor.policy import FlowGuardPolicy
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.process import Process
@@ -37,7 +38,7 @@ from repro.fleet.scheduler import FleetClock, FleetEntry, RoundRobinScheduler
 from repro.fleet.workers import SimulatedWorkerPool
 
 @dataclass
-class FleetConfig:
+class FleetConfig(JsonConfig):
     """Tuning knobs for one fleet run."""
 
     workers: int = 4
@@ -56,42 +57,6 @@ class FleetConfig:
     #: fault-domain label: scopes this fleet's degradation ledger and
     #: telemetry series to one serving tenant (None = untenanted).
     tenant: Optional[str] = None
-
-    # -- serialisation -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["ring_policy"] = self.ring_policy.value
-        out["faults"] = (
-            self.faults.to_dict() if self.faults is not None else None
-        )
-        out["retry"] = (
-            self.retry.to_dict() if self.retry is not None else None
-        )
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown FleetConfig keys: {', '.join(sorted(unknown))}"
-            )
-        kwargs = dict(data)
-        if "ring_policy" in kwargs and not isinstance(
-            kwargs["ring_policy"], RingPolicy
-        ):
-            kwargs["ring_policy"] = RingPolicy(kwargs["ring_policy"])
-        if kwargs.get("faults") is not None and not isinstance(
-            kwargs["faults"], FaultPlan
-        ):
-            kwargs["faults"] = FaultPlan.from_dict(kwargs["faults"])
-        if kwargs.get("retry") is not None and not isinstance(
-            kwargs["retry"], RetryPolicy
-        ):
-            kwargs["retry"] = RetryPolicy.from_dict(kwargs["retry"])
-        return cls(**kwargs)
 
 
 @dataclass

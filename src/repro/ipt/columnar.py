@@ -207,11 +207,13 @@ _PSB_HEAD = PSB_PATTERN[:2]
 _PSB_RE = re.compile(
     re.escape(PSB_PATTERN) + b"(?!" + re.escape(_PSB_HEAD) + b")"
 )
-#: a maximal run of complete, *valid* TNT packets — the character class
-#: is exactly the valid payload range, so a non-match at a TNT header
-#: is either truncation or an invalid payload (resolved scalar-side
-#: with the byte-identical error).
-_TNT_RUN = re.compile(rb"(?:\x02[\x02-\x7f])+")
+#: a run of up to 256 complete, *valid* TNT packets — the character
+#: class is exactly the valid payload range, so a non-match at a TNT
+#: header is either truncation or an invalid payload (resolved
+#: scalar-side with the byte-identical error).  The bound keeps the
+#: scan linear: a run's bits are shifted into one int before they
+#: flush, and each shift costs that int's width.
+_TNT_RUN = re.compile(rb"(?:\x02[\x02-\x7f]){1,256}")
 
 
 def scan_kernel_active() -> bool:
@@ -350,9 +352,10 @@ def _scan_python(data, sync: bool) -> ColumnarSegment:
 
     PAD and TNT packets — the overwhelming bulk of a real stream — are
     consumed per *run*: a regex pre-classification finds each maximal
-    run, ``bytes.translate`` over :data:`TNT_WIDTH` yields every
-    payload's width in one call, and the accumulated bits flush to the
-    packed stream in one ``int.to_bytes``; the same bits extend the
+    PAD run and each run of up to 256 TNT packets, ``bytes.translate``
+    over :data:`TNT_WIDTH` yields every payload's width in one call,
+    and the accumulated bits flush to the packed stream in one
+    ``int.to_bytes``; the same bits extend the
     pending record's signature while its run fits :data:`SIG_MAX_BITS`.
     A longer run's signature is read from the packed stream once the
     scan ends.  The IP family stays scalar (IP compression chains

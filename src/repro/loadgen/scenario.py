@@ -2,25 +2,23 @@
 
 A :class:`LoadScenario` describes everything a bench run needs —
 server mix, request mix, loop mode, attack and fault plans, the
-latency SLO, and the sweep/search bounds — and round-trips through
-JSON exactly like :class:`~repro.telemetry.plane.SLOConfig` and
-:class:`~repro.fleet.service.FleetConfig` (unknown keys rejected,
-``load``/``save``/``default``).
+latency SLO, and the sweep/search bounds.  Its JSON form is the one
+:mod:`repro.configio` gives every run config (unknown keys rejected,
+the nested fault plan and retry policy included).
 
 Builtin scenarios live in :data:`BUILTIN_SCENARIOS`; the bundled
-copies under ``examples/scenarios/`` are generated from the same
-factories (a test keeps them in sync).  ``resolve_scenario`` accepts
-either a builtin name or a JSON file path — the ``repro bench
---scenario`` contract.
+copies under ``examples/scenarios/`` are their JSON forms (a test
+keeps them byte-identical).  ``resolve_scenario`` accepts either a
+builtin name or a JSON file path — the ``repro bench --scenario``
+contract.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
+from repro import configio
 from repro.fleet.rings import RingPolicy
 from repro.loadgen.mixes import MIX_NAMES
 from repro.resilience import FaultPlan, RetryPolicy
@@ -31,7 +29,7 @@ _ATTACKS = ("rop",)
 
 
 @dataclass
-class LoadScenario:
+class LoadScenario(configio.JsonConfig):
     """Everything one bench run needs, as data."""
 
     name: str = "nginx-closed"
@@ -120,56 +118,6 @@ class LoadScenario:
         if out.faults is not None:
             out = replace(out, faults=out.faults.with_seed(seed))
         return out
-
-    # -- serialisation -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["servers"] = list(self.servers)
-        out["faults"] = (
-            self.faults.to_dict() if self.faults is not None else None
-        )
-        out["retry"] = (
-            self.retry.to_dict() if self.retry is not None else None
-        )
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LoadScenario":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown LoadScenario keys: {', '.join(sorted(unknown))}"
-            )
-        kwargs = dict(data)
-        if "servers" in kwargs:
-            kwargs["servers"] = tuple(kwargs["servers"])
-        if kwargs.get("faults") is not None and not isinstance(
-            kwargs["faults"], FaultPlan
-        ):
-            kwargs["faults"] = FaultPlan.from_dict(kwargs["faults"])
-        if kwargs.get("retry") is not None and not isinstance(
-            kwargs["retry"], RetryPolicy
-        ):
-            kwargs["retry"] = RetryPolicy.from_dict(kwargs["retry"])
-        scenario = cls(**kwargs)
-        scenario.validate()
-        return scenario
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "LoadScenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    @classmethod
-    def default(cls) -> "LoadScenario":
-        return builtin_scenario("nginx-closed")
 
 
 # -- builtin registry --------------------------------------------------------
@@ -265,11 +213,4 @@ def builtin_scenario(name: str) -> LoadScenario:
 
 def resolve_scenario(ref: str) -> LoadScenario:
     """A scenario from a builtin name or a JSON file path."""
-    if ref in BUILTIN_SCENARIOS:
-        return builtin_scenario(ref)
-    if os.path.exists(ref):
-        return LoadScenario.load(ref)
-    raise ValueError(
-        f"no such scenario: {ref!r} is neither a builtin "
-        f"({', '.join(sorted(BUILTIN_SCENARIOS))}) nor a file"
-    )
+    return configio.resolve(ref, BUILTIN_SCENARIOS, LoadScenario, "scenario")

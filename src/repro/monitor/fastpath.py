@@ -289,35 +289,6 @@ class FastPathChecker:
 
     # -- checking -----------------------------------------------------------------
 
-    def check(self, data: bytes) -> FastPathResult:
-        """Run the fast path over a ToPA snapshot.
-
-        The check loop itself lives in :meth:`_check`; this wrapper only
-        reports the outcome to telemetry, behind a single enabled-flag
-        test so a disabled run pays one attribute check per call (the
-        near-zero-overhead contract, measured by
-        ``benchmarks/test_telemetry_overhead.py``).
-        """
-        result = self._check(data)
-        tel = get_telemetry()
-        if tel.enabled:
-            m = tel.metrics
-            m.counter("fastpath.checks").inc(verdict=result.verdict.value)
-            m.counter("fastpath.pairs_checked").inc(result.checked_pairs)
-            m.counter("fastpath.low_credit_pairs").inc(
-                len(result.low_credit_pairs)
-            )
-            m.histogram("fastpath.window_tips").observe(
-                len(result.window_ips)
-            )
-            m.histogram("fastpath.decode_cycles").observe(
-                result.decode_cycles
-            )
-            m.histogram("fastpath.search_cycles").observe(
-                result.search_cycles
-            )
-        return result
-
     def window_result(self, tail: ColumnarTail) -> FastPathResult:
         """An INSUFFICIENT result over ``tail`` carrying its window —
         the last ``pkt_count + 1`` records' ip/signature columns, which
@@ -334,10 +305,11 @@ class FastPathChecker:
             corrupt_segments=self.last_corrupt_segments,
         )
 
-    def _check(self, data: bytes) -> FastPathResult:
-        """Columnar tail + one batched edge check over the window's
-        ip/signature columns.  The window is built once, and the result
-        once with every field passed."""
+    def check(self, data: bytes) -> FastPathResult:
+        """Run the fast path over a ToPA snapshot: columnar tail + one
+        batched edge check over the window's ip/signature columns.  The
+        window is built once, and the result once with every field
+        passed.  Telemetry is the monitor's to record."""
         tail = self.decode_tail_columnar(data)
         ips, sigs, first = tail.window(self.pkt_count + 1)
         verdict = Verdict.INSUFFICIENT

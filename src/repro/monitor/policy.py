@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import FrozenSet
 
+from repro.configio import JsonConfig
 from repro.osmodel.syscalls import SENSITIVE_SYSCALLS
 
 
 @dataclass
-class FlowGuardPolicy:
+class FlowGuardPolicy(JsonConfig):
     """The two security parameters plus endpoint configuration.
 
     - ``pkt_count``: lower bound on TIP packets checked per endpoint
@@ -50,30 +51,6 @@ class FlowGuardPolicy:
     #: default.  Finer periods trade trace bytes for smaller decode
     #: windows per check.
     psb_period: int = 0  # 0 = hardware default
-
-    # -- serialisation -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (endpoints as a sorted list)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["endpoints"] = sorted(self.endpoints)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FlowGuardPolicy":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown FlowGuardPolicy keys: "
-                f"{', '.join(sorted(unknown))}"
-            )
-        kwargs = dict(data)
-        if "endpoints" in kwargs:
-            kwargs["endpoints"] = frozenset(
-                int(e) for e in kwargs["endpoints"]
-            )
-        return cls(**kwargs)
 
     def with_endpoints(self, *extra: int) -> "FlowGuardPolicy":
         """A copy with additional user-specified endpoints."""

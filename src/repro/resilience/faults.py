@@ -21,10 +21,11 @@ injection exists to exercise.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
+
+from repro.configio import JsonConfig, to_dict
 
 #: every site a FaultPlan can arm, with the subsystem it targets.
 FAULT_SITES: Tuple[str, ...] = (
@@ -50,7 +51,7 @@ class InjectedFault(Exception):
 
 
 @dataclass(frozen=True)
-class FaultSite:
+class FaultSite(JsonConfig):
     """When one site fires.
 
     ``probability`` arms the site's RNG stream; ``at`` instead names
@@ -76,20 +77,9 @@ class FaultSite:
         return self.probability > 0.0 or bool(self.at)
 
     def to_dict(self) -> dict:
-        out: dict = {"probability": self.probability}
-        if self.at is not None:
-            out["at"] = list(self.at)
-        if self.limit is not None:
-            out["limit"] = self.limit
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSite":
-        return cls(
-            probability=float(data.get("probability", 0.0)),
-            at=tuple(data["at"]) if data.get("at") is not None else None,
-            limit=data.get("limit"),
-        )
+        # A site names only what is set.
+        return {key: value for key, value in to_dict(self).items()
+                if value is not None}
 
 
 def _site_field() -> FaultSite:
@@ -97,7 +87,7 @@ def _site_field() -> FaultSite:
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(JsonConfig):
     """A complete, serialisable fault-injection configuration."""
 
     seed: int = 0
@@ -126,41 +116,16 @@ class FaultPlan:
     # -- serialisation -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "seed": self.seed,
-            "crash_fraction": self.crash_fraction,
-            "hang_cycles": self.hang_cycles,
-        }
+        # A plan names only its armed sites, after its scalars.
+        out = {key: value for key, value in to_dict(self).items()
+               if key not in FAULT_SITES}
         for name in FAULT_SITES:
-            site = self.site(name)
-            if site.armed:
-                out[name] = site.to_dict()
+            if self.site(name).armed:
+                out[name] = self.site(name).to_dict()
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown FaultPlan keys: {', '.join(sorted(unknown))}"
-            )
-        kwargs: dict = {}
-        for key, value in data.items():
-            if key in FAULT_SITES:
-                kwargs[key] = FaultSite.from_dict(value)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
-
-    @classmethod
-    def load(cls, path) -> "FaultPlan":
-        """Read a plan from a JSON file (the ``--faults`` CLI flag)."""
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
-
     def with_seed(self, seed: int) -> "FaultPlan":
-        return FaultPlan.from_dict({**self.to_dict(), "seed": seed})
+        return replace(self, seed=seed)
 
     # -- canned mixes --------------------------------------------------------
 

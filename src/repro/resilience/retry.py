@@ -14,12 +14,14 @@ trade-off Burow et al. make explicit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List
+
+from repro.configio import JsonConfig
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(JsonConfig):
     """When and how the dispatcher re-attempts a failed check."""
 
     #: total attempts including the first (1 = no retries).
@@ -69,29 +71,6 @@ class RetryPolicy:
         if n is None:
             n = self.max_attempts - 1
         return [self.delay(i) for i in range(1, n + 1)]
-
-    # -- serialisation -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "backoff_cap": self.backoff_cap,
-            "task_timeout": self.task_timeout,
-            "hedge_delay": self.hedge_delay,
-            "dead_letter_quarantine": self.dead_letter_quarantine,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RetryPolicy":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown RetryPolicy keys: {', '.join(sorted(unknown))}"
-            )
-        return cls(**data)
 
 
 @dataclass(frozen=True)

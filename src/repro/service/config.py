@@ -2,27 +2,25 @@
 
 A :class:`ServeConfig` describes everything the multi-tenant serving
 front-end needs — the named tenants, each with its workload scenario,
-admission quota, fault domain, and optional hot-reload point — and
-round-trips through JSON exactly like
-:class:`~repro.loadgen.scenario.LoadScenario` (unknown keys rejected,
-``load``/``save``/``default``), plus the explicit
-``schema_version`` field the v4 reporting API introduced (newer
-documents are rejected by older readers).
+admission quota, fault domain, and optional hot-reload point.  Its
+JSON form is the one :mod:`repro.configio` gives every run config
+(unknown keys rejected, down to each tenant's fault plan), plus the
+explicit ``schema_version`` field the v4 reporting API introduced
+(newer documents are rejected by older readers).
 
 Builtin configs live in :data:`BUILTIN_SERVE_CONFIGS`; the bundled
-copies under ``examples/tenants/`` are generated from the same
-factories (a test keeps them in sync).  ``resolve_serve_config``
-accepts either a builtin name or a JSON file path — the ``repro
-service --config`` contract.
+copies under ``examples/tenants/`` are their JSON forms (a test keeps
+them byte-identical).  ``resolve_serve_config`` accepts either a
+builtin name or a JSON file path — the ``repro service --config``
+contract.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
+from repro import configio
 from repro.loadgen.scenario import LoadScenario, resolve_scenario
 from repro.resilience import FaultPlan, RetryPolicy
 
@@ -32,7 +30,7 @@ SERVE_SCHEMA_VERSION = 1
 
 
 @dataclass
-class TenantSpec:
+class TenantSpec(configio.JsonConfig):
     """One tenant: a named fault domain with its own workload, quota,
     and admission policy."""
 
@@ -102,42 +100,9 @@ class TenantSpec:
         scenario.validate()
         return scenario
 
-    # -- serialisation -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["faults"] = (
-            self.faults.to_dict() if self.faults is not None else None
-        )
-        out["retry"] = (
-            self.retry.to_dict() if self.retry is not None else None
-        )
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown TenantSpec keys: {', '.join(sorted(unknown))}"
-            )
-        kwargs = dict(data)
-        if kwargs.get("faults") is not None and not isinstance(
-            kwargs["faults"], FaultPlan
-        ):
-            kwargs["faults"] = FaultPlan.from_dict(kwargs["faults"])
-        if kwargs.get("retry") is not None and not isinstance(
-            kwargs["retry"], RetryPolicy
-        ):
-            kwargs["retry"] = RetryPolicy.from_dict(kwargs["retry"])
-        spec = cls(**kwargs)
-        spec.validate()
-        return spec
-
 
 @dataclass
-class ServeConfig:
+class ServeConfig(configio.JsonConfig):
     """Everything one multi-tenant serving run needs, as data."""
 
     name: str = "service"
@@ -161,52 +126,20 @@ class ServeConfig:
     # -- serialisation -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "tenants": [t.to_dict() for t in self.tenants],
-        }
+        # The version leads the document, so a reader sees it first.
+        return {"schema_version": self.schema_version,
+                **configio.to_dict(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServeConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown ServeConfig keys: {', '.join(sorted(unknown))}"
-            )
+        # A document newer than this reader is refused, not guessed at.
         version = data.get("schema_version", SERVE_SCHEMA_VERSION)
         if version > SERVE_SCHEMA_VERSION:
             raise ValueError(
                 f"ServeConfig schema_version {version} is newer than "
                 f"this reader ({SERVE_SCHEMA_VERSION})"
             )
-        tenants = tuple(
-            spec if isinstance(spec, TenantSpec)
-            else TenantSpec.from_dict(spec)
-            for spec in data.get("tenants", ())
-        )
-        config = cls(
-            name=data.get("name", "service"),
-            tenants=tenants,
-            schema_version=version,
-        )
-        config.validate()
-        return config
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "ServeConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    @classmethod
-    def default(cls) -> "ServeConfig":
-        return builtin_serve_config("duo-isolation")
+        return configio.from_dict(cls, data)
 
 
 # -- builtin registry --------------------------------------------------------
@@ -323,11 +256,6 @@ def builtin_serve_config(name: str) -> ServeConfig:
 
 def resolve_serve_config(ref: str) -> ServeConfig:
     """A serve config from a builtin name or a JSON file path."""
-    if ref in BUILTIN_SERVE_CONFIGS:
-        return builtin_serve_config(ref)
-    if os.path.exists(ref):
-        return ServeConfig.load(ref)
-    raise ValueError(
-        f"no such serve config: {ref!r} is neither a builtin "
-        f"({', '.join(sorted(BUILTIN_SERVE_CONFIGS))}) nor a file"
+    return configio.resolve(
+        ref, BUILTIN_SERVE_CONFIGS, ServeConfig, "serve config"
     )

@@ -13,9 +13,8 @@ the three sinks together:
 
 Telemetry is **disabled by default** and near-zero-overhead while
 disabled: instrumented hot paths guard everything behind one
-``tel.enabled`` attribute check (verified by
-``benchmarks/test_telemetry_overhead.py``), so the instrumentation
-stays wired in permanently.
+``tel.enabled`` attribute check, so the instrumentation stays wired in
+permanently.
 
 Usage::
 

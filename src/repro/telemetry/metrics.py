@@ -10,7 +10,7 @@ result files and the benchmark exports.
 Instruments are no-ops while the registry is disabled, and hot paths
 additionally guard the *call* behind ``telemetry.enabled`` so a disabled
 run never even builds the label dict (the near-zero-overhead
-requirement; see ``benchmarks/test_telemetry_overhead.py``).
+requirement).
 """
 
 from __future__ import annotations

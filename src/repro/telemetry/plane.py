@@ -50,6 +50,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.configio import JsonConfig
 from repro.telemetry.metrics import QUANTILES, series_base, series_name
 
 
@@ -213,7 +214,7 @@ OBJECTIVE_KINDS = ("histogram_quantile", "counter_window", "gauge",
 
 
 @dataclass
-class SLObjective:
+class SLObjective(JsonConfig):
     """One declarative objective: a bound on a signal, with a target.
 
     ``kind`` selects the signal:
@@ -255,56 +256,12 @@ class SLObjective:
                 f"{', '.join(map(str, QUANTILES))}, not {self.q!r}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "max_value": self.max_value,
-            "metric": self.metric,
-            "q": self.q,
-            "target": self.target,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SLObjective":
-        known = {"name", "kind", "max_value", "metric", "q", "target"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown SLObjective keys: {', '.join(sorted(unknown))}"
-            )
-        return cls(**data)
-
 
 @dataclass
-class SLOConfig:
-    """The declarative objective set, JSON round-trippable."""
+class SLOConfig(JsonConfig):
+    """The declarative objective set."""
 
     objectives: List[SLObjective] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"objectives": [o.to_dict() for o in self.objectives]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SLOConfig":
-        unknown = set(data) - {"objectives"}
-        if unknown:
-            raise ValueError(
-                f"unknown SLOConfig keys: {', '.join(sorted(unknown))}"
-            )
-        return cls(objectives=[
-            SLObjective.from_dict(o) for o in data.get("objectives", [])
-        ])
-
-    @classmethod
-    def load(cls, path: str) -> "SLOConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
     @classmethod
     def default(cls) -> "SLOConfig":

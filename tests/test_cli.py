@@ -215,6 +215,27 @@ class TestCommands:
         assert "lag p50" in out
         assert "overhead:" in out
 
+    def test_fleet_rejects_misspelled_fault_plan(self, tmp_path):
+        """A typo in a plan file stops the run; it never runs the
+        fleet fault-free."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"drop_pmi": {"probabilty": 0.5}}))
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "fleet", "-p", "1", "-w", "1",
+             "-n", "1", "--faults", str(plan)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode != 0
+        assert "unknown FaultSite keys: probabilty" in proc.stderr
+
     def test_stats_with_plane(self, tmp_path, capsys):
         import json
 

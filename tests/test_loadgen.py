@@ -46,7 +46,7 @@ def test_scenario_round_trip():
 
 
 def test_scenario_unknown_key_rejected():
-    data = LoadScenario.default().to_dict()
+    data = builtin_scenario("nginx-closed").to_dict()
     data["typo_key"] = 1
     with pytest.raises(ValueError, match="typo_key"):
         LoadScenario.from_dict(data)
@@ -54,7 +54,7 @@ def test_scenario_unknown_key_rejected():
 
 @pytest.mark.parametrize("percentile", [0, 250, -1])
 def test_scenario_slo_percentile_out_of_range_rejected(percentile):
-    data = LoadScenario.default().to_dict()
+    data = builtin_scenario("nginx-closed").to_dict()
     data["slo_percentile"] = percentile
     with pytest.raises(ValueError, match="slo_percentile"):
         LoadScenario.from_dict(data)
@@ -63,7 +63,7 @@ def test_scenario_slo_percentile_out_of_range_rejected(percentile):
 def test_scenario_stale_engine_key_rejected():
     # The decode-engine knob is gone; an old scenario file that still
     # names it must fail loudly rather than be silently ignored.
-    data = LoadScenario.default().to_dict()
+    data = builtin_scenario("nginx-closed").to_dict()
     assert "engine" not in data
     data["engine"] = "columnar"
     with pytest.raises(ValueError, match="engine"):
@@ -90,7 +90,8 @@ def test_scenario_validation():
 def test_scenario_save_load(tmp_path):
     path = str(tmp_path / "scenario.json")
     scenario = builtin_scenario("mixed-open")
-    scenario.save(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scenario.to_dict(), fh)
     assert LoadScenario.load(path) == scenario
     assert resolve_scenario(path) == scenario
 

@@ -287,7 +287,7 @@ class TestSLOEngine:
     def test_config_round_trip(self, tmp_path):
         config = SLOConfig.default()
         path = tmp_path / "slo.json"
-        config.save(str(path))
+        path.write_text(json.dumps(config.to_dict()))
         loaded = SLOConfig.load(str(path))
         assert loaded.to_dict() == config.to_dict()
         with pytest.raises(ValueError, match="unknown SLOConfig"):

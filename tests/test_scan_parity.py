@@ -141,6 +141,16 @@ class TestScannerTriParity:
         for data in cases:
             assert_tri_parity(data)
 
+    @pytest.mark.parametrize("pad", [b"", b"\x00"])
+    def test_one_long_tnt_run(self, pad):
+        # 160,000 TNT packets between two TIPs and after the last: one
+        # maximal packet run, which the Python scan takes 256 packets at
+        # a time, or the same packets split by PAD bytes.
+        run = (b"\x02\x7f" + pad) * 160_000
+        first, last_ip = encode_ip_packet(TIP_HEADER, 0x400000, 0)
+        second, _ = encode_ip_packet(TIP_HEADER, 0x400010, last_ip)
+        assert_tri_parity(first + run + second + run)
+
     def test_sync_prefix_and_clean_truncation(self):
         stream = build_stream(3, packets=50)
         garbage = b"\xde\xad\xbe\xef" * 9

@@ -61,7 +61,7 @@ def test_serve_config_round_trip():
 
 
 def test_serve_config_unknown_key_rejected():
-    data = ServeConfig.default().to_dict()
+    data = builtin_serve_config("duo-isolation").to_dict()
     data["typo_key"] = 1
     with pytest.raises(ValueError, match="typo_key"):
         ServeConfig.from_dict(data)
@@ -75,7 +75,7 @@ def test_tenant_spec_unknown_key_rejected():
 
 
 def test_newer_serve_schema_rejected():
-    data = ServeConfig.default().to_dict()
+    data = builtin_serve_config("duo-isolation").to_dict()
     data["schema_version"] = SERVE_SCHEMA_VERSION + 1
     with pytest.raises(ValueError, match="newer"):
         ServeConfig.from_dict(data)
@@ -128,7 +128,7 @@ def test_bundled_examples_match_builtins():
 def test_resolve_serve_config(tmp_path):
     assert resolve_serve_config("smoke") == builtin_serve_config("smoke")
     path = tmp_path / "custom.json"
-    builtin_serve_config("reload").save(str(path))
+    path.write_text(json.dumps(builtin_serve_config("reload").to_dict()))
     assert resolve_serve_config(str(path)) == builtin_serve_config(
         "reload"
     )
@@ -358,7 +358,7 @@ class TestServeIdentity:
             tel.detach_plane()
         samples = list(plane.sampler.samples)
         assert len(samples) == 20
-        assert _digest(samples) == "de57be31a77ee1f6"
+        assert _digest(samples) == "66b4fa21c53bd96c"
         assert (
             _digest(result.to_dict()), _digest(result.events)
         ) == SERVE_PINS["duo-isolation"]
