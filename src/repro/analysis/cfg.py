@@ -72,7 +72,6 @@ class ControlFlowGraph:
     address_taken: Set[int] = field(default_factory=set)
 
     _out: Dict[int, List[Edge]] = field(default_factory=dict)
-    _in: Dict[int, List[Edge]] = field(default_factory=dict)
     _sorted_starts: List[int] = field(default_factory=list)
 
     # -- construction ------------------------------------------------------
@@ -84,7 +83,6 @@ class ControlFlowGraph:
     def add_edge(self, edge: Edge) -> None:
         self.edges.append(edge)
         self._out.setdefault(edge.src, []).append(edge)
-        self._in.setdefault(edge.dst, []).append(edge)
         if edge.is_indirect:
             self.indirect_targets.setdefault(edge.branch_addr, set()).add(
                 edge.dst
@@ -94,9 +92,6 @@ class ControlFlowGraph:
 
     def successors(self, block_start: int) -> List[Edge]:
         return self._out.get(block_start, [])
-
-    def predecessors(self, block_start: int) -> List[Edge]:
-        return self._in.get(block_start, [])
 
     def block_at(self, addr: int) -> Optional[BasicBlock]:
         """The block whose range contains ``addr`` (binary search)."""

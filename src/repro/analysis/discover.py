@@ -21,7 +21,7 @@ recovered map against the builder's recorded ranges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.binary.module import Module
 from repro.isa.encoding import DecodeError, decode_at
@@ -36,12 +36,6 @@ class DiscoveredFunctions:
     ranges: Dict[int, Tuple[int, str]] = field(default_factory=dict)
     #: entries that failed the decode sweep (data mistaken for code).
     rejected: List[int] = field(default_factory=list)
-
-    def function_at(self, offset: int) -> Optional[str]:
-        for start, (end, name) in self.ranges.items():
-            if start <= offset < end:
-                return name
-        return None
 
     def as_function_ranges(self) -> Dict[str, Tuple[int, int]]:
         return {

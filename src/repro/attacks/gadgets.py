@@ -36,13 +36,6 @@ class GadgetMap:
     #: corrupted frame pointer they move SP anywhere the attacker likes.
     epilogues: List[int] = field(default_factory=list)
 
-    def best_pop_chain(self) -> Tuple[Tuple[int, ...], int]:
-        """The longest pop run (most register control per slot)."""
-        if not self.pop_chains:
-            raise LookupError("no pop gadgets found")
-        regs = max(self.pop_chains, key=len)
-        return regs, self.pop_chains[regs]
-
 
 def _scan_module(lm: LoadedModule, gadgets: GadgetMap) -> None:
     code = lm.module.code

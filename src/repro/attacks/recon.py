@@ -23,6 +23,10 @@ from repro.osmodel.kernel import Kernel
 from repro.osmodel.syscalls import Sys
 from repro.workloads.servers import nginx_request
 
+#: body length of the rehearsal POST; the body read is the only read
+#: of this length.
+MARKER_LEN = 48
+
 
 @dataclass
 class ReconReport:
@@ -37,15 +41,13 @@ def run_recon(
     exe: Module,
     libraries: Dict[str, Module],
     vdso: Optional[Module] = None,
-    program: str = "nginx",
-    marker_len: int = 48,
 ) -> ReconReport:
     """Rehearse one POST request; capture body address and fd state."""
     kernel = Kernel()
-    kernel.register_program(program, exe, libraries, vdso=vdso)
-    proc = kernel.spawn(program)
+    kernel.register_program("nginx", exe, libraries, vdso=vdso)
+    proc = kernel.spawn("nginx")
     proc.push_connection(
-        nginx_request("/probe", "POST", b"A" * marker_len)
+        nginx_request("/probe", "POST", b"A" * MARKER_LEN)
     )
 
     captured: Dict[str, int] = {}
@@ -53,7 +55,7 @@ def run_recon(
 
     def spy_read(k, p):
         # The body read is the only read with the marker length.
-        if p.machine.reg(R3) == marker_len and "body" not in captured:
+        if p.machine.reg(R3) == MARKER_LEN and "body" not in captured:
             captured["body"] = p.machine.reg(R2)
         return original_read(k, p)
 

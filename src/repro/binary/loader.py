@@ -77,18 +77,6 @@ class LoadedModule:
         section = self.base if sym.is_function else self.data_base
         return section + sym.offset
 
-    def local_addr_of(self, label: str) -> int:
-        """Absolute address of any code label (exported or not)."""
-        return self.base + self.module.local_symbols[label]
-
-    def code_offset(self, addr: int) -> int:
-        """Module-relative code offset of absolute address ``addr``."""
-        return addr - self.base
-
-    def function_at(self, addr: int) -> Optional[str]:
-        """Name of the function containing absolute address ``addr``."""
-        return self.module.function_at(addr - self.base)
-
 
 @dataclass
 class Image:

@@ -80,13 +80,3 @@ class Module:
     def is_executable(self) -> bool:
         return self.entry is not None
 
-    def exports(self) -> List[str]:
-        """Names of all exported function symbols."""
-        return [s.name for s in self.symbols.values() if s.is_function]
-
-    def function_at(self, code_offset: int) -> Optional[str]:
-        """Name of the function whose range contains ``code_offset``."""
-        for name, (start, end) in self.function_ranges.items():
-            if start <= code_offset < end:
-                return name
-        return None

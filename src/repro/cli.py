@@ -63,6 +63,10 @@ JSON :class:`~repro.resilience.FaultPlan`; ``--fault-seed`` reseeds it,
 or arms the standard mix when no plan file is given), and the trace
 exports (``--trace-out`` writes a Chrome ``chrome://tracing``
 trace-event file, ``--spans-out`` raw JSON-lines spans).
+
+A config file or builtin name that cannot be loaded (``--faults``,
+``--slo``, ``--scenario``, ``--serve-config``, ``--config``) ends the
+command with one ``<command>: <error>`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ import sys
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro import __version__
+from repro.configio import ConfigError
 
 
 def _export_trace(tracer, args: argparse.Namespace) -> None:
@@ -1207,7 +1212,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

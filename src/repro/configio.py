@@ -17,7 +17,8 @@ from their fields and type hints:
 
 A class overrides ``to_dict``/``from_dict`` only where its document
 really differs (``FaultSite``/``FaultPlan`` leave out what is unset,
-``ServeConfig`` versions its document).
+``ServeConfig`` versions its document).  A file or name that
+:func:`load` or :func:`resolve` rejects raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ import os
 import typing
 from dataclasses import fields
 from enum import Enum
+
+
+class ConfigError(ValueError):
+    """A config file or builtin name that cannot be loaded."""
 
 
 class JsonConfig:
@@ -90,6 +95,9 @@ def to_dict(obj) -> dict:
 def from_dict(cls, data: dict):
     """A validated ``cls`` from its JSON form; unknown keys raise
     ``ValueError`` naming them."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a {cls.__name__} is a JSON object, "
+                         f"not {type(data).__name__}")
     hints = _field_hints(cls)
     unknown = set(data) - set(hints)
     if unknown:
@@ -105,9 +113,13 @@ def from_dict(cls, data: dict):
 
 
 def load(cls, path):
-    """A ``cls`` read from the JSON file at ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return cls.from_dict(json.load(fh))
+    """A ``cls`` read from the JSON file at ``path``; a file that cannot
+    be read, parsed or decoded raises :class:`ConfigError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
+    except (AttributeError, OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def resolve(ref: str, builtins: dict, cls, noun: str):
@@ -119,7 +131,7 @@ def resolve(ref: str, builtins: dict, cls, noun: str):
         return config
     if os.path.exists(ref):
         return load(cls, ref)
-    raise ValueError(
+    raise ConfigError(
         f"no such {noun}: {ref!r} is neither a builtin "
         f"({', '.join(sorted(builtins))}) nor a file"
     )

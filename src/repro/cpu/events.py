@@ -43,11 +43,6 @@ class CoFIKind(enum.Enum):
             CoFIKind.RET,
         )
 
-    @property
-    def produces_tip(self) -> bool:
-        """True if IPT emits a TIP packet for this kind."""
-        return self.is_indirect or self is CoFIKind.FAR_TRANSFER
-
 
 class BranchEvent(NamedTuple):
     """One retired change-of-flow instruction.

@@ -33,19 +33,3 @@ class Machine:
 
     def set_reg(self, index: int, value: int) -> None:
         self.regs[index] = value & U64_MASK
-
-    def snapshot(self) -> dict:
-        """A shallow snapshot of register state (for signal frames)."""
-        return {
-            "regs": list(self.regs),
-            "ip": self.ip,
-            "zf": self.zf,
-            "sf": self.sf,
-        }
-
-    def restore(self, snap: dict) -> None:
-        """Restore register state from :meth:`snapshot` output."""
-        self.regs = list(snap["regs"])
-        self.ip = snap["ip"]
-        self.zf = snap["zf"]
-        self.sf = snap["sf"]

@@ -54,10 +54,6 @@ class CFIMon(EndpointDefense):
         self._checked_upto[proc.pid] = 0
         return tracer
 
-    @property
-    def tracer_cycles(self) -> float:
-        return sum(t.cycles for t in self._tracers.values())
-
     def check(self, proc: Process, nr: int) -> Optional[str]:
         tracer = self._tracers.get(proc.pid)
         ocfg = self._cfgs.get(proc.pid)

@@ -43,10 +43,6 @@ class KBouncer(EndpointDefense):
         self._lbrs[proc.pid] = lbr
         return lbr
 
-    @property
-    def tracer_cycles(self) -> float:
-        return sum(lbr.cycles for lbr in self._lbrs.values())
-
     def check(self, proc: Process, nr: int) -> Optional[str]:
         lbr = self._lbrs.get(proc.pid)
         if lbr is None:

@@ -41,15 +41,12 @@ class PktCountPoint:
     decode_share: float
 
 
-def sweep_pkt_count(
-    counts: Sequence[int] = (5, 10, 30, 60),
-    sessions: int = 6,
-) -> List[PktCountPoint]:
+def sweep_pkt_count() -> List[PktCountPoint]:
     points = []
-    for count in counts:
+    for count in (5, 10, 30, 60):
         policy = FlowGuardPolicy(pkt_count=count)
         run = run_server(
-            "nginx", server_requests("nginx", sessions), protected=True,
+            "nginx", server_requests("nginx", 6), protected=True,
             policy=policy,
         )
         stats = run.stats
@@ -77,11 +74,9 @@ class CredRatioCurve:
     crossover_ratio: float  # smallest swept ratio beating the O-CFG
 
 
-def sweep_cred_ratio(
-    server: str = "nginx",
-    ratios: Sequence[float] = (0.0, 0.2, 0.4, 0.6, 0.7, 0.8, 1.0),
-) -> CredRatioCurve:
-    pipeline = server_pipeline(server)
+def sweep_cred_ratio() -> CredRatioCurve:
+    ratios = (0.0, 0.2, 0.4, 0.6, 0.7, 0.8, 1.0)
+    pipeline = server_pipeline("nginx")
     ocfg_value = aia_ocfg(pipeline.ocfg)
     itc_value = aia_itc(pipeline.itc)
     fine = aia_fine(pipeline.ocfg)
@@ -176,9 +171,9 @@ class PathSensitivityAblation:
     trained_grams: int
 
 
-def measure_path_sensitivity(sessions: int = 8) -> PathSensitivityAblation:
+def measure_path_sensitivity() -> PathSensitivityAblation:
     pipeline = server_pipeline("nginx")
-    requests = server_requests("nginx", sessions)
+    requests = server_requests("nginx", 8)
     edge = run_server(
         "nginx", requests, protected=True,
         policy=FlowGuardPolicy(cache_slow_path_negatives=False),

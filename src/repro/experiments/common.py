@@ -25,6 +25,9 @@ from repro.workloads import (
 
 SERVER_NAMES = ("nginx", "vsftpd", "openssh", "exim")
 
+#: instruction budget of one server or SPEC-like program run.
+MAX_STEPS = 40_000_000
+
 
 def geomean(values: Sequence[float]) -> float:
     """Geometric mean, tolerant of zeros (clamped to a tiny epsilon)."""
@@ -156,7 +159,6 @@ def run_server(
     requests: Sequence[bytes],
     protected: bool,
     policy: Optional[FlowGuardPolicy] = None,
-    max_steps: int = 40_000_000,
     faults=None,
 ) -> ServerRun:
     """Run one server over a batch of connections.
@@ -179,7 +181,7 @@ def run_server(
         "server.run", server=name, protected=protected,
         sessions=len(requests),
     ):
-        kernel.run(proc, max_steps=max_steps)
+        kernel.run(proc, max_steps=MAX_STEPS)
     stats = monitor.stats_for(proc) if monitor is not None else None
     return ServerRun(
         proc=proc,
@@ -191,12 +193,11 @@ def run_server(
 
 
 def run_server_overhead(
-    name: str, sessions: int = 10,
-    policy: Optional[FlowGuardPolicy] = None,
+    name: str, sessions: int = 10
 ) -> Tuple[float, MonitorStats, float]:
     """(relative overhead, monitor stats, baseline cycles)."""
     requests = server_requests(name, sessions)
-    protected = run_server(name, requests, protected=True, policy=policy)
+    protected = run_server(name, requests, protected=True)
     assert protected.monitor is not None
     assert not protected.monitor.detections, (
         f"false positive on {name}: {protected.monitor.detections}"
@@ -208,7 +209,6 @@ def run_spec_program(
     name: str,
     scale: int = 1,
     listeners: Sequence[Callable] = (),
-    max_steps: int = 40_000_000,
 ) -> Process:
     """Run one SPEC-like program to completion, with optional tracers
     subscribed to its CoFI bus."""
@@ -222,22 +222,20 @@ def run_spec_program(
         proc.executor.add_listener(listener)
     tel = telemetry.get_telemetry()
     with tel.tracer.span("spec.run", program=name, protected=False):
-        kernel.run(proc, max_steps=max_steps)
+        kernel.run(proc, max_steps=MAX_STEPS)
     return proc
 
 
 def run_spec_protected(
-    name: str,
-    scale: int = 1,
-    policy: Optional[FlowGuardPolicy] = None,
+    name: str, scale: int = 1
 ) -> Tuple[Process, FlowGuardMonitor]:
     """Run one SPEC-like program under FlowGuard protection."""
     pipeline = spec_pipeline(name, scale)
     kernel = Kernel()
-    monitor, proc = pipeline.deploy(kernel, policy=policy)
+    monitor, proc = pipeline.deploy(kernel)
     tel = telemetry.get_telemetry()
     with tel.tracer.span("spec.run", program=name, protected=True):
-        kernel.run(proc, max_steps=40_000_000)
+        kernel.run(proc, max_steps=MAX_STEPS)
     return proc, monitor
 
 

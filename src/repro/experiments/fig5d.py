@@ -13,7 +13,7 @@ fuzzer gets through a campaign in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.experiments.common import libraries, seed_server_fs
 from repro.fuzz import Fuzzer, TargetRunner
@@ -23,6 +23,9 @@ from repro.monitor.flowguard import FlowGuardMonitor
 from repro.osmodel.kernel import Kernel
 from repro.pipeline import FlowGuardPipeline
 from repro.workloads import build_nginx, build_vdso, nginx_request
+
+#: corpus prefixes trained on, in queue order; 0 is the full queue.
+PREFIX_COUNTS = (1, 2, 4, 0)
 
 
 @dataclass
@@ -82,7 +85,6 @@ def _runtime_cred_ratio(
 
 def run(
     fuzz_budget: int = 400,
-    prefix_counts: Sequence[int] = (1, 2, 4, 0),
     sessions: int = 6,
 ) -> Fig5dResult:
     """One fuzz campaign; train on growing corpus prefixes.
@@ -106,7 +108,7 @@ def run(
     corpus = queue.corpus()
 
     points: List[TrainingPoint] = []
-    for count in prefix_counts:
+    for count in PREFIX_COUNTS:
         prefix = corpus if count == 0 else corpus[:count]
         labeled = CreditLabeledITC(itc=pipeline.itc)
         train_credits(

@@ -27,8 +27,6 @@ the trace-granularity tradeoff.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict
 from typing import Dict, Optional
 
@@ -42,34 +40,12 @@ from repro.experiments.fleet_scaling import (
     build_fault_fleet,
 )
 from repro.fleet.rings import RingPolicy
+from repro.loadgen.engine import outcome_digest
 from repro.resilience import FaultPlan
 from repro.telemetry.plane import ObservabilityPlane, SLOConfig
 
 #: sampler cadence in fleet-clock cycles.
 INTERVAL = 5_000.0
-
-
-def _digest(result, service) -> str:
-    """Everything a reader would call *the run's outcome*, hashed."""
-    blob = json.dumps(
-        {
-            "schedule": result.schedule_digest,
-            "verdicts": [
-                (t.task_id, t.pid, t.kind, t.verdict)
-                for t in service.dispatcher.tasks
-            ],
-            "quarantined": sorted(result.quarantined_pids),
-            "detections": result.detections,
-            "cycles": [
-                round(result.makespan, 6),
-                round(result.app_cycles, 6),
-                round(result.monitor_cycles, 6),
-                round(result.stall_cycles, 6),
-            ],
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _run_scenario(
@@ -102,7 +78,7 @@ def _run_scenario(
         )
         result = service.run()
         row: Dict[str, object] = {
-            "digest": _digest(result, service),
+            "digest": outcome_digest(result, service),
             "tasks": result.tasks,
             "quarantined": sorted(result.quarantined_pids),
             "attacked_pid": attacked_pid,

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro import configio
 from repro.configio import JsonConfig
 from repro.monitor.policy import FlowGuardPolicy
 from repro.osmodel.kernel import Kernel
@@ -115,16 +116,7 @@ class FleetResult:
             "config": self.config.to_dict(),
             "processes": self.processes,
             "quarantines": [
-                {
-                    "pid": e.pid,
-                    "name": e.name,
-                    "task_id": e.task_id,
-                    "detected_at": e.detected_at,
-                    "enqueued_at": e.enqueued_at,
-                    "reason": e.reason,
-                    "posthumous": e.posthumous,
-                }
-                for e in self.quarantines
+                configio.to_dict(e) for e in self.quarantines
             ],
             "tasks": self.tasks,
             "dropped_checks": self.dropped_checks,

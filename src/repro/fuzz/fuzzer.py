@@ -18,6 +18,9 @@ from repro.fuzz.queue import CorpusEntry, FuzzQueue
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.process import ProcessState
 
+#: executions between two samples of ``FuzzStats.history``.
+SNAPSHOT_EVERY = 100
+
 
 @dataclass
 class RunResult:
@@ -91,11 +94,10 @@ class Fuzzer:
         self,
         runner: TargetRunner,
         seeds: Sequence[bytes],
-        engine: Optional[MutationEngine] = None,
     ) -> None:
         self.runner = runner
         self.seeds = list(seeds)
-        self.engine = engine if engine is not None else MutationEngine()
+        self.engine = MutationEngine()
         self.queue = FuzzQueue()
         self.coverage = CoverageMap()
         self.stats = FuzzStats()
@@ -115,7 +117,6 @@ class Fuzzer:
         self,
         max_executions: int = 2000,
         havoc_rounds: int = 16,
-        snapshot_every: int = 100,
     ) -> FuzzQueue:
         """Fuzz until the execution budget is spent; returns the queue."""
         for seed in self.seeds:
@@ -141,7 +142,7 @@ class Fuzzer:
                 if self.stats.executions >= max_executions:
                     break
                 self._execute(mutant, depth=entry.depth + 1)
-                if self.stats.executions % snapshot_every == 0:
+                if self.stats.executions % SNAPSHOT_EVERY == 0:
                     self.stats.history.append(
                         (
                             self.stats.executions,

@@ -40,9 +40,9 @@ class MutationEngine:
             yield bytes(out)
 
     @staticmethod
-    def arithmetic(data: bytes, bound: int = 8) -> Iterator[bytes]:
+    def arithmetic(data: bytes) -> Iterator[bytes]:
         for index in range(min(len(data), 32)):
-            for delta in range(1, bound + 1):
+            for delta in range(1, 9):
                 for sign in (1, -1):
                     out = bytearray(data)
                     out[index] = (out[index] + sign * delta) & 0xFF

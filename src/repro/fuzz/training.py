@@ -21,6 +21,9 @@ from repro.itccfg.credits import CreditLabeledITC
 from repro.itccfg.paths import PathIndex
 from repro.osmodel.kernel import Kernel
 
+#: instruction budget of one training replay.
+REPLAY_MAX_STEPS = 400_000
+
 
 @dataclass
 class TrainingReport:
@@ -31,10 +34,6 @@ class TrainingReport:
     #: trained-ratio after each replayed input (Figure 5d's curve).
     ratio_history: List[float] = field(default_factory=list)
 
-    @property
-    def final_ratio(self) -> float:
-        return self.ratio_history[-1] if self.ratio_history else 0.0
-
 
 def train_credits(
     labeled: CreditLabeledITC,
@@ -44,7 +43,6 @@ def train_credits(
     libraries: Optional[Dict[str, Module]] = None,
     vdso: Optional[Module] = None,
     mode: str = "stdin",
-    max_steps: int = 400_000,
     kernel_setup: Optional[Callable[[Kernel], None]] = None,
     path_index: Optional[PathIndex] = None,
 ) -> TrainingReport:
@@ -88,7 +86,7 @@ def train_credits(
                 current_cr3=lambda p=proc: p.cr3,
             )
             proc.executor.add_listener(encoder.on_branch, ENCODER_KINDS)
-            kernel.run(proc, max_steps=max_steps)
+            kernel.run(proc, max_steps=REPLAY_MAX_STEPS)
             # The dead kernel is cyclic garbage that waits for a
             # collection; detached, the encoder and its 4 MiB ToPA are
             # freed as soon as this replay is done.

@@ -946,32 +946,24 @@ class ColumnarParallelResult:
     segment — the latency with one worker per segment, the §5.3 "can be
     done in parallel" acceleration."""
 
-    __slots__ = ("columns", "cycles", "synced_offset", "segments",
-                 "critical_path_cycles", "truncated")
+    __slots__ = ("columns", "cycles", "segments", "critical_path_cycles",
+                 "truncated")
 
-    def __init__(self, columns, cycles, synced_offset, segments,
+    def __init__(self, columns, cycles, segments,
                  critical_path_cycles) -> None:
         #: ``[(ColumnarSegment, stream_base), ...]`` in stream order.
         self.columns = columns
         self.cycles = cycles
-        self.synced_offset = synced_offset
         self.segments = segments
         self.critical_path_cycles = critical_path_cycles
         self.truncated = bool(columns) and columns[-1][0].truncated
 
 
-def columnar_decode_parallel(
-    data, sync: bool = False
-) -> ColumnarParallelResult:
+def columnar_decode_parallel(data) -> ColumnarParallelResult:
     """Split at PSBs and scan segments independently (zero-copy
     ``memoryview`` slices), accounting total and critical-path cycles.
     """
-    start = 0
-    if sync:
-        start = sync_to_psb(data)
-        if start < 0:
-            return ColumnarParallelResult([], 0.0, len(data), 1, 0.0)
-    boundaries = psb_boundaries(data, start)
+    boundaries = psb_boundaries(data)
     view = memoryview(data)
     columns = []
     total = 0.0
@@ -984,5 +976,5 @@ def columnar_decode_parallel(
         total += seg.cycles
         critical = max(critical, seg.cycles)
     return ColumnarParallelResult(
-        columns, total, start, max(len(columns), 1), critical
+        columns, total, max(len(columns), 1), critical
     )

@@ -2,14 +2,13 @@
 
 IPT can only be configured by a privileged agent through MSRs (§2).
 :class:`RTIT_CTL` models the primary enable/control register with the
-bit fields FlowGuard programs in §5.1; :class:`IPTConfig` is the decoded
-view the packetizer consumes.
+bit fields FlowGuard programs in §5.1; :class:`IPTConfig` is the per-core
+configuration the packetizer reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 class RTIT_CTL:
@@ -26,7 +25,7 @@ class RTIT_CTL:
 
 @dataclass
 class IPTConfig:
-    """Decoded trace-configuration state for one core.
+    """Trace-configuration state for one core.
 
     ``flowguard_defaults`` reflects §5.1: TraceEn+BranchEn set, OS bit
     cleared / User bit set (user-level flow only), CR3 filtering enabled
@@ -51,42 +50,5 @@ class IPTConfig:
         config.cr3_match = cr3
         return config
 
-    # -- MSR-style accessors ------------------------------------------------
-
     def write_ctl(self, value: int) -> None:
         self.ctl = value
-
-    def write_cr3_match(self, value: int) -> None:
-        self.cr3_match = value
-
-    # -- decoded view ----------------------------------------------------------
-
-    @property
-    def trace_enabled(self) -> bool:
-        return bool(self.ctl & RTIT_CTL.TRACE_EN)
-
-    @property
-    def branch_enabled(self) -> bool:
-        return bool(self.ctl & RTIT_CTL.BRANCH_EN)
-
-    @property
-    def trace_os(self) -> bool:
-        return bool(self.ctl & RTIT_CTL.OS)
-
-    @property
-    def trace_user(self) -> bool:
-        return bool(self.ctl & RTIT_CTL.USER)
-
-    @property
-    def cr3_filtering(self) -> bool:
-        return bool(self.ctl & RTIT_CTL.CR3_FILTER)
-
-    @property
-    def topa_output(self) -> bool:
-        return bool(self.ctl & RTIT_CTL.TOPA)
-
-    def accepts_cr3(self, cr3: Optional[int]) -> bool:
-        """Whether the current CR3 passes the filter."""
-        if not self.cr3_filtering:
-            return True
-        return cr3 == self.cr3_match

@@ -76,10 +76,6 @@ class ToPA:
     def wrapped(self) -> bool:
         return self._wrapped
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def bytes_to_fill(self) -> int:
         """How many bytes fill the current region: any write shorter
         than this lands whole in it, raising no PMI and moving to no

@@ -56,11 +56,6 @@ class Op(enum.IntEnum):
     CALLR = 0x44  # indirect call through register
 
 
-# Opcodes that change control flow (CoFI — change of flow instructions).
-COFI_OPS = frozenset(
-    {Op.JMP, Op.JCC, Op.JMPR, Op.CALL, Op.CALLR, Op.RET, Op.SYSCALL}
-)
-
 # Operand layout per opcode, used by the encoder, decoder and formatter.
 # Slot names:  rd/rs/rb — register indices,  imm64/imm32 — immediates,
 # off32 — signed memory displacement,  rel32 — signed branch displacement
@@ -121,10 +116,6 @@ class Insn:
     rel: int = 0
     cc: int = 0
     label: Optional[str] = None
-
-    def is_cofi(self) -> bool:
-        """True if this instruction can change control flow."""
-        return self.op in COFI_OPS
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,12 @@ PAYLOAD_KIND = "loadgen-bench"
 def run_bench(
     scenario: LoadScenario,
     seed: Optional[int] = None,
-    warm: bool = True,
 ) -> dict:
     """Run the full bench for one scenario; returns the report payload."""
     scenario.validate()
     if seed is not None:
         scenario = scenario.with_seed(seed)
-    if warm:
-        warm_pipelines(scenario)
+    warm_pipelines(scenario)
     cache: Dict[int, LoadPointResult] = {}
     probe = cached_probe(scenario, cache=cache)
     sweep = sweep_connections(scenario, probe=probe)
@@ -51,5 +49,5 @@ def run_bench(
         },
         "monotone_to_knee": monotone_to_knee(sweep),
         "search": search.to_dict(),
-        "fleet_runs": len(cache) + (1 if warm else 0),
+        "fleet_runs": len(cache) + 1,  # the warm-up run
     }

@@ -35,6 +35,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import configio
 from repro.isa.registers import R1
 from repro.osmodel.kernel import Kernel
 from repro.osmodel.process import FDKind, Process
@@ -67,16 +68,7 @@ class RequestRecord:
         return self.completed_at - self.issued_at
 
     def to_dict(self) -> dict:
-        return {
-            "pid": self.pid,
-            "server": self.server,
-            "index": self.index,
-            "attack": self.attack,
-            "issued_at": self.issued_at,
-            "accepted_at": self.accepted_at,
-            "completed_at": self.completed_at,
-            "latency": self.latency,
-        }
+        return {**configio.to_dict(self), "latency": self.latency}
 
 
 @dataclass

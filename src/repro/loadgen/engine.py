@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
+from repro import configio
 from repro.experiments.common import seed_server_fs, server_pipeline
 from repro.fleet.rings import RingPolicy
 from repro.fleet.service import FleetConfig, FleetService
@@ -91,31 +92,7 @@ class LoadPointResult:
         return self.latency.get("slo", self.latency.get("p99", 0.0))
 
     def to_dict(self) -> dict:
-        return {
-            "connections": self.connections,
-            "workers": self.workers,
-            "mode": self.mode,
-            "offered_load": self.offered_load,
-            "offered": self.offered,
-            "completed": self.completed,
-            "makespan": self.makespan,
-            "throughput": self.throughput,
-            "latency": dict(self.latency),
-            "overhead": self.overhead,
-            "app_cycles": self.app_cycles,
-            "idle_cycles": self.idle_cycles,
-            "monitor_cycles": self.monitor_cycles,
-            "stall_cycles": self.stall_cycles,
-            "attacked_pids": list(self.attacked_pids),
-            "quarantined_pids": list(self.quarantined_pids),
-            "detection_rate": self.detection_rate,
-            "detection_latency": self.detection_latency,
-            "false_quarantines": self.false_quarantines,
-            "accounting_exact": self.accounting_exact,
-            "ledger_exact": self.ledger_exact,
-            "digest": self.digest,
-            "lag_p99": self.lag_p99,
-        }
+        return configio.to_dict(self)
 
 
 def _connection_seed(seed: int, index: int) -> int:
@@ -243,36 +220,35 @@ def _offered_load(scenario: LoadScenario, connections: int) -> float:
     return float(connections)
 
 
-def _digest(result, service, tracker: LoadTracker) -> str:
-    """The run outcome — schedule, every verdict, quarantines, cycle
-    totals, and the full request timeline — hashed."""
-    blob = json.dumps(
-        {
-            "schedule": result.schedule_digest,
-            "verdicts": [
-                (t.task_id, t.pid, t.kind, t.verdict)
-                for t in service.dispatcher.tasks
-            ],
-            "quarantined": sorted(result.quarantined_pids),
-            "detections": result.detections,
-            "cycles": [
-                round(result.makespan, 6),
-                round(result.app_cycles, 6),
-                round(result.monitor_cycles, 6),
-                round(result.stall_cycles, 6),
-            ],
-            "timeline": tracker.timeline_digest(),
-        },
-        sort_keys=True,
-    )
+def outcome_digest(
+    result, service, tracker: Optional[LoadTracker] = None
+) -> str:
+    """A fleet run's outcome — schedule, every verdict, quarantines and
+    cycle totals, and with ``tracker`` the full request timeline —
+    hashed."""
+    outcome = {
+        "schedule": result.schedule_digest,
+        "verdicts": [
+            (t.task_id, t.pid, t.kind, t.verdict)
+            for t in service.dispatcher.tasks
+        ],
+        "quarantined": sorted(result.quarantined_pids),
+        "detections": result.detections,
+        "cycles": [
+            round(result.makespan, 6),
+            round(result.app_cycles, 6),
+            round(result.monitor_cycles, 6),
+            round(result.stall_cycles, 6),
+        ],
+    }
+    if tracker is not None:
+        outcome["timeline"] = tracker.timeline_digest()
+    blob = json.dumps(outcome, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def run_load_point(
-    scenario: LoadScenario,
-    connections: int,
-    workers: Optional[int] = None,
-    seed: Optional[int] = None,
+    scenario: LoadScenario, connections: int
 ) -> LoadPointResult:
     """Build, run, and summarize one load point."""
     tel = get_telemetry()
@@ -281,9 +257,7 @@ def run_load_point(
         # resilience.events view of its ledger included) cover that
         # run alone.
         tel.reset()
-    service, tracker, attacked = build_load_service(
-        scenario, connections, workers=workers, seed=seed,
-    )
+    service, tracker, attacked = build_load_service(scenario, connections)
     result = service.run()
     return summarize_load_point(
         scenario, connections, service, tracker, attacked, result
@@ -355,14 +329,12 @@ def summarize_load_point(
         ),
         accounting_exact=bool(result.accounting["exact"]),
         ledger_exact=bool(ledger.get("exact", True)),
-        digest=_digest(result, service, tracker),
+        digest=outcome_digest(result, service, tracker),
         lag_p99=result.lag["p99"],
     )
 
 
-def warm_pipelines(
-    scenario: LoadScenario, connections: Optional[int] = None
-) -> None:
+def warm_pipelines(scenario: LoadScenario) -> None:
     """One throwaway run at full width, settling shared pipeline state.
 
     The cached server pipelines are shared across runs and the first
@@ -370,9 +342,4 @@ def warm_pipelines(
     so measured runs after this warm-up differ only by what is being
     measured (the same trick the observability experiment uses).
     """
-    run_load_point(
-        scenario,
-        connections
-        if connections is not None
-        else scenario.connections_upper_bound,
-    )
+    run_load_point(scenario, scenario.connections_upper_bound)

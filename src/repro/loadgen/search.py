@@ -100,14 +100,12 @@ def search_max_under_slo(
 
 
 def slo_search(
-    scenario: LoadScenario,
-    seed: Optional[int] = None,
-    probe: Optional[ProbeFn] = None,
+    scenario: LoadScenario, probe: Optional[ProbeFn] = None
 ) -> SearchResult:
     """Max measured throughput with latency p-``slo_percentile`` at or
     under ``scenario.slo_latency`` cycles."""
     if probe is None:
-        probe = cached_probe(scenario, seed=seed)
+        probe = cached_probe(scenario)
     lower = scenario.connections_lower_bound
     upper = scenario.connections_upper_bound
 

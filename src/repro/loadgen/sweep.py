@@ -18,10 +18,13 @@ from repro.loadgen.scenario import LoadScenario
 #: probe signature shared with the search: connections -> result.
 ProbeFn = Callable[[int], LoadPointResult]
 
+#: how far one step's throughput may dip below the last one's before
+#: the knee and still count as non-decreasing.
+KNEE_TOLERANCE = 0.02
+
 
 def cached_probe(
     scenario: LoadScenario,
-    seed: Optional[int] = None,
     cache: Optional[Dict[int, LoadPointResult]] = None,
 ) -> ProbeFn:
     """A memoised load-point prober, so the sweep and the binary
@@ -30,22 +33,18 @@ def cached_probe(
 
     def probe(connections: int) -> LoadPointResult:
         if connections not in store:
-            store[connections] = run_load_point(
-                scenario, connections, seed=seed
-            )
+            store[connections] = run_load_point(scenario, connections)
         return store[connections]
 
     return probe
 
 
 def sweep_connections(
-    scenario: LoadScenario,
-    seed: Optional[int] = None,
-    probe: Optional[ProbeFn] = None,
+    scenario: LoadScenario, probe: Optional[ProbeFn] = None
 ) -> List[LoadPointResult]:
     """Measure every connection step in the scenario's sweep bounds."""
     if probe is None:
-        probe = cached_probe(scenario, seed=seed)
+        probe = cached_probe(scenario)
     points = list(
         range(
             scenario.connections_lower_bound,
@@ -71,15 +70,14 @@ def knee_index(results: Sequence[LoadPointResult]) -> int:
     return len(results) - 1  # pragma: no cover - unreachable
 
 
-def monotone_to_knee(
-    results: Sequence[LoadPointResult], tolerance: float = 0.02
-) -> bool:
-    """True when throughput is non-decreasing (within ``tolerance``)
-    up to the knee — the shape a healthy closed-loop sweep must have."""
+def monotone_to_knee(results: Sequence[LoadPointResult]) -> bool:
+    """True when throughput is non-decreasing (within
+    ``KNEE_TOLERANCE``) up to the knee — the shape a healthy closed-loop
+    sweep must have."""
     knee = knee_index(results)
     for i in range(knee):
         if results[i + 1].throughput < results[i].throughput * (
-            1.0 - tolerance
+            1.0 - KNEE_TOLERANCE
         ):
             return False
     return True

@@ -318,9 +318,6 @@ class FlowGuardMonitor:
         for proc in self.kernel.processes.values():
             hook(proc)
 
-    def unprotect(self, process: Process) -> None:
-        self._detach(process.cr3)
-
     def _detach(self, cr3: int) -> None:
         pp = self._protected.pop(cr3, None)
         if pp is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import FrozenSet
 
 from repro.configio import JsonConfig
@@ -51,9 +51,3 @@ class FlowGuardPolicy(JsonConfig):
     #: default.  Finer periods trade trace bytes for smaller decode
     #: windows per check.
     psb_period: int = 0  # 0 = hardware default
-
-    def with_endpoints(self, *extra: int) -> "FlowGuardPolicy":
-        """A copy with additional user-specified endpoints."""
-        return replace(
-            self, endpoints=self.endpoints | frozenset(int(e) for e in extra)
-        )

@@ -138,7 +138,6 @@ class Kernel:
     def spawn(
         self,
         program: str,
-        argv: Optional[List[str]] = None,
         stdin: bytes = b"",
     ) -> Process:
         """Create a process running a registered program."""
@@ -457,9 +456,9 @@ class Kernel:
             return child.exit_code if child.killed_by is None else -child.killed_by
         return ENOENT  # no waitable children
 
-    def _run_until_exec_stop(self, child: Process, max_steps: int = 5_000_000
-                             ) -> bool:
+    def _run_until_exec_stop(self, child: Process) -> bool:
         """Step a child; True if it stopped at a traced execve."""
+        max_steps = 5_000_000
         while child.alive:
             if self._exec_stop_pending.pop(child.pid, False):
                 return True

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 
 class FileSystem:
@@ -38,6 +38,3 @@ class FileSystem:
     def contents(self, path: str) -> bytes:
         """Whole-file read (test/driver convenience)."""
         return bytes(self._files[path])
-
-    def listdir(self) -> List[str]:
-        return sorted(self._files)

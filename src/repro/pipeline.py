@@ -66,7 +66,6 @@ class FlowGuardPipeline:
         vdso: Optional[Module] = None,
         corpus: Iterable[bytes] = (),
         mode: str = "socket",
-        train_max_steps: int = 400_000,
         kernel_setup=None,
     ) -> "FlowGuardPipeline":
         """Run the whole offline phase (Figure 2).
@@ -109,7 +108,6 @@ class FlowGuardPipeline:
                         libraries=libraries,
                         vdso=vdso,
                         mode=mode,
-                        max_steps=train_max_steps,
                         kernel_setup=kernel_setup,
                         path_index=pipeline.path_index,
                     )
@@ -166,14 +164,10 @@ class FlowGuardPipeline:
                         path_index=self.path_index)
         return monitor, proc
 
-    def auto_deploy(
-        self,
-        kernel: Kernel,
-        policy: Optional[FlowGuardPolicy] = None,
-    ) -> FlowGuardMonitor:
+    def auto_deploy(self, kernel: Kernel) -> FlowGuardMonitor:
         """Install a monitor that auto-protects every instance of the
         program — including forked workers and execve'd children."""
-        monitor = self.make_monitor(kernel, policy=policy)
+        monitor = self.make_monitor(kernel)
         monitor.auto_protect(
             self.program, self.labeled, self.ocfg,
             path_index=self.path_index,

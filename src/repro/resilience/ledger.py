@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro import configio
 from repro.telemetry import get_telemetry
 
 #: canonical event kinds, grouped by the subsystem that records them.
@@ -64,14 +65,7 @@ class DegradationEvent:
     tenant: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "pid": self.pid,
-            "detail": self.detail,
-            "at": self.at,
-            "cycles": self.cycles,
-            "tenant": self.tenant,
-        }
+        return configio.to_dict(self)
 
 
 class DegradationLedger:

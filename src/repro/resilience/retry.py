@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro import configio
 from repro.configio import JsonConfig
 
 
@@ -88,11 +89,4 @@ class DeadLetter:
     at: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "pid": self.pid,
-            "kind": self.kind,
-            "attempts": self.attempts,
-            "last_fault": self.last_fault,
-            "at": self.at,
-        }
+        return configio.to_dict(self)

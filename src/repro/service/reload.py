@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro import configio
+
 
 @dataclass
 class PipelineVersion:
@@ -40,14 +42,7 @@ class PipelineVersion:
     retired_at: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "program": self.program,
-            "activated_at": self.activated_at,
-            "pids": list(self.pids),
-            "inflight_at_swap": self.inflight_at_swap,
-            "retired_at": self.retired_at,
-        }
+        return configio.to_dict(self)
 
 
 def fresh_pipeline(program: str):

@@ -101,12 +101,6 @@ class TraceCheckService:
 
     # -- introspection -------------------------------------------------------
 
-    def runtime(self, name: str) -> TenantRuntime:
-        for rt in self.runtimes:
-            if rt.name == name:
-                return rt
-        raise KeyError(f"no such tenant: {name!r}")
-
     @property
     def now(self) -> float:
         """The service frontier: the furthest tenant clock."""

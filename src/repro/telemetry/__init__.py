@@ -157,11 +157,11 @@ from repro.telemetry.plane import (  # noqa: E402,F401 (public re-exports)
 
 
 @contextmanager
-def capture(reset_first: bool = True) -> Iterator[Telemetry]:
-    """Enable telemetry for a scope, restoring the previous state."""
+def capture() -> Iterator[Telemetry]:
+    """Enable telemetry for a scope, starting from zero and restoring
+    the previous state."""
     was_enabled = _TELEMETRY.enabled
-    if reset_first:
-        _TELEMETRY.reset()
+    _TELEMETRY.reset()
     _TELEMETRY.enable()
     try:
         yield _TELEMETRY

@@ -75,12 +75,10 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
 class Counter:
     """Monotonically increasing value (events, bytes, cycles)."""
 
-    __slots__ = ("name", "help", "_registry", "_series")
+    __slots__ = ("name", "_registry", "_series")
 
-    def __init__(self, name: str, help: str, registry: "MetricsRegistry"
-                 ) -> None:
+    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
         self.name = name
-        self.help = help
         self._registry = registry
         self._series: Dict[LabelKey, float] = {}
 
@@ -117,12 +115,10 @@ class Counter:
 class Gauge:
     """Last-written value (sizes, ratios, configuration)."""
 
-    __slots__ = ("name", "help", "_registry", "_series")
+    __slots__ = ("name", "_registry", "_series")
 
-    def __init__(self, name: str, help: str, registry: "MetricsRegistry"
-                 ) -> None:
+    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
         self.name = name
-        self.help = help
         self._registry = registry
         self._series: Dict[LabelKey, float] = {}
 
@@ -147,13 +143,10 @@ class Histogram:
     engine needs real tail percentiles, not min/mean/max bounds.
     """
 
-    __slots__ = ("name", "help", "_registry", "_series", "_observations",
-                 "_dirty")
+    __slots__ = ("name", "_registry", "_series", "_observations", "_dirty")
 
-    def __init__(self, name: str, help: str, registry: "MetricsRegistry"
-                 ) -> None:
+    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
         self.name = name
-        self.help = help
         self._registry = registry
         self._series: Dict[LabelKey, Dict[str, float]] = {}
         self._observations: Dict[LabelKey, List[float]] = {}
@@ -221,22 +214,22 @@ class MetricsRegistry:
 
     # -- instrument factories (memoized by name) ----------------------------
 
-    def counter(self, name: str, help: str = "") -> Counter:
+    def counter(self, name: str) -> Counter:
         inst = self._counters.get(name)
         if inst is None:
-            inst = self._counters[name] = Counter(name, help, self)
+            inst = self._counters[name] = Counter(name, self)
         return inst
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         inst = self._gauges.get(name)
         if inst is None:
-            inst = self._gauges[name] = Gauge(name, help, self)
+            inst = self._gauges[name] = Gauge(name, self)
         return inst
 
-    def histogram(self, name: str, help: str = "") -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         inst = self._histograms.get(name)
         if inst is None:
-            inst = self._histograms[name] = Histogram(name, help, self)
+            inst = self._histograms[name] = Histogram(name, self)
         return inst
 
     # -- lifecycle -----------------------------------------------------------

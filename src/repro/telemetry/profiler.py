@@ -63,9 +63,6 @@ class CycleProfiler:
             out[component] = out.get(component, 0.0) + cycles
         return out
 
-    def component_phase(self, component: str, phase: str) -> float:
-        return self._cells().get((component, phase), 0.0)
-
     def total(self) -> float:
         return sum(self._cells().values())
 

@@ -194,7 +194,7 @@ def _ablation_blocks(points: Sequence[dict]) -> List[Block]:
     ]
 
 
-def _plane_dump_blocks(dump: dict, heading_level: int = 2) -> List[Block]:
+def _plane_dump_blocks(dump: dict) -> List[Block]:
     blocks: List[Block] = []
     slo = dump.get("slo")
     if slo:

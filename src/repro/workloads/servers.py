@@ -958,12 +958,12 @@ def build_exim() -> Module:
     return prog.build()
 
 
-def exim_session(rcpts=1, body_lines=("hello", "world")) -> bytes:
+def exim_session(rcpts=1) -> bytes:
     lines = ["HELO client", "MAIL FROM:<a@b>"]
     for index in range(rcpts):
         lines.append(f"RCPT TO:<user{index}@dest>")
     lines.append("DATA")
-    lines.extend(body_lines)
+    lines.extend(("hello", "world"))
     lines.append(".")
     lines.append("QUIT")
     return ("\n".join(lines) + "\n").encode()

@@ -368,8 +368,9 @@ UTILITY_BUILDERS: Dict[str, Callable[[], Module]] = {
 }
 
 
-def seed_utility_inputs(fs, size: int = 16384) -> None:
+def seed_utility_inputs(fs) -> None:
     """Populate the VFS inputs the utilities expect."""
+    size = 16384
     payload = bytes((i * 37 + 11) & 0xFF for i in range(size))
     for path in TAR_INPUTS:
         fs.create(path, payload[: size // 4])

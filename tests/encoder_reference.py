@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro import costs
 from repro.cpu.events import BranchEvent, CoFIKind
-from repro.ipt.msr import IPTConfig
+from repro.ipt.msr import RTIT_CTL, IPTConfig
 from repro.ipt.packets import (
     FUP_HEADER,
     IP_WIDTHS,
@@ -130,9 +130,12 @@ class ReferenceEncoder:
         self._write(data)
 
     def on_branch(self, event: BranchEvent) -> None:
-        if not (self.config.trace_enabled and self.config.branch_enabled):
+        config = self.config
+        if not (config.ctl & RTIT_CTL.TRACE_EN
+                and config.ctl & RTIT_CTL.BRANCH_EN):
             return
-        if not self.config.accepts_cr3(self.current_cr3()):
+        if (config.ctl & RTIT_CTL.CR3_FILTER
+                and self.current_cr3() != config.cr3_match):
             return
         kind = event.kind
         if kind in (CoFIKind.DIRECT_JMP, CoFIKind.DIRECT_CALL):

@@ -29,6 +29,11 @@ from repro.lang import (
 )
 
 
+def _label(lm, name):
+    """Absolute address of any code label of a loaded module."""
+    return lm.base + lm.module.local_symbols[name]
+
+
 def load_lang(prog, libraries=None, vdso=None):
     return Loader(libraries or {}, vdso=vdso).load(prog.build())
 
@@ -69,7 +74,7 @@ class TestBlockDiscovery:
             e for e in cfg.edges if e.kind is EdgeKind.DIRECT_CALL
         ]
         assert call_edges
-        leaf_entry = exe.local_addr_of("leaf")
+        leaf_entry = _label(exe, "leaf")
         assert any(e.dst == leaf_entry for e in call_edges)
 
 
@@ -81,7 +86,7 @@ class TestReturnMatching:
         assert ret_edges
         # leaf's ret must go to the block right after main's call site.
         exe = image.executable
-        leaf_block = cfg.block_at(exe.local_addr_of("leaf"))
+        leaf_block = cfg.block_at(_label(exe, "leaf"))
         leaf_rets = [e for e in ret_edges
                      if cfg.block_at(e.branch_addr).function == "leaf"]
         assert leaf_rets
@@ -203,9 +208,9 @@ class TestTypeArmor:
         callr_targets = cfg.indirect_targets[callr_branches.pop()]
         # One argument prepared: arity-0 and arity-1 functions allowed,
         # arity-3 excluded.
-        assert exe.local_addr_of("takes1") in callr_targets
-        assert exe.local_addr_of("takes0") in callr_targets
-        assert exe.local_addr_of("takes3") not in callr_targets
+        assert _label(exe, "takes1") in callr_targets
+        assert _label(exe, "takes0") in callr_targets
+        assert _label(exe, "takes3") not in callr_targets
 
 
 class TestSwitchJumpTables:

@@ -90,6 +90,54 @@ class TestParser:
         assert args.slo is None
 
 
+class TestRejectedConfig:
+    """A config file or builtin name the codec rejects ends the command
+    with one ``<command>: <error>`` line and exit 2, never a
+    traceback: one case per flag family that loads a config."""
+
+    CASES = {
+        "faults": (["fleet", "-p", "1", "-w", "1", "-n", "1", "--faults"],
+                   {"drop_pmi": {"probabilty": 0.5}},
+                   "unknown FaultSite keys: probabilty"),
+        "slo": (["stats", "exim", "-n", "1", "--slo"],
+                {"objectivs": []}, "unknown SLOConfig keys: objectivs"),
+        "serve-config": (["top", "--once", "--serve-config"],
+                         {"tenats": []}, "unknown ServeConfig keys: tenats"),
+        "config": (["service", "--config"], "no-such-config",
+                   "no such serve config: 'no-such-config'"),
+        "scenario": (["bench", "--scenario"], "no-such-scenario",
+                     "no such scenario: 'no-such-scenario'"),
+        "top-scenario": (["top", "--once", "--scenario"], [1],
+                         "a LoadScenario is a JSON object, not list"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_line_and_exit_2(self, case, tmp_path):
+        import json
+        import os
+        import subprocess
+        import sys
+
+        argv, config, error = self.CASES[case]
+        if isinstance(config, str):
+            ref = config
+        else:
+            ref = str(tmp_path / "config.json")
+            with open(ref, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, ref],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"{argv[0]}: ")
+        assert error in line
+
+
 class TestCommands:
     def test_serve(self, capsys):
         assert main(["serve", "exim", "-n", "2"]) == 0

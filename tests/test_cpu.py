@@ -466,17 +466,3 @@ class TestCycles:
         assert events == []
 
 
-class TestMachineSnapshot:
-    def test_snapshot_restore(self):
-        m = Machine()
-        m.set_reg(R0, 11)
-        m.ip = 0x1234
-        m.zf = True
-        snap = m.snapshot()
-        m.set_reg(R0, 0)
-        m.ip = 0
-        m.zf = False
-        m.restore(snap)
-        assert m.reg(R0) == 11
-        assert m.ip == 0x1234
-        assert m.zf is True

@@ -92,7 +92,7 @@ class Side:
         topa, encoder = self.topa, self.encoder
         return (
             [bytes(b) for b in topa._buffers], topa._region, topa._offset,
-            topa.wrapped, topa.stopped, topa.total_bytes_written,
+            topa.wrapped, topa._stopped, topa.total_bytes_written,
             topa.snapshot(), encoder.cycles, encoder.packets_emitted,
             self.pmis,
         )
@@ -128,14 +128,14 @@ def guard_runs(side: Side) -> None:
         assert 0 < len(events) <= encoder.run_room()
         to_fill = topa.bytes_to_fill()
         written = topa.total_bytes_written
-        stopped = topa.stopped
+        stopped = topa._stopped
         side.in_run = True
         try:
             on_run(events)
         finally:
             side.in_run = False
         assert topa.total_bytes_written - written < to_fill
-        assert topa.stopped == stopped
+        assert topa._stopped == stopped
         side.runs.append(len(events))
 
     encoder.on_run = guarded
@@ -218,7 +218,7 @@ def test_cr3_filter_toggles():
                 side.encoder.config.write_ctl(ctl)
         if index == 1700:  # the execve shape: a fresh CR3 to match
             for side in (new, ref):
-                side.encoder.config.write_cr3_match(0x2000)
+                side.encoder.config.cr3_match = 0x2000
         for side in (new, ref):
             side.encoder.on_branch(event)
     assert_same(new, ref)
@@ -260,7 +260,7 @@ def test_stop_regions(sizes):
     for event in random_events(random.Random(3), 500):
         for side in (new, ref):
             side.encoder.on_branch(event)
-    assert new.topa.stopped
+    assert new.topa._stopped
     assert_same(new, ref)
 
 
@@ -292,9 +292,9 @@ def test_topa_chunks_match_per_byte_writes(seed):
     new, ref = fill(ToPA), fill(ReferenceToPA)
     assert new.seen == ref.seen
     assert [bytes(b) for b in new._buffers] == [bytes(b) for b in ref._buffers]
-    assert (new._region, new._offset, new.wrapped, new.stopped,
+    assert (new._region, new._offset, new.wrapped, new._stopped,
             new.total_bytes_written, new.snapshot()) == (
-        ref._region, ref._offset, ref.wrapped, ref.stopped,
+        ref._region, ref._offset, ref.wrapped, ref._stopped,
         ref.total_bytes_written, ref.snapshot())
 
 

@@ -232,4 +232,4 @@ class TestTraining:
         assert report.inputs_replayed == 3
         history = report.ratio_history
         assert all(b >= a for a, b in zip(history, history[1:]))
-        assert report.final_ratio == labeled.trained_ratio()
+        assert history[-1] == labeled.trained_ratio()

@@ -121,7 +121,7 @@ class TestToPA:
     def test_stop_region(self):
         topa = ToPA([ToPARegion(4, stop=True)])
         topa.write(b"abcdefgh")
-        assert topa.stopped
+        topa.write(b"ijkl")
         assert topa.snapshot() == b"abcd"  # output frozen at the stop
         assert topa.total_bytes_written == 4
 
@@ -224,7 +224,7 @@ class TestEncoder:
         from repro.ipt.msr import RTIT_CTL
 
         config.write_ctl(config.ctl | RTIT_CTL.CR3_FILTER)
-        config.write_cr3_match(0x5000)
+        config.cr3_match = 0x5000
         topa = big_topa()
         encoder = IPTEncoder(config, output=topa,
                              current_cr3=lambda: 0x6000)

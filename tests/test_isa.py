@@ -169,16 +169,6 @@ class TestDisassembler:
             register_name(99)
 
 
-class TestCoFIPredicate:
-    def test_cofi_ops(self):
-        assert Insn(Op.JMP).is_cofi()
-        assert Insn(Op.RET).is_cofi()
-        assert Insn(Op.SYSCALL).is_cofi()
-        assert not Insn(Op.ADD).is_cofi()
-        assert Insn(Op.CALLR).is_cofi()
-        assert not Insn(Op.MOV_RI).is_cofi()
-
-
 class TestCond:
     @pytest.mark.parametrize(
         "cond,zf,sf,expected",

@@ -171,9 +171,3 @@ class TestGadgetEpilogues:
         assert mov.op is Op.MOV_RR and mov.rd == SP and mov.rs == FP
         assert pop.op is Op.POP and pop.rd == FP
         assert ret.op is Op.RET
-
-    def test_pop_chains_sorted_by_length(self):
-        image = Loader(LIBS).load(build_nginx())
-        gadgets = find_gadgets(image)
-        regs, addr = gadgets.best_pop_chain()
-        assert all(len(k) <= len(regs) for k in gadgets.pop_chains)

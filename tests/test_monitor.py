@@ -1,6 +1,6 @@
 """End-to-end FlowGuard monitor tests on the nginx analogue."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -166,7 +166,9 @@ class TestMalformedWindow:
 class TestPolicy:
     def test_with_endpoints_extends(self):
         policy = FlowGuardPolicy()
-        extended = policy.with_endpoints(int(Sys.OPEN))
+        extended = replace(
+            policy, endpoints=policy.endpoints | {int(Sys.OPEN)}
+        )
         assert int(Sys.OPEN) in extended.endpoints
         assert int(Sys.OPEN) not in policy.endpoints
 
@@ -187,7 +189,10 @@ class TestPolicy:
         assert set(custom) == {f.name for f in fields(FlowGuardPolicy)}
         for name, value in custom.items():
             assert getattr(default, name) != value, name
-        clone = FlowGuardPolicy(**custom).with_endpoints(int(Sys.OPEN))
+        policy = FlowGuardPolicy(**custom)
+        clone = replace(
+            policy, endpoints=policy.endpoints | {int(Sys.OPEN)}
+        )
         for name, value in custom.items():
             if name != "endpoints":
                 assert getattr(clone, name) == value, name

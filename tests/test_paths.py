@@ -1,5 +1,7 @@
 """Tests for the path-sensitive fast-path extension (§7.1.2 future work)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.itccfg import PathIndex
@@ -142,4 +144,4 @@ class TestPathSensitiveMonitor:
 
     def test_policy_copy_preserves_flag(self):
         policy = FlowGuardPolicy(path_sensitive=True)
-        assert policy.with_endpoints(99).path_sensitive is True
+        assert replace(policy, endpoints={99}).path_sensitive is True

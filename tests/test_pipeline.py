@@ -64,17 +64,6 @@ class TestDeploy:
         with pytest.raises(KeyError):
             monitor.stats_for(proc)
 
-    def test_unprotect_stops_tracing(self, pipeline):
-        kernel = Kernel()
-        kernel.fs.create("/a", b"x")
-        monitor, proc = pipeline.deploy(kernel)
-        pp = monitor.protected_for(proc)
-        monitor.unprotect(proc)
-        assert monitor.protected_for(proc) is None
-        proc.push_connection(nginx_request("/a"))
-        kernel.run(proc)
-        assert pp.topa.total_bytes_written == 0  # no packets emitted
-
     def test_policy_flows_through_deploy(self, pipeline):
         kernel = Kernel()
         kernel.fs.create("/a", b"x")

@@ -414,7 +414,9 @@ class TestPolicyKnobs:
         from repro.monitor.policy import FlowGuardPolicy
 
         policy = FlowGuardPolicy(psb_period=256)
-        clone = policy.with_endpoints(0x400010)
+        clone = dataclasses.replace(
+            policy, endpoints=policy.endpoints | {0x400010}
+        )
         assert clone.psb_period == 256
         assert FlowGuardPolicy.from_dict(clone.to_dict()) == clone
         assert not set(self.STALE) & set(clone.to_dict())

@@ -336,7 +336,8 @@ class TestServeIdentity:
         assert service.step() and service.step()
         service.request_drain()
         result = service.serve()
-        assert service.runtime("acme").fleet.scheduler.rounds == 2
+        [acme] = [rt for rt in service.runtimes if rt.name == "acme"]
+        assert acme.fleet.scheduler.rounds == 2
         events = result.events["acme"]
         assert events[-1]["type"] == "drained"
         assert sum(e["type"] == "verdict" for e in events) == 8
@@ -345,8 +346,13 @@ class TestServeIdentity:
         )
 
     def test_plane_samples_pinned(self):
+        """Pinned after the warm-up ``repro experiments service`` runs,
+        so the pin holds alone and in any suite order."""
+        from repro.loadgen.engine import warm_pipelines
         from repro.telemetry.plane import ObservabilityPlane
 
+        warm_pipelines(builtin_scenario("smoke"))
+        warm_pipelines(builtin_scenario("faulted-closed"))
         tel = telemetry.get_telemetry()
         plane = ObservabilityPlane(interval=2000.0)
         tel.attach_plane(plane)

@@ -176,7 +176,7 @@ class TestCycleProfiler:
         assert prof.total() == 17.0
         # A view, not a copy: later charges show up without a write.
         second.stats.charge("slow", "decode", 1.0)
-        assert prof.component_phase("slow", "decode") == 3.0
+        assert prof.snapshot()["cells"]["slow/decode"] == 3.0
         prof.reset()
         assert prof.total() == 0.0
 
@@ -186,7 +186,6 @@ class TestCycleProfiler:
         prof.register(pp, tenant="alpha")
         pp.stats.trace_cycles = 100.0
         pp.stats.trace_cycles = 150.0
-        assert prof.component_phase("ipt.encoder.alpha.pid3", "trace") == 150.0
         assert prof.snapshot()["cells"] == {
             "ipt.encoder.alpha.pid3/trace": 150.0
         }
