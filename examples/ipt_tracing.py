@@ -13,7 +13,6 @@ Run:  python examples/ipt_tracing.py
 from repro.cpu import Executor, Machine, Memory
 from repro.cpu import PROT_EXEC, PROT_READ, PROT_WRITE
 from repro.ipt import (
-    ColumnarSlowSource,
     FullDecoder,
     IPTConfig,
     IPTEncoder,
@@ -85,7 +84,7 @@ def main() -> None:
         print(f"  TIP  ip={ip:#x}  TNT before: {bits or '-'}")
 
     print("\nfull decode (instruction-flow layer, needs the binary):")
-    result = FullDecoder(memory).decode(ColumnarSlowSource([(scan, 0)]))
+    result = FullDecoder(memory).decode([(scan, 0)])
     for edge in result.edges:
         print(f"  {edge.kind.value:13s} {edge.src:#x} -> {edge.dst:#x}")
     print(f"  ({result.insn_count} instructions walked to reconstruct "

@@ -14,17 +14,12 @@ gadgets".
 
 from __future__ import annotations
 
-import struct
 from typing import Optional
 
 from repro.attacks.gadgets import GadgetMap, find_gadgets
 from repro.attacks.recon import ReconReport
-from repro.attacks.rop import ATTACK_DATA, build_filler, frame_glue
+from repro.attacks.rop import ATTACK_DATA, _p64, build_filler, frame_glue
 from repro.osmodel.syscalls import O_CREAT, O_WRONLY
-
-
-def _p64(value: int) -> bytes:
-    return struct.pack("<Q", value & 0xFFFFFFFFFFFFFFFF)
 
 
 def build_flushing_payload(

@@ -10,16 +10,11 @@ hijacked edge before the library call is still inside the window.
 
 from __future__ import annotations
 
-import struct
 from typing import Optional
 
 from repro.attacks.gadgets import GadgetMap, find_gadgets
 from repro.attacks.recon import ReconReport
-from repro.attacks.rop import build_filler, frame_glue
-
-
-def _p64(value: int) -> bytes:
-    return struct.pack("<Q", value & 0xFFFFFFFFFFFFFFFF)
+from repro.attacks.rop import _p64, build_filler, frame_glue
 
 
 def build_retlib_payload(

@@ -21,6 +21,7 @@ from repro.attacks.gadgets import GadgetMap, find_gadgets
 from repro.attacks.recon import ReconReport
 from repro.attacks.rop import (
     ATTACK_DATA,
+    _p64,
     build_filler,
     frame_glue,
 )
@@ -28,10 +29,6 @@ from repro.isa.registers import NUM_REGS, SP
 from repro.osmodel.kernel import FRAME_SIZE, _FRAME_MAGIC
 from repro.osmodel.syscalls import O_CREAT, O_WRONLY, Sys
 from repro.workloads.servers import NGINX_VULN_RET_OFFSET
-
-
-def _p64(value: int) -> bytes:
-    return struct.pack("<Q", value & 0xFFFFFFFFFFFFFFFF)
 
 
 def forge_frame(regs: dict, ip: int, flags: int = 0) -> bytes:

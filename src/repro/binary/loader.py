@@ -17,6 +17,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.binary.builder import _align
 from repro.binary.module import Module
 from repro.cpu.memory import (
     Memory,
@@ -32,17 +33,11 @@ VDSO_BASE = 0x7FFFF7FF0000
 
 _U64 = struct.Struct("<Q").pack
 
-_PAGE = 4096
-
 
 def _put_u64(memory: Memory, addr: int, value: int) -> None:
     """Write one little-endian word the way the loader writes sections:
     raw, with no per-word protection check."""
     memory.write_raw(addr, _U64(value & 0xFFFFFFFFFFFFFFFF))
-
-
-def _align(value: int, boundary: int = _PAGE) -> int:
-    return (value + boundary - 1) // boundary * boundary
 
 
 class LinkResolutionError(Exception):

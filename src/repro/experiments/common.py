@@ -29,6 +29,14 @@ SERVER_NAMES = ("nginx", "vsftpd", "openssh", "exim")
 MAX_STEPS = 40_000_000
 
 
+class OverheadRows:
+    """A result whose ``rows`` each carry an ``overhead``."""
+
+    @property
+    def geomean_overhead(self) -> float:
+        return geomean([row.overhead for row in self.rows])
+
+
 def geomean(values: Sequence[float]) -> float:
     """Geometric mean, tolerant of zeros (clamped to a tiny epsilon)."""
     if not values:

@@ -14,8 +14,8 @@ from typing import List, Sequence
 
 from repro.experiments.common import (
     SERVER_NAMES,
+    OverheadRows,
     format_rows,
-    geomean,
     run_server_overhead,
 )
 
@@ -33,12 +33,8 @@ class ServerOverheadRow:
 
 
 @dataclass
-class Fig5aResult:
+class Fig5aResult(OverheadRows):
     rows: List[ServerOverheadRow]
-
-    @property
-    def geomean_overhead(self) -> float:
-        return geomean([row.overhead for row in self.rows])
 
 
 def run(servers: Sequence[str] = SERVER_NAMES, sessions: int = 10

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence
 
-from repro.experiments.common import format_rows, geomean, libraries
+from repro.experiments.common import OverheadRows, format_rows, libraries
 from repro.osmodel.kernel import Kernel
 from repro.pipeline import FlowGuardPipeline
 from repro.workloads import UTILITY_BUILDERS, build_launcher
@@ -45,12 +45,8 @@ class UtilityRow:
 
 
 @dataclass
-class Fig5bResult:
+class Fig5bResult(OverheadRows):
     rows: List[UtilityRow]
-
-    @property
-    def geomean_overhead(self) -> float:
-        return geomean([row.overhead for row in self.rows])
 
 
 def run_utility_protected(name: str):

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.experiments.common import (
+    OverheadRows,
     format_rows,
-    geomean,
     run_spec_protected,
 )
 from repro.experiments.table1 import DEFAULT_SUITE
@@ -28,12 +28,8 @@ class SpecRow:
 
 
 @dataclass
-class Fig5cResult:
+class Fig5cResult(OverheadRows):
     rows: List[SpecRow]
-
-    @property
-    def geomean_overhead(self) -> float:
-        return geomean([row.overhead for row in self.rows])
 
     def row(self, name: str) -> SpecRow:
         return next(r for r in self.rows if r.benchmark == name)

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence
 
 from repro.experiments.common import format_rows, geomean, run_spec_program
 from repro.experiments.table1 import DEFAULT_SUITE, _plain_ipt_config
-from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
+from repro.ipt.columnar import columnar_scan
 from repro.ipt.encoder import IPTEncoder
 from repro.ipt.full_decoder import FullDecoder
 from repro.ipt.topa import ToPA, ToPARegion
@@ -43,7 +43,7 @@ def run(suite: Sequence[str] = DEFAULT_SUITE, scale: int = 1
         trace = columnar_scan(encoder.output.snapshot())
         full = FullDecoder(
             proc.machine.memory, max_insns=50_000_000
-        ).decode(ColumnarSlowSource([(trace, 0)]))
+        ).decode([(trace, 0)])
         app = proc.executor.cycles
         per_benchmark[name] = full.cycles / app
         traces.append(encoder.cycles / app)

@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence
 from repro.experiments.common import format_rows, geomean, run_spec_program
 from repro.hardware.bts import BTSTracer
 from repro.hardware.lbr import LBRStack
-from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
+from repro.ipt.columnar import columnar_scan
 from repro.ipt.encoder import IPTEncoder
 from repro.ipt.full_decoder import FullDecoder
 from repro.ipt.msr import IPTConfig, RTIT_CTL
@@ -72,9 +72,7 @@ def run(suite: Sequence[str] = DEFAULT_SUITE, scale: int = 1
         app = proc.executor.cycles
         # IPT decode: the §2 pause-and-full-decode protocol.
         trace = columnar_scan(encoder.output.snapshot())
-        full = FullDecoder(proc.machine.memory).decode(
-            ColumnarSlowSource([(trace, 0)])
-        )
+        full = FullDecoder(proc.machine.memory).decode([(trace, 0)])
         row = {
             "bts_trace": bts.cycles / app,
             "lbr_trace": lbr.cycles / app,

@@ -15,22 +15,17 @@ Faithful to the properties FlowGuard exploits (§2, Table 2, Table 3):
   nothing about instruction types): one scan into columns
   (:mod:`repro.ipt.columnar`), which is the only packet representation,
 - a **full decoder** that walks the program binaries
-  instruction-by-instruction under a byte cursor over those scanned
-  segments — Intel's reference "instruction flow layer", orders of
-  magnitude slower.  It reads the CPU's own decoded code (the module's
+  instruction-by-instruction under the guidance of those scanned
+  segments' columns (no packet is parsed twice) — Intel's reference
+  "instruction flow layer", orders of magnitude slower.  It reads the CPU's own decoded code (the module's
   shared :class:`~repro.cpu.blocks.BlockStore`) and reports each edge as
   the CPU's :class:`~repro.cpu.events.BranchEvent`.
 """
 
-from repro.ipt.packets import (
-    PacketKind,
-    PSB_PATTERN,
-    PacketError,
-)
+from repro.ipt.packets import PSB_PATTERN, PacketError
 from repro.ipt.columnar import (
     ColumnarParallelResult,
     ColumnarSegment,
-    ColumnarSlowSource,
     ColumnarTail,
     columnar_decode_parallel,
     columnar_scan,
@@ -50,7 +45,6 @@ from repro.ipt.full_decoder import (
 __all__ = [
     "ColumnarParallelResult",
     "ColumnarSegment",
-    "ColumnarSlowSource",
     "ColumnarTail",
     "FullDecodeResult",
     "FullDecoder",
@@ -58,7 +52,6 @@ __all__ = [
     "IPTEncoder",
     "PSB_PATTERN",
     "PacketError",
-    "PacketKind",
     "RTIT_CTL",
     "ToPA",
     "ToPARegion",

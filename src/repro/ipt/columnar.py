@@ -6,8 +6,9 @@ it orders of magnitude cheaper than the instruction-flow layer
 (:mod:`repro.ipt.full_decoder`), at the price of not knowing what
 instruction produced each packet.  Allocating an object per packet
 would dominate its wall-clock, so a scan builds one
-:class:`ColumnarSegment` of *columns*, one entry per plain TIP packet —
-only what the checker, training and the slow path read:
+:class:`ColumnarSegment` of *columns*, one entry per plain TIP packet
+(the *records*), plus a sparse column for everything else the full
+decoder reads:
 
 ======================  ====================================================
 column                  contents
@@ -25,6 +26,11 @@ column                  contents
 ``trailing``            int — the signature of the TNT run dangling past
                         the last TIP (``1`` for none), which the tail walk
                         stitches onto the next segment's first record
+``far``                 bytes-like — the :data:`FAR_HEAD` anchor, then a
+                        :data:`FAR_ENTRY` per FUP, TIP.PGD, TIP.PGE, OVF
+                        or stray PSBEND outside a PSB+ group (PSB to
+                        PSBEND); one object per scan, which only the full
+                        decoder unpacks
 ======================  ====================================================
 
 Two scanners produce the same segment:
@@ -58,8 +64,8 @@ windows are packed ip/TNT-signature columns from the scan through the
 edge check to the slow-path hand-off; credit training
 (:meth:`ColumnarSegment.ip_column` / :meth:`~ColumnarSegment.sig_column`);
 the PSB-parallel decode of §5.3 (:func:`columnar_decode_parallel`); and
-the slow path, whose full decoder walks the retained segment bytes
-through the byte cursor of :class:`ColumnarSlowSource`.
+the slow path, whose full decoder walks a window's segments by column
+(:class:`~repro.ipt.full_decoder.FullDecoder`).
 
 PSB packets reset IP compression, so any PSB is a valid entry point:
 :func:`psb_offsets` and :func:`psb_boundaries` split a stream into
@@ -71,12 +77,12 @@ from __future__ import annotations
 import ctypes
 import re
 import struct
-from typing import List, Optional
+from array import array
+from typing import List, Optional, Tuple
 
 from repro import costs
 from repro.telemetry import get_telemetry
 from repro.ipt import scan_kernel
-from repro.ipt.full_decoder import TraceMismatch
 from repro.ipt.packets import (
     FUP_HEADER,
     OVF_BYTE,
@@ -87,7 +93,6 @@ from repro.ipt.packets import (
     TIP_HEADER,
     TIP_PGD_HEADER,
     TIP_PGE_HEADER,
-    TNT_BITS_TABLE,
     TNT_HEADER,
     compose_tnt_sigs,
 )
@@ -115,14 +120,20 @@ _A_PSBEND = 7
 _A_OVF = 8
 _A_BAD = 9
 
-#: action code -> the ``PacketKind.value`` string the byte cursor
-#: reports in ``TraceMismatch`` messages.
-_ACTION_KIND = (
-    "tnt", "tip", "tip.pge", "tip.pgd", "fup", "pad", "psb", "psbend",
-    "ovf", "?",
-)
-
-_END = -1  # byte-cursor stream end
+#: the far column's head, the segment's anchor (the first FUP with an
+#: IP inside a PSB+ group, or TIP.PGE with an IP outside one): its IP
+#: (:data:`NO_IP`: none), the record it precedes, its bit offset in that
+#: record's TNT run, and the far entries before the walk resumes.
+FAR_HEAD = struct.Struct("=4Q")
+#: one far entry: ``record << 32 | bit`` (placed as the head is),
+#: ``offset << 4 | code`` (the packet's action code, or
+#: :data:`FAR_GROUP`), its IP and a group's TIP.PGE IP (:data:`NO_IP`:
+#: suppressed, none, or not a group).
+FAR_ENTRY = struct.Struct("=4Q")
+#: a FUP with an IP, a TIP.PGD and a TIP.PGE with an IP that are
+#: consecutive packets (PAD aside), as one entry.
+FAR_GROUP = 10
+_NO_FAR = FAR_HEAD.pack(NO_IP, 0, 0, 0)
 
 
 def sync_to_psb(data: bytes, start: int = 0) -> int:
@@ -184,7 +195,7 @@ def _build_dispatch() -> bytes:
 
 def _build_tnt_width() -> bytes:
     """Payload byte -> bit count below the stop marker; 255 = invalid
-    (same validity rule as :func:`repro.ipt.packets.decode_tnt_payload`)."""
+    (no marker bit below bit 7, or no bit below the marker)."""
     table = bytearray(256)
     for payload in range(256):
         if payload <= 1 or payload > 0x7F:
@@ -250,7 +261,7 @@ class ColumnarSegment:
 
     __slots__ = (
         "data", "sync", "synced_offset", "scanned", "pkt_count", "cycles",
-        "truncated", "rec_offsets", "trailing", "_ips", "_sigs",
+        "truncated", "rec_offsets", "trailing", "far", "_ips", "_sigs",
     )
 
     def __init__(
@@ -266,6 +277,7 @@ class ColumnarSegment:
         rec_offsets: list,
         sigs: list,
         trailing: int,
+        far: "bytes | bytearray",
     ) -> None:
         self.data = data
         self.sync = sync
@@ -280,6 +292,7 @@ class ColumnarSegment:
         #: signature of the TNT run dangling past the last record
         #: (``1``: none).
         self.trailing = trailing
+        self.far = far
         self._ips = ips
         self._sigs = sigs
 
@@ -294,13 +307,13 @@ class ColumnarSegment:
 
 def _empty_segment(data, sync: bool) -> ColumnarSegment:
     return ColumnarSegment(
-        data, sync, len(data), 0, 0, 0.0, False, [], [], [], 1
+        data, sync, len(data), 0, 0, 0.0, False, [], [], [], 1, _NO_FAR
     )
 
 
 def _finish_segment(
     data, sync, synced, pos, pkt_count, truncated, ips, rec_offsets, sigs,
-    trailing,
+    trailing, far,
 ) -> ColumnarSegment:
     """Shared scan epilogue: the identical cycle charge and telemetry
     counters regardless of which scanner produced the columns."""
@@ -308,7 +321,7 @@ def _finish_segment(
     seg = ColumnarSegment(
         data, sync, synced, scanned, pkt_count,
         scanned * costs.FAST_DECODE_CYCLES_PER_BYTE, truncated,
-        ips, rec_offsets, sigs, trailing,
+        ips, rec_offsets, sigs, trailing, far,
     )
     tel = get_telemetry()
     if tel.enabled:
@@ -359,8 +372,8 @@ def _scan_python(data, sync: bool) -> ColumnarSegment:
     pending record's signature while its run fits :data:`SIG_MAX_BITS`.
     A longer run's signature is read from the packed stream once the
     scan ends.  The IP family stays scalar (IP compression chains
-    ``last_ip`` sequentially).  PSB sync is one :func:`sync_to_psb`
-    search.
+    ``last_ip`` sequentially), and so does the far column.  PSB sync is
+    one :func:`sync_to_psb` search.
     """
     raw = data if isinstance(data, bytes) else bytes(data)
     pos = 0
@@ -382,6 +395,10 @@ def _scan_python(data, sync: bool) -> ColumnarSegment:
     sigs: list = []
     #: ``(record, first bit, end bit)`` of each run past SIG_MAX_BITS.
     long_runs = []
+    far = [NO_IP, 0, 0, 0]  # FAR_HEAD, then FAR_ENTRY words
+    fup_at = -3  # packet count at the last FUP entry with an IP
+    anchored = False
+    in_psb = False  # inside a PSB+ group
 
     tnt_buf = bytearray()
     acc = 0  # bit accumulator, bulk-flushed per TNT run
@@ -453,15 +470,43 @@ def _scan_python(data, sync: bool) -> ColumnarSegment:
                 sigs.append(run_sig)
                 run_sig = 1
                 pend_start = total_bits
+            else:
+                bit = total_bits - pend_start
+                if in_psb:
+                    pass  # context: no entry; a FUP may be the anchor
+                elif (action == _A_PGE and ip is not None
+                        and fup_at == pkt_count - 2
+                        and far[-3] & 15 == _A_PGD):
+                    # FUP, TIP.PGD, TIP.PGE: fold into the FUP's entry.
+                    del far[-4:]
+                    far[-3] += FAR_GROUP - _A_FUP
+                    far[-1] = ip
+                else:
+                    far += (len(sigs) << 32 | bit, pos << 4 | action,
+                            NO_IP if ip is None else ip, NO_IP)
+                    if action == _A_FUP and ip is not None:
+                        fup_at = pkt_count
+                if (ip is not None and not anchored
+                        and action == (_A_FUP if in_psb else _A_PGE)):
+                    far[0:4] = (ip, len(sigs), bit, len(far) // 4 - 1)
+                    anchored = True
             pkt_count += 1
             pos = end
         elif action == _A_PAD:
             pos = pad_run(raw, pos).end()
         elif action == _A_PSB and raw[pos:pos + psb_len] == psb:
             last_ip = 0
+            in_psb = True
             pkt_count += 1
             pos += psb_len
+        elif action == _A_PSBEND and in_psb:
+            in_psb = False
+            pkt_count += 1
+            pos += 1
         elif action == _A_PSBEND or action == _A_OVF:
+            if not in_psb:  # a stray PSBEND, or an OVF
+                far += (len(sigs) << 32 | (total_bits - pend_start),
+                        pos << 4 | action, NO_IP, NO_IP)
             pkt_count += 1
             pos += 1
         elif psb[: size - pos] == raw[pos:]:
@@ -482,14 +527,17 @@ def _scan_python(data, sync: bool) -> ColumnarSegment:
         run_sig = _bits_sig(tnt_buf, pend_start, total_bits)
     return _finish_segment(
         data, sync, synced, pos, pkt_count, truncated, ips, rec_offsets,
-        sigs, run_sig,
+        sigs, run_sig, array("Q", far).tobytes(),
     )
 
 
 #: the C kernel's scalar outputs (``out[]`` in ``_scan_kernel.c``), at
-#: the head of its arena, followed by its four u64 columns.
+#: the head of its arena, followed by its four u64 columns and the far
+#: column.
 _KERNEL_OUT = struct.Struct("=9Q")
 _OUT_WORDS = _KERNEL_OUT.size // 8
+_FAR_HEAD_SIZE = FAR_HEAD.size
+_FAR_ENTRY_SIZE = FAR_ENTRY.size
 
 # The C kernel's arena: one grow-only buffer per process, sized to the
 # largest scan so far — a bytearray, the ctypes object exporting it to
@@ -526,19 +574,25 @@ def _scan_kernel_segment(lib, data, sync: bool) -> ColumnarSegment:
             return _empty_segment(data, sync)
     size = len(raw)
     span = size - pos
-    # Worst-case capacities: every TIP is >= 2 bytes, every TNT pair
-    # contributes <= 6 bits.  The kernel writes every word and byte it
-    # reports, so nothing needs zeroing.
+    # Worst-case capacities: every TIP is >= 2 bytes, every far packet
+    # >= 1 byte (2 * capacity entries), every TNT pair contributes <= 6
+    # bits.  The kernel writes every word and byte it reports, so
+    # nothing needs zeroing.
     capacity = span // 2 + 1
-    tnt_at = 8 * (_OUT_WORDS + 4 * capacity)
-    buf, _, address, words = _kernel_arena(tnt_at + (span * 3) // 8 + 2)
-    status = lib.ipt_scan(raw, size, pos, address, capacity)
+    far_at = 8 * (_OUT_WORDS + 4 * capacity)
+    tnt_at = far_at + _FAR_HEAD_SIZE + 2 * _FAR_ENTRY_SIZE * capacity
+    need = tnt_at + (span * 3) // 8 + 2
+    arena = _arena
+    if len(arena[0]) < need:
+        arena = _kernel_arena(need)
+    buf, _, address, words = arena
+    nfar = lib.ipt_scan(raw, size, pos, address, capacity)
     (end_pos, pkt_count, nrec, truncated, suppressed, sentinels, trailing,
      pend_start, total_bits) = _KERNEL_OUT.unpack_from(buf)
-    if status:
-        if status == 1:
+    if nfar < 0:
+        if nfar == -1:
             raise PacketError(f"invalid TNT payload {pkt_count:#x}")
-        if status == 2:
+        if nfar == -2:
             raise PacketError(
                 f"desynchronised at offset {end_pos}: "
                 f"IP width {pkt_count} impossible"
@@ -569,6 +623,7 @@ def _scan_kernel_segment(lib, data, sync: bool) -> ColumnarSegment:
     return _finish_segment(
         data, sync, pos, end_pos, pkt_count, bool(truncated), ips,
         rec_offsets, sigs, trailing,
+        buf[far_at:far_at + _FAR_HEAD_SIZE + _FAR_ENTRY_SIZE * nfar],
     )
 
 
@@ -665,275 +720,19 @@ class ColumnarTail:
 
     def slow_source(
         self, window_start: Optional[int] = None
-    ) -> "ColumnarSlowSource":
+    ) -> List[Tuple[ColumnarSegment, int]]:
         """The slow path's input: the segments from the PSB sync point
         nearest at-or-before ``window_start`` onward (all of them when
-        ``window_start`` is None), as raw segment bytes plus bases."""
-        entries = self.entries  # latest-first, strictly decreasing base
-        if window_start is None:
-            picked = list(entries)
-        else:
-            picked = []
-            for entry in entries:
-                picked.append(entry)
-                if entry.base <= window_start:
-                    break
-        picked.reverse()
-        return ColumnarSlowSource(
-            [(entry.seg, entry.base) for entry in picked]
-        )
-
-
-# -- the degraded lane: byte-level slow-path replay --------------------------
-
-
-class ColumnarSlowSource:
-    """The full decoder's input: scanned segments as
-    ``(ColumnarSegment, stream_base)`` pairs in stream order.
-    ``FullDecoder.decode`` walks the retained segment bytes through
-    :meth:`cursor` — no packet objects are built.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts) -> None:
-        self.parts = parts
-
-    def cursor(self) -> "_ByteCursor":
-        return _ByteCursor(self.parts)
-
-
-#: payload byte -> TNT bit tuple, newest first (``pending_bits`` order).
-_TNT_BITS_NEWEST_FIRST = [
-    None if bits is None else bits[::-1] for bits in TNT_BITS_TABLE
-]
-
-
-class _ByteCursor:
-    """Sequential packet consumption straight out of segment bytes.
-
-    Parses packets from the retained segment bytes — maintaining IP
-    compression state, skipping PAD and PSB+ groups on demand — and
-    hands the full decoder one TNT bit, TIP target or far-transfer
-    resume at a time.  ``None`` means the stream ended; a packet the
-    walk cannot use (wrong kind, or an IP-suppressed TIP, TIP.PGE or
-    FUP where a target is needed) raises ``TraceMismatch``.
-    ``PacketError`` conditions cannot arise on segments that already
-    scanned cleanly, but are checked anyway.
-    """
-
-    __slots__ = ("_parts", "_part", "_raw", "_size", "_pos", "_base",
-                 "_last_ip", "pending_bits", "_offset", "_payload", "_ip")
-
-    def __init__(self, parts) -> None:
-        self._parts = parts
-        self._part = -1
-        self._raw = b""
-        self._size = 0
-        self._pos = 0
-        self._base = 0
-        self._last_ip = 0
-        #: TNT bits decoded but not yet consumed, oldest *last*: the
-        #: full decoder pops a JCC's bit from here inline and calls
-        #: :meth:`next_tnt_bit` only when the list runs dry.
-        self.pending_bits: list = []
-        self._offset = 0
-        self._payload = 0
-        self._ip: Optional[int] = None
-
-    def _advance(self) -> int:
-        """Decode the next packet; returns its action code or ``_END``.
-
-        Sets ``_offset`` (stream-absolute) for every packet, ``_ip``
-        for the IP family (None = suppressed) and ``_payload`` for TNT.
-        """
-        while True:
-            raw = self._raw
-            size = self._size
-            pos = self._pos
-            while pos < size:
-                action = DISPATCH[raw[pos]]
-                if action == _A_PAD:
-                    pos += 1
-                    continue
-                if action == _A_TNT:
-                    if pos + 2 > size:  # truncated: stream ends
-                        break
-                    payload = raw[pos + 1]
-                    if TNT_WIDTH[payload] == 255:
-                        raise PacketError(
-                            f"invalid TNT payload {payload:#x}"
-                        )
-                    self._offset = self._base + pos
-                    self._payload = payload
-                    self._pos = pos + 2
-                    return _A_TNT
-                if action <= _A_FUP:
-                    if pos + 2 > size:
-                        break
-                    width = raw[pos + 1]
-                    if width > 8:
-                        raise PacketError(
-                            f"desynchronised at offset {pos}: "
-                            f"IP width {width} impossible"
-                        )
-                    end = pos + 2 + width
-                    if end > size:
-                        break
-                    if width == 0:
-                        self._ip = None
-                    else:
-                        mask = (1 << (8 * width)) - 1
-                        ip = (self._last_ip & ~mask) | int.from_bytes(
-                            raw[pos + 2:end], "little"
-                        )
-                        self._last_ip = ip
-                        self._ip = ip
-                    self._offset = self._base + pos
-                    self._pos = end
-                    return action
-                if action == _A_PSB and raw[pos:pos + 8] == PSB_PATTERN:
-                    self._last_ip = 0
-                    self._offset = self._base + pos
-                    self._pos = pos + 8
-                    return _A_PSB
-                if action == _A_PSBEND or action == _A_OVF:
-                    self._offset = self._base + pos
-                    self._pos = pos + 1
-                    return action
-                if PSB_PATTERN[: size - pos] == raw[pos:]:
-                    break  # trailing PSB prefix: clean truncation
-                raise PacketError(
-                    f"desynchronised at offset {pos}: "
-                    f"header {raw[pos]:#04x}"
-                )
-            # Part exhausted (or truncated): move to the next segment.
-            self._pos = size
-            if self._part + 1 >= len(self._parts):
-                return _END
-            self._part += 1
-            seg, base = self._parts[self._part]
-            data = seg.data
-            self._raw = data if isinstance(data, bytes) else bytes(data)
-            self._size = len(self._raw)
-            self._base = base
-            self._pos = seg.synced_offset if seg.sync else 0
-
-    def _skip_psb_group(self) -> None:
-        """Consume context packets up to and including PSBEND."""
-        while True:
-            action = self._advance()
-            if action == _END or action == _A_PSBEND:
-                return
-
-    def next_tnt_bit(self) -> Optional[bool]:
-        """Next conditional-branch outcome, or None at stream end."""
-        bits = self.pending_bits
-        while not bits:
-            action = self._advance()
-            if action == _END:
-                return None
-            if action == _A_PSB:
-                self._skip_psb_group()
-                continue
-            if action == _A_TNT:
-                bits.extend(_TNT_BITS_NEWEST_FIRST[self._payload])
-                continue
-            raise TraceMismatch(
-                f"expected TNT, found {_ACTION_KIND[action]} at "
-                f"offset {self._offset}"
-            )
-        return bits.pop()
-
-    def next_tip(self) -> Optional[int]:
-        """Next plain-TIP target, or None at stream end."""
-        if self.pending_bits:
-            raise TraceMismatch("unconsumed TNT bits before a TIP")
-        while True:
-            action = self._advance()
-            if action == _END:
-                return None
-            if action == _A_PSB:
-                self._skip_psb_group()
-                continue
-            if action == _A_TIP:
-                return self._target(action)
-            raise TraceMismatch(
-                f"expected TIP, found {_ACTION_KIND[action]} at "
-                f"offset {self._offset}"
-            )
-
-    def next_far_resume(self, expected_src: int) -> Optional[int]:
-        """Consume a FUP/TIP.PGD/TIP.PGE group; return the resume IP."""
-        if self.pending_bits:
-            raise TraceMismatch("unconsumed TNT bits before a far transfer")
-        while True:
-            action = self._advance()
-            if action == _END:
-                return None
-            if action == _A_PSB:
-                self._skip_psb_group()
-                continue
-            if action != _A_FUP:
-                raise TraceMismatch(
-                    f"expected FUP, found {_ACTION_KIND[action]}"
-                )
-            if self._target(action) != expected_src:
-                raise TraceMismatch(
-                    f"FUP {self._ip:#x} does not match far-transfer "
-                    f"source {expected_src:#x}"
-                )
-            break
-        action = self._advance()
-        if action == _END:
-            return None
-        if action != _A_PGD:
-            raise TraceMismatch(
-                f"expected TIP.PGD, found {_ACTION_KIND[action]}"
-            )
-        action = self._advance()
-        if action == _END:
-            return None
-        if action != _A_PGE:
-            raise TraceMismatch(
-                f"expected TIP.PGE, found {_ACTION_KIND[action]}"
-            )
-        return self._target(action)
-
-    def _target(self, action: int) -> int:
-        """The IP of the packet just decoded, which the walk needs: an
-        IP-suppressed packet here is a desync, not the stream's end."""
-        ip = self._ip
-        if ip is None:
-            raise TraceMismatch(
-                f"IP-suppressed {_ACTION_KIND[action]} at "
-                f"offset {self._offset}"
-            )
-        return ip
-
-    def initial_ip(self) -> Optional[int]:
-        """Find the first PSB-context FUP or TIP.PGE to anchor decoding."""
-        while True:
-            action = self._advance()
-            if action == _END:
-                return None
-            if action == _A_PSB:
-                while True:
-                    ctx = self._advance()
-                    if ctx == _END:
-                        return None
-                    if ctx == _A_FUP and self._ip is not None:
-                        found = self._ip
-                        # Consume the rest of the group.
-                        while True:
-                            rest = self._advance()
-                            if rest == _END or rest == _A_PSBEND:
-                                break
-                        return found
-                    if ctx == _A_PSBEND:
-                        break
-            elif action == _A_PGE and self._ip is not None:
-                return self._ip
+        ``window_start`` is None), as ``(segment, stream_base)`` pairs
+        in stream order — what
+        :meth:`~repro.ipt.full_decoder.FullDecoder.decode` walks."""
+        parts = []
+        for entry in self.entries:  # latest-first, decreasing base
+            parts.append((entry.seg, entry.base))
+            if window_start is not None and entry.base <= window_start:
+                break
+        parts.reverse()
+        return parts
 
 
 # -- PSB-parallel decode (§5.3) ----------------------------------------------

@@ -18,6 +18,10 @@ instruction that consumes a packet — so a run adds its length to
 Edges, instruction counts, end points, and ``TraceMismatch`` messages
 are those of the per-instruction walk.
 
+The packets come from the scan's columns (:class:`_ColumnWalk`): TNT
+bits from each record's signature, targets from the ip column, far
+transfers and the anchor from the far column, so none is parsed twice.
+
 The decoder reads the code the CPU runs: the predecoded entries
 (:func:`repro.cpu.executor.predecode`) of the module's shared
 :class:`~repro.cpu.blocks.BlockStore`, on every page the store attests
@@ -32,24 +36,250 @@ every visit and remembered nowhere, so a guest store to a writable page
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import costs
 from repro.telemetry import get_telemetry
 from repro.cpu.events import BranchEvent, CoFIKind
 from repro.cpu.executor import predecode
 from repro.cpu.memory import PAGE_SHIFT, Memory, MemoryError_
+from repro.ipt.columnar import (
+    FAR_GROUP,
+    NO_IP,
+    _A_FUP,
+    _A_OVF,
+    _A_PGD,
+    _A_PGE,
+    _A_PSBEND,
+    _A_TIP,
+    _A_TNT,
+    ColumnarSegment,
+)
+from repro.ipt.packets import compose_tnt_sigs
 from repro.isa.encoding import DecodeError, decode_at, instruction_length
 from repro.isa.instructions import Op
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu.blocks import CodePage
-    from repro.ipt.columnar import ColumnarSlowSource
 
 
 class TraceMismatch(Exception):
     """Packet stream and binaries disagree (decoder desync)."""
+
+
+_END = -1  # the walk's end of stream
+#: action code -> the packet kind a ``TraceMismatch`` message names.
+_KIND = {
+    _A_TNT: "tnt", _A_TIP: "tip", _A_PGE: "tip.pge", _A_PGD: "tip.pgd",
+    _A_FUP: "fup", _A_PSBEND: "psbend", _A_OVF: "ovf",
+}
+_LOW32 = (1 << 32) - 1
+_NO_ENTRY = 1 << 96  # a position key past every far entry
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _newest_first(chunk: int) -> bytes:
+    """The bits of a 1-prefixed signature, newest first, one per byte."""
+    return bin(chunk)[:2:-1].encode().translate(_DIGIT_BITS)
+
+
+#: :func:`_newest_first` of every signature up to eight bits long.
+_SHORT_CHUNKS = tuple(_newest_first(chunk) for chunk in range(1 << 9))
+
+
+class _ColumnWalk:
+    """A window's ``(ColumnarSegment, stream_base)`` parts as one run of
+    records, each part's dangling TNT run stitched onto the next part's
+    first record (the run past the last record ends the stream).  A
+    position is ``record << 32 | bit``, the key the far entries carry,
+    rebased to the window: the next packet there is the far entry at it,
+    else a TNT bit while the run lasts, else the record's TIP.
+
+    The decoder pops a JCC's bit from ``pending_bits`` (newest first, up
+    to the next far entry or TIP) and calls :meth:`next_tnt_bit` when it
+    runs out.  ``None`` means the stream ended; a packet the walk cannot
+    use raises ``TraceMismatch``.
+    """
+
+    __slots__ = ("pending_bits", "_ips", "_sigs", "_parts", "_keys",
+                 "_tags", "_far_ips", "_pge_ips", "_anchor", "_r", "_b",
+                 "_len", "_f", "_next")
+
+    def __init__(self, parts: Sequence[Tuple[ColumnarSegment, int]]):
+        self.pending_bits = bytearray()
+        self._parts = parts
+        self._ips = ips = []
+        self._sigs = sigs = []
+        # Far entries: keys, stream offset << 4 | code, IPs, and a
+        # group's TIP.PGE IP (NO_IP: none).
+        self._keys = keys = []
+        self._tags = tags = []
+        self._far_ips = far_ips = []
+        self._pge_ips = pge_ips = []
+        anchor = None
+        carry = 1  # TNT run not yet ended by a record
+        for seg, base in parts:
+            first = len(ips)
+            # Bits the carried run puts ahead of this part's first run.
+            shift = carry.bit_length() - 1
+            words = memoryview(seg.far).cast("Q")
+            if anchor is None and words[0] != NO_IP:
+                record, bit = words[1], words[2]
+                anchor = (
+                    words[0],
+                    (first + record) << 32 | (bit if record else bit + shift),
+                    len(keys) + words[3],
+                )
+            at = words[4::4].tolist()
+            if at and (first or shift):
+                # Entries before the part's first record sit in the
+                # run the carried bits are stitched in front of.
+                lead = bisect_left(at, 1 << 32)
+                at[:lead] = [key + shift for key in at[:lead]]
+                at = map((first << 32).__add__, at)
+            keys += at
+            tags += map((base << 4).__add__, words[5::4].tolist())
+            far_ips += words[6::4].tolist()
+            pge_ips += words[7::4].tolist()
+            seg_ips = seg.ip_column()
+            if seg_ips:
+                ips += seg_ips
+                sigs += seg.sig_column()
+                if carry != 1:
+                    sigs[first] = compose_tnt_sigs(carry, sigs[first])
+                carry = seg.trailing
+            else:
+                carry = compose_tnt_sigs(carry, seg.trailing)
+        sigs.append(carry)  # the run past the last record
+        self._anchor = anchor
+        self._seek(0, 0)
+
+    def _seek(self, key: int, index: int) -> None:
+        """Move to position ``key`` with far entry ``index`` next."""
+        self._r = record = key >> 32
+        self._b = key & _LOW32
+        self._len = self._sigs[record].bit_length() - 1
+        self._f = index
+        keys = self._keys
+        self._next = keys[index] if index < len(keys) else _NO_ENTRY
+
+    def _peek(self) -> Tuple[int, Optional[int], Optional[int]]:
+        """The next packet as ``(action, offset, ip)`` (a group's is its
+        FUP's), or ``_END``; a TNT bit's offset is not kept."""
+        record = self._r
+        if self._next == (record << 32 | self._b):
+            tag = self._tags[self._f]
+            ip = self._far_ips[self._f]
+            return (_A_FUP if tag & 15 == FAR_GROUP else tag & 15,
+                    tag >> 4, None if ip == NO_IP else ip)
+        if self._b < self._len:
+            return _A_TNT, None, None
+        if record == len(self._ips):
+            return _END, None, None
+        for seg, base in self._parts:
+            if record < len(seg.rec_offsets):
+                return _A_TIP, base + seg.rec_offsets[record], None
+            record -= len(seg.rec_offsets)
+
+    def next_tnt_bit(self) -> Optional[int]:
+        """Next conditional-branch outcome (0 or 1), or None at stream
+        end; refills ``pending_bits`` up to the next far entry or TIP."""
+        bits = self.pending_bits
+        if bits:
+            return bits.pop()
+        record, begin, length = self._r, self._b, self._len
+        upcoming = self._next
+        if upcoming != (record << 32 | begin) and begin < length:
+            end = upcoming & _LOW32 if upcoming >> 32 == record else length
+            width = end - begin
+            chunk = (self._sigs[record] >> (length - end)) & (
+                (1 << width) - 1) | (1 << width)
+            bits += (
+                _SHORT_CHUNKS[chunk] if width <= 8 else _newest_first(chunk)
+            )
+            self._b = end
+            return bits.pop()
+        action, offset, _ = self._peek()
+        if action == _END:
+            return None
+        raise TraceMismatch(
+            f"expected TNT, found {_KIND[action]} at offset {offset}"
+        )
+
+    def next_tip(self) -> Optional[int]:
+        """Next plain-TIP target, or None at stream end."""
+        if self.pending_bits:
+            raise TraceMismatch("unconsumed TNT bits before a TIP")
+        record = self._r
+        if (self._b == self._len and record < len(self._ips)
+                and self._next != (record << 32 | self._b)
+                and self._ips[record] is not None):
+            self._r = record + 1
+            self._b = 0
+            self._len = self._sigs[record + 1].bit_length() - 1
+            return self._ips[record]
+        action, offset, _ = self._peek()
+        if action == _END:
+            return None
+        if action == _A_TNT:
+            raise TraceMismatch("unconsumed TNT bits before a TIP")
+        if action == _A_TIP:
+            raise TraceMismatch(f"IP-suppressed tip at offset {offset}")
+        raise TraceMismatch(
+            f"expected TIP, found {_KIND[action]} at offset {offset}"
+        )
+
+    def next_far_resume(self, expected_src: int) -> Optional[int]:
+        """Consume a FUP/TIP.PGD/TIP.PGE group; return the resume IP."""
+        if self.pending_bits:
+            raise TraceMismatch("unconsumed TNT bits before a far transfer")
+        index = self._f
+        if (self._next == (self._r << 32 | self._b)
+                and self._tags[index] & 15 == FAR_GROUP
+                and self._far_ips[index] == expected_src):
+            keys = self._keys
+            self._f = index = index + 1
+            self._next = keys[index] if index < len(keys) else _NO_ENTRY
+            return self._pge_ips[index - 1]
+        action, offset, ip = self._peek()
+        if action == _END:
+            return None
+        if action == _A_TNT:
+            raise TraceMismatch("unconsumed TNT bits before a far transfer")
+        if action != _A_FUP:
+            raise TraceMismatch(f"expected FUP, found {_KIND[action]}")
+        if ip is None:
+            raise TraceMismatch(f"IP-suppressed fup at offset {offset}")
+        if ip != expected_src:
+            raise TraceMismatch(
+                f"FUP {ip:#x} does not match far-transfer source "
+                f"{expected_src:#x}"
+            )
+        # A lone FUP: its TIP.PGD and TIP.PGE are separate entries.
+        for want in (_A_PGD, _A_PGE):
+            self._seek(self._next, self._f + 1)
+            action, offset, ip = self._peek()
+            if action == _END:
+                return None
+            if action != want:
+                raise TraceMismatch(
+                    f"expected {_KIND[want].upper()}, found {_KIND[action]}"
+                )
+        self._seek(self._next, self._f + 1)
+        if ip is None:
+            raise TraceMismatch(f"IP-suppressed tip.pge at offset {offset}")
+        return ip
+
+    def initial_ip(self) -> Optional[int]:
+        """The first anchor's IP, moving the walk just past it; None if
+        no part has one."""
+        if self._anchor is None:
+            return None
+        ip, key, index = self._anchor
+        self._seek(key, index)
+        return ip
 
 
 @dataclass
@@ -184,19 +414,20 @@ class FullDecoder:
 
     def decode(
         self,
-        source: ColumnarSlowSource,
+        parts: Sequence[Tuple[ColumnarSegment, int]],
         start_ip: Optional[int] = None,
     ) -> FullDecodeResult:
         """Walk the binaries under the guidance of the packet stream.
 
-        ``source`` is a :class:`~repro.ipt.columnar.ColumnarSlowSource`:
-        its cursor reads packets straight out of the scanned segment
-        bytes.  Decoding anchors at ``start_ip`` or at the first
-        PSB-context FUP / TIP.PGE in the stream, and ends when packets
-        run out.
+        ``parts`` are scanned segments with their stream bases, in
+        stream order (``ColumnarTail.slow_source()``, or
+        ``[(columnar_scan(data), 0)]`` for a whole trace); the walk reads
+        their columns (:class:`_ColumnWalk`).  Decoding anchors at
+        ``start_ip`` or at the first PSB-context FUP / TIP.PGE in the
+        stream, and ends when packets run out.
         """
-        cursor = source.cursor()
-        ip = start_ip if start_ip is not None else cursor.initial_ip()
+        walk = _ColumnWalk(parts)
+        ip = start_ip if start_ip is not None else walk.initial_ip()
         edges: List[BranchEvent] = []
         if ip is None:
             return FullDecodeResult(edges, 0, 0.0, exhausted=True)
@@ -207,9 +438,11 @@ class FullDecoder:
         extend = edges.extend
         new_event = tuple.__new__
         # Pending TNT bits, oldest last: a JCC pops its bit here and
-        # calls the cursor only when a packet boundary is reached.
-        pending = cursor.pending_bits
-        next_tnt_bit = cursor.next_tnt_bit
+        # calls the walk only when they run out.
+        pending = walk.pending_bits
+        next_tnt_bit = walk.next_tnt_bit
+        next_tip = walk.next_tip
+        next_far_resume = walk.next_far_resume
         budget = self.max_insns
         insn_count = 0
         while True:
@@ -250,7 +483,7 @@ class FullDecoder:
                         return self._finish(edges, insn_count, ip, True)
                 edge = flow[bit]
             elif op == _SYSCALL:
-                resume = cursor.next_far_resume(ip)
+                resume = next_far_resume(ip)
                 if resume is None:
                     return self._finish(edges, insn_count, ip, True)
                 edge = new_event(
@@ -259,7 +492,7 @@ class FullDecoder:
             elif op == _HALT:
                 return self._finish(edges, insn_count, ip, True)
             else:
-                dst = cursor.next_tip()
+                dst = next_tip()
                 if dst is None:
                     return self._finish(edges, insn_count, ip, True)
                 edge = new_event(

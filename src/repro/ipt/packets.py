@@ -33,7 +33,6 @@ jump are indistinguishable at the packet layer (§3.1).
 
 from __future__ import annotations
 
-import enum
 from typing import Optional, Tuple
 
 PAD_BYTE = 0x00
@@ -70,24 +69,7 @@ class PacketError(Exception):
     """Malformed packet stream."""
 
 
-class PacketKind(enum.Enum):
-    TNT = "tnt"
-    TIP = "tip"
-    TIP_PGE = "tip.pge"
-    TIP_PGD = "tip.pgd"
-    FUP = "fup"
-    PSB = "psb"
-    PSBEND = "psbend"
-    OVF = "ovf"
-    PAD = "pad"
-
-
-_IP_HEADERS = {
-    TIP_HEADER: PacketKind.TIP,
-    TIP_PGE_HEADER: PacketKind.TIP_PGE,
-    TIP_PGD_HEADER: PacketKind.TIP_PGD,
-    FUP_HEADER: PacketKind.FUP,
-}
+_IP_HEADERS = (TIP_HEADER, TIP_PGE_HEADER, TIP_PGD_HEADER, FUP_HEADER)
 
 
 def encode_tnt(bits: Tuple[bool, ...]) -> bytes:
@@ -98,22 +80,6 @@ def encode_tnt(bits: Tuple[bool, ...]) -> bytes:
     for bit in bits:
         payload = (payload << 1) | (1 if bit else 0)
     return bytes([TNT_HEADER, payload])
-
-
-def decode_tnt_payload(payload: int) -> Tuple[bool, ...]:
-    """Decode a TNT payload byte into branch bits, oldest first."""
-    if payload <= 1 or payload > 0x7F:
-        raise PacketError(f"invalid TNT payload {payload:#x}")
-    bits = []
-    marker_seen = False
-    for position in range(7, -1, -1):
-        bit = (payload >> position) & 1
-        if not marker_seen:
-            if bit:
-                marker_seen = True
-            continue
-        bits.append(bool(bit))
-    return tuple(bits)
 
 
 def compress_ip(target: int, last_ip: int) -> Tuple[int, bytes]:
@@ -181,25 +147,3 @@ def compose_tnt_sigs(front: int, back: int) -> int:
     """
     width = back.bit_length() - 1
     return (front << width) | (back ^ (1 << width))
-
-
-def _build_tnt_bits_table() -> tuple:
-    """256-entry payload -> branch-bit tuple table (None = invalid).
-
-    The byte-level slow-path cursor and the vectorised columnar scan
-    decode TNT payloads by lookup instead of re-deriving the stop-marker
-    split per packet; entries are exactly what
-    :func:`decode_tnt_payload` returns.
-    """
-    table = []
-    for payload in range(256):
-        try:
-            table.append(decode_tnt_payload(payload))
-        except PacketError:
-            table.append(None)
-    return tuple(table)
-
-
-#: payload byte -> TNT bit tuple (oldest first), ``None`` for invalid
-#: payloads.
-TNT_BITS_TABLE = _build_tnt_bits_table()

@@ -29,7 +29,7 @@ from repro.binary.loader import Image
 from repro.telemetry import get_telemetry
 from repro.ipt.columnar import (
     _PSB_HEAD,
-    ColumnarSlowSource,
+    ColumnarSegment,
     ColumnarTail,
     _TailEntry,
     columnar_scan,
@@ -67,7 +67,7 @@ class FastPathResult:
     #: undecodable PSB segments the tail scan stopped at (degradation).
     corrupt_segments: int = 0
 
-    def slow_path_source(self) -> ColumnarSlowSource:
+    def slow_path_source(self) -> List[Tuple[ColumnarSegment, int]]:
         """Slow-path input: the tail segments from the PSB sync point
         nearest *before* the checked window onward, not the whole tail
         — the slow path only needs to reconstruct the suspicious region.
@@ -172,10 +172,10 @@ class FastPathChecker:
         # PSBs are found lazily from the end, inline (a walk stops after
         # a few segments, so it must not pay for every PSB in the
         # buffer).  Anything but ``bytes`` (a ring drain's view) is
-        # copied once: the segments' keys and the kept segments' slices
-        # must not change under a later write to the caller's buffer.
+        # copied once: the segments' keys, which the scans keep as their
+        # data, must not change under a later write to the caller's
+        # buffer.
         buf = data if isinstance(data, bytes) else bytes(data)
-        view = memoryview(buf)
         last_walk = self._last_walk
         walked = {}
         tel = get_telemetry()
@@ -202,9 +202,10 @@ class FastPathChecker:
             seg = last_walk.get(key)
             if seg is None:
                 try:
-                    # Zero-copy slices; the columns stay segment-relative
-                    # and ``begin`` is the base the tail carries.
-                    seg = columnar_scan(view[begin:end])
+                    # The key is the scan's input (the scan would copy a
+                    # view); the columns stay segment-relative and
+                    # ``begin`` is the base the tail carries.
+                    seg = columnar_scan(key)
                 except PacketError:
                     cycles += self._corrupt_segment(begin, end, count > 0)
                     break

@@ -23,7 +23,7 @@ from repro import costs
 from repro.analysis.cfg import ControlFlowGraph
 from repro.cpu.events import CoFIKind
 from repro.cpu.memory import Memory
-from repro.ipt.columnar import ColumnarSlowSource
+from repro.ipt.columnar import ColumnarSegment
 from repro.ipt.full_decoder import FullDecoder, TraceMismatch
 
 # Edges no policy judges: conditional and direct jumps (their targets
@@ -65,12 +65,13 @@ class SlowPathEngine:
 
     def check(
         self,
-        source: ColumnarSlowSource,
+        source: Sequence[Tuple[ColumnarSegment, int]],
         ips: Sequence[Optional[int]] = (),
         sigs: Sequence[int] = (),
     ) -> SlowPathResult:
-        """Verify the packets of ``source`` (usually
-        ``FastPathResult.slow_path_source()``); ``ips``/``sigs`` are the
+        """Verify the packets of ``source``, scanned segments with their
+        stream bases (usually ``FastPathResult.slow_path_source()``);
+        ``ips``/``sigs`` are the
         fast-path window's record IPs and packed TNT signatures, for
         promotion bookkeeping.  A trace the binaries cannot follow — a
         desync, including an IP-suppressed packet where the walk needs a

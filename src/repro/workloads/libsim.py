@@ -55,6 +55,16 @@ def _wrapper(name: str, nr: Sys, params: list) -> Func:
 _HEAP_POOL = 1 << 20  # 1 MiB bump-allocator pool
 
 
+def libsim_program(name: str, imports) -> Program:
+    """A new program linked against ``libsim.so``, importing
+    ``imports`` from it."""
+    prog = Program(name)
+    prog.add_needed("libsim.so")
+    for symbol in imports:
+        prog.import_symbol(symbol)
+    return prog
+
+
 @lru_cache(maxsize=None)
 def build_libsim() -> Module:
     """Build (and memoise) the shared library image."""

@@ -25,6 +25,7 @@ from functools import lru_cache
 from typing import Dict, Callable
 
 from repro.binary.module import Module
+from repro.workloads.libsim import libsim_program
 from repro.lang import (
     AddrOf,
     Assign,
@@ -39,7 +40,6 @@ from repro.lang import (
     Let,
     Load,
     LocalArray,
-    Program,
     Rel,
     Return,
     Store,
@@ -62,14 +62,6 @@ _LIB_IMPORTS = [
 ]
 
 
-def _new_server(name: str) -> Program:
-    prog = Program(name)
-    prog.add_needed("libsim.so")
-    for symbol in _LIB_IMPORTS:
-        prog.import_symbol(symbol)
-    return prog
-
-
 # ----------------------------------------------------------------------
 # nginx
 # ----------------------------------------------------------------------
@@ -77,7 +69,7 @@ def _new_server(name: str) -> Program:
 
 @lru_cache(maxsize=None)
 def build_nginx() -> Module:
-    prog = _new_server("nginx")
+    prog = libsim_program("nginx", _LIB_IMPORTS)
     prog.add_string("s_get", "GET ")
     prog.add_string("s_post", "POST")
     prog.add_string("s_head", "HEAD")
@@ -323,7 +315,7 @@ def nginx_request(path: str = "/index.html", method: str = "GET",
 
 @lru_cache(maxsize=None)
 def build_vsftpd() -> Module:
-    prog = _new_server("vsftpd")
+    prog = libsim_program("vsftpd", _LIB_IMPORTS)
     prog.add_string("c_user", "USER")
     prog.add_string("c_pass", "PASS")
     prog.add_string("c_retr", "RETR")
@@ -561,7 +553,7 @@ def vsftpd_session(files=("/srv/hello.txt",), store=False) -> bytes:
 
 @lru_cache(maxsize=None)
 def build_openssh() -> Module:
-    prog = _new_server("openssh")
+    prog = libsim_program("openssh", _LIB_IMPORTS)
     prog.add_string("banner", "SSH-2.0-simssh\n")
     prog.add_string("good_user", "admin")
     prog.add_string("good_pass", "hunter2")
@@ -745,7 +737,7 @@ def openssh_session(commands=("whoami", "uptime")) -> bytes:
 
 @lru_cache(maxsize=None)
 def build_exim() -> Module:
-    prog = _new_server("exim")
+    prog = libsim_program("exim", _LIB_IMPORTS)
     prog.add_string("r_greet", "220 exim ready\n")
     prog.add_string("r_250", "250 ok\n")
     prog.add_string("r_354", "354 go ahead\n")

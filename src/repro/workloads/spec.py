@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List
 
 from repro.binary.module import Module
+from repro.workloads.libsim import libsim_program
 from repro.lang import (
     AddrOf,
     Assign,
@@ -39,14 +40,6 @@ from repro.lang import (
 )
 
 _LIB_IMPORTS = ["exit", "write", "utoa", "checksum", "memcpy", "malloc"]
-
-
-def _new_spec(name: str) -> Program:
-    prog = Program(name)
-    prog.add_needed("libsim.so")
-    for symbol in _LIB_IMPORTS:
-        prog.import_symbol(symbol)
-    return prog
 
 
 def _seed_bytes(n: int, seed: int = 7) -> bytes:
@@ -733,7 +726,7 @@ def build_spec_program(name: str, scale: int = 1) -> Module:
     generator = _GENERATORS.get(name)
     if generator is None:
         raise KeyError(f"unknown SPEC-like benchmark: {name}")
-    prog = _new_spec(name)
+    prog = libsim_program(name, _LIB_IMPORTS)
     generator(prog, scale)
     prog.set_entry("main")
     return prog.build()

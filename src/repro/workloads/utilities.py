@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Callable, Dict
 
 from repro.binary.module import Module
+from repro.workloads.libsim import libsim_program
 from repro.lang import (
     AddrOf,
     Assign,
@@ -30,7 +31,6 @@ from repro.lang import (
     Let,
     Load,
     LocalArray,
-    Program,
     Rel,
     Return,
     Store,
@@ -44,14 +44,6 @@ _LIB_IMPORTS = [
     "memcpy", "memset", "atoi", "utoa", "read_line", "checksum",
     "fork", "wait", "ptrace", "execve", "unlink", "write_str",
 ]
-
-
-def _new_utility(name: str) -> Program:
-    prog = Program(name)
-    prog.add_needed("libsim.so")
-    for symbol in _LIB_IMPORTS:
-        prog.import_symbol(symbol)
-    return prog
 
 
 #: Input/output paths the utilities operate on.
@@ -68,7 +60,7 @@ SCP_OUTPUT = "/out/payload.copy"
 @lru_cache(maxsize=None)
 def build_tar() -> Module:
     """Concatenate the input files with 16-byte size headers."""
-    prog = _new_utility("tar")
+    prog = libsim_program("tar", _LIB_IMPORTS)
     for index, path in enumerate(TAR_INPUTS):
         prog.add_string(f"in{index}", path)
     prog.add_string("outpath", TAR_OUTPUT)
@@ -137,7 +129,7 @@ def build_tar() -> Module:
 def build_dd() -> Module:
     """Block copy: small branch count, few syscalls per block (the
     near-zero-overhead point of Figure 5b)."""
-    prog = _new_utility("dd")
+    prog = libsim_program("dd", _LIB_IMPORTS)
     prog.add_string("inpath", DD_INPUT)
     prog.add_string("outpath", DD_OUTPUT)
     prog.add_func(
@@ -182,7 +174,7 @@ def build_dd() -> Module:
 @lru_cache(maxsize=None)
 def build_make() -> Module:
     """Parse a rule file; dispatch each rule through a handler table."""
-    prog = _new_utility("make")
+    prog = libsim_program("make", _LIB_IMPORTS)
     prog.add_string("inpath", MAKE_INPUT)
     prog.add_string("outpath", MAKE_OUTPUT)
     prog.add_string("t_compile", "compile")
@@ -284,7 +276,7 @@ def build_make() -> Module:
 @lru_cache(maxsize=None)
 def build_scp() -> Module:
     """Copy with checksum verification (cond-heavy inner loop)."""
-    prog = _new_utility("scp")
+    prog = libsim_program("scp", _LIB_IMPORTS)
     prog.add_string("inpath", SCP_INPUT)
     prog.add_string("outpath", SCP_OUTPUT)
     prog.add_func(
@@ -334,7 +326,7 @@ def build_scp() -> Module:
 @lru_cache(maxsize=None)
 def build_launcher(utility: str) -> Module:
     """The Figure 5b harness: fork; child PTRACE_TRACEME + execve."""
-    prog = _new_utility(f"launch-{utility}")
+    prog = libsim_program(f"launch-{utility}", _LIB_IMPORTS)
     prog.add_string("target", utility)
     prog.add_func(
         Func(

@@ -1,15 +1,13 @@
-"""The packet-object decoder: the oracle for the scan and the byte cursor.
+"""The packet-object decoder: the oracle for the scan.
 
-:func:`repro.ipt.columnar.columnar_scan` decodes a trace into columns and
-:class:`repro.ipt.columnar.ColumnarSlowSource` feeds the full decoder
-straight from the segment bytes.  This module is the decoder they
-replaced, written independently of both: :func:`fast_decode` builds one
-:class:`DecodedPacket` per packet, and :class:`PacketCursor` walks that
-list.  The scan-parity, robustness and columnar suites hold the scan to
-:func:`fast_decode` (TIP records, trailing stitch state,
-truncation, ``PacketError`` text, charged cycles), and the cursor suites
-and ``tests/test_full_decode_differential.py`` hold the byte cursor to
-:class:`PacketCursor` (every result and ``TraceMismatch`` message).
+:func:`repro.ipt.columnar.columnar_scan` decodes a trace into columns.
+This module is the decoder it replaced, written independently of it:
+:func:`fast_decode` builds one :class:`DecodedPacket` per packet.  The
+scan-parity, robustness and columnar suites hold the scan to
+:func:`fast_decode` (TIP records, trailing stitch state, truncation,
+``PacketError`` text, charged cycles), and the reference full decoder
+(``tests/full_decoder_reference.py``) walks its packets as one of its
+two packet sources.
 
 The scan's consumers read packed ip/TNT-signature columns; the oracle's
 shape is one :class:`TipRecord` per TIP.  :func:`segment_records` and
@@ -17,11 +15,11 @@ shape is one :class:`TipRecord` per TIP.  :func:`segment_records` and
 shape so the two can be compared record for record.
 """
 
+import enum
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro import costs
-from repro.ipt.full_decoder import TraceMismatch
 from repro.ipt.packets import (
     FUP_HEADER,
     OVF_BYTE,
@@ -29,14 +27,24 @@ from repro.ipt.packets import (
     PSBEND_BYTE,
     PSB_PATTERN,
     PacketError,
-    PacketKind,
     TIP_HEADER,
     TIP_PGD_HEADER,
     TIP_PGE_HEADER,
     TNT_HEADER,
-    decode_tnt_payload,
     unpack_tnt_sig,
 )
+
+class PacketKind(enum.Enum):
+    TNT = "tnt"
+    TIP = "tip"
+    TIP_PGE = "tip.pge"
+    TIP_PGD = "tip.pgd"
+    FUP = "fup"
+    PSB = "psb"
+    PSBEND = "psbend"
+    OVF = "ovf"
+    PAD = "pad"
+
 
 _IP_KINDS = {
     TIP_HEADER: PacketKind.TIP,
@@ -48,6 +56,22 @@ _IP_KINDS = {
 
 def ip_header_kind(header: int) -> Optional[PacketKind]:
     return _IP_KINDS.get(header)
+
+
+def decode_tnt_payload(payload: int) -> Tuple[bool, ...]:
+    """Decode a TNT payload byte into branch bits, oldest first."""
+    if payload <= 1 or payload > 0x7F:
+        raise PacketError(f"invalid TNT payload {payload:#x}")
+    bits = []
+    marker_seen = False
+    for position in range(7, -1, -1):
+        bit = (payload >> position) & 1
+        if not marker_seen:
+            if bit:
+                marker_seen = True
+            continue
+        bits.append(bool(bit))
+    return tuple(bits)
 
 
 def decompress_ip(payload: bytes, last_ip: int) -> int:
@@ -242,7 +266,7 @@ def fast_decode(data, sync: bool = False,
 
 def packets_of(parts) -> List[DecodedPacket]:
     """The packets of ``(ColumnarSegment, stream_base)`` parts — a
-    ``ColumnarSlowSource``'s — decoded by the oracle, rebased to stream
+    slow-path source's — decoded by the oracle, rebased to stream
     offsets."""
     packets: List[DecodedPacket] = []
     for seg, base in parts:
@@ -251,144 +275,3 @@ def packets_of(parts) -> List[DecodedPacket]:
                 DecodedPacket(p.kind, p.offset + base, p.bits, p.ip)
             )
     return packets
-
-
-class PacketSource:
-    """A packet list as a full-decoder input."""
-
-    def __init__(self, packets: List[DecodedPacket]) -> None:
-        self.packets = packets
-
-    def cursor(self) -> "PacketCursor":
-        return PacketCursor(self.packets)
-
-
-class PacketCursor:
-    """Sequential packet consumption with PSB+ group skipping."""
-
-    def __init__(self, packets: List[DecodedPacket]) -> None:
-        self._packets = packets
-        self._index = 0
-        #: Decoded, unconsumed TNT bits, oldest last (the byte
-        #: cursor's protocol: the full decoder pops them inline).
-        self.pending_bits: List[bool] = []
-
-    def _advance_raw(self) -> Optional[DecodedPacket]:
-        if self._index >= len(self._packets):
-            return None
-        packet = self._packets[self._index]
-        self._index += 1
-        return packet
-
-    def _skip_psb_group(self) -> None:
-        """Consume context packets up to and including PSBEND."""
-        while self._index < len(self._packets):
-            packet = self._packets[self._index]
-            self._index += 1
-            if packet.kind is PacketKind.PSBEND:
-                return
-
-    @staticmethod
-    def _target(packet: DecodedPacket) -> int:
-        if packet.ip is None:
-            raise TraceMismatch(
-                f"IP-suppressed {packet.kind.value} at "
-                f"offset {packet.offset}"
-            )
-        return packet.ip
-
-    def next_tnt_bit(self) -> Optional[bool]:
-        """Next conditional-branch outcome, or None at stream end."""
-        while not self.pending_bits:
-            packet = self._advance_raw()
-            if packet is None:
-                return None
-            if packet.kind is PacketKind.PSB:
-                self._skip_psb_group()
-                continue
-            if packet.kind is PacketKind.TNT:
-                self.pending_bits.extend(reversed(packet.bits))
-                continue
-            raise TraceMismatch(
-                f"expected TNT, found {packet.kind.value} at "
-                f"offset {packet.offset}"
-            )
-        return self.pending_bits.pop()
-
-    def next_tip(self) -> Optional[int]:
-        """Next plain-TIP target, or None at stream end."""
-        if self.pending_bits:
-            raise TraceMismatch("unconsumed TNT bits before a TIP")
-        while True:
-            packet = self._advance_raw()
-            if packet is None:
-                return None
-            if packet.kind is PacketKind.PSB:
-                self._skip_psb_group()
-                continue
-            if packet.kind is PacketKind.TIP:
-                return self._target(packet)
-            raise TraceMismatch(
-                f"expected TIP, found {packet.kind.value} at "
-                f"offset {packet.offset}"
-            )
-
-    def next_far_resume(self, expected_src: int) -> Optional[int]:
-        """Consume a FUP/TIP.PGD/TIP.PGE group; return the resume IP."""
-        if self.pending_bits:
-            raise TraceMismatch("unconsumed TNT bits before a far transfer")
-        while True:
-            packet = self._advance_raw()
-            if packet is None:
-                return None
-            if packet.kind is PacketKind.PSB:
-                self._skip_psb_group()
-                continue
-            if packet.kind is not PacketKind.FUP:
-                raise TraceMismatch(
-                    f"expected FUP, found {packet.kind.value}"
-                )
-            if self._target(packet) != expected_src:
-                raise TraceMismatch(
-                    f"FUP {packet.ip:#x} does not match far-transfer "
-                    f"source {expected_src:#x}"
-                )
-            break
-        pgd = self._advance_raw()
-        if pgd is None:
-            return None
-        if pgd.kind is not PacketKind.TIP_PGD:
-            raise TraceMismatch(f"expected TIP.PGD, found {pgd.kind.value}")
-        pge = self._advance_raw()
-        if pge is None:
-            return None
-        if pge.kind is not PacketKind.TIP_PGE:
-            raise TraceMismatch(f"expected TIP.PGE, found {pge.kind.value}")
-        return self._target(pge)
-
-    def initial_ip(self) -> Optional[int]:
-        """Find the first PSB-context FUP or TIP.PGE to anchor decoding."""
-        while self._index < len(self._packets):
-            packet = self._packets[self._index]
-            self._index += 1
-            if packet.kind is PacketKind.PSB:
-                # The FUP inside the PSB+ group carries the current IP.
-                while self._index < len(self._packets):
-                    ctx = self._packets[self._index]
-                    self._index += 1
-                    if ctx.kind is PacketKind.FUP and ctx.ip is not None:
-                        # Consume the rest of the group.
-                        while (
-                            self._index < len(self._packets)
-                            and self._packets[self._index].kind
-                            is not PacketKind.PSBEND
-                        ):
-                            self._index += 1
-                        if self._index < len(self._packets):
-                            self._index += 1
-                        return ctx.ip
-                    if ctx.kind is PacketKind.PSBEND:
-                        break
-            elif packet.kind is PacketKind.TIP_PGE and packet.ip is not None:
-                return packet.ip
-        return None

@@ -13,7 +13,9 @@ bitstream ``tnt_bits``), ``total_bits`` and ``pend_start`` — in a
 them: every signature, the dangling run's included, is read from its
 bit range (the scanners read one from the bitstream only for a run
 longer than :data:`~repro.ipt.columnar.SIG_MAX_BITS` bits, and build
-the rest in a register).
+the rest in a register).  It records every far packet on its own and
+folds far-transfer groups in a separate pass (:func:`pack_far`), where
+the scanners fold as they go.
 """
 
 from array import array
@@ -22,11 +24,16 @@ from typing import Optional
 
 from repro.ipt.columnar import (
     DISPATCH,
+    FAR_ENTRY,
+    FAR_GROUP,
+    FAR_HEAD,
     NO_IP,
     TNT_WIDTH,
     _A_FUP,
     _A_OVF,
     _A_PAD,
+    _A_PGD,
+    _A_PGE,
     _A_PSB,
     _A_PSBEND,
     _A_TIP,
@@ -38,6 +45,45 @@ from repro.ipt.columnar import (
     sync_to_psb,
 )
 from repro.ipt.packets import PSB_PATTERN, PacketError
+
+
+def pack_far(far, anchor) -> bytes:
+    """The far column's bytes from one ``(packet, record, bit, offset,
+    action, ip)`` tuple per far packet (``packet`` is its index among
+    the stream's packets, PAD aside) and an ``(ip, record, bit, far
+    packets before it)`` anchor (or None).  A FUP with an IP, a TIP.PGD
+    and a TIP.PGE with an IP that are consecutive packets become one
+    group entry, and the anchor's count is of entries."""
+    entries = []  # [record, bit, offset, code, ip, pge_ip]
+    entries_after = [0]  # entries after each far packet
+    index = 0
+    while index < len(far):
+        packet, record, bit, offset, action, ip = far[index]
+        trio = far[index:index + 3]
+        if ([p[0] - packet for p in trio] == [0, 1, 2]
+                and [p[4] for p in trio] == [_A_FUP, _A_PGD, _A_PGE]
+                and ip is not None and trio[2][5] is not None):
+            entries.append(
+                [record, bit, offset, FAR_GROUP, ip, trio[2][5]]
+            )
+            entries_after += [len(entries) - 1, len(entries) - 1,
+                              len(entries)]
+            index += 3
+            continue
+        entries.append([record, bit, offset, action, ip, None])
+        entries_after.append(len(entries))
+        index += 1
+    if anchor is not None:
+        ip, record, bit, packets = anchor
+        anchor = (ip, record, bit, entries_after[packets])
+    out = FAR_HEAD.pack(*(anchor or (NO_IP, 0, 0, 0)))
+    for record, bit, offset, code, ip, pge_ip in entries:
+        out += FAR_ENTRY.pack(
+            record << 32 | bit, offset << 4 | code,
+            NO_IP if ip is None else ip,
+            NO_IP if pge_ip is None else pge_ip,
+        )
+    return out
 
 
 @dataclass
@@ -86,6 +132,12 @@ def full_scan_reference(data, sync: bool = False) -> FullScan:
     add_offset = rec_offsets.append
     add_bit_start = rec_bit_start.append
     add_bit_end = rec_bit_end.append
+
+    #: far packets as ``(packet, record, bit, offset, action, ip)``, and
+    #: the anchor as ``(ip, record, bit, far packets before it)``.
+    far = []
+    anchor = None
+    in_psb = False
 
     tnt_buf = bytearray()
     emit_byte = tnt_buf.append
@@ -138,21 +190,37 @@ def full_scan_reference(data, sync: bool = False) -> FullScan:
                     data[pos + 2:end], "little"
                 )
                 last_ip = ip
+            here = (len(rec_ips), total_bits - pend_start)
             if action == _A_TIP:
                 add_ip(NO_IP if ip is None else ip)
                 add_offset(pos)
                 add_bit_start(pend_start)
                 add_bit_end(total_bits)
                 pend_start = total_bits
+            elif in_psb:
+                if anchor is None and action == _A_FUP and ip is not None:
+                    anchor = (ip, *here, len(far))
+            else:
+                far.append((pkt_count, *here, pos, action, ip))
+                if anchor is None and action == _A_PGE and ip is not None:
+                    anchor = (ip, *here, len(far))
             pkt_count += 1
             pos = end
         elif action == _A_PAD:
             pos += 1
         elif action == _A_PSB and data[pos:pos + psb_len] == psb:
             last_ip = 0
+            in_psb = True
             pkt_count += 1
             pos += psb_len
         elif action == _A_PSBEND or action == _A_OVF:
+            if action == _A_PSBEND and in_psb:
+                in_psb = False
+            elif not in_psb:
+                far.append(
+                    (pkt_count, len(rec_ips), total_bits - pend_start, pos,
+                     action, None)
+                )
             pkt_count += 1
             pos += 1
         elif psb[: size - pos] == data[pos:]:
@@ -178,6 +246,7 @@ def full_scan_reference(data, sync: bool = False) -> FullScan:
             for start, end in zip(rec_bit_start, rec_bit_end)
         ],
         _bits_sig(tnt_bits, pend_start, total_bits),
+        pack_far(far, anchor),
     )
     return FullScan(
         rec_ips, rec_offsets, rec_bit_start, rec_bit_end, tnt_bits,

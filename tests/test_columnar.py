@@ -48,7 +48,6 @@ from repro.ipt.packets import (
     PSBEND_BYTE,
     PSB_PATTERN,
     PacketError,
-    PacketKind,
     TIP_HEADER,
     TIP_PGD_HEADER,
     TIP_PGE_HEADER,
@@ -70,6 +69,7 @@ from repro.workloads import (
     nginx_request,
 )
 from tests.packet_reference import (
+    PacketKind,
     fast_decode,
     packets_of,
     segment_records,
@@ -448,7 +448,7 @@ class TestCheckerParity:
                 dataclasses.replace(r, offset=r.offset + start)
                 for r in suffix.tip_records()
             ]
-            assert packets_of(tail.slow_source().parts) == [
+            assert packets_of(tail.slow_source()) == [
                 dataclasses.replace(p, offset=p.offset + start)
                 for p in suffix.packets
             ]
@@ -509,7 +509,7 @@ class TestSlowPathHandOff:
         for cut in snapshot_cuts(data, count=6):
             result = checker.check(data[:cut])
             source = result.slow_path_source()
-            packets = packets_of(result.tail.slow_source().parts)
+            packets = packets_of(result.tail.slow_source())
             if result.window_ips:
                 first = result.first_record_offset
                 begin = max(
@@ -517,7 +517,7 @@ class TestSlowPathHandOff:
                     if p.kind is PacketKind.PSB and p.offset <= first
                 )
                 packets = packets[begin:]
-            assert packets_of(source.parts) == packets
+            assert packets_of(source) == packets
 
 
 SECURITY_MATRIX = [
@@ -622,7 +622,7 @@ def reference_decode_tail(checker, data):
 def tail_views(checker, data):
     """``decode_tail_columnar`` in the oracle's shape."""
     tail = checker.decode_tail_columnar(data)
-    packets = packets_of(tail.slow_source().parts)
+    packets = packets_of(tail.slow_source())
     return tail_records(tail), packets, tail.cycles, tail.start
 
 
@@ -665,9 +665,11 @@ class TestIncrementalDecodeTail:
 
 
 class TestZeroCopy:
-    def test_decode_tail_columnar_slices_zero_copy(
+    def test_decode_tail_columnar_scans_its_keys(
         self, pipeline, trace, monkeypatch
     ):
+        """One copy per scanned segment: the walk scans the bytes it
+        keys its kept segments by, so the scan copies nothing more."""
         data, image = trace
         seen = []
         real = columnar_scan
@@ -680,11 +682,16 @@ class TestZeroCopy:
 
         monkeypatch.setattr(fastpath, "columnar_scan", spy)
         checker, _ = make_checker(pipeline, image)
-        checker.decode_tail_columnar(data)
+        tail = checker.decode_tail_columnar(data)
         assert seen
+        keys = list(checker._last_walk)
         for segment in seen:
-            assert isinstance(segment, memoryview)
-            assert segment.obj is data
+            assert type(segment) is bytes
+            assert any(segment is key for key in keys)
+        for entry in tail.entries:
+            assert bytes(entry.seg.data) == data[
+                entry.base:entry.base + len(entry.seg.data)
+            ]
 
     def test_parallel_scan_slices_zero_copy(self, trace):
         data, _ = trace

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ipt import (
-    ColumnarSlowSource,
     IPTConfig,
     IPTEncoder,
     PacketError,
@@ -98,7 +97,7 @@ class TestFullDecodeRobustness:
         from repro.cpu.memory import Memory, PROT_EXEC, PROT_READ
         from repro.ipt import FullDecoder, TraceMismatch
 
-        source = ColumnarSlowSource([(columnar_scan(_sample_trace()), 0)])
+        source = [(columnar_scan(_sample_trace()), 0)]
         memory = Memory()
         memory.map_region(0x400000, 0x2000, PROT_READ | PROT_EXEC)
         # All zeroes decodes as NOP sled: the decoder walks NOPs and
@@ -110,3 +109,123 @@ class TestFullDecodeRobustness:
             # region must raise before the instruction budget is spent.
             if result.insn_count >= 100_000:  # pragma: no cover
                 raise TraceMismatch("budget exhausted on a NOP sled")
+
+
+# -- the slow path on mangled snapshots ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def nginx_snapshots():
+    """An undertrained nginx (Fig. 5d's protocol), its pipeline and the
+    ToPA snapshots its fast path checked."""
+    from repro.experiments.common import (
+        libraries,
+        seed_server_fs,
+        training_corpus,
+    )
+    from repro.loadgen import mix_requests
+    from repro.monitor.fastpath import FastPathChecker
+    from repro.monitor.policy import FlowGuardPolicy
+    from repro.osmodel import Kernel
+    from repro.pipeline import FlowGuardPipeline
+    from repro.workloads import SERVER_BUILDERS, build_vdso
+
+    pipeline = FlowGuardPipeline.offline(
+        "nginx", SERVER_BUILDERS["nginx"](), libraries(),
+        vdso=build_vdso(), corpus=training_corpus("nginx")[:2],
+        mode="socket", kernel_setup=seed_server_fs,
+    )
+    policy = FlowGuardPolicy(cache_slow_path_negatives=False)
+    snapshots = []
+    original = FastPathChecker.check
+
+    def capture(checker, data):
+        snapshots.append(bytes(data))
+        return original(checker, data)
+
+    FastPathChecker.check = capture
+    try:
+        kernel = Kernel()
+        seed_server_fs(kernel)
+        _, proc = pipeline.deploy(kernel, policy=policy)
+        for request in mix_requests("nginx", 6, seed=3, mix="varied"):
+            proc.push_connection(request)
+        kernel.run(proc)
+    finally:
+        FastPathChecker.check = original
+    assert len(snapshots) >= 20
+    return pipeline, policy, snapshots
+
+
+def _suppress_ip(data: bytes, packet) -> bytes:
+    """``data`` with ``packet`` (a TIP-family packet) re-encoded with
+    its IP suppressed."""
+    at = packet.offset
+    return data[:at] + bytes((data[at], 0)) + data[at + 2 + data[at + 1]:]
+
+
+def _mangled(snapshots, seed):
+    """Truncations, byte flips and IP-suppressed TIP/TIP.PGE/FUP packets
+    of a spread of the snapshots."""
+    import random
+
+    from tests.packet_reference import PacketKind
+
+    rng = random.Random(seed)
+    targets = (PacketKind.TIP, PacketKind.TIP_PGE, PacketKind.FUP)
+    step = max(1, len(snapshots) // 12)
+    for data in snapshots[::step]:
+        for _ in range(4):
+            yield data[:rng.randrange(len(data) + 1)]
+            flipped = bytearray(data)
+            for _ in range(rng.randint(1, 3)):
+                flipped[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+            yield bytes(flipped)
+        packets = [
+            p for p in fast_decode(data).packets if p.kind in targets
+        ]
+        for packet in rng.sample(packets, min(6, len(packets))):
+            yield _suppress_ip(data, packet)
+
+
+class TestSlowPathRobustness:
+    """Mangled snapshots through ``FastPathChecker.check`` and then
+    ``SlowPathEngine.check(result.slow_path_source(), ...)``: every
+    outcome is a result, never an uncaught exception."""
+
+    VERDICTS = ("decoder desync: ", "forward-edge violation: ",
+                "backward-edge violation: ", "ret at ")
+
+    def _judge(self, pp, data):
+        result = pp.checker.check(data)
+        slow = pp.slow.check(
+            result.slow_path_source(), result.window_ips,
+            result.window_sigs,
+        )
+        assert slow.ok or slow.reason.startswith(self.VERDICTS), slow.reason
+        return slow
+
+    def test_fresh_checkers(self, nginx_snapshots):
+        from repro.osmodel import Kernel
+
+        pipeline, policy, snapshots = nginx_snapshots
+        outcomes = set()
+        for data in _mangled(snapshots, seed=1):
+            monitor, proc = pipeline.deploy(Kernel(), policy=policy)
+            slow = self._judge(monitor.protected_for(proc), data)
+            outcomes.add(slow.ok or slow.reason.split(":")[0])
+        assert True in outcomes and "decoder desync" in outcomes
+
+    def test_one_checker_in_sequence(self, nginx_snapshots):
+        """One checker for every input, so each walk reuses the segments
+        the previous walk scanned."""
+        from repro.osmodel import Kernel
+
+        pipeline, policy, snapshots = nginx_snapshots
+        monitor, proc = pipeline.deploy(Kernel(), policy=policy)
+        pp = monitor.protected_for(proc)
+        outcomes = set()
+        for data in _mangled(snapshots, seed=2):
+            slow = self._judge(pp, data)
+            outcomes.add(slow.ok or slow.reason.split(":")[0])
+        assert True in outcomes and "decoder desync" in outcomes

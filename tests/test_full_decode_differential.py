@@ -1,11 +1,12 @@
 """Differential test: the chained-run full decoder against the oracle.
 
 Every case decodes one input with the production
-:class:`~repro.ipt.full_decoder.FullDecoder` and with the per-instruction
-:class:`tests.full_decoder_reference.ReferenceFullDecoder`, through both
-packet cursors (the byte cursor of ``ColumnarSlowSource`` and the
-packet-list cursor of ``tests/packet_reference.py``), and asserts the two
-agree on the edge list (kind, src, dst, taken, order), ``insn_count``,
+:class:`~repro.ipt.full_decoder.FullDecoder` (which walks the scan's
+columns) and with the per-instruction
+:class:`tests.full_decoder_reference.ReferenceFullDecoder` through both
+of its own packet sources (a byte cursor over the segments' raw bytes,
+and the packet-list cursor over ``tests/packet_reference.py``'s packet
+objects), and asserts the two agree on the edge list (kind, src, dst, taken, order), ``insn_count``,
 ``cycles``, ``end_ip``, ``exhausted``, the ``TraceMismatch`` message,
 and the ``ipt.full_decode.*`` counters.  Production decoders are compared both
 fresh and warm (their chained runs filled by earlier decodes), since a
@@ -28,7 +29,7 @@ from repro.ipt import (
     ToPARegion,
     TraceMismatch,
 )
-from repro.ipt.columnar import ColumnarSlowSource, columnar_scan, psb_offsets
+from repro.ipt.columnar import columnar_scan, psb_offsets
 from repro.ipt.full_decoder import MAX_BLOCK_RUN
 from repro.ipt.msr import RTIT_CTL
 from repro.isa import A, Cond, Label, asm
@@ -37,8 +38,11 @@ from repro.isa.instructions import Insn, Op
 from repro.isa.registers import R0, R1, R2, SP
 from repro.workloads import build_libsim
 from repro.workloads.programgen import generate_program
-from tests.full_decoder_reference import ReferenceFullDecoder
-from tests.packet_reference import PacketSource, fast_decode, packets_of
+from tests.full_decoder_reference import (
+    ReferenceFullDecoder,
+    byte_cursor,
+    packet_cursor,
+)
 
 LIBS = {"libsim.so": build_libsim()}
 CODE_BASE = 0x400000
@@ -84,14 +88,13 @@ def traced_program(seed):
     return image.memory, _run(machine, _encoder(), max_steps=3_000_000)
 
 
-def sources(data):
-    """The two cursor inputs for one trace: packets and raw columns."""
-    return {
-        "packets": lambda: PacketSource(fast_decode(data).packets),
-        "columnar": lambda: ColumnarSlowSource(
-            [(columnar_scan(data), 0)]
-        ),
-    }
+#: the reference decoder's two packet sources.
+CURSORS = {"packets": packet_cursor, "bytes": byte_cursor}
+
+
+def parts(data):
+    """The full decoder's input for one whole trace."""
+    return [(columnar_scan(data), 0)]
 
 
 def fields(result):
@@ -126,17 +129,20 @@ def outcome(decoder, source, start_ip=None):
 
 def assert_same(memory, data, start_ip=None, max_insns=5_000_000,
                 warm=None):
-    """Production (fresh, and ``warm`` if given) == oracle, both cursors.
-    Returns the oracle outcomes."""
+    """Production (fresh, and ``warm`` if given) == oracle, through
+    both of the oracle's cursors.  Returns the oracle outcomes."""
     got = {}
-    for name, make in sources(data).items():
-        oracle = ReferenceFullDecoder(memory, max_insns=max_insns)
-        want = outcome(oracle, make(), start_ip)
+    for name, cursor in CURSORS.items():
+        oracle = ReferenceFullDecoder(memory, max_insns=max_insns,
+                                      cursor=cursor)
+        want = outcome(oracle, parts(data), start_ip)
         fresh = FullDecoder(memory, max_insns=max_insns)
-        assert outcome(fresh, make(), start_ip) == want, name
+        assert outcome(fresh, parts(data), start_ip) == want, name
         if warm is not None:
             warm.max_insns = max_insns
-            assert outcome(warm, make(), start_ip) == want, (name, "warm")
+            assert outcome(warm, parts(data), start_ip) == want, (
+                name, "warm"
+            )
         got[name] = want
     return got
 
@@ -213,7 +219,7 @@ def test_budget_sweep_generated(seed):
     """Every budget from 0 past the full walk: cuts land mid-run, at a
     terminator and at block ends, on fresh and warm decoders."""
     memory, data = traced_program(seed)
-    full = FullDecoder(memory).decode(sources(data)["columnar"]())
+    full = FullDecoder(memory).decode(parts(data))
     warm = FullDecoder(memory)
     for budget in range(full.insn_count + 2):
         assert_same(memory, data, max_insns=budget, warm=warm)
@@ -222,7 +228,7 @@ def test_budget_sweep_generated(seed):
 @pytest.mark.parametrize("name", sorted(SNIPPETS))
 def test_budget_sweep_snippets(name):
     memory, data = traced_snippet(SNIPPETS[name])
-    full = FullDecoder(memory).decode(sources(data)["columnar"]())
+    full = FullDecoder(memory).decode(parts(data))
     warm = FullDecoder(memory)
     for budget in range(full.insn_count + 2):
         assert_same(memory, data, max_insns=budget, warm=warm)
@@ -295,11 +301,11 @@ def test_fault_after_remembered_blocks():
     memory.write_raw(tail, code)
     decoder = FullDecoder(memory, max_insns=100)
     with pytest.raises(TraceMismatch, match="cannot disassemble"):
-        decoder.decode(ColumnarSlowSource([]), start_ip=tail)
+        decoder.decode([], start_ip=tail)
     memory.map_region(CODE_BASE + 0x1000, 0x1000, PROT_READ | PROT_EXEC)
     memory.write_raw(CODE_BASE + 0x1000, asm([A.halt()])[0])
     assert_same(memory, b"", start_ip=tail, max_insns=100, warm=decoder)
-    result = decoder.decode(ColumnarSlowSource([]), start_ip=tail)
+    result = decoder.decode([], start_ip=tail)
     assert result.insn_count == 4
 
 
@@ -370,9 +376,9 @@ def test_monitor_slow_path_windows(monkeypatch):
         oracle = ReferenceFullDecoder(self.memory, max_insns=self.max_insns)
         want = result_of(oracle, source, start_ip)
         # The same segments through the packet-list cursor.
-        oracle = ReferenceFullDecoder(self.memory, max_insns=self.max_insns)
-        listed = PacketSource(packets_of(source.parts))
-        assert result_of(oracle, listed, start_ip) == want
+        oracle = ReferenceFullDecoder(self.memory, max_insns=self.max_insns,
+                                      cursor=packet_cursor)
+        assert result_of(oracle, source, start_ip) == want
         compared.append(type(source).__name__)
         try:
             result = production(self, source, start_ip)
@@ -394,7 +400,7 @@ def test_monitor_slow_path_windows(monkeypatch):
     assert proc.state is ProcessState.EXITED
     assert monitor.detections == []
     assert len(compared) >= 10, compared
-    assert set(compared) == {"ColumnarSlowSource"}
+    assert set(compared) == {"list"}
 
 
 def mapped_code(items, size=0x1000):
@@ -446,7 +452,7 @@ def test_chain_budget_at_every_offset():
         A.mov(R0, 4),
         A.halt(),
     ])
-    full = FullDecoder(memory).decode(ColumnarSlowSource([]),
+    full = FullDecoder(memory).decode([],
                                       start_ip=CODE_BASE)
     assert [e.kind.value for e in full.edges] == [
         "direct_jmp", "direct_call", "direct_jmp", "direct_call",
@@ -480,7 +486,7 @@ def test_chain_into_unmapped_code_mapped_later(via):
         assert_same(memory, b"", start_ip=CODE_BASE, max_insns=budget,
                     warm=decoder)
     with pytest.raises(TraceMismatch, match="cannot disassemble"):
-        decoder.decode(ColumnarSlowSource([]), start_ip=CODE_BASE)
+        decoder.decode([], start_ip=CODE_BASE)
     memory.map_region(far, 0x1000, PROT_READ | PROT_EXEC)
     tail, symbols = asm([A.mov(R1, 1), Label("end"), A.halt()], base=far)
     memory.write_raw(far, tail)
@@ -550,7 +556,7 @@ def test_jcc_bits_cross_tnt_packets_and_psbs():
     got = assert_same(memory, data, warm=FullDecoder(memory))
     edges = got["packets"][0][0]
     assert sum(kind.value == "cond_branch" for kind, *_ in edges) == 60
-    full = FullDecoder(memory).decode(sources(data)["columnar"]())
+    full = FullDecoder(memory).decode(parts(data))
     warm = FullDecoder(memory)
     for budget in range(full.insn_count + 2):
         assert_same(memory, data, max_insns=budget, warm=warm)

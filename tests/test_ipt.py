@@ -11,7 +11,6 @@ from repro.ipt import (
     IPTEncoder,
     PSB_PATTERN,
     PacketError,
-    PacketKind,
     ToPA,
     ToPARegion,
     TraceMismatch,
@@ -19,20 +18,20 @@ from repro.ipt import (
     columnar_scan,
     sync_to_psb,
 )
-from repro.ipt.columnar import ColumnarSlowSource
-from repro.ipt.packets import (
-    compress_ip,
-    decode_tnt_payload,
-    encode_tnt,
-)
+from repro.ipt.packets import compress_ip, encode_tnt
 from repro.isa import A, Cond, Label, asm
 from repro.isa.registers import R0, R1, R2, R3, SP
-from tests.packet_reference import decompress_ip, fast_decode
+from tests.packet_reference import (
+    PacketKind,
+    decode_tnt_payload,
+    decompress_ip,
+    fast_decode,
+)
 
 
 def scanned(data):
     """A full-decoder input over one scanned stream."""
-    return ColumnarSlowSource([(columnar_scan(data), 0)])
+    return [(columnar_scan(data), 0)]
 
 
 def plain_config(**kw):
@@ -431,7 +430,7 @@ class TestFullDecode:
 
     def test_empty_packets(self):
         decoder = FullDecoder(Memory())
-        result = decoder.decode(ColumnarSlowSource([]))
+        result = decoder.decode([])
         assert result.edges == []
         assert result.insn_count == 0
 
@@ -449,7 +448,7 @@ class TestFullDecodeAfterRemap:
 
     @staticmethod
     def _decode(decoder, base=BASE):
-        result = decoder.decode(ColumnarSlowSource([]), start_ip=base)
+        result = decoder.decode([], start_ip=base)
         return result.insn_count, [(e.kind, e.src) for e in result.edges]
 
     def test_remapped_code_decodes_fresh(self):

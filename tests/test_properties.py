@@ -21,14 +21,14 @@ from repro.binary import Loader
 from repro.cpu import CoFIKind, Executor, Machine
 from repro.cpu import PROT_READ, PROT_WRITE
 from repro.ipt import FullDecoder, IPTConfig, IPTEncoder, ToPA, ToPARegion
-from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
+from repro.ipt.columnar import columnar_scan
 from repro.ipt.msr import RTIT_CTL
 from repro.isa.registers import SP
 from repro.itccfg import CreditLabeledITC, build_itccfg
 from repro.osmodel import Kernel, ProcessState
 from repro.workloads import build_libsim
 from repro.workloads.programgen import generate_program
-from tests.packet_reference import PacketSource, fast_decode
+from tests.full_decoder_reference import ReferenceFullDecoder, packet_cursor
 
 SEEDS = list(range(8))
 LIBS = {"libsim.so": build_libsim()}
@@ -84,14 +84,15 @@ def test_full_decode_reconstructs_execution(seed):
     image, cpu, encoder, events = traced_run(exe)
     data = encoder.output.snapshot()
     truth = [(e.kind, e.src, e.dst) for e in events]
-    decoder = FullDecoder(image.memory, max_insns=20_000_000)
-    # The monitor's byte cursor, and the packet-list cursor of the
-    # oracle decoder.
-    for source in (
-        PacketSource(fast_decode(data).packets),
-        ColumnarSlowSource([(columnar_scan(data), 0)]),
+    parts = [(columnar_scan(data), 0)]
+    # The monitor's column walk, and the oracle decoder over the
+    # packet-list cursor.
+    for decoder in (
+        FullDecoder(image.memory, max_insns=20_000_000),
+        ReferenceFullDecoder(image.memory, max_insns=20_000_000,
+                             cursor=packet_cursor),
     ):
-        result = decoder.decode(source)
+        result = decoder.decode(parts)
         got = [(e.kind, e.src, e.dst) for e in result.edges]
         # Decoding anchors at the first packet-producing event (a PSB),
         # so the reconstruction is a suffix of ground truth.

@@ -1,16 +1,16 @@
-"""Scanner tri-parity, byte-cursor parity, and the perf-PR plumbing.
+"""Scanner tri-parity, column-walk parity, and the perf-PR plumbing.
 
 ``columnar_scan`` runs the regex/translate vectorised pure-Python scan
 or the optional ctypes C kernel.  This suite property-tests both
 against the per-byte dispatch walk (``tests/scan_reference.py``, the
-oracle) — every column, every charged cycle, every ``PacketError``
-message — on structured streams, uniform-random buffers, every
-truncation cut, and random corruption flips.  It also pins the
-slow path's byte cursor (``_ByteCursor`` vs the packet-list
-``PacketCursor`` of ``tests/packet_reference.py``, including
-``TraceMismatch`` messages), that the platform alone picks the
-scanner, the bursty open-loop schedule, and the append-only performance
-trajectory.
+oracle) — every column (the far column included), every charged cycle,
+every ``PacketError`` message — on structured streams, uniform-random
+buffers, every truncation cut, and random corruption flips.  It also
+pins the full decoder's column walk (``_ColumnWalk``) against the
+reference decoder's byte cursor and packet-list cursor
+(``tests/full_decoder_reference.py``, ``TraceMismatch`` messages
+included), that the platform alone picks the scanner, the bursty
+open-loop schedule, and the append-only performance trajectory.
 """
 
 import dataclasses
@@ -26,12 +26,11 @@ import pytest
 from repro.ipt import columnar, scan_kernel
 from repro.ipt.columnar import (
     SIG_MAX_BITS,
-    ColumnarSlowSource,
     _bits_sig,
     columnar_scan,
     scan_kernel_active,
 )
-from repro.ipt.full_decoder import TraceMismatch
+from repro.ipt.full_decoder import TraceMismatch, _ColumnWalk
 from repro.ipt.packets import (
     PacketError,
     TIP_HEADER,
@@ -39,7 +38,8 @@ from repro.ipt.packets import (
     encode_tnt,
     pack_tnt_sig,
 )
-from tests.packet_reference import PacketCursor, fast_decode
+from tests.full_decoder_reference import byte_cursor, packet_cursor
+from tests.packet_reference import fast_decode
 from tests.scan_reference import columnar_scan_reference, full_scan_reference
 from tests.test_columnar import build_stream
 
@@ -64,6 +64,7 @@ def segment_columns(seg):
         tuple(seg.ip_column()),
         tuple(seg.rec_offsets),
         tuple(seg.sig_column()),
+        bytes(seg.far),
         seg.trailing,
     )
 
@@ -257,7 +258,7 @@ class TestSignatureColumn:
             )
 
 
-# -- slow-path byte cursor vs packet cursor -----------------------------------
+# -- the full decoder's column walk vs the reference cursors ------------------
 
 
 def drive_cursor(cursor, ops):
@@ -281,17 +282,22 @@ def drive_cursor(cursor, ops):
 
 
 def cursor_pair(streams):
-    """(byte cursor, packet cursor) over the same multi-part tail."""
-    parts, packets, base = [], [], 0
+    """(column walk, reference cursors) over the same multi-part tail."""
+    parts, base = [], 0
     for stream in streams:
-        seg = columnar._scan_python(stream, False)
-        parts.append((seg, base))
-        for pkt in fast_decode(stream).packets:
-            packets.append(
-                dataclasses.replace(pkt, offset=base + pkt.offset)
-            )
+        parts.append((columnar_scan(stream), base))
         base += len(stream)
-    return ColumnarSlowSource(parts).cursor(), PacketCursor(packets)
+    return _ColumnWalk(parts), (byte_cursor(parts), packet_cursor(parts))
+
+
+def assert_same_script(streams, script):
+    """The column walk and both reference cursors agree on every result
+    of ``script``; returns the walk's."""
+    walk, references = cursor_pair(streams)
+    got = drive_cursor(walk, script)
+    for reference in references:
+        assert drive_cursor(reference, script) == got
+    return got
 
 
 def op_script(rng, length=120):
@@ -310,14 +316,13 @@ def op_script(rng, length=120):
 
 
 class TestByteCursorParity:
+    """The full decoder's column walk against the reference decoder's
+    byte cursor and packet-list cursor, on op scripts."""
+
     @pytest.mark.parametrize("seed", range(10))
     def test_single_part_scripts(self, seed):
         rng = random.Random(seed)
-        byte_cur, pkt_cur = cursor_pair([build_stream(seed, packets=80)])
-        script = op_script(rng)
-        assert drive_cursor(byte_cur, script) == drive_cursor(
-            pkt_cur, script
-        )
+        assert_same_script([build_stream(seed, packets=80)], op_script(rng))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_multi_part_scripts(self, seed):
@@ -325,30 +330,21 @@ class TestByteCursorParity:
         streams = [
             build_stream(3 * seed + i, packets=40) for i in range(3)
         ]
-        byte_cur, pkt_cur = cursor_pair(streams)
-        script = op_script(rng, length=200)
-        assert drive_cursor(byte_cur, script) == drive_cursor(
-            pkt_cur, script
-        )
+        assert_same_script(streams, op_script(rng, length=200))
 
     def test_exhaustion_returns_none(self):
-        byte_cur, pkt_cur = cursor_pair([build_stream(5, packets=10)])
-        script = [("tip", None)] * 50
-        got = drive_cursor(byte_cur, script)
-        assert got == drive_cursor(pkt_cur, script)
+        got = assert_same_script(
+            [build_stream(5, packets=10)], [("tip", None)] * 50
+        )
         assert got[-1] in (("tip", None), got[-1])
 
     def test_unconsumed_tnt_before_tip_message(self):
-        from repro.ipt.packets import encode_ip_packet, encode_tnt
-        from repro.ipt.packets import TIP_HEADER
-
         stream = bytearray(encode_tnt((True, False, True)))
         encoded, _ = encode_ip_packet(TIP_HEADER, 0x400000, 0)
         stream += encoded
-        byte_cur, pkt_cur = cursor_pair([bytes(stream)])
-        script = [("tnt", None), ("tip", None)]
-        got = drive_cursor(byte_cur, script)
-        assert got == drive_cursor(pkt_cur, script)
+        got = assert_same_script(
+            [bytes(stream)], [("tnt", None), ("tip", None)]
+        )
         assert got[-1][0] == "mismatch"
         assert "unconsumed TNT bits" in got[-1][1]
 
@@ -357,10 +353,8 @@ class TestByteCursorParity:
         from tests.test_slowpath import CODE, far_or_tip_case
 
         _, data, offset = far_or_tip_case(kind)
-        byte_cur, pkt_cur = cursor_pair([data])
         script = [("initial", None), ("tip" if kind == "tip" else "far", CODE)]
-        got = drive_cursor(byte_cur, script)
-        assert got == drive_cursor(pkt_cur, script)
+        got = assert_same_script([data], script)
         assert got[-1] == (
             "mismatch", f"IP-suppressed {kind} at offset {offset}"
         )

@@ -10,8 +10,8 @@ import pytest
 from repro.analysis import ControlFlowGraph, Edge, EdgeKind
 from repro.analysis.cfg import BasicBlock
 from repro.cpu import BranchEvent, CoFIKind, Memory
-from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
-from repro.ipt.full_decoder import TraceMismatch
+from repro.ipt.columnar import columnar_scan
+from repro.ipt.full_decoder import TraceMismatch, _ColumnWalk
 from repro.ipt.packets import pack_tnt_sig
 from repro.monitor.slowpath import (
     _DIRECT_CALL_LEN,
@@ -118,9 +118,7 @@ class TestSlowPathForwardEdges:
         cpu.add_listener(encoder.on_branch)
         cpu.run(100_000)
         encoder.flush()
-        source = ColumnarSlowSource(
-            [(columnar_scan(encoder.output.snapshot()), 0)]
-        )
+        source = [(columnar_scan(encoder.output.snapshot()), 0)]
         engine = SlowPathEngine(image.memory, build_ocfg(image))
         result = engine.check(source)
         assert result.ok, result.reason
@@ -165,9 +163,7 @@ class TestSlowPathForwardEdges:
         cpu.add_listener(encoder.on_branch)
         cpu.run(100_000)
         encoder.flush()
-        source = ColumnarSlowSource(
-            [(columnar_scan(encoder.output.snapshot()), 0)]
-        )
+        source = [(columnar_scan(encoder.output.snapshot()), 0)]
 
         ocfg = build_ocfg(image)
         # Empty every indirect-call target set: the observed call is now
@@ -183,7 +179,7 @@ class TestSlowPathForwardEdges:
         from repro import costs
 
         engine = SlowPathEngine(Memory(), ControlFlowGraph())
-        result = engine.check(ColumnarSlowSource([]))
+        result = engine.check([])
         assert result.ok
         assert result.cycles >= costs.SLOWPATH_UPCALL_CYCLES
 
@@ -192,7 +188,7 @@ class TestSlowPathForwardEdges:
 
         engine = SlowPathEngine(Memory(), ControlFlowGraph())
         pge, _ = encode_ip_packet(TIP_PGE_HEADER, 0xDEAD, 0)
-        result = engine.check(ColumnarSlowSource([(columnar_scan(pge), 0)]))
+        result = engine.check([(columnar_scan(pge), 0)])
         assert not result.ok
         assert "desync" in result.reason
 
@@ -249,7 +245,7 @@ def far_or_tip_case(kind, suppressed=True):
 
 
 def scanned(data):
-    return ColumnarSlowSource([(columnar_scan(data), 0)])
+    return [(columnar_scan(data), 0)]
 
 
 class TestSuppressedIP:
@@ -260,7 +256,7 @@ class TestSuppressedIP:
     @pytest.mark.parametrize("kind", SUPPRESSED_KINDS)
     def test_cursor_raises(self, kind):
         _, data, offset = far_or_tip_case(kind)
-        cursor = scanned(data).cursor()
+        cursor = _ColumnWalk(scanned(data))
         assert cursor.initial_ip() == CODE
         with pytest.raises(TraceMismatch) as info:
             if kind == "tip":

@@ -29,7 +29,7 @@ from repro.binary import Loader
 from repro.cpu import BranchEvent, CoFIKind, Executor, Machine, Memory
 from repro.cpu import PROT_READ, PROT_WRITE
 from repro.ipt import IPTConfig, IPTEncoder, ToPA, ToPARegion
-from repro.ipt.columnar import ColumnarSlowSource, columnar_scan
+from repro.ipt.columnar import columnar_scan
 from repro.ipt.full_decoder import FullDecodeResult, TraceMismatch
 from repro.ipt.msr import RTIT_CTL
 from repro.ipt.packets import pack_tnt_sig
@@ -188,12 +188,12 @@ def test_generated_programs(seed):
     branches = set()
     for cut in range(len(data) + 1):
         seg = columnar_scan(data[:cut])
-        source = ColumnarSlowSource([(seg, 0)])
+        source = [(seg, 0)]
         branches.add(assert_same(
             engine, reference, source, seg.ip_column(), seg.sig_column()
         ))
     assert branches == {"ok"}
-    source = ColumnarSlowSource([(columnar_scan(data), 0)])
+    source = [(columnar_scan(data), 0)]
     sites = {
         e.src for e in engine._decoder.decode(source).edges
         if e.kind is not CoFIKind.COND_BRANCH
@@ -378,7 +378,7 @@ def test_hand_built_edges(case, insns):
     ips = [0x10, 0x20, 0x30]
     sigs = [1, pack_tnt_sig((True, False)), pack_tnt_sig(())]
     assert assert_same(
-        engine, reference, ColumnarSlowSource([]), ips, sigs
+        engine, reference, [], ips, sigs
     ) == want_branch
 
 
@@ -389,5 +389,5 @@ def test_hand_built_desync():
         [], error="expected TIP, found TNT at offset 9"
     )
     assert assert_same(
-        engine, reference, ColumnarSlowSource([]), [0x10, 0x20], [1, 1]
+        engine, reference, [], [0x10, 0x20], [1, 1]
     ) == "desync"

@@ -98,7 +98,7 @@ def result_fields(result):
         result.tail.start,
         tuple(
             (base, bytes(seg.data))
-            for seg, base in result.slow_path_source().parts
+            for seg, base in result.slow_path_source()
         ),
     )
 
