@@ -80,6 +80,17 @@ class Image:
     memory: Memory
     modules: List[LoadedModule] = field(default_factory=list)
     vdso: Optional[LoadedModule] = None
+    #: Tables that are a function of the module map alone (the fast
+    #: path's module-span ranges), built on first use.  Every image the
+    #: loader makes of one module set, and every fork of one, shares
+    #: the dict with its module list.
+    derived: Dict[str, object] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def with_memory(self, memory: Memory) -> "Image":
+        """The same modules over ``memory`` (fork, a new load)."""
+        return Image(memory, self.modules, self.vdso, self.derived)
 
     @property
     def executable(self) -> LoadedModule:
@@ -154,12 +165,33 @@ class Loader:
 
     # -- loading -------------------------------------------------------------
 
-    def load(self, exe: Module, memory: Optional[Memory] = None) -> Image:
-        """Map ``exe`` and its dependencies; resolve and relocate."""
-        memory = memory if memory is not None else Memory()
-        image = Image(memory=memory)
+    def load(self, exe: Module) -> Image:
+        """Map ``exe`` and its dependencies; resolve and relocate.
 
+        The loader is deterministic (no ASLR), so the linked image is a
+        function of its modules: it is built once per (executable,
+        dependency order, vDSO) module set and kept on the executable
+        (``Module.images``), keyed by the modules themselves, since every
+        kernel registers a loader of its own.  Each load takes the
+        image's pages shared (:meth:`Memory.clone`), so a process copies
+        only the pages it writes.
+        """
         libs = self._dependency_order(exe)
+        vdso = self.vdso_module
+        key = (tuple(map(id, libs)), id(vdso))
+        cached = exe.images.get(key)
+        if cached is None:
+            # The entry holds the modules its key names, so no key is
+            # reused by other modules while the entry lives.
+            cached = exe.images[key] = (libs, vdso, self._link(exe, libs))
+        linked = cached[2]
+        return linked.with_memory(linked.memory.clone())
+
+    def _link(self, exe: Module, libs: List[Module]) -> Image:
+        """Map, resolve and relocate ``exe`` and ``libs`` (in load
+        order) and the vDSO into a fresh memory."""
+        memory = Memory()
+        image = Image(memory=memory)
         placements = [(exe, EXEC_BASE)]
         for index, lib in enumerate(libs):
             placements.append((lib, LIB_BASE + index * LIB_STRIDE))

@@ -56,6 +56,9 @@ class Module:
             tests to validate CFG recovery.
         blocks: the interpreter's compiled blocks of ``code``, shared by
             every address space the module is loaded into.
+        images: the loader's linked images of this executable, one per
+            (dependency order, vDSO) module set (see
+            :meth:`repro.binary.loader.Loader.load`).
     """
 
     name: str
@@ -74,6 +77,9 @@ class Module:
     local_symbols: Dict[str, int] = field(default_factory=dict)
     blocks: BlockStore = field(
         default_factory=BlockStore, compare=False, repr=False
+    )
+    images: Dict[tuple, tuple] = field(
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
     @property

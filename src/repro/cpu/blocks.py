@@ -207,11 +207,12 @@ class BlockStore:
     def attest(self, memory: Memory, pageno: int) -> Optional[CodePage]:
         """The store's page for page ``pageno`` of ``memory``: the variant
         decoded from the same bytes, made on first sight of them.  None
-        unless the page is mapped EXEC and not WRITE."""
-        pages, prots = memory.tables()
-        if prots.get(pageno, 0) & (PROT_EXEC | PROT_WRITE) != PROT_EXEC:
+        unless the page is mapped EXEC and not WRITE: the mapping's
+        protection decides, so a shared page mapped writable is refused
+        although its access bits lack WRITE until its first write."""
+        if memory.protection(pageno) & (PROT_EXEC | PROT_WRITE) != PROT_EXEC:
             return None
-        data = pages[pageno]
+        data = memory.page_bytes(pageno)
         variants = self._pages.setdefault(pageno, [])
         for page in variants:
             if page.data == data:

@@ -89,9 +89,13 @@ _ROUTE_KINDS = (
     CoFIKind.FAR_TRANSFER,
 )
 _ALL_KINDS = frozenset(_ROUTE_KINDS)
+#: Per subscribed set of kinds, the ``_ROUTE_KINDS`` indices of its
+#: kinds (filled on first sight of a set), so rerouting hashes no
+#: ``CoFIKind``.
+_ROUTE_INDICES: Dict[frozenset, Tuple[int, ...]] = {}
 #: The kinds whose CoFIs a superblock runs through without publishing.
-_CHAINED_ROUTES = (_ROUTE_KINDS.index(CoFIKind.DIRECT_JMP),
-                   _ROUTE_KINDS.index(CoFIKind.DIRECT_CALL))
+_JMP_ROUTE = _ROUTE_KINDS.index(CoFIKind.DIRECT_JMP)
+_CALL_ROUTE = _ROUTE_KINDS.index(CoFIKind.DIRECT_CALL)
 _new_event = tuple.__new__
 #: The route of a kind whose events the loop appends to a run for the
 #: listener that takes runs, instead of calling it (see
@@ -231,9 +235,9 @@ class Executor:
         self.machine = machine
         self.syscall_handler = syscall_handler
         #: Subscribed listeners, in subscription order, and the kinds
-        #: each one receives.
+        #: each one receives, as ``_ROUTE_KINDS`` indices.
         self.listeners: List[Listener] = []
-        self._listener_kinds: List[frozenset] = []
+        self._listener_kinds: List[Tuple[int, ...]] = []
         #: One tuple of listeners per kind, in ``_ROUTE_KINDS`` order.
         self._routes: Tuple[tuple, ...] = ((),) * len(_ROUTE_KINDS)
         #: While a listener that takes runs is the only subscriber of
@@ -271,10 +275,15 @@ class Executor:
     ) -> None:
         """Subscribe to retired CoFI events of ``kinds`` (None: every
         kind)."""
+        kinds = _ALL_KINDS if kinds is None else frozenset(kinds)
+        indices = _ROUTE_INDICES.get(kinds)
+        if indices is None:
+            indices = _ROUTE_INDICES[kinds] = tuple(
+                index for index, kind in enumerate(_ROUTE_KINDS)
+                if kind in kinds
+            )
         self.listeners.append(listener)
-        self._listener_kinds.append(
-            _ALL_KINDS if kinds is None else frozenset(kinds)
-        )
+        self._listener_kinds.append(indices)
         self._reroute()
 
     def remove_listener(self, listener: Listener) -> None:
@@ -296,25 +305,28 @@ class Executor:
         switches between superblocks and basic blocks (and is dropped)
         when a listener for either kind comes or goes."""
         pairs = list(zip(self.listeners, self._listener_kinds))
-        routes = self._routes = tuple(
-            tuple(fn for fn, kinds in pairs if kind in kinds)
-            for kind in _ROUTE_KINDS
-        )
+        routes = [()] * len(_ROUTE_KINDS)
+        for fn, indices in pairs:
+            for index in indices:
+                routes[index] += (fn,)
+        self._routes = tuple(routes)
         self._runs = None
-        for fn, kinds in pairs:
+        for fn, indices in pairs:
             owner = getattr(fn, "__self__", None)
             on_run = getattr(owner, "on_run", None)
             if on_run is None or fn != getattr(owner, "on_branch", None):
                 continue
-            if all(route == (fn,) for kind, route in zip(_ROUTE_KINDS, routes)
-                   if kind in kinds):
-                deferred = tuple(
-                    _DEFER if kind in kinds else route
-                    for kind, route in zip(_ROUTE_KINDS, routes)
-                )
-                self._runs = (deferred, on_run, owner.run_room)
+            alone = (fn,)
+            for index in indices:
+                if routes[index] != alone:
+                    break
+            else:
+                for index in indices:
+                    routes[index] = _DEFER
+                self._runs = (tuple(routes), on_run, owner.run_room)
                 break
-        chain = not any(routes[i] for i in _CHAINED_ROUTES)
+        routes = self._routes
+        chain = not (routes[_JMP_ROUTE] or routes[_CALL_ROUTE])
         if chain != self._chain:
             self._chain = chain
             self._blocks.clear()

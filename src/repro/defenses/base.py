@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.osmodel.kernel import Kernel
+from repro.osmodel.kernel import Kernel, SyscallInterposer
 from repro.osmodel.process import Process
 from repro.osmodel.syscalls import SENSITIVE_SYSCALLS, SIGKILL
 
@@ -17,34 +17,17 @@ class BaselineDetection:
     reason: str
 
 
-class EndpointDefense:
+class EndpointDefense(SyscallInterposer):
     """Base class: intercept sensitive syscalls, delegate to _check."""
 
     name = "baseline"
 
     def __init__(self, kernel: Kernel, endpoints=None) -> None:
-        self.kernel = kernel
+        super().__init__(kernel)
         self.endpoints = frozenset(
             int(nr) for nr in (endpoints or SENSITIVE_SYSCALLS)
         )
         self.detections: List[BaselineDetection] = []
-        self._originals: Dict[int, object] = {}
-        self._installed = False
-
-    def install(self) -> None:
-        if self._installed:
-            return
-        for nr in self.endpoints:
-            self._originals[nr] = self.kernel.install_handler(
-                nr, self._make_wrapper(nr)
-            )
-        self._installed = True
-
-    def uninstall(self) -> None:
-        for nr, original in self._originals.items():
-            self.kernel.install_handler(nr, original)
-        self._originals.clear()
-        self._installed = False
 
     def _make_wrapper(self, nr: int):
         def wrapper(kernel: Kernel, proc: Process):

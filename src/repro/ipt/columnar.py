@@ -260,15 +260,13 @@ class ColumnarSegment:
     """
 
     __slots__ = (
-        "data", "sync", "synced_offset", "scanned", "pkt_count", "cycles",
-        "truncated", "rec_offsets", "trailing", "far", "_ips", "_sigs",
+        "data", "scanned", "pkt_count", "cycles", "truncated",
+        "rec_offsets", "trailing", "far", "_ips", "_sigs",
     )
 
     def __init__(
         self,
         data,
-        sync: bool,
-        synced_offset: int,
         scanned: int,
         pkt_count: int,
         cycles: float,
@@ -280,10 +278,9 @@ class ColumnarSegment:
         far: "bytes | bytearray",
     ) -> None:
         self.data = data
-        self.sync = sync
-        self.synced_offset = synced_offset
-        #: bytes consumed from ``synced_offset`` on (a cut final
-        #: packet is not consumed); the scan charges exactly these.
+        #: bytes consumed from where the scan started (its PSB with
+        #: ``sync``) on (a cut final packet is not consumed); the scan
+        #: charges exactly these.
         self.scanned = scanned
         self.pkt_count = pkt_count
         self.cycles = cycles
@@ -305,21 +302,19 @@ class ColumnarSegment:
         return self._ips
 
 
-def _empty_segment(data, sync: bool) -> ColumnarSegment:
-    return ColumnarSegment(
-        data, sync, len(data), 0, 0, 0.0, False, [], [], [], 1, _NO_FAR
-    )
+def _empty_segment(data) -> ColumnarSegment:
+    return ColumnarSegment(data, 0, 0, 0.0, False, [], [], [], 1, _NO_FAR)
 
 
 def _finish_segment(
-    data, sync, synced, pos, pkt_count, truncated, ips, rec_offsets, sigs,
+    data, synced, pos, pkt_count, truncated, ips, rec_offsets, sigs,
     trailing, far,
 ) -> ColumnarSegment:
     """Shared scan epilogue: the identical cycle charge and telemetry
     counters regardless of which scanner produced the columns."""
     scanned = pos - synced
     seg = ColumnarSegment(
-        data, sync, synced, scanned, pkt_count,
+        data, scanned, pkt_count,
         scanned * costs.FAST_DECODE_CYCLES_PER_BYTE, truncated,
         ips, rec_offsets, sigs, trailing, far,
     )
@@ -380,7 +375,7 @@ def _scan_python(data, sync: bool) -> ColumnarSegment:
     if sync:
         pos = sync_to_psb(raw)
         if pos < 0:
-            return _empty_segment(data, sync)
+            return _empty_segment(data)
     synced = pos
     size = len(raw)
     dispatch = DISPATCH
@@ -526,7 +521,7 @@ def _scan_python(data, sync: bool) -> ColumnarSegment:
     if total_bits - pend_start > SIG_MAX_BITS:
         run_sig = _bits_sig(tnt_buf, pend_start, total_bits)
     return _finish_segment(
-        data, sync, synced, pos, pkt_count, truncated, ips, rec_offsets,
+        data, synced, pos, pkt_count, truncated, ips, rec_offsets,
         sigs, run_sig, array("Q", far).tobytes(),
     )
 
@@ -571,7 +566,7 @@ def _scan_kernel_segment(lib, data, sync: bool) -> ColumnarSegment:
     if sync:
         pos = sync_to_psb(raw)
         if pos < 0:
-            return _empty_segment(data, sync)
+            return _empty_segment(data)
     size = len(raw)
     span = size - pos
     # Worst-case capacities: every TIP is >= 2 bytes, every far packet
@@ -621,7 +616,7 @@ def _scan_kernel_segment(lib, data, sync: bool) -> ColumnarSegment:
         if not trailing:
             trailing = _bits_sig(tnt, pend_start, total_bits)
     return _finish_segment(
-        data, sync, pos, end_pos, pkt_count, bool(truncated), ips,
+        data, pos, end_pos, pkt_count, bool(truncated), ips,
         rec_offsets, sigs, trailing,
         buf[far_at:far_at + _FAR_HEAD_SIZE + _FAR_ENTRY_SIZE * nfar],
     )

@@ -112,9 +112,10 @@ class FastPathChecker:
         self.last_corrupt_segments = 0
         #: the module-span range table (see :func:`module_ranges`):
         #: range starts for ``bisect``, and ``(base, end, name,
-        #: is_executable)`` per range.  Per checker, because the image
-        #: is; ``execve`` and ``rebind`` build a fresh checker.  A
-        #: checker with no span requirement may have no image.
+        #: is_executable)`` per range.  Per image, shared by the images
+        #: of one module set; ``execve`` and ``rebind`` build a fresh
+        #: checker.  A checker with no span requirement may have no
+        #: image.
         ranges = [] if image is None else module_ranges(image)
         self._range_starts = [entry[0] for entry in ranges]
         self._ranges = ranges
@@ -379,8 +380,13 @@ def module_ranges(image: Image) -> List[Tuple[int, int, str, bool]]:
     The map is cut at every module's base and end; each piece goes to
     the first module of ``image.all_modules()`` (the modules in load
     order, then the vDSO: ``module_of``'s precedence) that covers it,
-    and a piece no module covers is left out.
+    and a piece no module covers is left out.  The table is kept in
+    ``image.derived``, so the images of one loaded module set build it
+    once.
     """
+    ranges = image.derived.get("module_ranges")
+    if ranges is not None:
+        return ranges
     modules = image.all_modules()
     cuts = sorted({lm.base for lm in modules} | {lm.end for lm in modules})
     ranges = []
@@ -389,4 +395,5 @@ def module_ranges(image: Image) -> List[Tuple[int, int, str, bool]]:
             if lm.base <= lo < lm.end:
                 ranges.append((lo, hi, lm.name, lm.is_executable))
                 break
+    image.derived["module_ranges"] = ranges
     return ranges

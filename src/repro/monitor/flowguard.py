@@ -18,7 +18,9 @@ the paper's enforcement action.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import (
+    Callable, ClassVar, Dict, FrozenSet, List, Optional, Tuple,
+)
 
 from repro import costs
 from repro.telemetry import get_telemetry
@@ -33,7 +35,7 @@ from repro.monitor.policy import FlowGuardPolicy
 from repro.monitor.slowpath import SlowPathEngine
 from repro.resilience.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.resilience.ledger import DegradationLedger
-from repro.osmodel.kernel import Kernel
+from repro.osmodel.kernel import Kernel, SyscallInterposer
 from repro.osmodel.process import Process
 from repro.osmodel.syscalls import SIGKILL
 
@@ -137,7 +139,7 @@ class ProtectedProcess:
     stats: MonitorStats = field(default_factory=MonitorStats)
 
 
-class FlowGuardMonitor:
+class FlowGuardMonitor(SyscallInterposer):
     """The kernel module: owns interception and per-process state."""
 
     #: snapshot re-reads per check before giving up on a drain whose
@@ -151,7 +153,7 @@ class FlowGuardMonitor:
         policy: Optional[FlowGuardPolicy] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
-        self.kernel = kernel
+        super().__init__(kernel)
         self.policy = policy if policy is not None else FlowGuardPolicy()
         self._telemetry = get_telemetry()
         #: deterministic fault plane (None = fault-free, bit-identical
@@ -165,8 +167,6 @@ class FlowGuardMonitor:
         self.degradations = DegradationLedger()
         self.detections: List[Detection] = []
         self._protected: Dict[int, ProtectedProcess] = {}  # by CR3
-        self._originals: Dict[int, object] = {}
-        self._installed = False
         #: Optional ToPA constructor ``f(pmi_callback) -> ToPA``;
         #: subclasses (the fleet's per-process rings) override the
         #: paper's two-region 16 KiB default.
@@ -175,23 +175,10 @@ class FlowGuardMonitor:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def install(self) -> None:
-        """Swap the endpoint syscall-table entries (§5.2)."""
-        if self._installed:
-            return
-        for nr in self.policy.endpoints:
-            original = self.kernel.install_handler(
-                nr, self._make_wrapper(nr)
-            )
-            self._originals[nr] = original
-        self._installed = True
-
-    def uninstall(self) -> None:
-        """Restore the original syscall table."""
-        for nr, original in self._originals.items():
-            self.kernel.install_handler(nr, original)
-        self._originals.clear()
-        self._installed = False
+    @property
+    def endpoints(self) -> FrozenSet[int]:
+        """The intercepted syscalls: the policy's endpoints."""
+        return self.policy.endpoints
 
     def protect(
         self,

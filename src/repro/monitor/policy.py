@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet
 
 from repro.configio import JsonConfig
 from repro.osmodel.syscalls import SENSITIVE_SYSCALLS
+
+_SENSITIVE = frozenset(int(s) for s in SENSITIVE_SYSCALLS)
 
 
 @dataclass
@@ -36,9 +38,7 @@ class FlowGuardPolicy(JsonConfig):
     cred_ratio: float = 1.0
     require_cross_module: bool = True
     require_executable: bool = True
-    endpoints: FrozenSet[int] = field(
-        default_factory=lambda: frozenset(int(s) for s in SENSITIVE_SYSCALLS)
-    )
+    endpoints: FrozenSet[int] = _SENSITIVE
     check_on_pmi: bool = False
     #: cache slow-path negatives as high-credit edges (§7.1.1).
     cache_slow_path_negatives: bool = True

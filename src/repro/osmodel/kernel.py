@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro import costs
 from repro.telemetry import get_telemetry
@@ -159,7 +159,7 @@ class Kernel:
 
     def _make_process(self, pid: int, name: str, image: Image) -> Process:
         memory = image.memory
-        memory.map_region(
+        memory.map_demand_zero(
             STACK_TOP - STACK_SIZE, STACK_SIZE, PROT_READ | PROT_WRITE
         )
         machine = Machine(memory)
@@ -362,7 +362,7 @@ class Kernel:
         addr = proc.mmap_next
         aligned = (size + 4095) // 4096 * 4096
         proc.mmap_next += aligned + 4096  # guard gap
-        proc.machine.memory.map_region(addr, aligned, prot)
+        proc.machine.memory.map_demand_zero(addr, aligned, prot)
         return addr
 
     def _sys_mprotect(self, kernel: "Kernel", proc: Process) -> int:
@@ -384,7 +384,7 @@ class Kernel:
         exe, loader = self.programs[path]
         image = loader.load(exe)
         memory = image.memory
-        memory.map_region(
+        memory.map_demand_zero(
             STACK_TOP - STACK_SIZE, STACK_SIZE, PROT_READ | PROT_WRITE
         )
         proc.image = image
@@ -420,8 +420,7 @@ class Kernel:
         machine.ip = parent.machine.ip  # already past the syscall insn
         machine.zf, machine.sf = parent.machine.zf, parent.machine.sf
         machine.set_reg(R0, 0)  # fork returns 0 in the child
-        image = Image(memory=memory, modules=list(parent.image.modules),
-                      vdso=parent.image.vdso)
+        image = parent.image.with_memory(memory)
         executor = Executor(machine)
         cr3 = self._next_cr3
         self._next_cr3 += 0x1000
@@ -587,7 +586,7 @@ class Kernel:
         if request < HEAP_BASE or request >= MMAP_BASE:
             return EINVAL
         if request > proc.heap_brk:
-            proc.machine.memory.map_region(
+            proc.machine.memory.map_demand_zero(
                 proc.heap_brk, request - proc.heap_brk, PROT_READ | PROT_WRITE
             )
         proc.heap_brk = request
@@ -598,3 +597,42 @@ class Kernel:
         if path is None:
             return EFAULT
         return 0 if self.fs.unlink(path) else ENOENT
+
+
+class SyscallInterposer:
+    """A kernel module that wraps endpoint syscalls (§5.2): FlowGuard's
+    monitor and the baseline defenses.
+
+    :meth:`install` swaps each syscall in ``endpoints`` for
+    ``_make_wrapper(nr)`` and keeps the original handler, which the
+    wrapper calls to let the syscall proceed; :meth:`uninstall` puts
+    the originals back.
+    """
+
+    endpoints: FrozenSet[int]
+
+    def __init__(self, kernel: Kernel) -> None:
+        self.kernel = kernel
+        self._originals: Dict[int, SyscallHandler] = {}
+        self._installed = False
+
+    def install(self) -> None:
+        """Swap the endpoint syscall-table entries for wrappers."""
+        if self._installed:
+            return
+        for nr in self.endpoints:
+            self._originals[nr] = self.kernel.install_handler(
+                nr, self._make_wrapper(nr)
+            )
+        self._installed = True
+
+    def uninstall(self) -> None:
+        """Restore the original syscall table."""
+        for nr, original in self._originals.items():
+            self.kernel.install_handler(nr, original)
+        self._originals.clear()
+        self._installed = False
+
+    def _make_wrapper(self, nr: int) -> SyscallHandler:
+        """The handler that replaces syscall ``nr``."""
+        raise NotImplementedError

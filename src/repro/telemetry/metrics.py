@@ -72,8 +72,8 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-class Counter:
-    """Monotonically increasing value (events, bytes, cycles)."""
+class _Scalar:
+    """One float per labeled series: what a counter and a gauge share."""
 
     __slots__ = ("name", "_registry", "_series")
 
@@ -82,14 +82,23 @@ class Counter:
         self._registry = registry
         self._series: Dict[LabelKey, float] = {}
 
+    def value(self, **labels: object) -> float:
+        return self._series.get(_label_key(labels), 0.0)
+
+    def reset(self) -> None:
+        self._series.clear()
+
+
+class Counter(_Scalar):
+    """Monotonically increasing value (events, bytes, cycles)."""
+
+    __slots__ = ()
+
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         if not self._registry.enabled:
             return
         key = _label_key(labels)
         self._series[key] = self._series.get(key, 0.0) + amount
-
-    def value(self, **labels: object) -> float:
-        return self._series.get(_label_key(labels), 0.0)
 
     def total(self, **labels: object) -> float:
         """Sum across every labeled series.
@@ -108,30 +117,16 @@ class Counter:
             if want <= set(key)
         )
 
-    def reset(self) -> None:
-        self._series.clear()
 
-
-class Gauge:
+class Gauge(_Scalar):
     """Last-written value (sizes, ratios, configuration)."""
 
-    __slots__ = ("name", "_registry", "_series")
-
-    def __init__(self, name: str, registry: "MetricsRegistry") -> None:
-        self.name = name
-        self._registry = registry
-        self._series: Dict[LabelKey, float] = {}
+    __slots__ = ()
 
     def set(self, value: float, **labels: object) -> None:
         if not self._registry.enabled:
             return
         self._series[_label_key(labels)] = float(value)
-
-    def value(self, **labels: object) -> float:
-        return self._series.get(_label_key(labels), 0.0)
-
-    def reset(self) -> None:
-        self._series.clear()
 
 
 class Histogram:

@@ -96,9 +96,8 @@ class ReferenceExecutor:
             insn, _ = decode_at(raw, 0)
         except (MemoryError_, DecodeError) as exc:
             raise CPUFault(f"fetch/decode fault: {exc}", ip) from exc
-        prots = memory.tables()[1]
         first, last = ip >> PAGE_SHIFT, (ip + length - 1) >> PAGE_SHIFT
-        if not any(prots[page] & PROT_WRITE
+        if not any(memory.protection(page) & PROT_WRITE
                    for page in range(first, last + 1)):
             self._icache[ip] = (insn, length)
         return insn, length

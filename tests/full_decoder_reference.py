@@ -54,14 +54,15 @@ _CONTEXT = (
 
 def byte_packets(parts) -> Iterator[Optional[DecodedPacket]]:
     """The packets of ``(ColumnarSegment, stream_base)`` parts, parsed
-    from each segment's raw bytes (from its sync point); ``None`` marks
-    the start of each part.  PAD is skipped, and a cut final packet ends
+    from each segment's raw bytes (from the first: the slow path's
+    segments are never scanned with ``sync``); ``None`` marks the start
+    of each part.  PAD is skipped, and a cut final packet ends
     the part."""
     for seg, base in parts:
         yield None
         raw = bytes(seg.data)
         size = len(raw)
-        pos = seg.synced_offset if seg.sync else 0
+        pos = 0
         last_ip = 0
         while pos < size:
             kind = _KINDS[DISPATCH[raw[pos]]]
@@ -121,7 +122,7 @@ def listed_packets(parts) -> Iterator[Optional[DecodedPacket]]:
     """The same sequence from the packet-object decoder."""
     for seg, base in parts:
         yield None
-        for p in fast_decode(seg.data, sync=seg.sync).packets:
+        for p in fast_decode(seg.data).packets:
             yield DecodedPacket(p.kind, p.offset + base, p.bits, p.ip)
 
 

@@ -266,11 +266,12 @@ def fast_decode(data, sync: bool = False,
 
 def packets_of(parts) -> List[DecodedPacket]:
     """The packets of ``(ColumnarSegment, stream_base)`` parts — a
-    slow-path source's — decoded by the oracle, rebased to stream
-    offsets."""
+    slow-path source's — decoded by the oracle from each segment's
+    first byte (a slow-path source holds no ``sync`` scan), rebased to
+    stream offsets."""
     packets: List[DecodedPacket] = []
     for seg, base in parts:
-        for p in fast_decode(seg.data, sync=seg.sync).packets:
+        for p in fast_decode(seg.data).packets:
             packets.append(
                 DecodedPacket(p.kind, p.offset + base, p.bits, p.ip)
             )

@@ -115,7 +115,7 @@ def full_scan_reference(data, sync: bool = False) -> FullScan:
         if pos < 0:
             return FullScan(
                 array("Q"), array("Q"), array("L"), array("L"), b"", 0, 0,
-                _empty_segment(data, sync),
+                _empty_segment(data),
             )
     synced = pos
     size = len(data)
@@ -238,7 +238,7 @@ def full_scan_reference(data, sync: bool = False) -> FullScan:
 
     tnt_bits = bytes(tnt_buf)
     segment = _finish_segment(
-        data, sync, synced, pos, pkt_count, truncated,
+        data, synced, pos, pkt_count, truncated,
         [None if ip == NO_IP else ip for ip in rec_ips],
         rec_offsets.tolist(),
         [

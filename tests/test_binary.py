@@ -283,10 +283,11 @@ def test_server_image_bytes_pinned(name):
     image = Loader(libraries(), vdso=build_vdso()).load(
         SERVER_BUILDERS[name]()
     )
-    pages, prots = image.memory.tables()
+    memory = image.memory
+    pages, _ = memory.tables()
     digest = hashlib.sha256()
     for pageno in sorted(pages):
         digest.update(pageno.to_bytes(8, "little"))
-        digest.update(bytes([prots[pageno]]))
+        digest.update(bytes([memory.protection(pageno)]))
         digest.update(pages[pageno])
     assert digest.hexdigest() == SERVER_IMAGE_PINS[name]

@@ -211,7 +211,6 @@ def assert_scan_parity(data, sync=False):
     assert unpack_tnt_sig(col.trailing) == obj_trailing
     assert col.cycles == obj.cycles
     assert col.truncated == obj.truncated
-    assert col.synced_offset == obj.synced_offset
     assert col.pkt_count == len(obj.packets)
 
 
@@ -245,7 +244,7 @@ class TestScanParity:
     def test_sync_without_psb(self):
         seg = columnar_scan(b"\xde\xad\xbe\xef", sync=True)
         assert seg.ip_column() == []
-        assert seg.synced_offset == 4
+        assert seg.scanned == seg.pkt_count == 0
         assert seg.cycles == 0.0
 
     def test_empty(self):
@@ -1017,6 +1016,9 @@ class _StubModule:
 
 class _StubImage:
     """What ``module_ranges`` reads of an image."""
+
+    def __init__(self):
+        self.derived = {}
 
     def all_modules(self):
         return [_StubModule(*module) for module in WALK_MODULES]

@@ -307,7 +307,9 @@ class TestFastDecode:
         data = topa.snapshot()
         seg = columnar_scan(data, sync=True)
         assert seg.pkt_count and seg.ip_column()
-        assert data[seg.synced_offset:].startswith(PSB_PATTERN)
+        synced = sync_to_psb(data)
+        assert synced >= 0 and data[synced:].startswith(PSB_PATTERN)
+        assert seg.rec_offsets[0] > synced
 
     def test_tip_records_carry_tnt_context(self):
         _, encoder, _, symbols = run_traced(LOOP_SNIPPET)

@@ -60,7 +60,6 @@ def segment_columns(seg):
         seg.scanned,
         seg.cycles,
         seg.truncated,
-        seg.synced_offset,
         tuple(seg.ip_column()),
         tuple(seg.rec_offsets),
         tuple(seg.sig_column()),
