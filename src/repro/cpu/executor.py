@@ -310,6 +310,7 @@ class Executor:
             for index in indices:
                 routes[index] += (fn,)
         self._routes = tuple(routes)
+        chain = not (routes[_JMP_ROUTE] or routes[_CALL_ROUTE])
         self._runs = None
         for fn, indices in pairs:
             owner = getattr(fn, "__self__", None)
@@ -325,8 +326,6 @@ class Executor:
                     routes[index] = _DEFER
                 self._runs = (tuple(routes), on_run, owner.run_room)
                 break
-        routes = self._routes
-        chain = not (routes[_JMP_ROUTE] or routes[_CALL_ROUTE])
         if chain != self._chain:
             self._chain = chain
             self._blocks.clear()

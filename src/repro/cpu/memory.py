@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 if TYPE_CHECKING:
     from repro.cpu.blocks import BlockStore
@@ -42,8 +42,6 @@ PAGE_SIZE = 1 << PAGE_SHIFT
 PROT_READ = 1
 PROT_WRITE = 2
 PROT_EXEC = 4
-
-Page = Union[bytearray, bytes]
 
 
 @functools.lru_cache(maxsize=64)
@@ -64,7 +62,7 @@ class Memory:
     def __init__(self) -> None:
         #: The pages that exist: touched, written by the loader, or
         #: taken shared from another address space.
-        self._pages: Dict[int, Page] = {}
+        self._pages: Dict[int, bytearray] = {}
         #: The mapping: every mapped page's protection.
         self._prots: Dict[int, int] = {}
         #: The access table: per page in ``_pages``, its protection,
@@ -184,7 +182,7 @@ class Memory:
         """Page ``pageno``'s protection in the mapping (0: unmapped)."""
         return self._prots.get(pageno, 0)
 
-    def page_bytes(self, pageno: int) -> Optional[Page]:
+    def page_bytes(self, pageno: int) -> Optional[bytearray]:
         """Page ``pageno``'s bytes, to read and not to write (a
         shared page is returned as it is); a mapped page nobody has
         touched is zero-filled first.  None when it is unmapped."""
@@ -201,7 +199,7 @@ class Memory:
         return any(self._prots.get(pageno, 0) & PROT_WRITE
                    for pageno in range(first, last + 1))
 
-    def tables(self) -> Tuple[Dict[int, Page], Dict[int, int]]:
+    def tables(self) -> Tuple[Dict[int, bytearray], Dict[int, int]]:
         """The live page dict and access table, keyed by page number.
 
         The interpreter's one-page fast path reads them directly: a
