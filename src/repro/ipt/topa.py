@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 
-@dataclass(frozen=True)
+@dataclass
 class ToPARegion:
     """One output region.
 
@@ -33,11 +33,6 @@ class ToPARegion:
     size: int
     interrupt: bool = False
     stop: bool = False
-
-
-#: The paper's two 8 KiB regions (regions are never changed, so every
-#: default ToPA lists the same two).
-_FLOWGUARD_REGIONS = (ToPARegion(8192), ToPARegion(8192, interrupt=True))
 
 
 @dataclass
@@ -65,7 +60,13 @@ class ToPA:
     ) -> "ToPA":
         """The paper's configuration: two regions, 16 KiB total, PMI on
         the last region."""
-        return cls(regions=list(_FLOWGUARD_REGIONS), pmi_callback=pmi_callback)
+        return cls(
+            regions=[
+                ToPARegion(8192),
+                ToPARegion(8192, interrupt=True),
+            ],
+            pmi_callback=pmi_callback,
+        )
 
     @property
     def capacity(self) -> int:
