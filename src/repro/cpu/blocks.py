@@ -36,8 +36,16 @@ could round differently.
   :data:`GROUP_SPAN` bytes form a *group*, checked once, at its first
   access: its bytes lie on one page that has every R/W bit the group
   needs.  After the check its loads and stores index that page's
-  bytearray directly.  Nothing is forwarded through memory: a load reads
-  the page even right after a store to the same address.
+  bytearray directly.
+- *Forwarding through memory.*  A u64 *slot* is one offset of one
+  group.  The compiler remembers the register value last stored to each
+  slot (STORE, PUSH, CALL) or loaded from it (LOAD, POP), and a LOAD,
+  POP or RET of a remembered slot becomes an alias of that value, with
+  no read of the page.  The access is still filed in its group, so the
+  group's check, and every bail and fault, stay as they were.  Every
+  store still writes the page; it forgets every slot of the other
+  groups (another base value may point at the same bytes) and the slots
+  of its own group that it overlaps, and a STOREB only forgets.
 - *Bails.*  Where the loop would leave its fast path — a group that does
   not fit one page or lacks a protection bit, a zero divisor — the
   function returns before that instruction, uncharged, with ``retired``
@@ -330,6 +338,9 @@ class _Compiler:
         self.groups: List[_Group] = []
         #: The groups of each base value.
         self._based: Dict[str, List[_Group]] = {}
+        #: The register value each u64 slot ``(group id, offset)`` is
+        #: known to hold.
+        self.slots: Dict[Tuple[int, int], Tuple[str, int]] = {}
         self.insns: List[_Insn] = []
 
     # -- register values ------------------------------------------------
@@ -400,6 +411,34 @@ class _Compiler:
         base, at = self.value(SP)
         return self.access(k, base, at + delta, 8, need)
 
+    # -- forwarding -----------------------------------------------------
+
+    def stored(self, a: _Access, width: int,
+               value: Optional[Tuple[str, int]] = None) -> None:
+        """Forget the slots a store of ``width`` bytes at ``a`` may
+        change, then remember that its slot holds ``value``, if given
+        (a u64 store)."""
+        gid, lo, hi = a.group.id, a.offset, a.offset + width
+        self.slots = {key: v for key, v in self.slots.items()
+                      if key[0] == gid and (key[1] >= hi or key[1] + 8 <= lo)}
+        if value is not None:
+            self.slots[gid, lo] = value
+
+    def loaded(self, a: _Access, rd: Optional[int],
+               body: list) -> Tuple[str, int]:
+        """The value of the u64 slot at ``a``, which register ``rd``
+        takes (None: none does): the value the slot is known to hold,
+        else a new local that reads the page."""
+        key = a.group.id, a.offset
+        value = self.slots.get(key)
+        if value is None:
+            name = self.write(rd) if rd is not None else "t"
+            body.append(lambda: f"{name} = unpack({a.page}, {a.at})[0]")
+            value = self.slots[key] = (name, 0)
+        elif rd is not None:
+            self.values[rd] = value
+        return value
+
     # -- instructions ---------------------------------------------------
 
     def insn(self, k: int, pc: int, e: tuple, last: bool,
@@ -423,12 +462,13 @@ class _Compiler:
 
         if op == Op.LOAD:
             a = self.based(k, e[4], e[5], 8, R)
-            name = self.write(e[3])
-            body.append(lambda: f"{name} = unpack({a.page}, {a.at})[0]")
+            self.loaded(a, e[3], body)
         elif op == Op.STORE:
             a = self.based(k, e[3], e[4], 8, W)
-            src = self.read(e[5])
+            v = self.value(e[5])
+            src = _expr(v)
             body.append(lambda: f"pack({a.page}, {a.at}, {src})")
+            self.stored(a, 8, v)
         elif op == Op.LOADB:
             a = self.based(k, e[4], e[5], 1, R)
             name = self.write(e[3])
@@ -437,19 +477,21 @@ class _Compiler:
             a = self.based(k, e[3], e[4], 1, W)
             src = self.read(e[5])
             body.append(lambda: f"{a.page}[{a.at}] = {src} & 255")
+            self.stored(a, 1)
         elif op == Op.PUSH:
             # The value is read first, so PUSH SP stores the old SP.
-            src = self.read(e[3])
+            v = self.value(e[3])
+            src = _expr(v)
             a = self.stack(k, -8, W)
             body.append(lambda: f"pack({a.page}, {a.at}, {src})")
+            self.stored(a, 8, v)
             base, delta = self.value(SP)
             self.values[SP] = (base, delta - 8)
         elif op == Op.POP:
             a = self.stack(k, 0, R)
             base, delta = self.value(SP)
             self.values[SP] = (base, delta + 8)
-            name = self.write(e[3])  # POP SP keeps the popped value
-            body.append(lambda: f"{name} = unpack({a.page}, {a.at})[0]")
+            self.loaded(a, e[3], body)  # POP SP keeps the popped value
         elif op == Op.MOV_RR:
             self.values[e[3]] = self.value(e[4])
         elif op == Op.MOV_RI:
@@ -509,6 +551,7 @@ class _Compiler:
             target = str(e[3]) if op == Op.CALL else self.read(e[3])
             a = self.stack(k, -8, W)
             body.append(lambda: f"pack({a.page}, {a.at}, {e[2]})")
+            self.stored(a, 8, (str(e[2]), 0))
             base, delta = self.value(SP)
             self.values[SP] = (base, delta - 8)
             if last:
@@ -517,8 +560,7 @@ class _Compiler:
             a = self.stack(k, 0, R)
             base, delta = self.value(SP)
             self.values[SP] = (base, delta + 8)
-            body.append(lambda: f"t = unpack({a.page}, {a.at})[0]")
-            ret("t")
+            ret(_expr(self.loaded(a, None, body)))
         else:
             raise ValueError(f"no block form for opcode {op:#04x}")
         if last and op not in _ROUTE:

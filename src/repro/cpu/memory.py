@@ -24,7 +24,11 @@ So the fast path's existing test sends the first write to a shared page,
 and the first touch of an untouched one, to this class's slow path,
 which gives the address space its own copy (or a zero-filled page) and
 the page's full bits.  Nothing is ever written to a shared page, so a
-store in one process cannot show in another.
+store in one process cannot show in another.  The kernel's copies in
+and out of guest memory (:meth:`Memory.read`, :meth:`Memory.write`)
+read the same access table: bytes that lie on one page whose bits allow
+the access are sliced in place, and anything else takes the checked
+path.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ if TYPE_CHECKING:
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
+_OFFSET = PAGE_SIZE - 1
 
 PROT_READ = 1
 PROT_WRITE = 2
@@ -259,10 +264,20 @@ class Memory:
                 )
 
     def read(self, addr: int, size: int) -> bytes:
+        offset = addr & _OFFSET
+        if (offset + size <= PAGE_SIZE
+                and self._access.get(addr >> PAGE_SHIFT, 0) & PROT_READ):
+            return bytes(self._pages[addr >> PAGE_SHIFT][offset:offset + size])
         self._check(addr, size, PROT_READ, "read")
         return self.read_raw(addr, size)
 
     def write(self, addr: int, data: bytes) -> None:
+        offset = addr & _OFFSET
+        end = offset + len(data)
+        if (end <= PAGE_SIZE
+                and self._access.get(addr >> PAGE_SHIFT, 0) & PROT_WRITE):
+            self._pages[addr >> PAGE_SHIFT][offset:end] = data
+            return
         self._check(addr, len(data), PROT_WRITE, "write")
         self.write_raw(addr, data)
 

@@ -23,7 +23,7 @@ from repro.telemetry import get_telemetry
 from repro.binary.loader import Image, Loader
 from repro.binary.module import Module
 from repro.cpu.executor import CPUFault, Executor, HaltReason
-from repro.cpu.machine import Machine, to_signed
+from repro.cpu.machine import U64_MASK, Machine, to_signed
 from repro.cpu.memory import (
     MemoryError_,
     PROT_READ,
@@ -59,6 +59,15 @@ ENOENT = -2
 EINVAL = -22
 
 SyscallHandler = Callable[["Kernel", Process], Optional[int]]
+
+# The descriptor kinds the I/O handlers test, bound once: each
+# ``FDKind.X`` lookup goes through the enum's metaclass (about 170 ns on
+# CPython 3.11, against 15 ns for a global), and libsim's ``read_line``
+# reads its input one byte per syscall.
+_STDIN = FDKind.STDIN
+_STDOUT = FDKind.STDOUT
+_FILE = FDKind.FILE
+_CONN = FDKind.CONN
 
 # Signal frame: magic, 18 registers, ip, flags.
 _FRAME_MAGIC = 0x5347464D41524B  # "SGFMARK"
@@ -231,7 +240,7 @@ class Kernel:
     # -- syscall dispatch ------------------------------------------------------------
 
     def _dispatch_syscall(self, proc: Process) -> None:
-        nr = proc.machine.reg(R0)
+        nr = proc.machine.regs[R0]
         tel = get_telemetry()
         if tel.enabled:
             try:
@@ -240,12 +249,10 @@ class Kernel:
                 name = f"nr{nr}"
             tel.metrics.counter("kernel.syscalls").inc(name=name)
         handler = self.syscall_table.get(nr)
-        if handler is None:
-            proc.machine.set_reg(R0, EINVAL)
-            return
-        result = handler(self, proc)
+        result = EINVAL if handler is None else handler(self, proc)
         if result is not None:
-            proc.machine.set_reg(R0, result)
+            # ``regs`` read again: execve and sigreturn replace it.
+            proc.machine.regs[R0] = result & U64_MASK
 
     # -- memory helpers ----------------------------------------------------------------
 
@@ -281,53 +288,57 @@ class Kernel:
         return None
 
     def _sys_read(self, kernel: "Kernel", proc: Process) -> int:
-        fd_num = proc.machine.reg(R1)
-        buf = proc.machine.reg(R2)
-        size = proc.machine.reg(R3)
-        fd = proc.fds.get(fd_num)
+        regs = proc.machine.regs
+        fd = proc.fds.get(regs[R1])
         if fd is None:
             return EBADF
-        if fd.kind is FDKind.STDIN:
-            data = bytes(proc.stdin_buffer[:size])
-            del proc.stdin_buffer[: len(data)]
-        elif fd.kind is FDKind.FILE:
+        size = regs[R3]
+        kind = fd.kind
+        if kind is _CONN:
+            source = fd.conn.inbound
+        elif kind is _STDIN:
+            source = proc.stdin_buffer
+        elif kind is _FILE:
             if not self.fs.exists(fd.path):
                 return ENOENT
-            data = self.fs.read_at(fd.path, fd.pos, size)
-            fd.pos += len(data)
-        elif fd.kind is FDKind.CONN:
-            data = bytes(fd.conn.inbound[:size])
-            del fd.conn.inbound[: len(data)]
+            source = None
         else:
             return EBADF
-        if data and not self._copy_out(proc, buf, data):
+        data = (source[:size] if source is not None
+                else self.fs.read_at(fd.path, fd.pos, size))
+        if data and not self._copy_out(proc, regs[R2], data):
             return EFAULT
+        # Consumed only once copied, so a read that faults loses no
+        # input (as Linux's tcp_recvmsg and file reads).
+        if source is not None:
+            del source[:len(data)]
+        else:
+            fd.pos += len(data)
         proc.executor.cycles += len(data) * costs.KERNEL_IO_CYCLES_PER_BYTE
         return len(data)
 
     def _sys_write(self, kernel: "Kernel", proc: Process) -> int:
-        fd_num = proc.machine.reg(R1)
-        buf = proc.machine.reg(R2)
-        size = proc.machine.reg(R3)
-        fd = proc.fds.get(fd_num)
+        regs = proc.machine.regs
+        fd = proc.fds.get(regs[R1])
         if fd is None:
             return EBADF
-        data = self._copy_in(proc, buf, size)
+        data = self._copy_in(proc, regs[R2], regs[R3])
         if data is None:
             return EFAULT
         proc.executor.cycles += len(data) * costs.KERNEL_IO_CYCLES_PER_BYTE
-        if fd.kind is FDKind.STDOUT:
+        kind = fd.kind
+        if kind is _CONN:
+            fd.conn.outbound.extend(data)
+            return len(data)
+        if kind is _STDOUT:
             proc.stdout.extend(data)
             return len(data)
-        if fd.kind is FDKind.FILE:
+        if kind is _FILE:
             if not fd.writable:
                 return EBADF
             written = self.fs.write_at(fd.path, fd.pos, data)
             fd.pos += written
             return written
-        if fd.kind is FDKind.CONN:
-            fd.conn.outbound.extend(data)
-            return len(data)
         return EBADF
 
     def _sys_open(self, kernel: "Kernel", proc: Process) -> int:

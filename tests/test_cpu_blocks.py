@@ -21,6 +21,7 @@ the reference encoder per event; the ToPA bytes must match too.
 """
 
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -1076,6 +1077,135 @@ def test_divide_by_zero_with_dirty_registers(runs, kinds, op):
     outcome = poisoned(snippet, R12, 0, KINDS[kinds])
     assert outcome[0] == "CPUFault" and "divide by zero" in outcome[1]
     assert [r for r in runs if r[1] != r[2]]
+
+
+# -- forwarding through memory ------------------------------------------------
+
+@pytest.fixture
+def sources(monkeypatch):
+    """The generated code of every block compiled, in order."""
+    out = []
+    source = blocks._source
+
+    def recording(entries):
+        out.append(source(entries))
+        return out[-1]
+
+    monkeypatch.setattr(blocks, "_source", recording)
+    return out
+
+
+def page_reads(source):
+    """The u64 reads of the page in a block's code."""
+    return len(re.findall(r"\bunpack\(", source))
+
+
+# (snippet, u64 page reads in the block after the SYSCALL).  R2 (and R3)
+# point at R1's slot 8 through another base value: ADDI makes a new one.
+FORWARDING = {
+    "store-load": ([A.store(R1, 8, R6), A.load(R5, R1, 8),
+                    A.load(R4, R1, 8)], 0),
+    "load-load": ([A.load(R4, R1, 16), A.load(R5, R1, 16),
+                   A.sub(R5, R4)], 1),
+    "other-base-store": ([A.movr(R2, R1), A.addi(R2, 8), A.store(R1, 8, R6),
+                          A.store(R2, 0, R7), A.load(R5, R1, 8)], 1),
+    "other-base-store-after-load": ([A.movr(R2, R1), A.addi(R2, 8),
+                                     A.load(R4, R1, 8), A.store(R2, 0, R6),
+                                     A.load(R5, R1, 8), A.sub(R5, R4)], 2),
+    "storeb-last-byte": ([A.store(R1, 8, R0), A.storeb(R1, 15, R6),
+                          A.load(R5, R1, 8)], 1),
+    "store-first-byte": ([A.store(R1, 8, R0), A.store(R1, 1, R6),
+                          A.load(R5, R1, 8)], 1),
+    # Stores that end where the slot starts or start where it ends.
+    "adjacent-stores": ([A.store(R1, 8, R0), A.storeb(R1, 16, R6),
+                         A.storeb(R1, 7, R6), A.store(R1, 0, R7),
+                         A.store(R1, 16, R7), A.load(R5, R1, 8)], 0),
+    "other-base-storeb": ([A.store(R1, 8, R0), A.movr(R3, R1),
+                           A.addi(R3, 8), A.storeb(R3, 3, R6),
+                           A.load(R5, R1, 8)], 1),
+    "overlapping-store": ([A.store(R1, 8, R0), A.store(R1, 12, R6),
+                           A.load(R5, R1, 8), A.load(R4, R1, 12)], 1),
+    "push-pop": ([A.movr(SP, R9), A.push(R0), A.push(R6), A.pop(R5),
+                  A.pop(R4), A.movr(SP, R10)], 0),
+    "push-store-pop": ([A.movr(SP, R9), A.push(R0), A.movr(R2, SP),
+                        A.store(R2, 0, R6), A.pop(R5), A.movr(SP, R10)], 0),
+    "push-other-base-store-pop": ([A.movr(SP, R9), A.push(R0),
+                                   A.movr(R2, SP), A.addi(R2, 0),
+                                   A.store(R2, 0, R6), A.pop(R5),
+                                   A.movr(SP, R10)], 1),
+}
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+@pytest.mark.parametrize("case", FORWARDING)
+def test_forwarding_through_memory(runs, sources, kinds, case):
+    """A load of a slot the block stored or loaded takes the value
+    without reading the page, unless a store through another base value,
+    or one that overlaps the slot, may have changed it."""
+    snippet, reads = FORWARDING[case]
+    new, ref, _ = block_pair(_victim_loop(snippet), kinds=KINDS[kinds])
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    assert runs and all(r[1] == r[2] for r in runs)
+    assert [page_reads(source) for source in sources] == [reads]
+
+
+def _call_ret_loop(callee):
+    """A loop whose superblock after the SYSCALL calls ``f``, which runs
+    ``callee`` and returns; a return to ``moved`` counts in R8."""
+    return [
+        A.mov(R9, STACK_TOP - 64),
+        Label("top"), A.syscall(), A.addi(R6, 1), A.movr(R10, SP),
+        A.movr(SP, R9), A.call("f"),
+        Label("back"), A.movr(SP, R10), A.cmpi(R6, LOOPS),
+        A.jcc(Cond.LT, "top"), A.halt(),
+        Label("moved"), A.addi(R8, 1), A.jmp("back"),
+        Label("f"),
+    ] + callee + [A.ret()]
+
+
+@pytest.mark.parametrize("callee,reads", [
+    ([A.push(R6), A.pop(R5)], 0),
+    # The return slot rewritten through another base value.
+    ([A.lea(R4, "moved"), A.movr(R3, SP), A.addi(R3, 0),
+      A.store(R3, 0, R4)], 1),
+], ids=["forwarded", "return-slot-rewritten"])
+def test_call_and_ret_inside_one_superblock(runs, sources, callee, reads):
+    """The RET of a CALL in the same superblock returns to the address
+    the CALL stored, unless the slot may have been written since."""
+    new, ref, _ = block_pair(_call_ret_loop(callee), kinds=ENCODER_KINDS)
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    assert runs and all(r[1] == r[2] and r[3] for r in runs)
+    assert sum(page_reads(source) for source in sources) == reads
+    assert new.cpu.machine.regs[R8] == (LOOPS if reads else 0)
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+def test_forwarded_load_on_the_write_only_page_faults_in_the_loop(
+        runs, sources, kinds):
+    """A store and a forwarded load of one slot on the write-only page:
+    the group needs READ, so it bails at the store, and the loop runs
+    the store and faults at the load, with its own text."""
+    snippet = [A.store(R1, 8, R6), A.load(R5, R1, 8)]
+    outcome = poisoned(snippet, R1, WO_BASE + 0x10, KINDS[kinds])
+    assert outcome[0] == "CPUFault"
+    assert outcome[1].startswith("load fault: read protection")
+    assert [r for r in runs if r[1] != r[2]]
+    assert [page_reads(source) for source in sources] == [0]
+
+
+def test_a_stored_slot_is_loaded_without_reading_the_page():
+    """A store and then a load of the same slot compile to one ``pack``
+    and no ``unpack``: the load is an alias of the stored value."""
+    items = [A.store(R1, 8, R2), A.load(R3, R1, 8), A.add(R3, R2)]
+    code, _ = asm(items, base=CODE_BASE)
+    page = CodePage(CODE_BASE // PAGE, code.ljust(PAGE, b"\0"))
+    entries, ip = [], CODE_BASE
+    for _ in items:
+        entries.append((ip, page.entry(ip)))
+        ip = entries[-1][1][2]
+    source = blocks._source(entries)
+    assert len(re.findall(r"\bpack\(", source)) == 1
+    assert page_reads(source) == 0
 
 
 # -- superblocks --------------------------------------------------------------

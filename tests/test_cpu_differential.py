@@ -88,13 +88,15 @@ class Side:
         self.seen.append((what, cpu.cycles, cpu.insn_count, m.ip, m.zf, m.sf))
 
     def state(self):
-        """Registers, flags, ``ip``, counters, and every mapped page's
-        bytes and protection."""
+        """Registers, flags, ``ip``, counters, every touched page's bytes
+        and access bits, and every mapped page's protection (the
+        mapping, which covers the pages nobody has touched)."""
         cpu, m = self.cpu, self.cpu.machine
-        pages, prots = m.memory.tables()
+        pages, access = m.memory.tables()
         return (list(m.regs), m.zf, m.sf, m.ip, m.halted, cpu.cycles,
                 cpu.insn_count, cpu.stop_requested,
-                {n: bytes(page) for n, page in pages.items()}, dict(prots))
+                {n: bytes(page) for n, page in pages.items()}, dict(access),
+                dict(m.memory._prots))
 
     def attempt(self, call):
         try:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cpu.memory import PAGE_SIZE, PROT_READ, PROT_WRITE
+from repro.cpu.machine import to_signed
 from repro.lang import (
     AddrOf,
     Asm,
@@ -34,6 +36,14 @@ from repro.osmodel import (
     StepOutcome,
     Sys,
 )
+from repro.osmodel.kernel import EFAULT
+from repro.osmodel.process import (
+    HEAP_BASE,
+    STACK_TOP,
+    FDKind,
+    FileDescriptor,
+)
+from repro.isa.registers import R0, R1, R2, R3
 
 
 def sys_(nr, *args):
@@ -424,6 +434,106 @@ class TestFaults:
         assert state is ProcessState.KILLED
         assert proc.killed_by == 11
         assert proc.fault is not None
+
+
+def syscall(kernel, proc, nr, *args):
+    """Run syscall ``nr`` for ``proc`` through the kernel's dispatcher,
+    as the SYSCALL instruction does; returns the signed result."""
+    regs = proc.machine.regs
+    regs[R0] = int(nr)
+    for reg, arg in zip((R1, R2, R3), args):
+        regs[reg] = arg
+    kernel._dispatch_syscall(proc)
+    return to_signed(regs[R0])
+
+
+#: ``HEAP_BASE`` is unmapped until the first ``brk`` that grows the heap.
+UNMAPPED = HEAP_BASE
+
+
+class TestIOFaults:
+    """Guest I/O whose buffer faults, spans pages or lies on a page the
+    process still shares with its parent.  A read that faults returns
+    ``EFAULT`` and keeps its input, as Linux does: a socket's bytes stay
+    queued and a file's position does not move."""
+
+    SOURCES = ["stdin", "conn", "file"]
+
+    @staticmethod
+    def reader(source, data):
+        """An idle process that can read ``data`` from ``source``;
+        returns the kernel, the process, the fd and a function telling
+        what is left to read."""
+        kernel = build_kernel([Return(Const(0))])
+        proc = kernel.spawn("prog", stdin=data if source == "stdin" else b"")
+        if source == "stdin":
+            return kernel, proc, 0, lambda: bytes(proc.stdin_buffer)
+        if source == "conn":
+            conn = proc.push_connection(data)
+            fd = proc.allocate_fd(FileDescriptor(FDKind.CONN, conn=conn))
+            return kernel, proc, fd, lambda: bytes(conn.inbound)
+        kernel.fs.create("/in", data)
+        desc = FileDescriptor(FDKind.FILE, path="/in")
+        fd = proc.allocate_fd(desc)
+        return (kernel, proc, fd,
+                lambda: kernel.fs.read_at("/in", desc.pos, 1 << 20))
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("target", ["read-only", "unmapped"])
+    def test_a_faulting_read_keeps_its_input(self, source, target):
+        kernel, proc, fd, left = self.reader(source, b"abc")
+        if target == "read-only":
+            buf = syscall(kernel, proc, Sys.MMAP, 0, PAGE_SIZE, PROT_READ)
+        else:
+            buf = UNMAPPED
+        cycles = proc.executor.cycles
+        assert syscall(kernel, proc, Sys.READ, fd, buf, 3) == EFAULT
+        assert left() == b"abc"
+        assert proc.executor.cycles == cycles
+        good = STACK_TOP - 0x100
+        assert syscall(kernel, proc, Sys.READ, fd, good, 3) == 3
+        assert proc.machine.memory.read(good, 3) == b"abc"
+        assert left() == b""
+
+    def test_a_write_from_an_unmapped_buffer(self):
+        kernel, proc, fd, _ = self.reader("conn", b"")
+        conn = proc.fds[fd].conn
+        assert syscall(kernel, proc, Sys.WRITE, 1, UNMAPPED, 4) == EFAULT
+        assert syscall(kernel, proc, Sys.SEND, fd, UNMAPPED, 4) == EFAULT
+        assert proc.stdout == b"" and conn.outbound == b""
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_a_read_that_spans_two_pages(self, source):
+        kernel, proc, fd, left = self.reader(source, b"abcdefgh")
+        base = syscall(kernel, proc, Sys.MMAP, 0, 2 * PAGE_SIZE,
+                       PROT_READ | PROT_WRITE)
+        buf = base + PAGE_SIZE - 2
+        assert syscall(kernel, proc, Sys.READ, fd, buf, 4) == 4
+        memory = proc.machine.memory
+        assert memory.read(buf, 4) == b"abcd"
+        assert memory.read(base + PAGE_SIZE, 2) == b"cd"
+        assert left() == b"efgh"
+        # The second page read-only: nothing is copied, none consumed.
+        memory.protect(base + PAGE_SIZE, PAGE_SIZE, PROT_READ)
+        assert syscall(kernel, proc, Sys.READ, fd, buf, 4) == EFAULT
+        assert memory.read(buf, 4) == b"abcd"
+        assert left() == b"efgh"
+
+    def test_a_read_into_a_forked_childs_shared_stack_page(self):
+        kernel, parent, _, _ = self.reader("stdin", b"child")
+        buf = STACK_TOP - 0x100
+        parent.machine.memory.write(buf, b"parent")
+        pid = syscall(kernel, parent, Sys.FORK)
+        child = kernel.processes[pid]
+        memory = child.machine.memory
+        pageno = buf // PAGE_SIZE
+        assert memory.tables()[0][pageno] is \
+            parent.machine.memory.tables()[0][pageno]
+        assert syscall(kernel, child, Sys.READ, 0, buf, 5) == 5
+        assert memory.read(buf, 6) == b"childt"
+        assert parent.machine.memory.read(buf, 6) == b"parent"
+        assert memory.tables()[0][pageno] is not \
+            parent.machine.memory.tables()[0][pageno]
 
 
 class TestKernelStep:
