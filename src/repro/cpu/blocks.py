@@ -19,10 +19,24 @@ superblocks only while no listener subscribes to ``DIRECT_JMP`` or
     fn(regs, pages, prots, cycles, flags) -> (ip, cycles, flags, retired)
 
 The body is the dispatch loop's fast path for each instruction, in
-order, with the opcode dispatch resolved at compile time.  It keeps one
-``cycles += cost`` per instruction, in retirement order: ``cycles`` is a
-float that also takes fractional IPT and I/O charges, so a merged sum
-could round differently.
+order, with the opcode dispatch resolved at compile time.
+
+- *One cycle charge per exit.*  The loop adds each instruction's cost to
+  ``cycles`` one at a time; a block adds the summed cost of the
+  instructions it retires once, at its exit or bail (``c + K``).  An
+  entry guard makes the one add round exactly as the adds in order do:
+  the block bails at its first instruction, uncharged, when ``c`` is at
+  least ``2**51``, or when ``c`` is below the block's total cost ``A``
+  and off the half-cycle grid.  Every instruction cost is a whole
+  number of cycles (:data:`repro.costs.INSN_CYCLES`).  A ``c`` on the
+  grid below ``2**51`` takes every sum exactly, so no add rounds.  A
+  ``c`` of at least ``A`` is at least every ``K``: the adds cross at
+  most one binade, the first add that crosses rounds to the even grid of
+  the next, and below ``2**51`` every whole number is a multiple of that
+  grid's tie-breaking step, so the adds after it, and the one add of the
+  sum, land on the same float.  An open-loop arrival gap can set ``c``
+  to any float; closed-loop charges (whole instruction and syscall
+  costs, 1.5 cycles per I/O byte) keep it on the grid.
 
 - *Registers in locals.*  Each guest register the block reads before it
   writes it is loaded from ``regs`` once, at entry; every write makes a
@@ -131,6 +145,10 @@ _FLAG_WRITERS = frozenset(int(op) for op in (
     Op.OR, Op.XOR, Op.CMP, Op.CMPI,
 ))
 _U64 = struct.Struct("<Q")
+#: From here up a cycle count bails at a block's entry: below it a whole
+#: cycle is a multiple of the tie-breaking step of every binade a block's
+#: adds reach (see the module docstring).
+_EXACT_BELOW = float(2 ** 51)
 #: The names a generated function binds as default arguments.
 _NAMESPACE = {
     "unpack": _U64.unpack_from,
@@ -307,11 +325,14 @@ class _Insn:
     liveness are known.  ``body`` holds lines and callables that render
     a line once the groups are final."""
 
-    __slots__ = ("pc", "cost", "op", "divisor", "body", "flags", "bail",
+    __slots__ = ("pc", "charged", "op", "divisor", "body", "flags", "bail",
                  "exit")
 
-    def __init__(self, pc: int, e: tuple, bail: tuple) -> None:
-        self.pc, self.op, self.cost = pc, e[0], e[1]
+    def __init__(self, pc: int, e: tuple, charged: float,
+                 bail: tuple) -> None:
+        self.pc, self.op = pc, e[0]
+        #: The summed cost of the block's instructions before this one.
+        self.charged = charged
         #: DIV or MOD: the divisor, which bails when zero.
         self.divisor: Optional[str] = None
         self.body: list = []
@@ -342,6 +363,8 @@ class _Compiler:
         #: known to hold.
         self.slots: Dict[Tuple[int, int], Tuple[str, int]] = {}
         self.insns: List[_Insn] = []
+        #: The summed cost of the instructions compiled so far.
+        self.charged = 0.0
 
     # -- register values ------------------------------------------------
 
@@ -443,8 +466,9 @@ class _Compiler:
 
     def insn(self, k: int, pc: int, e: tuple, last: bool,
              size: int) -> None:
-        insn = _Insn(pc, e, tuple(self.values))
+        insn = _Insn(pc, e, self.charged, tuple(self.values))
         self.insns.append(insn)
+        self.charged += e[1]
         body = insn.body
         op = e[0]
         R, W = PROT_READ, PROT_WRITE
@@ -452,7 +476,9 @@ class _Compiler:
 
         def ret(target: str) -> None:
             insn.exit.extend(self.stores())
-            insn.exit.append(f"return {target}, c, fl, {size}")
+            insn.exit.append(
+                f"return {target}, {_charge(self.charged)}, fl, {size}"
+            )
 
         def alu(expr: str, rd: int, flags: bool = True) -> None:
             name = self.write(rd)
@@ -610,12 +636,17 @@ class _Compiler:
                 live = True
 
         out = ["def block(regs, pages, prots, c, fl, unpack=unpack,"
-               " pack=pack, to_signed=to_signed):"]
+               " pack=pack, to_signed=to_signed):",
+               f"    if c >= {_EXACT_BELOW!r} or c < {self.charged!r}"
+               " and c % 0.5:",
+               f"        return {self.insns[0].pc}, c, fl, 0"]
         out += [f"    r{r} = regs[{r}]" for r in self.loads]
         for k, insn in enumerate(self.insns):
             if insn.divisor or k in firsts:
                 bail = self.stores(insn.bail)
-                bail.append(f"return {insn.pc}, c, fl, {k}")
+                bail.append(
+                    f"return {insn.pc}, {_charge(insn.charged)}, fl, {k}"
+                )
             if insn.divisor:
                 out.append(f"    d = to_signed({insn.divisor})")
                 out.append("    if d == 0:")
@@ -623,7 +654,6 @@ class _Compiler:
             if k in firsts:
                 out += [f"    {line}"
                         for line in self._check(firsts[k], bail)]
-            out.append(f"    c += {insn.cost!r}")
             out += [f"    {line() if callable(line) else line}"
                     for line in insn.body]
             if insn.flags is not None and live_after[k]:
@@ -638,6 +668,11 @@ def _expr(value: Tuple[str, int]) -> str:
     if not delta:
         return base
     return f"(({base} {'+' if delta > 0 else '-'} {abs(delta)}) & {U64_MASK})"
+
+
+def _charge(cycles: float) -> str:
+    """An expression for ``c`` charged ``cycles`` more."""
+    return f"c + {cycles!r}" if cycles else "c"
 
 
 def _source(entries) -> str:

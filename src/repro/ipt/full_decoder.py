@@ -22,6 +22,15 @@ The packets come from the scan's columns (:class:`_ColumnWalk`): TNT
 bits from each record's signature, targets from the ip column, far
 transfers and the anchor from the far column, so none is parsed twice.
 
+A window is walked one part (scanned segment) at a time, and each
+part's walk is kept until the next decode, keyed by the part's bytes and
+the ip the walk entered it at (see :meth:`FullDecoder.decode`): the slow
+path's successive windows share most of their segments.  A part's walk
+stops at the *boundary* instruction that needs the next part's first
+packet; the next part enters there and counts it, so a kept walk's count
+leaves it out.  The charge and the ``ipt.full_decode.*`` counters count
+every instruction as walked, kept or not.
+
 The decoder reads the code the CPU runs: the predecoded entries
 (:func:`repro.cpu.executor.predecode`) of the module's shared
 :class:`~repro.cpu.blocks.BlockStore`, on every page the store attests
@@ -47,6 +56,7 @@ from repro.cpu.executor import predecode
 from repro.cpu.memory import PAGE_SHIFT, Memory, MemoryError_
 from repro.ipt.columnar import (
     FAR_GROUP,
+    FAR_HEAD,
     NO_IP,
     _A_FUP,
     _A_OVF,
@@ -103,12 +113,15 @@ class _ColumnWalk:
     use raises ``TraceMismatch``.
     """
 
-    __slots__ = ("pending_bits", "_ips", "_sigs", "_parts", "_keys",
+    __slots__ = ("pending_bits", "torn", "_ips", "_sigs", "_parts", "_keys",
                  "_tags", "_far_ips", "_pge_ips", "_anchor", "_r", "_b",
                  "_len", "_f", "_next")
 
     def __init__(self, parts: Sequence[Tuple[ColumnarSegment, int]]):
         self.pending_bits = bytearray()
+        #: The stream ended inside a lone FUP's group: the FUP was
+        #: consumed, its TIP.PGD or TIP.PGE never came.
+        self.torn = False
         self._parts = parts
         self._ips = ips = []
         self._sigs = sigs = []
@@ -262,6 +275,7 @@ class _ColumnWalk:
             self._seek(self._next, self._f + 1)
             action, offset, ip = self._peek()
             if action == _END:
+                self.torn = True
                 return None
             if action != want:
                 raise TraceMismatch(
@@ -325,6 +339,15 @@ MAX_BLOCK_RUN = 64
 #: ``TraceMismatch`` message).
 Chain = Tuple[int, Tuple[BranchEvent, ...], int, Optional[int], object,
               Optional[str]]
+#: ``(edges, run, end_ip)``: a kept part walk.  It appends ``edges``,
+#: walks ``run`` instructions, and stops at the boundary instruction at
+#: ``end_ip``, which needs the next part's first packet (and which the
+#: next part counts).
+Kept = Tuple[Tuple[BranchEvent, ...], int, int]
+
+#: How a walk ends: its packets ran out (every one consumed); they ran out
+#: inside a lone FUP's group; a HALT; the instruction budget.
+_RAN_OUT, _TORN, _HALTED, _CUT = range(4)
 
 
 class FullDecoder:
@@ -336,15 +359,18 @@ class FullDecoder:
         #: Page number -> the store's page attested for it, or None.
         self._pages: Dict[int, Optional[CodePage]] = {}
         self._chains: Dict[int, Chain] = {}
+        #: The previous decode's kept part walks (see :meth:`decode`).
+        self._kept: Dict[Tuple[bytes, Optional[int]], Kept] = {}
         self._code_epoch = memory.code_epoch
 
     def _sync_code(self) -> None:
-        """Drop the attestations and chained runs if the memory's code
-        has been re-mapped."""
+        """Drop the attestations, chained runs and kept part walks if
+        the memory's code has been re-mapped."""
         epoch = self.memory.code_epoch
         if epoch != self._code_epoch:
             self._pages.clear()
             self._chains.clear()
+            self._kept = {}
             self._code_epoch = epoch
 
     def _entry(self, ip: int) -> Tuple[tuple, bool]:
@@ -425,14 +451,107 @@ class FullDecoder:
         their columns (:class:`_ColumnWalk`).  Decoding anchors at
         ``start_ip`` or at the first PSB-context FUP / TIP.PGE in the
         stream, and ends when packets run out.
+
+        The window is walked one part at a time: each part's walk enters
+        at the ip where the previous part's packets ran out, the
+        *boundary* instruction that needs the next part's first packet,
+        and counts it again, so a boundary is counted once, by the part
+        that consumes its packet.  A part whose walk consumed every one
+        of its packets, through attested code only, is kept
+        (:data:`Kept`) until the next decode, keyed by its bytes and the
+        ip its walk entered at.  A window's first part is entered at its
+        anchor when the anchor opens the part; one anchored further in
+        is not kept.  A later window that enters the same bytes at the
+        same ip takes the part's edges and count from there, unless the
+        budget would end inside them.  Keeping changes no outcome and no
+        charge, and the ``ipt.full_decode.*`` counters count every
+        instruction as walked; ``ipt.full_decode.kept_insns`` counts the
+        ones taken from kept parts.
         """
-        walk = _ColumnWalk(parts)
-        ip = start_ip if start_ip is not None else walk.initial_ip()
+        self._sync_code()
+        kept = self._kept
+        walked = self._kept = {}
         edges: List[BranchEvent] = []
+        ip = start_ip
+        # Instructions before the current part's entry (its boundary
+        # instruction is the part's own), and how many of them were
+        # taken from kept parts.
+        insn_count = taken = 0
+        budget = self.max_insns
+        last = len(parts) - 1
+        for index, part in enumerate(parts):
+            seg = part[0]
+            entry = ip
+            if entry is None:
+                anchor, *at = FAR_HEAD.unpack_from(seg.far)
+                if anchor == NO_IP:
+                    continue  # no anchor yet: the part contributes nothing
+                if not any(at):
+                    # The anchor opens the part, so the walk from it is
+                    # the walk that enters the part at its ip.
+                    entry = anchor
+            data = seg.data
+            key = (data, entry) if entry is not None and type(data) is bytes \
+                else None
+            hit = kept.get(key)
+            if hit is not None and insn_count + hit[1] < budget:
+                walked[key] = hit
+                run_edges, run, ip = hit
+                edges.extend(run_edges)
+                insn_count += run
+                taken += run
+                if index == last:
+                    return self._finish(edges, insn_count + 1, ip, True,
+                                        taken)
+                continue
+            walk = _ColumnWalk((part,))
+            if entry is None:
+                entry = walk.initial_ip()
+            mark = len(edges)
+            try:
+                how, count, end_ip, remembered = self._walk(
+                    walk, entry, edges, insn_count
+                )
+            except TraceMismatch:
+                if index == last:
+                    raise
+                how = _TORN  # the window's walk may read the part otherwise
+            if how == _TORN and index < last:
+                # The walk of the part alone may be no prefix of the
+                # window's: walk the rest of the window in one piece.
+                del edges[mark:]
+                walk = _ColumnWalk(parts[index:])
+                if ip is None:
+                    walk.initial_ip()
+                how, count, end_ip, _ = self._walk(
+                    walk, entry, edges, insn_count
+                )
+            elif how == _RAN_OUT:
+                if remembered and key is not None:
+                    walked[key] = (
+                        tuple(edges[mark:]), count - 1 - insn_count, end_ip
+                    )
+                if index < last:
+                    insn_count, ip = count - 1, end_ip
+                    continue
+            return self._finish(edges, count, end_ip, how != _CUT, taken)
         if ip is None:
             return FullDecodeResult(edges, 0, 0.0, exhausted=True)
+        # No parts: walk from ``start_ip`` until a packet is needed.
+        how, count, end_ip, _ = self._walk(_ColumnWalk(()), ip, edges, 0)
+        return self._finish(edges, count, end_ip, how != _CUT, 0)
 
-        self._sync_code()
+    def _walk(
+        self, walk: _ColumnWalk, ip: int, edges: List[BranchEvent],
+        insn_count: int,
+    ) -> Tuple[int, int, int, bool]:
+        """Walk from ``ip`` under ``walk``'s packets, appending to
+        ``edges`` and counting on from ``insn_count``, until the packets
+        run out, a HALT, or the budget.  Returns ``(how, insn_count,
+        end_ip, remembered)``: ``how`` is :data:`_RAN_OUT`,
+        :data:`_TORN`, :data:`_HALTED` or :data:`_CUT`, and
+        ``remembered`` whether every chained run walked is remembered
+        (so the walk reads only attested code)."""
         chains = self._chains
         append = edges.append
         extend = edges.extend
@@ -444,11 +563,12 @@ class FullDecoder:
         next_tip = walk.next_tip
         next_far_resume = walk.next_far_resume
         budget = self.max_insns
-        insn_count = 0
+        remembered = True
         while True:
             chain = chains.get(ip)
             if chain is None:
                 chain = self._chain(ip)
+                remembered = remembered and ip in chains
             run, run_edges, term_ip, op, flow, fault = chain
             if insn_count + run >= budget:
                 # The budget ends inside the run (or at its terminator,
@@ -463,7 +583,7 @@ class FullDecoder:
                         ip = e[3]
                     else:
                         ip = e[2]
-                return self._finish(edges, insn_count, ip, False)
+                return _CUT, insn_count, ip, False
             insn_count += run
             if run_edges:
                 extend(run_edges)
@@ -480,21 +600,22 @@ class FullDecoder:
                 else:
                     bit = next_tnt_bit()
                     if bit is None:
-                        return self._finish(edges, insn_count, ip, True)
+                        return _RAN_OUT, insn_count, ip, remembered
                 edge = flow[bit]
             elif op == _SYSCALL:
                 resume = next_far_resume(ip)
                 if resume is None:
-                    return self._finish(edges, insn_count, ip, True)
+                    return (_TORN if walk.torn else _RAN_OUT, insn_count,
+                            ip, remembered)
                 edge = new_event(
                     BranchEvent, (CoFIKind.FAR_TRANSFER, ip, resume, True)
                 )
             elif op == _HALT:
-                return self._finish(edges, insn_count, ip, True)
+                return _HALTED, insn_count, ip, remembered
             else:
                 dst = next_tip()
                 if dst is None:
-                    return self._finish(edges, insn_count, ip, True)
+                    return _RAN_OUT, insn_count, ip, remembered
                 edge = new_event(
                     BranchEvent, (_INDIRECT_KIND[op], ip, dst, True)
                 )
@@ -503,13 +624,14 @@ class FullDecoder:
 
     def _finish(
         self, edges: List[BranchEvent], insn_count: int, ip: int,
-        exhausted: bool,
+        exhausted: bool, taken: int = 0,
     ) -> FullDecodeResult:
         tel = get_telemetry()
         if tel.enabled:
             m = tel.metrics
             m.counter("ipt.full_decode.calls").inc()
             m.counter("ipt.full_decode.insns").inc(insn_count)
+            m.counter("ipt.full_decode.kept_insns").inc(taken)
             m.counter("ipt.full_decode.edges").inc(len(edges))
         return FullDecodeResult(
             edges=edges,

@@ -75,7 +75,10 @@ class SlowPathEngine:
         fast-path window's record IPs and packed TNT signatures, for
         promotion bookkeeping.  A trace the binaries cannot follow — a
         desync, including an IP-suppressed packet where the walk needs a
-        target — fails the check and confirms nothing.
+        target — fails the check and confirms nothing.  So does a
+        window the decoder's instruction budget cuts off: the walk
+        verified only a prefix of the window, and its instructions are
+        still charged.
         """
         cycles = costs.SLOWPATH_UPCALL_CYCLES
         try:
@@ -87,6 +90,16 @@ class SlowPathEngine:
                 cycles=cycles,
             )
         cycles += decoded.cycles
+        if not decoded.exhausted:
+            return SlowPathResult(
+                ok=False,
+                reason=(
+                    f"decode budget exhausted at {decoded.end_ip:#x} after "
+                    f"{decoded.insn_count} instructions"
+                ),
+                cycles=cycles,
+                insns_decoded=decoded.insn_count,
+            )
 
         # The policy pass: only calls, returns and indirect jumps are
         # judged, in edge order.  Forward edges must land in their

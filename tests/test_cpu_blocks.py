@@ -25,11 +25,13 @@ import re
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro.cpu.blocks as blocks
 import repro.cpu.executor as executor_module
 import repro.osmodel.kernel as kernel_module
 from repro.binary.loader import LIB_BASE, LIB_STRIDE
+from repro import costs
 from repro.cpu import (
     CPUFault,
     Executor,
@@ -189,6 +191,150 @@ def test_cycles_are_added_per_instruction(runs):
         side.cpu.cycles = float(2 ** 53)
     assert run_out(new, ref) == ("ok", HaltReason.HALTED)
     assert runs
+
+
+# -- one cycle charge per exit -------------------------------------------------
+
+#: Every instruction cost there is, as the blocks add them.
+BLOCK_COSTS = tuple(sorted({float(c) for c in costs.INSN_CYCLES.values()}))
+EXACT_BELOW = 2.0 ** 51
+
+
+def guarded(c, charge):
+    """Whether a block of total cost ``charge`` runs when entered at
+    ``c`` (its entry guard does not bail)."""
+    return not (c >= EXACT_BELOW or c < charge and c % 0.5)
+
+
+@st.composite
+def entry_cycles(draw):
+    """Block costs, and an entry ``c`` the guard lets run: on the
+    half-cycle grid, any float at least their sum, or near a binade
+    edge up to ``2**51``."""
+    charges = draw(st.lists(st.sampled_from(BLOCK_COSTS), min_size=1,
+                            max_size=blocks.MAX_BLOCK_INSNS))
+    total = sum(charges)
+    c = draw(st.one_of(
+        st.integers(0, 2 ** 52 - 1).map(lambda n: n / 2),
+        st.floats(total, EXACT_BELOW, exclude_max=True),
+        st.integers(1, 50).flatmap(lambda e: st.floats(
+            max(total, 2.0 ** e - 2 * total), 2.0 ** e + total,
+        )),
+    ))
+    return charges, c
+
+
+def test_block_costs_are_whole_cycles():
+    """The one-charge rule's premise: every instruction cost is a whole
+    number of cycles."""
+    assert BLOCK_COSTS == (1.0, 2.0, 3.0, 12.0)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(entry_cycles())
+def test_one_add_per_exit_equals_adds_in_order(case):
+    """Under the guard, ``c`` plus each prefix's summed cost (every bail
+    and exit charge) is the float the adds in order reach."""
+    charges, c = case
+    if not guarded(c, sum(charges)):
+        return
+    in_order = c
+    summed = 0.0
+    for charge in charges:
+        in_order += charge
+        summed += charge
+        assert c + summed == in_order, (c, charges)
+
+
+#: One instruction per cost: ADDI 1, STORE 2, MUL 3, DIV 12 (R4 is never
+#: zero).
+COSTED = {1.0: A.addi(R1, 1), 2.0: A.store(R8, 0, R1), 3.0: A.mul(R3, R4),
+          12.0: A.div(R3, R4)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(sorted(COSTED)), min_size=1,
+                max_size=blocks.MAX_BLOCK_INSNS - 1),
+       st.one_of(st.floats(0.0, 2.0 ** 53),
+                 st.integers(0, 2 ** 53).map(lambda n: n / 2)))
+# Off the grid below the block's cost, where one add of the sum rounds
+# differently from the adds in order: the guard must bail.
+@example([12.0, 1.0, 12.0, 2.0, 1.0], 3.0979503512137563)
+def test_compiled_block_charges_as_the_loop_adds(charges, c):
+    """A compiled straight-line block entered at any ``c``: it retires
+    every instruction and returns the float the loop's adds in order
+    reach, or, where its guard bails, retires nothing and returns ``c``
+    itself."""
+    items = [COSTED[charge] for charge in charges] + [A.halt()]
+    code, _ = asm(items, base=CODE_BASE)
+    page = CodePage(CODE_BASE // PAGE, code.ljust(PAGE, b"\0"))
+    block = blocks.compile_block(page, CODE_BASE, False)
+    assert block.size == len(charges)
+    machine, _ = build_machine([A.halt()])
+    pages, prots = machine.memory.tables()
+    regs = list(machine.regs)
+    regs[R4], regs[R8] = 7, DATA_BASE
+    ip, out, _, retired = block.fn(regs, pages, prots, c, 0)
+    if guarded(c, sum(charges)):
+        in_order = c
+        for charge in charges:
+            in_order += charge
+        assert (retired, out) == (len(charges), in_order)
+        assert ip == CODE_BASE + len(code) - instruction_length(Op.HALT)
+    else:
+        assert (ip, out, retired) == (CODE_BASE, c, 0)
+
+
+@pytest.mark.parametrize("start", [0.3, EXACT_BELOW],
+                         ids=["off-grid", "2**51"])
+def test_entry_guard_bails_uncharged(runs, start):
+    """Compiled blocks entered at an off-grid ``c`` below their cost, or
+    at ``2**51``: each bails at its first instruction, and the loop runs
+    the block exactly as the oracle does.  Off the grid, once ``c`` has
+    passed the block's cost, the blocks run whole again."""
+    new, ref, _ = block_pair(MIXED_LOOP)
+    sliced(new, ref, [(HOT_ENTRIES + 2) * MIXED_BLOCK])
+    assert runs and all(r[1] == r[2] for r in runs)
+    before = len(runs)
+    for side in (new, ref):
+        side.cpu.cycles = start
+    assert run_out(new, ref) == ("ok", HaltReason.HALTED)
+    after = [retired for _, retired, _, _ in runs[before:]]
+    assert after[0] == 0
+    if start == EXACT_BELOW:
+        assert set(after) == {0}
+    else:
+        assert MIXED_BLOCK in after
+
+
+def test_one_charge_per_exit_and_bail_in_the_source(sources):
+    """The generated code charges no instruction on its own: the entry
+    guard, then one ``c + K`` per bail and exit, ``K`` the summed cost
+    of the instructions before it (a bail) or through it (the exit)."""
+    items = [A.push(FP), A.movr(FP, SP), A.subi(SP, 32),
+             A.store(FP, -8, R2), A.load(R4, FP, -8), A.div(R4, R2),
+             A.load(R7, R1, 0), A.mul(R7, R4), A.movr(SP, FP), A.pop(FP),
+             A.ret()]
+    code, _ = asm(items, base=CODE_BASE)
+    page = CodePage(CODE_BASE // PAGE, code.ljust(PAGE, b"\0"))
+    block = blocks.compile_block(page, CODE_BASE, False)
+    assert block.size == len(items)
+    source = sources[-1]
+    assert "c +=" not in source
+    charges, at = [], CODE_BASE
+    for _ in items:
+        entry = page.entry(at)
+        charges.append(entry[1])
+        at = entry[2]
+    returns = re.findall(r"return ([^,]+), (c(?: \+ [0-9.]+)?), fl, (\d+)",
+                         source)
+    # The guard; the SP group's check and R1's (bails at 0 and 6), the
+    # divisor (at 5), and the RET's exit.
+    assert [int(k) for _, _, k in returns] == [0, 0, 5, 6, len(items)]
+    for _, charge, k in returns:
+        want = sum(charges[:int(k)])
+        assert charge == (f"c + {want!r}" if want else "c")
+    assert source.count("return") == len(returns)
 
 
 @pytest.mark.parametrize("seed", range(6))

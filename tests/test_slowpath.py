@@ -287,3 +287,52 @@ class TestSuppressedIP:
         assert len(result.edges) == 1
         assert result.insn_count == (3 if kind == "tip" else 2)
         assert result.exhausted
+
+
+class TestDecodeBudget:
+    """A window the decoder's instruction budget cuts off was verified
+    only up to the cut: the slow path fails it like a desync, confirms
+    nothing, and still charges every instruction it walked."""
+
+    def window(self):
+        from repro.isa import A, Cond, Label
+        from repro.isa.registers import R0
+        from tests.test_full_decode_differential import traced_snippet
+
+        memory, data = traced_snippet([
+            A.mov(R0, 0), Label("loop"), A.addi(R0, 1), A.cmpi(R0, 40),
+            A.jcc(Cond.LT, "loop"), A.halt(),
+        ])
+        # Three pairs the fast path would hand over for promotion.
+        ips = [CODE, CODE + 0x10, CODE + 0x20]
+        sigs = [1, pack_tnt_sig((True,)), pack_tnt_sig((False,))]
+        return memory, scanned(data), ips, sigs
+
+    def test_full_budget_confirms_the_window(self):
+        memory, source, ips, sigs = self.window()
+        result = SlowPathEngine(memory, ControlFlowGraph()).check(
+            source, ips, sigs
+        )
+        assert result.ok and len(result.confirmed_pairs) == 2
+        assert result.insns_decoded > 50
+
+    def test_cut_window_fails_and_charges_its_walk(self):
+        from repro import costs
+
+        memory, source, ips, sigs = self.window()
+        engine = SlowPathEngine(memory, ControlFlowGraph())
+        engine._decoder.max_insns = 50
+        decoded = engine._decoder.decode(source)
+        assert decoded.exhausted is False and decoded.insn_count == 50
+        result = engine.check(source, ips, sigs)
+        assert not result.ok
+        assert result.reason == (
+            f"decode budget exhausted at {decoded.end_ip:#x} after 50 "
+            f"instructions"
+        )
+        assert result.confirmed_pairs == []
+        assert result.insns_decoded == 50
+        assert result.cycles == (
+            costs.SLOWPATH_UPCALL_CYCLES
+            + 50 * costs.FULL_DECODE_CYCLES_PER_INSN
+        )
