@@ -17,8 +17,7 @@ from repro.experiments import ablations
 
 
 def test_pkt_count_costs_grow(benchmark):
-    points = run_once(benchmark, ablations.sweep_pkt_count,
-                      counts=(5, 30, 60), sessions=5)
+    points = run_once(benchmark, ablations.sweep_pkt_count)
     overheads = [p.overhead for p in points]
     # Bigger windows never get cheaper; 60-packet checks cost more
     # than 5-packet checks.
@@ -60,8 +59,7 @@ def test_parallel_decode_speedup(benchmark):
 
 
 def test_path_sensitivity_tradeoff(benchmark):
-    result = run_once(benchmark, ablations.measure_path_sensitivity,
-                      sessions=6)
+    result = run_once(benchmark, ablations.measure_path_sensitivity)
     print(f"\nslow-path rate: edges {result.edge_slow_rate * 100:.1f}% "
           f"-> paths {result.path_slow_rate * 100:.1f}%")
     assert result.trained_grams > 0

@@ -81,24 +81,17 @@ class _Function:
         self.plt_import: Optional[str] = None
 
 
-def build_ocfg(image: Image, use_discovery: bool = False
-               ) -> ControlFlowGraph:
+def build_ocfg(image: Image) -> ControlFlowGraph:
     """Convenience wrapper around :class:`CFGBuilder`."""
-    return CFGBuilder(image, use_discovery=use_discovery).build()
+    return CFGBuilder(image).build()
 
 
 class CFGBuilder:
-    """Builds the conservative O-CFG for a loaded image.
+    """Builds the conservative O-CFG for a loaded image, bounding
+    disassembly by each module's ``function_ranges``."""
 
-    With ``use_discovery=True`` function boundaries are *recovered* from
-    the raw code bytes (the Dyninst-on-COTS-binaries scenario, see
-    :mod:`repro.analysis.discover`) instead of read from the module's
-    recorded ranges.
-    """
-
-    def __init__(self, image: Image, use_discovery: bool = False) -> None:
+    def __init__(self, image: Image) -> None:
         self.image = image
-        self.use_discovery = use_discovery
         self.cfg = ControlFlowGraph()
         self._functions: List[_Function] = []
         self._entry_to_function: Dict[int, _Function] = {}
@@ -111,23 +104,11 @@ class CFGBuilder:
 
     # -- phase 1: disassembly ------------------------------------------------
 
-    def _function_ranges(self, module) -> dict:
-        if not self.use_discovery:
-            return module.function_ranges
-        from repro.analysis.discover import discover_functions
-
-        recovered = discover_functions(module).as_function_ranges()
-        # PLT stubs are synthesised separately below.
-        return {
-            name: span for name, span in recovered.items()
-            if not name.endswith("@plt")
-        }
-
     def _disassemble(self) -> None:
         for lm in self.image.all_modules():
             module = lm.module
             for name, (start, end) in sorted(
-                self._function_ranges(module).items(),
+                module.function_ranges.items(),
                 key=lambda kv: kv[1][0],
             ):
                 fn = _Function(name, lm, lm.base + start, lm.base + end)

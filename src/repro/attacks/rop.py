@@ -17,9 +17,9 @@ call/return-matched sites, so the TIP pairs fall outside the ITC-CFG.
 from __future__ import annotations
 
 import struct
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.attacks.gadgets import GadgetMap, find_gadgets
+from repro.attacks.gadgets import find_gadgets
 from repro.attacks.recon import ReconReport
 from repro.osmodel.syscalls import O_CREAT, O_WRONLY
 from repro.workloads.servers import (
@@ -60,10 +60,9 @@ def frame_glue(recon: ReconReport, conn_fd: int) -> bytes:
 def build_rop_payload(
     recon: ReconReport,
     conn_fd: int = 4,
-    gadgets: Optional[GadgetMap] = None,
 ) -> bytes:
     """The raw overflow payload (body of the POST request)."""
-    gadgets = gadgets if gadgets is not None else find_gadgets(recon.image)
+    gadgets = find_gadgets(recon.image)
     setcontext = gadgets.functions["setcontext"]
     open_fn = gadgets.functions["open"]
     write_fn = gadgets.functions["write"]

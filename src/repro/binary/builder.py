@@ -30,8 +30,8 @@ _GOT_SLOT = 8
 _PLT_SCRATCH = 15  # r15
 
 
-def _align(value: int, boundary: int = _PAGE) -> int:
-    return (value + boundary - 1) // boundary * boundary
+def _align(value: int) -> int:
+    return (value + _PAGE - 1) // _PAGE * _PAGE
 
 
 class LinkError(Exception):

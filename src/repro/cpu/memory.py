@@ -48,6 +48,9 @@ PROT_READ = 1
 PROT_WRITE = 2
 PROT_EXEC = 4
 
+#: the longest string :meth:`Memory.read_cstring` reads
+CSTRING_LIMIT = 4096
+
 
 @functools.lru_cache(maxsize=64)
 def _span(first: int, last: int, prot: int) -> Dict[int, int]:
@@ -299,13 +302,13 @@ class Memory:
     def write_u8(self, addr: int, value: int) -> None:
         self.write(addr, bytes([value & 0xFF]))
 
-    def read_cstring(self, addr: int, limit: int = 4096) -> bytes:
+    def read_cstring(self, addr: int) -> bytes:
         """Read a NUL-terminated byte string (for syscall arguments):
-        at most ``limit`` bytes, without the NUL.  Each page is checked
-        at the first byte read from it and searched for the NUL in one
-        ``find``."""
+        at most :data:`CSTRING_LIMIT` bytes, without the NUL.  Each page
+        is checked at the first byte read from it and searched for the
+        NUL in one ``find``."""
         out = b""
-        end = addr + limit
+        end = addr + CSTRING_LIMIT
         while addr < end:
             self._check(addr, 1, PROT_READ, "read")
             page = self.page_bytes(addr >> PAGE_SHIFT)

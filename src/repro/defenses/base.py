@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from repro.hardware.lbr import LBRStack
 from repro.osmodel.kernel import Kernel, SyscallInterposer
 from repro.osmodel.process import Process
 from repro.osmodel.syscalls import SENSITIVE_SYSCALLS, SIGKILL
@@ -18,15 +19,16 @@ class BaselineDetection:
 
 
 class EndpointDefense(SyscallInterposer):
-    """Base class: intercept sensitive syscalls, delegate to _check."""
+    """Base class: intercept sensitive syscalls, delegate to _check.
+    The LBR-based defenses keep each protected process's LBR in
+    ``_lbrs``."""
 
     name = "baseline"
 
-    def __init__(self, kernel: Kernel, endpoints=None) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         super().__init__(kernel)
-        self.endpoints = frozenset(
-            int(nr) for nr in (endpoints or SENSITIVE_SYSCALLS)
-        )
+        self.endpoints = frozenset(int(nr) for nr in SENSITIVE_SYSCALLS)
+        self._lbrs: Dict[int, LBRStack] = {}
         self.detections: List[BaselineDetection] = []
 
     def _make_wrapper(self, nr: int):

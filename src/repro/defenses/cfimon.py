@@ -40,8 +40,8 @@ class _ClassifyingBTS(BTSTracer):
 class CFIMon(EndpointDefense):
     name = "cfimon"
 
-    def __init__(self, kernel: Kernel, endpoints=None) -> None:
-        super().__init__(kernel, endpoints)
+    def __init__(self, kernel: Kernel) -> None:
+        super().__init__(kernel)
         self._tracers: Dict[int, _ClassifyingBTS] = {}
         self._cfgs: Dict[int, ControlFlowGraph] = {}
         self._checked_upto: Dict[int, int] = {}

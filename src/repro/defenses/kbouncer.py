@@ -3,9 +3,9 @@
 Two heuristics over the 16-entry LBR window:
 
 1. every recorded return must target a *call-preceded* address,
-2. a run of ``chain_threshold``+ consecutive returns whose targets are
-   followed by at most ``gadget_span`` bytes before the next recorded
-   branch source is flagged as a gadget chain.
+2. a run of :data:`CHAIN_THRESHOLD`+ consecutive returns whose targets
+   are followed by at most :data:`GADGET_SPAN` bytes before the next
+   recorded branch source is flagged as a gadget chain.
 
 Precise by construction it is not — the window is tiny and attackers
 can flush it (§7.1.1), which the history-flushing attack demonstrates.
@@ -13,29 +13,21 @@ can flush it (§7.1.1), which the history-flushing attack demonstrates.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.cpu.events import CoFIKind
 from repro.defenses.base import EndpointDefense, is_call_preceded
 from repro.hardware.lbr import LBRStack
-from repro.osmodel.kernel import Kernel
 from repro.osmodel.process import Process
+
+#: consecutive gadget-like returns that make a chain
+CHAIN_THRESHOLD = 8
+#: most bytes from a return's target to the next branch source
+GADGET_SPAN = 40
 
 
 class KBouncer(EndpointDefense):
     name = "kbouncer"
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        chain_threshold: int = 8,
-        gadget_span: int = 40,
-        endpoints=None,
-    ) -> None:
-        super().__init__(kernel, endpoints)
-        self.chain_threshold = chain_threshold
-        self.gadget_span = gadget_span
-        self._lbrs: Dict[int, LBRStack] = {}
 
     def protect(self, proc: Process, depth: int = 16) -> LBRStack:
         lbr = LBRStack(depth=depth)
@@ -61,13 +53,13 @@ class KBouncer(EndpointDefense):
             if kind is CoFIKind.RET:
                 if (
                     previous_dst is not None
-                    and 0 <= src - previous_dst <= self.gadget_span
+                    and 0 <= src - previous_dst <= GADGET_SPAN
                 ):
                     run += 1
                 else:
                     run = 1
                 previous_dst = dst
-                if run >= self.chain_threshold:
+                if run >= CHAIN_THRESHOLD:
                     return f"gadget chain of length {run}"
             else:
                 previous_dst = None

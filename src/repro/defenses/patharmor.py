@@ -25,9 +25,8 @@ from repro.osmodel.process import Process
 class PathArmorLite(EndpointDefense):
     name = "patharmor"
 
-    def __init__(self, kernel: Kernel, endpoints=None) -> None:
-        super().__init__(kernel, endpoints)
-        self._lbrs: Dict[int, LBRStack] = {}
+    def __init__(self, kernel: Kernel) -> None:
+        super().__init__(kernel)
         self._cfgs: Dict[int, ControlFlowGraph] = {}
 
     def protect(self, proc: Process, ocfg: ControlFlowGraph) -> LBRStack:

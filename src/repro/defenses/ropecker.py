@@ -1,38 +1,30 @@
 """ROPecker (Cheng et al., NDSS'14): gadget-run heuristics over LBR.
 
 Flags an endpoint when the recent indirect-branch window contains a run
-of ``run_threshold``+ hops whose code spans are gadget-sized (at most
-``max_gadget_insns`` instructions from landing point to the next
-recorded branch source).  Like kBouncer it inspects only a sliding
+of :data:`RUN_THRESHOLD`+ hops whose code spans are gadget-sized (at
+most :data:`MAX_GADGET_INSNS` instructions from landing point to the
+next recorded branch source).  Like kBouncer it inspects only a sliding
 hardware window, so it shares the history-flushing weakness.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.cpu.events import CoFIKind
 from repro.defenses.base import EndpointDefense
 from repro.hardware.lbr import LBRFilter, LBRStack
 from repro.isa.encoding import decode_at
-from repro.osmodel.kernel import Kernel
 from repro.osmodel.process import Process
+
+#: consecutive gadget-sized hops that make a gadget run
+RUN_THRESHOLD = 6
+#: most instructions from a hop's landing point to the next branch
+MAX_GADGET_INSNS = 6
 
 
 class ROPecker(EndpointDefense):
     name = "ropecker"
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        run_threshold: int = 6,
-        max_gadget_insns: int = 6,
-        endpoints=None,
-    ) -> None:
-        super().__init__(kernel, endpoints)
-        self.run_threshold = run_threshold
-        self.max_gadget_insns = max_gadget_insns
-        self._lbrs: Dict[int, LBRStack] = {}
 
     def protect(self, proc: Process) -> LBRStack:
         # ROPecker filters conditional branches out of the LBR.
@@ -42,11 +34,11 @@ class ROPecker(EndpointDefense):
         return lbr
 
     def _gadget_sized(self, proc: Process, start: int, end_src: int) -> bool:
-        """At most max_gadget_insns instructions from start to end_src."""
+        """At most MAX_GADGET_INSNS instructions from start to end_src."""
         if end_src < start:
             return False
         pos = start
-        for _ in range(self.max_gadget_insns + 1):
+        for _ in range(MAX_GADGET_INSNS + 1):
             if pos >= end_src:
                 return True
             try:
@@ -73,7 +65,7 @@ class ROPecker(EndpointDefense):
             next_src, _, _ = entries[index + 1]
             if self._gadget_sized(proc, dst, next_src):
                 run += 1
-                if run >= self.run_threshold:
+                if run >= RUN_THRESHOLD:
                     return f"gadget run of length {run}"
             else:
                 run = 0

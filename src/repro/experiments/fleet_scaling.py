@@ -24,7 +24,7 @@ and observability experiments share.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import (
     format_rows,
@@ -50,7 +50,6 @@ def build_fleet(
     policy: RingPolicy = RingPolicy.LOSSY,
     ring_bytes: int = 8192,
     max_queue_depth: int = 1_000_000,
-    servers: Sequence[str] = FLEET_SERVERS,
     faults=None,
     retry=None,
 ) -> FleetService:
@@ -73,7 +72,7 @@ def build_fleet(
     service = FleetService(config)
     seed_server_fs(service.kernel)
     for index in range(processes):
-        name = servers[index % len(servers)]
+        name = FLEET_SERVERS[index % len(FLEET_SERVERS)]
         service.add_workload(
             server_pipeline(name), server_requests(name, sessions)
         )

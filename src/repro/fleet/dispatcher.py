@@ -86,18 +86,18 @@ class FleetDispatcher:
         policy: RingPolicy = RingPolicy.STALL,
         max_queue_depth: int = 64,
         retry: Optional[RetryPolicy] = None,
-        injector: Optional[FaultInjector] = None,
-        degradations: Optional[DegradationLedger] = None,
     ) -> None:
         self.pool = pool
         self.policy = policy
         self.max_queue_depth = max_queue_depth
         #: retry/backoff/dead-letter policy for failed worker attempts.
         self.retry = retry if retry is not None else RetryPolicy()
-        #: fault plane shared with the monitor (None = fault-free).
-        self.injector = injector
-        #: degradation audit trail shared with the monitor.
-        self.degradations = degradations
+        #: fault plane shared with the monitor (None = fault-free), set
+        #: by the service.
+        self.injector: Optional[FaultInjector] = None
+        #: degradation audit trail shared with the monitor, set by the
+        #: service.
+        self.degradations: Optional[DegradationLedger] = None
         self.monitor = None  # bound by the service (FleetMonitor)
         self.tasks: List[CheckTask] = []
         #: tasks whose verdict has not yet taken effect, by finish time.

@@ -12,12 +12,10 @@ and changes only *when things happen*:
   which applies the configured buffer-full policy (stall or lossy)
   rather than checking inline.
 
-Fork/exec inheritance comes for free: ``auto_protect`` flows through
-the overridden :meth:`protect`, so children get their own CR3-filtered
-IPT unit *and* their own fleet ring.  Children executed inline by a
-parent's ``wait()`` are checked through the dispatcher like everyone
-else, but only top-level processes the service registered are ever
-stalled (their ring has an executor attached).
+Every protected process gets its own CR3-filtered IPT unit *and* its
+own fleet ring through the overridden :meth:`protect`.  Only
+top-level processes the service registered are ever stalled (their
+ring has an executor attached).
 """
 
 from __future__ import annotations

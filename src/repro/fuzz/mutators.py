@@ -15,13 +15,15 @@ INTERESTING_8 = [0, 1, 16, 32, 64, 100, 127, 128, 255]
 INTERESTING_16 = [0, 128, 255, 256, 512, 1000, 1024, 4096, 32767, 65535]
 
 HAVOC_STACK = 4
+#: the havoc and splice stages' random seed
+SEED = 0x5EED
 
 
 class MutationEngine:
     """Deterministic first-pass mutators plus a havoc stage."""
 
-    def __init__(self, seed: int = 0x5EED) -> None:
-        self.rng = random.Random(seed)
+    def __init__(self) -> None:
+        self.rng = random.Random(SEED)
 
     # -- deterministic stages ------------------------------------------------
 

@@ -136,8 +136,8 @@ FAR_GROUP = 10
 _NO_FAR = FAR_HEAD.pack(NO_IP, 0, 0, 0)
 
 
-def sync_to_psb(data: bytes, start: int = 0) -> int:
-    """Offset of the first PSB at/after ``start``; -1 if none.
+def sync_to_psb(data: bytes) -> int:
+    """Offset of the first PSB; -1 if none.
 
     A PSB is the *last* eight bytes of a maximal run of ``82 02``
     pairs: the packet after a PSB is always a FUP or PSBEND, never
@@ -146,7 +146,7 @@ def sync_to_psb(data: bytes, start: int = 0) -> int:
     """
     if isinstance(data, memoryview):  # views lack a regex buffer search
         data = bytes(data)
-    match = _PSB_RE.search(data, start)
+    match = _PSB_RE.search(data)
     return -1 if match is None else match.start()
 
 
@@ -166,17 +166,13 @@ def psb_offsets(data: bytes, start: int = 0) -> List[int]:
     return [match.start() for match in _PSB_RE.finditer(data, start)]
 
 
-def psb_boundaries(data: bytes, start: int = 0) -> List[int]:
-    """PSB segment boundaries: ``[start, psb1, psb2, ..., len(data)]``.
+def psb_boundaries(data: bytes) -> List[int]:
+    """PSB segment boundaries: ``[0, psb1, psb2, ..., len(data)]``.
 
-    PSBs are found by :func:`psb_offsets` from one pattern-length past
-    ``start`` (``start`` itself already opens the first segment).
+    PSBs are found by :func:`psb_offsets` from one pattern-length in
+    (offset 0 already opens the first segment).
     """
-    return (
-        [start]
-        + psb_offsets(data, start + len(PSB_PATTERN))
-        + [len(data)]
-    )
+    return [0] + psb_offsets(data, len(PSB_PATTERN)) + [len(data)]
 
 
 def _build_dispatch() -> bytes:

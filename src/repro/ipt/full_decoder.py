@@ -439,18 +439,16 @@ class FullDecoder:
         return chain
 
     def decode(
-        self,
-        parts: Sequence[Tuple[ColumnarSegment, int]],
-        start_ip: Optional[int] = None,
+        self, parts: Sequence[Tuple[ColumnarSegment, int]],
     ) -> FullDecodeResult:
         """Walk the binaries under the guidance of the packet stream.
 
         ``parts`` are scanned segments with their stream bases, in
         stream order (``ColumnarTail.slow_source()``, or
         ``[(columnar_scan(data), 0)]`` for a whole trace); the walk reads
-        their columns (:class:`_ColumnWalk`).  Decoding anchors at
-        ``start_ip`` or at the first PSB-context FUP / TIP.PGE in the
-        stream, and ends when packets run out.
+        their columns (:class:`_ColumnWalk`).  Decoding anchors at the
+        first PSB-context FUP / TIP.PGE in the stream, and ends when
+        packets run out.
 
         The window is walked one part at a time: each part's walk enters
         at the ip where the previous part's packets ran out, the
@@ -472,7 +470,7 @@ class FullDecoder:
         kept = self._kept
         walked = self._kept = {}
         edges: List[BranchEvent] = []
-        ip = start_ip
+        ip = None
         # Instructions before the current part's entry (its boundary
         # instruction is the part's own), and how many of them were
         # taken from kept parts.
@@ -535,11 +533,8 @@ class FullDecoder:
                     insn_count, ip = count - 1, end_ip
                     continue
             return self._finish(edges, count, end_ip, how != _CUT, taken)
-        if ip is None:
-            return FullDecodeResult(edges, 0, 0.0, exhausted=True)
-        # No parts: walk from ``start_ip`` until a packet is needed.
-        how, count, end_ip, _ = self._walk(_ColumnWalk(()), ip, edges, 0)
-        return self._finish(edges, count, end_ip, how != _CUT, 0)
+        # No part has an anchor.
+        return FullDecodeResult(edges, 0, 0.0, exhausted=True)
 
     def _walk(
         self, walk: _ColumnWalk, ip: int, edges: List[BranchEvent],

@@ -76,10 +76,9 @@ class Program:
         self.builder.add_needed(soname)
         return self
 
-    def add_string(self, name: str, text: str, export: bool = False
-                   ) -> "Program":
+    def add_string(self, name: str, text: str) -> "Program":
         """Add a NUL-terminated string object."""
-        self.builder.add_data(name, text.encode() + b"\x00", export)
+        self.builder.add_data(name, text.encode() + b"\x00")
         return self
 
     def add_data(self, name: str, payload: bytes, export: bool = False

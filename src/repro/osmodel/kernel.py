@@ -144,11 +144,7 @@ class Kernel:
 
     # -- spawning ----------------------------------------------------------------
 
-    def spawn(
-        self,
-        program: str,
-        stdin: bytes = b"",
-    ) -> Process:
+    def spawn(self, program: str) -> Process:
         """Create a process running a registered program."""
         if program not in self.programs:
             raise KernelPanic(f"unregistered program: {program}")
@@ -157,7 +153,6 @@ class Kernel:
         pid = self._next_pid
         self._next_pid += 1
         proc = self._make_process(pid, program, image)
-        proc.feed_stdin(stdin)
         self.processes[pid] = proc
         tel = get_telemetry()
         if tel.enabled:

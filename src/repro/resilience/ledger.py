@@ -71,15 +71,15 @@ class DegradationEvent:
 class DegradationLedger:
     """Append-only downgrade log with exact reconciliation.
 
-    ``tenant`` scopes the ledger to one serving fault domain: every
-    event and every ``resilience.events`` series it emits carries the
-    tenant label, so N tenant ledgers over one metrics registry keep
-    separate books, and a noisy tenant's faults can never leak into a
-    clean tenant's.
+    ``tenant`` (set by a tenant's fleet, ``None`` elsewhere) scopes the
+    ledger to one serving fault domain: every event and every
+    ``resilience.events`` series it emits carries the tenant label, so
+    N tenant ledgers over one metrics registry keep separate books, and
+    a noisy tenant's faults can never leak into a clean tenant's.
     """
 
-    def __init__(self, tenant: Optional[str] = None) -> None:
-        self.tenant = tenant
+    def __init__(self) -> None:
+        self.tenant: Optional[str] = None
         self.events: List[DegradationEvent] = []
         self._counts: Dict[str, int] = {}
         #: total wasted checker cycles across recorded events.

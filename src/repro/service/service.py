@@ -185,10 +185,6 @@ class TraceCheckService:
         return result
 
 
-def run_service(
-    config: ServeConfig,
-    plane=None,
-    on_event: Optional[Callable[[dict], None]] = None,
-) -> ServiceResult:
+def run_service(config: ServeConfig) -> ServiceResult:
     """Serve a config to completion."""
-    return TraceCheckService(config, plane=plane).serve(on_event=on_event)
+    return TraceCheckService(config).serve()

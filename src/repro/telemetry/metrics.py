@@ -201,8 +201,8 @@ class Histogram:
 class MetricsRegistry:
     """Owns every instrument; one per :class:`repro.telemetry.Telemetry`."""
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
+        self.enabled = False
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}

@@ -53,6 +53,15 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.configio import JsonConfig
 from repro.telemetry.metrics import QUANTILES, series_base, series_name
 
+#: events the flight recorder keeps
+FLIGHT_CAPACITY = 256
+#: the newest events a flight dump freezes
+DUMP_EVENTS = 64
+#: the newest timeseries samples a flight dump freezes
+DUMP_SAMPLES = 8
+#: dumps a recorder keeps; later ones are counted as suppressed
+MAX_DUMPS = 16
+
 
 class TimeseriesSampler:
     """Ring-buffered snapshots of every series, on a virtual cadence.
@@ -124,34 +133,17 @@ class TimeseriesSampler:
 class FlightRecorder:
     """Bounded structured event journal with crash dumps.
 
-    ``record`` is the hot entry: when disabled it returns before
-    touching anything (no dict, no string — the zero-allocation
-    contract ``tests/test_observability.py`` pins).  ``dump`` freezes
-    the last ``dump_events`` events plus the last ``dump_samples``
-    timeseries samples under a reason string; dumps are themselves
-    bounded so a pathological run cannot grow without bail.
+    It keeps the last :data:`FLIGHT_CAPACITY` events.  ``dump``
+    freezes the last :data:`DUMP_EVENTS` events plus the last
+    :data:`DUMP_SAMPLES` timeseries samples under a reason string;
+    dumps are themselves bounded (:data:`MAX_DUMPS`) so a pathological
+    run cannot grow without bail.
     """
 
-    __slots__ = ("capacity", "dump_events", "dump_samples", "max_dumps",
-                 "enabled", "events", "seq", "counts", "dumps",
-                 "dumps_suppressed")
+    __slots__ = ("events", "seq", "counts", "dumps", "dumps_suppressed")
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        dump_events: int = 64,
-        dump_samples: int = 8,
-        max_dumps: int = 16,
-        enabled: bool = True,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("flight-recorder capacity must be positive")
-        self.capacity = capacity
-        self.dump_events = dump_events
-        self.dump_samples = dump_samples
-        self.max_dumps = max_dumps
-        self.enabled = enabled
-        self.events: deque = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.events: deque = deque(maxlen=FLIGHT_CAPACITY)
         self.seq = 0
         self.counts: Dict[str, int] = {}
         self.dumps: List[dict] = []
@@ -163,9 +155,7 @@ class FlightRecorder:
 
     def record(
         self, kind: str, t: float, pid: int = -1, detail: str = ""
-    ) -> Optional[dict]:
-        if not self.enabled:
-            return None
+    ) -> dict:
         event = {
             "seq": self.seq, "t": t, "kind": kind, "pid": pid,
             "detail": detail,
@@ -178,14 +168,12 @@ class FlightRecorder:
     def dump(
         self, reason: str, t: float, sampler: Optional[TimeseriesSampler]
     ) -> Optional[dict]:
-        if not self.enabled:
-            return None
-        if len(self.dumps) >= self.max_dumps:
+        if len(self.dumps) >= MAX_DUMPS:
             self.dumps_suppressed += 1
             return None
-        tail = list(self.events)[-self.dump_events:]
+        tail = list(self.events)[-DUMP_EVENTS:]
         context = (
-            list(sampler.samples)[-self.dump_samples:]
+            list(sampler.samples)[-DUMP_SAMPLES:]
             if sampler is not None else []
         )
         dump = {
@@ -467,20 +455,16 @@ class ObservabilityPlane:
         self,
         interval: float = 2000.0,
         sampler_capacity: int = 512,
-        flight_capacity: int = 256,
         slo: Optional[SLOConfig] = None,
-        telemetry=None,
     ) -> None:
-        if telemetry is None:
-            from repro.telemetry import get_telemetry  # lazy: avoid cycle
+        from repro.telemetry import get_telemetry  # lazy: avoid cycle
 
-            telemetry = get_telemetry()
-        self.telemetry = telemetry
+        telemetry = self.telemetry = get_telemetry()
         self.sampler = TimeseriesSampler(
             telemetry.metrics, telemetry.profiler,
             interval=interval, capacity=sampler_capacity,
         )
-        self.flight = FlightRecorder(capacity=flight_capacity)
+        self.flight = FlightRecorder()
         self.slo = slo if slo is not None else SLOConfig.default()
         self.engine = SLOEngine(self.slo)
         self.clock = None

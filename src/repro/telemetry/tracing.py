@@ -22,6 +22,9 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional
 
+#: finished spans a tracer keeps; older ones are dropped
+MAX_SPANS = 100_000
+
 
 class Span:
     """One timed region; finished spans are immutable in practice."""
@@ -67,10 +70,8 @@ class Span:
 class Tracer:
     """Collects finished spans; one per :class:`repro.telemetry.Telemetry`."""
 
-    def __init__(self, enabled: bool = False, max_spans: int = 100_000
-                 ) -> None:
-        self.enabled = enabled
-        self.max_spans = max_spans
+    def __init__(self) -> None:
+        self.enabled = False
         self.spans: List[Span] = []
         self.dropped = 0
         self._stack: List[Span] = []
@@ -103,8 +104,8 @@ class Tracer:
                 elif span in self._stack:  # pragma: no cover - defensive
                     self._stack.remove(span)
                 self.spans.append(span)
-                if len(self.spans) > self.max_spans:
-                    overflow = len(self.spans) - self.max_spans
+                if len(self.spans) > MAX_SPANS:
+                    overflow = len(self.spans) - MAX_SPANS
                     del self.spans[:overflow]
                     self.dropped += overflow
 

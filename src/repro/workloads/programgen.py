@@ -38,16 +38,17 @@ from repro.lang import (
 
 _OPS = ["+", "-", "*", "^", "&", "|"]
 _RELS = ["==", "!=", "<", "<=", ">", ">="]
+#: leaf functions, reached through one pointer table
+LEAF_COUNT = 4
+#: nesting depth of generated control flow
+MAX_DEPTH = 3
 
 
 class ProgramGenerator:
     """Seeded random generator of terminating programs."""
 
-    def __init__(self, seed: int, leaf_count: int = 4,
-                 max_depth: int = 3) -> None:
+    def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
-        self.leaf_count = leaf_count
-        self.max_depth = max_depth
         self._names = iter(f"v{i}" for i in range(10_000))
 
     # -- expressions -------------------------------------------------------
@@ -85,7 +86,7 @@ class ProgramGenerator:
 
     def _statement(self, scope: List[str], depth: int):
         choices = ["assign", "let"]
-        if depth < self.max_depth:
+        if depth < MAX_DEPTH:
             choices += ["if", "loop", "switch"]
         choices += ["leaf_call", "indirect_call"]
         kind = self.rng.choice(choices)
@@ -123,12 +124,12 @@ class ProgramGenerator:
             return Switch(BinOp("&", selector, Const(3)), cases,
                           default=self._block(list(scope), depth + 1))
         if kind == "leaf_call":
-            index = self.rng.randrange(self.leaf_count)
+            index = self.rng.randrange(LEAF_COUNT)
             return Let(next(self._names),
                        Call(f"leaf{index}", [self._value(scope)]))
         # indirect call through the pointer table.
         index_expr = BinOp("&", self._value(scope),
-                           Const(self.leaf_count - 1))
+                           Const(LEAF_COUNT - 1))
         return Let(
             next(self._names),
             CallPtr(
@@ -140,12 +141,12 @@ class ProgramGenerator:
 
     # -- whole programs ---------------------------------------------------------
 
-    def generate(self, name: str = "generated") -> Module:
-        prog = Program(name)
+    def generate(self) -> Module:
+        prog = Program("generated")
         prog.add_needed("libsim.so")
         prog.import_symbol("exit")
         # Leaf functions: simple arithmetic, one recursive.
-        for index in range(self.leaf_count):
+        for index in range(LEAF_COUNT):
             op = self.rng.choice(_OPS)
             prog.add_func(
                 Func(
@@ -171,7 +172,7 @@ class ProgramGenerator:
             )
         )
         prog.add_pointer_table(
-            "leaves", [f"leaf{i}" for i in range(self.leaf_count)]
+            "leaves", [f"leaf{i}" for i in range(LEAF_COUNT)]
         )
         scope: List[str] = []
         body = [Let("seed", Const(self.rng.randint(0, 99)))]
@@ -187,6 +188,6 @@ class ProgramGenerator:
         return prog.build()
 
 
-def generate_program(seed: int, name: str = "generated") -> Module:
+def generate_program(seed: int) -> Module:
     """Convenience wrapper: one seeded random program."""
-    return ProgramGenerator(seed).generate(name)
+    return ProgramGenerator(seed).generate()

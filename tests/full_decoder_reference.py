@@ -286,10 +286,9 @@ class ReferenceFullDecoder(FullDecoder):
             ) from exc
         return insn, length
 
-    def decode(self, parts, start_ip: Optional[int] = None
-               ) -> FullDecodeResult:
+    def decode(self, parts) -> FullDecodeResult:
         cursor = self.cursor(parts)
-        ip = start_ip if start_ip is not None else cursor.initial_ip()
+        ip = cursor.initial_ip()
         edges: List[BranchEvent] = []
         insn_count = 0
         if ip is None:

@@ -808,7 +808,7 @@ class TestPsbOffsetsReversed:
         psb = len(group) + len(tip)
         assert psb_offsets(data) == [0, psb]
         assert walked_psbs(data) == [psb, 0]
-        assert sync_to_psb(data, 1) == psb
+        assert 1 + sync_to_psb(data[1:]) == psb
         assert len(columnar_scan(data).ip_column()) == 1
 
 
@@ -832,8 +832,8 @@ class TestPsbAlignment:
         data = self.DATA
         assert psb_offsets(data) == [0, 19]
         assert walked_psbs(data) == [19, 0]
-        assert sync_to_psb(data, 1) == 19
-        assert sync_to_psb(memoryview(data), 1) == 19
+        assert 1 + sync_to_psb(data[1:]) == 19
+        assert 1 + sync_to_psb(memoryview(data)[1:]) == 19
         assert psb_boundaries(data) == [0, 19, len(data)]
 
     def test_scan_sync_skips_the_payload_pair(self):

@@ -17,6 +17,7 @@ from repro.cpu import (
     PROT_WRITE,
 )
 from repro.cpu.blocks import BlockStore
+from repro.cpu.memory import CSTRING_LIMIT
 from repro.isa import A, Cond, Label, asm
 from repro.isa.registers import FP, R0, R1, R2, R3, SP
 
@@ -145,16 +146,16 @@ class TestMemory:
         assert mem.read_cstring(0x1FFC) == b"ab"
 
     def test_cstring_limit_without_nul(self):
+        assert CSTRING_LIMIT == 0x1000
         mem = Memory()
         mem.map_region(0x1000, 0x3000)
         mem.write(0x1000, b"x" * 0x3000)
-        assert mem.read_cstring(0x1800) == b"x" * 4096
-        assert mem.read_cstring(0x1FFE, limit=5) == b"xxxxx"
-        assert mem.read_cstring(0x3FF0, limit=16) == b"x" * 16
-        assert mem.read_cstring(0x1000, limit=0) == b""
-        # One byte more reaches the unmapped page.
+        assert mem.read_cstring(0x1800) == b"x" * CSTRING_LIMIT
+        # The limit ends the read at the mapping's last byte...
+        assert mem.read_cstring(0x3000) == b"x" * CSTRING_LIMIT
+        # ...and one byte further on reaches the unmapped page.
         with pytest.raises(MemoryError_, match="unmapped address 0x4000"):
-            mem.read_cstring(0x3FF0, limit=17)
+            mem.read_cstring(0x3001)
 
     @given(st.integers(0, 2**64 - 1))
     def test_u64_roundtrip_property(self, value):

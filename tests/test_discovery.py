@@ -56,14 +56,27 @@ class TestDiscovery:
     def test_discovery_based_cfg_identical(self):
         """The full COTS pipeline: building the O-CFG from *recovered*
         boundaries must agree with the ground-truth build."""
+        from dataclasses import replace
+
         from repro.analysis import build_ocfg
         from repro.binary import Loader
         from repro.workloads import build_nginx, build_vdso
 
-        image = Loader({"libsim.so": build_libsim()},
-                       vdso=build_vdso()).load(build_nginx())
-        truth = build_ocfg(image)
-        recovered = build_ocfg(image, use_discovery=True)
+        def stripped(module):
+            # PLT stubs are synthesised by the builder, not read.
+            ranges = discover_functions(module).as_function_ranges()
+            return replace(module, function_ranges={
+                name: span for name, span in ranges.items()
+                if not name.endswith("@plt")
+            })
+
+        truth = build_ocfg(Loader({"libsim.so": build_libsim()},
+                                  vdso=build_vdso()).load(build_nginx()))
+        recovered = build_ocfg(
+            Loader({"libsim.so": stripped(build_libsim())},
+                   vdso=stripped(build_vdso())).load(
+                       stripped(build_nginx()))
+        )
         assert set(truth.blocks) == set(recovered.blocks)
         assert {
             (e.src, e.dst, e.kind, e.branch_addr) for e in truth.edges

@@ -32,6 +32,12 @@ from repro.ipt import (
 from repro.ipt.columnar import columnar_scan, psb_offsets
 from repro.ipt.full_decoder import MAX_BLOCK_RUN
 from repro.ipt.msr import RTIT_CTL
+from repro.ipt.packets import (
+    FUP_HEADER,
+    PSB_PATTERN,
+    PSBEND_BYTE,
+    encode_ip_packet,
+)
 from repro.isa import A, Cond, Label, asm
 from repro.isa.encoding import instruction_length
 from repro.isa.instructions import Insn, Op
@@ -80,7 +86,7 @@ def traced_snippet(items, psb_period=4096):
 
 def traced_program(seed):
     """(memory, trace bytes) of a generated program run bare-metal."""
-    image = Loader(LIBS).load(generate_program(seed, f"gen{seed}"))
+    image = Loader(LIBS).load(generate_program(seed))
     image.memory.map_region(0x7FFD0000, 0x30000, PROT_READ | PROT_WRITE)
     machine = Machine(image.memory)
     machine.ip = image.entry_address
@@ -97,6 +103,13 @@ def parts(data):
     return [(columnar_scan(data), 0)]
 
 
+def anchored(ip):
+    """A PSB+ group whose FUP anchors a walk at ``ip``: with no packet
+    after it, the walk runs until an instruction needs one."""
+    fup, _ = encode_ip_packet(FUP_HEADER, ip, 0)
+    return PSB_PATTERN + fup + bytes([PSBEND_BYTE])
+
+
 def fields(result):
     """The comparable content of a ``FullDecodeResult``."""
     return (
@@ -108,18 +121,18 @@ def fields(result):
     )
 
 
-def result_of(decoder, source, start_ip=None):
+def result_of(decoder, source):
     """A decode's fields, or its ``TraceMismatch`` message."""
     try:
-        return fields(decoder.decode(source, start_ip))
+        return fields(decoder.decode(source))
     except TraceMismatch as exc:
         return ("mismatch", str(exc))
 
 
-def outcome(decoder, source, start_ip=None):
+def outcome(decoder, source):
     """:func:`result_of` plus the ``ipt.full_decode.*`` counters."""
     with telemetry.capture() as tel:
-        result = result_of(decoder, source, start_ip)
+        result = result_of(decoder, source)
         counters = tuple(
             tel.metrics.counter(f"ipt.full_decode.{name}").total()
             for name in COUNTERS
@@ -127,20 +140,19 @@ def outcome(decoder, source, start_ip=None):
     return result, counters
 
 
-def assert_same(memory, data, start_ip=None, max_insns=5_000_000,
-                warm=None):
+def assert_same(memory, data, max_insns=5_000_000, warm=None):
     """Production (fresh, and ``warm`` if given) == oracle, through
     both of the oracle's cursors.  Returns the oracle outcomes."""
     got = {}
     for name, cursor in CURSORS.items():
         oracle = ReferenceFullDecoder(memory, max_insns=max_insns,
                                       cursor=cursor)
-        want = outcome(oracle, parts(data), start_ip)
+        want = outcome(oracle, parts(data))
         fresh = FullDecoder(memory, max_insns=max_insns)
-        assert outcome(fresh, parts(data), start_ip) == want, name
+        assert outcome(fresh, parts(data)) == want, name
         if warm is not None:
             warm.max_insns = max_insns
-            assert outcome(warm, parts(data), start_ip) == want, (
+            assert outcome(warm, parts(data)) == want, (
                 name, "warm"
             )
         got[name] = want
@@ -254,8 +266,8 @@ def test_truncation_cuts_generated(seed):
 
 
 def test_start_ip_anchors():
-    """Anchoring at every instruction: desyncs, whose messages must
-    match too, and clean walks."""
+    """Anchoring at every instruction (a PSB+ FUP in front of the
+    trace): desyncs, whose messages must match too, and clean walks."""
     kinds = set()
     for items in SNIPPETS.values():
         memory, data = traced_snippet(items)
@@ -263,7 +275,7 @@ def test_start_ip_anchors():
         warm = FullDecoder(memory)
         ip, end = CODE_BASE, CODE_BASE + len(code)
         while ip < end:
-            got = assert_same(memory, data, start_ip=ip, warm=warm)
+            got = assert_same(memory, anchored(ip) + data, warm=warm)
             kinds.add(got["packets"][0][0] == "mismatch")
             ip = FullDecoder(memory)._entry(ip)[0][2]
     assert kinds == {True, False}
@@ -281,7 +293,7 @@ def test_fault_mid_run(bad):
     memory.write_raw(base, code + bad)
     warm = FullDecoder(memory)
     for budget in range(movs + 3):
-        got = assert_same(memory, b"", start_ip=base, max_insns=budget,
+        got = assert_same(memory, anchored(base), max_insns=budget,
                           warm=warm)
         result = got["packets"][0]
         if budget > movs:
@@ -301,11 +313,11 @@ def test_fault_after_remembered_blocks():
     memory.write_raw(tail, code)
     decoder = FullDecoder(memory, max_insns=100)
     with pytest.raises(TraceMismatch, match="cannot disassemble"):
-        decoder.decode([], start_ip=tail)
+        decoder.decode(parts(anchored(tail)))
     memory.map_region(CODE_BASE + 0x1000, 0x1000, PROT_READ | PROT_EXEC)
     memory.write_raw(CODE_BASE + 0x1000, asm([A.halt()])[0])
-    assert_same(memory, b"", start_ip=tail, max_insns=100, warm=decoder)
-    result = decoder.decode([], start_ip=tail)
+    assert_same(memory, anchored(tail), max_insns=100, warm=decoder)
+    result = decoder.decode(parts(anchored(tail)))
     assert result.insn_count == 4
 
 
@@ -318,7 +330,7 @@ def test_long_runs_chain_blocks():
     memory.write_raw(CODE_BASE + length, asm([A.halt()])[0])
     warm = FullDecoder(memory)
     for budget in range(length + 3):
-        got = assert_same(memory, b"", start_ip=CODE_BASE,
+        got = assert_same(memory, anchored(CODE_BASE),
                           max_insns=budget, warm=warm)
     edges, insn_count, _, end_ip, exhausted = got["packets"][0]
     assert (edges, insn_count, end_ip, exhausted) == (
@@ -340,7 +352,7 @@ def test_nop_sled_stops_at_budget():
         return entry(ip)
 
     decoder._entry = counting_entry
-    got = assert_same(memory, b"", start_ip=CODE_BASE, max_insns=1000,
+    got = assert_same(memory, anchored(CODE_BASE), max_insns=1000,
                       warm=decoder)
     edges, insn_count, _, end_ip, exhausted = got["packets"][0]
     assert (edges, insn_count, end_ip, exhausted) == (
@@ -372,16 +384,16 @@ def test_monitor_slow_path_windows(monkeypatch):
     compared = []
     production = FullDecoder.decode
 
-    def checked(self, source, start_ip=None):
+    def checked(self, source):
         oracle = ReferenceFullDecoder(self.memory, max_insns=self.max_insns)
-        want = result_of(oracle, source, start_ip)
+        want = result_of(oracle, source)
         # The same segments through the packet-list cursor.
         oracle = ReferenceFullDecoder(self.memory, max_insns=self.max_insns,
                                       cursor=packet_cursor)
-        assert result_of(oracle, source, start_ip) == want
+        assert result_of(oracle, source) == want
         compared.append(type(source).__name__)
         try:
-            result = production(self, source, start_ip)
+            result = production(self, source)
         except TraceMismatch as exc:
             assert ("mismatch", str(exc)) == want
             raise
@@ -425,7 +437,7 @@ def test_jump_cycle_under_budgets(items):
     assert chain[0] == MAX_BLOCK_RUN and chain[3] is None
     warm = FullDecoder(memory)
     for budget in range(3 * MAX_BLOCK_RUN + 5):
-        got = assert_same(memory, b"", start_ip=CODE_BASE,
+        got = assert_same(memory, anchored(CODE_BASE),
                           max_insns=budget, warm=warm)
         edges, insn_count, _, _, exhausted = got["packets"][0]
         assert insn_count == budget and exhausted is False
@@ -452,14 +464,13 @@ def test_chain_budget_at_every_offset():
         A.mov(R0, 4),
         A.halt(),
     ])
-    full = FullDecoder(memory).decode([],
-                                      start_ip=CODE_BASE)
+    full = FullDecoder(memory).decode(parts(anchored(CODE_BASE)))
     assert [e.kind.value for e in full.edges] == [
         "direct_jmp", "direct_call", "direct_jmp", "direct_call",
     ]
     warm = FullDecoder(memory)
     for budget in range(full.insn_count + 2):
-        got = assert_same(memory, b"", start_ip=CODE_BASE,
+        got = assert_same(memory, anchored(CODE_BASE),
                           max_insns=budget, warm=warm)
     assert got["packets"][0] == fields(full)
 
@@ -483,15 +494,15 @@ def test_chain_into_unmapped_code_mapped_later(via):
     decoder = FullDecoder(memory, max_insns=100)
     epoch = memory.code_epoch
     for budget in range(6):
-        assert_same(memory, b"", start_ip=CODE_BASE, max_insns=budget,
+        assert_same(memory, anchored(CODE_BASE), max_insns=budget,
                     warm=decoder)
     with pytest.raises(TraceMismatch, match="cannot disassemble"):
-        decoder.decode([], start_ip=CODE_BASE)
+        decoder.decode(parts(anchored(CODE_BASE)))
     memory.map_region(far, 0x1000, PROT_READ | PROT_EXEC)
     tail, symbols = asm([A.mov(R1, 1), Label("end"), A.halt()], base=far)
     memory.write_raw(far, tail)
     assert memory.code_epoch == epoch
-    got = assert_same(memory, b"", start_ip=CODE_BASE, max_insns=100,
+    got = assert_same(memory, anchored(CODE_BASE), max_insns=100,
                       warm=decoder)
     edges, insn_count, _, end_ip, exhausted = got["packets"][0]
     assert (len(edges), insn_count, end_ip, exhausted) == (
@@ -513,7 +524,7 @@ def test_code_epoch_change_between_decodes():
     ]
     memory, symbols = mapped_code(items)
     warm = FullDecoder(memory)
-    before = assert_same(memory, b"", start_ip=CODE_BASE, warm=warm)
+    before = assert_same(memory, anchored(CODE_BASE), warm=warm)
     # Re-assemble with the JMP skipping the CALL, then re-protect the
     # page (mprotect model: the code epoch moves).
     code, _ = asm([
@@ -530,7 +541,7 @@ def test_code_epoch_change_between_decodes():
     epoch = memory.code_epoch
     memory.protect(CODE_BASE, 0x1000, PROT_READ | PROT_EXEC)
     assert memory.code_epoch > epoch
-    after = assert_same(memory, b"", start_ip=CODE_BASE, warm=warm)
+    after = assert_same(memory, anchored(CODE_BASE), warm=warm)
     assert after != before
     assert [kind.value for kind, *_ in after["packets"][0][0]] == [
         "direct_jmp"

@@ -20,7 +20,7 @@ from repro.binary import Loader
 from repro.cpu import Machine, Memory, PROT_EXEC, PROT_READ, PROT_WRITE
 from repro.cpu.blocks import BlockStore
 from repro.ipt import FullDecoder
-from repro.ipt.columnar import columnar_scan, psb_offsets
+from repro.ipt.columnar import FAR_HEAD, columnar_scan, psb_offsets
 from repro.ipt.packets import TIP_HEADER, encode_ip_packet
 from repro.isa import A, Cond, Label, asm
 from repro.isa.registers import R0, R1, R2, SP
@@ -33,15 +33,16 @@ from tests.test_full_decode_differential import (
     LIBS,
     _encoder,
     _run,
+    anchored,
     result_of,
 )
 
 
-def decoded(decoder, parts, start_ip=None):
+def decoded(decoder, parts):
     """A decode's fields (or its mismatch text), the counters the fresh
     and warm decoders share, and ``kept_insns``."""
     with telemetry.capture() as tel:
-        result = result_of(decoder, parts, start_ip)
+        result = result_of(decoder, parts)
         m = tel.metrics
         counters = tuple(m.counter(f"ipt.full_decode.{name}").total()
                          for name in COUNTERS)
@@ -49,21 +50,20 @@ def decoded(decoder, parts, start_ip=None):
     return result, counters, kept
 
 
-def replay(memory, windows, start_ip=None, oracle=False):
+def replay(memory, windows, oracle=False):
     """Decode ``windows`` in order with one warm decoder, each also with
     a fresh decoder (and the oracle); returns the warm decoder's
     ``kept_insns`` per window."""
     warm = FullDecoder(memory)
     kept = []
     for parts in windows:
-        want, counters, none_kept = decoded(FullDecoder(memory), parts,
-                                            start_ip)
+        want, counters, none_kept = decoded(FullDecoder(memory), parts)
         assert none_kept == 0
-        got, warm_counters, taken = decoded(warm, parts, start_ip)
+        got, warm_counters, taken = decoded(warm, parts)
         assert (got, warm_counters) == (want, counters)
         if oracle:
             reference = ReferenceFullDecoder(memory)
-            assert result_of(reference, parts, start_ip) == want
+            assert result_of(reference, parts) == want
         kept.append(taken)
     return kept
 
@@ -93,7 +93,7 @@ def growing(segs, width):
 def traced_program(seed, psb_period=4):
     """(memory, trace bytes) of generated program ``seed`` run
     bare-metal, its code filed under a block store (the loader's)."""
-    image = Loader(LIBS).load(generate_program(seed, f"gen{seed}"))
+    image = Loader(LIBS).load(generate_program(seed))
     image.memory.map_region(0x7FFD0000, 0x30000, PROT_READ | PROT_WRITE)
     machine = Machine(image.memory)
     machine.ip = image.entry_address
@@ -188,25 +188,30 @@ def test_server_check_windows(server_windows):
 
 
 def test_one_part_entered_at_different_ips():
-    """Windows entered at every instruction of the loop in turn (each
-    its own ``start_ip``, most of them desyncs): a part kept from one
-    entry ip is never taken for another."""
-    memory, data, _ = traced_loop()
+    """Windows that open with a part anchoring a walk at one of a
+    generated program's first instructions (a PSB+ FUP alone) enter
+    the same segments behind it at the ip where that walk ran out of
+    packets, which differs with the anchor (most of them then desync):
+    a part kept from one entry ip is never taken for another."""
+    memory, data = traced_program(0)
     segs = segments(data)
-    code, _ = asm(LOOP, base=CODE_BASE)
-    starts, ip = [], CODE_BASE
-    while ip < CODE_BASE + len(code):
+    starts, ip = [], FAR_HEAD.unpack_from(segs[0][0].far)[0]
+    for _ in range(40):
         starts.append(ip)
         ip = FullDecoder(memory)._entry(ip)[0][2]
     warm = FullDecoder(memory)
-    kept = 0
+    kept, entries = 0, set()
     for start in starts + starts[::-1] + starts:
-        for parts in (segs[:3], segs[1:4]):
-            want = decoded(FullDecoder(memory), parts, start)
-            got = decoded(warm, parts, start)
+        anchor = anchored(start)
+        for first in (1, 2):
+            head = (columnar_scan(anchor), segs[first][1] - len(anchor))
+            entries.add(FullDecoder(memory).decode([head]).end_ip)
+            parts = [head] + segs[first:first + 2]
+            want = decoded(FullDecoder(memory), parts)
+            got = decoded(warm, parts)
             assert got[:2] == want[:2], hex(start)
             kept += got[2]
-    assert kept > 0
+    assert kept > 0 and len(entries) > 1
 
 
 def test_mprotect_between_windows_drops_kept_parts():

@@ -46,9 +46,9 @@ def server_run():
     windows = []
     production = FullDecoder.decode
 
-    def recording(self, source, start_ip=None):
-        windows.append((self.memory, source, start_ip))
-        return production(self, source, start_ip)
+    def recording(self, source):
+        windows.append((self.memory, source))
+        return production(self, source)
 
     mp = pytest.MonkeyPatch()
     mp.setattr(FullDecoder, "decode", recording)
@@ -68,10 +68,10 @@ def server_run():
     assert len(windows) >= 10
     (memory,) = {id(w[0]): w[0] for w in windows}.values()
     oracle = [
-        result_of(ReferenceFullDecoder(memory), source, start_ip)
-        for _, source, start_ip in windows
+        result_of(ReferenceFullDecoder(memory), source)
+        for _, source in windows
     ]
-    return proc, memory, [w[1:] for w in windows], oracle
+    return proc, memory, [source for _, source in windows], oracle
 
 
 def test_slow_path_windows_decode_nothing_themselves(server_run,
@@ -90,8 +90,8 @@ def test_slow_path_windows_decode_nothing_themselves(server_run,
 
         monkeypatch.setattr(module, "decode_at", counting)
     decoder = FullDecoder(memory)
-    for (source, start_ip), want in zip(windows, oracle):
-        assert result_of(decoder, source, start_ip) == want
+    for source, want in zip(windows, oracle):
+        assert result_of(decoder, source) == want
     assert calls == []
 
 
@@ -102,8 +102,8 @@ def test_static_edges_are_the_executors_events(server_run):
     icache = proc.executor._icache
     decoder = FullDecoder(memory)
     static = in_icache = 0
-    for (source, start_ip), want in zip(windows, oracle):
-        result = decoder.decode(source, start_ip)
+    for source, want in zip(windows, oracle):
+        result = decoder.decode(source)
         assert fields(result) == want
         for edge in result.edges:
             if edge.kind not in STATIC:

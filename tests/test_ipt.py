@@ -27,6 +27,7 @@ from tests.packet_reference import (
     decompress_ip,
     fast_decode,
 )
+from tests.test_full_decode_differential import anchored, parts
 
 
 def scanned(data):
@@ -265,11 +266,11 @@ class TestEncoder:
         count = 0
         pos = 0
         while True:
-            pos = sync_to_psb(data, pos)
-            if pos < 0:
+            found = sync_to_psb(data[pos:])
+            if found < 0:
                 break
             count += 1
-            pos += len(PSB_PATTERN)
+            pos += found + len(PSB_PATTERN)
         assert count > 3
 
     def test_far_transfer_group(self):
@@ -450,7 +451,7 @@ class TestFullDecodeAfterRemap:
 
     @staticmethod
     def _decode(decoder, base=BASE):
-        result = decoder.decode([], start_ip=base)
+        result = decoder.decode(parts(anchored(base)))
         return result.insn_count, [(e.kind, e.src) for e in result.edges]
 
     def test_remapped_code_decodes_fresh(self):

@@ -92,7 +92,8 @@ class TestBasics:
             Return(Var("n")),
         ]
         kernel = build_kernel(body)
-        proc = kernel.spawn("prog", stdin=b"abc")
+        proc = kernel.spawn("prog")
+        proc.feed_stdin(b"abc")
         kernel.run(proc)
         assert proc.exit_code == 3
         assert proc.stdout == bytearray(b"abc")
@@ -465,8 +466,9 @@ class TestIOFaults:
         returns the kernel, the process, the fd and a function telling
         what is left to read."""
         kernel = build_kernel([Return(Const(0))])
-        proc = kernel.spawn("prog", stdin=data if source == "stdin" else b"")
+        proc = kernel.spawn("prog")
         if source == "stdin":
+            proc.feed_stdin(data)
             return kernel, proc, 0, lambda: bytes(proc.stdin_buffer)
         if source == "conn":
             conn = proc.push_connection(data)

@@ -9,7 +9,6 @@ audit on a real run, and the StatsReport v2 -> v3 migration.
 """
 
 import json
-import tracemalloc
 
 import pytest
 
@@ -25,6 +24,7 @@ from repro.osmodel import Kernel
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.stats_report import SCHEMA_VERSION, StatsReport
 from repro.telemetry.metrics import MetricsRegistry, nearest_rank
+from repro.telemetry import plane as plane_module
 from repro.telemetry.plane import (
     FlightRecorder,
     ObservabilityPlane,
@@ -33,6 +33,13 @@ from repro.telemetry.plane import (
     SLObjective,
     TimeseriesSampler,
 )
+
+
+def _enabled_registry() -> MetricsRegistry:
+    """A registry switched on, as ``Telemetry.enable`` does."""
+    reg = MetricsRegistry()
+    reg.enabled = True
+    return reg
 
 
 @pytest.fixture(autouse=True)
@@ -66,7 +73,7 @@ class TestExactPercentiles:
         assert nearest_rank(values[:10], 12.5) == 2.0
 
     def test_histogram_percentiles_are_exact(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = _enabled_registry()
         h = reg.histogram("lag")
         for v in range(100, 0, -1):  # reverse insert: order must not matter
             h.observe(float(v))
@@ -81,7 +88,7 @@ class TestExactPercentiles:
         assert cell["max"] == 100.0
 
     def test_labeled_series_keep_separate_observations(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = _enabled_registry()
         h = reg.histogram("lag")
         h.observe(1.0, kind="a")
         h.observe(100.0, kind="b")
@@ -89,7 +96,7 @@ class TestExactPercentiles:
         assert h.percentile(99, kind="b") == 100.0
 
     def test_snapshot_carries_exact_percentiles(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = _enabled_registry()
         h = reg.histogram("lag")
         for v in (1.0, 2.0, 3.0, 1000.0):
             h.observe(v)
@@ -98,7 +105,7 @@ class TestExactPercentiles:
         assert cell["p99"] == 1000.0
 
     def test_reset_clears_observations(self):
-        h = MetricsRegistry(enabled=True).histogram("x")
+        h = _enabled_registry().histogram("x")
         h.observe(5.0)
         h.reset()
         assert h.percentile(99) == 0.0
@@ -108,9 +115,9 @@ class TestExactPercentiles:
 # -- sampler -----------------------------------------------------------------
 
 
-def _plane(interval=100.0, **kwargs) -> ObservabilityPlane:
+def _plane(interval=100.0) -> ObservabilityPlane:
     tel = telemetry.get_telemetry()
-    plane = ObservabilityPlane(interval=interval, telemetry=tel, **kwargs)
+    plane = ObservabilityPlane(interval=interval)
     tel.attach_plane(plane)
     return plane
 
@@ -144,8 +151,9 @@ class TestTimeseriesSampler:
 
 
 class TestFlightRecorder:
-    def test_ring_evicts_in_order(self):
-        flight = FlightRecorder(capacity=3)
+    def test_ring_evicts_in_order(self, monkeypatch):
+        monkeypatch.setattr(plane_module, "FLIGHT_CAPACITY", 3)
+        flight = FlightRecorder()
         for i in range(5):
             flight.record("k", float(i), pid=i)
         assert flight.seq == 5
@@ -153,28 +161,9 @@ class TestFlightRecorder:
         assert [e["seq"] for e in flight.events] == [2, 3, 4]
         assert flight.counts == {"k": 5}  # counts survive eviction
 
-    def test_disabled_mode_allocates_nothing(self):
-        flight = FlightRecorder(enabled=False)
-
-        def hammer(n):
-            for i in range(n):
-                assert flight.record("k", float(i)) is None
-
-        tracemalloc.start()
-        try:
-            hammer(10)  # warm any one-time interpreter allocations
-            before, _ = tracemalloc.get_traced_memory()
-            hammer(1000)
-            after, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert after - before == 0
-        assert flight.seq == 0
-        assert not flight.events and not flight.counts
-        assert flight.dump("reason", 0.0, None) is None
-
-    def test_dumps_are_bounded(self):
-        flight = FlightRecorder(max_dumps=2)
+    def test_dumps_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(plane_module, "MAX_DUMPS", 2)
+        flight = FlightRecorder()
         flight.record("k", 1.0)
         for i in range(4):
             flight.dump(f"r{i}", float(i), None)
@@ -182,11 +171,13 @@ class TestFlightRecorder:
         assert flight.dumps_suppressed == 2
         assert [d["reason"] for d in flight.dumps] == ["r0", "r1"]
 
-    def test_dump_freezes_event_tail_and_samples(self):
+    def test_dump_freezes_event_tail_and_samples(self, monkeypatch):
+        monkeypatch.setattr(plane_module, "DUMP_EVENTS", 2)
+        monkeypatch.setattr(plane_module, "DUMP_SAMPLES", 1)
         tel = telemetry.get_telemetry()
         sampler = TimeseriesSampler(tel.metrics, tel.profiler,
                                     interval=10.0)
-        flight = FlightRecorder(dump_events=2, dump_samples=1)
+        flight = FlightRecorder()
         for i in range(5):
             flight.record("k", float(i))
         sampler.sample(10.0)
@@ -227,7 +218,7 @@ class TestFlightRecorder:
         def one_run():
             tel = telemetry.get_telemetry()
             tel.reset()
-            plane = ObservabilityPlane(interval=2000.0, telemetry=tel)
+            plane = ObservabilityPlane(interval=2000.0)
             tel.attach_plane(plane)
             try:
                 service = build_fleet(
@@ -400,7 +391,7 @@ class TestPlaneIntegration:
 
     def test_attach_detach(self):
         tel = telemetry.get_telemetry()
-        plane = ObservabilityPlane(telemetry=tel)
+        plane = ObservabilityPlane()
         tel.attach_plane(plane)
         assert tel.enabled and tel.plane is plane
         assert "plane" in tel.snapshot()

@@ -56,7 +56,7 @@ def traced_run(exe, max_steps=3_000_000):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_generated_programs_run_clean(seed):
-    exe = generate_program(seed, f"gen{seed}")
+    exe = generate_program(seed)
     kernel = Kernel()
     kernel.register_program(f"gen{seed}", exe, LIBS)
     proc = kernel.spawn(f"gen{seed}")
@@ -68,7 +68,7 @@ def test_generated_programs_run_clean(seed):
 def test_execution_deterministic(seed):
     exits = set()
     for _ in range(2):
-        exe = generate_program(seed, f"gen{seed}")
+        exe = generate_program(seed)
         kernel = Kernel()
         kernel.register_program(f"gen{seed}", exe, LIBS)
         proc = kernel.spawn(f"gen{seed}")
@@ -80,7 +80,7 @@ def test_execution_deterministic(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_full_decode_reconstructs_execution(seed):
     """Property 3: trace + binaries == exact flow (§2's premise)."""
-    exe = generate_program(seed, f"gen{seed}")
+    exe = generate_program(seed)
     image, cpu, encoder, events = traced_run(exe)
     data = encoder.output.snapshot()
     truth = [(e.kind, e.src, e.dst) for e in events]
@@ -103,7 +103,7 @@ def test_full_decode_reconstructs_execution(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_itc_soundness_on_generated_programs(seed):
     """Property 4: the §4.2 theorem over random program shapes."""
-    exe = generate_program(seed, f"gen{seed}")
+    exe = generate_program(seed)
     image, cpu, encoder, events = traced_run(exe)
     itc = build_itccfg(build_ocfg(image))
     ips = columnar_scan(encoder.output.snapshot()).ip_column()
@@ -120,7 +120,7 @@ def test_protection_has_no_false_positives(seed):
     """Property 5: benign generated programs are never flagged."""
     from repro.pipeline import FlowGuardPipeline
 
-    exe = generate_program(seed, f"gen{seed}")
+    exe = generate_program(seed)
     pipeline = FlowGuardPipeline.offline(
         f"gen{seed}", exe, LIBS, corpus=[b""], mode="stdin",
     )

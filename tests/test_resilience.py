@@ -232,10 +232,10 @@ def _task(slices=(100.0,), serial=50.0):
 
 
 def _dispatcher(pool, plan, policy):
-    return FleetDispatcher(
-        pool, retry=policy, injector=FaultInjector(plan),
-        degradations=DegradationLedger(),
-    )
+    dispatcher = FleetDispatcher(pool, retry=policy)
+    dispatcher.injector = FaultInjector(plan)
+    dispatcher.degradations = DegradationLedger()
+    return dispatcher
 
 
 class TestDispatcherRecovery:
@@ -523,7 +523,8 @@ class TestDegradationLedger:
 
     def test_events_counter_is_a_view(self):
         with telemetry.capture() as tel:
-            ledger = DegradationLedger(tenant="acme")
+            ledger = DegradationLedger()
+            ledger.tenant = "acme"
             ledger.record("retry", cycles=10.0)
             ledger.record("retry")
             ledger.record("hedge")

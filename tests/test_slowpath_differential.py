@@ -159,7 +159,7 @@ def test_undertrained_nginx_windows(monkeypatch, undertrained_nginx):
 
 def traced_program(seed):
     """(image, trace bytes) of a generated program run bare-metal."""
-    image = Loader(LIBS).load(generate_program(seed, f"gen{seed}"))
+    image = Loader(LIBS).load(generate_program(seed))
     image.memory.map_region(0x7FFD0000, 0x30000, PROT_READ | PROT_WRITE)
     machine = Machine(image.memory)
     machine.ip = image.entry_address
@@ -295,7 +295,7 @@ class StubDecoder:
         self.insn_count = insn_count
         self.error = error
 
-    def decode(self, source, start_ip=None):
+    def decode(self, source):
         if self.error is not None:
             raise TraceMismatch(self.error)
         return FullDecodeResult(

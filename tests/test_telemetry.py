@@ -17,6 +17,7 @@ from repro.osmodel import Kernel
 from repro.pipeline import FlowGuardPipeline
 from repro.telemetry.metrics import MetricsRegistry, series_name
 from repro.telemetry.profiler import CycleProfiler
+from repro.telemetry import tracing
 from repro.telemetry.tracing import Tracer
 from repro.workloads import (
     build_libsim,
@@ -25,6 +26,12 @@ from repro.workloads import (
     nginx_request,
 )
 from tests.meter_view import assert_view_matches_stats
+
+
+def _enabled(sink):
+    """A registry or tracer switched on, as ``Telemetry.enable`` does."""
+    sink.enabled = True
+    return sink
 
 
 @pytest.fixture(autouse=True)
@@ -40,7 +47,7 @@ def _clean_global_telemetry():
 
 class TestMetricsRegistry:
     def test_counter_labels_fan_out_into_series(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = _enabled(MetricsRegistry())
         checks = reg.counter("monitor.checks")
         checks.inc(path="fast")
         checks.inc(path="fast")
@@ -52,7 +59,7 @@ class TestMetricsRegistry:
         assert snap["counters"]['monitor.checks{path="fast"}'] == 2
 
     def test_series_name_is_stable_under_label_order(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = _enabled(MetricsRegistry())
         c = reg.counter("x")
         c.inc(b=1, a=2)
         c.inc(a=2, b=1)
@@ -60,7 +67,7 @@ class TestMetricsRegistry:
         assert series_name("x", (("a", "2"), ("b", "1"))) == 'x{a="2",b="1"}'
 
     def test_gauge_and_histogram(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = _enabled(MetricsRegistry())
         reg.gauge("ratio").set(0.5, program="nginx")
         h = reg.histogram("window")
         for v in (10, 30, 20):
@@ -73,7 +80,7 @@ class TestMetricsRegistry:
         assert reg.snapshot()["gauges"]['ratio{program="nginx"}'] == 0.5
 
     def test_disabled_registry_is_a_no_op(self):
-        reg = MetricsRegistry(enabled=False)
+        reg = MetricsRegistry()
         reg.counter("c").inc()
         reg.gauge("g").set(1.0)
         reg.histogram("h").observe(1.0)
@@ -81,7 +88,7 @@ class TestMetricsRegistry:
         assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
 
     def test_instruments_memoized_and_reset_keeps_them(self):
-        reg = MetricsRegistry(enabled=True)
+        reg = _enabled(MetricsRegistry())
         assert reg.counter("c") is reg.counter("c")
         reg.counter("c").inc(5)
         reg.reset()
@@ -90,7 +97,7 @@ class TestMetricsRegistry:
 
 class TestTracer:
     def test_nesting_records_parents(self):
-        tracer = Tracer(enabled=True)
+        tracer = _enabled(Tracer())
         with tracer.span("outer"):
             with tracer.span("inner", detail=1):
                 pass
@@ -101,14 +108,14 @@ class TestTracer:
         assert inner.duration_s >= 0
 
     def test_disabled_spans_still_measure_but_are_not_retained(self):
-        tracer = Tracer(enabled=False)
+        tracer = Tracer()
         with tracer.span("timed") as span:
             pass
         assert span.duration_ns >= 0
         assert tracer.spans == []
 
     def test_traced_decorator(self):
-        tracer = Tracer(enabled=True)
+        tracer = _enabled(Tracer())
 
         @tracer.traced("my.phase")
         def work(x):
@@ -118,7 +125,7 @@ class TestTracer:
         assert tracer.spans[0].name == "my.phase"
 
     def test_chrome_export_is_loadable(self, tmp_path):
-        tracer = Tracer(enabled=True)
+        tracer = _enabled(Tracer())
         with tracer.span("a", key="v"):
             with tracer.span("b"):
                 pass
@@ -132,7 +139,7 @@ class TestTracer:
             assert isinstance(event["ts"], float)
 
     def test_jsonl_export(self, tmp_path):
-        tracer = Tracer(enabled=True)
+        tracer = _enabled(Tracer())
         with tracer.span("one", n=1):
             pass
         path = tmp_path / "spans.jsonl"
@@ -141,8 +148,9 @@ class TestTracer:
         assert line["name"] == "one"
         assert line["attrs"] == {"n": 1}
 
-    def test_buffer_cap_drops_oldest(self):
-        tracer = Tracer(enabled=True, max_spans=3)
+    def test_buffer_cap_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 3)
+        tracer = _enabled(Tracer())
         for index in range(5):
             with tracer.span(f"s{index}"):
                 pass
